@@ -18,7 +18,8 @@ import pathlib
 
 import pytest
 
-from repro.eval.experiments import run_all_variants, run_variant
+from repro.api import RunRequest, run
+from repro.eval.experiments import run_all_variants
 
 PRESET = os.environ.get("REPRO_PRESET", "bench")
 NPROCS = int(os.environ.get("REPRO_NPROCS", "8"))
@@ -40,8 +41,8 @@ def one_variant(app, variant, **kw):
            tuple(sorted((k, repr(v)) for k, v in kw.items())))
     if key not in _cache:
         seq = all_variants(app, ["seq"])["seq"]
-        _cache[key] = run_variant(app, variant, nprocs=NPROCS, preset=PRESET,
-                                  seq_time=seq.time, **kw)
+        _cache[key] = run(RunRequest(app, variant, nprocs=NPROCS, preset=PRESET,
+                                     seq_time=seq.time, **kw))
     return _cache[key]
 
 

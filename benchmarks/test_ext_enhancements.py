@@ -14,8 +14,6 @@ applications and reports what it buys on the simulated SP/2:
   message passing counterparts".
 """
 
-from repro.compiler.spf import SpfOptions
-
 from conftest import all_variants, archive, one_variant, runner  # noqa: F401
 
 
@@ -24,12 +22,12 @@ def test_section8_enhancements(runner):
         out = {}
         out["fft_base"] = one_variant("fft3d", "spf")
         out["fft_tree"] = one_variant(
-            "fft3d", "spf", spf_options=SpfOptions(tree_reductions=True))
+            "fft3d", "spf", options=dict(tree_reductions=True))
         out["jac_base"] = one_variant("jacobi", "spf")
         out["jac_push"] = one_variant(
-            "jacobi", "spf", spf_options=SpfOptions(push_halos=True))
+            "jacobi", "spf", options=dict(push_halos=True))
         out["jac_all"] = one_variant(
-            "jacobi", "spf", spf_options=SpfOptions(
+            "jacobi", "spf", options=dict(
                 aggregate=True, fuse_loops=True, tree_reductions=True,
                 push_halos=True))
         out["jac_pvme"] = all_variants("jacobi")["pvme"]

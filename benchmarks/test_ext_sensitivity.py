@@ -12,8 +12,8 @@ the calibration and checks which conclusions are calibration-robust:
   expensive (the DSM sends several messages where MP sends one).
 """
 
+from repro.api import RunRequest, machine_to_doc, run
 from repro.apps.common import get_app
-from repro.eval.experiments import run_variant
 from repro.sim.machine import SP2_MODEL
 
 from conftest import NPROCS, archive, runner  # noqa: F401
@@ -45,21 +45,22 @@ def test_model_sensitivity(runner):
     def experiment():
         out = {}
         for label, model in MODELS.items():
-            seq_i = run_variant("igrid", "seq", preset="sweep")
-            seq_j = run_variant("jacobi", "seq", preset="sweep")
+            machine = machine_to_doc(model)
+            seq_i = run(RunRequest("igrid", "seq", preset="sweep"))
+            seq_j = run(RunRequest("jacobi", "seq", preset="sweep"))
             out[label] = {
-                "igrid_spf": run_variant("igrid", "spf", nprocs=NPROCS,
-                                         preset="sweep", model=model,
-                                         seq_time=seq_i.time),
-                "igrid_xhpf": run_variant("igrid", "xhpf", nprocs=NPROCS,
-                                          preset="sweep", model=model,
-                                          seq_time=seq_i.time),
-                "jacobi_spf": run_variant("jacobi", "spf", nprocs=NPROCS,
-                                          preset="sweep", model=model,
-                                          seq_time=seq_j.time),
-                "jacobi_pvme": run_variant("jacobi", "pvme", nprocs=NPROCS,
-                                           preset="sweep", model=model,
-                                           seq_time=seq_j.time),
+                "igrid_spf": run(RunRequest("igrid", "spf", nprocs=NPROCS,
+                                            preset="sweep", machine=machine,
+                                            seq_time=seq_i.time)),
+                "igrid_xhpf": run(RunRequest("igrid", "xhpf", nprocs=NPROCS,
+                                             preset="sweep", machine=machine,
+                                             seq_time=seq_i.time)),
+                "jacobi_spf": run(RunRequest("jacobi", "spf", nprocs=NPROCS,
+                                             preset="sweep", machine=machine,
+                                             seq_time=seq_j.time)),
+                "jacobi_pvme": run(RunRequest("jacobi", "pvme", nprocs=NPROCS,
+                                              preset="sweep", machine=machine,
+                                              seq_time=seq_j.time)),
             }
         return out
 

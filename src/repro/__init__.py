@@ -30,12 +30,10 @@ Batches go through the persistent worker pool::
     from repro.serve import RunService
     with RunService(workers=4) as svc:
         batch = svc.run_batch([RunRequest("jacobi", "spf"), ...])
-
-(``run_variant`` remains as a deprecated shim over the same API.)
 """
 
 from repro.api import BatchResult, RunRequest, RunResult, run
-from repro.eval.experiments import run_all_variants, run_variant
+from repro.eval.experiments import run_all_variants
 from repro.sim import Cluster, MachineModel, SP2_MODEL
 from repro.tmk import Tmk, tmk_run
 
@@ -46,7 +44,6 @@ __all__ = [
     "RunResult",
     "BatchResult",
     "run",
-    "run_variant",
     "run_all_variants",
     "Cluster",
     "MachineModel",

@@ -1,8 +1,8 @@
 """The one code path from :class:`RunRequest` to :class:`RunResult`.
 
 Every entry point — ``repro run``/``compare``/``figures``, the sweep and
-chaos harnesses, the bench kernels, the deprecated ``run_variant`` shim,
-and every :mod:`repro.serve` worker process — funnels through
+chaos harnesses, the bench kernels and every :mod:`repro.serve` worker
+process — funnels through
 :func:`execute`.  It owns variant dispatch (spf family, xhpf family,
 hand-coded tmk/pvme, the sequential oracle, and the analytic ``model``
 mode) and the **compiled-program cache**: repeated requests with the same
@@ -313,8 +313,7 @@ def execute(request: RunRequest,
     """Run one request and return its result (raising on invalid input).
 
     ``cache`` persists compiled programs across calls; omit it for a
-    one-shot run (a fresh throwaway cache — today's ``run_variant``
-    behaviour).  Execution errors propagate as exceptions here; the serve
+    one-shot run (a fresh throwaway cache).  Execution errors propagate as exceptions here; the serve
     worker layer is what converts them into structured failure results.
     """
     _validate(request)

@@ -5,7 +5,7 @@ Submodules are imported lazily (PEP 562): ``repro.eval.constants`` is a
 leaf the :mod:`repro.api` registry depends on, so this package's
 ``__init__`` must not eagerly pull in the heavyweight harness modules
 (``experiments``, ``chaos``, ...) — they import ``repro.api`` right back.
-``from repro.eval import run_variant`` and friends keep working.
+``from repro.eval import run_all_variants`` and friends keep working.
 """
 
 _EXPORTS = {
@@ -15,7 +15,6 @@ _EXPORTS = {
     "PAPER": "repro.eval.constants",
     "PaperNumbers": "repro.eval.constants",
     "VariantResult": "repro.eval.experiments",
-    "run_variant": "repro.eval.experiments",
     "run_all_variants": "repro.eval.experiments",
     "VARIANTS": "repro.eval.experiments",
     "RacecheckReport": "repro.eval.racecheck",

@@ -18,88 +18,23 @@ This module is now a thin facade over :mod:`repro.api` — the typed
 * :class:`VariantResult` is an **alias** of :class:`repro.api.RunResult`
   (same fields and semantics, plus service metadata; it gained
   ``to_json()``/``from_json()`` with the ``repro-run/1`` schema tag);
-* :func:`run_variant` is a **deprecated shim**: it builds a
-  :class:`~repro.api.RunRequest` and forwards to
-  :func:`repro.api.execute`.  Old notebooks keep working (a
-  ``DeprecationWarning`` tells them where to migrate);
-* :func:`run_all_variants` drives the same path with a shared
+* :func:`run_all_variants` drives :func:`repro.api.execute` with a shared
   compiled-program cache (the sequential oracle runs once per app).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional
 
 from repro.api.execute import ProgramCache, execute
 from repro.api.registry import FIGURE_VARIANTS, VARIANTS
-from repro.api.types import (RunRequest, RunResult, fault_plan_to_doc,
-                             machine_to_doc)
-from repro.sim.faults import FaultPlan
+from repro.api.types import RunRequest, RunResult, machine_to_doc
 from repro.sim.machine import MachineModel
 
-__all__ = ["VariantResult", "run_variant", "run_all_variants", "VARIANTS"]
+__all__ = ["VariantResult", "run_all_variants", "VARIANTS"]
 
 #: the historical result type — one class, one serializer, everywhere
 VariantResult = RunResult
-
-
-def request_from_legacy(app: str, variant: str, nprocs: int = 8,
-                        preset: str = "bench",
-                        model: Optional[MachineModel] = None,
-                        seq_time: Optional[float] = None,
-                        spf_options=None,
-                        gc_epochs: Optional[int] = 8,
-                        schedule_seed: Optional[int] = None,
-                        racecheck: bool = False,
-                        faults: Optional[FaultPlan] = None) -> RunRequest:
-    """Map the historical ``run_variant`` kwargs sprawl onto a request."""
-    options = None
-    if spf_options is not None and variant == "spf":
-        options = dict(vars(spf_options))
-        if options.pop("piggyback", None) is not None:
-            raise ValueError(
-                "spf_options.piggyback is a callable and cannot cross the "
-                "RunRequest boundary; drive repro.compiler.spf.compile_spf "
-                "directly for piggybacked runs")
-    return RunRequest(app=app, variant=variant, nprocs=nprocs,
-                      preset=preset, machine=machine_to_doc(model),
-                      options=options, gc_epochs=gc_epochs,
-                      schedule_seed=schedule_seed, seq_time=seq_time,
-                      racecheck=racecheck,
-                      fault_plan=fault_plan_to_doc(faults))
-
-
-def run_variant(app: str, variant: str, nprocs: int = 8,
-                preset: str = "bench",
-                model: Optional[MachineModel] = None,
-                seq_time: Optional[float] = None,
-                spf_options=None,
-                gc_epochs: Optional[int] = 8,
-                schedule_seed: Optional[int] = None,
-                racecheck: bool = False,
-                faults: Optional[FaultPlan] = None) -> VariantResult:
-    """Deprecated shim: build a :class:`RunRequest` and execute it.
-
-    Prefer::
-
-        from repro.api import RunRequest, run
-        run(RunRequest(app, variant, nprocs=..., preset=...))
-
-    The semantics are unchanged: ``schedule_seed`` perturbs
-    same-timestamp event ordering, ``racecheck=True`` attaches the
-    happens-before monitor (DSM variants only), ``faults`` attaches a
-    seeded :class:`~repro.sim.faults.FaultPlan` to the interconnect.
-    """
-    warnings.warn(
-        "run_variant(app, variant, ...) is deprecated; build a "
-        "repro.api.RunRequest and call repro.api.run() (or batch through "
-        "repro.serve.RunService) instead",
-        DeprecationWarning, stacklevel=2)
-    return execute(request_from_legacy(
-        app, variant, nprocs=nprocs, preset=preset, model=model,
-        seq_time=seq_time, spf_options=spf_options, gc_epochs=gc_epochs,
-        schedule_seed=schedule_seed, racecheck=racecheck, faults=faults))
 
 
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
@@ -126,48 +61,28 @@ def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
     if variants is None:
         variants = list(FIGURE_VARIANTS)
     machine = machine_to_doc(model)
+
+    def request(variant: str, seq_time=None) -> RunRequest:
+        return RunRequest(app=app, variant=variant, nprocs=nprocs,
+                          preset=preset, machine=machine,
+                          seq_time=seq_time)
+
+    out: dict = {}
+    seq_time = None
     if jobs <= 1 and service is None and not fleet:
         cache = cache if cache is not None else ProgramCache()
-        out: dict = {}
-        seq_time = None
         for variant in variants:
-            res = execute(RunRequest(app=app, variant=variant,
-                                     nprocs=nprocs, preset=preset,
-                                     machine=machine, seq_time=seq_time),
-                          cache)
-            out[variant] = res
+            out[variant] = execute(request(variant, seq_time), cache)
             if variant == "seq":
-                seq_time = res.time
+                seq_time = out[variant].time
         return out
 
-    from repro.eval.parallel import run_requests
-    own = None
-    if service is None:
-        if fleet:
-            from repro.serve import FleetService
-            service = own = FleetService(fleet)
-        else:
-            from repro.serve import RunService
-            service = own = RunService(workers=jobs)
-    try:
-        out = {}
-        seq_time = None
+    from repro.eval.parallel import run_requests, service_for
+    with service_for(jobs, service, fleet) as svc:
         if "seq" in variants:
-            (seq_res,) = run_requests(
-                [RunRequest(app=app, variant="seq", nprocs=nprocs,
-                            preset=preset, machine=machine)],
-                service=service)
-            out["seq"] = seq_res
-            seq_time = seq_res.time
+            (out["seq"],) = run_requests([request("seq")], service=svc)
+            seq_time = out["seq"].time
         rest = [v for v in variants if v != "seq"]
-        results = run_requests(
-            [RunRequest(app=app, variant=v, nprocs=nprocs, preset=preset,
-                        machine=machine, seq_time=seq_time) for v in rest],
-            service=service)
-        for variant, res in zip(rest, results):
-            out[variant] = res
-        return {v: out[v] for v in variants}
-    finally:
-        if own is not None:
-            own.close()
-
+        out.update(zip(rest, run_requests(
+            [request(v, seq_time) for v in rest], service=svc)))
+    return {v: out[v] for v in variants}

@@ -26,16 +26,34 @@ path is bit-identical on the fingerprint contract, which is exactly what
 
 from __future__ import annotations
 
+import contextlib
 from typing import Callable, Iterable, List, Optional
 
 from repro.api.execute import ProgramCache, execute
 from repro.api.types import RunRequest, RunResult
 
-__all__ = ["run_requests"]
+__all__ = ["run_requests", "service_for"]
 
 
 def _describe(request: RunRequest) -> str:
     return f"{request.app}/{request.variant} n={request.nprocs}"
+
+
+@contextlib.contextmanager
+def service_for(jobs: int = 1, service=None, fleet: Optional[list] = None):
+    """The caller's ``service`` if given (left open), else a temporary
+    :class:`~repro.serve.FleetService` over ``fleet`` or a ``workers=jobs``
+    :class:`~repro.serve.RunService`, closed on exit."""
+    if service is not None:
+        yield service
+    elif fleet:
+        from repro.serve import FleetService
+        with FleetService(fleet) as own:
+            yield own
+    else:
+        from repro.serve import RunService
+        with RunService(workers=jobs) as own:
+            yield own
 
 
 def run_requests(requests: Iterable[RunRequest],
@@ -71,22 +89,11 @@ def run_requests(requests: Iterable[RunRequest],
             results.append(execute(request, cache))
     else:
         results = [None] * len(requests)
-        own = None
-        if service is None:
-            if fleet:
-                from repro.serve import FleetService
-                service = own = FleetService(fleet)
-            else:
-                from repro.serve import RunService
-                service = own = RunService(workers=jobs)
-        try:
-            for index, result in service.stream(requests):
+        with service_for(jobs, service, fleet) as svc:
+            for index, result in svc.stream(requests):
                 results[index] = result
                 if progress:
                     progress(describe(requests[index]))
-        finally:
-            if own is not None:
-                own.close()
 
     if raise_on_error:
         for request, result in zip(requests, results):

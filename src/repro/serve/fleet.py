@@ -1,28 +1,20 @@
 """`FleetService` — the multi-host front tier over ``repro-serve/1``.
 
 One :class:`~repro.serve.RunService` scales to one host's cores.  The
-fleet tier is the next rung: it presents the same ``run`` / ``run_batch``
-/ ``stream_batch`` / ``stats`` surface but dispatches each
+fleet tier is the next rung: it presents the same service surface
+(``stream`` / ``run_batch`` / ``stats`` / ``counters`` /
+``live_workers`` / ``workers`` / ``close``) but dispatches each
 :class:`~repro.api.RunRequest` to one of N remote ``repro serve --tcp``
-hosts through :class:`~repro.serve.wire.WireClient` — the PR 8 scheduler
-ported up one level, from workers-behind-pipes to hosts-behind-sockets.
+hosts through :class:`~repro.serve.wire.WireClient`.
 
-Scheduling mirrors the in-process pool:
-
-* the fleet mirrors each host's compiled-program caches as a per-host
-  **warm-key set** keyed on :meth:`RunRequest.cache_key` (LRU-capped at
-  ``cache_entries``); a repeat key routes to its warm host (an
-  ``affinity_hit``), a cold key to the least-loaded idle host;
-* an idle host facing only warm-elsewhere work **steals** the oldest
-  backlog entry once the queue reaches ``steal_threshold`` — affinity
-  never serializes a batch;
-* ``max_backlog`` admission control refuses overflow requests at once
-  with structured ``error_kind="Rejected"`` results.
-
-Work is shipped in per-host **chunks** of up to the host's worker count,
-one in-flight chunk per host, streamed back per completion — so each
-remote pool stays saturated while the fleet keeps enough backlog loose
-for affinity routing and stealing.
+Placement is the same :class:`~repro.serve.scheduler.AffinityScheduler`
+the pool uses, with one target per host and the one real difference
+that a host's capacity is its remote pool size: work ships in per-host
+**chunks** of up to the host's worker count, one in-flight chunk per
+host, streamed back per completion — so each remote pool stays
+saturated while the fleet keeps enough backlog loose for affinity
+routing and stealing.  This module is the socket transport under the
+scheduler.
 
 What a network tier needs that the in-process pool didn't:
 
@@ -58,10 +50,11 @@ from __future__ import annotations
 import queue as _queue
 import threading
 import time as _time
-from collections import OrderedDict, deque
 from typing import Iterable, List, Optional, Tuple
 
-from repro.api.types import BatchResult, RunRequest, RunResult
+from repro.api.types import BatchResult
+from repro.serve.scheduler import AffinityScheduler, failure_result
+from repro.serve.service import collect_batch
 from repro.serve.wire import WireClient, WireConnectionLost
 
 __all__ = ["FleetService", "parse_host", "DEFAULT_RETRIES",
@@ -129,40 +122,21 @@ class FleetService:
                  retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF_S,
                  cache_entries: int = 64,
-                 steal_threshold: int = 2,
                  max_backlog: Optional[int] = None):
         specs = [parse_host(h) for h in hosts]
         if not specs:
             raise ValueError("FleetService needs at least one host")
-        if steal_threshold < 1:
-            raise ValueError("steal_threshold must be at least 1")
-        if max_backlog is not None and max_backlog < 1:
-            raise ValueError("max_backlog must be at least 1 (or None "
-                             "for unbounded admission)")
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
-        self.cache_entries = cache_entries
-        self.steal_threshold = steal_threshold
-        self.max_backlog = max_backlog
         self._hosts = [_Host(h, p) for h, p in specs]
+        # guards the scheduler: host threads take/retire/requeue under it
         self._cond = threading.Condition()
-        self._warm: dict = {}          # host label -> OrderedDict of keys
-        self._affinity_hits = 0
-        self._steals = 0
-        self._rejections = 0
-        self._requeues = 0
+        self._sched = AffinityScheduler(cache_entries, max_backlog)
         self._hosts_lost = 0
         self._retry_attempts = 0       # failed connect/send attempts
         self._closed = False
-        # per-stream state (single-consumer, like RunService.stream)
-        self._pending: dict = {}       # seq -> request doc
-        self._keys: dict = {}          # seq -> cache_key
-        self._backlog: deque = deque()
-        self._inflight: dict = {}      # seq -> host label
-        self._index_of: dict = {}      # seq -> batch index
-        self._done_q: _queue.Queue = _queue.Queue()
-        self._next_seq = 0
+        self._done_q: _queue.Queue = _queue.Queue()   # one per stream()
         for host in self._hosts:
             self._connect(host)
         if not self._live():
@@ -226,85 +200,34 @@ class FleetService:
         if host.client is not None:
             host.client.close()      # idempotent, safe on a dead socket
             host.client = None
-        self._warm.pop(host.label, None)
+        self._sched.forget(host.label)
 
     # ------------------------------------------------------------------ #
-    # scheduling: affinity, stealing, requeue
-
-    def _note_warm(self, host: _Host, key) -> None:
-        if key is None:
-            return
-        warm = self._warm.setdefault(host.label, OrderedDict())
-        warm[key] = None
-        warm.move_to_end(key)
-        while len(warm) > self.cache_entries:
-            warm.popitem(last=False)
-
-    def _select(self, host: _Host) -> list:
-        """Pick this idle host's next chunk from the backlog (locked).
-
-        Oldest-first, mirroring :meth:`RunService._pick` one level up:
-        keys warm here first (``affinity_hit`` each), then keys warm on
-        *no* live host, then — only when the backlog has reached
-        ``steal_threshold`` — the oldest warm-elsewhere entry (a
-        ``steal``).  Deferral cannot stall: the warm host is live and
-        busy, and its completion (or its death, which clears its warm
-        set) re-triggers selection.
-        """
-        limit = max(1, host.workers)
-        warm = self._warm.get(host.label, ())
-        chunk = []
-        for seq in self._backlog:
-            if len(chunk) >= limit:
-                break
-            if self._keys.get(seq) in warm:
-                chunk.append(seq)
-                self._affinity_hits += 1
-                host.affinity_hits += 1
-        if len(chunk) < limit:
-            live_warm = [self._warm.get(h.label, ())
-                         for h in self._live()]
-            for seq in self._backlog:
-                if len(chunk) >= limit:
-                    break
-                if seq in chunk:
-                    continue
-                key = self._keys.get(seq)
-                if not any(key in w for w in live_warm):
-                    chunk.append(seq)
-        if not chunk and len(self._backlog) >= self.steal_threshold:
-            chunk.append(self._backlog[0])
-            self._steals += 1
-            host.steals += 1
-        for seq in chunk:
-            self._backlog.remove(seq)
-            self._inflight[seq] = host.label
-            # record the key optimistically: the host compiles it on
-            # arrival, and duplicate keys later in the backlog route here
-            self._note_warm(host, self._keys.get(seq))
-        return chunk
+    # per-host dispatch: chunks out, completions in, requeue on loss
 
     def _take_chunk(self, host: _Host) -> Optional[list]:
-        """Block until this host has work, or the batch is retired."""
+        """Block until the scheduler has work for this host (up to its
+        remote pool size), or the batch is retired."""
         with self._cond:
             while True:
-                if not self._pending or self._closed or not host.alive:
+                if not self._sched.outstanding or self._closed \
+                        or not host.alive:
                     self._cond.notify_all()
                     return None
-                chunk = self._select(host)
+                chunk = self._sched.take(host.label, max(1, host.workers))
                 if chunk:
+                    verdicts = [verdict for _seq, _item, verdict in chunk]
+                    host.affinity_hits += verdicts.count("hit")
+                    host.steals += verdicts.count("steal")
                     return chunk
                 self._cond.wait(_WAIT_S)
 
-    def _complete(self, seq: int, result: RunResult) -> None:
+    def _complete(self, seq: int, result) -> None:
         with self._cond:
-            if seq not in self._pending:
-                return
-            del self._pending[seq]
-            self._keys.pop(seq, None)
-            self._inflight.pop(seq, None)
-            self._done_q.put((self._index_of[seq], result))
-            self._cond.notify_all()
+            item = self._sched.retire(seq)
+            if item is not None:
+                self._done_q.put((item[0], result))
+                self._cond.notify_all()
 
     def _host_failure(self, host: _Host, lost: list) -> None:
         """A chunk died with its host: requeue-at-head, retry, or give up.
@@ -318,12 +241,7 @@ class FleetService:
         """
         with self._cond:
             self._drop_host(host)
-            for seq in reversed(lost):
-                if seq in self._pending:
-                    self._inflight.pop(seq, None)
-                    self._backlog.appendleft(seq)
-                    self._requeues += 1
-                    host.requeues += 1
+            host.requeues += self._sched.requeue(lost)
             self._cond.notify_all()
         if not self._closed and self._connect(host):
             with self._cond:
@@ -340,14 +258,9 @@ class FleetService:
     def _fail_outstanding(self, error: str) -> None:
         """Fail every un-retired request as a structured HostLost (locked
         by the caller)."""
-        for seq in list(self._pending):
-            doc = self._pending.pop(seq)
-            self._keys.pop(seq, None)
-            self._inflight.pop(seq, None)
-            self._done_q.put((self._index_of[seq], RunResult.failure(
-                RunRequest.from_json(doc), error=error,
-                error_kind="HostLost")))
-        self._backlog.clear()
+        for index, doc in self._sched.drain():
+            self._done_q.put((index, failure_result(doc, error,
+                                                    "HostLost")))
 
     def _host_loop(self, host: _Host) -> None:
         """One thread per host: pull chunks, stream them over the wire."""
@@ -355,41 +268,33 @@ class FleetService:
             chunk = self._take_chunk(host)
             if chunk is None:
                 return
-            docs = [self._pending.get(seq) for seq in chunk]
-            if any(d is None for d in docs):     # retired underneath us
-                continue
+            seqs = [seq for seq, _item, _verdict in chunk]
             completed: set = set()
             try:
-                for kind, i, payload in host.client.stream_batch(docs):
+                for kind, i, payload in host.client.stream_batch(
+                        [doc for _seq, (_index, doc), _verdict in chunk]):
                     if kind == "result":
-                        seq = chunk[i]
-                        completed.add(seq)
+                        completed.add(seqs[i])
                         host.runs += 1
-                        self._complete(seq, payload)
+                        self._complete(seqs[i], payload)
             except (WireConnectionLost, ConnectionError, OSError,
                     RuntimeError):
                 self._host_failure(
-                    host, [s for s in chunk if s not in completed])
+                    host, [s for s in seqs if s not in completed])
 
     # ------------------------------------------------------------------ #
-    # the service surface (same shape as RunService)
-
-    @staticmethod
-    def _as_doc(request) -> dict:
-        if isinstance(request, RunRequest):
-            return request.to_json()
-        return dict(request)
+    # the service surface (the same seven names as RunService)
 
     def stream(self, requests: Iterable):
         """Yield ``(index, RunResult)`` in completion order.
 
         Single-consumer, like :meth:`RunService.stream` (the wire layer
         serializes access).  Dead hosts are re-probed before the batch;
-        ``max_backlog`` overflow yields immediate ``Rejected`` results.
+        requests that will not run (``BadRequest``, ``Rejected``) yield
+        first, exactly as at the pool.
         """
         if self._closed:
             raise RuntimeError("FleetService is closed")
-        docs = [self._as_doc(r) for r in requests]
         for host in self._hosts:
             if not host.alive:
                 self._connect(host)
@@ -397,38 +302,19 @@ class FleetService:
             raise ConnectionError(
                 "no fleet host reachable: "
                 + ", ".join(h.label for h in self._hosts))
-        rejected: list = []
-        with self._cond:
-            for doc in docs:
-                seq = self._next_seq
-                self._next_seq += 1
-                index = len(self._index_of)
-                self._index_of[seq] = index
-                if self.max_backlog is not None and \
-                        len(self._backlog) + len(self._inflight) \
-                        >= self.max_backlog:
-                    self._rejections += 1
-                    rejected.append((index, RunResult.failure(
-                        RunRequest.from_json(doc),
-                        error=(f"admission refused: {self.max_backlog} "
-                               f"request(s) already in flight (the "
-                               f"fleet's max_backlog cap)"),
-                        error_kind="Rejected")))
-                    continue
-                self._pending[seq] = doc
-                self._keys[seq] = RunRequest.from_json(doc).cache_key()
-                self._backlog.append(seq)
-            expected = len(self._pending)
-            self._cond.notify_all()
-        threads = [threading.Thread(target=self._host_loop, args=(host,),
-                                    name=f"repro-fleet-{host.label}",
-                                    daemon=True)
-                   for host in self._live()]
-        for t in threads:
-            t.start()
+        threads: list = []
         try:
-            for index, result in rejected:
-                yield index, result
+            with self._cond:
+                refused = self._sched.admit_requests(requests)
+                expected = self._sched.outstanding
+            threads = [threading.Thread(target=self._host_loop,
+                                        args=(host,),
+                                        name=f"repro-fleet-{host.label}",
+                                        daemon=True)
+                       for host in self._live()]
+            for t in threads:
+                t.start()
+            yield from refused
             emitted = 0
             while emitted < expected:
                 try:
@@ -447,23 +333,20 @@ class FleetService:
                 emitted += 1
         finally:
             with self._cond:
-                self._pending.clear()
-                self._keys.clear()
-                self._backlog.clear()
-                self._inflight.clear()
-                self._index_of.clear()
+                self._sched.clear()
                 self._cond.notify_all()
             for t in threads:
                 t.join(timeout=5.0)
             self._done_q = _queue.Queue()
 
+    def run_batch(self, requests: Iterable) -> BatchResult:
+        """Run a batch; return ordered results plus fleet counters."""
+        return collect_batch(self, requests)
+
     def counters(self) -> dict:
         """Monotonic counters, in the wire layer's shape — ``crashes``
         counts *host losses* at this level."""
-        return {"crashes": self._hosts_lost,
-                "affinity_hits": self._affinity_hits,
-                "steals": self._steals,
-                "rejections": self._rejections}
+        return {"crashes": self._hosts_lost, **self._sched.counters()}
 
     def live_workers(self) -> int:
         """Total remote workers behind the live hosts."""
@@ -473,69 +356,6 @@ class FleetService:
     def workers(self) -> int:
         return self.live_workers()
 
-    def run(self, request, id: Optional[object] = None) -> RunResult:
-        for _index, result in self.stream([request]):
-            return result
-        raise RuntimeError("fleet returned no result")   # unreachable
-
-    def run_batch(self, requests: Iterable) -> BatchResult:
-        """Run a batch; return ordered results plus fleet counters."""
-        docs = [self._as_doc(r) for r in requests]
-        t0 = _time.perf_counter()
-        before = self.counters()
-        results: list = [None] * len(docs)
-        for index, result in self.stream(docs):
-            results[index] = result
-        wall = _time.perf_counter() - t0
-        delta = {k: v - before[k] for k, v in self.counters().items()}
-        return BatchResult(
-            results=tuple(results),
-            wall_s=round(wall, 6),
-            workers=self.live_workers(),
-            cache_hits=sum(1 for r in results if r.cache_hit),
-            cache_misses=sum(1 for r in results
-                             if r.cache_hit is False),
-            crashes=delta["crashes"],
-            affinity_hits=delta["affinity_hits"],
-            steals=delta["steals"],
-            rejected=delta["rejections"])
-
-    def stream_batch(self, requests: Iterable,
-                     id: Optional[object] = None):
-        """:meth:`WireClient.stream_batch`-shaped events: ``("result",
-        index, RunResult)`` per completion, then ``("batch", None,
-        BatchResult)``."""
-        docs = [self._as_doc(r) for r in requests]
-        t0 = _time.perf_counter()
-        before = self.counters()
-        results: list = [None] * len(docs)
-        for index, result in self.stream(docs):
-            results[index] = result
-            yield ("result", index, result)
-        delta = {k: v - before[k] for k, v in self.counters().items()}
-        yield ("batch", None, BatchResult(
-            results=tuple(results),
-            wall_s=round(_time.perf_counter() - t0, 6),
-            workers=self.live_workers(),
-            cache_hits=sum(1 for r in results if r.cache_hit),
-            cache_misses=sum(1 for r in results
-                             if r.cache_hit is False),
-            crashes=delta["crashes"],
-            affinity_hits=delta["affinity_hits"],
-            steals=delta["steals"],
-            rejected=delta["rejections"]))
-
-    def submit(self, requests: Iterable) -> BatchResult:
-        return self.run_batch(requests)
-
-    # ------------------------------------------------------------------ #
-    # observability / lifecycle
-
-    @staticmethod
-    def _key_label(key: tuple) -> str:
-        app, variant, preset, nprocs, mode = key[:5]
-        return f"{app}:{variant}:{preset}:n{nprocs}:{mode}"
-
     def stats(self) -> dict:
         """Local fleet counters (no wire round-trips; :meth:`probe` does
         those)."""
@@ -543,19 +363,12 @@ class FleetService:
             "workers": self.live_workers(),
             "crashes": self._hosts_lost,
             "fleet": {
+                **self._sched.stats(),
                 "hosts": {h.label: h.snapshot() for h in self._hosts},
                 "live_hosts": len(self._live()),
-                "affinity_hits": self._affinity_hits,
-                "steals": self._steals,
-                "rejections": self._rejections,
-                "requeues": self._requeues,
+                "requeues": self._sched.requeues,
                 "hosts_lost": self._hosts_lost,
                 "retries": self._retry_attempts,
-                "steal_threshold": self.steal_threshold,
-                "max_backlog": self.max_backlog,
-                "warm_keys": {label: [self._key_label(k) for k in warm]
-                              for label, warm
-                              in sorted(self._warm.items())},
             },
         }
 

@@ -20,15 +20,10 @@ while holding it would poison the queue for the whole pool.  A simplex
 pipe has a single writer, so a death can only sever that worker's own
 channel; the parent observes EOF on it the moment the process is gone.
 
-Dispatch is **cache-affine**: each worker's compiled-program cache is
-mirrored parent-side as a warm-key set keyed on
-:meth:`RunRequest.cache_key`, a repeat key prefers the worker that
-already compiled it (counted as an ``affinity_hit``), and an idle worker
-facing only warm-elsewhere work steals the oldest backlog entry once the
-queue reaches ``steal_threshold`` — affinity never serializes a batch.
-``max_backlog`` caps admitted work: overflow requests come back at once
-as structured ``error_kind="Rejected"`` results instead of queueing
-without bound.
+Which request goes to which worker is not decided here: placement
+(cache affinity, stealing, ``max_backlog`` admission) is the shared
+:class:`~repro.serve.scheduler.AffinityScheduler`; this module is the
+pipe transport under it — spawn, send, receive, EOF, reap.
 
 Failure surface — the contract the e2e tests pin:
 
@@ -54,22 +49,47 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import time as _time
-from collections import OrderedDict, deque
 from multiprocessing import connection as _mpc
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.api.types import BatchResult, RunRequest, RunResult
+from repro.api.types import BatchResult, RunResult
+from repro.serve.scheduler import AffinityScheduler, failure_result
 from repro.serve.worker import DEFAULT_RUNNER, worker_main
 
-__all__ = ["RunService", "DEFAULT_WORKERS", "DEFAULT_STEAL_THRESHOLD"]
+__all__ = ["RunService", "DEFAULT_WORKERS", "collect_batch"]
 
 DEFAULT_WORKERS = 4
 
-#: backlog depth at which an idle worker takes work that is warm on a
-#: *busy* worker rather than waiting for it — bounds queue imbalance
-DEFAULT_STEAL_THRESHOLD = 2
-
 _POLL_S = 0.1      # fallback liveness-poll period (EOF is the fast path)
+
+
+def collect_batch(service, requests: Iterable,
+                  on_result: Optional[Callable] = None) -> BatchResult:
+    """Stream ``requests`` through ``service`` (a pool or a fleet) and
+    assemble the ordered :class:`BatchResult` with the counter deltas.
+
+    ``on_result(index, result)`` is called per completion, in completion
+    order (the wire ``batch`` op streams its ``result`` lines from it).
+    """
+    requests = list(requests)
+    t0 = _time.perf_counter()
+    before = service.counters()
+    results: list = [None] * len(requests)
+    for index, result in service.stream(requests):
+        results[index] = result
+        if on_result is not None:
+            on_result(index, result)
+    delta = {k: v - before[k] for k, v in service.counters().items()}
+    return BatchResult(
+        results=tuple(results),
+        wall_s=round(_time.perf_counter() - t0, 6),
+        workers=service.live_workers(),
+        cache_hits=sum(1 for r in results if r.cache_hit),
+        cache_misses=sum(1 for r in results if r.cache_hit is False),
+        crashes=delta["crashes"],
+        affinity_hits=delta["affinity_hits"],
+        steals=delta["steals"],
+        rejected=delta["rejections"])
 
 
 class RunService:
@@ -79,56 +99,39 @@ class RunService:
     worker (tests inject failing/crashing runners through it); the
     default executes through :func:`repro.api.execute`.
 
-    Dispatch is **cache-affine**: the parent mirrors each worker's
-    compiled-program cache as a warm-key set (keyed on
-    :meth:`RunRequest.cache_key`, LRU-capped at ``cache_entries`` like
-    the worker's own cache) and prefers routing a repeat key back to the
-    worker that already compiled it.  Affinity never serializes a batch:
-    an idle worker facing only warm-elsewhere work steals the oldest
-    entry once the backlog reaches ``steal_threshold``.  Routing
-    verdicts are counted (``affinity_hits``, ``steals``) and surfaced on
-    :meth:`stats` and every :class:`BatchResult`.
-
-    ``max_backlog`` adds admission control: when set, requests beyond
-    that many in flight (queued + assigned) are refused immediately with
-    a structured ``ok=False`` result (``error_kind="Rejected"``) instead
-    of queueing without bound.
+    Placement is the shared
+    :class:`~repro.serve.scheduler.AffinityScheduler` with one target
+    per worker (capacity 1): repeat keys return to the worker that
+    compiled them, cold keys go to the emptiest idle worker, idle
+    workers steal under backlog pressure.  ``cache_entries`` sizes both
+    each worker's ProgramCache and the scheduler's mirror of it;
+    ``max_backlog`` caps admitted work — overflow comes back at once as
+    structured ``error_kind="Rejected"`` results.  Routing verdicts
+    surface on :meth:`stats` and every :class:`BatchResult`.
     """
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  runner: str = DEFAULT_RUNNER,
                  respawn: bool = True,
                  cache_entries: int = 64,
-                 start_method: str = "spawn",
-                 max_backlog: Optional[int] = None,
-                 steal_threshold: int = DEFAULT_STEAL_THRESHOLD):
+                 max_backlog: Optional[int] = None):
         if workers < 1:
             raise ValueError("RunService needs at least one worker")
-        if steal_threshold < 1:
-            raise ValueError("steal_threshold must be at least 1")
-        if max_backlog is not None and max_backlog < 1:
-            raise ValueError("max_backlog must be at least 1 (or None "
-                             "for unbounded admission)")
         self.workers = workers
         self.runner = runner
         self.respawn = respawn
         self.cache_entries = cache_entries
-        self.max_backlog = max_backlog
-        self.steal_threshold = steal_threshold
-        self._ctx = mp.get_context(start_method)
+        self._sched = AffinityScheduler(cache_entries, max_backlog)
+        # spawn, never fork: the parent's simulator threads and locks
+        # must not leak into a worker
+        self._ctx = mp.get_context("spawn")
         self._procs: dict = {}           # worker_id -> Process
         self._task_conns: dict = {}      # worker_id -> parent write end
         self._result_conns: dict = {}    # worker_id -> parent read end
-        self._assigned: dict = {}        # worker_id -> seq it is running
+        self._assigned: dict = {}        # worker_id -> seq sent down its pipe
         self._cache_stats: dict = {}     # worker_id -> last-seen stats
-        self._warm: dict = {}            # worker_id -> OrderedDict of keys
-        self._keys: dict = {}            # seq -> RunRequest.cache_key()
         self._next_worker = 0
-        self._next_seq = 0
         self._crashes = 0
-        self._affinity_hits = 0
-        self._steals = 0
-        self._rejections = 0
         self._closed = False
         for _ in range(workers):
             self._spawn()
@@ -158,139 +161,73 @@ class RunService:
     def _discard(self, wid: int) -> None:
         """Forget a dead worker's process, pipes and warm-key set."""
         self._procs.pop(wid, None)
-        self._warm.pop(wid, None)
+        self._sched.forget(wid)
         for conns in (self._task_conns, self._result_conns):
             conn = conns.pop(wid, None)
             if conn is not None:
                 conn.close()
 
-    def _idle_workers(self) -> list:
-        return [wid for wid in self._procs if wid not in self._assigned]
+    def _dispatch(self) -> None:
+        """Offer every idle worker to the scheduler — fewest warm keys
+        first, so cold keys spread to the emptiest worker — and send each
+        what it takes (assignment recorded before the send)."""
+        idle = sorted((wid for wid in self._procs
+                       if wid not in self._assigned),
+                      key=self._sched.warm_count)
+        for wid in idle:
+            for seq, (_index, doc), _verdict in self._sched.take(wid):
+                self._assigned[wid] = seq
+                try:
+                    self._task_conns[wid].send(("run", seq, doc))
+                except (BrokenPipeError, OSError):
+                    # the worker died before it ever saw this request:
+                    # put it back at the head of the queue and reap the
+                    # corpse now — waiting for the liveness poll would
+                    # park the request on a dead worker for a whole poll
+                    # period, and failing it as WorkerCrashed would
+                    # blame a request the worker never received
+                    del self._assigned[wid]
+                    self._sched.requeue([seq])
+                    self._reap_worker(wid)        # respawns if enabled
+                    return self._dispatch()       # offer the stand-in too
 
-    def _note_warm(self, wid: int, key) -> None:
-        """Record that ``wid``'s cache now holds ``key`` (LRU, mirroring
-        the worker's own ``cache_entries``-bounded ProgramCache)."""
-        if key is None:
-            return
-        warm = self._warm.setdefault(wid, OrderedDict())
-        warm[key] = None
-        warm.move_to_end(key)
-        while len(warm) > self.cache_entries:
-            warm.popitem(last=False)
-
-    def _pick(self, idle: list, backlog: deque):
-        """Choose ``(worker, seq, verdict)`` honouring cache affinity.
-
-        Scanning the backlog oldest-first:
-
-        1. a queued key warm on an idle worker -> that worker (``hit``);
-        2. a queued key warm on *no* live worker -> the idle worker with
-           the fewest warm keys (``cold`` — spreads the key space);
-        3. everything queued is warm on busy workers only: take the
-           oldest entry anyway once the backlog has reached
-           ``steal_threshold`` (``steal``), else ``None`` — defer, and
-           let the warm worker come back for it.  Deferral cannot stall:
-           the warm worker is live and busy, so its completion (or its
-           death, which clears its warm set) re-triggers dispatch.
-        """
-        for seq in backlog:
-            key = self._keys.get(seq)
-            if key is None:
-                continue
-            for wid in idle:
-                if key in self._warm.get(wid, ()):
-                    return wid, seq, "hit"
-        for seq in backlog:
-            key = self._keys.get(seq)
-            if key is None or not any(key in warm
-                                      for warm in self._warm.values()):
-                wid = min(idle, key=lambda w: len(self._warm.get(w, ())))
-                return wid, seq, "cold"
-        if len(backlog) >= self.steal_threshold:
-            return idle[0], backlog[0], "steal"
-        return None
-
-    def _dispatch(self, backlog: deque, pending: dict) -> None:
-        """Hand queued work to idle workers (assignment recorded first)."""
-        while backlog:
-            idle = self._idle_workers()
-            if not idle:
-                return
-            pick = self._pick(idle, backlog)
-            if pick is None:
-                return         # all queued keys warm on busy workers
-            wid, seq, verdict = pick
-            backlog.remove(seq)
-            if verdict == "hit":
-                self._affinity_hits += 1
-            elif verdict == "steal":
-                self._steals += 1
-            self._assigned[wid] = seq
-            # record the key optimistically: the worker compiles it on
-            # arrival, and duplicate cold keys later in the backlog now
-            # route to this worker instead of compiling twice
-            self._note_warm(wid, self._keys.get(seq))
-            try:
-                self._task_conns[wid].send(("run", seq, pending[seq]))
-            except (BrokenPipeError, OSError):
-                # the worker died before it ever saw this request: put
-                # the request back at the head of the queue and reap the
-                # corpse now — waiting for the liveness poll would park
-                # the request on a dead worker for a whole poll period,
-                # and failing it as WorkerCrashed would blame a request
-                # the worker never received
-                del self._assigned[wid]
-                backlog.appendleft(seq)
-                self._reap_worker(wid, pending)   # respawns if enabled
-
-    def _fail_assignment(self, wid: int, proc, pending: dict) -> list:
-        seq = self._assigned.pop(wid, None)
-        if seq is None or seq not in pending:
-            return []
-        request = RunRequest.from_json(pending[seq])
-        exitcode = proc.exitcode if proc is not None else None
-        return [(seq, RunResult.failure(
-            request,
-            error=(f"worker {wid} died (exit code {exitcode}) "
-                   "while running this request"),
-            error_kind="WorkerCrashed", worker=wid))]
-
-    def _reap_worker(self, wid: int, pending: dict) -> list:
-        """One worker is dead: fail its assignment, respawn a stand-in."""
+    def _reap_worker(self, wid: int) -> list:
+        """One worker is dead: fail its assignment, respawn a stand-in.
+        Returns the ``[(index, result)]`` it failed."""
         proc = self._procs.get(wid)
         if proc is not None:
             proc.join(timeout=1.0)
         self._discard(wid)
         self._crashes += 1
-        failed = self._fail_assignment(wid, proc, pending)
+        item = self._sched.retire(self._assigned.pop(wid, None))
         if self.respawn and not self._closed:
             self._spawn()
-        return failed
+        if item is None:
+            return []
+        exitcode = proc.exitcode if proc is not None else None
+        return [(item[0], failure_result(
+            item[1],
+            error=(f"worker {wid} died (exit code {exitcode}) "
+                   "while running this request"),
+            error_kind="WorkerCrashed", worker=wid))]
 
-    def _reap(self, pending: dict, backlog: deque) -> list:
+    def _reap(self) -> list:
         """Poll liveness (backstop to pipe EOF); fail dead assignments."""
         failed = []
         for wid, proc in list(self._procs.items()):
             if not proc.is_alive():
-                failed.extend(self._reap_worker(wid, pending))
+                failed.extend(self._reap_worker(wid))
         if not self._procs:
             # pool exhausted (respawn disabled): fail everything left
-            for seq in list(backlog):
-                request = RunRequest.from_json(pending[seq])
-                failed.append((seq, RunResult.failure(
-                    request, error="no live workers remain in the pool",
-                    error_kind="WorkerCrashed")))
-            backlog.clear()
+            failed.extend(
+                (index, failure_result(
+                    doc, error="no live workers remain in the pool",
+                    error_kind="WorkerCrashed"))
+                for index, doc in self._sched.drain())
         return failed
 
     # ------------------------------------------------------------------ #
-    # submitting work
-
-    @staticmethod
-    def _as_doc(request) -> dict:
-        if isinstance(request, RunRequest):
-            return request.to_json()
-        return dict(request)
+    # the service surface (FleetService presents the same seven names)
 
     def stream(self, requests: Iterable):
         """Yield ``(index, RunResult)`` in completion order.
@@ -300,116 +237,55 @@ class RunService:
         Single-consumer: concurrent ``stream`` calls must be serialized
         by the caller (the wire layer holds a lock around this).
 
-        When ``max_backlog`` is set, requests beyond that many in flight
-        are not queued: they yield immediately as structured rejections
-        (``ok=False``, ``error_kind="Rejected"``).
+        Requests that will not run yield first, as structured failures:
+        ``error_kind="BadRequest"`` for a doc that does not parse,
+        ``"Rejected"`` for one over the ``max_backlog`` cap.
         """
         if self._closed:
             raise RuntimeError("RunService is closed")
-        index_of: dict = {}
-        pending: dict = {}
-        backlog: deque = deque()
-        rejected: list = []
-        for request in requests:
-            doc = self._as_doc(request)
-            seq = self._next_seq
-            self._next_seq += 1
-            index_of[seq] = len(index_of)
-            if self.max_backlog is not None and \
-                    len(backlog) + len(self._assigned) >= self.max_backlog:
-                self._rejections += 1
-                rejected.append((seq, RunResult.failure(
-                    RunRequest.from_json(doc),
-                    error=(f"admission refused: {self.max_backlog} "
-                           f"request(s) already in flight "
-                           f"(the service's max_backlog cap)"),
-                    error_kind="Rejected")))
-                continue
-            pending[seq] = doc
-            self._keys[seq] = RunRequest.from_json(doc).cache_key()
-            backlog.append(seq)
-        for seq, result in rejected:
-            yield index_of[seq], result
-        self._dispatch(backlog, pending)
-        while pending:
-            wid_of = {conn: wid
-                      for wid, conn in self._result_conns.items()}
-            ready = _mpc.wait(list(wid_of), timeout=_POLL_S) \
-                if wid_of else []
-            failed = []
-            for conn in ready:
-                wid = wid_of[conn]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    failed.extend(self._reap_worker(wid, pending))
-                    continue
-                _kind, _wid, seq, doc, cache_stats = msg
-                if self._assigned.get(wid) == seq:
-                    del self._assigned[wid]
-                self._cache_stats[wid] = cache_stats
-                if seq in pending:
-                    pending.pop(seq)
-                    self._keys.pop(seq, None)
-                    yield index_of[seq], RunResult.from_json(doc)
-            if not ready:
-                failed.extend(self._reap(pending, backlog))
-            for seq, result in failed:
-                pending.pop(seq, None)
-                self._keys.pop(seq, None)
-                yield index_of[seq], result
-            self._dispatch(backlog, pending)
+        try:
+            yield from self._sched.admit_requests(requests)
+            self._dispatch()
+            while self._sched.outstanding:
+                wid_of = {conn: wid
+                          for wid, conn in self._result_conns.items()}
+                ready = _mpc.wait(list(wid_of), timeout=_POLL_S) \
+                    if wid_of else []
+                failed = []
+                for conn in ready:
+                    wid = wid_of[conn]
+                    try:
+                        msg = conn.recv()
+                    except (EOFError, OSError):
+                        failed.extend(self._reap_worker(wid))
+                        continue
+                    _kind, _wid, seq, doc, cache_stats = msg
+                    if self._assigned.get(wid) == seq:
+                        del self._assigned[wid]
+                    self._cache_stats[wid] = cache_stats
+                    item = self._sched.retire(seq)
+                    if item is not None:
+                        yield item[0], RunResult.from_json(doc)
+                if not ready:
+                    failed.extend(self._reap())
+                yield from failed
+                self._dispatch()
+        finally:
+            self._sched.clear()
+
+    def run_batch(self, requests: Iterable) -> BatchResult:
+        """Run a batch; return ordered results plus service counters."""
+        return collect_batch(self, requests)
 
     def counters(self) -> dict:
-        """Snapshot of the monotonic scheduling counters (for deltas).
-
-        Part of the service surface the wire layer dispatches against
-        (shared with :class:`~repro.serve.fleet.FleetService`): at the
-        pool level ``crashes`` counts worker deaths; at the fleet level
-        it counts host losses.
-        """
-        return {"crashes": self._crashes,
-                "affinity_hits": self._affinity_hits,
-                "steals": self._steals,
-                "rejections": self._rejections}
+        """Snapshot of the monotonic scheduling counters (for deltas):
+        ``crashes`` counts worker deaths at the pool level, host losses
+        at the fleet level."""
+        return {"crashes": self._crashes, **self._sched.counters()}
 
     def live_workers(self) -> int:
         """Workers alive right now (not the configured pool size)."""
         return len(self._procs)
-
-    def run_batch(self, requests: Iterable) -> BatchResult:
-        """Run a batch; return ordered results plus service counters."""
-        docs = [self._as_doc(r) for r in requests]
-        t0 = _time.perf_counter()
-        before = self.counters()
-        results: list = [None] * len(docs)
-        for idx, result in self.stream(docs):
-            results[idx] = result
-        wall = _time.perf_counter() - t0
-        delta = {k: v - before[k] for k, v in self.counters().items()}
-        return BatchResult(
-            results=tuple(results),
-            wall_s=round(wall, 6),
-            workers=self.live_workers(),
-            cache_hits=sum(1 for r in results if r.cache_hit),
-            cache_misses=sum(1 for r in results if r.cache_hit is False),
-            crashes=delta["crashes"],
-            affinity_hits=delta["affinity_hits"],
-            steals=delta["steals"],
-            rejected=delta["rejections"])
-
-    def submit(self, requests: Iterable) -> BatchResult:
-        """Alias of :meth:`run_batch` (symmetry with the wire protocol)."""
-        return self.run_batch(requests)
-
-    # ------------------------------------------------------------------ #
-    # observability / lifecycle
-
-    @staticmethod
-    def _key_label(key: tuple) -> str:
-        """Compact JSON-safe label of a cache key for stats()."""
-        app, variant, preset, nprocs, mode = key[:5]
-        return f"{app}:{variant}:{preset}:n{nprocs}:{mode}"
 
     def stats(self) -> dict:
         per_worker = {str(wid): stats
@@ -422,15 +298,7 @@ class RunService:
                 "misses": sum(s["misses"] for s in per_worker.values()),
                 "per_worker": per_worker,
             },
-            "scheduler": {
-                "affinity_hits": self._affinity_hits,
-                "steals": self._steals,
-                "rejections": self._rejections,
-                "max_backlog": self.max_backlog,
-                "steal_threshold": self.steal_threshold,
-                "warm_keys": {str(wid): [self._key_label(k) for k in warm]
-                              for wid, warm in sorted(self._warm.items())},
-            },
+            "scheduler": self._sched.stats(),
         }
 
     def close(self, timeout: float = 5.0) -> None:

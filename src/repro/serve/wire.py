@@ -37,6 +37,7 @@ import threading
 from typing import Iterable, Optional
 
 from repro.api.types import BatchResult, RunResult
+from repro.serve.service import collect_batch
 
 WIRE_SCHEMA = "repro-serve/1"
 
@@ -101,30 +102,13 @@ def _handle(service, msg: dict, emit, lock: threading.Lock) -> str:
               "result": batch.results[0].to_json()})
         return ""
     if op == "batch":
-        requests = msg.get("requests", [])
-        results = [None] * len(requests)
-        import time as _time
-        t0 = _time.perf_counter()
+        def on_result(index: int, result: RunResult) -> None:
+            emit({"op": "result", "id": msg.get("id"), "index": index,
+                  "result": result.to_json()})
+
         with lock:
-            before = service.counters()
-            for index, result in service.stream(requests):
-                results[index] = result
-                emit({"op": "result", "id": msg.get("id"), "index": index,
-                      "result": result.to_json()})
-            delta = {k: v - before[k]
-                     for k, v in service.counters().items()}
-            live = service.live_workers()
-        batch = BatchResult(
-            results=tuple(results),
-            wall_s=round(_time.perf_counter() - t0, 6),
-            workers=live,
-            cache_hits=sum(1 for r in results if r and r.cache_hit),
-            cache_misses=sum(1 for r in results
-                             if r and r.cache_hit is False),
-            crashes=delta["crashes"],
-            affinity_hits=delta["affinity_hits"],
-            steals=delta["steals"],
-            rejected=delta["rejections"])
+            batch = collect_batch(service, msg.get("requests", []),
+                                  on_result)
         emit({"op": "batch-done", "id": msg.get("id"),
               "batch": batch.to_json()})
         return ""
@@ -132,19 +116,15 @@ def _handle(service, msg: dict, emit, lock: threading.Lock) -> str:
     return ""
 
 
-# ---------------------------------------------------------------------- #
-# stdio transport
-
-def serve_stdio(service, stdin, stdout) -> str:
-    """Serve one client over text streams; returns why we stopped."""
-    lock = threading.Lock()
-
+def _serve_lines(service, lines: Iterable[str], write, lock) -> str:
+    """The read-dispatch loop of both transports: greet, then answer one
+    JSON line at a time through ``write(text)``.  Returns why it stopped:
+    ``"bye"``, ``"shutdown"`` or ``"eof"``."""
     def emit(obj: dict) -> None:
-        stdout.write(json.dumps(obj, sort_keys=True) + "\n")
-        stdout.flush()
+        write(json.dumps(obj, sort_keys=True) + "\n")
 
     emit(_hello(service))
-    for line in stdin:
+    for line in lines:
         line = line.strip()
         if not line:
             continue
@@ -164,6 +144,18 @@ def serve_stdio(service, stdin, stdout) -> str:
 
 
 # ---------------------------------------------------------------------- #
+# stdio transport
+
+def serve_stdio(service, stdin, stdout) -> str:
+    """Serve one client over text streams; returns why we stopped."""
+    def write(text: str) -> None:
+        stdout.write(text)
+        stdout.flush()
+
+    return _serve_lines(service, stdin, write, threading.Lock())
+
+
+# ---------------------------------------------------------------------- #
 # TCP transport
 
 class WireServer:
@@ -178,43 +170,25 @@ class WireServer:
     def __init__(self, service, host: str = "127.0.0.1", port: int = 0):
         self.service = service
         self._lock = threading.Lock()
-        self._shutdown = threading.Event()
         self._started = False
         self._closed = False
         outer = self
 
         class _Handler(socketserver.StreamRequestHandler):
-            def handle(self) -> None:
-                stdin = (line.decode("utf-8") for line in self.rfile)
+            # setup() sets TCP_NODELAY: a batch reply is several small
+            # flushed lines, and Nagle x delayed-ACK stalls each ~40 ms
+            disable_nagle_algorithm = True
 
-                def emit(obj: dict) -> None:
-                    data = json.dumps(obj, sort_keys=True) + "\n"
-                    self.wfile.write(data.encode("utf-8"))
+            def handle(self) -> None:
+                def write(text: str) -> None:
+                    self.wfile.write(text.encode("utf-8"))
                     self.wfile.flush()
 
-                emit(_hello(outer.service))
-                for line in stdin:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        msg = json.loads(line)
-                    except ValueError as exc:
-                        emit({"op": "error", "message": f"bad json: {exc}"})
-                        continue
-                    try:
-                        verdict = _handle(outer.service, msg, emit,
-                                          outer._lock)
-                    except Exception as exc:  # noqa: BLE001
-                        emit({"op": "error", "message": str(exc)})
-                        continue
-                    if verdict == "bye":
-                        return
-                    if verdict == "shutdown":
-                        outer._shutdown.set()
-                        threading.Thread(target=outer._tcp.shutdown,
-                                         daemon=True).start()
-                        return
+                lines = (line.decode("utf-8") for line in self.rfile)
+                if _serve_lines(outer.service, lines, write,
+                                outer._lock) == "shutdown":
+                    threading.Thread(target=outer._tcp.shutdown,
+                                     daemon=True).start()
 
         class _Server(socketserver.ThreadingTCPServer):
             allow_reuse_address = True
@@ -267,6 +241,8 @@ class WireClient:
         self._in_flight: object = "hello"
         self._sock = socket.create_connection((host, port),
                                               timeout=timeout)
+        # small request lines must not wait on Nagle for the peer's ACK
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("r", encoding="utf-8")
         self._wfile = self._sock.makefile("w", encoding="utf-8")
         self.hello = self._recv()

@@ -81,18 +81,12 @@ def worker_main(worker_id: int, task_conn, result_conn,
 
 def _run_one(runner, request_doc: dict, cache,
              worker_id: Optional[int]) -> dict:
-    from repro.api.types import RunRequest, RunResult
-
     try:
         doc = runner(request_doc, cache)
     except Exception as exc:   # noqa: BLE001 — structured, not fatal
-        try:
-            request = RunRequest.from_json(request_doc)
-        except Exception:      # noqa: BLE001 — even the doc was bad
-            request = RunRequest(app=str(request_doc.get("app", "?")),
-                                 variant=str(request_doc.get("variant",
-                                                             "?")))
-        doc = RunResult.failure(request, error=str(exc),
-                                error_kind=type(exc).__name__).to_json()
+        from repro.serve.scheduler import failure_result
+
+        doc = failure_result(request_doc, error=str(exc),
+                             error_kind=type(exc).__name__).to_json()
     doc["worker"] = worker_id
     return doc

@@ -1,4 +1,4 @@
-"""The `repro.api` value types: serialization, identity, the legacy shim.
+"""The `repro.api` value types: serialization, identity, the registry.
 
 Pins the ``repro-run/1`` contract that the CLI, the sweep/chaos
 harnesses and the serve wire protocol all share:
@@ -8,8 +8,7 @@ harnesses and the serve wire protocol all share:
 * ``RunResult.fingerprint()`` is the bit-identity currency — equal
   fingerprints iff the runs are equivalent, volatile fields excluded;
 * the machine/fault-plan doc serializers invert each other;
-* the registry is the single source of app/variant truth;
-* ``run_variant`` is a deprecation shim over the same execution path.
+* the registry is the single source of app/variant truth.
 """
 
 import dataclasses
@@ -22,7 +21,6 @@ from repro.api import (DSM_VARIANTS, PRESETS, RACECHECK_VARIANTS, VARIANTS,
 from repro.api.types import (RUN_SCHEMA, VOLATILE_RESULT_FIELDS,
                              fault_plan_from_doc, fault_plan_to_doc,
                              machine_from_doc, machine_to_doc)
-from repro.eval.experiments import request_from_legacy, run_variant
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import SP2_MODEL
 
@@ -113,29 +111,6 @@ def test_registry_is_consistent():
         assert (reason is None) == info.has_spf_opt, info.name
     with pytest.raises(ValueError, match="warp"):
         registry.supports("jacobi", "warp")
-
-
-def test_run_variant_shim_warns_and_matches_unified_path():
-    with pytest.warns(DeprecationWarning, match="RunRequest"):
-        legacy = run_variant("jacobi", "spf", nprocs=2, preset="test",
-                             seq_time=1.0)
-    unified = execute(request_from_legacy("jacobi", "spf", nprocs=2,
-                                          preset="test", seq_time=1.0))
-    assert legacy.fingerprint() == unified.fingerprint()
-
-
-def test_run_variant_shim_forwards_every_legacy_kwarg():
-    req = request_from_legacy(
-        "jacobi", "spf", nprocs=4, preset="test",
-        model=SP2_MODEL.with_(latency=2e-4), seq_time=2.0,
-        gc_epochs=4, schedule_seed=9, racecheck=True,
-        faults=FaultPlan.default(seed=1))
-    assert (req.nprocs, req.preset, req.seq_time) == (4, "test", 2.0)
-    assert (req.gc_epochs, req.schedule_seed, req.racecheck) == (4, 9, True)
-    assert req.machine["latency"] == 2e-4
-    assert req.fault_plan["seed"] == 1
-    # and the request is wire-clean: it survives its own serializer
-    assert RunRequest.from_json(req.to_json()) == req
 
 
 def test_program_cache_counts_hits_and_evicts_lru():

@@ -8,8 +8,8 @@ divisible and non-divisible processor counts.
 
 import pytest
 
+from repro.api import RunRequest, run
 from repro.apps.common import APP_REGISTRY, get_app, signatures_close
-from repro.eval.experiments import run_variant
 
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
 VARIANTS = ["spf", "tmk", "xhpf", "pvme"]
@@ -19,7 +19,7 @@ _seq_cache = {}
 
 def seq_signature(app):
     if app not in _seq_cache:
-        _seq_cache[app] = run_variant(app, "seq", preset="test")
+        _seq_cache[app] = run(RunRequest(app, "seq", preset="test"))
     return _seq_cache[app]
 
 
@@ -35,8 +35,8 @@ def test_registry_complete():
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_variant_matches_sequential(app, variant):
     seq = seq_signature(app)
-    res = run_variant(app, variant, nprocs=4, preset="test",
-                      seq_time=seq.time)
+    res = run(RunRequest(app, variant, nprocs=4, preset="test",
+                         seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6), (
         f"{app}/{variant}: {res.signature} != {seq.signature}")
 
@@ -45,8 +45,8 @@ def test_variant_matches_sequential(app, variant):
 def test_nondivisible_processor_count(app):
     """3 processors: block remainders and cyclic wrap still correct."""
     seq = seq_signature(app)
-    res = run_variant(app, "tmk", nprocs=3, preset="test",
-                      seq_time=seq.time)
+    res = run(RunRequest(app, "tmk", nprocs=3, preset="test",
+                         seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
@@ -54,8 +54,8 @@ def test_nondivisible_processor_count(app):
 def test_compiled_variants_on_two_procs(app):
     seq = seq_signature(app)
     for variant in ("spf", "xhpf"):
-        res = run_variant(app, variant, nprocs=2, preset="test",
-                          seq_time=seq.time)
+        res = run(RunRequest(app, variant, nprocs=2, preset="test",
+                             seq_time=seq.time))
         assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
@@ -66,23 +66,23 @@ def test_spf_optimized_variant_same_answer(app):
     if spec.spf_opt_options is None:
         pytest.skip("no hand-optimized variant in the paper")
     seq = seq_signature(app)
-    res = run_variant(app, "spf_opt", nprocs=4, preset="test",
-                      seq_time=seq.time)
+    res = run(RunRequest(app, "spf_opt", nprocs=4, preset="test",
+                         seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
 @pytest.mark.parametrize("app", ["jacobi", "mgs"])
 def test_spf_old_interface_same_answer(app):
     seq = seq_signature(app)
-    res = run_variant(app, "spf_old", nprocs=4, preset="test",
-                      seq_time=seq.time)
+    res = run(RunRequest(app, "spf_old", nprocs=4, preset="test",
+                         seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_variants_deterministic(app):
-    a = run_variant(app, "tmk", nprocs=4, preset="test")
-    b = run_variant(app, "tmk", nprocs=4, preset="test")
+    a = run(RunRequest(app, "tmk", nprocs=4, preset="test"))
+    b = run(RunRequest(app, "tmk", nprocs=4, preset="test"))
     assert a.time == b.time
     assert a.messages == b.messages
     assert a.signature == b.signature

@@ -6,8 +6,8 @@ variant sends what kind of traffic — rather than absolute counts.
 
 import pytest
 
+from repro.api import RunRequest, execute
 from repro.apps.common import get_app
-from repro.eval.experiments import run_variant
 
 N = 4
 
@@ -23,7 +23,7 @@ get_app("nbf").presets.setdefault(
 
 
 def run(app, variant, preset="test", **kw):
-    return run_variant(app, variant, nprocs=N, preset=preset, **kw)
+    return execute(RunRequest(app, variant, nprocs=N, preset=preset, **kw))
 
 
 def test_jacobi_pvme_exact_message_formula():

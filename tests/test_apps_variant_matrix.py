@@ -8,10 +8,10 @@ and accumulation buffers (NBF).
 
 import pytest
 
+from repro.api import RunRequest, run
 from repro.apps.common import get_app, signatures_close
 from repro.compiler.spf import SpfOptions, run_spf
 from repro.compiler.xhpf import XhpfOptions, run_xhpf
-from repro.eval.experiments import run_variant
 
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
 
@@ -20,7 +20,7 @@ _seq = {}
 
 def seq(app):
     if app not in _seq:
-        _seq[app] = run_variant(app, "seq", preset="test")
+        _seq[app] = run(RunRequest(app, "seq", preset="test"))
     return _seq[app]
 
 
@@ -83,7 +83,7 @@ def test_xhpf_unsegmented_every_app(app):
 @pytest.mark.parametrize("nprocs", [5])
 def test_awkward_processor_count_every_app(app, nprocs):
     """5 processors: nothing divides evenly anywhere."""
-    r = run_variant(app, "spf", nprocs=nprocs, preset="test",
-                    seq_time=seq(app).time)
+    r = run(RunRequest(app, "spf", nprocs=nprocs, preset="test",
+                       seq_time=seq(app).time))
     assert signatures_close(seq(app).signature, r.signature,
                             rtol=1e-6), app

@@ -9,9 +9,9 @@ identical across repeated runs of every kind of workload.
 import numpy as np
 import pytest
 
+from repro.api import RunRequest, run
 from repro.compiler.spf import SpfOptions, run_spf
 from repro.compiler.xhpf import run_xhpf
-from repro.eval.experiments import run_variant
 from repro.msg import Pvme
 from repro.sim import Cluster
 from repro.tmk.api import tmk_run
@@ -76,8 +76,8 @@ def test_irregular_accumulate_deterministic():
 
 @pytest.mark.parametrize("variant", ["spf", "tmk", "xhpf", "pvme"])
 def test_harness_runs_deterministic(variant):
-    a = run_variant("igrid", variant, nprocs=3, preset="test")
-    b = run_variant("igrid", variant, nprocs=3, preset="test")
+    a = run(RunRequest("igrid", variant, nprocs=3, preset="test"))
+    b = run(RunRequest("igrid", variant, nprocs=3, preset="test"))
     assert (a.time, a.messages, a.kilobytes) == (b.time, b.messages,
                                                  b.kilobytes)
     assert a.signature == b.signature

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.api import RunRequest, run
 from repro.eval.constants import (APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS,
                                   VARIANT_NAMES)
-from repro.eval.experiments import VariantResult, run_all_variants, run_variant
+from repro.eval.experiments import VariantResult, run_all_variants
 from repro.eval.tables import (format_comparison, format_speedup_figure,
                                format_table1, format_traffic_table)
 
@@ -33,7 +34,7 @@ def test_paper_headline_ratios_hold_in_constants():
 
 
 def test_run_variant_seq():
-    res = run_variant("jacobi", "seq", preset="test")
+    res = run(RunRequest("jacobi", "seq", preset="test"))
     assert res.variant == "seq"
     assert res.nprocs == 1
     assert res.messages == 0
@@ -43,12 +44,12 @@ def test_run_variant_seq():
 
 def test_run_variant_rejects_unknown():
     with pytest.raises(ValueError):
-        run_variant("jacobi", "mystery", preset="test")
+        run(RunRequest("jacobi", "mystery", preset="test"))
 
 
 def test_run_variant_spf_opt_requires_recipe():
     with pytest.raises(ValueError):
-        run_variant("igrid", "spf_opt", preset="test")
+        run(RunRequest("igrid", "spf_opt", preset="test"))
 
 
 def test_run_all_variants_shares_seq_time():
@@ -59,14 +60,14 @@ def test_run_all_variants_shares_seq_time():
 
 
 def test_variant_result_row_is_one_line():
-    res = run_variant("jacobi", "pvme", nprocs=2, preset="test")
+    res = run(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
     row = res.row()
     assert "\n" not in row
     assert "jacobi" in row and "pvme" in row
 
 
 def test_speedup_uses_measured_window():
-    res = run_variant("jacobi", "pvme", nprocs=2, preset="test")
+    res = run(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
     # at this tiny size communication may outweigh compute; the point is
     # that the metrics are window-based and self-consistent
     assert res.speedup == pytest.approx(res.seq_time / res.time)
@@ -109,10 +110,10 @@ def test_format_comparison():
 
 def test_xhpf_ie_variant():
     """The inspector-executor extension is addressable as a variant."""
-    seq = run_variant("igrid", "seq", preset="test")
-    ie = run_variant("igrid", "xhpf_ie", nprocs=4, preset="test",
-                     seq_time=seq.time)
-    bc = run_variant("igrid", "xhpf", nprocs=4, preset="test",
-                     seq_time=seq.time)
+    seq = run(RunRequest("igrid", "seq", preset="test"))
+    ie = run(RunRequest("igrid", "xhpf_ie", nprocs=4, preset="test",
+                        seq_time=seq.time))
+    bc = run(RunRequest("igrid", "xhpf", nprocs=4, preset="test",
+                        seq_time=seq.time))
     assert ie.kilobytes < bc.kilobytes
     assert ie.variant == "xhpf_ie"

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import repro.sim.engine as engine
+from repro.api import RunRequest, run
 from repro.cli import main
-from repro.eval.experiments import run_variant
 from repro.tmk.api import tmk_run
 from repro.tmk.diagnostics import fastpath_summary
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
@@ -37,9 +37,9 @@ def _virtual_fingerprint(r):
                                          ("igrid", "spf")])
 def test_fastpath_equivalent_virtual_metrics(monkeypatch, app, variant):
     monkeypatch.setenv("TMK_FASTPATH", "0")
-    off = run_variant(app, variant, nprocs=4, preset="test", seq_time=1.0)
+    off = run(RunRequest(app, variant, nprocs=4, preset="test", seq_time=1.0))
     monkeypatch.setenv("TMK_FASTPATH", "1")
-    on = run_variant(app, variant, nprocs=4, preset="test", seq_time=1.0)
+    on = run(RunRequest(app, variant, nprocs=4, preset="test", seq_time=1.0))
     assert _virtual_fingerprint(off) == _virtual_fingerprint(on)
     assert off.dsm.fastpath_hits == 0 and off.dsm.fastpath_misses == 0
     assert on.dsm.fastpath_hits > 0
@@ -168,8 +168,8 @@ def test_scatter_add_with_numpy_indices():
 
 def test_hold_elision_bit_identical(monkeypatch):
     def run_once():
-        return run_variant("jacobi", "tmk", nprocs=3, preset="test",
-                           seq_time=1.0)
+        return run(RunRequest("jacobi", "tmk", nprocs=3, preset="test",
+                              seq_time=1.0))
 
     fast = run_once()
     monkeypatch.setattr(engine, "HOLD_ELISION", False)

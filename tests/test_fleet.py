@@ -133,6 +133,18 @@ def test_admission_control_rejects_overflow(cluster):
     assert all("max_backlog" in r.error for r in rejected)
 
 
+def test_bad_request_doc_does_not_poison_the_fleet(cluster):
+    good = _reqs(2)
+    with FleetService(cluster) as fleet:
+        batch = fleet.run_batch([good[0], {"app": "jacobi"}])
+        assert [r.error_kind for r in batch.results] == [None, "BadRequest"]
+        assert not batch.results[1].ok and batch.results[1].app == "jacobi"
+        # no per-batch state outlives the batch: the next one is clean
+        again = fleet.run_batch(good)
+        assert again.ok and again.runs == 2
+        assert [r.tag for r in again.results] == ["r0", "r1"]
+
+
 def test_no_reachable_host_raises():
     import socket
     probe = socket.socket()

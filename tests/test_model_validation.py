@@ -14,10 +14,11 @@ tight).  Widening one is an API change and should be treated as such.
 
 import pytest
 
+from repro.api import RunRequest, run
 from repro.compiler.model import (MODELED_VARIANTS, ModelUnsupportedVariant,
                                   model_variant)
 from repro.eval.constants import APPS
-from repro.eval.experiments import VARIANTS, run_variant
+from repro.eval.experiments import VARIANTS
 
 PRESET = "test"
 NODES = [1, 2, 4, 8]
@@ -57,7 +58,7 @@ _sim_cache: dict = {}
 def _sim(app, variant, n):
     key = (app, variant, n)
     if key not in _sim_cache:
-        _sim_cache[key] = run_variant(app, variant, nprocs=n, preset=PRESET)
+        _sim_cache[key] = run(RunRequest(app, variant, nprocs=n, preset=PRESET))
     return _sim_cache[key]
 
 
@@ -102,7 +103,7 @@ def test_unmodeled_variants_refuse(variant):
 
 def test_seq_is_modeled_as_the_oracle():
     mod = model_variant("jacobi", "seq", preset=PRESET)
-    sim = run_variant("jacobi", "seq", preset=PRESET)
+    sim = run(RunRequest("jacobi", "seq", preset=PRESET))
     assert mod.mode == "model"
     assert mod.time == sim.time
     assert mod.messages == 0 and mod.kilobytes == 0.0

@@ -10,11 +10,18 @@ The contract under test (see docs/API.md "Scheduling"):
 * ``max_backlog`` refuses overflow requests immediately with structured
   ``error_kind="Rejected"`` results, and the verdict round-trips the
   JSON-lines wire protocol (``BatchResult.rejected``);
+* a request doc that does not parse is one structured
+  ``error_kind="BadRequest"`` result at its index — the rest of the
+  batch runs and the service is untouched (pool and wire; the fleet
+  twin lives in ``test_fleet.py``), and a one-request wire batch does
+  not stall on Nagle x delayed-ACK;
 * ``BatchResult.workers`` reports *live* workers, not the configured
   pool size, after a crash with ``respawn=False``;
 * the parallel evaluation harnesses produce documents bit-identical to
   their serial twins (``repro sweep --jobs N`` contract).
 """
+
+import time
 
 from repro.api import RunRequest
 from repro.serve import RunService, WireClient, WireServer
@@ -87,6 +94,58 @@ def test_rejection_round_trips_the_wire():
                 assert sum(1 for r in results
                            if r.error_kind == "Rejected") == 2
                 assert client.stats()["scheduler"]["rejections"] == 2
+        finally:
+            server.close()
+
+
+def test_bad_request_doc_is_one_structured_result_at_the_pool():
+    good = _req(tag="ok").to_json()
+    with RunService(workers=1, runner=ECHO) as svc:
+        batch = svc.run_batch([good, {"app": "jacobi"}, good])
+        assert [r.error_kind for r in batch.results] \
+            == [None, "BadRequest", None]
+        bad = batch.results[1]
+        assert not bad.ok and bad.app == "jacobi" and "variant" in bad.error
+        assert svc.run_batch([good, good]).ok
+
+
+def test_bad_request_doc_over_the_wire_then_next_batch_ok():
+    good = _req(tag="ok")
+    with RunService(workers=1, runner=ECHO) as svc:
+        server = WireServer(svc)
+        server.serve_in_thread()
+        try:
+            with WireClient(server.host, server.port) as client:
+                events = list(client.stream_batch(
+                    [good, {"app": "jacobi"}, good]))
+                kinds = [k for k, _i, _p in events]
+                assert kinds == ["result"] * 3 + ["batch"]
+                batch = events[-1][2]
+                assert [r.error_kind for r in batch.results] \
+                    == [None, "BadRequest", None]
+                assert client.run_batch([good, good]).ok
+                assert client.run({"app": "jacobi"}).error_kind \
+                    == "BadRequest"
+        finally:
+            server.close()
+
+
+def test_one_request_wire_batch_does_not_stall_on_nagle():
+    # `result` then `batch-done` are two small flushed segments; without
+    # TCP_NODELAY on both sockets every batch waits ~40 ms for the
+    # peer's delayed ACK
+    with RunService(workers=1, runner=ECHO) as svc:
+        server = WireServer(svc)
+        server.serve_in_thread()
+        try:
+            with WireClient(server.host, server.port) as client:
+                walls = []
+                for _ in range(9):
+                    t0 = time.perf_counter()
+                    events = list(client.stream_batch([_req()]))
+                    walls.append(time.perf_counter() - t0)
+                    assert events[-1][2].ok
+                assert sorted(walls)[len(walls) // 2] < 0.020
         finally:
             server.close()
 
