@@ -23,8 +23,11 @@ harness therefore times a fixed pure-engine workload (two simulated
 processes ping-ponging zero-length holds) and scales the committed
 baseline by ``calibration_now / calibration_baseline`` before applying the
 regression threshold.  The calibration workload exercises exactly the
-simulator's dominant primitive (conductor handoffs plus Python dispatch),
-so the ratio tracks machine speed for these kernels well.
+simulator's dominant primitive (one process-to-process baton handoff per
+event, plus Python dispatch), so the ratio tracks machine speed for these
+kernels well.  Baseline and run must come from the same engine: a change
+that makes a handoff cheaper shrinks the calibration more than the kernels,
+so re-record ``BENCH_baseline.json`` in the same commit.
 
 Gate
 ----

@@ -97,7 +97,7 @@ class RunResult:
     marks: dict = field(default_factory=dict)
     """``name -> {pid: (time, stats snapshot)}`` from :meth:`ProcEnv.mark`."""
     events: int = 0
-    """Simulator events processed (conductor pops + elided holds) — a
+    """Simulator events popped (process wakeups and callbacks) — a
     wall-clock throughput denominator for the bench harness, not a virtual
     -time quantity."""
 

@@ -3,12 +3,18 @@
 The engine implements classic process-oriented discrete-event simulation.
 Each simulated processor runs ordinary imperative Python (the application
 programs, the DSM protocol handlers, the message-passing library) on its own
-OS thread, but the *conductor* guarantees that exactly one thread executes at
-any instant: a thread runs until it blocks on a simulation primitive
-(:meth:`Process.hold`, :meth:`Process.park`), at which point control returns
-to the conductor, which pops the next event in ``(time, priority, seq)``
-order.  The ``seq`` tie-break makes scheduling — and therefore every result
-in the repository — fully deterministic.
+OS thread, but **exactly one thread executes at any instant**: a thread runs
+until it gives up the CPU on a simulation primitive (:meth:`Process.hold`,
+:meth:`Process.park`, or by returning from its program), and the thread that
+is giving up the CPU is the one that pops the next event, in
+``(time, priority, seq)`` order (:meth:`Simulator._dispatch`).  If the event
+is its own wakeup it simply carries on; if it is another process's wakeup it
+releases that process's baton and blocks on its own — one OS-thread switch
+per wakeup; if it is a :meth:`Simulator.schedule_call` callback it runs the
+callback inline, on whichever thread happens to be dispatching and with no
+current process.  The thread that called :meth:`Simulator.run` only starts
+the loop and waits for it to stop.  The ``seq`` tie-break makes scheduling —
+and therefore every result in the repository — fully deterministic.
 
 A :class:`Simulator` built with ``schedule_seed=N`` inserts a seeded random
 jitter key between ``priority`` and ``seq``, permuting the pop order of
@@ -21,21 +27,6 @@ the historical FIFO order bit-for-bit.
 
 Virtual time is a ``float`` in seconds.  Nothing in the engine depends on
 wall-clock time; Python's execution speed never leaks into reported numbers.
-
-Two wall-clock (never virtual-time) optimizations keep the conductor cheap:
-
-* **hold elision** — when a process calls :meth:`Process.hold` and its wakeup
-  would be the very next event the conductor pops (strictly earlier than the
-  current queue head under the full ``(time, priority, jitter)`` key), the
-  engine advances the clock inline and lets the thread keep running.  No
-  other process could have run in between, so the event order — and, because
-  the jitter draw still happens, even the seeded random stream — is
-  bit-identical to the blocking path.  ``HOLD_ELISION = False`` restores the
-  literal block-and-resume behaviour (the equivalence tests compare both).
-* **raw-lock handoffs** — the conductor⇄process baton is passed through bare
-  ``_thread`` locks used as binary semaphores rather than
-  ``threading.Event`` (whose ``Condition`` machinery allocates a lock and
-  takes several more on every wait).
 """
 
 from __future__ import annotations
@@ -44,13 +35,11 @@ import heapq
 import random
 import threading
 import traceback
+import warnings
 from _thread import allocate_lock
 from typing import Any, Callable, Optional
 
-__all__ = ["Simulator", "Process", "SimError", "Deadlock", "HOLD_ELISION"]
-
-HOLD_ELISION = True
-"""Fast-path uncontended holds without a conductor round-trip (exact)."""
+__all__ = ["Simulator", "Process", "SimError", "Deadlock"]
 
 
 class SimError(RuntimeError):
@@ -81,8 +70,9 @@ class Process:
         self._fn = fn
         self._args = args
         self._kwargs = kwargs
-        # baton lock: held (locked) while the process must stay blocked;
-        # the conductor releases it to hand over a slice
+        # baton: a bare lock used as a binary semaphore, held (locked) while
+        # the process must stay blocked; whoever pops this process's wakeup
+        # releases it
         self._resume = allocate_lock()
         self._resume.acquire()
         self.finished = False
@@ -95,32 +85,37 @@ class Process:
             target=self._bootstrap, name=f"simproc-{name}", daemon=True)
 
     # ------------------------------------------------------------------ #
-    # thread plumbing (conductor side)
+    # thread plumbing
 
     def _start(self) -> None:
         self._started = True
         self._thread.start()
 
     def _bootstrap(self) -> None:
-        # Wait for the conductor to give us our first slice.
+        sim = self.sim
+        # Wait for our first wakeup to be popped -- or for teardown, if the
+        # simulation ended before we ever ran: then the program must not start.
         self._resume.acquire()
         try:
-            self.result = self._fn(*self._args, **self._kwargs)
+            if not sim._dead:
+                self.result = self._fn(*self._args, **self._kwargs)
         except _Killed:
             pass
-        except BaseException:  # noqa: BLE001 - report any failure to conductor
-            self.sim._fail(self, traceback.format_exc())
+        except BaseException:  # noqa: BLE001 - report any failure to run()
+            sim._fail(self, traceback.format_exc())
         finally:
             self.finished = True
-            self.finish_time = self.sim.now
+            self.finish_time = sim.now
             if not self.daemon:
-                self.sim._pending_nondaemon -= 1
-            self.sim._switch_to_conductor()
+                sim._pending_nondaemon -= 1
+            if not sim._dead:
+                sim._dispatch(self)     # pass the baton on before we end
 
-    def _run_slice(self) -> None:
-        """Conductor hands the CPU to this process and waits for it to block."""
-        self._resume.release()
-        self.sim._conductor_wait()
+    def _site(self) -> str:
+        """Where this process is blocked, for Deadlock and leak reports."""
+        if self.parked:
+            return f"{self.name} parked at {self.park_token!r}"
+        return f"{self.name} blocked (no park site)"
 
     # ------------------------------------------------------------------ #
     # primitives (called from the process's own thread)
@@ -134,46 +129,20 @@ class Process:
 
         Models local computation or fixed software overheads.  ``dt`` may be
         zero (a pure yield, which still gives deterministically-ordered
-        scheduling to same-time events).
-
-        When this process's wakeup would be the next event popped anyway
-        (strictly earlier than the queue head under the full
-        ``(time, priority, jitter)`` key — on a tie the already-queued event
-        has the smaller ``seq`` and wins), the conductor round-trip is
-        elided: no other process could have run in between, so advancing the
-        clock inline is observationally identical.  The jitter draw happens
-        either way, keeping seeded schedules bit-for-bit.
+        scheduling to same-time events).  When this process's own wakeup is
+        the next event, the call returns without an OS-thread switch.
         """
         if dt < 0:
             raise ValueError(f"negative hold: {dt}")
         sim = self.sim
-        at = sim.now + dt
-        if HOLD_ELISION and sim._until is None:
-            jit = sim._jitter()
-            q = sim._queue
-            if not q or (at, 0, jit) < (q[0][0], q[0][1], q[0][2]):
-                sim.now = at
-                sim.events += 1
-                sim.elided_holds += 1
-                return
-            sim._seq += 1
-            heapq.heappush(q, (at, 0, jit, sim._seq, self))
-            self._block()
-            return
-        sim._schedule_wakeup(self, at)
-        self._block()
+        sim._schedule_wakeup(self, sim.now + dt)
+        sim._dispatch(self)
 
     def park(self, token: Any = None) -> None:
         """Block until another process calls :meth:`Simulator.unpark` on us."""
         self.parked = True
         self.park_token = token
-        self._block()
-
-    def _block(self) -> None:
-        self.sim._switch_to_conductor()
-        self._resume.acquire()
-        if self.sim._dead:
-            raise _Killed()
+        self.sim._dispatch(self)
 
 
 class _Killed(BaseException):
@@ -181,7 +150,7 @@ class _Killed(BaseException):
 
 
 class Simulator:
-    """The conductor: owns the event queue and the global virtual clock."""
+    """Owns the event queue, the global virtual clock and the dispatch loop."""
 
     def __init__(self, schedule_seed: Optional[int] = None) -> None:
         self.now: float = 0.0
@@ -191,17 +160,18 @@ class Simulator:
         self._queue: list[tuple[float, int, float, int, Any]] = []
         self._seq = 0
         self._procs: list[Process] = []
-        # conductor baton: held (locked) while a process has the CPU
-        self._conductor_baton = allocate_lock()
-        self._conductor_baton.acquire()
+        # run()'s baton: held (locked) while the dispatch loop is live on
+        # some thread; released by whichever thread meets a stop condition
+        self._main = allocate_lock()
+        self._main.acquire()
         self._error: Optional[str] = None
+        self._raised: Optional[BaseException] = None   # from a callback
         self._dead = False
         self._running = False
         self._current: Optional[Process] = None
         self._until: Optional[float] = None
         self._pending_nondaemon = 0
-        self.events = 0            # conductor pops + elided holds
-        self.elided_holds = 0
+        self.events = 0            # events popped and dispatched
         # zero-arg callables returning a diagnostic string, appended to the
         # Deadlock message (the Network registers its mailbox/waiter report)
         self.diagnostics: list[Callable[[], str]] = []
@@ -243,7 +213,9 @@ class Simulator:
 
     def schedule_call(self, delay: float, fn: Callable[[], None],
                       priority: int = 0) -> None:
-        """Run ``fn`` on the conductor at ``now + delay`` (no process context)."""
+        """Run ``fn`` at ``now + delay`` with no process context: inline on
+        whichever thread is dispatching then.  An exception it raises is
+        re-raised, as is, by :meth:`run`."""
         self._seq += 1
         heapq.heappush(self._queue, (self.now + delay, priority,
                                      self._jitter(), self._seq, fn))
@@ -256,32 +228,65 @@ class Simulator:
         proc.park_token = None
         self._schedule_wakeup(proc, self.now + delay, priority)
 
-    # ------------------------------------------------------------------ #
-    # conductor <-> process handoff
-
-    def _conductor_wait(self) -> None:
-        self._conductor_baton.acquire()
-
-    def _switch_to_conductor(self) -> None:
-        if self._dead:
-            # teardown: the conductor is joining threads, not waiting on the
-            # baton; a second release would be an error
-            return
-        self._conductor_baton.release()
-
     def _fail(self, proc: Process, tb: str) -> None:
         if self._error is None:
             self._error = f"process {proc.name!r} raised:\n{tb}"
 
     # ------------------------------------------------------------------ #
-    # main loop
+    # the dispatch loop
+
+    def _dispatch(self, me: Optional[Process]) -> None:
+        """Pop and dispatch events on the calling thread, which is giving up
+        the CPU: ``me``'s own thread (blocking in hold/park, or finished), or
+        :meth:`run`'s (``me`` is None).
+
+        Callbacks run inline.  The loop ends at the first wakeup of a live
+        process -- ``me``: return, no thread switch; another: release its
+        baton and block on ours -- or at a stop condition (process error,
+        callback exception, empty queue, no non-daemon left, ``until``
+        passed), which releases :meth:`run`'s baton instead.
+        """
+        if self._dead:
+            raise _Killed()     # a killed thread blocking again while it unwinds
+        queue = self._queue
+        until = self._until
+        baton = self._main
+        while self._error is None and queue and self._pending_nondaemon:
+            at, _pri, _jit, _seq, target = heapq.heappop(queue)
+            if until is not None and at > until:
+                self.now = until
+                break
+            self.now = at
+            self.events += 1
+            if isinstance(target, Process):
+                if target.finished:
+                    continue
+                self._current = target
+                if target is me:
+                    return
+                baton = target._resume
+                break
+            self._current = None
+            try:
+                target()
+            except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+                self._raised = exc
+                break
+        baton.release()
+        if me is None:
+            self._main.acquire()
+        elif not me.finished:
+            me._resume.acquire()
+            if self._dead:
+                raise _Killed()
 
     def run(self, until: Optional[float] = None) -> float:
         """Drive the simulation until all processes finish (or ``until``).
 
         Returns the final virtual time.  Raises :class:`SimError` if any
-        process raised, and :class:`Deadlock` if live processes remain but no
-        event can ever wake them.
+        process raised, whatever a :meth:`schedule_call` callback raised, and
+        :class:`Deadlock` if live processes remain but no event can ever
+        wake them.
         """
         self._running = True
         self._until = until
@@ -289,35 +294,16 @@ class Simulator:
             if not proc._started:
                 proc._start()
         try:
-            while self._queue:
-                if self._pending_nondaemon == 0:
-                    break
-                at, _pri, _jit, _seq, target = heapq.heappop(self._queue)
-                if until is not None and at > until:
-                    self.now = until
-                    break
-                self.now = at
-                self.events += 1
-                if isinstance(target, Process):
-                    if target.finished:
-                        continue
-                    self._current = target
-                    target._run_slice()
-                    self._current = None
-                else:
-                    target()
-                if self._error is not None:
-                    raise SimError(self._error)
+            self._dispatch(None)    # returns once some thread has stopped the loop
+            self._current = None
+            if self._raised is not None:
+                raise self._raised
+            if self._error is not None:
+                raise SimError(self._error)
             live = [p for p in self._procs if not p.finished and not p.daemon]
             if live and until is None:
-                sites = []
-                for p in live:
-                    if p.parked:
-                        sites.append(f"{p.name} parked at {p.park_token!r}")
-                    else:
-                        sites.append(f"{p.name} blocked (no park site)")
                 detail = (f"no events remain but {len(live)} process(es) "
-                          f"still blocked: " + "; ".join(sites))
+                          f"still blocked: " + "; ".join(p._site() for p in live))
                 for diag in self.diagnostics:
                     try:
                         detail += "\n" + diag()
@@ -329,14 +315,18 @@ class Simulator:
             self._teardown()
 
     def _teardown(self) -> None:
-        """Unblock any still-parked threads so they exit (daemon hygiene)."""
+        """Unblock every still-blocked thread so it unwinds and exits."""
         self._dead = True
-        for proc in self._procs:
-            if proc._started and not proc.finished:
+        started = [p for p in self._procs if p._started]
+        for proc in started:
+            if not proc.finished:
                 proc._resume.release()
-        for proc in self._procs:
-            if proc._started:
-                proc._thread.join(timeout=5.0)
+        for proc in started:
+            proc._thread.join(timeout=5.0)
+            if proc._thread.is_alive():
+                warnings.warn(
+                    f"simulated process thread {proc._thread.name!r} still "
+                    f"alive after teardown: {proc._site()}", ResourceWarning)
 
     # ------------------------------------------------------------------ #
 

@@ -36,7 +36,8 @@ or reorder it, or defer it through a node-stall window.  A plan with
   (``rto_slack · 2^(attempt-1)``), giving up with a :class:`SimError` after
   ``max_attempts`` transmissions.
 
-Acks and retransmissions are conductor-level control events: they consume
+Acks and retransmissions are engine-level control events
+(:meth:`Simulator.schedule_call` callbacks, no process context): they consume
 no link occupancy and are *not* counted in ``messages``/``bytes`` (which
 model the application-level traffic of the paper's tables); they are
 surfaced separately as ``retransmissions``/``acks``/``dup_suppressed`` on

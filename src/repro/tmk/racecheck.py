@@ -176,8 +176,8 @@ class RaceCheckResult:
 class RaceMonitor:
     """Observes accesses and synchronization; owns the vector clocks.
 
-    All hooks run on simulated-process threads, but the conductor runs
-    exactly one thread at a time, so no locking is needed.
+    All hooks run on simulated-process threads, but the engine lets
+    exactly one thread run at a time, so no locking is needed.
     """
 
     def __init__(self, world, capacity: int = 500_000):

@@ -1,5 +1,7 @@
 """Shared fixtures: small IR programs exercising every backend feature."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,16 @@ from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
 
 N = 32
 COLS = 512
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_simproc_threads():
+    """A simulated-process thread that outlives ``Simulator.run`` fails the
+    test that leaked it (each one used to cost a silent 5 s join)."""
+    yield
+    leaked = [t.name for t in threading.enumerate()
+              if t.name.startswith("simproc-")]
+    assert not leaked, f"simulated-process threads leaked: {leaked}"
 
 
 def stencil_program(iters=3):

@@ -1,6 +1,6 @@
 """Determinism across every layer.
 
-The conductor's ``(time, priority, seq)`` total order makes whole runs
+The engine's ``(time, priority, seq)`` total order makes whole runs
 bit-reproducible; these tests pin that property where it matters — results,
 virtual times, message counts, byte counts, and DSM event counts must be
 identical across repeated runs of every kind of workload.

@@ -7,15 +7,14 @@ or off (``TMK_FASTPATH=0``), every virtual metric — times, messages,
 bytes, results, final array contents — is bit-identical.  Wall clock is
 the only thing allowed to change.
 
-Also covered here: the engine's hold-elision switch (same contract), the
-region->pages memo on ArrayHandle, the gather/scatter index handling, the
-``--stats`` CLI output, and a smoke run of the wall-clock bench harness.
+Also covered here: the region->pages memo on ArrayHandle, the
+gather/scatter index handling, the ``--stats`` CLI output, and a smoke run
+of the wall-clock bench harness.
 """
 
 import numpy as np
 import pytest
 
-import repro.sim.engine as engine
 from repro.api import RunRequest, run
 from repro.cli import main
 from repro.tmk.api import tmk_run
@@ -161,21 +160,6 @@ def test_scatter_add_with_numpy_indices():
         return v.gather([7, 9]).tolist()
 
     assert tmk_run(1, prog, _gs_setup).results[0] == [3.0, 3.0]
-
-
-# ---------------------------------------------------------------------- #
-# engine hold elision: same contract, pure wall-clock change
-
-def test_hold_elision_bit_identical(monkeypatch):
-    def run_once():
-        return run(RunRequest("jacobi", "tmk", nprocs=3, preset="test",
-                              seq_time=1.0))
-
-    fast = run_once()
-    monkeypatch.setattr(engine, "HOLD_ELISION", False)
-    slow = run_once()
-    assert _virtual_fingerprint(fast) == _virtual_fingerprint(slow)
-    assert fast.events == slow.events
 
 
 # ---------------------------------------------------------------------- #

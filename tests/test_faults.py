@@ -186,8 +186,8 @@ def test_slow_node_adds_latency():
 def test_zero_rate_plan_matches_perfect_wire():
     """With all rates zero the recovery machinery (seq numbers, acks,
     timers) must be invisible: identical virtual time, message counts and
-    byte totals.  (`events` legitimately differs: ack/timer conductor
-    events interact with hold elision.)"""
+    byte totals.  (`events` legitimately differs: every ack and retransmit
+    timer is one more event.)"""
     quiet = FaultPlan(rates=FaultRates(), stalls=())
     for prog in (pingpong, flood):
         a = Cluster(nprocs=2).run(prog)
