@@ -684,7 +684,7 @@ def main(argv=None) -> int:
     p.add_argument("--no-shadow", action="store_true",
                    help="skip the shadow-execution footprint sanitizer")
     p.add_argument("--no-traffic", action="store_true",
-                   help="skip the static DSM traffic estimate")
+                   help="skip the DSM traffic estimate (it runs kernels)")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on warnings, not just errors")
     p.add_argument("--suppress", nargs="*", default=[],

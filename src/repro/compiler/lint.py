@@ -25,11 +25,14 @@ the paper's compilers do.  Five rule families:
   the block/cyclic partition, the chunk boundaries that straddle pages,
   predicting write-write false sharing and the diff traffic it causes
   (the paper's Jacobi loses 2% exactly here);
-* **traffic prediction** (:func:`estimate_spf_traffic`) — a static
-  page-level LRC model over the SPF dispatch schedule predicting
-  ``DsmStats`` counters (faults, fetches, twins/diffs, lock traffic) and a
-  diff-byte upper bound.  Irregular programs report "unanalyzable" exactly
-  where the paper's compilers give up.
+* **traffic prediction** (:func:`estimate_spf_traffic`) — the analytic
+  model's protocol replica (:mod:`repro.compiler.model`, the same LRC core
+  the simulator runs) advanced once over the compiled SPF dispatch
+  schedule, reporting its ``DsmStats`` counters (faults, fetches,
+  twins/diffs, lock traffic), message count and diff payload.  The replica
+  executes every kernel once (``shadow=False`` does not skip that).
+  Irregular programs report "unanalyzable" exactly where the paper's
+  compilers give up.
 
 Suppression: patterns of the form ``rule`` or ``rule:stmt`` (fnmatch
 globs, matched against the statement family — ``orthogonalize[5]``
@@ -47,7 +50,7 @@ import numpy as np
 from repro.compiler import analysis, depend
 from repro.compiler.ir import (FootprintError, Mark, ParallelLoop,
                                Program, SeqBlock, Span)
-from repro.sim.machine import PAGE_SIZE
+from repro.sim.machine import PAGE_SIZE, SP2_MODEL
 from repro.tmk.pagespace import SharedSpace
 
 __all__ = ["Finding", "LintReport", "TrafficEstimate", "ShadowArray",
@@ -108,27 +111,20 @@ class Finding:
 
 @dataclass
 class TrafficEstimate:
-    """Static prediction of the SPF variant's whole-run DSM counters."""
+    """Prediction of the SPF variant's whole-run DSM counters."""
 
     analyzable: bool
     reason: str = ""                # why not, when analyzable is False
     nprocs: int = 0
-    loop_units: int = 0             # fork-join dispatches
-    seq_units: int = 0
-    red_instances: int = 0          # reduction-loop instances
     read_faults: int = 0
     write_faults: int = 0
     fetches: int = 0
-    fetch_requests: int = 0         # (fetch, missing-writer) pairs
     diffs_applied: int = 0
     twins_created: int = 0
-    diffs_created: int = 0          # == twins (every twin yields one diff)
+    diffs_created: int = 0
     lock_acquires: int = 0
-    lock_remote: int = 0
-    est_messages: int = 0
-    est_diff_kb: float = 0.0        # approx. payload bound (run headers
-                                    # and word-level contents not modeled)
-    shared_write_pages: int = 0     # (epoch, page) pairs with >= 2 writers
+    est_messages: int = 0           # whole run, setup and shutdown included
+    est_diff_kb: float = 0.0        # diff payload applied by requesters
 
     def format(self) -> str:
         if not self.analyzable:
@@ -144,19 +140,18 @@ class TrafficEstimate:
 
 
 # Declared cross-check tolerances (relative error vs. simulated DsmStats)
-# for regular applications; the estimator is a page-granularity epoch model
-# (it cannot see word-level diff contents), so the byte count approximates
-# the payload from above — encoded diffs add small run headers, so it is
-# not a strict bound.  tests/test_lint_traffic.py asserts these against
-# the simulator.
+# for regular applications, asserted by tests/test_lint_traffic.py.  The
+# replica runs the simulator's state machine but advances phases in lock
+# step, so a diff request the event schedule lands mid-interval can create
+# one twin/diff more or less (docs/MODEL.md).
 TRAFFIC_TOLERANCES = {
-    "read_faults": 0.20,
-    "write_faults": 0.15,
-    "fetches": 0.20,
-    "twins_created": 0.15,
-    "diffs_created": 0.15,
+    "read_faults": 0.05,
+    "write_faults": 0.05,
+    "fetches": 0.05,
+    "twins_created": 0.05,
+    "diffs_created": 0.05,
     "lock_acquires": 0.0,           # exact: nprocs per reduction instance
-    "est_messages": 0.25,
+    "est_messages": 0.05,
 }
 
 
@@ -168,10 +163,7 @@ def compare_traffic(est: "TrafficEstimate", dsm, messages: int) -> list:
         predicted = getattr(est, metric)
         actual = messages if metric == "est_messages" \
             else getattr(dsm, metric)
-        if tol == 0.0:
-            ok = predicted == actual
-        else:
-            ok = abs(predicted - actual) <= tol * max(actual, 1)
+        ok = abs(predicted - actual) <= tol * max(actual, 1)   # 0.0: exact
         rows.append((metric, predicted, actual, tol, ok))
     return rows
 
@@ -744,284 +736,47 @@ def _check_false_sharing(program: Program, nprocs: int, options) -> list:
 
 
 # ---------------------------------------------------------------------- #
-# rule 5: traffic prediction (static LRC epoch model)
-
-class _Record:
-    """One writer interval's write notice for one page."""
-
-    __slots__ = ("writer", "nbytes", "diffed")
-
-    def __init__(self, writer: int, nbytes: int):
-        self.writer = writer
-        self.nbytes = min(int(nbytes), PAGE_SIZE)
-        self.diffed = False
-
-
-class _PageModel:
-    """Page-level lazy-release-consistency bookkeeping.
-
-    Per page a chronological log of write records (writer, byte count);
-    per (pid, page) the index into that log up to which the copy is
-    current.  Pending records from *other* writers mean the copy is
-    invalid: the next access faults, fetches one diff per distinct missing
-    writer, and applies every pending record.
-
-    Twins are lazy, like the protocol's: a write to a page the writer
-    already holds dirty (its previous diff was never requested) extends
-    the open record instead of creating a new twin, and the diff is
-    created — and the twin discarded — when some other processor first
-    requests that record *or* when a write notice from another writer
-    arrives for the dirty page (the protocol must preserve the local
-    modifications before invalidating, ``_apply_notice``), so falsely
-    shared pages re-twin every epoch.  This mirrors repro.tmk.protocol
-    minus the word-level diff contents, so byte counts approximate the
-    payload from above.
-    """
-
-    def __init__(self, nprocs: int, npages: int):
-        self.nprocs = nprocs
-        self.logs = [[] for _ in range(npages)]      # page -> [_Record]
-        self.applied = np.zeros((nprocs, npages), dtype=np.int64)
-        self.open: dict = {}        # (pid, page) -> open (undiffed) _Record
-        self.read_faults = 0
-        self.write_faults = 0
-        self.fetches = 0
-        self.fetch_requests = 0
-        self.diffs_applied = 0
-        self.twins = 0
-        self.diffs_created = 0
-        self.diff_bytes = 0         # upper bound on applied diff payload
-
-    def access(self, pid: int, page: int) -> None:
-        log = self.logs[page]
-        start = int(self.applied[pid, page])
-        missing = [r for r in log[start:] if r.writer != pid]
-        if missing:
-            self.read_faults += 1
-            self.fetches += 1
-            self.fetch_requests += len({r.writer for r in missing})
-            self.diffs_applied += len(missing)
-            for rec in missing:
-                if not rec.diffed:
-                    # first request: the writer diffs against its twin and
-                    # discards it; later requests hit the diff cache
-                    rec.diffed = True
-                    self.diffs_created += 1
-                    if self.open.get((rec.writer, page)) is rec:
-                        del self.open[(rec.writer, page)]
-                self.diff_bytes += rec.nbytes
-        self.applied[pid, page] = len(log)
-
-    def write(self, pid: int, page: int, nbytes: int,
-              pending_records: list) -> None:
-        self.access(pid, page)
-        rec = self.open.get((pid, page))
-        if rec is not None:
-            # still dirty from an earlier interval: no fault, the eventual
-            # diff absorbs this interval's changes too
-            rec.nbytes = min(rec.nbytes + int(nbytes), PAGE_SIZE)
-            return
-        self.write_faults += 1
-        self.twins += 1
-        rec = _Record(pid, nbytes)
-        self.open[(pid, page)] = rec
-        pending_records.append((page, rec))
-
-    def close_epoch(self, pending_records: list) -> None:
-        for page, rec in pending_records:
-            self.logs[page].append(rec)
-        # Write-notice propagation: a notice for a locally dirty page
-        # forces the holder to diff before invalidation, dropping the
-        # twin — the next write re-twins.  Falsely shared pages therefore
-        # pay a twin/diff pair per writer per epoch even when nobody
-        # fetches them.
-        new_writers: dict = {}
-        for page, rec in pending_records:
-            new_writers.setdefault(page, set()).add(rec.writer)
-        for page, writers in new_writers.items():
-            for pid in range(self.nprocs):
-                rec = self.open.get((pid, page))
-                if rec is None or not (writers - {pid}):
-                    continue
-                rec.diffed = True
-                self.diffs_created += 1
-                del self.open[(pid, page)]
-
-
-def _page_bytes(handle, region=None, flat=None, elem_span=1) -> dict:
-    """{page: byte count} a write to the region/elements covers."""
-    if flat is not None:
-        runs = handle.element_byte_runs(flat, elem_span=elem_span)
-    else:
-        runs = handle.region_byte_runs(region)
-    out: dict = {}
-    for start, stop in np.asarray(runs, dtype=np.int64).tolist():
-        page = start // PAGE_SIZE
-        while page * PAGE_SIZE < stop:
-            plo = max(start, page * PAGE_SIZE)
-            phi = min(stop, (page + 1) * PAGE_SIZE)
-            out[page] = out.get(page, 0) + (phi - plo)
-            page += 1
-    return out
-
-
-def _chunk_page_bytes(exe, loop, space, pid: int, which: str) -> dict:
-    """{page: bytes} of pid's chunk for the given access direction."""
-    out: dict = {}
-    chunk = analysis.loop_chunk(loop, pid, exe.nprocs)
-    if isinstance(chunk, np.ndarray):
-        if chunk.size == 0:
-            return out
-    elif chunk[1] <= chunk[0]:
-        return out
-    for acc in getattr(loop, which):
-        handle = space[acc.array]
-        if isinstance(chunk, np.ndarray):
-            lead = acc.region[0] if acc.region else None
-            if isinstance(lead, Span) and lead.lo_off == 0 \
-                    and lead.hi_off == 0:
-                row_elems = (int(np.prod(handle.shape[1:]))
-                             if len(handle.shape) > 1 else 1)
-                pages = _page_bytes(handle, flat=chunk * row_elems,
-                                    elem_span=row_elems)
-            else:
-                region = acc.resolve(int(chunk[0]), int(chunk[-1]) + 1,
-                                     handle.shape)
-                pages = _page_bytes(handle, region=region)
-        else:
-            region = acc.resolve(chunk[0], chunk[1], handle.shape)
-            pages = _page_bytes(handle, region=region)
-        for page, nbytes in pages.items():
-            out[page] = out.get(page, 0) + nbytes
-    return out
-
-
-def _seq_page_bytes(stmt: SeqBlock, space, which: str) -> dict:
-    out: dict = {}
-    for acc in getattr(stmt, which):
-        handle = space[acc.array]
-        region = acc.resolve(0, 0, handle.shape)
-        for page, nbytes in _page_bytes(handle, region=region).items():
-            out[page] = out.get(page, 0) + nbytes
-    return out
-
+# rule 5: traffic prediction (the analytic model's protocol replica)
 
 def estimate_spf_traffic(program: Program, nprocs: int = 8,
                          options=None) -> TrafficEstimate:
-    """Predict the SPF variant's whole-run DSM counters statically.
+    """Predict the SPF variant's whole-run DSM counters.
 
-    Walks the compiled dispatch schedule with a page-granularity LRC
-    model.  Programs with irregular or accumulate loops are reported
+    Runs the analytic model's LRC replica once over the compiled dispatch
+    schedule.  Programs with irregular or accumulate loops are reported
     unanalyzable — their footprints exist only at run time, which is
     exactly where the paper's compilers fall back to on-demand fetching
     (SPF) or broadcast-everything (XHPF).
     """
-    from repro.compiler.spf import REDUCTION_PREFIX, compile_spf
-    exe = compile_spf(program, nprocs, options)
+    from repro.compiler.model import _SpfModel
+
+    def refuse(reason: str) -> TrafficEstimate:
+        return TrafficEstimate(analyzable=False, nprocs=nprocs, reason=reason)
+
     for flag in ("aggregate", "piggyback", "tree_reductions",
                  "balance_loops", "push_halos"):
         if options is not None and getattr(options, flag, None):
-            return TrafficEstimate(
-                analyzable=False, nprocs=nprocs,
-                reason=f"hand-optimized code generation ({flag}) is not "
-                       f"modeled")
-    for unit in exe.units:
+            return refuse(f"hand-optimized code generation ({flag}) is not "
+                          f"modeled")
+    model = _SpfModel(program, nprocs, SP2_MODEL.with_(nprocs=nprocs),
+                      options)
+    for unit in model.exe.units:
         for loop in unit.loops:
             if loop.irregular:
-                return TrafficEstimate(
-                    analyzable=False, nprocs=nprocs,
-                    reason=f"irregular access in loop {loop.name!r}")
+                return refuse(f"irregular access in loop {loop.name!r}")
             if loop.accumulate:
-                return TrafficEstimate(
-                    analyzable=False, nprocs=nprocs,
-                    reason=f"run-time accumulate footprint in loop "
-                           f"{loop.name!r}")
-    space = SharedSpace()
-    exe.setup_space(space)
-    model = _PageModel(nprocs, space.npages)
-    est = TrafficEstimate(analyzable=True, nprocs=nprocs)
-    shared_pages = 0
-
-    def scalar_page(name: str) -> int:
-        return space[REDUCTION_PREFIX + name].first_page
-
-    for unit in exe.units:
-        if unit.mark is not None:
-            continue
-        if unit.seq is not None:
-            est.seq_units += 1
-            pending: list = []
-            for page in _seq_page_bytes(unit.seq, space, "reads"):
-                model.access(0, page)
-            for page, nbytes in _seq_page_bytes(unit.seq, space,
-                                                "writes").items():
-                model.write(0, page, nbytes, pending)
-            model.close_epoch(pending)
-            continue
-        est.loop_units += 1
-        reductions = [red for loop in unit.loops for red in loop.reductions]
-        for red in reductions:
-            # the master resets the shared scalar before forking; the
-            # fork's release makes the write visible to every worker
-            est.red_instances += 1
-            pending = []
-            model.write(0, scalar_page(red.name), 8, pending)
-            model.close_epoch(pending)
-        pending = []
-        for pid in range(nprocs):
-            read_pages: dict = {}
-            write_pages: dict = {}
-            for loop in unit.loops:
-                for page, nb in _chunk_page_bytes(exe, loop, space, pid,
-                                                  "reads").items():
-                    read_pages[page] = read_pages.get(page, 0) + nb
-                for page, nb in _chunk_page_bytes(exe, loop, space, pid,
-                                                  "writes").items():
-                    write_pages[page] = write_pages.get(page, 0) + nb
-            for page in sorted(read_pages):
-                model.access(pid, page)
-            for page in sorted(write_pages):
-                model.write(pid, page, write_pages[page], pending)
-        writer_count: dict = {}
-        for page, _rec in pending:
-            writer_count[page] = writer_count.get(page, 0) + 1
-        shared_pages += sum(1 for c in writer_count.values() if c >= 2)
-        model.close_epoch(pending)
-        # lock-ordered folds: each processor pulls the previous holder's
-        # notices (visible immediately), twins the scalar page, releases
-        for red in reductions:
-            page = scalar_page(red.name)
-            for pid in range(nprocs):
-                est.lock_acquires += 1
-                if pid != 0:
-                    est.lock_remote += 1
-                fold_pending: list = []
-                model.write(pid, page, 8, fold_pending)
-                model.close_epoch(fold_pending)
-    for name in exe.reductions:
-        model.access(0, scalar_page(name))
-
-    est.read_faults = model.read_faults
-    est.write_faults = model.write_faults
-    est.fetches = model.fetches
-    est.fetch_requests = model.fetch_requests
-    est.diffs_applied = model.diffs_applied
-    est.twins_created = model.twins
-    est.diffs_created = model.diffs_created
-    est.est_diff_kb = model.diff_bytes / 1024.0
-    est.shared_write_pages = shared_pages
-    # message model: 2 per diff request/response pair, 2(n-1) per fork-join
-    # dispatch (improved interface), ~3 per remote lock acquire (request,
-    # forward, grant) and n-1 shutdown notices
-    per_dispatch = 2 * (nprocs - 1)
-    if options is not None and not getattr(options, "improved_interface",
-                                           True):
-        per_dispatch = 8 * (nprocs - 1)
-    est.est_messages = (2 * est.fetch_requests
-                        + per_dispatch * est.loop_units
-                        + 3 * est.lock_remote
-                        + (nprocs - 1))
-    return est
+                return refuse(f"run-time accumulate footprint in loop "
+                              f"{loop.name!r}")
+    model.run()
+    dsm = model.dsm_stats
+    return TrafficEstimate(
+        analyzable=True, nprocs=nprocs,
+        read_faults=dsm.read_faults, write_faults=dsm.write_faults,
+        fetches=dsm.fetches, diffs_applied=dsm.diffs_applied,
+        twins_created=dsm.twins_created, diffs_created=dsm.diffs_created,
+        lock_acquires=dsm.lock_acquires,
+        est_messages=model.traffic.messages,
+        est_diff_kb=dsm.diff_bytes_applied / 1024.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -1050,8 +805,8 @@ def lint_program(program: Program, nprocs: int = 8, *, options=None,
     program would be compiled with (fused loops silence the
     redundant-barrier rule); ``backends`` selects which backend-specific
     rule sets apply; ``shadow`` enables the footprint sanitizer (it
-    executes every kernel once); ``traffic`` attaches the static DSM
-    traffic estimate.
+    executes every kernel once); ``traffic`` attaches the DSM traffic
+    estimate (the protocol replica: it too executes every kernel once).
     """
     findings = _check_wellformed(program, nprocs, backends)
     fatal = any(f.severity == "error" for f in findings)

@@ -9,10 +9,9 @@ structure* the backends execute and composes closed-form per-phase cost
 terms along it, instead of scheduling events:
 
 * the DSM variants (``spf``/``spf_old``) are modeled by a deterministic
-  *protocol replica*: the real interval/vector-time machinery
-  (:mod:`repro.tmk.intervals`), barrier/lock bookkeeping
-  (:mod:`repro.tmk.sync`) and the LRC diff/fetch rules of
-  :mod:`repro.tmk.protocol` are advanced in lockstep over the compiled
+  *protocol replica*: the per-node LRC state machine the simulator itself
+  runs (:mod:`repro.tmk.lrc`) and its barrier/lock bookkeeping
+  (:mod:`repro.tmk.sync`) are advanced in lockstep over the compiled
   schedule, with word-granularity write masks standing in for twins;
 * the message-passing variants (``xhpf``/``xhpf_ie``) are modeled by
   replaying the XHPF runtime's exchange/broadcast/inspector enumeration
@@ -49,9 +48,10 @@ from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
 from repro.compiler.xhpf import XhpfOptions, compile_xhpf
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
-from repro.tmk.forkjoin import CONTROL_BYTES, CTRL_ARG, CTRL_SUB, STOP
-from repro.tmk.intervals import (IntervalRecord, SeenVector,
-                                 notice_payload_nbytes, records_unknown_to)
+from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
+from repro.tmk.intervals import SeenVector, records_unknown_to
+from repro.tmk.lrc import (LrcNode, PageMeta, diff_request_nbytes,
+                           fork_nbytes, lock_request_nbytes, sync_nbytes)
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.stats import DsmStats
 from repro.tmk.sync import BarrierManager, LockTable
@@ -223,71 +223,31 @@ class _ModelBase:
 # ---------------------------------------------------------------------- #
 # the DSM protocol replica (spf / spf_old)
 
-class _MPage:
-    """PageMeta replica (twin presence lives in the node's mask dict)."""
+class _MNode(LrcNode):
+    """One processor's protocol state: the LRC core with changed-word masks
+    as twins, ``int`` wire sizes as diff payloads and a float as the clock
+    (no memory image — the model keeps one converged image for all)."""
 
-    __slots__ = ("valid", "pending", "applied", "last_written",
-                 "last_closed", "last_okey", "sticky")
-
-    def __init__(self):
-        self.valid = True
-        self.pending: dict[int, int] = {}
-        self.applied: dict[int, int] = {}
-        self.last_written = 0
-        self.last_closed = 0
-        self.last_okey: Optional[tuple] = None
-        self.sticky = False
-
-    def missing_writers(self) -> list:
-        out = []
-        for w, need in self.pending.items():
-            have = self.applied.get(w, 0)
-            if need > have:
-                out.append((w, have))
-        return out
-
-
-class _CacheEnt:
-    """Diff-cache entry replica: sizes instead of run lists."""
-
-    __slots__ = ("top", "wm", "okey", "nbytes", "epoch")
-
-    def __init__(self, top, wm, okey, nbytes, epoch):
-        self.top = top
-        self.wm = wm
-        self.okey = okey
-        self.nbytes = nbytes
-        self.epoch = epoch
-
-
-class _MNode:
-    """One processor's protocol state (TmkNode replica, no memory image)."""
-
-    def __init__(self, pid: int, nprocs: int):
-        self.pid = pid
-        self.nprocs = nprocs
-        self.seen = SeenVector(nprocs)
-        self.open_writes: set[int] = set()
-        self.log_current: list[IntervalRecord] = []
-        self.log_prev: list[IntervalRecord] = []
-        self.meta: dict[int, _MPage] = {}
-        self.masks: dict[int, np.ndarray] = {}   # page -> changed-word mask
-        self.diff_cache: dict[int, list] = {}
-        self.gc_floor: dict[int, int] = {}
-        self.epoch = 0
+    def __init__(self, pid: int, nprocs: int, machine: MachineModel,
+                 stats: DsmStats, gc_epochs: Optional[int]):
+        super().__init__(pid, nprocs, machine, stats, gc_epochs)
         self.time = 0.0
         self.prev_touched: dict = {}
 
-    def page(self, page: int) -> _MPage:
-        m = self.meta.get(page)
-        if m is None:
-            m = _MPage()
-            self.meta[page] = m
-        return m
+    def _encode_diff(self, page: int, twin: np.ndarray) -> int:
+        return _mask_diff_nbytes(twin)
 
-    @property
-    def retained_log(self) -> list:
-        return self.log_prev + self.log_current
+    _diff_nbytes = staticmethod(int)
+
+    def _page_image(self, page: int) -> int:
+        return self.model.page_size
+
+    def _charge(self, seconds: float, who: Optional["_MNode"] = None) -> None:
+        (who or self).time += seconds
+
+    def _merge_order(self, patches: list) -> list:
+        # sizes commute; request order keeps the clock's float sum stable
+        return patches
 
 
 class _SpfModel(_ModelBase):
@@ -308,7 +268,6 @@ class _SpfModel(_ModelBase):
         super().__init__()
         self.machine = machine
         self.nprocs = nprocs
-        self.gc_epochs = gc_epochs
         self.exe = compile_spf(program, nprocs, options)
         self.space = SharedSpace()
         self.exe.setup_space(self.space)
@@ -317,9 +276,10 @@ class _SpfModel(_ModelBase):
         self.views = {h.name: self.image[h.offset:h.offset + h.nbytes]
                       .view(h.dtype).reshape(h.shape)
                       for h in self.space.handles()}
-        self.nodes = [_MNode(pid, nprocs) for pid in range(nprocs)]
         self.stats = DsmStats()
         self.dsm_stats = self.stats
+        self.nodes = [_MNode(pid, nprocs, machine, self.stats, gc_epochs)
+                      for pid in range(nprocs)]
         self.barrier_mgr = BarrierManager(nprocs)
         self.lock_table = LockTable(nprocs)
         self._worker_seen = {w: SeenVector(nprocs)
@@ -331,7 +291,7 @@ class _SpfModel(_ModelBase):
 
     def _ensure_read_pages(self, node: _MNode, pages) -> None:
         for page in np.asarray(pages).tolist():
-            m = node.page(page)
+            m = node.meta(page)
             if m.valid:
                 continue
             self.stats.read_faults += 1
@@ -341,188 +301,40 @@ class _SpfModel(_ModelBase):
     def _ensure_write_pages(self, node: _MNode, pages) -> None:
         mach = self.machine
         for page in np.asarray(pages).tolist():
-            m = node.page(page)
+            m = node.meta(page)
             if not m.valid:
                 self.stats.read_faults += 1
                 node.time += mach.fault_overhead
                 self._fetch(node, page, m)
-            if page not in node.masks:
+            if not m.dirty:
                 self.stats.write_faults += 1
                 self.stats.twins_created += 1
                 node.time += mach.fault_overhead + mach.twin_overhead
-                node.masks[page] = np.zeros(_WORDS_PER_PAGE, dtype=bool)
-            m.last_written = node.seen[node.pid] + 1
-            node.open_writes.add(page)
+                m.twin = np.zeros(_WORDS_PER_PAGE, dtype=bool)
+            node.note_write(page, m)
 
-    def _fetch(self, node: _MNode, page: int, m: _MPage) -> None:
+    def _fetch(self, node: _MNode, page: int, m: PageMeta) -> None:
+        """TmkNode._fetch replica: the request/reply pairs are counted and
+        charged to the requester one after another, not overlapped."""
         missing = m.missing_writers()
         if not missing:
             m.valid = True
             return
         self.stats.fetches += 1
         mach = self.machine
+        req_nbytes = diff_request_nbytes()
         replies = []
         for w, from_id in missing:
-            self.traffic.send(24, "diff_req")
-            node.time += self._hop(24) + mach.protocol_overhead
-            entries, full_top, full_applied = self._serve(
-                self.nodes[w], page, from_id, node)
-            if full_top is not None:
-                nbytes = 16 + mach.page_size
-            else:
-                nbytes = 16 + sum(e.nbytes for e in entries)
+            self.traffic.send(req_nbytes, "diff_req")
+            node.time += self._hop(req_nbytes) + mach.protocol_overhead
+            owner = self.nodes[w]
+            reply = owner.collect_for(page, from_id, charge=node)
+            nbytes = owner.reply_nbytes(reply)
             self.traffic.send(nbytes, "diff_rep")
             node.time += self._hop(nbytes)
-            replies.append((w, entries, full_top, full_applied))
-        self._apply_replies(node, page, m, replies)
+            replies.append((w, reply))
+        node._apply_replies(page, m, replies)
         m.valid = True
-
-    def _serve(self, owner: _MNode, page: int, from_id: int,
-               charge: _MNode):
-        """serve_diff_request replica on the owner, incl. the GC fallback."""
-        m = owner.page(page)
-        if page in owner.masks:
-            self._create_diff(owner, page, m, charge=charge)
-        floor = owner.gc_floor.get(page, 0)
-        cached = owner.diff_cache.get(page, [])
-        if from_id < floor:
-            top = max([m.last_closed] + [e.top for e in cached])
-            return [], top, dict(m.applied)
-        return [e for e in cached if e.top > from_id], None, None
-
-    def _create_diff(self, owner: _MNode, page: int, m: _MPage,
-                     charge: Optional[_MNode]) -> None:
-        mask = owner.masks.pop(page)
-        nbytes = _mask_diff_nbytes(mask)
-        self.stats.diffs_created += 1
-        self.stats.diff_bytes_created += nbytes
-        self._cache_entry(owner, page, m, nbytes)
-        if charge is not None:
-            charge.time += self.machine.diff_create_time(self.machine.page_size)
-
-    def _cache_entry(self, owner: _MNode, page: int, m: _MPage,
-                     nbytes: int) -> None:
-        if not nbytes:
-            return
-        top = m.last_written
-        if page in owner.open_writes:
-            wm = m.last_closed
-            okey = (sum(owner.seen.v) + 1, owner.pid)
-        else:
-            wm = m.last_written
-            okey = m.last_okey if m.last_okey is not None \
-                else (sum(owner.seen.v), owner.pid)
-        lst = owner.diff_cache.setdefault(page, [])
-        if lst and lst[-1].top >= top:
-            prev = lst.pop()
-            lst.append(_CacheEnt(max(prev.top, top), max(prev.wm, wm),
-                                 max(prev.okey, okey),
-                                 prev.nbytes + nbytes, owner.epoch))
-        else:
-            lst.append(_CacheEnt(top, wm, okey, nbytes, owner.epoch))
-
-    def _apply_replies(self, node: _MNode, page: int, m: _MPage,
-                       replies) -> None:
-        base_applied: dict = {}
-        fulls = [(w, ft, fa) for w, _e, ft, fa in replies if ft is not None]
-        if fulls:
-            w, ft, fa = max(fulls, key=lambda t: t[1])
-            base_applied = dict(fa or {})
-            base_applied[w] = max(base_applied.get(w, 0), ft)
-            self.stats.full_page_fetches += 1
-            for ww, ftw, _fa in fulls:
-                m.applied[ww] = max(m.applied.get(ww, 0), ftw,
-                                    m.pending.get(ww, 0))
-        for w, entries, _ft, _fa in replies:
-            for e in entries:
-                if e.top <= base_applied.get(w, 0):
-                    m.applied[w] = max(m.applied.get(w, 0), e.wm)
-                    continue
-                node.time += self.machine.diff_apply_time(e.nbytes)
-                self.stats.diffs_applied += 1
-                self.stats.diff_bytes_applied += e.nbytes
-                m.applied[w] = max(m.applied.get(w, 0), e.wm)
-        for w, _from in m.missing_writers():
-            m.applied[w] = max(m.applied.get(w, 0), m.pending.get(w, 0))
-
-    # ---- interval machinery ---------------------------------------------
-
-    def _close_interval(self, node: _MNode) -> None:
-        if not node.open_writes:
-            return
-        new_id = node.seen[node.pid] + 1
-        node.seen.v[node.pid] = new_id
-        vtsum = sum(node.seen.v)
-        rec = IntervalRecord(proc=node.pid, id=new_id,
-                             pages=tuple(sorted(node.open_writes)),
-                             vtsum=vtsum)
-        okey = (vtsum, node.pid)
-        for page in node.open_writes:
-            m = node.page(page)
-            m.last_okey = okey
-            m.last_closed = new_id
-        node.open_writes = set()
-        node.log_current.append(rec)
-
-    def _prune_log(self, node: _MNode) -> None:
-        node.log_prev = node.log_current
-        node.log_current = []
-
-    def _apply_records(self, node: _MNode, records: list,
-                       log: bool) -> None:
-        self.stats.epoch_bumps += 1
-        writers_per_page: dict[int, set] = {}
-        for rec in records:
-            if not node.seen.observe(rec):
-                continue
-            if log:
-                node.log_current.append(rec)
-            for page in rec.pages:
-                writers_per_page.setdefault(page, set()).add(rec.proc)
-                self._apply_notice(node, rec.proc, rec.id, page)
-        for page, writers in writers_per_page.items():
-            m = node.meta.get(page)
-            if m is None:
-                continue
-            if len(writers) > 1 or (m.last_written > 0
-                                    and writers - {node.pid}):
-                m.sticky = True
-
-    def _apply_notice(self, node: _MNode, writer: int, interval_id: int,
-                      page: int) -> None:
-        if writer == node.pid:
-            return
-        m = node.page(page)
-        if interval_id > m.pending.get(writer, 0):
-            m.pending[writer] = interval_id
-        if interval_id <= m.applied.get(writer, 0):
-            return
-        if page in node.masks:
-            self._create_diff(node, page, m, charge=node)
-        if m.valid:
-            m.valid = False
-            self.stats.invalidations += 1
-
-    def _advance_epoch(self, node: _MNode) -> None:
-        node.epoch += 1
-        if self.gc_epochs is None:
-            return
-        cutoff = node.epoch - self.gc_epochs
-        if cutoff <= 0:
-            return
-        for page, lst in list(node.diff_cache.items()):
-            m = node.meta.get(page)
-            if m is not None and m.sticky:
-                continue
-            kept = [e for e in lst if e.epoch >= cutoff]
-            if len(kept) < len(lst):
-                dropped_top = max(e.top for e in lst if e.epoch < cutoff)
-                node.gc_floor[page] = max(node.gc_floor.get(page, 0),
-                                          dropped_top)
-            if kept:
-                node.diff_cache[page] = kept
-            else:
-                del node.diff_cache[page]
 
     # ---- synchronization replicas ---------------------------------------
 
@@ -532,19 +344,18 @@ class _SpfModel(_ModelBase):
         payloads = {}
         for node in self.nodes:
             self.stats.barriers += 1
-            self._close_interval(node)
+            node.close_interval()
             payloads[node.pid] = list(node.log_current)
-            self._prune_log(node)
+            node.prune_log()
         if self.nprocs == 1:
-            self._advance_epoch(self.nodes[0])
+            self.nodes[0].advance_epoch()
             return
         mgr = self.barrier_mgr
         gen = mgr.gen
         for node in self.nodes:
             recs = payloads[node.pid]
             if node.pid != 0:
-                nbytes = 16 + notice_payload_nbytes(
-                    recs, mach.interval_header_bytes, mach.write_notice_bytes)
+                nbytes = sync_nbytes(recs, mach)
                 self.traffic.send(nbytes, "sync")
                 arrive = max(arrive, node.time + self._hop(nbytes)
                              + mach.protocol_overhead)
@@ -555,21 +366,20 @@ class _SpfModel(_ModelBase):
         for node in self.nodes:
             recs = departures[node.pid]
             if node.pid != 0:
-                nbytes = 16 + notice_payload_nbytes(
-                    recs, mach.interval_header_bytes, mach.write_notice_bytes)
+                nbytes = sync_nbytes(recs, mach)
                 self.traffic.send(nbytes, "sync")
                 node.time = arrive + self._hop(nbytes)
             else:
                 node.time = arrive
-            self._apply_records(node, recs, log=False)
-            self._advance_epoch(node)
+            node.apply_records(recs, log=False)
+            node.advance_epoch()
 
     def _lock_acquire(self, node: _MNode, lock: int) -> None:
         self.stats.lock_acquires += 1
         table = self.lock_table
         mach = self.machine
         manager = table.manager_of(lock)
-        req_nbytes = 16 + 8 * self.nprocs
+        req_nbytes = lock_request_nbytes(self.nprocs)
         prev, _after = table.note_request(lock, node.pid)
         if node.pid == manager:
             if prev == node.pid:
@@ -577,61 +387,58 @@ class _SpfModel(_ModelBase):
             self.stats.lock_remote_acquires += 1
             self.traffic.send(req_nbytes, "sync")     # forward to prev
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
-            self._grant(node, self.nodes[prev], lock)
+            self._grant(node, self.nodes[prev])
             return
         self.stats.lock_remote_acquires += 1
         self.traffic.send(req_nbytes, "sync")         # request to manager
         node.time += self._hop(req_nbytes) + mach.protocol_overhead
         if prev == node.pid:
-            self.traffic.send(16, "sync")             # empty grant
-            node.time += self._hop(16)
-            self._apply_records(node, [], log=True)
+            self._grant(node, None)                   # empty grant
         elif prev == manager:
-            self._grant(node, self.nodes[manager], lock)
+            self._grant(node, self.nodes[manager])
         else:
             self.traffic.send(req_nbytes, "sync")     # manager forwards
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
-            self._grant(node, self.nodes[prev], lock)
+            self._grant(node, self.nodes[prev])
 
-    def _grant(self, node: _MNode, holder: _MNode, lock: int) -> None:
-        mach = self.machine
-        records = records_unknown_to(holder.retained_log, node.seen)
-        nbytes = 16 + notice_payload_nbytes(
-            records, mach.interval_header_bytes, mach.write_notice_bytes)
+    def _grant(self, node: _MNode, holder: Optional[_MNode]) -> None:
+        """The grant message: the holder's records the acquirer lacks (none
+        when the last holder re-acquires, ``holder=None``)."""
+        records = [] if holder is None \
+            else records_unknown_to(holder.retained_log, node.seen)
+        nbytes = sync_nbytes(records, self.machine)
         self.traffic.send(nbytes, "sync")
         node.time += self._hop(nbytes)
-        self._apply_records(node, records, log=True)
+        node.apply_records(records, log=True)
 
     def _lock_release(self, node: _MNode, lock: int) -> None:
-        self._close_interval(node)
+        node.close_interval()
         self.lock_table.note_release(node.pid, lock)
 
     # ---- fork-join replicas ---------------------------------------------
 
-    def _fork_improved(self, params_nbytes_unused=None) -> list:
+    def _fork_improved(self) -> None:
         mach = self.machine
         master = self.nodes[0]
-        self._close_interval(master)
+        master.close_interval()
         arrivals = []
         for w in range(1, self.nprocs):
             records = records_unknown_to(master.retained_log,
                                          self._worker_seen[w])
-            nbytes = CONTROL_BYTES + notice_payload_nbytes(
-                records, mach.interval_header_bytes, mach.write_notice_bytes)
+            nbytes = fork_nbytes(records, mach)
             self.traffic.send(nbytes, "sync")
             master.time += mach.send_overhead
             arrivals.append((w, records, nbytes))
             self._worker_seen[w] = master.seen.copy()
-        self._prune_log(master)
-        self._advance_epoch(master)
+        master.prune_log()
+        master.advance_epoch()
         for w, records, nbytes in arrivals:
             worker = self.nodes[w]
             worker.time = max(worker.time, master.time
                               + mach.message_time(nbytes)
                               + mach.recv_overhead)
-            self._apply_records(worker, records, log=False)
-            self._advance_epoch(worker)
-        return arrivals
+            worker.apply_records(records, log=False)
+            worker.advance_epoch()
 
     def _join_improved(self) -> None:
         mach = self.machine
@@ -639,19 +446,18 @@ class _SpfModel(_ModelBase):
         arrivals = []
         for w in range(1, self.nprocs):
             worker = self.nodes[w]
-            self._close_interval(worker)
+            worker.close_interval()
             records = list(worker.log_current)
-            self._prune_log(worker)
-            nbytes = 16 + notice_payload_nbytes(
-                records, mach.interval_header_bytes, mach.write_notice_bytes)
+            worker.prune_log()
+            nbytes = sync_nbytes(records, mach)
             self.traffic.send(nbytes, "sync")
             worker.time += mach.send_overhead
             arrivals.append((w, records, worker.seen.copy(),
                              worker.time + mach.message_time(nbytes)))
-        self._close_interval(master)
+        master.close_interval()
         for w, records, seen, t_arr in arrivals:
             master.time = max(master.time, t_arr) + mach.recv_overhead
-            self._apply_records(master, records, log=True)
+            master.apply_records(records, log=True)
             self._worker_seen[w] = seen
 
     def _fork_old(self, sub_id: int, params: tuple) -> None:
@@ -695,7 +501,7 @@ class _SpfModel(_ModelBase):
         for page, old in before.items():
             lo = page * _WORDS_PER_PAGE
             changed = self.words[lo:lo + _WORDS_PER_PAGE] != old
-            mask = node.masks.get(page)
+            mask = node.meta(page).twin
             if mask is not None:
                 mask |= changed
 

@@ -4,7 +4,8 @@ This package re-implements the DSM substrate of the paper (TreadMarks
 0.10.1, Amza et al. [2]) over the simulated cluster:
 
 * lazy invalidate release consistency with vector timestamps, intervals and
-  write notices (:mod:`repro.tmk.intervals`, :mod:`repro.tmk.protocol`),
+  write notices (:mod:`repro.tmk.intervals`; the per-node state machine is
+  :mod:`repro.tmk.lrc`, its simulator half :mod:`repro.tmk.protocol`),
 * the multiple-writer protocol with twins and run-length-encoded diffs
   computed from real page contents (:mod:`repro.tmk.diffs`),
 * page-granularity access detection (:mod:`repro.tmk.pagespace`,

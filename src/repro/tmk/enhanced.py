@@ -76,25 +76,12 @@ def validate(node: TmkNode, handle: ArrayHandle, region=None,
     replies_by_page: dict[int, list] = {p: [] for p in metas}
     for w in sorted(by_writer):
         msg = node.net.recv(proc, node.pid, src=w, tag=TAG_FETCH_REP)
-        for page, diffs, full_page, full_label, full_applied in msg.payload.batch:
-            replies_by_page[page].append(
-                (w, _Part(diffs, full_page, full_label, full_applied)))
+        for page, part in msg.payload:
+            replies_by_page[page].append((w, part))
     for page, m in metas.items():
         node._apply_replies(page, m, replies_by_page[page])
         m.valid = True
         fs.valid[page] = True
-
-
-class _Part:
-    """Adapter: one page's slice of a batched reply, shaped like DiffReply."""
-
-    __slots__ = ("diffs", "full_page", "full_label", "full_applied")
-
-    def __init__(self, diffs, full_page, full_label, full_applied):
-        self.diffs = diffs
-        self.full_page = full_page
-        self.full_label = full_label
-        self.full_applied = full_applied
 
 
 # ---------------------------------------------------------------------- #

@@ -25,18 +25,24 @@ A ``False`` bit promises nothing; the slow path re-checks the real metadata
 (and flips the bit back on).  Bits are therefore *cleared eagerly at every
 state regression* and set lazily by the slow path:
 
-* ``valid`` clears only in ``TmkNode._apply_notice`` (invalidation at an
-  acquire);
-* ``write_ok`` additionally clears in ``TmkNode._create_diff`` (the twin is
-  discarded — possibly from the node's *server* context, mid-epoch, when a
-  remote fetch forces a diff of a locally dirty page) and wholesale at
-  ``close_interval`` (the open interval ends, so "already noted" expires).
+The regressions happen inside the protocol core (:mod:`repro.tmk.lrc`),
+which reports each through a ``TmkNode`` hook:
+
+* ``valid`` clears only in ``LrcNode._apply_notice`` (invalidation at an
+  acquire; hook ``_page_invalidated``);
+* ``write_ok`` additionally clears in ``LrcNode._create_diff`` (hook
+  ``_page_untwinned``: the twin is discarded — possibly from the node's
+  *server* context, mid-epoch, when a remote fetch forces a diff of a
+  locally dirty page) and wholesale at ``close_interval`` (hook
+  ``_interval_closed``: the open interval ends, so "already noted"
+  expires).
 
 **Epoch-keyed region verdicts**: between acquires, ``valid`` bits cannot
 regress, and between {acquire, release, diff-creation} events ``write_ok``
 bits cannot regress.  Each node therefore carries an ``epoch`` counter
-(bumped at every acquire edge: barrier departure, lock acquire, fork/join
-receive, reduction — exactly the edges the race monitor instruments) and a
+(bumped at every acquire edge — ``apply_records``, hook ``_acquire_edge``:
+barrier departure, lock acquire, fork/join receive, reduction, exactly the
+edges the race monitor instruments) and a
 ``write_gen`` counter (bumped at those plus every ``close_interval`` and
 ``_create_diff``).  A region whose mask check passed is remembered as
 ``region -> counter``; while the counter is unchanged the next identical
@@ -108,6 +114,7 @@ class FastState:
 
     def untwin_page(self, page: int) -> None:
         self.write_ok[page] = False
+        self.bump_write_gen()
 
     def close_interval(self) -> None:
         self.write_ok.fill(False)

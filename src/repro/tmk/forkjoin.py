@@ -30,7 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tmk.intervals import notice_payload_nbytes, records_unknown_to, SeenVector
+from repro.tmk.intervals import records_unknown_to, SeenVector
+from repro.tmk.lrc import fork_nbytes, sync_nbytes
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.protocol import TAG_FORK, TAG_JOIN, TmkNode
 from repro.tmk.shared import SharedArray
@@ -43,7 +44,6 @@ STOP = -1
 CTRL_SUB = "__fj_sub"
 CTRL_ARG = "__fj_arg"
 MAX_ARGS = 32
-CONTROL_BYTES = 64    # subroutine index + parameter block on the wire
 
 
 def alloc_old_interface_control(space: SharedSpace) -> None:
@@ -128,8 +128,7 @@ class ImprovedForkJoin:
         for w in range(1, node.nprocs):
             records = records_unknown_to(node.retained_log,
                                          self._worker_seen[w])
-            nbytes = CONTROL_BYTES + notice_payload_nbytes(
-                records, model.interval_header_bytes, model.write_notice_bytes)
+            nbytes = fork_nbytes(records, model)
             body = (sub_id, tuple(params), records, payload)
             if payload is not None:
                 nbytes += payload.nbytes_on_wire
@@ -188,11 +187,9 @@ class ImprovedForkJoin:
         mon = getattr(node.world, "race_monitor", None)
         if mon is not None:
             mon.channel_put(node.pid, 0, "join", mon.release(node.pid))
-        nbytes = 16 + notice_payload_nbytes(
-            records, node.model.interval_header_bytes,
-            node.model.write_notice_bytes)
         node.net.send(proc, node.pid, 0, (records, node.seen.as_tuple()),
-                      tag=TAG_JOIN, nbytes=nbytes, category="sync")
+                      tag=TAG_JOIN, nbytes=sync_nbytes(records, node.model),
+                      category="sync")
 
 
 def make_forkjoin(node: TmkNode, improved: bool = True):

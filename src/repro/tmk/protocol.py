@@ -1,6 +1,11 @@
 """Per-node lazy-invalidate release-consistency protocol engine.
 
-One :class:`TmkNode` lives on each simulated processor.  It owns
+One :class:`TmkNode` lives on each simulated processor.  The protocol's
+state machine — metadata, intervals, the diff cache and its GC, notice
+handling, reply merging — is :class:`repro.tmk.lrc.LrcNode`, shared with
+the analytic model; this module adds what only the event simulator has:
+real memory, twins, fast-path masks, fetch/serve messaging and virtual
+time.  Together they own
 
 * the node's private copy of the whole shared address space (a numpy byte
   buffer; applications compute through views of it),
@@ -37,17 +42,16 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.sim.machine import MachineModel
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
-from repro.tmk.intervals import IntervalRecord, SeenVector
+from repro.tmk.lrc import LrcNode, PageMeta, diff_request_nbytes
 from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
 
 if TYPE_CHECKING:
     from repro.sim.cluster import ProcEnv
     from repro.tmk.api import TmkWorld
 
-__all__ = ["TmkNode", "PageMeta", "DiffRequest", "DiffReply",
+__all__ = ["TmkNode", "PageMeta", "DiffRequest",
            "TAG_TMK_REQ", "TAG_FETCH_REP", "TAG_BARRIER_DEP",
            "TAG_LOCK_GRANT", "TAG_FORK", "TAG_JOIN", "TAG_PUSH"]
 
@@ -55,7 +59,7 @@ __all__ = ["TmkNode", "PageMeta", "DiffRequest", "DiffReply",
 # tag space (application programs use tags < 1_000_000)
 #
 # Every tag below names a request/reply channel that assumes exactly-once,
-# per-pair-FIFO delivery (a duplicated DiffReply would patch a page twice;
+# per-pair-FIFO delivery (a duplicated diff reply would patch a page twice;
 # a reordered grant would break lock tenure).  The network provides both —
 # natively on the perfect wire, via its reliable-delivery sublayer under
 # an attached FaultPlan — so the protocol carries no sequence numbers.
@@ -67,59 +71,6 @@ TAG_LOCK_GRANT = 1_100_000   # + lock id
 TAG_FORK = 1_000_003         # fork-join: master -> worker (departure)
 TAG_JOIN = 1_000_004         # fork-join: worker -> master (arrival)
 TAG_PUSH = 1_000_005         # enhanced interface: pushed data at a release
-
-
-class _CacheEntry(tuple):
-    """A cached diff: (top, wm, okey, diff, epoch) — see _create_diff."""
-
-    __slots__ = ()
-
-    def __new__(cls, top, wm, okey, diff, epoch):
-        return tuple.__new__(cls, (top, wm, okey, diff, epoch))
-
-    top = property(lambda self: self[0])
-    wm = property(lambda self: self[1])
-    okey = property(lambda self: self[2])
-    diff = property(lambda self: self[3])
-    epoch = property(lambda self: self[4])
-
-
-class PageMeta:
-    """Coherence metadata for one page on one node."""
-
-    __slots__ = ("valid", "twin", "pending", "applied", "last_written",
-                 "last_closed", "last_okey", "sticky")
-
-    def __init__(self) -> None:
-        self.valid = True
-        self.twin: Optional[np.ndarray] = None
-        # writer pid -> highest interval id named in a notice (needed)
-        self.pending: dict[int, int] = {}
-        # writer pid -> highest interval id whose content we hold
-        self.applied: dict[int, int] = {}
-        # own interval id (open included) of the most recent local write
-        self.last_written = 0
-        # own id of the last *closed* interval that wrote this page —
-        # the highest watermark a served diff may let requesters claim
-        self.last_closed = 0
-        # merge-order key (vtsum, pid) of the last *closed* interval in
-        # which this node wrote the page
-        self.last_okey: Optional[tuple] = None
-        # multi-writer pages are exempt from diff GC (see DESIGN.md)
-        self.sticky = False
-
-    @property
-    def dirty(self) -> bool:
-        return self.twin is not None
-
-    def missing_writers(self) -> list[tuple[int, int]]:
-        """(writer, from_id) pairs whose content this node still lacks."""
-        out = []
-        for w, need in self.pending.items():
-            have = self.applied.get(w, 0)
-            if need > have:
-                out.append((w, have))
-        return out
 
 
 # ---------------------------------------------------------------------- #
@@ -135,67 +86,25 @@ class DiffRequest:
     batch: Optional[list] = None
 
     def nbytes(self) -> int:
-        if self.batch is not None:
-            return 16 + 8 * len(self.batch)
-        return 24
+        return diff_request_nbytes(
+            None if self.batch is None else len(self.batch))
 
 
-@dataclass
-class DiffReply:
-    page: int
-    diffs: list               # [(top, wm, okey, diff)] in top order
-    full_page: Optional[bytes] = None
-    full_label: int = 0
-    full_applied: Optional[dict] = None   # sender's applied watermarks
-    # aggregated form: list of per-page DiffReply-like tuples
-    batch: Optional[list] = None          # [(page, diffs, full_page, full_label, full_applied)]
-
-    def nbytes(self) -> int:
-        def one(diffs, full_page):
-            n = sum(diff_nbytes(entry[-1]) for entry in diffs) + 16
-            if full_page is not None:
-                n += len(full_page)
-            return n
-        if self.batch is not None:
-            return sum(one(d, fp) for _p, d, fp, _fl, _fa in self.batch)
-        return one(self.diffs, self.full_page)
-
-
-class TmkNode:
-    """All DSM state and behaviour of one processor."""
+class TmkNode(LrcNode):
+    """All DSM state and behaviour of one processor: the LRC core plus a
+    real memory image, twins, fast-path masks, fetch/serve messaging and
+    virtual-time charging."""
 
     def __init__(self, world: "TmkWorld", env: "ProcEnv"):
+        super().__init__(env.pid, env.nprocs, env.model, world.dsm_stats,
+                         world.gc_epochs)
         self.world = world
         self.env = env
-        self.pid = env.pid
-        self.nprocs = env.nprocs
         self.net = env.net
-        self.model: MachineModel = env.model
         self.space: SharedSpace = world.space
         self.page_size = self.model.page_size
 
         self.mem = np.zeros(self.space.nbytes, dtype=np.uint8)
-        self._meta: dict[int, PageMeta] = {}
-
-        # interval machinery
-        self.seen = SeenVector(self.nprocs)       # seen[pid] == own closed count
-        self.open_writes: set[int] = set()        # pages written this interval
-        # interval-record retention is two global-sync windows deep:
-        # ``log_current`` holds records created/learned since the last
-        # global synchronization (what a barrier arrival or join must
-        # carry); ``log_prev`` holds the window before that.  Lock grants
-        # serve from both — a grant can be computed after this node passed
-        # a join/barrier while the requester is still inside the previous
-        # window, and the records it needs must not have been discarded
-        # (the receiver-side seen-vector filter makes re-sends harmless).
-        self.log_current: list[IntervalRecord] = []
-        self.log_prev: list[IntervalRecord] = []
-        # diff cache: page -> list of (label, diff, epoch) in label order
-        self.diff_cache: dict[int, list] = {}
-        # page -> highest label ever garbage-collected; the cache is
-        # continuous over (gc_floor, newest label]
-        self.gc_floor: dict[int, int] = {}
-        self.epoch = 0                            # barrier counter (GC clock)
 
         # coherence fast path: vectorized page masks + epoch-keyed region
         # verdicts (see repro.tmk.faststate).  Mask *maintenance* is
@@ -205,6 +114,14 @@ class TmkNode:
         if enabled is None:
             enabled = fastpath_enabled_from_env()
         self.fast = FastState(self.space.npages, enabled=enabled)
+        # the masks hear of every state regression straight from the core.
+        # (A twin may be dropped on the node's *server* context while main
+        # is blocked in a fetch mid-ensure_write: the live mask check there
+        # depends on ``untwin_page``.)
+        self._page_untwinned = self.fast.untwin_page
+        self._page_invalidated = self.fast.invalidate_page
+        self._interval_closed = self.fast.close_interval
+        self._acquire_edge = self.fast.bump_epoch
 
         world.nodes[self.pid] = self
 
@@ -215,13 +132,6 @@ class TmkNode:
         """The node-local ndarray over ``handle``'s bytes (no coherence!)."""
         raw = self.mem[handle.offset:handle.offset + handle.nbytes]
         return raw.view(handle.dtype).reshape(handle.shape)
-
-    def meta(self, page: int) -> PageMeta:
-        m = self._meta.get(page)
-        if m is None:
-            m = PageMeta()
-            self._meta[page] = m
-        return m
 
     def page_bytes(self, page: int) -> np.ndarray:
         off = page * self.page_size
@@ -384,8 +294,7 @@ class TmkNode:
             self.env.proc.hold(self.model.fault_overhead
                                + self.model.twin_overhead)
             m.twin = self.page_bytes(page).copy()
-        m.last_written = self.seen[self.pid] + 1   # current open interval id
-        self.open_writes.add(page)
+        self.note_write(page, m)
         # valid + twinned + noted in the open interval: nothing left for a
         # repeat write access to do until a regression clears this bit
         self.fast.write_ok[page] = True
@@ -409,62 +318,10 @@ class TmkNode:
         replies = []
         for w, _from in missing:
             msg = self.net.recv(proc, self.pid, src=w, tag=TAG_FETCH_REP)
-            replies.append((w, msg.payload))
+            replies.append((w, msg.payload[0][1]))
         self._apply_replies(page, m, replies)
         m.valid = True
         self.fast.valid[page] = True
-
-    def _apply_replies(self, page: int, m: PageMeta, replies) -> None:
-        """Merge diff/page replies into the local copy.
-
-        ``replies`` is ``[(writer, DiffReply-ish)]`` where the reply objects
-        expose ``diffs`` / ``full_page`` / ``full_label`` / ``full_applied``.
-        Full pages (GC fallback) are installed first — newest base wins and
-        our own preserved modifications are re-applied — then diffs are
-        patched in happens-before order via their ``(vtsum, proc)`` keys.
-        """
-        proc = self.env.sim.current
-        stats = self.world.dsm_stats
-        base_applied: dict = {}
-        fulls = [(w, rep) for w, rep in replies if rep.full_page is not None]
-        if fulls:
-            w, rep = max(fulls, key=lambda t: t[1].full_label)
-            dst = self.page_bytes(page)
-            dst[:] = np.frombuffer(rep.full_page, dtype=np.uint8)
-            base_applied = dict(rep.full_applied or {})
-            base_applied[w] = max(base_applied.get(w, 0), rep.full_label)
-            stats.full_page_fetches += 1
-            # re-apply our own preserved modifications (disjoint from any
-            # concurrent writer's words in a race-free program)
-            apply_diffs(dst, [entry.diff
-                              for entry in self.diff_cache.get(page, [])])
-            for ww, reply in fulls:
-                m.applied[ww] = max(m.applied.get(ww, 0),
-                                    reply.full_label, m.pending.get(ww, 0))
-        patches = []
-        for w, rep in replies:
-            for top, wm, okey, diff in rep.diffs:
-                if top <= base_applied.get(w, 0):
-                    # already reflected in the full page we installed
-                    m.applied[w] = max(m.applied.get(w, 0), wm)
-                    continue
-                patches.append((okey, w, wm, diff))
-        patches.sort(key=lambda t: t[0])
-        dst = self.page_bytes(page)
-        for _okey, w, wm, diff in patches:
-            apply_diff(dst, diff)
-            proc.hold(self.model.diff_apply_time(diff_nbytes(diff)))
-            stats.diffs_applied += 1
-            stats.diff_bytes_applied += diff_nbytes(diff)
-            # claim only through the writer's last *closed* interval: a
-            # mid-interval serve's open writes may still grow, and the
-            # close notice must be able to trigger a re-fetch
-            m.applied[w] = max(m.applied.get(w, 0), wm)
-        for w, _from in m.missing_writers():
-            # anything still "missing" was answered with content newer than
-            # the notices (cumulative diffs) or an empty diff; trust the
-            # notices' watermarks
-            m.applied[w] = max(m.applied.get(w, 0), m.pending.get(w, 0))
 
     # ------------------------------------------------------------------ #
     # serving (runs on this node's server process; ``sproc`` is the server)
@@ -472,198 +329,39 @@ class TmkNode:
     def serve_diff_request(self, sproc, requester: int, req: DiffRequest,
                            category: str = "diff_rep") -> None:
         sproc.hold(self.model.protocol_overhead)
-        if req.batch is not None:
-            batch = []
-            for page, from_id in req.batch:
-                diffs, full_page, full_label, full_applied = self._collect_for(
-                    sproc, page, from_id)
-                batch.append((page, diffs, full_page, full_label, full_applied))
-            rep = DiffReply(page=-1, diffs=[], batch=batch)
-        else:
-            diffs, full_page, full_label, full_applied = self._collect_for(
-                sproc, req.page, req.from_id)
-            rep = DiffReply(page=req.page, diffs=diffs, full_page=full_page,
-                            full_label=full_label, full_applied=full_applied)
+        asked = req.batch if req.batch is not None \
+            else [(req.page, req.from_id)]
+        # the reply: one (page, PageReply) per page asked for, in order
+        rep = [(page, self.collect_for(page, from_id, charge=sproc))
+               for page, from_id in asked]
         self.net.send(sproc, self.pid, requester, rep, tag=TAG_FETCH_REP,
-                      nbytes=rep.nbytes(), category=category)
-
-    def _collect_for(self, sproc, page: int, from_id: int):
-        """Gather this node's modifications to ``page`` newer than ``from_id``."""
-        m = self.meta(page)
-        if m.dirty:
-            self._create_diff(page, m, charge=sproc)
-        floor = self.gc_floor.get(page, 0)
-        cached = self.diff_cache.get(page, [])
-        if from_id < floor:
-            # content in (from_id, floor] was garbage-collected: fall back
-            # to a whole-page transfer (as TreadMarks does after its GC)
-            top = max([m.last_closed] + [e.top for e in cached])
-            return [], self.page_bytes(page).tobytes(), top, dict(m.applied)
-        return [(e.top, e.wm, e.okey, e.diff) for e in cached
-                if e.top > from_id], None, 0, None
-
-    def _create_diff(self, page: int, m: PageMeta, charge=None) -> None:
-        """Compute and cache the diff for a dirty page; drop the twin.
-
-        Cache entries carry two interval ids with different meanings:
-
-        * ``top`` — the newest interval whose writes the entry *contains*
-          (the open interval, if a request arrived mid-interval).  Serving
-          filters on ``top`` so nothing available is withheld.
-        * ``wm`` — the newest interval a requester may *claim* to hold
-          after applying the entry: the last **closed** write interval.
-          A mid-interval serve over-propagates the open writes (harmless
-          for race-free programs), but the requester must not mark the
-          open interval applied — the writer may still add to it, and the
-          close's write notice has to trigger a re-fetch.
-
-        The merge-order key is likewise the key the open interval's close
-        would produce (growth only reorders concurrent, disjoint writes).
-        """
-        diff = make_diff(self.page_bytes(page), m.twin)
-        m.twin = None
-        # may run on the node's *server* context while main is blocked in a
-        # fetch mid-ensure_write: the live mask check there depends on this
-        self.fast.untwin_page(page)
-        self.fast.bump_write_gen()
-        stats = self.world.dsm_stats
-        stats.diffs_created += 1
-        stats.diff_bytes_created += diff_nbytes(diff)
-        self._cache_entry(page, m, diff)
-        # charge the creation time only after the cache is updated: holding
-        # yields the processor, and this node's request server must never
-        # observe the page twinless *and* uncached (it would serve nothing)
-        if charge is not None:
-            charge.hold(self.model.diff_create_time(self.page_size))
-
-    def _cache_entry(self, page: int, m: PageMeta, diff) -> None:
-        if not diff:
-            return
-        top = m.last_written
-        if page in self.open_writes:
-            wm = m.last_closed
-            okey = (sum(self.seen.v) + 1, self.pid)
-        else:
-            wm = m.last_written
-            okey = m.last_okey if m.last_okey is not None \
-                else (sum(self.seen.v), self.pid)
-        lst = self.diff_cache.setdefault(page, [])
-        if lst and lst[-1][0] >= top:
-            # same-interval re-diff (a second request arrives mid-interval,
-            # or the close follows a mid-interval serve): extend the entry —
-            # apply order within it preserves later-wins on overlaps
-            prev = lst.pop()
-            lst.append(_CacheEntry(max(prev.top, top), max(prev.wm, wm),
-                                   max(prev.okey, okey), prev.diff + diff,
-                                   self.epoch))
-        else:
-            lst.append(_CacheEntry(top, wm, okey, diff, self.epoch))
+                      nbytes=sum(self.reply_nbytes(part) for _page, part in rep),
+                      category=category)
 
     # ------------------------------------------------------------------ #
-    # interval machinery
+    # LrcNode hooks: real bytes and hold() charging
 
-    def close_interval(self) -> Optional[IntervalRecord]:
-        """End the open interval (at a release); record its writes."""
-        if not self.open_writes:
-            return None
-        self.fast.close_interval()
-        new_id = self.seen[self.pid] + 1
-        self.seen.v[self.pid] = new_id
-        vtsum = sum(self.seen.v)
-        rec = IntervalRecord(proc=self.pid, id=new_id,
-                             pages=tuple(sorted(self.open_writes)),
-                             vtsum=vtsum)
-        okey = (vtsum, self.pid)
-        for page in self.open_writes:
-            meta = self.meta(page)
-            meta.last_okey = okey
-            meta.last_closed = new_id
-        self.open_writes = set()
-        self.log_current.append(rec)
-        return rec
+    def _encode_diff(self, page: int, twin):
+        return make_diff(self.page_bytes(page), twin)
 
-    @property
-    def retained_log(self) -> list:
-        """All interval records still retained (for lock grants)."""
-        return self.log_prev + self.log_current
+    _diff_nbytes = staticmethod(diff_nbytes)
 
-    def apply_records(self, records: list, log: bool = True) -> None:
-        """Acquire-side: learn records, invalidate named pages.
+    def _page_image(self, page: int) -> bytes:
+        return self.page_bytes(page).tobytes()
 
-        ``log=True`` retains the records for forwarding on later lock grants
-        (needed for lock-chain transitivity).  Barrier departures pass
-        ``log=False``: the manager has distributed those records to everyone
-        already, so re-forwarding them would only duplicate traffic.
-        """
-        # this is the acquire edge: the one place ``valid`` bits can regress
-        self.fast.bump_epoch()
-        self.world.dsm_stats.epoch_bumps += 1
-        writers_per_page: dict[int, set] = {}
-        for rec in records:
-            if not self.seen.observe(rec):
-                continue
-            if log:
-                self.log_current.append(rec)
-            for page in rec.pages:
-                writers_per_page.setdefault(page, set()).add(rec.proc)
-                self._apply_notice(rec.proc, rec.id, page)
-        for page, writers in writers_per_page.items():
-            m = self._meta.get(page)
-            if m is None:
-                continue
-            if len(writers) > 1 or (m.last_written > 0 and writers - {self.pid}):
-                m.sticky = True
+    def _charge(self, seconds: float, who=None) -> None:
+        # by default whichever of this node's contexts is executing: barrier
+        # departures and diff requests are handled on the server process,
+        # faults and grants on the main one
+        (self.env.sim.current if who is None else who).hold(seconds)
 
-    def _apply_notice(self, writer: int, interval_id: int, page: int) -> None:
-        if writer == self.pid:
-            return
-        m = self.meta(page)
-        prev = m.pending.get(writer, 0)
-        if interval_id > prev:
-            m.pending[writer] = interval_id
-        if interval_id <= m.applied.get(writer, 0):
-            return  # content already held (cumulative diff over-propagation)
-        if m.dirty:
-            # preserve our modifications before losing the right to the page;
-            # charge whichever process is executing (main or server — barrier
-            # departures may be applied from the server context)
-            self._create_diff(page, m, charge=self.env.sim.current)
-        if m.valid:
-            m.valid = False
-            self.fast.invalidate_page(page)
-            self.world.dsm_stats.invalidations += 1
+    def _patch(self, page: int, diff) -> None:
+        apply_diff(self.page_bytes(page), diff)
 
-    # ------------------------------------------------------------------ #
-    # epoch / GC (called at barrier departure)
-
-    def advance_epoch(self) -> None:
-        self.epoch += 1
-        horizon = self.world.gc_epochs
-        if horizon is None:
-            return
-        cutoff = self.epoch - horizon
-        if cutoff <= 0:
-            return
-        for page, lst in list(self.diff_cache.items()):
-            m = self._meta.get(page)
-            if m is not None and m.sticky:
-                continue
-            kept = [e for e in lst if e.epoch >= cutoff]
-            if len(kept) < len(lst):
-                dropped_top = max(e.top for e in lst if e.epoch < cutoff)
-                self.gc_floor[page] = max(self.gc_floor.get(page, 0),
-                                          dropped_top)
-            if kept:
-                self.diff_cache[page] = kept
-            else:
-                del self.diff_cache[page]
-
-    def prune_log(self) -> None:
-        """Advance the retention window at a global synchronization.
-
-        The window just closed becomes ``log_prev`` (still served to lock
-        grants); the one before it is discarded — by then every processor
-        has passed the intervening global sync and learned those records.
-        """
-        self.log_prev = self.log_current
-        self.log_current = []
+    def _install_page(self, page: int, image) -> None:
+        dst = self.page_bytes(page)
+        dst[:] = np.frombuffer(image, dtype=np.uint8)
+        # re-apply our own preserved modifications (disjoint from any
+        # concurrent writer's words in a race-free program)
+        apply_diffs(dst, [entry.diff
+                          for entry in self.diff_cache.get(page, [])])

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.tmk.intervals import notice_payload_nbytes, records_unknown_to, SeenVector
+from repro.tmk.intervals import records_unknown_to, SeenVector
+from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
 
 __all__ = ["tmk_reduce", "REDUCE_OPS"]
@@ -93,8 +94,7 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
     if parent is not None:
         records = list(node.log_current)
         payload = (acc, records, node.seen.as_tuple())
-        nbytes = 16 + notice_payload_nbytes(
-            records, model.interval_header_bytes, model.write_notice_bytes)
+        nbytes = sync_nbytes(records, model)
         if mon is not None:
             mon.channel_put(node.pid, parent, "reduce-up",
                             mon.release(node.pid))
@@ -114,8 +114,7 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
         sv = SeenVector(nprocs)
         sv.v = list(child_seen)
         records = records_unknown_to(node.retained_log, sv)
-        nbytes = 16 + notice_payload_nbytes(
-            records, model.interval_header_bytes, model.write_notice_bytes)
+        nbytes = sync_nbytes(records, model)
         if mon is not None:
             mon.channel_put(node.pid, child, "reduce-down", down_snap)
         node.net.send(proc, node.pid, child, (result, records),

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
-                                 notice_payload_nbytes, records_unknown_to)
+                                 records_unknown_to)
+from repro.tmk.lrc import lock_request_nbytes, sync_nbytes
 from repro.tmk.protocol import (TAG_BARRIER_DEP, TAG_LOCK_GRANT, TAG_TMK_REQ,
                                 TmkNode)
 
@@ -53,8 +54,7 @@ class BarrierArrive:
     seen: tuple = ()
 
     def nbytes(self, model) -> int:
-        return 16 + notice_payload_nbytes(
-            self.records, model.interval_header_bytes, model.write_notice_bytes)
+        return sync_nbytes(self.records, model)
 
 
 @dataclass
@@ -63,8 +63,7 @@ class BarrierDepart:
     records: list
 
     def nbytes(self, model) -> int:
-        return 16 + notice_payload_nbytes(
-            self.records, model.interval_header_bytes, model.write_notice_bytes)
+        return sync_nbytes(self.records, model)
 
 
 @dataclass
@@ -75,7 +74,7 @@ class LockReq:
     seen: tuple = ()
 
     def nbytes(self) -> int:
-        return 16 + 8 * len(self.seen)
+        return lock_request_nbytes(len(self.seen))
 
 
 @dataclass
@@ -87,7 +86,7 @@ class LockForward:
     after: int = 0      # serve after the target's ``after``-th release
 
     def nbytes(self) -> int:
-        return 16 + 8 * len(self.seen)
+        return lock_request_nbytes(len(self.seen))
 
 
 @dataclass
@@ -96,8 +95,7 @@ class LockGrant:
     records: list
 
     def nbytes(self, model) -> int:
-        return 16 + notice_payload_nbytes(
-            self.records, model.interval_header_bytes, model.write_notice_bytes)
+        return sync_nbytes(self.records, model)
 
 
 # ---------------------------------------------------------------------- #

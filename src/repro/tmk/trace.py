@@ -95,7 +95,10 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
 
     Must be called before the cluster runs (``tmk_run(trace=True)`` does
     this at the right moment).  Wraps the protocol entry points of every
-    node created in the world.
+    node created in the world — the simulator's own (faults, ``_fetch``) and
+    the ones ``TmkNode`` inherits from the core (``LrcNode._apply_notice``,
+    ``_create_diff``, ``close_interval``), which the core always reaches
+    through ``self``.
     """
     from repro.tmk import protocol as proto
     from repro.tmk import sync as _sync
