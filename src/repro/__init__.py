@@ -33,7 +33,6 @@ Batches go through the persistent worker pool::
 """
 
 from repro.api import BatchResult, RunRequest, RunResult, run
-from repro.eval.experiments import run_all_variants
 from repro.sim import Cluster, MachineModel, SP2_MODEL
 from repro.tmk import Tmk, tmk_run
 
@@ -44,7 +43,6 @@ __all__ = [
     "RunResult",
     "BatchResult",
     "run",
-    "run_all_variants",
     "Cluster",
     "MachineModel",
     "SP2_MODEL",

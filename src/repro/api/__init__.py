@@ -6,8 +6,8 @@ The one surface between "what to run" and "how it ran":
   frozen, serializable (``repro-run/1``) value types
   (:mod:`repro.api.types`),
 * :func:`execute` / :func:`run` and :class:`ProgramCache` — the single
-  execution path with compiled-program caching
-  (:mod:`repro.api.execute`),
+  execution path with compiled-program caching, and the coherent
+  ``readback`` it can append to a DSM run (:mod:`repro.api.execute`),
 * :mod:`repro.api.registry` — the consolidated app/variant registry the
   CLI, harnesses and validators all share.
 
@@ -28,8 +28,8 @@ See ``docs/API.md`` for the full type and wire-protocol reference.
 """
 
 from repro.api import registry
-from repro.api.execute import (ProgramCache, execute, run,
-                               run_batch_inprocess)
+from repro.api.execute import (ProgramCache, execute, execute_with_arrays,
+                               run)
 from repro.api.registry import (APPS, BENCH_MATRIX, DSM_VARIANTS,
                                 FIGURE_VARIANTS, IRREGULAR_APPS,
                                 MODELED_VARIANTS, MP_VARIANTS, PRESETS,
@@ -47,8 +47,8 @@ __all__ = [
     "BatchResult",
     "ProgramCache",
     "execute",
+    "execute_with_arrays",
     "run",
-    "run_batch_inprocess",
     "registry",
     "APPS",
     "REGULAR_APPS",

@@ -1,9 +1,11 @@
 """The one code path from :class:`RunRequest` to :class:`RunResult`.
 
-Every entry point — ``repro run``/``compare``/``figures``, the sweep and
-chaos harnesses, the bench kernels and every :mod:`repro.serve` worker
-process — funnels through
-:func:`execute`.  It owns variant dispatch (spf family, xhpf family,
+Every entry point that runs an (application, variant) pair — ``repro
+run``/``compare``/``figures``, the sweep, chaos and racecheck harnesses
+(via :func:`repro.eval.parallel.run_requests`), the bench kernels and
+every :mod:`repro.serve` worker process — funnels through
+:func:`execute`; nothing else in ``src/`` maps a variant name to
+something runnable.  It owns variant dispatch (spf family, xhpf family,
 hand-coded tmk/pvme, the sequential oracle, and the analytic ``model``
 mode) and the **compiled-program cache**: repeated requests with the same
 :meth:`RunRequest.cache_key` skip IR building, footprint lowering and
@@ -12,9 +14,8 @@ codegen, which is where the run service gets its repeat-throughput.
 What is cached (per :class:`ProgramCache`, i.e. per process/worker):
 
 * spf family — the built :class:`~repro.compiler.ir.Program` and the
-  compiled :class:`~repro.compiler.spf.SpfExecutable` (codegen reuse
-  across runs is the established pattern of the chaos/racecheck
-  harnesses, which compile once and run per seed);
+  compiled :class:`~repro.compiler.spf.SpfExecutable` (the chaos and
+  racecheck harnesses compile once and run per seed this way);
 * xhpf family — the built program and :class:`XhpfExecutable`
   (inspector-executor schedules live in per-run state, so the executable
   itself is reusable);
@@ -30,15 +31,19 @@ the cache keeps running totals — the service aggregates both into
 
 from __future__ import annotations
 
+import hashlib
 import time as _time
 from collections import OrderedDict
-from typing import Iterable, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.api import registry
 from repro.api.types import (RunRequest, RunResult, _replace,
                              fault_plan_from_doc, machine_from_doc)
 
-__all__ = ["ProgramCache", "execute", "run", "run_batch_inprocess"]
+__all__ = ["ProgramCache", "execute", "execute_with_arrays", "run",
+           "INTERNAL_PREFIXES", "READBACK_SOURCE"]
 
 
 class ProgramCache:
@@ -189,123 +194,144 @@ def _execute_model(request: RunRequest, cache: ProgramCache,
     return _replace(res, tag=request.tag, cache_hit=hit)
 
 
-def _wrap_readback(body):
-    """The racecheck harness's coherent-readback wrapper (lazy import:
-    the harness imports apps/compilers this module must not pull in at
-    import time)."""
-    from repro.eval.racecheck import _wrap_with_readback
-    return _wrap_with_readback(body)
+#: runtime-internal shared arrays, excluded from the numeric readback
+INTERNAL_PREFIXES = ("__red_", "__acc_", "__fj_")
+
+#: source tag of the coherent readback's own accesses
+READBACK_SOURCE = "racecheck:readback"
 
 
-def _unwrap_readback(result):
-    """Split a readback-wrapped run into per-pid outputs + array hashes."""
-    from repro.eval.racecheck import _hash
-    parts = [out for out, _arrays in result.results]
-    _out0, arrays = result.results[0]
-    return parts, {name: _hash(a) for name, a in sorted(arrays.items())}
+def _array_hash(arr) -> str:
+    """sha256 over an array's shape, dtype and contiguous bytes."""
+    h = hashlib.sha256()
+    h.update(str(arr.shape).encode())
+    h.update(str(arr.dtype).encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
 
 
-def _execute_sim(request: RunRequest, cache: ProgramCache,
-                 bundle, hit: bool) -> RunResult:
+def _with_readback(body):
+    """Append a barrier-ordered coherent readback of every application
+    array on processor 0.  The final barrier happens-after every program
+    access, so the readback itself can never introduce a race."""
+
+    def main(tmk):
+        out = body(tmk)
+        tmk.barrier()
+        arrays = {}
+        if tmk.pid == 0:
+            for handle in tmk.world.space.handles():
+                if handle.name.startswith(INTERNAL_PREFIXES):
+                    continue
+                view = tmk.array(handle.name).read(source=READBACK_SOURCE)
+                arrays[handle.name] = np.array(view, copy=True)
+        return out, arrays
+
+    return main
+
+
+def _master_scalars(outputs) -> dict:
+    """Compiled programs: processor 0's return value is the scalar dict."""
+    return dict(outputs[0])
+
+
+def _resolve(request: RunRequest, bundle):
+    """variant -> ``(setup, main, fold)``: the shared-space initializer
+    (``None`` for the message-passing variants), the per-processor entry
+    point, and the fold from per-processor outputs to the signature."""
     from repro.apps.common import combine_signatures
 
     spec, params = bundle["spec"], bundle["params"]
-    machine = machine_from_doc(request.machine)
-    faults = fault_plan_from_doc(request.fault_plan)
+    if request.variant == "tmk":
+        return (lambda space: spec.hand_tmk_setup(space, params),
+                lambda tmk: spec.hand_tmk(tmk, params), combine_signatures)
+    if request.variant == "pvme":
+        from repro.msg.pvme import Pvme
+        return (None, lambda env: spec.hand_pvme(Pvme(env), params),
+                combine_signatures)
+    exe = bundle["exe"]
+    dsm = request.variant in registry.DSM_VARIANTS
+    return exe.setup_space if dsm else None, exe.run_on, _master_scalars
 
+
+def _execute_sim(request: RunRequest, cache: ProgramCache,
+                 bundle, hit: bool):
+    """``(RunResult, readback arrays or None)`` of one simulated run."""
     if request.variant == "seq":
         return _replace(_seq_result(request, bundle), tag=request.tag,
-                        cache_hit=hit)
+                        cache_hit=hit), None
 
+    machine = machine_from_doc(request.machine)
+    faults = fault_plan_from_doc(request.fault_plan)
     seq_time = _seq_time_for(request, cache)
-    array_hashes = None
-    speculation = None
-
-    if request.variant in ("spf", "spf_opt", "spf_old", "spf_spec"):
+    setup, main, fold = _resolve(request, bundle)
+    arrays = None
+    if setup is not None:                     # DSM: a TreadMarks world
         from repro.tmk.api import tmk_run
-        exe = bundle["exe"]
-        main = _wrap_readback(exe.run_on) if request.readback else exe.run_on
         # spf_spec's misspeculation detector IS the race monitor: force it
         # on so UNKNOWN loops speculate instead of degrading to serial
-        racecheck = request.racecheck or request.variant == "spf_spec"
-        result = tmk_run(request.nprocs, main, exe.setup_space,
-                         model=machine, gc_epochs=request.gc_epochs,
-                         schedule_seed=request.schedule_seed,
-                         racecheck=racecheck, faults=faults)
+        result = tmk_run(
+            request.nprocs, _with_readback(main) if request.readback else main,
+            setup, model=machine, gc_epochs=request.gc_epochs,
+            schedule_seed=request.schedule_seed,
+            racecheck=request.racecheck or request.variant == "spf_spec",
+            faults=faults)
+        outputs = result.results
         if request.readback:
-            parts, array_hashes = _unwrap_readback(result)
-            result.scalars = parts[0]
-        else:
-            result.scalars = result.results[0]
-        signature = dict(result.scalars)
-        dsm = result.dsm_stats
-        speculation = getattr(exe, "last_spec_stats", None)
-    elif request.variant in ("xhpf", "xhpf_ie"):
-        from repro.sim.cluster import Cluster
-        exe = bundle["exe"]
-        cluster = Cluster(nprocs=request.nprocs, model=machine,
-                          schedule_seed=request.schedule_seed, faults=faults)
-        result = cluster.run(exe.run_on)
-        result.scalars = result.results[0]
-        result.fault_stats = cluster.net.fault_stats
-        signature = dict(result.scalars)
-        dsm = None
-    elif request.variant == "tmk":
-        from repro.tmk.api import tmk_run
-
-        def setup(space):
-            spec.hand_tmk_setup(space, params)
-
-        def main(tmk):
-            return spec.hand_tmk(tmk, params)
-
-        if request.readback:
-            main = _wrap_readback(main)
-        result = tmk_run(request.nprocs, main, setup, model=machine,
-                         gc_epochs=request.gc_epochs,
-                         schedule_seed=request.schedule_seed,
-                         racecheck=request.racecheck, faults=faults)
-        if request.readback:
-            parts, array_hashes = _unwrap_readback(result)
-        else:
-            parts = result.results
-        signature = combine_signatures(parts)
-        dsm = result.dsm_stats
-    else:                                     # pvme
-        from repro.msg.pvme import Pvme
+            arrays = outputs[0][1]
+            outputs = [out for out, _arrays in outputs]
+        dsm, fault_stats = result.dsm_stats, result.fault_stats
+    else:                                     # message passing
         from repro.sim.cluster import Cluster
         cluster = Cluster(nprocs=request.nprocs, model=machine,
                           schedule_seed=request.schedule_seed, faults=faults)
-
-        def pvme_main(env):
-            return spec.hand_pvme(Pvme(env), params)
-
-        result = cluster.run(pvme_main)
-        result.fault_stats = cluster.net.fault_stats
-        signature = combine_signatures(result.results)
-        dsm = None
+        result = cluster.run(main)
+        outputs = result.results
+        dsm, fault_stats = None, cluster.net.fault_stats
 
     elapsed, wtraffic = result.window()
     return RunResult(
         app=request.app, variant=request.variant, nprocs=request.nprocs,
         preset=request.preset, time=elapsed, seq_time=seq_time,
         messages=wtraffic.messages, kilobytes=wtraffic.kilobytes,
-        signature=signature, dsm=dsm,
+        signature=fold(outputs), dsm=dsm,
         total_messages=result.messages,
         total_kilobytes=result.kilobytes,
         categories={k: (v[0], v[1])
                     for k, v in wtraffic.by_category.items()},
         races=(getattr(result, "racecheck", None)
                if request.racecheck else None),
-        array_hashes=array_hashes,
-        speculation=speculation,
+        array_hashes=(None if arrays is None else
+                      {name: _array_hash(a)
+                       for name, a in sorted(arrays.items())}),
+        speculation=getattr(bundle.get("exe"), "last_spec_stats", None),
         events=getattr(result, "events", 0),
         retransmissions=result.stats.retransmissions,
         acks=result.stats.acks,
         dup_suppressed=result.stats.dup_suppressed,
-        fault_stats=getattr(result, "fault_stats", None),
+        fault_stats=fault_stats,
         mode="sim", tag=request.tag, cache_hit=hit,
-    )
+    ), arrays
+
+
+def execute_with_arrays(request: RunRequest,
+                        cache: Optional[ProgramCache] = None):
+    """:func:`execute`, plus the coherent array *contents* of a
+    ``readback`` run: ``(RunResult, {name: ndarray} or None)``.
+
+    The in-process seam for judges that need more than hashes (the
+    racecheck harness compares arrays against the sequential oracle);
+    the arrays never enter :class:`RunResult` or the wire.
+    """
+    _validate(request)
+    cache = cache if cache is not None else ProgramCache()
+    t0 = _time.perf_counter()
+    bundle, hit = _prepare(request, cache)
+    if request.mode == "model":
+        res, arrays = _execute_model(request, cache, hit), None
+    else:
+        res, arrays = _execute_sim(request, cache, bundle, hit)
+    return _replace(res, wall_s=round(_time.perf_counter() - t0, 6)), arrays
 
 
 def execute(request: RunRequest,
@@ -313,34 +339,14 @@ def execute(request: RunRequest,
     """Run one request and return its result (raising on invalid input).
 
     ``cache`` persists compiled programs across calls; omit it for a
-    one-shot run (a fresh throwaway cache).  Execution errors propagate as exceptions here; the serve
-    worker layer is what converts them into structured failure results.
+    one-shot run (a fresh throwaway cache).  Execution errors propagate
+    as exceptions here; :func:`repro.eval.parallel.run_requests` and the
+    serve worker are what convert them into structured failure results.
     """
-    _validate(request)
-    cache = cache if cache is not None else ProgramCache()
-    t0 = _time.perf_counter()
-    bundle, hit = _prepare(request, cache)
-    if request.mode == "model":
-        res = _execute_model(request, cache, hit)
-    else:
-        res = _execute_sim(request, cache, bundle, hit)
-    return _replace(res, wall_s=round(_time.perf_counter() - t0, 6))
+    return execute_with_arrays(request, cache)[0]
 
 
 def run(request: RunRequest,
         cache: Optional[ProgramCache] = None) -> RunResult:
     """Alias of :func:`execute` (the friendlier public name)."""
     return execute(request, cache)
-
-
-def run_batch_inprocess(requests: Iterable[RunRequest],
-                        cache: Optional[ProgramCache] = None):
-    """Serial in-process batch: yields results in request order.
-
-    The serial counterpart of :meth:`repro.serve.RunService.run_batch` —
-    one shared cache, no worker pool.  This is also the throughput
-    harness's baseline when asked for a cached serial run.
-    """
-    cache = cache if cache is not None else ProgramCache()
-    for request in requests:
-        yield execute(request, cache)

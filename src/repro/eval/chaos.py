@@ -31,13 +31,12 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Optional, Sequence, Union
 
 from repro.api.registry import DSM_VARIANTS as _DSM_VARIANTS
-from repro.api.types import (RunRequest, fault_plan_to_doc, machine_to_doc)
-from repro.apps.common import get_app, signatures_close
-from repro.compiler.spf import SpfOptions, compile_spf
-from repro.eval.racecheck import _hash, _wrap_with_readback
+from repro.api.types import (RunRequest, RunResult, fault_plan_to_doc,
+                             machine_to_doc)
+from repro.apps.common import signatures_close
+from repro.eval.parallel import run_requests
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
-from repro.tmk.api import tmk_run
 
 __all__ = ["ChaosCell", "ChaosReport", "chaos_sweep", "DEFAULT_VARIANTS"]
 
@@ -128,49 +127,37 @@ class ChaosReport:
         return "\n".join(lines)
 
 
-def _dsm_body(spec, variant: str, params: dict, nprocs: int):
-    """(setup, main-with-readback, scalars_of) for one DSM variant."""
-    if variant == "tmk":
-        def setup(space):
-            spec.hand_tmk_setup(space, params)
-        body = lambda tmk: spec.hand_tmk(tmk, params)   # noqa: E731
-        scalars_of = None
+def _judge(seed: int, base: RunResult, res: RunResult) -> ChaosCell:
+    """One faulted run against its pair's fault-free baseline."""
+    mismatches: list = []
+    if res.variant in _DSM_VARIANTS:
+        want, got = base.array_hashes or {}, res.array_hashes or {}
+        mismatches += [f"array {n!r} diverged"
+                       for n in sorted(set(want) | set(got))
+                       if want.get(n) != got.get(n)]
+        # lock-grant order is timing-dependent, so folded reduction
+        # scalars are close, not bit-stable
+        scalars_ok = signatures_close(res.signature, base.signature)
     else:
-        if variant == "spf_opt":
-            if spec.spf_opt_options is None:
-                raise ValueError(f"{spec.name} has no hand-optimized variant")
-            options = spec.spf_opt_options()
-        elif variant == "spf_old":
-            options = SpfOptions(improved_interface=False)
-        else:
-            options = SpfOptions()
-        exe = compile_spf(spec.build_program(params), nprocs, options)
-        setup = exe.setup_space
-        body = exe.run_on
-        scalars_of = 0
-    return setup, _wrap_with_readback(body), scalars_of
+        scalars_ok = res.signature == base.signature
+    arrays_ok = not mismatches
+    if not scalars_ok:
+        mismatches.append("scalar signature diverged")
+    fstats = res.fault_stats
+    return ChaosCell(
+        app=res.app, variant=res.variant, seed=seed,
+        ok=arrays_ok and scalars_ok,
+        arrays_identical=arrays_ok, scalars_ok=scalars_ok, time=res.time,
+        retransmissions=res.retransmissions,
+        dup_suppressed=res.dup_suppressed, acks=res.acks,
+        faults=fstats.as_dict() if fstats is not None else {},
+        mismatches=mismatches)
 
 
-def _dsm_signature(run, scalars_of):
-    from repro.apps.common import combine_signatures
-    parts = [r[0] for r in run.results]
-    return (dict(parts[scalars_of]) if scalars_of is not None
-            else combine_signatures(parts))
-
-
-def _run_dsm(setup, main, nprocs, model, faults):
-    run = tmk_run(nprocs, main, setup, model=model, faults=faults)
-    _out0, arrays = run.results[0]
-    hashes = {name: _hash(a) for name, a in arrays.items()}
-    return run, hashes
-
-
-def _run_mp(app: str, variant: str, nprocs, preset, model, faults):
-    from repro.api.execute import execute
-    return execute(RunRequest(app=app, variant=variant, nprocs=nprocs,
-                              preset=preset, machine=machine_to_doc(model),
-                              seq_time=1.0,
-                              fault_plan=fault_plan_to_doc(faults)))
+def _describe(request: RunRequest) -> str:
+    what = (f"fault seed {request.fault_plan['seed']}" if request.fault_plan
+            else "fault-free baseline")
+    return f"chaos {request.app}/{request.variant}: {what}"
 
 
 def chaos_sweep(apps: Optional[Sequence[str]] = None,
@@ -188,15 +175,13 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
     ``plan`` supplies the fault rates/schedule (default:
     :meth:`FaultPlan.default`); each seed runs under ``plan.with_seed``.
 
-    ``jobs > 1`` (or ``service``, or ``fleet`` — a list of remote
-    ``repro serve --tcp`` ``"HOST:PORT"`` specs) retires every (pair,
-    seed) cell — and each pair's fault-free baseline — through a
-    :class:`~repro.serve.RunService` pool; DSM cells use the request's
-    ``readback`` to carry coherent array hashes back across the process
-    boundary, so the verdicts are judged on exactly the same evidence as
-    the serial path.  (One reporting difference: parallel cells report
-    the measured-window time, the unified result's ``time``, where the
-    serial path reports whole-run time.)
+    Every pair's fault-free baseline and every (pair, seed) cell is one
+    independent request in a single batch through
+    :func:`~repro.eval.parallel.run_requests` (``jobs``/``service``/
+    ``fleet`` pick the tier there; the document is the same at each).
+    DSM requests set ``readback`` so the coherent array hashes travel on
+    ``RunResult.array_hashes``.  A run that fails is recorded on
+    ``report.errors``; a failed baseline voids its pair's cells.
     """
     from repro.eval.constants import APPS
 
@@ -206,96 +191,6 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
     if not seed_list:
         raise ValueError("chaos sweep needs at least one fault seed")
     plan = plan if plan is not None else FaultPlan.default()
-
-    report = ChaosReport(
-        preset=preset, nprocs=nprocs, seeds=seed_list,
-        plan=fault_plan_to_doc(plan))
-
-    if jobs > 1 or service is not None or fleet:
-        return _chaos_parallel(report, apps, variants, seed_list, nprocs,
-                               preset, model, plan, jobs, service, fleet,
-                               progress)
-
-    for app in apps:
-        spec = get_app(app)
-        params = spec.params(preset)
-        for variant in variants:
-            if progress:
-                progress(f"chaos {app}/{variant}: fault-free baseline")
-            if variant in _DSM_VARIANTS:
-                setup, main, scalars_of = _dsm_body(spec, variant, params,
-                                                    nprocs)
-                base_run, base_hashes = _run_dsm(setup, main, nprocs,
-                                                 model, None)
-                base_sig = _dsm_signature(base_run, scalars_of)
-            else:
-                base = _run_mp(app, variant, nprocs, preset, model, None)
-                base_hashes, base_sig = {}, base.signature
-
-            for seed in seed_list:
-                if progress:
-                    progress(f"chaos {app}/{variant}: fault seed {seed}")
-                faults = plan.with_seed(seed)
-                mismatches: list = []
-                try:
-                    if variant in _DSM_VARIANTS:
-                        run, hashes = _run_dsm(setup, main, nprocs, model,
-                                               faults)
-                        sig = _dsm_signature(run, scalars_of)
-                        arrays_ok = hashes == base_hashes
-                        if not arrays_ok:
-                            mismatches += [
-                                f"array {n!r} diverged" for n in sorted(
-                                    set(base_hashes) | set(hashes))
-                                if base_hashes.get(n) != hashes.get(n)]
-                        # lock-grant order is timing-dependent, so folded
-                        # reduction scalars are close, not bit-stable
-                        scalars_ok = signatures_close(sig, base_sig)
-                        cell_time = run.time
-                        net = run.stats
-                        fstats = run.fault_stats
-                    else:
-                        res = _run_mp(app, variant, nprocs, preset, model,
-                                      faults)
-                        arrays_ok = True
-                        scalars_ok = res.signature == base_sig
-                        cell_time = res.time
-                        net = None
-                        fstats = res.fault_stats
-                        cell_retrans = res.retransmissions
-                    if not scalars_ok:
-                        mismatches.append("scalar signature diverged")
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    report.errors.append(
-                        (app, variant, seed, f"{type(exc).__name__}: {exc}"))
-                    continue
-                report.cells.append(ChaosCell(
-                    app=app, variant=variant, seed=seed,
-                    ok=arrays_ok and scalars_ok,
-                    arrays_identical=arrays_ok, scalars_ok=scalars_ok,
-                    time=cell_time,
-                    retransmissions=(net.retransmissions if net is not None
-                                     else cell_retrans),
-                    dup_suppressed=(net.dup_suppressed if net is not None
-                                    else 0),
-                    acks=(net.acks if net is not None else 0),
-                    faults=fstats.as_dict() if fstats is not None else {},
-                    mismatches=mismatches))
-    return report
-
-
-def _chaos_parallel(report: ChaosReport, apps, variants, seed_list,
-                    nprocs, preset, model, plan, jobs, service, fleet,
-                    progress) -> ChaosReport:
-    """Retire the whole chaos grid as one batch through a worker pool.
-
-    Baselines and faulted cells are independent requests; DSM requests
-    set ``readback`` so the coherent array hashes — the serial path's
-    evidence — travel back on ``RunResult.array_hashes``.  Failures are
-    recorded on ``report.errors`` (a failed baseline voids its pair's
-    cells), mirroring the serial harness's try/except per cell.
-    """
-    from repro.eval.parallel import run_requests
 
     machine = machine_to_doc(model)
     requests, labels = [], []      # label: (app, variant, seed|None)
@@ -313,60 +208,25 @@ def _chaos_parallel(report: ChaosReport, apps, variants, seed_list,
                     fault_plan=fault_plan_to_doc(plan.with_seed(seed))))
                 labels.append((app, variant, seed))
 
-    def describe(r: RunRequest) -> str:
-        what = (f"fault seed {r.fault_plan['seed']}" if r.fault_plan
-                else "fault-free baseline")
-        return f"chaos {r.app}/{r.variant}: {what}"
+    results = dict(zip(labels, run_requests(
+        requests, jobs=jobs, service=service, fleet=fleet,
+        progress=progress, describe=_describe, raise_on_error=False)))
 
-    results = run_requests(requests, jobs=jobs, service=service,
-                           fleet=fleet, progress=progress,
-                           describe=describe, raise_on_error=False)
-    by_label = dict(zip(labels, results))
-
-    for app in apps:
-        for variant in variants:
-            base = by_label[(app, variant, None)]
-            if not base.ok:
+    report = ChaosReport(
+        preset=preset, nprocs=nprocs, seeds=seed_list,
+        plan=fault_plan_to_doc(plan))
+    for (app, variant, seed), res in results.items():
+        base = results[(app, variant, None)]
+        if seed is None:
+            if not res.ok:
                 report.errors.append(
                     (app, variant, None,
-                     f"baseline failed: {base.error_kind}: {base.error}"))
-                continue
-            for seed in seed_list:
-                res = by_label[(app, variant, seed)]
-                if not res.ok:
-                    report.errors.append(
-                        (app, variant, seed,
-                         f"{res.error_kind}: {res.error}"))
-                    continue
-                mismatches: list = []
-                if variant in _DSM_VARIANTS:
-                    want = base.array_hashes or {}
-                    got = res.array_hashes or {}
-                    arrays_ok = want == got
-                    if not arrays_ok:
-                        mismatches += [
-                            f"array {n!r} diverged"
-                            for n in sorted(set(want) | set(got))
-                            if want.get(n) != got.get(n)]
-                    # lock-grant order is timing-dependent, so folded
-                    # reduction scalars are close, not bit-stable
-                    scalars_ok = signatures_close(res.signature,
-                                                  base.signature)
-                else:
-                    arrays_ok = True
-                    scalars_ok = res.signature == base.signature
-                if not scalars_ok:
-                    mismatches.append("scalar signature diverged")
-                fstats = res.fault_stats
-                report.cells.append(ChaosCell(
-                    app=app, variant=variant, seed=seed,
-                    ok=arrays_ok and scalars_ok,
-                    arrays_identical=arrays_ok, scalars_ok=scalars_ok,
-                    time=res.time,
-                    retransmissions=res.retransmissions,
-                    dup_suppressed=res.dup_suppressed,
-                    acks=res.acks,
-                    faults=(fstats.as_dict() if fstats is not None
-                            else {}),
-                    mismatches=mismatches))
+                     f"baseline failed: {res.error_kind}: {res.error}"))
+        elif not base.ok:
+            continue                   # voided by its baseline's error
+        elif not res.ok:
+            report.errors.append(
+                (app, variant, seed, f"{res.error_kind}: {res.error}"))
+        else:
+            report.cells.append(_judge(seed, base, res))
     return report

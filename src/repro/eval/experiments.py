@@ -18,17 +18,18 @@ This module is now a thin facade over :mod:`repro.api` — the typed
 * :class:`VariantResult` is an **alias** of :class:`repro.api.RunResult`
   (same fields and semantics, plus service metadata; it gained
   ``to_json()``/``from_json()`` with the ``repro-run/1`` schema tag);
-* :func:`run_all_variants` drives :func:`repro.api.execute` with a shared
-  compiled-program cache (the sequential oracle runs once per app).
+* :func:`run_all_variants` builds the requests and hands them to
+  :func:`repro.eval.parallel.run_requests` (the sequential oracle runs
+  first, once per app).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.api.execute import ProgramCache, execute
 from repro.api.registry import FIGURE_VARIANTS, VARIANTS
 from repro.api.types import RunRequest, RunResult, machine_to_doc
+from repro.eval.parallel import run_requests, service_for
 from repro.sim.machine import MachineModel
 
 __all__ = ["VariantResult", "run_all_variants", "VARIANTS"]
@@ -40,23 +41,15 @@ VariantResult = RunResult
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
                      variants: Optional[list] = None,
                      model: Optional[MachineModel] = None,
-                     cache: Optional[ProgramCache] = None,
                      jobs: int = 1, service=None,
                      fleet: Optional[list] = None) -> dict:
     """Run ``variants`` (default: the four of Figures 1/2 plus seq).
 
-    One compiled-program cache spans the batch, and the sequential
-    oracle's measured time seeds every later variant's speedup — the same
-    contract as before, now through the unified API.
-
-    ``jobs > 1`` (or ``service``, or ``fleet`` — remote ``"HOST:PORT"``
-    specs) retires the variants through a
-    :class:`~repro.serve.RunService` pool (or a
-    :class:`~repro.serve.FleetService` over the fleet hosts) in two
-    phases: the sequential oracle first (alone — its measured time seeds
-    the others' speedups, exactly as the serial loop threads it), then
-    the remaining variants concurrently.  Results are keyed in
-    ``variants`` order either way.
+    Two batches through :func:`~repro.eval.parallel.run_requests` on one
+    tier (``jobs``/``service``/``fleet`` as there): the sequential oracle
+    first, alone — its measured time seeds every later variant's speedup
+    — then the remaining variants.  Results are keyed in ``variants``
+    order.
     """
     if variants is None:
         variants = list(FIGURE_VARIANTS)
@@ -69,15 +62,6 @@ def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
 
     out: dict = {}
     seq_time = None
-    if jobs <= 1 and service is None and not fleet:
-        cache = cache if cache is not None else ProgramCache()
-        for variant in variants:
-            out[variant] = execute(request(variant, seq_time), cache)
-            if variant == "seq":
-                seq_time = out[variant].time
-        return out
-
-    from repro.eval.parallel import run_requests, service_for
     with service_for(jobs, service, fleet) as svc:
         if "seq" in variants:
             (out["seq"],) = run_requests([request("seq")], service=svc)

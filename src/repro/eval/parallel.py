@@ -1,27 +1,23 @@
-"""One helper every evaluation harness shares: run requests, maybe in
-parallel, return results **in request order**.
+"""Requests in, results out, one tier switch.
 
-``repro sweep``, ``repro chaos``, ``repro racecheck`` and ``repro
-compare`` all retire grids of independent :class:`~repro.api.RunRequest`
-runs.  :func:`run_requests` is their common submission path:
+Every evaluation harness — ``repro sweep``, ``chaos``, ``racecheck``,
+``compare``/``figures`` — is the same three steps: build
+:class:`~repro.api.RunRequest` objects, hand them to
+:func:`run_requests`, judge the :class:`~repro.api.RunResult` objects.
+This module is the only place under ``repro.eval`` that chooses *where*
+requests run (:func:`service_for`): in this process through one shared
+:class:`~repro.api.ProgramCache`, through a
+:class:`~repro.serve.RunService` worker pool, or sharded across remote
+``repro serve --tcp`` hosts by a :class:`~repro.serve.FleetService`.
 
-* ``jobs <= 1``, no ``service``, no ``fleet`` — the historical serial
-  loop: one in-process :func:`~repro.api.execute` call after another
-  through a single shared :class:`~repro.api.ProgramCache`.  Bit-for-bit
-  the behaviour the harnesses had before they learned ``--jobs``;
-* ``fleet`` (a list of ``"HOST:PORT"`` specs) — a batch through a
-  temporary :class:`~repro.serve.FleetService` sharding across remote
-  ``repro serve --tcp`` hosts;
-* otherwise — a batch through a :class:`~repro.serve.RunService` worker
-  pool (a caller-supplied one, or a temporary ``workers=jobs`` pool torn
-  down afterwards).  Both services stream completions in whatever order
-  the scheduler produces; this helper reassembles them into request
-  order, so a harness's rows/cells/tables are deterministic regardless
-  of which worker — or host — finished first.
-
-Results are the same ``repro-run/1`` documents either way — the service
-path is bit-identical on the fingerprint contract, which is exactly what
-``tests/test_scheduling.py`` and the CI parallel-sweep smoke assert.
+The services stream completions in scheduler order; results are
+reassembled into request order, so a harness's rows/cells/tables do not
+depend on which worker — or host — finished first.  A run that raises
+becomes the same structured ``ok=False`` result at every tier, and every
+tier's results agree on the ``fingerprint()`` contract, so a harness
+document is the same whichever tier produced it (asserted by
+``tests/test_scheduling.py``, ``test_faults.py``, ``test_racecheck.py``
+and the CI ``--jobs``/``--fleet`` smokes).
 """
 
 from __future__ import annotations
@@ -39,21 +35,44 @@ def _describe(request: RunRequest) -> str:
     return f"{request.app}/{request.variant} n={request.nprocs}"
 
 
+class _InProcess:
+    """The ``jobs <= 1`` tier behind the services' ``stream`` interface:
+    each request runs here, in request order, through one shared cache."""
+
+    def __init__(self):
+        self.cache = ProgramCache()
+
+    def stream(self, requests: Iterable[RunRequest]):
+        for index, request in enumerate(requests):
+            try:
+                result = execute(request, self.cache)
+            except Exception as exc:   # noqa: BLE001 — as the worker does
+                from repro.serve.scheduler import failure_result
+                result = failure_result(request.to_json(), str(exc),
+                                        type(exc).__name__)
+            yield index, result
+
+
 @contextlib.contextmanager
 def service_for(jobs: int = 1, service=None, fleet: Optional[list] = None):
-    """The caller's ``service`` if given (left open), else a temporary
-    :class:`~repro.serve.FleetService` over ``fleet`` or a ``workers=jobs``
-    :class:`~repro.serve.RunService`, closed on exit."""
+    """The tier switch: the caller's ``service`` if given (left open),
+    else a temporary :class:`~repro.serve.FleetService` over ``fleet``, a
+    ``workers=jobs`` :class:`~repro.serve.RunService` (both closed on
+    exit), or — ``jobs <= 1`` — this process.  Hold it across several
+    :func:`run_requests` calls (``service=``) to keep them on one tier
+    and one set of warm caches."""
     if service is not None:
         yield service
     elif fleet:
         from repro.serve import FleetService
         with FleetService(fleet) as own:
             yield own
-    else:
+    elif jobs > 1:
         from repro.serve import RunService
         with RunService(workers=jobs) as own:
             yield own
+    else:
+        yield _InProcess()
 
 
 def run_requests(requests: Iterable[RunRequest],
@@ -65,40 +84,32 @@ def run_requests(requests: Iterable[RunRequest],
                  raise_on_error: bool = True) -> List[RunResult]:
     """Run ``requests``; return their results in request order.
 
-    ``service`` takes precedence over ``fleet`` and ``jobs`` (reuse an
-    existing pool — e.g. the throughput bench measures a sweep through
-    its own service); ``fleet`` (``"HOST:PORT"`` specs) spins up a
-    temporary :class:`~repro.serve.FleetService` over remote hosts;
-    ``jobs > 1`` spins up a temporary :class:`~repro.serve.RunService`.
-    ``progress`` is called with ``describe(request)`` per run — before
-    each run when serial, on completion when parallel (completion order).
-    ``raise_on_error=True`` turns any structured ``ok=False`` result
-    into a ``RuntimeError`` naming the run, matching the serial path
-    where execution errors propagate as exceptions; pass ``False`` for
+    ``jobs``/``service``/``fleet`` pick the tier (:func:`service_for`;
+    ``service`` takes precedence — reuse an existing pool, e.g. the
+    throughput bench measures a sweep through its own service).
+    ``progress`` is called with ``describe(request)`` as each run
+    completes (request order in-process, completion order through a
+    service).  A run that raises yields a structured ``ok=False`` result
+    (``error_kind`` = the exception class name) at every tier;
+    ``raise_on_error=True`` turns the first such result into a
+    ``RuntimeError`` naming the run, ``False`` hands them back for
     harnesses that record failures instead (chaos).
     """
     requests = list(requests)
+    if not requests:
+        return []                # no pool to spawn, no host to reach
     describe = describe or _describe
-
-    if service is None and not fleet and jobs <= 1:
-        cache = ProgramCache()
-        results = []
-        for request in requests:
+    results = [None] * len(requests)
+    with service_for(jobs, service, fleet) as svc:
+        for index, result in svc.stream(requests):
+            results[index] = result
             if progress:
-                progress(describe(request))
-            results.append(execute(request, cache))
-    else:
-        results = [None] * len(requests)
-        with service_for(jobs, service, fleet) as svc:
-            for index, result in svc.stream(requests):
-                results[index] = result
-                if progress:
-                    progress(describe(requests[index]))
+                progress(describe(requests[index]))
 
     if raise_on_error:
         for request, result in zip(requests, results):
             if not result.ok:
                 raise RuntimeError(
-                    f"{describe(request)} failed in the worker pool: "
+                    f"{describe(request)} failed: "
                     f"{result.error_kind}: {result.error}")
     return results

@@ -25,29 +25,21 @@ Command line: ``python -m repro racecheck <app> <variant> --seeds K``.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.api.registry import DSM_VARIANTS as _DSM_VARIANTS
-from repro.apps.common import combine_signatures, get_app, signatures_close
+from repro.api.execute import execute_with_arrays
+from repro.api.types import RunRequest, machine_to_doc, races_from_doc
+from repro.apps.common import get_app, signatures_close
 from repro.compiler import depend
 from repro.compiler.seq import run_sequential
-from repro.compiler.spf import SpfOptions, compile_spf
+from repro.eval.parallel import run_requests
 from repro.sim.machine import MachineModel
-from repro.tmk.api import tmk_run
 
 __all__ = ["SeedRun", "RacecheckReport", "racecheck_app",
-           "CrossCheckReport", "cross_check_app",
-           "INTERNAL_PREFIXES", "READBACK_SOURCE"]
-
-#: runtime-internal shared arrays, excluded from the numeric readback
-INTERNAL_PREFIXES = ("__red_", "__acc_", "__fj_")
-
-#: source tag of the harness's own coherent readback accesses
-READBACK_SOURCE = "racecheck:readback"
+           "CrossCheckReport", "cross_check_app"]
 
 
 @dataclass
@@ -122,34 +114,6 @@ class RacecheckReport:
         return "\n".join(lines)
 
 
-def _hash(arr: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(str(arr.shape).encode())
-    h.update(str(arr.dtype).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
-
-
-def _wrap_with_readback(body):
-    """Append a barrier-ordered coherent readback of every application
-    array on processor 0.  The final barrier happens-after every program
-    access, so the readback itself can never introduce a race."""
-
-    def main(tmk):
-        out = body(tmk)
-        tmk.barrier()
-        arrays = {}
-        if tmk.pid == 0:
-            for handle in tmk.world.space.handles():
-                if handle.name.startswith(INTERNAL_PREFIXES):
-                    continue
-                view = tmk.array(handle.name).read(source=READBACK_SOURCE)
-                arrays[handle.name] = np.array(view, copy=True)
-        return out, arrays
-
-    return main
-
-
 def _merge_findings(report: RacecheckReport, races, seen: set) -> None:
     """Union race findings across seeds, deduplicated by description."""
     for f in list(races.true_races) + list(races.false_sharing):
@@ -174,110 +138,47 @@ def racecheck_app(app: str, variant: str = "spf",
     seed of ``None`` means the unperturbed historical order.  Only DSM
     variants apply (``spf``/``spf_opt``/``spf_old``/``tmk``/``spf_spec``).
 
-    ``jobs > 1`` (or ``service``, or ``fleet`` — remote ``repro serve
-    --tcp`` ``"HOST:PORT"`` specs) runs the first seed locally — the
-    sequential-oracle array comparison needs the *contents*, not just
-    hashes — and the remaining seeds through a
-    :class:`~repro.serve.RunService` pool (or a
-    :class:`~repro.serve.FleetService` over the fleet hosts), whose
-    results carry the same coherent array hashes (``readback``) and race
-    findings (``races_from_doc``) the local run produces.
+    Every seed is one ``racecheck`` + ``readback`` request.  The first
+    runs in this process — the sequential-oracle comparison needs array
+    *contents*, which never cross the wire — and the rest go through
+    :func:`~repro.eval.parallel.run_requests` (``jobs``/``service``/
+    ``fleet`` pick the tier there), whose results carry the same array
+    hashes and race findings.
     """
-    if variant not in _DSM_VARIANTS:
-        raise ValueError(
-            f"racecheck applies to the DSM variants {_DSM_VARIANTS}, not "
-            f"{variant!r} (message-passing variants have no shared memory)")
-    spec = get_app(app)
-    params = spec.params(preset)
-    program = spec.build_program(params)
-
-    if variant == "tmk":
-        def setup(space):
-            spec.hand_tmk_setup(space, params)
-        body = lambda tmk: spec.hand_tmk(tmk, params)   # noqa: E731
-        scalars_of = None      # combined below from per-pid partials
-    else:
-        if variant == "spf_opt":
-            if spec.spf_opt_options is None:
-                raise ValueError(f"{app} has no hand-optimized variant")
-            options = spec.spf_opt_options()
-        elif variant == "spf_old":
-            options = SpfOptions(improved_interface=False)
-        else:
-            options = SpfOptions()
-        if variant == "spf_spec":
-            from repro.compiler.spf_spec import compile_spf_spec
-            exe = compile_spf_spec(program, nprocs, options)
-        else:
-            exe = compile_spf(program, nprocs, options)
-        setup = exe.setup_space
-        body = exe.run_on
-        scalars_of = 0         # master's return value is the scalar dict
-
-    seq_views, seq_scalars, _seq_time = run_sequential(program)
-    main = _wrap_with_readback(body)
-
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
         raise ValueError("racecheck needs at least one schedule seed "
                          "(a zero-run verdict would be vacuously OK)")
-    parallel = jobs > 1 or service is not None or bool(fleet)
-    local_seeds = seed_list[:1] if parallel else seed_list
-    remote_seeds = seed_list[1:] if parallel else []
+    requests = [RunRequest(app=app, variant=variant, nprocs=nprocs,
+                           preset=preset, machine=machine_to_doc(model),
+                           gc_epochs=gc_epochs, schedule_seed=seed,
+                           racecheck=True, readback=True, seq_time=1.0)
+                for seed in seed_list]
+    first, first_arrays = execute_with_arrays(requests[0])
+    results = [first] + run_requests(
+        requests[1:], jobs=jobs, service=service, fleet=fleet,
+        describe=lambda r: (f"racecheck {r.app}/{r.variant} "
+                            f"seed {r.schedule_seed}"))
 
+    spec = get_app(app)
+    seq_views, seq_scalars, _seq_time = run_sequential(
+        spec.build_program(spec.params(preset)))
     report = RacecheckReport(app=app, variant=variant, nprocs=nprocs,
                              preset=preset)
     seen_findings: set = set()
-    first_arrays: Optional[dict] = None
-    for seed in local_seeds:
-        run = tmk_run(nprocs, main, setup, model=model, gc_epochs=gc_epochs,
-                      schedule_seed=seed, racecheck=True)
-        parts = [r[0] for r in run.results]
-        _out0, arrays = run.results[0]
-        signature = (dict(parts[scalars_of]) if scalars_of is not None
-                     else combine_signatures(parts))
-        sr = SeedRun(
-            seed=seed, time=run.time, races=run.racecheck,
-            hashes={name: _hash(a) for name, a in arrays.items()},
-            signature=signature,
+    for seed, res in zip(seed_list, results):
+        races = races_from_doc(res.races)      # live here, a doc off the wire
+        report.runs.append(SeedRun(
+            seed=seed, time=res.time, races=races,
+            hashes=dict(res.array_hashes), signature=dict(res.signature),
             scalars_close=(not seq_scalars
-                           or signatures_close(signature, seq_scalars)))
-        report.runs.append(sr)
-        if first_arrays is None:
-            first_arrays = arrays
-        elif sr.hashes != report.runs[0].hashes:
+                           or signatures_close(res.signature, seq_scalars))))
+        if res.array_hashes != first.array_hashes:
             report.deterministic = False
-        _merge_findings(report, run.racecheck, seen_findings)
-
-    if remote_seeds:
-        from repro.api.types import (RunRequest, machine_to_doc,
-                                     races_from_doc)
-        from repro.eval.parallel import run_requests
-        requests = [RunRequest(app=app, variant=variant, nprocs=nprocs,
-                               preset=preset, machine=machine_to_doc(model),
-                               gc_epochs=gc_epochs, schedule_seed=seed,
-                               racecheck=True, readback=True, seq_time=1.0)
-                    for seed in remote_seeds]
-        results = run_requests(
-            requests, jobs=jobs, service=service, fleet=fleet,
-            describe=lambda r: (f"racecheck {r.app}/{r.variant} "
-                                f"seed {r.schedule_seed}"))
-        for seed, res in zip(remote_seeds, results):
-            races = races_from_doc(res.races)
-            sr = SeedRun(
-                seed=seed, time=res.time, races=races,
-                hashes=dict(res.array_hashes or {}),
-                signature=dict(res.signature),
-                scalars_close=(not seq_scalars
-                               or signatures_close(res.signature,
-                                                   seq_scalars)))
-            report.runs.append(sr)
-            if sr.hashes != report.runs[0].hashes:
-                report.deterministic = False
-            _merge_findings(report, races, seen_findings)
+        _merge_findings(report, races, seen_findings)
 
     # vs the sequential oracle: bitwise first, tolerance fallback
-    for name, got in sorted((first_arrays or {}).items()):
+    for name, got in sorted(first_arrays.items()):
         ref = seq_views.get(name)
         if ref is None or ref.shape != got.shape:
             continue               # runtime-only array (e.g. hand-tmk stats)

@@ -127,3 +127,22 @@ def test_program_cache_counts_hits_and_evicts_lru():
     assert cache.get("a", make("a")) == ("a", False)
     assert cache.stats()["hits"] == 1
     assert cache.stats()["misses"] == 4
+
+
+def test_api_does_not_import_the_harnesses():
+    """Layering: ``repro.api`` sits below ``repro.eval`` — importing it
+    pulls in the constants leaf and nothing else from the harness layer."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.api; print(sorted(m for m in sys.modules "
+         "if m.startswith('repro.eval')))"],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "['repro.eval', 'repro.eval.constants']"

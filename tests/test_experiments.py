@@ -59,6 +59,14 @@ def test_run_all_variants_shares_seq_time():
     assert out["pvme"].speedup > 0
 
 
+def test_run_all_variants_is_tier_independent():
+    serial = run_all_variants("jacobi", nprocs=2, preset="test")
+    pooled = run_all_variants("jacobi", nprocs=2, preset="test", jobs=2)
+    assert list(pooled) == list(serial)
+    assert ({v: r.fingerprint() for v, r in pooled.items()}
+            == {v: r.fingerprint() for v, r in serial.items()})
+
+
 def test_variant_result_row_is_one_line():
     res = run(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
     row = res.row()

@@ -256,14 +256,45 @@ def test_dsm_stats_surface_retransmissions():
 
 
 def test_chaos_sweep_smoke():
+    """One run path: the document is the same in-process and through a
+    worker pool, and the message-passing cell reports its real acks."""
     from repro.eval.chaos import chaos_sweep
 
-    report = chaos_sweep(apps=["jacobi"], variants=["spf", "pvme"],
-                         seeds=[0], nprocs=4, preset="test")
+    kwargs = dict(apps=["jacobi"], variants=["spf", "pvme"], seeds=[0],
+                  nprocs=4, preset="test")
+    report = chaos_sweep(**kwargs)
     assert report.ok, report.format()
     assert len(report.cells) == 2
     doc = report.as_doc()
     assert doc["ok"] and doc["cells"][0]["app"] == "jacobi"
+    assert doc["cells"][1]["variant"] == "pvme" and doc["cells"][1]["acks"]
+    assert chaos_sweep(jobs=2, **kwargs).as_doc() == doc
+
+
+def test_chaos_spf_spec_cells_run_spf_spec():
+    """``spf_spec`` is its own backend (igrid speculates on its UNKNOWN
+    loops), so its chaos cells must differ from plain ``spf``'s."""
+    from repro.eval.chaos import chaos_sweep
+
+    report = chaos_sweep(apps=["igrid"], variants=["spf", "spf_spec"],
+                         seeds=[0], nprocs=4, preset="test")
+    assert report.ok, report.format()
+    spf, spec = (c.as_doc() for c in report.cells)
+    assert (spf.pop("variant"), spec.pop("variant")) == ("spf", "spf_spec")
+    assert spf != spec
+
+
+def test_chaos_failed_baseline_voids_its_pair():
+    """A pair whose fault-free baseline cannot run is one ``errors`` entry
+    and no cells — not an exception out of the sweep."""
+    from repro.eval.chaos import chaos_sweep
+
+    report = chaos_sweep(apps=["igrid"], variants=["spf_opt", "pvme"],
+                         seeds=[0, 1], nprocs=4, preset="test")
+    assert not report.ok
+    assert [e[:3] for e in report.errors] == [("igrid", "spf_opt", None)]
+    assert "ValueError" in report.errors[0][3]
+    assert [c.variant for c in report.cells] == ["pvme", "pvme"]
 
 
 def test_mp_barrier_reserves_round_tags():

@@ -134,6 +134,14 @@ def test_jacobi_spf_race_free_and_deterministic():
     assert not rep.true_races
     assert rep.all_exact          # elementwise stencil: bit-exact vs seq
 
+    # one run path: seeds retired through a worker pool judge the same
+    def evidence(r):
+        return (r.deterministic, [(x.seed, x.hashes, x.time) for x in r.runs],
+                r.arrays_exact, len(r.true_races))
+
+    pooled = racecheck_app("jacobi", "spf", seeds=3, nprocs=NPROCS, jobs=2)
+    assert evidence(pooled) == evidence(rep)
+
 
 def test_igrid_spf_acceptance():
     """The issue's acceptance bar: igrid/spf over 5 seeds — zero true

@@ -18,10 +18,13 @@ The contract under test (see docs/API.md "Scheduling"):
 * ``BatchResult.workers`` reports *live* workers, not the configured
   pool size, after a crash with ``respawn=False``;
 * the parallel evaluation harnesses produce documents bit-identical to
-  their serial twins (``repro sweep --jobs N`` contract).
+  their serial twins (``repro sweep --jobs N`` contract), and a run that
+  raises is the same structured failure in-process as through a pool.
 """
 
 import time
+
+import pytest
 
 from repro.api import RunRequest
 from repro.serve import RunService, WireClient, WireServer
@@ -184,3 +187,19 @@ def test_parallel_sweep_document_is_bit_identical():
     parallel = run_sweep(jobs=2, **kwargs)
     assert serial == parallel
     assert serial["schema"] == "repro-sweep/3"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_requests_failure_is_structured_at_every_tier(jobs):
+    """igrid has no spf_opt recipe: ``execute`` raises ValueError, which
+    ``run_requests`` reports (or re-raises) the same way in-process as
+    the worker pool does."""
+    from repro.eval.parallel import run_requests
+
+    requests = [RunRequest("igrid", "spf_opt", preset="test"), _req()]
+    bad, good = run_requests(requests, jobs=jobs, raise_on_error=False)
+    assert not bad.ok and bad.error_kind == "ValueError"
+    assert (bad.app, bad.variant) == ("igrid", "spf_opt")
+    assert good.ok
+    with pytest.raises(RuntimeError, match="igrid/spf_opt.*ValueError"):
+        run_requests(requests, jobs=jobs)
