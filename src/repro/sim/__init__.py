@@ -3,8 +3,9 @@
 This package stands in for the paper's physical 8-node IBM SP/2.  It provides
 
 * :mod:`repro.sim.engine` -- a virtual-time event scheduler whose simulated
-  "processes" are cooperatively scheduled OS threads (exactly one runs at a
-  time, so execution is deterministic and reproducible),
+  "processes" are cooperatively scheduled: OS threads for plain-function
+  bodies, inline-stepped generators for generator-function bodies (exactly
+  one runs at a time, so execution is deterministic and reproducible),
 * :mod:`repro.sim.machine` -- the cost model (message latency/bandwidth,
   page-fault handling, twin/diff costs, per-FLOP compute cost) calibrated to
   published SP/2 figures,
@@ -14,7 +15,8 @@ This package stands in for the paper's physical 8-node IBM SP/2.  It provides
   simulated processors, runs a program on each, and reports virtual times.
 """
 
-from repro.sim.engine import Simulator, Process, SimError, Deadlock
+from repro.sim.engine import (HOLD, PARK, Deadlock, Process, SimError,
+                              Simulator)
 from repro.sim.faults import (FaultInjector, FaultPlan, FaultRates,
                               FaultStats, NodeStall)
 from repro.sim.machine import MachineModel, SP2_MODEL
@@ -26,6 +28,8 @@ __all__ = [
     "Process",
     "SimError",
     "Deadlock",
+    "HOLD",
+    "PARK",
     "FaultInjector",
     "FaultPlan",
     "FaultRates",

@@ -77,7 +77,9 @@ class ProcEnv:
 
     def spawn_server(self, name: str, fn: Callable[..., Any],
                      *args: Any) -> Process:
-        """Spawn a daemon process on this node (e.g. a DSM request server)."""
+        """Spawn a daemon process on this node (e.g. a DSM request server);
+        a generator function ``fn`` makes it a thread-less generator
+        process (see :mod:`repro.sim.engine`)."""
         return self.sim.add_process(f"{name}@{self.pid}", fn, *args,
                                     daemon=True)
 
@@ -100,6 +102,11 @@ class RunResult:
     """Simulator events popped (process wakeups and callbacks) — a
     wall-clock throughput denominator for the bench harness, not a virtual
     -time quantity."""
+    switches: int = 0
+    """OS-thread switches the engine made (batons handed from one thread
+    process to another; stepping a generator process costs none).
+    Deterministic, but a host-cost figure like ``events``: not virtual, not
+    part of any fingerprint."""
 
     @property
     def messages(self) -> int:
@@ -183,6 +190,7 @@ class Cluster:
             results=[p.result for p in procs],
             marks=self.marks,
             events=self.sim.events,
+            switches=self.sim.switches,
         )
 
     def _trampoline(self, pid: int, program: Callable[..., Any],

@@ -1,20 +1,43 @@
-"""Deterministic discrete-event engine with thread-backed simulated processes.
+"""Deterministic discrete-event engine: one event queue, two kinds of process body.
 
 The engine implements classic process-oriented discrete-event simulation.
-Each simulated processor runs ordinary imperative Python (the application
-programs, the DSM protocol handlers, the message-passing library) on its own
-OS thread, but **exactly one thread executes at any instant**: a thread runs
-until it gives up the CPU on a simulation primitive (:meth:`Process.hold`,
-:meth:`Process.park`, or by returning from its program), and the thread that
-is giving up the CPU is the one that pops the next event, in
-``(time, priority, seq)`` order (:meth:`Simulator._dispatch`).  If the event
-is its own wakeup it simply carries on; if it is another process's wakeup it
-releases that process's baton and blocks on its own — one OS-thread switch
-per wakeup; if it is a :meth:`Simulator.schedule_call` callback it runs the
-callback inline, on whichever thread happens to be dispatching and with no
-current process.  The thread that called :meth:`Simulator.run` only starts
-the loop and waits for it to stop.  The ``seq`` tie-break makes scheduling —
-and therefore every result in the repository — fully deterministic.
+Every simulated process has a virtual clock and blocks on two primitives
+only: *hold* ``dt`` (advance its clock) and *park* ``token`` (wait for
+:meth:`Simulator.unpark`).  What kind of process it is follows from the
+callable handed to :meth:`Simulator.add_process` -- nothing else selects it:
+
+* a **plain function** is a *thread process*.  It runs ordinary imperative
+  Python (the application programs, the message-passing library) on its own
+  OS thread and blocks by calling :meth:`Process.hold` / :meth:`Process.park`.
+* a **generator function** is a *generator process*.  It owns no thread and
+  no baton: it blocks by ``yield``-ing a *block request* -- ``(HOLD, dt)`` or
+  ``(PARK, token)`` -- and whichever thread pops its wakeup steps it inline,
+  with ``next()``, to its next ``yield``.  The DSM request servers are
+  written this way (an interrupt-style handler has no thread of its own).
+
+**Exactly one thread executes at any instant.**  A thread process runs until
+it gives up the CPU on a primitive (or returns), and the thread that is
+giving up the CPU is the one that pops the next event, in
+``(time, priority, seq)`` order (:meth:`Simulator._dispatch`).  A
+:meth:`Simulator.schedule_call` callback runs inline, with no current
+process.  A generator process's wakeup is stepped inline, as the current
+process, and the loop carries on -- no OS-thread switch.  A thread process's
+wakeup ends the loop: if it is the dispatching thread's own it simply carries
+on; if it is another's, the dispatcher releases that process's baton and
+blocks on its own -- one OS-thread switch, counted in
+:attr:`Simulator.switches`.  The thread that called :meth:`Simulator.run`
+only starts the loop and waits for it to stop.  The ``seq`` tie-break makes
+scheduling -- and therefore every result in the repository -- fully
+deterministic, and because a step files its block request exactly where the
+blocking primitive would have (same push, same ``seq``, same jitter draw),
+the two kinds of body are interchangeable event for event.
+
+Blocking code that both kinds must run (``Network.send``/``recv``, the DSM
+grant and departure helpers) is written **once, as a generator of block
+requests**: a generator process delegates to it with ``yield from``, a thread
+process exhausts it with :meth:`Process.drive`, which performs each request
+in its blocking form.  A generator process that calls a blocking primitive
+directly is an error (:class:`SimError`), never a hung dispatcher.
 
 A :class:`Simulator` built with ``schedule_seed=N`` inserts a seeded random
 jitter key between ``priority`` and ``seq``, permuting the pop order of
@@ -32,6 +55,8 @@ wall-clock time; Python's execution speed never leaks into reported numbers.
 from __future__ import annotations
 
 import heapq
+import inspect
+import os.path
 import random
 import threading
 import traceback
@@ -39,7 +64,12 @@ import warnings
 from _thread import allocate_lock
 from typing import Any, Callable, Optional
 
-__all__ = ["Simulator", "Process", "SimError", "Deadlock"]
+__all__ = ["Simulator", "Process", "SimError", "Deadlock", "HOLD", "PARK"]
+
+#: block-request kinds: a generator body blocks with ``yield HOLD, dt`` or
+#: ``yield PARK, token`` (compared by identity -- use these names)
+HOLD = "hold"
+PARK = "park"
 
 
 class SimError(RuntimeError):
@@ -51,13 +81,15 @@ class Deadlock(RuntimeError):
 
 
 class Process:
-    """A simulated process: a cooperatively-scheduled thread with a virtual clock.
+    """A simulated process: a cooperatively-scheduled body with a virtual clock.
 
     Application code never constructs these directly; use
-    :meth:`Simulator.add_process`.  The public surface relevant to programs is
-    :meth:`hold` (advance virtual time / model computation), :meth:`park`
-    (block until another process calls :meth:`Simulator.unpark`), and the
-    :attr:`now` property.
+    :meth:`Simulator.add_process`.  The public surface relevant to thread
+    programs is :meth:`hold` (advance virtual time / model computation),
+    :meth:`park` (block until another process calls
+    :meth:`Simulator.unpark`), :meth:`drive` (run shared blocking code
+    written as a generator) and the :attr:`now` property; a generator body
+    yields ``(HOLD, dt)`` / ``(PARK, token)`` instead.
     """
 
     def __init__(self, sim: "Simulator", pid: int, name: str,
@@ -70,17 +102,24 @@ class Process:
         self._fn = fn
         self._args = args
         self._kwargs = kwargs
-        # baton: a bare lock used as a binary semaphore, held (locked) while
-        # the process must stay blocked; whoever pops this process's wakeup
-        # releases it
-        self._resume = allocate_lock()
-        self._resume.acquire()
         self.finished = False
         self.finish_time: Optional[float] = None
         self.result: Any = None
         self.parked = False
         self.park_token: Any = None
         self._started = False
+        # generator process: the suspended body (calling a generator
+        # function runs none of it); stepped by Simulator._dispatch
+        self._gen = None
+        self._thread = None
+        if inspect.isgeneratorfunction(fn):
+            self._gen = fn(*args, **kwargs)
+            return
+        # thread process.  baton: a bare lock used as a binary semaphore,
+        # held (locked) while the process must stay blocked; whoever pops
+        # this process's wakeup releases it
+        self._resume = allocate_lock()
+        self._resume.acquire()
         self._thread = threading.Thread(
             target=self._bootstrap, name=f"simproc-{name}", daemon=True)
 
@@ -89,7 +128,8 @@ class Process:
 
     def _start(self) -> None:
         self._started = True
-        self._thread.start()
+        if self._thread is not None:
+            self._thread.start()
 
     def _bootstrap(self) -> None:
         sim = self.sim
@@ -104,21 +144,35 @@ class Process:
         except BaseException:  # noqa: BLE001 - report any failure to run()
             sim._fail(self, traceback.format_exc())
         finally:
-            self.finished = True
-            self.finish_time = sim.now
-            if not self.daemon:
-                sim._pending_nondaemon -= 1
+            self._finish()
             if not sim._dead:
                 sim._dispatch(self)     # pass the baton on before we end
 
+    def _finish(self) -> None:
+        self.finished = True
+        self.finish_time = self.sim.now
+        if not self.daemon:
+            self.sim._pending_nondaemon -= 1
+
     def _site(self) -> str:
-        """Where this process is blocked, for Deadlock and leak reports."""
+        """Where this process is blocked, for Deadlock and leak reports: the
+        park token and, for a generator process, the innermost suspended
+        frame of its ``yield from`` chain."""
+        where = ""
+        gen = self._gen
+        while getattr(gen, "gi_yieldfrom", None) is not None:
+            gen = gen.gi_yieldfrom
+        frame = getattr(gen, "gi_frame", None)
+        if frame is not None:
+            where = (f" in {frame.f_code.co_name} "
+                     f"({os.path.basename(frame.f_code.co_filename)}:"
+                     f"{frame.f_lineno})")
         if self.parked:
-            return f"{self.name} parked at {self.park_token!r}"
-        return f"{self.name} blocked (no park site)"
+            return f"{self.name} parked at {self.park_token!r}{where}"
+        return f"{self.name} blocked{where or ' (no park site)'}"
 
     # ------------------------------------------------------------------ #
-    # primitives (called from the process's own thread)
+    # primitives (called from a thread process's own thread)
 
     @property
     def now(self) -> float:
@@ -134,15 +188,44 @@ class Process:
         """
         if dt < 0:
             raise ValueError(f"negative hold: {dt}")
+        if self._gen is not None:
+            raise self._must_yield("hold")
         sim = self.sim
         sim._schedule_wakeup(self, sim.now + dt)
         sim._dispatch(self)
 
     def park(self, token: Any = None) -> None:
         """Block until another process calls :meth:`Simulator.unpark` on us."""
+        if self._gen is not None:
+            raise self._must_yield("park")
         self.parked = True
         self.park_token = token
         self.sim._dispatch(self)
+
+    def _must_yield(self, what: str) -> SimError:
+        return SimError(
+            f"generator process {self.name!r} called the blocking {what}(): "
+            f"it owns no thread to block -- yield the block request (or "
+            f"`yield from` the generator form) instead")
+
+    def drive(self, steps) -> Any:
+        """Exhaust ``steps``, a generator of block requests, performing each
+        request in its blocking form; returns the generator's return value.
+
+        This is how a thread process runs blocking code that is written once
+        for both kinds of process (a generator process delegates to the same
+        generator with ``yield from``)."""
+        try:
+            while True:
+                kind, arg = next(steps)
+                if kind is HOLD:
+                    self.hold(arg)
+                elif kind is PARK:
+                    self.park(arg)
+                else:
+                    raise SimError(f"bad block request {(kind, arg)!r}")
+        except StopIteration as stop:
+            return stop.value
 
 
 class _Killed(BaseException):
@@ -172,6 +255,7 @@ class Simulator:
         self._until: Optional[float] = None
         self._pending_nondaemon = 0
         self.events = 0            # events popped and dispatched
+        self.switches = 0          # OS-thread switches: batons handed over
         # zero-arg callables returning a diagnostic string, appended to the
         # Deadlock message (the Network registers its mailbox/waiter report)
         self.diagnostics: list[Callable[[], str]] = []
@@ -181,7 +265,9 @@ class Simulator:
 
     def add_process(self, name: str, fn: Callable[..., Any],
                     *args: Any, daemon: bool = False, **kwargs: Any) -> Process:
-        """Register a simulated process.
+        """Register a simulated process: a thread process if ``fn`` is a
+        plain function, a generator process (no thread; stepped inline by
+        whichever thread pops its wakeups) if it is a generator function.
 
         ``daemon`` processes (protocol servers) do not keep the simulation
         alive: once every non-daemon process has finished, :meth:`run`
@@ -240,11 +326,12 @@ class Simulator:
         the CPU: ``me``'s own thread (blocking in hold/park, or finished), or
         :meth:`run`'s (``me`` is None).
 
-        Callbacks run inline.  The loop ends at the first wakeup of a live
-        process -- ``me``: return, no thread switch; another: release its
-        baton and block on ours -- or at a stop condition (process error,
-        callback exception, empty queue, no non-daemon left, ``until``
-        passed), which releases :meth:`run`'s baton instead.
+        Callbacks run inline and generator processes are stepped inline.
+        The loop ends at the first wakeup of a live thread process -- ``me``:
+        return, no thread switch; another: release its baton and block on
+        ours -- or at a stop condition (process error, callback exception,
+        empty queue, no non-daemon left, ``until`` passed), which releases
+        :meth:`run`'s baton instead.
         """
         if self._dead:
             raise _Killed()     # a killed thread blocking again while it unwinds
@@ -262,9 +349,13 @@ class Simulator:
                 if target.finished:
                     continue
                 self._current = target
+                if target._gen is not None:
+                    self._step(target)
+                    continue
                 if target is me:
                     return
                 baton = target._resume
+                self.switches += 1
                 break
             self._current = None
             try:
@@ -279,6 +370,33 @@ class Simulator:
             me._resume.acquire()
             if self._dead:
                 raise _Killed()
+
+    def _step(self, proc: Process) -> None:
+        """Run generator process ``proc`` to its next ``yield`` and file the
+        block request it yields, exactly as the blocking primitive would."""
+        gen = proc._gen
+        try:
+            req = next(gen)
+            while True:
+                if type(req) is tuple and len(req) == 2:
+                    kind, arg = req
+                    if kind is HOLD:
+                        if arg >= 0:
+                            self._schedule_wakeup(proc, self.now + arg)
+                            return
+                    elif kind is PARK:
+                        proc.parked = True
+                        proc.park_token = arg
+                        return
+                # rejected at the yield, where a blocking hold(-1) would raise
+                req = gen.throw(ValueError(
+                    f"bad block request {req!r}: expected (HOLD, dt >= 0) "
+                    f"or (PARK, token)"))
+        except StopIteration as stop:
+            proc.result = stop.value
+        except BaseException:  # noqa: BLE001 - report any failure to run()
+            self._fail(proc, traceback.format_exc())
+        proc._finish()
 
     def run(self, until: Optional[float] = None) -> float:
         """Drive the simulation until all processes finish (or ``until``).
@@ -315,9 +433,21 @@ class Simulator:
             self._teardown()
 
     def _teardown(self) -> None:
-        """Unblock every still-blocked thread so it unwinds and exits."""
+        """Close every unfinished generator body (its ``finally`` blocks run;
+        one never stepped runs nothing) and unblock every still-blocked
+        thread so it unwinds and exits."""
         self._dead = True
-        started = [p for p in self._procs if p._started]
+        for proc in self._procs:
+            if proc._gen is not None and not proc.finished:
+                try:
+                    proc._gen.close()
+                except Exception as exc:  # noqa: BLE001 - keep tearing down
+                    warnings.warn(
+                        f"generator process {proc.name!r} did not close "
+                        f"cleanly at teardown: {exc!r}", ResourceWarning)
+                proc._finish()
+        started = [p for p in self._procs
+                   if p._started and p._thread is not None]
         for proc in started:
             if not proc.finished:
                 proc._resume.release()

@@ -8,6 +8,12 @@ Semantics follow the user-level MPL/PVMe libraries the paper runs on:
 * ``recv`` blocks until a matching message (by source and tag) is present,
   then charges the receiver's software overhead and returns the payload.
 
+Both exist once, as generators of engine block requests
+(:meth:`Network.send_gen`, :meth:`Network.recv_gen`): a generator process
+(the DSM request server) delegates to them with ``yield from``;
+:meth:`Network.send` and :meth:`Network.recv` are the blocking forms a
+thread process calls, and do nothing but drive those generators.
+
 Every message carries an accounting *category* (``"data"``, ``"sync"``,
 ``"diff"``, ...) and a declared payload size in bytes.  The paper's Tables 2
 and 3 report total message counts and total kilobytes per program; the
@@ -52,7 +58,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.sim.engine import Process, SimError, Simulator
+from repro.sim.engine import HOLD, PARK, Process, SimError, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStats
 from repro.sim.machine import MachineModel
 
@@ -211,7 +217,16 @@ class Network:
     def send(self, proc: Process, src: int, dst: int, payload: Any, *,
              tag: int = 0, nbytes: int, category: str = "data",
              charge_sender: bool = True) -> None:
-        """Asynchronously send ``payload`` from ``src`` to ``dst``.
+        """Blocking form of :meth:`send_gen`, for thread process ``proc``."""
+        proc.drive(self.send_gen(src, dst, payload, tag=tag, nbytes=nbytes,
+                                 category=category,
+                                 charge_sender=charge_sender))
+
+    def send_gen(self, src: int, dst: int, payload: Any, *,
+                 tag: int = 0, nbytes: int, category: str = "data",
+                 charge_sender: bool = True):
+        """Asynchronously send ``payload`` from ``src`` to ``dst``
+        (generator of block requests: the sender's overhead is a hold).
 
         ``nbytes`` is the accounted payload size; callers declare it because
         payloads are Python objects whose wire encoding we model rather than
@@ -223,9 +238,8 @@ class Network:
         if nbytes < 0:
             raise ValueError("negative message size")
         if charge_sender:
-            proc.hold(self.model.send_overhead)
-        msg = Message(src=src, dst=dst, tag=tag, payload=payload,
-                      nbytes=nbytes, category=category, sent_at=self.sim.now)
+            yield HOLD, self.model.send_overhead
+        msg = Message(src, dst, tag, payload, nbytes, category, self.sim.now)
         self.stats.record(category, nbytes)
         now = self.sim.now
         arrival = self._reserve(src, dst, nbytes)
@@ -338,13 +352,19 @@ class Network:
 
     def recv(self, proc: Process, dst: int, *, src: int = ANY_SOURCE,
              tag: int = ANY_TAG) -> Message:
-        """Block until a message matching ``(src, tag)`` arrives at ``dst``."""
+        """Blocking form of :meth:`recv_gen`, for thread process ``proc``."""
+        return proc.drive(self.recv_gen(proc, dst, src=src, tag=tag))
+
+    def recv_gen(self, proc: Process, dst: int, *, src: int = ANY_SOURCE,
+                 tag: int = ANY_TAG):
+        """Block ``proc`` until a message matching ``(src, tag)`` arrives at
+        ``dst``; the generator's return value is the :class:`Message`."""
         msg = self._take(dst, src, tag)
         while msg is None:
             self._waiting[dst].append((proc, src, tag))
-            proc.park(token=("recv", dst, src, tag))
+            yield PARK, ("recv", dst, src, tag)
             msg = self._take(dst, src, tag)
-        proc.hold(self.model.recv_overhead)
+        yield HOLD, self.model.recv_overhead
         return msg
 
     def probe(self, dst: int, *, src: int = ANY_SOURCE,

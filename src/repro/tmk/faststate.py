@@ -30,7 +30,7 @@ which reports each through a ``TmkNode`` hook:
 
 * ``valid`` clears only in ``LrcNode._apply_notice`` (invalidation at an
   acquire; hook ``_page_invalidated``);
-* ``write_ok`` additionally clears in ``LrcNode._create_diff`` (hook
+* ``write_ok`` additionally clears in ``LrcNode._diff_and_cache`` (hook
   ``_page_untwinned``: the twin is discarded — possibly from the node's
   *server* context, mid-epoch, when a remote fetch forces a diff of a
   locally dirty page) and wholesale at ``close_interval`` (hook

@@ -181,8 +181,16 @@ class LrcNode:
     # diffs: lazy creation, the cache, serving
 
     def _create_diff(self, page: int, m: PageMeta, charge=None) -> None:
+        """Compute and cache the diff for a dirty page, then charge the
+        comparison to ``charge`` (see :meth:`_charge`)."""
+        self._charge(self._diff_and_cache(page, m), charge)
+
+    def _diff_and_cache(self, page: int, m: PageMeta) -> float:
         """Compute and cache the diff for a dirty page; drop the twin.
-        ``charge`` is who pays for the comparison (see :meth:`_charge`).
+        Returns the seconds the comparison costs, which the caller charges
+        *after* this returns: charging may yield the processor, and this
+        node's request server must never observe the page twinless *and*
+        uncached (it would serve nothing).
 
         Cache entries carry two interval ids with different meanings:
 
@@ -205,11 +213,7 @@ class LrcNode:
         self.stats.diffs_created += 1
         self.stats.diff_bytes_created += self._diff_nbytes(diff)
         self._cache_entry(page, m, diff)
-        # charge the creation time only after the cache is updated: charging
-        # may yield the processor, and this node's request server must never
-        # observe the page twinless *and* uncached (it would serve nothing)
-        self._charge(self.model.diff_create_time(self.model.page_size),
-                     charge)
+        return self.model.diff_create_time(self.model.page_size)
 
     def _cache_entry(self, page: int, m: PageMeta, diff) -> None:
         if not diff:
@@ -235,10 +239,15 @@ class LrcNode:
             lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
 
     def collect_for(self, page: int, from_id: int, charge=None) -> PageReply:
-        """Gather this node's modifications to ``page`` newer than ``from_id``."""
+        """Gather this node's modifications to ``page`` newer than
+        ``from_id``, creating (and charging) the diff of a dirty page first."""
         m = self.meta(page)
         if m.dirty:
             self._create_diff(page, m, charge=charge)
+        return self._gather(page, m, from_id)
+
+    def _gather(self, page: int, m: PageMeta, from_id: int) -> PageReply:
+        """:meth:`collect_for` after the diff exists: pure cache lookup."""
         cached = self.diff_cache.get(page, [])
         if from_id < self.gc_floor.get(page, 0):
             # content in (from_id, floor] was garbage-collected: fall back

@@ -37,11 +37,12 @@ transfer (TreadMarks behaves the same way after its GC).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.sim.engine import HOLD
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
 from repro.tmk.lrc import LrcNode, PageMeta, diff_request_nbytes
@@ -78,7 +79,6 @@ TAG_PUSH = 1_000_005         # enhanced interface: pushed data at a release
 
 @dataclass
 class DiffRequest:
-    kind: str = field(default="diff", init=False)
     page: int = 0
     from_id: int = 0          # requester's applied watermark for this writer
     reply_to: int = 0
@@ -105,6 +105,8 @@ class TmkNode(LrcNode):
         self.page_size = self.model.page_size
 
         self.mem = np.zeros(self.space.nbytes, dtype=np.uint8)
+        self.server_proc = None       # set by tmk.server.start_server
+        self._barrier_gen = 0         # barriers this member has arrived at
 
         # coherence fast path: vectorized page masks + epoch-keyed region
         # verdicts (see repro.tmk.faststate).  Mask *maintenance* is
@@ -324,19 +326,27 @@ class TmkNode(LrcNode):
         self.fast.valid[page] = True
 
     # ------------------------------------------------------------------ #
-    # serving (runs on this node's server process; ``sproc`` is the server)
+    # serving (a generator of block requests, run by this node's server
+    # process, which pays for the handler)
 
-    def serve_diff_request(self, sproc, requester: int, req: DiffRequest,
-                           category: str = "diff_rep") -> None:
-        sproc.hold(self.model.protocol_overhead)
+    def serve_diff_request(self, requester: int, req: DiffRequest,
+                           category: str = "diff_rep"):
+        yield HOLD, self.model.protocol_overhead
         asked = req.batch if req.batch is not None \
             else [(req.page, req.from_id)]
         # the reply: one (page, PageReply) per page asked for, in order
-        rep = [(page, self.collect_for(page, from_id, charge=sproc))
-               for page, from_id in asked]
-        self.net.send(sproc, self.pid, requester, rep, tag=TAG_FETCH_REP,
-                      nbytes=sum(self.reply_nbytes(part) for _page, part in rep),
-                      category=category)
+        rep = []
+        for page, from_id in asked:
+            # collect_for, with the server yielding the diff-creation cost
+            # at the core's charge point (after the cache is updated)
+            m = self.meta(page)
+            if m.dirty:
+                yield HOLD, self._diff_and_cache(page, m)
+            rep.append((page, self._gather(page, m, from_id)))
+        yield from self.net.send_gen(
+            self.pid, requester, rep, tag=TAG_FETCH_REP,
+            nbytes=sum(self.reply_nbytes(part) for _page, part in rep),
+            category=category)
 
     # ------------------------------------------------------------------ #
     # LrcNode hooks: real bytes and hold() charging
@@ -350,9 +360,9 @@ class TmkNode(LrcNode):
         return self.page_bytes(page).tobytes()
 
     def _charge(self, seconds: float, who=None) -> None:
-        # by default whichever of this node's contexts is executing: barrier
-        # departures and diff requests are handled on the server process,
-        # faults and grants on the main one
+        # by default whichever thread process is executing (this node's main
+        # program: faults, notices, grants).  The request server is a
+        # generator process and yields its own costs (serve_diff_request).
         (self.env.sim.current if who is None else who).hold(seconds)
 
     def _patch(self, page: int, diff) -> None:

@@ -2,11 +2,23 @@
 
 Real TreadMarks services remote requests (diff fetches, lock forwarding,
 barrier management) inside a SIGIO handler that interrupts the application.
-In the simulation, each node runs one daemon *server process* that receives
-every ``TAG_TMK_REQ`` message addressed to the node and dispatches it to the
-protocol/sync handlers.  The server has its own virtual-time context (the
-handler's CPU cost is charged there), while the node's main program keeps
-computing — the same overlap an interrupt handler provides.
+The simulation models that handler as what it is: each node has one daemon
+*server process* with **no thread of its own** — a generator process
+(:mod:`repro.sim.engine`) that whichever thread pops its wakeup steps
+inline to its next block request.  It receives every ``TAG_TMK_REQ``
+message addressed to the node and dispatches it, by payload type, to the
+protocol/sync handlers.  The server is still its own virtual-time context
+(the handler's CPU cost is charged there, as ``yield HOLD, cost``), while
+the node's main program keeps computing — the same overlap an interrupt
+handler provides.
+
+Everything the server runs is therefore a generator of block requests and
+is reached with ``yield from``: the loop below, ``Network.recv_gen`` /
+``send_gen``, ``TmkNode.serve_diff_request`` and the ``tmk.sync`` handlers.
+The three helpers a main program also runs (``_distribute_departures``,
+``_send_grant``, ``_send_grant_empty``) are the same generators, exhausted
+there by ``Process.drive``.  Calling a blocking primitive (``proc.hold``,
+``net.send``) from server code raises ``SimError``.
 
 Delivery assumptions: the dispatch loop requires per-(src, dst) FIFO,
 exactly-once delivery — a duplicated ``DiffRequest`` would double-charge a
@@ -25,6 +37,14 @@ from repro.tmk import sync as _sync
 
 __all__ = ["start_server"]
 
+#: payload type -> handler ``(node, request)``, a generator of block requests
+_HANDLERS = {
+    DiffRequest: lambda node, req: node.serve_diff_request(req.reply_to, req),
+    _sync.BarrierArrive: _sync.manager_handle_arrival,
+    _sync.LockReq: _sync.manager_handle_lock_req,
+    _sync.LockForward: _sync.holder_handle_forward,
+}
+
 
 def start_server(node: TmkNode):
     """Spawn the request-server daemon for ``node``; returns the Process."""
@@ -32,19 +52,15 @@ def start_server(node: TmkNode):
     def loop():
         sproc = node.server_proc
         while True:
-            msg = node.net.recv(sproc, node.pid, tag=TAG_TMK_REQ)
+            msg = yield from node.net.recv_gen(sproc, node.pid,
+                                               tag=TAG_TMK_REQ)
             req = msg.payload
-            kind = getattr(req, "kind", None)
-            if isinstance(req, DiffRequest):
-                node.serve_diff_request(sproc, req.reply_to, req)
-            elif kind == "barrier":
-                _sync.manager_handle_arrival(node, sproc, req)
-            elif kind == "lock_req":
-                _sync.manager_handle_lock_req(node, sproc, req)
-            elif kind == "lock_fwd":
-                _sync.holder_handle_forward(node, sproc, req)
-            else:
-                raise RuntimeError(f"unknown DSM request: {req!r}")
+            handler = _HANDLERS.get(type(req))
+            if handler is None:
+                raise RuntimeError(
+                    f"node {node.pid}: unknown DSM request payload "
+                    f"{type(req).__name__}: {req!r}")
+            yield from handler(node, req)
 
     node.server_proc = node.env.spawn_server("tmk-srv", loop)
     return node.server_proc

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.engine import HOLD
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
                                  records_unknown_to)
 from repro.tmk.lrc import lock_request_nbytes, sync_nbytes
@@ -47,7 +48,6 @@ __all__ = ["BarrierManager", "LockTable", "BarrierArrive", "LockReq",
 
 @dataclass
 class BarrierArrive:
-    kind: str = field(default="barrier", init=False)
     member: int = 0
     gen: int = 0
     records: list = field(default_factory=list)
@@ -68,7 +68,6 @@ class BarrierDepart:
 
 @dataclass
 class LockReq:
-    kind: str = field(default="lock_req", init=False)
     lock: int = 0
     requester: int = 0
     seen: tuple = ()
@@ -79,7 +78,6 @@ class LockReq:
 
 @dataclass
 class LockForward:
-    kind: str = field(default="lock_fwd", init=False)
     lock: int = 0
     requester: int = 0
     seen: tuple = ()
@@ -198,7 +196,12 @@ class LockTable:
 
 
 # ---------------------------------------------------------------------- #
-# member-side operations (called from a node's main program)
+# member-side operations (called from a node's main program, a thread
+# process).  Everything below that a request server also runs --
+# ``_distribute_departures``, ``_send_grant(_empty)`` and the ``*_handle_*``
+# handlers -- is a generator of engine block requests: the server (a
+# generator process) delegates with ``yield from``, a main program exhausts
+# it with ``proc.drive(...)``.
 
 def barrier(node: TmkNode) -> None:
     """TreadMarks barrier: arrival release + departure acquire."""
@@ -224,7 +227,7 @@ def barrier(node: TmkNode) -> None:
         complete = mgr.note_arrival(0, mgr.gen, records,
                                     node.seen.as_tuple())
         if complete:
-            _distribute_departures(node, proc)
+            proc.drive(_distribute_departures(node))
         else:
             mgr._local_waiting = proc
             proc.park(token=("barrier", mgr.gen))
@@ -237,8 +240,9 @@ def barrier(node: TmkNode) -> None:
         return
 
     # remote member: release message to the manager
-    arr = BarrierArrive(member=node.pid, gen=_member_gen(node),
+    arr = BarrierArrive(member=node.pid, gen=node._barrier_gen,
                         records=records, seen=node.seen.as_tuple())
+    node._barrier_gen += 1
     node.net.send(proc, node.pid, 0, arr, tag=TAG_TMK_REQ,
                   nbytes=arr.nbytes(model), category="sync")
     msg = node.net.recv(proc, node.pid, tag=TAG_BARRIER_DEP)
@@ -249,23 +253,16 @@ def barrier(node: TmkNode) -> None:
         mon.on_barrier_depart(node.pid)
 
 
-def _member_gen(node: TmkNode) -> int:
-    """A member's barrier generation counter (tracked on the node)."""
-    gen = getattr(node, "_barrier_gen", 0)
-    node._barrier_gen = gen + 1
-    return gen
-
-
-def manager_handle_arrival(node0: TmkNode, sproc, arr: BarrierArrive) -> None:
+def manager_handle_arrival(node0: TmkNode, arr: BarrierArrive):
     """Processor 0's server processes a remote arrival message."""
     mgr: BarrierManager = node0.world.barrier_mgr
-    sproc.hold(node0.model.protocol_overhead)
+    yield HOLD, node0.model.protocol_overhead
     if mgr.note_arrival(arr.member, arr.gen, arr.records, arr.seen):
-        _distribute_departures(node0, sproc)
+        yield from _distribute_departures(node0)
 
 
-def _distribute_departures(node0: TmkNode, proc) -> None:
-    """Send departures to every member; runs on whichever processor-0
+def _distribute_departures(node0: TmkNode):
+    """Send departures to every member; run by whichever processor-0
     context (main or server) observed the final arrival."""
     mgr: BarrierManager = node0.world.barrier_mgr
     model = node0.model
@@ -274,8 +271,9 @@ def _distribute_departures(node0: TmkNode, proc) -> None:
         if member == 0:
             continue
         dep = BarrierDepart(gen=mgr.gen - 1, records=departures[member])
-        node0.net.send(proc, 0, member, dep, tag=TAG_BARRIER_DEP,
-                       nbytes=dep.nbytes(model), category="sync")
+        yield from node0.net.send_gen(0, member, dep, tag=TAG_BARRIER_DEP,
+                                      nbytes=dep.nbytes(model),
+                                      category="sync")
     # processor 0's own departure is local
     if mgr._local_waiting is not None:
         mgr._local_depart = departures[0]
@@ -334,11 +332,10 @@ def lock_release(node: TmkNode, lock: int) -> None:
     due = table.note_release(node.pid, lock)
     if due is not None:
         requester, seen = due
-        _send_grant(node, node.env.proc, lock, requester, seen)
+        node.env.proc.drive(_send_grant(node, lock, requester, seen))
 
 
-def _send_grant(node: TmkNode, proc, lock: int, requester: int,
-                seen: tuple) -> None:
+def _send_grant(node: TmkNode, lock: int, requester: int, seen: tuple):
     sv = SeenVector(node.nprocs)
     sv.v = list(seen)
     records = records_unknown_to(node.retained_log, sv)
@@ -346,56 +343,56 @@ def _send_grant(node: TmkNode, proc, lock: int, requester: int,
     mon = getattr(node.world, "race_monitor", None)
     if mon is not None:
         mon.on_grant_send(node.pid, lock, requester)
-    node.net.send(proc, node.pid, requester, grant,
-                  tag=TAG_LOCK_GRANT + lock, nbytes=grant.nbytes(node.model),
-                  category="sync")
+    yield from node.net.send_gen(
+        node.pid, requester, grant, tag=TAG_LOCK_GRANT + lock,
+        nbytes=grant.nbytes(node.model), category="sync")
 
 
-def holder_handle_forward(node: TmkNode, sproc, fwd: LockForward) -> None:
+def holder_handle_forward(node: TmkNode, fwd: LockForward):
     """A previous requester's server receives a forwarded acquire.
 
     Served immediately if the tenure it follows has completed; otherwise
     queued and served by the corresponding release ("a lock release does
     not cause any communication" — unless a request is waiting)."""
     table: LockTable = node.world.lock_table
-    sproc.hold(node.model.protocol_overhead)
+    yield HOLD, node.model.protocol_overhead
     done = table.release_count.get((node.pid, fwd.lock), 0)
     if done >= fwd.after:
-        _send_grant(node, sproc, fwd.lock, fwd.requester, fwd.seen)
+        yield from _send_grant(node, fwd.lock, fwd.requester, fwd.seen)
     else:
         table.queued.setdefault((node.pid, fwd.lock), {})[fwd.after] = (
             fwd.requester, fwd.seen)
 
 
-def manager_handle_lock_req(node: TmkNode, sproc, req: LockReq) -> None:
+def manager_handle_lock_req(node: TmkNode, req: LockReq):
     """A lock's manager node processes an acquire request."""
     table: LockTable = node.world.lock_table
-    sproc.hold(node.model.protocol_overhead)
+    yield HOLD, node.model.protocol_overhead
     prev, after = table.note_request(req.lock, req.requester)
     if prev == req.requester:
-        _send_grant_empty(node, sproc, req.lock, req.requester)
+        yield from _send_grant_empty(node, req.lock, req.requester)
     elif prev == node.pid:
         # the manager itself is the previous requester: same tenure rule,
         # applied locally instead of through a forward message
         done = table.release_count.get((node.pid, req.lock), 0)
         if done >= after:
-            _send_grant(node, sproc, req.lock, req.requester, req.seen)
+            yield from _send_grant(node, req.lock, req.requester, req.seen)
         else:
             table.queued.setdefault((node.pid, req.lock), {})[after] = (
                 req.requester, req.seen)
     else:
         fwd = LockForward(lock=req.lock, requester=req.requester,
                           seen=req.seen, after=after)
-        node.net.send(sproc, node.pid, prev, fwd, tag=TAG_TMK_REQ,
-                      nbytes=fwd.nbytes(), category="sync")
+        yield from node.net.send_gen(node.pid, prev, fwd, tag=TAG_TMK_REQ,
+                                     nbytes=fwd.nbytes(), category="sync")
 
 
-def _send_grant_empty(node: TmkNode, proc, lock: int, requester: int) -> None:
+def _send_grant_empty(node: TmkNode, lock: int, requester: int):
     grant = LockGrant(lock=lock, records=[])
     mon = getattr(node.world, "race_monitor", None)
     if mon is not None:
         # re-acquire by the last holder: the grant carries no new ordering
         mon._pending_grant[(lock, requester)] = None
-    node.net.send(proc, node.pid, requester, grant,
-                  tag=TAG_LOCK_GRANT + lock, nbytes=grant.nbytes(node.model),
-                  category="sync")
+    yield from node.net.send_gen(
+        node.pid, requester, grant, tag=TAG_LOCK_GRANT + lock,
+        nbytes=grant.nbytes(node.model), category="sync")

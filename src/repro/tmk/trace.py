@@ -97,7 +97,7 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
     this at the right moment).  Wraps the protocol entry points of every
     node created in the world — the simulator's own (faults, ``_fetch``) and
     the ones ``TmkNode`` inherits from the core (``LrcNode._apply_notice``,
-    ``_create_diff``, ``close_interval``), which the core always reaches
+    ``_diff_and_cache``, ``close_interval``), which the core always reaches
     through ``self``.
     """
     from repro.tmk import protocol as proto
@@ -139,12 +139,13 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
                     self.env.now, self.pid, "invalidate", page,
                     {"writer": writer, "interval": interval_id}))
 
-        def _create_diff(self, page, m, charge=None):
-            super()._create_diff(page, m, charge)
+        def _diff_and_cache(self, page, m):
+            cost = super()._diff_and_cache(page, m)
             entry = self.diff_cache.get(page, [])
             top = entry[-1].top if entry else 0
             trace.record(TraceEvent(self.env.now, self.pid, "diff-create",
                                     page, {"top": top}))
+            return cost
 
         def close_interval(self):
             rec = super().close_interval()

@@ -2,10 +2,11 @@
 
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.sim.engine import Deadlock, Process, SimError, Simulator
+from repro.sim.engine import HOLD, PARK, Deadlock, SimError, Simulator
 
 
 def simproc_threads():
@@ -445,12 +446,24 @@ def test_process_never_given_a_slice_does_not_start_in_a_dead_simulator():
     assert simproc_threads() == []
 
 
-def test_trivial_tmk_run_is_fast_and_leaves_no_server_thread():
+def test_trivial_tmk_run_is_fast_and_leaves_no_server_thread(monkeypatch):
+    """An n-processor ``tmk_run`` starts exactly n ``simproc-`` threads: the
+    n request servers are generator processes and own none (was 2n)."""
     from repro.tmk.api import tmk_run
+    started = []
+    real_start = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     t0 = time.perf_counter()
     result = tmk_run(4, lambda tmk: tmk.pid, lambda world: None)
     assert time.perf_counter() - t0 < 0.5
     assert result.results == [0, 1, 2, 3]
+    assert [n for n in started if n.startswith("simproc-")] == [
+        "simproc-cpu0", "simproc-cpu1", "simproc-cpu2", "simproc-cpu3"]
     assert simproc_threads() == []
 
 
@@ -474,3 +487,485 @@ def test_thread_surviving_teardown_is_reported(monkeypatch):
         gate.set()
         threading.Thread.join(proc._thread, 5.0)
     assert not proc._thread.is_alive()
+
+
+# ---------------------------------------------------------------------- #
+# generator processes: stepped inline by whichever thread pops their wakeup
+
+def test_generator_process_is_stepped_inline_and_owns_no_thread():
+    """A server-style daemon written as a generator runs on the thread of
+    the process that wakes it; the only switches are thread <-> thread."""
+    sim = Simulator()
+    ran_on = []
+
+    def server():
+        while True:
+            yield PARK, "idle"
+            ran_on.append((sim.now, threading.current_thread().name,
+                           sim.current.name))
+            yield HOLD, 0.25
+            ran_on.append((sim.now, threading.current_thread().name,
+                           sim.current.name))
+
+    def client():
+        me = sim.current
+        for _ in range(2):
+            me.hold(1.0)
+            sim.unpark(srv)
+            me.hold(1.0)
+        return "done"
+
+    srv = sim.add_process("srv", server, daemon=True)
+    cli = sim.add_process("cli", client)
+    assert srv._thread is None
+    assert run_bounded(sim) == 4.0
+    assert cli.result == "done"
+    assert ran_on == [(1.0, "simproc-cli", "srv"), (1.25, "simproc-cli", "srv"),
+                      (3.0, "simproc-cli", "srv"), (3.25, "simproc-cli", "srv")]
+    assert sim.switches == 1            # run() -> cli, and nothing else
+    assert srv.finished and srv.finish_time == 4.0      # closed by teardown
+    assert simproc_threads() == []
+
+
+def _pingpong(sim, kind, log):
+    """The same program -- ping-pong over park/unpark with delays, same-time
+    tickers, timer callbacks, a mid-run spawn, return values -- as thread
+    bodies (``kind="thread"``), as generator bodies (``"generator"``), or as
+    the generator bodies driven by thread processes (``"driven"``)."""
+    procs = {}
+
+    def add(name, thread_body, gen_body, *args):
+        if kind == "thread":
+            body = thread_body
+        elif kind == "generator":
+            body = gen_body
+        else:
+            def body(*a):
+                return sim.current.drive(gen_body(*a))
+        procs[name] = sim.add_process(name, body, *args)
+
+    def note(*what):
+        log.append((sim.current.name, sim.now) + what)
+
+    def ping_t():
+        me = sim.current
+        for i in range(4):
+            me.hold(1.0)
+            note("serve", i)
+            sim.unpark(procs["pong"])
+            me.park("ping-wait")
+        return "ping-done"
+
+    def ping_g():
+        for i in range(4):
+            yield HOLD, 1.0
+            note("serve", i)
+            sim.unpark(procs["pong"])
+            yield PARK, "ping-wait"
+        return "ping-done"
+
+    def pong_t():
+        me = sim.current
+        for i in range(4):
+            me.park("pong-wait")
+            note("return", i)
+            sim.schedule_call(0.125, lambda: log.append(("timer", sim.now)))
+            me.hold(0.5)
+            if i == 1:
+                add("child", child_t, child_g, 3)
+            sim.unpark(procs["ping"], delay=0.25)
+        return "pong-done"
+
+    def pong_g():
+        for i in range(4):
+            yield PARK, "pong-wait"
+            note("return", i)
+            sim.schedule_call(0.125, lambda: log.append(("timer", sim.now)))
+            yield HOLD, 0.5
+            if i == 1:
+                add("child", child_t, child_g, 3)
+            sim.unpark(procs["ping"], delay=0.25)
+        return "pong-done"
+
+    def child_t(n):
+        for i in range(n):
+            sim.current.hold(0.0)
+            note("child", i)
+        return n
+
+    def child_g(n):
+        for i in range(n):
+            yield HOLD, 0.0
+            note("child", i)
+        return n
+
+    def ticker_t(n):
+        for i in range(n):
+            sim.current.hold(0.5)
+            note("tick", i)
+
+    def ticker_g(n):
+        for i in range(n):
+            yield HOLD, 0.5
+            note("tick", i)
+
+    add("ping", ping_t, ping_g)
+    add("pong", pong_t, pong_g)
+    for name in "abc":
+        add(name, ticker_t, ticker_g, 6)
+    return procs
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4])
+def test_thread_and_generator_bodies_are_the_same_simulation(seed):
+    """Same heap pushes in the same order with the same jitter draws: the
+    kind of body changes which OS thread runs the code, nothing else."""
+    runs = {}
+    for kind in ("thread", "generator", "driven"):
+        sim = Simulator(schedule_seed=seed)
+        log = []
+        procs = _pingpong(sim, kind, log)
+        end = run_bounded(sim)
+        runs[kind] = (end, sim.events, log,
+                      {n: (p.result, p.finish_time) for n, p in procs.items()})
+        if kind == "generator":
+            assert sim.switches == 0    # everything ran on run()'s thread
+        else:
+            assert sim.switches > 20
+    assert runs["thread"][0] == 7.0
+    assert runs["thread"][3]["child"] == (3, 3.25)
+    assert runs["generator"] == runs["thread"]
+    assert runs["driven"] == runs["thread"]
+    if seed is not None:
+        sim = Simulator()
+        fifo = []
+        _pingpong(sim, "generator", fifo)
+        sim.run()
+        assert fifo != runs["generator"][2]     # the seed did reorder ties
+        assert sorted(fifo) == sorted(runs["generator"][2])
+
+
+def test_exception_in_generator_process_names_it_with_its_traceback():
+    sim = Simulator()
+
+    def bad():
+        yield HOLD, 1.0
+        raise ValueError("boom in a step")
+
+    sim.add_process("gen-7", bad)
+    sim.add_process("bystander", lambda: sim.current.hold(5.0))
+    with pytest.raises(SimError) as exc:
+        run_bounded(sim)
+    text = str(exc.value)
+    assert "process 'gen-7' raised" in text
+    assert "Traceback" in text and "boom in a step" in text
+    assert 'raise ValueError("boom in a step")' in text      # its own frame
+    assert sim.now == 1.0
+    assert simproc_threads() == []
+
+
+def test_generator_never_stepped_runs_nothing_in_a_dead_simulator():
+    sim = Simulator()
+    trail = []
+
+    def daemon():
+        trail.append("started")
+        try:
+            yield PARK, "never woken"
+        finally:
+            trail.append("finally")
+
+    sim.add_process("m", lambda: None)
+    d = sim.add_process("d", daemon, daemon=True)
+    run_bounded(sim)
+    assert trail == []
+    assert d.finished
+
+
+def test_parked_daemon_generator_is_no_deadlock_and_is_closed_at_teardown():
+    sim = Simulator()
+    trail = []
+
+    def daemon():
+        try:
+            while True:
+                yield PARK, "idle"
+        finally:
+            trail.append(("closed", sim.now))
+
+    d = sim.add_process("d", daemon, daemon=True)
+    sim.add_process("m", lambda: sim.current.hold(2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_bounded(sim) == 2.0
+    assert trail == [("closed", 2.0)]
+    assert d.finished and d.finish_time == 2.0
+
+
+def test_generator_that_yields_while_closing_is_reported_not_raised():
+    sim = Simulator()
+
+    def stubborn():
+        try:
+            yield PARK, "idle"
+        finally:
+            yield HOLD, 1.0     # ignores GeneratorExit
+
+    sim.add_process("d", stubborn, daemon=True)
+    sim.add_process("m", lambda: sim.current.hold(1.0))
+    with pytest.warns(ResourceWarning, match="'d' did not close cleanly"):
+        assert sim.run() == 1.0
+
+
+def test_run_until_cuts_off_between_two_steps_of_a_generator():
+    sim = Simulator()
+    ticks = []
+
+    def ticker():
+        try:
+            while True:
+                yield HOLD, 1.0
+                ticks.append(sim.now)
+        finally:
+            ticks.append("closed")
+
+    p = sim.add_process("p", ticker)
+    assert run_bounded(sim, until=2.5) == 2.5
+    assert ticks == [1.0, 2.0, "closed"]
+    assert p.finish_time == 2.5 and sim.switches == 0
+
+
+def test_bad_block_requests_are_rejected_at_the_yield():
+    for bad in ((HOLD, -1.0), (HOLD, float("nan")), ("sleep", 1.0), None, 1.0,
+                (PARK,)):
+        sim = Simulator()
+
+        def prog():
+            yield bad
+
+        sim.add_process("p", prog)
+        with pytest.raises(SimError, match="ValueError: bad block request"):
+            run_bounded(sim)
+
+    # ... as a ValueError the body may handle, like a blocking hold(-1)
+    sim = Simulator()
+
+    def forgiving():
+        try:
+            yield HOLD, -1.0
+        except ValueError:
+            yield HOLD, 2.0
+        return "recovered"
+
+    p = sim.add_process("p", forgiving)
+    assert run_bounded(sim) == 2.0
+    assert p.result == "recovered"
+
+
+def test_blocking_primitive_called_from_a_generator_process_raises():
+    from repro.sim import Cluster
+
+    for call in (lambda me: me.hold(1.0), lambda me: me.park("x")):
+        sim = Simulator()
+
+        def prog():
+            call(sim.current)
+            yield HOLD, 1.0
+
+        sim.add_process("srv", prog)
+        with pytest.raises(SimError, match="'srv' called the blocking"):
+            run_bounded(sim)
+
+    def main(env):
+        def server():
+            env.net.send(srv, env.pid, 0, "x", nbytes=8)    # blocking form
+            yield HOLD, 1.0
+
+        srv = env.spawn_server("srv", server)
+        env.proc.hold(1.0)
+
+    with pytest.raises(SimError, match="'srv@0' called the blocking hold"):
+        Cluster(nprocs=1).run(main)
+
+
+def test_current_is_the_stepped_process_and_generators_spawn_mid_run():
+    sim = Simulator()
+    seen = []
+
+    def child(tag):
+        seen.append((tag, sim.current.name, sim.now))
+        yield HOLD, 0.5
+        seen.append((tag, sim.current.name, sim.now))
+        return tag
+
+    def parent():
+        me = sim.current
+        assert me is procs[0]
+        yield HOLD, 1.0
+        assert sim.current is me
+        procs.append(sim.add_process("kid", child, "k"))
+        yield HOLD, 1.0
+        assert sim.current is me
+
+    def thread_parent():
+        sim.current.hold(3.0)
+        procs.append(sim.add_process("late-kid", child, "l"))
+
+    procs = [sim.add_process("parent", parent)]
+    sim.add_process("tparent", thread_parent)
+    assert run_bounded(sim) == 3.5
+    assert seen == [("k", "kid", 1.0), ("k", "kid", 1.5),
+                    ("l", "late-kid", 3.0), ("l", "late-kid", 3.5)]
+    assert [p.result for p in procs[1:]] == ["k", "l"]
+
+
+def test_deadlock_and_leak_reports_locate_a_generator_process():
+    """`_site()` names the innermost suspended frame of a generator process
+    (through `yield from`), parked or held -- no more "no park site"."""
+    sim = Simulator()
+    sites = []
+
+    def inner():
+        yield PARK, ("waiting-on", 42)
+
+    def outer():
+        yield from inner()
+
+    def holder():
+        yield HOLD, 10.0
+
+    def probe():
+        sim.current.hold(1.0)
+        sites.append(held._site())
+
+    sim.add_process("stuck", outer)
+    held = sim.add_process("held", holder, daemon=True)
+    sim.add_process("probe", probe)
+    with pytest.raises(Deadlock) as exc:
+        run_bounded(sim)
+    assert (f"stuck parked at ('waiting-on', 42) in inner (test_engine.py:"
+            f"{inner.__code__.co_firstlineno + 1})") in str(exc.value)
+    assert sites == [f"held blocked in holder (test_engine.py:"
+                     f"{holder.__code__.co_firstlineno + 1})"]
+
+
+def test_network_deadlock_report_lists_a_generator_server_waiter():
+    from repro.sim import Cluster
+
+    def prog(env):
+        def server():
+            yield from env.net.recv_gen(srv, env.pid, tag=99)
+
+        srv = env.spawn_server("srv", server)
+        env.net.recv(env.proc, env.pid, src=0, tag=7)
+
+    with pytest.raises(Deadlock) as exc:
+        Cluster(nprocs=1).run(prog)
+    text = str(exc.value)
+    assert "cpu0 parked at ('recv', 0, 0, 7)" in text
+    assert "    srv@0 waiting on recv(src=ANY, tag=99)" in text
+    assert "    cpu0 waiting on recv(src=0, tag=7)" in text
+
+
+def test_unknown_dsm_request_names_the_node_and_the_payload_type():
+    from repro.tmk.api import tmk_run
+    from repro.tmk.protocol import TAG_TMK_REQ
+
+    def prog(tmk):
+        if tmk.pid == 0:
+            tmk.env.net.send(tmk.env.proc, 0, 1, {"not": "a request"},
+                             tag=TAG_TMK_REQ, nbytes=8)
+        tmk.barrier()
+
+    with pytest.raises(SimError, match="node 1: unknown DSM request payload "
+                                       "dict"):
+        tmk_run(2, prog, lambda space: None)
+
+
+# ---------------------------------------------------------------------- #
+# what the servers-as-generators change did and did not move
+
+def _cluster_results(monkeypatch):
+    """Collect every ``sim.cluster.RunResult`` produced under ``api.run``
+    (``switches`` is deliberately not on ``api.RunResult``)."""
+    from repro.sim.cluster import Cluster
+    seen = []
+    real_run = Cluster.run
+
+    def run(self, *args, **kwargs):
+        seen.append(real_run(self, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(Cluster, "run", run)
+    return seen
+
+
+@pytest.mark.parametrize("app, variant, events, parent_switches, switches", [
+    ("jacobi", "spf", 2833, 1895, 1007),
+    ("jacobi", "tmk", 1422, 1005, 581),
+    ("igrid", "spf", 3856, 2663, 1167),
+    ("nbf", "spf", 10611, 7318, 3358),
+])
+def test_switches_pinned_for_the_sim_sync_keys(monkeypatch, app, variant,
+                                               events, parent_switches,
+                                               switches):
+    """The four `sim_sync` keys (`test`, n=8).  `parent_switches` was counted
+    on the parent commit, where every request server was an OS thread, with
+    the same one-line counter; `events` is the same on both."""
+    from repro.api import RunRequest, run
+    seen = _cluster_results(monkeypatch)
+    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0))
+    assert r.events == seen[-1].events == events
+    assert not hasattr(r, "switches")
+    assert seen[-1].switches == switches
+    assert switches <= 0.6 * parent_switches        # down >= 40 %
+
+
+def test_message_passing_run_has_no_server_and_switches_as_before(monkeypatch):
+    """`igrid-xhpf`: no DSM, no generator process, nothing to save -- the
+    count is the parent's."""
+    from repro.api import RunRequest, run
+    seen = _cluster_results(monkeypatch)
+    r = run(RunRequest("igrid", "xhpf", nprocs=4, preset="test", seq_time=1.0))
+    assert (r.events, seen[-1].switches) == (311, 193)      # the parent's
+
+
+PARENT_PINS = {
+    # (app, variant, schedule_seed): (time, events, total messages, total KB)
+    ("jacobi", "tmk", None): (0.016073216000000085, 1422, 272, 34.5703125),
+    ("jacobi", "tmk", 1): (0.016073216000000085, 1425, 272, 34.5703125),
+    ("jacobi", "tmk", 2): (0.016073216000000085, 1426, 272, 34.5703125),
+    ("nbf", "spf", None): (0.12010002000000175, 10611, 2247, 423.6015625),
+    ("nbf", "spf", 1): (0.12010002000000175, 10704, 2247, 423.6015625),
+    ("nbf", "spf", 2): (0.12010002000000175, 10709, 2247, 423.6015625),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARENT_PINS, key=repr), ids=repr)
+def test_schedule_seed_runs_pinned_to_parent_literals(key):
+    """Recorded on the parent commit (thread servers), n=8 `test`: every
+    fuzzed interleaving is the one it was -- same pushes, same jitter draws."""
+    from repro.api import RunRequest, run
+    app, variant, seed = key
+    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
+                       schedule_seed=seed))
+    assert (r.time, r.events, r.total_messages,
+            r.total_kilobytes) == PARENT_PINS[key]
+
+
+@pytest.mark.parametrize("app, variant, pinned", [
+    ("jacobi", "tmk", (0.03174905474495498, 2071, 272, 34.5703125,
+                       26, 298, 31)),
+    ("nbf", "spf", (0.18398477622234927, 15560, 2191, 422.75,
+                    234, 2370, 231)),
+])
+def test_fault_plan_runs_pinned_to_parent_literals(app, variant, pinned):
+    """Same, under `FaultPlan.default()`: the servers' sends ride the faulty
+    wire through the one `send_gen`, draw for draw (time, events, messages,
+    KB, retransmissions, acks, duplicates suppressed)."""
+    from repro.api import RunRequest, fault_plan_to_doc, run
+    from repro.sim.faults import FaultPlan
+    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
+                       fault_plan=fault_plan_to_doc(FaultPlan.default())))
+    assert (r.time, r.events, r.total_messages, r.total_kilobytes,
+            r.retransmissions, r.acks, r.dup_suppressed) == pinned
