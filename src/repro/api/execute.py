@@ -9,7 +9,7 @@ something runnable.  It owns variant dispatch (spf family, xhpf family,
 hand-coded tmk/pvme, the sequential oracle, and the analytic ``model``
 mode) and the **compiled-program cache**: repeated requests with the same
 :meth:`RunRequest.cache_key` skip IR building, footprint lowering and
-codegen, which is where the run service gets its repeat-throughput.
+codegen.
 
 What is cached (per :class:`ProgramCache`, i.e. per process/worker):
 

@@ -50,7 +50,7 @@ RACECHECK_VARIANTS = ("spf", "spf_opt", "spf_old", "tmk", "spf_spec")
 #: problem-size presets every application provides
 PRESETS = ("paper", "bench", "test")
 
-#: the wall-clock/throughput bench matrix: (kernel name, app, variant)
+#: the wall-clock bench matrix: (kernel name, app, variant)
 BENCH_MATRIX = (
     ("jacobi_spf", "jacobi", "spf"),
     ("jacobi_tmk", "jacobi", "tmk"),

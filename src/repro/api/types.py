@@ -23,8 +23,9 @@ hand-rolling their own.
   service-level counters (wall time, cache hits/misses, runs/min).
 
 ``RunResult.fingerprint()`` is the bit-identity contract used by the
-service tests and the throughput gate: two runs of the same request must
-produce equal fingerprints no matter which process executed them.
+service tests and the benchmark's golden digests: two runs of the same
+request must produce equal fingerprints no matter which process executed
+them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 __all__ = ["RUN_SCHEMA", "RunRequest", "RunResult", "BatchResult",
-           "fault_plan_to_doc", "fault_plan_from_doc",
+           "failure_result", "fault_plan_to_doc", "fault_plan_from_doc",
            "dsm_stats_to_doc", "dsm_stats_from_doc",
            "machine_to_doc", "machine_from_doc", "races_from_doc"]
 
@@ -399,6 +400,20 @@ class RunResult:
                    error_kind=error_kind, tag=request.tag, **extra)
 
 
+def failure_result(doc, error: str, error_kind: str, **extra) -> RunResult:
+    """Structured ``ok=False`` result for a request doc — even one so
+    malformed that it does not parse (``app``/``variant`` then fall back
+    to whatever the doc names, or ``"?"``)."""
+    try:
+        request = RunRequest.from_json(doc)
+    except Exception:          # noqa: BLE001 — any bad doc gets a result
+        named = doc if isinstance(doc, dict) else {}
+        request = RunRequest(app=str(named.get("app", "?")),
+                             variant=str(named.get("variant", "?")))
+    return RunResult.failure(request, error=error, error_kind=error_kind,
+                             **extra)
+
+
 # ---------------------------------------------------------------------- #
 # BatchResult
 
@@ -415,9 +430,6 @@ class BatchResult:
     cache_hits: int = 0                  # compiled-program cache verdicts,
     cache_misses: int = 0                # summed over the batch's runs
     crashes: int = 0                     # worker deaths surfaced as errors
-    affinity_hits: int = 0               # dispatches routed to a warm worker
-    steals: int = 0                      # warm-elsewhere work taken by an
-                                         # idle worker (queue imbalance)
     rejected: int = 0                    # admissions refused (backlog cap)
 
     def __post_init__(self):
@@ -449,8 +461,6 @@ class BatchResult:
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "crashes": self.crashes,
-            "affinity_hits": self.affinity_hits,
-            "steals": self.steals,
             "rejected": self.rejected,
             "results": [r.to_json() for r in self.results],
         }
@@ -469,8 +479,6 @@ class BatchResult:
                    cache_hits=doc.get("cache_hits", 0),
                    cache_misses=doc.get("cache_misses", 0),
                    crashes=doc.get("crashes", 0),
-                   affinity_hits=doc.get("affinity_hits", 0),
-                   steals=doc.get("steals", 0),
                    rejected=doc.get("rejected", 0))
 
 

@@ -8,16 +8,11 @@ needs a measured trajectory, and perf work needs a regression gate.
 
 See :mod:`repro.bench.wallclock` for the kernels, the calibration scheme
 that makes wall-clock gating portable across machines, and the JSON result
-format (``benchmarks/results/BENCH_wallclock.json``);
-:mod:`repro.bench.throughput` measures runs/min through the
-:mod:`repro.serve` worker pool against a serial baseline and gates on a
-host-calibrated SLO.
+format (``benchmarks/results/BENCH_wallclock.json``).
 """
 
-from repro.bench.throughput import (check_throughput, default_slo,
-                                    run_throughput)
 from repro.bench.wallclock import (BENCH_KERNELS, calibrate, check_regression,
                                    load_baseline, run_bench)
 
 __all__ = ["BENCH_KERNELS", "calibrate", "check_regression", "load_baseline",
-           "run_bench", "run_throughput", "check_throughput", "default_slo"]
+           "run_bench"]

@@ -59,8 +59,7 @@ DEFAULT_RESULT_PATH = os.path.join("benchmarks", "results",
 DEFAULT_BASELINE_PATH = os.path.join("benchmarks", "results",
                                      "BENCH_baseline.json")
 
-# (name, app, variant) — the canonical 5-kernel matrix lives in the
-# registry so the throughput harness and this gate time the same workloads
+# (name, app, variant) — the canonical 5-kernel matrix lives in the registry
 from repro.api.registry import BENCH_MATRIX as BENCH_KERNELS  # noqa: E402
 
 _CALIBRATION_EVENTS = 40_000

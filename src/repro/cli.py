@@ -29,7 +29,6 @@ Examples::
     python -m repro racecheck igrid spf --seeds 5
     python -m repro chaos --seeds 3 --apps jacobi mgs --out chaos.json
     python -m repro bench --smoke
-    python -m repro bench --throughput --workers 4
     python -m repro serve --port 7590 --workers 4
     python -m repro fleet --host h1:7590 --host h2:7590 --probe
     python -m repro sweep --apps jacobi --fleet h1:7590 --fleet h2:7590
@@ -316,8 +315,6 @@ def cmd_bench(args) -> int:
     from repro.bench import check_regression, load_baseline, run_bench
     from repro.bench.wallclock import write_results
 
-    if args.throughput:
-        return _bench_throughput(args)
     doc = run_bench(smoke=args.smoke, nprocs=args.nprocs,
                     only=args.only or None, progress=print)
     path = write_results(doc, args.out) if args.out \
@@ -345,56 +342,12 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _bench_throughput(args) -> int:
-    """``repro bench --throughput``: pool runs/min vs serial, SLO-gated."""
-    from repro.bench.throughput import run_throughput, write_results
-
-    doc = run_throughput(workers=args.workers, repeats=args.repeats,
-                         nprocs=args.nprocs,
-                         preset="test" if args.smoke else "bench",
-                         slo=args.slo, fleet=args.fleet, progress=print)
-    path = write_results(doc, args.out) if args.out else write_results(doc)
-    print(f"serial:  {doc['serial']['runs_per_min']:8.1f} runs/min "
-          f"({doc['serial']['wall_s']:.2f}s for {doc['runs']} run(s))")
-    print(f"service: {doc['service']['runs_per_min']:8.1f} runs/min "
-          f"({doc['service']['wall_s']:.2f}s, {doc['workers']} worker(s), "
-          f"{doc['service']['cache_hits']} cache hit(s))")
-    print(f"speedup: {doc['speedup']:.2f}x serial "
-          f"(calibrated SLO {doc['slo']:.2f}x on {doc['cpu_count']} "
-          f"core(s)); bit-identical: {doc['bit_identical']}")
-    aff = doc["affinity"]
-    print(f"affinity: {aff['hit_rate']:.0%} hit-rate "
-          f"({aff['hits']} hit(s), {aff['steals']} steal(s)) "
-          f"on the repeat-key batch")
-    sw = doc["sweep"]
-    print(f"sweep:   {sw['speedup']:.2f}x serial wall-clock "
-          f"({sw['serial_wall_s']:.2f}s -> {sw['service_wall_s']:.2f}s, "
-          f"{sw['cells']} cell(s), SLO {sw['slo']:.2f}x); "
-          f"bit-identical: {sw['bit_identical']}")
-    fl = doc.get("fleet")
-    if fl is not None:
-        print(f"fleet:   {fl['runs_per_min']:8.1f} runs/min across "
-              f"{len(fl['hosts'])} host(s) ({fl['live_workers']} remote "
-              f"worker(s), {fl['vs_service']:.2f}x the local pool); "
-              f"bit-identical: {fl['bit_identical']}")
-        for label, ph in sorted(fl["per_host"].items()):
-            print(f"  host {label}: {ph['runs']} run(s), "
-                  f"{ph['hit_rate']:.0%} affinity hit-rate")
-    print(f"results -> {path}")
-    if args.no_gate:
-        return 0
-    for failure in doc["failures"]:
-        print("THROUGHPUT:", failure, file=sys.stderr)
-    return 1 if doc["failures"] else 0
-
-
 def cmd_serve(args) -> int:
     from repro.serve import (DEFAULT_RUNNER, RunService, WireServer,
                              serve_stdio)
 
     service = RunService(workers=args.workers,
                          runner=args.runner or DEFAULT_RUNNER,
-                         cache_entries=args.cache_entries,
                          max_backlog=args.max_backlog)
     try:
         if args.port is None:
@@ -605,26 +558,7 @@ def main(argv=None) -> int:
     p.add_argument("--tolerance", type=float, default=0.25,
                    help="allowed wall-clock regression (default 0.25)")
     p.add_argument("--no-gate", action="store_true",
-                   help="write results without checking the baseline "
-                        "(or the throughput SLO)")
-    p.add_argument("--throughput", action="store_true",
-                   help="measure runs/min through the repro.serve worker "
-                        "pool vs a serial baseline and gate on the "
-                        "host-calibrated SLO")
-    p.add_argument("--workers", type=int, default=4,
-                   help="service worker processes for --throughput "
-                        "(default 4)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="bench-matrix repetitions for --throughput "
-                        "(default 3)")
-    p.add_argument("--slo", type=float, default=None,
-                   help="throughput SLO as a multiple of serial runs/min "
-                        "(default: 0.75 x min(workers, cpu cores))")
-    p.add_argument("--fleet", action="append", default=None,
-                   metavar="HOST:PORT",
-                   help="with --throughput: also measure the batch across "
-                        "these remote `repro serve --tcp` hosts (repeat "
-                        "per host) and gate on bit-identity")
+                   help="write results without checking the baseline")
     p.add_argument("-n", "--nprocs", type=int, default=8)
     p.set_defaults(fn=cmd_bench)
 
@@ -641,9 +575,6 @@ def main(argv=None) -> int:
                    help="bind address for --port (default 127.0.0.1)")
     p.add_argument("--runner", default=None,
                    help=argparse.SUPPRESS)   # test hook: module:attr path
-    p.add_argument("--cache-entries", type=int, default=64,
-                   help="compiled-program cache entries per worker "
-                        "(default 64)")
     p.add_argument("--max-backlog", type=int, default=None,
                    help="admission-control cap on queued + in-flight "
                         "requests; beyond it new requests fail fast with "
@@ -653,8 +584,7 @@ def main(argv=None) -> int:
     p = sub.add_parser(
         "fleet",
         help="front N remote `repro serve --tcp` hosts behind one "
-             "service (same wire protocol; cache-affine host routing, "
-             "failover with requeue)")
+             "service (same wire protocol; failover with requeue)")
     p.add_argument("--host", action="append", required=True,
                    metavar="HOST:PORT",
                    help="a remote serve endpoint (repeat per host)")

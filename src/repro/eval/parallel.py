@@ -26,7 +26,7 @@ import contextlib
 from typing import Callable, Iterable, List, Optional
 
 from repro.api.execute import ProgramCache, execute
-from repro.api.types import RunRequest, RunResult
+from repro.api.types import RunRequest, RunResult, failure_result
 
 __all__ = ["run_requests", "service_for"]
 
@@ -47,7 +47,6 @@ class _InProcess:
             try:
                 result = execute(request, self.cache)
             except Exception as exc:   # noqa: BLE001 — as the worker does
-                from repro.serve.scheduler import failure_result
                 result = failure_result(request.to_json(), str(exc),
                                         type(exc).__name__)
             yield index, result
@@ -85,8 +84,7 @@ def run_requests(requests: Iterable[RunRequest],
     """Run ``requests``; return their results in request order.
 
     ``jobs``/``service``/``fleet`` pick the tier (:func:`service_for`;
-    ``service`` takes precedence — reuse an existing pool, e.g. the
-    throughput bench measures a sweep through its own service).
+    ``service`` takes precedence — reuse an existing pool).
     ``progress`` is called with ``describe(request)`` as each run
     completes (request order in-process, completion order through a
     service).  A run that raises yields a structured ``ok=False`` result

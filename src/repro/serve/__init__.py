@@ -13,8 +13,8 @@ see :mod:`repro.serve.wire` for the protocol).
 
 One level up, :class:`FleetService` (``python -m repro fleet``) presents
 the same surface but shards batches across several remote ``repro serve
---tcp`` hosts — see :mod:`repro.serve.fleet`.  Both place work through
-the one :class:`~repro.serve.scheduler.AffinityScheduler`.
+--tcp`` hosts — see :mod:`repro.serve.fleet`.  Both hand out work oldest
+first from the one :class:`~repro.serve.scheduler.Backlog`.
 """
 
 from repro.serve.fleet import FleetService, parse_host

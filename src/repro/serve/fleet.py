@@ -7,14 +7,13 @@ fleet tier is the next rung: it presents the same service surface
 :class:`~repro.api.RunRequest` to one of N remote ``repro serve --tcp``
 hosts through :class:`~repro.serve.wire.WireClient`.
 
-Placement is the same :class:`~repro.serve.scheduler.AffinityScheduler`
-the pool uses, with one target per host and the one real difference
-that a host's capacity is its remote pool size: work ships in per-host
-**chunks** of up to the host's worker count, one in-flight chunk per
-host, streamed back per completion — so each remote pool stays
-saturated while the fleet keeps enough backlog loose for affinity
-routing and stealing.  This module is the socket transport under the
-scheduler.
+Placement is FIFO off the same :class:`~repro.serve.scheduler.Backlog`
+the pool uses, with the one real difference that a host's capacity is
+its remote pool size: work ships in per-host **chunks** of up to the
+host's worker count, one in-flight chunk per host, streamed back per
+completion — so each remote pool stays saturated while the rest of the
+backlog stays loose for whichever host frees up first.  This module is
+the socket transport under the backlog.
 
 What a network tier needs that the in-process pool didn't:
 
@@ -32,10 +31,10 @@ What a network tier needs that the in-process pool didn't:
   refused) outstanding requests fail fast as ``error_kind="HostLost"``
   (``"Rejected"``) results, not exceptions and not timeouts.
 
-Counters surface on ``stats()["fleet"]`` (per-host and fleet-wide
-``affinity_hits``/``steals``/``requeues``/``hosts_lost``/``retries``)
-and on every :class:`BatchResult` — where, at this level, ``crashes``
-counts *host losses* during the batch.
+Counters surface on ``stats()["fleet"]`` (per-host ``runs``/``requeues``,
+fleet-wide ``requeues``/``hosts_lost``/``retries``) and on every
+:class:`BatchResult` — where, at this level, ``crashes`` counts *host
+losses* during the batch.
 
 Use it like the pool::
 
@@ -52,8 +51,8 @@ import threading
 import time as _time
 from typing import Iterable, List, Optional, Tuple
 
-from repro.api.types import BatchResult
-from repro.serve.scheduler import AffinityScheduler, failure_result
+from repro.api.types import BatchResult, failure_result
+from repro.serve.scheduler import Backlog
 from repro.serve.service import collect_batch
 from repro.serve.wire import WireClient, WireConnectionLost
 
@@ -67,7 +66,7 @@ DEFAULT_RETRIES = 3
 DEFAULT_BACKOFF_S = 0.05
 DEFAULT_BACKOFF_MAX_S = 2.0
 
-_WAIT_S = 0.05     # scheduler re-check period while a host has no work
+_WAIT_S = 0.05     # backlog re-check period while a host has no work
 
 
 def parse_host(spec) -> Tuple[str, int]:
@@ -90,16 +89,13 @@ class _Host:
         self.workers = 0               # remote pool size, from hello
         self.alive = False
         self.runs = 0                  # requests this host retired
-        self.affinity_hits = 0
-        self.steals = 0
         self.requeues = 0              # requests requeued off this host
         self.reconnects = 0            # successful revivals
         self.last_rtt_ms: Optional[float] = None
 
     def snapshot(self) -> dict:
         return {"alive": self.alive, "workers": self.workers,
-                "runs": self.runs, "affinity_hits": self.affinity_hits,
-                "steals": self.steals, "requeues": self.requeues,
+                "runs": self.runs, "requeues": self.requeues,
                 "reconnects": self.reconnects,
                 "last_rtt_ms": self.last_rtt_ms}
 
@@ -121,7 +117,6 @@ class FleetService:
     def __init__(self, hosts: Iterable, timeout: float = 300.0,
                  retries: int = DEFAULT_RETRIES,
                  backoff: float = DEFAULT_BACKOFF_S,
-                 cache_entries: int = 64,
                  max_backlog: Optional[int] = None):
         specs = [parse_host(h) for h in hosts]
         if not specs:
@@ -130,9 +125,9 @@ class FleetService:
         self.retries = max(0, int(retries))
         self.backoff = backoff
         self._hosts = [_Host(h, p) for h, p in specs]
-        # guards the scheduler: host threads take/retire/requeue under it
+        # guards the backlog: host threads take/retire/requeue under it
         self._cond = threading.Condition()
-        self._sched = AffinityScheduler(cache_entries, max_backlog)
+        self._backlog = Backlog(max_backlog)
         self._hosts_lost = 0
         self._retry_attempts = 0       # failed connect/send attempts
         self._closed = False
@@ -195,36 +190,32 @@ class FleetService:
         return {h.label: h.snapshot() for h in self._hosts}
 
     def _drop_host(self, host: _Host) -> None:
-        """Forget a dead host's connection and warm-key mirror."""
+        """Forget a dead host's connection."""
         host.alive = False
         if host.client is not None:
             host.client.close()      # idempotent, safe on a dead socket
             host.client = None
-        self._sched.forget(host.label)
 
     # ------------------------------------------------------------------ #
     # per-host dispatch: chunks out, completions in, requeue on loss
 
     def _take_chunk(self, host: _Host) -> Optional[list]:
-        """Block until the scheduler has work for this host (up to its
+        """Block until the backlog has work for this host (up to its
         remote pool size), or the batch is retired."""
         with self._cond:
             while True:
-                if not self._sched.outstanding or self._closed \
+                if not self._backlog.outstanding or self._closed \
                         or not host.alive:
                     self._cond.notify_all()
                     return None
-                chunk = self._sched.take(host.label, max(1, host.workers))
+                chunk = self._backlog.take(max(1, host.workers))
                 if chunk:
-                    verdicts = [verdict for _seq, _item, verdict in chunk]
-                    host.affinity_hits += verdicts.count("hit")
-                    host.steals += verdicts.count("steal")
                     return chunk
                 self._cond.wait(_WAIT_S)
 
     def _complete(self, seq: int, result) -> None:
         with self._cond:
-            item = self._sched.retire(seq)
+            item = self._backlog.retire(seq)
             if item is not None:
                 self._done_q.put((item[0], result))
                 self._cond.notify_all()
@@ -241,7 +232,7 @@ class FleetService:
         """
         with self._cond:
             self._drop_host(host)
-            host.requeues += self._sched.requeue(lost)
+            host.requeues += self._backlog.requeue(lost)
             self._cond.notify_all()
         if not self._closed and self._connect(host):
             with self._cond:
@@ -258,7 +249,7 @@ class FleetService:
     def _fail_outstanding(self, error: str) -> None:
         """Fail every un-retired request as a structured HostLost (locked
         by the caller)."""
-        for index, doc in self._sched.drain():
+        for index, doc in self._backlog.drain():
             self._done_q.put((index, failure_result(doc, error,
                                                     "HostLost")))
 
@@ -268,11 +259,11 @@ class FleetService:
             chunk = self._take_chunk(host)
             if chunk is None:
                 return
-            seqs = [seq for seq, _item, _verdict in chunk]
+            seqs = [seq for seq, _item in chunk]
             completed: set = set()
             try:
                 for kind, i, payload in host.client.stream_batch(
-                        [doc for _seq, (_index, doc), _verdict in chunk]):
+                        [doc for _seq, (_index, doc) in chunk]):
                     if kind == "result":
                         completed.add(seqs[i])
                         host.runs += 1
@@ -305,8 +296,8 @@ class FleetService:
         threads: list = []
         try:
             with self._cond:
-                refused = self._sched.admit_requests(requests)
-                expected = self._sched.outstanding
+                refused = self._backlog.admit_requests(requests)
+                expected = self._backlog.outstanding
             threads = [threading.Thread(target=self._host_loop,
                                         args=(host,),
                                         name=f"repro-fleet-{host.label}",
@@ -333,7 +324,7 @@ class FleetService:
                 emitted += 1
         finally:
             with self._cond:
-                self._sched.clear()
+                self._backlog.clear()
                 self._cond.notify_all()
             for t in threads:
                 t.join(timeout=5.0)
@@ -346,7 +337,7 @@ class FleetService:
     def counters(self) -> dict:
         """Monotonic counters, in the wire layer's shape — ``crashes``
         counts *host losses* at this level."""
-        return {"crashes": self._hosts_lost, **self._sched.counters()}
+        return {"crashes": self._hosts_lost, **self._backlog.counters()}
 
     def live_workers(self) -> int:
         """Total remote workers behind the live hosts."""
@@ -363,10 +354,10 @@ class FleetService:
             "workers": self.live_workers(),
             "crashes": self._hosts_lost,
             "fleet": {
-                **self._sched.stats(),
+                **self._backlog.stats(),
                 "hosts": {h.label: h.snapshot() for h in self._hosts},
                 "live_hosts": len(self._live()),
-                "requeues": self._sched.requeues,
+                "requeues": self._backlog.requeues,
                 "hosts_lost": self._hosts_lost,
                 "retries": self._retry_attempts,
             },

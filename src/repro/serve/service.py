@@ -20,10 +20,10 @@ while holding it would poison the queue for the whole pool.  A simplex
 pipe has a single writer, so a death can only sever that worker's own
 channel; the parent observes EOF on it the moment the process is gone.
 
-Which request goes to which worker is not decided here: placement
-(cache affinity, stealing, ``max_backlog`` admission) is the shared
-:class:`~repro.serve.scheduler.AffinityScheduler`; this module is the
-pipe transport under it — spawn, send, receive, EOF, reap.
+Placement is FIFO: an idle worker gets the oldest queued request.  The
+queue, ``max_backlog`` admission and the exactly-once bookkeeping are the
+shared :class:`~repro.serve.scheduler.Backlog`; this module is the pipe
+transport under it — spawn, send, receive, EOF, reap.
 
 Failure surface — the contract the e2e tests pin:
 
@@ -52,8 +52,8 @@ import time as _time
 from multiprocessing import connection as _mpc
 from typing import Callable, Iterable, Optional
 
-from repro.api.types import BatchResult, RunResult
-from repro.serve.scheduler import AffinityScheduler, failure_result
+from repro.api.types import BatchResult, RunResult, failure_result
+from repro.serve.scheduler import Backlog
 from repro.serve.worker import DEFAULT_RUNNER, worker_main
 
 __all__ = ["RunService", "DEFAULT_WORKERS", "collect_batch"]
@@ -87,8 +87,6 @@ def collect_batch(service, requests: Iterable,
         cache_hits=sum(1 for r in results if r.cache_hit),
         cache_misses=sum(1 for r in results if r.cache_hit is False),
         crashes=delta["crashes"],
-        affinity_hits=delta["affinity_hits"],
-        steals=delta["steals"],
         rejected=delta["rejections"])
 
 
@@ -99,29 +97,21 @@ class RunService:
     worker (tests inject failing/crashing runners through it); the
     default executes through :func:`repro.api.execute`.
 
-    Placement is the shared
-    :class:`~repro.serve.scheduler.AffinityScheduler` with one target
-    per worker (capacity 1): repeat keys return to the worker that
-    compiled them, cold keys go to the emptiest idle worker, idle
-    workers steal under backlog pressure.  ``cache_entries`` sizes both
-    each worker's ProgramCache and the scheduler's mirror of it;
+    Each idle worker takes the oldest queued request, one at a time.
     ``max_backlog`` caps admitted work — overflow comes back at once as
-    structured ``error_kind="Rejected"`` results.  Routing verdicts
-    surface on :meth:`stats` and every :class:`BatchResult`.
+    structured ``error_kind="Rejected"`` results.
     """
 
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  runner: str = DEFAULT_RUNNER,
                  respawn: bool = True,
-                 cache_entries: int = 64,
                  max_backlog: Optional[int] = None):
         if workers < 1:
             raise ValueError("RunService needs at least one worker")
         self.workers = workers
         self.runner = runner
         self.respawn = respawn
-        self.cache_entries = cache_entries
-        self._sched = AffinityScheduler(cache_entries, max_backlog)
+        self._backlog = Backlog(max_backlog)
         # spawn, never fork: the parent's simulator threads and locks
         # must not leak into a worker
         self._ctx = mp.get_context("spawn")
@@ -146,7 +136,7 @@ class RunService:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=worker_main,
-            args=(wid, task_r, result_w, self.runner, self.cache_entries),
+            args=(wid, task_r, result_w, self.runner),
             name=f"repro-serve-{wid}", daemon=True)
         proc.start()
         # close the child's ends in the parent so a worker death turns
@@ -159,23 +149,19 @@ class RunService:
         return wid
 
     def _discard(self, wid: int) -> None:
-        """Forget a dead worker's process, pipes and warm-key set."""
+        """Forget a dead worker's process and pipes."""
         self._procs.pop(wid, None)
-        self._sched.forget(wid)
         for conns in (self._task_conns, self._result_conns):
             conn = conns.pop(wid, None)
             if conn is not None:
                 conn.close()
 
     def _dispatch(self) -> None:
-        """Offer every idle worker to the scheduler — fewest warm keys
-        first, so cold keys spread to the emptiest worker — and send each
-        what it takes (assignment recorded before the send)."""
-        idle = sorted((wid for wid in self._procs
-                       if wid not in self._assigned),
-                      key=self._sched.warm_count)
+        """Send every idle worker the oldest queued request (assignment
+        recorded before the send)."""
+        idle = [wid for wid in self._procs if wid not in self._assigned]
         for wid in idle:
-            for seq, (_index, doc), _verdict in self._sched.take(wid):
+            for seq, (_index, doc) in self._backlog.take():
                 self._assigned[wid] = seq
                 try:
                     self._task_conns[wid].send(("run", seq, doc))
@@ -187,7 +173,7 @@ class RunService:
                     # period, and failing it as WorkerCrashed would
                     # blame a request the worker never received
                     del self._assigned[wid]
-                    self._sched.requeue([seq])
+                    self._backlog.requeue([seq])
                     self._reap_worker(wid)        # respawns if enabled
                     return self._dispatch()       # offer the stand-in too
 
@@ -199,7 +185,7 @@ class RunService:
             proc.join(timeout=1.0)
         self._discard(wid)
         self._crashes += 1
-        item = self._sched.retire(self._assigned.pop(wid, None))
+        item = self._backlog.retire(self._assigned.pop(wid, None))
         if self.respawn and not self._closed:
             self._spawn()
         if item is None:
@@ -223,7 +209,7 @@ class RunService:
                 (index, failure_result(
                     doc, error="no live workers remain in the pool",
                     error_kind="WorkerCrashed"))
-                for index, doc in self._sched.drain())
+                for index, doc in self._backlog.drain())
         return failed
 
     # ------------------------------------------------------------------ #
@@ -244,9 +230,9 @@ class RunService:
         if self._closed:
             raise RuntimeError("RunService is closed")
         try:
-            yield from self._sched.admit_requests(requests)
+            yield from self._backlog.admit_requests(requests)
             self._dispatch()
-            while self._sched.outstanding:
+            while self._backlog.outstanding:
                 wid_of = {conn: wid
                           for wid, conn in self._result_conns.items()}
                 ready = _mpc.wait(list(wid_of), timeout=_POLL_S) \
@@ -263,7 +249,7 @@ class RunService:
                     if self._assigned.get(wid) == seq:
                         del self._assigned[wid]
                     self._cache_stats[wid] = cache_stats
-                    item = self._sched.retire(seq)
+                    item = self._backlog.retire(seq)
                     if item is not None:
                         yield item[0], RunResult.from_json(doc)
                 if not ready:
@@ -271,7 +257,7 @@ class RunService:
                 yield from failed
                 self._dispatch()
         finally:
-            self._sched.clear()
+            self._backlog.clear()
 
     def run_batch(self, requests: Iterable) -> BatchResult:
         """Run a batch; return ordered results plus service counters."""
@@ -281,7 +267,7 @@ class RunService:
         """Snapshot of the monotonic scheduling counters (for deltas):
         ``crashes`` counts worker deaths at the pool level, host losses
         at the fleet level."""
-        return {"crashes": self._crashes, **self._sched.counters()}
+        return {"crashes": self._crashes, **self._backlog.counters()}
 
     def live_workers(self) -> int:
         """Workers alive right now (not the configured pool size)."""
@@ -298,7 +284,7 @@ class RunService:
                 "misses": sum(s["misses"] for s in per_worker.values()),
                 "per_worker": per_worker,
             },
-            "scheduler": self._sched.stats(),
+            "scheduler": self._backlog.stats(),
         }
 
     def close(self, timeout: float = 5.0) -> None:

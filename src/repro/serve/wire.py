@@ -25,7 +25,7 @@ Client -> server::
 
 ``repro serve`` speaks this over stdio (``--stdio``) or a TCP socket
 (``--port``); :class:`WireClient` is the in-library client the e2e tests
-and ``repro bench --throughput`` can point at a remote service.
+and :class:`~repro.serve.FleetService` point at a remote service.
 """
 
 from __future__ import annotations

@@ -60,13 +60,12 @@ def default_runner(request_doc: dict, cache):
 
 
 def worker_main(worker_id: int, task_conn, result_conn,
-                runner_path: str = DEFAULT_RUNNER,
-                cache_entries: int = 64) -> None:
+                runner_path: str = DEFAULT_RUNNER) -> None:
     """Entry point of one worker process (runs until shutdown)."""
     from repro.api.execute import ProgramCache
 
     runner = resolve_runner(runner_path)
-    cache = ProgramCache(max_entries=cache_entries)
+    cache = ProgramCache()
     while True:
         try:
             item = task_conn.recv()
@@ -84,7 +83,7 @@ def _run_one(runner, request_doc: dict, cache,
     try:
         doc = runner(request_doc, cache)
     except Exception as exc:   # noqa: BLE001 — structured, not fatal
-        from repro.serve.scheduler import failure_result
+        from repro.api.types import failure_result
 
         doc = failure_result(request_doc, error=str(exc),
                              error_kind=type(exc).__name__).to_json()

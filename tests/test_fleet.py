@@ -1,4 +1,4 @@
-"""Fleet-tier tests: cache-affine host routing, admission control, and
+"""Fleet-tier tests: FIFO host dispatch, admission control, and
 failover (kill a host mid-batch) with the exactly-once result contract.
 
 Two layers:
@@ -83,19 +83,17 @@ def test_batch_ordered_ok_and_bit_identical(fleet):
     assert batch.crashes == 0
 
 
-def test_warm_repeat_batch_routes_by_affinity(fleet):
-    requests = _reqs()
-    fleet.run_batch(requests)              # warm every key somewhere
-    again = fleet.run_batch(requests)
-    assert again.ok
-    # every key is now warm on exactly one host, so the repeat batch
-    # must route overwhelmingly by affinity (steals only under pressure)
-    assert again.affinity_hits > 0
-    stats = fleet.stats()["fleet"]
-    assert stats["affinity_hits"] >= again.affinity_hits
-    assert sum(h["runs"] for h in stats["hosts"].values()) \
-        >= 2 * len(requests)
-    assert stats["warm_keys"]               # the mirror is populated
+def test_identical_keys_use_every_host(cluster):
+    # the pool's test_identical_keys_use_every_worker, one tier up: six
+    # slow copies of ONE key, so neither host can drain the backlog
+    # before the other's thread has taken its first chunk
+    requests = [RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                           seq_time=1.0, tag=f"slow:0.05:r{i}")
+                for i in range(6)]
+    with FleetService(cluster) as fleet:
+        assert fleet.run_batch(requests).ok
+        hosts = fleet.stats()["fleet"]["hosts"]
+    assert len(hosts) == 2 and all(h["runs"] > 0 for h in hosts.values())
 
 
 def test_stream_yields_every_index_exactly_once(fleet):
@@ -112,10 +110,11 @@ def test_stats_shape_and_probe(fleet):
     stats = fleet.stats()
     assert stats["workers"] == fleet.live_workers()
     fl = stats["fleet"]
-    for key in ("hosts", "live_hosts", "affinity_hits", "steals",
-                "rejections", "requeues", "hosts_lost", "retries",
-                "steal_threshold", "max_backlog", "warm_keys"):
-        assert key in fl
+    assert sorted(fl) == ["hosts", "hosts_lost", "live_hosts", "max_backlog",
+                          "rejections", "requeues", "retries"]
+    assert all(sorted(h) == ["alive", "last_rtt_ms", "reconnects",
+                             "requeues", "runs", "workers"]
+               for h in fl["hosts"].values())
     assert fl["live_hosts"] == 2
     health = fleet.probe()
     assert all(h["alive"] for h in health.values())

@@ -1,12 +1,9 @@
-"""E2e tests of the cache-affine scheduler and admission control.
+"""E2e tests of FIFO dispatch and admission control at the pool.
 
 The contract under test (see docs/API.md "Scheduling"):
 
-* a repeat ``cache_key`` routes back to the worker that already
-  compiled it (``affinity_hits`` counts it, and the result's ``worker``
-  field proves the landing spot);
-* affinity never serializes a batch — an idle worker steals the oldest
-  backlog entry once the queue reaches ``steal_threshold``;
+* placement never serializes a batch — every idle worker takes the
+  oldest queued request, whatever its key;
 * ``max_backlog`` refuses overflow requests immediately with structured
   ``error_kind="Rejected"`` results, and the verdict round-trips the
   JSON-lines wire protocol (``BatchResult.rejected``);
@@ -19,9 +16,13 @@ The contract under test (see docs/API.md "Scheduling"):
   pool size, after a crash with ``respawn=False``;
 * the parallel evaluation harnesses produce documents bit-identical to
   their serial twins (``repro sweep --jobs N`` contract), and a run that
-  raises is the same structured failure in-process as through a pool.
+  raises is the same structured failure in-process as through a pool —
+  without the in-process tier importing ``repro.serve`` to say so.
 """
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -37,34 +38,14 @@ def _req(app="jacobi", variant="spf", nprocs=2, tag=None):
                       seq_time=1.0, tag=tag)
 
 
-def test_repeat_keys_route_to_their_warm_worker():
-    a, b = _req(app="jacobi"), _req(app="mgs")
-    with RunService(workers=2, runner=ECHO) as svc:
-        warm = svc.run_batch([a, b])
-        assert warm.ok and warm.affinity_hits == 0
-        home = {r.app: r.worker for r in warm.results}
-        again = svc.run_batch([a, b])
-        assert again.ok
-        # both repeat keys landed on the worker that compiled them
-        assert {r.app: r.worker for r in again.results} == home
-        assert again.affinity_hits == 2
-        stats = svc.stats()["scheduler"]
-        assert stats["affinity_hits"] == 2
-        labels = [k for keys in stats["warm_keys"].values() for k in keys]
-        assert any(lbl.startswith("jacobi:spf:test:") for lbl in labels)
-
-
-def test_affinity_never_serializes_a_batch():
-    # six copies of ONE key through two workers: only one worker is ever
-    # warm, so without stealing the other would idle the batch away
+def test_identical_keys_use_every_worker():
+    # six copies of ONE key through two workers: a scheduler that keeps a
+    # key on the worker that compiled it would idle the other one away
     batch_requests = [_req(tag=f"r{i}") for i in range(6)]
     with RunService(workers=2, runner=ECHO) as svc:
         batch = svc.run_batch(batch_requests)
         assert batch.ok
-        assert batch.steals >= 1            # the cold worker took work
-        assert batch.affinity_hits >= 1     # the warm worker kept some
         assert len({r.worker for r in batch.results}) == 2
-        assert svc.stats()["scheduler"]["steals"] == batch.steals
 
 
 def test_admission_control_rejects_overflow_structured():
@@ -203,3 +184,23 @@ def test_run_requests_failure_is_structured_at_every_tier(jobs):
     assert good.ok
     with pytest.raises(RuntimeError, match="igrid/spf_opt.*ValueError"):
         run_requests(requests, jobs=jobs)
+
+
+def test_in_process_failure_does_not_import_the_service_tier():
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    code = (
+        "import sys\n"
+        "from repro.api import RunRequest\n"
+        "from repro.eval.parallel import run_requests\n"
+        "(bad,) = run_requests([RunRequest('igrid', 'spf_opt', "
+        "preset='test')], raise_on_error=False)\n"
+        "assert bad.error_kind == 'ValueError', bad\n"
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.serve')))")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == "[]"
