@@ -8,6 +8,9 @@ The one surface between "what to run" and "how it ran":
 * :func:`execute` / :func:`run` and :class:`ProgramCache` — the single
   execution path with compiled-program caching, and the coherent
   ``readback`` it can append to a DSM run (:mod:`repro.api.execute`),
+* :class:`InProcess` — the in-process tier: requests streamed through
+  one cache, exceptions turned into structured failures; what every
+  harness runs on at ``--jobs 1`` and what every pool worker serves,
 * :mod:`repro.api.registry` — the consolidated app/variant registry the
   CLI, harnesses and validators all share.
 
@@ -28,8 +31,8 @@ See ``docs/API.md`` for the full type and wire-protocol reference.
 """
 
 from repro.api import registry
-from repro.api.execute import (ProgramCache, execute, execute_with_arrays,
-                               run)
+from repro.api.execute import (InProcess, ProgramCache, execute,
+                               execute_with_arrays, run)
 from repro.api.registry import (APPS, BENCH_MATRIX, DSM_VARIANTS,
                                 FIGURE_VARIANTS, IRREGULAR_APPS,
                                 MODELED_VARIANTS, MP_VARIANTS, PRESETS,
@@ -46,6 +49,7 @@ __all__ = [
     "RunResult",
     "BatchResult",
     "ProgramCache",
+    "InProcess",
     "execute",
     "execute_with_arrays",
     "run",

@@ -34,15 +34,17 @@ from __future__ import annotations
 import hashlib
 import time as _time
 from collections import OrderedDict
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from repro.api import registry
 from repro.api.types import (RunRequest, RunResult, _replace,
-                             fault_plan_from_doc, machine_from_doc)
+                             failure_result, fault_plan_from_doc,
+                             machine_from_doc)
 
 __all__ = ["ProgramCache", "execute", "execute_with_arrays", "run",
+           "default_runner", "InProcess",
            "INTERNAL_PREFIXES", "READBACK_SOURCE"]
 
 
@@ -340,8 +342,8 @@ def execute(request: RunRequest,
 
     ``cache`` persists compiled programs across calls; omit it for a
     one-shot run (a fresh throwaway cache).  Execution errors propagate
-    as exceptions here; :func:`repro.eval.parallel.run_requests` and the
-    serve worker are what convert them into structured failure results.
+    as exceptions here; :class:`InProcess` is what converts them into
+    structured failure results.
     """
     return execute_with_arrays(request, cache)[0]
 
@@ -350,3 +352,49 @@ def run(request: RunRequest,
         cache: Optional[ProgramCache] = None) -> RunResult:
     """Alias of :func:`execute` (the friendlier public name)."""
     return execute(request, cache)
+
+
+def default_runner(request_doc: dict, cache: ProgramCache) -> dict:
+    """The runner every tier uses unless told otherwise: deserialize,
+    :func:`execute`, serialize back."""
+    return execute(RunRequest.from_json(request_doc), cache).to_json()
+
+
+class InProcess:
+    """The in-process tier: one cache, requests run here in the order
+    given, behind the ``workers``/``stream``/``stats`` surface the wire
+    layer serves and :func:`repro.eval.parallel.run_requests` drives.
+
+    It is both the ``jobs <= 1`` tier of every harness and the whole of
+    a :mod:`repro.serve` pool worker (``worker`` is then its id, stamped
+    on each result).  ``runner(request_doc, cache) -> result_doc`` is
+    what runs a request; an exception it raises becomes a structured
+    ``ok=False`` result (``error_kind`` = the exception class name) —
+    here, once, for every tier.
+    """
+
+    workers = 1
+
+    def __init__(self, runner: Callable = default_runner,
+                 worker: Optional[int] = None):
+        self.runner = runner
+        self.worker = worker
+        self.cache = ProgramCache()
+
+    def stream(self, requests: Iterable):
+        """Yield ``(index, RunResult)`` for :class:`RunRequest` objects
+        or request docs, in request order."""
+        for index, request in enumerate(requests):
+            doc = request.to_json() if isinstance(request, RunRequest) \
+                else request
+            try:
+                out = self.runner(doc, self.cache)
+                out["worker"] = self.worker
+                result = RunResult.from_json(out)
+            except Exception as exc:   # noqa: BLE001 — structured, not fatal
+                result = failure_result(doc, str(exc), type(exc).__name__,
+                                        worker=self.worker)
+            yield index, result
+
+    def stats(self) -> dict:
+        return {"workers": self.workers, "cache": self.cache.stats()}

@@ -5,17 +5,19 @@ Every evaluation harness — ``repro sweep``, ``chaos``, ``racecheck``,
 :class:`~repro.api.RunRequest` objects, hand them to
 :func:`run_requests`, judge the :class:`~repro.api.RunResult` objects.
 This module is the only place under ``repro.eval`` that chooses *where*
-requests run (:func:`service_for`): in this process through one shared
-:class:`~repro.api.ProgramCache`, through a
-:class:`~repro.serve.RunService` worker pool, or sharded across remote
-``repro serve --tcp`` hosts by a :class:`~repro.serve.FleetService`.
+requests run (:func:`service_for`): in this process
+(:class:`~repro.api.InProcess` — the same executor a pool worker
+serves), through a :class:`~repro.serve.RunService` worker pool, or
+sharded across remote ``repro serve --tcp`` hosts by a
+:class:`~repro.serve.FleetService`.
 
 The services stream completions in scheduler order; results are
 reassembled into request order, so a harness's rows/cells/tables do not
 depend on which worker — or host — finished first.  A run that raises
-becomes the same structured ``ok=False`` result at every tier, and every
-tier's results agree on the ``fingerprint()`` contract, so a harness
-document is the same whichever tier produced it (asserted by
+becomes the same structured ``ok=False`` result at every tier (it is
+made in one place, :meth:`InProcess.stream`), and every tier's results
+agree on the ``fingerprint()`` contract, so a harness document is the
+same whichever tier produced it (asserted by
 ``tests/test_scheduling.py``, ``test_faults.py``, ``test_racecheck.py``
 and the CI ``--jobs``/``--fleet`` smokes).
 """
@@ -25,31 +27,14 @@ from __future__ import annotations
 import contextlib
 from typing import Callable, Iterable, List, Optional
 
-from repro.api.execute import ProgramCache, execute
-from repro.api.types import RunRequest, RunResult, failure_result
+from repro.api.execute import InProcess
+from repro.api.types import RunRequest, RunResult
 
 __all__ = ["run_requests", "service_for"]
 
 
 def _describe(request: RunRequest) -> str:
     return f"{request.app}/{request.variant} n={request.nprocs}"
-
-
-class _InProcess:
-    """The ``jobs <= 1`` tier behind the services' ``stream`` interface:
-    each request runs here, in request order, through one shared cache."""
-
-    def __init__(self):
-        self.cache = ProgramCache()
-
-    def stream(self, requests: Iterable[RunRequest]):
-        for index, request in enumerate(requests):
-            try:
-                result = execute(request, self.cache)
-            except Exception as exc:   # noqa: BLE001 — as the worker does
-                result = failure_result(request.to_json(), str(exc),
-                                        type(exc).__name__)
-            yield index, result
 
 
 @contextlib.contextmanager
@@ -71,7 +56,7 @@ def service_for(jobs: int = 1, service=None, fleet: Optional[list] = None):
         with RunService(workers=jobs) as own:
             yield own
     else:
-        yield _InProcess()
+        yield InProcess()
 
 
 def run_requests(requests: Iterable[RunRequest],

@@ -1,13 +1,12 @@
-"""`Backlog` — the one queue under both transports of `repro.serve`.
+"""`Backlog` — the one queue under the `repro.serve` dispatch loop.
 
 Both tiers place work the same way: :class:`~repro.serve.RunService`
-onto worker processes behind pipes, :class:`~repro.serve.FleetService`
-onto remote hosts behind sockets.  Placement is FIFO — whoever has room
-gets the oldest queued request — and this module is the bookkeeping
-around that as a **pure value**: no IO, no threads, no clocks.  The
-transports own spawn/pipe/reap and connect/retry/probe; callers lock the
-backlog (the fleet under its ``Condition``; the pool is
-single-threaded).
+onto worker processes, :class:`~repro.serve.FleetService` onto remote
+hosts.  Placement is FIFO — whoever has room gets the oldest queued
+request — and this module is the bookkeeping around that as a **pure
+value**: no IO, no threads, no clocks.  The
+:class:`~repro.serve.service.Service` loop owns the sockets and is
+single-threaded, so nothing here locks.
 
 What it holds: ``max_backlog`` admission, the oldest-first queue, the
 in-flight set, exactly-once :meth:`Backlog.retire`, requeue-at-head for

@@ -1,219 +1,263 @@
-"""`RunService` — the persistent multi-process worker pool.
+"""`Service` — the one dispatch loop; `RunService` — the local worker pool.
 
 The simulator executes one run's virtual processors as parked Python
 threads inside a single process, so a process can only retire one run at
 a time no matter how many cores the host has.  Runs are embarrassingly
-parallel at the *request* level, though: a :class:`RunService` keeps
-``workers`` spawned processes alive across batches, hands each idle
-worker the next queued :class:`~repro.api.RunRequest`, and streams
-results back **as they complete**.  Each worker holds its own compiled-
-program cache, so repeated requests skip IR lowering/codegen (see
-:mod:`repro.api.execute`).
+parallel at the *request* level, though, and every tier above the
+in-process one is the same algorithm: admit requests to a
+:class:`~repro.serve.scheduler.Backlog`, hand the oldest to whichever
+:class:`Target` has room, stream results back **as they complete**, and
+when a target dies decide what becomes of its unfinished requests.
+:class:`Service` is that algorithm, written once: a single-threaded
+``multiprocessing.connection.wait`` over every target's socket, each of
+which speaks ``repro-serve/1`` (:mod:`repro.serve.wire`).
+:class:`RunService` is the service whose targets are spawned worker
+processes on socketpairs (:mod:`repro.serve.worker`);
+:class:`~repro.serve.FleetService` the one whose targets are remote
+``repro serve`` hosts on TCP.
 
-Scheduling is parent-side pull: every worker is connected by two simplex
-pipes (tasks down, results up) and has at most one assigned request,
-recorded in the parent *before* the task is sent.  Per-worker pipes —
-rather than one queue shared by all writers — are what make crash
-recovery airtight: a shared ``multiprocessing.Queue`` funnels every
-writer through one cross-process write lock, and a worker hard-killed
-while holding it would poison the queue for the whole pool.  A simplex
-pipe has a single writer, so a death can only sever that worker's own
-channel; the parent observes EOF on it the moment the process is gone.
-
-Placement is FIFO: an idle worker gets the oldest queued request.  The
-queue, ``max_backlog`` admission and the exactly-once bookkeeping are the
-shared :class:`~repro.serve.scheduler.Backlog`; this module is the pipe
-transport under it — spawn, send, receive, EOF, reap.
+Scheduling is parent-side pull: an assignment is recorded in the parent
+*before* it is sent.  A socket per target — rather than one queue
+shared by all writers — is what makes crash recovery airtight: a shared
+``multiprocessing.Queue`` funnels every writer through one cross-process
+write lock, and a worker hard-killed while holding it would poison the
+queue for the whole pool.  A worker's socket has one writer per
+direction, so a death can only sever that worker's own channel; the
+parent observes EOF on it the moment the process is gone.
 
 Failure surface — the contract the e2e tests pin:
 
 * an exception inside a run returns a structured ``ok=False``
   :class:`~repro.api.RunResult` (``error``/``error_kind``), never kills
   the worker;
-* a hard worker death (``os._exit``, segfault, OOM) is detected by EOF
-  on its result pipe (with an ``is_alive`` poll as backstop): the
-  assigned request is failed with ``error_kind="WorkerCrashed"``, the
-  pool respawns a replacement (when ``respawn=True``, the default), and
-  the rest of the batch completes — a crash mid-batch is a result, not
-  a hang.
-
-Use it as a context manager::
-
-    with RunService(workers=4) as svc:
-        for idx, res in svc.stream(requests):
-            ...                       # completion order
-        batch = svc.run_batch(requests)   # request order + counters
+* a hard worker death (``os._exit``, segfault, OOM) is EOF on its socket
+  (its process sentinel is watched too, for a corpse whose socket a
+  grandchild still holds): the assigned request is failed with
+  ``error_kind="WorkerCrashed"`` — a request that kills workers is never
+  retried — the pool respawns a replacement (when ``respawn=True``, the
+  default), and the rest of the batch completes: a crash mid-batch is a
+  result, not a hang;
+* a request whose *send* failed never reached its worker: it goes back
+  to the head of the queue and is not blamed.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import socket
 import time as _time
 from multiprocessing import connection as _mpc
 from typing import Callable, Iterable, Optional
 
 from repro.api.types import BatchResult, RunResult, failure_result
 from repro.serve.scheduler import Backlog
+from repro.serve.wire import WIRE_SCHEMA, JsonLines
 from repro.serve.worker import DEFAULT_RUNNER, worker_main
 
-__all__ = ["RunService", "DEFAULT_WORKERS", "collect_batch"]
+__all__ = ["Service", "Target", "RunService", "DEFAULT_WORKERS"]
 
 DEFAULT_WORKERS = 4
 
-_POLL_S = 0.1      # fallback liveness-poll period (EOF is the fast path)
 
+class Target:
+    """One peer that runs requests for a :class:`Service`: a connected
+    socket whose far end serves ``repro-serve/1``.
 
-def collect_batch(service, requests: Iterable,
-                  on_result: Optional[Callable] = None) -> BatchResult:
-    """Stream ``requests`` through ``service`` (a pool or a fleet) and
-    assemble the ordered :class:`BatchResult` with the counter deltas.
-
-    ``on_result(index, result)`` is called per completion, in completion
-    order (the wire ``batch`` op streams its ``result`` lines from it).
+    ``capacity`` is how many requests it takes at once (its ``hello``'s
+    ``workers``; 1 until that arrives) and ``assigned`` the seqs of the
+    chunk it has not finished answering.  ``requeue`` is what its loss
+    means for them: back to the head of the backlog for someone else, or
+    — the default — failed as ``WorkerCrashed``.
     """
-    requests = list(requests)
-    t0 = _time.perf_counter()
-    before = service.counters()
-    results: list = [None] * len(requests)
-    for index, result in service.stream(requests):
-        results[index] = result
-        if on_result is not None:
-            on_result(index, result)
-    delta = {k: v - before[k] for k, v in service.counters().items()}
-    return BatchResult(
-        results=tuple(results),
-        wall_s=round(_time.perf_counter() - t0, 6),
-        workers=service.live_workers(),
-        cache_hits=sum(1 for r in results if r.cache_hit),
-        cache_misses=sum(1 for r in results if r.cache_hit is False),
-        crashes=delta["crashes"],
-        rejected=delta["rejections"])
+
+    wid: Optional[int] = None        # a pool worker's id, for its results
+    sentinel: Optional[int] = None   # a local process's exit handle
+
+    def __init__(self, label: str, sock: Optional[socket.socket] = None,
+                 capacity: int = 1, requeue: bool = False):
+        self.label = label
+        self.chan = JsonLines(sock) if sock is not None else None
+        self.capacity = capacity
+        self.requeue = requeue
+        self.assigned: list = []
+        self.runs = 0                  # results it returned
+        self.requeues = 0              # requests requeued off it
+
+    def close(self, timeout: Optional[float] = None) -> None:
+        if self.chan is not None:
+            self.chan.close()
+            self.chan = None
+
+    def lost(self) -> str:
+        """The peer is gone: release our end, say what happened."""
+        self.close()
+        return f"{self.label} was lost"
 
 
-class RunService:
-    """A persistent pool of spawn-context worker processes.
+class _Worker(Target):
+    """A pool worker: a spawned process on the far end of a socketpair."""
 
-    ``runner`` is a ``"module:attr"`` dotted path resolved inside each
-    worker (tests inject failing/crashing runners through it); the
-    default executes through :func:`repro.api.execute`.
+    def __init__(self, wid: int, proc, sock: socket.socket):
+        super().__init__(f"worker {wid}", sock)
+        self.wid, self.proc, self.sentinel = wid, proc, proc.sentinel
 
-    Each idle worker takes the oldest queued request, one at a time.
+    def close(self, timeout: Optional[float] = 1.0) -> None:
+        self.proc.join(timeout)
+        if self.proc.is_alive():
+            self.proc.terminate()
+            self.proc.join(1.0)
+        super().close()
+
+    def lost(self) -> str:
+        self.close()
+        return f"worker {self.wid} died (exit code {self.proc.exitcode})"
+
+
+class Service:
+    """A :class:`Backlog` drained through :class:`Target` sockets by one
+    single-threaded loop.  Subclasses build the targets, say what
+    replaces a lost one (:meth:`_replace`), name the error that drains
+    the backlog when none is left (``exhausted``) and shape ``stats()``.
+
     ``max_backlog`` caps admitted work — overflow comes back at once as
-    structured ``error_kind="Rejected"`` results.
+    structured ``error_kind="Rejected"`` results.  ``timeout`` is how
+    long the loop waits in silence before it declares every busy target
+    lost (``None``: forever).
     """
 
-    def __init__(self, workers: int = DEFAULT_WORKERS,
-                 runner: str = DEFAULT_RUNNER,
-                 respawn: bool = True,
-                 max_backlog: Optional[int] = None):
-        if workers < 1:
-            raise ValueError("RunService needs at least one worker")
-        self.workers = workers
-        self.runner = runner
-        self.respawn = respawn
+    exhausted = ("WorkerCrashed", "no live target remains")
+
+    def __init__(self, targets: Iterable[Target] = (),
+                 max_backlog: Optional[int] = None,
+                 timeout: Optional[float] = None):
+        self.timeout = timeout
         self._backlog = Backlog(max_backlog)
-        # spawn, never fork: the parent's simulator threads and locks
-        # must not leak into a worker
-        self._ctx = mp.get_context("spawn")
-        self._procs: dict = {}           # worker_id -> Process
-        self._task_conns: dict = {}      # worker_id -> parent write end
-        self._result_conns: dict = {}    # worker_id -> parent read end
-        self._assigned: dict = {}        # worker_id -> seq sent down its pipe
-        self._cache_stats: dict = {}     # worker_id -> last-seen stats
-        self._next_worker = 0
+        self._targets = list(targets)     # the live ones
         self._crashes = 0
+        self._last_loss = "none"
         self._closed = False
-        for _ in range(workers):
-            self._spawn()
+
+    def _before_batch(self) -> None:
+        """Called as a ``stream`` starts (the fleet re-probes here)."""
+
+    def _replace(self, target: Target) -> None:
+        """``target`` was lost: count it, list its stand-in if any."""
+        self._crashes += 1
 
     # ------------------------------------------------------------------ #
-    # pool plumbing
-
-    def _spawn(self) -> int:
-        wid = self._next_worker
-        self._next_worker += 1
-        task_r, task_w = self._ctx.Pipe(duplex=False)
-        result_r, result_w = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(wid, task_r, result_w, self.runner),
-            name=f"repro-serve-{wid}", daemon=True)
-        proc.start()
-        # close the child's ends in the parent so a worker death turns
-        # into EOF on our read end instead of an eternally-open pipe
-        task_r.close()
-        result_w.close()
-        self._procs[wid] = proc
-        self._task_conns[wid] = task_w
-        self._result_conns[wid] = result_r
-        return wid
-
-    def _discard(self, wid: int) -> None:
-        """Forget a dead worker's process and pipes."""
-        self._procs.pop(wid, None)
-        for conns in (self._task_conns, self._result_conns):
-            conn = conns.pop(wid, None)
-            if conn is not None:
-                conn.close()
+    # the loop
 
     def _dispatch(self) -> None:
-        """Send every idle worker the oldest queued request (assignment
-        recorded before the send)."""
-        idle = [wid for wid in self._procs if wid not in self._assigned]
-        for wid in idle:
-            for seq, (_index, doc) in self._backlog.take():
-                self._assigned[wid] = seq
-                try:
-                    self._task_conns[wid].send(("run", seq, doc))
-                except (BrokenPipeError, OSError):
-                    # the worker died before it ever saw this request:
-                    # put it back at the head of the queue and reap the
-                    # corpse now — waiting for the liveness poll would
-                    # park the request on a dead worker for a whole poll
-                    # period, and failing it as WorkerCrashed would
-                    # blame a request the worker never received
-                    del self._assigned[wid]
-                    self._backlog.requeue([seq])
-                    self._reap_worker(wid)        # respawns if enabled
-                    return self._dispatch()       # offer the stand-in too
+        """Every idle target takes up to its capacity of the oldest
+        queued requests (assignment recorded before the send): one
+        request as ``run`` (answered by one ``result``), more as
+        ``batch`` (``result`` lines by chunk index, then ``batch-done``).
+        """
+        while self._backlog.queued:
+            target = next((t for t in self._targets if not t.assigned),
+                          None)
+            if target is None:
+                return
+            chunk = self._backlog.take(target.capacity)
+            target.assigned = [seq for seq, _item in chunk]
+            docs = [doc for _seq, (_index, doc) in chunk]
+            try:
+                if len(docs) == 1:
+                    target.chan.send({"op": "run", "request": docs[0]})
+                else:
+                    target.chan.send({"op": "batch", "requests": docs})
+            except OSError as exc:
+                # the target died before it ever saw these requests: put
+                # them back at the head of the queue and declare the loss
+                # now — failing them as WorkerCrashed would blame requests
+                # the target never received; its stand-in is offered them
+                self._backlog.requeue(target.assigned)
+                target.assigned = []
+                self._lose(target, f"send failed: {exc}")
 
-    def _reap_worker(self, wid: int) -> list:
-        """One worker is dead: fail its assignment, respawn a stand-in.
-        Returns the ``[(index, result)]`` it failed."""
-        proc = self._procs.get(wid)
-        if proc is not None:
-            proc.join(timeout=1.0)
-        self._discard(wid)
-        self._crashes += 1
-        item = self._backlog.retire(self._assigned.pop(wid, None))
-        if self.respawn and not self._closed:
-            self._spawn()
-        if item is None:
-            return []
-        exitcode = proc.exitcode if proc is not None else None
-        return [(item[0], failure_result(
-            item[1],
-            error=(f"worker {wid} died (exit code {exitcode}) "
-                   "while running this request"),
-            error_kind="WorkerCrashed", worker=wid))]
+    def _absorb(self, target: Target, msg: dict):
+        """Account one line from ``target``; the ``(index, result)`` it
+        completes, if any.  A line the protocol does not allow here
+        raises (the caller declares the target lost)."""
+        op = msg.get("op")
+        if op == "result":
+            result = RunResult.from_json(msg["result"])
+            seq = target.assigned[msg["index"]]
+            if len(target.assigned) == 1:      # a ``run``: reply complete
+                target.assigned = []
+            target.runs += 1
+            item = self._backlog.retire(seq)   # None: stale, batch is over
+            return None if item is None else (item[0], result)
+        if op == "batch-done":
+            target.assigned = []
+        elif op == "hello":
+            if msg.get("schema") != WIRE_SCHEMA:
+                raise ConnectionError(f"unexpected wire schema: {msg}")
+            target.capacity = max(1, int(msg.get("workers", 1)))
+        else:
+            raise ConnectionError(f"unexpected {op!r} line: "
+                                  f"{msg.get('message', msg)}")
+        return None
 
-    def _reap(self) -> list:
-        """Poll liveness (backstop to pipe EOF); fail dead assignments."""
+    def _lose(self, target: Target, why: str) -> list:
+        """``target`` is dead: requeue or fail what it was running, bring
+        in its stand-in.  Returns the ``[(index, result)]`` it failed."""
+        self._targets.remove(target)
+        seqs, target.assigned = target.assigned, []
+        what = target.lost()
+        self._last_loss = f"{what}: {why}"
         failed = []
-        for wid, proc in list(self._procs.items()):
-            if not proc.is_alive():
-                failed.extend(self._reap_worker(wid))
-        if not self._procs:
-            # pool exhausted (respawn disabled): fail everything left
-            failed.extend(
-                (index, failure_result(
-                    doc, error="no live workers remain in the pool",
-                    error_kind="WorkerCrashed"))
-                for index, doc in self._backlog.drain())
+        if target.requeue:
+            target.requeues += self._backlog.requeue(seqs)
+        else:
+            for seq in seqs:
+                item = self._backlog.retire(seq)
+                if item is not None:
+                    failed.append((item[0], failure_result(
+                        item[1], f"{what} while running this request",
+                        "WorkerCrashed", worker=target.wid)))
+        self._replace(target)
         return failed
 
+    def _wait(self) -> list:
+        """Block until a target has said something or died; account it.
+        Returns the ``[(index, result)]`` that completed, the failures of
+        lost targets included."""
+        watched: dict = {}
+        for target in self._targets:
+            watched[target.chan.sock] = target
+            if target.sentinel is not None:
+                watched[target.sentinel] = target
+        ready = _mpc.wait(list(watched), self.timeout)
+        out: list = []
+        if not ready:
+            for target in [t for t in self._targets if t.assigned]:
+                out += self._lose(target, f"no reply in {self.timeout} s")
+        for target in dict.fromkeys(watched[obj] for obj in ready):
+            try:
+                if target.chan.sock not in ready:
+                    raise ConnectionError("its process exited")
+                target.chan.fill()
+                while target.chan.inbox:
+                    done = self._absorb(target, target.chan.inbox.popleft())
+                    if done is not None:
+                        out.append(done)
+            except (OSError, LookupError, TypeError, ValueError) as exc:
+                out += self._lose(target, str(exc))
+        return out
+
+    def _ask(self, target: Target, op: str) -> dict:
+        """Between batches: one ``op`` round trip with ``target``."""
+        target.chan.send({"op": op})
+        while True:
+            msg = target.chan.recv()
+            if msg.get("op") == op:
+                return msg
+            # its hello, or the tail of a batch whose consumer went away
+            self._absorb(target, msg)
+
     # ------------------------------------------------------------------ #
-    # the service surface (FleetService presents the same seven names)
+    # the service surface: seven names, the same at pool and fleet
 
     def stream(self, requests: Iterable):
         """Yield ``(index, RunResult)`` in completion order.
@@ -225,43 +269,52 @@ class RunService:
 
         Requests that will not run yield first, as structured failures:
         ``error_kind="BadRequest"`` for a doc that does not parse,
-        ``"Rejected"`` for one over the ``max_backlog`` cap.
+        ``"Rejected"`` for one over the ``max_backlog`` cap.  With no
+        live target left, what is outstanding fails as ``exhausted``.
         """
         if self._closed:
-            raise RuntimeError("RunService is closed")
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        self._before_batch()
         try:
             yield from self._backlog.admit_requests(requests)
-            self._dispatch()
             while self._backlog.outstanding:
-                wid_of = {conn: wid
-                          for wid, conn in self._result_conns.items()}
-                ready = _mpc.wait(list(wid_of), timeout=_POLL_S) \
-                    if wid_of else []
-                failed = []
-                for conn in ready:
-                    wid = wid_of[conn]
-                    try:
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        failed.extend(self._reap_worker(wid))
-                        continue
-                    _kind, _wid, seq, doc, cache_stats = msg
-                    if self._assigned.get(wid) == seq:
-                        del self._assigned[wid]
-                    self._cache_stats[wid] = cache_stats
-                    item = self._backlog.retire(seq)
-                    if item is not None:
-                        yield item[0], RunResult.from_json(doc)
-                if not ready:
-                    failed.extend(self._reap())
-                yield from failed
                 self._dispatch()
+                if not self._targets:
+                    kind, what = self.exhausted
+                    for index, doc in self._backlog.drain():
+                        yield index, failure_result(
+                            doc, f"{what} (last lost: {self._last_loss})",
+                            kind)
+                    return
+                yield from self._wait()
         finally:
             self._backlog.clear()
 
-    def run_batch(self, requests: Iterable) -> BatchResult:
-        """Run a batch; return ordered results plus service counters."""
-        return collect_batch(self, requests)
+    def run_batch(self, requests: Iterable,
+                  on_result: Optional[Callable] = None) -> BatchResult:
+        """Run a batch; return ordered results plus the counter deltas.
+
+        ``on_result(index, result)`` is called per completion, in
+        completion order (the wire ``batch`` op streams its ``result``
+        lines from it).
+        """
+        requests = list(requests)
+        t0 = _time.perf_counter()
+        before = self.counters()
+        results: list = [None] * len(requests)
+        for index, result in self.stream(requests):
+            results[index] = result
+            if on_result is not None:
+                on_result(index, result)
+        delta = {k: v - before[k] for k, v in self.counters().items()}
+        return BatchResult(
+            results=tuple(results),
+            wall_s=round(_time.perf_counter() - t0, 6),
+            workers=self.live_workers(),
+            cache_hits=sum(1 for r in results if r.cache_hit),
+            cache_misses=sum(1 for r in results if r.cache_hit is False),
+            crashes=delta["crashes"],
+            rejected=delta["rejections"])
 
     def counters(self) -> dict:
         """Snapshot of the monotonic scheduling counters (for deltas):
@@ -270,14 +323,96 @@ class RunService:
         return {"crashes": self._crashes, **self._backlog.counters()}
 
     def live_workers(self) -> int:
-        """Workers alive right now (not the configured pool size)."""
-        return len(self._procs)
+        """Workers behind the live targets right now (not the configured
+        size)."""
+        return sum(t.capacity for t in self._targets)
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Idempotent.  Every target is told ``bye`` before any is waited
+        for, so local workers exit side by side; a remote service keeps
+        running — a front going away must not take its hosts with it."""
+        if self._closed:
+            return
+        self._closed = True
+        for target in self._targets:
+            try:
+                target.chan.send({"op": "bye"})
+            except OSError:
+                pass                   # already gone: nothing to tell
+        for target in self._targets:
+            target.close(timeout)
+        self._targets.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class RunService(Service):
+    """A persistent pool of spawn-context worker processes, each with
+    its own compiled-program cache (repeated requests skip IR
+    lowering/codegen, see :mod:`repro.api.execute`) and each taking the
+    oldest queued request, one at a time.
+
+    ``runner`` is a ``"module:attr"`` dotted path resolved inside each
+    worker (tests inject failing/crashing runners through it); the
+    default executes through :func:`repro.api.execute`.
+    """
+
+    exhausted = ("WorkerCrashed", "no live workers remain in the pool")
+
+    def __init__(self, workers: int = DEFAULT_WORKERS,
+                 runner: str = DEFAULT_RUNNER,
+                 respawn: bool = True,
+                 max_backlog: Optional[int] = None):
+        if workers < 1:
+            raise ValueError("RunService needs at least one worker")
+        super().__init__(max_backlog=max_backlog)
+        self.workers = workers
+        self.runner = runner
+        self.respawn = respawn
+        # spawn, never fork: the parent's simulator threads and locks
+        # must not leak into a worker
+        self._ctx = mp.get_context("spawn")
+        self._next_worker = 0
+        for _ in range(workers):
+            self._spawn()
+
+    def _spawn(self) -> None:
+        wid = self._next_worker
+        self._next_worker += 1
+        ours, theirs = socket.socketpair()
+        proc = self._ctx.Process(
+            target=worker_main, args=(wid, theirs, self.runner),
+            name=f"repro-serve-{wid}", daemon=True)
+        try:
+            proc.start()
+        finally:
+            # the child has its own copy: with ours closed, a worker
+            # death is EOF on our end instead of an eternally-open socket
+            theirs.close()
+        self._targets.append(_Worker(wid, proc, ours))
+
+    def _replace(self, worker: Target) -> None:
+        self._crashes += 1
+        if self.respawn and not self._closed:
+            self._spawn()
 
     def stats(self) -> dict:
-        per_worker = {str(wid): stats
-                      for wid, stats in sorted(self._cache_stats.items())}
+        """Pool counters plus each live worker's cache counters, asked
+        with the ``stats`` op (so: between batches).  A worker found dead
+        here is replaced and shows up in the next snapshot."""
+        per_worker = {}
+        for worker in list(self._targets):
+            try:
+                per_worker[str(worker.wid)] = \
+                    self._ask(worker, "stats")["stats"]["cache"]
+            except (OSError, LookupError) as exc:
+                self._lose(worker, str(exc))
         return {
-            "workers": len(self._procs),
+            "workers": len(self._targets),
             "crashes": self._crashes,
             "cache": {
                 "hits": sum(s["hits"] for s in per_worker.values()),
@@ -286,30 +421,3 @@ class RunService:
             },
             "scheduler": self._backlog.stats(),
         }
-
-    def close(self, timeout: float = 5.0) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._task_conns.values():
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        deadline = _time.monotonic() + timeout
-        for proc in self._procs.values():
-            proc.join(timeout=max(0.0, deadline - _time.monotonic()))
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        self._procs.clear()
-        for conns in (self._task_conns, self._result_conns):
-            for conn in conns.values():
-                conn.close()
-            conns.clear()
-
-    def __enter__(self) -> "RunService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

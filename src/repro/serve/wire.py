@@ -23,9 +23,14 @@ Client -> server::
     {"op": "shutdown"}          # stop the whole service
     {"op": "bye"}               # close just this connection
 
-``repro serve`` speaks this over stdio (``--stdio``) or a TCP socket
-(``--port``); :class:`WireClient` is the in-library client the e2e tests
-and :class:`~repro.serve.FleetService` point at a remote service.
+Three servers answer these lines through the one :func:`_serve_lines`
+loop: ``repro serve`` on stdio, :class:`WireServer` per TCP connection
+(``--port``), and every pool worker process on its socketpair
+(:func:`serve_socket` — a worker is a one-worker wire peer that is only
+ever sent ``run``, ``stats`` and ``bye``).  Two clients read them off a
+:class:`JsonLines` socket end: :class:`WireClient`, the blocking
+in-library client, and the :class:`~repro.serve.service.Service`
+dispatch loop, which multiplexes many such ends.
 """
 
 from __future__ import annotations
@@ -34,15 +39,15 @@ import json
 import socket
 import socketserver
 import threading
+from collections import deque
 from typing import Iterable, Optional
 
 from repro.api.types import BatchResult, RunResult
-from repro.serve.service import collect_batch
 
 WIRE_SCHEMA = "repro-serve/1"
 
-__all__ = ["WIRE_SCHEMA", "serve_stdio", "WireServer", "WireClient",
-           "WireConnectionLost"]
+__all__ = ["WIRE_SCHEMA", "JsonLines", "serve_stdio", "serve_socket",
+           "WireServer", "WireClient", "WireConnectionLost"]
 
 
 class WireConnectionLost(ConnectionError):
@@ -50,7 +55,7 @@ class WireConnectionLost(ConnectionError):
 
     Raised instead of a bare ``JSONDecodeError``/``IndexError`` when the
     socket returns EOF, a partial line, or a garbled line.  Structured so
-    callers (the fleet tier above all) can act on it:
+    a retrying caller can act on it:
 
     * ``host``/``port`` — the endpoint that was lost;
     * ``in_flight`` — the id (or op) of the request awaiting a reply;
@@ -72,43 +77,100 @@ class WireConnectionLost(ConnectionError):
         self.pending = list(pending or [])
 
 
-def _hello(service) -> dict:
-    return {"op": "hello", "schema": WIRE_SCHEMA,
-            "workers": service.workers}
+class JsonLines:
+    """The client end of one ``repro-serve/1`` conversation on a socket:
+    message objects out, complete JSON lines in.
+
+    :meth:`fill` is one ``recv`` — what a select loop calls when the
+    socket is readable — and queues every complete line on ``inbox``;
+    :meth:`recv` blocks for the next message.  EOF, a line cut short by
+    EOF and a line that is not a JSON object all raise
+    ``ConnectionError`` saying which.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.inbox: deque = deque()      # decoded, not yet taken
+        self._tail = b""                 # bytes after the last newline
+
+    @classmethod
+    def connect(cls, host: str, port: int, timeout: float) -> "JsonLines":
+        sock = socket.create_connection((host, int(port)), timeout=timeout)
+        # small request lines must not wait on Nagle for the peer's ACK
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return cls(sock)
+
+    def send(self, obj: dict) -> None:
+        self.sock.sendall(
+            (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8"))
+
+    def fill(self) -> None:
+        data = self.sock.recv(1 << 16)
+        if not data:
+            raise ConnectionError(
+                f"partial line ({len(self._tail)} byte(s) without a "
+                f"newline)" if self._tail
+                else "EOF (peer closed the connection)")
+        *lines, self._tail = (self._tail + data).split(b"\n")
+        for line in lines:
+            try:
+                msg = json.loads(line)
+                if not isinstance(msg, dict):
+                    raise ValueError(f"not an object: {msg!r}")
+            except ValueError as exc:
+                raise ConnectionError(f"garbled line: {exc}") from exc
+            self.inbox.append(msg)
+
+    def recv(self) -> dict:
+        while not self.inbox:
+            self.fill()
+        return self.inbox.popleft()
+
+    def close(self) -> None:
+        self.sock.close()
 
 
-def _handle(service, msg: dict, emit, lock: threading.Lock) -> str:
+def _handle(service, msg, emit, lock: threading.Lock) -> str:
     """Dispatch one client message; returns "", "bye" or "shutdown".
 
     ``emit`` writes one message object back to this client; ``lock``
     serializes access to the (single-consumer) service queues so several
-    TCP connections cannot interleave their streams.
+    TCP connections cannot interleave their streams.  ``service`` needs
+    ``workers``, ``stream`` and ``stats`` (and ``run_batch`` to answer
+    ``batch``).  A message that is not what its op requires raises,
+    naming the field — one ``error`` line, the session stays up.
     """
+    if not isinstance(msg, dict):
+        raise ValueError(f"a message is a JSON object with an \"op\", "
+                         f"not {type(msg).__name__}")
     op = msg.get("op")
-    if op == "bye":
+    if op in ("bye", "shutdown"):
         emit({"op": "bye"})
-        return "bye"
-    if op == "shutdown":
-        emit({"op": "bye"})
-        return "shutdown"
+        return op
     if op == "stats":
         with lock:
             emit({"op": "stats", "stats": service.stats()})
         return ""
     if op == "run":
+        if "request" not in msg:
+            raise ValueError("run: missing \"request\" (a request doc)")
         with lock:
-            batch = service.run_batch([msg["request"]])
+            [(_index, result)] = service.stream([msg["request"]])
         emit({"op": "result", "id": msg.get("id"), "index": 0,
-              "result": batch.results[0].to_json()})
+              "result": result.to_json()})
         return ""
     if op == "batch":
+        requests = msg.get("requests", [])
+        if not isinstance(requests, list):
+            raise ValueError(f"batch: \"requests\" must be a list of "
+                             f"request docs, not {type(requests).__name__}")
+
         def on_result(index: int, result: RunResult) -> None:
             emit({"op": "result", "id": msg.get("id"), "index": index,
                   "result": result.to_json()})
 
         with lock:
-            batch = collect_batch(service, msg.get("requests", []),
-                                  on_result)
+            batch = service.run_batch(requests, on_result)
         emit({"op": "batch-done", "id": msg.get("id"),
               "batch": batch.to_json()})
         return ""
@@ -116,14 +178,15 @@ def _handle(service, msg: dict, emit, lock: threading.Lock) -> str:
     return ""
 
 
-def _serve_lines(service, lines: Iterable[str], write, lock) -> str:
-    """The read-dispatch loop of both transports: greet, then answer one
-    JSON line at a time through ``write(text)``.  Returns why it stopped:
-    ``"bye"``, ``"shutdown"`` or ``"eof"``."""
+def _serve_lines(service, lines: Iterable[str], out, lock) -> str:
+    """The read-dispatch loop of every server: greet, then answer one
+    JSON line at a time on the text stream ``out``.  Returns why it
+    stopped: ``"bye"``, ``"shutdown"`` or ``"eof"``."""
     def emit(obj: dict) -> None:
-        write(json.dumps(obj, sort_keys=True) + "\n")
+        out.write(json.dumps(obj, sort_keys=True) + "\n")
+        out.flush()
 
-    emit(_hello(service))
+    emit({"op": "hello", "schema": WIRE_SCHEMA, "workers": service.workers})
     for line in lines:
         line = line.strip()
         if not line:
@@ -144,19 +207,22 @@ def _serve_lines(service, lines: Iterable[str], write, lock) -> str:
 
 
 # ---------------------------------------------------------------------- #
-# stdio transport
+# the three servers: text streams, a connected socket, a TCP listener
 
 def serve_stdio(service, stdin, stdout) -> str:
     """Serve one client over text streams; returns why we stopped."""
-    def write(text: str) -> None:
-        stdout.write(text)
-        stdout.flush()
-
-    return _serve_lines(service, stdin, write, threading.Lock())
+    return _serve_lines(service, stdin, stdout, threading.Lock())
 
 
-# ---------------------------------------------------------------------- #
-# TCP transport
+def serve_socket(service, sock: socket.socket,
+                 lock: Optional[threading.Lock] = None) -> str:
+    """Serve the peer of a connected socket — one of
+    :class:`WireServer`'s TCP connections, or a pool worker's end of its
+    socketpair; returns why we stopped.  The caller closes ``sock``."""
+    with sock.makefile("rw", encoding="utf-8") as stream:
+        return _serve_lines(service, stream, stream,
+                            lock or threading.Lock())
+
 
 class WireServer:
     """Threaded TCP front-end over one shared :class:`RunService`.
@@ -176,16 +242,11 @@ class WireServer:
 
         class _Handler(socketserver.StreamRequestHandler):
             # setup() sets TCP_NODELAY: a batch reply is several small
-            # flushed lines, and Nagle x delayed-ACK stalls each ~40 ms
+            # lines, and Nagle x delayed-ACK stalls each ~40 ms
             disable_nagle_algorithm = True
 
             def handle(self) -> None:
-                def write(text: str) -> None:
-                    self.wfile.write(text.encode("utf-8"))
-                    self.wfile.flush()
-
-                lines = (line.decode("utf-8") for line in self.rfile)
-                if _serve_lines(outer.service, lines, write,
+                if serve_socket(outer.service, self.connection,
                                 outer._lock) == "shutdown":
                     threading.Thread(target=outer._tcp.shutdown,
                                      daemon=True).start()
@@ -226,7 +287,7 @@ class WireServer:
 
 
 class WireClient:
-    """Minimal JSON-lines client for a :class:`WireServer`.
+    """Minimal blocking JSON-lines client for a :class:`WireServer`.
 
     Connection loss anywhere in a conversation raises the structured
     :class:`WireConnectionLost` (endpoint + in-flight request id), never
@@ -239,12 +300,7 @@ class WireClient:
         self.host, self.port = host, int(port)
         self._closed = False
         self._in_flight: object = "hello"
-        self._sock = socket.create_connection((host, port),
-                                              timeout=timeout)
-        # small request lines must not wait on Nagle for the peer's ACK
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        self._rfile = self._sock.makefile("r", encoding="utf-8")
-        self._wfile = self._sock.makefile("w", encoding="utf-8")
+        self._chan = JsonLines.connect(host, port, timeout)
         self.hello = self._recv()
         if self.hello.get("schema") != WIRE_SCHEMA:
             raise RuntimeError(f"unexpected wire schema: {self.hello}")
@@ -260,33 +316,28 @@ class WireClient:
             raise self._lost("client already closed")
         self._in_flight = obj.get("id") or obj.get("op")
         try:
-            self._wfile.write(json.dumps(obj, sort_keys=True) + "\n")
-            self._wfile.flush()
-        except (OSError, ValueError) as exc:
+            self._chan.send(obj)
+        except OSError as exc:
             raise self._lost(f"send failed: {exc}") from exc
 
     def _recv(self) -> dict:
         try:
-            line = self._rfile.readline()
-        except (OSError, ValueError) as exc:   # timeout included
-            raise self._lost(f"read failed: {exc}") from exc
-        if not line:
-            raise self._lost("EOF (server closed the connection)")
-        if not line.endswith("\n"):
-            raise self._lost(f"partial line ({len(line)} byte(s) "
-                             f"without a newline)")
-        try:
-            return json.loads(line)
-        except ValueError as exc:
-            raise self._lost(f"garbled line: {exc}") from exc
+            return self._chan.recv()
+        except OSError as exc:     # EOF, partial, garbled, timeout
+            raise self._lost(str(exc)) from exc
 
-    def run(self, request, id: Optional[object] = None) -> RunResult:
-        doc = request.to_json() if hasattr(request, "to_json") else request
-        self._send({"op": "run", "id": id, "request": doc})
+    def _call(self, obj: dict) -> dict:
+        """One request, one reply (an ``error`` reply raises)."""
+        self._send(obj)
         msg = self._recv()
         if msg.get("op") == "error":
             raise RuntimeError(msg.get("message"))
-        return RunResult.from_json(msg["result"])
+        return msg
+
+    def run(self, request, id: Optional[object] = None) -> RunResult:
+        doc = request.to_json() if hasattr(request, "to_json") else request
+        return RunResult.from_json(
+            self._call({"op": "run", "id": id, "request": doc})["result"])
 
     def stream_batch(self, requests: Iterable,
                      id: Optional[object] = None):
@@ -298,7 +349,7 @@ class WireClient:
         (EOF, not the read timeout) and marks the split: ``completed``
         maps the batch indexes that produced results to them, ``pending``
         lists the indexes that were still in flight — a retrying caller
-        (the fleet tier) requeues exactly ``pending``, nothing twice.
+        resends exactly ``pending``, nothing twice.
         """
         docs = [r.to_json() if hasattr(r, "to_json") else r
                 for r in requests]
@@ -332,17 +383,13 @@ class WireClient:
         return batch
 
     def stats(self) -> dict:
-        self._send({"op": "stats"})
-        msg = self._recv()
-        if msg.get("op") == "error":
-            raise RuntimeError(msg.get("message"))
-        return msg["stats"]
+        return self._call({"op": "stats"})["stats"]
 
     def shutdown(self) -> None:
         try:
             self._send({"op": "shutdown"})
             self._recv()
-        except (ConnectionError, ValueError, OSError):
+        except WireConnectionLost:
             pass           # the point was to take the server down
 
     def close(self) -> None:
@@ -351,14 +398,10 @@ class WireClient:
             return
         try:
             self._send({"op": "bye"})
-        except (OSError, ValueError, WireConnectionLost):
+        except WireConnectionLost:
             pass
         self._closed = True
-        for stream in (self._rfile, self._wfile, self._sock):
-            try:
-                stream.close()
-            except (OSError, ValueError):
-                pass
+        self._chan.close()
 
     def __enter__(self) -> "WireClient":
         return self

@@ -1,33 +1,17 @@
-"""The run-service worker process: one loop, one compiled-program cache.
+"""The run-service worker process: a one-worker ``repro-serve/1`` peer.
 
-Workers are plain ``multiprocessing`` processes (spawn context, so the
-parent's simulator threads and locks never leak into a child).  Each
-worker owns a :class:`~repro.api.execute.ProgramCache`; repeated requests
-landing on the same worker skip IR lowering and codegen entirely.
-
-Protocol with the parent (:class:`~repro.serve.service.RunService`) —
-two simplex pipes per worker, never a shared queue:
-
-* task pipe (parent writes, worker reads): ``("run", seq, request_doc)``
-  or ``None`` (shutdown).  The parent assigns one task at a time and
-  records the assignment on its side, so a worker that dies instantly
-  can never take the identity of its in-flight request with it;
-* result pipe (worker writes, parent reads): ``("done", worker_id, seq,
-  result_doc, cache_stats)``.
-
-Why pipes and not one shared result queue: a ``multiprocessing.Queue``
-shared by many writers serializes them through a cross-process write
-lock, and a worker hard-killed (``os._exit``, segfault, OOM) while its
-feeder thread holds that lock poisons the queue for every surviving
-writer — the pool would hang forever.  A simplex pipe has exactly one
-writer, so a crash can only ever break that worker's own channel; the
-parent sees EOF on it and turns the death into a structured
-``WorkerCrashed`` result.
-
-Exceptions raised by a run are converted to structured failure results
-(``ok=False`` with the exception type and message) right here; only a
-hard process death escapes, and the parent's liveness monitor handles
-that.
+Workers are plain ``multiprocessing`` processes, one per socketpair
+(why a socket each and never a shared queue:
+:mod:`repro.serve.service`).  A worker is the in-process tier
+(:class:`repro.api.InProcess` — one :class:`~repro.api.ProgramCache`,
+so repeated requests landing on the same worker skip IR lowering and
+codegen, and a run that raises becomes a structured ``ok=False`` result
+right there) served on the worker's end of the socketpair by the same
+:func:`~repro.serve.wire._serve_lines` loop that answers ``repro serve``
+clients on stdio and TCP.  It greets with ``hello`` (``workers: 1``),
+answers ``run`` and ``stats``, and exits on ``bye`` or when the parent's
+end closes.  Only a hard process death escapes; the parent sees EOF on
+its end and turns it into a structured ``WorkerCrashed`` result.
 
 ``runner`` is a dotted path (``"module:attr"``) resolved inside the
 worker — the default executes through :func:`repro.api.execute`; tests
@@ -37,9 +21,11 @@ inject crashing/failing runners the same way.
 from __future__ import annotations
 
 import importlib
-from typing import Optional
 
-DEFAULT_RUNNER = "repro.serve.worker:default_runner"
+from repro.api.execute import InProcess
+from repro.serve.wire import serve_socket
+
+DEFAULT_RUNNER = "repro.api.execute:default_runner"
 
 
 def resolve_runner(path: str):
@@ -50,42 +36,9 @@ def resolve_runner(path: str):
     return getattr(importlib.import_module(module), attr)
 
 
-def default_runner(request_doc: dict, cache):
-    """Deserialize, execute through the unified API, serialize back."""
-    from repro.api.execute import execute
-    from repro.api.types import RunRequest
-
-    request = RunRequest.from_json(request_doc)
-    return execute(request, cache).to_json()
-
-
-def worker_main(worker_id: int, task_conn, result_conn,
+def worker_main(worker_id: int, sock,
                 runner_path: str = DEFAULT_RUNNER) -> None:
-    """Entry point of one worker process (runs until shutdown)."""
-    from repro.api.execute import ProgramCache
-
-    runner = resolve_runner(runner_path)
-    cache = ProgramCache()
-    while True:
-        try:
-            item = task_conn.recv()
-        except EOFError:       # parent went away: nothing left to serve
-            break
-        if item is None:
-            break
-        _kind, seq, request_doc = item
-        doc = _run_one(runner, request_doc, cache, worker_id)
-        result_conn.send(("done", worker_id, seq, doc, cache.stats()))
-
-
-def _run_one(runner, request_doc: dict, cache,
-             worker_id: Optional[int]) -> dict:
-    try:
-        doc = runner(request_doc, cache)
-    except Exception as exc:   # noqa: BLE001 — structured, not fatal
-        from repro.api.types import failure_result
-
-        doc = failure_result(request_doc, error=str(exc),
-                             error_kind=type(exc).__name__).to_json()
-    doc["worker"] = worker_id
-    return doc
+    """Entry point of one worker process (runs until ``bye`` or EOF)."""
+    with sock:
+        serve_socket(InProcess(resolve_runner(runner_path), worker_id),
+                     sock)

@@ -106,6 +106,14 @@ def test_stream_yields_every_index_exactly_once(fleet):
     assert all(r.ok for r in seen.values())
 
 
+def test_fleet_stream_starts_no_thread(fleet):
+    # hosts are sockets in the one dispatch loop, not a thread each
+    for _index, result in fleet.stream(_reqs(6)):
+        assert result.ok
+        assert not [t.name for t in threading.enumerate()
+                    if t.name.startswith("repro-fleet")]
+
+
 def test_stats_shape_and_probe(fleet):
     stats = fleet.stats()
     assert stats["workers"] == fleet.live_workers()

@@ -114,6 +114,30 @@ def test_bad_request_doc_over_the_wire_then_next_batch_ok():
             server.close()
 
 
+@pytest.mark.parametrize("line,names", [
+    ('{"op": "run"}', '"request"'),
+    ('5', "JSON object"),
+    ('{"op": "batch", "requests": 5}', '"requests" must be a list'),
+    ('{"op": "batch", "requests": "ab"}', '"requests" must be a list'),
+])
+def test_wire_input_errors_name_the_field(line, names):
+    import io
+    import json
+
+    from repro.serve import serve_stdio
+
+    good = json.dumps({"op": "run", "request": _req(tag="ok").to_json()})
+    out = io.StringIO()
+    with RunService(workers=1, runner=ECHO) as svc:
+        verdict = serve_stdio(svc, io.StringIO(f"{line}\n{good}\n"), out)
+    assert verdict == "eof"
+    hello, error, result = map(json.loads, out.getvalue().splitlines())
+    assert hello["op"] == "hello"
+    assert error["op"] == "error" and names in error["message"]
+    # one error line, then the session carries on
+    assert result["op"] == "result" and result["result"]["ok"]
+
+
 def test_one_request_wire_batch_does_not_stall_on_nagle():
     # `result` then `batch-done` are two small flushed segments; without
     # TCP_NODELAY on both sockets every batch waits ~40 ms for the
@@ -151,7 +175,7 @@ def test_dead_worker_send_failure_requeues_not_fails():
     # (never blame it as WorkerCrashed — the worker never received it),
     # reap the corpse and respawn, so the batch still succeeds
     with RunService(workers=1, runner=ECHO) as svc:
-        proc = next(iter(svc._procs.values()))
+        proc = svc._targets[0].proc
         proc.terminate()
         proc.join(timeout=5.0)
         batch = svc.run_batch([_req(tag="revived")])

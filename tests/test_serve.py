@@ -14,10 +14,13 @@ The contract under test (see docs/API.md):
   results and batch documents.
 """
 
+import collections
+import multiprocessing
+
 import pytest
 
 from repro.api import ProgramCache, RunRequest, execute
-from repro.serve import RunService, WireClient, WireServer
+from repro.serve import WIRE_SCHEMA, RunService, WireClient, WireServer
 
 #: tiny standard-preset mix: two DSM variants, one MP, one sequential
 REQUESTS = [
@@ -113,6 +116,53 @@ def test_worker_crash_mid_batch_surfaces_error_not_hang():
                                           tag="ok-3")])
         assert after.ok
         assert svc.stats()["crashes"] == 1
+
+
+def _pool_children():
+    return collections.Counter(
+        p.name for p in multiprocessing.active_children()
+        if p.name.startswith("repro-serve-"))
+
+
+def test_pool_workers_are_multiprocessing_children():
+    # workers are found, pinned and metered from outside through
+    # multiprocessing.active_children(), by name: alive the moment the
+    # constructor returns, and N of them again after a crash + respawn
+    others = _pool_children()        # the module fixture's pool, if up
+    with RunService(workers=3, runner=ECHO) as svc:
+        assert sorted(_pool_children() - others) \
+            == ["repro-serve-0", "repro-serve-1", "repro-serve-2"]
+        batch = svc.run_batch([
+            RunRequest("jacobi", "spf", preset="test", tag="crash"),
+            RunRequest("jacobi", "spf", preset="test", tag="ok")])
+        assert batch.crashes == 1
+        mine = _pool_children() - others
+        assert sum(mine.values()) == 3 and mine["repro-serve-3"] == 1
+    assert _pool_children() == others
+
+
+def test_dead_workers_leave_pool_stats():
+    with RunService(workers=2, runner=ECHO) as svc:
+        svc.run_batch([
+            RunRequest("jacobi", "spf", preset="test", tag="ok"),
+            RunRequest("jacobi", "spf", preset="test", tag="crash"),
+            RunRequest("jacobi", "spf", preset="test", tag="ok")])
+        stats = svc.stats()
+        assert stats["crashes"] == 1 and stats["workers"] == 2
+        per_worker = stats["cache"]["per_worker"]
+        assert len(per_worker) == stats["workers"]
+        assert stats["cache"]["misses"] \
+            == sum(w["misses"] for w in per_worker.values())
+
+
+def test_a_worker_is_a_wire_peer():
+    # parent <-> worker bytes are repro-serve/1 lines: read the first one
+    # off a worker's socket before the service does
+    with RunService(workers=1, runner=ECHO) as svc:
+        hello = svc._targets[0].chan.recv()
+        assert hello == {"op": "hello", "schema": WIRE_SCHEMA, "workers": 1}
+        assert svc.run_batch([RunRequest("jacobi", "spf", preset="test",
+                                         tag="after-hello")]).ok
 
 
 def test_unknown_variant_fails_structured_not_fatal(service):
