@@ -180,7 +180,10 @@ class Cluster:
                                         program, tuple(args) + extra)
             procs.append(proc)
             self.envs.append(ProcEnv(self, pid, proc))
-        self.sim.run(until=until)
+        try:
+            self.sim.run(until=until)
+        finally:
+            self.envs.clear()   # envs <-> cluster: the run's lifetime ends here
         times = [p.finish_time if p.finish_time is not None else self.sim.now
                  for p in procs]
         return RunResult(

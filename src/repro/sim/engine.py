@@ -263,6 +263,11 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # construction
 
+    def _refuse_reuse(self) -> None:
+        if self._dead:
+            raise SimError("Simulator instances are single-use: this one "
+                           "has finished its run")
+
     def add_process(self, name: str, fn: Callable[..., Any],
                     *args: Any, daemon: bool = False, **kwargs: Any) -> Process:
         """Register a simulated process: a thread process if ``fn`` is a
@@ -273,6 +278,7 @@ class Simulator:
         alive: once every non-daemon process has finished, :meth:`run`
         returns, and parked daemons are not a deadlock.
         """
+        self._refuse_reuse()
         proc = Process(self, len(self._procs), name, fn, args, kwargs,
                        daemon=daemon)
         self._procs.append(proc)
@@ -404,8 +410,10 @@ class Simulator:
         Returns the final virtual time.  Raises :class:`SimError` if any
         process raised, whatever a :meth:`schedule_call` callback raised, and
         :class:`Deadlock` if live processes remain but no event can ever
-        wake them.
+        wake them.  A simulator runs once: a finished one raises
+        :class:`SimError` here and in :meth:`add_process`.
         """
+        self._refuse_reuse()
         self._running = True
         self._until = until
         for proc in self._procs:
@@ -434,8 +442,10 @@ class Simulator:
 
     def _teardown(self) -> None:
         """Close every unfinished generator body (its ``finally`` blocks run;
-        one never stepped runs nothing) and unblock every still-blocked
-        thread so it unwinds and exits."""
+        one never stepped runs nothing), unblock every still-blocked thread
+        so it unwinds and exits, then end this simulator's lifetime: drop
+        every reaped body, the event heap and the diagnostics, so the world
+        they reference dies by reference count, not at some later GC pass."""
         self._dead = True
         for proc in self._procs:
             if proc._gen is not None and not proc.finished:
@@ -457,6 +467,14 @@ class Simulator:
                 warnings.warn(
                     f"simulated process thread {proc._thread.name!r} still "
                     f"alive after teardown: {proc._site()}", ResourceWarning)
+            else:
+                proc._thread = None     # a survivor keeps its, for the report
+        for proc in self._procs:
+            proc._fn = proc._args = proc._kwargs = proc._gen = None
+        self._procs.clear()
+        self._queue.clear()
+        self.diagnostics.clear()
+        self._raised = None             # its traceback holds run()'s frame
 
     # ------------------------------------------------------------------ #
 

@@ -154,13 +154,19 @@ def tmk_run(nprocs: int,
         tmk = Tmk(env, world)
         return program(tmk, *rest)
 
-    result = cluster.run(wrapper, args=args)
-    world.dsm_stats.retransmissions = cluster.net.stats.retransmissions
-    result.dsm_stats = world.dsm_stats.snapshot()
-    result.fault_stats = cluster.net.fault_stats
-    if trace:
-        result.trace = world.trace
-    if racecheck:
-        result.race_monitor = world.race_monitor
-        result.racecheck = world.race_monitor.finish()
+    try:
+        result = cluster.run(wrapper, args=args)
+        world.dsm_stats.retransmissions = cluster.net.stats.retransmissions
+        result.dsm_stats = world.dsm_stats.snapshot()
+        result.fault_stats = cluster.net.fault_stats
+        if trace:
+            result.trace = world.trace
+        if racecheck:
+            result.race_monitor = world.race_monitor
+            result.racecheck = world.race_monitor.finish()
+    finally:
+        # the world's lifetime ends with the run: nodes <-> world and
+        # monitor <-> world are cut (the monitor keeps its ``world``)
+        world.nodes.clear()
+        world.race_monitor = None
     return result

@@ -324,7 +324,9 @@ class RaceMonitor:
 
 
 def attach_race_monitor(world, capacity: int = 500_000) -> RaceMonitor:
-    """Instrument ``world`` (must precede the cluster run)."""
+    """Instrument ``world`` (must precede the cluster run).  ``tmk_run``
+    detaches it again (``world.race_monitor = None``) when the run ends; the
+    monitor keeps its ``world``, so a result never holds a cycle."""
     mon = RaceMonitor(world, capacity=capacity)
     world.race_monitor = mon
     return mon

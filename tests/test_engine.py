@@ -489,6 +489,35 @@ def test_thread_surviving_teardown_is_reported(monkeypatch):
     assert not proc._thread.is_alive()
 
 
+def test_finished_simulator_refuses_a_second_run():
+    """A second ``run()`` used to let the private ``_Killed`` (a
+    ``BaseException``) escape to the caller."""
+    sim = Simulator()
+    proc = sim.add_process("p", lambda: sim.current.hold(1.0) or "done")
+    assert sim.run() == 1.0
+    with pytest.raises(SimError, match="single-use"):
+        run_bounded(sim)
+    with pytest.raises(SimError, match="single-use"):
+        run_bounded(sim, until=5.0)
+    # what callers read after a run is still there
+    assert (sim.now, sim.events, sim.switches) == (1.0, 2, 1)
+    assert (proc.name, proc.finished, proc.finish_time, proc.result) == (
+        "p", True, 1.0, "done")
+
+
+def test_finished_simulator_refuses_add_process_and_starts_no_thread():
+    """``add_process`` after the run used to start a ``simproc-`` thread that
+    blocked on its baton forever."""
+    sim = Simulator()
+    sim.add_process("a", lambda: None)
+    sim.run()
+    with pytest.raises(SimError, match="single-use"):
+        sim.add_process("b", lambda: None)
+    with pytest.raises(SimError, match="single-use"):
+        sim.add_process("g", lambda: (yield HOLD, 1.0), daemon=True)
+    assert simproc_threads() == []
+
+
 # ---------------------------------------------------------------------- #
 # generator processes: stepped inline by whichever thread pops their wakeup
 
