@@ -21,8 +21,10 @@ Two backends consume the same IR:
   broadcast-everything fallback when an indirection array defeats the
   analysis.
 
-:mod:`repro.compiler.analysis` provides the region algebra both backends
-share (footprints, intersections, cross-processor dependence tests), and
+:mod:`repro.compiler.partition` holds what they share per processor — a
+``Chunk`` of a loop: how its kernel is called, what it costs and what an
+access touches (each backend owns only its partition *policy*) —
+:mod:`repro.compiler.depend` the cross-processor dependence tests, and
 :mod:`repro.compiler.seq` executes the IR sequentially as the correctness
 oracle and Table 1 baseline.
 """

@@ -1,32 +1,25 @@
-"""Region algebra and dependence analysis over the IR.
+"""Region algebra over the IR: bounding rectangles of affine accesses.
 
-This is the compile-time reasoning both backends rely on:
+* :func:`access_rect` — the concrete index rectangle a region expression
+  resolves to for given chunk bounds (per-dimension half-open intervals);
+* :func:`rects_overlap` — do two rectangles share an element;
+* :func:`chunk_rects` — the rectangles one processor's
+  :class:`~repro.compiler.partition.Chunk` touches (what
+  ``report.footprint_report`` prints; a cyclic chunk shows as its bounding
+  interval).
 
-* *footprints* — the concrete index rectangles a chunk of a parallel loop
-  touches, from the declared affine region expressions;
-* *irregularity detection* — any :class:`~repro.compiler.ir.Irregular`
-  access makes a loop's communication pattern unknowable at compile time,
-  which sends SPF down the on-demand path and XHPF down the
-  broadcast-everything path;
-* *cross-processor dependence tests* — whether two adjacent parallel loops
-  can be fused (equivalently: the barrier between them eliminated, Tseng
-  [17]) because no processor's writes in the first are touched by a
-  *different* processor in the second.
-
-Rectangles are per-dimension half-open intervals.  Cyclic chunks are
-over-approximated by their bounding interval, which can only make the
-dependence tests conservative (safe).
+The cross-processor dependence test that decides loop fusion is the exact
+chunk-set one, :func:`repro.compiler.depend.loops_fusable_exact`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.compiler.ir import Access, ParallelLoop, Program, SeqBlock
-from repro.compiler.partition import block_range, cyclic_indices
+from repro.compiler.ir import Access, ParallelLoop, Program
+from repro.compiler.partition import Chunk
 
-__all__ = ["access_rect", "rects_overlap", "chunk_rects", "loop_chunk",
-           "loop_is_irregular", "loops_fusable", "stmt_footprints"]
+__all__ = ["access_rect", "rects_overlap", "chunk_rects"]
 
 Rect = tuple  # tuple of (lo, hi) per dimension
 
@@ -70,121 +63,20 @@ def rects_overlap(a: Rect, b: Rect) -> bool:
     return True
 
 
-def loop_chunk(loop: ParallelLoop, pid: int, nprocs: int):
-    """Processor ``pid``'s chunk of ``loop``'s iteration space.
-
-    Returns block bounds ``(lo, hi)`` (possibly empty, ``hi <= lo``) or an
-    int64 index array for cyclic schedules (possibly zero-length).  Every
-    consumer of the iteration partition — backends, dependence tests, the
-    lint pass — goes through this one helper so they cannot disagree.
-    """
-    if loop.schedule == "cyclic":
-        return cyclic_indices(loop.extent, nprocs, pid, loop.start)
-    lo, hi = block_range(loop.extent - loop.start, nprocs, pid)
-    return lo + loop.start, hi + loop.start
-
-
-def chunk_rects(loop: ParallelLoop, which: str, pid: int, nprocs: int,
+def chunk_rects(loop: ParallelLoop, which: str, chunk: Chunk,
                 program: Program) -> Optional[dict]:
-    """``{array: [rects]}`` touched by processor ``pid``'s chunk.
+    """``{array: [rects]}`` touched by one processor's ``chunk`` of ``loop``.
 
     ``which`` is "reads" or "writes".  Returns ``None`` if any access is
-    irregular.  Cyclic chunks use the bounding interval of the owned
-    indices (a conservative over-approximation).
+    irregular, ``{}`` for an empty chunk.
     """
-    accesses = getattr(loop, which)
     out: dict = {}
-    chunk = loop_chunk(loop, pid, nprocs)
-    if loop.schedule == "cyclic":
-        if chunk.size == 0:
-            return out
-        lo, hi = int(chunk[0]), int(chunk[-1]) + 1
-    else:
-        lo, hi = chunk
-        if hi <= lo:
-            return out
-    for acc in accesses:
-        if acc.irregular:
-            return None
-        shape = program.decl(acc.array).shape
-        rect = access_rect(acc, lo, hi, shape)
-        out.setdefault(acc.array, []).append(rect)
-    return out
-
-
-def loop_is_irregular(loop: ParallelLoop) -> bool:
-    return loop.irregular
-
-
-def stmt_footprints(stmt, program: Program) -> Optional[dict]:
-    """Whole-statement footprint ``{array: [rects]}`` (reads ∪ writes);
-    ``None`` when irregular."""
-    out: dict = {}
-    accesses = list(stmt.reads) + list(stmt.writes)
-    if isinstance(stmt, SeqBlock):
-        for acc in accesses:
-            if acc.irregular:
-                return None
-            shape = program.decl(acc.array).shape
-            out.setdefault(acc.array, []).append(
-                access_rect(acc, 0, 0, shape))
+    if not chunk.count:
         return out
-    for acc in accesses:
+    for acc in getattr(loop, which):
         if acc.irregular:
             return None
         shape = program.decl(acc.array).shape
         out.setdefault(acc.array, []).append(
-            access_rect(acc, stmt.start, stmt.extent, shape))
+            access_rect(acc, *chunk.bounds, shape))
     return out
-
-
-def _cross_conflict(a_rects: Optional[dict], b_rects: Optional[dict]) -> bool:
-    if a_rects is None or b_rects is None:
-        return True  # unknown footprints: assume conflict
-    for array, rects_a in a_rects.items():
-        rects_b = b_rects.get(array)
-        if not rects_b:
-            continue
-        for ra in rects_a:
-            for rb in rects_b:
-                if rects_overlap(ra, rb):
-                    return True
-    return False
-
-
-def loops_fusable(a: ParallelLoop, b: ParallelLoop, nprocs: int,
-                  program: Program) -> bool:
-    """May the synchronization between adjacent loops ``a`` then ``b`` be
-    removed (each processor runs its chunk of ``b`` right after its chunk
-    of ``a``)?
-
-    Required: for every pair of *distinct* processors p != q there is no
-    flow (writes_a(p) ∩ reads_b(q)), anti (reads_a(p) ∩ writes_b(q)), or
-    output (writes_a(p) ∩ writes_b(q)) dependence.  Reductions and
-    accumulation buffers force a synchronization, as does irregularity.
-    """
-    if a.irregular or b.irregular:
-        return False
-    if a.reductions or a.accumulate:
-        return False
-    # Footprints depend only on the owning processor, so resolve each
-    # side's per-processor rects once (2*nprocs calls per loop) instead of
-    # recomputing b's inside the pair loop (which made this O(nprocs**2)
-    # chunk_rects calls).
-    was = [chunk_rects(a, "writes", p, nprocs, program)
-           for p in range(nprocs)]
-    ras = [chunk_rects(a, "reads", p, nprocs, program)
-           for p in range(nprocs)]
-    wbs = [chunk_rects(b, "writes", q, nprocs, program)
-           for q in range(nprocs)]
-    rbs = [chunk_rects(b, "reads", q, nprocs, program)
-           for q in range(nprocs)]
-    for p in range(nprocs):
-        wa, ra = was[p], ras[p]
-        for q in range(nprocs):
-            if p == q:
-                continue
-            if (_cross_conflict(wa, rbs[q]) or _cross_conflict(wa, wbs[q])
-                    or _cross_conflict(ra, wbs[q])):
-                return False
-    return True

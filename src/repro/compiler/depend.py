@@ -1,11 +1,8 @@
 """Symbolic cross-iteration dependence engine and static race analysis.
 
-The bounding-rectangle tests in :mod:`repro.compiler.analysis` answer
-"may these two *chunks* touch the same element?" with a conservative
-over-approximation.  This module answers the sharper compile-time
-question — "may two *different iterations* of one loop touch the same
-element?" — exactly, for the affine region language of the IR, and
-builds three layers on the answer:
+This module answers the compile-time question "may two *different
+iterations* of one loop touch the same element?" exactly, for the affine
+region language of the IR, and builds three layers on the answer:
 
 1. **Per-pair subscript tests** (:func:`pair_dependence`).  For two
    affine accesses to the same array, each dimension contributes an
@@ -47,13 +44,13 @@ builds three layers on the answer:
 
 3. **May-happen-in-parallel over the sync IR** (:func:`mhp_pairs`) and
    the exact chunk-set algebra (:func:`chunk_sets`,
-   :func:`loops_fusable_exact`) that replaces the bounding-interval
-   over-approximation for cyclic schedules with residue-class
-   (GCD/Diophantine) intersection tests.
+   :func:`loops_fusable_exact` — the one fusability test) that gives
+   cyclic schedules residue-class (GCD/Diophantine) intersection tests
+   instead of a bounding interval.
 
-Consumers: the speculative ``spf_spec`` backend
-(:mod:`repro.compiler.spf_spec`), the ``repro lint`` barrier/false-
-sharing rules, and the ``repro racecheck --cross-check`` harness, which
+Consumers: the SPF backend's ``fuse_loops`` planning, the speculative
+``spf_spec`` backend (:mod:`repro.compiler.spf_spec`), the ``repro lint``
+barrier rule, and the ``repro racecheck --cross-check`` harness, which
 validates the static verdicts against the dynamic race detector.
 :func:`inject_dependence` supports the latter's mutation tests: it
 widens or adds *declared* footprints (kernels untouched) so a claimed
@@ -71,6 +68,7 @@ from typing import Optional
 from repro.compiler import analysis
 from repro.compiler.ir import (Access, FootprintError, Full, Irregular,
                                ParallelLoop, Point, Program, Span, TimeLoop)
+from repro.compiler.partition import Chunk, loop_chunk
 
 __all__ = ["PROVEN_PARALLEL", "PROVEN_SERIAL", "UNKNOWN",
            "Dependence", "LoopVerdict", "DependReport", "MhpPair",
@@ -485,7 +483,7 @@ def analyze_program(program: Program, nprocs: int = 8,
 
 
 # ---------------------------------------------------------------------- #
-# exact chunk sets (replacing the bounding-interval over-approximation)
+# exact chunk sets
 
 @dataclass(frozen=True)
 class Interval:
@@ -582,9 +580,10 @@ def dim_sets_intersect(a, b) -> bool:
     return False
 
 
-def chunk_sets(loop: ParallelLoop, which: str, pid: int, nprocs: int,
+def chunk_sets(loop: ParallelLoop, which: str, chunk: Chunk,
                program: Program) -> Optional[dict]:
-    """``{array: [per-dim index-set tuples]}`` touched by ``pid``'s chunk.
+    """``{array: [per-dim index-set tuples]}`` touched by one processor's
+    ``chunk`` of ``loop``.
 
     Exact for block chunks (contiguous iterations make contiguous Span
     footprints; ``Access.resolve`` clips them).  Cyclic chunks put a
@@ -594,24 +593,15 @@ def chunk_sets(loop: ParallelLoop, which: str, pid: int, nprocs: int,
     consumer uses these sets to prove the *absence* of a conflict.
     Returns ``None`` if any access is irregular.
     """
-    accesses = getattr(loop, which)
     out: dict = {}
-    chunk = analysis.loop_chunk(loop, pid, nprocs)
-    cyclic = loop.schedule == "cyclic"
-    if cyclic:
-        if chunk.size == 0:
-            return out
-        first, last = int(chunk[0]), int(chunk[-1])
-    else:
-        lo, hi = chunk
-        if hi <= lo:
-            return out
-    for acc in accesses:
+    if not chunk.count:
+        return out
+    for acc in getattr(loop, which):
         if acc.irregular:
             return None
         shape = program.decl(acc.array).shape
-        if not cyclic:
-            rect = analysis.access_rect(acc, lo, hi, shape)
+        if not chunk.step:
+            rect = analysis.access_rect(acc, *chunk.bounds, shape)
             sets = tuple(Interval(rlo, rhi) for rlo, rhi in rect)
         else:
             dims = []
@@ -619,10 +609,10 @@ def chunk_sets(loop: ParallelLoop, which: str, pid: int, nprocs: int,
                 expr = acc.region[d] if d < len(acc.region) else Full()
                 if isinstance(expr, Span):
                     dims.append(_make_strided(
-                        first + expr.lo_off, nprocs, len(chunk),
+                        chunk.lo + expr.lo_off, chunk.step, chunk.count,
                         1 + expr.hi_off - expr.lo_off))
                 elif isinstance(expr, Point):
-                    c = expr.resolve(first, last + 1, extent)
+                    c = expr.resolve(*chunk.bounds, extent)
                     dims.append(Interval(c, c + 1))
                 else:                  # Full
                     dims.append(Interval(0, extent))
@@ -648,27 +638,33 @@ def sets_conflict(a_sets: Optional[dict], b_sets: Optional[dict]) -> bool:
 
 
 def loops_fusable_exact(a: ParallelLoop, b: ParallelLoop, nprocs: int,
-                        program: Program) -> bool:
-    """Exact-set version of :func:`repro.compiler.analysis.loops_fusable`.
+                        program: Program, chunk=None) -> bool:
+    """May the synchronization between adjacent loops ``a`` then ``b`` be
+    removed (each processor runs its chunk of ``b`` right after its chunk
+    of ``a``)?
 
-    Same contract and same conservative early-outs, but cyclic chunks use
-    residue-class sets instead of bounding intervals, so e.g. two cyclic
-    loops whose per-processor rows interleave are recognized as fusable.
-    Never less precise than the rectangle test on block schedules (they
-    compute identical sets there).
+    Required: for every pair of *distinct* processors p != q there is no
+    flow (writes_a(p) ∩ reads_b(q)), anti (reads_a(p) ∩ writes_b(q)), or
+    output (writes_a(p) ∩ writes_b(q)) dependence between their exact
+    chunk sets.  Reductions and accumulation buffers force a
+    synchronization, as does irregularity.  ``chunk(loop, pid)`` is the
+    partition policy of whoever will run the fused unit (an executable's
+    ``chunk`` method); the default is :func:`partition.loop_chunk`.
     """
     if a.irregular or b.irregular:
         return False
     if a.reductions or a.accumulate:
         return False
-    was = [chunk_sets(a, "writes", p, nprocs, program)
-           for p in range(nprocs)]
-    ras = [chunk_sets(a, "reads", p, nprocs, program)
-           for p in range(nprocs)]
-    wbs = [chunk_sets(b, "writes", q, nprocs, program)
-           for q in range(nprocs)]
-    rbs = [chunk_sets(b, "reads", q, nprocs, program)
-           for q in range(nprocs)]
+    if chunk is None:
+        def chunk(loop, pid):
+            return loop_chunk(loop, pid, nprocs)
+    # footprints depend only on the owning processor: resolve each side's
+    # per-processor sets once, not inside the pair loop
+    was, ras, wbs, rbs = (
+        [chunk_sets(loop, which, chunk(loop, p), program)
+         for p in range(nprocs)]
+        for loop, which in ((a, "writes"), (a, "reads"),
+                            (b, "writes"), (b, "reads")))
     for p in range(nprocs):
         wa, ra = was[p], ras[p]
         for q in range(nprocs):

@@ -234,6 +234,9 @@ class SeqBlock:
     writes: list = field(default_factory=list)
     cost: float = 0.0
 
+    def cost_for(self, params: dict) -> float:
+        return self.cost(params) if callable(self.cost) else float(self.cost)
+
 
 @dataclass
 class ParallelLoop:
@@ -261,15 +264,12 @@ class ParallelLoop:
     start: int = 0                      # iteration space is [start, extent)
     merge_cost_per_iter: float = 0.0    # cost of summing accumulation buffers
 
-    def iter_cost(self, count: int) -> float:
+    def chunk_cost(self, lo: int, hi: int, step: int = 1) -> float:
+        """Virtual compute time of iterations ``range(lo, hi, step)``."""
+        iters = range(lo, hi, step)
         if callable(self.cost_per_iter):
-            raise TypeError("callable cost needs explicit iteration list")
-        return float(self.cost_per_iter) * count
-
-    def chunk_cost(self, lo: int, hi: int) -> float:
-        if callable(self.cost_per_iter):
-            return float(sum(self.cost_per_iter(i) for i in range(lo, hi)))
-        return float(self.cost_per_iter) * (hi - lo)
+            return float(sum(self.cost_per_iter(i) for i in iters))
+        return float(self.cost_per_iter) * len(iters)
 
     @property
     def irregular(self) -> bool:

@@ -17,8 +17,7 @@ the paper's compilers do.  Five rule families:
   processor count;
 * **redundant synchronization** (``redundant-barrier``) — adjacent
   parallel loops that pass :func:`depend.loops_fusable_exact` (the
-  symbolic chunk-set test, exact where the older bounding-rectangle
-  :func:`analysis.loops_fusable` over-approximates cyclic chunks) but are
+  symbolic chunk-set test ``fuse_loops`` itself applies) but are
   compiled unfused: an eliminable barrier pair (Tseng [17], Section 5 of
   the paper);
 * **false sharing** (``false-sharing``) — from dtype, shape, page size and
@@ -47,9 +46,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compiler import analysis, depend
+from repro.compiler import depend
 from repro.compiler.ir import (FootprintError, Mark, ParallelLoop,
                                Program, SeqBlock, Span)
+from repro.compiler.partition import SEQ, Elements, loop_chunk
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL
 from repro.tmk.pagespace import SharedSpace
 
@@ -223,19 +223,13 @@ class LintReport:
 # ---------------------------------------------------------------------- #
 # rule 1: well-formedness
 
-def _stmt_chunks(stmt, nprocs: int) -> list:
-    """Representative (lo, hi) bounds to resolve a statement's regions at."""
+def _chunks(stmt, nprocs: int) -> list:
+    """The non-empty chunks a statement's regions resolve (and its kernel
+    runs) at: the backend-free partition, or ``SEQ`` for a SeqBlock."""
     if isinstance(stmt, SeqBlock):
-        return [(0, 0)]
-    chunks = []
-    for pid in range(nprocs):
-        chunk = analysis.loop_chunk(stmt, pid, nprocs)
-        if isinstance(chunk, np.ndarray):
-            if chunk.size:
-                chunks.append((int(chunk[0]), int(chunk[-1]) + 1))
-        elif chunk[1] > chunk[0]:
-            chunks.append(chunk)
-    return chunks
+        return [SEQ]
+    chunks = [loop_chunk(stmt, pid, nprocs) for pid in range(nprocs)]
+    return [chunk for chunk in chunks if chunk.count]
 
 
 def _check_wellformed(program: Program, nprocs: int,
@@ -290,9 +284,9 @@ def _check_wellformed(program: Program, nprocs: int,
                 if acc.irregular:
                     continue
                 shape = program.decl(acc.array).shape
-                for lo, hi in _stmt_chunks(stmt, nprocs):
+                for chunk in _chunks(stmt, nprocs):
                     try:
-                        acc.resolve(lo, hi, shape)
+                        acc.resolve(*chunk.bounds, shape)
                     except FootprintError as err:
                         rule = "wf-rank" if err.kind == "rank" \
                             else "wf-bounds"
@@ -468,34 +462,21 @@ class ShadowArray:
         return -self._full()
 
 
-def _declared_masks(stmt, chunk, raw: dict, program: Program) -> tuple:
+def _declared_masks(stmt, chunk, raw: dict) -> tuple:
     """(read_masks, write_masks) granted to this chunk by the declarations,
     mirroring exactly what the SPF backend would make coherent."""
     reads = {name: np.zeros(arr.shape, bool) for name, arr in raw.items()}
     writes = {name: np.zeros(arr.shape, bool) for name, arr in raw.items()}
     for which, masks in (("reads", reads), ("writes", writes)):
         for acc in getattr(stmt, which):
-            arr = raw[acc.array]
-            if acc.irregular:
-                if isinstance(chunk, np.ndarray):
-                    idx = acc.region.footprint(raw, chunk, None)
-                else:
-                    idx = acc.region.footprint(raw, chunk[0], chunk[1])
-                masks[acc.array].reshape(-1)[
-                    np.asarray(idx, dtype=np.int64)] = True
-            elif isinstance(chunk, np.ndarray):
-                lead = acc.region[0] if acc.region else None
-                if isinstance(lead, Span) and lead.lo_off == 0 \
-                        and lead.hi_off == 0:
-                    # the backend ensures exactly the owned rows
-                    masks[acc.array][chunk] = True
-                else:
-                    region = acc.resolve(int(chunk[0]),
-                                         int(chunk[-1]) + 1, arr.shape)
-                    masks[acc.array][region] = True
+            mask = masks[acc.array]
+            fp = chunk.footprint(acc, mask.shape, raw)
+            if isinstance(fp, Elements):
+                # runs of fp.span elements (whole rows of a cyclic chunk)
+                runs = np.asarray(fp.flat, dtype=np.int64) // fp.span
+                mask.reshape(-1, fp.span)[runs] = True
             else:
-                region = acc.resolve(chunk[0], chunk[1], arr.shape)
-                masks[acc.array][region] = True
+                mask[fp] = True
     return reads, writes
 
 
@@ -534,21 +515,11 @@ def _check_footprints(program: Program, nprocs: int) -> list:
         if isinstance(stmt, Mark):
             continue
         accumulate = list(getattr(stmt, "accumulate", ()))
-        if isinstance(stmt, SeqBlock):
-            chunks = [(0, 0)]
-        else:
-            chunks = [analysis.loop_chunk(stmt, pid, nprocs)
-                      for pid in range(nprocs)]
-            for name in accumulate:
-                raw[name][...] = 0      # sequential accumulate semantics
-        for chunk in chunks:
-            if isinstance(chunk, np.ndarray):
-                if chunk.size == 0:
-                    continue
-            elif not isinstance(stmt, SeqBlock) and chunk[1] <= chunk[0]:
-                continue
+        for name in accumulate:
+            raw[name][...] = 0          # sequential accumulate semantics
+        for chunk in _chunks(stmt, nprocs):
             reset_masks()
-            decl_r, decl_w = _declared_masks(stmt, chunk, raw, program)
+            decl_r, decl_w = _declared_masks(stmt, chunk, raw)
             views = dict(shadow)
             buffers = {}
             for name in accumulate:
@@ -559,10 +530,8 @@ def _check_footprints(program: Program, nprocs: int) -> list:
                     raw[name].shape, dtype=raw[name].dtype)
             if isinstance(stmt, SeqBlock):
                 partials = stmt.kernel(views)
-            elif isinstance(chunk, np.ndarray):
-                partials = stmt.kernel(views, chunk)
             else:
-                partials = stmt.kernel(views, chunk[0], chunk[1])
+                partials, _cost = chunk.run(stmt, views)
             for name, s in shadow.items():
                 extra_w = s.write_mask & ~decl_w[name]
                 if extra_w.any():
@@ -609,10 +578,10 @@ def _check_footprints(program: Program, nprocs: int) -> list:
 # ---------------------------------------------------------------------- #
 # rule 3: redundant synchronization
 
-def _check_redundant_barriers(program: Program, nprocs: int,
-                              options) -> list:
-    if options is not None and getattr(options, "fuse_loops", False):
+def _check_redundant_barriers(exe) -> list:
+    if exe.options.fuse_loops:
         return []                   # the compiler already fuses
+    program, nprocs = exe.program, exe.nprocs
     findings = []
     seen = set()
     prev = None
@@ -621,8 +590,8 @@ def _check_redundant_barriers(program: Program, nprocs: int,
             prev = None             # SeqBlock / Mark breaks the unit chain
             continue
         if (prev is not None and not stmt.accumulate
-                and depend.loops_fusable_exact(prev, stmt, nprocs,
-                                               program)):
+                and depend.loops_fusable_exact(prev, stmt, nprocs, program,
+                                               exe.chunk)):
             key = (_family(prev.name), _family(stmt.name))
             if key not in seen:
                 seen.add(key)
@@ -648,41 +617,16 @@ def _loop_write_pages(exe, loop: ParallelLoop, space: SharedSpace,
     """{array: page ndarray} written by pid's chunk, per the SPF layout."""
     from repro.compiler.spf import STAGING_PREFIX
     out = {}
-    chunk = analysis.loop_chunk(loop, pid, exe.nprocs)
-    if isinstance(chunk, np.ndarray):
-        if chunk.size == 0:
-            return out
-    elif chunk[1] <= chunk[0]:
+    chunk = exe.chunk(loop, pid)
+    if not chunk.count:
         return out
     for acc in loop.writes:
         if acc.array in loop.accumulate:
             continue                # redirected to the staging array
-        handle = space[acc.array]
         if acc.irregular:
             continue                # data-dependent: not statically known
-        if isinstance(chunk, np.ndarray):
-            lead = acc.region[0] if acc.region else None
-            if isinstance(lead, Span):
-                # exact per-owned-index rows (iteration i touches rows
-                # [i+lo_off, i+hi_off]) instead of the bounding interval
-                # of the whole cyclic chunk, which would sweep in every
-                # other processor's rows and report phantom sharing
-                rows = np.unique(np.concatenate(
-                    [chunk + off
-                     for off in range(lead.lo_off, lead.hi_off + 1)]))
-                rows = rows[(rows >= 0) & (rows < handle.shape[0])]
-                row_elems = (int(np.prod(handle.shape[1:]))
-                             if len(handle.shape) > 1 else 1)
-                pages = handle.element_pages(rows * row_elems,
-                                             elem_span=row_elems)
-            else:
-                region = acc.resolve(int(chunk[0]), int(chunk[-1]) + 1,
-                                     handle.shape)
-                pages = handle.region_pages(region)
-        else:
-            region = acc.resolve(chunk[0], chunk[1], handle.shape)
-            pages = handle.region_pages(region)
-        out.setdefault(acc.array, []).append(pages)
+        out.setdefault(acc.array, []).append(
+            chunk.pages(acc, space[acc.array]))
     for name in loop.accumulate:
         # each pid writes its own staging row; rows are not page padded
         handle = space[STAGING_PREFIX + name]
@@ -692,9 +636,8 @@ def _loop_write_pages(exe, loop: ParallelLoop, space: SharedSpace,
             for name, page_sets in out.items()}
 
 
-def _check_false_sharing(program: Program, nprocs: int, options) -> list:
-    from repro.compiler.spf import compile_spf
-    exe = compile_spf(program, nprocs, options)
+def _check_false_sharing(exe) -> list:
+    program, nprocs = exe.program, exe.nprocs
     space = SharedSpace()
     exe.setup_space(space)
     findings = []
@@ -816,8 +759,10 @@ def lint_program(program: Program, nprocs: int = 8, *, options=None,
         if shadow:
             findings += _check_footprints(program, nprocs)
         if "spf" in backends:
-            findings += _check_redundant_barriers(program, nprocs, options)
-            findings += _check_false_sharing(program, nprocs, options)
+            from repro.compiler.spf import compile_spf
+            exe = compile_spf(program, nprocs, options)
+            findings += _check_redundant_barriers(exe)
+            findings += _check_false_sharing(exe)
     estimate = None
     if traffic and not fatal and "spf" in backends:
         estimate = estimate_spf_traffic(program, nprocs, options)

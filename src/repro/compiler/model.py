@@ -41,8 +41,8 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.common import get_app
-from repro.compiler.ir import Access, Mark, ParallelLoop, Point, SeqBlock, Span
-from repro.compiler.partition import block_owner, block_range, cyclic_indices
+from repro.compiler.ir import Access, Mark, ParallelLoop, Point, SeqBlock
+from repro.compiler.partition import SEQ, block_owner
 from repro.compiler.seq import sequential_time
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
@@ -549,64 +549,34 @@ class _SpfModel(_ModelBase):
     def _run_seq(self, stmt: SeqBlock) -> None:
         master = self.nodes[0]
         for acc in stmt.reads:
-            self._ensure_read_pages(master, self._acc_pages(acc, ("block", 0, 0)))
+            self._ensure_read_pages(master, self._pages(acc, SEQ))
         wpages: list = []
         for acc in stmt.writes:
-            pgs = self._acc_pages(acc, ("block", 0, 0))
+            pgs = self._pages(acc, SEQ)
             self._ensure_write_pages(master, pgs)
             wpages.extend(pgs)
         before = self._snapshot(wpages)
         stmt.kernel(self.views)
         self._capture(master, before)
-        cost = stmt.cost(self.exe.program.params) if callable(stmt.cost) \
-            else float(stmt.cost)
+        cost = stmt.cost_for(self.exe.program.params)
         if cost:
             master.time += cost
 
-    def _chunk(self, loop: ParallelLoop, pid: int):
-        if loop.schedule == "cyclic":
-            indices = cyclic_indices(loop.extent, self.nprocs, pid, loop.start)
-            return ("cyclic", indices) if indices.size else None
-        span = loop.extent - loop.start
-        lo, hi = block_range(span, self.nprocs, pid)
-        lo += loop.start
-        hi += loop.start
-        return ("block", lo, hi) if hi > lo else None
-
-    def _acc_pages(self, acc: Access, chunk):
-        handle = self.space[acc.array]
-        if chunk[0] == "cyclic":
-            indices = chunk[1]
-            if acc.irregular:
-                idx = acc.region.footprint(self.views, indices, None)
-                return handle.element_pages(np.asarray(idx))
-            lead = acc.region[0] if acc.region else None
-            if isinstance(lead, Span) and lead.lo_off == 0 and lead.hi_off == 0:
-                row_elems = int(np.prod(handle.shape[1:])) \
-                    if len(handle.shape) > 1 else 1
-                return handle.element_pages(indices * row_elems,
-                                            elem_span=row_elems)
-            region = acc.resolve(int(indices.min()), int(indices.max()) + 1,
-                                 handle.shape)
-            return handle.region_pages(region)
-        lo, hi = chunk[1], chunk[2]
-        if acc.irregular:
-            idx = acc.region.footprint(self.views, lo, hi)
-            return handle.element_pages(np.asarray(idx))
-        return handle.region_pages(acc.resolve(lo, hi, handle.shape))
+    def _pages(self, acc: Access, chunk):
+        return chunk.pages(acc, self.space[acc.array], self.views)
 
     def _run_unit_loops(self, unit) -> None:
-        chunks = {(pid, li): self._chunk(loop, pid)
+        chunks = {(pid, li): self.exe.chunk(loop, pid)
                   for li, loop in enumerate(unit.loops)
                   for pid in range(self.nprocs)}
         # phase A: every processor's read faults (chunk-start behaviour)
         for node in self.nodes:
             for li, loop in enumerate(unit.loops):
                 ch = chunks[(node.pid, li)]
-                if ch is None:
+                if not ch.count:
                     continue
                 for acc in _ensure_order(loop.reads, loop.accumulate):
-                    self._ensure_read_pages(node, self._acc_pages(acc, ch))
+                    self._ensure_read_pages(node, self._pages(acc, ch))
         # phase B: write faults + kernel + staging, processor by processor
         partials_by: dict = {}
         for node in self.nodes:
@@ -621,28 +591,15 @@ class _SpfModel(_ModelBase):
                         decl = self.exe.program.decl(name)
                         privates[name] = views[name] = np.zeros(
                             decl.shape, dtype=decl.dtype)
-                if ch is None:
-                    partials = None
-                    cost = 0.0
-                else:
-                    wpages: list = []
+                wpages: list = []
+                if ch.count:
                     for acc in _ensure_order(loop.writes, loop.accumulate):
-                        pgs = self._acc_pages(acc, ch)
+                        pgs = self._pages(acc, ch)
                         self._ensure_write_pages(node, pgs)
                         wpages.extend(np.asarray(pgs).tolist())
-                    before = self._snapshot(wpages)
-                    if ch[0] == "cyclic":
-                        indices = ch[1]
-                        partials = loop.kernel(views, indices)
-                        cost = (sum(loop.cost_per_iter(int(i))
-                                    for i in indices)
-                                if callable(loop.cost_per_iter)
-                                else loop.cost_per_iter * indices.size)
-                    else:
-                        lo, hi = ch[1], ch[2]
-                        partials = loop.kernel(views, lo, hi)
-                        cost = loop.chunk_cost(lo, hi)
-                    self._capture(node, before)
+                before = self._snapshot(wpages)
+                partials, cost = ch.run(loop, views)
+                self._capture(node, before)
                 if cost:
                     node.time += cost
                 if loop.accumulate:
@@ -805,8 +762,7 @@ class _XhpfModel(_ModelBase):
         for acc in stmt.reads:
             self._broadcast_region(acc)
         stmt.kernel(self.views)
-        cost = stmt.cost(self.exe.program.params) if callable(stmt.cost) \
-            else float(stmt.cost)
+        cost = stmt.cost_for(self.exe.program.params)
         if cost:
             self.times += cost        # redundant SPMD execution
 
@@ -848,33 +804,15 @@ class _XhpfModel(_ModelBase):
         for acc in loop.writes:
             if exe.decls[acc.array].distribute is not None:
                 self.state[acc.array] = False
-        chunks = [exe.chunk_bounds(loop, p) for p in range(n)]
-        partials_by: dict = {}
-        if isinstance(chunks[0], np.ndarray):
+        chunks = self._chunks(loop)
+        if loop.schedule == "cyclic":
             self._exchange_cyclic(loop)
-            for p, idx in enumerate(chunks):
-                if idx.size:
-                    partials_by[p] = loop.kernel(self.views, idx)
-                    cost = (sum(loop.cost_per_iter(int(i)) for i in idx)
-                            if callable(loop.cost_per_iter)
-                            else loop.cost_per_iter * idx.size)
-                else:
-                    partials_by[p] = None
-                    cost = 0.0
-                if cost:
-                    self.times[p] += cost
         else:
             self._exchange_block(loop, chunks)
-            for p, (lo, hi) in enumerate(chunks):
-                if hi > lo:
-                    partials_by[p] = loop.kernel(self.views, lo, hi)
-                    cost = loop.chunk_cost(lo, hi)
-                else:
-                    partials_by[p] = None
-                    cost = 0.0
-                if cost:
-                    self.times[p] += cost
-        self._fold_reductions(loop, partials_by)
+        self._fold_reductions(loop, self._run_chunks(loop, chunks))
+
+    def _chunks(self, loop: ParallelLoop) -> list:
+        return [self.exe.chunk(loop, p) for p in range(self.nprocs)]
 
     def _exchange_block(self, loop: ParallelLoop, chunks: list) -> None:
         exe, n = self.exe, self.nprocs
@@ -883,11 +821,10 @@ class _XhpfModel(_ModelBase):
             decl = exe.decls[acc.array]
             if decl.distribute is None:
                 continue
-            for receiver in range(n):
-                rlo, rhi = chunks[receiver]
-                if rhi <= rlo:
+            for receiver, chunk in enumerate(chunks):
+                if not chunk.count:
                     continue
-                rect = acc.resolve(rlo, rhi, decl.shape)
+                rect = acc.resolve(*chunk.bounds, decl.shape)
                 need_lo, need_hi = self._row_span(rect[0])
                 if need_hi <= need_lo:
                     continue
@@ -939,7 +876,7 @@ class _XhpfModel(_ModelBase):
             self.state[acc.array] = True
         for name in loop.accumulate:
             self.views[name][...] = 0
-        partials_by = self._run_chunks(loop)
+        partials_by = self._run_chunks(loop, self._chunks(loop))
         for name in loop.accumulate:
             nbytes = int(self.views[name].nbytes)
             self._count_edges(n * (n - 1), nbytes)
@@ -959,24 +896,11 @@ class _XhpfModel(_ModelBase):
             self.state[acc.array] = True
         self._fold_reductions(loop, partials_by)
 
-    def _run_chunks(self, loop: ParallelLoop) -> dict:
+    def _run_chunks(self, loop: ParallelLoop, chunks: list) -> dict:
         """Every rank's kernel chunk, run in turn over the converged image."""
         partials_by: dict = {}
-        for p in range(self.nprocs):
-            chunk = self.exe.chunk_bounds(loop, p)
-            if isinstance(chunk, np.ndarray):
-                count = chunk.size
-                partials_by[p] = loop.kernel(self.views, chunk) \
-                    if count else None
-                cost = (sum(loop.cost_per_iter(int(i)) for i in chunk)
-                        if callable(loop.cost_per_iter)
-                        else loop.cost_per_iter * count)
-            else:
-                lo, hi = chunk
-                count = max(0, hi - lo)
-                partials_by[p] = loop.kernel(self.views, lo, hi) \
-                    if count else None
-                cost = loop.chunk_cost(lo, hi) if count else 0.0
+        for p, chunk in enumerate(chunks):
+            partials_by[p], cost = chunk.run(loop, self.views)
             if cost:
                 self.times[p] += cost
         return partials_by
@@ -1011,17 +935,16 @@ class _XhpfModel(_ModelBase):
         row_elems = int(np.prod(decl.shape[1:])) if len(decl.shape) > 1 else 1
         row_nbytes = row_elems * np.dtype(decl.dtype).itemsize
         owner_bounds = [exe.owned_rows(decl, p) for p in range(n)]
-        bounds = [exe.chunk_bounds(loop, p) for p in range(n)]
+        chunks = self._chunks(loop)
 
         recv_rows: list[dict] = []
         ret_rows: list[dict] = []
         misses: list[int] = []
-        for p in range(n):
-            lo, hi = bounds[p]
-            flat = acc.region.footprint(self.views, lo, hi) if hi > lo \
-                else np.empty(0, np.int64)
+        for p, chunk in enumerate(chunks):
+            flat = (chunk.footprint(acc, decl.shape, self.views).flat
+                    if chunk.count else np.empty(0, np.int64))
             fp = footprint_fingerprint(flat)
-            rr = inspect_reads(flat, row_elems, (lo, hi), owner_bounds)
+            rr = inspect_reads(flat, row_elems, chunk.bounds, owner_bounds)
             recv_rows.append(rr)
             ret_rows.append(dict(rr) if loop.accumulate else {})
             key = (loop.name, fp)
@@ -1053,7 +976,7 @@ class _XhpfModel(_ModelBase):
 
         for name in loop.accumulate:
             self.views[name][...] = 0
-        partials_by = self._run_chunks(loop)
+        partials_by = self._run_chunks(loop, chunks)
 
         # scheduled return of accumulation contributions
         for name in loop.accumulate:

@@ -3,14 +3,26 @@
 SPF "uses a simple block or cyclic loop distribution mechanism"; XHPF takes
 HPF data-distribution directives and derives loop distributions satisfying
 the owner-computes rule.  Both needs reduce to the helpers here.
+
+A processor's share of a parallel loop is a :class:`Chunk`.  A backend owns
+its partition *policy* (``SpfExecutable.chunk``, ``XhpfExecutable.chunk``;
+:func:`loop_chunk` is the backend-free default) and everything else — the
+models, the dependence and lint analyses, the sequential oracle — receives
+the ``Chunk`` and asks it how to call the kernel, what the call costs and
+what an access touches.
 """
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
+from repro.compiler.ir import Span
+
 __all__ = ["block_range", "block_owner", "cyclic_indices", "cyclic_owner",
-           "chunk_of"]
+           "Chunk", "Elements", "SEQ", "loop_chunk", "balanced_chunk"]
 
 
 def block_range(extent: int, nprocs: int, pid: int) -> tuple:
@@ -33,18 +45,128 @@ def block_owner(extent: int, nprocs: int, index: int) -> int:
 def cyclic_indices(extent: int, nprocs: int, pid: int,
                    start: int = 0) -> np.ndarray:
     """Indices owned by ``pid`` under CYCLIC distribution over [start, extent)."""
-    first = start + ((pid - start) % nprocs)
-    return np.arange(first, extent, nprocs, dtype=np.int64)
+    return Chunk.cyclic(start, extent, nprocs, pid).indices
 
 
 def cyclic_owner(index: int, nprocs: int) -> int:
     return index % nprocs
 
 
-def chunk_of(schedule: str, extent: int, nprocs: int, pid: int):
-    """A loop chunk: (lo, hi) for block, an index array for cyclic."""
-    if schedule == "block":
-        return block_range(extent, nprocs, pid)
-    if schedule == "cyclic":
-        return cyclic_indices(extent, nprocs, pid)
-    raise ValueError(f"unknown schedule {schedule!r}")
+_OWNED_ROWS = Span()     # a leading dim that is exactly the chunk's rows
+
+
+class Elements(NamedTuple):
+    """A scattered footprint: C-order flat element indices, each the start
+    of a run of ``span`` consecutive elements."""
+
+    flat: object
+    span: int = 1
+
+
+class Chunk(NamedTuple):
+    """One processor's share of a parallel loop's iteration space (a value:
+    chunks compare and hash by content).
+
+    ``step == 0`` is the block ``[lo, hi)``; ``step > 0`` the cyclic index
+    set ``lo, lo + step, ...`` whose last member is ``hi - 1`` — so
+    ``bounds`` brackets the iterations either way, which is where ``Point``
+    / ``Full`` dims and the rectangle/set analyses resolve a region.
+    """
+
+    lo: int
+    hi: int
+    step: int = 0
+
+    @classmethod
+    def cyclic(cls, start: int, extent: int, nprocs: int,
+               pid: int = 0) -> "Chunk":
+        """``pid``'s share of a CYCLIC distribution over [start, extent)."""
+        first = start + (pid - start) % nprocs
+        owned = range(first, extent, nprocs)
+        return cls(first, owned[-1] + 1 if owned else first, nprocs)
+
+    @classmethod
+    def whole(cls, loop) -> "Chunk":
+        """The full iteration space as one chunk (sequential execution)."""
+        if loop.schedule == "cyclic":
+            return cls.cyclic(loop.start, loop.extent, 1)
+        return cls(loop.start, loop.extent)
+
+    @property
+    def bounds(self) -> tuple:
+        return self.lo, self.hi
+
+    @property
+    def count(self) -> int:
+        return len(range(self.lo, self.hi, self.step or 1))
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The iterations as an int64 array (what a cyclic kernel takes)."""
+        return np.arange(self.lo, self.hi, self.step or 1, dtype=np.int64)
+
+    def run(self, loop, views: dict) -> tuple:
+        """Call ``loop``'s kernel on this chunk: ``(partials, cost)``.
+
+        The one place that knows the two kernel calling conventions
+        (``kernel(views, lo, hi)`` / ``kernel(views, indices)``); an empty
+        chunk runs no kernel and costs nothing.
+        """
+        lo, hi, step = self
+        if hi <= lo:
+            return None, 0.0
+        if step:
+            return loop.kernel(views, self.indices), loop.chunk_cost(*self)
+        return loop.kernel(views, lo, hi), loop.chunk_cost(lo, hi)
+
+    def footprint(self, acc, shape: tuple, views=None):
+        """What ``acc`` touches on behalf of this chunk, as the DSM backend
+        makes it coherent: :class:`Elements` for run-time (irregular)
+        footprints and for the owned rows of a cyclic chunk under a plain
+        leading ``Span()``, else the numpy region ``acc`` resolves to at
+        ``bounds``."""
+        if acc.irregular:
+            args = (self.indices, None) if self.step else self.bounds
+            return Elements(acc.region.footprint(views, *args))
+        if self.step and acc.region and acc.region[0] == _OWNED_ROWS:
+            row_elems = math.prod(shape[1:])
+            return Elements(self.indices * row_elems, row_elems)
+        return acc.resolve(self.lo, self.hi, shape)
+
+    def pages(self, acc, handle, views=None) -> np.ndarray:
+        """:meth:`footprint` lowered to the pages of shared array ``handle``."""
+        fp = self.footprint(acc, handle.shape, views)
+        if isinstance(fp, Elements):
+            return handle.element_pages(fp.flat, fp.span)
+        return handle.region_pages(fp)
+
+
+# sequential statements resolve their regions at the degenerate bounds (0, 0)
+SEQ = Chunk(0, 0)
+
+
+def loop_chunk(loop, pid: int, nprocs: int) -> Chunk:
+    """The default policy: ``loop.schedule`` (block or cyclic) by count."""
+    if loop.schedule == "cyclic":
+        return Chunk.cyclic(loop.start, loop.extent, nprocs, pid)
+    lo, hi = block_range(loop.extent - loop.start, nprocs, pid)
+    return Chunk(lo + loop.start, hi + loop.start)
+
+
+def balanced_chunk(loop, pid: int, nprocs: int) -> Chunk:
+    """Weighted block scheduling (§8: "dynamic load balancing support"): a
+    block loop that declares a per-iteration cost *function* gets
+    cost-equalized boundaries instead of count-equalized ones."""
+    span = loop.extent - loop.start
+    if (loop.schedule == "cyclic" or not callable(loop.cost_per_iter)
+            or span <= 0):
+        return loop_chunk(loop, pid, nprocs)
+    costs = np.array([loop.cost_per_iter(i)
+                      for i in range(loop.start, loop.extent)],
+                     dtype=np.float64)
+    cumulative = np.concatenate(([0.0], np.cumsum(costs)))
+    targets = cumulative[-1] * np.arange(1, nprocs) / nprocs
+    cuts = np.searchsorted(cumulative, targets, side="left")
+    bounds = np.concatenate(([0], cuts, [span]))
+    return Chunk(int(bounds[pid]) + loop.start,
+                 int(bounds[pid + 1]) + loop.start)

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.compiler import analysis, depend
 from repro.compiler.ir import ParallelLoop, Program, SeqBlock
+from repro.compiler.partition import loop_chunk
 from repro.compiler.spf import SpfOptions, compile_spf
 from repro.compiler.xhpf import XhpfOptions, compile_xhpf
 
@@ -41,8 +42,9 @@ def footprint_report(loop: ParallelLoop, nprocs: int,
     lines = [f"loop {loop.name}: extent [{loop.start}, {loop.extent}), "
              f"{loop.schedule} schedule"]
     for pid in range(nprocs):
-        reads = analysis.chunk_rects(loop, "reads", pid, nprocs, program)
-        writes = analysis.chunk_rects(loop, "writes", pid, nprocs, program)
+        chunk = loop_chunk(loop, pid, nprocs)
+        reads = analysis.chunk_rects(loop, "reads", chunk, program)
+        writes = analysis.chunk_rects(loop, "writes", chunk, program)
         lines.append(f"  p{pid}: reads {_rect_str(reads)}  "
                      f"writes {_rect_str(writes)}")
     return "\n".join(lines)
@@ -129,7 +131,7 @@ def spf_report(program: Program, nprocs: int = 8,
     if exe.push_plan:
         lines.append("halo-push plan:")
         for j, entries in sorted(exe.push_plan.items()):
-            for array, lo_off, hi_off, _e, _s in entries:
+            for array, lo_off, hi_off, _producer in entries:
                 lines.append(f"  after unit {j}: push {array} boundary "
                              f"rows (halo {lo_off:+d}/{hi_off:+d}) to "
                              f"neighbours")

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.compiler.ir import Mark, ParallelLoop, Program, SeqBlock
+from repro.compiler.partition import Chunk
 
 __all__ = ["run_sequential", "sequential_time", "make_views"]
 
@@ -40,19 +41,12 @@ def run_sequential(program: Program, views: Optional[dict] = None):
             continue
         if isinstance(stmt, SeqBlock):
             stmt.kernel(views)
-            time += _cost_of(stmt, program)
+            time += stmt.cost_for(program.params)
         elif isinstance(stmt, ParallelLoop):
-            lo, hi = stmt.start, stmt.extent
             for name in stmt.accumulate:   # recomputed from zero per instance
                 views[name][...] = 0
-            if stmt.schedule == "cyclic":
-                idx = np.arange(lo, hi, dtype=np.int64)
-                partials = stmt.kernel(views, idx)
-                time += stmt.iter_cost(len(idx)) if not callable(
-                    stmt.cost_per_iter) else stmt.chunk_cost(lo, hi)
-            else:
-                partials = stmt.kernel(views, lo, hi)
-                time += stmt.chunk_cost(lo, hi)
+            partials, cost = Chunk.whole(stmt).run(stmt, views)
+            time += cost
             for name in stmt.accumulate:   # the source's buffer-merge work
                 time += stmt.merge_cost_per_iter * views[name].shape[0]
             _fold_reductions(stmt, partials, scalars)
@@ -70,7 +64,11 @@ def _fold_reductions(loop: ParallelLoop, partials, scalars: dict) -> None:
     if not loop.reductions:
         return
     if partials is None:
-        raise ValueError(f"{loop.name}: kernel returned no reduction partials")
+        if loop.extent > loop.start:
+            raise ValueError(
+                f"{loop.name}: kernel returned no reduction partials")
+        # an empty iteration space runs no kernel (as in the backends)
+        partials = {red.name: red.identity for red in loop.reductions}
     for red in loop.reductions:
         scalars[red.name] = red.combine(red.identity, partials[red.name])
 
@@ -84,14 +82,10 @@ def sequential_time(program: Program) -> float:
             if stmt.label == "start":
                 start_at = total
         elif isinstance(stmt, SeqBlock):
-            total += _cost_of(stmt, program)
+            total += stmt.cost_for(program.params)
         elif isinstance(stmt, ParallelLoop):
             total += stmt.chunk_cost(stmt.start, stmt.extent)
             for name in stmt.accumulate:
                 total += (stmt.merge_cost_per_iter
                           * program.decl(name).shape[0])
     return total - start_at
-
-
-def _cost_of(stmt: SeqBlock, program: Program) -> float:
-    return stmt.cost(program.params) if callable(stmt.cost) else float(stmt.cost)

@@ -21,7 +21,7 @@ away from the baseline:
   aggregated validate instead of page-by-page faults (Jacobi 6.99→7.23,
   FFT 2.65→5.05),
 * ``fuse_loops`` — merge adjacent parallel loops when the dependence test
-  of :mod:`repro.compiler.analysis` allows, eliminating the redundant
+  of :mod:`repro.compiler.depend` allows, eliminating the redundant
   barrier pairs (Tseng [17]; Shallow 5.71→5.96 together with aggregation),
 * ``piggyback`` — an application hint that attaches freshly-written data to
   the fork message, merging synchronization and data (MGS's ith-vector
@@ -35,9 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.compiler import analysis
-from repro.compiler.ir import Mark, ParallelLoop, Program, SeqBlock
-from repro.compiler.partition import block_range, cyclic_indices
+from repro.compiler import depend
+from repro.compiler.ir import (Access, Full, Mark, ParallelLoop, Program,
+                               SeqBlock, Span)
+from repro.compiler.partition import (SEQ, Chunk, Elements, balanced_chunk,
+                                      loop_chunk)
 from repro.sim.cluster import RunResult
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
@@ -143,27 +145,44 @@ class SpfExecutable:
         force computation loop").
         """
         units: list[_Unit] = []
+        tail = None          # the loop a following one may fuse onto
+        verdicts: dict = {}  # a time loop repeats its loop objects: judge
+                             # each distinct (a, b) once per compile
+
+        def fusable(a: ParallelLoop, b: ParallelLoop) -> bool:
+            key = (id(a), id(b))
+            if key not in verdicts:
+                verdicts[key] = depend.loops_fusable_exact(
+                    a, b, self.nprocs, self.program, self.chunk)
+            return verdicts[key]
+
         for stmt in self.schedule:
-            if isinstance(stmt, Mark):
-                units.append(_Unit(mark=stmt.label))
+            if not isinstance(stmt, ParallelLoop):
+                units.append(_Unit(mark=stmt.label) if isinstance(stmt, Mark)
+                             else _Unit(seq=stmt))
+                tail = None
                 continue
-            if isinstance(stmt, SeqBlock):
-                units.append(_Unit(seq=stmt))
-                continue
-            if (self.options.fuse_loops and units and units[-1].loops
-                    and not stmt.accumulate
-                    and analysis.loops_fusable(units[-1].loops[-1], stmt,
-                                               self.nprocs, self.program)):
+            if (self.options.fuse_loops and tail is not None
+                    and not stmt.accumulate and fusable(tail, stmt)):
                 units[-1].loops.append(stmt)
             else:
                 units.append(_Unit(loops=[stmt]))
             for name in stmt.accumulate:
                 units.append(_Unit(loops=[self._merge_loop(stmt, name)]))
+            tail = None if stmt.accumulate else stmt
         return units
+
+    def chunk(self, loop: ParallelLoop, pid: int) -> Chunk:
+        """SPF's partition policy: ``loop.schedule`` by iteration count, or
+        by declared cost under ``balance_loops``.  Whatever needs ``pid``'s
+        share of a loop of this executable — execution, fusion, halo
+        pushes, the model, lint — asks here."""
+        if self.options.balance_loops:
+            return balanced_chunk(loop, pid, self.nprocs)
+        return loop_chunk(loop, pid, self.nprocs)
 
     def _merge_loop(self, loop: ParallelLoop, name: str) -> ParallelLoop:
         """forces[own rows] = sum over processors of staging[p][own rows]."""
-        from repro.compiler.ir import Access, Full, Span
         decl = self.program.decl(name)
         staging = STAGING_PREFIX + name
 
@@ -188,11 +207,13 @@ class SpfExecutable:
         producers then push their boundary rows to the neighbours that will
         read them, at the end of their chunk.  Returns
 
-        * ``push_plan[unit_idx] -> [(array, lo_off, hi_off, extent, start)]``
-        * ``expect_plan[unit_idx] -> per-pid expected push count`` (callable)
-        """
-        from repro.compiler.ir import Span
+        * ``push_plan[unit_idx] -> [(array, lo_off, hi_off, producer)]``
+        * ``expect_plan[unit_idx] -> [(lo_off, hi_off, producer)]``
 
+        Sender and receiver both take the boundaries from the *producer's*
+        chunks (:meth:`chunk`), so they count the same pushes whatever the
+        partition policy.
+        """
         def block_writer_of(array, before_idx):
             for j in range(before_idx - 1, -1, -1):
                 unit = self.units[j]
@@ -228,41 +249,39 @@ class SpfExecutable:
                                                              loop.start):
                         continue
                     push_plan.setdefault(j, []).append(
-                        (acc.array, lead.lo_off, lead.hi_off,
-                         loop.extent, loop.start))
+                        (acc.array, lead.lo_off, lead.hi_off, producer))
                     expect_plan.setdefault(i, []).append(
-                        (lead.lo_off, lead.hi_off))
+                        (lead.lo_off, lead.hi_off, producer))
         return push_plan, expect_plan
 
     def _expected_pushes(self, unit_idx: int, pid: int) -> int:
         count = 0
-        for lo_off, hi_off in self.expect_plan.get(unit_idx, ()):
-            if lo_off < 0 and pid > 0:
+        for lo_off, hi_off, producer in self.expect_plan.get(unit_idx, ()):
+            if (lo_off < 0 and pid > 0
+                    and self.chunk(producer, pid - 1).count):
                 count += 1          # the upper neighbour pushes down
-            if hi_off > 0 and pid < self.nprocs - 1:
+            if (hi_off > 0 and pid < self.nprocs - 1
+                    and self.chunk(producer, pid + 1).count):
                 count += 1          # the lower neighbour pushes up
         return count
 
     def _do_halo_pushes(self, tmk: Tmk, unit_idx: int) -> None:
-        from repro.tmk.enhanced import push_regions
-        for array, lo_off, hi_off, extent, start in self.push_plan.get(
+        for array, lo_off, hi_off, producer in self.push_plan.get(
                 unit_idx, ()):
-            span = extent - start
-            lo, hi = block_range(span, self.nprocs, tmk.pid)
-            lo += start
-            hi += start
-            if hi <= lo:
+            chunk = self.chunk(producer, tmk.pid)
+            if not chunk.count:
                 continue
+            lo, hi = chunk.bounds
             handle = tmk.world.space[array]
             if lo_off < 0 and tmk.pid < self.nprocs - 1:
                 # our bottom rows are the lower neighbour's upper halo
-                push_regions(tmk.node,
-                             [(handle, (slice(hi + lo_off, hi),))],
-                             dests=[tmk.pid + 1])
+                enhanced.push_regions(tmk.node,
+                                      [(handle, (slice(hi + lo_off, hi),))],
+                                      dests=[tmk.pid + 1])
             if hi_off > 0 and tmk.pid > 0:
-                push_regions(tmk.node,
-                             [(handle, (slice(lo, lo + hi_off),))],
-                             dests=[tmk.pid - 1])
+                enhanced.push_regions(tmk.node,
+                                      [(handle, (slice(lo, lo + hi_off),))],
+                                      dests=[tmk.pid - 1])
 
     def _collect_reductions(self) -> dict:
         """name -> (Reduction, lock id); stable ids across the program."""
@@ -307,7 +326,6 @@ class SpfExecutable:
         return {}
 
     def _run_master(self, tmk: Tmk, fj, views: dict) -> dict:
-        from repro.tmk.enhanced import expect_pushes
         tmk._spf_scalars = {}
         for idx, unit in enumerate(self.units):
             if unit.mark is not None:
@@ -330,7 +348,7 @@ class SpfExecutable:
                     payload=payload)
             expected = self._expected_pushes(idx, tmk.pid)
             if expected:
-                expect_pushes(tmk.node, expected)
+                enhanced.expect_pushes(tmk.node, expected)
             for loop in unit.loops:
                 self._run_chunk(tmk, loop, views)
             self._do_halo_pushes(tmk, idx)
@@ -339,7 +357,6 @@ class SpfExecutable:
         return self._read_scalars(tmk)
 
     def _run_worker(self, tmk: Tmk, fj, views: dict) -> None:
-        from repro.tmk.enhanced import expect_pushes
         while True:
             work = fj.wait_for_work()
             if work is None:
@@ -347,7 +364,7 @@ class SpfExecutable:
             idx = int(work[0])
             expected = self._expected_pushes(idx, tmk.pid)
             if expected:
-                expect_pushes(tmk.node, expected)
+                enhanced.expect_pushes(tmk.node, expected)
             for loop in self.units[idx].loops:
                 self._run_chunk(tmk, loop, views)
             self._do_halo_pushes(tmk, idx)
@@ -370,18 +387,23 @@ class SpfExecutable:
 
     def _run_seq(self, tmk: Tmk, stmt: SeqBlock, views: dict) -> None:
         for acc in stmt.reads:
-            self._ensure(tmk, acc, 0, 0, views, write=False, tag=stmt.name)
+            self._ensure(tmk, acc, SEQ, views, write=False, tag=stmt.name)
         for acc in stmt.writes:
-            self._ensure(tmk, acc, 0, 0, views, write=True, tag=stmt.name)
+            self._ensure(tmk, acc, SEQ, views, write=True, tag=stmt.name)
         stmt.kernel(views)
-        cost = stmt.cost(self.program.params) if callable(stmt.cost) \
-            else float(stmt.cost)
+        cost = stmt.cost_for(self.program.params)
         if cost:
             tmk.compute(cost)
 
     # ---- parallel chunks (all processors) --------------------------------
 
-    def _run_chunk(self, tmk: Tmk, loop: ParallelLoop, views: dict) -> None:
+    def _run_chunk(self, tmk: Tmk, loop: ParallelLoop, views: dict,
+                   chunk: Optional[Chunk] = None, stage=None) -> None:
+        """Run ``chunk`` of ``loop`` (default: this processor's share);
+        ``stage`` publishes accumulation buffers (default: this
+        processor's staging row)."""
+        if chunk is None:
+            chunk = self.chunk(loop, tmk.pid)
         if loop.accumulate:
             # kernel contributions go to a private buffer; the buffer is
             # then written into this processor's row of the shared staging
@@ -392,63 +414,20 @@ class SpfExecutable:
                 decl = self.program.decl(name)
                 privates[name] = views[name] = np.zeros(decl.shape,
                                                         dtype=decl.dtype)
-        pid, nprocs = tmk.pid, tmk.nprocs
-        if loop.schedule == "cyclic":
-            indices = cyclic_indices(loop.extent, nprocs, pid, loop.start)
-            if indices.size == 0:
-                partials = None
-                cost = 0.0
-            else:
-                for acc in _ensure_order(loop.reads, loop.accumulate):
-                    self._ensure_cyclic(tmk, acc, indices, views,
-                                        write=False, tag=loop.name)
-                for acc in _ensure_order(loop.writes, loop.accumulate):
-                    self._ensure_cyclic(tmk, acc, indices, views,
-                                        write=True, tag=loop.name)
-                partials = loop.kernel(views, indices)
-                cost = (sum(loop.cost_per_iter(int(i)) for i in indices)
-                        if callable(loop.cost_per_iter)
-                        else loop.cost_per_iter * indices.size)
-        else:
-            lo, hi = self._block_chunk(loop, pid, nprocs)
-            if hi <= lo:
-                partials = None
-                cost = 0.0
-            else:
-                for acc in _ensure_order(loop.reads, loop.accumulate):
-                    self._ensure(tmk, acc, lo, hi, views,
-                                 write=False, tag=loop.name)
-                for acc in _ensure_order(loop.writes, loop.accumulate):
-                    self._ensure(tmk, acc, lo, hi, views,
-                                 write=True, tag=loop.name)
-                partials = loop.kernel(views, lo, hi)
-                cost = loop.chunk_cost(lo, hi)
+        if chunk.count:
+            for acc in _ensure_order(loop.reads, loop.accumulate):
+                self._ensure(tmk, acc, chunk, views, write=False,
+                             tag=loop.name)
+            for acc in _ensure_order(loop.writes, loop.accumulate):
+                self._ensure(tmk, acc, chunk, views, write=True,
+                             tag=loop.name)
+        partials, cost = chunk.run(loop, views)
         if cost:
             tmk.compute(cost)
         if loop.accumulate:
-            self._stage_contributions(tmk, loop, privates)
+            (stage or self._stage_contributions)(tmk, loop, privates)
         if loop.reductions:
             self._fold_reductions(tmk, loop, partials)
-
-    def _block_chunk(self, loop: ParallelLoop, pid: int,
-                     nprocs: int) -> tuple:
-        """Block chunk; under ``balance_loops`` a loop that declares a
-        per-iteration cost function gets cost-equalized boundaries instead
-        of count-equalized ones (§8: "dynamic load balancing support")."""
-        span = loop.extent - loop.start
-        if not (self.options.balance_loops
-                and callable(loop.cost_per_iter)) or span <= 0:
-            lo, hi = block_range(span, nprocs, pid)
-            return lo + loop.start, hi + loop.start
-        costs = np.array([loop.cost_per_iter(i)
-                          for i in range(loop.start, loop.extent)],
-                         dtype=np.float64)
-        cumulative = np.concatenate(([0.0], np.cumsum(costs)))
-        targets = cumulative[-1] * np.arange(1, nprocs) / nprocs
-        cuts = np.searchsorted(cumulative, targets, side="left")
-        bounds = np.concatenate(([0], cuts, [span]))
-        return (int(bounds[pid]) + loop.start,
-                int(bounds[pid + 1]) + loop.start)
 
     def _stage_contributions(self, tmk: Tmk, loop: ParallelLoop,
                              privates: dict) -> None:
@@ -484,59 +463,23 @@ class SpfExecutable:
             tmk._spf_prev_touched = {}
         return tmk._spf_prev_touched
 
-    def _ensure(self, tmk: Tmk, acc, lo: int, hi: int, views: dict,
+    def _ensure(self, tmk: Tmk, acc, chunk: Chunk, views: dict,
                 write: bool, tag: str = "?") -> None:
+        """Make ``chunk``'s footprint of ``acc`` locally current."""
         handle = tmk.world.space[acc.array]
         node = tmk.node
         source = f"{tag}:{acc.array}"
-        if acc.irregular:
-            idx = acc.region.footprint(views, lo, hi)
-            if write:
-                node.ensure_write_elements(handle, idx, source=source)
-            else:
-                node.ensure_read_elements(handle, idx, source=source)
-            return
-        region = acc.resolve(lo, hi, handle.shape)
-        if self.options.aggregate and not write:
-            enhanced.validate(node, handle, region, source=source)
+        fp = chunk.footprint(acc, handle.shape, views)
+        if isinstance(fp, Elements):
+            ensure = (node.ensure_write_elements if write
+                      else node.ensure_read_elements)
+            ensure(handle, fp.flat, elem_span=fp.span, source=source)
         elif write:
-            node.ensure_write(handle, region, source=source)
+            node.ensure_write(handle, fp, source=source)
+        elif self.options.aggregate:
+            enhanced.validate(node, handle, fp, source=source)
         else:
-            node.ensure_read(handle, region, source=source)
-
-    def _ensure_cyclic(self, tmk: Tmk, acc, indices: np.ndarray, views: dict,
-                       write: bool, tag: str = "?") -> None:
-        handle = tmk.world.space[acc.array]
-        node = tmk.node
-        source = f"{tag}:{acc.array}"
-        if acc.irregular:
-            idx = acc.region.footprint(views, indices, None)
-            if write:
-                node.ensure_write_elements(handle, idx, source=source)
-            else:
-                node.ensure_read_elements(handle, idx, source=source)
-            return
-        dims = acc.region
-        lead = dims[0] if dims else None
-        from repro.compiler.ir import Span
-        if isinstance(lead, Span) and lead.lo_off == 0 and lead.hi_off == 0:
-            # rows given by the cyclic index set; trailing dims must be full
-            row_elems = int(np.prod(handle.shape[1:])) if len(handle.shape) > 1 else 1
-            flat = indices * row_elems
-            if write:
-                node.ensure_write_elements(handle, flat, elem_span=row_elems,
-                                           source=source)
-            else:
-                node.ensure_read_elements(handle, flat, elem_span=row_elems,
-                                          source=source)
-        else:
-            # Point/Full leading dims behave like a regular region
-            region = acc.resolve(int(indices.min()), int(indices.max()) + 1,
-                                 handle.shape)
-            if write:
-                node.ensure_write(handle, region, source=source)
-            else:
-                node.ensure_read(handle, region, source=source)
+            node.ensure_read(handle, fp, source=source)
 
     def _fold_reductions(self, tmk: Tmk, loop: ParallelLoop,
                          partials) -> None:

@@ -40,12 +40,11 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-import numpy as np
-
 from repro.compiler import depend
 from repro.compiler.ir import Program
+from repro.compiler.partition import Chunk
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX,
-                                SpfExecutable, SpfOptions, _ensure_order)
+                                SpfExecutable, SpfOptions)
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
 from repro.tmk.api import Tmk, tmk_run
@@ -134,8 +133,7 @@ class SpfSpecExecutable(SpfExecutable):
             plan = self.unit_plans[idx]
             if plan == "serial" or (plan == "speculate"
                                     and monitor is None):
-                for loop in unit.loops:
-                    self._run_full_loop(tmk, loop, views)
+                self._run_unit_sequentially(tmk, unit, views)
                 stats["serial_instances"] += 1
                 continue
             if plan == "speculate":
@@ -205,50 +203,14 @@ class SpfSpecExecutable(SpfExecutable):
                 for red in loop.reductions:
                     shared = tmk.array(REDUCTION_PREFIX + red.name)
                     shared.write((slice(0, 1),), red.identity)
-        for loop in unit.loops:
-            self._run_full_loop(tmk, loop, views)
+        self._run_unit_sequentially(tmk, unit, views)
 
-    def _run_full_loop(self, tmk: Tmk, loop, views: dict) -> None:
-        """The sequential policy: master executes the whole iteration
-        space (workers are not involved and were never forked)."""
-        if loop.accumulate:
-            views = dict(views)
-            privates = {}
-            for name in loop.accumulate:
-                decl = self.program.decl(name)
-                privates[name] = views[name] = np.zeros(decl.shape,
-                                                        dtype=decl.dtype)
-        start, extent = loop.start, loop.extent
-        if extent <= start:
-            partials = None
-            cost = 0.0
-        elif loop.schedule == "cyclic":
-            indices = np.arange(start, extent, dtype=np.int64)
-            for acc in _ensure_order(loop.reads, loop.accumulate):
-                self._ensure_cyclic(tmk, acc, indices, views,
-                                    write=False, tag=loop.name)
-            for acc in _ensure_order(loop.writes, loop.accumulate):
-                self._ensure_cyclic(tmk, acc, indices, views,
-                                    write=True, tag=loop.name)
-            partials = loop.kernel(views, indices)
-            cost = (sum(loop.cost_per_iter(int(i)) for i in indices)
-                    if callable(loop.cost_per_iter)
-                    else loop.cost_per_iter * indices.size)
-        else:
-            for acc in _ensure_order(loop.reads, loop.accumulate):
-                self._ensure(tmk, acc, start, extent, views,
-                             write=False, tag=loop.name)
-            for acc in _ensure_order(loop.writes, loop.accumulate):
-                self._ensure(tmk, acc, start, extent, views,
-                             write=True, tag=loop.name)
-            partials = loop.kernel(views, start, extent)
-            cost = loop.chunk_cost(start, extent)
-        if cost:
-            tmk.compute(cost)
-        if loop.accumulate:
-            self._stage_full(tmk, loop, privates)
-        if loop.reductions:
-            self._fold_reductions(tmk, loop, partials)
+    def _run_unit_sequentially(self, tmk: Tmk, unit, views: dict) -> None:
+        """The sequential policy: the master executes each loop's whole
+        iteration space (workers are not involved and were never forked)."""
+        for loop in unit.loops:
+            self._run_chunk(tmk, loop, views, Chunk.whole(loop),
+                            stage=self._stage_full)
 
     def _stage_full(self, tmk: Tmk, loop, privates: dict) -> None:
         """Sequential-policy staging: the master's row carries the whole

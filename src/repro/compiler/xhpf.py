@@ -34,9 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compiler.ir import (Access, ArrayDecl, Mark, ParallelLoop,
+from repro.compiler.ir import (Access, ArrayDecl, Mark, ParallelLoop, Point,
                                Program, SeqBlock)
-from repro.compiler.partition import block_range, cyclic_indices
+from repro.compiler.partition import (Chunk, block_owner, block_range,
+                                      loop_chunk)
 from repro.msg.collectives import allreduce, bcast
 from repro.msg.endpoint import Comm
 from repro.sim.cluster import Cluster, ProcEnv, RunResult
@@ -96,24 +97,20 @@ class XhpfExecutable:
     def row_owner(self, decl: ArrayDecl, row: int) -> int:
         if decl.dist_kind == "cyclic":
             return row % self.nprocs
-        from repro.compiler.partition import block_owner
         return block_owner(decl.shape[0], self.nprocs, row)
 
-    def chunk_bounds(self, loop: ParallelLoop, pid: int):
-        """Owner-computes chunk of ``loop`` for ``pid``."""
-        if loop.schedule == "cyclic":
-            return cyclic_indices(loop.extent, self.nprocs, pid, loop.start)
-        if loop.align is not None:
+    def chunk(self, loop: ParallelLoop, pid: int) -> Chunk:
+        """XHPF's partition policy: owner-computes — a block loop aligned
+        with a distributed array runs the iterations whose rows ``pid``
+        owns; anything else falls back to ``loop.schedule`` by count."""
+        if loop.schedule != "cyclic" and loop.align is not None:
             arr, dim = loop.align
             decl = self.decls[arr]
             if decl.distribute is not None and dim == decl.distribute:
                 olo, ohi = self.owned_rows(decl, pid)
                 lo = max(olo, loop.start)
-                hi = min(ohi, loop.extent)
-                return lo, max(lo, hi)
-        span = loop.extent - loop.start
-        lo, hi = block_range(span, self.nprocs, pid)
-        return lo + loop.start, hi + loop.start
+                return Chunk(lo, max(lo, min(ohi, loop.extent)))
+        return loop_chunk(loop, pid, self.nprocs)
 
     # ------------------------------------------------------------------ #
     # execution
@@ -150,8 +147,7 @@ class XhpfExecutable:
         for acc in stmt.reads:
             self._broadcast_region(env, comm, acc, views)
         stmt.kernel(views)
-        cost = stmt.cost(self.program.params) if callable(stmt.cost) \
-            else float(stmt.cost)
+        cost = stmt.cost_for(self.program.params)
         if cost:
             env.compute(cost)   # every processor: redundant SPMD execution
 
@@ -205,42 +201,34 @@ class XhpfExecutable:
             decl = self.decls[acc.array]
             if decl.distribute is not None:
                 state[acc.array] = False   # replicas go stale
-        chunk = self.chunk_bounds(loop, env.pid)
-        if isinstance(chunk, np.ndarray):
-            self._exchange_cyclic(env, comm, loop, views, chunk)
-            if chunk.size:
-                partials = loop.kernel(views, chunk)
-                cost = (sum(loop.cost_per_iter(int(i)) for i in chunk)
-                        if callable(loop.cost_per_iter)
-                        else loop.cost_per_iter * chunk.size)
-            else:
-                partials, cost = None, 0.0
+        if loop.schedule == "cyclic":
+            self._exchange_cyclic(env, comm, loop, views)
         else:
-            lo, hi = chunk
             self._exchange_block(env, comm, loop, views)
-            if hi > lo:
-                partials = loop.kernel(views, lo, hi)
-                cost = loop.chunk_cost(lo, hi)
-            else:
-                partials, cost = None, 0.0
+        partials = self._run_chunk(env, loop, views)
+        self._fold_reductions(env, comm, loop, partials, scalars)
+
+    def _run_chunk(self, env: ProcEnv, loop: ParallelLoop, views: dict):
+        """This processor's kernel call and compute charge -> partials."""
+        partials, cost = self.chunk(loop, env.pid).run(loop, views)
         if cost:
             env.compute(cost)
-        self._fold_reductions(env, comm, loop, partials, scalars)
+        return partials
 
     def _exchange_block(self, env: ProcEnv, comm: Comm,
                         loop: ParallelLoop, views: dict) -> None:
         """Pairwise exchange so each chunk's read footprint is current."""
         me = env.pid
+        chunks = [self.chunk(loop, p) for p in range(self.nprocs)]
         plan: list = []   # (peer, send_region | None, recv_region | None, array)
         for acc in loop.reads:
             decl = self.decls[acc.array]
             if decl.distribute is None:
                 continue
-            for receiver in range(self.nprocs):
-                rlo, rhi = self.chunk_bounds(loop, receiver)
-                if rhi <= rlo:
+            for receiver, chunk in enumerate(chunks):
+                if not chunk.count:
                     continue
-                rect = acc.resolve(rlo, rhi, decl.shape)
+                rect = acc.resolve(*chunk.bounds, decl.shape)
                 rows = rect[0]
                 need_lo, need_hi = (rows, rows + 1) if isinstance(rows, int) \
                     else (rows.start, rows.stop)
@@ -272,7 +260,7 @@ class XhpfExecutable:
                 views[array][part] = comm.recv(src=peer, tag=TAG_EXCHANGE)
 
     def _exchange_cyclic(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                         views: dict, chunk: np.ndarray) -> None:
+                         views: dict) -> None:
         """Cyclic chunks read only fixed rows (Point) in the applications;
         those travel through the sequential-broadcast path instead."""
         for acc in loop.reads:
@@ -280,7 +268,6 @@ class XhpfExecutable:
             if decl.distribute is None:
                 continue
             lead = acc.region[0] if acc.region else None
-            from repro.compiler.ir import Point
             if isinstance(lead, Point):
                 self._broadcast_region(env, comm,
                                        Access(acc.array,
@@ -300,7 +287,8 @@ class XhpfExecutable:
 
         me = env.pid
         cache = state["__schedules__"]
-        lo, hi = self.chunk_bounds(loop, me)
+        chunk = self.chunk(loop, me)
+        lo, hi = chunk.bounds
         irr_reads = [acc for acc in loop.reads
                      if acc.irregular and acc.array not in loop.accumulate]
         if len(irr_reads) != 1:
@@ -312,7 +300,7 @@ class XhpfExecutable:
         row_nbytes = row_elems * np.dtype(decl.dtype).itemsize
         owner_bounds = [self.owned_rows(decl, p) for p in range(self.nprocs)]
 
-        flat = acc.region.footprint(views, lo, hi) if hi > lo \
+        flat = chunk.footprint(acc, decl.shape, views).flat if chunk.count \
             else np.empty(0, np.int64)
         fp = footprint_fingerprint(flat)
         sched = cache.lookup(loop.name, fp)
@@ -357,12 +345,7 @@ class XhpfExecutable:
 
         for name in loop.accumulate:
             views[name][...] = 0
-        count = max(0, hi - lo)
-        partials = loop.kernel(views, lo, hi) if count else None
-        if count:
-            env.compute(loop.cost_per_iter * count
-                        if not callable(loop.cost_per_iter)
-                        else loop.chunk_cost(lo, hi))
+        partials = self._run_chunk(env, loop, views)
 
         # ---- scheduled return of accumulation contributions
         for name in loop.accumulate:
@@ -395,7 +378,6 @@ class XhpfExecutable:
         used").
         """
         me = env.pid
-        chunk = self.chunk_bounds(loop, me)
         # prologue: restore replication of stale inputs
         for acc in loop.reads:
             decl = self.decls[acc.array]
@@ -407,19 +389,7 @@ class XhpfExecutable:
         # across processors (force buffers)
         for name in loop.accumulate:
             views[name][...] = 0
-        if isinstance(chunk, np.ndarray):
-            count = chunk.size
-            partials = loop.kernel(views, chunk) if count else None
-            cost = (sum(loop.cost_per_iter(int(i)) for i in chunk)
-                    if callable(loop.cost_per_iter)
-                    else loop.cost_per_iter * count)
-        else:
-            lo, hi = chunk
-            count = max(0, hi - lo)
-            partials = loop.kernel(views, lo, hi) if count else None
-            cost = loop.chunk_cost(lo, hi) if count else 0.0
-        if cost:
-            env.compute(cost)
+        partials = self._run_chunk(env, loop, views)
         # broadcast local accumulation buffers; everyone sums all of them
         for name in loop.accumulate:
             mine = views[name].copy()

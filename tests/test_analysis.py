@@ -1,12 +1,12 @@
-"""Tests for region algebra and dependence analysis (repro.compiler.analysis)."""
+"""Tests for the region algebra (repro.compiler.analysis) and the fusion
+test built on chunk footprints (repro.compiler.depend.loops_fusable_exact)."""
 
-import numpy as np
-import pytest
-
-from repro.compiler.analysis import (access_rect, chunk_rects, loops_fusable,
-                                     rects_overlap, stmt_footprints)
+from repro.compiler import analysis
+from repro.compiler.analysis import access_rect, rects_overlap
+from repro.compiler.depend import loops_fusable_exact as loops_fusable
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
                                ParallelLoop, Point, Program, Reduction, Span)
+from repro.compiler.partition import loop_chunk
 
 
 def make_prog(loops, shape=(64, 16)):
@@ -16,6 +16,11 @@ def make_prog(loops, shape=(64, 16)):
 
 def kern(v, lo, hi):
     return None
+
+
+def chunk_rects(loop, which, pid, nprocs, prog):
+    return analysis.chunk_rects(loop, which, loop_chunk(loop, pid, nprocs),
+                                prog)
 
 
 def test_access_rect_affine():
@@ -66,15 +71,6 @@ def test_chunk_rects_irregular_returns_none():
                         reads=[Access("a", Irregular(lambda v, lo, hi: None))])
     prog = make_prog([loop])
     assert chunk_rects(loop, "reads", 0, 4, prog) is None
-
-
-def test_stmt_footprints_parallel_loop():
-    loop = ParallelLoop("l", 64, kern,
-                        reads=[Access("a", (Span(), Full()))],
-                        writes=[Access("b", (Span(), Full()))])
-    prog = make_prog([loop])
-    fp = stmt_footprints(loop, prog)
-    assert fp == {"a": [((0, 64), (0, 16))], "b": [((0, 64), (0, 16))]}
 
 
 def test_fusable_independent_loops():
@@ -156,27 +152,24 @@ def test_fusable_single_processor_always():
 # partition edge cases (shared by backends and the lint pass)
 
 def test_loop_chunk_block_covers_iteration_space():
-    from repro.compiler.analysis import loop_chunk
     loop = ParallelLoop("l", 13, kern, start=2)
     covered = []
     for pid in range(4):
-        lo, hi = loop_chunk(loop, pid, 4)
-        covered.extend(range(lo, hi))
+        covered.extend(loop_chunk(loop, pid, 4).indices.tolist())
     assert covered == list(range(2, 13))
 
 
 def test_loop_chunk_cyclic_partitions_exactly():
-    from repro.compiler.analysis import loop_chunk
     loop = ParallelLoop("l", 14, kern, schedule="cyclic", start=3)
-    owned = np.concatenate([loop_chunk(loop, pid, 4) for pid in range(4)])
-    assert sorted(owned.tolist()) == list(range(3, 14))
+    owned = [i for pid in range(4)
+             for i in loop_chunk(loop, pid, 4).indices.tolist()]
+    assert sorted(owned) == list(range(3, 14))
 
 
 def test_loop_chunk_empty_cyclic_tail():
     """More processors than remaining iterations: some own nothing."""
-    from repro.compiler.analysis import loop_chunk
     loop = ParallelLoop("l", 4, kern, schedule="cyclic", start=2)
-    sizes = [loop_chunk(loop, pid, 4).size for pid in range(4)]
+    sizes = [loop_chunk(loop, pid, 4).count for pid in range(4)]
     assert sorted(sizes, reverse=True) == [1, 1, 0, 0]
 
 
@@ -202,19 +195,6 @@ def test_chunk_rects_zero_extent_block_chunks():
 def test_access_rect_negative_point_wraps_once():
     acc = Access("a", (Point(-1),))
     assert access_rect(acc, 0, 0, (64, 16)) == ((63, 64), (0, 16))
-
-
-def test_cyclic_bounding_interval_is_conservative():
-    """Two identical cyclic loops never cross processors in reality, but
-    the bounding-interval over-approximation must refuse to fuse them
-    (intervals of different pids overlap) — conservative, never unsafe."""
-    l1 = ParallelLoop("l1", 64, kern, schedule="cyclic",
-                      writes=[Access("a", (Span(), Full()))])
-    l2 = ParallelLoop("l2", 64, kern, schedule="cyclic",
-                      reads=[Access("a", (Span(), Full()))],
-                      writes=[Access("b", (Span(), Full()))])
-    prog = make_prog([l1, l2])
-    assert not loops_fusable(l1, l2, 4, prog)
 
 
 # ---------------------------------------------------------------------- #
@@ -270,12 +250,12 @@ def test_access_rect_emits_empty_dim_for_outside_halo():
 
 
 # ---------------------------------------------------------------------- #
-# satellite: loops_fusable hoists per-processor rects (no O(p^2) rebuild)
+# loops_fusable_exact hoists per-processor sets (no O(p^2) rebuild)
 
-def test_loops_fusable_chunk_rects_call_count(monkeypatch):
-    """Each loop side's rects are computed once per processor: exactly
-    4 * nprocs chunk_rects calls, not O(nprocs**2)."""
-    from repro.compiler import analysis
+def test_loops_fusable_chunk_sets_call_count(monkeypatch):
+    """Each loop side's sets are computed once per processor: exactly
+    4 * nprocs chunk_sets calls, not O(nprocs**2)."""
+    from repro.compiler import depend
 
     l1 = ParallelLoop("l1", 64, kern,
                       writes=[Access("a", (Span(), Full()))])
@@ -285,14 +265,14 @@ def test_loops_fusable_chunk_rects_call_count(monkeypatch):
     prog = make_prog([l1, l2])
     nprocs = 8
     calls = {"n": 0}
-    real = analysis.chunk_rects
+    real = depend.chunk_sets
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "chunk_rects", counting)
-    verdict = analysis.loops_fusable(l1, l2, nprocs, prog)
+    monkeypatch.setattr(depend, "chunk_sets", counting)
+    verdict = depend.loops_fusable_exact(l1, l2, nprocs, prog)
     assert calls["n"] == 4 * nprocs
     assert verdict  # disjoint block rows: fusable
 

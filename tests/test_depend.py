@@ -15,6 +15,7 @@ from repro.compiler.depend import (PROVEN_PARALLEL, PROVEN_SERIAL, UNKNOWN,
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
                                ParallelLoop, Point, Program, Reduction,
                                Span)
+from repro.compiler.partition import loop_chunk
 
 APPS = ("jacobi", "mgs", "fft3d", "shallow", "igrid", "nbf")
 
@@ -177,7 +178,7 @@ def test_irregular_resolver_edge_cases_lint_path(footprint):
     prog = make_prog([irr, aff])
     assert not loops_fusable_exact(irr, aff, 4, prog)
     assert not loops_fusable_exact(aff, irr, 4, prog)
-    assert chunk_sets(irr, "reads", 0, 4, prog) is None
+    assert chunk_sets(irr, "reads", loop_chunk(irr, 0, 4), prog) is None
 
 
 # ---------------------------------------------------------------------- #
@@ -223,17 +224,14 @@ def test_dim_sets_strided_vs_interval():
 
 
 def test_exact_fusion_beats_bounding_rectangles_on_cyclic():
-    """Two identical cyclic loops interleave rows per-processor; the
-    rectangle test refuses (bounding intervals overlap), the exact
-    residue sets prove fusable."""
-    from repro.compiler.analysis import loops_fusable
+    """Two identical cyclic loops interleave rows per-processor; their
+    bounding intervals overlap, the exact residue sets prove fusable."""
     l1 = ParallelLoop("l1", 64, kern, schedule="cyclic",
                       writes=[Access("a", (Span(), Full()))])
     l2 = ParallelLoop("l2", 64, kern, schedule="cyclic",
                       reads=[Access("a", (Span(), Full()))],
                       writes=[Access("b", (Span(), Full()))])
     prog = make_prog([l1, l2])
-    assert not loops_fusable(l1, l2, 4, prog)        # conservative rect
     assert loops_fusable_exact(l1, l2, 4, prog)      # exact: disjoint
 
 

@@ -11,7 +11,7 @@ from repro.compiler.seq import run_sequential
 from repro.compiler.spf import SpfOptions, compile_spf, run_spf
 from repro.tmk.api import tmk_run
 from repro.tmk.reduction import tmk_reduce
-from tests.conftest import stencil_program
+from tests.conftest import irregular_program, stencil_program
 
 
 # ---------------------------------------------------------------------- #
@@ -102,7 +102,7 @@ def test_balanced_chunks_cover_iteration_space():
     exe = compile_spf(triangular_cost_program(), nprocs=4,
                       options=SpfOptions(balance_loops=True))
     loop = next(iter(exe.program.parallel_loops()))
-    chunks = [exe._block_chunk(loop, p, 4) for p in range(4)]
+    chunks = [exe.chunk(loop, p).bounds for p in range(4)]
     assert chunks[0][0] == 0 and chunks[-1][1] == 64
     for (a, b), (c, d) in zip(chunks, chunks[1:]):
         assert b == c
@@ -124,7 +124,7 @@ def test_balancing_ignores_constant_cost_loops():
                       options=SpfOptions(balance_loops=True))
     loop = next(iter(exe.program.parallel_loops()))
     from repro.compiler.partition import block_range
-    assert exe._block_chunk(loop, 1, 4) == block_range(32, 4, 1)
+    assert exe.chunk(loop, 1).bounds == block_range(32, 4, 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -169,3 +169,100 @@ def test_all_extensions_combined_on_every_count(nprocs):
                       balance_loops=True, push_halos=True)
     r = run_spf(stencil_program(), nprocs=nprocs, options=opts)
     assert r.scalars["sum"] == pytest.approx(seq["sum"], rel=1e-6)
+
+
+# ---------------------------------------------------------------------- #
+# option pairs: every two code-generation switches must compose
+
+def skewed(program):
+    """Give every parallel loop a callable, skewed per-iteration cost (so
+    ``balance_loops`` really moves chunk boundaries)."""
+    for loop in program.parallel_loops():
+        loop.cost_per_iter = lambda i: 1e-6 * (1 + i)
+    return program
+
+
+def producer_consumer_program(n=64, cols=256, iters=3):
+    """A producer with a callable cost, then a chunk-aligned consumer with
+    a constant one: under ``balance_loops`` their boundaries differ."""
+
+    def produce(views, lo, hi):
+        views["a"][lo:hi] += 1.0
+
+    def consume(views, lo, hi):
+        views["b"][lo:hi] = 2.0 * views["a"][lo:hi]
+        return {"sum": float(views["b"][lo:hi].sum(dtype=np.float64))}
+
+    rows = (Span(), Full())
+    return Program(
+        "producer-consumer",
+        arrays=[ArrayDecl("a", (n, cols), np.float64),
+                ArrayDecl("b", (n, cols), np.float64)],
+        body=[TimeLoop("t", iters, [
+            ParallelLoop("produce", n, produce,
+                         reads=[Access("a", rows)],
+                         writes=[Access("a", rows)],
+                         cost_per_iter=lambda i: 1e-6 * (1 + i)),
+            ParallelLoop("consume", n, consume,
+                         reads=[Access("a", rows)],
+                         writes=[Access("b", rows)],
+                         reductions=[Reduction("sum")],
+                         cost_per_iter=1e-6)])])
+
+
+@pytest.mark.parametrize("flags", [(), ("fuse_loops",), ("balance_loops",),
+                                   ("fuse_loops", "balance_loops")],
+                         ids="+".join)
+def test_fusion_is_judged_on_the_chunks_that_run(flags):
+    """fuse+balance used to fuse on the count-equal partition and execute
+    the cost-equal one: sum = 89 088 instead of 98 304, no error."""
+    _v, seq, _t = run_sequential(producer_consumer_program())
+    assert seq["sum"] == 98304.0
+    options = SpfOptions(**dict.fromkeys(flags, True))
+    exe = compile_spf(producer_consumer_program(), 4, options)
+    fused = any(len(unit.loops) > 1 for unit in exe.units)
+    assert fused == (flags == ("fuse_loops",))
+    r = run_spf(producer_consumer_program(), nprocs=4, options=options)
+    assert r.scalars["sum"] == seq["sum"]
+
+
+@pytest.mark.parametrize("flags", [("push_halos",), ("balance_loops",),
+                                   ("push_halos", "balance_loops")],
+                         ids="+".join)
+def test_halo_pushes_follow_the_chunks_that_run(flags):
+    """push+balance used to push the count-equal boundary rows while the
+    cost-equal neighbours waited for pushes that never came (Deadlock)."""
+    _v, seq, _t = run_sequential(skewed(stencil_program(iters=4)))
+    assert seq["sum"] == 936.53125
+    r = run_spf(skewed(stencil_program(iters=4)), nprocs=4,
+                options=SpfOptions(**dict.fromkeys(flags, True)))
+    assert r.scalars["sum"] == seq["sum"]
+
+
+SWITCHES = {"fuse_loops": True, "aggregate": True, "tree_reductions": True,
+            "balance_loops": True, "push_halos": True,
+            "improved_interface": False}
+PAIRS = [(a, b) for i, a in enumerate(SWITCHES) for b in list(SWITCHES)[i + 1:]]
+
+
+@pytest.mark.parametrize("build", [lambda: skewed(stencil_program(iters=4)),
+                                   triangular_cost_program,
+                                   producer_consumer_program],
+                         ids=["skewed-stencil", "triangular-cost",
+                              "producer-consumer"])
+@pytest.mark.parametrize("pair", PAIRS, ids="+".join)
+def test_every_option_pair_matches_the_oracle(pair, build):
+    _v, seq, _t = run_sequential(build())
+    options = SpfOptions(**{name: SWITCHES[name] for name in pair})
+    r = run_spf(build(), nprocs=4, options=options)
+    assert r.scalars == pytest.approx(seq, rel=1e-9)
+
+
+def test_fuse_loops_compiles_accumulate_programs():
+    """The synthetic merge loop reads a staging array the program never
+    declared; planning used to look its shape up (KeyError) when judging
+    the loop after it.  Nothing fuses onto a merge loop."""
+    _v, seq, _t = run_sequential(irregular_program())
+    r = run_spf(irregular_program(), nprocs=4,
+                options=SpfOptions(fuse_loops=True))
+    assert r.scalars == pytest.approx(seq, rel=1e-9)

@@ -64,7 +64,7 @@ def test_sequential_block_executed_by_all():
 def test_owner_computes_alignment():
     exe = compile_xhpf(stencil_program(), nprocs=4)
     loop = next(iter(exe.program.parallel_loops()))
-    lo, hi = exe.chunk_bounds(loop, 0)
+    lo, hi = exe.chunk(loop, 0).bounds
     olo, ohi = exe.owned_rows(exe.decls["b"], 0)
     assert (lo, hi) == (olo, ohi)
 
