@@ -42,6 +42,7 @@ from repro.api import registry
 from repro.api.types import (RunRequest, RunResult, _replace,
                              failure_result, fault_plan_from_doc,
                              machine_from_doc)
+from repro.sim.engine import blocking
 
 __all__ = ["ProgramCache", "execute", "execute_with_arrays", "run",
            "default_runner", "InProcess",
@@ -212,22 +213,33 @@ def _array_hash(arr) -> str:
     return h.hexdigest()
 
 
-def _with_readback(body):
-    """Append a barrier-ordered coherent readback of every application
-    array on processor 0.  The final barrier happens-after every program
-    access, so the readback itself can never introduce a race."""
+def _readback_gen(tmk):
+    """A barrier-ordered coherent readback of every application array on
+    processor 0 (generator of block requests).  The barrier happens-after
+    every program access, so the readback itself can never introduce a
+    race."""
+    yield from tmk.barrier_gen()
+    arrays = {}
+    if tmk.pid == 0:
+        for handle in tmk.world.space.handles():
+            if handle.name.startswith(INTERNAL_PREFIXES):
+                continue
+            view = yield from tmk.array(handle.name).read_gen(
+                source=READBACK_SOURCE)
+            arrays[handle.name] = np.array(view, copy=True)
+    return arrays
+
+
+_readback = blocking(_readback_gen)     # for the hand-coded thread programs
+
+
+def _then_readback(program):
+    """``program`` (a compiled one: a generator function) followed by the
+    readback -> ``(output, arrays)``."""
 
     def main(tmk):
-        out = body(tmk)
-        tmk.barrier()
-        arrays = {}
-        if tmk.pid == 0:
-            for handle in tmk.world.space.handles():
-                if handle.name.startswith(INTERNAL_PREFIXES):
-                    continue
-                view = tmk.array(handle.name).read(source=READBACK_SOURCE)
-                arrays[handle.name] = np.array(view, copy=True)
-        return out, arrays
+        out = yield from program(tmk)
+        return out, (yield from _readback_gen(tmk))
 
     return main
 
@@ -240,20 +252,31 @@ def _master_scalars(outputs) -> dict:
 def _resolve(request: RunRequest, bundle):
     """variant -> ``(setup, main, fold)``: the shared-space initializer
     (``None`` for the message-passing variants), the per-processor entry
-    point, and the fold from per-processor outputs to the signature."""
+    point -- with the readback appended when the request asks for one --
+    and the fold from per-processor outputs to the signature.
+
+    The entry point's kind is the engine's process kind: a compiled
+    program is a generator function (no thread), a hand-coded one a plain
+    function that calls the blocking forms from a thread of its own."""
     from repro.apps.common import combine_signatures
 
     spec, params = bundle["spec"], bundle["params"]
     if request.variant == "tmk":
-        return (lambda space: spec.hand_tmk_setup(space, params),
-                lambda tmk: spec.hand_tmk(tmk, params), combine_signatures)
+        def main(tmk):
+            out = spec.hand_tmk(tmk, params)
+            return (out, _readback(tmk)) if request.readback else out
+
+        return (lambda space: spec.hand_tmk_setup(space, params), main,
+                combine_signatures)
     if request.variant == "pvme":
         from repro.msg.pvme import Pvme
         return (None, lambda env: spec.hand_pvme(Pvme(env), params),
                 combine_signatures)
     exe = bundle["exe"]
-    dsm = request.variant in registry.DSM_VARIANTS
-    return exe.setup_space if dsm else None, exe.run_on, _master_scalars
+    if request.variant in registry.DSM_VARIANTS:
+        main = _then_readback(exe.run_on) if request.readback else exe.run_on
+        return exe.setup_space, main, _master_scalars
+    return None, exe.run_on, _master_scalars
 
 
 def _execute_sim(request: RunRequest, cache: ProgramCache,
@@ -273,9 +296,8 @@ def _execute_sim(request: RunRequest, cache: ProgramCache,
         # spf_spec's misspeculation detector IS the race monitor: force it
         # on so UNKNOWN loops speculate instead of degrading to serial
         result = tmk_run(
-            request.nprocs, _with_readback(main) if request.readback else main,
-            setup, model=machine, gc_epochs=request.gc_epochs,
-            schedule_seed=request.schedule_seed,
+            request.nprocs, main, setup, model=machine,
+            gc_epochs=request.gc_epochs, schedule_seed=request.schedule_seed,
             racecheck=request.racecheck or request.variant == "spf_spec",
             faults=faults)
         outputs = result.results

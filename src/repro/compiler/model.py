@@ -242,8 +242,11 @@ class _MNode(LrcNode):
     def _page_image(self, page: int) -> int:
         return self.model.page_size
 
-    def _charge(self, seconds: float, who: Optional["_MNode"] = None) -> None:
-        (who or self).time += seconds
+    def pay(self, charges) -> None:
+        """Run a core action (a generator of charges) on this node's
+        clock, one addition per charge, in the order they fall due."""
+        for seconds in charges:
+            self.time += seconds
 
     def _merge_order(self, patches: list) -> list:
         # sizes commute; request order keeps the clock's float sum stable
@@ -328,12 +331,15 @@ class _SpfModel(_ModelBase):
             self.traffic.send(req_nbytes, "diff_req")
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
             owner = self.nodes[w]
-            reply = owner.collect_for(page, from_id, charge=node)
+            om = owner.meta(page)
+            if om.dirty:    # the requester waits for the diff it asked for
+                node.time += owner._diff_and_cache(page, om)
+            reply = owner._gather(page, om, from_id)
             nbytes = owner.reply_nbytes(reply)
             self.traffic.send(nbytes, "diff_rep")
             node.time += self._hop(nbytes)
             replies.append((w, reply))
-        node._apply_replies(page, m, replies)
+        node.pay(node._apply_replies(page, m, replies))
         m.valid = True
 
     # ---- synchronization replicas ---------------------------------------
@@ -371,7 +377,7 @@ class _SpfModel(_ModelBase):
                 node.time = arrive + self._hop(nbytes)
             else:
                 node.time = arrive
-            node.apply_records(recs, log=False)
+            node.pay(node.apply_records(recs, log=False))
             node.advance_epoch()
 
     def _lock_acquire(self, node: _MNode, lock: int) -> None:
@@ -409,7 +415,7 @@ class _SpfModel(_ModelBase):
         nbytes = sync_nbytes(records, self.machine)
         self.traffic.send(nbytes, "sync")
         node.time += self._hop(nbytes)
-        node.apply_records(records, log=True)
+        node.pay(node.apply_records(records, log=True))
 
     def _lock_release(self, node: _MNode, lock: int) -> None:
         node.close_interval()
@@ -437,7 +443,7 @@ class _SpfModel(_ModelBase):
             worker.time = max(worker.time, master.time
                               + mach.message_time(nbytes)
                               + mach.recv_overhead)
-            worker.apply_records(records, log=False)
+            worker.pay(worker.apply_records(records, log=False))
             worker.advance_epoch()
 
     def _join_improved(self) -> None:
@@ -457,7 +463,7 @@ class _SpfModel(_ModelBase):
         master.close_interval()
         for w, records, seen, t_arr in arrivals:
             master.time = max(master.time, t_arr) + mach.recv_overhead
-            master.apply_records(records, log=True)
+            master.pay(master.apply_records(records, log=True))
             self._worker_seen[w] = seen
 
     def _fork_old(self, sub_id: int, params: tuple) -> None:

@@ -26,6 +26,12 @@ away from the baseline:
 * ``piggyback`` — an application hint that attaches freshly-written data to
   the fork message, merging synchronization and data (MGS's ith-vector
   broadcast, 3.35→~5.1).
+
+The emitted program (:meth:`SpfExecutable.run_on` and everything it reaches)
+is a generator of engine block requests, so each simulated processor runs it
+as a generator process: no OS thread, kernels execute on the caller's.  A
+footprint check that hits stays a plain call (:meth:`SpfExecutable._ensure`
+returns ``None``); only a miss is delegated to with ``yield from``.
 """
 
 from __future__ import annotations
@@ -265,7 +271,7 @@ class SpfExecutable:
                 count += 1          # the lower neighbour pushes up
         return count
 
-    def _do_halo_pushes(self, tmk: Tmk, unit_idx: int) -> None:
+    def _do_halo_pushes(self, tmk: Tmk, unit_idx: int):
         for array, lo_off, hi_off, producer in self.push_plan.get(
                 unit_idx, ()):
             chunk = self.chunk(producer, tmk.pid)
@@ -275,13 +281,13 @@ class SpfExecutable:
             handle = tmk.world.space[array]
             if lo_off < 0 and tmk.pid < self.nprocs - 1:
                 # our bottom rows are the lower neighbour's upper halo
-                enhanced.push_regions(tmk.node,
-                                      [(handle, (slice(hi + lo_off, hi),))],
-                                      dests=[tmk.pid + 1])
+                yield from enhanced.push_regions_gen(
+                    tmk.node, [(handle, (slice(hi + lo_off, hi),))],
+                    dests=[tmk.pid + 1])
             if hi_off > 0 and tmk.pid > 0:
-                enhanced.push_regions(tmk.node,
-                                      [(handle, (slice(lo, lo + hi_off),))],
-                                      dests=[tmk.pid - 1])
+                yield from enhanced.push_regions_gen(
+                    tmk.node, [(handle, (slice(lo, lo + hi_off),))],
+                    dests=[tmk.pid - 1])
 
     def _collect_reductions(self) -> dict:
         """name -> (Reduction, lock id); stable ids across the program."""
@@ -315,60 +321,70 @@ class SpfExecutable:
     # ------------------------------------------------------------------ #
     # execution
 
-    def run_on(self, tmk: Tmk) -> dict:
+    def run_on(self, tmk: Tmk):
+        """One processor's program: a generator of block requests whose
+        return value is the scalar dict (on the master; ``{}`` elsewhere)."""
         views = {handle.name: tmk.array(handle.name).raw()
                  for handle in tmk.world.space.handles()}
         fj = (ImprovedForkJoin(tmk.node) if self.options.improved_interface
               else OldForkJoin(tmk.node))
         if tmk.pid == 0:
-            return self._run_master(tmk, fj, views)
-        self._run_worker(tmk, fj, views)
+            return (yield from self._run_master(tmk, fj, views))
+        yield from self._run_worker(tmk, fj, views)
         return {}
 
-    def _run_master(self, tmk: Tmk, fj, views: dict) -> dict:
+    def _run_master(self, tmk: Tmk, fj, views: dict):
         tmk._spf_scalars = {}
         for idx, unit in enumerate(self.units):
             if unit.mark is not None:
                 tmk.env.mark(unit.mark)
                 continue
             if unit.seq is not None:
-                self._run_seq(tmk, unit.seq, views)
+                yield from self._run_seq(tmk, unit.seq, views)
                 continue
-            if not self.options.tree_reductions:
-                # each loop instance's reduction restarts from the identity
-                for loop in unit.loops:
-                    for red in loop.reductions:
-                        shared = tmk.array(REDUCTION_PREFIX + red.name)
-                        shared.write((slice(0, 1),), red.identity)
-            payload = self._build_piggyback(tmk, unit)
-            # the loop control variables of Section 2.3: subroutine index
-            # plus the loop bounds (workers recompute their chunk from them)
-            head = unit.loops[0]
-            fj.fork(idx, (float(head.start), float(head.extent)),
-                    payload=payload)
-            expected = self._expected_pushes(idx, tmk.pid)
-            if expected:
-                enhanced.expect_pushes(tmk.node, expected)
-            for loop in unit.loops:
-                self._run_chunk(tmk, loop, views)
-            self._do_halo_pushes(tmk, idx)
-            fj.join()
-        fj.shutdown()
-        return self._read_scalars(tmk)
+            yield from self._reset_reductions(tmk, unit)
+            yield from self._run_unit_forked(tmk, fj, idx, unit, views)
+        yield from fj.shutdown_gen()
+        return (yield from self._read_scalars(tmk))
 
-    def _run_worker(self, tmk: Tmk, fj, views: dict) -> None:
+    def _reset_reductions(self, tmk: Tmk, unit: _Unit):
+        """Each loop instance's reduction restarts from the identity."""
+        if self.options.tree_reductions:
+            return
+        for loop in unit.loops:
+            for red in loop.reductions:
+                shared = tmk.array(REDUCTION_PREFIX + red.name)
+                yield from shared.write_gen((slice(0, 1),), red.identity)
+
+    def _run_unit_forked(self, tmk: Tmk, fj, idx: int, unit: _Unit,
+                         views: dict):
+        """The master's side of one parallel dispatch: fork, own chunk,
+        join."""
+        payload = yield from self._build_piggyback(tmk, unit)
+        # the loop control variables of Section 2.3: subroutine index
+        # plus the loop bounds (workers recompute their chunk from them)
+        head = unit.loops[0]
+        yield from fj.fork_gen(idx, (float(head.start), float(head.extent)),
+                               payload=payload)
+        yield from self._run_unit_chunks(tmk, idx, views)
+        yield from fj.join_gen()
+
+    def _run_worker(self, tmk: Tmk, fj, views: dict):
         while True:
-            work = fj.wait_for_work()
+            work = yield from fj.wait_for_work_gen()
             if work is None:
                 return
-            idx = int(work[0])
-            expected = self._expected_pushes(idx, tmk.pid)
-            if expected:
-                enhanced.expect_pushes(tmk.node, expected)
-            for loop in self.units[idx].loops:
-                self._run_chunk(tmk, loop, views)
-            self._do_halo_pushes(tmk, idx)
-            fj.work_done()
+            yield from self._run_unit_chunks(tmk, int(work[0]), views)
+            yield from fj.work_done_gen()
+
+    def _run_unit_chunks(self, tmk: Tmk, idx: int, views: dict):
+        """What every processor does between fork and join."""
+        expected = self._expected_pushes(idx, tmk.pid)
+        if expected:
+            yield from enhanced.expect_pushes_gen(tmk.node, expected)
+        for loop in self.units[idx].loops:
+            yield from self._run_chunk(tmk, loop, views)
+        yield from self._do_halo_pushes(tmk, idx)
 
     def _build_piggyback(self, tmk: Tmk, unit: _Unit):
         hook = self.options.piggyback
@@ -381,24 +397,26 @@ class SpfExecutable:
         # sync+data merging sends the *current page images* (the master
         # just wrote or faulted them), exactly the broadcast the paper
         # added to TreadMarks for MGS's ith vector
-        return enhanced.BcastPayload.build(tmk.node, pairs)
+        return (yield from enhanced.BcastPayload.build_gen(tmk.node, pairs))
 
     # ---- sequential code (master only) ----------------------------------
 
-    def _run_seq(self, tmk: Tmk, stmt: SeqBlock, views: dict) -> None:
-        for acc in stmt.reads:
-            self._ensure(tmk, acc, SEQ, views, write=False, tag=stmt.name)
-        for acc in stmt.writes:
-            self._ensure(tmk, acc, SEQ, views, write=True, tag=stmt.name)
+    def _run_seq(self, tmk: Tmk, stmt: SeqBlock, views: dict):
+        for write, accesses in ((False, stmt.reads), (True, stmt.writes)):
+            for acc in accesses:
+                miss = self._ensure(tmk, acc, SEQ, views, write=write,
+                                    tag=stmt.name)
+                if miss is not None:
+                    yield from miss
         stmt.kernel(views)
         cost = stmt.cost_for(self.program.params)
         if cost:
-            tmk.compute(cost)
+            yield from tmk.compute_gen(cost)
 
     # ---- parallel chunks (all processors) --------------------------------
 
     def _run_chunk(self, tmk: Tmk, loop: ParallelLoop, views: dict,
-                   chunk: Optional[Chunk] = None, stage=None) -> None:
+                   chunk: Optional[Chunk] = None, stage=None):
         """Run ``chunk`` of ``loop`` (default: this processor's share);
         ``stage`` publishes accumulation buffers (default: this
         processor's staging row)."""
@@ -415,22 +433,23 @@ class SpfExecutable:
                 privates[name] = views[name] = np.zeros(decl.shape,
                                                         dtype=decl.dtype)
         if chunk.count:
-            for acc in _ensure_order(loop.reads, loop.accumulate):
-                self._ensure(tmk, acc, chunk, views, write=False,
-                             tag=loop.name)
-            for acc in _ensure_order(loop.writes, loop.accumulate):
-                self._ensure(tmk, acc, chunk, views, write=True,
-                             tag=loop.name)
+            for write, accesses in ((False, loop.reads), (True, loop.writes)):
+                for acc in _ensure_order(accesses, loop.accumulate):
+                    miss = self._ensure(tmk, acc, chunk, views, write=write,
+                                        tag=loop.name)
+                    if miss is not None:
+                        yield from miss
         partials, cost = chunk.run(loop, views)
         if cost:
-            tmk.compute(cost)
+            yield from tmk.compute_gen(cost)
         if loop.accumulate:
-            (stage or self._stage_contributions)(tmk, loop, privates)
+            yield from (stage or self._stage_contributions)(tmk, loop,
+                                                            privates)
         if loop.reductions:
-            self._fold_reductions(tmk, loop, partials)
+            yield from self._fold_reductions(tmk, loop, partials)
 
     def _stage_contributions(self, tmk: Tmk, loop: ParallelLoop,
-                             privates: dict) -> None:
+                             privates: dict):
         """Write this processor's private buffer into staging[pid].
 
         Only rows actually touched are written (the source writes
@@ -452,9 +471,11 @@ class SpfExecutable:
                 continue
             row_elems = int(np.prod(buf.shape[1:])) if buf.ndim > 1 else 1
             base = tmk.pid * buf.shape[0]
-            tmk.node.ensure_write_elements(
+            miss = tmk.node.ensure_write_elements_steps(
                 handle, (base + touched) * row_elems, elem_span=row_elems,
                 source=f"{loop.name}:{STAGING_PREFIX}{name}")
+            if miss is not None:
+                yield from miss
             staging_view = tmk.array(STAGING_PREFIX + name).raw()
             staging_view[tmk.pid, touched] = buf[touched]
 
@@ -464,30 +485,31 @@ class SpfExecutable:
         return tmk._spf_prev_touched
 
     def _ensure(self, tmk: Tmk, acc, chunk: Chunk, views: dict,
-                write: bool, tag: str = "?") -> None:
-        """Make ``chunk``'s footprint of ``acc`` locally current."""
+                write: bool, tag: str = "?"):
+        """Make ``chunk``'s footprint of ``acc`` locally current: ``None``
+        when it already is (the fast path — a plain call), else the
+        generator of block requests that faults the rest in."""
         handle = tmk.world.space[acc.array]
         node = tmk.node
         source = f"{tag}:{acc.array}"
         fp = chunk.footprint(acc, handle.shape, views)
         if isinstance(fp, Elements):
-            ensure = (node.ensure_write_elements if write
-                      else node.ensure_read_elements)
-            ensure(handle, fp.flat, elem_span=fp.span, source=source)
-        elif write:
-            node.ensure_write(handle, fp, source=source)
-        elif self.options.aggregate:
-            enhanced.validate(node, handle, fp, source=source)
-        else:
-            node.ensure_read(handle, fp, source=source)
+            ensure = (node.ensure_write_elements_steps if write
+                      else node.ensure_read_elements_steps)
+            return ensure(handle, fp.flat, elem_span=fp.span, source=source)
+        if write:
+            return node.ensure_write_steps(handle, fp, source=source)
+        if self.options.aggregate:
+            return enhanced.validate_steps(node, handle, fp, source=source)
+        return node.ensure_read_steps(handle, fp, source=source)
 
-    def _fold_reductions(self, tmk: Tmk, loop: ParallelLoop,
-                         partials) -> None:
+    def _fold_reductions(self, tmk: Tmk, loop: ParallelLoop, partials):
         if self.options.tree_reductions:
-            from repro.tmk.reduction import tmk_reduce
+            from repro.tmk.reduction import tmk_reduce_gen
             for red in loop.reductions:
                 val = (partials or {}).get(red.name, red.identity)
-                final = tmk_reduce(tmk.node, val, op=red.combine)
+                final = yield from tmk_reduce_gen(tmk.node, val,
+                                                  op=red.combine)
                 if tmk.pid == 0:
                     tmk._spf_scalars[red.name] = float(final)
             return
@@ -496,19 +518,25 @@ class SpfExecutable:
             _red, lock_id = self.reductions[red.name]
             shared = tmk.array(REDUCTION_PREFIX + red.name)
             source = f"{loop.name}:{REDUCTION_PREFIX}{red.name}"
-            tmk.lock_acquire(lock_id)
-            cur = float(shared.read((slice(0, 1),), source=source)[0])
-            shared.write((slice(0, 1),), red.combine(cur, val),
-                         source=source)
-            tmk.lock_release(lock_id)
+            steps = tmk.lock_acquire_steps(lock_id)
+            if steps is not None:
+                yield from steps
+            cell = yield from shared.read_gen((slice(0, 1),), source=source)
+            yield from shared.write_gen((slice(0, 1),),
+                                        red.combine(float(cell[0]), val),
+                                        source=source)
+            steps = tmk.lock_release_steps(lock_id)
+            if steps is not None:
+                yield from steps
 
-    def _read_scalars(self, tmk: Tmk) -> dict:
+    def _read_scalars(self, tmk: Tmk):
         if self.options.tree_reductions:
             return dict(tmk._spf_scalars)
         out = {}
         for name in self.reductions:
             shared = tmk.array(REDUCTION_PREFIX + name)
-            out[name] = float(shared.read((slice(0, 1),))[0])
+            cell = yield from shared.read_gen((slice(0, 1),))
+            out[name] = float(cell[0])
         return out
 
 
@@ -530,11 +558,8 @@ def run_spf(program: Program, nprocs: int = 8,
     def setup(space: SharedSpace) -> None:
         exe.setup_space(space)
 
-    def main(tmk: Tmk):
-        return exe.run_on(tmk)
-
-    result = tmk_run(nprocs, main, setup, model=model, gc_epochs=gc_epochs,
-                     schedule_seed=schedule_seed, racecheck=racecheck,
-                     faults=faults)
+    result = tmk_run(nprocs, exe.run_on, setup, model=model,
+                     gc_epochs=gc_epochs, schedule_seed=schedule_seed,
+                     racecheck=racecheck, faults=faults)
     result.scalars = result.results[0]
     return result

@@ -43,8 +43,7 @@ from typing import Optional
 from repro.compiler import depend
 from repro.compiler.ir import Program
 from repro.compiler.partition import Chunk
-from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX,
-                                SpfExecutable, SpfOptions)
+from repro.compiler.spf import STAGING_PREFIX, SpfExecutable, SpfOptions
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
 from repro.tmk.api import Tmk, tmk_run
@@ -108,7 +107,7 @@ class SpfSpecExecutable(SpfExecutable):
     # ------------------------------------------------------------------ #
     # execution (master side; the worker loop is inherited unchanged)
 
-    def _run_master(self, tmk: Tmk, fj, views: dict) -> dict:
+    def _run_master(self, tmk: Tmk, fj, views: dict):
         tmk._spf_scalars = {}
         monitor = getattr(tmk.world, "race_monitor", None)
         stats = {
@@ -123,33 +122,22 @@ class SpfSpecExecutable(SpfExecutable):
                 tmk.env.mark(unit.mark)
                 continue
             if unit.seq is not None:
-                self._run_seq(tmk, unit.seq, views)
+                yield from self._run_seq(tmk, unit.seq, views)
                 continue
-            if not self.options.tree_reductions:
-                for loop in unit.loops:
-                    for red in loop.reductions:
-                        shared = tmk.array(REDUCTION_PREFIX + red.name)
-                        shared.write((slice(0, 1),), red.identity)
+            yield from self._reset_reductions(tmk, unit)
             plan = self.unit_plans[idx]
             if plan == "serial" or (plan == "speculate"
                                     and monitor is None):
-                self._run_unit_sequentially(tmk, unit, views)
+                yield from self._run_unit_sequentially(tmk, unit, views)
                 stats["serial_instances"] += 1
-                continue
-            if plan == "speculate":
-                self._run_unit_speculative(tmk, fj, idx, unit, views,
-                                           monitor, stats)
-                continue
-            payload = self._build_piggyback(tmk, unit)
-            head = unit.loops[0]
-            fj.fork(idx, (float(head.start), float(head.extent)),
-                    payload=payload)
-            for loop in unit.loops:
-                self._run_chunk(tmk, loop, views)
-            fj.join()
-        fj.shutdown()
+            elif plan == "speculate":
+                yield from self._run_unit_speculative(tmk, fj, idx, unit,
+                                                      views, monitor, stats)
+            else:
+                yield from self._run_unit_forked(tmk, fj, idx, unit, views)
+        yield from fj.shutdown_gen()
         self.last_spec_stats = stats
-        return self._read_scalars(tmk)
+        return (yield from self._read_scalars(tmk))
 
     def _unit_write_set(self, unit) -> list:
         """Arrays a speculative unit may write (staging excluded: its
@@ -163,23 +151,19 @@ class SpfSpecExecutable(SpfExecutable):
         return names
 
     def _run_unit_speculative(self, tmk: Tmk, fj, idx: int, unit,
-                              views: dict, monitor, stats: dict) -> None:
+                              views: dict, monitor, stats: dict):
         tag = unit.loops[0].name
         snapshot = {}
         for name in self._unit_write_set(unit):
             handle = tmk.world.space[name]
             region = tuple(slice(0, s) for s in handle.shape)
-            tmk.node.ensure_read(handle, region,
-                                 source=f"{tag}:{CHECKPOINT_SOURCE}")
+            miss = tmk.node.ensure_read_steps(
+                handle, region, source=f"{tag}:{CHECKPOINT_SOURCE}")
+            if miss is not None:
+                yield from miss
             snapshot[name] = views[name].copy()
         mark = len(monitor.events)
-        payload = self._build_piggyback(tmk, unit)
-        head = unit.loops[0]
-        fj.fork(idx, (float(head.start), float(head.extent)),
-                payload=payload)
-        for loop in unit.loops:
-            self._run_chunk(tmk, loop, views)
-        fj.join()
+        yield from self._run_unit_forked(tmk, fj, idx, unit, views)
         stats["speculations"] += 1
         verdict = find_races(monitor.events[mark:], space=tmk.world.space)
         if not verdict.true_races:
@@ -192,27 +176,25 @@ class SpfSpecExecutable(SpfExecutable):
         for name, saved in snapshot.items():
             handle = tmk.world.space[name]
             region = tuple(slice(0, s) for s in handle.shape)
-            tmk.node.ensure_write(handle, region,
-                                  source=f"{tag}:{CHECKPOINT_SOURCE}")
+            miss = tmk.node.ensure_write_steps(
+                handle, region, source=f"{tag}:{CHECKPOINT_SOURCE}")
+            if miss is not None:
+                yield from miss
             views[name][...] = saved
         # ... the workers' partial reduction folds are garbage: restart
         # from the identity before the sequential re-execution folds the
         # full-space partials
-        if not self.options.tree_reductions:
-            for loop in unit.loops:
-                for red in loop.reductions:
-                    shared = tmk.array(REDUCTION_PREFIX + red.name)
-                    shared.write((slice(0, 1),), red.identity)
-        self._run_unit_sequentially(tmk, unit, views)
+        yield from self._reset_reductions(tmk, unit)
+        yield from self._run_unit_sequentially(tmk, unit, views)
 
-    def _run_unit_sequentially(self, tmk: Tmk, unit, views: dict) -> None:
+    def _run_unit_sequentially(self, tmk: Tmk, unit, views: dict):
         """The sequential policy: the master executes each loop's whole
         iteration space (workers are not involved and were never forked)."""
         for loop in unit.loops:
-            self._run_chunk(tmk, loop, views, Chunk.whole(loop),
-                            stage=self._stage_full)
+            yield from self._run_chunk(tmk, loop, views, Chunk.whole(loop),
+                                       stage=self._stage_full)
 
-    def _stage_full(self, tmk: Tmk, loop, privates: dict) -> None:
+    def _stage_full(self, tmk: Tmk, loop, privates: dict):
         """Sequential-policy staging: the master's row carries the whole
         contribution, every other processor's row is zeroed (wiping any
         stale or misspeculated chunk contributions)."""
@@ -220,7 +202,9 @@ class SpfSpecExecutable(SpfExecutable):
             handle = tmk.world.space[STAGING_PREFIX + name]
             source = f"{loop.name}:{STAGING_PREFIX}{name}"
             region = tuple(slice(0, s) for s in handle.shape)
-            tmk.node.ensure_write(handle, region, source=source)
+            miss = tmk.node.ensure_write_steps(handle, region, source=source)
+            if miss is not None:
+                yield from miss
             staging = tmk.array(STAGING_PREFIX + name).raw()
             staging[0] = buf
             staging[1:] = 0
@@ -246,12 +230,9 @@ def run_spf_spec(program: Program, nprocs: int = 8,
     def setup(space: SharedSpace) -> None:
         exe.setup_space(space)
 
-    def main(tmk: Tmk):
-        return exe.run_on(tmk)
-
-    result = tmk_run(nprocs, main, setup, model=model, gc_epochs=gc_epochs,
-                     schedule_seed=schedule_seed, racecheck=True,
-                     faults=faults)
+    result = tmk_run(nprocs, exe.run_on, setup, model=model,
+                     gc_epochs=gc_epochs, schedule_seed=schedule_seed,
+                     racecheck=True, faults=faults)
     result.scalars = result.results[0]
     result.speculation = exe.last_spec_stats
     return result

@@ -25,6 +25,11 @@ Reproduces the Forge XHPF behaviour of Section 2.4:
   large transfers are segmented into ~4 KB packets
   (:attr:`~repro.sim.machine.MachineModel.mp_packet_bytes`), matching the
   data/message ratios of the paper's Table 3.
+
+The emitted program (:meth:`XhpfExecutable.run_on` and everything it
+reaches) is a generator of engine block requests, so each simulated
+processor runs it as a generator process: no OS thread, kernels execute on
+the caller's.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.compiler.ir import (Access, ArrayDecl, Mark, ParallelLoop, Point,
                                Program, SeqBlock)
 from repro.compiler.partition import (Chunk, block_owner, block_range,
                                       loop_chunk)
-from repro.msg.collectives import allreduce, bcast
+from repro.msg.collectives import allreduce_gen, bcast_gen
 from repro.msg.endpoint import Comm
 from repro.sim.cluster import Cluster, ProcEnv, RunResult
 from repro.sim.faults import FaultPlan
@@ -115,7 +120,9 @@ class XhpfExecutable:
     # ------------------------------------------------------------------ #
     # execution
 
-    def run_on(self, env: ProcEnv) -> dict:
+    def run_on(self, env: ProcEnv):
+        """One processor's program: a generator of block requests whose
+        return value is the scalar dict."""
         model = env.model
         packet = model.mp_packet_bytes if self.options.segment_transfers else None
         comm = Comm(env, category="data", packet_bytes=packet)
@@ -134,25 +141,27 @@ class XhpfExecutable:
             if isinstance(stmt, Mark):
                 env.mark(stmt.label)
             elif isinstance(stmt, SeqBlock):
-                self._run_seq(env, comm, stmt, views)
+                yield from self._run_seq(env, comm, stmt, views)
             else:
-                self._run_loop(env, comm, stmt, views, scalars, state)
+                yield from self._run_loop(env, comm, stmt, views, scalars,
+                                          state)
         return scalars
 
     # ---- sequential code: replicated execution ---------------------------
 
     def _run_seq(self, env: ProcEnv, comm: Comm, stmt: SeqBlock,
-                 views: dict) -> None:
+                 views: dict):
         # owners broadcast any distributed data the block reads
         for acc in stmt.reads:
-            self._broadcast_region(env, comm, acc, views)
+            yield from self._broadcast_region(env, comm, acc, views)
         stmt.kernel(views)
         cost = stmt.cost_for(self.program.params)
         if cost:
-            env.compute(cost)   # every processor: redundant SPMD execution
+            # every processor: redundant SPMD execution
+            yield from env.compute_gen(cost)
 
     def _broadcast_region(self, env: ProcEnv, comm: Comm, acc: Access,
-                          views: dict) -> None:
+                          views: dict):
         decl = self.decls[acc.array]
         if decl.distribute is None or acc.irregular:
             return
@@ -168,10 +177,8 @@ class XhpfExecutable:
                                           "CYCLIC arrays")
             owner = self.row_owner(decl, row_lo)
             part_region = (slice(row_lo, row_hi),) + tuple(region[1:])
-            if env.pid == owner:
-                bcast(comm, views[acc.array][part_region].copy(), root=owner)
-            else:
-                views[acc.array][part_region] = bcast(comm, None, root=owner)
+            yield from self._bcast_part(env, comm, views[acc.array],
+                                        part_region, owner)
             return
         for owner in range(self.nprocs):
             olo, ohi = self.owned_rows(decl, owner)
@@ -179,44 +186,47 @@ class XhpfExecutable:
             if hi <= lo:
                 continue
             part_region = (slice(lo, hi),) + tuple(region[1:])
-            if env.pid == owner:
-                bcast(comm, views[acc.array][part_region].copy(), root=owner)
-            else:
-                data = bcast(comm, None, root=owner)
-                views[acc.array][part_region] = data
+            yield from self._bcast_part(env, comm, views[acc.array],
+                                        part_region, owner)
+
+    @staticmethod
+    def _bcast_part(env: ProcEnv, comm: Comm, view, part_region,
+                    owner: int):
+        """``owner``'s ``part_region`` of ``view`` reaches every replica."""
+        if env.pid == owner:
+            yield from bcast_gen(comm, view[part_region].copy(), root=owner)
+        else:
+            view[part_region] = yield from bcast_gen(comm, None, root=owner)
 
     # ---- parallel loops ----------------------------------------------------
 
     def _run_loop(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                  views: dict, scalars: dict, state: dict) -> None:
+                  views: dict, scalars: dict, state: dict):
         if loop.irregular:
-            if self.options.inspector_executor:
-                self._run_irregular_inspector(env, comm, loop, views,
-                                              scalars, state)
-            else:
-                self._run_irregular_loop(env, comm, loop, views, scalars,
-                                         state)
+            run = (self._run_irregular_inspector
+                   if self.options.inspector_executor
+                   else self._run_irregular_loop)
+            yield from run(env, comm, loop, views, scalars, state)
             return
         for acc in loop.writes:
             decl = self.decls[acc.array]
             if decl.distribute is not None:
                 state[acc.array] = False   # replicas go stale
-        if loop.schedule == "cyclic":
-            self._exchange_cyclic(env, comm, loop, views)
-        else:
-            self._exchange_block(env, comm, loop, views)
-        partials = self._run_chunk(env, loop, views)
-        self._fold_reductions(env, comm, loop, partials, scalars)
+        exchange = (self._exchange_cyclic if loop.schedule == "cyclic"
+                    else self._exchange_block)
+        yield from exchange(env, comm, loop, views)
+        partials = yield from self._run_chunk(env, loop, views)
+        yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _run_chunk(self, env: ProcEnv, loop: ParallelLoop, views: dict):
         """This processor's kernel call and compute charge -> partials."""
         partials, cost = self.chunk(loop, env.pid).run(loop, views)
         if cost:
-            env.compute(cost)
+            yield from env.compute_gen(cost)
         return partials
 
     def _exchange_block(self, env: ProcEnv, comm: Comm,
-                        loop: ParallelLoop, views: dict) -> None:
+                        loop: ParallelLoop, views: dict):
         """Pairwise exchange so each chunk's read footprint is current."""
         me = env.pid
         chunks = [self.chunk(loop, p) for p in range(self.nprocs)]
@@ -254,13 +264,15 @@ class XhpfExecutable:
         # sends first (buffered), then receives — deadlock-free
         for op, peer, array, part in plan:
             if op == "send":
-                comm.send(peer, views[array][part].copy(), tag=TAG_EXCHANGE)
+                yield from comm.send_gen(peer, views[array][part].copy(),
+                                         tag=TAG_EXCHANGE)
         for op, peer, array, part in plan:
             if op == "recv":
-                views[array][part] = comm.recv(src=peer, tag=TAG_EXCHANGE)
+                views[array][part] = yield from comm.recv_gen(
+                    src=peer, tag=TAG_EXCHANGE)
 
     def _exchange_cyclic(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                         views: dict) -> None:
+                         views: dict):
         """Cyclic chunks read only fixed rows (Point) in the applications;
         those travel through the sequential-broadcast path instead."""
         for acc in loop.reads:
@@ -269,16 +281,16 @@ class XhpfExecutable:
                 continue
             lead = acc.region[0] if acc.region else None
             if isinstance(lead, Point):
-                self._broadcast_region(env, comm,
-                                       Access(acc.array,
-                                              (lead,) + tuple(acc.region[1:])),
-                                       views)
+                yield from self._broadcast_region(
+                    env, comm,
+                    Access(acc.array, (lead,) + tuple(acc.region[1:])),
+                    views)
 
     # ---- irregular loops, inspector-executor variant ---------------------
 
     def _run_irregular_inspector(self, env: ProcEnv, comm: Comm,
                                  loop: ParallelLoop, views: dict,
-                                 scalars: dict, state: dict) -> None:
+                                 scalars: dict, state: dict):
         """CHAOS-style: gather exactly the referenced rows, return exactly
         the produced contributions — no broadcasts."""
         from repro.compiler.inspector import (CommSchedule,
@@ -306,8 +318,8 @@ class XhpfExecutable:
         sched = cache.lookup(loop.name, fp)
         if sched is None:
             # ---- inspector: build and exchange the schedule
-            env.compute(self.options.inspect_cost_per_element
-                        * max(len(flat), 1))
+            yield from env.compute_gen(
+                self.options.inspect_cost_per_element * max(len(flat), 1))
             recv_rows = inspect_reads(flat, row_elems, (lo, hi),
                                       owner_bounds)
             # accumulation buffers are row-aligned with the gathered array
@@ -323,12 +335,13 @@ class XhpfExecutable:
                     continue
                 want = recv_rows.get(peer, np.empty(0, np.int64))
                 give = ret_rows.get(peer, np.empty(0, np.int64))
-                comm.send(peer, (want, give), tag=TAG_EXCHANGE,
-                          category="sync")
+                yield from comm.send_gen(peer, (want, give),
+                                         tag=TAG_EXCHANGE, category="sync")
             for peer in range(self.nprocs):
                 if peer == me:
                     continue
-                want, give = comm.recv(src=peer, tag=TAG_EXCHANGE)
+                want, give = yield from comm.recv_gen(src=peer,
+                                                      tag=TAG_EXCHANGE)
                 if len(want):
                     sched.send_rows[peer] = np.asarray(want)
                 if len(give):
@@ -338,34 +351,38 @@ class XhpfExecutable:
         # ---- executor: scheduled gather of referenced rows
         for peer in sorted(sched.send_rows):
             rows = sched.send_rows[peer]
-            comm.send(peer, views[acc.array][rows].copy(), tag=TAG_PARTITION)
+            yield from comm.send_gen(peer, views[acc.array][rows].copy(),
+                                     tag=TAG_PARTITION)
         for peer in sorted(sched.recv_rows):
             rows = sched.recv_rows[peer]
-            views[acc.array][rows] = comm.recv(src=peer, tag=TAG_PARTITION)
+            views[acc.array][rows] = yield from comm.recv_gen(
+                src=peer, tag=TAG_PARTITION)
 
         for name in loop.accumulate:
             views[name][...] = 0
-        partials = self._run_chunk(env, loop, views)
+        partials = yield from self._run_chunk(env, loop, views)
 
         # ---- scheduled return of accumulation contributions
         for name in loop.accumulate:
             buf = views[name]
             for peer in sorted(sched.return_rows):
                 rows = sched.return_rows[peer]
-                comm.send(peer, buf[rows].copy(), tag=TAG_PARTITION)
+                yield from comm.send_gen(peer, buf[rows].copy(),
+                                         tag=TAG_PARTITION)
             for peer in sorted(sched.accept_rows):
                 rows = sched.accept_rows[peer]
-                buf[rows] += comm.recv(src=peer, tag=TAG_PARTITION)
+                buf[rows] += yield from comm.recv_gen(src=peer,
+                                                      tag=TAG_PARTITION)
             state[name] = False      # only owners hold complete sums now
         for acc_w in loop.writes:
             wdecl = self.decls.get(acc_w.array)
             if wdecl is not None and wdecl.distribute is not None:
                 state[acc_w.array] = False
-        self._fold_reductions(env, comm, loop, partials, scalars)
+        yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _run_irregular_loop(self, env: ProcEnv, comm: Comm,
                             loop: ParallelLoop, views: dict,
-                            scalars: dict, state: dict) -> None:
+                            scalars: dict, state: dict):
         """Owner-computes on replicated data + broadcast-everything.
 
         The compiler "does not know what data will be accessed", so it keeps
@@ -383,13 +400,13 @@ class XhpfExecutable:
             decl = self.decls[acc.array]
             if decl.distribute is None or state.get(acc.array, True):
                 continue
-            self._broadcast_partitions(env, comm, decl, views)
+            yield from self._broadcast_partitions(env, comm, decl, views)
             state[acc.array] = True
         # accumulation buffers: recomputed from zero each instance, summed
         # across processors (force buffers)
         for name in loop.accumulate:
             views[name][...] = 0
-        partials = self._run_chunk(env, loop, views)
+        partials = yield from self._run_chunk(env, loop, views)
         # broadcast local accumulation buffers; everyone sums all of them
         for name in loop.accumulate:
             mine = views[name].copy()
@@ -397,11 +414,12 @@ class XhpfExecutable:
             for peer in range(self.nprocs):
                 if peer == me:
                     continue
-                comm.send(peer, mine, tag=TAG_PARTITION)
+                yield from comm.send_gen(peer, mine, tag=TAG_PARTITION)
             for peer in range(self.nprocs):
                 if peer == me:
                     continue
-                total = total + comm.recv(src=peer, tag=TAG_PARTITION)
+                total = total + (yield from comm.recv_gen(
+                    src=peer, tag=TAG_PARTITION))
             views[name][...] = total
             state[name] = True
         # epilogue: broadcast whole owned partitions of written arrays
@@ -409,12 +427,12 @@ class XhpfExecutable:
             decl = self.decls[acc.array]
             if decl.distribute is None or acc.array in loop.accumulate:
                 continue
-            self._broadcast_partitions(env, comm, decl, views)
+            yield from self._broadcast_partitions(env, comm, decl, views)
             state[acc.array] = True
-        self._fold_reductions(env, comm, loop, partials, scalars)
+        yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _broadcast_partitions(self, env: ProcEnv, comm: Comm,
-                              decl: ArrayDecl, views: dict) -> None:
+                              decl: ArrayDecl, views: dict):
         """Every processor sends its owned partition to every other."""
         me = env.pid
         olo, ohi = self.owned_rows(decl, me)
@@ -422,18 +440,20 @@ class XhpfExecutable:
         for peer in range(self.nprocs):
             if peer == me:
                 continue
-            comm.send(peer, mine, tag=TAG_PARTITION)
+            yield from comm.send_gen(peer, mine, tag=TAG_PARTITION)
         for peer in range(self.nprocs):
             if peer == me:
                 continue
             plo, phi = self.owned_rows(decl, peer)
-            views[decl.name][plo:phi] = comm.recv(src=peer, tag=TAG_PARTITION)
+            views[decl.name][plo:phi] = yield from comm.recv_gen(
+                src=peer, tag=TAG_PARTITION)
 
     def _fold_reductions(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                         partials, scalars: dict) -> None:
+                         partials, scalars: dict):
         for red in loop.reductions:
             val = (partials or {}).get(red.name, red.identity)
-            scalars[red.name] = allreduce(comm, val, red.combine)
+            scalars[red.name] = yield from allreduce_gen(comm, val,
+                                                         red.combine)
 
 
 def compile_xhpf(program: Program, nprocs: int = 8,

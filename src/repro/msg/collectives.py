@@ -14,17 +14,23 @@ Implemented with the algorithms a mid-90s library would use on an SP/2:
 
 Every collective is, well, collective: all ranks must call it with matching
 arguments; internal phase tags are drawn deterministically per call.
+
+Each is one generator of engine block requests (``bcast_gen``, ...), which
+the compiled XHPF program delegates to with ``yield from``; the names
+without the suffix are the blocking forms the hand-coded programs call.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Optional
 
-
 from repro.msg.endpoint import Comm
+from repro.sim.engine import blocking
 
 __all__ = ["bcast", "reduce", "allreduce", "gather", "allgather",
-           "scatter", "alltoall", "mp_barrier"]
+           "scatter", "alltoall", "mp_barrier",
+           "bcast_gen", "reduce_gen", "allreduce_gen", "gather_gen",
+           "allgather_gen", "scatter_gen", "alltoall_gen", "mp_barrier_gen"]
 
 
 def _tree_children(rank: int, root: int, size: int) -> list[int]:
@@ -49,59 +55,61 @@ def _tree_parent(rank: int, root: int, size: int) -> Optional[int]:
     return (parent_rel + root) % size
 
 
-def bcast(comm: Comm, value: Any, root: int = 0, tag: Optional[int] = None) -> Any:
+def bcast_gen(comm: Comm, value: Any, root: int = 0,
+              tag: Optional[int] = None):
     """Binomial-tree broadcast; returns the value on every rank."""
     tag = comm.next_tag() if tag is None else tag
     if comm.rank != root:
-        value = comm.recv(src=_tree_parent(comm.rank, root, comm.size), tag=tag)
+        value = yield from comm.recv_gen(
+            src=_tree_parent(comm.rank, root, comm.size), tag=tag)
     for child in _tree_children(comm.rank, root, comm.size):
-        comm.send(child, value, tag=tag)
+        yield from comm.send_gen(child, value, tag=tag)
     return value
 
 
-def reduce(comm: Comm, value: Any, op: Callable[[Any, Any], Any],
-           root: int = 0, tag: Optional[int] = None) -> Any:
+def reduce_gen(comm: Comm, value: Any, op: Callable[[Any, Any], Any],
+               root: int = 0, tag: Optional[int] = None):
     """Binomial-tree reduction; result valid only on ``root``."""
     tag = comm.next_tag() if tag is None else tag
     acc = value
     for child in _tree_children(comm.rank, root, comm.size):
-        acc = op(acc, comm.recv(src=child, tag=tag))
+        acc = op(acc, (yield from comm.recv_gen(src=child, tag=tag)))
     parent = _tree_parent(comm.rank, root, comm.size)
     if parent is not None:
-        comm.send(parent, acc, tag=tag)
+        yield from comm.send_gen(parent, acc, tag=tag)
         return None
     return acc
 
 
-def allreduce(comm: Comm, value: Any, op: Callable[[Any, Any], Any]) -> Any:
+def allreduce_gen(comm: Comm, value: Any, op: Callable[[Any, Any], Any]):
     """Reduce to rank 0, then broadcast the result."""
-    acc = reduce(comm, value, op, root=0)
-    return bcast(comm, acc, root=0)
+    acc = yield from reduce_gen(comm, value, op, root=0)
+    return (yield from bcast_gen(comm, acc, root=0))
 
 
-def gather(comm: Comm, value: Any, root: int = 0,
-           tag: Optional[int] = None) -> Optional[list]:
+def gather_gen(comm: Comm, value: Any, root: int = 0,
+               tag: Optional[int] = None):
     """Linear gather; returns the rank-ordered list on ``root``."""
     tag = comm.next_tag() if tag is None else tag
     if comm.rank == root:
         out: list = [None] * comm.size
         out[root] = value
         for _ in range(comm.size - 1):
-            msg = comm.recv_msg(tag=tag)
+            msg = yield from comm.recv_msg_gen(tag=tag)
             out[msg.src] = msg.payload
         return out
-    comm.send(root, value, tag=tag)
+    yield from comm.send_gen(root, value, tag=tag)
     return None
 
 
-def allgather(comm: Comm, value: Any) -> list:
+def allgather_gen(comm: Comm, value: Any):
     """Gather to rank 0, broadcast the list."""
-    out = gather(comm, value, root=0)
-    return bcast(comm, out, root=0)
+    out = yield from gather_gen(comm, value, root=0)
+    return (yield from bcast_gen(comm, out, root=0))
 
 
-def scatter(comm: Comm, values: Optional[list], root: int = 0,
-            tag: Optional[int] = None) -> Any:
+def scatter_gen(comm: Comm, values: Optional[list], root: int = 0,
+                tag: Optional[int] = None):
     """Linear scatter of a rank-indexed list from ``root``."""
     tag = comm.next_tag() if tag is None else tag
     if comm.rank == root:
@@ -109,12 +117,12 @@ def scatter(comm: Comm, values: Optional[list], root: int = 0,
             raise ValueError("scatter needs one value per rank at the root")
         for dst in range(comm.size):
             if dst != root:
-                comm.send(dst, values[dst], tag=tag)
+                yield from comm.send_gen(dst, values[dst], tag=tag)
         return values[root]
-    return comm.recv(src=root, tag=tag)
+    return (yield from comm.recv_gen(src=root, tag=tag))
 
 
-def alltoall(comm: Comm, values: list, tag: Optional[int] = None) -> list:
+def alltoall_gen(comm: Comm, values: list, tag: Optional[int] = None):
     """Direct pairwise exchange: ``values[d]`` goes to rank ``d``.
 
     Returns the rank-ordered received list.  ``n(n-1)`` messages total.
@@ -126,14 +134,14 @@ def alltoall(comm: Comm, values: list, tag: Optional[int] = None) -> list:
     out[comm.rank] = values[comm.rank]
     for shift in range(1, comm.size):
         dst = (comm.rank + shift) % comm.size
-        comm.send(dst, values[dst], tag=tag)
+        yield from comm.send_gen(dst, values[dst], tag=tag)
     for _ in range(comm.size - 1):
-        msg = comm.recv_msg(tag=tag)
+        msg = yield from comm.recv_msg_gen(tag=tag)
         out[msg.src] = msg.payload
     return out
 
 
-def mp_barrier(comm: Comm, tag: Optional[int] = None) -> None:
+def mp_barrier_gen(comm: Comm, tag: Optional[int] = None):
     """Dissemination barrier: ``n * ceil(log2 n)`` small messages.
 
     Each round draws its own tag.  The old scheme used ``tag + round_no``,
@@ -153,8 +161,18 @@ def mp_barrier(comm: Comm, tag: Optional[int] = None) -> None:
         round_tag = comm.next_tag() if tag is None else tag + round_no
         dst = (comm.rank + dist) % comm.size
         src = (comm.rank - dist) % comm.size
-        comm.send(dst, round_no, tag=round_tag, nbytes=4,
-                  category="sync")
-        comm.recv(src=src, tag=round_tag)
+        yield from comm.send_gen(dst, round_no, tag=round_tag, nbytes=4,
+                                 category="sync")
+        yield from comm.recv_gen(src=src, tag=round_tag)
         dist <<= 1
         round_no += 1
+
+
+bcast = blocking(bcast_gen)
+reduce = blocking(reduce_gen)
+allreduce = blocking(allreduce_gen)
+gather = blocking(gather_gen)
+allgather = blocking(allgather_gen)
+scatter = blocking(scatter_gen)
+alltoall = blocking(alltoall_gen)
+mp_barrier = blocking(mp_barrier_gen)

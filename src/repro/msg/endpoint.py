@@ -10,6 +10,11 @@ Large transfers can optionally be segmented into fixed-size packets
 a bounded transfer buffer, which is visible in the paper's Table 3 as a
 ~4 KB data/message ratio for XHPF programs.  Hand-coded PVMe programs send
 unsegmented messages.
+
+Each blocking operation is one generator of engine block requests
+(``send_gen``, ``recv_gen``, ...), which the compiled XHPF program delegates
+to with ``yield from``; ``send``/``recv``/``recv_msg``/``sendrecv`` are the
+blocking forms the hand-coded programs call from their own threads.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.sim.cluster import ProcEnv
+from repro.sim.engine import blocking
 from repro.sim.network import ANY_SOURCE, ANY_TAG
 
 __all__ = ["Comm", "payload_nbytes", "ANY_SOURCE", "ANY_TAG"]
@@ -86,6 +92,7 @@ class Comm:
     def __init__(self, env: ProcEnv, category: str = "data",
                  packet_bytes: Optional[int] = None):
         self.env = env
+        self.proc = env.proc
         self.rank = env.pid
         self.size = env.nprocs
         self.net = env.net
@@ -95,28 +102,31 @@ class Comm:
 
     # ------------------------------------------------------------------ #
 
-    def send(self, dst: int, payload: Any, tag: int = 0,
-             nbytes: Optional[int] = None, category: Optional[str] = None) -> None:
+    def send_gen(self, dst: int, payload: Any, tag: int = 0,
+                 nbytes: Optional[int] = None,
+                 category: Optional[str] = None):
         """Buffered asynchronous send."""
         size = payload_nbytes(payload) if nbytes is None else nbytes
         cat = category or self.category
         if self.packet_bytes and size > self.packet_bytes:
-            # segment: payload rides the last packet, earlier packets are
-            # header-only carriers of their share of the bytes
-            full, last = divmod(size, self.packet_bytes)
-            sizes = [self.packet_bytes] * full + ([last] if last else [])
-            total = len(sizes)
-            for i, part in enumerate(sizes[:-1]):
-                self.net.send(self.env.proc, self.rank, dst,
-                              _Carrier(i, total), tag=tag,
-                              nbytes=part, category=cat)
-            self.net.send(self.env.proc, self.rank, dst, payload, tag=tag,
-                          nbytes=sizes[-1], category=cat)
-        else:
-            self.net.send(self.env.proc, self.rank, dst, payload, tag=tag,
-                          nbytes=size, category=cat)
+            return self._send_segmented(dst, payload, tag, size, cat)
+        return self.net.send_gen(self.rank, dst, payload, tag=tag,
+                                 nbytes=size, category=cat)
 
-    def recv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
+    def _send_segmented(self, dst: int, payload: Any, tag: int, size: int,
+                        cat: str):
+        """The payload rides the last packet; earlier packets are
+        header-only carriers of their share of the bytes."""
+        full, last = divmod(size, self.packet_bytes)
+        sizes = [self.packet_bytes] * full + ([last] if last else [])
+        total = len(sizes)
+        for i, part in enumerate(sizes):
+            yield from self.net.send_gen(
+                self.rank, dst,
+                payload if i == total - 1 else _Carrier(i, total),
+                tag=tag, nbytes=part, category=cat)
+
+    def recv_gen(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload."""
         if self.packet_bytes:
             if src == ANY_SOURCE:
@@ -129,10 +139,10 @@ class Comm:
                                  "tag (packets must not interleave)")
             # consume header-only carrier packets until the payload packet
             while True:
-                msg = self.net.recv(self.env.proc, self.rank, src=src, tag=tag)
+                msg = yield from self.recv_msg_gen(src=src, tag=tag)
                 if not isinstance(msg.payload, _Carrier):
                     return msg.payload
-        msg = self.net.recv(self.env.proc, self.rank, src=src, tag=tag)
+        msg = yield from self.recv_msg_gen(src=src, tag=tag)
         if isinstance(msg.payload, _Carrier):
             raise RuntimeError(
                 f"unsegmented recv matched a segment carrier {msg.payload!r} "
@@ -140,15 +150,19 @@ class Comm:
                 f"but this endpoint does not")
         return msg.payload
 
-    def recv_msg(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
+    def recv_msg_gen(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the full Message (src/tag visible)."""
-        return self.net.recv(self.env.proc, self.rank, src=src, tag=tag)
+        return self.net.recv_gen(self.proc, self.rank, src=src, tag=tag)
 
-    def sendrecv(self, dst: int, payload: Any, src: int,
-                 tag: int = 0) -> Any:
+    def sendrecv_gen(self, dst: int, payload: Any, src: int, tag: int = 0):
         """Exchange: buffered send then blocking receive (deadlock-free)."""
-        self.send(dst, payload, tag=tag)
-        return self.recv(src=src, tag=tag)
+        yield from self.send_gen(dst, payload, tag=tag)
+        return (yield from self.recv_gen(src=src, tag=tag))
+
+    send = blocking(send_gen)
+    recv = blocking(recv_gen)
+    recv_msg = blocking(recv_msg_gen)
+    sendrecv = blocking(sendrecv_gen)
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         return self.net.probe(self.rank, src=src, tag=tag)

@@ -4,7 +4,10 @@ A *program* is a Python callable ``fn(env, *args)`` where ``env`` is the
 :class:`ProcEnv` for one simulated processor.  ``Cluster.run`` spawns the
 program on every processor, drives the simulation to completion, and returns
 a :class:`RunResult` with per-processor virtual finish times and the network
-traffic generated by the run.
+traffic generated by the run.  The kind of process follows from the program,
+as everywhere in :mod:`repro.sim.engine`: a generator function (every
+compiler-generated program) runs with no thread, on the caller's; a plain
+function (the hand-coded applications) on a thread of its own.
 
 Computation inside programs is charged explicitly with
 :meth:`ProcEnv.compute`; the actual numpy work a program performs costs zero
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.sim.engine import Process, Simulator
+from repro.sim.engine import HOLD, Process, Simulator, blocking
 from repro.sim.faults import FaultPlan, faults_enabled_from_env
 from repro.sim.machine import MachineModel, SP2_MODEL
 from repro.sim.network import Network, NetworkStats
@@ -40,14 +43,14 @@ class ProcEnv:
         The platform cost model.
     """
 
-    def __init__(self, cluster: "Cluster", pid: int, proc: Process):
+    def __init__(self, cluster: "Cluster", pid: int):
         self.cluster = cluster
         self.pid = pid
         self.nprocs = cluster.nprocs
         self.net = cluster.net
         self.model = cluster.model
         self.sim = cluster.sim
-        self.proc = proc
+        self.proc: Optional[Process] = None     # set by Cluster.run
         self.busy_time = 0.0
 
     # ------------------------------------------------------------------ #
@@ -68,12 +71,15 @@ class ProcEnv:
         self.cluster.marks.setdefault(name, {})[self.pid] = (
             self.now, self.net.stats.snapshot())
 
-    def compute(self, seconds: float) -> None:
-        """Charge ``seconds`` of local computation to this processor."""
+    def compute_gen(self, seconds: float):
+        """Charge ``seconds`` of local computation to this processor
+        (generator of block requests; :meth:`compute` is the blocking form)."""
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds}")
         self.busy_time += seconds
-        self.proc.hold(seconds)
+        yield HOLD, seconds
+
+    compute = blocking(compute_gen)
 
     def spawn_server(self, name: str, fn: Callable[..., Any],
                      *args: Any) -> Process:
@@ -176,10 +182,13 @@ class Cluster:
         procs: list[Process] = []
         for pid in range(self.nprocs):
             extra = tuple(per_proc_args[pid]) if per_proc_args is not None else ()
-            proc = self.sim.add_process(f"cpu{pid}", self._trampoline, pid,
-                                        program, tuple(args) + extra)
-            procs.append(proc)
-            self.envs.append(ProcEnv(self, pid, proc))
+            # the program itself is the process body, so its kind is the
+            # program's; an env and its process name each other
+            env = ProcEnv(self, pid)
+            env.proc = self.sim.add_process(f"cpu{pid}", program, env,
+                                            *args, *extra)
+            procs.append(env.proc)
+            self.envs.append(env)
         try:
             self.sim.run(until=until)
         finally:
@@ -195,9 +204,3 @@ class Cluster:
             events=self.sim.events,
             switches=self.sim.switches,
         )
-
-    def _trampoline(self, pid: int, program: Callable[..., Any],
-                    args: tuple) -> Any:
-        # Runs on the simulated processor's own thread.  env objects are
-        # created before sim.run, in pid order, so they are available here.
-        return program(self.envs[pid], *args)

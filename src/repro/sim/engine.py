@@ -32,12 +32,26 @@ deterministic, and because a step files its block request exactly where the
 blocking primitive would have (same push, same ``seq``, same jitter draw),
 the two kinds of body are interchangeable event for event.
 
-Blocking code that both kinds must run (``Network.send``/``recv``, the DSM
-grant and departure helpers) is written **once, as a generator of block
-requests**: a generator process delegates to it with ``yield from``, a thread
-process exhausts it with :meth:`Process.drive`, which performs each request
-in its blocking form.  A generator process that calls a blocking primitive
-directly is an error (:class:`SimError`), never a hung dispatcher.
+Blocking code that both kinds must run (the network, the DSM protocol and
+its synchronization, the message-passing library) is written **once, as a
+generator of block requests**: a generator process -- the request servers
+and every compiler-generated program -- delegates to it with ``yield from``;
+a thread process (the hand-coded applications) calls its *blocking form*,
+which :func:`blocking` builds from the generator and which exhausts it with
+:meth:`Process.drive`, performing each request in its blocking form.  A
+malformed request is rejected the same way under both kinds: a
+``ValueError`` thrown into the body at the offending ``yield``.  A generator
+process that calls a blocking form is an error (:class:`SimError`), never a
+hung dispatcher; so is a thread process whose function returns a generator
+object instead of running it.
+
+Where an operation usually has nothing to wait for (a coherence check that
+hits, a lock whose token never left), its one body is a plain function that
+does the non-blocking part and returns ``None`` -- or, when something is
+left, the generator that finishes it.  By convention such a function is
+named ``*_steps`` and a generator function ``*_gen``; callers in generator
+bodies write ``steps = op_steps(...)`` / ``if steps is not None: yield from
+steps``, so the common case allocates no generator.
 
 A :class:`Simulator` built with ``schedule_seed=N`` inserts a seeded random
 jitter key between ``priority`` and ``seq``, permuting the pop order of
@@ -64,7 +78,8 @@ import warnings
 from _thread import allocate_lock
 from typing import Any, Callable, Optional
 
-__all__ = ["Simulator", "Process", "SimError", "Deadlock", "HOLD", "PARK"]
+__all__ = ["Simulator", "Process", "SimError", "Deadlock", "HOLD", "PARK",
+           "blocking"]
 
 #: block-request kinds: a generator body blocks with ``yield HOLD, dt`` or
 #: ``yield PARK, token`` (compared by identity -- use these names)
@@ -138,7 +153,15 @@ class Process:
         self._resume.acquire()
         try:
             if not sim._dead:
-                self.result = self._fn(*self._args, **self._kwargs)
+                result = self._fn(*self._args, **self._kwargs)
+                if inspect.isgenerator(result):
+                    result.close()
+                    raise SimError(
+                        f"thread process {self.name!r}: its function "
+                        f"returned a generator object without running it "
+                        f"-- pass the generator function itself to "
+                        f"add_process (or delegate with `yield from`)")
+                self.result = result
         except _Killed:
             pass
         except BaseException:  # noqa: BLE001 - report any failure to run()
@@ -156,15 +179,17 @@ class Process:
 
     def _site(self) -> str:
         """Where this process is blocked, for Deadlock and leak reports: the
-        park token and, for a generator process, the innermost suspended
-        frame of its ``yield from`` chain."""
+        park token and, for a generator process, the path of function names
+        down its ``yield from`` chain to the innermost suspended frame."""
         where = ""
+        path = []
         gen = self._gen
-        while getattr(gen, "gi_yieldfrom", None) is not None:
+        while getattr(gen, "gi_frame", None) is not None:
+            frame = gen.gi_frame
+            path.append(frame.f_code.co_name)
             gen = gen.gi_yieldfrom
-        frame = getattr(gen, "gi_frame", None)
-        if frame is not None:
-            where = (f" in {frame.f_code.co_name} "
+        if path:
+            where = (f" in {' > '.join(path)} "
                      f"({os.path.basename(frame.f_code.co_filename)}:"
                      f"{frame.f_lineno})")
         if self.parked:
@@ -214,18 +239,70 @@ class Process:
 
         This is how a thread process runs blocking code that is written once
         for both kinds of process (a generator process delegates to the same
-        generator with ``yield from``)."""
+        generator with ``yield from``); :func:`blocking` wraps it.  A
+        malformed request is thrown into ``steps`` at the offending
+        ``yield``, as :meth:`Simulator._step` does, and when the blocking
+        primitive itself unwinds (teardown) ``steps`` is closed, so its
+        ``finally`` blocks run when a generator process's would."""
         try:
+            req = next(steps)
             while True:
-                kind, arg = next(steps)
-                if kind is HOLD:
+                try:
+                    kind, arg = req
+                except (TypeError, ValueError):
+                    kind = None
+                if kind is HOLD and arg >= 0:
                     self.hold(arg)
+                    req = next(steps)
                 elif kind is PARK:
                     self.park(arg)
+                    req = next(steps)
                 else:
-                    raise SimError(f"bad block request {(kind, arg)!r}")
+                    req = steps.throw(_bad_request(req))
         except StopIteration as stop:
             return stop.value
+        except BaseException:
+            steps.close()       # a no-op if it was ``steps`` that raised
+            raise
+
+
+def _bad_request(req) -> ValueError:
+    return ValueError(f"bad block request {req!r}: expected (HOLD, dt >= 0) "
+                      f"or (PARK, token)")
+
+
+def blocking(op: Callable[..., Any]) -> Callable[..., Any]:
+    """The blocking form, for thread processes, of an operation whose one
+    body is a generator of block requests.
+
+    ``op(owner, ...)`` is a generator function (``*_gen``) or a plain
+    function returning the generator that finishes it, or ``None`` when
+    nothing is left to wait for (``*_steps``); ``owner.proc`` is the
+    :class:`Process` the operation runs on.  The result is ``op`` exhausted
+    with :meth:`Process.drive` -- which raises :class:`SimError` when that
+    process is a generator process.
+
+    The adaptor is generated with ``op``'s own signature (as ``namedtuple``
+    and ``dataclass`` generate theirs): forwarding through ``*args,
+    **kwargs`` costs CPython 0.7 us a call, several times the bookkeeping of
+    the operations the hand-coded programs call most."""
+    params = list(inspect.signature(op).parameters.values())
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+        raise TypeError(f"blocking({op.__qualname__}): only plain "
+                        f"parameters are forwarded")
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    name = op.__name__.removesuffix("_gen").removesuffix("_steps")
+    declared = ", ".join(f"{p.name}=_defaults[{p.name!r}]"
+                         if p.name in defaults else p.name for p in params)
+    source = (f"def {name}({declared}):\n"
+              f"    steps = _op({', '.join(p.name for p in params)})\n"
+              f"    if steps is not None:\n"
+              f"        return {params[0].name}.proc.drive(steps)\n")
+    namespace = {"_op": op, "_defaults": defaults}
+    exec(compile(source, f"<blocking {op.__qualname__}>", "exec"), namespace)
+    call = namespace[name]
+    call.__module__, call.__doc__ = op.__module__, op.__doc__
+    return call
 
 
 class _Killed(BaseException):
@@ -395,9 +472,7 @@ class Simulator:
                         proc.park_token = arg
                         return
                 # rejected at the yield, where a blocking hold(-1) would raise
-                req = gen.throw(ValueError(
-                    f"bad block request {req!r}: expected (HOLD, dt >= 0) "
-                    f"or (PARK, token)"))
+                req = gen.throw(_bad_request(req))
         except StopIteration as stop:
             proc.result = stop.value
         except BaseException:  # noqa: BLE001 - report any failure to run()

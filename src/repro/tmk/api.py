@@ -17,13 +17,21 @@ Run a shared-memory program with :func:`tmk_run`::
         tmk.barrier()
 
     result = tmk_run(nprocs=8, program=program, setup=setup)
+
+A ``program`` written as a plain function runs on a thread of its own and
+calls the blocking names above.  A generator function (what the compiler
+backends emit) runs with no thread and delegates to the same operations'
+generator forms: ``yield from tmk.barrier_gen()``, ``steps =
+tmk.lock_acquire_steps(0)`` / ``if steps is not None: yield from steps``.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Optional, Sequence
 
 from repro.sim.cluster import Cluster, ProcEnv, RunResult
+from repro.sim.engine import blocking
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
 from repro.tmk.faststate import fastpath_enabled_from_env
@@ -67,6 +75,7 @@ class Tmk:
         self.world = world
         self.pid = env.pid
         self.nprocs = env.nprocs
+        self.proc = env.proc
         node_cls = getattr(world, "_node_class", TmkNode)
         self.node = node_cls(world, env)
         start_server(self.node)
@@ -82,18 +91,24 @@ class Tmk:
             self._arrays[name] = arr
         return arr
 
-    def barrier(self) -> None:
-        getattr(self.world, "_traced_barrier", _sync.barrier)(self.node)
+    def barrier_gen(self):
+        return getattr(self.world, "_traced_barrier",
+                       _sync.barrier_gen)(self.node)
 
-    def lock_acquire(self, lock: int) -> None:
-        _sync.lock_acquire(self.node, lock)
+    def lock_acquire_steps(self, lock: int):
+        return _sync.lock_acquire_steps(self.node, lock)
 
-    def lock_release(self, lock: int) -> None:
-        _sync.lock_release(self.node, lock)
+    def lock_release_steps(self, lock: int):
+        return _sync.lock_release_steps(self.node, lock)
 
-    def compute(self, seconds: float) -> None:
+    def compute_gen(self, seconds: float):
         """Charge application computation time."""
-        self.env.compute(seconds)
+        return self.env.compute_gen(seconds)
+
+    barrier = blocking(barrier_gen)
+    lock_acquire = blocking(lock_acquire_steps)
+    lock_release = blocking(lock_release_steps)
+    compute = blocking(compute_gen)
 
     @property
     def now(self) -> float:
@@ -150,9 +165,14 @@ def tmk_run(nprocs: int,
     cluster = Cluster(nprocs=nprocs, model=model, schedule_seed=schedule_seed,
                       faults=faults)
 
-    def wrapper(env: ProcEnv, *rest):
-        tmk = Tmk(env, world)
-        return program(tmk, *rest)
+    # the trampoline is of the program's kind: a generator program stays a
+    # generator process (no thread), a plain one a thread process
+    if inspect.isgeneratorfunction(program):
+        def wrapper(env: ProcEnv, *rest):
+            return (yield from program(Tmk(env, world), *rest))
+    else:
+        def wrapper(env: ProcEnv, *rest):
+            return program(Tmk(env, world), *rest)
 
     try:
         result = cluster.run(wrapper, args=args)

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from repro.sim.engine import HOLD, blocking
 from repro.sim.machine import PAGE_SIZE
 from repro.tmk.diffs import apply_diff, diff_nbytes
 from repro.tmk.pagespace import ArrayHandle
@@ -31,12 +32,20 @@ from repro.tmk.protocol import (TAG_FETCH_REP, TAG_PUSH, TAG_TMK_REQ,
                                 DiffRequest, TmkNode)
 
 __all__ = ["validate", "push_regions", "broadcast", "PushPayload",
-           "BcastPayload", "drain_pushes", "expect_pushes"]
+           "BcastPayload", "drain_pushes", "expect_pushes",
+           "validate_steps", "push_regions_gen", "broadcast_gen",
+           "drain_pushes_gen", "expect_pushes_gen"]
+
+# Every operation below is one generator of engine block requests (``*_gen``;
+# ``validate_steps`` returns ``None`` when nothing needs fetching), which a
+# compiled program delegates to with ``yield from``; the names without the
+# suffix are the blocking forms thread programs call.
 
 
-def validate(node: TmkNode, handle: ArrayHandle, region=None,
-             flat_indices=None, source=None) -> None:
-    """Aggregated fetch of every invalid page under ``region``.
+def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
+                   flat_indices=None, source=None):
+    """Aggregated fetch of every invalid page under ``region``: ``None``
+    when all are current, else the generator that fetches the rest.
 
     Equivalent in outcome to faulting each page one at a time, but with one
     round-trip per *writer* (all that writer's needed pages batched) and no
@@ -66,28 +75,36 @@ def validate(node: TmkNode, handle: ArrayHandle, region=None,
         for w, from_id in m.missing_writers():
             by_writer.setdefault(w, []).append((page, from_id))
     if not metas:
-        return
+        return None
+    return _fetch_batched(node, metas, by_writer)
+
+
+def _fetch_batched(node: TmkNode, metas: dict, by_writer: dict):
     node.world.dsm_stats.aggregated_validates += 1
-    proc = node.env.proc
     for w, batch in sorted(by_writer.items()):
         req = DiffRequest(reply_to=node.pid, batch=batch)
-        node.net.send(proc, node.pid, w, req, tag=TAG_TMK_REQ,
-                      nbytes=req.nbytes(), category="diff_req")
+        yield from node.net.send_gen(node.pid, w, req, tag=TAG_TMK_REQ,
+                                     nbytes=req.nbytes(),
+                                     category="diff_req")
     replies_by_page: dict[int, list] = {p: [] for p in metas}
     for w in sorted(by_writer):
-        msg = node.net.recv(proc, node.pid, src=w, tag=TAG_FETCH_REP)
+        msg = yield from node.net.recv_gen(node.proc, node.pid, src=w,
+                                           tag=TAG_FETCH_REP)
         for page, part in msg.payload:
             replies_by_page[page].append((w, part))
     for page, m in metas.items():
-        node._apply_replies(page, m, replies_by_page[page])
+        yield from node._apply_replies(page, m, replies_by_page[page])
         m.valid = True
-        fs.valid[page] = True
+        node.fast.valid[page] = True
+
+
+validate = blocking(validate_steps)
 
 
 # ---------------------------------------------------------------------- #
 # push: eager propagation of one's own modifications at a release point
 
-def push_regions(node: TmkNode, regions: Sequence, dests: Iterable[int]) -> None:
+def push_regions_gen(node: TmkNode, regions: Sequence, dests: Iterable[int]):
     """Send this node's modifications of the pages under ``regions`` to
     ``dests``, ahead of (instead of) their demand fetches.
 
@@ -96,50 +113,49 @@ def push_regions(node: TmkNode, regions: Sequence, dests: Iterable[int]) -> None
     consumers simply find the pages already current).  Pushes whole-page
     diffs, so receivers hold exactly what a demand fetch would have built.
     """
-    payload = PushPayload.build(node, regions)
+    payload = yield from PushPayload.build_gen(node, regions)
     if payload is None:
         return
-    proc = node.env.proc
     mon = getattr(node.world, "race_monitor", None)
     snap = mon.release(node.pid) if mon is not None else None
     for dst in dests:
         if dst == node.pid:
             continue
-        node.net.send(proc, node.pid, dst, payload, tag=TAG_PUSH,
-                      nbytes=payload.nbytes_on_wire, category="data")
+        yield from node.net.send_gen(node.pid, dst, payload, tag=TAG_PUSH,
+                                     nbytes=payload.nbytes_on_wire,
+                                     category="data")
         if mon is not None:
             mon.channel_put(node.pid, dst, "push", snap)
         node.world.dsm_stats.pushes += 1
 
 
-def drain_pushes(node: TmkNode) -> None:
+def drain_pushes_gen(node: TmkNode):
     """Install any pushed data that has arrived (call right after the
     synchronization operation that follows the producers' pushes)."""
-    proc = node.env.proc
-    mon = getattr(node.world, "race_monitor", None)
     while node.net.probe(node.pid, tag=TAG_PUSH):
-        msg = node.net.recv(proc, node.pid, tag=TAG_PUSH)
-        msg.payload.install(node)
-        if mon is not None:
-            mon.channel_acquire(node.pid, msg.src, "push")
+        yield from expect_pushes_gen(node, 1)
 
 
-def expect_pushes(node: TmkNode, count: int) -> None:
+def expect_pushes_gen(node: TmkNode, count: int):
     """Blockingly install exactly ``count`` pushed messages."""
-    proc = node.env.proc
     mon = getattr(node.world, "race_monitor", None)
     for _ in range(count):
-        msg = node.net.recv(proc, node.pid, tag=TAG_PUSH)
-        msg.payload.install(node)
+        msg = yield from node.net.recv_gen(node.proc, node.pid, tag=TAG_PUSH)
+        yield from msg.payload.install_gen(node)
         if mon is not None:
             mon.channel_acquire(node.pid, msg.src, "push")
+
+
+push_regions = blocking(push_regions_gen)
+drain_pushes = blocking(drain_pushes_gen)
+expect_pushes = blocking(expect_pushes_gen)
 
 
 class PushPayload:
     """Diffs of the sender's dirty pages under some regions.
 
     Also serves as the fork-message piggyback payload ("merging
-    synchronization and data"): :meth:`install` applies the diffs and
+    synchronization and data"): :meth:`install_gen` applies the diffs and
     advances the receiver's applied watermarks so the accompanying write
     notices do not re-invalidate the pages.
     """
@@ -149,9 +165,10 @@ class PushPayload:
         self.entries = entries      # [(page, top, wm, okey, diff)]
         self.nbytes_on_wire = nbytes_on_wire
 
-    @classmethod
-    def build(cls, node: TmkNode, regions: Sequence) -> "PushPayload | None":
-        """Build from the sender's current modifications.
+    @staticmethod
+    def build_gen(node: TmkNode, regions: Sequence):
+        """Build from the sender's current modifications -> ``PushPayload |
+        None``.
 
         Pushing is an (eager) release of the sender's writes, so the open
         interval is closed here: the entries' watermarks then cover it and
@@ -170,7 +187,7 @@ class PushPayload:
                 seen_pages.add(page)
                 m = node.meta(page)
                 if m.dirty:
-                    node._create_diff(page, m, charge=node.env.proc)
+                    yield HOLD, node._diff_and_cache(page, m)
                 cached = node.diff_cache.get(page, [])
                 if not cached:
                     continue
@@ -180,11 +197,12 @@ class PushPayload:
                 total += diff_nbytes(entry.diff) + 16
         if not entries:
             return None
-        return cls(node.pid, entries, total)
+        return PushPayload(node.pid, entries, total)
 
-    def install(self, node: TmkNode) -> None:
+    build = staticmethod(blocking(build_gen.__func__))
+
+    def install_gen(self, node: TmkNode):
         model = node.model
-        proc = node.env.sim.current
         for page, top, wm, okey, diff in self.entries:
             m = node.meta(page)
             if top <= m.applied.get(self.sender, 0):
@@ -196,9 +214,9 @@ class PushPayload:
                 # the push — the demand path merges everything in order.
                 continue
             if m.dirty:
-                node._create_diff(page, m, charge=proc)
+                yield HOLD, node._diff_and_cache(page, m)
             apply_diff(node.page_bytes(page), diff)
-            proc.hold(model.diff_apply_time(diff_nbytes(diff)))
+            yield HOLD, model.diff_apply_time(diff_nbytes(diff))
             node.world.dsm_stats.diffs_applied += 1
             node.world.dsm_stats.diff_bytes_applied += diff_nbytes(diff)
             m.applied[self.sender] = max(m.applied.get(self.sender, 0), wm)
@@ -223,12 +241,12 @@ class BcastPayload:
         self.images = images      # [(page, bytes, applied, wm, okey)]
         self.nbytes_on_wire = nbytes_on_wire
 
-    @classmethod
-    def build(cls, node: TmkNode, regions: Sequence) -> "BcastPayload | None":
+    @staticmethod
+    def build_gen(node: TmkNode, regions: Sequence):
+        """-> ``BcastPayload | None``"""
         node.close_interval()
         images = []
         nbytes = 16
-        proc = node.env.proc
         for handle, region in regions:
             for page in handle.region_pages(region).tolist():
                 m = node.meta(page)
@@ -237,7 +255,7 @@ class BcastPayload:
                         f"BcastPayload from a stale holder (page {page}); "
                         f"the sender must fault the region in first")
                 if m.dirty:
-                    node._create_diff(page, m, charge=proc)
+                    yield HOLD, node._diff_and_cache(page, m)
                 wm = m.last_closed if page in node.open_writes \
                     else m.last_written
                 images.append((page, node.page_bytes(page).tobytes(),
@@ -246,17 +264,16 @@ class BcastPayload:
                 nbytes += PAGE_SIZE + 16
         if not images:
             return None
-        return cls(node.pid, images, nbytes)
+        return BcastPayload(node.pid, images, nbytes)
 
-    def install(self, node: TmkNode) -> None:
-        proc = node.env.sim.current
+    def install_gen(self, node: TmkNode):
         model = node.model
         for page, image, sender_applied, wm, _okey in self.images:
             m = node.meta(page)
             if m.dirty:
-                node._create_diff(page, m, charge=proc)
+                yield HOLD, node._diff_and_cache(page, m)
             node.page_bytes(page)[:] = np.frombuffer(image, dtype=np.uint8)
-            proc.hold(model.diff_apply_time(len(image)))
+            yield HOLD, model.diff_apply_time(len(image))
             for w, lbl in sender_applied.items():
                 m.applied[w] = max(m.applied.get(w, 0), lbl)
             m.applied[self.sender] = max(m.applied.get(self.sender, 0), wm)
@@ -270,7 +287,7 @@ class BcastPayload:
 # ---------------------------------------------------------------------- #
 # broadcast: one-to-all region propagation from an up-to-date holder
 
-def broadcast(node: TmkNode, handle: ArrayHandle, region, root: int) -> None:
+def broadcast_gen(node: TmkNode, handle: ArrayHandle, region, root: int):
     """Propagate ``region``'s pages from ``root`` to every processor.
 
     The root must hold the current contents of those pages (it typically
@@ -278,7 +295,6 @@ def broadcast(node: TmkNode, handle: ArrayHandle, region, root: int) -> None:
     mark every pending notice satisfied.  Used for MGS's ith vector, where
     the paper modified TreadMarks to use a broadcast.
     """
-    proc = node.env.proc
     mon = getattr(node.world, "race_monitor", None)
     pages = handle.region_pages(region).tolist()
     if node.pid == root:
@@ -287,7 +303,7 @@ def broadcast(node: TmkNode, handle: ArrayHandle, region, root: int) -> None:
         for page in pages:
             m = node.meta(page)
             if m.dirty:
-                node._create_diff(page, m, charge=proc)
+                yield HOLD, node._diff_and_cache(page, m)
             # claimable watermark: only closed intervals (see protocol.py)
             root_wm = m.last_closed if page in node.open_writes \
                 else m.last_written
@@ -299,18 +315,19 @@ def broadcast(node: TmkNode, handle: ArrayHandle, region, root: int) -> None:
         for dst in range(node.nprocs):
             if dst == root:
                 continue
-            node.net.send(proc, node.pid, dst, images, tag=TAG_PUSH,
-                          nbytes=nbytes, category="data")
+            yield from node.net.send_gen(node.pid, dst, images, tag=TAG_PUSH,
+                                         nbytes=nbytes, category="data")
             if mon is not None:
                 mon.channel_put(node.pid, dst, "bcast", snap)
     else:
-        msg = node.net.recv(proc, node.pid, src=root, tag=TAG_PUSH)
+        msg = yield from node.net.recv_gen(node.proc, node.pid, src=root,
+                                           tag=TAG_PUSH)
         if mon is not None:
             mon.channel_acquire(node.pid, root, "bcast")
         for page, image, root_applied, root_last, _okey in msg.payload:
             m = node.meta(page)
             if m.dirty:
-                node._create_diff(page, m, charge=proc)
+                yield HOLD, node._diff_and_cache(page, m)
             node.page_bytes(page)[:] = np.frombuffer(image, dtype=np.uint8)
             # our own preserved modifications survive only if the root had
             # them; the usage contract (root up to date) guarantees it
@@ -322,3 +339,6 @@ def broadcast(node: TmkNode, handle: ArrayHandle, region, root: int) -> None:
                 m.applied[w] = max(m.applied.get(w, 0), m.pending[w])
             m.valid = True
             node.fast.valid[page] = True
+
+
+broadcast = blocking(broadcast_gen)

@@ -22,6 +22,11 @@ Both are proper synchronization operations of the lazy-RC protocol: a fork
 is a release by the master and an acquire by each worker; a join is the
 reverse.  ``benchmarks/test_sec23_interface.py`` reproduces the 8(n-1) →
 2(n-1) reduction and its execution-time effect.
+
+Each operation is one generator of engine block requests (``fork_gen``,
+``join_gen``, ...), which the compiled SPF program delegates to with
+``yield from``; ``fork``/``join``/``shutdown``/``wait_for_work``/
+``work_done`` are the blocking forms thread programs call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.sim.engine import blocking
 from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import fork_nbytes, sync_nbytes
 from repro.tmk.pagespace import SharedSpace
@@ -57,70 +63,86 @@ def alloc_old_interface_control(space: SharedSpace) -> None:
     space.alloc(CTRL_ARG, (MAX_ARGS,), np.float64)   # another page
 
 
-class OldForkJoin:
-    """Fork-join built from barriers + shared control pages (initial design)."""
+class _ForkJoin:
+    """What both interfaces share: the node, its process, and shutdown."""
 
     def __init__(self, node: TmkNode):
         self.node = node
+        self.proc = node.proc
         self.is_master = node.pid == 0
+
+    def shutdown_gen(self):
+        return self.fork_gen(STOP)
+
+    shutdown = blocking(shutdown_gen)
+
+
+class OldForkJoin(_ForkJoin):
+    """Fork-join built from barriers + shared control pages (initial design)."""
+
+    def __init__(self, node: TmkNode):
+        super().__init__(node)
         self.sub = SharedArray(node, node.world.space[CTRL_SUB])
         self.arg = SharedArray(node, node.world.space[CTRL_ARG])
 
     # ---- master side ---------------------------------------------------
 
-    def fork(self, sub_id: int, params: Sequence[float] = (),
-             payload=None) -> None:
+    def fork_gen(self, sub_id: int, params: Sequence[float] = (),
+                 payload=None):
         if payload is not None:
             raise ValueError("the old interface cannot piggyback data")
         if len(params) > MAX_ARGS:
             raise ValueError("too many loop parameters")
-        self.sub.write((slice(0, 2),), [float(sub_id), float(len(params))])
+        yield from self.sub.write_gen(
+            (slice(0, 2),), [float(sub_id), float(len(params))])
         if len(params):
-            self.arg.write((slice(0, len(params)),),
-                           np.asarray(params, dtype=np.float64))
-        _sync.barrier(self.node)     # wakes the workers
+            yield from self.arg.write_gen(
+                (slice(0, len(params)),),
+                np.asarray(params, dtype=np.float64))
+        yield from _sync.barrier_gen(self.node)     # wakes the workers
 
-    def join(self) -> None:
-        _sync.barrier(self.node)
-
-    def shutdown(self) -> None:
-        self.fork(STOP)
+    def join_gen(self):
+        return _sync.barrier_gen(self.node)
 
     # ---- worker side ---------------------------------------------------
 
-    def wait_for_work(self):
+    def wait_for_work_gen(self):
         """Block until the master forks; returns (sub_id, params) or None."""
-        _sync.barrier(self.node)     # departure releases us
-        head = self.sub.read((slice(0, 2),))      # page fault #1
+        yield from _sync.barrier_gen(self.node)     # departure releases us
+        head = yield from self.sub.read_gen((slice(0, 2),))  # page fault #1
         sub_id, nargs = int(head[0]), int(head[1])
-        params = tuple(self.arg.read((slice(0, max(nargs, 1)),))[:nargs]
-                       .tolist())                  # page fault #2
+        args = yield from self.arg.read_gen(
+            (slice(0, max(nargs, 1)),))                      # page fault #2
+        params = tuple(args[:nargs].tolist())
         if sub_id == STOP:
             return None
         return sub_id, params
 
-    def work_done(self) -> None:
-        _sync.barrier(self.node)
+    def work_done_gen(self):
+        return _sync.barrier_gen(self.node)
+
+    fork = blocking(fork_gen)
+    join = blocking(join_gen)
+    wait_for_work = blocking(wait_for_work_gen)
+    work_done = blocking(work_done_gen)
 
 
-class ImprovedForkJoin:
+class ImprovedForkJoin(_ForkJoin):
     """Fork-join with dedicated one-to-all / all-to-one messages (Sec 2.3)."""
 
     def __init__(self, node: TmkNode):
-        self.node = node
-        self.is_master = node.pid == 0
+        super().__init__(node)
         if self.is_master:
             self._worker_seen = {w: SeenVector(node.nprocs)
                                  for w in range(1, node.nprocs)}
 
     # ---- master side ---------------------------------------------------
 
-    def fork(self, sub_id: int, params: Sequence[float] = (),
-             payload=None) -> None:
+    def fork_gen(self, sub_id: int, params: Sequence[float] = (),
+                 payload=None):
         """One-to-all departure carrying control variables (and optionally a
         piggybacked data payload, used by the hand-optimized MGS)."""
         node = self.node
-        proc = node.env.proc
         node.close_interval()
         model = node.model
         mon = getattr(node.world, "race_monitor", None)
@@ -132,24 +154,24 @@ class ImprovedForkJoin:
             body = (sub_id, tuple(params), records, payload)
             if payload is not None:
                 nbytes += payload.nbytes_on_wire
-            node.net.send(proc, node.pid, w, body, tag=TAG_FORK,
-                          nbytes=nbytes, category="sync")
+            yield from node.net.send_gen(node.pid, w, body, tag=TAG_FORK,
+                                         nbytes=nbytes, category="sync")
             if mon is not None:
                 mon.channel_put(node.pid, w, "fork", snap)
             self._worker_seen[w] = node.seen.copy()
         node.prune_log()
         node.advance_epoch()
 
-    def join(self) -> None:
+    def join_gen(self):
         """All-to-one arrival: collect every worker's records."""
         node = self.node
-        proc = node.env.proc
         node.close_interval()
         mon = getattr(node.world, "race_monitor", None)
         for _ in range(node.nprocs - 1):
-            msg = node.net.recv(proc, node.pid, tag=TAG_JOIN)
+            msg = yield from node.net.recv_gen(self.proc, node.pid,
+                                               tag=TAG_JOIN)
             records, seen = msg.payload
-            node.apply_records(records, log=True)
+            yield from node.apply_records(records, log=True)
             w = msg.src
             if mon is not None:
                 mon.channel_acquire(node.pid, w, "join")
@@ -157,39 +179,40 @@ class ImprovedForkJoin:
             sv.v = list(seen)
             self._worker_seen[w] = sv
 
-    def shutdown(self) -> None:
-        self.fork(STOP)
-
     # ---- worker side ---------------------------------------------------
 
-    def wait_for_work(self):
+    def wait_for_work_gen(self):
         node = self.node
-        proc = node.env.proc
-        msg = node.net.recv(proc, node.pid, src=0, tag=TAG_FORK)
+        msg = yield from node.net.recv_gen(self.proc, node.pid, src=0,
+                                           tag=TAG_FORK)
         sub_id, params, records, payload = msg.payload
-        node.apply_records(records, log=False)
+        yield from node.apply_records(records, log=False)
         mon = getattr(node.world, "race_monitor", None)
         if mon is not None:
             mon.channel_acquire(node.pid, 0, "fork")
         if payload is not None:
-            payload.install(node)
+            yield from payload.install_gen(node)
         node.advance_epoch()
         if sub_id == STOP:
             return None
         return sub_id, params
 
-    def work_done(self) -> None:
+    def work_done_gen(self):
         node = self.node
-        proc = node.env.proc
         node.close_interval()
         records = list(node.log_current)
         node.prune_log()
         mon = getattr(node.world, "race_monitor", None)
         if mon is not None:
             mon.channel_put(node.pid, 0, "join", mon.release(node.pid))
-        node.net.send(proc, node.pid, 0, (records, node.seen.as_tuple()),
-                      tag=TAG_JOIN, nbytes=sync_nbytes(records, node.model),
-                      category="sync")
+        yield from node.net.send_gen(
+            node.pid, 0, (records, node.seen.as_tuple()), tag=TAG_JOIN,
+            nbytes=sync_nbytes(records, node.model), category="sync")
+
+    fork = blocking(fork_gen)
+    join = blocking(join_gen)
+    wait_for_work = blocking(wait_for_work_gen)
+    work_done = blocking(work_done_gen)
 
 
 def make_forkjoin(node: TmkNode, improved: bool = True):

@@ -11,10 +11,22 @@ interval-record retention — and every message's wire size.
 The module is IO-free: no simulator, network, clock or memory image.  Its
 two users say what a page, a diff payload and time *are* through the hooks
 at the bottom of :class:`LrcNode`: :class:`repro.tmk.protocol.TmkNode`
-keeps real bytes (twins are page copies, diffs run lists, time is
-``Process.hold``); :class:`repro.compiler.model._MNode` keeps sizes (twins
-are changed-word masks, a diff payload is its ``int`` wire size, time a
-float) — ``prev.diff + diff`` and ``if not diff`` mean the same for both.
+keeps real bytes (twins are page copies, diffs run lists, a charge is an
+engine ``(HOLD, seconds)`` block request); :class:`repro.compiler.model.
+_MNode` keeps sizes (twins are changed-word masks, a diff payload is its
+``int`` wire size, a charge a float) — ``prev.diff + diff`` and ``if not
+diff`` mean the same for both.
+
+**Charge points.**  The core never blocks and never advances a clock.  The
+methods that cost protocol time *inside* their loops — :meth:`LrcNode.
+_apply_replies` after each patch, :meth:`LrcNode.apply_records` between
+preserving a dirty page's diff and invalidating it — are generators that
+yield each charge (:meth:`LrcNode._charge`) at the point, in the order and
+with the value it is due; :meth:`LrcNode._diff_and_cache` returns its one
+charge.  Whoever runs the action pays: a simulated process yields the
+requests on (its clock advances *there*, and its node's request server may
+run in between — which is why charges are never summed or deferred), the
+model adds them to a float.
 The message *choreography* of barriers, locks and fork-join is not here;
 see docs/PROTOCOL.md, "Where the protocol lives".
 """
@@ -70,7 +82,7 @@ def fork_nbytes(records: list, model: "MachineModel") -> int:
 # per-page state
 
 class CacheEntry(NamedTuple):
-    """A cached diff — see :meth:`LrcNode._create_diff`."""
+    """A cached diff — see :meth:`LrcNode._diff_and_cache`."""
 
     top: int
     wm: int
@@ -180,11 +192,6 @@ class LrcNode:
     # ------------------------------------------------------------------ #
     # diffs: lazy creation, the cache, serving
 
-    def _create_diff(self, page: int, m: PageMeta, charge=None) -> None:
-        """Compute and cache the diff for a dirty page, then charge the
-        comparison to ``charge`` (see :meth:`_charge`)."""
-        self._charge(self._diff_and_cache(page, m), charge)
-
     def _diff_and_cache(self, page: int, m: PageMeta) -> float:
         """Compute and cache the diff for a dirty page; drop the twin.
         Returns the seconds the comparison costs, which the caller charges
@@ -238,16 +245,10 @@ class LrcNode:
         else:
             lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
 
-    def collect_for(self, page: int, from_id: int, charge=None) -> PageReply:
-        """Gather this node's modifications to ``page`` newer than
-        ``from_id``, creating (and charging) the diff of a dirty page first."""
-        m = self.meta(page)
-        if m.dirty:
-            self._create_diff(page, m, charge=charge)
-        return self._gather(page, m, from_id)
-
     def _gather(self, page: int, m: PageMeta, from_id: int) -> PageReply:
-        """:meth:`collect_for` after the diff exists: pure cache lookup."""
+        """This node's modifications to ``page`` newer than ``from_id``: a
+        pure cache lookup — the server of a request diffs a dirty page
+        first (:meth:`_diff_and_cache`, charged to whoever waits for it)."""
         cached = self.diff_cache.get(page, [])
         if from_id < self.gc_floor.get(page, 0):
             # content in (from_id, floor] was garbage-collected: fall back
@@ -263,8 +264,9 @@ class LrcNode:
             n += self.model.page_size
         return n
 
-    def _apply_replies(self, page: int, m: PageMeta, replies) -> None:
-        """Merge ``[(writer, PageReply)]`` into the local copy.
+    def _apply_replies(self, page: int, m: PageMeta, replies):
+        """Merge ``[(writer, PageReply)]`` into the local copy (generator of
+        charges: one per patch, right after it).
 
         Full pages (GC fallback) are installed first — newest base wins —
         then diffs are patched in happens-before order via their
@@ -293,7 +295,7 @@ class LrcNode:
         for _okey, w, wm, diff in self._merge_order(patches):
             self._patch(page, diff)
             nbytes = self._diff_nbytes(diff)
-            self._charge(self.model.diff_apply_time(nbytes))
+            yield self._charge(self.model.diff_apply_time(nbytes))
             stats.diffs_applied += 1
             stats.diff_bytes_applied += nbytes
             # claim only through the writer's last *closed* interval: a
@@ -344,8 +346,10 @@ class LrcNode:
         self.log_prev = self.log_current
         self.log_current = []
 
-    def apply_records(self, records: list, log: bool = True) -> None:
-        """Acquire-side: learn records, invalidate named pages.
+    def apply_records(self, records: list, log: bool = True):
+        """Acquire-side: learn records, invalidate named pages (generator of
+        charges: a dirty page named by a notice is diffed, and the diff paid
+        for, before the page is invalidated).
 
         ``log=True`` retains the records for forwarding on later lock grants
         (needed for lock-chain transitivity).  Barrier departures pass
@@ -363,7 +367,14 @@ class LrcNode:
                 self.log_current.append(rec)
             for page in rec.pages:
                 writers_per_page.setdefault(page, set()).add(rec.proc)
-                self._apply_notice(rec.proc, rec.id, page)
+                m = self._apply_notice(rec.proc, rec.id, page)
+                if m is None:
+                    continue
+                if m.dirty:
+                    # preserve our modifications before losing the right
+                    # to the page
+                    yield self._charge(self._diff_and_cache(page, m))
+                self._invalidate(page, m, rec.proc, rec.id)
         for page, writers in writers_per_page.items():
             m = self._meta.get(page)
             if m is None:
@@ -371,18 +382,25 @@ class LrcNode:
             if len(writers) > 1 or (m.last_written > 0 and writers - {self.pid}):
                 m.sticky = True
 
-    def _apply_notice(self, writer: int, interval_id: int, page: int) -> None:
+    def _apply_notice(self, writer: int, interval_id: int,
+                      page: int) -> Optional[PageMeta]:
+        """Note one write notice; returns the page's metadata when the
+        notice names content this node lacks (the page must be invalidated),
+        else ``None``."""
         if writer == self.pid:
-            return
+            return None
         m = self.meta(page)
         prev = m.pending.get(writer, 0)
         if interval_id > prev:
             m.pending[writer] = interval_id
         if interval_id <= m.applied.get(writer, 0):
-            return  # content already held (cumulative diff over-propagation)
-        if m.dirty:
-            # preserve our modifications before losing the right to the page
-            self._create_diff(page, m)
+            return None  # content already held (cumulative diff over-propagation)
+        return m
+
+    def _invalidate(self, page: int, m: PageMeta, writer: int,
+                    interval_id: int) -> None:
+        """Lose the right to ``page``: ``writer``'s interval ``interval_id``
+        wrote it."""
         if m.valid:
             m.valid = False
             self._page_invalidated(page)
@@ -428,10 +446,10 @@ class LrcNode:
         """The whole-page payload of the GC fallback (never ``None``)."""
         raise NotImplementedError
 
-    def _charge(self, seconds: float, who=None) -> None:
-        """Bill ``seconds`` of protocol work to ``who`` — by default to
-        whoever is running this node's protocol action right now."""
-        raise NotImplementedError
+    def _charge(self, seconds: float):
+        """What a generator of this node's protocol work yields to bill
+        ``seconds`` to whoever is running it (default: the seconds)."""
+        return seconds
 
     def _merge_order(self, patches: list) -> list:
         """``(okey, writer, wm, diff)`` patches in the order to apply them:

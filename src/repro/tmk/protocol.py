@@ -15,6 +15,14 @@ time.  Together they own
 * the request-serving side (diff and page requests arrive at the node's
   server process and are answered out of this state).
 
+Every operation here that can wait — a fault's overhead, the fetch round
+trip, patching the replies — is written once, as a generator of engine
+block requests.  The access hooks keep the PR 3 fast path a plain call:
+``ensure_*_steps`` checks the masks and returns ``None`` on a hit, the
+generator that faults the pages in on a miss (a compiled program writes
+``steps = node.ensure_read_steps(...)`` / ``if steps is not None: yield from
+steps``); ``ensure_*`` are their blocking forms for thread programs.
+
 Faulting discipline (stands in for mprotect/SIGSEGV at identical points):
 
 * reading an *invalid* page triggers a read fault: diffs are requested from
@@ -42,7 +50,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.sim.engine import HOLD
+from repro.sim.engine import HOLD, blocking
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
 from repro.tmk.lrc import LrcNode, PageMeta, diff_request_nbytes
@@ -100,6 +108,7 @@ class TmkNode(LrcNode):
                          world.gc_epochs)
         self.world = world
         self.env = env
+        self.proc = env.proc          # this node's main program
         self.net = env.net
         self.space: SharedSpace = world.space
         self.page_size = self.model.page_size
@@ -142,8 +151,10 @@ class TmkNode(LrcNode):
     # ------------------------------------------------------------------ #
     # access hooks — the simulated page faults
 
-    def ensure_read(self, handle: ArrayHandle, region, source=None) -> None:
-        """Validate every page of ``region`` before a read (read faults).
+    def ensure_read_steps(self, handle: ArrayHandle, region, source=None):
+        """Validate every page of ``region`` before a read (read faults):
+        ``None`` when all are valid, else the generator that faults the
+        rest in.
 
         Fast path: between acquires ``valid`` bits never regress, so once a
         footprint has been verified this epoch (or its mask check passes) the
@@ -159,7 +170,7 @@ class TmkNode(LrcNode):
             vkey = (handle.name, nregion)
             if fs.read_verdicts.get(vkey) == fs.epoch:
                 stats.fastpath_hits += 1
-                return
+                return None
         pages, cached = handle.pages_of(nregion)
         if cached:
             stats.region_cache_hits += 1
@@ -168,24 +179,22 @@ class TmkNode(LrcNode):
             if ok.all():
                 stats.fastpath_hits += 1
                 fs.remember_read(vkey)
-                return
+                return None
             stats.fastpath_misses += 1
-            for page in pages[~ok].tolist():
-                self._read_fault_if_needed(page)
             # validity is monotone until the next acquire (invalidations
             # only happen in apply_records, on this same main context), so
-            # the whole footprint is now verifiably valid for this epoch
-            fs.remember_read(vkey)
-            return
-        for page in pages.tolist():
-            self._read_fault_if_needed(page)
+            # after the faults the whole footprint is verifiably valid for
+            # this epoch
+            return self._read_faults(pages[~ok].tolist(), vkey)
+        return self._read_faults(pages.tolist())
 
-    def ensure_write(self, handle: ArrayHandle, region, source=None) -> None:
-        """Validate + twin every page of ``region`` before a write.
+    def ensure_write_steps(self, handle: ArrayHandle, region, source=None):
+        """Validate + twin every page of ``region`` before a write: ``None``
+        when nothing is left to do, else the generator that does it.
 
         The write fast path must be more careful than the read one: while
         this node's main context is blocked in a fetch, its *server* context
-        can serve a remote request and ``_create_diff`` a page — dropping
+        can serve a remote request and ``_diff_and_cache`` a page — dropping
         the twin and regressing ``write_ok`` mid-loop.  The miss path
         therefore re-checks the mask live for every page rather than
         iterating a stale ``flatnonzero`` snapshot.
@@ -198,28 +207,21 @@ class TmkNode(LrcNode):
             vkey = (handle.name, nregion)
             if fs.write_verdicts.get(vkey) == fs.write_gen:
                 stats.fastpath_hits += 1
-                return
+                return None
         pages, cached = handle.pages_of(nregion)
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:
-            ok = fs.write_ok
-            if ok[pages].all():
+            if fs.write_ok[pages].all():
                 stats.fastpath_hits += 1
                 fs.remember_write(vkey)
-                return
+                return None
             stats.fastpath_misses += 1
-            for page in pages.tolist():
-                if not ok[page]:
-                    self._write_fault_if_needed(page)
-            if ok[pages].all():
-                fs.remember_write(vkey)
-            return
-        for page in pages.tolist():
-            self._write_fault_if_needed(page)
+            return self._write_faults(pages, vkey)
+        return self._write_faults(pages)
 
-    def ensure_read_elements(self, handle: ArrayHandle, flat_indices,
-                             elem_span: int = 1, source=None) -> None:
+    def ensure_read_elements_steps(self, handle: ArrayHandle, flat_indices,
+                                   elem_span: int = 1, source=None):
         self._note_access(handle, False, source, flat_indices=flat_indices,
                           elem_span=elem_span)
         pages = handle.element_pages(flat_indices, elem_span)
@@ -229,33 +231,44 @@ class TmkNode(LrcNode):
             ok = fs.valid[pages]
             if ok.all():
                 stats.fastpath_hits += 1
-                return
+                return None
             stats.fastpath_misses += 1
-            for page in pages[~ok].tolist():
-                self._read_fault_if_needed(page)
-            return
-        for page in pages.tolist():
-            self._read_fault_if_needed(page)
+            pages = pages[~ok]
+        return self._read_faults(pages.tolist())
 
-    def ensure_write_elements(self, handle: ArrayHandle, flat_indices,
-                              elem_span: int = 1, source=None) -> None:
+    def ensure_write_elements_steps(self, handle: ArrayHandle, flat_indices,
+                                    elem_span: int = 1, source=None):
         self._note_access(handle, True, source, flat_indices=flat_indices,
                           elem_span=elem_span)
         pages = handle.element_pages(flat_indices, elem_span)
         fs = self.fast
         if fs.enabled:
             stats = self.world.dsm_stats
-            ok = fs.write_ok
-            if ok[pages].all():
+            if fs.write_ok[pages].all():
                 stats.fastpath_hits += 1
-                return
+                return None
             stats.fastpath_misses += 1
-            for page in pages.tolist():
-                if not ok[page]:
-                    self._write_fault_if_needed(page)
-            return
+        return self._write_faults(pages)
+
+    ensure_read = blocking(ensure_read_steps)
+    ensure_write = blocking(ensure_write_steps)
+    ensure_read_elements = blocking(ensure_read_elements_steps)
+    ensure_write_elements = blocking(ensure_write_elements_steps)
+
+    def _read_faults(self, pages: list, vkey=None):
+        for page in pages:
+            yield from self._read_fault_if_needed(page)
+        if vkey is not None:
+            self.fast.remember_read(vkey)
+
+    def _write_faults(self, pages: np.ndarray, vkey=None):
+        fs = self.fast
+        ok = fs.write_ok
         for page in pages.tolist():
-            self._write_fault_if_needed(page)
+            if not (fs.enabled and ok[page]):
+                yield from self._write_fault_if_needed(page)
+        if vkey is not None and ok[pages].all():
+            fs.remember_write(vkey)
 
     def _note_access(self, handle: ArrayHandle, write: bool, source,
                      region=None, flat_indices=None, elem_span: int = 1) -> None:
@@ -274,27 +287,26 @@ class TmkNode(LrcNode):
             runs = handle.region_byte_runs(region)
         mon.on_access(self.pid, handle, write=write, runs=runs, source=source)
 
-    def _read_fault_if_needed(self, page: int) -> None:
+    def _read_fault_if_needed(self, page: int):
         m = self.meta(page)
         if m.valid:
             return
         stats = self.world.dsm_stats
         stats.read_faults += 1
-        self.env.proc.hold(self.model.fault_overhead)
-        self._fetch(page, m)
+        yield HOLD, self.model.fault_overhead
+        yield from self._fetch(page, m)
 
-    def _write_fault_if_needed(self, page: int) -> None:
+    def _write_fault_if_needed(self, page: int):
         m = self.meta(page)
         stats = self.world.dsm_stats
         if not m.valid:
             stats.read_faults += 1
-            self.env.proc.hold(self.model.fault_overhead)
-            self._fetch(page, m)
+            yield HOLD, self.model.fault_overhead
+            yield from self._fetch(page, m)
         if not m.dirty:
             stats.write_faults += 1
             stats.twins_created += 1
-            self.env.proc.hold(self.model.fault_overhead
-                               + self.model.twin_overhead)
+            yield HOLD, self.model.fault_overhead + self.model.twin_overhead
             m.twin = self.page_bytes(page).copy()
         self.note_write(page, m)
         # valid + twinned + noted in the open interval: nothing left for a
@@ -304,7 +316,7 @@ class TmkNode(LrcNode):
     # ------------------------------------------------------------------ #
     # fetching (fault service, requester side)
 
-    def _fetch(self, page: int, m: PageMeta) -> None:
+    def _fetch(self, page: int, m: PageMeta):
         """Bring ``page`` up to date: one diff request per missing writer."""
         missing = m.missing_writers()
         if not missing:  # notices raced with an aggregated fetch; revalidate
@@ -312,16 +324,17 @@ class TmkNode(LrcNode):
             self.fast.valid[page] = True
             return
         self.world.dsm_stats.fetches += 1
-        proc = self.env.proc
         for w, from_id in missing:
             req = DiffRequest(page=page, from_id=from_id, reply_to=self.pid)
-            self.net.send(proc, self.pid, w, req, tag=TAG_TMK_REQ,
-                          nbytes=req.nbytes(), category="diff_req")
+            yield from self.net.send_gen(self.pid, w, req, tag=TAG_TMK_REQ,
+                                         nbytes=req.nbytes(),
+                                         category="diff_req")
         replies = []
         for w, _from in missing:
-            msg = self.net.recv(proc, self.pid, src=w, tag=TAG_FETCH_REP)
+            msg = yield from self.net.recv_gen(self.proc, self.pid, src=w,
+                                               tag=TAG_FETCH_REP)
             replies.append((w, msg.payload[0][1]))
-        self._apply_replies(page, m, replies)
+        yield from self._apply_replies(page, m, replies)
         m.valid = True
         self.fast.valid[page] = True
 
@@ -337,8 +350,8 @@ class TmkNode(LrcNode):
         # the reply: one (page, PageReply) per page asked for, in order
         rep = []
         for page, from_id in asked:
-            # collect_for, with the server yielding the diff-creation cost
-            # at the core's charge point (after the cache is updated)
+            # the server pays the diff-creation cost at the core's charge
+            # point (after the cache is updated)
             m = self.meta(page)
             if m.dirty:
                 yield HOLD, self._diff_and_cache(page, m)
@@ -349,7 +362,7 @@ class TmkNode(LrcNode):
             category=category)
 
     # ------------------------------------------------------------------ #
-    # LrcNode hooks: real bytes and hold() charging
+    # LrcNode hooks: real bytes, charges as engine block requests
 
     def _encode_diff(self, page: int, twin):
         return make_diff(self.page_bytes(page), twin)
@@ -359,11 +372,10 @@ class TmkNode(LrcNode):
     def _page_image(self, page: int) -> bytes:
         return self.page_bytes(page).tobytes()
 
-    def _charge(self, seconds: float, who=None) -> None:
-        # by default whichever thread process is executing (this node's main
-        # program: faults, notices, grants).  The request server is a
-        # generator process and yields its own costs (serve_diff_request).
-        (self.env.sim.current if who is None else who).hold(seconds)
+    def _charge(self, seconds: float):
+        # whichever process runs the core's generator (this node's main
+        # program, or its request server) yields the hold on
+        return HOLD, seconds
 
     def _patch(self, page: int, diff) -> None:
         apply_diff(self.page_bytes(page), diff)

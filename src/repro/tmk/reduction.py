@@ -25,11 +25,12 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.sim.engine import blocking
 from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
 
-__all__ = ["tmk_reduce", "REDUCE_OPS"]
+__all__ = ["tmk_reduce", "tmk_reduce_gen", "REDUCE_OPS"]
 
 TAG_REDUCE_UP = 1_000_006
 TAG_REDUCE_DOWN = 1_000_007
@@ -58,10 +59,11 @@ def _parent(pid: int) -> Optional[int]:
     return pid & (pid - 1)
 
 
-def tmk_reduce(node: TmkNode, value, op: Callable = None,
-               op_name: str = "sum"):
+def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
+                   op_name: str = "sum"):
     """Combine ``value`` across all processors; every processor returns the
-    result.  A collective: all processors must call it together.
+    result.  A collective: all processors must call it together (generator
+    of block requests; :func:`tmk_reduce` is the blocking form).
 
     Carries lazy-RC consistency information both ways, so it doubles as a
     global synchronization (like a barrier whose messages also do work).
@@ -70,7 +72,7 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
         op = REDUCE_OPS[op_name]
     world = node.world
     world.dsm_stats.tree_reductions += 1
-    proc = node.env.proc
+    proc = node.proc
     model = node.model
     nprocs = node.nprocs
     mon = getattr(world, "race_monitor", None)
@@ -83,10 +85,11 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
     acc = value
     gathered: list = []
     for child in _children(node.pid, nprocs):
-        msg = node.net.recv(proc, node.pid, src=child, tag=TAG_REDUCE_UP)
+        msg = yield from node.net.recv_gen(proc, node.pid, src=child,
+                                           tag=TAG_REDUCE_UP)
         child_value, records, seen = msg.payload
         acc = op(acc, child_value)
-        node.apply_records(records, log=True)
+        yield from node.apply_records(records, log=True)
         if mon is not None:
             mon.channel_acquire(node.pid, child, "reduce-up")
         gathered.append((child, seen))
@@ -98,11 +101,13 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
         if mon is not None:
             mon.channel_put(node.pid, parent, "reduce-up",
                             mon.release(node.pid))
-        node.net.send(proc, node.pid, parent, payload, tag=TAG_REDUCE_UP,
-                      nbytes=nbytes, category="sync")
-        msg = node.net.recv(proc, node.pid, src=parent, tag=TAG_REDUCE_DOWN)
+        yield from node.net.send_gen(node.pid, parent, payload,
+                                     tag=TAG_REDUCE_UP, nbytes=nbytes,
+                                     category="sync")
+        msg = yield from node.net.recv_gen(proc, node.pid, src=parent,
+                                           tag=TAG_REDUCE_DOWN)
         result, records = msg.payload
-        node.apply_records(records, log=True)
+        yield from node.apply_records(records, log=True)
         if mon is not None:
             mon.channel_acquire(node.pid, parent, "reduce-down")
     else:
@@ -117,8 +122,12 @@ def tmk_reduce(node: TmkNode, value, op: Callable = None,
         nbytes = sync_nbytes(records, model)
         if mon is not None:
             mon.channel_put(node.pid, child, "reduce-down", down_snap)
-        node.net.send(proc, node.pid, child, (result, records),
-                      tag=TAG_REDUCE_DOWN, nbytes=nbytes, category="sync")
+        yield from node.net.send_gen(node.pid, child, (result, records),
+                                     tag=TAG_REDUCE_DOWN, nbytes=nbytes,
+                                     category="sync")
     node.prune_log()
     node.advance_epoch()
     return result
+
+
+tmk_reduce = blocking(tmk_reduce_gen)

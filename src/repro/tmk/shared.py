@@ -9,8 +9,11 @@ real numpy operation with the coherence hook at page granularity:
   the caller may assign into,
 * :meth:`gather`/:meth:`scatter_*` do the same for irregular element sets.
 
-The *hand-coded TreadMarks* application variants use these directly; the
-SPF backend emits calls to them from its analysed loop footprints.  Either
+The *hand-coded TreadMarks* application variants use these directly (the
+blocking forms, from their own threads); the SPF backend validates its
+analysed loop footprints through the node's ``ensure_*_steps`` hooks and
+reads and writes its runtime scalars with :meth:`read_gen`/:meth:`write_gen`,
+the generators :meth:`read`/:meth:`write` are the blocking forms of.  Either
 way the DSM sees accesses exactly where hardware page faults would occur.
 """
 
@@ -18,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.sim.engine import blocking
 from repro.tmk.pagespace import ArrayHandle
 from repro.tmk.protocol import TmkNode
 
@@ -29,6 +33,7 @@ class SharedArray:
 
     def __init__(self, node: TmkNode, handle: ArrayHandle):
         self.node = node
+        self.proc = node.proc
         self.handle = handle
         self._view = node.view(handle)
         self._full_region = tuple(slice(None) for _ in handle.shape)
@@ -47,12 +52,16 @@ class SharedArray:
     def name(self) -> str:
         return self.handle.name
 
-    def read(self, region=..., source=None) -> np.ndarray:
+    def read_gen(self, region=..., source=None):
         """Validate pages under ``region`` and return the local view of it."""
         region = self._norm(region)
-        self.node.ensure_read(self.handle, region,
-                              source=source or f"{self.name}.read")
+        steps = self.node.ensure_read_steps(
+            self.handle, region, source=source or f"{self.name}.read")
+        if steps is not None:
+            yield from steps
         return self._view[region]
+
+    read = blocking(read_gen)
 
     def writable(self, region=..., source=None) -> np.ndarray:
         """Validate + twin pages under ``region``; returns an assignable view."""
@@ -61,12 +70,16 @@ class SharedArray:
                                source=source or f"{self.name}.writable")
         return self._view[region]
 
-    def write(self, region, values, source=None) -> None:
+    def write_gen(self, region, values, source=None):
         """Assign ``values`` into ``region`` with write detection."""
         region = self._norm(region)
-        self.node.ensure_write(self.handle, region,
-                               source=source or f"{self.name}.write")
+        steps = self.node.ensure_write_steps(
+            self.handle, region, source=source or f"{self.name}.write")
+        if steps is not None:
+            yield from steps
         self._view[region] = values
+
+    write = blocking(write_gen)
 
     def raw(self) -> np.ndarray:
         """The uncoherent local view (tests and the runtime use this)."""

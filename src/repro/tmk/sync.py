@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.engine import HOLD
+from repro.sim.engine import HOLD, PARK, blocking
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
                                  records_unknown_to)
 from repro.tmk.lrc import lock_request_nbytes, sync_nbytes
@@ -40,7 +40,8 @@ if TYPE_CHECKING:
     from repro.sim.engine import Process
 
 __all__ = ["BarrierManager", "LockTable", "BarrierArrive", "LockReq",
-           "LockForward", "barrier", "lock_acquire", "lock_release"]
+           "LockForward", "barrier", "lock_acquire", "lock_release",
+           "barrier_gen", "lock_acquire_steps", "lock_release_steps"]
 
 
 # ---------------------------------------------------------------------- #
@@ -196,20 +197,19 @@ class LockTable:
 
 
 # ---------------------------------------------------------------------- #
-# member-side operations (called from a node's main program, a thread
-# process).  Everything below that a request server also runs --
-# ``_distribute_departures``, ``_send_grant(_empty)`` and the ``*_handle_*``
-# handlers -- is a generator of engine block requests: the server (a
-# generator process) delegates with ``yield from``, a main program exhausts
-# it with ``proc.drive(...)``.
+# member-side operations, run by a node's main program.  Like everything a
+# request server runs (``_distribute_departures``, ``_send_grant(_empty)``,
+# the ``*_handle_*`` handlers) they are generators of engine block requests
+# -- a compiled program and the server delegate with ``yield from`` -- and
+# ``barrier`` / ``lock_acquire`` / ``lock_release`` are their blocking forms
+# for thread programs.
 
-def barrier(node: TmkNode) -> None:
+def barrier_gen(node: TmkNode):
     """TreadMarks barrier: arrival release + departure acquire."""
     world = node.world
     world.dsm_stats.barriers += 1
     model = node.model
     mgr: BarrierManager = world.barrier_mgr
-    proc = node.env.proc
     mon = getattr(world, "race_monitor", None)
     if mon is not None:
         mon.on_barrier_arrive(node.pid)
@@ -227,13 +227,13 @@ def barrier(node: TmkNode) -> None:
         complete = mgr.note_arrival(0, mgr.gen, records,
                                     node.seen.as_tuple())
         if complete:
-            proc.drive(_distribute_departures(node))
+            yield from _distribute_departures(node)
         else:
-            mgr._local_waiting = proc
-            proc.park(token=("barrier", mgr.gen))
+            mgr._local_waiting = node.proc
+            yield PARK, ("barrier", mgr.gen)
             my_records = mgr._local_depart
             mgr._local_depart = None
-            node.apply_records(my_records, log=False)
+            yield from node.apply_records(my_records, log=False)
         node.advance_epoch()
         if mon is not None:
             mon.on_barrier_depart(node.pid)
@@ -243,14 +243,18 @@ def barrier(node: TmkNode) -> None:
     arr = BarrierArrive(member=node.pid, gen=node._barrier_gen,
                         records=records, seen=node.seen.as_tuple())
     node._barrier_gen += 1
-    node.net.send(proc, node.pid, 0, arr, tag=TAG_TMK_REQ,
-                  nbytes=arr.nbytes(model), category="sync")
-    msg = node.net.recv(proc, node.pid, tag=TAG_BARRIER_DEP)
+    yield from node.net.send_gen(node.pid, 0, arr, tag=TAG_TMK_REQ,
+                                 nbytes=arr.nbytes(model), category="sync")
+    msg = yield from node.net.recv_gen(node.proc, node.pid,
+                                       tag=TAG_BARRIER_DEP)
     dep: BarrierDepart = msg.payload
-    node.apply_records(dep.records, log=False)
+    yield from node.apply_records(dep.records, log=False)
     node.advance_epoch()
     if mon is not None:
         mon.on_barrier_depart(node.pid)
+
+
+barrier = blocking(barrier_gen)
 
 
 def manager_handle_arrival(node0: TmkNode, arr: BarrierArrive):
@@ -282,57 +286,64 @@ def _distribute_departures(node0: TmkNode):
         node0.env.sim.unpark(waiter)
     else:
         # processor 0's main is the final arriver and is running right now
-        node0.apply_records(departures[0], log=False)
+        yield from node0.apply_records(departures[0], log=False)
 
 
 # ---------------------------------------------------------------------- #
 # locks
 
-def lock_acquire(node: TmkNode, lock: int) -> None:
-    """Acquire ``lock``; applies the releaser's consistency information."""
+def lock_acquire_steps(node: TmkNode, lock: int):
+    """Acquire ``lock``: ``None`` when its token never left this node, else
+    the generator that requests it, waits for the grant and applies the
+    releaser's consistency information."""
     world = node.world
     world.dsm_stats.lock_acquires += 1
     table: LockTable = world.lock_table
-    proc = node.env.proc
     manager = table.manager_of(lock)
+    if node.pid != manager:
+        return _await_grant(node, lock, manager, LockReq(
+            lock=lock, requester=node.pid, seen=node.seen.as_tuple()))
+    prev, after = table.note_request(lock, node.pid)
+    if prev == node.pid:
+        return None   # re-acquire, no communication (token never left)
+    # forward to the previous requester over the network
+    return _await_grant(node, lock, prev, LockForward(
+        lock=lock, requester=node.pid, seen=node.seen.as_tuple(),
+        after=after))
 
-    if node.pid == manager:
-        prev, after = table.note_request(lock, node.pid)
-        if prev == node.pid:
-            return   # re-acquire, no communication (token never left)
-        # forward to the previous requester over the network
-        world.dsm_stats.lock_remote_acquires += 1
-        fwd = LockForward(lock=lock, requester=node.pid,
-                          seen=node.seen.as_tuple(), after=after)
-        node.net.send(proc, node.pid, prev, fwd, tag=TAG_TMK_REQ,
-                      nbytes=fwd.nbytes(), category="sync")
-    else:
-        world.dsm_stats.lock_remote_acquires += 1
-        req = LockReq(lock=lock, requester=node.pid,
-                      seen=node.seen.as_tuple())
-        node.net.send(proc, node.pid, manager, req, tag=TAG_TMK_REQ,
-                      nbytes=req.nbytes(), category="sync")
-    msg = node.net.recv(proc, node.pid, tag=TAG_LOCK_GRANT + lock)
+
+def _await_grant(node: TmkNode, lock: int, dst: int, req):
+    node.world.dsm_stats.lock_remote_acquires += 1
+    yield from node.net.send_gen(node.pid, dst, req, tag=TAG_TMK_REQ,
+                                 nbytes=req.nbytes(), category="sync")
+    msg = yield from node.net.recv_gen(node.proc, node.pid,
+                                       tag=TAG_LOCK_GRANT + lock)
     grant: LockGrant = msg.payload
-    node.apply_records(grant.records, log=True)
-    mon = getattr(world, "race_monitor", None)
+    yield from node.apply_records(grant.records, log=True)
+    mon = getattr(node.world, "race_monitor", None)
     if mon is not None:
         mon.on_lock_acquire(node.pid, lock)
 
 
-def lock_release(node: TmkNode, lock: int) -> None:
-    """Release ``lock``.  Communication happens only if a request is queued."""
+def lock_release_steps(node: TmkNode, lock: int):
+    """Release ``lock``.  Communication happens only if a request is
+    queued: the grant's generator then, else ``None``."""
     table: LockTable = node.world.lock_table
     mon = getattr(node.world, "race_monitor", None)
     if mon is not None:
         # snapshot before note_release: a queued request may be granted
-        # (and read this snapshot) inside the call below
+        # (and read this snapshot) once the grant below is sent
         mon.on_lock_release(node.pid, lock)
     node.close_interval()
     due = table.note_release(node.pid, lock)
     if due is not None:
         requester, seen = due
-        node.env.proc.drive(_send_grant(node, lock, requester, seen))
+        return _send_grant(node, lock, requester, seen)
+    return None
+
+
+lock_acquire = blocking(lock_acquire_steps)
+lock_release = blocking(lock_release_steps)
 
 
 def _send_grant(node: TmkNode, lock: int, requester: int, seen: tuple):

@@ -96,7 +96,7 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
     Must be called before the cluster runs (``tmk_run(trace=True)`` does
     this at the right moment).  Wraps the protocol entry points of every
     node created in the world — the simulator's own (faults, ``_fetch``) and
-    the ones ``TmkNode`` inherits from the core (``LrcNode._apply_notice``,
+    the ones ``TmkNode`` inherits from the core (``LrcNode._invalidate``,
     ``_diff_and_cache``, ``close_interval``), which the core always reaches
     through ``self``.
     """
@@ -110,7 +110,7 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
         def _read_fault_if_needed(self, page):
             m = self.meta(page)
             was_valid = m.valid
-            super()._read_fault_if_needed(page)
+            yield from super()._read_fault_if_needed(page)
             if not was_valid:
                 trace.record(TraceEvent(self.env.now, self.pid, "fault",
                                         page, {"mode": "read"}))
@@ -118,7 +118,7 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
         def _write_fault_if_needed(self, page):
             m = self.meta(page)
             was_valid, was_dirty = m.valid, m.dirty
-            super()._write_fault_if_needed(page)
+            yield from super()._write_fault_if_needed(page)
             if not was_valid or not was_dirty:
                 trace.record(TraceEvent(
                     self.env.now, self.pid, "twin" if was_valid else "fault",
@@ -126,15 +126,14 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
 
         def _fetch(self, page, m):
             missing = list(m.missing_writers())
-            super()._fetch(page, m)
+            yield from super()._fetch(page, m)
             trace.record(TraceEvent(self.env.now, self.pid, "fetch", page,
                                     {"writers": [w for w, _f in missing]}))
 
-        def _apply_notice(self, writer, interval_id, page):
-            m = self.meta(page)
+        def _invalidate(self, page, m, writer, interval_id):
             was_valid = m.valid
-            super()._apply_notice(writer, interval_id, page)
-            if was_valid and not m.valid:
+            super()._invalidate(page, m, writer, interval_id)
+            if was_valid:
                 trace.record(TraceEvent(
                     self.env.now, self.pid, "invalidate", page,
                     {"writer": writer, "interval": interval_id}))
@@ -157,10 +156,8 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
 
     world._node_class = _TracingNode
 
-    _orig_barrier = _sync.barrier
-
     def traced_barrier(node):
-        _orig_barrier(node)
+        yield from _sync.barrier_gen(node)
         trace.record(TraceEvent(node.env.now, node.pid, "barrier"))
 
     world._traced_barrier = traced_barrier

@@ -85,7 +85,7 @@ def test_inspector_runs_once_for_static_patterns():
     orig = xhpf_mod.XhpfExecutable._run_irregular_inspector
 
     def spy(self, env, comm, loop, views, scalars, state):
-        orig(self, env, comm, loop, views, scalars, state)
+        yield from orig(self, env, comm, loop, views, scalars, state)
         cache = state["__schedules__"]
         hits[env.pid] = (cache.inspections, cache.reuses)
 

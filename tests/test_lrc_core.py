@@ -2,9 +2,10 @@
 
 No Simulator, no network, no memory image: two or three core nodes are
 stepped through the protocol's corner cases with plain method calls — the
-"fetch" below is the requester asking each missing writer's ``collect_for``
-and merging the answers, exactly what a diff request/reply round trip
-carries.  The last test runs one script through both real users of the
+"fetch" below is the requester asking each missing writer to diff the page
+if dirty and gather its cache, and merging the answers, exactly what a diff
+request/reply round trip carries; the core's charges are summed onto a
+float, as the analytic model does.  The last test runs one script through both real users of the
 core (``TmkNode`` on real bytes, the analytic model's ``_MNode`` on word
 masks) and requires identical protocol state and counters.
 """
@@ -42,8 +43,14 @@ class Node(LrcNode):
     def _page_image(self, page):
         return f"image of page {page}"
 
-    def _charge(self, seconds, who=None):
-        (who or self).time += seconds
+
+def pay(node, charges):
+    """Run a core action on ``node``'s clock.  The bare core and the model
+    yield seconds; the simulator's node yields ``(HOLD, seconds)`` block
+    requests and keeps its clock on ``node.proc``."""
+    clock = getattr(node, "proc", node)
+    for charge in charges:
+        clock.time += charge[1] if isinstance(charge, tuple) else charge
 
 
 def cluster(n=3, gc_epochs=None):
@@ -64,17 +71,28 @@ def write(node, page, *words):
 def fetch(node, page, nodes, payer=None):
     """``payer`` is billed for diffs the writers create on demand."""
     m = node.meta(page)
-    replies = [(w, nodes[w].collect_for(page, have, charge=payer or node))
-               for w, have in m.missing_writers()]
-    node._apply_replies(page, m, replies)
+    replies = []
+    for w, have in m.missing_writers():
+        replies.append((w, collect(nodes[w], page, have, payer or node)))
+    pay(node, node._apply_replies(page, m, replies))
     m.valid = True
     return replies
+
+
+def collect(owner, page, from_id, payer):
+    """What serving a diff request does: diff a dirty page first (``payer``
+    waits for it), then gather the cache."""
+    m = owner.meta(page)
+    if m.dirty:
+        payer.time += owner._diff_and_cache(page, m)
+    return owner._gather(page, m, from_id)
 
 
 def sync(src, dst, log=True):
     """Release at ``src``, acquire at ``dst`` (a lock hand-over)."""
     src.close_interval()
-    dst.apply_records(records_unknown_to(src.retained_log, dst.seen), log=log)
+    pay(dst, dst.apply_records(records_unknown_to(src.retained_log, dst.seen),
+                               log=log))
 
 
 def entries(node, page=PAGE):
@@ -118,7 +136,7 @@ def test_incoming_notice_diffs_a_dirty_page_before_invalidating():
     # a notice whose content is already held neither diffs nor invalidates
     fetch(b, PAGE, [a, b])
     write(b, PAGE, "b1")
-    b._apply_notice(0, 1, PAGE)
+    assert b._apply_notice(0, 1, PAGE) is None
     assert mb.valid and mb.dirty and stats.invalidations == 1
 
 
@@ -176,7 +194,7 @@ def test_gc_floor_forces_a_full_page_with_the_senders_watermarks():
     assert a.reply_nbytes(reply) == 16 + SP2_MODEL.page_size
     assert stats.full_page_fetches == 1 and c.meta(1).applied == {0: 1}
     # a requester already past the floor still gets (no) diffs, not a page
-    assert a.collect_for(1, 1).full_page is None
+    assert collect(a, 1, 1, a).full_page is None
 
 
 def test_sticky_multi_writer_pages_are_exempt_from_gc():
@@ -207,9 +225,9 @@ def test_records_are_retained_for_two_global_sync_windows():
     assert a.retained_log == [r2]        # r1 is two windows old: dropped
     # learned records are logged for forwarding unless the caller says the
     # whole cluster already has them (barrier departures, forks)
-    b.apply_records([r1], log=True)
-    b.apply_records([r2], log=False)
-    b.apply_records([r1, r2], log=True)  # re-sends are filtered by ``seen``
+    pay(b, b.apply_records([r1], log=True))
+    pay(b, b.apply_records([r2], log=False))
+    pay(b, b.apply_records([r1, r2], log=True))  # re-sends filtered by ``seen``
     assert b.log_current == [r1] and b.seen.as_tuple() == (2, 0, 0)
 
 
@@ -219,9 +237,6 @@ def test_records_are_retained_for_two_global_sync_windows():
 class _Clock:
     def __init__(self):
         self.time = 0.0
-
-    def hold(self, seconds):
-        self.time += seconds
 
 
 def _sim_nodes(n, gc_epochs):
@@ -235,13 +250,13 @@ def _sim_nodes(n, gc_epochs):
     for pid in range(n):
         clock = _Clock()
         env = SimpleNamespace(pid=pid, nprocs=n, model=SP2_MODEL, net=None,
-                              proc=clock, sim=SimpleNamespace(current=clock))
+                              proc=clock)
         nodes.append(TmkNode(world, env))
     return nodes, world.dsm_stats
 
 
 def _sim_write(node, page, words, value):
-    node._write_fault_if_needed(page)
+    pay(node, node._write_fault_if_needed(page))
     node.page_bytes(page).view(np.float32)[list(words)] = value
 
 

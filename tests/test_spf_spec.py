@@ -131,11 +131,8 @@ def test_no_monitor_degrades_to_serial_never_unchecked():
     def setup(space: SharedSpace):
         exe.setup_space(space)
 
-    def main(tmk):
-        return exe.run_on(tmk)
-
     _v, seq, _t = run_sequential(racy_program())
-    result = tmk_run(4, main, setup, racecheck=False)
+    result = tmk_run(4, exe.run_on, setup, racecheck=False)
     stats = exe.last_spec_stats
     assert not stats["monitored"]
     assert stats["speculations"] == 0

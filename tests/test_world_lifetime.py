@@ -18,6 +18,8 @@ import pytest
 from repro.api import (InProcess, ProgramCache, RunRequest, execute,
                        fault_plan_to_doc)
 from repro.api.registry import DSM_VARIANTS
+from repro.compiler.spf import compile_spf, run_spf
+from repro.compiler.xhpf import compile_xhpf, run_xhpf
 from repro.sim.cluster import Cluster, ProcEnv
 from repro.sim.engine import Deadlock, Process, SimError, Simulator
 from repro.sim.faults import FaultPlan
@@ -25,6 +27,8 @@ from repro.sim.network import Network
 from repro.tmk.api import TmkWorld, tmk_run
 from repro.tmk.protocol import TmkNode
 from repro.tmk.racecheck import RaceMonitor
+
+from .conftest import stencil_program
 
 WORLD = (TmkNode, ProcEnv, Process, Simulator, Cluster, Network, TmkWorld,
          RaceMonitor, types.GeneratorType)
@@ -180,10 +184,59 @@ def _mp_deadlocks(env):
     env.net.recv(env.proc, env.pid, tag=7)
 
 
+def _stencil_with_a_failing_kernel():
+    """The copy loop's kernel raises on its second time step, mid-run."""
+    program = stencil_program()
+    copy = next(s for s in program.flat_statements()
+                if getattr(s, "name", None) == "copy")
+    kernel, calls = copy.kernel, []
+
+    def failing(views, lo, hi):
+        calls.append(lo)
+        if len(calls) > 4:
+            raise ValueError("boom in a kernel")
+        return kernel(views, lo, hi)
+
+    copy.kernel = failing
+    return program
+
+
+def _spf_then_deadlock():
+    """Compiled mains are generator processes: teardown closes them where
+    they are suspended, here in a barrier processor 0 never joins."""
+    exe = compile_spf(stencil_program(), 4)
+
+    def main(tmk):
+        out = yield from exe.run_on(tmk)
+        if tmk.pid:
+            yield from tmk.barrier_gen()
+        return out
+
+    return tmk_run(4, main, exe.setup_space)
+
+
+def _xhpf_then_deadlock():
+    exe = compile_xhpf(stencil_program(), 4)
+
+    def main(env):
+        yield from exe.run_on(env)
+        yield from env.net.recv_gen(env.proc, env.pid, tag=7)
+
+    return Cluster(nprocs=4).run(main)
+
+
 FAILURES = {
     "raise": (lambda: tmk_run(4, _raises, _setup, racecheck=True), SimError),
     "deadlock": (lambda: tmk_run(4, _deadlocks, _setup), Deadlock),
     "mp-deadlock": (lambda: Cluster(nprocs=2).run(_mp_deadlocks), Deadlock),
+    "spf-kernel-raise": (
+        lambda: run_spf(_stencil_with_a_failing_kernel(), nprocs=4),
+        SimError),
+    "xhpf-kernel-raise": (
+        lambda: run_xhpf(_stencil_with_a_failing_kernel(), nprocs=4),
+        SimError),
+    "spf-deadlock": (_spf_then_deadlock, Deadlock),
+    "xhpf-deadlock": (_xhpf_then_deadlock, Deadlock),
 }
 
 
