@@ -1,53 +1,89 @@
-"""events / OS-thread switches / wall per benchmark key, as a markdown table.
+"""events / OS-thread switches / threads / wall per benchmark key, as a markdown table.
 
-    PYTHONPATH=src python benchmarks/engine_table.py >> "$GITHUB_STEP_SUMMARY"
+    PYTHONPATH=src python benchmarks/engine_table.py [--check] >> "$GITHUB_STEP_SUMMARY"
 
 One run of each ``sim_sync`` and ``sim_bulk`` key of the performance
-benchmark (the keys are read from ``benchmarks/perf/workloads.py``, not
-restated).  ``events`` and ``switches`` are exact and repeat; a compiler-
-generated variant reads ``switches = 0`` (its processors are generator
-processes), so a change that reintroduces a thread handoff shows up here as
-a count, on the PR that made it.  ``wall`` is one warm run: a magnitude,
-not a measurement.
+benchmark, and of each hand-coded (``tmk``/``pvme``) ``serve_mix`` key at
+n = 8 (the keys are read from ``benchmarks/perf/workloads.py``, not
+restated).  ``events``, ``switches`` and ``threads`` are exact and repeat:
+every program ``execute()`` runs is a generator process, so a run hands no
+baton (``switches = 0``) and starts no ``simproc-`` thread (``threads =
+0``); a change that brings a thread back shows up here as a count, on the
+PR that made it.  With ``--check`` the script exits non-zero when any row
+shows ``switches > 0`` or ``threads > 0`` (the table is printed either
+way).  ``wall`` is one warm run: a magnitude, not a measurement.
 """
 
+import argparse
 import os
 import sys
+import threading
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "perf"))
 
-from workloads import SIM_BULK, SIM_SYNC  # noqa: E402
+from workloads import SERVE_MIX, SIM_BULK, SIM_SYNC  # noqa: E402
 
 from repro.api import ProgramCache, execute  # noqa: E402
 from repro.sim.cluster import Cluster  # noqa: E402
 
 
-def main() -> None:
-    runs = []
-    real_run = Cluster.run
+def rows():
+    """``(workload, key)`` for every key the table covers, in order."""
+    for workload in (SIM_SYNC, SIM_BULK):
+        for key in workload.keys:
+            yield workload.name, key
+    for key in SERVE_MIX.keys:
+        if key.variant in ("tmk", "pvme") and key.nprocs == 8:
+            yield SERVE_MIX.name, key
 
-    def run(self, *args, **kwargs):
-        runs.append(real_run(self, *args, **kwargs))
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 if any run switched threads or "
+                             "started a simproc- thread")
+    args = parser.parse_args()
+
+    runs, started = [], []
+    real_run, real_start = Cluster.run, threading.Thread.start
+
+    def run(self, *a, **kw):
+        runs.append(real_run(self, *a, **kw))
         return runs[-1]
 
-    Cluster.run = run
+    def start(thread):
+        if thread.name.startswith("simproc-"):
+            started.append(thread.name)
+        real_start(thread)
+
+    Cluster.run, threading.Thread.start = run, start
     cache = ProgramCache()
-    print("| workload | key | events | switches | wall ms |")
-    print("|---|---|---:|---:|---:|")
+    offenders = []
+    print("| workload | key | events | switches | threads | wall ms |")
+    print("|---|---|---:|---:|---:|---:|")
     try:
-        for workload in (SIM_SYNC, SIM_BULK):
-            for key in workload.keys:
-                execute(key.request(), cache)       # compile, warm caches
-                t0 = time.perf_counter()
-                execute(key.request(), cache)
-                wall = time.perf_counter() - t0
-                print(f"| {workload.name} | {key.id} | {runs[-1].events} | "
-                      f"{runs[-1].switches} | {wall * 1e3:.1f} |")
+        for name, key in rows():
+            execute(key.request(), cache)           # compile, warm caches
+            del started[:]
+            t0 = time.perf_counter()
+            execute(key.request(), cache)
+            wall = time.perf_counter() - t0
+            switches, threads = runs[-1].switches, len(started)
+            print(f"| {name} | {key.id} | {runs[-1].events} | {switches} | "
+                  f"{threads} | {wall * 1e3:.1f} |")
+            if switches or threads:
+                offenders.append(key.id)
     finally:
-        Cluster.run = real_run
+        Cluster.run, threading.Thread.start = real_run, real_start
+    if args.check and offenders:
+        print(f"engine_table: {len(offenders)} run(s) switched threads or "
+              f"started a simproc- thread: {', '.join(offenders)}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

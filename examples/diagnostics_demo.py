@@ -32,16 +32,17 @@ def program(tmk):
     grid = tmk.array("grid")
     lo, hi = tmk.block_range(16)
     if tmk.pid == 0:
-        grid.write((slice(0, 1),), 100.0)
-        grid.write((slice(15, 16),), 100.0)
-    tmk.barrier()
+        yield from grid.write_gen((slice(0, 1),), 100.0)
+        yield from grid.write_gen((slice(15, 16),), 100.0)
+    yield from tmk.barrier_gen()
     for it in range(ITERS):
         rlo, rhi = max(lo, 1), min(hi, 15)
-        src = grid.read((slice(rlo - 1, rhi + 1), slice(None))).copy()
-        grid.write((slice(rlo, rhi), slice(None)),
-                   0.5 * (src[:-2] + src[2:]))
-        tmk.compute(1e-4)
-        tmk.barrier()
+        halo = (slice(rlo - 1, rhi + 1), slice(None))
+        src = (yield from grid.read_gen(halo)).copy()
+        yield from grid.write_gen((slice(rlo, rhi), slice(None)),
+                                  0.5 * (src[:-2] + src[2:]))
+        yield from tmk.compute_gen(1e-4)
+        yield from tmk.barrier_gen()
     return True
 
 

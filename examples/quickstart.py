@@ -9,6 +9,12 @@ Eight simulated processors cooperatively relax a grid:
   boundary read into a page fault + diff fetch),
 * a lock-protected shared scalar accumulates a residual.
 
+The program is a generator function, like every program in ``repro``:
+each operation that may wait is a ``yield from`` of its generator form, and
+a shared-array access whose coherence check usually hits is written
+``steps = array.writable_steps(region)`` / ``if steps is not None: yield
+from steps`` before touching the plain numpy view.
+
 Run:  python examples/quickstart.py
 """
 
@@ -34,29 +40,38 @@ def program(tmk):
 
     # processor 0 initializes; the barrier publishes the write notices
     if tmk.pid == 0:
-        view = grid.writable()
+        steps = grid.writable_steps()
+        if steps is not None:
+            yield from steps
+        view = grid.raw()
         view[...] = 0.0
         view[0, :] = 100.0
         view[-1, :] = 100.0
-    tmk.barrier()
+    yield from tmk.barrier_gen()
 
     for _ in range(ITERS):
         rlo, rhi = max(lo, 1), min(hi, N - 1)
         # reading the halo faults in the neighbours' boundary pages
-        src = grid.read((slice(rlo - 1, rhi + 1), slice(None))).copy()
+        halo = (slice(rlo - 1, rhi + 1), slice(None))
+        src = (yield from grid.read_gen(halo)).copy()
         out = 0.25 * (src[:-2] + src[2:]) + 0.5 * src[1:-1]
         delta = float(np.abs(out - src[1:-1]).sum(dtype=np.float64))
-        grid.write((slice(rlo, rhi), slice(None)), out)
-        tmk.compute(50e-9 * N * (rhi - rlo))    # charge virtual FLOP time
+        yield from grid.write_gen((slice(rlo, rhi), slice(None)), out)
+        # charge virtual FLOP time
+        yield from tmk.compute_gen(50e-9 * N * (rhi - rlo))
 
         # scalar reduction through a TreadMarks lock
-        tmk.lock_acquire(0)
-        cur = float(residual.read((0,)))
-        residual.write((0,), cur + delta)
-        tmk.lock_release(0)
-        tmk.barrier()
+        steps = tmk.lock_acquire_steps(0)
+        if steps is not None:
+            yield from steps
+        cur = float((yield from residual.read_gen((0,))))
+        yield from residual.write_gen((0,), cur + delta)
+        steps = tmk.lock_release_steps(0)
+        if steps is not None:
+            yield from steps
+        yield from tmk.barrier_gen()
 
-    return float(residual.read((0,)))
+    return float((yield from residual.read_gen((0,))))
 
 
 def main():

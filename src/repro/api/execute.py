@@ -42,7 +42,6 @@ from repro.api import registry
 from repro.api.types import (RunRequest, RunResult, _replace,
                              failure_result, fault_plan_from_doc,
                              machine_from_doc)
-from repro.sim.engine import blocking
 
 __all__ = ["ProgramCache", "execute", "execute_with_arrays", "run",
            "default_runner", "InProcess",
@@ -230,12 +229,9 @@ def _readback_gen(tmk):
     return arrays
 
 
-_readback = blocking(_readback_gen)     # for the hand-coded thread programs
-
-
 def _then_readback(program):
-    """``program`` (a compiled one: a generator function) followed by the
-    readback -> ``(output, arrays)``."""
+    """``program`` (a generator function) followed by the readback ->
+    ``(output, arrays)``."""
 
     def main(tmk):
         out = yield from program(tmk)
@@ -255,23 +251,25 @@ def _resolve(request: RunRequest, bundle):
     point -- with the readback appended when the request asks for one --
     and the fold from per-processor outputs to the signature.
 
-    The entry point's kind is the engine's process kind: a compiled
-    program is a generator function (no thread), a hand-coded one a plain
-    function that calls the blocking forms from a thread of its own."""
+    Every entry point is a generator function, hand-coded and compiled
+    alike, so every run is a set of generator processes: no thread."""
     from repro.apps.common import combine_signatures
 
     spec, params = bundle["spec"], bundle["params"]
     if request.variant == "tmk":
-        def main(tmk):
-            out = spec.hand_tmk(tmk, params)
-            return (out, _readback(tmk)) if request.readback else out
+        def hand(tmk):
+            return (yield from spec.hand_tmk(tmk, params))
 
-        return (lambda space: spec.hand_tmk_setup(space, params), main,
+        return (lambda space: spec.hand_tmk_setup(space, params),
+                _then_readback(hand) if request.readback else hand,
                 combine_signatures)
     if request.variant == "pvme":
         from repro.msg.pvme import Pvme
-        return (None, lambda env: spec.hand_pvme(Pvme(env), params),
-                combine_signatures)
+
+        def main(env):
+            return (yield from spec.hand_pvme(Pvme(env), params))
+
+        return None, main, combine_signatures
     exe = bundle["exe"]
     if request.variant in registry.DSM_VARIANTS:
         main = _then_readback(exe.run_on) if request.readback else exe.run_on

@@ -17,6 +17,15 @@ Each module provides one :class:`~repro.apps.common.AppSpec` exposing
 * size presets: ``paper`` (Table 1 sizes), ``bench`` (scaled down, same
   shape), ``test`` (tiny; CI-speed).
 
+Both hand-coded programs are *generator functions*, like every program the
+compilers emit: each blocking operation is a ``yield from`` of its one
+generator body (``tmk.barrier_gen()``, ``p.recv_gen(...)``) or, for a
+shared-array access, ``steps = a.writable_steps(region)`` / ``if steps is
+not None: yield from steps`` before the plain numpy view.  The engine runs
+them as generator processes, on the caller's thread;
+:func:`~repro.apps.common.register` refuses a plain function, which would
+bring a thread per processor back.
+
 All variants of an app share the same numpy kernels, so one sequential run
 is the correctness oracle for the other four.
 """

@@ -9,6 +9,7 @@ tolerance (chunked float summation reorders rounding).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -32,8 +33,10 @@ class AppSpec:
     regular: bool
     build_program: Callable[[dict], Program]
     hand_tmk_setup: Callable      # (space, params) -> None
-    hand_tmk: Callable            # (tmk, params) -> partial signature dict
-    hand_pvme: Callable           # (pvme, params) -> partial signature dict
+    # the two hand-coded programs are generator functions (generator
+    # processes: no thread), returning the partial signature dict
+    hand_tmk: Callable            # (tmk, params)
+    hand_pvme: Callable           # (pvme, params)
     presets: dict = field(default_factory=dict)   # name -> params dict
     signature_arrays: list = field(default_factory=list)
     spf_opt_options: Optional[Callable] = None
@@ -48,6 +51,14 @@ class AppSpec:
 
 
 def register(spec: AppSpec) -> AppSpec:
+    """Add ``spec`` to the registry; a hand-coded program that is not a
+    generator function (a plain one would run on a thread of its own) is
+    a ``TypeError``."""
+    for field_name in ("hand_tmk", "hand_pvme"):
+        if not inspect.isgeneratorfunction(getattr(spec, field_name)):
+            raise TypeError(f"{spec.name}: {field_name} must be a generator "
+                            f"function (yield from the *_gen/*_steps "
+                            f"operations), not a plain function")
     APP_REGISTRY[spec.name] = spec
     return spec
 

@@ -191,7 +191,7 @@ def hand_tmk_setup(space, params: dict) -> None:
     space.alloc("b", (n2, n3, n1), np.complex128)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n1, n2, n3 = params["n1"], params["n2"], params["n3"]
     iters, warmup = params["iters"], params["warmup"]
     a, b = tmk.array("a"), tmk.array("b")
@@ -201,33 +201,41 @@ def hand_tmk(tmk, params: dict) -> dict:
     checksum = [0.0, 0.0]
 
     def one_iteration(t: int):
-        a.writable((slice(alo, ahi),))
+        steps = a.writable_steps((slice(alo, ahi),))
+        if steps is not None:
+            yield from steps
         evolve_rows(araw, alo, ahi, t)
-        tmk.compute(INIT_COST * n2 * n1 * (ahi - alo))
+        yield from tmk.compute_gen(INIT_COST * n2 * n1 * (ahi - alo))
         fft_dim2_rows(araw, alo, ahi)
-        tmk.compute(fft_cost(n2 * n1, n1) * (ahi - alo))
+        yield from tmk.compute_gen(fft_cost(n2 * n1, n1) * (ahi - alo))
         fft_dim1_rows(araw, alo, ahi)
-        tmk.compute(fft_cost(n2 * n1, n2) * (ahi - alo))
-        tmk.barrier()                        # before reading others' slabs
-        a.read((slice(None), slice(blo, bhi), slice(None)))
-        b.writable((slice(blo, bhi),))
+        yield from tmk.compute_gen(fft_cost(n2 * n1, n2) * (ahi - alo))
+        yield from tmk.barrier_gen()         # before reading others' slabs
+        steps = a.read_steps((slice(None), slice(blo, bhi), slice(None)))
+        if steps is not None:
+            yield from steps
+        steps = b.writable_steps((slice(blo, bhi),))
+        if steps is not None:
+            yield from steps
         transpose_rows(araw, braw, blo, bhi)
-        tmk.compute(12e-9 * n3 * n1 * (bhi - blo))
+        yield from tmk.compute_gen(12e-9 * n3 * n1 * (bhi - blo))
         inv_fft_dim1_rows(braw, blo, bhi)
-        tmk.compute(fft_cost(n3 * n1, n3) * (bhi - blo))
-        b.writable((slice(blo, bhi),))
+        yield from tmk.compute_gen(fft_cost(n3 * n1, n3) * (bhi - blo))
+        steps = b.writable_steps((slice(blo, bhi),))
+        if steps is not None:
+            yield from steps
         normalize_rows(braw, blo, bhi)
-        tmk.compute(NORM_COST * n3 * n1 * (bhi - blo))
+        yield from tmk.compute_gen(NORM_COST * n3 * n1 * (bhi - blo))
         c = checksum_rows(braw, blo, bhi)
-        tmk.compute(3e-9 * n3 * n1 * (bhi - blo))
+        yield from tmk.compute_gen(3e-9 * n3 * n1 * (bhi - blo))
         checksum[0], checksum[1] = c.real, c.imag
-        tmk.barrier()                        # after the checksum
+        yield from tmk.barrier_gen()         # after the checksum
 
     for t in range(warmup):
-        one_iteration(t)
+        yield from one_iteration(t)
     tmk.env.mark("start")
     for t in range(iters):
-        one_iteration(t + warmup)
+        yield from one_iteration(t + warmup)
     tmk.env.mark("stop")
     sig = {"sig_b": abs_sum(braw[blo:bhi])}
     sig["checksum_re"] = checksum[0]
@@ -241,7 +249,7 @@ def hand_tmk(tmk, params: dict) -> dict:
 TAG_TRANSPOSE = 30
 
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n1, n2, n3 = params["n1"], params["n2"], params["n3"]
     iters, warmup = params["iters"], params["warmup"]
     a = np.zeros((n3, n2, n1), np.complex128)
@@ -257,36 +265,36 @@ def hand_pvme(p, params: dict) -> dict:
 
     def one_iteration(t: int):
         evolve_rows(a, alo, ahi, t)
-        p.compute(INIT_COST * n2 * n1 * (ahi - alo))
+        yield from p.compute_gen(INIT_COST * n2 * n1 * (ahi - alo))
         fft_dim2_rows(a, alo, ahi)
-        p.compute(fft_cost(n2 * n1, n1) * (ahi - alo))
+        yield from p.compute_gen(fft_cost(n2 * n1, n1) * (ahi - alo))
         fft_dim1_rows(a, alo, ahi)
-        p.compute(fft_cost(n2 * n1, n2) * (ahi - alo))
+        yield from p.compute_gen(fft_cost(n2 * n1, n2) * (ahi - alo))
         # transpose: one large message per processor pair
         blocks = [np.ascontiguousarray(a[alo:ahi, qlo:qhi, :])
                   for (qlo, qhi) in bounds]
-        out = p.alltoall(blocks)
+        out = yield from p.alltoall_gen(blocks)
         # out[q] is a[q's slab rows, my b-columns, :]
         k0 = 0
         for q, block in enumerate(out):
             rows = block.shape[0]
             b[blo:bhi, k0:k0 + rows, :] = block.transpose(1, 0, 2)
             k0 += rows
-        p.compute(12e-9 * n3 * n1 * (bhi - blo))
+        yield from p.compute_gen(12e-9 * n3 * n1 * (bhi - blo))
         inv_fft_dim1_rows(b, blo, bhi)
-        p.compute(fft_cost(n3 * n1, n3) * (bhi - blo))
+        yield from p.compute_gen(fft_cost(n3 * n1, n3) * (bhi - blo))
         normalize_rows(b, blo, bhi)
-        p.compute(NORM_COST * n3 * n1 * (bhi - blo))
+        yield from p.compute_gen(NORM_COST * n3 * n1 * (bhi - blo))
         c = checksum_rows(b, blo, bhi)
-        p.compute(3e-9 * n3 * n1 * (bhi - blo))
-        total = p.allreduce(complex(c), lambda x, y: x + y)
+        yield from p.compute_gen(3e-9 * n3 * n1 * (bhi - blo))
+        total = yield from p.allreduce_gen(complex(c), lambda x, y: x + y)
         checksum[0], checksum[1] = total.real, total.imag
 
     for t in range(warmup):
-        one_iteration(t)
+        yield from one_iteration(t)
     p.env.mark("start")
     for t in range(iters):
-        one_iteration(t + warmup)
+        yield from one_iteration(t + warmup)
     p.env.mark("stop")
     sig = {"sig_b": abs_sum(b[blo:bhi])}
     if p.tid == 0:

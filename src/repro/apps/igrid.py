@@ -172,7 +172,7 @@ def hand_tmk_setup(space, params: dict) -> None:
     space.alloc("stats", (64, 3), np.float64)  # per-proc (max, min, sum)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     g = [tmk.array("g0"), tmk.array("g1")]
     raw = [g[0].raw(), g[1].raw()]
@@ -180,38 +180,46 @@ def hand_tmk(tmk, params: dict) -> dict:
     imap = build_map(n)                      # computed locally (private)
 
     if tmk.pid == 0:
-        g[0].writable()
-        g[1].writable()
+        for grid in g:
+            steps = grid.writable_steps()
+            if steps is not None:
+                yield from steps
         init_grid(raw[0], n)
         raw[1][...] = 1.0
-        tmk.compute(100e-9 * n * n)
-    tmk.barrier()
+        yield from tmk.compute_gen(100e-9 * n * n)
+    yield from tmk.barrier_gen()
 
     def one_iteration(t: int):
         s, d = t % 2, 1 - (t % 2)
         idx = touched_indices(imap, lo, hi)
-        tmk.node.ensure_read_elements(g[s].handle, idx)
-        g[d].writable((slice(lo, hi),))
+        steps = tmk.node.ensure_read_elements_steps(g[s].handle, idx)
+        if steps is not None:
+            yield from steps
+        steps = g[d].writable_steps((slice(lo, hi),))
+        if steps is not None:
+            yield from steps
         update_rows(raw[s], raw[d], imap, lo, hi)
-        tmk.compute(UPDATE_COST * n * (hi - lo))
-        tmk.barrier()
+        yield from tmk.compute_gen(UPDATE_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()
 
     for t in range(warmup):
-        one_iteration(t)
+        yield from one_iteration(t)
     tmk.env.mark("start")
     for t in range(iters):
-        one_iteration(t + warmup)
+        yield from one_iteration(t + warmup)
     final = (warmup + iters) % 2
     stats = square_stats_rows(raw[final], n, lo, hi)
-    tmk.compute(REDUCE_COST * n * (hi - lo))
+    yield from tmk.compute_gen(REDUCE_COST * n * (hi - lo))
     # per-processor partials land in a shared array; proc 0 combines
     shared_stats = tmk.array("stats")
-    shared_stats.write((slice(tmk.pid, tmk.pid + 1), slice(None)),
-                       [stats["gmax"], stats["gmin"], stats["gsum"]])
-    tmk.barrier()
+    yield from shared_stats.write_gen(
+        (slice(tmk.pid, tmk.pid + 1), slice(None)),
+        [stats["gmax"], stats["gmin"], stats["gsum"]])
+    yield from tmk.barrier_gen()
     sig = {"sig_" + ("g1" if final else "g0"): abs_sum(raw[final][lo:hi])}
     if tmk.pid == 0:
-        rows = shared_stats.read((slice(0, tmk.nprocs), slice(None)))
+        rows = yield from shared_stats.read_gen((slice(0, tmk.nprocs),
+                                                 slice(None)))
         sig["gmax"] = float(rows[:, 0].max())
         sig["gmin"] = float(rows[:, 1].min())
         sig["gsum"] = float(rows[:, 2].sum())
@@ -225,7 +233,7 @@ def hand_tmk(tmk, params: dict) -> dict:
 TAG_UP, TAG_DOWN = 40, 41
 
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     lo, hi = p.block_range(n)
     grids = [np.zeros((n, n), np.float32), np.zeros((n, n), np.float32)]
@@ -239,27 +247,27 @@ def hand_pvme(p, params: dict) -> dict:
         d = 1 - s
         src, dst = grids[s], grids[d]
         if up >= 0:
-            p.send(up, src[lo].copy(), tag=TAG_UP)
+            yield from p.send_gen(up, src[lo].copy(), tag=TAG_UP)
         if down < p.ntasks:
-            p.send(down, src[hi - 1].copy(), tag=TAG_DOWN)
+            yield from p.send_gen(down, src[hi - 1].copy(), tag=TAG_DOWN)
         if up >= 0:
-            src[lo - 1] = p.recv(src=up, tag=TAG_DOWN)
+            src[lo - 1] = yield from p.recv_gen(src=up, tag=TAG_DOWN)
         if down < p.ntasks:
-            src[hi] = p.recv(src=down, tag=TAG_UP)
+            src[hi] = yield from p.recv_gen(src=down, tag=TAG_UP)
         update_rows(src, dst, imap, lo, hi)
-        p.compute(UPDATE_COST * n * (hi - lo))
+        yield from p.compute_gen(UPDATE_COST * n * (hi - lo))
 
     for t in range(warmup):
-        one_iteration(t)
+        yield from one_iteration(t)
     p.env.mark("start")
     for t in range(iters):
-        one_iteration(t + warmup)
+        yield from one_iteration(t + warmup)
     final = (warmup + iters) % 2
     stats = square_stats_rows(grids[final], n, lo, hi)
-    p.compute(REDUCE_COST * n * (hi - lo))
-    gmax = p.allreduce(stats["gmax"], max)
-    gmin = p.allreduce(stats["gmin"], min)
-    gsum = p.allreduce(stats["gsum"], lambda a, b: a + b)
+    yield from p.compute_gen(REDUCE_COST * n * (hi - lo))
+    gmax = yield from p.allreduce_gen(stats["gmax"], max)
+    gmin = yield from p.allreduce_gen(stats["gmin"], min)
+    gsum = yield from p.allreduce_gen(stats["gsum"], lambda a, b: a + b)
     p.env.mark("stop")
     sig = {"sig_" + ("g1" if final else "g0"): abs_sum(grids[final][lo:hi])}
     if p.tid == 0:

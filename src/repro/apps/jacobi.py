@@ -126,34 +126,41 @@ def hand_tmk_setup(space, params: dict) -> None:
     space.alloc("u", (n, n), np.float32)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     u = tmk.array("u")
     lo, hi = tmk.block_range(n)
     scratch = np.zeros((n, n), dtype=np.float32)   # private scratch array
 
     if tmk.pid == 0:
-        view = u.writable()
-        init_grid(view)
-        tmk.compute(2e-9 * n * n)
-    tmk.barrier()
+        steps = u.writable_steps()
+        if steps is not None:
+            yield from steps
+        init_grid(u.raw())
+        yield from tmk.compute_gen(2e-9 * n * n)
+    yield from tmk.barrier_gen()
 
     def one_iteration():
         rlo, rhi = max(lo, 1), min(hi, n - 1)
-        src = u.read((slice(rlo - 1, rhi + 1), slice(None)))
+        steps = u.read_steps((slice(rlo - 1, rhi + 1), slice(None)))
+        if steps is not None:
+            yield from steps
         stencil_rows(u.raw(), scratch, lo, hi)
-        tmk.compute(STENCIL_COST * n * (hi - lo))
-        tmk.barrier()                       # anti-dependence between phases
-        dst = u.writable((slice(rlo, rhi), slice(None))) if rhi > rlo else None
+        yield from tmk.compute_gen(STENCIL_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()        # anti-dependence between phases
+        if rhi > rlo:
+            steps = u.writable_steps((slice(rlo, rhi), slice(None)))
+            if steps is not None:
+                yield from steps
         copy_rows(u.raw(), scratch, lo, hi)
-        tmk.compute(COPY_COST * n * (hi - lo))
-        tmk.barrier()
+        yield from tmk.compute_gen(COPY_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("stop")
     sig = partial_signature({"u": u.raw(), "scratch": scratch}, lo, hi)
     return sig
@@ -165,7 +172,7 @@ def hand_tmk(tmk, params: dict) -> dict:
 TAG_UP, TAG_DOWN = 10, 11
 
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     lo, hi = p.block_range(n)
     u = np.zeros((n, n), dtype=np.float32)
@@ -177,23 +184,23 @@ def hand_pvme(p, params: dict) -> dict:
     def one_iteration():
         # exchange boundary rows with neighbours (one message per line)
         if up >= 0:
-            p.send(up, u[lo].copy(), tag=TAG_UP)
+            yield from p.send_gen(up, u[lo].copy(), tag=TAG_UP)
         if down < p.ntasks:
-            p.send(down, u[hi - 1].copy(), tag=TAG_DOWN)
+            yield from p.send_gen(down, u[hi - 1].copy(), tag=TAG_DOWN)
         if up >= 0:
-            u[lo - 1] = p.recv(src=up, tag=TAG_DOWN)
+            u[lo - 1] = yield from p.recv_gen(src=up, tag=TAG_DOWN)
         if down < p.ntasks:
-            u[hi] = p.recv(src=down, tag=TAG_UP)
+            u[hi] = yield from p.recv_gen(src=down, tag=TAG_UP)
         stencil_rows(u, scratch, lo, hi)
-        p.compute(STENCIL_COST * n * (hi - lo))
+        yield from p.compute_gen(STENCIL_COST * n * (hi - lo))
         copy_rows(u, scratch, lo, hi)     # no communication between phases
-        p.compute(COPY_COST * n * (hi - lo))
+        yield from p.compute_gen(COPY_COST * n * (hi - lo))
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("stop")
     return partial_signature({"u": u, "scratch": scratch}, lo, hi)
 

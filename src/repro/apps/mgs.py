@@ -122,16 +122,18 @@ def hand_tmk_setup(space, params: dict) -> None:
     space.alloc("v", (n, n), np.float32)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n = params["n"]
     v = tmk.array("v")
     raw = tmk.node.view(v.handle)
 
     if tmk.pid == 0:
-        v.writable()
+        steps = v.writable_steps()
+        if steps is not None:
+            yield from steps
         init_vectors(raw)
-        tmk.compute(10e-9 * n * n)
-    tmk.barrier()
+        yield from tmk.compute_gen(10e-9 * n * n)
+    yield from tmk.barrier_gen()
     tmk.env.mark("start")
 
     my_rows = np.arange(tmk.pid, n, tmk.nprocs, dtype=np.int64)
@@ -140,19 +142,26 @@ def hand_tmk(tmk, params: dict) -> dict:
         if tmk.pid == owner:
             # vector i is already current here: this processor wrote it
             # during its orthogonalization of iteration i-1
-            v.writable((slice(i, i + 1), slice(None)))
+            steps = v.writable_steps((slice(i, i + 1), slice(None)))
+            if steps is not None:
+                yield from steps
             normalize_vector(raw, i)
-            tmk.compute(NORM_COST * n)
-        tmk.barrier()
+            yield from tmk.compute_gen(NORM_COST * n)
+        yield from tmk.barrier_gen()
         rows = my_rows[my_rows > i]
         if rows.size:
-            v.read((slice(i, i + 1), slice(None)))   # page in vector i
+            # page in vector i
+            steps = v.read_steps((slice(i, i + 1), slice(None)))
+            if steps is not None:
+                yield from steps
             row_elems = n
-            tmk.node.ensure_write_elements(v.handle, rows * row_elems,
-                                           elem_span=row_elems)
+            steps = tmk.node.ensure_write_elements_steps(
+                v.handle, rows * row_elems, elem_span=row_elems)
+            if steps is not None:
+                yield from steps
             orthogonalize_rows(raw, i, rows)
-            tmk.compute(ORTH_COST * n * rows.size)
-    tmk.barrier()
+            yield from tmk.compute_gen(ORTH_COST * n * rows.size)
+    yield from tmk.barrier_gen()
     tmk.env.mark("stop")
     return {"sig_v": abs_sum(raw[my_rows])}
 
@@ -160,25 +169,25 @@ def hand_tmk(tmk, params: dict) -> dict:
 # ---------------------------------------------------------------------- #
 # hand-coded PVMe: the owner normalizes and broadcasts vector i
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n = params["n"]
     v = np.zeros((n, n), dtype=np.float32)
     init_vectors(v)
-    p.compute(10e-9 * n * n if p.tid == 0 else 0.0)
+    yield from p.compute_gen(10e-9 * n * n if p.tid == 0 else 0.0)
     p.env.mark("start")
     my_rows = np.arange(p.tid, n, p.ntasks, dtype=np.int64)
     for i in range(n):
         owner = i % p.ntasks
         if p.tid == owner:
             normalize_vector(v, i)
-            p.compute(NORM_COST * n)
-            p.bcast(v[i].copy(), root=owner)
+            yield from p.compute_gen(NORM_COST * n)
+            yield from p.bcast_gen(v[i].copy(), root=owner)
         else:
-            v[i] = p.bcast(None, root=owner)
+            v[i] = yield from p.bcast_gen(None, root=owner)
         rows = my_rows[my_rows > i]
         if rows.size:
             orthogonalize_rows(v, i, rows)
-            p.compute(ORTH_COST * n * rows.size)
+            yield from p.compute_gen(ORTH_COST * n * rows.size)
     p.env.mark("stop")
     return {"sig_v": abs_sum(v[my_rows])}
 

@@ -163,7 +163,7 @@ def hand_tmk_setup(space, params: dict) -> None:
     space.alloc("staging", (64, n, 3), np.float32)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n, iters = params["n"], params["iters"]
     warmup = max(params["warmup"], 1)
     P, W = params["P"], params["W"]
@@ -178,38 +178,48 @@ def hand_tmk(tmk, params: dict) -> dict:
     esum = [0.0]
 
     if tmk.pid == 0:
-        pos.writable()
+        steps = pos.writable_steps()
+        if steps is not None:
+            yield from steps
         init_positions(pos_raw)
-        tmk.compute(50e-9 * n)
-    tmk.barrier()
+        yield from tmk.compute_gen(50e-9 * n)
+    yield from tmk.barrier_gen()
 
     def one_iteration():
         forces[...] = 0.0
-        tmk.node.ensure_read_elements(pos.handle, touched_elems)
+        steps = tmk.node.ensure_read_elements_steps(pos.handle, touched_elems)
+        if steps is not None:
+            yield from steps
         pair_forces_rows(pos_raw, partners, forces, lo, hi)
-        tmk.compute(PAIR_COST * P * (hi - lo))
+        yield from tmk.compute_gen(PAIR_COST * P * (hi - lo))
         # publish contributions in this processor's staging row
         base = tmk.pid * n
-        tmk.node.ensure_write_elements(staging.handle,
-                                       _row_elements(base + touched))
+        steps = tmk.node.ensure_write_elements_steps(
+            staging.handle, _row_elements(base + touched))
+        if steps is not None:
+            yield from steps
         staging_raw[tmk.pid, touched] = forces[touched]
-        tmk.barrier()
+        yield from tmk.barrier_gen()
         # merge: own block = sum of every processor's contributions
-        tmk.node.ensure_read(staging.handle,
-                             (slice(0, tmk.nprocs), slice(lo, hi)))
+        steps = tmk.node.ensure_read_steps(
+            staging.handle, (slice(0, tmk.nprocs), slice(lo, hi)))
+        if steps is not None:
+            yield from steps
         merged = staging_raw[:tmk.nprocs, lo:hi].sum(axis=0)
-        tmk.compute(MERGE_COST * (hi - lo))
-        pos.writable((slice(lo, hi), slice(None)))
+        yield from tmk.compute_gen(MERGE_COST * (hi - lo))
+        steps = pos.writable_steps((slice(lo, hi), slice(None)))
+        if steps is not None:
+            yield from steps
         pos_raw[lo:hi] += DT * merged
         esum[0] = float(np.sum(pos_raw[lo:hi].astype(np.float64) ** 2))
-        tmk.compute(UPDATE_COST * (hi - lo))
-        tmk.barrier()
+        yield from tmk.compute_gen(UPDATE_COST * (hi - lo))
+        yield from tmk.barrier_gen()
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("stop")
     merged_final = staging_raw[:tmk.nprocs, lo:hi].sum(axis=0)
     return {"sig_pos": abs_sum(pos_raw[lo:hi]),
@@ -223,7 +233,7 @@ def hand_tmk(tmk, params: dict) -> dict:
 TAG_POS, TAG_CONTRIB = 50, 51
 
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n, iters = params["n"], params["iters"]
     warmup = max(params["warmup"], 1)
     P, W = params["P"], params["W"]
@@ -242,26 +252,28 @@ def hand_pvme(p, params: dict) -> dict:
         # partners reach at most W molecules ahead: fetch [hi, hi+W) from
         # the next processor, supply [lo, lo+W) to the previous one
         if up >= 0:
-            p.send(up, pos[lo:lo + W].copy(), tag=TAG_POS)
+            yield from p.send_gen(up, pos[lo:lo + W].copy(), tag=TAG_POS)
         if down < p.ntasks:
-            pos[hi:hi + W] = p.recv(src=down, tag=TAG_POS)
+            pos[hi:hi + W] = yield from p.recv_gen(src=down, tag=TAG_POS)
         forces[...] = 0.0
         pair_forces_rows(pos, partners, forces, lo, hi)
-        p.compute(PAIR_COST * P * (hi - lo))
+        yield from p.compute_gen(PAIR_COST * P * (hi - lo))
         # contributions to molecules [hi, hi+W) belong to the next processor
         if down < p.ntasks:
-            p.send(down, forces[hi:hi + W].copy(), tag=TAG_CONTRIB)
+            yield from p.send_gen(down, forces[hi:hi + W].copy(),
+                                  tag=TAG_CONTRIB)
         if up >= 0:
-            forces[lo:lo + W] += p.recv(src=up, tag=TAG_CONTRIB)
+            contrib = yield from p.recv_gen(src=up, tag=TAG_CONTRIB)
+            forces[lo:lo + W] += contrib
         pos[lo:hi] += DT * forces[lo:hi]
         esum[0] = float(np.sum(pos[lo:hi].astype(np.float64) ** 2))
-        p.compute(UPDATE_COST * (hi - lo))
+        yield from p.compute_gen(UPDATE_COST * (hi - lo))
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("stop")
     return {"sig_pos": abs_sum(pos[lo:hi]),
             "sig_forces": abs_sum(forces[lo:hi]),

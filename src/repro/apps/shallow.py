@@ -229,7 +229,7 @@ def hand_tmk_setup(space, params: dict) -> None:
         space.alloc(name, (n, n), np.float32)
 
 
-def hand_tmk(tmk, params: dict) -> dict:
+def hand_tmk(tmk, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     arrays = {name: tmk.array(name) for name in ALL_ARRAYS}
     views = {name: arr.raw() for name, arr in arrays.items()}
@@ -238,67 +238,69 @@ def hand_tmk(tmk, params: dict) -> dict:
     owns_first = lo == 0
     owns_last = hi == n
 
+    def read(names, rlo, rhi):
+        for name in names:
+            steps = arrays[name].read_steps((slice(rlo, rhi), slice(None)))
+            if steps is not None:
+                yield from steps
+
+    def write(names, wlo, whi):
+        for name in names:
+            steps = arrays[name].writable_steps((slice(wlo, whi),
+                                                 slice(None)))
+            if steps is not None:
+                yield from steps
+
     if tmk.pid == 0:
         for name in STATE + OLD:
-            arrays[name].writable()
+            steps = arrays[name].writable_steps()
+            if steps is not None:
+                yield from steps
         init_fields(views, n)
-        tmk.compute(20e-9 * n * n)
-    tmk.barrier()
-
-    def read_halo(names):
-        rlo, rhi = max(lo - 1, 0), min(hi + 1, n)
-        for name in names:
-            arrays[name].read((slice(rlo, rhi), slice(None)))
-
-    def read_rows(names):
-        for name in names:
-            arrays[name].read((slice(lo, hi), slice(None)))
-
-    def write_rows(names, wlo, whi):
-        for name in names:
-            arrays[name].writable((slice(wlo, whi), slice(None)))
+        yield from tmk.compute_gen(20e-9 * n * n)
+    yield from tmk.barrier_gen()
 
     def wraps(names):
         """Boundary-line copies, done by the owning processors."""
         col_wrap_rows(views, names, lo, hi, n)        # local columns
-        tmk.compute(WRAP_COST * len(names) * (hi - lo))
+        yield from tmk.compute_gen(WRAP_COST * len(names) * (hi - lo))
         if owns_first:
             for name in names:
-                arrays[name].read((slice(n - 2, n - 1), slice(None)))
-                arrays[name].writable((slice(0, 1), slice(None)))
+                yield from read([name], n - 2, n - 1)
+                yield from write([name], 0, 1)
                 views[name][0, :] = views[name][n - 2, :]
         if owns_last:
             for name in names:
-                arrays[name].read((slice(1, 2), slice(None)))
-                arrays[name].writable((slice(n - 1, n), slice(None)))
+                yield from read([name], 1, 2)
+                yield from write([name], n - 1, n)
                 views[name][n - 1, :] = views[name][1, :]
 
     def one_iteration():
-        read_halo(STATE)
-        write_rows(FLUX, lo, hi)
+        yield from read(STATE, max(lo - 1, 0), min(hi + 1, n))
+        yield from write(FLUX, lo, hi)
         step1_rows(views, lo, hi, n)
-        tmk.compute(STEP1_COST * n * (hi - lo))
-        tmk.barrier()
-        wraps(FLUX)
-        tmk.barrier()
-        read_halo(FLUX)
-        read_rows(OLD)
-        write_rows(NEW, lo, hi)
+        yield from tmk.compute_gen(STEP1_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()
+        yield from wraps(FLUX)
+        yield from tmk.barrier_gen()
+        yield from read(FLUX, max(lo - 1, 0), min(hi + 1, n))
+        yield from read(OLD, lo, hi)
+        yield from write(NEW, lo, hi)
         step2_rows(views, lo, hi, n, tdt)
-        tmk.compute(STEP2_COST * n * (hi - lo))
-        tmk.barrier()
-        wraps(NEW)
-        tmk.barrier()
-        write_rows(STATE + OLD, lo, hi)
+        yield from tmk.compute_gen(STEP2_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()
+        yield from wraps(NEW)
+        yield from tmk.barrier_gen()
+        yield from write(STATE + OLD, lo, hi)
         step3_rows(views, lo, hi)
-        tmk.compute(STEP3_COST * n * (hi - lo))
-        tmk.barrier()
+        yield from tmk.compute_gen(STEP3_COST * n * (hi - lo))
+        yield from tmk.barrier_gen()
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     tmk.env.mark("stop")
     return partial_signature({k: views[k] for k in ("p", "u", "v")}, lo, hi)
 
@@ -309,7 +311,7 @@ def hand_tmk(tmk, params: dict) -> dict:
 TAG_UP, TAG_DOWN, TAG_WRAP = 20, 21, 22
 
 
-def hand_pvme(p, params: dict) -> dict:
+def hand_pvme(p, params: dict):
     n, iters, warmup = params["n"], params["iters"], params["warmup"]
     lo, hi = p.block_range(n)
     views = {name: np.zeros((n, n), dtype=np.float32) for name in ALL_ARRAYS}
@@ -322,61 +324,65 @@ def hand_pvme(p, params: dict) -> dict:
     def exchange(names):
         """One aggregated message per neighbour carrying all halo lines."""
         if up >= 0:
-            p.send(up, np.stack([views[m][lo] for m in names]), tag=TAG_UP)
+            yield from p.send_gen(up, np.stack([views[m][lo] for m in names]),
+                                  tag=TAG_UP)
         if down < p.ntasks:
-            p.send(down, np.stack([views[m][hi - 1] for m in names]),
-                   tag=TAG_DOWN)
+            yield from p.send_gen(
+                down, np.stack([views[m][hi - 1] for m in names]),
+                tag=TAG_DOWN)
         if up >= 0:
-            block = p.recv(src=up, tag=TAG_DOWN)
+            block = yield from p.recv_gen(src=up, tag=TAG_DOWN)
             for k, name in enumerate(names):
                 views[name][lo - 1] = block[k]
         if down < p.ntasks:
-            block = p.recv(src=down, tag=TAG_UP)
+            block = yield from p.recv_gen(src=down, tag=TAG_UP)
             for k, name in enumerate(names):
                 views[name][hi] = block[k]
 
     def wraps(names):
         col_wrap_rows(views, names, lo, hi, n)
-        p.compute(WRAP_COST * len(names) * (hi - lo))
+        yield from p.compute_gen(WRAP_COST * len(names) * (hi - lo))
         # rows n-2 and 1 travel to the owners of rows 0 and n-1
         if owns_last and not owns_first:
-            p.send(first_owner, np.stack([views[m][n - 2] for m in names]),
-                   tag=TAG_WRAP)
+            yield from p.send_gen(
+                first_owner, np.stack([views[m][n - 2] for m in names]),
+                tag=TAG_WRAP)
         if owns_first and not owns_last:
-            p.send(last_owner, np.stack([views[m][1] for m in names]),
-                   tag=TAG_WRAP)
+            yield from p.send_gen(
+                last_owner, np.stack([views[m][1] for m in names]),
+                tag=TAG_WRAP)
         if owns_first:
             if not owns_last:
-                block = p.recv(src=last_owner, tag=TAG_WRAP)
+                block = yield from p.recv_gen(src=last_owner, tag=TAG_WRAP)
                 for k, name in enumerate(names):
                     views[name][n - 2] = block[k]
             for name in names:
                 views[name][0, :] = views[name][n - 2, :]
         if owns_last:
             if not owns_first:
-                block = p.recv(src=first_owner, tag=TAG_WRAP)
+                block = yield from p.recv_gen(src=first_owner, tag=TAG_WRAP)
                 for k, name in enumerate(names):
                     views[name][1] = block[k]
             for name in names:
                 views[name][n - 1, :] = views[name][1, :]
 
     def one_iteration():
-        exchange(STATE)
+        yield from exchange(STATE)
         step1_rows(views, lo, hi, n)
-        p.compute(STEP1_COST * n * (hi - lo))
-        wraps(FLUX)
-        exchange(FLUX)
+        yield from p.compute_gen(STEP1_COST * n * (hi - lo))
+        yield from wraps(FLUX)
+        yield from exchange(FLUX)
         step2_rows(views, lo, hi, n, tdt)
-        p.compute(STEP2_COST * n * (hi - lo))
-        wraps(NEW)
+        yield from p.compute_gen(STEP2_COST * n * (hi - lo))
+        yield from wraps(NEW)
         step3_rows(views, lo, hi)
-        p.compute(STEP3_COST * n * (hi - lo))
+        yield from p.compute_gen(STEP3_COST * n * (hi - lo))
 
     for _ in range(warmup):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("start")
     for _ in range(iters):
-        one_iteration()
+        yield from one_iteration()
     p.env.mark("stop")
     return partial_signature({k: views[k] for k in ("p", "u", "v")}, lo, hi)
 

@@ -12,20 +12,21 @@ message/byte totals of Tables 2 and 3 come out of real traffic.
 """
 
 from repro.msg.endpoint import Comm, payload_nbytes
-from repro.msg.collectives import (bcast, reduce, allreduce, gather,
-                                   allgather, alltoall, mp_barrier, scatter)
+from repro.msg.collectives import (bcast_gen, reduce_gen, allreduce_gen,
+                                   gather_gen, allgather_gen, alltoall_gen,
+                                   mp_barrier_gen, scatter_gen)
 from repro.msg.pvme import Pvme
 
 __all__ = [
     "Comm",
     "payload_nbytes",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "allgather",
-    "alltoall",
-    "scatter",
-    "mp_barrier",
+    "bcast_gen",
+    "reduce_gen",
+    "allreduce_gen",
+    "gather_gen",
+    "allgather_gen",
+    "alltoall_gen",
+    "scatter_gen",
+    "mp_barrier_gen",
     "Pvme",
 ]

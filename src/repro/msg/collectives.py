@@ -16,8 +16,8 @@ Every collective is, well, collective: all ranks must call it with matching
 arguments; internal phase tags are drawn deterministically per call.
 
 Each is one generator of engine block requests (``bcast_gen``, ...), which
-the compiled XHPF program delegates to with ``yield from``; the names
-without the suffix are the blocking forms the hand-coded programs call.
+a program -- the compiled XHPF one, the hand-coded PVMe ones through
+:class:`~repro.msg.pvme.Pvme` -- delegates to with ``yield from``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,8 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.msg.endpoint import Comm
-from repro.sim.engine import blocking
 
-__all__ = ["bcast", "reduce", "allreduce", "gather", "allgather",
-           "scatter", "alltoall", "mp_barrier",
-           "bcast_gen", "reduce_gen", "allreduce_gen", "gather_gen",
+__all__ = ["bcast_gen", "reduce_gen", "allreduce_gen", "gather_gen",
            "allgather_gen", "scatter_gen", "alltoall_gen", "mp_barrier_gen"]
 
 
@@ -166,13 +163,3 @@ def mp_barrier_gen(comm: Comm, tag: Optional[int] = None):
         yield from comm.recv_gen(src=src, tag=round_tag)
         dist <<= 1
         round_no += 1
-
-
-bcast = blocking(bcast_gen)
-reduce = blocking(reduce_gen)
-allreduce = blocking(allreduce_gen)
-gather = blocking(gather_gen)
-allgather = blocking(allgather_gen)
-scatter = blocking(scatter_gen)
-alltoall = blocking(alltoall_gen)
-mp_barrier = blocking(mp_barrier_gen)

@@ -12,9 +12,9 @@ a bounded transfer buffer, which is visible in the paper's Table 3 as a
 unsegmented messages.
 
 Each blocking operation is one generator of engine block requests
-(``send_gen``, ``recv_gen``, ...), which the compiled XHPF program delegates
-to with ``yield from``; ``send``/``recv``/``recv_msg``/``sendrecv`` are the
-blocking forms the hand-coded programs call from their own threads.
+(``send_gen``, ``recv_gen``, ...), which a program -- the compiled XHPF one,
+the hand-coded PVMe ones through :class:`~repro.msg.pvme.Pvme` -- delegates
+to with ``yield from``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.sim.cluster import ProcEnv
-from repro.sim.engine import blocking
 from repro.sim.network import ANY_SOURCE, ANY_TAG
 
 __all__ = ["Comm", "payload_nbytes", "ANY_SOURCE", "ANY_TAG"]
@@ -158,11 +157,6 @@ class Comm:
         """Exchange: buffered send then blocking receive (deadlock-free)."""
         yield from self.send_gen(dst, payload, tag=tag)
         return (yield from self.recv_gen(src=src, tag=tag))
-
-    send = blocking(send_gen)
-    recv = blocking(recv_gen)
-    recv_msg = blocking(recv_msg_gen)
-    sendrecv = blocking(sendrecv_gen)
 
     def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         return self.net.probe(self.rank, src=src, tag=tag)

@@ -374,7 +374,9 @@ class RunService(Service):
         self.runner = runner
         self.respawn = respawn
         # spawn, never fork: the parent's simulator threads and locks
-        # must not leak into a worker
+        # must not leak into a worker.  Every run execute() makes is now
+        # thread-less, so that reason is gone (kept until setup_s and
+        # serve.spawn_s are measured against fork).
         self._ctx = mp.get_context("spawn")
         self._next_worker = 0
         for _ in range(workers):

@@ -6,12 +6,12 @@ program on every processor, drives the simulation to completion, and returns
 a :class:`RunResult` with per-processor virtual finish times and the network
 traffic generated by the run.  The kind of process follows from the program,
 as everywhere in :mod:`repro.sim.engine`: a generator function (every
-compiler-generated program) runs with no thread, on the caller's; a plain
-function (the hand-coded applications) on a thread of its own.
+program in :mod:`repro`, hand-coded or compiled) runs with no thread, on
+the caller's; a plain function still runs, on a thread of its own.
 
-Computation inside programs is charged explicitly with
-:meth:`ProcEnv.compute`; the actual numpy work a program performs costs zero
-virtual time — wall-clock Python speed never contaminates results.
+Computation inside programs is charged explicitly with ``yield from
+env.compute_gen(seconds)``; the actual numpy work a program performs costs
+zero virtual time — wall-clock Python speed never contaminates results.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
-from repro.sim.engine import HOLD, Process, Simulator, blocking
+from repro.sim.engine import HOLD, Process, Simulator
 from repro.sim.faults import FaultPlan, faults_enabled_from_env
 from repro.sim.machine import MachineModel, SP2_MODEL
 from repro.sim.network import Network, NetworkStats
@@ -73,13 +73,11 @@ class ProcEnv:
 
     def compute_gen(self, seconds: float):
         """Charge ``seconds`` of local computation to this processor
-        (generator of block requests; :meth:`compute` is the blocking form)."""
+        (generator of block requests)."""
         if seconds < 0:
             raise ValueError(f"negative compute time {seconds}")
         self.busy_time += seconds
         yield HOLD, seconds
-
-    compute = blocking(compute_gen)
 
     def spawn_server(self, name: str, fn: Callable[..., Any],
                      *args: Any) -> Process:

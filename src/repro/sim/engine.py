@@ -6,14 +6,16 @@ only: *hold* ``dt`` (advance its clock) and *park* ``token`` (wait for
 :meth:`Simulator.unpark`).  What kind of process it is follows from the
 callable handed to :meth:`Simulator.add_process` -- nothing else selects it:
 
-* a **plain function** is a *thread process*.  It runs ordinary imperative
-  Python (the application programs, the message-passing library) on its own
-  OS thread and blocks by calling :meth:`Process.hold` / :meth:`Process.park`.
 * a **generator function** is a *generator process*.  It owns no thread and
   no baton: it blocks by ``yield``-ing a *block request* -- ``(HOLD, dt)`` or
   ``(PARK, token)`` -- and whichever thread pops its wakeup steps it inline,
-  with ``next()``, to its next ``yield``.  The DSM request servers are
-  written this way (an interrupt-style handler has no thread of its own).
+  with ``next()``, to its next ``yield``.  Every program in :mod:`repro` is
+  written this way: the DSM request servers (an interrupt-style handler has
+  no thread of its own), the compiled programs and the hand-coded ones.
+* a **plain function** is a *thread process*.  It runs ordinary imperative
+  Python on its own OS thread and blocks by calling :meth:`Process.hold` /
+  :meth:`Process.park`.  Nothing in :mod:`repro` is one; it stays for
+  plain-function programs written against the blocking forms.
 
 **Exactly one thread executes at any instant.**  A thread process runs until
 it gives up the CPU on a primitive (or returns), and the thread that is
@@ -32,18 +34,17 @@ deterministic, and because a step files its block request exactly where the
 blocking primitive would have (same push, same ``seq``, same jitter draw),
 the two kinds of body are interchangeable event for event.
 
-Blocking code that both kinds must run (the network, the DSM protocol and
-its synchronization, the message-passing library) is written **once, as a
-generator of block requests**: a generator process -- the request servers
-and every compiler-generated program -- delegates to it with ``yield from``;
-a thread process (the hand-coded applications) calls its *blocking form*,
-which :func:`blocking` builds from the generator and which exhausts it with
-:meth:`Process.drive`, performing each request in its blocking form.  A
-malformed request is rejected the same way under both kinds: a
-``ValueError`` thrown into the body at the offending ``yield``.  A generator
-process that calls a blocking form is an error (:class:`SimError`), never a
-hung dispatcher; so is a thread process whose function returns a generator
-object instead of running it.
+Blocking code (the network, the DSM protocol and its synchronization, the
+message-passing library) is written **once, as a generator of block
+requests**: a generator process delegates to it with ``yield from``; a
+thread process calls its *blocking form*, which :func:`blocking` builds
+from the generator and which exhausts it with :meth:`Process.drive`,
+performing each request in its blocking form.  A malformed request is
+rejected the same way under both kinds: a ``ValueError`` thrown into the
+body at the offending ``yield``.  A generator process that calls a blocking
+form is an error (:class:`SimError`), never a hung dispatcher; so is a
+thread process whose function returns a generator object instead of
+running it.
 
 Where an operation usually has nothing to wait for (a coherence check that
 hits, a lock whose token never left), its one body is a plain function that
@@ -285,7 +286,7 @@ def blocking(op: Callable[..., Any]) -> Callable[..., Any]:
     The adaptor is generated with ``op``'s own signature (as ``namedtuple``
     and ``dataclass`` generate theirs): forwarding through ``*args,
     **kwargs`` costs CPython 0.7 us a call, several times the bookkeeping of
-    the operations the hand-coded programs call most."""
+    the operations a thread program calls most (a barrier, a page read)."""
     params = list(inspect.signature(op).parameters.values())
     if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
         raise TypeError(f"blocking({op.__qualname__}): only plain "

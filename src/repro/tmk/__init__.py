@@ -28,7 +28,7 @@ from repro.tmk.pagespace import SharedSpace, ArrayHandle
 from repro.tmk.diffs import make_diff, apply_diff, diff_nbytes
 from repro.tmk.api import Tmk, TmkWorld, tmk_run
 from repro.tmk.stats import DsmStats
-from repro.tmk.reduction import tmk_reduce
+from repro.tmk.reduction import tmk_reduce_gen
 
 __all__ = [
     "SharedSpace",
@@ -40,5 +40,5 @@ __all__ = [
     "TmkWorld",
     "tmk_run",
     "DsmStats",
-    "tmk_reduce",
+    "tmk_reduce_gen",
 ]

@@ -14,15 +14,19 @@ Run a shared-memory program with :func:`tmk_run`::
     def program(tmk):
         grid = tmk.array("grid")
         ...
-        tmk.barrier()
+        yield from tmk.barrier_gen()
 
     result = tmk_run(nprocs=8, program=program, setup=setup)
 
-A ``program`` written as a plain function runs on a thread of its own and
-calls the blocking names above.  A generator function (what the compiler
-backends emit) runs with no thread and delegates to the same operations'
-generator forms: ``yield from tmk.barrier_gen()``, ``steps =
-tmk.lock_acquire_steps(0)`` / ``if steps is not None: yield from steps``.
+Every program in :mod:`repro` -- the hand-coded ones and everything the
+compiler backends emit -- is a generator function like this one: it runs
+with no thread and delegates to each operation's one generator body:
+``yield from tmk.compute_gen(dt)``, ``steps = tmk.lock_acquire_steps(0)`` /
+``if steps is not None: yield from steps``.
+A ``program`` written as a plain function still runs, on a thread of its
+own, and may call the blocking forms :meth:`Tmk.barrier`,
+:meth:`Tmk.lock_acquire`, :meth:`Tmk.lock_release` and a shared array's
+``read``/``write``.
 """
 
 from __future__ import annotations
@@ -105,10 +109,10 @@ class Tmk:
         """Charge application computation time."""
         return self.env.compute_gen(seconds)
 
+    # blocking forms for plain-function (thread) programs
     barrier = blocking(barrier_gen)
     lock_acquire = blocking(lock_acquire_steps)
     lock_release = blocking(lock_release_steps)
-    compute = blocking(compute_gen)
 
     @property
     def now(self) -> float:

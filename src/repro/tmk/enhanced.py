@@ -6,14 +6,14 @@ communication, *merging* synchronization and data, and *pushing* data
 instead of the DSM's default request–response.  The evaluation's
 "Results of Hand Optimizations" paragraphs (Sections 5.1–5.4) all use them.
 
-* :func:`validate` — aggregated fetch: bring a whole region up to date with
+* :func:`validate_steps` — aggregated fetch: bring a whole region up to date with
   **one** request/reply round-trip per writer instead of one per page, and
   without per-page fault overhead (requests are issued before the access).
   This is the "data aggregation" fix for Jacobi, Shallow and 3-D FFT.
-* :class:`PushPayload` / :func:`push_regions` — at a release, send one's
+* :class:`PushPayload` / :func:`push_regions_gen` — at a release, send one's
   modifications of the pages under a region directly to the consumers
   (whole-page diffs, i.e. eager rather than lazy propagation).
-* :func:`broadcast` — one-to-all propagation of a region from a processor
+* :func:`broadcast_gen` — one-to-all propagation of a region from a processor
   that holds its current contents (MGS's ith-vector broadcast).  Combined
   with fork-message piggybacking this merges synchronization and data.
 """
@@ -24,22 +24,20 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.sim.engine import HOLD, blocking
+from repro.sim.engine import HOLD
 from repro.sim.machine import PAGE_SIZE
 from repro.tmk.diffs import apply_diff, diff_nbytes
 from repro.tmk.pagespace import ArrayHandle
 from repro.tmk.protocol import (TAG_FETCH_REP, TAG_PUSH, TAG_TMK_REQ,
                                 DiffRequest, TmkNode)
 
-__all__ = ["validate", "push_regions", "broadcast", "PushPayload",
-           "BcastPayload", "drain_pushes", "expect_pushes",
-           "validate_steps", "push_regions_gen", "broadcast_gen",
-           "drain_pushes_gen", "expect_pushes_gen"]
+__all__ = ["PushPayload", "BcastPayload", "validate_steps",
+           "push_regions_gen", "broadcast_gen", "drain_pushes_gen",
+           "expect_pushes_gen"]
 
 # Every operation below is one generator of engine block requests (``*_gen``;
 # ``validate_steps`` returns ``None`` when nothing needs fetching), which a
-# compiled program delegates to with ``yield from``; the names without the
-# suffix are the blocking forms thread programs call.
+# program delegates to with ``yield from``.
 
 
 def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
@@ -98,9 +96,6 @@ def _fetch_batched(node: TmkNode, metas: dict, by_writer: dict):
         node.fast.valid[page] = True
 
 
-validate = blocking(validate_steps)
-
-
 # ---------------------------------------------------------------------- #
 # push: eager propagation of one's own modifications at a release point
 
@@ -144,11 +139,6 @@ def expect_pushes_gen(node: TmkNode, count: int):
         yield from msg.payload.install_gen(node)
         if mon is not None:
             mon.channel_acquire(node.pid, msg.src, "push")
-
-
-push_regions = blocking(push_regions_gen)
-drain_pushes = blocking(drain_pushes_gen)
-expect_pushes = blocking(expect_pushes_gen)
 
 
 class PushPayload:
@@ -198,8 +188,6 @@ class PushPayload:
         if not entries:
             return None
         return PushPayload(node.pid, entries, total)
-
-    build = staticmethod(blocking(build_gen.__func__))
 
     def install_gen(self, node: TmkNode):
         model = node.model
@@ -339,6 +327,3 @@ def broadcast_gen(node: TmkNode, handle: ArrayHandle, region, root: int):
                 m.applied[w] = max(m.applied.get(w, 0), m.pending[w])
             m.valid = True
             node.fast.valid[page] = True
-
-
-broadcast = blocking(broadcast_gen)

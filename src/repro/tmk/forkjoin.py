@@ -25,8 +25,7 @@ reverse.  ``benchmarks/test_sec23_interface.py`` reproduces the 8(n-1) →
 
 Each operation is one generator of engine block requests (``fork_gen``,
 ``join_gen``, ...), which the compiled SPF program delegates to with
-``yield from``; ``fork``/``join``/``shutdown``/``wait_for_work``/
-``work_done`` are the blocking forms thread programs call.
+``yield from``.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.sim.engine import blocking
 from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import fork_nbytes, sync_nbytes
 from repro.tmk.pagespace import SharedSpace
@@ -73,8 +71,6 @@ class _ForkJoin:
 
     def shutdown_gen(self):
         return self.fork_gen(STOP)
-
-    shutdown = blocking(shutdown_gen)
 
 
 class OldForkJoin(_ForkJoin):
@@ -120,11 +116,6 @@ class OldForkJoin(_ForkJoin):
 
     def work_done_gen(self):
         return _sync.barrier_gen(self.node)
-
-    fork = blocking(fork_gen)
-    join = blocking(join_gen)
-    wait_for_work = blocking(wait_for_work_gen)
-    work_done = blocking(work_done_gen)
 
 
 class ImprovedForkJoin(_ForkJoin):
@@ -208,11 +199,6 @@ class ImprovedForkJoin(_ForkJoin):
         yield from node.net.send_gen(
             node.pid, 0, (records, node.seen.as_tuple()), tag=TAG_JOIN,
             nbytes=sync_nbytes(records, node.model), category="sync")
-
-    fork = blocking(fork_gen)
-    join = blocking(join_gen)
-    wait_for_work = blocking(wait_for_work_gen)
-    work_done = blocking(work_done_gen)
 
 
 def make_forkjoin(node: TmkNode, improved: bool = True):

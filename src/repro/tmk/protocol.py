@@ -17,11 +17,11 @@ time.  Together they own
 
 Every operation here that can wait — a fault's overhead, the fetch round
 trip, patching the replies — is written once, as a generator of engine
-block requests.  The access hooks keep the PR 3 fast path a plain call:
-``ensure_*_steps`` checks the masks and returns ``None`` on a hit, the
-generator that faults the pages in on a miss (a compiled program writes
-``steps = node.ensure_read_steps(...)`` / ``if steps is not None: yield from
-steps``); ``ensure_*`` are their blocking forms for thread programs.
+block requests.  The access hooks keep the coherence fast path a plain
+call: ``ensure_*_steps`` checks the masks and returns ``None`` on a hit,
+the generator that faults the pages in on a miss (a program writes ``steps
+= node.ensure_read_steps(...)`` / ``if steps is not None: yield from
+steps``).
 
 Faulting discipline (stands in for mprotect/SIGSEGV at identical points):
 
@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from repro.sim.engine import HOLD, blocking
+from repro.sim.engine import HOLD
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
 from repro.tmk.lrc import LrcNode, PageMeta, diff_request_nbytes
@@ -249,11 +249,6 @@ class TmkNode(LrcNode):
                 return None
             stats.fastpath_misses += 1
         return self._write_faults(pages)
-
-    ensure_read = blocking(ensure_read_steps)
-    ensure_write = blocking(ensure_write_steps)
-    ensure_read_elements = blocking(ensure_read_elements_steps)
-    ensure_write_elements = blocking(ensure_write_elements_steps)
 
     def _read_faults(self, pages: list, vkey=None):
         for page in pages:

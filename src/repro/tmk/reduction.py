@@ -7,7 +7,7 @@ scalar's page across the machine, updates it, and releases — a serial chain
 of lock forwards and page fetches (3 + 2 messages per processor, fully
 serialized).
 
-:func:`tmk_reduce` instead combines partial values up a binomial tree with
+:func:`tmk_reduce_gen` instead combines partial values up a binomial tree with
 dedicated messages and hands the result to every processor on the way back
 down: ``2(n-1)`` small messages, logarithmic depth, no page faults, no
 locks.  It is a *synchronization* operation of the lazy-RC protocol exactly
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.sim.engine import blocking
 from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
 
-__all__ = ["tmk_reduce", "tmk_reduce_gen", "REDUCE_OPS"]
+__all__ = ["tmk_reduce_gen", "REDUCE_OPS"]
 
 TAG_REDUCE_UP = 1_000_006
 TAG_REDUCE_DOWN = 1_000_007
@@ -63,7 +62,7 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
                    op_name: str = "sum"):
     """Combine ``value`` across all processors; every processor returns the
     result.  A collective: all processors must call it together (generator
-    of block requests; :func:`tmk_reduce` is the blocking form).
+    of block requests).
 
     Carries lazy-RC consistency information both ways, so it doubles as a
     global synchronization (like a barrier whose messages also do work).
@@ -128,6 +127,3 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
     node.prune_log()
     node.advance_epoch()
     return result
-
-
-tmk_reduce = blocking(tmk_reduce_gen)

@@ -1,20 +1,24 @@
 """User-facing shared arrays.
 
 A :class:`SharedArray` binds an :class:`~repro.tmk.pagespace.ArrayHandle` to
-one node's :class:`~repro.tmk.protocol.TmkNode`.  Access methods pair the
-real numpy operation with the coherence hook at page granularity:
+one node's :class:`~repro.tmk.protocol.TmkNode`.  Every access splits into
+an *ensure* part, which may wait (fault pages in, twin them), and a *view*
+part, which never does (the numpy operation on :meth:`raw`):
 
-* :meth:`read` validates the touched pages and returns a view,
-* :meth:`writable` validates + twins the touched pages and returns a view
-  the caller may assign into,
-* :meth:`gather`/:meth:`scatter_*` do the same for irregular element sets.
+* :meth:`read_steps` validates the pages under a region,
+* :meth:`writable_steps` validates + twins them (then assign into the view),
+* :meth:`gather_steps`/:meth:`scatter_write_steps`/:meth:`scatter_add_steps`
+  do the same for irregular element sets (by C-order flat index).
 
-The *hand-coded TreadMarks* application variants use these directly (the
-blocking forms, from their own threads); the SPF backend validates its
-analysed loop footprints through the node's ``ensure_*_steps`` hooks and
-reads and writes its runtime scalars with :meth:`read_gen`/:meth:`write_gen`,
-the generators :meth:`read`/:meth:`write` are the blocking forms of.  Either
-way the DSM sees accesses exactly where hardware page faults would occur.
+Each ensure part is the node's ``ensure_*_steps`` hook: ``None`` when the
+pages are already current (the coherence fast path: no generator at all),
+else the generator that finishes the work.  A program -- the hand-coded
+TreadMarks variants, every compiled one -- writes ``steps =
+a.writable_steps(region)`` / ``if steps is not None: yield from steps`` and
+then touches ``a.raw()``.  :meth:`read_gen`/:meth:`write_gen` are the ensure
+part plus the view in one generator; :meth:`read`/:meth:`write` their
+blocking forms for plain-function programs.  Either way the DSM sees
+accesses exactly where hardware page faults would occur.
 """
 
 from __future__ import annotations
@@ -52,29 +56,35 @@ class SharedArray:
     def name(self) -> str:
         return self.handle.name
 
+    def read_steps(self, region=..., source=None):
+        """Validate pages under ``region`` before a read: ``None`` when all
+        are valid, else the generator that faults the rest in."""
+        return self.node.ensure_read_steps(
+            self.handle, self._norm(region),
+            source=source or f"{self.name}.read")
+
     def read_gen(self, region=..., source=None):
         """Validate pages under ``region`` and return the local view of it."""
         region = self._norm(region)
-        steps = self.node.ensure_read_steps(
-            self.handle, region, source=source or f"{self.name}.read")
+        steps = self.read_steps(region, source)
         if steps is not None:
             yield from steps
         return self._view[region]
 
     read = blocking(read_gen)
 
-    def writable(self, region=..., source=None) -> np.ndarray:
-        """Validate + twin pages under ``region``; returns an assignable view."""
-        region = self._norm(region)
-        self.node.ensure_write(self.handle, region,
-                               source=source or f"{self.name}.writable")
-        return self._view[region]
+    def writable_steps(self, region=..., source=None):
+        """Validate + twin pages under ``region`` before assigning into it:
+        ``None`` when nothing is left to do, else the generator that does
+        it."""
+        return self.node.ensure_write_steps(
+            self.handle, self._norm(region),
+            source=source or f"{self.name}.writable")
 
     def write_gen(self, region, values, source=None):
         """Assign ``values`` into ``region`` with write detection."""
         region = self._norm(region)
-        steps = self.node.ensure_write_steps(
-            self.handle, region, source=source or f"{self.name}.write")
+        steps = self.writable_steps(region, source or f"{self.name}.write")
         if steps is not None:
             yield from steps
         self._view[region] = values
@@ -82,33 +92,33 @@ class SharedArray:
     write = blocking(write_gen)
 
     def raw(self) -> np.ndarray:
-        """The uncoherent local view (tests and the runtime use this)."""
+        """The local view, with no coherence action: the view part of an
+        access whose ensure part has run."""
         return self._view
 
     # ------------------------------------------------------------------ #
     # irregular access (indirection arrays)
 
-    def gather(self, flat_indices, source=None) -> np.ndarray:
-        """Read scattered elements (by C-order flat index)."""
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        self.node.ensure_read_elements(self.handle, idx,
-                                       source=source or f"{self.name}.gather")
-        return self._view.reshape(-1)[idx]
+    def gather_steps(self, flat_indices, source=None):
+        """Validate the pages holding scattered elements before reading
+        them as ``raw().reshape(-1)[flat_indices]``."""
+        return self.node.ensure_read_elements_steps(
+            self.handle, np.asarray(flat_indices, dtype=np.int64),
+            source=source or f"{self.name}.gather")
 
-    def scatter_write(self, flat_indices, values, source=None) -> None:
-        """Write scattered elements (by C-order flat index)."""
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        self.node.ensure_write_elements(
-            self.handle, idx,
+    def scatter_write_steps(self, flat_indices, source=None):
+        """Validate + twin the pages holding scattered elements before
+        assigning ``raw().reshape(-1)[flat_indices]``."""
+        return self.node.ensure_write_elements_steps(
+            self.handle, np.asarray(flat_indices, dtype=np.int64),
             source=source or f"{self.name}.scatter_write")
-        self._view.reshape(-1)[idx] = values
 
-    def scatter_add(self, flat_indices, values, source=None) -> None:
-        """Accumulate into scattered elements (read-modify-write)."""
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        self.node.ensure_write_elements(
-            self.handle, idx, source=source or f"{self.name}.scatter_add")
-        np.add.at(self._view.reshape(-1), idx, values)
+    def scatter_add_steps(self, flat_indices, source=None):
+        """Validate + twin before accumulating into scattered elements
+        (read-modify-write, e.g. ``np.add.at(raw().reshape(-1), ...)``)."""
+        return self.node.ensure_write_elements_steps(
+            self.handle, np.asarray(flat_indices, dtype=np.int64),
+            source=source or f"{self.name}.scatter_add")
 
     # ------------------------------------------------------------------ #
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from repro.sim.engine import HOLD, PARK, blocking
+from repro.sim.engine import HOLD, PARK
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
                                  records_unknown_to)
 from repro.tmk.lrc import lock_request_nbytes, sync_nbytes
@@ -40,8 +40,8 @@ if TYPE_CHECKING:
     from repro.sim.engine import Process
 
 __all__ = ["BarrierManager", "LockTable", "BarrierArrive", "LockReq",
-           "LockForward", "barrier", "lock_acquire", "lock_release",
-           "barrier_gen", "lock_acquire_steps", "lock_release_steps"]
+           "LockForward", "barrier_gen", "lock_acquire_steps",
+           "lock_release_steps"]
 
 
 # ---------------------------------------------------------------------- #
@@ -199,10 +199,9 @@ class LockTable:
 # ---------------------------------------------------------------------- #
 # member-side operations, run by a node's main program.  Like everything a
 # request server runs (``_distribute_departures``, ``_send_grant(_empty)``,
-# the ``*_handle_*`` handlers) they are generators of engine block requests
-# -- a compiled program and the server delegate with ``yield from`` -- and
-# ``barrier`` / ``lock_acquire`` / ``lock_release`` are their blocking forms
-# for thread programs.
+# the ``*_handle_*`` handlers) they are generators of engine block requests:
+# a program and the server delegate with ``yield from`` (``Tmk.barrier_gen``
+# and friends are the per-processor names).
 
 def barrier_gen(node: TmkNode):
     """TreadMarks barrier: arrival release + departure acquire."""
@@ -252,9 +251,6 @@ def barrier_gen(node: TmkNode):
     node.advance_epoch()
     if mon is not None:
         mon.on_barrier_depart(node.pid)
-
-
-barrier = blocking(barrier_gen)
 
 
 def manager_handle_arrival(node0: TmkNode, arr: BarrierArrive):
@@ -340,10 +336,6 @@ def lock_release_steps(node: TmkNode, lock: int):
         requester, seen = due
         return _send_grant(node, lock, requester, seen)
     return None
-
-
-lock_acquire = blocking(lock_acquire_steps)
-lock_release = blocking(lock_release_steps)
 
 
 def _send_grant(node: TmkNode, lock: int, requester: int, seen: tuple):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.msg import Comm, Pvme
-from repro.msg.collectives import (allgather, allreduce, alltoall, bcast,
-                                   gather, mp_barrier, reduce, scatter)
+from repro.msg.collectives import (allgather_gen, allreduce_gen,
+                                   alltoall_gen, bcast_gen, gather_gen,
+                                   mp_barrier_gen, reduce_gen, scatter_gen)
 from repro.sim import Cluster
 
 SIZES = [1, 2, 3, 5, 8]
@@ -23,7 +24,7 @@ def test_bcast_all_sizes_roots(n, root):
     def prog(env):
         comm = Comm(env)
         value = {"data": 123} if env.pid == root else None
-        return bcast(comm, value, root=root)
+        return (yield from bcast_gen(comm, value, root=root))
 
     r = run(n, prog)
     assert all(res == {"data": 123} for res in r.results)
@@ -31,7 +32,7 @@ def test_bcast_all_sizes_roots(n, root):
 
 def test_bcast_message_count_n_minus_one():
     def prog(env):
-        bcast(Comm(env), 1 if env.pid == 0 else None, root=0)
+        yield from bcast_gen(Comm(env), 1 if env.pid == 0 else None, root=0)
 
     for n in SIZES:
         r = run(n, prog)
@@ -41,7 +42,8 @@ def test_bcast_message_count_n_minus_one():
 @pytest.mark.parametrize("n", SIZES)
 def test_reduce_sum(n):
     def prog(env):
-        return reduce(Comm(env), env.pid + 1, lambda a, b: a + b, root=0)
+        return (yield from reduce_gen(Comm(env), env.pid + 1,
+                                      lambda a, b: a + b, root=0))
 
     r = run(n, prog)
     assert r.results[0] == n * (n + 1) // 2
@@ -51,7 +53,7 @@ def test_reduce_sum(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_allreduce_max(n):
     def prog(env):
-        return allreduce(Comm(env), env.pid * 2, max)
+        return (yield from allreduce_gen(Comm(env), env.pid * 2, max))
 
     r = run(n, prog)
     assert r.results == [(n - 1) * 2] * n
@@ -60,7 +62,7 @@ def test_allreduce_max(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_gather_rank_order(n):
     def prog(env):
-        return gather(Comm(env), f"r{env.pid}", root=0)
+        return (yield from gather_gen(Comm(env), f"r{env.pid}", root=0))
 
     r = run(n, prog)
     assert r.results[0] == [f"r{i}" for i in range(n)]
@@ -69,7 +71,7 @@ def test_gather_rank_order(n):
 @pytest.mark.parametrize("n", SIZES)
 def test_allgather(n):
     def prog(env):
-        return allgather(Comm(env), env.pid ** 2)
+        return (yield from allgather_gen(Comm(env), env.pid ** 2))
 
     r = run(n, prog)
     assert all(res == [i ** 2 for i in range(n)] for res in r.results)
@@ -79,7 +81,7 @@ def test_allgather(n):
 def test_scatter(n):
     def prog(env):
         vals = [i * 10 for i in range(n)] if env.pid == 0 else None
-        return scatter(Comm(env), vals, root=0)
+        return (yield from scatter_gen(Comm(env), vals, root=0))
 
     r = run(n, prog)
     assert r.results == [i * 10 for i in range(n)]
@@ -89,7 +91,7 @@ def test_scatter_wrong_length_raises():
     def prog(env):
         if env.pid == 0:
             with pytest.raises(ValueError):
-                scatter(Comm(env), [1], root=0)
+                yield from scatter_gen(Comm(env), [1], root=0)
         # rank 1 must not wait for a scatter that never happens
 
     run(2, prog)
@@ -99,7 +101,7 @@ def test_scatter_wrong_length_raises():
 def test_alltoall_permutes(n):
     def prog(env):
         vals = [env.pid * 100 + d for d in range(n)]
-        return alltoall(Comm(env), vals)
+        return (yield from alltoall_gen(Comm(env), vals))
 
     r = run(n, prog)
     for dst, res in enumerate(r.results):
@@ -108,7 +110,7 @@ def test_alltoall_permutes(n):
 
 def test_alltoall_message_count():
     def prog(env):
-        alltoall(Comm(env), list(range(env.nprocs)))
+        yield from alltoall_gen(Comm(env), list(range(env.nprocs)))
 
     for n in (2, 4, 8):
         r = run(n, prog)
@@ -118,8 +120,8 @@ def test_alltoall_message_count():
 @pytest.mark.parametrize("n", SIZES)
 def test_mp_barrier_synchronizes(n):
     def prog(env):
-        env.compute(0.01 * (env.pid + 1))
-        mp_barrier(Comm(env))
+        yield from env.compute_gen(0.01 * (env.pid + 1))
+        yield from mp_barrier_gen(Comm(env))
         return env.now
 
     r = run(n, prog)
@@ -129,9 +131,10 @@ def test_mp_barrier_synchronizes(n):
 def test_collectives_compose_in_sequence():
     def prog(env):
         comm = Comm(env)
-        a = allreduce(comm, 1, lambda x, y: x + y)
-        b = bcast(comm, a * 2 if env.pid == 0 else None, root=0)
-        c = allgather(comm, b + env.pid)
+        a = yield from allreduce_gen(comm, 1, lambda x, y: x + y)
+        b = yield from bcast_gen(comm, a * 2 if env.pid == 0 else None,
+                                 root=0)
+        c = yield from allgather_gen(comm, b + env.pid)
         return c
 
     r = run(4, prog)
@@ -142,7 +145,7 @@ def test_numpy_payloads_through_collectives():
     def prog(env):
         comm = Comm(env)
         arr = np.full(100, env.pid, dtype=np.float64)
-        total = allreduce(comm, arr, lambda a, b: a + b)
+        total = yield from allreduce_gen(comm, arr, lambda a, b: a + b)
         return float(total[0])
 
     r = run(4, prog)
@@ -168,7 +171,7 @@ def test_pvme_exchange_symmetric():
     def prog(env):
         p = Pvme(env)
         peer = 1 - p.tid
-        got = p.exchange(peer, f"hello-from-{p.tid}", tag=7)
+        got = yield from p.exchange_gen(peer, f"hello-from-{p.tid}", tag=7)
         return got
 
     r = run(2, prog)

@@ -104,7 +104,7 @@ def _jacobi_hand():
         spec.hand_tmk_setup(space, params)
 
     def main(tmk):
-        return spec.hand_tmk(tmk, params)
+        return (yield from spec.hand_tmk(tmk, params))
 
     return spec, params, setup, main
 

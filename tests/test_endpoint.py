@@ -35,9 +35,9 @@ def test_send_infers_numpy_size():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, np.zeros(256, np.float32), tag=1)
+            yield from comm.send_gen(1, np.zeros(256, np.float32), tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
 
     r = Cluster(nprocs=2).run(prog)
     assert r.stats.bytes == 1024
@@ -49,9 +49,9 @@ def test_segmented_transfer_message_count():
     def prog(env):
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 0:
-            comm.send(1, np.zeros(2560, np.float32), tag=1)   # 10 KB
+            yield from comm.send_gen(1, np.zeros(2560, np.float32), tag=1)   # 10 KB
         else:
-            got = comm.recv(src=0, tag=1)
+            got = yield from comm.recv_gen(src=0, tag=1)
             return got.shape
 
     r = Cluster(nprocs=2).run(prog)
@@ -64,9 +64,9 @@ def test_segmented_exact_multiple():
     def prog(env):
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 0:
-            comm.send(1, np.zeros(2048, np.float32), tag=1)   # exactly 8 KB
+            yield from comm.send_gen(1, np.zeros(2048, np.float32), tag=1)   # exactly 8 KB
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
 
     r = Cluster(nprocs=2).run(prog)
     assert r.messages == 2
@@ -77,7 +77,7 @@ def test_segmented_recv_requires_source():
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 1:
             with pytest.raises(ValueError):
-                comm.recv()
+                yield from comm.recv_gen()
 
     Cluster(nprocs=2).run(prog)
 
@@ -86,9 +86,9 @@ def test_small_message_not_segmented():
     def prog(env):
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 0:
-            comm.send(1, b"x" * 100, tag=1)
+            yield from comm.send_gen(1, b"x" * 100, tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
 
     r = Cluster(nprocs=2).run(prog)
     assert r.messages == 1
@@ -98,7 +98,8 @@ def test_sendrecv_pairwise():
     def prog(env):
         comm = Comm(env)
         peer = 1 - env.pid
-        return comm.sendrecv(peer, env.pid * 10, src=peer, tag=2)
+        return (yield from comm.sendrecv_gen(peer, env.pid * 10, src=peer,
+                                             tag=2))
 
     r = Cluster(nprocs=2).run(prog)
     assert r.results == [10, 0]
@@ -108,9 +109,9 @@ def test_recv_msg_exposes_metadata():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=17)
+            yield from comm.send_gen(1, "x", tag=17)
         else:
-            msg = comm.recv_msg(tag=17)
+            msg = yield from comm.recv_msg_gen(tag=17)
             return (msg.src, msg.tag)
 
     r = Cluster(nprocs=2).run(prog)
@@ -123,11 +124,11 @@ def test_link_serialization_fifo_per_pair():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "big", tag=1, nbytes=1_000_000)
-            comm.send(1, "small", tag=1, nbytes=8)
+            yield from comm.send_gen(1, "big", tag=1, nbytes=1_000_000)
+            yield from comm.send_gen(1, "small", tag=1, nbytes=8)
         else:
-            first = comm.recv(src=0, tag=1)
-            second = comm.recv(src=0, tag=1)
+            first = yield from comm.recv_gen(src=0, tag=1)
+            second = yield from comm.recv_gen(src=0, tag=1)
             return (first, second)
 
     r = Cluster(nprocs=2).run(prog)
@@ -142,10 +143,10 @@ def test_receive_link_contention_serializes():
     def prog(env):
         comm = Comm(env)
         if env.pid != 0:
-            comm.send(0, "blob", tag=1, nbytes=MB)
+            yield from comm.send_gen(0, "blob", tag=1, nbytes=MB)
         else:
             for _ in range(env.nprocs - 1):
-                comm.recv(tag=1)
+                yield from comm.recv_gen(tag=1)
             return env.now
 
     r = Cluster(nprocs=8).run(prog)
@@ -164,9 +165,9 @@ def test_segmented_none_payload_delivered():
     def prog(env):
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 0:
-            comm.send(1, None, tag=1, nbytes=10240)    # 3 packets, None rides last
+            yield from comm.send_gen(1, None, tag=1, nbytes=10240)    # 3 packets, None rides last
         else:
-            return ("got", comm.recv(src=0, tag=1))
+            return ("got", (yield from comm.recv_gen(src=0, tag=1)))
 
     r = Cluster(nprocs=2).run(prog)
     assert r.results[1] == ("got", None)
@@ -178,7 +179,7 @@ def test_segmented_recv_requires_tag():
         comm = Comm(env, packet_bytes=4096)
         if env.pid == 1:
             with pytest.raises(ValueError, match="explicit.*tag"):
-                comm.recv(src=0)
+                yield from comm.recv_gen(src=0)
 
     Cluster(nprocs=2).run(prog)
 
@@ -190,11 +191,11 @@ def test_unsegmented_recv_rejects_carrier():
     def prog(env):
         seg = Comm(env, packet_bytes=4096)
         if env.pid == 0:
-            seg.send(1, np.zeros(2560, np.float32), tag=1)    # 3 packets
+            yield from seg.send_gen(1, np.zeros(2560, np.float32), tag=1)    # 3 packets
         else:
             plain = Comm(env)
             with pytest.raises(RuntimeError, match="carrier"):
-                plain.recv(src=0, tag=1)
+                yield from plain.recv_gen(src=0, tag=1)
 
     Cluster(nprocs=2).run(prog)
 
@@ -235,9 +236,9 @@ def test_segmented_matches_unsegmented_payload_and_bytes():
         def prog(env, packet_bytes):
             comm = Comm(env, packet_bytes=packet_bytes)
             if env.pid == 0:
-                comm.send(1, data, tag=1)
+                yield from comm.send_gen(1, data, tag=1)
             else:
-                return comm.recv(src=0, tag=1)
+                return (yield from comm.recv_gen(src=0, tag=1))
 
         seg = Cluster(nprocs=2).run(prog, args=(packet,))
         plain = Cluster(nprocs=2).run(prog, args=(None,))
@@ -255,9 +256,9 @@ def test_deadlock_report_names_mailbox_and_filters():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=7)
+            yield from comm.send_gen(1, "x", tag=7)
         else:
-            comm.recv(src=0, tag=99)     # never sent
+            yield from comm.recv_gen(src=0, tag=99)     # never sent
 
     with pytest.raises(Deadlock) as exc:
         Cluster(nprocs=2).run(prog)

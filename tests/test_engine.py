@@ -1018,8 +1018,13 @@ def _cluster_results(monkeypatch):
 
 #: a third column for the sim_sync table below: `switches` once compiled
 #: programs are generator processes too (stage 2a).  The hand-coded key
-#: still owns a thread per processor and does not move.
+#: still owned a thread per processor and did not move.
 STAGE_2A_SWITCHES = {("jacobi", "spf"): 0, ("jacobi", "tmk"): 581,
+                     ("igrid", "spf"): 0, ("nbf", "spf"): 0}
+
+#: a fourth column: `switches` once the hand-coded programs are generator
+#: processes as well (stage 2b).  No key owns a thread any more.
+STAGE_2B_SWITCHES = {("jacobi", "spf"): 0, ("jacobi", "tmk"): 0,
                      ("igrid", "spf"): 0, ("nbf", "spf"): 0}
 
 
@@ -1035,14 +1040,15 @@ def test_switches_pinned_for_the_sim_sync_keys(monkeypatch, app, variant,
     """The four `sim_sync` keys (`test`, n=8).  `parent_switches` was counted
     before PR 16, where every request server was an OS thread, with the same
     one-line counter; `switches` after it (servers are generator processes);
-    `STAGE_2A_SWITCHES` now.  `events` is the same on all three."""
+    `STAGE_2A_SWITCHES` after the compiled programs became generator
+    processes; `STAGE_2B_SWITCHES` now.  `events` is the same on all four."""
     from repro.api import RunRequest, run
     seen = _cluster_results(monkeypatch)
     r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0))
     assert r.events == seen[-1].events == events
     assert not hasattr(r, "switches")
     assert switches <= 0.6 * parent_switches        # PR 16: down >= 40 %
-    assert seen[-1].switches == STAGE_2A_SWITCHES[app, variant]
+    assert seen[-1].switches == STAGE_2B_SWITCHES[app, variant]
 
 
 def test_message_passing_run_has_no_server_and_switches_as_before(monkeypatch):

@@ -10,16 +10,22 @@ def setup(space):
     space.alloc("a", (8, 1024), np.float32)   # 8 pages
 
 
+def validate(node, handle, region):
+    steps = enhanced.validate_steps(node, handle, region)
+    if steps is not None:
+        yield from steps
+
+
 def test_validate_equivalent_to_faulting():
     """Aggregated validate yields the same data as page-by-page faults."""
 
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((slice(0, 8),), 4.0)
-        tmk.barrier()
+            yield from a.write_gen((slice(0, 8),), 4.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            enhanced.validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
+            yield from validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
             return float(a.raw().sum())
 
     r = tmk_run(2, prog, setup)
@@ -32,10 +38,10 @@ def test_validate_one_roundtrip_per_writer():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((slice(0, 8),), 1.0)
-        tmk.barrier()
+            yield from a.write_gen((slice(0, 8),), 1.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            enhanced.validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
+            yield from validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
 
     r = tmk_run(2, prog, setup)
     assert r.stats.by_category["diff_req"][0] == 1
@@ -48,10 +54,10 @@ def test_validate_multiple_writers_batched_per_writer():
     def prog(tmk):
         a = tmk.array("a")
         lo, hi = tmk.block_range(8)
-        a.write((slice(lo, hi),), float(tmk.pid + 1))
-        tmk.barrier()
+        yield from a.write_gen((slice(lo, hi),), float(tmk.pid + 1))
+        yield from tmk.barrier_gen()
         if tmk.pid == 0:
-            enhanced.validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
+            yield from validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
             return [float(a.raw()[r, 0]) for r in range(8)]
 
     r = tmk_run(4, prog, setup)
@@ -63,7 +69,7 @@ def test_validate_multiple_writers_batched_per_writer():
 def test_validate_noop_when_everything_valid():
     def prog(tmk):
         a = tmk.array("a")
-        enhanced.validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
+        yield from validate(tmk.node, a.handle, (slice(0, 8), slice(None)))
 
     r = tmk_run(2, prog, setup)
     assert r.messages == 0
@@ -73,15 +79,15 @@ def test_push_regions_prevents_demand_fetch():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((slice(0, 1),), 9.0)
-            enhanced.push_regions(tmk.node, [(a.handle, (slice(0, 1),))],
-                                  dests=[1])
-            tmk.barrier()
+            yield from a.write_gen((slice(0, 1),), 9.0)
+            yield from enhanced.push_regions_gen(
+                tmk.node, [(a.handle, (slice(0, 1),))], dests=[1])
+            yield from tmk.barrier_gen()
         else:
-            enhanced.expect_pushes(tmk.node, 1)
-            tmk.barrier()
+            yield from enhanced.expect_pushes_gen(tmk.node, 1)
+            yield from tmk.barrier_gen()
             before = tmk.world.dsm_stats.read_faults
-            val = float(a.read((0, 0)))
+            val = float((yield from a.read_gen((0, 0))))
             faults = tmk.world.dsm_stats.read_faults - before
             return (val, faults)
 
@@ -97,15 +103,15 @@ def test_push_carries_whole_page_modifications():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((0, slice(0, 10)), 1.0)
-            a.write((0, slice(500, 510)), 2.0)   # same page, other words
-            enhanced.push_regions(tmk.node,
-                                  [(a.handle, (0, slice(0, 10)))], [1])
-            tmk.barrier()
+            yield from a.write_gen((0, slice(0, 10)), 1.0)
+            yield from a.write_gen((0, slice(500, 510)), 2.0)   # same page, other words
+            yield from enhanced.push_regions_gen(
+                tmk.node, [(a.handle, (0, slice(0, 10)))], [1])
+            yield from tmk.barrier_gen()
         else:
-            enhanced.expect_pushes(tmk.node, 1)
-            tmk.barrier()
-            row = a.read((slice(0, 1),))[0]
+            yield from enhanced.expect_pushes_gen(tmk.node, 1)
+            yield from tmk.barrier_gen()
+            row = (yield from a.read_gen((slice(0, 1),)))[0]
             return (float(row[0]), float(row[505]))
 
     r = tmk_run(2, prog, setup)
@@ -116,12 +122,12 @@ def test_broadcast_from_root():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 2:
-            a.write((slice(3, 4),), 7.5)
-        tmk.barrier()
+            yield from a.write_gen((slice(3, 4),), 7.5)
+        yield from tmk.barrier_gen()
         if tmk.pid == 2:
             pass  # root already current
-        enhanced.broadcast(tmk.node, a.handle, (slice(3, 4), slice(None)),
-                           root=2)
+        yield from enhanced.broadcast_gen(
+            tmk.node, a.handle, (slice(3, 4), slice(None)), root=2)
         return float(a.raw()[3, 100])
 
     r = tmk_run(4, prog, setup)
@@ -132,10 +138,10 @@ def test_broadcast_messages_n_minus_one():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((slice(0, 1),), 1.0)
-        tmk.barrier()
-        enhanced.broadcast(tmk.node, a.handle, (slice(0, 1), slice(None)),
-                           root=0)
+            yield from a.write_gen((slice(0, 1),), 1.0)
+        yield from tmk.barrier_gen()
+        yield from enhanced.broadcast_gen(
+            tmk.node, a.handle, (slice(0, 1), slice(None)), root=0)
 
     r = tmk_run(6, prog, setup)
     assert r.stats.by_category["data"][0] == 5
@@ -144,7 +150,7 @@ def test_broadcast_messages_n_minus_one():
 def test_push_payload_build_empty_for_clean_pages():
     def prog(tmk):
         a = tmk.array("a")
-        payload = enhanced.PushPayload.build(
+        payload = yield from enhanced.PushPayload.build_gen(
             tmk.node, [(a.handle, (slice(0, 1),))])
         return payload is None
 

@@ -10,12 +10,12 @@ from repro.compiler.ir import (Access, ArrayDecl, Full, ParallelLoop,
 from repro.compiler.seq import run_sequential
 from repro.compiler.spf import SpfOptions, compile_spf, run_spf
 from repro.tmk.api import tmk_run
-from repro.tmk.reduction import tmk_reduce
+from repro.tmk.reduction import tmk_reduce_gen
 from tests.conftest import irregular_program, stencil_program
 
 
 # ---------------------------------------------------------------------- #
-# tmk_reduce primitive
+# tmk_reduce_gen primitive
 
 def _setup(space):
     space.alloc("x", (4, 1024), np.float32)
@@ -23,7 +23,7 @@ def _setup(space):
 
 def test_tmk_reduce_sum():
     def prog(tmk):
-        return tmk_reduce(tmk.node, float(tmk.pid + 1))
+        return (yield from tmk_reduce_gen(tmk.node, float(tmk.pid + 1)))
 
     for n in (1, 2, 3, 5, 8):
         r = tmk_run(n, prog, _setup)
@@ -32,8 +32,8 @@ def test_tmk_reduce_sum():
 
 def test_tmk_reduce_max_min():
     def prog(tmk):
-        hi = tmk_reduce(tmk.node, tmk.pid, op_name="max")
-        lo = tmk_reduce(tmk.node, tmk.pid, op_name="min")
+        hi = yield from tmk_reduce_gen(tmk.node, tmk.pid, op_name="max")
+        lo = yield from tmk_reduce_gen(tmk.node, tmk.pid, op_name="min")
         return (hi, lo)
 
     r = tmk_run(5, prog, _setup)
@@ -44,7 +44,7 @@ def test_tmk_reduce_message_count():
     """2(n-1) messages: up the combining tree and back down."""
 
     def prog(tmk):
-        tmk_reduce(tmk.node, 1.0)
+        yield from tmk_reduce_gen(tmk.node, 1.0)
 
     for n in (2, 4, 8):
         r = tmk_run(n, prog, _setup)
@@ -57,10 +57,11 @@ def test_tmk_reduce_carries_consistency():
 
     def prog(tmk):
         x = tmk.array("x")
-        x.write((slice(tmk.pid, tmk.pid + 1),), float(tmk.pid + 1))
-        total = tmk_reduce(tmk.node, 0.0)
+        yield from x.write_gen((slice(tmk.pid, tmk.pid + 1),),
+                               float(tmk.pid + 1))
+        yield from tmk_reduce_gen(tmk.node, 0.0)
         row = (tmk.pid + 1) % tmk.nprocs
-        return float(x.read((row, 0)))
+        return float((yield from x.read_gen((row, 0))))
 
     r = tmk_run(4, prog, _setup)
     assert r.results == [2.0, 3.0, 4.0, 1.0]

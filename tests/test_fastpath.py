@@ -139,12 +139,19 @@ def _gs_setup(space):
     space.alloc("vec", (100,), np.float64)
 
 
+def _gather(arr, idx):
+    steps = arr.gather_steps(idx)
+    if steps is not None:
+        yield from steps
+    return arr.raw().reshape(-1)[idx]
+
+
 def test_gather_accepts_lists_and_arrays(monkeypatch):
     def prog(tmk):
         v = tmk.array("vec")
-        v.write((slice(0, 100),), np.arange(100.0))
-        a = v.gather([3, 1, 4, 1, 5])
-        b = v.gather(np.array([3, 1, 4, 1, 5], dtype=np.int32))
+        yield from v.write_gen((slice(0, 100),), np.arange(100.0))
+        a = yield from _gather(v, [3, 1, 4, 1, 5])
+        b = yield from _gather(v, np.array([3, 1, 4, 1, 5], dtype=np.int32))
         return (a.tolist(), b.tolist())
 
     r = tmk_run(1, prog, _gs_setup)
@@ -155,9 +162,13 @@ def test_gather_accepts_lists_and_arrays(monkeypatch):
 def test_scatter_add_with_numpy_indices():
     def prog(tmk):
         v = tmk.array("vec")
-        v.write((slice(0, 100),), np.zeros(100))
-        v.scatter_add(np.array([7, 7, 9]), np.array([1.0, 2.0, 3.0]))
-        return v.gather([7, 9]).tolist()
+        yield from v.write_gen((slice(0, 100),), np.zeros(100))
+        idx = np.array([7, 7, 9])
+        steps = v.scatter_add_steps(idx)
+        if steps is not None:
+            yield from steps
+        np.add.at(v.raw(), idx, np.array([1.0, 2.0, 3.0]))
+        return (yield from _gather(v, [7, 9])).tolist()
 
     assert tmk_run(1, prog, _gs_setup).results[0] == [3.0, 3.0]
 

@@ -19,12 +19,12 @@ def pingpong(env, rounds=20):
     log = []
     for i in range(rounds):
         if env.pid == 0:
-            comm.send(peer, i, tag=5)
-            log.append(comm.recv(src=peer, tag=6))
+            yield from comm.send_gen(peer, i, tag=5)
+            log.append((yield from comm.recv_gen(src=peer, tag=6)))
         else:
-            got = comm.recv(src=peer, tag=5)
+            got = yield from comm.recv_gen(src=peer, tag=5)
             log.append(got)
-            comm.send(peer, got * 10, tag=6)
+            yield from comm.send_gen(peer, got * 10, tag=6)
     return log
 
 
@@ -33,9 +33,12 @@ def flood(env, count=30):
     comm = Comm(env)
     if env.pid == 0:
         for i in range(count):
-            comm.send(1, i, tag=3)
+            yield from comm.send_gen(1, i, tag=3)
     else:
-        return [comm.recv(src=0, tag=3) for _ in range(count)]
+        got = []
+        for _ in range(count):
+            got.append((yield from comm.recv_gen(src=0, tag=3)))
+        return got
 
 
 # --------------------------------------------------------------------------- #
@@ -117,9 +120,9 @@ def test_unreliable_wire_actually_loses_messages():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=1)
+            yield from comm.send_gen(1, "x", tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
 
     with pytest.raises(Deadlock) as exc:
         Cluster(nprocs=2, faults=plan).run(prog)
@@ -132,9 +135,9 @@ def test_retransmission_gives_up_after_max_attempts():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=1)
+            yield from comm.send_gen(1, "x", tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
 
     with pytest.raises(SimError, match="gave up"):
         Cluster(nprocs=2, faults=plan).run(prog)
@@ -157,9 +160,9 @@ def test_node_stall_defers_delivery():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=1)
+            yield from comm.send_gen(1, "x", tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
             return env.now
 
     r = Cluster(nprocs=2, faults=plan).run(prog)
@@ -173,9 +176,9 @@ def test_slow_node_adds_latency():
     def prog(env):
         comm = Comm(env)
         if env.pid == 0:
-            comm.send(1, "x", tag=1)
+            yield from comm.send_gen(1, "x", tag=1)
         else:
-            comm.recv(src=0, tag=1)
+            yield from comm.recv_gen(src=0, tag=1)
             return env.now
 
     slow = Cluster(nprocs=2, faults=plan).run(prog).results[1]
@@ -302,14 +305,14 @@ def test_mp_barrier_reserves_round_tags():
     issued right after the barrier can never collide with a straggler's
     final barrier round (the old `tag + round_no` scheme reused tag
     space that next_tag would hand out again)."""
-    from repro.msg.collectives import bcast, mp_barrier
+    from repro.msg.collectives import bcast_gen, mp_barrier_gen
 
     def prog(env):
         comm = Comm(env)
         before = comm._seq
-        mp_barrier(comm)
+        yield from mp_barrier_gen(comm)
         rounds = comm._seq - before          # one fresh tag per round
-        value = bcast(comm, env.pid, root=0)
+        value = yield from bcast_gen(comm, env.pid, root=0)
         return rounds, value
 
     r = Cluster(nprocs=4).run(prog)

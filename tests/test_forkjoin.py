@@ -21,23 +21,25 @@ def _run_forkjoin(nprocs, improved, nloops=3, payload_hook=None):
         data = tmk.array("data")
         if tmk.pid == 0:
             for loop in range(nloops):
-                fj.fork(loop, (loop * 10,))
-                row = data.read((slice(0, 1),)).copy()
-                data.write((slice(0, 1),), row + 1)
-                fj.join()
-            fj.shutdown()
-            return float(data.read((slice(0, 1), slice(0, 1)))[0, 0])
+                yield from fj.fork_gen(loop, (loop * 10,))
+                row = (yield from data.read_gen((slice(0, 1),))).copy()
+                yield from data.write_gen((slice(0, 1),), row + 1)
+                yield from fj.join_gen()
+            yield from fj.shutdown_gen()
+            cell = yield from data.read_gen((slice(0, 1), slice(0, 1)))
+            return float(cell[0, 0])
         else:
             seen = []
             while True:
-                work = fj.wait_for_work()
+                work = yield from fj.wait_for_work_gen()
                 if work is None:
                     break
                 sub, params = work
                 seen.append((int(sub), tuple(params)))
-                row = data.read((slice(tmk.pid, tmk.pid + 1),)).copy()
-                data.write((slice(tmk.pid, tmk.pid + 1),), row + 1)
-                fj.work_done()
+                mine = (slice(tmk.pid, tmk.pid + 1),)
+                row = (yield from data.read_gen(mine)).copy()
+                yield from data.write_gen(mine, row + 1)
+                yield from fj.work_done_gen()
             return seen
 
     return tmk_run(nprocs, prog, setup)
@@ -98,20 +100,22 @@ def test_fork_payload_piggyback():
         fj = ImprovedForkJoin(tmk.node)
         vec = tmk.array("vec")
         if tmk.pid == 0:
-            vec.write((slice(0, 1),), 5.0)
-            payload = PushPayload.build(tmk.node, [(vec.handle, (slice(0, 1),))])
+            yield from vec.write_gen((slice(0, 1),), 5.0)
+            payload = yield from PushPayload.build_gen(
+                tmk.node, [(vec.handle, (slice(0, 1),))])
             assert payload is not None
-            fj.fork(0, (), payload=payload)
-            fj.join()
-            fj.shutdown()
+            yield from fj.fork_gen(0, (), payload=payload)
+            yield from fj.join_gen()
+            yield from fj.shutdown_gen()
             return None
         else:
-            fj.wait_for_work()
+            yield from fj.wait_for_work_gen()
             before = tmk.world.dsm_stats.read_faults
-            val = float(vec.read((0, 0)))    # no fault: data was pushed
+            # no fault: data was pushed
+            val = float((yield from vec.read_gen((0, 0))))
             after = tmk.world.dsm_stats.read_faults
-            fj.work_done()
-            fj.wait_for_work()
+            yield from fj.work_done_gen()
+            yield from fj.wait_for_work_gen()
             return (val, after - before)
 
     r = tmk_run(3, prog, setup)
@@ -127,10 +131,10 @@ def test_old_interface_rejects_payload():
         fj = OldForkJoin(tmk.node)
         if tmk.pid == 0:
             with pytest.raises(ValueError):
-                fj.fork(0, (), payload=object())
-            fj.shutdown()
+                yield from fj.fork_gen(0, (), payload=object())
+            yield from fj.shutdown_gen()
         else:
-            assert fj.wait_for_work() is None
+            assert (yield from fj.wait_for_work_gen()) is None
 
     tmk_run(2, prog, setup)
 
@@ -146,21 +150,21 @@ def test_workers_see_master_sequential_writes():
         fj = ImprovedForkJoin(tmk.node)
         flag = tmk.array("flag")
         if tmk.pid == 0:
-            flag.write((0,), 1.0)
-            fj.fork(0, ())
-            fj.join()
-            flag.write((0,), 2.0)
-            fj.fork(1, ())
-            fj.join()
-            fj.shutdown()
+            yield from flag.write_gen((0,), 1.0)
+            yield from fj.fork_gen(0, ())
+            yield from fj.join_gen()
+            yield from flag.write_gen((0,), 2.0)
+            yield from fj.fork_gen(1, ())
+            yield from fj.join_gen()
+            yield from fj.shutdown_gen()
             return None
         vals = []
         while True:
-            work = fj.wait_for_work()
+            work = yield from fj.wait_for_work_gen()
             if work is None:
                 return vals
-            vals.append(float(flag.read((0,))))
-            fj.work_done()
+            vals.append(float((yield from flag.read_gen((0,)))))
+            yield from fj.work_done_gen()
 
     r = tmk_run(3, prog, setup)
     assert r.results[1] == [1.0, 2.0]

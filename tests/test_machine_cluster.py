@@ -47,7 +47,7 @@ def test_cluster_is_single_use():
 def test_env_identity_and_compute():
     def prog(env):
         assert 0 <= env.pid < env.nprocs
-        env.compute(0.5)
+        yield from env.compute_gen(0.5)
         return (env.pid, env.now, env.busy_time)
 
     r = Cluster(nprocs=3).run(prog)
@@ -58,7 +58,7 @@ def test_env_identity_and_compute():
 def test_negative_compute_rejected():
     def prog(env):
         with pytest.raises(ValueError):
-            env.compute(-1.0)
+            yield from env.compute_gen(-1.0)
 
     Cluster(nprocs=1).run(prog)
 
@@ -74,15 +74,15 @@ def test_per_proc_args():
 
 def test_marks_and_window():
     def prog(env):
-        env.compute(1.0)
+        yield from env.compute_gen(1.0)
         env.mark("start")
-        env.compute(2.0)
+        yield from env.compute_gen(2.0)
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "x", nbytes=100)
+            yield from env.net.send_gen(0, 1, "x", nbytes=100)
         else:
-            env.net.recv(env.proc, 1)
+            yield from env.net.recv_gen(env.proc, 1)
         env.mark("stop")
-        env.compute(5.0)   # outside the window
+        yield from env.compute_gen(5.0)   # outside the window
 
     r = Cluster(nprocs=2).run(prog)
     elapsed, traffic = r.window()
@@ -93,7 +93,7 @@ def test_marks_and_window():
 
 def test_window_without_marks_falls_back_to_whole_run():
     def prog(env):
-        env.compute(1.0)
+        yield from env.compute_gen(1.0)
 
     r = Cluster(nprocs=2).run(prog)
     elapsed, traffic = r.window()
@@ -103,7 +103,7 @@ def test_window_without_marks_falls_back_to_whole_run():
 
 def test_run_result_speedup():
     def prog(env):
-        env.compute(1.0)
+        yield from env.compute_gen(1.0)
 
     r = Cluster(nprocs=2).run(prog)
     assert r.speedup(8.0) == pytest.approx(8.0)

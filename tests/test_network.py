@@ -27,10 +27,10 @@ def test_send_recv_payload_roundtrip():
 def test_recv_blocks_until_delivery():
     def prog(env):
         if env.pid == 0:
-            env.compute(1.0)
-            env.net.send(env.proc, 0, 1, "late", nbytes=8)
+            yield from env.compute_gen(1.0)
+            yield from env.net.send_gen(0, 1, "late", nbytes=8)
         else:
-            msg = env.net.recv(env.proc, 1)
+            yield from env.net.recv_gen(env.proc, 1)
             return env.now
 
     r = run2(prog)
@@ -82,19 +82,19 @@ def test_two_waiters_same_endpoint_disjoint_tags():
 
     def prog(env):
         if env.pid == 0:
-            env.compute(0.01)
-            env.net.send(env.proc, 0, 1, "for-server", tag=100, nbytes=8)
-            env.compute(0.01)
-            env.net.send(env.proc, 0, 1, "for-main", tag=200, nbytes=8)
+            yield from env.compute_gen(0.01)
+            yield from env.net.send_gen(0, 1, "for-server", tag=100, nbytes=8)
+            yield from env.compute_gen(0.01)
+            yield from env.net.send_gen(0, 1, "for-main", tag=200, nbytes=8)
         else:
             got = []
 
             def server():
-                msg = env.net.recv(srv, 1, tag=100)
+                msg = yield from env.net.recv_gen(srv, 1, tag=100)
                 got.append(msg.payload)
 
             srv = env.spawn_server("srv", server)
-            msg = env.net.recv(env.proc, 1, tag=200)
+            msg = yield from env.net.recv_gen(env.proc, 1, tag=200)
             got.append(msg.payload)
             return got
 
@@ -159,12 +159,12 @@ def test_probe_nonblocking():
     def prog(env):
         if env.pid == 0:
             assert not env.net.probe(0)
-            env.net.send(env.proc, 0, 1, "x", tag=3, nbytes=8)
+            yield from env.net.send_gen(0, 1, "x", tag=3, nbytes=8)
         else:
-            env.compute(0.1)   # let the message arrive
+            yield from env.compute_gen(0.1)   # let the message arrive
             assert env.net.probe(1, tag=3)
             assert not env.net.probe(1, tag=4)
-            env.net.recv(env.proc, 1, tag=3)
+            yield from env.net.recv_gen(env.proc, 1, tag=3)
             assert not env.net.probe(1, tag=3)
 
     run2(prog)

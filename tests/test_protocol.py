@@ -232,11 +232,14 @@ def test_scatter_access_faults_only_touched_pages():
     def prog(tmk):
         y = tmk.array("y")
         if tmk.pid == 0:
-            y.write((slice(0, 4),), 5.0)
-        tmk.barrier()
+            yield from y.write_gen((slice(0, 4),), 5.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            vals = y.gather([0, 3 * 1024])    # pages 0 and 3 only
-            return [float(v) for v in vals]
+            idx = [0, 3 * 1024]                # pages 0 and 3 only
+            steps = y.gather_steps(idx)
+            if steps is not None:
+                yield from steps
+            return [float(v) for v in y.raw().reshape(-1)[idx]]
         return None
 
     r = tmk_run(2, prog, setup_two_pages)
@@ -247,11 +250,19 @@ def test_scatter_access_faults_only_touched_pages():
 def test_scatter_add_read_modify_write():
     def prog(tmk):
         y = tmk.array("y")
-        tmk.lock_acquire(0)
-        y.scatter_add([2 * 1024 + tmk.pid], [1.0])
-        tmk.lock_release(0)
-        tmk.barrier()
-        return float(y.read((slice(2, 3),)).sum())
+        steps = tmk.lock_acquire_steps(0)
+        if steps is not None:
+            yield from steps
+        idx = [2 * 1024 + tmk.pid]
+        steps = y.scatter_add_steps(idx)
+        if steps is not None:
+            yield from steps
+        np.add.at(y.raw().reshape(-1), idx, [1.0])
+        steps = tmk.lock_release_steps(0)
+        if steps is not None:
+            yield from steps
+        yield from tmk.barrier_gen()
+        return float((yield from y.read_gen((slice(2, 3),))).sum())
 
     r = tmk_run(3, prog, setup_two_pages)
     assert r.results == [3.0] * 3

@@ -11,6 +11,12 @@ def setup(space):
     space.alloc("vec", (100,), np.float64)
 
 
+def ensure(steps):
+    """Run an access's ensure part (``None`` = nothing to wait for)."""
+    if steps is not None:
+        yield from steps
+
+
 def test_shape_dtype_name():
     def prog(tmk):
         m = tmk.array("m")
@@ -46,14 +52,15 @@ def test_read_ellipsis_whole_array():
     assert tmk_run(1, prog, setup).results[0] == (8, 1024)
 
 
-def test_writable_returns_assignable_view():
+def test_writable_steps_then_assign_through_the_view():
     def prog(tmk):
         m = tmk.array("m")
-        view = m.writable((slice(2, 3),))
-        view[...] = 7.0
-        return float(m.raw()[2].sum())
+        yield from ensure(m.writable_steps((slice(2, 3),)))
+        m.raw()[2:3] = 7.0
+        again = m.writable_steps((slice(2, 3),))    # twinned: nothing left
+        return float(m.raw()[2].sum()), again
 
-    assert tmk_run(1, prog, setup).results[0] == 7.0 * 1024
+    assert tmk_run(1, prog, setup).results[0] == (7.0 * 1024, None)
 
 
 def test_scalar_region_write():
@@ -69,8 +76,10 @@ def test_gather_scatter_roundtrip():
     def prog(tmk):
         m = tmk.array("m")
         idx = [0, 1500, 8 * 1024 - 1]
-        m.scatter_write(idx, [1.0, 2.0, 3.0])
-        return [float(x) for x in m.gather(idx)]
+        yield from ensure(m.scatter_write_steps(idx))
+        m.raw().reshape(-1)[idx] = [1.0, 2.0, 3.0]
+        yield from ensure(m.gather_steps(idx))
+        return [float(x) for x in m.raw().reshape(-1)[idx]]
 
     assert tmk_run(1, prog, setup).results[0] == [1.0, 2.0, 3.0]
 
@@ -78,8 +87,10 @@ def test_gather_scatter_roundtrip():
 def test_scatter_add_accumulates_duplicates():
     def prog(tmk):
         m = tmk.array("m")
-        m.scatter_add([10, 10, 10], [1.0, 1.0, 1.0])
-        return float(m.gather([10])[0])
+        yield from ensure(m.scatter_add_steps([10, 10, 10]))
+        np.add.at(m.raw().reshape(-1), [10, 10, 10], [1.0, 1.0, 1.0])
+        yield from ensure(m.gather_steps([10]))
+        return float(m.raw().reshape(-1)[10])
 
     assert tmk_run(1, prog, setup).results[0] == 3.0
 

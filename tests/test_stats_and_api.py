@@ -50,7 +50,7 @@ def test_block_range_helper():
 
 def test_compute_charges_time():
     def prog(tmk):
-        tmk.compute(0.25)
+        yield from tmk.compute_gen(0.25)
         return tmk.now
 
     r = tmk_run(2, prog, _setup)

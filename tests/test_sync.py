@@ -35,8 +35,8 @@ def test_barrier_with_one_processor_is_free():
 
 def test_barrier_is_a_time_synchronizer():
     def prog(tmk):
-        tmk.compute(0.1 * (tmk.pid + 1))
-        tmk.barrier()
+        yield from tmk.compute_gen(0.1 * (tmk.pid + 1))
+        yield from tmk.barrier_gen()
         return tmk.now
 
     r = tmk_run(4, prog, setup)

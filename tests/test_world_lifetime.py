@@ -12,14 +12,17 @@ import collections
 import gc
 import tracemalloc
 import types
+from unittest import mock
 
 import pytest
 
 from repro.api import (InProcess, ProgramCache, RunRequest, execute,
                        fault_plan_to_doc)
 from repro.api.registry import DSM_VARIANTS
+from repro.apps import jacobi
 from repro.compiler.spf import compile_spf, run_spf
 from repro.compiler.xhpf import compile_xhpf, run_xhpf
+from repro.msg.pvme import Pvme
 from repro.sim.cluster import Cluster, ProcEnv
 from repro.sim.engine import Deadlock, Process, SimError, Simulator
 from repro.sim.faults import FaultPlan
@@ -144,10 +147,10 @@ def test_tmk_run_with_tracer_and_monitor_keeps_results_and_frees_nodes():
 def test_cluster_run_keeps_its_readable_surface_and_frees_the_rest():
     def ring(env):
         env.mark("start")
-        env.net.send(env.proc, env.pid, (env.pid + 1) % env.nprocs,
-                     env.pid, nbytes=8)
-        env.compute(1e-3)
-        return env.net.recv(env.proc, env.pid).payload
+        yield from env.net.send_gen(env.pid, (env.pid + 1) % env.nprocs,
+                                    env.pid, nbytes=8)
+        yield from env.compute_gen(1e-3)
+        return (yield from env.net.recv_gen(env.proc, env.pid)).payload
 
     def run():
         cluster = Cluster(nprocs=4)
@@ -225,6 +228,35 @@ def _xhpf_then_deadlock():
     return Cluster(nprocs=4).run(main)
 
 
+def _hand_tmk_kernel_raise():
+    """jacobi's hand_tmk, whose stencil kernel raises mid-run: the hand-coded
+    mains are generator processes, closed by teardown where they stand."""
+    real, calls = jacobi.stencil_rows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) > 6:
+            raise ValueError("boom in a hand-coded kernel")
+        return real(*args)
+
+    with mock.patch.object(jacobi, "stencil_rows", failing):
+        return execute(_request("tmk"), CACHE)
+
+
+def _hand_pvme_deadlock():
+    """jacobi's hand_pvme with processor 0's sends lost: its neighbour's
+    recv is never matched."""
+    real = Pvme.send_gen
+
+    def send_gen(pvme, dst, payload, tag=0):
+        if pvme.tid == 0:
+            return iter(())             # the message never leaves
+        return real(pvme, dst, payload, tag)
+
+    with mock.patch.object(Pvme, "send_gen", send_gen):
+        return execute(_request("pvme"), CACHE)
+
+
 FAILURES = {
     "raise": (lambda: tmk_run(4, _raises, _setup, racecheck=True), SimError),
     "deadlock": (lambda: tmk_run(4, _deadlocks, _setup), Deadlock),
@@ -237,6 +269,8 @@ FAILURES = {
         SimError),
     "spf-deadlock": (_spf_then_deadlock, Deadlock),
     "xhpf-deadlock": (_xhpf_then_deadlock, Deadlock),
+    "hand-tmk-kernel-raise": (_hand_tmk_kernel_raise, SimError),
+    "hand-pvme-deadlock": (_hand_pvme_deadlock, Deadlock),
 }
 
 
