@@ -1,11 +1,14 @@
-"""events / OS-thread switches / threads / wall per benchmark key, as a markdown table.
+"""events / diffs / OS-thread switches / threads / wall per benchmark key, as a markdown table.
 
     PYTHONPATH=src python benchmarks/engine_table.py [--check] >> "$GITHUB_STEP_SUMMARY"
 
 One run of each ``sim_sync`` and ``sim_bulk`` key of the performance
 benchmark, and of each hand-coded (``tmk``/``pvme``) ``serve_mix`` key at
 n = 8 (the keys are read from ``benchmarks/perf/workloads.py``, not
-restated).  ``events``, ``switches`` and ``threads`` are exact and repeat:
+restated).  ``events``, ``diffs``, ``switches`` and ``threads`` are exact
+and repeat.  ``diffs`` is ``diffs_created / diffs_applied`` from the run's
+DSM statistics (``-`` for a run with no DSM): how much work the twin/diff
+kernel layer does per key.  For ``switches`` and ``threads``:
 every program ``execute()`` runs is a generator process, so a run hands no
 baton (``switches = 0``) and starts no ``simproc-`` thread (``threads =
 0``); a change that brings a thread back shows up here as a count, on the
@@ -61,18 +64,20 @@ def main() -> int:
     Cluster.run, threading.Thread.start = run, start
     cache = ProgramCache()
     offenders = []
-    print("| workload | key | events | switches | threads | wall ms |")
-    print("|---|---|---:|---:|---:|---:|")
+    print("| workload | key | events | diffs | switches | threads | wall ms |")
+    print("|---|---|---:|---:|---:|---:|---:|")
     try:
         for name, key in rows():
             execute(key.request(), cache)           # compile, warm caches
             del started[:]
             t0 = time.perf_counter()
-            execute(key.request(), cache)
+            dsm = execute(key.request(), cache).dsm
             wall = time.perf_counter() - t0
             switches, threads = runs[-1].switches, len(started)
-            print(f"| {name} | {key.id} | {runs[-1].events} | {switches} | "
-                  f"{threads} | {wall * 1e3:.1f} |")
+            diffs = (f"{dsm.diffs_created} / {dsm.diffs_applied}"
+                     if dsm else "-")
+            print(f"| {name} | {key.id} | {runs[-1].events} | {diffs} | "
+                  f"{switches} | {threads} | {wall * 1e3:.1f} |")
             if switches or threads:
                 offenders.append(key.id)
     finally:

@@ -48,6 +48,7 @@ from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
 from repro.compiler.xhpf import XhpfOptions, compile_xhpf
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
+from repro.tmk.diffs import WORD, mask_diff_nbytes
 from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
 from repro.tmk.intervals import SeenVector, records_unknown_to
 from repro.tmk.lrc import (LrcNode, PageMeta, diff_request_nbytes,
@@ -60,9 +61,7 @@ from repro.api.registry import MODELED_VARIANTS
 
 __all__ = ["ModelUnsupportedVariant", "MODELED_VARIANTS", "model_variant"]
 
-_WORD = 4
-_RUN_HEADER = 8
-_WORDS_PER_PAGE = PAGE_SIZE // _WORD
+_WORDS_PER_PAGE = PAGE_SIZE // WORD
 
 
 class ModelUnsupportedVariant(ValueError):
@@ -108,20 +107,6 @@ class _Traffic:
             b = earlier.by_category.get(key, [0, 0])
             out.by_category[key] = [a[0] - b[0], a[1] - b[1]]
         return out
-
-
-def _mask_diff_nbytes(mask: np.ndarray) -> int:
-    """Wire size of the diff a twin comparison with this word mask yields.
-
-    Mirrors :func:`repro.tmk.diffs.make_diff` + ``diff_nbytes``: maximal
-    runs of consecutive changed words, each run costing its data bytes plus
-    a (base, length) header.
-    """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return 0
-    runs = 1 + int(np.count_nonzero(np.diff(idx) > 1))
-    return int(idx.size) * _WORD + runs * _RUN_HEADER
 
 
 def _seg_count(nbytes: int, packet: Optional[int]) -> int:
@@ -235,7 +220,7 @@ class _MNode(LrcNode):
         self.prev_touched: dict = {}
 
     def _encode_diff(self, page: int, twin: np.ndarray) -> int:
-        return _mask_diff_nbytes(twin)
+        return mask_diff_nbytes(twin)
 
     _diff_nbytes = staticmethod(int)
 
@@ -259,7 +244,8 @@ class _SpfModel(_ModelBase):
     One converged global memory image stands in for every node's private
     copy (legal for race-free programs: a node always faults a page current
     before touching it).  Per-node boolean word masks stand in for twins;
-    diff sizes come from the masks via the exact ``make_diff`` run rules.
+    diff sizes come from the masks via ``diffs.mask_diff_nbytes``, the
+    simulator's own run rule.
     Each dispatch unit advances in phases — read faults for every
     processor, then write faults + kernels, then staging, then serialized
     reduction folds — which is the typical interleaving the simulator's

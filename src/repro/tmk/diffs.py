@@ -7,21 +7,29 @@ definition: "a runlength encoding of the modifications made to a page,
 generated by comparing the page to a copy saved prior to the
 modifications."
 
-Diffs here operate on real bytes (pages are ``numpy`` ``uint8`` vectors),
-at 4-byte word granularity like TreadMarks (Fortran ``REAL`` words).  The
-encoding is a list of ``(offset, bytes)`` runs; applying a diff patches the
-runs into a destination page.  Because the multiple-writer protocol relies
-on *disjointness* of concurrent modifications, applying the diffs of several
-concurrent writers in any order yields the merged page; ordered (non
--concurrent) diffs must be applied oldest-first, which the protocol layer
-guarantees.
+Pages are ``numpy`` ``uint8`` vectors compared in 4-byte words, like
+TreadMarks (Fortran ``REAL`` words).  A diff is a list of ``(offset,
+payload)`` runs: maximal spans of changed words, whose bounds are where the
+changed-word mask flips (``changed[i] != changed[i - 1]``) plus the page's
+ends when the first or last word changed.  Every payload is a
+``memoryview`` slice of *one* snapshot of the changed span, so it stays
+stable while the live page keeps mutating.  :func:`apply_diff` copies each
+run through ``memoryview(page)[off:end]``.  Concurrent writers' diffs are
+disjoint, so they apply in any order; ordered diffs apply oldest first,
+which the protocol layer guarantees.
+
+The wire size rule (changed words × :data:`WORD` plus runs ×
+:data:`RUN_HEADER_BYTES`, runs counted from the same flips) is
+:func:`mask_diff_nbytes`; the analytic model, whose twins are changed-word
+masks, takes its diff sizes from it (``compiler.model._MNode``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_diff", "apply_diff", "apply_diffs", "diff_nbytes", "WORD"]
+__all__ = ["make_diff", "apply_diff", "apply_diffs", "diff_nbytes",
+           "mask_diff_nbytes", "WORD"]
 
 WORD = 4
 """Comparison granularity in bytes (TreadMarks diffs word-compare)."""
@@ -32,58 +40,63 @@ RUN_HEADER_BYTES = 8
 Diff = list  # list[tuple[int, bytes | memoryview]]
 
 
+def _flips(changed: np.ndarray) -> np.ndarray:
+    """``flips[i]`` is true where word ``i + 1`` starts or ends a run."""
+    return changed[1:] != changed[:-1]
+
+
+def mask_diff_nbytes(changed: np.ndarray) -> int:
+    """``diff_nbytes`` of the diff whose changed-word mask is ``changed``
+    (every run has two bounds, each a flip or a changed end word)."""
+    words = int(np.count_nonzero(changed))
+    if not words:
+        return 0
+    runs = (int(np.count_nonzero(_flips(changed)))
+            + bool(changed[0]) + bool(changed[-1])) // 2
+    return words * WORD + runs * RUN_HEADER_BYTES
+
+
 def make_diff(current: np.ndarray, twin: np.ndarray) -> Diff:
     """Return the run-length encoding of ``current - twin``.
 
-    Both arguments are ``uint8`` vectors of equal length (one page).  Runs
-    are maximal word-aligned spans where any byte differs.  Returns ``[]``
-    when the page is unmodified.
-
-    Run payloads are zero-copy ``memoryview`` slices over a single snapshot
-    of the changed span (one copy per diff, not one per run).  A
-    ``memoryview`` compares and measures like the ``bytes`` it replaced;
-    the snapshot keeps the data stable while the live page keeps mutating.
+    Both arguments are ``uint8`` vectors of equal length (one page);
+    ``[]`` when the page is unmodified.  A ``memoryview`` payload compares
+    and measures like the ``bytes`` it stands for.
     """
     if current.shape != twin.shape:
         raise ValueError("page/twin shape mismatch")
     n = current.size
     if n % WORD:
         raise ValueError(f"page size {n} not a multiple of word size {WORD}")
-    cur_w = current.view(np.uint32)
-    twin_w = twin.view(np.uint32)
-    changed = cur_w != twin_w
-    if not changed.any():
-        return []
-    # Find run boundaries in the changed-word mask.
-    idx = np.flatnonzero(changed)
-    # Split where consecutive changed words are not adjacent.
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([idx[0]], idx[breaks + 1]))
-    ends = np.concatenate((idx[breaks], [idx[-1]])) + 1  # exclusive, in words
-    lo = int(starts[0]) * WORD
-    snap = memoryview(current[lo:int(ends[-1]) * WORD].tobytes())
-    diff: Diff = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
-        off = s * WORD
-        diff.append((off, snap[off - lo:e * WORD - lo]))
-    return diff
+    changed = current.view(np.uint32) != twin.view(np.uint32)
+    flips = np.flatnonzero(_flips(changed))
+    if not flips.size:               # a uniform mask: nothing or everything
+        return [(0, memoryview(current.tobytes()))] if changed[0] else []
+    bounds = (flips + 1).tolist()
+    if changed[0]:
+        bounds.insert(0, 0)
+    if changed[-1]:
+        bounds.append(changed.size)
+    lo = bounds[0] * WORD
+    snap = memoryview(current[lo:bounds[-1] * WORD].tobytes())
+    return [(s * WORD, snap[s * WORD - lo:e * WORD - lo])
+            for s, e in zip(bounds[::2], bounds[1::2])]
 
 
 def apply_diff(page: np.ndarray, diff: Diff) -> None:
     """Patch ``diff``'s runs into ``page`` (in place)."""
+    size = page.size
+    dst = memoryview(page)
     for off, data in diff:
         end = off + len(data)
-        if end > page.size:
-            raise ValueError(f"diff run [{off}:{end}) exceeds page size {page.size}")
-        page[off:end] = np.frombuffer(data, dtype=np.uint8)
+        if off < 0 or end > size:
+            raise ValueError(f"diff run [{off}:{end}) exceeds page size {size}")
+        dst[off:end] = data
 
 
 def apply_diffs(page: np.ndarray, diffs) -> None:
-    """Patch a sequence of diffs into ``page``, oldest first.
-
-    Equivalent to ``for d in diffs: apply_diff(page, d)``; later diffs win
-    on overlapping words, exactly as sequential application would.
-    """
+    """Patch a sequence of diffs into ``page``, oldest first (later
+    diffs win on overlapping words)."""
     for diff in diffs:
         apply_diff(page, diff)
 

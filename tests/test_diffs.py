@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tmk.diffs import (RUN_HEADER_BYTES, WORD, apply_diff, apply_diffs,
-                             diff_nbytes, make_diff)
+                             diff_nbytes, make_diff, mask_diff_nbytes)
 
 PAGE = 4096
 
@@ -125,8 +125,27 @@ def test_non_word_multiple_rejected():
 
 
 def test_out_of_range_run_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds page size"):
         apply_diff(np.zeros(8, np.uint8), [(4, b"12345678")])
+
+
+def test_negative_offset_run_rejected():
+    """A run before the page start must not wrap onto the page's tail."""
+    target = np.zeros(16, np.uint8)
+    with pytest.raises(ValueError, match="exceeds page size"):
+        apply_diff(target, [(-8, b"\x01" * 4)])
+    assert not target.any()
+
+
+def test_apply_onto_read_only_page_raises():
+    twin = page(0)
+    cur = twin.copy()
+    cur[0:4] = 1
+    target = page(0)
+    target.flags.writeable = False
+    with pytest.raises(TypeError, match="read-only"):
+        apply_diff(target, make_diff(cur, twin))
+    assert not target.any()
 
 
 @settings(max_examples=60, deadline=None)
@@ -271,3 +290,83 @@ def test_memoryview_payloads_behave_like_bytes():
     assert data == cur[200:208].tobytes()
     assert len(data) == 8
     assert np.frombuffer(data, dtype=np.uint8)[0] == 5
+
+
+def test_payload_survives_later_write_to_live_page():
+    """The snapshot rule: a diff keeps the bytes the page held when it was
+    made, not what the live page holds later."""
+    twin = page(0)
+    cur = twin.copy()
+    cur[200:208] = 5
+    cur[4092:4096] = 6
+    diff = make_diff(cur, twin)
+    cur[:] = 9
+    assert [(off, bytes(data)) for off, data in diff] == [
+        (200, b"\x05" * 8), (4092, b"\x06" * 4)]
+
+
+# --------------------------------------------------------------------- #
+# the run rule against a word-by-word reference encoder, and the model's
+# size-from-mask function against the simulator's encoded size
+
+def reference_diff(current, twin):
+    """Maximal runs of changed words, one word at a time."""
+    runs, start = [], None
+    for w in range(current.size // WORD + 1):
+        lo = w * WORD
+        changed = (lo < current.size and
+                   bytes(current[lo:lo + WORD]) != bytes(twin[lo:lo + WORD]))
+        if changed and start is None:
+            start = lo
+        elif not changed and start is not None:
+            runs.append((start, current[start:lo].tobytes()))
+            start = None
+    return runs
+
+
+NWORDS = PAGE // WORD
+
+
+def _masks():
+    shaped = st.sampled_from([
+        np.zeros(NWORDS, bool), np.ones(NWORDS, bool),
+        np.arange(NWORDS) == 0, np.arange(NWORDS) == NWORDS - 1,
+        np.arange(NWORDS) % 2 == 0, np.arange(NWORDS) % 2 == 1])
+    drawn = st.tuples(st.integers(0, 2**32 - 1), st.floats(0, 1),
+                      st.booleans(), st.booleans()).map(_random_mask)
+    return shaped | drawn
+
+
+def _random_mask(args):
+    seed, density, first, last = args
+    mask = np.random.default_rng(seed).random(NWORDS) < density
+    mask[0], mask[-1] = first, last
+    return mask
+
+
+def _page_pair(mask, seed):
+    rng = np.random.default_rng(seed)
+    twin = rng.integers(0, 256, PAGE, dtype=np.uint8)
+    cur = twin.copy()
+    flip = rng.integers(1, 2**32, NWORDS, dtype=np.uint32)  # never zero
+    cur.view(np.uint32)[mask] ^= flip[mask]
+    return cur, twin
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masks(), st.integers(0, 2**16))
+def test_make_diff_matches_reference_encoder(mask, seed):
+    cur, twin = _page_pair(mask, seed)
+    diff = make_diff(cur, twin)
+    assert [(off, bytes(data)) for off, data in diff] == \
+        reference_diff(cur, twin)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masks(), st.integers(0, 2**16))
+def test_mask_diff_nbytes_matches_encoded_size(mask, seed):
+    """The model's size rule and the simulator's diffs agree by test."""
+    cur, twin = _page_pair(mask, seed)
+    changed = cur.view(np.uint32) != twin.view(np.uint32)
+    assert np.array_equal(changed, mask)
+    assert mask_diff_nbytes(changed) == diff_nbytes(make_diff(cur, twin))
