@@ -33,11 +33,10 @@ See ``docs/API.md`` for the full type and wire-protocol reference.
 from repro.api import registry
 from repro.api.execute import (InProcess, ProgramCache, execute,
                                execute_with_arrays, run)
-from repro.api.registry import (APPS, BENCH_MATRIX, DSM_VARIANTS,
-                                FIGURE_VARIANTS, IRREGULAR_APPS,
-                                MODELED_VARIANTS, MP_VARIANTS, PRESETS,
-                                RACECHECK_VARIANTS, REGULAR_APPS, VARIANTS,
-                                AppInfo, VariantInfo)
+from repro.api.registry import (APPS, DSM_VARIANTS, FIGURE_VARIANTS,
+                                IRREGULAR_APPS, MODELED_VARIANTS, MP_VARIANTS,
+                                PRESETS, REGULAR_APPS, VARIANTS, AppInfo,
+                                VariantInfo)
 from repro.api.types import (RUN_SCHEMA, BatchResult, RunRequest, RunResult,
                              dsm_stats_from_doc, dsm_stats_to_doc,
                              fault_plan_from_doc, fault_plan_to_doc,
@@ -62,9 +61,7 @@ __all__ = [
     "MP_VARIANTS",
     "MODELED_VARIANTS",
     "FIGURE_VARIANTS",
-    "RACECHECK_VARIANTS",
     "PRESETS",
-    "BENCH_MATRIX",
     "AppInfo",
     "VariantInfo",
     "dsm_stats_to_doc",

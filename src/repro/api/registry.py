@@ -6,8 +6,8 @@ applications and variants exist (and which variant supports what) from
 their own copies of the lists.  Adding an application meant updating all
 of them.  Now :mod:`repro.apps` registration plus the paper constants are
 composed *here*, once, and everything else — CLI argument choices, the
-``list`` command, request validation in :mod:`repro.api.execute`, the
-bench matrix — reads this module.
+``list`` command, request validation in :mod:`repro.api.execute` —
+reads this module.
 
 The registry is intentionally data-only (small frozen records); running
 things is :mod:`repro.api.execute`'s job.
@@ -21,10 +21,9 @@ from typing import Optional
 from repro.eval.constants import APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS
 
 __all__ = ["VARIANTS", "DSM_VARIANTS", "MP_VARIANTS", "MODELED_VARIANTS",
-           "FIGURE_VARIANTS", "RACECHECK_VARIANTS", "PRESETS",
+           "FIGURE_VARIANTS", "PRESETS",
            "VariantInfo", "AppInfo", "variant_info", "app_info",
-           "app_names", "variant_names", "apps", "variants", "supports",
-           "BENCH_MATRIX",
+           "app_names", "apps", "variants", "supports",
            # paper groupings, re-exported for registry consumers
            "APPS", "REGULAR_APPS", "IRREGULAR_APPS", "PAPER"]
 
@@ -32,7 +31,8 @@ __all__ = ["VARIANTS", "DSM_VARIANTS", "MP_VARIANTS", "MODELED_VARIANTS",
 VARIANTS = ["seq", "spf", "tmk", "xhpf", "pvme", "spf_opt", "spf_old",
             "xhpf_ie", "spf_spec"]
 
-#: shared-memory variants (race checking / coherent readback apply)
+#: shared-memory variants (race checking / coherent readback apply;
+#: ``repro racecheck`` accepts these, spf family first)
 DSM_VARIANTS = ("spf", "spf_opt", "spf_old", "tmk", "spf_spec")
 
 #: explicit message-passing variants (nothing shared; signatures bit-stable)
@@ -44,20 +44,8 @@ MODELED_VARIANTS = ("seq", "spf", "spf_old", "xhpf", "xhpf_ie")
 #: the four bars of the paper's Figures 1/2, plus the oracle
 FIGURE_VARIANTS = ("seq", "spf", "tmk", "xhpf", "pvme")
 
-#: what ``repro racecheck`` accepts (== DSM variants, spf family first)
-RACECHECK_VARIANTS = ("spf", "spf_opt", "spf_old", "tmk", "spf_spec")
-
 #: problem-size presets every application provides
 PRESETS = ("paper", "bench", "test")
-
-#: the wall-clock bench matrix: (kernel name, app, variant)
-BENCH_MATRIX = (
-    ("jacobi_spf", "jacobi", "spf"),
-    ("jacobi_tmk", "jacobi", "tmk"),
-    ("shallow_spf_opt", "shallow", "spf_opt"),
-    ("igrid_spf", "igrid", "spf"),
-    ("fft3d_tmk", "fft3d", "tmk"),
-)
 
 
 @dataclass(frozen=True)
@@ -121,10 +109,6 @@ def _specs() -> dict:
 def app_names() -> list:
     """Canonical application order (regular apps first, as the paper)."""
     return list(APPS)
-
-
-def variant_names() -> list:
-    return list(VARIANTS)
 
 
 def variant_info(name: str) -> VariantInfo:

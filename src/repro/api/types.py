@@ -4,7 +4,7 @@ One schema — ``repro-run/1`` — covers every way a run crosses a boundary
 in this codebase: the CLI handing work to the library, the library handing
 work to a :class:`~repro.serve.RunService` worker process, the serve wire
 protocol (JSON lines over stdio or a socket), and the JSON artifacts the
-sweep/bench harnesses archive.  There is exactly one serializer for each
+sweep/chaos harnesses archive.  There is exactly one serializer for each
 object (``to_json``/``from_json`` here); ``repro.eval.sweep``,
 ``repro.eval.chaos`` and ``repro.serve.wire`` all reuse it rather than
 hand-rolling their own.

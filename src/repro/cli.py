@@ -9,7 +9,6 @@ Commands
 ``explain APP``          print both compilers' compilation reports
 ``racecheck APP VARIANT``  fuzz schedules + happens-before race detection
 ``chaos``                sweep fault seeds; assert numerics vs fault-free
-``bench``                time simulator kernels in wall-clock seconds
 ``serve``                persistent worker-pool run service (JSON lines)
 ``fleet``                front N remote serve hosts behind one service
 ``list``                 list applications, variants and presets
@@ -28,7 +27,6 @@ Examples::
     python -m repro explain mgs
     python -m repro racecheck igrid spf --seeds 5
     python -m repro chaos --seeds 3 --apps jacobi mgs --out chaos.json
-    python -m repro bench --smoke
     python -m repro serve --port 7590 --workers 4
     python -m repro fleet --host h1:7590 --host h2:7590 --probe
     python -m repro sweep --apps jacobi --fleet h1:7590 --fleet h2:7590
@@ -38,11 +36,13 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
+import os
 import sys
 
 from repro.api.execute import execute
-from repro.api.registry import (APPS, IRREGULAR_APPS, PAPER, PRESETS,
-                                RACECHECK_VARIANTS, REGULAR_APPS, VARIANTS)
+from repro.api.registry import (APPS, DSM_VARIANTS, IRREGULAR_APPS, PAPER,
+                                PRESETS, REGULAR_APPS, VARIANTS)
 from repro.api.types import RunRequest, machine_from_doc
 from repro.apps.common import get_app
 from repro.eval.experiments import run_all_variants
@@ -69,6 +69,19 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
                         help="retire runs across remote `repro serve "
                              "--tcp` hosts (repeat per host); results "
                              "stay bit-identical to the serial loop")
+
+
+def _progress(args):
+    """The per-run progress sink: stderr lines, or None under --quiet."""
+    return None if args.quiet else lambda m: print(m, file=sys.stderr)
+
+
+def _write_json(doc, path: str) -> None:
+    """Write a command's result document to ``--out`` and say where."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+    print(f"results -> {path}")
 
 
 def _parse_machine(pairs):
@@ -157,23 +170,16 @@ def cmd_figures(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import json
-    import os
-
     from repro.eval.sweep import format_sweep_tables, run_sweep
 
     doc = run_sweep(apps=args.apps or None, variants=args.variants or None,
                     nodes=tuple(args.nodes), preset=args.preset,
                     machine=machine_from_doc(_parse_machine(args.machine)),
                     jobs=args.jobs, fleet=args.fleet,
-                    progress=(None if args.quiet else
-                              lambda m: print(m, file=sys.stderr)))
+                    progress=_progress(args))
     print(format_sweep_tables(doc))
     if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-        print(f"results -> {args.out}")
+        _write_json(doc, args.out)
     return 0
 
 
@@ -202,19 +208,12 @@ def cmd_racecheck(args) -> int:
     from repro.eval.racecheck import cross_check_app, racecheck_app
 
     if args.cross_check:
-        import json
-        import os
-
         report = cross_check_app(args.app, seeds=args.seeds,
                                  nprocs=args.nprocs, preset=args.preset,
                                  mutations=args.mutations)
         print(report.format())
         if args.out:
-            os.makedirs(os.path.dirname(os.path.abspath(args.out)),
-                        exist_ok=True)
-            with open(args.out, "w") as fh:
-                json.dump(report.as_doc(), fh, indent=2, sort_keys=True)
-            print(f"results -> {args.out}")
+            _write_json(report.as_doc(), args.out)
         return 0 if report.ok else 1
 
     report = racecheck_app(args.app, args.variant, seeds=args.seeds,
@@ -230,9 +229,6 @@ def cmd_racecheck(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    import json
-    import os
-
     from repro.eval.chaos import chaos_sweep
     from repro.sim.faults import FaultPlan, FaultRates
 
@@ -248,22 +244,14 @@ def cmd_chaos(args) -> int:
     report = chaos_sweep(apps=args.apps, variants=args.variants,
                          seeds=args.seeds, nprocs=args.nprocs,
                          preset=args.preset, plan=plan, jobs=args.jobs,
-                         fleet=args.fleet,
-                         progress=(None if args.quiet else
-                                   lambda m: print(m, file=sys.stderr)))
+                         fleet=args.fleet, progress=_progress(args))
     print(report.format())
     if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(report.as_doc(), fh, indent=2, sort_keys=True)
-        print(f"results -> {args.out}")
+        _write_json(report.as_doc(), args.out)
     return 0 if report.ok else 1
 
 
 def cmd_lint(args) -> int:
-    import json
-    import os
-
     from repro.eval.lintreport import lint_registry
 
     for app in args.apps:
@@ -290,14 +278,10 @@ def cmd_lint(args) -> int:
                             shadow=not args.no_shadow,
                             traffic=not args.no_traffic,
                             suppress=tuple(args.suppress),
-                            progress=(None if args.quiet else
-                                      lambda m: print(m, file=sys.stderr)))
+                            progress=_progress(args))
     print(summary.format(verbose=args.verbose or not summary.ok))
     if args.out:
-        os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
-        with open(args.out, "w") as fh:
-            json.dump(summary.as_doc(), fh, indent=2, sort_keys=True)
-        print(f"results -> {args.out}")
+        _write_json(summary.as_doc(), args.out)
     if not summary.ok:
         return 1
     if args.strict and any(a.report.warnings for a in summary.apps):
@@ -308,37 +292,6 @@ def cmd_lint(args) -> int:
 def cmd_report(args) -> int:
     from repro.eval.report import assemble_report
     print(assemble_report(args.results_dir))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.bench import check_regression, load_baseline, run_bench
-    from repro.bench.wallclock import write_results
-
-    doc = run_bench(smoke=args.smoke, nprocs=args.nprocs,
-                    only=args.only or None, progress=print)
-    path = write_results(doc, args.out) if args.out \
-        else write_results(doc)
-    print(f"calibration: {doc['calibration_s']:.3f}s; results -> {path}")
-    if args.no_gate:
-        return 0
-    baseline = load_baseline(args.baseline) if args.baseline \
-        else load_baseline()
-    if baseline is None:
-        print("no committed baseline found; gate skipped "
-              "(commit this run's JSON as the baseline to enable it)")
-        return 0
-    if baseline.get("preset") != doc.get("preset"):
-        print(f"baseline covers preset {baseline.get('preset')!r}, this run "
-              f"used {doc.get('preset')!r}; gate skipped")
-        return 0
-    failures = check_regression(doc, baseline, tolerance=args.tolerance)
-    if failures:
-        for f in failures:
-            print("REGRESSION:", f, file=sys.stderr)
-        return 1
-    print(f"regression gate passed ({len(doc['kernels'])} kernel(s) within "
-          f"{args.tolerance:.0%} of baseline)")
     return 0
 
 
@@ -493,7 +446,7 @@ def main(argv=None) -> int:
         help="schedule-fuzz a DSM variant and report data races")
     p.add_argument("app", choices=APPS)
     p.add_argument("variant", nargs="?", default="spf",
-                   choices=list(RACECHECK_VARIANTS))
+                   choices=list(DSM_VARIANTS))
     p.add_argument("--seeds", type=int, default=5,
                    help="number of schedule seeds to fuzz (default 5)")
     p.add_argument("-n", "--nprocs", type=int, default=8)
@@ -541,26 +494,6 @@ def main(argv=None) -> int:
     _add_common(p)
     _add_jobs(p)
     p.set_defaults(fn=cmd_chaos)
-
-    p = sub.add_parser(
-        "bench",
-        help="time simulator kernels (wall-clock) and gate regressions")
-    p.add_argument("--smoke", action="store_true",
-                   help="small problem sizes (CI-friendly)")
-    p.add_argument("--only", nargs="*", default=None,
-                   help="restrict to these kernel names")
-    p.add_argument("--out", default=None,
-                   help="result JSON path (default benchmarks/results/"
-                        "BENCH_wallclock.json)")
-    p.add_argument("--baseline", default=None,
-                   help="baseline JSON to gate against (default "
-                        "benchmarks/results/BENCH_baseline.json)")
-    p.add_argument("--tolerance", type=float, default=0.25,
-                   help="allowed wall-clock regression (default 0.25)")
-    p.add_argument("--no-gate", action="store_true",
-                   help="write results without checking the baseline")
-    p.add_argument("-n", "--nprocs", type=int, default=8)
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "serve",

@@ -56,9 +56,6 @@ class CommSchedule:
     accept_rows: dict = field(default_factory=dict)
     inspections: int = 1
 
-    def gather_volume(self, row_nbytes: int) -> int:
-        return sum(len(r) * row_nbytes for r in self.recv_rows.values())
-
 
 class ScheduleCache:
     """Per-run cache: loop name -> CommSchedule."""

@@ -53,10 +53,6 @@ class SeedRun:
     signature: dict                   # reduction scalars
     scalars_close: bool = True
 
-    @property
-    def n_true(self) -> int:
-        return len(self.races.true_races)
-
 
 @dataclass
 class RacecheckReport:

@@ -104,7 +104,7 @@ class RunResult:
     """``name -> {pid: (time, stats snapshot)}`` from :meth:`ProcEnv.mark`."""
     events: int = 0
     """Simulator events popped (process wakeups and callbacks) — a
-    wall-clock throughput denominator for the bench harness, not a virtual
+    wall-clock throughput denominator for ``benchmarks/perf``, not a virtual
     -time quantity."""
     switches: int = 0
     """OS-thread switches the engine made (batons handed from one thread

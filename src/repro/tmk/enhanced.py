@@ -107,10 +107,12 @@ def push_regions_gen(node: TmkNode, regions: Sequence, dests: Iterable[int]):
     would otherwise invalidate the consumers (the barrier/fork still runs;
     consumers simply find the pages already current).  Pushes whole-page
     diffs, so receivers hold exactly what a demand fetch would have built.
+    Every destination gets a message, empty when nothing under ``regions``
+    changed: consumers count pushes per edge (``expect_pushes_gen``).
     """
     payload = yield from PushPayload.build_gen(node, regions)
     if payload is None:
-        return
+        payload = PushPayload(node.pid, [], 16)
     mon = getattr(node.world, "race_monitor", None)
     snap = mon.release(node.pid) if mon is not None else None
     for dst in dests:

@@ -15,9 +15,9 @@ import dataclasses
 
 import pytest
 
-from repro.api import (DSM_VARIANTS, PRESETS, RACECHECK_VARIANTS, VARIANTS,
-                       BatchResult, ProgramCache, RunRequest, RunResult,
-                       execute, registry)
+from repro.api import (DSM_VARIANTS, PRESETS, VARIANTS, BatchResult,
+                       ProgramCache, RunRequest, RunResult, execute,
+                       registry)
 from repro.api.types import (RUN_SCHEMA, VOLATILE_RESULT_FIELDS,
                              fault_plan_from_doc, fault_plan_to_doc,
                              machine_from_doc, machine_to_doc)
@@ -97,7 +97,6 @@ def test_machine_and_fault_plan_docs_invert():
 
 def test_registry_is_consistent():
     assert set(DSM_VARIANTS) <= set(VARIANTS)
-    assert set(RACECHECK_VARIANTS) <= set(DSM_VARIANTS)
     assert set(PRESETS) == {"paper", "bench", "test"}
     listed = {info.name for info in registry.apps()}
     assert listed == set(registry.APPS)

@@ -1084,6 +1084,28 @@ def test_schedule_seed_runs_pinned_to_parent_literals(key):
             r.total_kilobytes) == PARENT_PINS[key]
 
 
+KERNEL_PINS = {
+    # (app, variant): (time, messages, kilobytes, events), n=8 `test`
+    ("jacobi", "spf"): (0.0202840960000001, 252, 45.28125, 2833),
+    ("jacobi", "tmk"): (0.016073216000000085, 204, 27.40625, 1422),
+    ("shallow", "spf_opt"): (0.14611662000000464, 1446, 1234.421875, 11521),
+    ("igrid", "spf"): (0.04604727999999989, 544, 31.7734375, 3856),
+    ("fft3d", "tmk"): (0.02818887999999993, 283, 459.9140625, 2340),
+}
+
+
+@pytest.mark.parametrize("key", list(KERNEL_PINS), ids="-".join)
+def test_kernel_runs_pinned_to_recorded_literals(key):
+    """Five representative kernels -- regular and irregular, compiled,
+    hand-coded and hand-optimised -- keep the exact virtual metrics first
+    recorded for them; `shallow-spf_opt` at this size is pinned nowhere
+    else."""
+    from repro.api import RunRequest, run
+    app, variant = key
+    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0))
+    assert (r.time, r.messages, r.kilobytes, r.events) == KERNEL_PINS[key]
+
+
 @pytest.mark.parametrize("app, variant, pinned", [
     ("jacobi", "tmk", (0.03174905474495498, 2071, 272, 34.5703125,
                        26, 298, 31)),

@@ -163,6 +163,42 @@ def test_push_plan_empty_without_halos():
     assert not exe.push_plan
 
 
+def zero_rewrite_program(n=32, cols=512):
+    """A halo stencil whose producer writes zeros over zeros: its pages are
+    dirty, but every diff is empty, so there is nothing to push."""
+
+    def produce(views, lo, hi):
+        views["a"][lo:hi] = 0.0
+
+    def consume(views, lo, hi):
+        lo2, hi2 = max(lo, 1), min(hi, n - 1)
+        if hi2 > lo2:
+            a = views["a"]
+            views["b"][lo2:hi2] = a[lo2 - 1:hi2 - 1] + a[lo2 + 1:hi2 + 1] + 1
+        return {"sum": float(views["b"][lo:hi].sum(dtype=np.float64))}
+
+    return Program(
+        "zero-rewrite",
+        arrays=[ArrayDecl("a", (n, cols), np.float64),
+                ArrayDecl("b", (n, cols), np.float64)],
+        body=[ParallelLoop("produce", n, produce,
+                           writes=[Access("a", (Span(), Full()))]),
+              ParallelLoop("consume", n, consume,
+                           reads=[Access("a", (Span(-1, 1), Full()))],
+                           writes=[Access("b", (Span(), Full()))],
+                           reductions=[Reduction("sum")])])
+
+
+def test_halo_push_with_nothing_changed_still_sends():
+    """A producer with no diff to push used to send nothing while its
+    consumer still counted the edge and parked for ever (Deadlock)."""
+    _v, seq, _t = run_sequential(zero_rewrite_program())
+    r = run_spf(zero_rewrite_program(), nprocs=4,
+                options=SpfOptions(push_halos=True))
+    assert r.scalars == seq
+    assert r.dsm_stats.pushes == 6          # two per interior boundary
+
+
 @pytest.mark.parametrize("nprocs", [2, 3, 4, 7])
 def test_all_extensions_combined_on_every_count(nprocs):
     _v, seq, _t = run_sequential(stencil_program())
