@@ -34,8 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["CommSchedule", "ScheduleCache", "inspect_reads",
-           "inspect_accumulates"]
+__all__ = ["CommSchedule", "ScheduleCache", "inspect_reads"]
 
 
 @dataclass
@@ -54,11 +53,12 @@ class CommSchedule:
     send_rows: dict = field(default_factory=dict)
     return_rows: dict = field(default_factory=dict)
     accept_rows: dict = field(default_factory=dict)
-    inspections: int = 1
 
 
 class ScheduleCache:
-    """Per-run cache: loop name -> CommSchedule."""
+    """Per-processor, per-run cache: loop name -> its one CommSchedule.  A
+    changed fingerprint replaces the schedule, so a footprint that returns
+    to an earlier pattern is inspected again."""
 
     def __init__(self) -> None:
         self.schedules: dict[str, CommSchedule] = {}
@@ -108,9 +108,3 @@ def inspect_reads(flat: np.ndarray, row_elems: int, owned: tuple,
         if mine.size:
             out[pid] = mine
     return out
-
-
-def inspect_accumulates(flat: np.ndarray, row_elems: int, owned: tuple,
-                        owner_bounds: list) -> dict:
-    """Rows this processor *contributes to* outside its partition."""
-    return inspect_reads(flat, row_elems, owned, owner_bounds)

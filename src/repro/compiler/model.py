@@ -13,14 +13,16 @@ terms along it, instead of scheduling events:
   runs (:mod:`repro.tmk.lrc`) and its barrier/lock bookkeeping
   (:mod:`repro.tmk.sync`) are advanced in lockstep over the compiled
   schedule, with word-granularity write masks standing in for twins;
-* the message-passing variants (``xhpf``/``xhpf_ie``) are modeled by
-  replaying the XHPF runtime's exchange/broadcast/inspector enumeration
-  arithmetically — the same footprints, owners and packet segmentation,
-  but no message objects in flight;
+* the message-passing variants (``xhpf``/``xhpf_ie``) count and clock the
+  XHPF backend's own communication plan (the plan methods of
+  :class:`~repro.compiler.xhpf.XhpfExecutable`: the owners, regions and
+  inspector schedules its SPMD program executes) under the packet rule of
+  :func:`repro.msg.endpoint.packet_count`, with no message objects in
+  flight;
 * ``seq`` degenerates to the sequential oracle.
 
-Predictions carry the same :class:`~repro.eval.experiments.VariantResult`
-shape as a simulation, flagged ``mode="model"``.  Message and byte counts
+Predictions carry the same :class:`~repro.api.RunResult` shape as a
+simulation, flagged ``mode="model"``.  Message and byte counts
 are the contract — ``tests/test_model_validation.py`` pins them against the
 simulator at N <= 8 (validate small), which is what licenses the
 ``repro sweep`` extrapolation to 1024 nodes (trust large).  Virtual time is
@@ -41,13 +43,16 @@ from typing import Optional
 import numpy as np
 
 from repro.apps.common import get_app
-from repro.compiler.ir import Access, Mark, ParallelLoop, Point, SeqBlock
-from repro.compiler.partition import SEQ, block_owner
+from repro.compiler.inspector import ScheduleCache
+from repro.compiler.ir import Access, Mark, ParallelLoop, SeqBlock
+from repro.compiler.partition import SEQ
 from repro.compiler.seq import sequential_time
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
 from repro.compiler.xhpf import XhpfOptions, compile_xhpf
+from repro.msg.endpoint import packet_count
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
+from repro.sim.network import NetworkStats
 from repro.tmk.diffs import WORD, mask_diff_nbytes
 from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
 from repro.tmk.intervals import SeenVector, records_unknown_to
@@ -66,55 +71,6 @@ _WORDS_PER_PAGE = PAGE_SIZE // WORD
 
 class ModelUnsupportedVariant(ValueError):
     """The analytic model declines this variant (no IR / unmodeled paths)."""
-
-
-# ---------------------------------------------------------------------- #
-# traffic bookkeeping (mirrors sim.network.NetworkStats payload counting)
-
-class _Traffic:
-    """Message/byte totals per category — the model's NetworkStats."""
-
-    def __init__(self):
-        self.messages = 0
-        self.bytes = 0
-        self.by_category: dict[str, list] = {}
-
-    def send(self, nbytes: int, category: str, count: int = 1) -> None:
-        """Record ``count`` wire messages carrying ``nbytes`` payload total."""
-        self.messages += count
-        self.bytes += nbytes
-        cell = self.by_category.setdefault(category, [0, 0])
-        cell[0] += count
-        cell[1] += nbytes
-
-    @property
-    def kilobytes(self) -> float:
-        return self.bytes / 1024.0
-
-    def snapshot(self) -> "_Traffic":
-        snap = _Traffic()
-        snap.messages = self.messages
-        snap.bytes = self.bytes
-        snap.by_category = {k: list(v) for k, v in self.by_category.items()}
-        return snap
-
-    def delta(self, earlier: "_Traffic") -> "_Traffic":
-        out = _Traffic()
-        out.messages = self.messages - earlier.messages
-        out.bytes = self.bytes - earlier.bytes
-        for key in set(self.by_category) | set(earlier.by_category):
-            a = self.by_category.get(key, [0, 0])
-            b = earlier.by_category.get(key, [0, 0])
-            out.by_category[key] = [a[0] - b[0], a[1] - b[1]]
-        return out
-
-
-def _seg_count(nbytes: int, packet: Optional[int]) -> int:
-    """Packets one logical send becomes (Comm.send segmentation rule)."""
-    if packet and nbytes > packet:
-        full, last = divmod(nbytes, packet)
-        return full + (1 if last else 0)
-    return 1
 
 
 def _tree_depth(n: int) -> int:
@@ -187,7 +143,7 @@ class _ModelBase:
     """Shared mark/window bookkeeping for both backend replicas."""
 
     def __init__(self):
-        self.traffic = _Traffic()
+        self.traffic = NetworkStats()
         self.marks: dict[str, tuple] = {}
         self.scalars: dict = {}
         self.dsm_stats: Optional[DsmStats] = None
@@ -314,7 +270,7 @@ class _SpfModel(_ModelBase):
         req_nbytes = diff_request_nbytes()
         replies = []
         for w, from_id in missing:
-            self.traffic.send(req_nbytes, "diff_req")
+            self.traffic.record("diff_req", req_nbytes)
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
             owner = self.nodes[w]
             om = owner.meta(page)
@@ -322,7 +278,7 @@ class _SpfModel(_ModelBase):
                 node.time += owner._diff_and_cache(page, om)
             reply = owner._gather(page, om, from_id)
             nbytes = owner.reply_nbytes(reply)
-            self.traffic.send(nbytes, "diff_rep")
+            self.traffic.record("diff_rep", nbytes)
             node.time += self._hop(nbytes)
             replies.append((w, reply))
         node.pay(node._apply_replies(page, m, replies))
@@ -348,7 +304,7 @@ class _SpfModel(_ModelBase):
             recs = payloads[node.pid]
             if node.pid != 0:
                 nbytes = sync_nbytes(recs, mach)
-                self.traffic.send(nbytes, "sync")
+                self.traffic.record("sync", nbytes)
                 arrive = max(arrive, node.time + self._hop(nbytes)
                              + mach.protocol_overhead)
             else:
@@ -359,7 +315,7 @@ class _SpfModel(_ModelBase):
             recs = departures[node.pid]
             if node.pid != 0:
                 nbytes = sync_nbytes(recs, mach)
-                self.traffic.send(nbytes, "sync")
+                self.traffic.record("sync", nbytes)
                 node.time = arrive + self._hop(nbytes)
             else:
                 node.time = arrive
@@ -377,19 +333,19 @@ class _SpfModel(_ModelBase):
             if prev == node.pid:
                 return                      # token never left: no messages
             self.stats.lock_remote_acquires += 1
-            self.traffic.send(req_nbytes, "sync")     # forward to prev
+            self.traffic.record("sync", req_nbytes)     # forward to prev
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
             self._grant(node, self.nodes[prev])
             return
         self.stats.lock_remote_acquires += 1
-        self.traffic.send(req_nbytes, "sync")         # request to manager
+        self.traffic.record("sync", req_nbytes)         # request to manager
         node.time += self._hop(req_nbytes) + mach.protocol_overhead
         if prev == node.pid:
             self._grant(node, None)                   # empty grant
         elif prev == manager:
             self._grant(node, self.nodes[manager])
         else:
-            self.traffic.send(req_nbytes, "sync")     # manager forwards
+            self.traffic.record("sync", req_nbytes)     # manager forwards
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
             self._grant(node, self.nodes[prev])
 
@@ -399,7 +355,7 @@ class _SpfModel(_ModelBase):
         records = [] if holder is None \
             else records_unknown_to(holder.retained_log, node.seen)
         nbytes = sync_nbytes(records, self.machine)
-        self.traffic.send(nbytes, "sync")
+        self.traffic.record("sync", nbytes)
         node.time += self._hop(nbytes)
         node.pay(node.apply_records(records, log=True))
 
@@ -418,7 +374,7 @@ class _SpfModel(_ModelBase):
             records = records_unknown_to(master.retained_log,
                                          self._worker_seen[w])
             nbytes = fork_nbytes(records, mach)
-            self.traffic.send(nbytes, "sync")
+            self.traffic.record("sync", nbytes)
             master.time += mach.send_overhead
             arrivals.append((w, records, nbytes))
             self._worker_seen[w] = master.seen.copy()
@@ -442,7 +398,7 @@ class _SpfModel(_ModelBase):
             records = list(worker.log_current)
             worker.prune_log()
             nbytes = sync_nbytes(records, mach)
-            self.traffic.send(nbytes, "sync")
+            self.traffic.record("sync", nbytes)
             worker.time += mach.send_overhead
             arrivals.append((w, records, worker.seen.copy(),
                              worker.time + mach.message_time(nbytes)))
@@ -655,14 +611,15 @@ class _SpfModel(_ModelBase):
 # the message-passing replica (xhpf / xhpf_ie)
 
 class _XhpfModel(_ModelBase):
-    """Arithmetic replay of the XHPF runtime's communication enumeration.
+    """The XHPF backend's communication plan, counted and clocked.
 
-    A single converged array image stands in for the replicated per-rank
-    copies (owner-computes chunks are disjoint, so running every rank's
-    kernel chunk in turn reproduces the converged values); exchanges,
-    broadcasts and inspector schedules are enumerated with the runtime's own
-    owner/footprint arithmetic and turned into message/byte counts plus a
-    per-rank clock, instead of messages in flight.
+    Who sends what to whom comes from the compiled executable's plan
+    methods, the ones its SPMD program executes; this replica owns only a
+    per-rank clock (``_phase``, ``_sync_clock``), the counting and the
+    kernel runs.  A single converged array image stands in for the
+    replicated per-rank copies (owner-computes chunks are disjoint, so
+    running every rank's kernel chunk in turn reproduces the converged
+    values).
     """
 
     def __init__(self, program, nprocs: int, machine: MachineModel,
@@ -670,42 +627,36 @@ class _XhpfModel(_ModelBase):
         super().__init__()
         self.machine = machine
         self.nprocs = nprocs
-        self.options = options
         self.exe = compile_xhpf(program, nprocs, options)
         self.packet = (machine.mp_packet_bytes
                        if options.segment_transfers else None)
         self.views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                       for a in program.arrays}
-        self.state = {a.name: True for a in program.arrays}
-        self.caches: list[set] = [set() for _ in range(nprocs)]
+        self.stale: set = set()
+        self.schedules = [ScheduleCache() for _ in range(nprocs)]
         self.times = np.zeros(nprocs)
 
-    # ---- bookkeeping helpers ---------------------------------------------
+    # ---- counting and the clock ------------------------------------------
 
-    def _count_edges(self, edges: int, nbytes: int,
-                     category: str = "data") -> None:
-        """``edges`` identical sends of ``nbytes`` each (bulk counting)."""
-        seg = _seg_count(nbytes, self.packet)
-        tr = self.traffic
-        tr.messages += edges * seg
-        tr.bytes += edges * nbytes
-        cell = tr.by_category.setdefault(category, [0, 0])
-        cell[0] += edges * seg
-        cell[1] += edges * nbytes
+    def _count_edges(self, edges: int, nbytes: int) -> None:
+        """``edges`` identical data sends of ``nbytes`` each."""
+        if edges:
+            self.traffic.record("data", edges * nbytes,
+                                edges * packet_count(nbytes, self.packet))
 
-    def _phase(self, edges: list) -> None:
-        """Count a point-to-point phase [(src, dst, nbytes, category)] and
-        advance the per-rank clock: sends overlap, receivers drain their
-        inbound bytes after the slowest sender."""
+    def _phase(self, edges: list, category: str = "data") -> None:
+        """Count a point-to-point phase [(src, dst, nbytes)] and advance
+        the per-rank clock: sends overlap, receivers drain their inbound
+        bytes after the slowest sender."""
         if not edges:
             return
         mach, n = self.machine, self.nprocs
         sm = np.zeros(n)
         rm = np.zeros(n)
         rb = np.zeros(n)
-        for src, dst, nbytes, cat in edges:
-            seg = _seg_count(nbytes, self.packet)
-            self.traffic.send(nbytes, cat, count=seg)
+        for src, dst, nbytes in edges:
+            seg = packet_count(nbytes, self.packet)
+            self.traffic.record(category, nbytes, seg)
             sm[src] += seg
             rm[dst] += seg
             rb[dst] += nbytes
@@ -726,18 +677,6 @@ class _XhpfModel(_ModelBase):
                              + mach.recv_overhead)
         self.times[:] = peak
 
-    @staticmethod
-    def _row_span(rows) -> tuple:
-        return (rows, rows + 1) if isinstance(rows, int) \
-            else (rows.start, rows.stop)
-
-    def _rect_row_nbytes(self, rect, decl) -> int:
-        elems = 1
-        for d, r in enumerate(rect[1:], start=1):
-            elems *= 1 if isinstance(r, int) \
-                else len(range(*r.indices(decl.shape[d])))
-        return elems * np.dtype(decl.dtype).itemsize
-
     # ---- program walk ----------------------------------------------------
 
     def run(self) -> None:
@@ -745,148 +684,39 @@ class _XhpfModel(_ModelBase):
             if isinstance(stmt, Mark):
                 self._mark(stmt.label, float(self.times.max()))
             elif isinstance(stmt, SeqBlock):
-                self._run_seq(stmt)
+                self._broadcasts(stmt)
+                stmt.kernel(self.views)
+                cost = stmt.cost_for(self.exe.program.params)
+                if cost:
+                    self.times += cost        # redundant SPMD execution
             else:
                 self._run_loop(stmt)
         self._finish = float(self.times.max())
 
-    def _run_seq(self, stmt: SeqBlock) -> None:
-        for acc in stmt.reads:
-            self._broadcast_region(acc)
-        stmt.kernel(self.views)
-        cost = stmt.cost_for(self.exe.program.params)
-        if cost:
-            self.times += cost        # redundant SPMD execution
-
-    def _broadcast_region(self, acc: Access) -> None:
-        exe, n = self.exe, self.nprocs
-        decl = exe.decls[acc.array]
-        if decl.distribute is None or acc.irregular:
-            return
-        region = acc.resolve(0, 0, decl.shape)
-        row_lo, row_hi = self._row_span(region[0])
-        row_nbytes = self._rect_row_nbytes(region, decl)
-        if decl.dist_kind == "cyclic":
-            if row_hi != row_lo + 1:
-                raise NotImplementedError("multi-row sequential reads of "
-                                          "CYCLIC arrays")
-            nbytes = row_nbytes
-            self._count_edges(n - 1, nbytes)
-            self._sync_clock([nbytes])
-            return
-        first = block_owner(decl.shape[0], n, max(0, row_lo))
-        last = block_owner(decl.shape[0], n, min(decl.shape[0], row_hi) - 1)
-        for owner in range(first, last + 1):
-            olo, ohi = exe.owned_rows(decl, owner)
-            lo, hi = max(row_lo, olo), min(row_hi, ohi)
-            if hi <= lo:
-                continue
-            nbytes = (hi - lo) * row_nbytes
-            self._count_edges(n - 1, nbytes)
+    def _broadcasts(self, stmt) -> None:
+        for _owner, _array, _region, nbytes in self.exe.broadcast_parts(stmt):
+            self._count_edges(self.nprocs - 1, nbytes)
             self._sync_clock([nbytes])
 
     def _run_loop(self, loop: ParallelLoop) -> None:
-        exe, n = self.exe, self.nprocs
-        if loop.irregular:
-            if self.options.inspector_executor:
-                self._run_irregular_inspector(loop)
-            else:
-                self._run_irregular_loop(loop)
+        exe = self.exe
+        if loop.irregular and not exe.options.inspector_executor:
+            self._run_irregular_loop(loop)
             return
-        for acc in loop.writes:
-            if exe.decls[acc.array].distribute is not None:
-                self.state[acc.array] = False
+        self.stale.update(exe.stale_after(loop))
+        if loop.irregular:
+            self._run_irregular_inspector(loop)
+            return
         chunks = self._chunks(loop)
         if loop.schedule == "cyclic":
-            self._exchange_cyclic(loop)
+            self._broadcasts(loop)
         else:
-            self._exchange_block(loop, chunks)
+            self._phase([(owner, receiver, nbytes) for owner, receiver, _a,
+                         _r, nbytes in exe.exchange_edges(loop, chunks)])
         self._fold_reductions(loop, self._run_chunks(loop, chunks))
 
     def _chunks(self, loop: ParallelLoop) -> list:
         return [self.exe.chunk(loop, p) for p in range(self.nprocs)]
-
-    def _exchange_block(self, loop: ParallelLoop, chunks: list) -> None:
-        exe, n = self.exe, self.nprocs
-        edges: list = []
-        for acc in loop.reads:
-            decl = exe.decls[acc.array]
-            if decl.distribute is None:
-                continue
-            for receiver, chunk in enumerate(chunks):
-                if not chunk.count:
-                    continue
-                rect = acc.resolve(*chunk.bounds, decl.shape)
-                need_lo, need_hi = self._row_span(rect[0])
-                if need_hi <= need_lo:
-                    continue
-                row_nbytes = self._rect_row_nbytes(rect, decl)
-                if decl.dist_kind == "cyclic":
-                    counts = np.bincount(
-                        np.arange(need_lo, need_hi, dtype=np.int64) % n,
-                        minlength=n)
-                    for owner in np.flatnonzero(counts).tolist():
-                        if owner == receiver:
-                            continue
-                        edges.append((owner, receiver,
-                                      int(counts[owner]) * row_nbytes,
-                                      "data"))
-                else:
-                    first = block_owner(decl.shape[0], n, max(0, need_lo))
-                    last = block_owner(decl.shape[0], n,
-                                       min(decl.shape[0], need_hi) - 1)
-                    for owner in range(first, last + 1):
-                        if owner == receiver:
-                            continue
-                        olo, ohi = exe.owned_rows(decl, owner)
-                        lo, hi = max(need_lo, olo), min(need_hi, ohi)
-                        if hi <= lo:
-                            continue
-                        edges.append((owner, receiver,
-                                      (hi - lo) * row_nbytes, "data"))
-        self._phase(edges)
-
-    def _exchange_cyclic(self, loop: ParallelLoop) -> None:
-        for acc in loop.reads:
-            decl = self.exe.decls[acc.array]
-            if decl.distribute is None:
-                continue
-            lead = acc.region[0] if acc.region else None
-            if isinstance(lead, Point):
-                self._broadcast_region(
-                    Access(acc.array, (lead,) + tuple(acc.region[1:])))
-
-    # ---- irregular loops -------------------------------------------------
-
-    def _run_irregular_loop(self, loop: ParallelLoop) -> None:
-        exe, n = self.exe, self.nprocs
-        for acc in loop.reads:
-            decl = exe.decls[acc.array]
-            if decl.distribute is None or self.state.get(acc.array, True):
-                continue
-            self._broadcast_partitions(decl)
-            self.state[acc.array] = True
-        for name in loop.accumulate:
-            self.views[name][...] = 0
-        partials_by = self._run_chunks(loop, self._chunks(loop))
-        for name in loop.accumulate:
-            nbytes = int(self.views[name].nbytes)
-            self._count_edges(n * (n - 1), nbytes)
-            seg = _seg_count(nbytes, self.packet)
-            mach = self.machine
-            peak = float(self.times.max())
-            self.times[:] = (peak + (n - 1) * mach.send_overhead
-                             + mach.latency
-                             + (n - 1) * nbytes * mach.byte_time
-                             + (n - 1) * seg * mach.recv_overhead)
-            self.state[name] = True
-        for acc in loop.writes:
-            decl = exe.decls[acc.array]
-            if decl.distribute is None or acc.array in loop.accumulate:
-                continue
-            self._broadcast_partitions(decl)
-            self.state[acc.array] = True
-        self._fold_reductions(loop, partials_by)
 
     def _run_chunks(self, loop: ParallelLoop, chunks: list) -> dict:
         """Every rank's kernel chunk, run in turn over the converged image."""
@@ -897,16 +727,39 @@ class _XhpfModel(_ModelBase):
                 self.times[p] += cost
         return partials_by
 
-    def _broadcast_partitions(self, decl) -> None:
+    # ---- irregular loops -------------------------------------------------
+
+    def _run_irregular_loop(self, loop: ParallelLoop) -> None:
+        n, mach = self.nprocs, self.machine
+        before, after = self.exe.rebroadcasts(loop, self.stale)
+        for name in before:
+            self._broadcast_partitions(name)
+        for name in loop.accumulate:
+            self.views[name][...] = 0
+        partials_by = self._run_chunks(loop, self._chunks(loop))
+        for name in loop.accumulate:
+            nbytes = int(self.views[name].nbytes)
+            self._count_edges(n * (n - 1), nbytes)
+            seg = packet_count(nbytes, self.packet)
+            peak = float(self.times.max())
+            self.times[:] = (peak + (n - 1) * mach.send_overhead
+                             + mach.latency
+                             + (n - 1) * nbytes * mach.byte_time
+                             + (n - 1) * seg * mach.recv_overhead)
+        for name in after:
+            self._broadcast_partitions(name)
+        self.stale.difference_update(before + list(loop.accumulate) + after)
+        self._fold_reductions(loop, partials_by)
+
+    def _broadcast_partitions(self, name: str) -> None:
         exe, n, mach = self.exe, self.nprocs, self.machine
-        part_nbytes = []
-        total = 0
-        for p in range(n):
-            olo, ohi = exe.owned_rows(decl, p)
-            nbytes = int(self.views[decl.name][olo:ohi].nbytes)
-            part_nbytes.append(nbytes)
-            total += nbytes
+        decl = exe.decls[name]
+        row = exe.row_nbytes(decl)
+        part_nbytes = [(hi - lo) * row for lo, hi in
+                       (exe.owned_rows(decl, p) for p in range(n))]
+        for nbytes in part_nbytes:
             self._count_edges(n - 1, nbytes)
+        total = sum(part_nbytes)
         self.times += (n - 1) * mach.send_overhead
         peak = float(self.times.max())
         recv_b = np.array([total - nb for nb in part_nbytes], dtype=float)
@@ -914,80 +767,31 @@ class _XhpfModel(_ModelBase):
                          + (n - 1) * mach.recv_overhead)
 
     def _run_irregular_inspector(self, loop: ParallelLoop) -> None:
-        from repro.compiler.inspector import (footprint_fingerprint,
-                                              inspect_reads)
-        exe, n = self.exe, self.nprocs
-        irr_reads = [acc for acc in loop.reads
-                     if acc.irregular and acc.array not in loop.accumulate]
-        if len(irr_reads) != 1:
-            raise NotImplementedError("inspector-executor expects one "
-                                      "irregular read stream per loop")
-        acc = irr_reads[0]
-        decl = exe.decls[acc.array]
-        row_elems = int(np.prod(decl.shape[1:])) if len(decl.shape) > 1 else 1
-        row_nbytes = row_elems * np.dtype(decl.dtype).itemsize
-        owner_bounds = [exe.owned_rows(decl, p) for p in range(n)]
-        chunks = self._chunks(loop)
-
-        recv_rows: list[dict] = []
-        ret_rows: list[dict] = []
-        misses: list[int] = []
-        for p, chunk in enumerate(chunks):
-            flat = (chunk.footprint(acc, decl.shape, self.views).flat
-                    if chunk.count else np.empty(0, np.int64))
-            fp = footprint_fingerprint(flat)
-            rr = inspect_reads(flat, row_elems, chunk.bounds, owner_bounds)
-            recv_rows.append(rr)
-            ret_rows.append(dict(rr) if loop.accumulate else {})
-            key = (loop.name, fp)
-            if key not in self.caches[p]:
-                self.caches[p].add(key)
-                misses.append(p)
-                self.times[p] += (self.options.inspect_cost_per_element
-                                  * max(len(flat), 1))
-        sched_edges = []
-        for p in misses:
-            for peer in range(n):
-                if peer == p:
-                    continue
-                want = recv_rows[p].get(peer, np.empty(0, np.int64))
-                give = ret_rows[p].get(peer, np.empty(0, np.int64))
-                sched_edges.append((p, peer,
-                                    int(want.nbytes) + int(give.nbytes) + 8,
-                                    "sync"))
-        self._phase(sched_edges)
-
+        exe = self.exe
+        scheds, fresh = [], []
+        for p, cache in enumerate(self.schedules):
+            sched, charge = exe.inspect(loop, p, self.views, cache)
+            scheds.append(sched)
+            if charge is not None:
+                self.times[p] += charge
+                fresh.append(p)
+        self._phase([(p, peer, int(want.nbytes) + int(give.nbytes) + 8)
+                     for p in fresh for peer, want, give
+                     in exe.schedule_requests(scheds[p], p)], "sync")
         # executor: scheduled gather of referenced rows
-        gather_edges = []
-        for p in range(n):
-            for peer, rows in sorted(recv_rows[p].items()):
-                if len(rows):
-                    gather_edges.append((peer, p,
-                                         len(rows) * row_nbytes, "data"))
-        self._phase(gather_edges)
-
+        row = exe.row_nbytes(exe.decls[exe.gathered(loop).array])
+        self._phase([(peer, p, len(rows) * row)
+                     for p, sched in enumerate(scheds)
+                     for peer, rows in sorted(sched.recv_rows.items())])
         for name in loop.accumulate:
             self.views[name][...] = 0
-        partials_by = self._run_chunks(loop, chunks)
-
+        partials_by = self._run_chunks(loop, self._chunks(loop))
         # scheduled return of accumulation contributions
         for name in loop.accumulate:
-            buf = self.views[name]
-            acc_row_nbytes = int(buf.nbytes) // buf.shape[0] \
-                if buf.shape[0] else 0
-            return_edges = []
-            for p in range(n):
-                for peer, rows in sorted(ret_rows[p].items()):
-                    if len(rows):
-                        return_edges.append((p, peer,
-                                             len(rows) * acc_row_nbytes,
-                                             "data"))
-            self._phase(return_edges)
-            self.state[name] = False
-        for acc_w in loop.writes:
-            wdecl = exe.decls.get(acc_w.array)
-            if wdecl is not None and wdecl.distribute is not None:
-                self.state[acc_w.array] = False
+            row = exe.row_nbytes(exe.decls[name])
+            self._phase([(p, peer, len(rows) * row)
+                         for p, sched in enumerate(scheds)
+                         for peer, rows in sorted(sched.return_rows.items())])
         self._fold_reductions(loop, partials_by)
 
     # ---- reductions ------------------------------------------------------

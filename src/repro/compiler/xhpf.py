@@ -26,6 +26,13 @@ Reproduces the Forge XHPF behaviour of Section 2.4:
   (:attr:`~repro.sim.machine.MachineModel.mp_packet_bytes`), matching the
   data/message ratios of the paper's Table 3.
 
+Who sends what to whom is decided once, by the *plan* methods of
+:class:`XhpfExecutable` (``broadcast_parts``, ``exchange_edges``,
+``stale_after``/``rebroadcasts``, ``inspect``/``schedule_requests``).  Two
+evaluators read the plan: the emitted program below, which moves the data,
+and the analytic model (:mod:`repro.compiler.model`), which only counts and
+clocks it.
+
 The emitted program (:meth:`XhpfExecutable.run_on` and everything it
 reaches) is a generator of engine block requests, so each simulated
 processor runs it as a generator process: no OS thread, kernels execute on
@@ -34,11 +41,14 @@ the caller's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from repro.compiler.inspector import (CommSchedule, ScheduleCache,
+                                      footprint_fingerprint, inspect_reads)
 from repro.compiler.ir import (Access, ArrayDecl, Mark, ParallelLoop, Point,
                                Program, SeqBlock)
 from repro.compiler.partition import (Chunk, block_owner, block_range,
@@ -74,6 +84,12 @@ class XhpfOptions:
     and schedule construction were a real cost in CHAOS)."""
 
 
+def _row_span(rows) -> tuple:
+    """[lo, hi) of a resolved leading index (one row or a slice)."""
+    return (rows, rows + 1) if isinstance(rows, int) \
+        else (rows.start, rows.stop)
+
+
 class XhpfExecutable:
     """A compiled SPMD message-passing program."""
 
@@ -104,6 +120,18 @@ class XhpfExecutable:
             return row % self.nprocs
         return block_owner(decl.shape[0], self.nprocs, row)
 
+    @staticmethod
+    def row_nbytes(decl: ArrayDecl, rect: Optional[tuple] = None) -> int:
+        """Bytes of one leading-dimension row of ``decl``: the whole row,
+        or the part a resolved region ``rect`` selects of it."""
+        if rect is None:
+            return math.prod(decl.shape[1:]) * np.dtype(decl.dtype).itemsize
+        elems = np.dtype(decl.dtype).itemsize
+        for r, extent in zip(rect[1:], decl.shape[1:]):
+            if not isinstance(r, int):
+                elems *= len(range(*r.indices(extent)))
+        return elems
+
     def chunk(self, loop: ParallelLoop, pid: int) -> Chunk:
         """XHPF's partition policy: owner-computes — a block loop aligned
         with a distributed array runs the iterations whose rows ``pid``
@@ -118,6 +146,169 @@ class XhpfExecutable:
         return loop_chunk(loop, pid, self.nprocs)
 
     # ------------------------------------------------------------------ #
+    # the communication plan: who sends what to whom.  ``nbytes`` is the
+    # plan's arithmetic size of a part; the program sizes what it actually
+    # sends, so the model's totals matching the simulator's stay a check.
+
+    def _split_rows(self, decl: ArrayDecl, lo: int, hi: int,
+                    skip: Optional[int] = None) -> list:
+        """``(owner, rows, count)``: rows [lo, hi) of ``decl`` by owner,
+        ascending, leaving out ``skip``'s own.  BLOCK scans only the owners
+        between those of the end rows; a CYCLIC owner gets its residue
+        class as an index array."""
+        n = self.nprocs
+        out = []
+        if hi <= lo:
+            return out
+        if decl.dist_kind == "cyclic":
+            for owner in (range(n) if hi - lo >= n
+                          else sorted(row % n for row in range(lo, hi))):
+                if owner != skip:
+                    rows = np.arange(lo + (owner - lo) % n, hi, n,
+                                     dtype=np.int64)
+                    out.append((owner, rows, len(rows)))
+            return out
+        extent = decl.shape[0]
+        for owner in range(block_owner(extent, n, max(0, lo)),
+                           block_owner(extent, n, min(extent, hi) - 1) + 1):
+            if owner == skip:
+                continue
+            olo, ohi = self.owned_rows(decl, owner)
+            a, b = max(lo, olo), min(hi, ohi)
+            if a < b:
+                out.append((owner, slice(a, b), b - a))
+        return out
+
+    def broadcast_parts(self, stmt) -> list:
+        """``(owner, array, region, nbytes)``: the owners' parts of
+        distributed data, each broadcast to every replica before ``stmt``
+        runs — every region a sequential block reads, and the fixed rows
+        (``Point``) a cyclic loop's chunks read."""
+        reads = stmt.reads if isinstance(stmt, SeqBlock) else [
+            acc for acc in stmt.reads
+            if acc.region and isinstance(acc.region[0], Point)]
+        parts = []
+        for acc in reads:
+            decl = self.decls[acc.array]
+            if decl.distribute is None or acc.irregular:
+                continue
+            region = acc.resolve(0, 0, decl.shape)
+            lo, hi = _row_span(region[0])
+            if decl.dist_kind == "cyclic":
+                # the applications only read single rows of CYCLIC arrays
+                # in sequential code (MGS's ith vector)
+                if hi != lo + 1:
+                    raise NotImplementedError("multi-row sequential reads "
+                                              "of CYCLIC arrays")
+                split = [(self.row_owner(decl, lo), slice(lo, hi), 1)]
+            else:
+                split = self._split_rows(decl, lo, hi)
+            row_nbytes = self.row_nbytes(decl, region)
+            parts.extend((owner, acc.array, (rows,) + region[1:],
+                          count * row_nbytes)
+                         for owner, rows, count in split)
+        return parts
+
+    def exchange_edges(self, loop: ParallelLoop,
+                       chunks: Optional[list] = None) -> list:
+        """``(owner, receiver, array, region, nbytes)``: the sends that make
+        every chunk's read footprint of block ``loop`` current, by access,
+        then receiver, then ascending owner (``chunks``: every processor's
+        :meth:`chunk` of ``loop``, when the caller has them)."""
+        if chunks is None:
+            chunks = [self.chunk(loop, p) for p in range(self.nprocs)]
+        edges = []
+        for acc in loop.reads:
+            decl = self.decls[acc.array]
+            if decl.distribute is None:
+                continue
+            for receiver, chunk in enumerate(chunks):
+                if not chunk.count:
+                    continue
+                rect = acc.resolve(*chunk.bounds, decl.shape)
+                rest, row_nbytes = rect[1:], self.row_nbytes(decl, rect)
+                lo, hi = _row_span(rect[0])
+                for owner, rows, count in self._split_rows(decl, lo, hi,
+                                                           receiver):
+                    edges.append((owner, receiver, acc.array, (rows,) + rest,
+                                  count * row_nbytes))
+        return edges
+
+    def stale_after(self, loop: ParallelLoop) -> list:
+        """Distributed arrays whose replicas ``loop`` leaves out of date:
+        the ones owner-computes writes and, on the inspector path, the
+        accumulation buffers (only their owners hold complete sums)."""
+        names = [acc.array for acc in loop.writes
+                 if self.decls[acc.array].distribute is not None]
+        if loop.irregular and self.options.inspector_executor:
+            names = list(loop.accumulate) + names
+        return names
+
+    def rebroadcasts(self, loop: ParallelLoop, stale: set) -> tuple:
+        """Broadcast-everything around irregular ``loop``: ``(before,
+        after)``, the arrays every processor broadcasts its whole owned
+        partition of — stale inputs before the kernel, written arrays after
+        it (accumulation buffers are summed instead)."""
+        before = [name for name in dict.fromkeys(acc.array
+                                                 for acc in loop.reads)
+                  if name in stale]
+        after = [acc.array for acc in loop.writes
+                 if self.decls[acc.array].distribute is not None
+                 and acc.array not in loop.accumulate]
+        return before, after
+
+    def gathered(self, loop: ParallelLoop) -> Access:
+        """The one irregular read stream an inspector schedules."""
+        reads = [acc for acc in loop.reads
+                 if acc.irregular and acc.array not in loop.accumulate]
+        if len(reads) != 1:
+            raise NotImplementedError("inspector-executor expects one "
+                                      "irregular read stream per loop")
+        return reads[0]
+
+    def inspect(self, loop: ParallelLoop, pid: int, views: dict,
+                cache: ScheduleCache) -> tuple:
+        """``pid``'s ``(schedule, charge)`` for irregular ``loop``.
+
+        A footprint whose fingerprint matches the schedule ``cache`` holds
+        for the loop reuses it, with charge ``None``.  Otherwise the
+        inspector builds a fresh schedule (the foreign rows ``pid``
+        gathers, by owner, and for accumulation loops returns), stores it
+        in ``cache`` and charges for the analysis.  Its transposes
+        (``send_rows``/``accept_rows``) come from exchanging
+        :meth:`schedule_requests`.
+        """
+        acc = self.gathered(loop)
+        decl = self.decls[acc.array]
+        chunk = self.chunk(loop, pid)
+        flat = chunk.footprint(acc, decl.shape, views).flat if chunk.count \
+            else np.empty(0, np.int64)
+        fingerprint = footprint_fingerprint(flat)
+        sched = cache.lookup(loop.name, fingerprint)
+        if sched is not None:
+            return sched, None
+        recv_rows = inspect_reads(
+            flat, math.prod(decl.shape[1:]), chunk.bounds,
+            [self.owned_rows(decl, p) for p in range(self.nprocs)])
+        # accumulation buffers are row-aligned with the gathered array
+        # (molecule i's force row pairs with its coordinate row), so the
+        # contribution rows are exactly the foreign touched rows
+        sched = CommSchedule(fingerprint=fingerprint, recv_rows=recv_rows,
+                             return_rows=(dict(recv_rows) if loop.accumulate
+                                          else {}))
+        cache.store(loop.name, sched)
+        return sched, (self.options.inspect_cost_per_element
+                       * max(len(flat), 1))
+
+    def schedule_requests(self, sched: CommSchedule, pid: int) -> list:
+        """``(peer, want, give)``: what ``pid``'s fresh schedule tells every
+        other processor — the rows it will gather from and return to it."""
+        empty = np.empty(0, np.int64)
+        return [(peer, sched.recv_rows.get(peer, empty),
+                 sched.return_rows.get(peer, empty))
+                for peer in range(self.nprocs) if peer != pid]
+
+    # ------------------------------------------------------------------ #
     # execution
 
     def run_on(self, env: ProcEnv):
@@ -129,14 +320,10 @@ class XhpfExecutable:
         views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                  for a in self.program.arrays}
         scalars: dict = {}
-        # replicated-copy validity per distributed array: True while every
-        # processor's full copy is current (initially yes: all zeros).
-        # A block loop's owner-computes writes invalidate it; the
-        # broadcast-everything epilogue of an irregular loop restores it.
-        state = {a.name: True for a in self.program.arrays}
-        if self.options.inspector_executor:
-            from repro.compiler.inspector import ScheduleCache
-            state["__schedules__"] = ScheduleCache()
+        # distributed arrays whose replicated copies are out of date
+        # (initially none: all zeros)
+        stale: set = set()
+        cache = ScheduleCache()
         for stmt in self.schedule:
             if isinstance(stmt, Mark):
                 env.mark(stmt.label)
@@ -144,77 +331,48 @@ class XhpfExecutable:
                 yield from self._run_seq(env, comm, stmt, views)
             else:
                 yield from self._run_loop(env, comm, stmt, views, scalars,
-                                          state)
+                                          stale, cache)
         return scalars
 
     # ---- sequential code: replicated execution ---------------------------
 
     def _run_seq(self, env: ProcEnv, comm: Comm, stmt: SeqBlock,
                  views: dict):
-        # owners broadcast any distributed data the block reads
-        for acc in stmt.reads:
-            yield from self._broadcast_region(env, comm, acc, views)
+        yield from self._broadcasts(env, comm, stmt, views)
         stmt.kernel(views)
         cost = stmt.cost_for(self.program.params)
         if cost:
             # every processor: redundant SPMD execution
             yield from env.compute_gen(cost)
 
-    def _broadcast_region(self, env: ProcEnv, comm: Comm, acc: Access,
-                          views: dict):
-        decl = self.decls[acc.array]
-        if decl.distribute is None or acc.irregular:
-            return
-        region = acc.resolve(0, 0, decl.shape)
-        rows = region[0]
-        row_lo, row_hi = (rows, rows + 1) if isinstance(rows, int) \
-            else (rows.start, rows.stop)
-        if decl.dist_kind == "cyclic":
-            # the applications only read single rows of CYCLIC arrays in
-            # sequential code (MGS's ith vector)
-            if row_hi != row_lo + 1:
-                raise NotImplementedError("multi-row sequential reads of "
-                                          "CYCLIC arrays")
-            owner = self.row_owner(decl, row_lo)
-            part_region = (slice(row_lo, row_hi),) + tuple(region[1:])
-            yield from self._bcast_part(env, comm, views[acc.array],
-                                        part_region, owner)
-            return
-        for owner in range(self.nprocs):
-            olo, ohi = self.owned_rows(decl, owner)
-            lo, hi = max(row_lo, olo), min(row_hi, ohi)
-            if hi <= lo:
-                continue
-            part_region = (slice(lo, hi),) + tuple(region[1:])
-            yield from self._bcast_part(env, comm, views[acc.array],
-                                        part_region, owner)
-
-    @staticmethod
-    def _bcast_part(env: ProcEnv, comm: Comm, view, part_region,
-                    owner: int):
-        """``owner``'s ``part_region`` of ``view`` reaches every replica."""
-        if env.pid == owner:
-            yield from bcast_gen(comm, view[part_region].copy(), root=owner)
-        else:
-            view[part_region] = yield from bcast_gen(comm, None, root=owner)
+    def _broadcasts(self, env: ProcEnv, comm: Comm, stmt, views: dict):
+        """Each owner's part of what ``stmt`` reads reaches every replica."""
+        for owner, array, region, _nbytes in self.broadcast_parts(stmt):
+            if env.pid == owner:
+                yield from bcast_gen(comm, views[array][region].copy(),
+                                     root=owner)
+            else:
+                views[array][region] = yield from bcast_gen(comm, None,
+                                                            root=owner)
 
     # ---- parallel loops ----------------------------------------------------
 
     def _run_loop(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                  views: dict, scalars: dict, state: dict):
-        if loop.irregular:
-            run = (self._run_irregular_inspector
-                   if self.options.inspector_executor
-                   else self._run_irregular_loop)
-            yield from run(env, comm, loop, views, scalars, state)
+                  views: dict, scalars: dict, stale: set,
+                  cache: ScheduleCache):
+        if loop.irregular and not self.options.inspector_executor:
+            yield from self._run_irregular_loop(env, comm, loop, views,
+                                                scalars, stale)
             return
-        for acc in loop.writes:
-            decl = self.decls[acc.array]
-            if decl.distribute is not None:
-                state[acc.array] = False   # replicas go stale
-        exchange = (self._exchange_cyclic if loop.schedule == "cyclic"
-                    else self._exchange_block)
-        yield from exchange(env, comm, loop, views)
+        stale.update(self.stale_after(loop))
+        if loop.irregular:
+            yield from self._run_irregular_inspector(env, comm, loop, views,
+                                                     scalars, cache)
+            return
+        if loop.schedule == "cyclic":
+            yield from self._broadcasts(env, comm, loop, views)
+        else:
+            yield from self._exchange_block(env, comm, loop, views)
         partials = yield from self._run_chunk(env, loop, views)
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
@@ -227,114 +385,32 @@ class XhpfExecutable:
 
     def _exchange_block(self, env: ProcEnv, comm: Comm,
                         loop: ParallelLoop, views: dict):
-        """Pairwise exchange so each chunk's read footprint is current."""
+        """This processor's edges of the exchange: sends first (buffered),
+        then receives — deadlock-free."""
         me = env.pid
-        chunks = [self.chunk(loop, p) for p in range(self.nprocs)]
-        plan: list = []   # (peer, send_region | None, recv_region | None, array)
-        for acc in loop.reads:
-            decl = self.decls[acc.array]
-            if decl.distribute is None:
-                continue
-            for receiver, chunk in enumerate(chunks):
-                if not chunk.count:
-                    continue
-                rect = acc.resolve(*chunk.bounds, decl.shape)
-                rows = rect[0]
-                need_lo, need_hi = (rows, rows + 1) if isinstance(rows, int) \
-                    else (rows.start, rows.stop)
-                for owner in range(self.nprocs):
-                    if owner == receiver:
-                        continue
-                    if decl.dist_kind == "cyclic":
-                        idx = np.arange(need_lo, need_hi, dtype=np.int64)
-                        idx = idx[idx % self.nprocs == owner]
-                        if idx.size == 0:
-                            continue
-                        part = (idx,) + tuple(rect[1:])
-                    else:
-                        olo, ohi = self.owned_rows(decl, owner)
-                        lo, hi = max(need_lo, olo), min(need_hi, ohi)
-                        if hi <= lo:
-                            continue
-                        part = (slice(lo, hi),) + tuple(rect[1:])
-                    if owner == me:
-                        plan.append(("send", receiver, acc.array, part))
-                    elif receiver == me:
-                        plan.append(("recv", owner, acc.array, part))
-        # sends first (buffered), then receives — deadlock-free
-        for op, peer, array, part in plan:
-            if op == "send":
-                yield from comm.send_gen(peer, views[array][part].copy(),
+        edges = self.exchange_edges(loop)
+        for owner, receiver, array, region, _nbytes in edges:
+            if owner == me:
+                yield from comm.send_gen(receiver, views[array][region].copy(),
                                          tag=TAG_EXCHANGE)
-        for op, peer, array, part in plan:
-            if op == "recv":
-                views[array][part] = yield from comm.recv_gen(
-                    src=peer, tag=TAG_EXCHANGE)
-
-    def _exchange_cyclic(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                         views: dict):
-        """Cyclic chunks read only fixed rows (Point) in the applications;
-        those travel through the sequential-broadcast path instead."""
-        for acc in loop.reads:
-            decl = self.decls[acc.array]
-            if decl.distribute is None:
-                continue
-            lead = acc.region[0] if acc.region else None
-            if isinstance(lead, Point):
-                yield from self._broadcast_region(
-                    env, comm,
-                    Access(acc.array, (lead,) + tuple(acc.region[1:])),
-                    views)
+        for owner, receiver, array, region, _nbytes in edges:
+            if receiver == me:
+                views[array][region] = yield from comm.recv_gen(
+                    src=owner, tag=TAG_EXCHANGE)
 
     # ---- irregular loops, inspector-executor variant ---------------------
 
     def _run_irregular_inspector(self, env: ProcEnv, comm: Comm,
                                  loop: ParallelLoop, views: dict,
-                                 scalars: dict, state: dict):
+                                 scalars: dict, cache: ScheduleCache):
         """CHAOS-style: gather exactly the referenced rows, return exactly
         the produced contributions — no broadcasts."""
-        from repro.compiler.inspector import (CommSchedule,
-                                              footprint_fingerprint,
-                                              inspect_reads)
-
         me = env.pid
-        cache = state["__schedules__"]
-        chunk = self.chunk(loop, me)
-        lo, hi = chunk.bounds
-        irr_reads = [acc for acc in loop.reads
-                     if acc.irregular and acc.array not in loop.accumulate]
-        if len(irr_reads) != 1:
-            raise NotImplementedError("inspector-executor expects one "
-                                      "irregular read stream per loop")
-        acc = irr_reads[0]
-        decl = self.decls[acc.array]
-        row_elems = int(np.prod(decl.shape[1:])) if len(decl.shape) > 1 else 1
-        row_nbytes = row_elems * np.dtype(decl.dtype).itemsize
-        owner_bounds = [self.owned_rows(decl, p) for p in range(self.nprocs)]
-
-        flat = chunk.footprint(acc, decl.shape, views).flat if chunk.count \
-            else np.empty(0, np.int64)
-        fp = footprint_fingerprint(flat)
-        sched = cache.lookup(loop.name, fp)
-        if sched is None:
-            # ---- inspector: build and exchange the schedule
-            yield from env.compute_gen(
-                self.options.inspect_cost_per_element * max(len(flat), 1))
-            recv_rows = inspect_reads(flat, row_elems, (lo, hi),
-                                      owner_bounds)
-            # accumulation buffers are row-aligned with the gathered array
-            # (molecule i's force row pairs with its coordinate row), so
-            # the contribution rows are exactly the foreign touched rows
-            ret_rows: dict = (inspect_reads(flat, row_elems, (lo, hi),
-                                            owner_bounds)
-                              if loop.accumulate else {})
-            sched = CommSchedule(fingerprint=fp, recv_rows=recv_rows,
-                                 return_rows=ret_rows)
-            for peer in range(self.nprocs):
-                if peer == me:
-                    continue
-                want = recv_rows.get(peer, np.empty(0, np.int64))
-                give = ret_rows.get(peer, np.empty(0, np.int64))
+        sched, charge = self.inspect(loop, me, views, cache)
+        if charge is not None:
+            # ---- inspector: exchange the fresh schedule
+            yield from env.compute_gen(charge)
+            for peer, want, give in self.schedule_requests(sched, me):
                 yield from comm.send_gen(peer, (want, give),
                                          tag=TAG_EXCHANGE, category="sync")
             for peer in range(self.nprocs):
@@ -346,17 +422,17 @@ class XhpfExecutable:
                     sched.send_rows[peer] = np.asarray(want)
                 if len(give):
                     sched.accept_rows[peer] = np.asarray(give)
-            cache.store(loop.name, sched)
 
         # ---- executor: scheduled gather of referenced rows
+        gathered = views[self.gathered(loop).array]
         for peer in sorted(sched.send_rows):
             rows = sched.send_rows[peer]
-            yield from comm.send_gen(peer, views[acc.array][rows].copy(),
+            yield from comm.send_gen(peer, gathered[rows].copy(),
                                      tag=TAG_PARTITION)
         for peer in sorted(sched.recv_rows):
             rows = sched.recv_rows[peer]
-            views[acc.array][rows] = yield from comm.recv_gen(
-                src=peer, tag=TAG_PARTITION)
+            gathered[rows] = yield from comm.recv_gen(src=peer,
+                                                      tag=TAG_PARTITION)
 
         for name in loop.accumulate:
             views[name][...] = 0
@@ -373,16 +449,11 @@ class XhpfExecutable:
                 rows = sched.accept_rows[peer]
                 buf[rows] += yield from comm.recv_gen(src=peer,
                                                       tag=TAG_PARTITION)
-            state[name] = False      # only owners hold complete sums now
-        for acc_w in loop.writes:
-            wdecl = self.decls.get(acc_w.array)
-            if wdecl is not None and wdecl.distribute is not None:
-                state[acc_w.array] = False
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _run_irregular_loop(self, env: ProcEnv, comm: Comm,
                             loop: ParallelLoop, views: dict,
-                            scalars: dict, state: dict):
+                            scalars: dict, stale: set):
         """Owner-computes on replicated data + broadcast-everything.
 
         The compiler "does not know what data will be accessed", so it keeps
@@ -395,13 +466,9 @@ class XhpfExecutable:
         used").
         """
         me = env.pid
-        # prologue: restore replication of stale inputs
-        for acc in loop.reads:
-            decl = self.decls[acc.array]
-            if decl.distribute is None or state.get(acc.array, True):
-                continue
-            yield from self._broadcast_partitions(env, comm, decl, views)
-            state[acc.array] = True
+        before, after = self.rebroadcasts(loop, stale)
+        for name in before:
+            yield from self._broadcast_partitions(env, comm, name, views)
         # accumulation buffers: recomputed from zero each instance, summed
         # across processors (force buffers)
         for name in loop.accumulate:
@@ -421,22 +488,18 @@ class XhpfExecutable:
                 total = total + (yield from comm.recv_gen(
                     src=peer, tag=TAG_PARTITION))
             views[name][...] = total
-            state[name] = True
-        # epilogue: broadcast whole owned partitions of written arrays
-        for acc in loop.writes:
-            decl = self.decls[acc.array]
-            if decl.distribute is None or acc.array in loop.accumulate:
-                continue
-            yield from self._broadcast_partitions(env, comm, decl, views)
-            state[acc.array] = True
+        for name in after:
+            yield from self._broadcast_partitions(env, comm, name, views)
+        stale.difference_update(before + list(loop.accumulate) + after)
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
-    def _broadcast_partitions(self, env: ProcEnv, comm: Comm,
-                              decl: ArrayDecl, views: dict):
+    def _broadcast_partitions(self, env: ProcEnv, comm: Comm, name: str,
+                              views: dict):
         """Every processor sends its owned partition to every other."""
         me = env.pid
+        decl = self.decls[name]
         olo, ohi = self.owned_rows(decl, me)
-        mine = views[decl.name][olo:ohi].copy()
+        mine = views[name][olo:ohi].copy()
         for peer in range(self.nprocs):
             if peer == me:
                 continue
@@ -445,7 +508,7 @@ class XhpfExecutable:
             if peer == me:
                 continue
             plo, phi = self.owned_rows(decl, peer)
-            views[decl.name][plo:phi] = yield from comm.recv_gen(
+            views[name][plo:phi] = yield from comm.recv_gen(
                 src=peer, tag=TAG_PARTITION)
 
     def _fold_reductions(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,

@@ -26,7 +26,8 @@ import numpy as np
 from repro.sim.cluster import ProcEnv
 from repro.sim.network import ANY_SOURCE, ANY_TAG
 
-__all__ = ["Comm", "payload_nbytes", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Comm", "payload_nbytes", "packet_count", "ANY_SOURCE",
+           "ANY_TAG"]
 
 
 def payload_nbytes(payload: Any) -> int:
@@ -62,6 +63,15 @@ def payload_nbytes(payload: Any) -> int:
         return 0
     raise TypeError(f"cannot size payload of type {type(payload).__name__}; "
                     f"pass nbytes explicitly")
+
+
+def packet_count(nbytes: int, packet_bytes: Optional[int]) -> int:
+    """Wire messages one logical send of ``nbytes`` becomes: one, or through
+    a bounded transfer buffer of ``packet_bytes``, as many packets as it
+    takes (an empty send is still one message)."""
+    if packet_bytes and nbytes > packet_bytes:
+        return -(-nbytes // packet_bytes)
+    return 1
 
 
 class _Carrier:
@@ -107,23 +117,23 @@ class Comm:
         """Buffered asynchronous send."""
         size = payload_nbytes(payload) if nbytes is None else nbytes
         cat = category or self.category
-        if self.packet_bytes and size > self.packet_bytes:
-            return self._send_segmented(dst, payload, tag, size, cat)
+        total = packet_count(size, self.packet_bytes)
+        if total > 1:
+            return self._send_segmented(dst, payload, tag, size, cat, total)
         return self.net.send_gen(self.rank, dst, payload, tag=tag,
                                  nbytes=size, category=cat)
 
     def _send_segmented(self, dst: int, payload: Any, tag: int, size: int,
-                        cat: str):
+                        cat: str, total: int):
         """The payload rides the last packet; earlier packets are
-        header-only carriers of their share of the bytes."""
-        full, last = divmod(size, self.packet_bytes)
-        sizes = [self.packet_bytes] * full + ([last] if last else [])
-        total = len(sizes)
-        for i, part in enumerate(sizes):
-            yield from self.net.send_gen(
-                self.rank, dst,
-                payload if i == total - 1 else _Carrier(i, total),
-                tag=tag, nbytes=part, category=cat)
+        header-only carriers of a full packet's bytes each."""
+        packet = self.packet_bytes
+        for i in range(total - 1):
+            yield from self.net.send_gen(self.rank, dst, _Carrier(i, total),
+                                         tag=tag, nbytes=packet, category=cat)
+        yield from self.net.send_gen(self.rank, dst, payload, tag=tag,
+                                     nbytes=size - packet * (total - 1),
+                                     category=cat)
 
     def recv_gen(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the payload."""

@@ -1,8 +1,8 @@
 """`Service` — the one dispatch loop; `RunService` — the local worker pool.
 
-The simulator executes one run's virtual processors as parked Python
-threads inside a single process, so a process can only retire one run at
-a time no matter how many cores the host has.  Runs are embarrassingly
+The simulator steps one run's virtual processors as generator processes
+on the calling thread, so a process can only retire one run at a time no
+matter how many cores the host has.  Runs are embarrassingly
 parallel at the *request* level, though, and every tier above the
 in-process one is the same algorithm: admit requests to a
 :class:`~repro.serve.scheduler.Backlog`, hand the oldest to whichever

@@ -102,11 +102,12 @@ class NetworkStats:
     dup_suppressed: int = 0
     by_category: dict = field(default_factory=lambda: defaultdict(lambda: [0, 0]))
 
-    def record(self, category: str, nbytes: int) -> None:
-        self.messages += 1
+    def record(self, category: str, nbytes: int, count: int = 1) -> None:
+        """``count`` messages carrying ``nbytes`` payload bytes in all."""
+        self.messages += count
         self.bytes += nbytes
         cell = self.by_category[category]
-        cell[0] += 1
+        cell[0] += count
         cell[1] += nbytes
 
     def snapshot(self) -> "NetworkStats":

@@ -84,9 +84,8 @@ def test_inspector_runs_once_for_static_patterns():
     from repro.compiler import xhpf as xhpf_mod
     orig = xhpf_mod.XhpfExecutable._run_irregular_inspector
 
-    def spy(self, env, comm, loop, views, scalars, state):
-        yield from orig(self, env, comm, loop, views, scalars, state)
-        cache = state["__schedules__"]
+    def spy(self, env, comm, loop, views, scalars, cache):
+        yield from orig(self, env, comm, loop, views, scalars, cache)
         hits[env.pid] = (cache.inspections, cache.reuses)
 
     xhpf_mod.XhpfExecutable._run_irregular_inspector = spy
