@@ -1,14 +1,17 @@
-"""events / diffs / OS-thread switches / threads / wall per benchmark key, as a markdown table.
+"""events / diffs / faults / OS-thread switches / threads / wall per benchmark key, as a markdown table.
 
     PYTHONPATH=src python benchmarks/engine_table.py [--check] >> "$GITHUB_STEP_SUMMARY"
 
 One run of each ``sim_sync`` and ``sim_bulk`` key of the performance
 benchmark, and of each hand-coded (``tmk``/``pvme``) ``serve_mix`` key at
 n = 8 (the keys are read from ``benchmarks/perf/workloads.py``, not
-restated).  ``events``, ``diffs``, ``switches`` and ``threads`` are exact
-and repeat.  ``diffs`` is ``diffs_created / diffs_applied`` from the run's
-DSM statistics (``-`` for a run with no DSM): how much work the twin/diff
-kernel layer does per key.  For ``switches`` and ``threads``:
+restated).  ``events``, ``diffs``, ``faults``, ``switches`` and
+``threads`` are exact and repeat.  ``diffs`` is ``diffs_created /
+diffs_applied`` from the run's DSM statistics (``-`` for a run with no
+DSM): how much work the twin/diff kernel layer does per key.  ``faults``
+is ``read_faults / write_faults / invalidations`` from the same
+statistics: how often the per-page protocol bookkeeping around those
+kernels owes a charge.  For ``switches`` and ``threads``:
 every program ``execute()`` runs is a generator process, so a run hands no
 baton (``switches = 0``) and starts no ``simproc-`` thread (``threads =
 0``); a change that brings a thread back shows up here as a count, on the
@@ -64,8 +67,9 @@ def main() -> int:
     Cluster.run, threading.Thread.start = run, start
     cache = ProgramCache()
     offenders = []
-    print("| workload | key | events | diffs | switches | threads | wall ms |")
-    print("|---|---|---:|---:|---:|---:|---:|")
+    print("| workload | key | events | diffs | faults | switches | threads "
+          "| wall ms |")
+    print("|---|---|---:|---:|---:|---:|---:|---:|")
     try:
         for name, key in rows():
             execute(key.request(), cache)           # compile, warm caches
@@ -76,8 +80,10 @@ def main() -> int:
             switches, threads = runs[-1].switches, len(started)
             diffs = (f"{dsm.diffs_created} / {dsm.diffs_applied}"
                      if dsm else "-")
+            faults = (f"{dsm.read_faults} / {dsm.write_faults} / "
+                      f"{dsm.invalidations}" if dsm else "-")
             print(f"| {name} | {key.id} | {runs[-1].events} | {diffs} | "
-                  f"{switches} | {threads} | {wall * 1e3:.1f} |")
+                  f"{faults} | {switches} | {threads} | {wall * 1e3:.1f} |")
             if switches or threads:
                 offenders.append(key.id)
     finally:

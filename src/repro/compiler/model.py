@@ -56,8 +56,8 @@ from repro.sim.network import NetworkStats
 from repro.tmk.diffs import WORD, mask_diff_nbytes
 from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
 from repro.tmk.intervals import SeenVector, records_unknown_to
-from repro.tmk.lrc import (LrcNode, PageMeta, diff_request_nbytes,
-                           fork_nbytes, lock_request_nbytes, sync_nbytes)
+from repro.tmk.lrc import (LrcNode, diff_request_nbytes, fork_nbytes,
+                           lock_request_nbytes, sync_nbytes)
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.stats import DsmStats
 from repro.tmk.sync import BarrierManager, LockTable
@@ -169,9 +169,10 @@ class _MNode(LrcNode):
     as twins, ``int`` wire sizes as diff payloads and a float as the clock
     (no memory image — the model keeps one converged image for all)."""
 
-    def __init__(self, pid: int, nprocs: int, machine: MachineModel,
-                 stats: DsmStats, gc_epochs: Optional[int]):
-        super().__init__(pid, nprocs, machine, stats, gc_epochs)
+    def __init__(self, pid: int, nprocs: int, npages: int,
+                 machine: MachineModel, stats: DsmStats,
+                 gc_epochs: Optional[int]):
+        super().__init__(pid, nprocs, npages, machine, stats, gc_epochs)
         self.time = 0.0
         self.prev_touched: dict = {}
 
@@ -223,7 +224,8 @@ class _SpfModel(_ModelBase):
                       for h in self.space.handles()}
         self.stats = DsmStats()
         self.dsm_stats = self.stats
-        self.nodes = [_MNode(pid, nprocs, machine, self.stats, gc_epochs)
+        self.nodes = [_MNode(pid, nprocs, self.space.npages, machine,
+                             self.stats, gc_epochs)
                       for pid in range(nprocs)]
         self.barrier_mgr = BarrierManager(nprocs)
         self.lock_table = LockTable(nprocs)
@@ -235,35 +237,41 @@ class _SpfModel(_ModelBase):
     # ---- faulting (ensure_read / ensure_write replicas) ------------------
 
     def _ensure_read_pages(self, node: _MNode, pages) -> None:
+        valid = node.valid
         for page in np.asarray(pages).tolist():
-            m = node.meta(page)
-            if m.valid:
+            if valid[page]:
                 continue
             self.stats.read_faults += 1
             node.time += self.machine.fault_overhead
-            self._fetch(node, page, m)
+            self._fetch(node, page)
 
     def _ensure_write_pages(self, node: _MNode, pages) -> None:
         mach = self.machine
+        valid, twins = node.valid, node.twins
+        last, prev = node.last_written, node.prev_written
+        open_id = node.seen.v[node.pid] + 1
         for page in np.asarray(pages).tolist():
-            m = node.meta(page)
-            if not m.valid:
+            if not valid[page]:
                 self.stats.read_faults += 1
                 node.time += mach.fault_overhead
-                self._fetch(node, page, m)
-            if not m.dirty:
+                self._fetch(node, page)
+            if page not in twins:
                 self.stats.write_faults += 1
                 self.stats.twins_created += 1
                 node.time += mach.fault_overhead + mach.twin_overhead
-                m.twin = np.zeros(_WORDS_PER_PAGE, dtype=bool)
-            node.note_write(page, m)
+                twins[page] = np.zeros(_WORDS_PER_PAGE, dtype=bool)
+            if last[page] != open_id:         # LrcNode.note_write, inline
+                prev[page] = last[page]
+                last[page] = open_id
+                node.open_pages.append(page)
 
-    def _fetch(self, node: _MNode, page: int, m: PageMeta) -> None:
+    def _fetch(self, node: _MNode, page: int) -> None:
         """TmkNode._fetch replica: the request/reply pairs are counted and
         charged to the requester one after another, not overlapped."""
+        m = node.meta(page)
         missing = m.missing_writers()
         if not missing:
-            m.valid = True
+            node.valid[page] = 1
             return
         self.stats.fetches += 1
         mach = self.machine
@@ -273,16 +281,15 @@ class _SpfModel(_ModelBase):
             self.traffic.record("diff_req", req_nbytes)
             node.time += self._hop(req_nbytes) + mach.protocol_overhead
             owner = self.nodes[w]
-            om = owner.meta(page)
-            if om.dirty:    # the requester waits for the diff it asked for
-                node.time += owner._diff_and_cache(page, om)
-            reply = owner._gather(page, om, from_id)
+            if page in owner.twins:   # the requester waits for that diff
+                node.time += owner._diff_and_cache(page)
+            reply = owner._gather(page, from_id)
             nbytes = owner.reply_nbytes(reply)
             self.traffic.record("diff_rep", nbytes)
             node.time += self._hop(nbytes)
             replies.append((w, reply))
         node.pay(node._apply_replies(page, m, replies))
-        m.valid = True
+        node.valid[page] = 1
 
     # ---- synchronization replicas ---------------------------------------
 
@@ -449,7 +456,7 @@ class _SpfModel(_ModelBase):
         for page, old in before.items():
             lo = page * _WORDS_PER_PAGE
             changed = self.words[lo:lo + _WORDS_PER_PAGE] != old
-            mask = node.meta(page).twin
+            mask = node.twins.get(page)
             if mask is not None:
                 mask |= changed
 

@@ -59,17 +59,15 @@ def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
         node._note_access(handle, False, source,
                           region=tuple(slice(None) for _ in handle.shape))
         pages = np.asarray(list(handle.pages()))
-    fs = node.fast
-    if fs.enabled:
+    if node.fast.enabled:
         # mask-True pages are guaranteed valid; only the rest need a look
-        pages = pages[~fs.valid[pages]]
+        pages = pages[~node.valid_mask[pages]]
     by_writer: dict[int, list] = {}
     metas = {}
     for page in pages.tolist():
-        m = node.meta(page)
-        if m.valid:
+        if node.valid[page]:
             continue
-        metas[page] = m
+        metas[page] = m = node.meta(page)
         for w, from_id in m.missing_writers():
             by_writer.setdefault(w, []).append((page, from_id))
     if not metas:
@@ -92,8 +90,7 @@ def _fetch_batched(node: TmkNode, metas: dict, by_writer: dict):
             replies_by_page[page].append((w, part))
     for page, m in metas.items():
         yield from node._apply_replies(page, m, replies_by_page[page])
-        m.valid = True
-        node.fast.valid[page] = True
+        node.valid[page] = 1
 
 
 # ---------------------------------------------------------------------- #
@@ -177,9 +174,8 @@ class PushPayload:
                 if page in seen_pages:
                     continue
                 seen_pages.add(page)
-                m = node.meta(page)
-                if m.dirty:
-                    yield HOLD, node._diff_and_cache(page, m)
+                if page in node.twins:
+                    yield HOLD, node._diff_and_cache(page)
                 cached = node.diff_cache.get(page, [])
                 if not cached:
                     continue
@@ -203,16 +199,15 @@ class PushPayload:
                 # would let the later demand fetch regress its words.  Drop
                 # the push — the demand path merges everything in order.
                 continue
-            if m.dirty:
-                yield HOLD, node._diff_and_cache(page, m)
+            if page in node.twins:
+                yield HOLD, node._diff_and_cache(page)
             apply_diff(node.page_bytes(page), diff)
             yield HOLD, model.diff_apply_time(diff_nbytes(diff))
             node.world.dsm_stats.diffs_applied += 1
             node.world.dsm_stats.diff_bytes_applied += diff_nbytes(diff)
             m.applied[self.sender] = max(m.applied.get(self.sender, 0), wm)
             if not m.missing_writers():
-                m.valid = True
-                node.fast.valid[page] = True
+                node.valid[page] = 1
 
 
 class BcastPayload:
@@ -228,7 +223,7 @@ class BcastPayload:
 
     def __init__(self, sender: int, images: list, nbytes_on_wire: int):
         self.sender = sender
-        self.images = images      # [(page, bytes, applied, wm, okey)]
+        self.images = images      # [(page, bytes, applied, wm)]
         self.nbytes_on_wire = nbytes_on_wire
 
     @staticmethod
@@ -244,13 +239,10 @@ class BcastPayload:
                     raise RuntimeError(
                         f"BcastPayload from a stale holder (page {page}); "
                         f"the sender must fault the region in first")
-                if m.dirty:
-                    yield HOLD, node._diff_and_cache(page, m)
-                wm = m.last_closed if page in node.open_writes \
-                    else m.last_written
+                if page in node.twins:
+                    yield HOLD, node._diff_and_cache(page)
                 images.append((page, node.page_bytes(page).tobytes(),
-                               dict(m.applied), wm,
-                               m.last_okey or (0, node.pid)))
+                               dict(m.applied), node.claimable(page)))
                 nbytes += PAGE_SIZE + 16
         if not images:
             return None
@@ -258,19 +250,17 @@ class BcastPayload:
 
     def install_gen(self, node: TmkNode):
         model = node.model
-        for page, image, sender_applied, wm, _okey in self.images:
+        for page, image, sender_applied, wm in self.images:
             m = node.meta(page)
-            if m.dirty:
-                yield HOLD, node._diff_and_cache(page, m)
+            if page in node.twins:
+                yield HOLD, node._diff_and_cache(page)
             node.page_bytes(page)[:] = np.frombuffer(image, dtype=np.uint8)
             yield HOLD, model.diff_apply_time(len(image))
             for w, lbl in sender_applied.items():
                 m.applied[w] = max(m.applied.get(w, 0), lbl)
             m.applied[self.sender] = max(m.applied.get(self.sender, 0), wm)
-            for w in list(m.pending):
-                m.applied[w] = max(m.applied.get(w, 0), m.pending[w])
-            m.valid = True
-            node.fast.valid[page] = True
+            m.catch_up()
+            node.valid[page] = 1
             node.world.dsm_stats.pushes += 1
 
 
@@ -291,15 +281,11 @@ def broadcast_gen(node: TmkNode, handle: ArrayHandle, region, root: int):
         images = []
         nbytes = 16
         for page in pages:
-            m = node.meta(page)
-            if m.dirty:
-                yield HOLD, node._diff_and_cache(page, m)
-            # claimable watermark: only closed intervals (see protocol.py)
-            root_wm = m.last_closed if page in node.open_writes \
-                else m.last_written
+            if page in node.twins:
+                yield HOLD, node._diff_and_cache(page)
             images.append((page, node.page_bytes(page).tobytes(),
-                           dict(m.applied),
-                           root_wm, (m.last_okey or (0, root))))
+                           dict(node.meta(page).applied),
+                           node.claimable(page)))
             nbytes += PAGE_SIZE + 16
         snap = mon.release(node.pid) if mon is not None else None
         for dst in range(node.nprocs):
@@ -314,18 +300,15 @@ def broadcast_gen(node: TmkNode, handle: ArrayHandle, region, root: int):
                                            tag=TAG_PUSH)
         if mon is not None:
             mon.channel_acquire(node.pid, root, "bcast")
-        for page, image, root_applied, root_last, _okey in msg.payload:
+        for page, image, root_applied, root_last in msg.payload:
             m = node.meta(page)
-            if m.dirty:
-                yield HOLD, node._diff_and_cache(page, m)
+            if page in node.twins:
+                yield HOLD, node._diff_and_cache(page)
             node.page_bytes(page)[:] = np.frombuffer(image, dtype=np.uint8)
             # our own preserved modifications survive only if the root had
             # them; the usage contract (root up to date) guarantees it
             for w, lbl in root_applied.items():
                 m.applied[w] = max(m.applied.get(w, 0), lbl)
-            m.applied[root] = max(m.applied.get(root, 0), root_last,
-                                  m.pending.get(root, 0))
-            for w in list(m.pending):
-                m.applied[w] = max(m.applied.get(w, 0), m.pending[w])
-            m.valid = True
-            node.fast.valid[page] = True
+            m.applied[root] = max(m.applied.get(root, 0), root_last)
+            m.catch_up()
+            node.valid[page] = 1

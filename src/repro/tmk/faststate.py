@@ -12,24 +12,26 @@ work, never protocol actions).
 
 Two layers, both exact:
 
-**Page masks** (``valid``, ``write_ok``): numpy boolean vectors over the
-whole shared space, one pair per node.  A ``True`` bit is a *guarantee*
-that the slow path would no-op on that page:
+**Page masks**: numpy boolean vectors over the whole shared space, each a
+view of a per-node ``bytearray`` column, so per-page code reads and writes
+the buffer and vector code the view — one memory, no paired writes.  A
+``True`` bit is a *guarantee* that the slow path would no-op on that page:
 
-* ``valid[p]``    ⇒  ``meta(p).valid`` — a read fault cannot trigger;
-* ``write_ok[p]`` ⇒  page valid **and** twinned **and** already noted in
-  the current open interval (``last_written`` current, in ``open_writes``)
-  — a write trap cannot trigger and no metadata update is pending.
+* ``TmkNode.valid_mask[p]`` (the LRC core's ``valid`` column,
+  :mod:`repro.tmk.lrc`) — a read fault cannot trigger;
+* ``FastState.write_ok_mask[p]`` (its ``write_ok`` column) — page valid
+  **and** twinned **and** already noted in the current open interval
+  (``last_written`` is the open interval's id) — a write trap cannot
+  trigger and no state update is pending.
 
-A ``False`` bit promises nothing; the slow path re-checks the real metadata
-(and flips the bit back on).  Bits are therefore *cleared eagerly at every
-state regression* and set lazily by the slow path:
+A ``False`` bit promises nothing; the slow path re-checks the real state
+(and sets ``write_ok`` back on).  ``write_ok`` bits are therefore *cleared
+eagerly at every state regression* and set lazily by the slow path.  The
+regressions happen inside the protocol core, which reports each through a
+``TmkNode`` hook:
 
-The regressions happen inside the protocol core (:mod:`repro.tmk.lrc`),
-which reports each through a ``TmkNode`` hook:
-
-* ``valid`` clears only in ``LrcNode._apply_notice`` (invalidation at an
-  acquire; hook ``_page_invalidated``);
+* ``valid`` clears only in ``LrcNode._invalidate`` (an acquire's write
+  notice; hook ``_page_invalidated`` clears ``write_ok`` with it);
 * ``write_ok`` additionally clears in ``LrcNode._diff_and_cache`` (hook
   ``_page_untwinned``: the twin is discarded — possibly from the node's
   *server* context, mid-epoch, when a remote fetch forces a diff of a
@@ -44,7 +46,7 @@ bits cannot regress.  Each node therefore carries an ``epoch`` counter
 barrier departure, lock acquire, fork/join receive, reduction, exactly the
 edges the race monitor instruments) and a
 ``write_gen`` counter (bumped at those plus every ``close_interval`` and
-``_create_diff``).  A region whose mask check passed is remembered as
+``_diff_and_cache``).  A region whose mask check passed is remembered as
 ``region -> counter``; while the counter is unchanged the next identical
 footprint (every time-loop iteration) skips even the page math — one dict
 probe and an integer compare.
@@ -78,13 +80,13 @@ def fastpath_enabled_from_env() -> bool:
 class FastState:
     """One node's fast-path masks, counters and region-verdict caches."""
 
-    __slots__ = ("enabled", "valid", "write_ok", "epoch", "write_gen",
-                 "read_verdicts", "write_verdicts")
+    __slots__ = ("enabled", "write_ok", "write_ok_mask", "epoch",
+                 "write_gen", "read_verdicts", "write_verdicts")
 
     def __init__(self, npages: int, enabled: bool = True):
         self.enabled = enabled
-        self.valid = np.ones(npages, dtype=bool)
-        self.write_ok = np.zeros(npages, dtype=bool)
+        self.write_ok = bytearray(npages)
+        self.write_ok_mask = np.frombuffer(self.write_ok, dtype=bool)
         self.epoch = 0
         self.write_gen = 0
         # (handle name, normalized region) -> counter value at verification
@@ -109,15 +111,14 @@ class FastState:
             self.write_verdicts.clear()
 
     def invalidate_page(self, page: int) -> None:
-        self.valid[page] = False
-        self.write_ok[page] = False
+        self.write_ok[page] = 0
 
     def untwin_page(self, page: int) -> None:
-        self.write_ok[page] = False
+        self.write_ok[page] = 0
         self.bump_write_gen()
 
     def close_interval(self) -> None:
-        self.write_ok.fill(False)
+        self.write_ok_mask.fill(False)
         self.bump_write_gen()
 
     # ---- verdict caches ------------------------------------------------ #

@@ -1,7 +1,7 @@
 """The per-node lazy-release-consistency state machine, stated once.
 
 Everything TreadMarks' lazy-invalidate protocol decides *per node*:
-per-page coherence metadata, intervals and vector time, write noting,
+per-page coherence state, intervals and vector time, write noting,
 lazy diff creation and the diff cache (``top``/``wm``/``okey`` rules,
 same-interval extension, epoch GC with the full-page fallback), serving a
 diff request, merging replies, the acquire side (notices,
@@ -29,10 +29,25 @@ run in between — which is why charges are never summed or deferred), the
 model adds them to a float.
 The message *choreography* of barriers, locks and fork-join is not here;
 see docs/PROTOCOL.md, "Where the protocol lives".
+
+**Page state is flat.**  What every page has — ``valid``, the twin,
+``last_written`` and the ``last_written`` it replaced — lives in per-node
+columns of length ``npages`` (``bytearray`` / ``array``, which a numpy view
+can share: the simulator's fast-path mask *is* ``valid``).  Only the sparse,
+writer-indexed ``pending``/``applied``/``sticky`` stay in a
+:class:`PageMeta`, made for a page when first needed (mostly: when a
+notice first names it).  A close stamps nothing: whether a page is written
+in the open interval, the last closed interval that wrote it
+(:meth:`LrcNode.claimable`) and that interval's merge key are all derived
+from ``last_written``.  The walks that
+run once per page per footprint or notice — :meth:`LrcNode.apply_records`
+here, the write paths of the two users — touch the columns inline and call
+out only for a page that owes a charge.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
@@ -92,34 +107,18 @@ class CacheEntry(NamedTuple):
 
 
 class PageMeta:
-    """Coherence metadata for one page on one node."""
+    """What one node knows of *other* writers of one page (sparse: most
+    pages never hear of one)."""
 
-    __slots__ = ("valid", "twin", "pending", "applied", "last_written",
-                 "last_closed", "last_okey", "sticky")
+    __slots__ = ("pending", "applied", "sticky")
 
     def __init__(self) -> None:
-        self.valid = True
-        # what the page looked like at the first write since the last diff
-        # (a page copy in the simulator, a changed-word mask in the model)
-        self.twin = None
         # writer pid -> highest interval id named in a notice (needed)
         self.pending: dict[int, int] = {}
         # writer pid -> highest interval id whose content we hold
         self.applied: dict[int, int] = {}
-        # own interval id (open included) of the most recent local write
-        self.last_written = 0
-        # own id of the last *closed* interval that wrote this page —
-        # the highest watermark a served diff may let requesters claim
-        self.last_closed = 0
-        # merge-order key (vtsum, pid) of the last *closed* interval in
-        # which this node wrote the page
-        self.last_okey: Optional[tuple] = None
         # multi-writer pages are exempt from diff GC (see DESIGN.md)
         self.sticky = False
-
-    @property
-    def dirty(self) -> bool:
-        return self.twin is not None
 
     def missing_writers(self) -> list[tuple[int, int]]:
         """(writer, from_id) pairs whose content this node still lacks."""
@@ -129,6 +128,14 @@ class PageMeta:
             if need > have:
                 out.append((w, have))
         return out
+
+    def catch_up(self) -> None:
+        """Claim the content of every notice received as held
+        (``applied <- max(applied, pending)`` for each pending writer)."""
+        applied = self.applied
+        for w, need in self.pending.items():
+            if need > applied.get(w, 0):
+                applied[w] = need
 
 
 class PageReply(NamedTuple):
@@ -148,18 +155,36 @@ class PageReply(NamedTuple):
 class LrcNode:
     """All LRC protocol state and decisions of one processor."""
 
-    def __init__(self, pid: int, nprocs: int, model: "MachineModel",
-                 stats: "DsmStats", gc_epochs: Optional[int]):
+    def __init__(self, pid: int, nprocs: int, npages: int,
+                 model: "MachineModel", stats: "DsmStats",
+                 gc_epochs: Optional[int]):
         self.pid = pid
         self.nprocs = nprocs
         self.model = model
         self.stats = stats            # cluster-wide counters (shared)
         self.gc_epochs = gc_epochs
+
+        # per-page columns (see the module docstring)
+        self.valid = bytearray(b"\x01") * npages  # readable without a fault
+        # page -> what it looked like at the first write since its last
+        # diff (a page copy in the simulator, a changed-word mask in the
+        # model); a page is dirty iff it has a twin
+        self.twins: dict[int, Any] = {}
+        # own interval id (open included) of the most recent local write,
+        # and the value that write replaced (the last *closed* interval
+        # that wrote the page, while it is written in the open one)
+        self.last_written = array("q", bytes(8 * npages))
+        self.prev_written = array("q", bytes(8 * npages))
         self._meta: dict[int, PageMeta] = {}
 
         # interval machinery
         self.seen = SeenVector(nprocs)            # seen[pid] == own closed count
-        self.open_writes: set[int] = set()        # pages written this interval
+        # pages written in the open interval, in first-write order: the
+        # write notices of its record
+        self.open_pages: list[int] = []
+        # vtsums[i]: vtsum of own closed interval i (the merge key of its
+        # writes is ``(vtsums[i], pid)``)
+        self.vtsums = [0]
         # interval-record retention is two global-sync windows deep:
         # ``log_current`` holds records created/learned since the last
         # global synchronization (what a barrier arrival or join must
@@ -176,6 +201,8 @@ class LrcNode:
         # continuous over (gc_floor, newest label]
         self.gc_floor: dict[int, int] = {}
         self.epoch = 0                            # barrier counter (GC clock)
+        # epoch -> pages given a cache entry in it (GC visits only these)
+        self._gc_due: dict[int, list] = {}
 
     def meta(self, page: int) -> PageMeta:
         m = self._meta.get(page)
@@ -184,15 +211,29 @@ class LrcNode:
             self._meta[page] = m
         return m
 
-    def note_write(self, page: int, m: PageMeta) -> None:
-        """Record a write to ``page`` in the open interval."""
-        m.last_written = self.seen[self.pid] + 1   # current open interval id
-        self.open_writes.add(page)
+    def note_write(self, page: int) -> None:
+        """Record a write to ``page`` in the open interval.  (The users'
+        write walks inline this for pages that owe no charge.)"""
+        open_id = self.seen.v[self.pid] + 1
+        last = self.last_written
+        if last[page] != open_id:
+            self.prev_written[page] = last[page]
+            last[page] = open_id
+            self.open_pages.append(page)
+
+    def claimable(self, page: int) -> int:
+        """The newest own interval a holder of ``page``'s current contents
+        may claim to have applied: the last *closed* interval that wrote
+        it (the open interval's writes may still grow)."""
+        last = self.last_written[page]
+        if last > self.seen.v[self.pid]:          # written in the open one
+            return self.prev_written[page]
+        return last
 
     # ------------------------------------------------------------------ #
     # diffs: lazy creation, the cache, serving
 
-    def _diff_and_cache(self, page: int, m: PageMeta) -> float:
+    def _diff_and_cache(self, page: int) -> float:
         """Compute and cache the diff for a dirty page; drop the twin.
         Returns the seconds the comparison costs, which the caller charges
         *after* this returns: charging may yield the processor, and this
@@ -205,7 +246,7 @@ class LrcNode:
           (the open interval, if a request arrived mid-interval).  Serving
           filters on ``top`` so nothing available is withheld.
         * ``wm`` — the newest interval a requester may *claim* to hold
-          after applying the entry: the last **closed** write interval.
+          after applying the entry: :meth:`claimable`.
           A mid-interval serve over-propagates the open writes (harmless
           for race-free programs), but the requester must not mark the
           open interval applied — the writer may still add to it, and the
@@ -214,25 +255,22 @@ class LrcNode:
         The merge-order key is likewise the key the open interval's close
         would produce (growth only reorders concurrent, disjoint writes).
         """
-        diff = self._encode_diff(page, m.twin)
-        m.twin = None
+        diff = self._encode_diff(page, self.twins.pop(page))
         self._page_untwinned(page)
         self.stats.diffs_created += 1
         self.stats.diff_bytes_created += self._diff_nbytes(diff)
-        self._cache_entry(page, m, diff)
+        self._cache_entry(page, diff)
         return self.model.diff_create_time(self.model.page_size)
 
-    def _cache_entry(self, page: int, m: PageMeta, diff) -> None:
+    def _cache_entry(self, page: int, diff) -> None:
         if not diff:
             return
-        top = m.last_written
-        if page in self.open_writes:
-            wm = m.last_closed
+        top = self.last_written[page]
+        wm = self.claimable(page)
+        if top > self.seen.v[self.pid]:           # the open interval's key
             okey = (sum(self.seen.v) + 1, self.pid)
         else:
-            wm = m.last_written
-            okey = m.last_okey if m.last_okey is not None \
-                else (sum(self.seen.v), self.pid)
+            okey = (self.vtsums[top] if top else sum(self.seen.v), self.pid)
         lst = self.diff_cache.setdefault(page, [])
         if lst and lst[-1].top >= top:
             # same-interval re-diff (a second request arrives mid-interval,
@@ -244,8 +282,10 @@ class LrcNode:
                                   self.epoch))
         else:
             lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
+        if self.gc_epochs is not None:
+            self._gc_due.setdefault(self.epoch, []).append(page)
 
-    def _gather(self, page: int, m: PageMeta, from_id: int) -> PageReply:
+    def _gather(self, page: int, from_id: int) -> PageReply:
         """This node's modifications to ``page`` newer than ``from_id``: a
         pure cache lookup — the server of a request diffs a dirty page
         first (:meth:`_diff_and_cache`, charged to whoever waits for it)."""
@@ -253,8 +293,9 @@ class LrcNode:
         if from_id < self.gc_floor.get(page, 0):
             # content in (from_id, floor] was garbage-collected: fall back
             # to a whole-page transfer (as TreadMarks does after its GC)
-            top = max([m.last_closed] + [e.top for e in cached])
-            return PageReply([], self._page_image(page), top, dict(m.applied))
+            top = max([self.claimable(page)] + [e.top for e in cached])
+            return PageReply([], self._page_image(page), top,
+                             dict(self.meta(page).applied))
         return PageReply([e for e in cached if e.top > from_id])
 
     def reply_nbytes(self, reply: PageReply) -> int:
@@ -302,32 +343,28 @@ class LrcNode:
             # mid-interval serve's open writes may still grow, and the
             # close notice must be able to trigger a re-fetch
             m.applied[w] = max(m.applied.get(w, 0), wm)
-        for w, _from in m.missing_writers():
-            # anything still "missing" was answered with content newer than
-            # the notices (cumulative diffs) or an empty diff; trust the
-            # notices' watermarks
-            m.applied[w] = max(m.applied.get(w, 0), m.pending.get(w, 0))
+        # anything still "missing" was answered with content newer than
+        # the notices (cumulative diffs) or an empty diff; trust the
+        # notices' watermarks
+        m.catch_up()
 
     # ------------------------------------------------------------------ #
     # interval machinery
 
     def close_interval(self) -> Optional[IntervalRecord]:
-        """End the open interval (at a release); record its writes."""
-        if not self.open_writes:
+        """End the open interval (at a release); record its writes.  No
+        page is touched: advancing ``seen[pid]`` is what closes them."""
+        if not self.open_pages:
             return None
         self._interval_closed()
         new_id = self.seen[self.pid] + 1
         self.seen.v[self.pid] = new_id
         vtsum = sum(self.seen.v)
+        self.vtsums.append(vtsum)
         rec = IntervalRecord(proc=self.pid, id=new_id,
-                             pages=tuple(sorted(self.open_writes)),
+                             pages=tuple(sorted(self.open_pages)),
                              vtsum=vtsum)
-        okey = (vtsum, self.pid)
-        for page in self.open_writes:
-            meta = self.meta(page)
-            meta.last_okey = okey
-            meta.last_closed = new_id
-        self.open_writes = set()
+        self.open_pages = []
         self.log_current.append(rec)
         return rec
 
@@ -359,52 +396,46 @@ class LrcNode:
         # this is the acquire edge: the one place ``valid`` bits can regress
         self._acquire_edge()
         self.stats.epoch_bumps += 1
-        writers_per_page: dict[int, set] = {}
+        pid, metas, valid, twins = self.pid, self._meta, self.valid, self.twins
+        last = self.last_written
+        # page never written here -> the one remote writer the batch names
+        first_writer: dict[int, int] = {}
         for rec in records:
             if not self.seen.observe(rec):
                 continue
             if log:
                 self.log_current.append(rec)
+            w, interval_id = rec.proc, rec.id
+            if w == pid:
+                continue
             for page in rec.pages:
-                writers_per_page.setdefault(page, set()).add(rec.proc)
-                m = self._apply_notice(rec.proc, rec.id, page)
+                m = metas.get(page)
                 if m is None:
+                    m = metas[page] = PageMeta()
+                # sticky: a remote writer of a page written here too, or a
+                # second remote writer in one batch (an own notice needs no
+                # look: a page it names has been written here)
+                if last[page] or first_writer.setdefault(page, w) != w:
+                    m.sticky = True
+                if interval_id > m.pending.get(w, 0):
+                    m.pending[w] = interval_id
+                # already lost, or content already held (cumulative diff
+                # over-propagation): nothing to do.  (Only a valid page can
+                # be dirty: a write fetches first, an invalidation diffs.)
+                if not valid[page] or interval_id <= m.applied.get(w, 0):
                     continue
-                if m.dirty:
+                if page in twins:
                     # preserve our modifications before losing the right
                     # to the page
-                    yield self._charge(self._diff_and_cache(page, m))
-                self._invalidate(page, m, rec.proc, rec.id)
-        for page, writers in writers_per_page.items():
-            m = self._meta.get(page)
-            if m is None:
-                continue
-            if len(writers) > 1 or (m.last_written > 0 and writers - {self.pid}):
-                m.sticky = True
+                    yield self._charge(self._diff_and_cache(page))
+                self._invalidate(page, w, interval_id)
 
-    def _apply_notice(self, writer: int, interval_id: int,
-                      page: int) -> Optional[PageMeta]:
-        """Note one write notice; returns the page's metadata when the
-        notice names content this node lacks (the page must be invalidated),
-        else ``None``."""
-        if writer == self.pid:
-            return None
-        m = self.meta(page)
-        prev = m.pending.get(writer, 0)
-        if interval_id > prev:
-            m.pending[writer] = interval_id
-        if interval_id <= m.applied.get(writer, 0):
-            return None  # content already held (cumulative diff over-propagation)
-        return m
-
-    def _invalidate(self, page: int, m: PageMeta, writer: int,
-                    interval_id: int) -> None:
-        """Lose the right to ``page``: ``writer``'s interval ``interval_id``
-        wrote it."""
-        if m.valid:
-            m.valid = False
-            self._page_invalidated(page)
-            self.stats.invalidations += 1
+    def _invalidate(self, page: int, writer: int, interval_id: int) -> None:
+        """Lose the right to valid ``page``: ``writer``'s interval
+        ``interval_id`` wrote it."""
+        self.valid[page] = 0
+        self._page_invalidated(page)
+        self.stats.invalidations += 1
 
     # ------------------------------------------------------------------ #
     # epoch / GC (called at barrier departure)
@@ -414,17 +445,19 @@ class LrcNode:
         if self.gc_epochs is None:
             return
         cutoff = self.epoch - self.gc_epochs
-        if cutoff <= 0:
-            return
-        for page, lst in list(self.diff_cache.items()):
+        # entries made at epoch ``cutoff - 1`` just fell due; older ones
+        # fell due at earlier calls, newer ones are not due yet
+        for page in self._gc_due.pop(cutoff - 1, ()):
+            lst = self.diff_cache.get(page)
             m = self._meta.get(page)
-            if m is not None and m.sticky:
+            if lst is None or (m is not None and m.sticky):
                 continue
             kept = [e for e in lst if e.epoch >= cutoff]
-            if len(kept) < len(lst):
-                dropped_top = max(e.top for e in lst if e.epoch < cutoff)
-                self.gc_floor[page] = max(self.gc_floor.get(page, 0),
-                                          dropped_top)
+            if len(kept) == len(lst):
+                continue              # extended since: due again later
+            dropped_top = max(e.top for e in lst if e.epoch < cutoff)
+            self.gc_floor[page] = max(self.gc_floor.get(page, 0),
+                                      dropped_top)
             if kept:
                 self.diff_cache[page] = kept
             else:

@@ -9,7 +9,7 @@ time.  Together they own
 
 * the node's private copy of the whole shared address space (a numpy byte
   buffer; applications compute through views of it),
-* per-page coherence metadata (validity, twin, pending write notices,
+* per-page coherence state (validity, twin, pending write notices,
   per-writer applied watermarks),
 * the interval/vector-time machinery of lazy release consistency,
 * the request-serving side (diff and page requests arrive at the node's
@@ -53,14 +53,14 @@ import numpy as np
 from repro.sim.engine import HOLD
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.faststate import FastState, fastpath_enabled_from_env
-from repro.tmk.lrc import LrcNode, PageMeta, diff_request_nbytes
+from repro.tmk.lrc import LrcNode, diff_request_nbytes
 from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
 
 if TYPE_CHECKING:
     from repro.sim.cluster import ProcEnv
     from repro.tmk.api import TmkWorld
 
-__all__ = ["TmkNode", "PageMeta", "DiffRequest",
+__all__ = ["TmkNode", "DiffRequest",
            "TAG_TMK_REQ", "TAG_FETCH_REP", "TAG_BARRIER_DEP",
            "TAG_LOCK_GRANT", "TAG_FORK", "TAG_JOIN", "TAG_PUSH"]
 
@@ -104,8 +104,8 @@ class TmkNode(LrcNode):
     virtual-time charging."""
 
     def __init__(self, world: "TmkWorld", env: "ProcEnv"):
-        super().__init__(env.pid, env.nprocs, env.model, world.dsm_stats,
-                         world.gc_epochs)
+        super().__init__(env.pid, env.nprocs, world.space.npages, env.model,
+                         world.dsm_stats, world.gc_epochs)
         self.world = world
         self.env = env
         self.proc = env.proc          # this node's main program
@@ -125,10 +125,12 @@ class TmkNode(LrcNode):
         if enabled is None:
             enabled = fastpath_enabled_from_env()
         self.fast = FastState(self.space.npages, enabled=enabled)
-        # the masks hear of every state regression straight from the core.
-        # (A twin may be dropped on the node's *server* context while main
-        # is blocked in a fetch mid-ensure_write: the live mask check there
-        # depends on ``untwin_page``.)
+        # the read mask is the core's ``valid`` column itself
+        self.valid_mask = np.frombuffer(self.valid, dtype=bool)
+        # ``write_ok`` hears of every state regression straight from the
+        # core.  (A twin may be dropped on the node's *server* context while
+        # main is blocked in a fetch mid-ensure_write: ``untwin_page`` keeps
+        # the footprint's verdict from being remembered.)
         self._page_untwinned = self.fast.untwin_page
         self._page_invalidated = self.fast.invalidate_page
         self._interval_closed = self.fast.close_interval
@@ -175,7 +177,7 @@ class TmkNode(LrcNode):
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:
-            ok = fs.valid[pages]
+            ok = self.valid_mask[pages]
             if ok.all():
                 stats.fastpath_hits += 1
                 fs.remember_read(vkey)
@@ -196,8 +198,8 @@ class TmkNode(LrcNode):
         this node's main context is blocked in a fetch, its *server* context
         can serve a remote request and ``_diff_and_cache`` a page — dropping
         the twin and regressing ``write_ok`` mid-loop.  The miss path
-        therefore re-checks the mask live for every page rather than
-        iterating a stale ``flatnonzero`` snapshot.
+        therefore re-checks every page's state live rather than iterating a
+        stale ``flatnonzero`` snapshot.
         """
         self._note_access(handle, True, source, region=region)
         nregion = normalize_region(region, handle.shape)
@@ -212,7 +214,7 @@ class TmkNode(LrcNode):
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:
-            if fs.write_ok[pages].all():
+            if fs.write_ok_mask[pages].all():
                 stats.fastpath_hits += 1
                 fs.remember_write(vkey)
                 return None
@@ -228,7 +230,7 @@ class TmkNode(LrcNode):
         fs = self.fast
         if fs.enabled:
             stats = self.world.dsm_stats
-            ok = fs.valid[pages]
+            ok = self.valid_mask[pages]
             if ok.all():
                 stats.fastpath_hits += 1
                 return None
@@ -244,7 +246,7 @@ class TmkNode(LrcNode):
         fs = self.fast
         if fs.enabled:
             stats = self.world.dsm_stats
-            if fs.write_ok[pages].all():
+            if fs.write_ok_mask[pages].all():
                 stats.fastpath_hits += 1
                 return None
             stats.fastpath_misses += 1
@@ -257,12 +259,32 @@ class TmkNode(LrcNode):
             self.fast.remember_read(vkey)
 
     def _write_faults(self, pages: np.ndarray, vkey=None):
+        """Walk a write footprint in page order.  A valid, twinned page
+        owes no charge: it is noted in place (:meth:`LrcNode.note_write`,
+        inline).  Only a page owing a fault or twin charge goes through
+        :meth:`_write_fault_if_needed`, whose holds let this node's server
+        run — and perhaps untwin a page this walk has already passed."""
         fs = self.fast
         ok = fs.write_ok
+        valid, twins = self.valid, self.twins
+        last, prev = self.last_written, self.prev_written
+        # a close runs only on this (main) context, so the open interval
+        # cannot change while the walk waits
+        open_id = self.seen.v[self.pid] + 1
+        # every page leaves the walk ``write_ok``; unless ``write_gen``
+        # moved meanwhile, none of those bits can have regressed
+        write_gen = fs.write_gen
         for page in pages.tolist():
-            if not (fs.enabled and ok[page]):
+            if valid[page] and page in twins:
+                if last[page] != open_id:
+                    prev[page] = last[page]
+                    last[page] = open_id
+                    self.open_pages.append(page)
+                ok[page] = 1
+            else:
                 yield from self._write_fault_if_needed(page)
-        if vkey is not None and ok[pages].all():
+        if vkey is not None and (fs.write_gen == write_gen
+                                 or fs.write_ok_mask[pages].all()):
             fs.remember_write(vkey)
 
     def _note_access(self, handle: ArrayHandle, write: bool, source,
@@ -283,40 +305,38 @@ class TmkNode(LrcNode):
         mon.on_access(self.pid, handle, write=write, runs=runs, source=source)
 
     def _read_fault_if_needed(self, page: int):
-        m = self.meta(page)
-        if m.valid:
+        if self.valid[page]:
             return
         stats = self.world.dsm_stats
         stats.read_faults += 1
         yield HOLD, self.model.fault_overhead
-        yield from self._fetch(page, m)
+        yield from self._fetch(page)
 
     def _write_fault_if_needed(self, page: int):
-        m = self.meta(page)
         stats = self.world.dsm_stats
-        if not m.valid:
+        if not self.valid[page]:
             stats.read_faults += 1
             yield HOLD, self.model.fault_overhead
-            yield from self._fetch(page, m)
-        if not m.dirty:
+            yield from self._fetch(page)
+        if page not in self.twins:
             stats.write_faults += 1
             stats.twins_created += 1
             yield HOLD, self.model.fault_overhead + self.model.twin_overhead
-            m.twin = self.page_bytes(page).copy()
-        self.note_write(page, m)
+            self.twins[page] = self.page_bytes(page).copy()
+        self.note_write(page)
         # valid + twinned + noted in the open interval: nothing left for a
         # repeat write access to do until a regression clears this bit
-        self.fast.write_ok[page] = True
+        self.fast.write_ok[page] = 1
 
     # ------------------------------------------------------------------ #
     # fetching (fault service, requester side)
 
-    def _fetch(self, page: int, m: PageMeta):
+    def _fetch(self, page: int):
         """Bring ``page`` up to date: one diff request per missing writer."""
+        m = self.meta(page)
         missing = m.missing_writers()
         if not missing:  # notices raced with an aggregated fetch; revalidate
-            m.valid = True
-            self.fast.valid[page] = True
+            self.valid[page] = 1
             return
         self.world.dsm_stats.fetches += 1
         for w, from_id in missing:
@@ -330,8 +350,7 @@ class TmkNode(LrcNode):
                                                tag=TAG_FETCH_REP)
             replies.append((w, msg.payload[0][1]))
         yield from self._apply_replies(page, m, replies)
-        m.valid = True
-        self.fast.valid[page] = True
+        self.valid[page] = 1
 
     # ------------------------------------------------------------------ #
     # serving (a generator of block requests, run by this node's server
@@ -347,10 +366,9 @@ class TmkNode(LrcNode):
         for page, from_id in asked:
             # the server pays the diff-creation cost at the core's charge
             # point (after the cache is updated)
-            m = self.meta(page)
-            if m.dirty:
-                yield HOLD, self._diff_and_cache(page, m)
-            rep.append((page, self._gather(page, m, from_id)))
+            if page in self.twins:
+                yield HOLD, self._diff_and_cache(page)
+            rep.append((page, self._gather(page, from_id)))
         yield from self.net.send_gen(
             self.pid, requester, rep, tag=TAG_FETCH_REP,
             nbytes=sum(self.reply_nbytes(part) for _page, part in rep),

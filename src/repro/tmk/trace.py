@@ -108,38 +108,34 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
 
     class _TracingNode(proto.TmkNode):
         def _read_fault_if_needed(self, page):
-            m = self.meta(page)
-            was_valid = m.valid
+            was_valid = self.valid[page]
             yield from super()._read_fault_if_needed(page)
             if not was_valid:
                 trace.record(TraceEvent(self.env.now, self.pid, "fault",
                                         page, {"mode": "read"}))
 
         def _write_fault_if_needed(self, page):
-            m = self.meta(page)
-            was_valid, was_dirty = m.valid, m.dirty
+            was_valid, was_dirty = self.valid[page], page in self.twins
             yield from super()._write_fault_if_needed(page)
             if not was_valid or not was_dirty:
                 trace.record(TraceEvent(
                     self.env.now, self.pid, "twin" if was_valid else "fault",
                     page, {"mode": "write"}))
 
-        def _fetch(self, page, m):
-            missing = list(m.missing_writers())
-            yield from super()._fetch(page, m)
+        def _fetch(self, page):
+            missing = self.meta(page).missing_writers()
+            yield from super()._fetch(page)
             trace.record(TraceEvent(self.env.now, self.pid, "fetch", page,
                                     {"writers": [w for w, _f in missing]}))
 
-        def _invalidate(self, page, m, writer, interval_id):
-            was_valid = m.valid
-            super()._invalidate(page, m, writer, interval_id)
-            if was_valid:
-                trace.record(TraceEvent(
-                    self.env.now, self.pid, "invalidate", page,
-                    {"writer": writer, "interval": interval_id}))
+        def _invalidate(self, page, writer, interval_id):
+            super()._invalidate(page, writer, interval_id)
+            trace.record(TraceEvent(
+                self.env.now, self.pid, "invalidate", page,
+                {"writer": writer, "interval": interval_id}))
 
-        def _diff_and_cache(self, page, m):
-            cost = super()._diff_and_cache(page, m)
+        def _diff_and_cache(self, page):
+            cost = super()._diff_and_cache(page)
             entry = self.diff_cache.get(page, [])
             top = entry[-1].top if entry else 0
             trace.record(TraceEvent(self.env.now, self.pid, "diff-create",

@@ -90,8 +90,9 @@ def test_fastpath_env_switch():
 
 def test_faststate_masks_and_epochs():
     fs = FastState(4, enabled=True)
-    assert fs.valid.all() and not fs.write_ok.any()
-    fs.write_ok[2] = True
+    assert not fs.write_ok_mask.any()
+    fs.write_ok[2] = 1
+    assert fs.write_ok_mask[2]          # the mask is a view of the column
     fs.remember_read(("a", ((0, 1),)))
     fs.remember_write(("a", ((0, 1),)))
     assert fs.read_verdicts and fs.write_verdicts
@@ -100,14 +101,15 @@ def test_faststate_masks_and_epochs():
     assert fs.epoch == epoch + 1
     assert not fs.read_verdicts and not fs.write_verdicts
 
+    fs.write_ok[1] = 1
     fs.invalidate_page(1)
-    assert not fs.valid[1] and fs.valid[0]
+    assert not fs.write_ok[1]
     fs.untwin_page(2)
     assert not fs.write_ok[2]
 
-    fs.write_ok[:] = True
+    fs.write_ok_mask[:] = True
     fs.close_interval()
-    assert not fs.write_ok.any()
+    assert not any(fs.write_ok)
 
 
 def test_faststate_verdict_cache_bounded():

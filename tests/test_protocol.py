@@ -283,3 +283,53 @@ def test_message_accounting_request_plus_reply():
     r = tmk_run(2, prog, setup_two_pages)
     assert r.stats.by_category["diff_req"][0] == 1
     assert r.stats.by_category["diff_rep"][0] == 1
+
+
+# ---------------------------------------------------------------------- #
+# the mid-footprint untwin (docs/PROTOCOL.md, "Known defects")
+
+def _untwin_program(tmk):
+    """p0's one write footprint covers page 0 (valid, twinned: noted
+    without a charge) then page 1 (invalid: a fetch from p1).  While p0
+    waits for that reply, p1 faults page 0 in, so p0's server diffs and
+    untwins it; p0's kernel then writes page 0 with no twin."""
+    x = tmk.array("x")
+    if tmk.pid == 0:
+        yield from x.write_gen((0, slice(0, 512)), 1.0)
+    else:
+        yield from x.write_gen((1, slice(0, 512)), 2.0)
+    yield from tmk.barrier_gen()
+    if tmk.pid == 0:
+        steps = x.writable_steps((slice(0, 2), slice(512, 1024)))
+        if steps is not None:
+            yield from steps
+        x.raw()[0:2, 512:1024] = 3.0
+    else:
+        yield from x.read_gen((0, slice(0, 512)))    # disjoint words
+    yield from tmk.barrier_gen()
+    if tmk.pid == 1:
+        row = yield from x.read_gen((slice(0, 2), slice(512, 1024)))
+        return row.min(axis=1).tolist()
+
+
+def _untwin_run():
+    return tmk_run(2, _untwin_program, setup_two_pages, trace=True)
+
+
+def test_mid_footprint_untwin_interleaving_happens():
+    """The pin: p0's server diffs page 0 while p0's walk waits on page 1's
+    fetch, and the walk does not come back to page 0."""
+    trace = _untwin_run().trace
+    p0 = [(ev.kind, ev.page) for ev in trace.query(pid=0)]
+    walk = p0.index(("diff-create", 0))
+    assert p0[walk:walk + 3] == [("diff-create", 0), ("fetch", 1),
+                                 ("fault", 1)]
+    assert ("twin", 0) not in p0[walk:]
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: words written to a "
+                   "page untwinned mid-footprint are never diffed "
+                   "(docs/PROTOCOL.md, Known defects)")
+def test_words_written_after_a_mid_footprint_serve_reach_a_later_reader():
+    # page 1 (re-fetched with its twin) arrives; page 0's words are lost
+    assert _untwin_run().results[1] == [3.0, 3.0]
