@@ -18,7 +18,7 @@ import pathlib
 
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.eval.experiments import run_all_variants
 
 PRESET = os.environ.get("REPRO_PRESET", "bench")
@@ -41,8 +41,9 @@ def one_variant(app, variant, **kw):
            tuple(sorted((k, repr(v)) for k, v in kw.items())))
     if key not in _cache:
         seq = all_variants(app, ["seq"])["seq"]
-        _cache[key] = run(RunRequest(app, variant, nprocs=NPROCS, preset=PRESET,
-                                     seq_time=seq.time, **kw))
+        _cache[key] = execute(RunRequest(app, variant, nprocs=NPROCS,
+                                         preset=PRESET, seq_time=seq.time,
+                                         **kw))
     return _cache[key]
 
 

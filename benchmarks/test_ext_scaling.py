@@ -8,7 +8,7 @@ processor count (broadcast volume scales with n, on-demand traffic with
 the boundary).
 """
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 
 from conftest import PRESET, archive, runner  # noqa: F401
 
@@ -16,8 +16,8 @@ COUNTS = [2, 4, 8, 16]
 
 
 def sweep(app, variant, seq_time):
-    return {n: run(RunRequest(app, variant, nprocs=n, preset=PRESET,
-                              seq_time=seq_time))
+    return {n: execute(RunRequest(app, variant, nprocs=n, preset=PRESET,
+                                  seq_time=seq_time))
             for n in COUNTS}
 
 
@@ -25,7 +25,7 @@ def test_scaling(runner):
     def experiment():
         out = {}
         for app in ("jacobi", "igrid"):
-            seq = run(RunRequest(app, "seq", preset=PRESET))
+            seq = execute(RunRequest(app, "seq", preset=PRESET))
             out[app] = {v: sweep(app, v, seq.time)
                         for v in ("spf", "xhpf")}
         return out

@@ -12,7 +12,7 @@ the calibration and checks which conclusions are calibration-robust:
   expensive (the DSM sends several messages where MP sends one).
 """
 
-from repro.api import RunRequest, machine_to_doc, run
+from repro.api import RunRequest, execute, machine_to_doc
 from repro.apps.common import get_app
 from repro.sim.machine import SP2_MODEL
 
@@ -46,21 +46,19 @@ def test_model_sensitivity(runner):
         out = {}
         for label, model in MODELS.items():
             machine = machine_to_doc(model)
-            seq_i = run(RunRequest("igrid", "seq", preset="sweep"))
-            seq_j = run(RunRequest("jacobi", "seq", preset="sweep"))
+            seq_i = execute(RunRequest("igrid", "seq", preset="sweep"))
+            seq_j = execute(RunRequest("jacobi", "seq", preset="sweep"))
+
+            def one(app, variant, seq):
+                return execute(RunRequest(app, variant, nprocs=NPROCS,
+                                          preset="sweep", machine=machine,
+                                          seq_time=seq.time))
+
             out[label] = {
-                "igrid_spf": run(RunRequest("igrid", "spf", nprocs=NPROCS,
-                                            preset="sweep", machine=machine,
-                                            seq_time=seq_i.time)),
-                "igrid_xhpf": run(RunRequest("igrid", "xhpf", nprocs=NPROCS,
-                                             preset="sweep", machine=machine,
-                                             seq_time=seq_i.time)),
-                "jacobi_spf": run(RunRequest("jacobi", "spf", nprocs=NPROCS,
-                                             preset="sweep", machine=machine,
-                                             seq_time=seq_j.time)),
-                "jacobi_pvme": run(RunRequest("jacobi", "pvme", nprocs=NPROCS,
-                                              preset="sweep", machine=machine,
-                                              seq_time=seq_j.time)),
+                "igrid_spf": one("igrid", "spf", seq_i),
+                "igrid_xhpf": one("igrid", "xhpf", seq_i),
+                "jacobi_spf": one("jacobi", "spf", seq_j),
+                "jacobi_pvme": one("jacobi", "pvme", seq_j),
             }
         return out
 

@@ -18,7 +18,7 @@ stage against hand-coded PVMe message passing.
 Run:  python examples/enhancements_study.py     (~1 minute)
 """
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.apps.jacobi import SPEC
 from repro.compiler.seq import sequential_time
 from repro.compiler.spf import SpfOptions, run_spf
@@ -50,7 +50,7 @@ def main():
         print(f"{label:22s} {seq / elapsed:8.2f} {wtraffic.messages:7d} "
               f"{r.dsm_stats.read_faults:7d} {r.dsm_stats.pushes:7d}")
 
-    pvme = run(RunRequest("jacobi", "pvme", nprocs=NPROCS, preset="bench"))
+    pvme = execute(RunRequest("jacobi", "pvme", nprocs=NPROCS, preset="bench"))
     print(f"{'hand-coded PVMe':22s} {pvme.speedup:8.2f} "
           f"{pvme.messages:7d}")
     print("\nThe paper (Section 9): 'With appropriate enhancements ... the "

@@ -22,8 +22,8 @@ The package provides:
 
 Quick start::
 
-    from repro.api import RunRequest, run
-    print(run(RunRequest("jacobi", "tmk", nprocs=8, preset="bench")).row())
+    from repro.api import RunRequest, execute
+    print(execute(RunRequest("jacobi", "tmk", nprocs=8, preset="bench")).row())
 
 Batches go through the persistent worker pool::
 
@@ -32,7 +32,7 @@ Batches go through the persistent worker pool::
         batch = svc.run_batch([RunRequest("jacobi", "spf"), ...])
 """
 
-from repro.api import BatchResult, RunRequest, RunResult, run
+from repro.api import BatchResult, RunRequest, RunResult, execute
 from repro.sim import Cluster, MachineModel, SP2_MODEL
 from repro.tmk import Tmk, tmk_run
 
@@ -42,7 +42,7 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "BatchResult",
-    "run",
+    "execute",
     "Cluster",
     "MachineModel",
     "SP2_MODEL",

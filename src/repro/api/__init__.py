@@ -5,7 +5,7 @@ The one surface between "what to run" and "how it ran":
 * :class:`RunRequest` / :class:`RunResult` / :class:`BatchResult` —
   frozen, serializable (``repro-run/1``) value types
   (:mod:`repro.api.types`),
-* :func:`execute` / :func:`run` and :class:`ProgramCache` — the single
+* :func:`execute` and :class:`ProgramCache` — the single
   execution path with compiled-program caching, and the coherent
   ``readback`` it can append to a DSM run (:mod:`repro.api.execute`),
 * :class:`InProcess` — the in-process tier: requests streamed through
@@ -16,8 +16,8 @@ The one surface between "what to run" and "how it ran":
 
 Quick start::
 
-    from repro.api import RunRequest, run
-    print(run(RunRequest("jacobi", "spf", nprocs=8, preset="test")).row())
+    from repro.api import RunRequest, execute
+    print(execute(RunRequest("jacobi", "spf", nprocs=8, preset="test")).row())
 
 For batches, prefer the worker-pool service (:mod:`repro.serve`)::
 
@@ -32,7 +32,7 @@ See ``docs/API.md`` for the full type and wire-protocol reference.
 
 from repro.api import registry
 from repro.api.execute import (InProcess, ProgramCache, execute,
-                               execute_with_arrays, run)
+                               execute_with_arrays)
 from repro.api.registry import (APPS, DSM_VARIANTS, FIGURE_VARIANTS,
                                 IRREGULAR_APPS, MODELED_VARIANTS, MP_VARIANTS,
                                 PRESETS, REGULAR_APPS, VARIANTS, AppInfo,
@@ -51,7 +51,6 @@ __all__ = [
     "InProcess",
     "execute",
     "execute_with_arrays",
-    "run",
     "registry",
     "APPS",
     "REGULAR_APPS",

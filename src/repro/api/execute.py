@@ -192,7 +192,7 @@ def _execute_model(request: RunRequest, cache: ProgramCache,
     res = model_variant(request.app, request.variant,
                         nprocs=request.nprocs, preset=request.preset,
                         machine=machine_from_doc(request.machine),
-                        seq_time=seq_time, gc_epochs=request.gc_epochs)
+                        seq_time=seq_time)
     return _replace(res, tag=request.tag, cache_hit=hit)
 
 
@@ -295,7 +295,7 @@ def _execute_sim(request: RunRequest, cache: ProgramCache,
         # on so UNKNOWN loops speculate instead of degrading to serial
         result = tmk_run(
             request.nprocs, main, setup, model=machine,
-            gc_epochs=request.gc_epochs, schedule_seed=request.schedule_seed,
+            schedule_seed=request.schedule_seed,
             racecheck=request.racecheck or request.variant == "spf_spec",
             faults=faults)
         outputs = result.results
@@ -366,12 +366,6 @@ def execute(request: RunRequest,
     structured failure results.
     """
     return execute_with_arrays(request, cache)[0]
-
-
-def run(request: RunRequest,
-        cache: Optional[ProgramCache] = None) -> RunResult:
-    """Alias of :func:`execute` (the friendlier public name)."""
-    return execute(request, cache)
 
 
 def default_runner(request_doc: dict, cache: ProgramCache) -> dict:

@@ -15,10 +15,9 @@ hand-rolling their own.
   parameter overrides, codegen option overrides, the schedule seed, and a
   serialized fault plan.  A request is a *value*: frozen, comparable, and
   the source of the compiled-program cache key.
-* :class:`RunResult` — a superset of the historical ``VariantResult``
-  (which is now an alias of this class): the paper-facing metrics plus
-  service metadata (``ok``/``error``, ``wall_s``, ``worker``,
-  ``cache_hit``) and the request correlation ``tag``.
+* :class:`RunResult` — the paper-facing metrics plus service metadata
+  (``ok``/``error``, ``wall_s``, ``worker``, ``cache_hit``) and the
+  request correlation ``tag``.
 * :class:`BatchResult` — an ordered collection of results with the
   service-level counters (wall time, cache hits/misses, runs/min).
 
@@ -229,7 +228,6 @@ class RunRequest:
     mode: str = "sim"                       # "sim" | "model"
     machine: Optional[dict] = None          # MachineModel field overrides
     options: Optional[dict] = None          # SpfOptions/XhpfOptions overrides
-    gc_epochs: Optional[int] = 8
     schedule_seed: Optional[int] = None
     seq_time: Optional[float] = None
     racecheck: bool = False
@@ -254,7 +252,7 @@ class RunRequest:
         """
         return (self.app, self.variant, self.preset, self.nprocs,
                 self.mode, _canonical(self.machine),
-                _canonical(self.options), self.gc_epochs)
+                _canonical(self.options))
 
     def to_json(self) -> dict:
         doc = {"schema": RUN_SCHEMA, "kind": "request"}
@@ -290,9 +288,8 @@ class RunRequest:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything one run reports (the historical ``VariantResult`` is an
-    alias of this class; its fields and semantics are unchanged, extended
-    with the service metadata at the bottom)."""
+    """Everything one run reports: the paper-facing metrics, then the
+    service metadata at the bottom."""
 
     app: str
     variant: str

@@ -56,8 +56,8 @@ from repro.sim.network import NetworkStats
 from repro.tmk.diffs import WORD, mask_diff_nbytes
 from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
 from repro.tmk.intervals import SeenVector, records_unknown_to
-from repro.tmk.lrc import (LrcNode, diff_request_nbytes, fork_nbytes,
-                           lock_request_nbytes, sync_nbytes)
+from repro.tmk.lrc import (GC_EPOCHS, LrcNode, diff_request_nbytes,
+                           fork_nbytes, lock_request_nbytes, sync_nbytes)
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.stats import DsmStats
 from repro.tmk.sync import BarrierManager, LockTable
@@ -83,15 +83,13 @@ def _tree_depth(n: int) -> int:
 def model_variant(app: str, variant: str, nprocs: int = 8,
                   preset: str = "bench",
                   machine: Optional[MachineModel] = None,
-                  seq_time: Optional[float] = None,
-                  gc_epochs: Optional[int] = 8):
+                  seq_time: Optional[float] = None):
     """Predict one (application, variant) run analytically.
 
-    Returns a :class:`~repro.api.RunResult` (the historical
-    ``VariantResult``) with ``mode="model"``; same fields as a simulated
-    run (``dsm`` carries the predicted :class:`DsmStats` for the DSM
-    variants).  Raises :class:`ModelUnsupportedVariant` for
-    ``tmk``/``pvme``/``spf_opt``.
+    Returns a :class:`~repro.api.RunResult` with ``mode="model"``; same
+    fields as a simulated run (``dsm`` carries the predicted
+    :class:`DsmStats` for the DSM variants).  Raises
+    :class:`ModelUnsupportedVariant` for ``tmk``/``pvme``/``spf_opt``.
     """
     from repro.api.types import RunResult
 
@@ -120,7 +118,7 @@ def model_variant(app: str, variant: str, nprocs: int = 8,
     program = spec.build_program(params)
     if variant in ("spf", "spf_old"):
         options = SpfOptions(improved_interface=(variant == "spf"))
-        m = _SpfModel(program, nprocs, mach, options, gc_epochs=gc_epochs)
+        m = _SpfModel(program, nprocs, mach, options)
     else:
         options = XhpfOptions(inspector_executor=(variant == "xhpf_ie"))
         m = _XhpfModel(program, nprocs, mach, options)
@@ -182,7 +180,7 @@ class _MNode(LrcNode):
     _diff_nbytes = staticmethod(int)
 
     def _page_image(self, page: int) -> int:
-        return self.model.page_size
+        return PAGE_SIZE
 
     def pay(self, charges) -> None:
         """Run a core action (a generator of charges) on this node's
@@ -210,7 +208,7 @@ class _SpfModel(_ModelBase):
     """
 
     def __init__(self, program, nprocs: int, machine: MachineModel,
-                 options: SpfOptions, gc_epochs: Optional[int] = 8):
+                 options: SpfOptions):
         super().__init__()
         self.machine = machine
         self.nprocs = nprocs
@@ -225,7 +223,7 @@ class _SpfModel(_ModelBase):
         self.stats = DsmStats()
         self.dsm_stats = self.stats
         self.nodes = [_MNode(pid, nprocs, self.space.npages, machine,
-                             self.stats, gc_epochs)
+                             self.stats, GC_EPOCHS)
                       for pid in range(nprocs)]
         self.barrier_mgr = BarrierManager(nprocs)
         self.lock_table = LockTable(nprocs)
@@ -635,8 +633,7 @@ class _XhpfModel(_ModelBase):
         self.machine = machine
         self.nprocs = nprocs
         self.exe = compile_xhpf(program, nprocs, options)
-        self.packet = (machine.mp_packet_bytes
-                       if options.segment_transfers else None)
+        self.packet = machine.mp_packet_bytes
         self.views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                       for a in program.arrays}
         self.stale: set = set()

@@ -548,7 +548,6 @@ def compile_spf(program: Program, nprocs: int = 8,
 def run_spf(program: Program, nprocs: int = 8,
             options: Optional[SpfOptions] = None,
             model: Optional[MachineModel] = None,
-            gc_epochs: Optional[int] = 8,
             schedule_seed: Optional[int] = None,
             racecheck: bool = False,
             faults: Optional[FaultPlan] = None) -> RunResult:
@@ -559,7 +558,7 @@ def run_spf(program: Program, nprocs: int = 8,
         exe.setup_space(space)
 
     result = tmk_run(nprocs, exe.run_on, setup, model=model,
-                     gc_epochs=gc_epochs, schedule_seed=schedule_seed,
-                     racecheck=racecheck, faults=faults)
+                     schedule_seed=schedule_seed, racecheck=racecheck,
+                     faults=faults)
     result.scalars = result.results[0]
     return result

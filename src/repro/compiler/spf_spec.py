@@ -220,7 +220,6 @@ def compile_spf_spec(program: Program, nprocs: int = 8,
 def run_spf_spec(program: Program, nprocs: int = 8,
                  options: Optional[SpfOptions] = None,
                  model: Optional[MachineModel] = None,
-                 gc_epochs: Optional[int] = 8,
                  schedule_seed: Optional[int] = None,
                  faults: Optional[FaultPlan] = None):
     """Compile and run with the race monitor attached (speculation needs
@@ -231,8 +230,8 @@ def run_spf_spec(program: Program, nprocs: int = 8,
         exe.setup_space(space)
 
     result = tmk_run(nprocs, exe.run_on, setup, model=model,
-                     gc_epochs=gc_epochs, schedule_seed=schedule_seed,
-                     racecheck=True, faults=faults)
+                     schedule_seed=schedule_seed, racecheck=True,
+                     faults=faults)
     result.scalars = result.results[0]
     result.speculation = exe.last_spec_stats
     return result

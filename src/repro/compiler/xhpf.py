@@ -64,24 +64,20 @@ __all__ = ["XhpfOptions", "XhpfExecutable", "compile_xhpf", "run_xhpf"]
 TAG_EXCHANGE = 2000
 TAG_PARTITION = 2001
 
+INSPECT_COST_PER_ELEMENT = 200e-9
+"""Charged when the inspector analyzes a footprint (index translation and
+schedule construction were a real cost in CHAOS)."""
+
 
 @dataclass
 class XhpfOptions:
     """Code-generation switches."""
-
-    segment_transfers: bool = True
-    """Move array sections through the runtime's bounded buffer (4 KB
-    packets).  Disable to model an idealized runtime."""
 
     inspector_executor: bool = False
     """Handle irregular loops with CHAOS-style inspector-executor schedules
     (see :mod:`repro.compiler.inspector`) instead of the paper's
     broadcast-everything fallback.  This is the 'quite complex' compiler
     alternative the paper positions the DSM against."""
-
-    inspect_cost_per_element: float = 200e-9
-    """Charged when the inspector analyzes a footprint (index translation
-    and schedule construction were a real cost in CHAOS)."""
 
 
 def _row_span(rows) -> tuple:
@@ -297,8 +293,7 @@ class XhpfExecutable:
                              return_rows=(dict(recv_rows) if loop.accumulate
                                           else {}))
         cache.store(loop.name, sched)
-        return sched, (self.options.inspect_cost_per_element
-                       * max(len(flat), 1))
+        return sched, INSPECT_COST_PER_ELEMENT * max(len(flat), 1)
 
     def schedule_requests(self, sched: CommSchedule, pid: int) -> list:
         """``(peer, want, give)``: what ``pid``'s fresh schedule tells every
@@ -314,9 +309,8 @@ class XhpfExecutable:
     def run_on(self, env: ProcEnv):
         """One processor's program: a generator of block requests whose
         return value is the scalar dict."""
-        model = env.model
-        packet = model.mp_packet_bytes if self.options.segment_transfers else None
-        comm = Comm(env, category="data", packet_bytes=packet)
+        comm = Comm(env, category="data",
+                    packet_bytes=env.model.mp_packet_bytes)
         views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                  for a in self.program.arrays}
         scalars: dict = {}

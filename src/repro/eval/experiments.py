@@ -11,16 +11,12 @@ Variants
 ``spf_old``  SPF over the *original* (8(n-1)-message) fork-join interface
 ``xhpf_ie``  XHPF with CHAOS-style inspector-executor schedules (extension)
 
-This module is now a thin facade over :mod:`repro.api` — the typed
+This module is a thin facade over :mod:`repro.api` — the typed
 ``RunRequest``/``RunResult`` layer that the CLI, the run service
-(:mod:`repro.serve`) and every harness share:
-
-* :class:`VariantResult` is an **alias** of :class:`repro.api.RunResult`
-  (same fields and semantics, plus service metadata; it gained
-  ``to_json()``/``from_json()`` with the ``repro-run/1`` schema tag);
-* :func:`run_all_variants` builds the requests and hands them to
-  :func:`repro.eval.parallel.run_requests` (the sequential oracle runs
-  first, once per app).
+(:mod:`repro.serve`) and every harness share: :func:`run_all_variants`
+builds the requests and hands them to
+:func:`repro.eval.parallel.run_requests` (the sequential oracle runs
+first, once per app).
 """
 
 from __future__ import annotations
@@ -28,14 +24,11 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.api.registry import FIGURE_VARIANTS, VARIANTS
-from repro.api.types import RunRequest, RunResult, machine_to_doc
+from repro.api.types import RunRequest, machine_to_doc
 from repro.eval.parallel import run_requests, service_for
 from repro.sim.machine import MachineModel
 
-__all__ = ["VariantResult", "run_all_variants", "VARIANTS"]
-
-#: the historical result type — one class, one serializer, everywhere
-VariantResult = RunResult
+__all__ = ["run_all_variants", "VARIANTS"]
 
 
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",

@@ -125,7 +125,6 @@ def racecheck_app(app: str, variant: str = "spf",
                   seeds: Union[int, Sequence] = 5,
                   nprocs: int = 8, preset: str = "test",
                   model: Optional[MachineModel] = None,
-                  gc_epochs: Optional[int] = 8,
                   jobs: int = 1, service=None,
                   fleet: Optional[list] = None) -> RacecheckReport:
     """Race-check ``app`` under ``variant`` across ``seeds`` interleavings.
@@ -147,8 +146,8 @@ def racecheck_app(app: str, variant: str = "spf",
                          "(a zero-run verdict would be vacuously OK)")
     requests = [RunRequest(app=app, variant=variant, nprocs=nprocs,
                            preset=preset, machine=machine_to_doc(model),
-                           gc_epochs=gc_epochs, schedule_seed=seed,
-                           racecheck=True, readback=True, seq_time=1.0)
+                           schedule_seed=seed, racecheck=True,
+                           readback=True, seq_time=1.0)
                 for seed in seed_list]
     first, first_arrays = execute_with_arrays(requests[0])
     results = [first] + run_requests(
@@ -258,8 +257,7 @@ class CrossCheckReport:
 def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
                     nprocs: int = 8, preset: str = "test",
                     mutations: int = 3,
-                    model: Optional[MachineModel] = None,
-                    gc_epochs: Optional[int] = 8) -> CrossCheckReport:
+                    model: Optional[MachineModel] = None) -> CrossCheckReport:
     """Assert the static verdicts agree with the dynamic detector.
 
     Runs :func:`depend.analyze_program` on ``app``'s program and
@@ -276,7 +274,7 @@ def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
     static = depend.analyze_program(program, nprocs)
 
     dyn = racecheck_app(app, "spf", seeds=seeds, nprocs=nprocs,
-                        preset=preset, model=model, gc_epochs=gc_epochs)
+                        preset=preset, model=model)
     racing = sorted({depend.tag_family(src)
                      for f in dyn.true_races
                      for src in (f.source_a, f.source_b)})

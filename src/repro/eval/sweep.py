@@ -34,7 +34,6 @@ def run_sweep(apps: Optional[list] = None,
               nodes: tuple = DEFAULT_NODES,
               preset: str = "test",
               machine: Optional[MachineModel] = None,
-              gc_epochs: Optional[int] = 8,
               jobs: int = 1,
               service=None,
               fleet: Optional[list] = None,
@@ -83,8 +82,7 @@ def run_sweep(apps: Optional[list] = None,
             for i, n in enumerate(nodes):
                 requests.append(RunRequest(
                     app=app, variant=variant, nprocs=int(n), preset=preset,
-                    mode="model", machine=machine_doc, seq_time=seq_time,
-                    gc_epochs=gc_epochs))
+                    mode="model", machine=machine_doc, seq_time=seq_time))
                 slots.append((app, variant, i))
         doc["apps"][app] = entry
     results = run_requests(

@@ -44,7 +44,7 @@ def format_table1(rows: dict) -> str:
 def format_speedup_figure(results: dict, apps: list, title: str) -> str:
     """Figures 1/2: 8-processor speedups, four variants per application.
 
-    ``results``: app -> {variant: VariantResult}.
+    ``results``: app -> {variant: RunResult}.
     """
     out = [title,
            f"{'Program':10s}" + "".join(

@@ -45,10 +45,6 @@ class Pvme:
     def recv_gen(self, src: int = ANY_SOURCE, tag: int = ANY_TAG):
         return self.comm.recv_gen(src=src, tag=tag)
 
-    def exchange_gen(self, peer: int, payload: Any, tag: int = 0):
-        """Symmetric neighbour exchange (send then recv from the same peer)."""
-        return self.comm.sendrecv_gen(peer, payload, src=peer, tag=tag)
-
     # -- collectives --------------------------------------------------------
 
     def bcast_gen(self, value: Any, root: int = 0):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Sequence
 
 from repro.sim.engine import HOLD, Process, Simulator
-from repro.sim.faults import FaultPlan, faults_enabled_from_env
+from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel, SP2_MODEL
 from repro.sim.network import Network, NetworkStats
 
@@ -155,8 +155,6 @@ class Cluster:
                  faults: Optional[FaultPlan] = None):
         if nprocs < 1:
             raise ValueError("need at least one processor")
-        if faults is None and faults_enabled_from_env():
-            faults = FaultPlan.default()
         self.nprocs = nprocs
         self.model = (model or SP2_MODEL).with_(nprocs=nprocs)
         self.sim = Simulator(schedule_seed=schedule_seed)

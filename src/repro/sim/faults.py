@@ -36,21 +36,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
-from repro.envflags import env_flag
-
 __all__ = ["FaultRates", "NodeStall", "FaultPlan", "FaultStats",
-           "FaultInjector", "faults_enabled_from_env"]
-
-
-def faults_enabled_from_env() -> bool:
-    """The ``TMK_FAULTS`` toggle (default: off).
-
-    Accepts the same spellings as ``TMK_FASTPATH`` (``0/false/off/no`` vs
-    ``1/true/on/yes``, case-insensitive) via :func:`repro.envflags.
-    env_flag`.  When set, clusters built without an explicit plan run
-    under :meth:`FaultPlan.default`.
-    """
-    return env_flag("TMK_FAULTS", default=False)
+           "FaultInjector"]
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,6 @@ class MachineModel:
     """CPU time at the receiver per message consumed."""
 
     # --- DSM software costs (TreadMarks) ----------------------------------
-    page_size: int = PAGE_SIZE
     fault_overhead: float = 300e-6
     """Kernel trap + signal delivery + handler dispatch per simulated page
     fault (SIGSEGV + mprotect on AIX 3.2.5).  The resulting end-to-end
@@ -84,7 +83,8 @@ class MachineModel:
     internal buffer; large broadcasts are segmented into packets of this
     size.  (This reproduces the per-message granularity visible in the
     paper's Table 3, where the XHPF data/message ratio is ~4 KB.)
-    Hand-coded PVMe sends are *not* segmented."""
+    ``0`` means unsegmented: every send is one message, an idealized
+    runtime.  Hand-coded PVMe sends are *not* segmented."""
 
     def message_time(self, nbytes: int) -> float:
         """Wire time from end-of-send to delivery for an ``nbytes`` payload."""

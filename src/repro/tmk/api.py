@@ -38,7 +38,7 @@ from repro.sim.cluster import Cluster, ProcEnv, RunResult
 from repro.sim.engine import blocking
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
-from repro.tmk.faststate import fastpath_enabled_from_env
+from repro.tmk.lrc import GC_EPOCHS
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.protocol import TmkNode
 from repro.tmk.server import start_server
@@ -52,18 +52,19 @@ __all__ = ["TmkWorld", "Tmk", "tmk_run"]
 class TmkWorld:
     """Cluster-wide DSM context: address-space layout and manager state.
 
-    ``gc_epochs`` bounds the diff cache: diffs older than that many barriers
-    are collected and later requests fall back to whole-page transfers
-    (``None`` disables GC — fine for tests and short runs).
+    The two class attributes are test seams, not settings (a test
+    monkeypatches them): ``gc_epochs`` bounds every node's diff cache
+    (:data:`repro.tmk.lrc.GC_EPOCHS`; ``None`` disables GC), and
+    ``fastpath = False`` makes every access walk the per-page slow path,
+    the reference ``tests/test_fastpath.py`` compares the fast path with.
     """
 
-    def __init__(self, nprocs: int, space: SharedSpace,
-                 gc_epochs: Optional[int] = 8):
+    gc_epochs: Optional[int] = GC_EPOCHS
+    fastpath: bool = True
+
+    def __init__(self, nprocs: int, space: SharedSpace):
         self.nprocs = nprocs
         self.space = space
-        self.gc_epochs = gc_epochs
-        # coherence fast path (TMK_FASTPATH=0 disables; see tmk.faststate)
-        self.fastpath = fastpath_enabled_from_env()
         self.nodes: dict[int, TmkNode] = {}
         self.barrier_mgr = _sync.BarrierManager(nprocs)
         self.lock_table = _sync.LockTable(nprocs)
@@ -132,7 +133,6 @@ def tmk_run(nprocs: int,
             setup: Callable[[SharedSpace], None],
             args: Sequence = (),
             model: Optional[MachineModel] = None,
-            gc_epochs: Optional[int] = 8,
             trace: bool = False,
             schedule_seed: Optional[int] = None,
             racecheck: bool = False,
@@ -159,7 +159,7 @@ def tmk_run(nprocs: int,
     """
     space = SharedSpace()
     setup(space)
-    world = TmkWorld(nprocs, space, gc_epochs=gc_epochs)
+    world = TmkWorld(nprocs, space)
     if trace:
         from repro.tmk.trace import attach_tracer
         attach_tracer(world)

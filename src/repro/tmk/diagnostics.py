@@ -35,8 +35,8 @@ def fastpath_summary(stats) -> str:
     """
     total = stats.fastpath_hits + stats.fastpath_misses
     if total == 0:
-        return ("fast path: inactive (no ensure_* calls, or disabled via "
-                "TMK_FASTPATH=0)")
+        return ("fast path: inactive (no ensure_* calls, or "
+                "TmkWorld.fastpath is off)")
     rate = stats.fastpath_hits / total
     return (f"fast path: {stats.fastpath_hits}/{total} ensure_* calls "
             f"served by the mask/verdict caches ({rate:.1%} hit rate); "

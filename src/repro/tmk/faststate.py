@@ -51,30 +51,19 @@ edges the race monitor instruments) and a
 footprint (every time-loop iteration) skips even the page math — one dict
 probe and an integer compare.
 
-``TMK_FASTPATH=0`` in the environment disables the fast path entirely
-(every access walks the per-page slow path); the equivalence regression
-test runs both ways and asserts bit-identical virtual times, traffic and
-memory images.
+``enabled=False`` (a world whose ``TmkWorld.fastpath`` is ``False``, a
+test seam) makes every access walk the per-page slow path; the equivalence
+regression test runs both ways and asserts bit-identical virtual times,
+traffic and memory images.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.envflags import env_flag
-
-__all__ = ["FastState", "fastpath_enabled_from_env"]
+__all__ = ["FastState"]
 
 _REGION_VERDICT_LIMIT = 4096   # per-node cap on remembered footprints
-
-
-def fastpath_enabled_from_env() -> bool:
-    """The ``TMK_FASTPATH`` escape hatch (default: enabled).
-
-    ``0 / false / off / no`` (case-insensitive) disable; ``1 / true / on /
-    yes`` enable; anything else raises — see :func:`repro.envflags.env_flag`.
-    """
-    return env_flag("TMK_FASTPATH", default=True)
 
 
 class FastState:

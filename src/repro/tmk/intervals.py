@@ -76,12 +76,6 @@ class SeenVector:
         self.v[rec.proc] = rec.id
         return True
 
-    def merge_max(self, other: "SeenVector") -> None:
-        self.v = [max(a, b) for a, b in zip(self.v, other.v)]
-
-    def dominates(self, other: "SeenVector") -> bool:
-        return all(a >= b for a, b in zip(self.v, other.v))
-
     def as_tuple(self) -> tuple:
         return tuple(self.v)
 

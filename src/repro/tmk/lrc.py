@@ -50,6 +50,7 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional
 
+from repro.sim.machine import PAGE_SIZE
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
                                  notice_payload_nbytes)
 
@@ -58,7 +59,7 @@ if TYPE_CHECKING:
     from repro.tmk.stats import DsmStats
 
 __all__ = ["LrcNode", "PageMeta", "CacheEntry", "PageReply",
-           "CONTROL_BYTES", "diff_request_nbytes", "sync_nbytes",
+           "GC_EPOCHS", "CONTROL_BYTES", "diff_request_nbytes", "sync_nbytes",
            "lock_request_nbytes", "fork_nbytes"]
 
 
@@ -67,6 +68,11 @@ __all__ = ["LrcNode", "PageMeta", "CacheEntry", "PageReply",
 # on the payload representation: see LrcNode.reply_nbytes)
 
 CONTROL_BYTES = 64    # subroutine index + parameter block on a fork message
+
+GC_EPOCHS = 8
+"""Diff-cache bound of every run: a diff is collected that many barriers
+after its creation, and a later request for it gets the whole page.  The
+constructor's ``gc_epochs`` (``None`` disables GC) exists for tests."""
 
 
 def diff_request_nbytes(batch_len: Optional[int] = None) -> int:
@@ -260,7 +266,7 @@ class LrcNode:
         self.stats.diffs_created += 1
         self.stats.diff_bytes_created += self._diff_nbytes(diff)
         self._cache_entry(page, diff)
-        return self.model.diff_create_time(self.model.page_size)
+        return self.model.diff_create_time(PAGE_SIZE)
 
     def _cache_entry(self, page: int, diff) -> None:
         if not diff:
@@ -302,7 +308,7 @@ class LrcNode:
         """Wire size of one page's diff reply."""
         n = 16 + sum(self._diff_nbytes(e.diff) for e in reply.diffs)
         if reply.full_page is not None:
-            n += self.model.page_size
+            n += PAGE_SIZE
         return n
 
     def _apply_replies(self, page: int, m: PageMeta, replies):

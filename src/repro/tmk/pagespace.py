@@ -274,10 +274,7 @@ class SharedSpace:
     experiments *induce* false sharing deliberately.
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE):
-        if page_size != PAGE_SIZE:
-            raise ValueError("page size is fixed by the machine model")
-        self.page_size = page_size
+    def __init__(self):
         self._cursor = 0
         self.arrays: dict[str, ArrayHandle] = {}
 
@@ -289,7 +286,7 @@ class SharedSpace:
         if any(s <= 0 for s in shape):
             raise ValueError(f"bad shape {shape}")
         if pad_to_page:
-            self._cursor = _round_up(self._cursor, self.page_size)
+            self._cursor = _round_up(self._cursor, PAGE_SIZE)
         else:
             self._cursor = _round_up(self._cursor, dtype.itemsize)
         handle = ArrayHandle(name=name, offset=self._cursor, shape=shape,
@@ -301,11 +298,11 @@ class SharedSpace:
     @property
     def nbytes(self) -> int:
         """Total allocated span, rounded up to whole pages."""
-        return _round_up(self._cursor, self.page_size)
+        return _round_up(self._cursor, PAGE_SIZE)
 
     @property
     def npages(self) -> int:
-        return self.nbytes // self.page_size
+        return self.nbytes // PAGE_SIZE
 
     def __getitem__(self, name: str) -> ArrayHandle:
         return self.arrays[name]

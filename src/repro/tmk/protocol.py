@@ -51,8 +51,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.sim.engine import HOLD
+from repro.sim.machine import PAGE_SIZE
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
-from repro.tmk.faststate import FastState, fastpath_enabled_from_env
+from repro.tmk.faststate import FastState
 from repro.tmk.lrc import LrcNode, diff_request_nbytes
 from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
 
@@ -111,7 +112,6 @@ class TmkNode(LrcNode):
         self.proc = env.proc          # this node's main program
         self.net = env.net
         self.space: SharedSpace = world.space
-        self.page_size = self.model.page_size
 
         self.mem = np.zeros(self.space.nbytes, dtype=np.uint8)
         self.server_proc = None       # set by tmk.server.start_server
@@ -121,10 +121,7 @@ class TmkNode(LrcNode):
         # verdicts (see repro.tmk.faststate).  Mask *maintenance* is
         # unconditional (the invariants are cheap to keep and always true);
         # only *consulting* the masks is gated on ``enabled``.
-        enabled = getattr(world, "fastpath", None)
-        if enabled is None:
-            enabled = fastpath_enabled_from_env()
-        self.fast = FastState(self.space.npages, enabled=enabled)
+        self.fast = FastState(self.space.npages, enabled=world.fastpath)
         # the read mask is the core's ``valid`` column itself
         self.valid_mask = np.frombuffer(self.valid, dtype=bool)
         # ``write_ok`` hears of every state regression straight from the
@@ -147,8 +144,8 @@ class TmkNode(LrcNode):
         return raw.view(handle.dtype).reshape(handle.shape)
 
     def page_bytes(self, page: int) -> np.ndarray:
-        off = page * self.page_size
-        return self.mem[off:off + self.page_size]
+        off = page * PAGE_SIZE
+        return self.mem[off:off + PAGE_SIZE]
 
     # ------------------------------------------------------------------ #
     # access hooks — the simulated page faults

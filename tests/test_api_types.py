@@ -16,8 +16,8 @@ import dataclasses
 import pytest
 
 from repro.api import (DSM_VARIANTS, PRESETS, VARIANTS, BatchResult,
-                       ProgramCache, RunRequest, RunResult, execute,
-                       registry)
+                       InProcess, ProgramCache, RunRequest, RunResult,
+                       execute, registry)
 from repro.api.types import (RUN_SCHEMA, VOLATILE_RESULT_FIELDS,
                              fault_plan_from_doc, fault_plan_to_doc,
                              machine_from_doc, machine_to_doc)
@@ -27,13 +27,22 @@ from repro.sim.machine import SP2_MODEL
 
 def test_run_request_round_trips_with_schema_tag():
     req = RunRequest("jacobi", "spf", nprocs=4, preset="test",
-                     gc_epochs=4, schedule_seed=7, racecheck=True,
+                     schedule_seed=7, racecheck=True,
                      options={"improved_interface": False}, tag="t-1")
     doc = req.to_json()
     assert doc["schema"] == RUN_SCHEMA
     assert RunRequest.from_json(doc) == req
     # docs are plain JSON: a dict round-trip must also work
     assert RunRequest.from_json(dict(doc)) == req
+
+
+def test_run_request_refuses_retired_fields():
+    """``gc_epochs`` is a protocol constant now; a request naming it is
+    refused instead of silently running with the constant."""
+    doc = RunRequest("jacobi", "spf").to_json()
+    doc["gc_epochs"] = 8
+    with pytest.raises(ValueError, match="gc_epochs"):
+        RunRequest.from_json(doc)
 
 
 def test_run_request_rejects_wrong_schema():
@@ -50,6 +59,28 @@ def test_cache_key_tracks_compile_coordinates_only():
         schedule_seed=3, tag="x").cache_key()
     assert base.cache_key() != dataclasses.replace(
         base, nprocs=8).cache_key()
+
+
+def test_environment_does_not_change_a_run(monkeypatch):
+    """A run is a function of its request: the variables that once
+    attached a fault plan or disabled the fast path change nothing."""
+    request = RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                         seq_time=1.0)
+    clean = execute(request)
+    monkeypatch.setenv("TMK_FAULTS", "1")
+    monkeypatch.setenv("TMK_FASTPATH", "0")
+    assert execute(request).fingerprint() == clean.fingerprint()
+
+
+def test_page_size_override_is_a_structured_failure():
+    """The page size is a constant of the shared space, not a machine
+    field: overriding it must fail, never run with wrong numbers."""
+    request = RunRequest("jacobi", "tmk", nprocs=4, preset="test",
+                         machine={"page_size": 2048}, seq_time=1.0)
+    [(_index, result)] = InProcess().stream([request])
+    assert not result.ok
+    assert result.error_kind == "TypeError"
+    assert "page_size" in result.error
 
 
 def test_run_result_round_trips_and_fingerprint_drops_volatiles():

@@ -8,7 +8,7 @@ divisible and non-divisible processor counts.
 
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.apps.common import APP_REGISTRY, get_app, signatures_close
 
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
@@ -19,7 +19,7 @@ _seq_cache = {}
 
 def seq_signature(app):
     if app not in _seq_cache:
-        _seq_cache[app] = run(RunRequest(app, "seq", preset="test"))
+        _seq_cache[app] = execute(RunRequest(app, "seq", preset="test"))
     return _seq_cache[app]
 
 
@@ -73,8 +73,8 @@ def test_variant_matches_sequential(app, variant, nprocs):
     """The paper reports 8 processors; 2 and 4 catch what page-aligned
     partitions hide."""
     seq = seq_signature(app)
-    res = run(RunRequest(app, variant, nprocs=nprocs, preset="test",
-                         seq_time=seq.time))
+    res = execute(RunRequest(app, variant, nprocs=nprocs, preset="test",
+                             seq_time=seq.time))
     assert res.ok
     assert signatures_close(seq.signature, res.signature, rtol=1e-6), (
         f"{app}/{variant}/{nprocs}: {res.signature} != {seq.signature}")
@@ -85,8 +85,8 @@ def test_variant_matches_sequential(app, variant, nprocs):
 def test_nondivisible_processor_count(app, variant, nprocs):
     """3 and 5 processors: block remainders and cyclic wrap still correct."""
     seq = seq_signature(app)
-    res = run(RunRequest(app, variant, nprocs=nprocs, preset="test",
-                         seq_time=seq.time))
+    res = execute(RunRequest(app, variant, nprocs=nprocs, preset="test",
+                             seq_time=seq.time))
     assert res.ok
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
@@ -95,8 +95,8 @@ def test_nondivisible_processor_count(app, variant, nprocs):
 def test_compiled_variants_on_two_procs(app):
     seq = seq_signature(app)
     for variant in ("spf", "xhpf"):
-        res = run(RunRequest(app, variant, nprocs=2, preset="test",
-                             seq_time=seq.time))
+        res = execute(RunRequest(app, variant, nprocs=2, preset="test",
+                                 seq_time=seq.time))
         assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
@@ -107,23 +107,23 @@ def test_spf_optimized_variant_same_answer(app):
     if spec.spf_opt_options is None:
         pytest.skip("no hand-optimized variant in the paper")
     seq = seq_signature(app)
-    res = run(RunRequest(app, "spf_opt", nprocs=4, preset="test",
-                         seq_time=seq.time))
+    res = execute(RunRequest(app, "spf_opt", nprocs=4, preset="test",
+                             seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
 @pytest.mark.parametrize("app", ["jacobi", "mgs"])
 def test_spf_old_interface_same_answer(app):
     seq = seq_signature(app)
-    res = run(RunRequest(app, "spf_old", nprocs=4, preset="test",
-                         seq_time=seq.time))
+    res = execute(RunRequest(app, "spf_old", nprocs=4, preset="test",
+                             seq_time=seq.time))
     assert signatures_close(seq.signature, res.signature, rtol=1e-6)
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_variants_deterministic(app):
-    a = run(RunRequest(app, "tmk", nprocs=4, preset="test"))
-    b = run(RunRequest(app, "tmk", nprocs=4, preset="test"))
+    a = execute(RunRequest(app, "tmk", nprocs=4, preset="test"))
+    b = execute(RunRequest(app, "tmk", nprocs=4, preset="test"))
     assert a.time == b.time
     assert a.messages == b.messages
     assert a.signature == b.signature

@@ -8,10 +8,11 @@ and accumulation buffers (NBF).
 
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.apps.common import get_app, signatures_close
 from repro.compiler.spf import SpfOptions, run_spf
-from repro.compiler.xhpf import XhpfOptions, run_xhpf
+from repro.compiler.xhpf import run_xhpf
+from repro.sim.machine import SP2_MODEL
 
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
 
@@ -20,7 +21,7 @@ _seq = {}
 
 def seq(app):
     if app not in _seq:
-        _seq[app] = run(RunRequest(app, "seq", preset="test"))
+        _seq[app] = execute(RunRequest(app, "seq", preset="test"))
     return _seq[app]
 
 
@@ -74,8 +75,7 @@ def test_old_interface_with_extensions(app):
 def test_xhpf_unsegmented_every_app(app):
     spec = get_app(app)
     prog = spec.build_program(spec.params("test"))
-    r = run_xhpf(prog, nprocs=4,
-                 options=XhpfOptions(segment_transfers=False))
+    r = run_xhpf(prog, nprocs=4, model=SP2_MODEL.with_(mp_packet_bytes=0))
     assert signatures_close(seq(app).signature, r.scalars, rtol=1e-6), app
 
 
@@ -83,7 +83,7 @@ def test_xhpf_unsegmented_every_app(app):
 @pytest.mark.parametrize("nprocs", [5])
 def test_awkward_processor_count_every_app(app, nprocs):
     """5 processors: nothing divides evenly anywhere."""
-    r = run(RunRequest(app, "spf", nprocs=nprocs, preset="test",
-                       seq_time=seq(app).time))
+    r = execute(RunRequest(app, "spf", nprocs=nprocs, preset="test",
+                           seq_time=seq(app).time))
     assert signatures_close(seq(app).signature, r.signature,
                             rtol=1e-6), app

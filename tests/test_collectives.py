@@ -167,17 +167,6 @@ def test_pvme_facade_roundtrip():
     assert r.results[1] == [0.0, 1.0, 2.0, 3.0]
 
 
-def test_pvme_exchange_symmetric():
-    def prog(env):
-        p = Pvme(env)
-        peer = 1 - p.tid
-        got = yield from p.exchange_gen(peer, f"hello-from-{p.tid}", tag=7)
-        return got
-
-    r = run(2, prog)
-    assert r.results == ["hello-from-1", "hello-from-0"]
-
-
 def test_pvme_block_range_covers_extent():
     def prog(env):
         p = Pvme(env)

@@ -12,10 +12,12 @@ wrong read.
 This is the test family that would have caught each of the protocol bugs
 found during development (happens-before diff ordering, the mid-interval
 watermark, the diff-cache/twin race, lock-chain tenure overtaking).
+
+Every program is a generator program (no thread), like every program
+``execute()`` runs.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,17 +64,18 @@ def dsm_program(tmk, program, snapshots):
         for row, off, width, seed in writes:
             lo = lane_lo + off
             hi = min(lo + width, lane_lo + LANE)
-            x.write((row, slice(lo, hi)), float(seed + tmk.pid * 1000))
-        tmk.barrier()
+            yield from x.write_gen((row, slice(lo, hi)),
+                                   float(seed + tmk.pid * 1000))
+        yield from tmk.barrier_gen()
         _, reads = epoch_ops[tmk.pid]
         expect = snapshots[epoch_idx]
         for row, col in reads:
-            got = float(x.read((row, col)))
+            got = float((yield from x.read_gen((row, col))))
             want = float(expect[row, col])
             assert got == want, (
                 f"epoch {epoch_idx} p{tmk.pid}: x[{row},{col}] = {got}, "
                 f"oracle says {want}")
-        tmk.barrier()
+        yield from tmk.barrier_gen()
     return True
 
 
@@ -117,15 +120,15 @@ def test_random_programs_consistent_any_size(program, nprocs):
                 lo = tmk.pid * lane + (off % lane)
                 hi = min(lo + width, (tmk.pid + 1) * lane)
                 if hi > lo:
-                    x.write((row, slice(lo, hi)),
-                            float(seed + tmk.pid * 1000))
-            tmk.barrier()
+                    yield from x.write_gen((row, slice(lo, hi)),
+                                           float(seed + tmk.pid * 1000))
+            yield from tmk.barrier_gen()
             _, reads = epoch_ops[tmk.pid % NPROCS]
             for row, col in reads:
-                got = float(x.read((row, col)))
+                got = float((yield from x.read_gen((row, col))))
                 want = float(snaps[epoch_idx][row, col])
                 assert got == want, (epoch_idx, tmk.pid, row, col, got, want)
-            tmk.barrier()
+            yield from tmk.barrier_gen()
         return True
 
     result = tmk_run(nprocs, prog, setup)
@@ -147,12 +150,16 @@ def test_random_lock_histories_serialize(ops):
         c = tmk.array("counter")
         for who, amount in ops:
             if tmk.pid == who:
-                tmk.lock_acquire(1)
-                cur = float(c.read((0,)))
-                c.write((0,), cur + amount)
-                tmk.lock_release(1)
-        tmk.barrier()
-        return float(c.read((0,)))
+                steps = tmk.lock_acquire_steps(1)
+                if steps is not None:
+                    yield from steps
+                cur = float((yield from c.read_gen((0,))))
+                yield from c.write_gen((0,), cur + amount)
+                steps = tmk.lock_release_steps(1)
+                if steps is not None:
+                    yield from steps
+        yield from tmk.barrier_gen()
+        return float((yield from c.read_gen((0,))))
 
     result = tmk_run(NPROCS, prog, setup_counter)
     total = float(sum(a for _w, a in ops))

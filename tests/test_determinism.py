@@ -9,7 +9,7 @@ identical across repeated runs of every kind of workload.
 import numpy as np
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.compiler.spf import SpfOptions, run_spf
 from repro.compiler.xhpf import run_xhpf
 from repro.msg import Pvme
@@ -76,8 +76,8 @@ def test_irregular_accumulate_deterministic():
 
 @pytest.mark.parametrize("variant", ["spf", "tmk", "xhpf", "pvme"])
 def test_harness_runs_deterministic(variant):
-    a = run(RunRequest("igrid", variant, nprocs=3, preset="test"))
-    b = run(RunRequest("igrid", variant, nprocs=3, preset="test"))
+    a = execute(RunRequest("igrid", variant, nprocs=3, preset="test"))
+    b = execute(RunRequest("igrid", variant, nprocs=3, preset="test"))
     assert (a.time, a.messages, a.kilobytes) == (b.time, b.messages,
                                                  b.kilobytes)
     assert a.signature == b.signature

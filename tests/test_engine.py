@@ -306,9 +306,9 @@ def test_events_and_virtual_fingerprint_pinned_to_parent_literals():
     """`jacobi tmk n=3 test` as the hold-eliding engine before this one
     reported it: self-wakeups are ordinary loop iterations now, and
     `events` did not move."""
-    from repro.api import RunRequest, run
-    r = run(RunRequest("jacobi", "tmk", nprocs=3, preset="test",
-                       seq_time=1.0))
+    from repro.api import RunRequest, execute
+    r = execute(RunRequest("jacobi", "tmk", nprocs=3, preset="test",
+                           seq_time=1.0))
     assert r.events == 413
     assert (r.time, r.messages, r.kilobytes) == (
         0.013917312000000032, 48, 4.265625)
@@ -1002,7 +1002,7 @@ def test_unknown_dsm_request_names_the_node_and_the_payload_type():
 # what the servers-as-generators change did and did not move
 
 def _cluster_results(monkeypatch):
-    """Collect every ``sim.cluster.RunResult`` produced under ``api.run``
+    """Collect every ``sim.cluster.RunResult`` produced under ``api.execute``
     (``switches`` is deliberately not on ``api.RunResult``)."""
     from repro.sim.cluster import Cluster
     seen = []
@@ -1042,9 +1042,10 @@ def test_switches_pinned_for_the_sim_sync_keys(monkeypatch, app, variant,
     one-line counter; `switches` after it (servers are generator processes);
     `STAGE_2A_SWITCHES` after the compiled programs became generator
     processes; `STAGE_2B_SWITCHES` now.  `events` is the same on all four."""
-    from repro.api import RunRequest, run
+    from repro.api import RunRequest, execute
     seen = _cluster_results(monkeypatch)
-    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0))
+    r = execute(RunRequest(app, variant, nprocs=8, preset="test",
+                           seq_time=1.0))
     assert r.events == seen[-1].events == events
     assert not hasattr(r, "switches")
     assert switches <= 0.6 * parent_switches        # PR 16: down >= 40 %
@@ -1055,9 +1056,10 @@ def test_message_passing_run_has_no_server_and_switches_as_before(monkeypatch):
     """`igrid-xhpf`: no DSM and no server, so PR 16 saved nothing here (193
     switches of 311 events, as before it); since stage 2a its four programs
     are generator processes and nothing is left to switch to."""
-    from repro.api import RunRequest, run
+    from repro.api import RunRequest, execute
     seen = _cluster_results(monkeypatch)
-    r = run(RunRequest("igrid", "xhpf", nprocs=4, preset="test", seq_time=1.0))
+    r = execute(RunRequest("igrid", "xhpf", nprocs=4, preset="test",
+                           seq_time=1.0))
     assert (r.events, seen[-1].switches) == (311, 0)
 
 
@@ -1076,10 +1078,10 @@ PARENT_PINS = {
 def test_schedule_seed_runs_pinned_to_parent_literals(key):
     """Recorded on the parent commit (thread servers), n=8 `test`: every
     fuzzed interleaving is the one it was -- same pushes, same jitter draws."""
-    from repro.api import RunRequest, run
+    from repro.api import RunRequest, execute
     app, variant, seed = key
-    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
-                       schedule_seed=seed))
+    r = execute(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
+                           schedule_seed=seed))
     assert (r.time, r.events, r.total_messages,
             r.total_kilobytes) == PARENT_PINS[key]
 
@@ -1100,9 +1102,10 @@ def test_kernel_runs_pinned_to_recorded_literals(key):
     hand-coded and hand-optimised -- keep the exact virtual metrics first
     recorded for them; `shallow-spf_opt` at this size is pinned nowhere
     else."""
-    from repro.api import RunRequest, run
+    from repro.api import RunRequest, execute
     app, variant = key
-    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0))
+    r = execute(RunRequest(app, variant, nprocs=8, preset="test",
+                           seq_time=1.0))
     assert (r.time, r.messages, r.kilobytes, r.events) == KERNEL_PINS[key]
 
 
@@ -1116,9 +1119,9 @@ def test_fault_plan_runs_pinned_to_parent_literals(app, variant, pinned):
     """Same, under `FaultPlan.default()`: the servers' sends ride the faulty
     wire through the one `send_gen`, draw for draw (time, events, messages,
     KB, retransmissions, acks, duplicates suppressed)."""
-    from repro.api import RunRequest, fault_plan_to_doc, run
+    from repro.api import RunRequest, execute, fault_plan_to_doc
     from repro.sim.faults import FaultPlan
-    r = run(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
-                       fault_plan=fault_plan_to_doc(FaultPlan.default())))
+    r = execute(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
+                           fault_plan=fault_plan_to_doc(FaultPlan.default())))
     assert (r.time, r.events, r.total_messages, r.total_kilobytes,
             r.retransmissions, r.acks, r.dup_suppressed) == pinned

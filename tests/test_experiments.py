@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.eval.constants import (APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS,
                                   VARIANT_NAMES)
-from repro.eval.experiments import VariantResult, run_all_variants
+from repro.eval.experiments import run_all_variants
 from repro.eval.tables import (format_comparison, format_speedup_figure,
                                format_table1, format_traffic_table)
 
@@ -34,7 +34,7 @@ def test_paper_headline_ratios_hold_in_constants():
 
 
 def test_run_variant_seq():
-    res = run(RunRequest("jacobi", "seq", preset="test"))
+    res = execute(RunRequest("jacobi", "seq", preset="test"))
     assert res.variant == "seq"
     assert res.nprocs == 1
     assert res.messages == 0
@@ -44,12 +44,12 @@ def test_run_variant_seq():
 
 def test_run_variant_rejects_unknown():
     with pytest.raises(ValueError):
-        run(RunRequest("jacobi", "mystery", preset="test"))
+        execute(RunRequest("jacobi", "mystery", preset="test"))
 
 
 def test_run_variant_spf_opt_requires_recipe():
     with pytest.raises(ValueError):
-        run(RunRequest("igrid", "spf_opt", preset="test"))
+        execute(RunRequest("igrid", "spf_opt", preset="test"))
 
 
 def test_run_all_variants_shares_seq_time():
@@ -68,14 +68,14 @@ def test_run_all_variants_is_tier_independent():
 
 
 def test_variant_result_row_is_one_line():
-    res = run(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
+    res = execute(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
     row = res.row()
     assert "\n" not in row
     assert "jacobi" in row and "pvme" in row
 
 
 def test_speedup_uses_measured_window():
-    res = run(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
+    res = execute(RunRequest("jacobi", "pvme", nprocs=2, preset="test"))
     # at this tiny size communication may outweigh compute; the point is
     # that the metrics are window-based and self-consistent
     assert res.speedup == pytest.approx(res.seq_time / res.time)
@@ -118,10 +118,10 @@ def test_format_comparison():
 
 def test_xhpf_ie_variant():
     """The inspector-executor extension is addressable as a variant."""
-    seq = run(RunRequest("igrid", "seq", preset="test"))
-    ie = run(RunRequest("igrid", "xhpf_ie", nprocs=4, preset="test",
-                        seq_time=seq.time))
-    bc = run(RunRequest("igrid", "xhpf", nprocs=4, preset="test",
-                        seq_time=seq.time))
+    seq = execute(RunRequest("igrid", "seq", preset="test"))
+    ie = execute(RunRequest("igrid", "xhpf_ie", nprocs=4, preset="test",
+                            seq_time=seq.time))
+    bc = execute(RunRequest("igrid", "xhpf", nprocs=4, preset="test",
+                            seq_time=seq.time))
     assert ie.kilobytes < bc.kilobytes
     assert ie.variant == "xhpf_ie"

@@ -3,9 +3,9 @@
 ``repro.tmk.faststate`` lets ``ensure_read``/``ensure_write`` return in
 O(1) when per-node page masks prove no fault can occur.  These tests pin
 the one property that makes the optimization safe: with the fast path on
-or off (``TMK_FASTPATH=0``), every virtual metric — times, messages,
-bytes, results, final array contents — is bit-identical.  Wall clock is
-the only thing allowed to change.
+or off (the ``TmkWorld.fastpath`` test seam), every virtual metric —
+times, messages, bytes, results, final array contents — is bit-identical.
+Wall clock is the only thing allowed to change.
 
 Also covered here: the region->pages memo on ArrayHandle, the
 gather/scatter index handling and the ``--stats`` CLI output.  Wall clock
@@ -17,11 +17,11 @@ five of its keys at n = 8 ``test`` are ``KERNEL_PINS`` in
 import numpy as np
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.cli import main
-from repro.tmk.api import tmk_run
+from repro.tmk.api import TmkWorld, tmk_run
 from repro.tmk.diagnostics import fastpath_summary
-from repro.tmk.faststate import FastState, fastpath_enabled_from_env
+from repro.tmk.faststate import FastState
 from repro.tmk.pagespace import SharedSpace, normalize_region
 from repro.tmk.stats import DsmStats
 
@@ -37,10 +37,12 @@ def _virtual_fingerprint(r):
 @pytest.mark.parametrize("app,variant", [("jacobi", "spf"),
                                          ("igrid", "spf")])
 def test_fastpath_equivalent_virtual_metrics(monkeypatch, app, variant):
-    monkeypatch.setenv("TMK_FASTPATH", "0")
-    off = run(RunRequest(app, variant, nprocs=4, preset="test", seq_time=1.0))
-    monkeypatch.setenv("TMK_FASTPATH", "1")
-    on = run(RunRequest(app, variant, nprocs=4, preset="test", seq_time=1.0))
+    monkeypatch.setattr(TmkWorld, "fastpath", False)
+    off = execute(RunRequest(app, variant, nprocs=4, preset="test",
+                             seq_time=1.0))
+    monkeypatch.setattr(TmkWorld, "fastpath", True)
+    on = execute(RunRequest(app, variant, nprocs=4, preset="test",
+                            seq_time=1.0))
     assert _virtual_fingerprint(off) == _virtual_fingerprint(on)
     assert off.dsm.fastpath_hits == 0 and off.dsm.fastpath_misses == 0
     assert on.dsm.fastpath_hits > 0
@@ -71,18 +73,14 @@ def _bytes_prog(tmk):
 
 
 def test_fastpath_equivalent_final_array_bytes(monkeypatch):
-    monkeypatch.setenv("TMK_FASTPATH", "0")
+    monkeypatch.setattr(TmkWorld, "fastpath", False)
     off = tmk_run(3, _bytes_prog, _bytes_setup)
-    monkeypatch.setenv("TMK_FASTPATH", "1")
+    monkeypatch.setattr(TmkWorld, "fastpath", True)
     on = tmk_run(3, _bytes_prog, _bytes_setup)
     assert off.results[0] == on.results[0]
     assert off.time == on.time
     assert off.stats.messages == on.stats.messages
     assert off.stats.bytes == on.stats.bytes
-
-
-def test_fastpath_env_switch():
-    assert fastpath_enabled_from_env() in (True, False)
 
 
 # ---------------------------------------------------------------------- #

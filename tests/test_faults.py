@@ -6,7 +6,7 @@ import pytest
 from repro.msg.endpoint import Comm
 from repro.sim import Cluster, Deadlock, SimError
 from repro.sim.faults import (FaultInjector, FaultPlan, FaultRates,
-                              NodeStall, faults_enabled_from_env)
+                              NodeStall)
 
 HEAVY = FaultPlan(rates=FaultRates(drop=0.3, dup=0.2, reorder=0.3, delay=0.3))
 
@@ -68,29 +68,6 @@ def test_category_overrides():
     inj = FaultInjector(plan, nprocs=2)
     assert not inj.draw("data").drop
     assert inj.draw("sync").drop
-
-
-def test_faults_env_toggle(monkeypatch):
-    monkeypatch.delenv("TMK_FAULTS", raising=False)
-    assert faults_enabled_from_env() is False
-    for spelling in ("1", "true", "ON", "Yes"):
-        monkeypatch.setenv("TMK_FAULTS", spelling)
-        assert faults_enabled_from_env() is True
-    for spelling in ("0", "false", "OFF", "no"):
-        monkeypatch.setenv("TMK_FAULTS", spelling)
-        assert faults_enabled_from_env() is False
-    monkeypatch.setenv("TMK_FAULTS", "flase")
-    with pytest.raises(ValueError):
-        faults_enabled_from_env()
-
-
-def test_fastpath_env_spellings(monkeypatch):
-    from repro.tmk.faststate import fastpath_enabled_from_env
-    monkeypatch.delenv("TMK_FASTPATH", raising=False)
-    assert fastpath_enabled_from_env() is True
-    for spelling in ("0", "False", "off", "NO"):
-        monkeypatch.setenv("TMK_FASTPATH", spelling)
-        assert fastpath_enabled_from_env() is False
 
 
 # --------------------------------------------------------------------------- #
@@ -212,11 +189,10 @@ def test_faults_are_reproducible_end_to_end():
     assert runs[0].stats.dup_suppressed == runs[1].stats.dup_suppressed
 
 
-def test_env_toggle_attaches_default_plan(monkeypatch):
+def test_environment_attaches_no_plan(monkeypatch):
+    """Faults come only from an explicit plan: the variable that once
+    attached the default one is ignored."""
     monkeypatch.setenv("TMK_FAULTS", "on")
-    cluster = Cluster(nprocs=2)
-    assert cluster.net.plan is not None
-    monkeypatch.setenv("TMK_FAULTS", "off")
     assert Cluster(nprocs=2).net.plan is None
 
 

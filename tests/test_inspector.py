@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.apps.common import get_app, signatures_close
 from repro.compiler.inspector import (CommSchedule, ScheduleCache,
                                       footprint_fingerprint, inspect_reads)
@@ -55,7 +55,7 @@ def test_schedule_cache_reuse_and_invalidation():
 @pytest.mark.parametrize("nprocs", [2, 4])
 def test_inspector_matches_sequential(app, nprocs):
     spec = get_app(app)
-    seq = run(RunRequest(app, "seq", preset="test"))
+    seq = execute(RunRequest(app, "seq", preset="test"))
     prog = spec.build_program(spec.params("test"))
     r = run_xhpf(prog, nprocs=nprocs,
                  options=XhpfOptions(inspector_executor=True))

@@ -45,17 +45,6 @@ def test_seen_copy_is_independent():
     assert cp[0] == 1 and sv[0] == 2
 
 
-def test_merge_max_and_dominates():
-    a = SeenVector(3)
-    b = SeenVector(3)
-    a.v = [3, 0, 1]
-    b.v = [1, 2, 1]
-    a.merge_max(b)
-    assert a.v == [3, 2, 1]
-    assert a.dominates(b)
-    assert not b.dominates(a)
-
-
 def test_records_unknown_to_filters_and_orders():
     sv = SeenVector(3)
     sv.v = [1, 0, 2]

@@ -8,7 +8,7 @@ applications are exactly the ones it must *refuse* to predict.
 
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.apps.common import get_app
 from repro.compiler.lint import (TRAFFIC_TOLERANCES, compare_traffic,
                                  estimate_spf_traffic)
@@ -27,7 +27,7 @@ def _estimate(app):
 def test_prediction_within_declared_tolerance(app):
     est = _estimate(app)
     assert est.analyzable, est.reason
-    res = run(RunRequest(app, "spf", nprocs=N, preset="test"))
+    res = execute(RunRequest(app, "spf", nprocs=N, preset="test"))
     rows = compare_traffic(est, res.dsm, res.total_messages)
     assert {m for m, *_ in rows} == set(TRAFFIC_TOLERANCES)
     bad = [(m, p, a, tol) for m, p, a, tol, ok in rows if not ok]

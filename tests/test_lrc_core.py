@@ -22,7 +22,7 @@ import pytest
 
 from repro.compiler.model import _MNode
 from repro.sim.engine import HOLD
-from repro.sim.machine import SP2_MODEL
+from repro.sim.machine import PAGE_SIZE, SP2_MODEL
 from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
 from repro.tmk.intervals import IntervalRecord, SeenVector, records_unknown_to
 from repro.tmk.lrc import CacheEntry, LrcNode, PageReply
@@ -123,7 +123,7 @@ def test_lazy_twin_survives_intervals_until_someone_asks():
     assert b.meta(PAGE).applied == {0: 2} and stats.diffs_applied == 1
     assert stats.diff_bytes_created == stats.diff_bytes_applied == 8
     # the requester paid for the creation it waited on and for the patch
-    assert b.time == (SP2_MODEL.diff_create_time(SP2_MODEL.page_size)
+    assert b.time == (SP2_MODEL.diff_create_time(PAGE_SIZE)
                       + SP2_MODEL.diff_apply_time(8))
 
 
@@ -137,7 +137,7 @@ def test_incoming_notice_diffs_a_dirty_page_before_invalidating():
     assert stats.diffs_created == 1 and stats.invalidations == 1
     # the open interval's entry may be served (top) but not claimed (wm)
     assert entries(b) == [(1, 0, (2, 1))]
-    assert b.time == SP2_MODEL.diff_create_time(SP2_MODEL.page_size)
+    assert b.time == SP2_MODEL.diff_create_time(PAGE_SIZE)
     # a notice whose content is already held neither diffs nor invalidates
     # (content can outrun notices: a full page or an image carries its
     # sender's watermarks)
@@ -200,7 +200,7 @@ def test_gc_floor_forces_a_full_page_with_the_senders_watermarks():
     (_w, reply), = fetch(c, 1, [a, b, c])
     assert reply.diffs == [] and reply.full_page == "image of page 1"
     assert reply.full_label == 1 and reply.full_applied == {}
-    assert a.reply_nbytes(reply) == 16 + SP2_MODEL.page_size
+    assert a.reply_nbytes(reply) == 16 + PAGE_SIZE
     assert stats.full_page_fetches == 1 and c.meta(1).applied == {0: 1}
     # a requester already past the floor still gets (no) diffs, not a page
     assert collect(a, 1, 1, a).full_page is None
@@ -277,7 +277,7 @@ def _model_nodes(n, gc_epochs):
 
 def _model_write(node, page, words, value):
     if page not in node.twins:
-        node.twins[page] = np.zeros(SP2_MODEL.page_size // 4, dtype=bool)
+        node.twins[page] = np.zeros(PAGE_SIZE // 4, dtype=bool)
         node.stats.write_faults += 1
         node.stats.twins_created += 1
         node.time += SP2_MODEL.fault_overhead + SP2_MODEL.twin_overhead
@@ -388,7 +388,7 @@ class _RefNode:
     def __init__(self, pid, nprocs, npages, stats, gc_epochs):
         self.pid, self.stats, self.gc_epochs = pid, stats, gc_epochs
         self.model = SP2_MODEL
-        self.mem = np.zeros(npages * SP2_MODEL.page_size, dtype=np.uint8)
+        self.mem = np.zeros(npages * PAGE_SIZE, dtype=np.uint8)
         self.metas = {}
         self.seen = SeenVector(nprocs)
         self.open_writes = set()
@@ -400,7 +400,7 @@ class _RefNode:
         return self.metas.setdefault(page, self.Meta())
 
     def page_bytes(self, page):
-        size = self.model.page_size
+        size = PAGE_SIZE
         return self.mem[page * size:(page + 1) * size]
 
     def note_write(self, page, m):
@@ -428,7 +428,7 @@ class _RefNode:
                                       self.epoch))
             else:
                 lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
-        return self.model.diff_create_time(self.model.page_size)
+        return self.model.diff_create_time(PAGE_SIZE)
 
     def gather(self, page, from_id):
         m, cached = self.meta(page), self.diff_cache.get(page, [])

@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.sim import Cluster, MachineModel, SP2_MODEL
+from repro.sim import Cluster, SP2_MODEL
 from repro.sim.machine import PAGE_SIZE
 
 
 def test_default_model_is_sp2_shaped():
     m = SP2_MODEL
-    assert m.page_size == PAGE_SIZE == 4096
+    assert PAGE_SIZE == 4096
+    with pytest.raises(TypeError):      # a constant, not a machine field
+        m.with_(page_size=2048)
     assert 0 < m.latency < 1e-3
     assert m.byte_time > 0
     assert m.mp_packet_bytes == 4096

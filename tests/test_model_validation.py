@@ -15,7 +15,7 @@ tight).  Widening one is an API change and should be treated as such.
 import numpy as np
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute, machine_to_doc
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
                                ParallelLoop, Program, Span, TimeLoop)
 from repro.compiler.model import (MODELED_VARIANTS, ModelUnsupportedVariant,
@@ -65,7 +65,8 @@ _sim_cache: dict = {}
 def _sim(app, variant, n):
     key = (app, variant, n)
     if key not in _sim_cache:
-        _sim_cache[key] = run(RunRequest(app, variant, nprocs=n, preset=PRESET))
+        _sim_cache[key] = execute(RunRequest(app, variant, nprocs=n,
+                                             preset=PRESET))
     return _sim_cache[key]
 
 
@@ -109,6 +110,21 @@ def test_xhpf_totals_exact_on_uneven_blocks(app, variant, n):
     sim = _sim(app, variant, n)
     assert (mod.total_messages, mod.total_kilobytes) == \
         (sim.total_messages, sim.total_kilobytes)
+
+
+@pytest.mark.parametrize("variant", ["xhpf", "xhpf_ie"])
+@pytest.mark.parametrize("app", APPS)
+def test_xhpf_totals_exact_unsegmented(app, variant):
+    """``mp_packet_bytes=0`` (every send one message) is the one way to
+    ask for an unsegmented runtime, and both evaluators honour it."""
+    machine = SP2_MODEL.with_(mp_packet_bytes=0)
+    mod = model_variant(app, variant, nprocs=4, preset=PRESET,
+                        machine=machine)
+    sim = execute(RunRequest(app, variant, nprocs=4, preset=PRESET,
+                             machine=machine_to_doc(machine)))
+    assert (mod.total_messages, mod.total_kilobytes) == \
+        (sim.total_messages, sim.total_kilobytes)
+    assert sim.total_messages <= _sim(app, variant, 4).total_messages
 
 
 @pytest.mark.parametrize("app", APPS)
@@ -168,7 +184,7 @@ def test_unmodeled_variants_refuse(variant):
 
 def test_seq_is_modeled_as_the_oracle():
     mod = model_variant("jacobi", "seq", preset=PRESET)
-    sim = run(RunRequest("jacobi", "seq", preset=PRESET))
+    sim = execute(RunRequest("jacobi", "seq", preset=PRESET))
     assert mod.mode == "model"
     assert mod.time == sim.time
     assert mod.messages == 0 and mod.kilobytes == 0.0

@@ -7,7 +7,7 @@ assert both data values and protocol-event behaviour.
 import numpy as np
 import pytest
 
-from repro.tmk.api import tmk_run
+from repro.tmk.api import TmkWorld, tmk_run
 
 
 def setup_two_pages(space):
@@ -193,22 +193,24 @@ def _laggard_program(tmk):
     return float(x.read((0, 0)))
 
 
-def test_gc_falls_back_to_full_page():
+def test_gc_falls_back_to_full_page(monkeypatch):
     """A processor that lags many epochs gets a whole-page transfer once
     the diffs it would need have been collected (TreadMarks post-GC
     behaviour)."""
-    r = tmk_run(3, _laggard_program, setup_two_pages, gc_epochs=3)
+    monkeypatch.setattr(TmkWorld, "gc_epochs", 3)
+    r = tmk_run(3, _laggard_program, setup_two_pages)
     assert r.results == [12.0] * 3
     assert r.dsm_stats.full_page_fetches >= 1
 
 
-def test_gc_disabled_serves_diffs():
-    r = tmk_run(3, _laggard_program, setup_two_pages, gc_epochs=None)
+def test_gc_disabled_serves_diffs(monkeypatch):
+    monkeypatch.setattr(TmkWorld, "gc_epochs", None)
+    r = tmk_run(3, _laggard_program, setup_two_pages)
     assert r.results == [12.0] * 3
     assert r.dsm_stats.full_page_fetches == 0
 
 
-def test_own_modifications_survive_full_page_fallback():
+def test_own_modifications_survive_full_page_fallback(monkeypatch):
     """Concurrent writer's full-page fallback must not erase local history."""
 
     def prog(tmk):
@@ -224,7 +226,8 @@ def test_own_modifications_survive_full_page_fallback():
         row = x.read((slice(0, 1),))[0]
         return (float(row[0]), float(row[1]))
 
-    r = tmk_run(2, prog, setup_two_pages, gc_epochs=3)
+    monkeypatch.setattr(TmkWorld, "gc_epochs", 3)
+    r = tmk_run(2, prog, setup_two_pages)
     assert r.results == [(19.0, 2.0), (19.0, 2.0)]
 
 

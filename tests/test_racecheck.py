@@ -10,7 +10,7 @@ bit-identical answers under every schedule seed.
 import numpy as np
 import pytest
 
-from repro.api import RunRequest, run
+from repro.api import RunRequest, execute
 from repro.eval.racecheck import racecheck_app
 from repro.sim.engine import Deadlock, Simulator
 from repro.tmk.api import tmk_run
@@ -166,15 +166,15 @@ def test_spf_lock_reductions_race_free():
 
 
 def test_run_variant_carries_racecheck():
-    res = run(RunRequest("jacobi", "spf", nprocs=NPROCS, preset="test",
-                         schedule_seed=3, racecheck=True))
+    res = execute(RunRequest("jacobi", "spf", nprocs=NPROCS, preset="test",
+                             schedule_seed=3, racecheck=True))
     assert res.races is not None and res.races.ok
 
 
 def test_run_variant_rejects_racecheck_on_message_passing():
     with pytest.raises(ValueError, match="DSM"):
-        run(RunRequest("jacobi", "xhpf", nprocs=NPROCS, preset="test",
-                       racecheck=True))
+        execute(RunRequest("jacobi", "xhpf", nprocs=NPROCS, preset="test",
+                           racecheck=True))
 
 
 def test_racecheck_app_rejects_non_dsm_variant():

@@ -169,10 +169,10 @@ def test_igrid_speculates_commits_and_is_bit_identical():
 # the run API surface
 
 def test_execute_surfaces_speculation_and_hides_internal_racecheck():
-    from repro import RunRequest, run
+    from repro import RunRequest, execute
     from repro.api.types import RunResult
 
-    res = run(RunRequest("igrid", "spf_spec", nprocs=4, preset="test"))
+    res = execute(RunRequest("igrid", "spf_spec", nprocs=4, preset="test"))
     assert isinstance(res.speculation, dict)
     assert res.speculation["verdicts"]["update"] == "unknown"
     assert res.speculation["misspeculations"] == 0
@@ -185,10 +185,10 @@ def test_execute_surfaces_speculation_and_hides_internal_racecheck():
 
 
 def test_execute_spf_spec_matches_spf_on_regular_app():
-    from repro import RunRequest, run
+    from repro import RunRequest, execute
 
-    spec = run(RunRequest("jacobi", "spf_spec", nprocs=4, preset="test"))
-    spf = run(RunRequest("jacobi", "spf", nprocs=4, preset="test"))
+    spec = execute(RunRequest("jacobi", "spf_spec", nprocs=4, preset="test"))
+    spf = execute(RunRequest("jacobi", "spf", nprocs=4, preset="test"))
     assert spec.signature == spf.signature
     assert spec.speculation["speculations"] == 0
     assert spec.speculation["policies"]["serial"] == []

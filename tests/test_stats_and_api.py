@@ -65,14 +65,31 @@ def test_unknown_array_raises():
     tmk_run(1, prog, _setup)
 
 
-def test_world_carries_configuration():
+def test_one_diff_cache_bound_for_simulator_and_model():
+    """The simulator's world and the analytic model read the same
+    constant: there is no per-run diff-cache setting."""
+    from repro.compiler.model import _SpfModel
+    from repro.compiler.spf import SpfOptions
+    from repro.sim.machine import SP2_MODEL
+    from repro.tmk.lrc import GC_EPOCHS
+    from tests.conftest import stencil_program
+
+    assert TmkWorld.gc_epochs == GC_EPOCHS == 8
+    model = _SpfModel(stencil_program(), 2, SP2_MODEL.with_(nprocs=2),
+                      SpfOptions())
+    assert {node.gc_epochs for node in model.nodes} == {GC_EPOCHS}
+
+
+def test_world_carries_configuration(monkeypatch):
+    monkeypatch.setattr(TmkWorld, "gc_epochs", 5)
+
     def prog(tmk):
-        assert tmk.world.gc_epochs == 5
+        assert tmk.world.gc_epochs == tmk.node.gc_epochs == 5
         assert tmk.world.nprocs == tmk.nprocs
         assert tmk.world.nodes[tmk.pid] is tmk.node
         return True
 
-    r = tmk_run(2, prog, _setup, gc_epochs=5)
+    r = tmk_run(2, prog, _setup)
     assert all(r.results)
 
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.compiler.seq import run_sequential
-from repro.compiler.xhpf import XhpfOptions, compile_xhpf, run_xhpf
+from repro.compiler.xhpf import compile_xhpf, run_xhpf
+from repro.sim.machine import SP2_MODEL
 from tests.conftest import irregular_program, stencil_program, triangular_program
 
 
@@ -81,7 +82,7 @@ def test_segmentation_matches_packet_size():
     """Transfers above 4 KB are split (the Table 3 data/message ratio)."""
     r_seg = run_xhpf(irregular_program(m=4096, iters=1), nprocs=2)
     r_ideal = run_xhpf(irregular_program(m=4096, iters=1), nprocs=2,
-                       options=XhpfOptions(segment_transfers=False))
+                       model=SP2_MODEL.with_(mp_packet_bytes=0))
     assert r_seg.messages > r_ideal.messages
     assert r_seg.kilobytes == pytest.approx(r_ideal.kilobytes)
 
