@@ -4,7 +4,7 @@ Section 8's related work: Mukherjee et al. found plain shared memory not
 competitive with the CHAOS inspector-executor runtime, and Lu et al. [12]
 found that TreadMarks *with simple compiler support* "achieves similar
 performance to the inspector-executor method".  With the inspector-executor
-implemented as an XHPF option (`repro.compiler.inspector`), that comparison
+implemented in the XHPF backend (`repro.compiler.inspector`), that comparison
 can be rerun here:
 
 * the inspector-executor rescues compiler-generated message passing from
@@ -15,8 +15,6 @@ can be rerun here:
   that the DSM delivers that class of performance without the complex
   compiler.
 """
-
-from repro.compiler.xhpf import XhpfOptions
 
 from conftest import all_variants, archive, one_variant, runner  # noqa: F401
 
@@ -31,8 +29,7 @@ def test_inspector_executor_comparison(runner):
             base = av(app)
             spec = get_app(app)
             prog = spec.build_program(spec.params(PRESET))
-            r = run_xhpf(prog, nprocs=NPROCS,
-                         options=XhpfOptions(inspector_executor=True))
+            r = run_xhpf(prog, nprocs=NPROCS, inspector_executor=True)
             elapsed, wtraffic = r.window()
             out[app] = dict(
                 spf=base["spf"], xhpf=base["xhpf"], pvme=base["pvme"],

@@ -82,6 +82,13 @@ class ProgramCache:
                 "entries": len(self._entries)}
 
 
+#: the variants whose codegen switches ``RunRequest.options`` may override;
+#: every other variant fixes its switches (``spf_opt`` the paper's hand
+#: optimizations, ``xhpf``/``xhpf_ie`` the irregular-loop strategy) or has
+#: no codegen step
+_OPTION_VARIANTS = ("spf", "spf_old", "spf_spec")
+
+
 def _validate(request: RunRequest) -> None:
     if request.variant not in registry.VARIANTS:
         raise ValueError(f"unknown variant {request.variant!r} "
@@ -102,6 +109,17 @@ def _validate(request: RunRequest) -> None:
     if request.readback and request.mode != "sim":
         raise ValueError("readback requires mode='sim' "
                          "(the analytic model has no arrays)")
+    if request.options:
+        if request.mode != "sim" or request.variant not in _OPTION_VARIANTS:
+            raise ValueError(
+                f"options apply to mode='sim' runs of "
+                f"{', '.join(_OPTION_VARIANTS)}, not to a mode="
+                f"{request.mode!r} {request.variant!r} run (its switches "
+                f"are fixed: choose the variant instead)")
+        if "improved_interface" in request.options:
+            raise ValueError(
+                "options cannot set improved_interface: the variant picks "
+                "the fork-join interface (spf improved, spf_old original)")
 
 
 def _spf_options(spec, request: RunRequest):
@@ -116,15 +134,6 @@ def _spf_options(spec, request: RunRequest):
     if request.options:
         base.update(request.options)
     return SpfOptions(**base)
-
-
-def _xhpf_options(request: RunRequest):
-    from repro.compiler.xhpf import XhpfOptions
-
-    base = {"inspector_executor": request.variant == "xhpf_ie"}
-    if request.options:
-        base.update(request.options)
-    return XhpfOptions(**base)
 
 
 def _seq_time_for(request: RunRequest, cache: ProgramCache) -> float:
@@ -166,7 +175,7 @@ def _prepare(request: RunRequest, cache: ProgramCache):
         else:
             from repro.compiler.xhpf import compile_xhpf
             exe = compile_xhpf(program, request.nprocs,
-                               _xhpf_options(request))
+                               request.variant == "xhpf_ie")
         return {"spec": spec, "params": params, "program": program,
                 "exe": exe}
 

@@ -209,11 +209,13 @@ class RunRequest:
     ``machine`` holds *overrides* of the SP/2 model's fields (a partial
     dict, as the CLI's ``--machine`` flags produce) or a full field dict
     (as the deprecation shim produces from a ``MachineModel``); ``None``
-    means the stock SP/2.  ``options`` overrides codegen switches
-    (``SpfOptions`` fields for the spf family, ``XhpfOptions`` fields for
-    the xhpf family); the non-serializable ``piggyback`` hook cannot cross
-    this boundary — drive :func:`repro.compiler.spf.compile_spf` directly
-    for that.  ``fault_plan`` is the :func:`fault_plan_to_doc` form.
+    means the stock SP/2.  ``options`` overrides ``SpfOptions`` fields
+    of a ``mode="sim"`` ``spf``, ``spf_old`` or ``spf_spec`` run; any
+    other request with options is refused, as is ``improved_interface``
+    (the variant picks the fork-join interface).  The non-serializable
+    ``piggyback`` hook cannot cross this boundary — drive
+    :func:`repro.compiler.spf.compile_spf` directly for that.
+    ``fault_plan`` is the :func:`fault_plan_to_doc` form.
     ``readback`` (DSM variants only) appends a barrier-ordered coherent
     readback of every application array and reports their sha256 hashes
     on ``RunResult.array_hashes`` — how the chaos/racecheck harnesses
@@ -227,7 +229,7 @@ class RunRequest:
     preset: str = "bench"
     mode: str = "sim"                       # "sim" | "model"
     machine: Optional[dict] = None          # MachineModel field overrides
-    options: Optional[dict] = None          # SpfOptions/XhpfOptions overrides
+    options: Optional[dict] = None          # SpfOptions overrides
     schedule_seed: Optional[int] = None
     seq_time: Optional[float] = None
     racecheck: bool = False

@@ -34,7 +34,7 @@ from repro.compiler.ir import (Access, ArrayDecl, Dim, Full, Irregular, Mark,
                                SeqBlock, Span, TimeLoop)
 from repro.compiler.seq import run_sequential, sequential_time
 from repro.compiler.spf import SpfOptions, compile_spf, run_spf
-from repro.compiler.xhpf import XhpfOptions, compile_xhpf, run_xhpf
+from repro.compiler.xhpf import compile_xhpf, run_xhpf
 
 __all__ = [
     "Access", "ArrayDecl", "Dim", "Full", "Irregular", "Mark",
@@ -42,5 +42,5 @@ __all__ = [
     "TimeLoop",
     "run_sequential", "sequential_time",
     "SpfOptions", "compile_spf", "run_spf",
-    "XhpfOptions", "compile_xhpf", "run_xhpf",
+    "compile_xhpf", "run_xhpf",
 ]

@@ -8,8 +8,8 @@ comparisons of TreadMarks against the CHAOS inspector-executor runtime
 got simple compiler support).
 
 This module adds that "quite complex" alternative to the XHPF backend
-(``XhpfOptions(inspector_executor=True)``), which otherwise broadcasts
-everything for irregular loops:
+(``compile_xhpf(..., inspector_executor=True)``, the ``xhpf_ie``
+variant), which otherwise broadcasts everything for irregular loops:
 
 * **inspector** (first execution of an irregular loop): every processor
   evaluates the loop's run-time footprint, determines which *owned rows of

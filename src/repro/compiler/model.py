@@ -49,7 +49,7 @@ from repro.compiler.partition import SEQ
 from repro.compiler.seq import sequential_time
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
-from repro.compiler.xhpf import XhpfOptions, compile_xhpf
+from repro.compiler.xhpf import compile_xhpf
 from repro.msg.endpoint import packet_count
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
 from repro.sim.network import NetworkStats
@@ -120,8 +120,8 @@ def model_variant(app: str, variant: str, nprocs: int = 8,
         options = SpfOptions(improved_interface=(variant == "spf"))
         m = _SpfModel(program, nprocs, mach, options)
     else:
-        options = XhpfOptions(inspector_executor=(variant == "xhpf_ie"))
-        m = _XhpfModel(program, nprocs, mach, options)
+        m = _XhpfModel(program, nprocs, mach,
+                       inspector_executor=(variant == "xhpf_ie"))
     m.run()
 
     elapsed, wtraffic = m.window()
@@ -628,11 +628,11 @@ class _XhpfModel(_ModelBase):
     """
 
     def __init__(self, program, nprocs: int, machine: MachineModel,
-                 options: XhpfOptions):
+                 inspector_executor: bool):
         super().__init__()
         self.machine = machine
         self.nprocs = nprocs
-        self.exe = compile_xhpf(program, nprocs, options)
+        self.exe = compile_xhpf(program, nprocs, inspector_executor)
         self.packet = machine.mp_packet_bytes
         self.views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                       for a in program.arrays}
@@ -704,7 +704,7 @@ class _XhpfModel(_ModelBase):
 
     def _run_loop(self, loop: ParallelLoop) -> None:
         exe = self.exe
-        if loop.irregular and not exe.options.inspector_executor:
+        if loop.irregular and not exe.inspector_executor:
             self._run_irregular_loop(loop)
             return
         self.stale.update(exe.stale_after(loop))

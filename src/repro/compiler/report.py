@@ -18,7 +18,7 @@ from repro.compiler import analysis, depend
 from repro.compiler.ir import ParallelLoop, Program, SeqBlock
 from repro.compiler.partition import loop_chunk
 from repro.compiler.spf import SpfOptions, compile_spf
-from repro.compiler.xhpf import XhpfOptions, compile_xhpf
+from repro.compiler.xhpf import compile_xhpf
 
 __all__ = ["spf_report", "xhpf_report", "footprint_report",
            "source_lookup"]
@@ -155,10 +155,9 @@ def spf_report(program: Program, nprocs: int = 8,
     return "\n".join(lines)
 
 
-def xhpf_report(program: Program, nprocs: int = 8,
-                options: Optional[XhpfOptions] = None) -> str:
+def xhpf_report(program: Program, nprocs: int = 8) -> str:
     """Everything the XHPF backend decided for ``program``."""
-    exe = compile_xhpf(program, nprocs, options)
+    exe = compile_xhpf(program, nprocs)
     lines = [f"XHPF compilation report — {program.name!r}, {nprocs} "
              f"processors"]
     for decl in program.arrays:

@@ -9,8 +9,6 @@ arrays and scalars this produces.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.compiler.ir import Mark, ParallelLoop, Program, SeqBlock
@@ -24,14 +22,13 @@ def make_views(program: Program) -> dict:
     return {a.name: np.zeros(a.shape, dtype=a.dtype) for a in program.arrays}
 
 
-def run_sequential(program: Program, views: Optional[dict] = None):
+def run_sequential(program: Program):
     """Execute the whole program on one processor.
 
     Returns ``(views, scalars, time)``: the final array contents, the final
     reduction values, and the summed virtual compute time.
     """
-    if views is None:
-        views = make_views(program)
+    views = make_views(program)
     scalars: dict = {}
     marks: dict = {}
     time = 0.0

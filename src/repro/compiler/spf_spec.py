@@ -109,7 +109,7 @@ class SpfSpecExecutable(SpfExecutable):
 
     def _run_master(self, tmk: Tmk, fj, views: dict):
         tmk._spf_scalars = {}
-        monitor = getattr(tmk.world, "race_monitor", None)
+        monitor = tmk.world.race_monitor
         stats = {
             "verdicts": {fam: v.verdict for fam, v in
                          sorted(self.depend_report.verdicts.items())},

@@ -42,7 +42,6 @@ the caller's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,7 +58,7 @@ from repro.sim.cluster import Cluster, ProcEnv, RunResult
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
 
-__all__ = ["XhpfOptions", "XhpfExecutable", "compile_xhpf", "run_xhpf"]
+__all__ = ["XhpfExecutable", "compile_xhpf", "run_xhpf"]
 
 TAG_EXCHANGE = 2000
 TAG_PARTITION = 2001
@@ -69,17 +68,6 @@ INSPECT_COST_PER_ELEMENT = 200e-9
 schedule construction were a real cost in CHAOS)."""
 
 
-@dataclass
-class XhpfOptions:
-    """Code-generation switches."""
-
-    inspector_executor: bool = False
-    """Handle irregular loops with CHAOS-style inspector-executor schedules
-    (see :mod:`repro.compiler.inspector`) instead of the paper's
-    broadcast-everything fallback.  This is the 'quite complex' compiler
-    alternative the paper positions the DSM against."""
-
-
 def _row_span(rows) -> tuple:
     """[lo, hi) of a resolved leading index (one row or a slice)."""
     return (rows, rows + 1) if isinstance(rows, int) \
@@ -87,13 +75,20 @@ def _row_span(rows) -> tuple:
 
 
 class XhpfExecutable:
-    """A compiled SPMD message-passing program."""
+    """A compiled SPMD message-passing program.
 
-    def __init__(self, program: Program, options: XhpfOptions, nprocs: int):
+    ``inspector_executor`` handles irregular loops with CHAOS-style
+    inspector-executor schedules (see :mod:`repro.compiler.inspector`)
+    instead of the paper's broadcast-everything fallback: the 'quite
+    complex' compiler alternative the paper positions the DSM against (the
+    ``xhpf_ie`` variant)."""
+
+    def __init__(self, program: Program, nprocs: int,
+                 inspector_executor: bool = False):
         program.validate()
         self.program = program
-        self.options = options
         self.nprocs = nprocs
+        self.inspector_executor = inspector_executor
         self.schedule = list(program.flat_statements())
         self.decls = {a.name: a for a in program.arrays}
 
@@ -236,7 +231,7 @@ class XhpfExecutable:
         accumulation buffers (only their owners hold complete sums)."""
         names = [acc.array for acc in loop.writes
                  if self.decls[acc.array].distribute is not None]
-        if loop.irregular and self.options.inspector_executor:
+        if loop.irregular and self.inspector_executor:
             names = list(loop.accumulate) + names
         return names
 
@@ -354,7 +349,7 @@ class XhpfExecutable:
     def _run_loop(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
                   views: dict, scalars: dict, stale: set,
                   cache: ScheduleCache):
-        if loop.irregular and not self.options.inspector_executor:
+        if loop.irregular and not self.inspector_executor:
             yield from self._run_irregular_loop(env, comm, loop, views,
                                                 scalars, stale)
             return
@@ -514,17 +509,17 @@ class XhpfExecutable:
 
 
 def compile_xhpf(program: Program, nprocs: int = 8,
-                 options: Optional[XhpfOptions] = None) -> XhpfExecutable:
-    return XhpfExecutable(program, options or XhpfOptions(), nprocs)
+                 inspector_executor: bool = False) -> XhpfExecutable:
+    return XhpfExecutable(program, nprocs, inspector_executor)
 
 
 def run_xhpf(program: Program, nprocs: int = 8,
-             options: Optional[XhpfOptions] = None,
+             inspector_executor: bool = False,
              model: Optional[MachineModel] = None,
              schedule_seed: Optional[int] = None,
              faults: Optional[FaultPlan] = None) -> RunResult:
     """Compile and run; rank-0 scalars land in ``result.scalars``."""
-    exe = compile_xhpf(program, nprocs, options)
+    exe = compile_xhpf(program, nprocs, inspector_executor)
     cluster = Cluster(nprocs=nprocs, model=model,
                       schedule_seed=schedule_seed, faults=faults)
     result = cluster.run(exe.run_on)

@@ -31,12 +31,10 @@ from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Optional, Sequence, Union
 
 from repro.api.registry import DSM_VARIANTS as _DSM_VARIANTS
-from repro.api.types import (RunRequest, RunResult, fault_plan_to_doc,
-                             machine_to_doc)
+from repro.api.types import RunRequest, RunResult, fault_plan_to_doc
 from repro.apps.common import signatures_close
 from repro.eval.parallel import run_requests
 from repro.sim.faults import FaultPlan
-from repro.sim.machine import MachineModel
 
 __all__ = ["ChaosCell", "ChaosReport", "chaos_sweep", "DEFAULT_VARIANTS"]
 
@@ -164,7 +162,6 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
                 variants: Optional[Sequence[str]] = None,
                 seeds: Union[int, Sequence[int]] = 3,
                 nprocs: int = 8, preset: str = "bench",
-                model: Optional[MachineModel] = None,
                 plan: Optional[FaultPlan] = None,
                 jobs: int = 1, service=None,
                 fleet: Optional[list] = None,
@@ -192,13 +189,12 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
         raise ValueError("chaos sweep needs at least one fault seed")
     plan = plan if plan is not None else FaultPlan.default()
 
-    machine = machine_to_doc(model)
     requests, labels = [], []      # label: (app, variant, seed|None)
     for app in apps:
         for variant in variants:
             base = RunRequest(
                 app=app, variant=variant, nprocs=nprocs, preset=preset,
-                machine=machine, seq_time=1.0,
+                seq_time=1.0,
                 readback=(variant in _DSM_VARIANTS))
             requests.append(base)
             labels.append((app, variant, None))

@@ -24,16 +24,14 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.api.registry import FIGURE_VARIANTS, VARIANTS
-from repro.api.types import RunRequest, machine_to_doc
+from repro.api.types import RunRequest
 from repro.eval.parallel import run_requests, service_for
-from repro.sim.machine import MachineModel
 
 __all__ = ["run_all_variants", "VARIANTS"]
 
 
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
                      variants: Optional[list] = None,
-                     model: Optional[MachineModel] = None,
                      jobs: int = 1, service=None,
                      fleet: Optional[list] = None) -> dict:
     """Run ``variants`` (default: the four of Figures 1/2 plus seq).
@@ -46,12 +44,10 @@ def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
     """
     if variants is None:
         variants = list(FIGURE_VARIANTS)
-    machine = machine_to_doc(model)
 
     def request(variant: str, seq_time=None) -> RunRequest:
         return RunRequest(app=app, variant=variant, nprocs=nprocs,
-                          preset=preset, machine=machine,
-                          seq_time=seq_time)
+                          preset=preset, seq_time=seq_time)
 
     out: dict = {}
     seq_time = None

@@ -31,12 +31,11 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.api.execute import execute_with_arrays
-from repro.api.types import RunRequest, machine_to_doc, races_from_doc
+from repro.api.types import RunRequest, races_from_doc
 from repro.apps.common import get_app, signatures_close
 from repro.compiler import depend
 from repro.compiler.seq import run_sequential
 from repro.eval.parallel import run_requests
-from repro.sim.machine import MachineModel
 
 __all__ = ["SeedRun", "RacecheckReport", "racecheck_app",
            "CrossCheckReport", "cross_check_app"]
@@ -124,7 +123,6 @@ def _merge_findings(report: RacecheckReport, races, seen: set) -> None:
 def racecheck_app(app: str, variant: str = "spf",
                   seeds: Union[int, Sequence] = 5,
                   nprocs: int = 8, preset: str = "test",
-                  model: Optional[MachineModel] = None,
                   jobs: int = 1, service=None,
                   fleet: Optional[list] = None) -> RacecheckReport:
     """Race-check ``app`` under ``variant`` across ``seeds`` interleavings.
@@ -145,8 +143,7 @@ def racecheck_app(app: str, variant: str = "spf",
         raise ValueError("racecheck needs at least one schedule seed "
                          "(a zero-run verdict would be vacuously OK)")
     requests = [RunRequest(app=app, variant=variant, nprocs=nprocs,
-                           preset=preset, machine=machine_to_doc(model),
-                           schedule_seed=seed, racecheck=True,
+                           preset=preset, schedule_seed=seed, racecheck=True,
                            readback=True, seq_time=1.0)
                 for seed in seed_list]
     first, first_arrays = execute_with_arrays(requests[0])
@@ -256,8 +253,7 @@ class CrossCheckReport:
 
 def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
                     nprocs: int = 8, preset: str = "test",
-                    mutations: int = 3,
-                    model: Optional[MachineModel] = None) -> CrossCheckReport:
+                    mutations: int = 3) -> CrossCheckReport:
     """Assert the static verdicts agree with the dynamic detector.
 
     Runs :func:`depend.analyze_program` on ``app``'s program and
@@ -274,7 +270,7 @@ def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
     static = depend.analyze_program(program, nprocs)
 
     dyn = racecheck_app(app, "spf", seeds=seeds, nprocs=nprocs,
-                        preset=preset, model=model)
+                        preset=preset)
     racing = sorted({depend.tag_family(src)
                      for f in dyn.true_races
                      for src in (f.source_a, f.source_b)})

@@ -164,29 +164,21 @@ class Cluster:
         self._ran = False
 
     def run(self, program: Callable[..., Any],
-            args: Sequence[Any] = (),
-            per_proc_args: Optional[Sequence[Sequence[Any]]] = None,
-            until: Optional[float] = None) -> RunResult:
-        """Execute ``program(env, *args)`` on every processor.
-
-        ``per_proc_args`` optionally supplies a distinct argument tuple per
-        processor (appended after ``args``).
-        """
+            args: Sequence[Any] = ()) -> RunResult:
+        """Execute ``program(env, *args)`` on every processor."""
         if self._ran:
             raise RuntimeError("Cluster instances are single-use; build a new one")
         self._ran = True
         procs: list[Process] = []
         for pid in range(self.nprocs):
-            extra = tuple(per_proc_args[pid]) if per_proc_args is not None else ()
             # the program itself is the process body, so its kind is the
             # program's; an env and its process name each other
             env = ProcEnv(self, pid)
-            env.proc = self.sim.add_process(f"cpu{pid}", program, env,
-                                            *args, *extra)
+            env.proc = self.sim.add_process(f"cpu{pid}", program, env, *args)
             procs.append(env.proc)
             self.envs.append(env)
         try:
-            self.sim.run(until=until)
+            self.sim.run()
         finally:
             self.envs.clear()   # envs <-> cluster: the run's lifetime ends here
         times = [p.finish_time if p.finish_time is not None else self.sim.now

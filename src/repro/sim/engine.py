@@ -20,7 +20,7 @@ callable handed to :meth:`Simulator.add_process` -- nothing else selects it:
 **Exactly one thread executes at any instant.**  A thread process runs until
 it gives up the CPU on a primitive (or returns), and the thread that is
 giving up the CPU is the one that pops the next event, in
-``(time, priority, seq)`` order (:meth:`Simulator._dispatch`).  A
+``(time, jitter, seq)`` order (:meth:`Simulator._dispatch`).  A
 :meth:`Simulator.schedule_call` callback runs inline, with no current
 process.  A generator process's wakeup is stepped inline, as the current
 process, and the loop carries on -- no OS-thread switch.  A thread process's
@@ -54,10 +54,10 @@ named ``*_steps`` and a generator function ``*_gen``; callers in generator
 bodies write ``steps = op_steps(...)`` / ``if steps is not None: yield from
 steps``, so the common case allocates no generator.
 
-A :class:`Simulator` built with ``schedule_seed=N`` inserts a seeded random
-jitter key between ``priority`` and ``seq``, permuting the pop order of
-events that share ``(time, priority)``.  Same-time events are exactly the
-ones the simulated platform leaves unordered (causally-ordered events always
+The ``jitter`` key is 0.0 unless the :class:`Simulator` is built with
+``schedule_seed=N``: then it is seeded-random, permuting the pop order of
+events that share a ``time``.  Same-time events are exactly the ones the
+simulated platform leaves unordered (causally-ordered events always
 differ in time because every message and every hold advances the clock), so
 each seed explores a distinct *legal* interleaving of the same run — the
 schedule fuzzer underneath ``python -m repro racecheck``.  ``None`` keeps
@@ -318,7 +318,7 @@ class Simulator:
         self.schedule_seed = schedule_seed
         self._rng = (random.Random(schedule_seed)
                      if schedule_seed is not None else None)
-        self._queue: list[tuple[float, int, float, int, Any]] = []
+        self._queue: list[tuple[float, float, int, Any]] = []
         self._seq = 0
         self._procs: list[Process] = []
         # run()'s baton: held (locked) while the dispatch loop is live on
@@ -330,7 +330,6 @@ class Simulator:
         self._dead = False
         self._running = False
         self._current: Optional[Process] = None
-        self._until: Optional[float] = None
         self._pending_nondaemon = 0
         self.events = 0            # events popped and dispatched
         self.switches = 0          # OS-thread switches: batons handed over
@@ -371,32 +370,30 @@ class Simulator:
     # scheduling internals
 
     def _jitter(self) -> float:
-        """Tie-break key between ``priority`` and ``seq``: 0.0 (FIFO) without
-        a seed, seeded-random with one, so only same-``(time, priority)``
-        events ever reorder."""
+        """Tie-break key between ``time`` and ``seq``: 0.0 (FIFO) without
+        a seed, seeded-random with one, so only same-``time`` events ever
+        reorder."""
         return self._rng.random() if self._rng is not None else 0.0
 
-    def _schedule_wakeup(self, proc: Process, at: float, priority: int = 0) -> None:
+    def _schedule_wakeup(self, proc: Process, at: float) -> None:
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (at, priority, self._jitter(), self._seq, proc))
+        heapq.heappush(self._queue, (at, self._jitter(), self._seq, proc))
 
-    def schedule_call(self, delay: float, fn: Callable[[], None],
-                      priority: int = 0) -> None:
+    def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``now + delay`` with no process context: inline on
         whichever thread is dispatching then.  An exception it raises is
         re-raised, as is, by :meth:`run`."""
         self._seq += 1
-        heapq.heappush(self._queue, (self.now + delay, priority,
-                                     self._jitter(), self._seq, fn))
+        heapq.heappush(self._queue,
+                       (self.now + delay, self._jitter(), self._seq, fn))
 
-    def unpark(self, proc: Process, delay: float = 0.0, priority: int = 0) -> None:
+    def unpark(self, proc: Process, delay: float = 0.0) -> None:
         """Make a parked process runnable again at ``now + delay``."""
         if not proc.parked:
             raise SimError(f"unpark of non-parked process {proc.name}")
         proc.parked = False
         proc.park_token = None
-        self._schedule_wakeup(proc, self.now + delay, priority)
+        self._schedule_wakeup(proc, self.now + delay)
 
     def _fail(self, proc: Process, tb: str) -> None:
         if self._error is None:
@@ -414,19 +411,15 @@ class Simulator:
         The loop ends at the first wakeup of a live thread process -- ``me``:
         return, no thread switch; another: release its baton and block on
         ours -- or at a stop condition (process error, callback exception,
-        empty queue, no non-daemon left, ``until`` passed), which releases
-        :meth:`run`'s baton instead.
+        empty queue, no non-daemon left), which releases :meth:`run`'s
+        baton instead.
         """
         if self._dead:
             raise _Killed()     # a killed thread blocking again while it unwinds
         queue = self._queue
-        until = self._until
         baton = self._main
         while self._error is None and queue and self._pending_nondaemon:
-            at, _pri, _jit, _seq, target = heapq.heappop(queue)
-            if until is not None and at > until:
-                self.now = until
-                break
+            at, _jit, _seq, target = heapq.heappop(queue)
             self.now = at
             self.events += 1
             if isinstance(target, Process):
@@ -480,8 +473,8 @@ class Simulator:
             self._fail(proc, traceback.format_exc())
         proc._finish()
 
-    def run(self, until: Optional[float] = None) -> float:
-        """Drive the simulation until all processes finish (or ``until``).
+    def run(self) -> float:
+        """Drive the simulation until all processes finish.
 
         Returns the final virtual time.  Raises :class:`SimError` if any
         process raised, whatever a :meth:`schedule_call` callback raised, and
@@ -491,7 +484,6 @@ class Simulator:
         """
         self._refuse_reuse()
         self._running = True
-        self._until = until
         for proc in self._procs:
             if not proc._started:
                 proc._start()
@@ -503,7 +495,7 @@ class Simulator:
             if self._error is not None:
                 raise SimError(self._error)
             live = [p for p in self._procs if not p.finished and not p.daemon]
-            if live and until is None:
+            if live:
                 detail = (f"no events remain but {len(live)} process(es) "
                           f"still blocked: " + "; ".join(p._site() for p in live))
                 for diag in self.diagnostics:

@@ -216,30 +216,25 @@ class Network:
         return arrival
 
     def send(self, proc: Process, src: int, dst: int, payload: Any, *,
-             tag: int = 0, nbytes: int, category: str = "data",
-             charge_sender: bool = True) -> None:
+             tag: int = 0, nbytes: int, category: str = "data") -> None:
         """Blocking form of :meth:`send_gen`, for thread process ``proc``."""
         proc.drive(self.send_gen(src, dst, payload, tag=tag, nbytes=nbytes,
-                                 category=category,
-                                 charge_sender=charge_sender))
+                                 category=category))
 
     def send_gen(self, src: int, dst: int, payload: Any, *,
-                 tag: int = 0, nbytes: int, category: str = "data",
-                 charge_sender: bool = True):
+                 tag: int = 0, nbytes: int, category: str = "data"):
         """Asynchronously send ``payload`` from ``src`` to ``dst``
         (generator of block requests: the sender's overhead is a hold).
 
         ``nbytes`` is the accounted payload size; callers declare it because
         payloads are Python objects whose wire encoding we model rather than
-        perform.  ``charge_sender=False`` supports piggybacked replies whose
-        send cost is already folded into a handler's protocol overhead.
+        perform.
         """
         if not (0 <= dst < self.nprocs):
             raise SimError(f"bad destination {dst}")
         if nbytes < 0:
             raise ValueError("negative message size")
-        if charge_sender:
-            yield HOLD, self.model.send_overhead
+        yield HOLD, self.model.send_overhead
         msg = Message(src, dst, tag, payload, nbytes, category, self.sim.now)
         self.stats.record(category, nbytes)
         now = self.sim.now

@@ -13,9 +13,9 @@ instead of the DSM's default request–response.  The evaluation's
 * :class:`PushPayload` / :func:`push_regions_gen` — at a release, send one's
   modifications of the pages under a region directly to the consumers
   (whole-page diffs, i.e. eager rather than lazy propagation).
-* :func:`broadcast_gen` — one-to-all propagation of a region from a processor
-  that holds its current contents (MGS's ith-vector broadcast).  Combined
-  with fork-message piggybacking this merges synchronization and data.
+* :class:`BcastPayload` — full page images of a region from a processor
+  that holds its current contents (MGS's ith-vector broadcast), piggybacked
+  on the fork message: this merges synchronization and data.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from repro.tmk.protocol import (TAG_FETCH_REP, TAG_PUSH, TAG_TMK_REQ,
                                 DiffRequest, TmkNode)
 
 __all__ = ["PushPayload", "BcastPayload", "validate_steps",
-           "push_regions_gen", "broadcast_gen", "drain_pushes_gen",
-           "expect_pushes_gen"]
+           "push_regions_gen", "expect_pushes_gen"]
 
 # Every operation below is one generator of engine block requests (``*_gen``;
 # ``validate_steps`` returns ``None`` when nothing needs fetching), which a
@@ -41,7 +40,7 @@ __all__ = ["PushPayload", "BcastPayload", "validate_steps",
 
 
 def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
-                   flat_indices=None, source=None):
+                   source=None):
     """Aggregated fetch of every invalid page under ``region``: ``None``
     when all are current, else the generator that fetches the rest.
 
@@ -49,10 +48,7 @@ def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
     round-trip per *writer* (all that writer's needed pages batched) and no
     per-page fault traps.
     """
-    if flat_indices is not None:
-        node._note_access(handle, False, source, flat_indices=flat_indices)
-        pages = handle.element_pages(flat_indices)
-    elif region is not None:
+    if region is not None:
         node._note_access(handle, False, source, region=region)
         pages = handle.region_pages(region)
     else:
@@ -110,7 +106,7 @@ def push_regions_gen(node: TmkNode, regions: Sequence, dests: Iterable[int]):
     payload = yield from PushPayload.build_gen(node, regions)
     if payload is None:
         payload = PushPayload(node.pid, [], 16)
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     snap = mon.release(node.pid) if mon is not None else None
     for dst in dests:
         if dst == node.pid:
@@ -123,16 +119,9 @@ def push_regions_gen(node: TmkNode, regions: Sequence, dests: Iterable[int]):
         node.world.dsm_stats.pushes += 1
 
 
-def drain_pushes_gen(node: TmkNode):
-    """Install any pushed data that has arrived (call right after the
-    synchronization operation that follows the producers' pushes)."""
-    while node.net.probe(node.pid, tag=TAG_PUSH):
-        yield from expect_pushes_gen(node, 1)
-
-
 def expect_pushes_gen(node: TmkNode, count: int):
     """Blockingly install exactly ``count`` pushed messages."""
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     for _ in range(count):
         msg = yield from node.net.recv_gen(node.proc, node.pid, tag=TAG_PUSH)
         yield from msg.payload.install_gen(node)
@@ -262,53 +251,3 @@ class BcastPayload:
             m.catch_up()
             node.valid[page] = 1
             node.world.dsm_stats.pushes += 1
-
-
-# ---------------------------------------------------------------------- #
-# broadcast: one-to-all region propagation from an up-to-date holder
-
-def broadcast_gen(node: TmkNode, handle: ArrayHandle, region, root: int):
-    """Propagate ``region``'s pages from ``root`` to every processor.
-
-    The root must hold the current contents of those pages (it typically
-    just wrote or faulted them).  Receivers install full page images and
-    mark every pending notice satisfied.  Used for MGS's ith vector, where
-    the paper modified TreadMarks to use a broadcast.
-    """
-    mon = getattr(node.world, "race_monitor", None)
-    pages = handle.region_pages(region).tolist()
-    if node.pid == root:
-        images = []
-        nbytes = 16
-        for page in pages:
-            if page in node.twins:
-                yield HOLD, node._diff_and_cache(page)
-            images.append((page, node.page_bytes(page).tobytes(),
-                           dict(node.meta(page).applied),
-                           node.claimable(page)))
-            nbytes += PAGE_SIZE + 16
-        snap = mon.release(node.pid) if mon is not None else None
-        for dst in range(node.nprocs):
-            if dst == root:
-                continue
-            yield from node.net.send_gen(node.pid, dst, images, tag=TAG_PUSH,
-                                         nbytes=nbytes, category="data")
-            if mon is not None:
-                mon.channel_put(node.pid, dst, "bcast", snap)
-    else:
-        msg = yield from node.net.recv_gen(node.proc, node.pid, src=root,
-                                           tag=TAG_PUSH)
-        if mon is not None:
-            mon.channel_acquire(node.pid, root, "bcast")
-        for page, image, root_applied, root_last in msg.payload:
-            m = node.meta(page)
-            if page in node.twins:
-                yield HOLD, node._diff_and_cache(page)
-            node.page_bytes(page)[:] = np.frombuffer(image, dtype=np.uint8)
-            # our own preserved modifications survive only if the root had
-            # them; the usage contract (root up to date) guarantees it
-            for w, lbl in root_applied.items():
-                m.applied[w] = max(m.applied.get(w, 0), lbl)
-            m.applied[root] = max(m.applied.get(root, 0), root_last)
-            m.catch_up()
-            node.valid[page] = 1

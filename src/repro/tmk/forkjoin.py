@@ -41,8 +41,8 @@ from repro.tmk.protocol import TAG_FORK, TAG_JOIN, TmkNode
 from repro.tmk.shared import SharedArray
 from repro.tmk import sync as _sync
 
-__all__ = ["OldForkJoin", "ImprovedForkJoin", "make_forkjoin",
-           "alloc_old_interface_control", "STOP"]
+__all__ = ["OldForkJoin", "ImprovedForkJoin", "alloc_old_interface_control",
+           "STOP"]
 
 STOP = -1
 CTRL_SUB = "__fj_sub"
@@ -136,7 +136,7 @@ class ImprovedForkJoin(_ForkJoin):
         node = self.node
         node.close_interval()
         model = node.model
-        mon = getattr(node.world, "race_monitor", None)
+        mon = node.world.race_monitor
         snap = mon.release(node.pid) if mon is not None else None
         for w in range(1, node.nprocs):
             records = records_unknown_to(node.retained_log,
@@ -157,7 +157,7 @@ class ImprovedForkJoin(_ForkJoin):
         """All-to-one arrival: collect every worker's records."""
         node = self.node
         node.close_interval()
-        mon = getattr(node.world, "race_monitor", None)
+        mon = node.world.race_monitor
         for _ in range(node.nprocs - 1):
             msg = yield from node.net.recv_gen(self.proc, node.pid,
                                                tag=TAG_JOIN)
@@ -178,7 +178,7 @@ class ImprovedForkJoin(_ForkJoin):
                                            tag=TAG_FORK)
         sub_id, params, records, payload = msg.payload
         yield from node.apply_records(records, log=False)
-        mon = getattr(node.world, "race_monitor", None)
+        mon = node.world.race_monitor
         if mon is not None:
             mon.channel_acquire(node.pid, 0, "fork")
         if payload is not None:
@@ -193,14 +193,9 @@ class ImprovedForkJoin(_ForkJoin):
         node.close_interval()
         records = list(node.log_current)
         node.prune_log()
-        mon = getattr(node.world, "race_monitor", None)
+        mon = node.world.race_monitor
         if mon is not None:
             mon.channel_put(node.pid, 0, "join", mon.release(node.pid))
         yield from node.net.send_gen(
             node.pid, 0, (records, node.seen.as_tuple()), tag=TAG_JOIN,
             nbytes=sync_nbytes(records, node.model), category="sync")
-
-
-def make_forkjoin(node: TmkNode, improved: bool = True):
-    """Factory: the interface variant under test."""
-    return ImprovedForkJoin(node) if improved else OldForkJoin(node)

@@ -292,7 +292,7 @@ class TmkNode(LrcNode):
         methods, the compiler backends, the enhanced interface — funnels
         through one of the four ``ensure_*`` hooks above, so this is the
         single point where the detector observes the program."""
-        mon = getattr(self.world, "race_monitor", None)
+        mon = self.world.race_monitor
         if mon is None:
             return
         if flat_indices is not None:
@@ -353,8 +353,7 @@ class TmkNode(LrcNode):
     # serving (a generator of block requests, run by this node's server
     # process, which pays for the handler)
 
-    def serve_diff_request(self, requester: int, req: DiffRequest,
-                           category: str = "diff_rep"):
+    def serve_diff_request(self, requester: int, req: DiffRequest):
         yield HOLD, self.model.protocol_overhead
         asked = req.batch if req.batch is not None \
             else [(req.page, req.from_id)]
@@ -369,7 +368,7 @@ class TmkNode(LrcNode):
         yield from self.net.send_gen(
             self.pid, requester, rep, tag=TAG_FETCH_REP,
             nbytes=sum(self.reply_nbytes(part) for _page, part in rep),
-            category=category)
+            category="diff_rep")
 
     # ------------------------------------------------------------------ #
     # LrcNode hooks: real bytes, charges as engine block requests

@@ -14,8 +14,7 @@ right moment) and observes two event streams:
   the enhanced interface all call them), which report the accessing
   processor, the exact byte footprint, read/write, and an IR source tag;
 * **synchronization** — barriers, lock transfers, fork/join, tree
-  reductions, pushes and broadcasts call back at their release and
-  acquire points.
+  reductions and pushes call back at their release and acquire points.
 
 The monitor maintains one vector clock per processor (FastTrack-style:
 own component starts at 1 and increments at every release; acquires merge
@@ -55,10 +54,15 @@ import numpy as np
 
 from repro.sim.machine import PAGE_SIZE
 from repro.tmk.diffs import WORD
-from repro.tmk.trace import ProtocolTrace, TraceEvent
 
 __all__ = ["RaceMonitor", "attach_race_monitor", "AccessEvent",
            "RaceFinding", "RaceCheckResult", "find_races"]
+
+#: access events a monitor records before it counts the rest as dropped
+CAPACITY = 500_000
+
+#: findings of each kind a verdict lists (the counts stay exact)
+MAX_REPORT = 64
 
 
 @dataclass
@@ -180,10 +184,9 @@ class RaceMonitor:
     exactly one thread run at a time, so no locking is needed.
     """
 
-    def __init__(self, world, capacity: int = 500_000):
+    def __init__(self, world):
         self.world = world
         self.nprocs = world.nprocs
-        self.capacity = capacity
         # FastTrack-style clocks: own component starts at 1 so that two
         # processors' pre-synchronization accesses compare as concurrent.
         self.clocks = [[0] * self.nprocs for _ in range(self.nprocs)]
@@ -192,10 +195,6 @@ class RaceMonitor:
         self.events: list[AccessEvent] = []
         self._index: dict[tuple, AccessEvent] = {}
         self.n_dropped = 0
-        # sync-event log (kind "release"/"acquire"), shared with the
-        # protocol tracer when one is attached
-        self.trace: ProtocolTrace = getattr(world, "trace", None) \
-            or ProtocolTrace(capacity=None)
         # barriers: per-generation arrival snapshots, matched by per-pid
         # arrival counters (every barrier in this system is global)
         self._barrier_slots: dict[int, dict[int, tuple]] = {}
@@ -206,7 +205,7 @@ class RaceMonitor:
         # (lock, requester) -> snapshot travelling with an in-flight grant
         self._lock_snap: dict[tuple, tuple] = {}
         self._pending_grant: dict[tuple, Optional[tuple]] = {}
-        # message channels (fork/join/reduce/push/bcast): FIFO per
+        # message channels (fork/join/reduce/push): FIFO per
         # (src, dst, kind), sound because same-(src, dst, tag) message
         # delivery is FIFO in the network
         self._channels: dict[tuple, deque] = {}
@@ -243,7 +242,7 @@ class RaceMonitor:
         key = (pid, handle.name, write, src, clock)
         ev = self._index.get(key)
         if ev is None:
-            if len(self.events) >= self.capacity:
+            if len(self.events) >= CAPACITY:
                 self.n_dropped += 1
                 return
             ev = AccessEvent(pid=pid, array=handle.name, write=write,
@@ -257,9 +256,6 @@ class RaceMonitor:
         node = self.world.nodes.get(pid)
         return node.env.now if node is not None else 0.0
 
-    def _sync_event(self, pid: int, kind: str, **detail) -> None:
-        self.trace.record(TraceEvent(self._now(pid), pid, kind, None, detail))
-
     # ------------------------------------------------------------------ #
     # barriers
 
@@ -267,7 +263,6 @@ class RaceMonitor:
         gen = self._arrive_count[pid]
         self._arrive_count[pid] += 1
         self._barrier_slots.setdefault(gen, {})[pid] = self.release(pid)
-        self._sync_event(pid, "release", op="barrier", gen=gen)
 
     def on_barrier_depart(self, pid: int) -> None:
         gen = self._depart_count[pid]
@@ -275,7 +270,6 @@ class RaceMonitor:
         slots = self._barrier_slots[gen]
         for snap in slots.values():
             self.merge(pid, snap)
-        self._sync_event(pid, "acquire", op="barrier", gen=gen)
         done = self._departed.get(gen, 0) + 1
         if done == self.nprocs:
             del self._barrier_slots[gen]
@@ -288,7 +282,6 @@ class RaceMonitor:
 
     def on_lock_release(self, pid: int, lock: int) -> None:
         self._lock_snap[(pid, lock)] = self.release(pid)
-        self._sync_event(pid, "release", op="lock", lock=lock)
 
     def on_grant_send(self, pid: int, lock: int, requester: int) -> None:
         # The requester blocks until granted, so at most one grant per
@@ -298,7 +291,6 @@ class RaceMonitor:
 
     def on_lock_acquire(self, pid: int, lock: int) -> None:
         self.merge(pid, self._pending_grant.pop((lock, pid), None))
-        self._sync_event(pid, "acquire", op="lock", lock=lock)
 
     # ------------------------------------------------------------------ #
     # point-to-point sync messages (fork/join, reductions, pushes)
@@ -312,22 +304,20 @@ class RaceMonitor:
             raise RuntimeError(
                 f"race monitor: acquire on empty channel {(src, pid, kind)}")
         self.merge(pid, chan.popleft())
-        self._sync_event(pid, "acquire", op=kind, src=src)
 
     # ------------------------------------------------------------------ #
 
-    def finish(self, max_report: int = 64) -> RaceCheckResult:
+    def finish(self) -> RaceCheckResult:
         """Run the detector over everything observed so far."""
         space = getattr(self.world, "space", None)
-        return find_races(self.events, space=space,
-                          n_dropped=self.n_dropped, max_report=max_report)
+        return find_races(self.events, space=space, n_dropped=self.n_dropped)
 
 
-def attach_race_monitor(world, capacity: int = 500_000) -> RaceMonitor:
+def attach_race_monitor(world) -> RaceMonitor:
     """Instrument ``world`` (must precede the cluster run).  ``tmk_run``
     detaches it again (``world.race_monitor = None``) when the run ends; the
     monitor keeps its ``world``, so a result never holds a cycle."""
-    mon = RaceMonitor(world, capacity=capacity)
+    mon = RaceMonitor(world)
     world.race_monitor = mon
     return mon
 
@@ -375,8 +365,8 @@ def _page_names(space) -> dict:
     return names
 
 
-def find_races(events: list, space=None, n_dropped: int = 0,
-               max_report: int = 64) -> RaceCheckResult:
+def find_races(events: list, space=None,
+               n_dropped: int = 0) -> RaceCheckResult:
     """Classify every unordered conflicting access pair.
 
     ``events`` are :class:`AccessEvent` objects stamped with vector
@@ -439,6 +429,6 @@ def find_races(events: list, space=None, n_dropped: int = 0,
     true_races = [f for f in findings.values() if f.kind == "true-race"]
     false_sharing = [f for f in findings.values()
                      if f.kind == "false-sharing"]
-    return RaceCheckResult(true_races=true_races[:max_report],
-                           false_sharing=false_sharing[:max_report],
+    return RaceCheckResult(true_races=true_races[:MAX_REPORT],
+                           false_sharing=false_sharing[:MAX_REPORT],
                            n_events=len(events), n_dropped=n_dropped)

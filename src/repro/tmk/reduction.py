@@ -74,7 +74,7 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
     proc = node.proc
     model = node.model
     nprocs = node.nprocs
-    mon = getattr(world, "race_monitor", None)
+    mon = world.race_monitor
     if nprocs == 1:
         node.close_interval()
         node.advance_epoch()

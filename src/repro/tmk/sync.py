@@ -209,7 +209,7 @@ def barrier_gen(node: TmkNode):
     world.dsm_stats.barriers += 1
     model = node.model
     mgr: BarrierManager = world.barrier_mgr
-    mon = getattr(world, "race_monitor", None)
+    mon = world.race_monitor
     if mon is not None:
         mon.on_barrier_arrive(node.pid)
     node.close_interval()
@@ -316,7 +316,7 @@ def _await_grant(node: TmkNode, lock: int, dst: int, req):
                                        tag=TAG_LOCK_GRANT + lock)
     grant: LockGrant = msg.payload
     yield from node.apply_records(grant.records, log=True)
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     if mon is not None:
         mon.on_lock_acquire(node.pid, lock)
 
@@ -325,7 +325,7 @@ def lock_release_steps(node: TmkNode, lock: int):
     """Release ``lock``.  Communication happens only if a request is
     queued: the grant's generator then, else ``None``."""
     table: LockTable = node.world.lock_table
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     if mon is not None:
         # snapshot before note_release: a queued request may be granted
         # (and read this snapshot) once the grant below is sent
@@ -343,7 +343,7 @@ def _send_grant(node: TmkNode, lock: int, requester: int, seen: tuple):
     sv.v = list(seen)
     records = records_unknown_to(node.retained_log, sv)
     grant = LockGrant(lock=lock, records=records)
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     if mon is not None:
         mon.on_grant_send(node.pid, lock, requester)
     yield from node.net.send_gen(
@@ -392,7 +392,7 @@ def manager_handle_lock_req(node: TmkNode, req: LockReq):
 
 def _send_grant_empty(node: TmkNode, lock: int, requester: int):
     grant = LockGrant(lock=lock, records=[])
-    mon = getattr(node.world, "race_monitor", None)
+    mon = node.world.race_monitor
     if mon is not None:
         # re-acquire by the last holder: the grant carries no new ordering
         mon._pending_grant[(lock, requester)] = None

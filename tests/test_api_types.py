@@ -28,7 +28,7 @@ from repro.sim.machine import SP2_MODEL
 def test_run_request_round_trips_with_schema_tag():
     req = RunRequest("jacobi", "spf", nprocs=4, preset="test",
                      schedule_seed=7, racecheck=True,
-                     options={"improved_interface": False}, tag="t-1")
+                     options={"push_halos": True}, tag="t-1")
     doc = req.to_json()
     assert doc["schema"] == RUN_SCHEMA
     assert RunRequest.from_json(doc) == req
@@ -81,6 +81,33 @@ def test_page_size_override_is_a_structured_failure():
     assert not result.ok
     assert result.error_kind == "TypeError"
     assert "page_size" in result.error
+
+
+@pytest.mark.parametrize("request_", [
+    RunRequest("jacobi", "spf", mode="model",
+               options={"push_halos": True}),
+    RunRequest("jacobi", "spf_opt", options={"push_halos": True}),
+    RunRequest("jacobi", "tmk", options={"push_halos": True}),
+    RunRequest("igrid", "xhpf", options={"inspector_executor": True}),
+    RunRequest("jacobi", "spf", options={"improved_interface": False}),
+], ids=["model", "spf_opt", "tmk", "xhpf-ie", "spf-old-interface"])
+def test_options_take_effect_or_are_refused(request_):
+    """Each of these once ran with ``ok=True`` and exactly the numbers of
+    the request it silently became: the options unread, or another
+    variant picked under this one's label."""
+    request = dataclasses.replace(request_, nprocs=4, preset="test",
+                                  seq_time=1.0)
+    [(_index, result)] = InProcess().stream([request])
+    assert not result.ok
+    assert result.error_kind == "ValueError"
+    assert "options" in result.error
+
+
+def test_spf_options_take_effect():
+    base = RunRequest("jacobi", "spf", nprocs=4, preset="test", seq_time=1.0)
+    pushed = execute(dataclasses.replace(base, options={"push_halos": True}))
+    assert pushed.ok
+    assert pushed.fingerprint() != execute(base).fingerprint()
 
 
 def test_run_result_round_trips_and_fingerprint_drops_volatiles():

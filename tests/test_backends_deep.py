@@ -7,7 +7,7 @@ from repro.compiler.ir import (Access, ArrayDecl, Full, Mark, ParallelLoop,
                                Point, Program, SeqBlock, Span, TimeLoop)
 from repro.compiler.seq import run_sequential
 from repro.compiler.spf import SpfOptions, run_spf
-from repro.compiler.xhpf import XhpfOptions, run_xhpf
+from repro.compiler.xhpf import run_xhpf
 
 
 def _seq_then(prog_factory, runner, n, **kw):

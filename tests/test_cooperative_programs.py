@@ -24,7 +24,7 @@ from repro.api import RunRequest, execute, registry
 from repro.apps.common import AppSpec, get_app, register
 from repro.compiler.ir import SeqBlock
 from repro.compiler.spf import SpfExecutable, SpfOptions, compile_spf
-from repro.compiler.xhpf import XhpfExecutable, XhpfOptions, compile_xhpf
+from repro.compiler.xhpf import XhpfExecutable, compile_xhpf
 from repro.msg.pvme import Pvme
 from repro.sim.cluster import Cluster
 from repro.sim.engine import HOLD, Deadlock, Simulator
@@ -187,7 +187,7 @@ def test_spf_program_is_the_same_simulation_under_both_kinds(
 @pytest.mark.parametrize("inspector", [False, True], ids=["xhpf", "ie"])
 def test_xhpf_program_is_the_same_simulation_under_both_kinds(
         program, inspector, option):
-    exe = compile_xhpf(program(), 4, XhpfOptions(inspector_executor=inspector))
+    exe = compile_xhpf(program(), 4, inspector_executor=inspector)
     cooperative = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(exe.run_on)
     threaded = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(
         _driven(exe.run_on))
@@ -456,7 +456,7 @@ class _ForgetfulSpf(SpfExecutable):
 
 
 def test_xhpf_deadlock_names_the_backend_frame_of_every_stuck_processor():
-    exe = _LossyXhpf(stencil_program(), XhpfOptions(), 3)
+    exe = _LossyXhpf(stencil_program(), 3)
     with pytest.raises(Deadlock) as exc:
         Cluster(nprocs=3).run(exe.run_on)
     text = str(exc.value)

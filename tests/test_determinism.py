@@ -1,6 +1,6 @@
 """Determinism across every layer.
 
-The engine's ``(time, priority, seq)`` total order makes whole runs
+The engine's ``(time, jitter, seq)`` total order makes whole runs
 bit-reproducible; these tests pin that property where it matters — results,
 virtual times, message counts, byte counts, and DSM event counts must be
 identical across repeated runs of every kind of workload.
@@ -137,7 +137,8 @@ def test_different_schedule_seeds_still_match_sequential(monkeypatch):
         @staticmethod
         def heappop(queue):
             item = real_heapq.heappop(queue)
-            ProbeHeap.log.append(item[3])     # push sequence number
+            _at, _jitter, seq, _target = item
+            ProbeHeap.log.append(seq)         # push sequence number
             return item
 
     monkeypatch.setattr(engine, "heapq", ProbeHeap)
@@ -155,8 +156,8 @@ def test_different_schedule_seeds_still_match_sequential(monkeypatch):
 
 
 def test_seed_none_matches_historical_order():
-    """``schedule_seed=None`` must leave the original (time, priority,
-    seq) total order untouched."""
+    """``schedule_seed=None`` must leave the original (time, jitter,
+    seq) total order untouched: jitter is 0 for every event."""
     _spec, _params, setup, main = _jacobi_hand()
     a = tmk_run(4, main, setup)
     b = tmk_run(4, main, setup, schedule_seed=None)

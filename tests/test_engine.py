@@ -14,14 +14,14 @@ def simproc_threads():
             if t.name.startswith("simproc-")]
 
 
-def run_bounded(sim, timeout=10.0, **kwargs):
+def run_bounded(sim, timeout=10.0):
     """``sim.run()`` on a helper thread: a lost baton fails the test instead
     of hanging the suite."""
     box = {}
 
     def target():
         try:
-            box["value"] = sim.run(**kwargs)
+            box["value"] = sim.run()
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             box["exc"] = exc
 
@@ -226,18 +226,6 @@ def test_schedule_call_runs_inline_on_the_blocking_thread():
     assert hits == [(3.0, "simproc-p")]
 
 
-def test_run_until_stops_early():
-    sim = Simulator()
-
-    def prog():
-        for _ in range(10):
-            sim.current.hold(1.0)
-
-    sim.add_process("p", prog)
-    end = sim.run(until=3.5)
-    assert end == 3.5
-
-
 def test_process_results_captured():
     sim = Simulator()
 
@@ -365,25 +353,6 @@ def test_reliable_delivery_give_up_is_a_simerror_from_a_process_thread():
     assert simproc_threads() == []
 
 
-def test_run_until_cut_off_popped_by_a_process_thread():
-    sim = Simulator()
-    ticks = []
-
-    def ticker(name, dt):
-        while True:
-            sim.current.hold(dt)
-            ticks.append((name, sim.now))
-
-    a = sim.add_process("a", ticker, "a", 1.0)
-    b = sim.add_process("b", ticker, "b", 1.5)
-    assert run_bounded(sim, until=3.5) == 3.5
-    assert sim.now == 3.5
-    assert ticks == [("a", 1.0), ("b", 1.5), ("a", 2.0), ("b", 3.0),
-                     ("a", 3.0)]
-    assert a.finish_time == b.finish_time == 3.5     # unwound by teardown
-    assert simproc_threads() == []
-
-
 def test_deadlock_found_by_the_last_parking_process_names_every_site():
     from repro.sim import Cluster
 
@@ -497,8 +466,6 @@ def test_finished_simulator_refuses_a_second_run():
     assert sim.run() == 1.0
     with pytest.raises(SimError, match="single-use"):
         run_bounded(sim)
-    with pytest.raises(SimError, match="single-use"):
-        run_bounded(sim, until=5.0)
     # what callers read after a run is still there
     assert (sim.now, sim.events, sim.switches) == (1.0, 2, 1)
     assert (proc.name, proc.finished, proc.finish_time, proc.result) == (
@@ -744,24 +711,6 @@ def test_generator_that_yields_while_closing_is_reported_not_raised():
     sim.add_process("m", lambda: sim.current.hold(1.0))
     with pytest.warns(ResourceWarning, match="'d' did not close cleanly"):
         assert sim.run() == 1.0
-
-
-def test_run_until_cuts_off_between_two_steps_of_a_generator():
-    sim = Simulator()
-    ticks = []
-
-    def ticker():
-        try:
-            while True:
-                yield HOLD, 1.0
-                ticks.append(sim.now)
-        finally:
-            ticks.append("closed")
-
-    p = sim.add_process("p", ticker)
-    assert run_bounded(sim, until=2.5) == 2.5
-    assert ticks == [1.0, 2.0, "closed"]
-    assert p.finish_time == 2.5 and sim.switches == 0
 
 
 def test_bad_block_requests_are_rejected_at_the_yield():

@@ -1,6 +1,7 @@
 """Tests for the enhanced compiler-DSM interface (repro.tmk.enhanced)."""
 
 import numpy as np
+import pytest
 
 from repro.tmk import enhanced
 from repro.tmk.api import tmk_run
@@ -118,33 +119,54 @@ def test_push_carries_whole_page_modifications():
     assert r.results[1] == (1.0, 2.0)
 
 
-def test_broadcast_from_root():
+def _bcast_after_worker_write(nprocs, fault_in_first):
+    """Worker 2 writes row 3 in one loop; the master then forks the next
+    loop with a :class:`BcastPayload` of that row, having faulted it in
+    first or not."""
+    from repro.tmk.forkjoin import ImprovedForkJoin
+
     def prog(tmk):
-        a = tmk.array("a")
-        if tmk.pid == 2:
-            yield from a.write_gen((slice(3, 4),), 7.5)
-        yield from tmk.barrier_gen()
-        if tmk.pid == 2:
-            pass  # root already current
-        yield from enhanced.broadcast_gen(
-            tmk.node, a.handle, (slice(3, 4), slice(None)), root=2)
-        return float(a.raw()[3, 100])
-
-    r = tmk_run(4, prog, setup)
-    assert r.results == [7.5] * 4
-
-
-def test_broadcast_messages_n_minus_one():
-    def prog(tmk):
+        fj = ImprovedForkJoin(tmk.node)
         a = tmk.array("a")
         if tmk.pid == 0:
-            yield from a.write_gen((slice(0, 1),), 1.0)
-        yield from tmk.barrier_gen()
-        yield from enhanced.broadcast_gen(
-            tmk.node, a.handle, (slice(0, 1), slice(None)), root=0)
+            yield from fj.fork_gen(0, ())
+            yield from fj.join_gen()
+            if fault_in_first:
+                yield from a.read_gen((slice(3, 4),))
+            payload = yield from enhanced.BcastPayload.build_gen(
+                tmk.node, [(a.handle, (slice(3, 4), slice(None)))])
+            yield from fj.fork_gen(1, (), payload=payload)
+            yield from fj.join_gen()
+            yield from fj.shutdown_gen()
+            return None
+        yield from fj.wait_for_work_gen()
+        if tmk.pid == 2:
+            yield from a.write_gen((slice(3, 4),), 7.5)
+        yield from fj.work_done_gen()
+        yield from fj.wait_for_work_gen()
+        before = tmk.world.dsm_stats.read_faults
+        val = float((yield from a.read_gen((3, 100))))
+        faults = tmk.world.dsm_stats.read_faults - before
+        yield from fj.work_done_gen()
+        yield from fj.wait_for_work_gen()
+        return (val, faults)
 
-    r = tmk_run(6, prog, setup)
-    assert r.stats.by_category["data"][0] == 5
+    return tmk_run(nprocs, prog, setup)
+
+
+def test_bcast_payload_delivers_another_writers_page_on_the_fork():
+    """The master broadcasts the page image it faulted in from worker 2:
+    every worker, the writer included, reads it without a fault, and the
+    only data traffic is the master's own fetch."""
+    r = _bcast_after_worker_write(4, fault_in_first=True)
+    assert r.results[1:] == [(7.5, 0)] * 3
+    assert r.dsm_stats.pushes == 3
+    assert r.stats.by_category["diff_req"][0] == 1
+
+
+def test_bcast_payload_refuses_a_stale_holder():
+    with pytest.raises(RuntimeError, match="stale holder"):
+        _bcast_after_worker_write(3, fault_in_first=False)
 
 
 def test_push_payload_build_empty_for_clean_pages():

@@ -7,7 +7,7 @@ from repro.api import RunRequest, execute
 from repro.apps.common import get_app, signatures_close
 from repro.compiler.inspector import (CommSchedule, ScheduleCache,
                                       footprint_fingerprint, inspect_reads)
-from repro.compiler.xhpf import XhpfOptions, run_xhpf
+from repro.compiler.xhpf import run_xhpf
 
 
 # ---------------------------------------------------------------------- #
@@ -57,8 +57,7 @@ def test_inspector_matches_sequential(app, nprocs):
     spec = get_app(app)
     seq = execute(RunRequest(app, "seq", preset="test"))
     prog = spec.build_program(spec.params("test"))
-    r = run_xhpf(prog, nprocs=nprocs,
-                 options=XhpfOptions(inspector_executor=True))
+    r = run_xhpf(prog, nprocs=nprocs, inspector_executor=True)
     assert signatures_close(seq.signature, r.scalars, rtol=1e-6), (
         f"{app}/{nprocs}: {r.scalars} vs {seq.signature}")
 
@@ -67,8 +66,7 @@ def test_inspector_matches_sequential(app, nprocs):
 def test_inspector_moves_far_less_data_than_broadcast(app):
     spec = get_app(app)
     prog = spec.build_program(spec.params("test"))
-    insp = run_xhpf(prog, nprocs=4,
-                    options=XhpfOptions(inspector_executor=True))
+    insp = run_xhpf(prog, nprocs=4, inspector_executor=True)
     bcast = run_xhpf(spec.build_program(spec.params("test")), nprocs=4)
     _el_i, wt_i = insp.window()
     _el_b, wt_b = bcast.window()
@@ -90,8 +88,7 @@ def test_inspector_runs_once_for_static_patterns():
 
     xhpf_mod.XhpfExecutable._run_irregular_inspector = spy
     try:
-        run_xhpf(prog, nprocs=4,
-                 options=XhpfOptions(inspector_executor=True))
+        run_xhpf(prog, nprocs=4, inspector_executor=True)
     finally:
         xhpf_mod.XhpfExecutable._run_irregular_inspector = orig
     for pid, (inspections, reuses) in hits.items():
@@ -102,7 +99,7 @@ def test_inspector_runs_once_for_static_patterns():
 def test_inspector_deterministic():
     spec = get_app("igrid")
     runs = [run_xhpf(spec.build_program(spec.params("test")), nprocs=4,
-                     options=XhpfOptions(inspector_executor=True))
+                     inspector_executor=True)
             for _ in range(2)]
     assert runs[0].time == runs[1].time
     assert runs[0].stats.messages == runs[1].stats.messages

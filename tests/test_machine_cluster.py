@@ -65,13 +65,12 @@ def test_negative_compute_rejected():
     Cluster(nprocs=1).run(prog)
 
 
-def test_per_proc_args():
-    def prog(env, shared, mine):
-        return (shared, mine)
+def test_run_args_reach_every_process():
+    def prog(env, shared):
+        return (shared, env.pid)
 
-    r = Cluster(nprocs=3).run(prog, args=("s",),
-                              per_proc_args=[("a",), ("b",), ("c",)])
-    assert r.results == [("s", "a"), ("s", "b"), ("s", "c")]
+    r = Cluster(nprocs=3).run(prog, args=("s",))
+    assert r.results == [("s", 0), ("s", 1), ("s", 2)]
 
 
 def test_marks_and_window():

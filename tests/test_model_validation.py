@@ -20,7 +20,7 @@ from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
                                ParallelLoop, Program, Span, TimeLoop)
 from repro.compiler.model import (MODELED_VARIANTS, ModelUnsupportedVariant,
                                   _XhpfModel, model_variant)
-from repro.compiler.xhpf import XhpfOptions, run_xhpf
+from repro.compiler.xhpf import run_xhpf
 from repro.eval.constants import APPS
 from repro.eval.experiments import VARIANTS
 from repro.sim.machine import SP2_MODEL
@@ -165,10 +165,9 @@ def test_xhpf_ie_reinspects_a_footprint_that_returns(n):
     """The inspector keeps one schedule per loop: a footprint that flips
     back to an earlier pattern is inspected (and its schedule exchanged)
     again, in the model as in the simulator."""
-    options = XhpfOptions(inspector_executor=True)
-    sim = run_xhpf(_alternating_gather(), nprocs=n, options=options)
+    sim = run_xhpf(_alternating_gather(), nprocs=n, inspector_executor=True)
     mod = _XhpfModel(_alternating_gather(), n, SP2_MODEL.with_(nprocs=n),
-                     options)
+                     inspector_executor=True)
     mod.run()
     assert (mod.traffic.messages, mod.traffic.bytes) == \
         (sim.stats.messages, sim.stats.bytes)

@@ -188,21 +188,17 @@ def test_negative_size_rejected():
     run2(prog)
 
 
-def test_charge_sender_false_skips_send_overhead():
+def test_send_holds_the_sender_for_its_overhead():
     times = {}
 
     def prog(env):
         if env.pid == 0:
             t0 = env.now
-            env.net.send(env.proc, 0, 1, "x", nbytes=8, charge_sender=False)
-            times["free"] = env.now - t0
-            t0 = env.now
-            env.net.send(env.proc, 0, 1, "y", nbytes=8)
-            times["charged"] = env.now - t0
+            env.net.send(env.proc, 0, 1, "x", nbytes=8)
+            times["send"] = env.now - t0
+            times["overhead"] = env.model.send_overhead
         else:
-            env.net.recv(env.proc, 1)
             env.net.recv(env.proc, 1)
 
     run2(prog)
-    assert times["free"] == 0.0
-    assert times["charged"] > 0.0
+    assert times["send"] == times["overhead"] > 0.0

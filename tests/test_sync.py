@@ -1,7 +1,10 @@
-"""Tests for barriers and locks (repro.tmk.sync)."""
+"""Tests for barriers and locks (repro.tmk.sync).
+
+Every program is a generator function (a generator process): it blocks by
+delegating to the generator forms with ``yield from``.
+"""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,11 +16,23 @@ def setup(space):
     space.alloc("counter", (1,), np.float64)
 
 
+def acquire(tmk, lock):
+    steps = tmk.lock_acquire_steps(lock)
+    if steps is not None:
+        yield from steps
+
+
+def release(tmk, lock):
+    steps = tmk.lock_release_steps(lock)
+    if steps is not None:
+        yield from steps
+
+
 def test_barrier_message_count_is_2n_minus_2():
     """'The number of messages sent in a barrier is 2 x (n - 1).'"""
 
     def prog(tmk):
-        tmk.barrier()
+        yield from tmk.barrier_gen()
 
     for n in (2, 4, 8):
         r = tmk_run(n, prog, setup)
@@ -27,7 +42,7 @@ def test_barrier_message_count_is_2n_minus_2():
 def test_barrier_with_one_processor_is_free():
     def prog(tmk):
         for _ in range(5):
-            tmk.barrier()
+            yield from tmk.barrier_gen()
 
     r = tmk_run(1, prog, setup)
     assert r.messages == 0
@@ -47,7 +62,7 @@ def test_barrier_is_a_time_synchronizer():
 def test_many_barriers_in_sequence():
     def prog(tmk):
         for i in range(20):
-            tmk.barrier()
+            yield from tmk.barrier_gen()
         return True
 
     r = tmk_run(5, prog, setup)
@@ -59,12 +74,12 @@ def test_lock_provides_mutual_exclusion_counter():
     def prog(tmk):
         c = tmk.array("counter")
         for _ in range(5):
-            tmk.lock_acquire(0)
-            cur = float(c.read((0,)))
-            c.write((0,), cur + 1.0)
-            tmk.lock_release(0)
-        tmk.barrier()
-        return float(c.read((0,)))
+            yield from acquire(tmk, 0)
+            cur = float((yield from c.read_gen((0,))))
+            yield from c.write_gen((0,), cur + 1.0)
+            yield from release(tmk, 0)
+        yield from tmk.barrier_gen()
+        return float((yield from c.read_gen((0,))))
 
     for n in (2, 4, 7):
         r = tmk_run(n, prog, setup)
@@ -77,8 +92,8 @@ def test_lock_reacquire_by_manager_is_free():
     def prog(tmk):
         if tmk.pid == 0:   # manager of lock 0
             for _ in range(10):
-                tmk.lock_acquire(0)
-                tmk.lock_release(0)
+                yield from acquire(tmk, 0)
+                yield from release(tmk, 0)
 
     r = tmk_run(2, prog, setup)
     assert r.stats.by_category.get("sync", [0, 0])[0] == 0
@@ -89,8 +104,8 @@ def test_release_without_waiter_is_silent():
 
     def prog(tmk):
         if tmk.pid == 1:
-            tmk.lock_acquire(0)     # request + grant
-            tmk.lock_release(0)     # silent
+            yield from acquire(tmk, 0)      # request + grant
+            yield from release(tmk, 0)      # silent
 
     r = tmk_run(2, prog, setup)
     # exactly: request to manager + grant back
@@ -102,12 +117,12 @@ def test_lock_forwarding_chain_three_messages():
 
     def prog(tmk):
         if tmk.pid == 1:
-            tmk.lock_acquire(0)
-            tmk.lock_release(0)
-        tmk.barrier()
+            yield from acquire(tmk, 0)
+            yield from release(tmk, 0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 2:
-            tmk.lock_acquire(0)   # manager 0 forwards to last holder 1
-            tmk.lock_release(0)
+            yield from acquire(tmk, 0)  # manager 0 forwards to last holder 1
+            yield from release(tmk, 0)
 
     r = tmk_run(3, prog, setup)
     # p1: req+grant (2) + barrier 2*(3-1)=4 + p2: req+forward+grant (3)
@@ -118,12 +133,15 @@ def test_multiple_locks_independent_managers():
     def prog(tmk):
         c = tmk.array("x")
         for lock in range(6):     # managers 0,1,2,0,1,2 at n=3
-            tmk.lock_acquire(lock)
-            cur = float(c.read((lock, 0)))
-            c.write((lock, 0), cur + 1.0)
-            tmk.lock_release(lock)
-        tmk.barrier()
-        return [float(c.read((l, 0))) for l in range(6)]
+            yield from acquire(tmk, lock)
+            cur = float((yield from c.read_gen((lock, 0))))
+            yield from c.write_gen((lock, 0), cur + 1.0)
+            yield from release(tmk, lock)
+        yield from tmk.barrier_gen()
+        out = []
+        for l in range(6):
+            out.append(float((yield from c.read_gen((l, 0)))))
+        return out
 
     r = tmk_run(3, prog, setup)
     for res in r.results:
@@ -137,15 +155,15 @@ def test_lock_grants_carry_consistency_information():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            tmk.lock_acquire(3)
-            x.write((0, 0), 99.0)
-            tmk.lock_release(3)
-            tmk.barrier()
+            yield from acquire(tmk, 3)
+            yield from x.write_gen((0, 0), 99.0)
+            yield from release(tmk, 3)
+            yield from tmk.barrier_gen()
         else:
-            tmk.barrier()
-            tmk.lock_acquire(3)
-            val = float(x.read((0, 0)))
-            tmk.lock_release(3)
+            yield from tmk.barrier_gen()
+            yield from acquire(tmk, 3)
+            val = float((yield from x.read_gen((0, 0))))
+            yield from release(tmk, 3)
             return val
 
     r = tmk_run(2, prog, setup)
@@ -159,19 +177,20 @@ def test_lock_chain_transitivity():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            tmk.lock_acquire(1)
-            x.write((1, 0), 7.0)
-            tmk.lock_release(1)
-        tmk.barrier()   # order the acquires deterministically
+            yield from acquire(tmk, 1)
+            yield from x.write_gen((1, 0), 7.0)
+            yield from release(tmk, 1)
+        yield from tmk.barrier_gen()   # order the acquires deterministically
         if tmk.pid == 1:
-            tmk.lock_acquire(1)
-            x.write((1, 1), float(x.read((1, 0))) + 1)
-            tmk.lock_release(1)
-        tmk.barrier()
+            yield from acquire(tmk, 1)
+            prev = yield from x.read_gen((1, 0))
+            yield from x.write_gen((1, 1), float(prev) + 1)
+            yield from release(tmk, 1)
+        yield from tmk.barrier_gen()
         if tmk.pid == 2:
-            tmk.lock_acquire(1)
-            row = x.read((slice(1, 2),))[0]
-            tmk.lock_release(1)
+            yield from acquire(tmk, 1)
+            row = (yield from x.read_gen((slice(1, 2),)))[0]
+            yield from release(tmk, 1)
             return (float(row[0]), float(row[1]))
 
     r = tmk_run(3, prog, setup)
@@ -194,12 +213,15 @@ def test_lock_stress_random_schedules(plan):
         c = tmk.array("counts")
         for who, lock in plan:
             if tmk.pid == who % nprocs:
-                tmk.lock_acquire(lock)
-                cur = float(c.read((lock, 0)))
-                c.write((lock, 0), cur + 1.0)
-                tmk.lock_release(lock)
-        tmk.barrier()
-        return [float(c.read((l, 0))) for l in range(3)]
+                yield from acquire(tmk, lock)
+                cur = float((yield from c.read_gen((lock, 0))))
+                yield from c.write_gen((lock, 0), cur + 1.0)
+                yield from release(tmk, lock)
+        yield from tmk.barrier_gen()
+        out = []
+        for l in range(3):
+            out.append(float((yield from c.read_gen((l, 0)))))
+        return out
 
     r = tmk_run(nprocs, prog, setup_stress)
     expected = [sum(1 for _w, l in plan if l == lk) for lk in range(3)]
