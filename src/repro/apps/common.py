@@ -1,4 +1,5 @@
-"""Shared application plumbing: specs, registry, signatures.
+"""Shared application plumbing: specs, registry, kernel blocking,
+signatures.
 
 A *signature* is a small dict of floats summarizing a run's numeric output
 (array checksums plus reduction scalars).  Hand-coded variants return
@@ -20,9 +21,14 @@ from repro.compiler.ir import (Access, Full, ParallelLoop, Program,
 
 __all__ = ["AppSpec", "APP_REGISTRY", "get_app", "register",
            "append_signature_loops", "partial_signature",
-           "combine_signatures", "signatures_close"]
+           "combine_signatures", "signatures_close", "BLOCK_ELEMS",
+           "row_blocks"]
 
 APP_REGISTRY: dict = {}
+
+#: elements per kernel block: a float32 temporary of this size is 256 KB,
+#: so an expression's temporaries stay in L2 and are reused, not re-faulted
+BLOCK_ELEMS = 1 << 16
 
 
 @dataclass
@@ -65,6 +71,22 @@ def register(spec: AppSpec) -> AppSpec:
 
 def get_app(name: str) -> AppSpec:
     return APP_REGISTRY[name]
+
+
+# ---------------------------------------------------------------------- #
+# kernel blocking
+
+def row_blocks(lo: int, hi: int, row_elems: int):
+    """Cut rows ``[lo, hi)`` into consecutive ``(blo, bhi)`` blocks of
+    whole rows, about ``BLOCK_ELEMS`` elements each (at least one row).
+
+    A kernel whose output rows depend only on its input rows may run its
+    per-element expression block by block and write the same bytes; at
+    ``test`` sizes every range is a single block.
+    """
+    step = max(1, BLOCK_ELEMS // max(row_elems, 1))
+    for blo in range(lo, hi, step):
+        yield blo, min(blo + step, hi)
 
 
 # ---------------------------------------------------------------------- #

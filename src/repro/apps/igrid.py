@@ -52,15 +52,11 @@ def build_map(n: int) -> np.ndarray:
     """The run-time indirection map: flat indices of each cell's 9-point
     neighbourhood (clamped at the borders).  Deterministic but opaque to
     the compiler."""
-    i = np.arange(n)
-    ii, jj = np.meshgrid(i, i, indexing="ij")
-    nbrs = []
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            ni = np.clip(ii + di, 0, n - 1)
-            nj = np.clip(jj + dj, 0, n - 1)
-            nbrs.append(ni * n + nj)
-    return np.stack(nbrs, axis=-1).astype(np.int32)   # (n, n, 9)
+    near = np.clip(np.arange(n, dtype=np.int32)[:, None]
+                   + np.array([-1, 0, 1], dtype=np.int32), 0, n - 1)
+    # imap[i, j, 3*di + dj] = near[i, di] * n + near[j, dj]
+    return (near[:, None, :, None] * n
+            + near[None, :, None, :]).reshape(n, n, 9)   # (n, n, 9) int32
 
 
 WEIGHTS = np.array([0.05, 0.1, 0.05, 0.1, 0.4, 0.1, 0.05, 0.1, 0.05],

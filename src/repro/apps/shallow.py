@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.common import (AppSpec, append_signature_loops,
-                               partial_signature, register)
+                               partial_signature, register, row_blocks)
 from repro.compiler.ir import (Access, ArrayDecl, Full, Mark, ParallelLoop,
                                Program, SeqBlock, Span, TimeLoop)
 from repro.compiler.spf import SpfOptions
@@ -75,61 +75,63 @@ def init_fields(a: dict, n: int) -> None:
 
 
 def step1_rows(a: dict, lo: int, hi: int, n: int) -> None:
-    """cu, cv, z, h for rows [lo, hi) ∩ [1, n-1)."""
-    lo, hi = max(lo, 1), min(hi, n - 1)
-    if hi <= lo:
-        return
+    """cu, cv, z, h for rows [lo, hi) ∩ [1, n-1), one row block at a time."""
     fsdx, fsdy = 4.0 / DX, 4.0 / DY
     u, v, p = a["u"], a["v"], a["p"]
-    i = slice(lo, hi)
-    im1 = slice(lo - 1, hi - 1)
-    ip1 = slice(lo + 1, hi + 1)
+    cu, cv, z, h = a["cu"], a["cv"], a["z"], a["h"]
     j = slice(1, n - 1)
     jm1 = slice(0, n - 2)
     jp1 = slice(2, n)
-    a["cu"][i, j] = 0.5 * (p[i, j] + p[im1, j]) * u[i, j]
-    a["cv"][i, j] = 0.5 * (p[i, j] + p[i, jm1]) * v[i, j]
-    a["z"][i, j] = ((fsdx * (v[i, j] - v[im1, j])
-                     - fsdy * (u[i, j] - u[i, jm1]))
-                    / (p[im1, jm1] + p[i, jm1] + p[im1, j] + p[i, j]))
-    a["h"][i, j] = p[i, j] + 0.25 * (u[ip1, j] ** 2 + u[i, j] ** 2
-                                     + v[i, jp1] ** 2 + v[i, j] ** 2)
+    for blo, bhi in row_blocks(max(lo, 1), min(hi, n - 1), n):
+        i = slice(blo, bhi)
+        im1 = slice(blo - 1, bhi - 1)
+        ip1 = slice(blo + 1, bhi + 1)
+        cu[i, j] = 0.5 * (p[i, j] + p[im1, j]) * u[i, j]
+        cv[i, j] = 0.5 * (p[i, j] + p[i, jm1]) * v[i, j]
+        z[i, j] = ((fsdx * (v[i, j] - v[im1, j])
+                    - fsdy * (u[i, j] - u[i, jm1]))
+                   / (p[im1, jm1] + p[i, jm1] + p[im1, j] + p[i, j]))
+        h[i, j] = p[i, j] + 0.25 * (u[ip1, j] ** 2 + u[i, j] ** 2
+                                    + v[i, jp1] ** 2 + v[i, j] ** 2)
 
 
 def step2_rows(a: dict, lo: int, hi: int, n: int, tdt: float) -> None:
-    """unew, vnew, pnew for rows [lo, hi) ∩ [1, n-1)."""
-    lo, hi = max(lo, 1), min(hi, n - 1)
-    if hi <= lo:
-        return
+    """unew, vnew, pnew for rows [lo, hi) ∩ [1, n-1), one row block at a
+    time."""
     tdts8 = tdt / 8.0
     tdtsdx, tdtsdy = tdt / DX, tdt / DY
     cu, cv, z, h = a["cu"], a["cv"], a["z"], a["h"]
-    i = slice(lo, hi)
-    im1 = slice(lo - 1, hi - 1)
-    ip1 = slice(lo + 1, hi + 1)
+    uold, vold, pold = a["uold"], a["vold"], a["pold"]
+    unew, vnew, pnew = a["unew"], a["vnew"], a["pnew"]
     j = slice(1, n - 1)
     jm1 = slice(0, n - 2)
     jp1 = slice(2, n)
-    a["unew"][i, j] = (a["uold"][i, j]
-                       + tdts8 * (z[i, jp1] + z[i, j])
-                       * (cv[i, jp1] + cv[im1, jp1] + cv[im1, j] + cv[i, j])
-                       - tdtsdx * (h[i, j] - h[im1, j]))
-    a["vnew"][i, j] = (a["vold"][i, j]
-                       - tdts8 * (z[ip1, j] + z[i, j])
-                       * (cu[ip1, j] + cu[ip1, jm1] + cu[i, jm1] + cu[i, j])
-                       - tdtsdy * (h[i, j] - h[i, jm1]))
-    a["pnew"][i, j] = (a["pold"][i, j]
-                       - tdtsdx * (cu[ip1, j] - cu[i, j])
-                       - tdtsdy * (cv[i, jp1] - cv[i, j]))
+    for blo, bhi in row_blocks(max(lo, 1), min(hi, n - 1), n):
+        i = slice(blo, bhi)
+        im1 = slice(blo - 1, bhi - 1)
+        ip1 = slice(blo + 1, bhi + 1)
+        unew[i, j] = (uold[i, j]
+                      + tdts8 * (z[i, jp1] + z[i, j])
+                      * (cv[i, jp1] + cv[im1, jp1] + cv[im1, j] + cv[i, j])
+                      - tdtsdx * (h[i, j] - h[im1, j]))
+        vnew[i, j] = (vold[i, j]
+                      - tdts8 * (z[ip1, j] + z[i, j])
+                      * (cu[ip1, j] + cu[ip1, jm1] + cu[i, jm1] + cu[i, j])
+                      - tdtsdy * (h[i, j] - h[i, jm1]))
+        pnew[i, j] = (pold[i, j]
+                      - tdtsdx * (cu[ip1, j] - cu[i, j])
+                      - tdtsdy * (cv[i, jp1] - cv[i, j]))
 
 
 def step3_rows(a: dict, lo: int, hi: int) -> None:
-    """Time smoothing over rows [lo, hi) (no halo)."""
-    i = slice(lo, hi)
+    """Time smoothing over rows [lo, hi) (no halo), one row block at a
+    time."""
     for s, nw, od in zip(STATE, NEW, OLD):
-        a[od][i] = (a[s][i]
-                    + ALPHA * (a[nw][i] - 2.0 * a[s][i] + a[od][i]))
-        a[s][i] = a[nw][i]
+        cur, new, old = a[s], a[nw], a[od]
+        for blo, bhi in row_blocks(lo, hi, cur.shape[1]):
+            i = slice(blo, bhi)
+            old[i] = cur[i] + ALPHA * (new[i] - 2.0 * cur[i] + old[i])
+            cur[i] = new[i]
 
 
 def col_wrap_rows(a: dict, names: list, lo: int, hi: int, n: int) -> None:

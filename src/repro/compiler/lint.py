@@ -14,7 +14,8 @@ the paper's compilers do.  Five rule families:
   wrappers, and every element touched outside the declared read/write
   regions is reported with source attribution.  Today a footprint lie only
   surfaces as a numeric mismatch against the sequential oracle at some
-  processor count;
+  processor count.  Its ``lost-write`` twin reports a declared write that
+  no chunk performs (a write through ``out=`` into a view, for one);
 * **redundant synchronization** (``redundant-barrier``) — adjacent
   parallel loops that pass :func:`depend.loops_fusable_exact` (the
   symbolic chunk-set test ``fuse_loops`` itself applies) but are
@@ -411,6 +412,19 @@ class ShadowArray:
         data = self.data
         return data.astype(dtype) if dtype is not None else np.array(data)
 
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # a ufunc reads a wrapper whole (like ``__array__``); it may not
+        # write one: kernels write shared arrays by subscript assignment
+        if any(isinstance(o, ShadowArray) for o in kwargs.get("out", ())):
+            raise TypeError(
+                f"{ufunc.__name__}: out= targets a shared array; a kernel "
+                f"writes shared arrays only by subscript assignment "
+                f"(v[idx] = x, v[idx] += x), and out= may target only a "
+                f"kernel-local buffer")
+        inputs = tuple(x._full() if isinstance(x, ShadowArray) else x
+                       for x in inputs)
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -504,6 +518,19 @@ def _check_footprints(program: Program, nprocs: int) -> list:
                     f"declared {mode[:-1]} region, e.g. at {sample}",
             hint=hint, details={"mode": mode, "count": int(count)}))
 
+    def emit_lost(stmt, window, array):
+        key = ("lost-write", _family(stmt.name), array)
+        if key in seen:
+            return
+        seen.add(key)
+        findings.append(Finding(
+            rule="lost-write", severity="error", program=program.name,
+            stmt=stmt.name, array=array, window=window,
+            message=f"a write of {array!r} is declared but no chunk "
+                    f"writes it",
+            hint="write shared arrays by subscript assignment (v[idx] = x "
+                 "or v[idx] += x); out= into a view of one writes a copy"))
+
     def reset_masks():
         for s in shadow.values():
             if s.read_mask.any():
@@ -517,6 +544,7 @@ def _check_footprints(program: Program, nprocs: int) -> list:
         accumulate = list(getattr(stmt, "accumulate", ()))
         for name in accumulate:
             raw[name][...] = 0          # sequential accumulate semantics
+        written = set()
         for chunk in _chunks(stmt, nprocs):
             reset_masks()
             decl_r, decl_w = _declared_masks(stmt, chunk, raw)
@@ -532,6 +560,8 @@ def _check_footprints(program: Program, nprocs: int) -> list:
                 partials = stmt.kernel(views)
             else:
                 partials, _cost = chunk.run(stmt, views)
+            written.update(name for name, s in shadow.items()
+                           if s.write_mask.any())
             for name, s in shadow.items():
                 extra_w = s.write_mask & ~decl_w[name]
                 if extra_w.any():
@@ -572,6 +602,9 @@ def _check_footprints(program: Program, nprocs: int) -> list:
                                         f"partial for it",
                                 hint="return {name: value} from the "
                                      "kernel or drop the Reduction"))
+        for acc in stmt.writes:
+            if acc.array not in accumulate and acc.array not in written:
+                emit_lost(stmt, window, acc.array)
     return findings
 
 

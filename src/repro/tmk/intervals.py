@@ -16,7 +16,7 @@ of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 __all__ = ["IntervalRecord", "SeenVector", "records_unknown_to",
@@ -39,10 +39,14 @@ class IntervalRecord:
     id: int                 # per-processor interval counter, 1-based
     pages: tuple            # sorted page numbers written during the interval
     vtsum: int = 0          # sum of the closing vector time (merge order key)
+    # runs of consecutive pages in ``pages`` (the notice's wire size),
+    # counted once when the record is built: a record is sent many times
+    runs: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.id < 1:
             raise ValueError("interval ids are 1-based")
+        object.__setattr__(self, "runs", page_runs(self.pages))
 
 
 class SeenVector:
@@ -115,5 +119,4 @@ def notice_payload_nbytes(records: list, header_bytes: int,
     traffic small in TreadMarks — e.g. the paper's Table 2 shows only 862 KB
     total data for hand-coded Jacobi across 16,800 messages.
     """
-    return sum(header_bytes + notice_bytes * page_runs(r.pages)
-               for r in records)
+    return sum(header_bytes + notice_bytes * r.runs for r in records)

@@ -1,10 +1,15 @@
 """Unit tests for interval records and vector times (repro.tmk.intervals)."""
 
+import random
+
 import pytest
 
+from repro.sim.machine import SP2_MODEL
 from repro.tmk.intervals import (IntervalRecord, SeenVector,
                                  notice_payload_nbytes, page_runs,
                                  records_unknown_to)
+from repro.tmk.lrc import LrcNode
+from repro.tmk.stats import DsmStats
 
 
 def rec(proc, id_, pages=(0,), vtsum=0):
@@ -89,3 +94,35 @@ def test_vtsum_orders_happens_before():
     b_close.observe(rec(1, 1))
     b = rec(1, 1, vtsum=sum(b_close.v))
     assert a.vtsum < b.vtsum
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stored_run_count_matches_page_runs(seed):
+    """The count a record stores when built is what ``page_runs`` says,
+    and the notice wire size is computed from it."""
+    rng = random.Random(seed)
+    records = []
+    for id_ in range(1, 6):
+        npages = rng.choice([1, 2, 50, 6000])
+        pages = tuple(sorted(rng.sample(range(2 * npages + 8), npages)))
+        records.append(rec(seed % 3, id_, pages))
+    for r in records:
+        assert r.runs == page_runs(r.pages)
+    assert notice_payload_nbytes(records, 16, 8) == sum(
+        16 + 8 * page_runs(r.pages) for r in records)
+
+
+def test_run_count_of_a_record_built_directly():
+    r = IntervalRecord(2, 1, (0, 1, 2, 7, 9, 10), 3)
+    assert r.runs == 3 == page_runs(r.pages)
+    assert r == IntervalRecord(2, 1, (0, 1, 2, 7, 9, 10), 3)
+    assert "runs" not in repr(r)
+
+
+def test_run_count_of_a_closed_interval():
+    node = LrcNode(0, 2, 64, SP2_MODEL, DsmStats(), None)
+    for page in (9, 3, 4, 5, 40, 41, 10):
+        node.note_write(page)
+    r = node.close_interval()
+    assert r.pages == (3, 4, 5, 9, 10, 40, 41)
+    assert r.runs == 3 == page_runs(r.pages)

@@ -235,6 +235,47 @@ def test_shadow_array_mechanics():
     assert u.shape == (3,) and u.ndim == 1 and len(u) == 3
 
 
+def test_lost_write_flags_out_into_a_view():
+    """``out=`` into a subscript writes the copy ``__getitem__`` returned:
+    the declared write never happens, and lint says so."""
+    def kernel(views, lo, hi):
+        v = views["a"]
+        np.negative(v[lo:hi], out=v[lo:hi])
+
+    loop = ParallelLoop("neg", N, kernel,
+                        reads=[Access("a", (Span(), Full()))],
+                        writes=[Access("a", (Span(), Full()))])
+    rep = lint_program(make_prog([loop]), 4, backends=("spf",))
+    (f,) = findings(rep, "lost-write")
+    assert f.severity == "error" and f.stmt == "neg" and f.array == "a"
+    assert not findings(rep, "footprint") and not rep.ok
+
+
+def test_lost_write_silent_for_subscript_writes_and_accumulate():
+    def kernel(views, lo, hi):
+        views["a"][lo:hi] = -views["a"][lo:hi]
+        views["b"][lo:hi] += 1.0
+
+    loop = ParallelLoop("l", N, kernel,
+                        reads=[Access("a", (Span(), Full()))],
+                        writes=[Access("a", (Span(), Full())),
+                                Access("b", (Span(), Full()))],
+                        accumulate=["b"])
+    rep = lint_program(make_prog([loop]), 4, backends=("spf",))
+    assert not findings(rep, "lost-write")
+
+
+def test_shadow_array_refuses_ufunc_out():
+    s = ShadowArray(np.ones(4))
+    with pytest.raises(TypeError, match="subscript assignment"):
+        np.negative(np.ones(4), out=s)
+    with pytest.raises(TypeError, match="subscript assignment"):
+        np.add(s, 1.0, s)
+    assert not s.write_mask.any() and (s.data == 1.0).all()
+    # as an input a wrapper is a full read, like __array__
+    assert (np.negative(s) == -1.0).all() and s.read_mask.all()
+
+
 # ---------------------------------------------------------------------- #
 # rule 3: redundant synchronization
 
@@ -390,6 +431,16 @@ def test_shipped_apps_lint_clean(app):
     spec = get_app(app)
     program = spec.build_program(spec.params("test"))
     rep = lint_program(program, 8)
+    assert rep.ok, rep.format()
+
+
+@pytest.mark.parametrize("app", sorted(APP_REGISTRY))
+def test_shipped_apps_lint_clean_on_two_procs(app):
+    """At two chunks per loop too, no declared write is lost
+    (``lost-write``) and no footprint is exceeded."""
+    spec = get_app(app)
+    program = spec.build_program(spec.params("test"))
+    rep = lint_program(program, 2)
     assert rep.ok, rep.format()
 
 
