@@ -14,9 +14,10 @@ terms along it, instead of scheduling events:
   (:mod:`repro.tmk.sync`) are advanced in lockstep over the compiled
   schedule, with word-granularity write masks standing in for twins;
 * the message-passing variants (``xhpf``/``xhpf_ie``) count and clock the
-  XHPF backend's own communication plan (the plan methods of
-  :class:`~repro.compiler.xhpf.XhpfExecutable`: the owners, regions and
-  inspector schedules its SPMD program executes) under the packet rule of
+  XHPF backend's own communication plan
+  (:attr:`~repro.compiler.xhpf.XhpfExecutable.plan` and its inspector
+  schedules: the owners, regions and edges its SPMD program executes)
+  under the packet rule of
   :func:`repro.msg.endpoint.packet_count`, with no message objects in
   flight;
 * ``seq`` degenerates to the sequential oracle.
@@ -44,12 +45,12 @@ import numpy as np
 
 from repro.apps.common import get_app
 from repro.compiler.inspector import ScheduleCache
-from repro.compiler.ir import Access, Mark, ParallelLoop, SeqBlock
+from repro.compiler.ir import Access, ParallelLoop, SeqBlock
 from repro.compiler.partition import SEQ
 from repro.compiler.seq import sequential_time
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX, SpfOptions,
                                 _ensure_order, compile_spf)
-from repro.compiler.xhpf import compile_xhpf
+from repro.compiler.xhpf import StatementPlan, compile_xhpf
 from repro.msg.endpoint import packet_count
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
 from repro.sim.network import NetworkStats
@@ -618,8 +619,8 @@ class _SpfModel(_ModelBase):
 class _XhpfModel(_ModelBase):
     """The XHPF backend's communication plan, counted and clocked.
 
-    Who sends what to whom comes from the compiled executable's plan
-    methods, the ones its SPMD program executes; this replica owns only a
+    Who sends what to whom comes from the compiled executable's plan, the
+    one its SPMD program executes; this replica owns only a
     per-rank clock (``_phase``, ``_sync_clock``), the counting and the
     kernel runs.  A single converged array image stands in for the
     replicated per-rank copies (owner-computes chunks are disjoint, so
@@ -684,45 +685,41 @@ class _XhpfModel(_ModelBase):
     # ---- program walk ----------------------------------------------------
 
     def run(self) -> None:
-        for stmt in self.exe.schedule:
-            if isinstance(stmt, Mark):
+        exe = self.exe
+        for stmt, step in zip(exe.schedule, exe.plan):
+            if step.kind == "mark":
                 self._mark(stmt.label, float(self.times.max()))
-            elif isinstance(stmt, SeqBlock):
-                self._broadcasts(stmt)
+            elif step.kind == "seq":
+                self._broadcasts(step)
                 stmt.kernel(self.views)
-                cost = stmt.cost_for(self.exe.program.params)
+                cost = stmt.cost_for(exe.program.params)
                 if cost:
                     self.times += cost        # redundant SPMD execution
             else:
-                self._run_loop(stmt)
+                self._run_loop(stmt, step)
         self._finish = float(self.times.max())
 
-    def _broadcasts(self, stmt) -> None:
-        for _owner, _array, _region, nbytes in self.exe.broadcast_parts(stmt):
+    def _broadcasts(self, step: StatementPlan) -> None:
+        for _owner, _array, _region, nbytes in step.parts:
             self._count_edges(self.nprocs - 1, nbytes)
             self._sync_clock([nbytes])
 
-    def _run_loop(self, loop: ParallelLoop) -> None:
-        exe = self.exe
-        if loop.irregular and not exe.inspector_executor:
-            self._run_irregular_loop(loop)
+    def _run_loop(self, loop: ParallelLoop, step: StatementPlan) -> None:
+        if step.kind == "broadcast":
+            self._run_irregular_loop(loop, step)
             return
-        self.stale.update(exe.stale_after(loop))
-        if loop.irregular:
-            self._run_irregular_inspector(loop)
+        self.stale.update(step.stale)
+        if step.kind == "inspector":
+            self._run_irregular_inspector(loop, step)
             return
-        chunks = self._chunks(loop)
-        if loop.schedule == "cyclic":
-            self._broadcasts(loop)
+        if step.kind == "cyclic":
+            self._broadcasts(step)
         else:
             self._phase([(owner, receiver, nbytes) for owner, receiver, _a,
-                         _r, nbytes in exe.exchange_edges(loop, chunks)])
-        self._fold_reductions(loop, self._run_chunks(loop, chunks))
+                         _r, nbytes in step.edges])
+        self._fold_reductions(loop, self._run_chunks(loop, step.chunks))
 
-    def _chunks(self, loop: ParallelLoop) -> list:
-        return [self.exe.chunk(loop, p) for p in range(self.nprocs)]
-
-    def _run_chunks(self, loop: ParallelLoop, chunks: list) -> dict:
+    def _run_chunks(self, loop: ParallelLoop, chunks: tuple) -> dict:
         """Every rank's kernel chunk, run in turn over the converged image."""
         partials_by: dict = {}
         for p, chunk in enumerate(chunks):
@@ -733,14 +730,15 @@ class _XhpfModel(_ModelBase):
 
     # ---- irregular loops -------------------------------------------------
 
-    def _run_irregular_loop(self, loop: ParallelLoop) -> None:
+    def _run_irregular_loop(self, loop: ParallelLoop,
+                            step: StatementPlan) -> None:
         n, mach = self.nprocs, self.machine
-        before, after = self.exe.rebroadcasts(loop, self.stale)
+        before = step.before(self.stale)
         for name in before:
             self._broadcast_partitions(name)
         for name in loop.accumulate:
             self.views[name][...] = 0
-        partials_by = self._run_chunks(loop, self._chunks(loop))
+        partials_by = self._run_chunks(loop, step.chunks)
         for name in loop.accumulate:
             nbytes = int(self.views[name].nbytes)
             self._count_edges(n * (n - 1), nbytes)
@@ -750,9 +748,9 @@ class _XhpfModel(_ModelBase):
                              + mach.latency
                              + (n - 1) * nbytes * mach.byte_time
                              + (n - 1) * seg * mach.recv_overhead)
-        for name in after:
+        for name in step.after:
             self._broadcast_partitions(name)
-        self.stale.difference_update(before + list(loop.accumulate) + after)
+        self.stale.difference_update(before, loop.accumulate, step.after)
         self._fold_reductions(loop, partials_by)
 
     def _broadcast_partitions(self, name: str) -> None:
@@ -770,11 +768,12 @@ class _XhpfModel(_ModelBase):
         self.times[:] = (peak + mach.latency + recv_b * mach.byte_time
                          + (n - 1) * mach.recv_overhead)
 
-    def _run_irregular_inspector(self, loop: ParallelLoop) -> None:
+    def _run_irregular_inspector(self, loop: ParallelLoop,
+                                 step: StatementPlan) -> None:
         exe = self.exe
         scheds, fresh = [], []
         for p, cache in enumerate(self.schedules):
-            sched, charge = exe.inspect(loop, p, self.views, cache)
+            sched, charge = exe.inspect(loop, step, p, self.views, cache)
             scheds.append(sched)
             if charge is not None:
                 self.times[p] += charge
@@ -783,13 +782,13 @@ class _XhpfModel(_ModelBase):
                      for p in fresh for peer, want, give
                      in exe.schedule_requests(scheds[p], p)], "sync")
         # executor: scheduled gather of referenced rows
-        row = exe.row_nbytes(exe.decls[exe.gathered(loop).array])
+        row = exe.row_nbytes(exe.decls[step.gathered.array])
         self._phase([(peer, p, len(rows) * row)
                      for p, sched in enumerate(scheds)
                      for peer, rows in sorted(sched.recv_rows.items())])
         for name in loop.accumulate:
             self.views[name][...] = 0
-        partials_by = self._run_chunks(loop, self._chunks(loop))
+        partials_by = self._run_chunks(loop, step.chunks)
         # scheduled return of accumulation contributions
         for name in loop.accumulate:
             row = exe.row_nbytes(exe.decls[name])

@@ -26,12 +26,20 @@ Reproduces the Forge XHPF behaviour of Section 2.4:
   (:attr:`~repro.sim.machine.MachineModel.mp_packet_bytes`), matching the
   data/message ratios of the paper's Table 3.
 
-Who sends what to whom is decided once, by the *plan* methods of
-:class:`XhpfExecutable` (``broadcast_parts``, ``exchange_edges``,
-``stale_after``/``rebroadcasts``, ``inspect``/``schedule_requests``).  Two
-evaluators read the plan: the emitted program below, which moves the data,
-and the analytic model (:mod:`repro.compiler.model`), which only counts and
-clocks it.
+Who sends what to whom is decided once per executable, as the compiler
+would: :attr:`XhpfExecutable.plan` holds one :class:`StatementPlan` per
+statement of the schedule — every processor's chunk, the owners' broadcast
+parts, the exchange edges and each processor's send and receive lists
+projected from them, and the arrays a loop leaves stale or re-broadcasts.
+It is a function of the program, ``nprocs`` and ``inspector_executor``
+alone, built on the first run (compile-only callers such as the report
+never pay for it) and reused by every processor and every later run.  What
+depends on run state stays per run: the inspector's footprints and
+:class:`~repro.compiler.inspector.ScheduleCache`, which stale inputs an
+irregular loop re-broadcasts first, and the payload copies.  Two evaluators
+walk the plan alongside the schedule: the emitted program below, which
+moves the data, and the analytic model (:mod:`repro.compiler.model`),
+which only counts and clocks it.
 
 The emitted program (:meth:`XhpfExecutable.run_on` and everything it
 reaches) is a generator of engine block requests, so each simulated
@@ -42,7 +50,8 @@ the caller's.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -58,7 +67,7 @@ from repro.sim.cluster import Cluster, ProcEnv, RunResult
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
 
-__all__ = ["XhpfExecutable", "compile_xhpf", "run_xhpf"]
+__all__ = ["StatementPlan", "XhpfExecutable", "compile_xhpf", "run_xhpf"]
 
 TAG_EXCHANGE = 2000
 TAG_PARTITION = 2001
@@ -72,6 +81,52 @@ def _row_span(rows) -> tuple:
     """[lo, hi) of a resolved leading index (one row or a slice)."""
     return (rows, rows + 1) if isinstance(rows, int) \
         else (rows.start, rows.stop)
+
+
+class StatementPlan(NamedTuple):
+    """What XHPF decided for one statement: a function of the program,
+    ``nprocs`` and ``inspector_executor`` alone, never of a run.
+
+    ``kind`` says how the statement executes: ``"mark"``, ``"seq"``
+    (replicated SPMD code), ``"block"`` (owner-computes with an exact
+    exchange), ``"cyclic"`` (owners broadcast the fixed rows it reads),
+    and the two kinds of irregular loop, ``"broadcast"`` (the paper's
+    broadcast-everything fallback) and ``"inspector"`` (``xhpf_ie``).
+    """
+
+    kind: str
+    chunks: tuple = ()
+    """Every processor's :class:`Chunk` (parallel loops)."""
+    parts: tuple = ()
+    """:meth:`XhpfExecutable.broadcast_parts` (``seq`` and ``cyclic``)."""
+    edges: tuple = ()
+    """:meth:`XhpfExecutable.exchange_edges` (``block``)."""
+    sends: tuple = ()
+    """Per pid, ``(receiver, array, region)`` of its edges, in edge order."""
+    recvs: tuple = ()
+    """Per pid, ``(owner, array, region)`` of its edges, in edge order."""
+    stale: tuple = ()
+    """:meth:`XhpfExecutable.stale_after` (every loop kind but
+    ``broadcast``)."""
+    inputs: tuple = ()
+    """The distinct arrays a ``broadcast`` loop reads: the ones stale at
+    run time are re-broadcast before its kernel (:meth:`before`)."""
+    after: tuple = ()
+    """The distributed arrays a ``broadcast`` loop writes, other than its
+    accumulation buffers (those are summed instead): every processor
+    broadcasts its whole owned partition of them after the kernel."""
+    gathered: Optional[Access] = None
+    """:meth:`XhpfExecutable.gathered` (``inspector``)."""
+    owned: tuple = ()
+    """Every processor's owned ``[lo, hi)`` rows of the gathered array,
+    which the inspector sorts a footprint's foreign rows by
+    (``inspector``)."""
+
+    def before(self, stale: set) -> list:
+        """The inputs of a ``broadcast`` loop whose replicas ``stale``
+        marks out of date: every processor broadcasts its whole owned
+        partition of them before the kernel."""
+        return [name for name in self.inputs if name in stale]
 
 
 class XhpfExecutable:
@@ -200,14 +255,11 @@ class XhpfExecutable:
                          for owner, rows, count in split)
         return parts
 
-    def exchange_edges(self, loop: ParallelLoop,
-                       chunks: Optional[list] = None) -> list:
+    def exchange_edges(self, loop: ParallelLoop, chunks) -> list:
         """``(owner, receiver, array, region, nbytes)``: the sends that make
         every chunk's read footprint of block ``loop`` current, by access,
         then receiver, then ascending owner (``chunks``: every processor's
-        :meth:`chunk` of ``loop``, when the caller has them)."""
-        if chunks is None:
-            chunks = [self.chunk(loop, p) for p in range(self.nprocs)]
+        :meth:`chunk` of ``loop``)."""
         edges = []
         for acc in loop.reads:
             decl = self.decls[acc.array]
@@ -235,19 +287,6 @@ class XhpfExecutable:
             names = list(loop.accumulate) + names
         return names
 
-    def rebroadcasts(self, loop: ParallelLoop, stale: set) -> tuple:
-        """Broadcast-everything around irregular ``loop``: ``(before,
-        after)``, the arrays every processor broadcasts its whole owned
-        partition of — stale inputs before the kernel, written arrays after
-        it (accumulation buffers are summed instead)."""
-        before = [name for name in dict.fromkeys(acc.array
-                                                 for acc in loop.reads)
-                  if name in stale]
-        after = [acc.array for acc in loop.writes
-                 if self.decls[acc.array].distribute is not None
-                 and acc.array not in loop.accumulate]
-        return before, after
-
     def gathered(self, loop: ParallelLoop) -> Access:
         """The one irregular read stream an inspector schedules."""
         reads = [acc for acc in loop.reads
@@ -257,9 +296,60 @@ class XhpfExecutable:
                                       "irregular read stream per loop")
         return reads[0]
 
-    def inspect(self, loop: ParallelLoop, pid: int, views: dict,
-                cache: ScheduleCache) -> tuple:
-        """``pid``'s ``(schedule, charge)`` for irregular ``loop``.
+    @cached_property
+    def plan(self) -> list:
+        """One :class:`StatementPlan` per entry of :attr:`schedule`, built
+        on first use.  A statement the schedule repeats (a time step's
+        loops) is planned once; the identity memo dies with the build, so
+        no later object can alias a planned one."""
+        memo: dict = {}
+        plan = []
+        for stmt in self.schedule:
+            step = memo.get(id(stmt))
+            if step is None:
+                step = memo[id(stmt)] = self._plan_statement(stmt)
+            plan.append(step)
+        return plan
+
+    def _plan_statement(self, stmt) -> StatementPlan:
+        """The plan of one distinct statement of the schedule."""
+        if isinstance(stmt, Mark):
+            return StatementPlan("mark")
+        if isinstance(stmt, SeqBlock):
+            return StatementPlan("seq",
+                                 parts=tuple(self.broadcast_parts(stmt)))
+        n = self.nprocs
+        chunks = tuple(self.chunk(stmt, p) for p in range(n))
+        if stmt.irregular and not self.inspector_executor:
+            return StatementPlan(
+                "broadcast", chunks=chunks,
+                inputs=tuple(dict.fromkeys(acc.array for acc in stmt.reads)),
+                after=tuple(acc.array for acc in stmt.writes
+                            if self.decls[acc.array].distribute is not None
+                            and acc.array not in stmt.accumulate))
+        stale = tuple(self.stale_after(stmt))
+        if stmt.irregular:
+            gathered = self.gathered(stmt)
+            decl = self.decls[gathered.array]
+            return StatementPlan(
+                "inspector", chunks=chunks, stale=stale, gathered=gathered,
+                owned=tuple(self.owned_rows(decl, p) for p in range(n)))
+        if stmt.schedule == "cyclic":
+            return StatementPlan("cyclic", chunks=chunks, stale=stale,
+                                 parts=tuple(self.broadcast_parts(stmt)))
+        edges = tuple(self.exchange_edges(stmt, chunks))
+        sends = tuple([] for _ in range(n))
+        recvs = tuple([] for _ in range(n))
+        for owner, receiver, array, region, _nbytes in edges:
+            sends[owner].append((receiver, array, region))
+            recvs[receiver].append((owner, array, region))
+        return StatementPlan("block", chunks=chunks, stale=stale, edges=edges,
+                             sends=sends, recvs=recvs)
+
+    def inspect(self, loop: ParallelLoop, step: StatementPlan, pid: int,
+                views: dict, cache: ScheduleCache) -> tuple:
+        """``pid``'s ``(schedule, charge)`` for irregular ``loop``, whose
+        plan is ``step``.
 
         A footprint whose fingerprint matches the schedule ``cache`` holds
         for the loop reuses it, with charge ``None``.  Otherwise the
@@ -269,18 +359,17 @@ class XhpfExecutable:
         (``send_rows``/``accept_rows``) come from exchanging
         :meth:`schedule_requests`.
         """
-        acc = self.gathered(loop)
+        acc = step.gathered
         decl = self.decls[acc.array]
-        chunk = self.chunk(loop, pid)
+        chunk = step.chunks[pid]
         flat = chunk.footprint(acc, decl.shape, views).flat if chunk.count \
             else np.empty(0, np.int64)
         fingerprint = footprint_fingerprint(flat)
         sched = cache.lookup(loop.name, fingerprint)
         if sched is not None:
             return sched, None
-        recv_rows = inspect_reads(
-            flat, math.prod(decl.shape[1:]), chunk.bounds,
-            [self.owned_rows(decl, p) for p in range(self.nprocs)])
+        recv_rows = inspect_reads(flat, math.prod(decl.shape[1:]),
+                                  chunk.bounds, step.owned)
         # accumulation buffers are row-aligned with the gathered array
         # (molecule i's force row pairs with its coordinate row), so the
         # contribution rows are exactly the foreign touched rows
@@ -313,30 +402,32 @@ class XhpfExecutable:
         # (initially none: all zeros)
         stale: set = set()
         cache = ScheduleCache()
-        for stmt in self.schedule:
-            if isinstance(stmt, Mark):
+        for stmt, step in zip(self.schedule, self.plan):
+            if step.kind == "mark":
                 env.mark(stmt.label)
-            elif isinstance(stmt, SeqBlock):
-                yield from self._run_seq(env, comm, stmt, views)
+            elif step.kind == "seq":
+                yield from self._run_seq(env, comm, stmt, step, views)
             else:
-                yield from self._run_loop(env, comm, stmt, views, scalars,
-                                          stale, cache)
+                yield from self._run_loop(env, comm, stmt, step, views,
+                                          scalars, stale, cache)
         return scalars
 
     # ---- sequential code: replicated execution ---------------------------
 
     def _run_seq(self, env: ProcEnv, comm: Comm, stmt: SeqBlock,
-                 views: dict):
-        yield from self._broadcasts(env, comm, stmt, views)
+                 step: StatementPlan, views: dict):
+        yield from self._broadcasts(env, comm, step, views)
         stmt.kernel(views)
         cost = stmt.cost_for(self.program.params)
         if cost:
             # every processor: redundant SPMD execution
             yield from env.compute_gen(cost)
 
-    def _broadcasts(self, env: ProcEnv, comm: Comm, stmt, views: dict):
-        """Each owner's part of what ``stmt`` reads reaches every replica."""
-        for owner, array, region, _nbytes in self.broadcast_parts(stmt):
+    def _broadcasts(self, env: ProcEnv, comm: Comm, step: StatementPlan,
+                    views: dict):
+        """Each owner's part of what the statement reads reaches every
+        replica."""
+        for owner, array, region, _nbytes in step.parts:
             if env.pid == owner:
                 yield from bcast_gen(comm, views[array][region].copy(),
                                      root=owner)
@@ -347,55 +438,54 @@ class XhpfExecutable:
     # ---- parallel loops ----------------------------------------------------
 
     def _run_loop(self, env: ProcEnv, comm: Comm, loop: ParallelLoop,
-                  views: dict, scalars: dict, stale: set,
-                  cache: ScheduleCache):
-        if loop.irregular and not self.inspector_executor:
-            yield from self._run_irregular_loop(env, comm, loop, views,
+                  step: StatementPlan, views: dict, scalars: dict,
+                  stale: set, cache: ScheduleCache):
+        if step.kind == "broadcast":
+            yield from self._run_irregular_loop(env, comm, loop, step, views,
                                                 scalars, stale)
             return
-        stale.update(self.stale_after(loop))
-        if loop.irregular:
-            yield from self._run_irregular_inspector(env, comm, loop, views,
-                                                     scalars, cache)
+        stale.update(step.stale)
+        if step.kind == "inspector":
+            yield from self._run_irregular_inspector(env, comm, loop, step,
+                                                     views, scalars, cache)
             return
-        if loop.schedule == "cyclic":
-            yield from self._broadcasts(env, comm, loop, views)
+        if step.kind == "cyclic":
+            yield from self._broadcasts(env, comm, step, views)
         else:
-            yield from self._exchange_block(env, comm, loop, views)
-        partials = yield from self._run_chunk(env, loop, views)
+            yield from self._exchange_block(env, comm, step, views)
+        partials = yield from self._run_chunk(env, loop, step, views)
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
-    def _run_chunk(self, env: ProcEnv, loop: ParallelLoop, views: dict):
+    def _run_chunk(self, env: ProcEnv, loop: ParallelLoop,
+                   step: StatementPlan, views: dict):
         """This processor's kernel call and compute charge -> partials."""
-        partials, cost = self.chunk(loop, env.pid).run(loop, views)
+        partials, cost = step.chunks[env.pid].run(loop, views)
         if cost:
             yield from env.compute_gen(cost)
         return partials
 
-    def _exchange_block(self, env: ProcEnv, comm: Comm,
-                        loop: ParallelLoop, views: dict):
+    def _exchange_block(self, env: ProcEnv, comm: Comm, step: StatementPlan,
+                        views: dict):
         """This processor's edges of the exchange: sends first (buffered),
         then receives — deadlock-free."""
         me = env.pid
-        edges = self.exchange_edges(loop)
-        for owner, receiver, array, region, _nbytes in edges:
-            if owner == me:
-                yield from comm.send_gen(receiver, views[array][region].copy(),
-                                         tag=TAG_EXCHANGE)
-        for owner, receiver, array, region, _nbytes in edges:
-            if receiver == me:
-                views[array][region] = yield from comm.recv_gen(
-                    src=owner, tag=TAG_EXCHANGE)
+        for receiver, array, region in step.sends[me]:
+            yield from comm.send_gen(receiver, views[array][region].copy(),
+                                     tag=TAG_EXCHANGE)
+        for owner, array, region in step.recvs[me]:
+            views[array][region] = yield from comm.recv_gen(
+                src=owner, tag=TAG_EXCHANGE)
 
     # ---- irregular loops, inspector-executor variant ---------------------
 
     def _run_irregular_inspector(self, env: ProcEnv, comm: Comm,
-                                 loop: ParallelLoop, views: dict,
-                                 scalars: dict, cache: ScheduleCache):
+                                 loop: ParallelLoop, step: StatementPlan,
+                                 views: dict, scalars: dict,
+                                 cache: ScheduleCache):
         """CHAOS-style: gather exactly the referenced rows, return exactly
         the produced contributions — no broadcasts."""
         me = env.pid
-        sched, charge = self.inspect(loop, me, views, cache)
+        sched, charge = self.inspect(loop, step, me, views, cache)
         if charge is not None:
             # ---- inspector: exchange the fresh schedule
             yield from env.compute_gen(charge)
@@ -413,7 +503,7 @@ class XhpfExecutable:
                     sched.accept_rows[peer] = np.asarray(give)
 
         # ---- executor: scheduled gather of referenced rows
-        gathered = views[self.gathered(loop).array]
+        gathered = views[step.gathered.array]
         for peer in sorted(sched.send_rows):
             rows = sched.send_rows[peer]
             yield from comm.send_gen(peer, gathered[rows].copy(),
@@ -425,7 +515,7 @@ class XhpfExecutable:
 
         for name in loop.accumulate:
             views[name][...] = 0
-        partials = yield from self._run_chunk(env, loop, views)
+        partials = yield from self._run_chunk(env, loop, step, views)
 
         # ---- scheduled return of accumulation contributions
         for name in loop.accumulate:
@@ -441,8 +531,8 @@ class XhpfExecutable:
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _run_irregular_loop(self, env: ProcEnv, comm: Comm,
-                            loop: ParallelLoop, views: dict,
-                            scalars: dict, stale: set):
+                            loop: ParallelLoop, step: StatementPlan,
+                            views: dict, scalars: dict, stale: set):
         """Owner-computes on replicated data + broadcast-everything.
 
         The compiler "does not know what data will be accessed", so it keeps
@@ -455,14 +545,14 @@ class XhpfExecutable:
         used").
         """
         me = env.pid
-        before, after = self.rebroadcasts(loop, stale)
+        before = step.before(stale)
         for name in before:
             yield from self._broadcast_partitions(env, comm, name, views)
         # accumulation buffers: recomputed from zero each instance, summed
         # across processors (force buffers)
         for name in loop.accumulate:
             views[name][...] = 0
-        partials = yield from self._run_chunk(env, loop, views)
+        partials = yield from self._run_chunk(env, loop, step, views)
         # broadcast local accumulation buffers; everyone sums all of them
         for name in loop.accumulate:
             mine = views[name].copy()
@@ -477,9 +567,9 @@ class XhpfExecutable:
                 total = total + (yield from comm.recv_gen(
                     src=peer, tag=TAG_PARTITION))
             views[name][...] = total
-        for name in after:
+        for name in step.after:
             yield from self._broadcast_partitions(env, comm, name, views)
-        stale.difference_update(before + list(loop.accumulate) + after)
+        stale.difference_update(before, loop.accumulate, step.after)
         yield from self._fold_reductions(env, comm, loop, partials, scalars)
 
     def _broadcast_partitions(self, env: ProcEnv, comm: Comm, name: str,

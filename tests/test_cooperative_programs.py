@@ -440,9 +440,9 @@ class _LossyXhpf(XhpfExecutable):
     """Processor 0 skips its boundary sends: its neighbour's recv is never
     matched."""
 
-    def _exchange_block(self, env, comm, loop, views):
+    def _exchange_block(self, env, comm, step, views):
         if env.pid != 0:
-            yield from super()._exchange_block(env, comm, loop, views)
+            yield from super()._exchange_block(env, comm, step, views)
 
 
 class _ForgetfulSpf(SpfExecutable):

@@ -82,8 +82,8 @@ def test_inspector_runs_once_for_static_patterns():
     from repro.compiler import xhpf as xhpf_mod
     orig = xhpf_mod.XhpfExecutable._run_irregular_inspector
 
-    def spy(self, env, comm, loop, views, scalars, cache):
-        yield from orig(self, env, comm, loop, views, scalars, cache)
+    def spy(self, env, comm, loop, step, views, scalars, cache):
+        yield from orig(self, env, comm, loop, step, views, scalars, cache)
         hits[env.pid] = (cache.inspections, cache.reuses)
 
     xhpf_mod.XhpfExecutable._run_irregular_inspector = spy

@@ -187,3 +187,23 @@ def test_seq_is_modeled_as_the_oracle():
     assert mod.mode == "model"
     assert mod.time == sim.time
     assert mod.messages == 0 and mod.kilobytes == 0.0
+
+
+# The model's virtual time for the DSM variants is unvalidated (docs/MODEL.md);
+# the one property of it the sweep's readers lean on is the paper's §2.3
+# ordering: the improved fork-join interface beats the original one.
+_INVERTED = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the model inverts the ordering from N = 32, likely because its "
+    "barriers take arrival as a max and charge the manager no serial "
+    "receives"))
+
+
+@pytest.mark.parametrize("n", [16, pytest.param(32, marks=_INVERTED),
+                               pytest.param(64, marks=_INVERTED)])
+def test_model_keeps_the_interface_ordering(n):
+    sim = {v: execute(RunRequest("jacobi", v, n, PRESET)).time
+           for v in ("spf", "spf_old")}
+    assert sim["spf"] < sim["spf_old"]
+    mod = {v: model_variant("jacobi", v, nprocs=n, preset=PRESET).time
+           for v in ("spf", "spf_old")}
+    assert mod["spf"] < mod["spf_old"], (mod, sim)

@@ -1,10 +1,18 @@
 """Tests for the XHPF message-passing backend (repro.compiler.xhpf)."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from repro.api import ProgramCache, RunRequest, execute
+from repro.apps import get_app
+from repro.compiler import xhpf as xhpf_mod
 from repro.compiler.seq import run_sequential
 from repro.compiler.xhpf import compile_xhpf, run_xhpf
+from repro.eval.constants import APPS
+from repro.sim import Cluster
 from repro.sim.machine import SP2_MODEL
 from tests.conftest import irregular_program, stencil_program, triangular_program
 
@@ -97,3 +105,142 @@ def test_deterministic_replay():
     b = run_xhpf(stencil_program(), nprocs=4)
     assert (a.time, a.messages, a.kilobytes) == \
         (b.time, b.messages, b.kilobytes)
+
+
+# ---------------------------------------------------------------------- #
+# the communication plan: built once per executable, read by every run
+
+def _app_exe(app, nprocs, inspector_executor=False):
+    spec = get_app(app)
+    return compile_xhpf(spec.build_program(spec.params("test")), nprocs,
+                        inspector_executor)
+
+
+@pytest.mark.parametrize("app,inspector", [("shallow", False),
+                                           ("nbf", False), ("nbf", True)])
+def test_plan_builds_each_distinct_statement_once(monkeypatch, app,
+                                                  inspector):
+    built = []
+    orig = xhpf_mod.XhpfExecutable._plan_statement
+
+    def counting(self, stmt):
+        built.append(stmt)
+        return orig(self, stmt)
+
+    monkeypatch.setattr(xhpf_mod.XhpfExecutable, "_plan_statement", counting)
+    exe = _app_exe(app, 4, inspector)
+    assert built == []                   # compiling alone plans nothing
+    Cluster(nprocs=4).run(exe.run_on)
+    Cluster(nprocs=4).run(exe.run_on)
+    distinct = {id(stmt): stmt for stmt in exe.schedule}
+    assert len(distinct) < len(exe.schedule)      # the schedule repeats
+    assert len(built) == len(distinct)
+    assert {id(stmt) for stmt in built} == set(distinct)
+    assert len(exe.plan) == len(exe.schedule)
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_plan_send_and_receive_lists_partition_the_edges(app):
+    n = 5
+    exe = _app_exe(app, n)
+    blocks = [step for step in exe.plan if step.kind == "block"]
+    assert blocks
+    for step in blocks:
+        for pid in range(n):
+            # regions by identity: a projection, not a re-derivation
+            assert [(r, a, id(g)) for r, a, g in step.sends[pid]] == [
+                (e[1], e[2], id(e[3])) for e in step.edges if e[0] == pid]
+            assert [(o, a, id(g)) for o, a, g in step.recvs[pid]] == [
+                (e[0], e[2], id(e[3])) for e in step.edges if e[1] == pid]
+        assert sum(map(len, step.sends)) == len(step.edges)
+        assert sum(map(len, step.recvs)) == len(step.edges)
+
+
+@pytest.mark.parametrize("variant", ["xhpf", "xhpf_ie"])
+@pytest.mark.parametrize("app", ["shallow", "igrid"])
+def test_warm_plan_gives_the_fresh_fingerprint(app, variant):
+    request = RunRequest(app, variant, 4, "test")
+    cache = ProgramCache()
+    cold = execute(request, cache)
+    warm = execute(request, cache)
+    assert warm.cache_hit
+    assert warm.fingerprint() == cold.fingerprint() \
+        == execute(request).fingerprint()
+
+
+# sha256 (first 16 hex digits) of each ``test`` cell's ``fingerprint()``
+# without ``tag`` and ``signature`` (the signature's last bits may follow
+# the host's SIMD width; see benchmarks/perf/child.py), computed before the
+# plan was held per executable.  Any change to who sends what, when, moves
+# one of them.
+FINGERPRINT_DIGESTS = {
+    ("jacobi", "xhpf", 1): "d9597d16a702731d",
+    ("jacobi", "xhpf", 2): "d799edaf215b2774",
+    ("jacobi", "xhpf", 3): "57b261e312b1e92b",
+    ("jacobi", "xhpf", 5): "517f94c5465c5534",
+    ("jacobi", "xhpf", 8): "ca6be6a21cc4a5cc",
+    ("jacobi", "xhpf_ie", 1): "759212beb36ba2f8",
+    ("jacobi", "xhpf_ie", 2): "11e98319d9b9f89e",
+    ("jacobi", "xhpf_ie", 3): "e54e0615bd6871aa",
+    ("jacobi", "xhpf_ie", 5): "465505d790c1c707",
+    ("jacobi", "xhpf_ie", 8): "8b6f7bdb7318317c",
+    ("shallow", "xhpf", 1): "7035f9e89097e416",
+    ("shallow", "xhpf", 2): "3c7be7d5b28596d5",
+    ("shallow", "xhpf", 3): "737a677254535b44",
+    ("shallow", "xhpf", 5): "040a91e5126d581c",
+    ("shallow", "xhpf", 8): "2501ccda949aaea0",
+    ("shallow", "xhpf_ie", 1): "842a1927c7c3176c",
+    ("shallow", "xhpf_ie", 2): "87807b803166b532",
+    ("shallow", "xhpf_ie", 3): "7c9db3cd81f54914",
+    ("shallow", "xhpf_ie", 5): "02b73bbb5c5cf88a",
+    ("shallow", "xhpf_ie", 8): "bdcadbefcdaef1c2",
+    ("mgs", "xhpf", 1): "02908156afc6ff29",
+    ("mgs", "xhpf", 2): "ba5e5ac7ab3c7829",
+    ("mgs", "xhpf", 3): "f332734e5f282b92",
+    ("mgs", "xhpf", 5): "3076d29e87ce2708",
+    ("mgs", "xhpf", 8): "2cd8b764ab853e58",
+    ("mgs", "xhpf_ie", 1): "20055edf387ba154",
+    ("mgs", "xhpf_ie", 2): "1c0f48f8ffdf26c3",
+    ("mgs", "xhpf_ie", 3): "ad78237f89fad297",
+    ("mgs", "xhpf_ie", 5): "fa0d13ce7a91c528",
+    ("mgs", "xhpf_ie", 8): "bdacd85d18880f2b",
+    ("fft3d", "xhpf", 1): "62b87d23d857efe3",
+    ("fft3d", "xhpf", 2): "0b7c735b0070fd80",
+    ("fft3d", "xhpf", 3): "134f6e0f8e96b903",
+    ("fft3d", "xhpf", 5): "95dcdbf31df3e758",
+    ("fft3d", "xhpf", 8): "ce4bef0fcdb3c5c8",
+    ("fft3d", "xhpf_ie", 1): "7d3c7203aeea3c2e",
+    ("fft3d", "xhpf_ie", 2): "824d230e5b910364",
+    ("fft3d", "xhpf_ie", 3): "de9b9cc284b422c4",
+    ("fft3d", "xhpf_ie", 5): "142934517841bf54",
+    ("fft3d", "xhpf_ie", 8): "a235454fa98e0320",
+    ("igrid", "xhpf", 1): "4a25a02782e27bbe",
+    ("igrid", "xhpf", 2): "2b91ab85cc101889",
+    ("igrid", "xhpf", 3): "c2df8e473863ea92",
+    ("igrid", "xhpf", 5): "0dba3eefec3e2ad2",
+    ("igrid", "xhpf", 8): "d9c2377be8959764",
+    ("igrid", "xhpf_ie", 1): "49f8a99e2bc4ff8f",
+    ("igrid", "xhpf_ie", 2): "7973a8c5a2034bdf",
+    ("igrid", "xhpf_ie", 3): "576932841f9615d1",
+    ("igrid", "xhpf_ie", 5): "9eada95a6008479c",
+    ("igrid", "xhpf_ie", 8): "ec19999c10fec61c",
+    ("nbf", "xhpf", 1): "5e5597c55af6f3e2",
+    ("nbf", "xhpf", 2): "db1473d45ad08102",
+    ("nbf", "xhpf", 3): "ebe695acabbd8f70",
+    ("nbf", "xhpf", 5): "eac51c206eb35d95",
+    ("nbf", "xhpf", 8): "e9a1b2e1d1b446d9",
+    ("nbf", "xhpf_ie", 1): "7667aa307fc72564",
+    ("nbf", "xhpf_ie", 2): "bdf4a14221411f5c",
+    ("nbf", "xhpf_ie", 3): "3ea9bc8709c9506c",
+    ("nbf", "xhpf_ie", 5): "6382afb53bfecbff",
+    ("nbf", "xhpf_ie", 8): "8610b4f18bf74a0d",
+}
+
+
+@pytest.mark.parametrize("app,variant,n", sorted(FINGERPRINT_DIGESTS))
+def test_fingerprint_digests_unchanged(app, variant, n):
+    doc = execute(RunRequest(app, variant, n, "test")).fingerprint()
+    doc.pop("tag")
+    doc.pop("signature")
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest()[:16] == FINGERPRINT_DIGESTS[app, variant, n]
