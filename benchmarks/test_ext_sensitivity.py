@@ -12,15 +12,26 @@ the calibration and checks which conclusions are calibration-robust:
   expensive (the DSM sends several messages where MP sends one).
 """
 
+import pytest
+
 from repro.api import RunRequest, execute, machine_to_doc
 from repro.apps.common import get_app
 from repro.sim.machine import SP2_MODEL
 
 from conftest import NPROCS, archive, runner  # noqa: F401
 
-get_app("jacobi").presets.setdefault("sweep", dict(n=1024, iters=6,
-                                                   warmup=1))
-get_app("igrid").presets.setdefault("sweep", dict(n=500, iters=6, warmup=1))
+SWEEP = {"jacobi": dict(n=1024, iters=6, warmup=1),
+         "igrid": dict(n=500, iters=6, warmup=1)}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def sweep_presets():
+    """The "sweep" preset exists while this module runs, and only then."""
+    for app, params in SWEEP.items():
+        get_app(app).presets["sweep"] = params
+    yield
+    for app in SWEEP:
+        del get_app(app).presets["sweep"]
 
 MODELS = {
     "fast (x0.5 costs)": SP2_MODEL.with_(

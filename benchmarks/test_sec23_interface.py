@@ -23,13 +23,6 @@ def test_interface_ablation(runner):
     from repro.apps.jacobi import PRESETS
     loops = 2 * PRESETS[PRESET]["iters"]     # timed window dispatches
 
-    def data_msgs(res):
-        return sum(count for cat, (count, _b) in res.categories.items()
-                   if cat.startswith("diff")) - _ctrl_faults(res)
-
-    def _ctrl_faults(res):
-        return 0
-
     imp_sync = imp.categories.get("sync", (0, 0))[0]
     imp_machinery = imp_sync / loops
     # original = everything beyond the improved build's data traffic

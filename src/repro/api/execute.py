@@ -43,9 +43,8 @@ from repro.api.types import (RunRequest, RunResult, _replace,
                              failure_result, fault_plan_from_doc,
                              machine_from_doc)
 
-__all__ = ["ProgramCache", "execute", "execute_with_arrays", "run",
-           "default_runner", "InProcess",
-           "INTERNAL_PREFIXES", "READBACK_SOURCE"]
+__all__ = ["ProgramCache", "execute", "execute_with_arrays",
+           "default_runner", "InProcess", "READBACK_SOURCE"]
 
 
 class ProgramCache:
@@ -205,9 +204,6 @@ def _execute_model(request: RunRequest, cache: ProgramCache,
     return _replace(res, tag=request.tag, cache_hit=hit)
 
 
-#: runtime-internal shared arrays, excluded from the numeric readback
-INTERNAL_PREFIXES = ("__red_", "__acc_", "__fj_")
-
 #: source tag of the coherent readback's own accesses
 READBACK_SOURCE = "racecheck:readback"
 
@@ -229,8 +225,13 @@ def _readback_gen(tmk):
     yield from tmk.barrier_gen()
     arrays = {}
     if tmk.pid == 0:
+        from repro.compiler.spf import REDUCTION_PREFIX, STAGING_PREFIX
+        from repro.tmk.forkjoin import CTRL_PREFIX
+
+        # runtime-internal shared arrays, excluded from the numeric readback
+        internal = (REDUCTION_PREFIX, STAGING_PREFIX, CTRL_PREFIX)
         for handle in tmk.world.space.handles():
-            if handle.name.startswith(INTERNAL_PREFIXES):
+            if handle.name.startswith(internal):
                 continue
             view = yield from tmk.array(handle.name).read_gen(
                 source=READBACK_SOURCE)

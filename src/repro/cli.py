@@ -11,7 +11,9 @@ Commands
 ``chaos``                sweep fault seeds; assert numerics vs fault-free
 ``serve``                persistent worker-pool run service (JSON lines)
 ``fleet``                front N remote serve hosts behind one service
+``lint [APP...]``        statically verify the IR programs (docs/LINT.md)
 ``list``                 list applications, variants and presets
+``report``               assemble the archived benchmark results
 
 Every command that runs programs goes through the unified
 :mod:`repro.api` — it builds :class:`~repro.api.RunRequest` values and

@@ -75,7 +75,8 @@ __all__ = ["PROVEN_PARALLEL", "PROVEN_SERIAL", "UNKNOWN",
            "Mutation", "pair_dependence", "analyze_loop", "analyze_program",
            "mhp_pairs", "Interval", "Strided", "dim_sets_intersect",
            "chunk_sets", "sets_conflict", "loops_fusable_exact",
-           "eligible_mutation_targets", "inject_dependence", "tag_family"]
+           "eligible_mutation_targets", "inject_dependence", "stmt_family",
+           "tag_family"]
 
 PROVEN_PARALLEL = "proven-parallel"
 PROVEN_SERIAL = "proven-serial"
@@ -84,15 +85,19 @@ UNKNOWN = "unknown"
 _SEVERITY = {PROVEN_PARALLEL: 0, UNKNOWN: 1, PROVEN_SERIAL: 2}
 
 
-def _family(name: str) -> str:
-    """Instance names like ``orthogonalize[3]`` share family
-    ``orthogonalize`` (same convention as the lint pass)."""
+def stmt_family(name: str) -> str:
+    """Statement family: ``orthogonalize[5]`` -> ``orthogonalize``.
+
+    TimeLoop factories stamp the outer index into statement names; the
+    dependence verdicts and lint's rules (and their suppressions) work per
+    family, not per instance.
+    """
     return name.split("[")[0]
 
 
 def tag_family(tag: str) -> str:
     """Loop family of a race-monitor source tag ``"<unit name>:<array>"``."""
-    return _family(tag.split(":")[0])
+    return stmt_family(tag.split(":")[0])
 
 
 def _region_str(region) -> str:
@@ -348,7 +353,7 @@ def analyze_loop(loop: ParallelLoop, program: Program) -> LoopVerdict:
         verdict = UNKNOWN
     else:
         verdict = PROVEN_PARALLEL
-    return LoopVerdict(loop=_family(loop.name), verdict=verdict,
+    return LoopVerdict(loop=stmt_family(loop.name), verdict=verdict,
                        dependences=deps, unknowns=unknowns,
                        schedule=loop.schedule, extent=loop.extent,
                        start=loop.start)
@@ -384,7 +389,7 @@ def mhp_pairs(program: Program, nprocs: int = 8,
     pairs, seen = [], set()
     for stmt in program.flat_statements():
         if isinstance(stmt, ParallelLoop):
-            fam = _family(stmt.name)
+            fam = stmt_family(stmt.name)
             if fam not in seen:
                 seen.add(fam)
                 pairs.append(MhpPair(fam, fam,
@@ -398,7 +403,8 @@ def mhp_pairs(program: Program, nprocs: int = 8,
             loops = unit.loops or []
             for x in range(len(loops)):
                 for y in range(x + 1, len(loops)):
-                    key = (_family(loops[x].name), _family(loops[y].name))
+                    key = (stmt_family(loops[x].name),
+                           stmt_family(loops[y].name))
                     if key[0] != key[1] and key not in fused_seen:
                         fused_seen.add(key)
                         pairs.append(MhpPair(
@@ -468,7 +474,7 @@ def analyze_program(program: Program, nprocs: int = 8,
     for stmt in program.flat_statements():
         if not isinstance(stmt, ParallelLoop):
             continue
-        fam = _family(stmt.name)
+        fam = stmt_family(stmt.name)
         v = analyze_loop(stmt, program)
         prev = verdicts.get(fam)
         if prev is None:
@@ -717,7 +723,7 @@ def eligible_mutation_targets(program: Program) -> list:
     for stmt in program.flat_statements():
         if not isinstance(stmt, ParallelLoop):
             continue
-        fam = _family(stmt.name)
+        fam = stmt_family(stmt.name)
         if fam in seen:
             continue
         seen.add(fam)
@@ -793,7 +799,7 @@ def inject_dependence(program: Program, seed: int = 0):
     family, kind, array = random.Random(seed).choice(targets)
 
     def rebuild(stmt):
-        if isinstance(stmt, ParallelLoop) and _family(stmt.name) == family:
+        if isinstance(stmt, ParallelLoop) and stmt_family(stmt.name) == family:
             return _mutate_loop(stmt, kind, array)
         if isinstance(stmt, TimeLoop):
             body = stmt.body

@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from repro.compiler import depend
+from repro.compiler.depend import stmt_family
 from repro.compiler.ir import (FootprintError, Mark, ParallelLoop,
                                Program, SeqBlock, Span)
 from repro.compiler.partition import SEQ, Elements, loop_chunk
@@ -59,15 +60,6 @@ __all__ = ["Finding", "LintReport", "TrafficEstimate", "ShadowArray",
            "TRAFFIC_TOLERANCES"]
 
 SEVERITIES = ("error", "warning", "info")
-
-
-def _family(stmt_name: str) -> str:
-    """Statement family: ``orthogonalize[5]`` -> ``orthogonalize``.
-
-    TimeLoop factories stamp the outer index into statement names; rules
-    dedupe (and suppressions match) per family, not per instance.
-    """
-    return stmt_name.split("[")[0]
 
 
 # ---------------------------------------------------------------------- #
@@ -88,7 +80,7 @@ class Finding:
     details: dict = field(default_factory=dict)
 
     def key(self) -> tuple:
-        return (self.rule, _family(self.stmt), self.array)
+        return (self.rule, stmt_family(self.stmt), self.array)
 
     def where(self) -> str:
         loc = self.program
@@ -252,7 +244,7 @@ def _check_wellformed(program: Program, nprocs: int,
     for stmt, window in program.flat_statements_with_window():
         if isinstance(stmt, Mark):
             continue
-        fam = _family(stmt.name)
+        fam = stmt_family(stmt.name)
         if fam in families:
             continue
         families.add(fam)
@@ -327,9 +319,9 @@ def _check_wellformed(program: Program, nprocs: int,
                      hint="distribute dimension 0 or replicate")
         for stmt, window in program.flat_statements_with_window():
             if not isinstance(stmt, SeqBlock) \
-                    or _family(stmt.name) + ":xhpf" in families:
+                    or stmt_family(stmt.name) + ":xhpf" in families:
                 continue
-            families.add(_family(stmt.name) + ":xhpf")
+            families.add(stmt_family(stmt.name) + ":xhpf")
             for acc in stmt.reads:
                 if acc.irregular or acc.array not in names:
                     continue
@@ -507,7 +499,7 @@ def _check_footprints(program: Program, nprocs: int) -> list:
     raw = {name: s.data for name, s in shadow.items()}
 
     def emit(rule, stmt, window, array, mode, count, sample, hint):
-        key = (rule, _family(stmt.name), array, mode)
+        key = (rule, stmt_family(stmt.name), array, mode)
         if key in seen:
             return
         seen.add(key)
@@ -519,7 +511,7 @@ def _check_footprints(program: Program, nprocs: int) -> list:
             hint=hint, details={"mode": mode, "count": int(count)}))
 
     def emit_lost(stmt, window, array):
-        key = ("lost-write", _family(stmt.name), array)
+        key = ("lost-write", stmt_family(stmt.name), array)
         if key in seen:
             return
         seen.add(key)
@@ -589,7 +581,7 @@ def _check_footprints(program: Program, nprocs: int) -> list:
                 for red in stmt.reductions:
                     if not isinstance(partials, dict) \
                             or red.name not in partials:
-                        key = ("wf-reduction", _family(stmt.name),
+                        key = ("wf-reduction", stmt_family(stmt.name),
                                red.name, "red")
                         if key not in seen:
                             seen.add(key)
@@ -625,7 +617,7 @@ def _check_redundant_barriers(exe) -> list:
         if (prev is not None and not stmt.accumulate
                 and depend.loops_fusable_exact(prev, stmt, nprocs, program,
                                                exe.chunk)):
-            key = (_family(prev.name), _family(stmt.name))
+            key = (stmt_family(prev.name), stmt_family(stmt.name))
             if key not in seen:
                 seen.add(key)
                 findings.append(Finding(
@@ -678,7 +670,7 @@ def _check_false_sharing(exe) -> list:
     for stmt, window in program.flat_statements_with_window():
         if not isinstance(stmt, ParallelLoop):
             continue
-        fam = _family(stmt.name)
+        fam = stmt_family(stmt.name)
         if fam in seen:
             continue
         seen.add(fam)
@@ -764,7 +756,7 @@ def _apply_suppressions(findings: list, suppress) -> tuple:
     kept = []
     dropped = 0
     for f in findings:
-        probe = (f.rule, f"{f.rule}:{_family(f.stmt)}")
+        probe = (f.rule, f"{f.rule}:{stmt_family(f.stmt)}")
         if any(fnmatch(p, pat) for p in probe for pat in suppress):
             dropped += 1
         else:

@@ -20,17 +20,10 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.compiler.ir import Span
+from repro.sim.cluster import block_range
 
 __all__ = ["block_range", "block_owner", "cyclic_indices", "cyclic_owner",
            "Chunk", "Elements", "SEQ", "loop_chunk", "balanced_chunk"]
-
-
-def block_range(extent: int, nprocs: int, pid: int) -> tuple:
-    """[lo, hi) of a BLOCK distribution (remainder spread over low pids)."""
-    base, rem = divmod(extent, nprocs)
-    lo = pid * base + min(pid, rem)
-    hi = lo + base + (1 if pid < rem else 0)
-    return lo, hi
 
 
 def block_owner(extent: int, nprocs: int, index: int) -> int:

@@ -17,7 +17,8 @@ from typing import Optional
 from repro.compiler import analysis, depend
 from repro.compiler.ir import ParallelLoop, Program, SeqBlock
 from repro.compiler.partition import loop_chunk
-from repro.compiler.spf import SpfOptions, compile_spf
+from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX,
+                                SpfOptions, compile_spf)
 from repro.compiler.xhpf import compile_xhpf
 
 __all__ = ["spf_report", "xhpf_report", "footprint_report",
@@ -83,10 +84,10 @@ def source_lookup(program: Program, nprocs: int = 8,
             for acc in loop.writes:
                 note(f"{loop.name}:{acc.array}", f"write in {where}")
             for name in loop.accumulate:
-                note(f"{loop.name}:__acc_{name}",
+                note(f"{loop.name}:{STAGING_PREFIX}{name}",
                      f"staged accumulation of {name!r} in {where}")
             for red in loop.reductions:
-                note(f"{loop.name}:__red_{red.name}",
+                note(f"{loop.name}:{REDUCTION_PREFIX}{red.name}",
                      f"lock-folded reduction {red.name!r} in {where}")
     return {tag: "; ".join(dict.fromkeys(what))
             for tag, what in kinds.items()}

@@ -25,31 +25,10 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.msg.endpoint import Comm
+from repro.sim.cluster import tree_children, tree_parent
 
 __all__ = ["bcast_gen", "reduce_gen", "allreduce_gen", "gather_gen",
            "allgather_gen", "scatter_gen", "alltoall_gen", "mp_barrier_gen"]
-
-
-def _tree_children(rank: int, root: int, size: int) -> list[int]:
-    """Binomial-tree children of ``rank`` in a tree rooted at ``root``."""
-    rel = (rank - root) % size
-    children = []
-    lowbit = rel & -rel if rel else size  # rel 0 keeps all bits
-    bit = 1
-    while bit < size and bit < lowbit:
-        if rel + bit < size:
-            children.append((rel + bit + root) % size)
-        bit <<= 1
-    return children
-
-
-def _tree_parent(rank: int, root: int, size: int) -> Optional[int]:
-    rel = (rank - root) % size
-    if rel == 0:
-        return None
-    # clear the lowest set bit of rel
-    parent_rel = rel & (rel - 1)
-    return (parent_rel + root) % size
 
 
 def bcast_gen(comm: Comm, value: Any, root: int = 0,
@@ -58,8 +37,8 @@ def bcast_gen(comm: Comm, value: Any, root: int = 0,
     tag = comm.next_tag() if tag is None else tag
     if comm.rank != root:
         value = yield from comm.recv_gen(
-            src=_tree_parent(comm.rank, root, comm.size), tag=tag)
-    for child in _tree_children(comm.rank, root, comm.size):
+            src=tree_parent(comm.rank, root, comm.size), tag=tag)
+    for child in tree_children(comm.rank, root, comm.size):
         yield from comm.send_gen(child, value, tag=tag)
     return value
 
@@ -69,9 +48,9 @@ def reduce_gen(comm: Comm, value: Any, op: Callable[[Any, Any], Any],
     """Binomial-tree reduction; result valid only on ``root``."""
     tag = comm.next_tag() if tag is None else tag
     acc = value
-    for child in _tree_children(comm.rank, root, comm.size):
+    for child in tree_children(comm.rank, root, comm.size):
         acc = op(acc, (yield from comm.recv_gen(src=child, tag=tag)))
-    parent = _tree_parent(comm.rank, root, comm.size)
+    parent = tree_parent(comm.rank, root, comm.size)
     if parent is not None:
         yield from comm.send_gen(parent, acc, tag=tag)
         return None

@@ -21,7 +21,7 @@ from typing import Any, Callable
 
 from repro.msg import collectives as coll
 from repro.msg.endpoint import ANY_SOURCE, ANY_TAG, Comm
-from repro.sim.cluster import ProcEnv
+from repro.sim.cluster import ProcEnv, block_range
 from repro.sim.engine import blocking
 
 __all__ = ["Pvme"]
@@ -81,6 +81,4 @@ class Pvme:
         return self.env.compute_gen(seconds)
 
     def block_range(self, extent: int) -> tuple:
-        base, rem = divmod(extent, self.ntasks)
-        lo = self.tid * base + min(self.tid, rem)
-        return lo, lo + base + (1 if self.tid < rem else 0)
+        return block_range(extent, self.ntasks, self.tid)

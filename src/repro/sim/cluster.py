@@ -24,7 +24,42 @@ from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel, SP2_MODEL
 from repro.sim.network import Network, NetworkStats
 
-__all__ = ["Cluster", "ProcEnv", "RunResult"]
+__all__ = ["Cluster", "ProcEnv", "RunResult", "block_range", "tree_children",
+           "tree_parent"]
+
+
+# ---------------------------------------------------------------------- #
+# how the n processors divide an extent and combine along a tree
+
+def block_range(extent: int, nprocs: int, pid: int) -> tuple:
+    """[lo, hi) of a BLOCK distribution (remainder spread over low pids)."""
+    base, rem = divmod(extent, nprocs)
+    lo = pid * base + min(pid, rem)
+    hi = lo + base + (1 if pid < rem else 0)
+    return lo, hi
+
+
+def tree_children(rank: int, root: int, size: int) -> list[int]:
+    """Binomial-tree children of ``rank`` in a tree rooted at ``root``."""
+    rel = (rank - root) % size
+    children = []
+    lowbit = rel & -rel if rel else size  # rel 0 keeps all bits
+    bit = 1
+    while bit < size and bit < lowbit:
+        if rel + bit < size:
+            children.append((rel + bit + root) % size)
+        bit <<= 1
+    return children
+
+
+def tree_parent(rank: int, root: int, size: int) -> Optional[int]:
+    """Binomial-tree parent of ``rank`` (``None`` for the root)."""
+    rel = (rank - root) % size
+    if rel == 0:
+        return None
+    # clear the lowest set bit of rel
+    parent_rel = rel & (rel - 1)
+    return (parent_rel + root) % size
 
 
 class ProcEnv:

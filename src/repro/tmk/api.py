@@ -34,7 +34,7 @@ from __future__ import annotations
 import inspect
 from typing import Callable, Optional, Sequence
 
-from repro.sim.cluster import Cluster, ProcEnv, RunResult
+from repro.sim.cluster import Cluster, ProcEnv, RunResult, block_range
 from repro.sim.engine import blocking
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
@@ -122,10 +122,7 @@ class Tmk:
     # convenience for block distribution (the library offered helpers too)
     def block_range(self, extent: int) -> tuple:
         """This processor's [lo, hi) slice of a block-distributed extent."""
-        base, rem = divmod(extent, self.nprocs)
-        lo = self.pid * base + min(self.pid, rem)
-        hi = lo + base + (1 if self.pid < rem else 0)
-        return lo, hi
+        return block_range(extent, self.nprocs, self.pid)
 
 
 def tmk_run(nprocs: int,

@@ -45,8 +45,9 @@ __all__ = ["OldForkJoin", "ImprovedForkJoin", "alloc_old_interface_control",
            "STOP"]
 
 STOP = -1
-CTRL_SUB = "__fj_sub"
-CTRL_ARG = "__fj_arg"
+CTRL_PREFIX = "__fj_"      # the old interface's control arrays
+CTRL_SUB = CTRL_PREFIX + "sub"
+CTRL_ARG = CTRL_PREFIX + "arg"
 MAX_ARGS = 32
 
 

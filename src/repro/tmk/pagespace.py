@@ -102,6 +102,12 @@ class ArrayHandle:
         return pages, False
 
     def _compute_region_pages(self, region: tuple) -> np.ndarray:
+        return _pages_of_spans(*self._region_spans(region))
+
+    def _region_spans(self, region: tuple) -> tuple:
+        """``(starts, span)``: the equal-length byte spans ``[s, s + span)``
+        a normalized region covers, one per combination of indices outside
+        its innermost contiguous run."""
         strides = self._strides()
         # Determine the innermost dimension from which the region is a full
         # contiguous run; everything inside collapses into one span length.
@@ -118,7 +124,7 @@ class ArrayHandle:
                 break
         if d < 0:
             # whole array
-            return np.arange(self.first_page, self.last_page + 1)
+            return np.array([self.offset], dtype=np.int64), self.nbytes
         # Offsets of each "row" (combination of indices in dims [0, d)) plus
         # the partial dim d start.
         lo_d, _hi_d = region[d]
@@ -128,8 +134,13 @@ class ArrayHandle:
             lo, hi = region[k]
             idx = np.arange(lo, hi, dtype=np.int64) * strides[k]
             outer_offsets = (outer_offsets[:, None] + idx[None, :]).ravel()
-        starts = base + outer_offsets
-        return _pages_of_spans(starts, span)
+        return base + outer_offsets, span
+
+    def _element_spans(self, flat_indices, elem_span: int) -> tuple:
+        """``(starts, span)`` of scattered elements, each widened to
+        ``elem_span`` consecutive elements."""
+        idx = np.asarray(flat_indices, dtype=np.int64)
+        return self.offset + idx * self.itemsize, elem_span * self.itemsize
 
     def element_pages(self, flat_indices: Union[np.ndarray, Sequence[int]],
                       elem_span: int = 1) -> np.ndarray:
@@ -138,9 +149,7 @@ class ArrayHandle:
         ``flat_indices`` are C-order flat element indices; ``elem_span``
         widens each access to that many consecutive elements.
         """
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        starts = self.offset + idx * self.itemsize
-        return _pages_of_spans(starts, elem_span * self.itemsize)
+        return _pages_of_spans(*self._element_spans(flat_indices, elem_span))
 
     # ------------------------------------------------------------------ #
     # region -> byte runs (exact footprints, for the race detector)
@@ -154,36 +163,13 @@ class ArrayHandle:
         the exact bytes — the race detector needs them to tell a true
         overlap from mere false sharing within a page.
         """
-        region = normalize_region(region, self.shape)
-        strides = self._strides()
-        span = self.itemsize
-        d = len(self.shape) - 1
-        while d >= 0:
-            lo, hi = region[d]
-            if lo == 0 and hi == self.shape[d]:
-                span *= self.shape[d]
-                d -= 1
-            else:
-                span *= (hi - lo)
-                break
-        if d < 0:
-            return np.array([[self.offset, self.offset + self.nbytes]],
-                            dtype=np.int64)
-        lo_d, _hi_d = region[d]
-        base = self.offset + lo_d * strides[d]
-        outer_offsets = np.array([0], dtype=np.int64)
-        for k in range(d):
-            lo, hi = region[k]
-            idx = np.arange(lo, hi, dtype=np.int64) * strides[k]
-            outer_offsets = (outer_offsets[:, None] + idx[None, :]).ravel()
-        return merge_spans(base + outer_offsets, span)
+        return merge_spans(*self._region_spans(
+            normalize_region(region, self.shape)))
 
     def element_byte_runs(self, flat_indices: Union[np.ndarray, Sequence[int]],
                           elem_span: int = 1) -> np.ndarray:
         """Merged ``[start, stop)`` byte intervals of scattered elements."""
-        idx = np.asarray(flat_indices, dtype=np.int64)
-        starts = self.offset + idx * self.itemsize
-        return merge_spans(starts, elem_span * self.itemsize)
+        return merge_spans(*self._element_spans(flat_indices, elem_span))
 
 
 def merge_spans(starts: np.ndarray, span: int) -> np.ndarray:

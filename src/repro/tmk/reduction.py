@@ -23,8 +23,9 @@ measures the difference.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable
 
+from repro.sim.cluster import tree_children, tree_parent
 from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
@@ -39,23 +40,6 @@ REDUCE_OPS: dict = {
     "max": max,
     "min": min,
 }
-
-
-def _children(pid: int, nprocs: int) -> list:
-    out = []
-    lowbit = pid & -pid if pid else nprocs
-    bit = 1
-    while bit < nprocs and bit < lowbit:
-        if pid + bit < nprocs:
-            out.append(pid + bit)
-        bit <<= 1
-    return out
-
-
-def _parent(pid: int) -> Optional[int]:
-    if pid == 0:
-        return None
-    return pid & (pid - 1)
 
 
 def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
@@ -83,7 +67,7 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
     node.close_interval()                     # release: our writes publish
     acc = value
     gathered: list = []
-    for child in _children(node.pid, nprocs):
+    for child in tree_children(node.pid, 0, nprocs):
         msg = yield from node.net.recv_gen(proc, node.pid, src=child,
                                            tag=TAG_REDUCE_UP)
         child_value, records, seen = msg.payload
@@ -92,7 +76,7 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
         if mon is not None:
             mon.channel_acquire(node.pid, child, "reduce-up")
         gathered.append((child, seen))
-    parent = _parent(node.pid)
+    parent = tree_parent(node.pid, 0, nprocs)
     if parent is not None:
         records = list(node.log_current)
         payload = (acc, records, node.seen.as_tuple())

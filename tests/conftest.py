@@ -8,19 +8,58 @@ import pytest
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
                                ParallelLoop, Program, Reduction, SeqBlock,
                                Span, TimeLoop)
+from repro.sim import engine
 
 N = 32
 COLS = 512
 
 
+class _EngineThreading:
+    """``threading`` as :mod:`repro.sim.engine` sees it, with ``Thread``
+    replaced by a subclass that records every thread started."""
+
+    def __init__(self, started):
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        self.Thread = Thread
+
+    def __getattr__(self, name):
+        return getattr(threading, name)
+
+
 @pytest.fixture(autouse=True)
-def no_leaked_simproc_threads():
+def no_leaked_simproc_threads(request, monkeypatch):
     """A simulated-process thread that outlives ``Simulator.run`` fails the
-    test that leaked it (each one used to cost a silent 5 s join)."""
+    test that leaked it (each one used to cost a silent 5 s join), and
+    outside ``tests/test_engine.py`` -- which owns the thread kind's
+    contract tests -- so does starting one at all: every other program is a
+    generator program."""
+    started = []
+    if request.path.name != "test_engine.py":
+        monkeypatch.setattr(engine, "threading", _EngineThreading(started))
     yield
     leaked = [t.name for t in threading.enumerate()
               if t.name.startswith("simproc-")]
     assert not leaked, f"simulated-process threads leaked: {leaked}"
+    assert not started, (f"thread processes started outside "
+                         f"tests/test_engine.py: {started}")
+
+
+def lock_acquire(tmk, lock):
+    """Acquire ``lock`` from a generator program (``yield from``)."""
+    steps = tmk.lock_acquire_steps(lock)
+    if steps is not None:
+        yield from steps
+
+
+def lock_release(tmk, lock):
+    """Release ``lock`` from a generator program (``yield from``)."""
+    steps = tmk.lock_release_steps(lock)
+    if steps is not None:
+        yield from steps
 
 
 def stencil_program(iters=3):

@@ -12,12 +12,14 @@ harnesses and the serve wire protocol all share:
 """
 
 import dataclasses
+import sys
 
 import pytest
 
 from repro.api import (DSM_VARIANTS, PRESETS, VARIANTS, BatchResult,
                        InProcess, ProgramCache, RunRequest, RunResult,
                        execute, registry)
+from repro.apps.common import get_app
 from repro.api.types import (RUN_SCHEMA, VOLATILE_RESULT_FIELDS,
                              fault_plan_from_doc, fault_plan_to_doc,
                              machine_from_doc, machine_to_doc)
@@ -168,6 +170,17 @@ def test_registry_is_consistent():
         assert (reason is None) == info.has_spf_opt, info.name
     with pytest.raises(ValueError, match="warp"):
         registry.supports("jacobi", "warp")
+
+
+def test_registry_presets_are_each_apps_own():
+    """A test module that needs an extra preset adds it with a fixture and
+    takes it away again: every other test -- and a ``--jobs`` worker, which
+    sees only the app modules -- gets each app's own ``PRESETS``, the
+    canonical three."""
+    for name in registry.APPS:
+        own = sys.modules[get_app(name).build_program.__module__].PRESETS
+        assert set(own) == set(PRESETS), name
+        assert registry.app_info(name).presets == tuple(sorted(own)), name
 
 
 def test_program_cache_counts_hits_and_evicts_lru():

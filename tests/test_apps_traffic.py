@@ -14,12 +14,20 @@ N = 4
 # The page-granularity effects of Tables 2/3 need arrays whose rows are at
 # least page-sized (as the paper's are); the tiny "test" preset inverts
 # them.  These mid-size presets keep rows page-scale while staying fast.
-get_app("jacobi").presets.setdefault(
-    "traffic", dict(n=1024, iters=3, warmup=1))
-get_app("igrid").presets.setdefault(
-    "traffic", dict(n=200, iters=3, warmup=1))
-get_app("nbf").presets.setdefault(
-    "traffic", dict(n=4096, iters=3, warmup=0, P=8, W=128))
+TRAFFIC = {"jacobi": dict(n=1024, iters=3, warmup=1),
+           "igrid": dict(n=200, iters=3, warmup=1),
+           "nbf": dict(n=4096, iters=3, warmup=0, P=8, W=128)}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def traffic_presets():
+    """The "traffic" preset exists while this module's tests run, and only
+    then: no other test sees it in the registry."""
+    for app, params in TRAFFIC.items():
+        get_app(app).presets["traffic"] = params
+    yield
+    for app in TRAFFIC:
+        del get_app(app).presets["traffic"]
 
 
 def run(app, variant, preset="test", **kw):

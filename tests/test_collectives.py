@@ -157,9 +157,9 @@ def test_pvme_facade_roundtrip():
         p = Pvme(env)
         assert p.tid == env.pid and p.ntasks == env.nprocs
         if p.tid == 0:
-            p.send(1, np.arange(4.0), tag=3)
+            yield from p.send_gen(1, np.arange(4.0), tag=3)
         elif p.tid == 1:
-            got = p.recv(src=0, tag=3)
+            got = yield from p.recv_gen(src=0, tag=3)
             return got.tolist()
         return None
 
@@ -169,6 +169,7 @@ def test_pvme_facade_roundtrip():
 
 def test_pvme_block_range_covers_extent():
     def prog(env):
+        yield from ()
         p = Pvme(env)
         return p.block_range(100)
 

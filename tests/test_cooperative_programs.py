@@ -4,11 +4,11 @@ Compiled (``SpfExecutable.run_on`` / ``XhpfExecutable.run_on``) and
 hand-coded (``AppSpec.hand_tmk`` / ``hand_pvme``) programs alike, and every
 blocking operation under them, are generators of engine block requests, so
 a run of any variant creates no ``simproc-`` thread, hands no baton
-(``switches == 0``) and executes every kernel on the caller's thread --
-while staying, event for event, the simulation a thread main that
-``drive``s the same generator gives.  The thread kind itself stays, for
-plain-function programs written against the blocking forms: such a program
-is still the same simulation as its generator form.
+(``switches == 0``) and executes every kernel on the caller's thread.  That
+such a program is, event for event, the simulation a thread main that
+``drive``s the same generator gives -- and that a plain-function program is
+the same simulation as its generator form -- is the thread kind's contract,
+tested in ``tests/test_engine.py``.
 """
 
 import cProfile
@@ -23,16 +23,14 @@ import pytest
 from repro.api import RunRequest, execute, registry
 from repro.apps.common import AppSpec, get_app, register
 from repro.compiler.ir import SeqBlock
-from repro.compiler.spf import SpfExecutable, SpfOptions, compile_spf
-from repro.compiler.xhpf import XhpfExecutable, compile_xhpf
-from repro.msg.pvme import Pvme
+from repro.compiler.spf import SpfExecutable, SpfOptions
+from repro.compiler.xhpf import XhpfExecutable
 from repro.sim.cluster import Cluster
-from repro.sim.engine import HOLD, Deadlock, Simulator
-from repro.sim.faults import FaultPlan
+from repro.sim.engine import Deadlock
 from repro.tmk.api import tmk_run
 from repro.tmk.protocol import TAG_FORK, TAG_JOIN, TmkNode
 
-from .conftest import irregular_program, stencil_program
+from .conftest import stencil_program
 from .test_apps_correctness import APPS, KNOWN_DEFECTS
 from .test_engine import _cluster_results
 
@@ -127,7 +125,6 @@ def test_register_refuses_a_plain_hand_coded_program():
     jacobi = get_app("jacobi")
 
     def plain_tmk(tmk, params):
-        tmk.barrier()
         return {}
 
     spec = AppSpec(name="plain-app", regular=True,
@@ -141,58 +138,6 @@ def test_register_refuses_a_plain_hand_coded_program():
     with pytest.raises(TypeError, match="plain-app: hand_pvme"):
         register(spec)
     assert "plain-app" not in registry._specs()
-
-
-# ---------------------------------------------------------------------- #
-# the same executable as generator processes and under thread mains
-
-def _fingerprint(result):
-    return (result.time, result.proc_times, result.events,
-            result.stats.messages, result.stats.kilobytes,
-            result.stats.retransmissions, result.results[0])
-
-
-def _driven(run_on):
-    """A thread main that exhausts the generator program with ``drive``."""
-    def main(handle):
-        return handle.proc.drive(run_on(handle))
-    return main
-
-
-RUN_OPTIONS = {"fifo": {}, "seed1": {"schedule_seed": 1},
-               "seed2": {"schedule_seed": 2},
-               "faults": {"faults": FaultPlan.default()}}
-
-
-@pytest.mark.parametrize("option", RUN_OPTIONS)
-@pytest.mark.parametrize("program", [stencil_program, irregular_program])
-@pytest.mark.parametrize("spf_options", [
-    SpfOptions(), SpfOptions(improved_interface=False),
-    SpfOptions(aggregate=True, fuse_loops=True, tree_reductions=True,
-               push_halos=True)], ids=["spf", "old", "opt"])
-def test_spf_program_is_the_same_simulation_under_both_kinds(
-        program, spf_options, option):
-    exe = compile_spf(program(), 4, spf_options)
-    cooperative = tmk_run(4, exe.run_on, exe.setup_space,
-                          **RUN_OPTIONS[option])
-    threaded = tmk_run(4, _driven(exe.run_on), exe.setup_space,
-                       **RUN_OPTIONS[option])
-    assert cooperative.switches == 0 < threaded.switches
-    assert _fingerprint(cooperative) == _fingerprint(threaded)
-    assert cooperative.dsm_stats == threaded.dsm_stats
-
-
-@pytest.mark.parametrize("option", RUN_OPTIONS)
-@pytest.mark.parametrize("program", [stencil_program, irregular_program])
-@pytest.mark.parametrize("inspector", [False, True], ids=["xhpf", "ie"])
-def test_xhpf_program_is_the_same_simulation_under_both_kinds(
-        program, inspector, option):
-    exe = compile_xhpf(program(), 4, inspector_executor=inspector)
-    cooperative = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(exe.run_on)
-    threaded = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(
-        _driven(exe.run_on))
-    assert cooperative.switches == 0 < threaded.switches
-    assert _fingerprint(cooperative) == _fingerprint(threaded)
 
 
 # ---------------------------------------------------------------------- #
@@ -321,116 +266,6 @@ def test_a_twinned_region_is_rewritten_without_a_generator(monkeypatch):
     result = tmk_run(2, program, setup)
     assert result.switches == 0
     assert result.results == [(None, 0, []), (None, 0, [])]
-
-
-# ---------------------------------------------------------------------- #
-# the thread surface that stays: a plain-function program is the same
-# simulation as its generator form (the frozen benchmark kernels and user
-# programs written against the blocking names rely on it)
-
-def _simulate(form):
-    sim = Simulator()
-
-    def plain(k):
-        for i in range(40):
-            sim.current.hold(1e-6 * ((i + k) % 3))
-        return sim.now
-
-    def generator(k):
-        for i in range(40):
-            yield HOLD, 1e-6 * ((i + k) % 3)
-        return sim.now
-
-    body = plain if form == "plain" else generator
-    procs = [sim.add_process(f"p{k}", body, k) for k in range(3)]
-    sim.run()
-    return (sim.now, sim.events, None, None, [p.result for p in procs],
-            sim.switches)
-
-
-def _mp_plain(env):
-    p = Pvme(env)
-    right, left = (p.tid + 1) % p.ntasks, (p.tid - 1) % p.ntasks
-    got = None
-    for i in range(4):
-        p.send(right, np.full(64, float(p.tid + i)), tag=i)
-        got = p.recv(src=left, tag=i)
-        env.proc.hold(1e-5 * (p.tid + 1))
-    env.net.send(env.proc, env.pid, right, float(got.sum()), tag=9, nbytes=8)
-    ring = env.net.recv(env.proc, env.pid, src=left, tag=9).payload
-    return p.bcast(ring if p.tid == 0 else None, root=0)
-
-
-def _mp_generator(env):
-    p = Pvme(env)
-    right, left = (p.tid + 1) % p.ntasks, (p.tid - 1) % p.ntasks
-    got = None
-    for i in range(4):
-        yield from p.send_gen(right, np.full(64, float(p.tid + i)), tag=i)
-        got = yield from p.recv_gen(src=left, tag=i)
-        yield HOLD, 1e-5 * (p.tid + 1)
-    yield from env.net.send_gen(env.pid, right, float(got.sum()), tag=9,
-                                nbytes=8)
-    ring = (yield from env.net.recv_gen(env.proc, env.pid, src=left,
-                                        tag=9)).payload
-    return (yield from p.bcast_gen(ring if p.tid == 0 else None, root=0))
-
-
-def _dsm_setup(space):
-    space.alloc("grid", (8, 1024), np.float32)
-
-
-def _dsm_plain(tmk):
-    grid = tmk.array("grid")
-    lo, hi = tmk.block_range(8)
-    for it in range(3):
-        grid.write((slice(lo, hi),), float(tmk.pid + it))
-        tmk.lock_acquire(0)
-        tmk.lock_release(0)
-        tmk.barrier()
-        total = float(grid.read().sum())
-        tmk.barrier()
-    return total
-
-
-def _dsm_generator(tmk):
-    grid = tmk.array("grid")
-    lo, hi = tmk.block_range(8)
-    for it in range(3):
-        yield from grid.write_gen((slice(lo, hi),), float(tmk.pid + it))
-        steps = tmk.lock_acquire_steps(0)
-        if steps is not None:
-            yield from steps
-        steps = tmk.lock_release_steps(0)
-        if steps is not None:
-            yield from steps
-        yield from tmk.barrier_gen()
-        total = float((yield from grid.read_gen()).sum())
-        yield from tmk.barrier_gen()
-    return total
-
-
-def _run(result):
-    return (result.time, result.events, result.messages, result.kilobytes,
-            result.results, result.switches)
-
-
-LAYERS = {
-    "Simulator": _simulate,
-    "Cluster.run+Pvme": lambda form: _run(Cluster(nprocs=4).run(
-        {"plain": _mp_plain, "generator": _mp_generator}[form])),
-    "tmk_run": lambda form: _run(tmk_run(
-        4, {"plain": _dsm_plain, "generator": _dsm_generator}[form],
-        _dsm_setup)),
-}
-
-
-@pytest.mark.parametrize("layer", LAYERS)
-def test_a_plain_function_program_is_the_same_simulation(layer):
-    *plain, plain_switches = LAYERS[layer]("plain")
-    *generator, generator_switches = LAYERS[layer]("generator")
-    assert plain == generator       # time, events, messages, KB, results
-    assert generator_switches == 0 < plain_switches
 
 
 # ---------------------------------------------------------------------- #

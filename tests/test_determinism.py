@@ -16,7 +16,8 @@ from repro.eval.constants import APPS
 from repro.msg import Pvme
 from repro.sim import Cluster
 from repro.tmk.api import tmk_run
-from tests.conftest import irregular_program, stencil_program
+from tests.conftest import (irregular_program, lock_acquire, lock_release,
+                            stencil_program)
 
 
 def fingerprint(result):
@@ -33,8 +34,10 @@ def test_raw_cluster_deterministic():
         p = Pvme(env)
         for i in range(10):
             peer = (env.pid + 1) % env.nprocs
-            p.send(peer, np.arange(i + 1.0), tag=i)
-        got = [p.recv(tag=i) for i in range(10)]
+            yield from p.send_gen(peer, np.arange(i + 1.0), tag=i)
+        got = []
+        for i in range(10):
+            got.append((yield from p.recv_gen(tag=i)))
         return float(sum(g.sum() for g in got))
 
     runs = [Cluster(nprocs=5).run(prog) for _ in range(3)]
@@ -50,12 +53,12 @@ def test_dsm_program_deterministic():
         x = tmk.array("x")
         lo, hi = tmk.block_range(16)
         for it in range(4):
-            cur = x.read((slice(lo, hi),)).copy()
-            x.write((slice(lo, hi),), cur + tmk.pid + it)
-            tmk.lock_acquire(it % 3)
-            tmk.lock_release(it % 3)
-            tmk.barrier()
-        return float(x.read().sum())
+            cur = (yield from x.read_gen((slice(lo, hi),))).copy()
+            yield from x.write_gen((slice(lo, hi),), cur + tmk.pid + it)
+            yield from lock_acquire(tmk, it % 3)
+            yield from lock_release(tmk, it % 3)
+            yield from tmk.barrier_gen()
+        return float((yield from x.read_gen()).sum())
 
     runs = [tmk_run(6, prog, setup) for _ in range(3)]
     assert len({fingerprint(r) for r in runs}) == 1

@@ -15,8 +15,9 @@ def setup(space):
 def test_no_false_sharing_on_page_aligned_partitions():
     def prog(tmk):
         x = tmk.array("x")
-        x.write((slice(tmk.pid, tmk.pid + 1),), 1.0)   # own page only
-        tmk.barrier()
+        # own page only
+        yield from x.write_gen((slice(tmk.pid, tmk.pid + 1),), 1.0)
+        yield from tmk.barrier_gen()
 
     r = tmk_run(4, prog, setup, trace=True)
     assert find_false_sharing(r.trace) == {}
@@ -27,8 +28,8 @@ def test_false_sharing_detected_on_packed_rows():
     def prog(tmk):
         packed = tmk.array("packed")
         # all four processors write different rows of the same first page
-        packed.write((slice(tmk.pid, tmk.pid + 1),), float(tmk.pid))
-        tmk.barrier()
+        yield from packed.write_gen((slice(tmk.pid, tmk.pid + 1),), float(tmk.pid))
+        yield from tmk.barrier_gen()
 
     r = tmk_run(4, prog, setup, trace=True)
     shared = find_false_sharing(r.trace)
@@ -43,15 +44,15 @@ def test_hot_pages_ranks_by_fetches():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((slice(0, 1),), 1.0)
-        tmk.barrier()
+            yield from x.write_gen((slice(0, 1),), 1.0)
+        yield from tmk.barrier_gen()
         for _ in range(3):                      # page 0 fetched repeatedly
             if tmk.pid != 0:
-                x.read((0, 0))
-            tmk.barrier()
+                yield from x.read_gen((0, 0))
+            yield from tmk.barrier_gen()
             if tmk.pid == 0:
-                x.write((0, 0), float(tmk.now))
-            tmk.barrier()
+                yield from x.write_gen((0, 0), float(tmk.now))
+            yield from tmk.barrier_gen()
 
     r = tmk_run(3, prog, setup, trace=True)
     report = hot_pages(r.trace, top=2)
@@ -61,7 +62,7 @@ def test_hot_pages_ranks_by_fetches():
 
 def test_hot_pages_empty_run():
     def prog(tmk):
-        tmk.barrier()
+        yield from tmk.barrier_gen()
 
     r = tmk_run(2, prog, setup, trace=True)
     assert hot_pages(r.trace) == "no remote fetches occurred"
@@ -71,10 +72,10 @@ def test_fault_summary_tabulates_per_processor():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((slice(0, 4),), 2.0)
-        tmk.barrier()
+            yield from x.write_gen((slice(0, 4),), 2.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            x.read()
+            yield from x.read_gen()
 
     r = tmk_run(2, prog, setup, trace=True)
     table = fault_summary(r.trace)

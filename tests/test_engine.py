@@ -4,9 +4,18 @@ import threading
 import time
 import warnings
 
+import numpy as np
 import pytest
 
+from repro.compiler.spf import SpfOptions, compile_spf
+from repro.compiler.xhpf import compile_xhpf
+from repro.msg.pvme import Pvme
+from repro.sim.cluster import Cluster
 from repro.sim.engine import HOLD, PARK, Deadlock, SimError, Simulator
+from repro.sim.faults import FaultPlan
+from repro.tmk.api import tmk_run
+
+from .conftest import irregular_program, stencil_program
 
 
 def simproc_threads():
@@ -338,7 +347,7 @@ def test_callback_exception_on_a_process_thread_reaches_run_as_itself():
 
 
 def test_reliable_delivery_give_up_is_a_simerror_from_a_process_thread():
-    from repro.sim import Cluster, FaultPlan, FaultRates
+    from repro.sim import FaultRates
     plan = FaultPlan(rates=FaultRates(drop=1.0), max_attempts=3)
 
     def prog(env):
@@ -354,7 +363,6 @@ def test_reliable_delivery_give_up_is_a_simerror_from_a_process_thread():
 
 
 def test_deadlock_found_by_the_last_parking_process_names_every_site():
-    from repro.sim import Cluster
 
     def prog(env):
         env.proc.hold(1e-3 * (env.pid + 1))
@@ -418,7 +426,6 @@ def test_process_never_given_a_slice_does_not_start_in_a_dead_simulator():
 def test_trivial_tmk_run_is_fast_and_leaves_no_server_thread(monkeypatch):
     """An n-processor ``tmk_run`` starts exactly n ``simproc-`` threads: the
     n request servers are generator processes and own none (was 2n)."""
-    from repro.tmk.api import tmk_run
     started = []
     real_start = threading.Thread.start
 
@@ -641,6 +648,168 @@ def test_thread_and_generator_bodies_are_the_same_simulation(seed):
         assert sorted(fifo) == sorted(runs["generator"][2])
 
 
+# ---------------------------------------------------------------------- #
+# the same executable as generator processes and under thread mains
+
+def _fingerprint(result):
+    return (result.time, result.proc_times, result.events,
+            result.stats.messages, result.stats.kilobytes,
+            result.stats.retransmissions, result.results[0])
+
+
+def _driven(run_on):
+    """A thread main that exhausts the generator program with ``drive``."""
+    def main(handle):
+        return handle.proc.drive(run_on(handle))
+    return main
+
+
+RUN_OPTIONS = {"fifo": {}, "seed1": {"schedule_seed": 1},
+               "seed2": {"schedule_seed": 2},
+               "faults": {"faults": FaultPlan.default()}}
+
+
+@pytest.mark.parametrize("option", RUN_OPTIONS)
+@pytest.mark.parametrize("program", [stencil_program, irregular_program])
+@pytest.mark.parametrize("spf_options", [
+    SpfOptions(), SpfOptions(improved_interface=False),
+    SpfOptions(aggregate=True, fuse_loops=True, tree_reductions=True,
+               push_halos=True)], ids=["spf", "old", "opt"])
+def test_spf_program_is_the_same_simulation_under_both_kinds(
+        program, spf_options, option):
+    exe = compile_spf(program(), 4, spf_options)
+    cooperative = tmk_run(4, exe.run_on, exe.setup_space,
+                          **RUN_OPTIONS[option])
+    threaded = tmk_run(4, _driven(exe.run_on), exe.setup_space,
+                       **RUN_OPTIONS[option])
+    assert cooperative.switches == 0 < threaded.switches
+    assert _fingerprint(cooperative) == _fingerprint(threaded)
+    assert cooperative.dsm_stats == threaded.dsm_stats
+
+
+@pytest.mark.parametrize("option", RUN_OPTIONS)
+@pytest.mark.parametrize("program", [stencil_program, irregular_program])
+@pytest.mark.parametrize("inspector", [False, True], ids=["xhpf", "ie"])
+def test_xhpf_program_is_the_same_simulation_under_both_kinds(
+        program, inspector, option):
+    exe = compile_xhpf(program(), 4, inspector_executor=inspector)
+    cooperative = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(exe.run_on)
+    threaded = Cluster(nprocs=4, **RUN_OPTIONS[option]).run(
+        _driven(exe.run_on))
+    assert cooperative.switches == 0 < threaded.switches
+    assert _fingerprint(cooperative) == _fingerprint(threaded)
+
+
+# ---------------------------------------------------------------------- #
+# the thread surface that stays: a plain-function program is the same
+# simulation as its generator form (the frozen benchmark kernels and user
+# programs written against the blocking names rely on it)
+
+def _simulate(form):
+    sim = Simulator()
+
+    def plain(k):
+        for i in range(40):
+            sim.current.hold(1e-6 * ((i + k) % 3))
+        return sim.now
+
+    def generator(k):
+        for i in range(40):
+            yield HOLD, 1e-6 * ((i + k) % 3)
+        return sim.now
+
+    body = plain if form == "plain" else generator
+    procs = [sim.add_process(f"p{k}", body, k) for k in range(3)]
+    sim.run()
+    return (sim.now, sim.events, None, None, [p.result for p in procs],
+            sim.switches)
+
+
+def _mp_plain(env):
+    p = Pvme(env)
+    right, left = (p.tid + 1) % p.ntasks, (p.tid - 1) % p.ntasks
+    got = None
+    for i in range(4):
+        p.send(right, np.full(64, float(p.tid + i)), tag=i)
+        got = p.recv(src=left, tag=i)
+        env.proc.hold(1e-5 * (p.tid + 1))
+    env.net.send(env.proc, env.pid, right, float(got.sum()), tag=9, nbytes=8)
+    ring = env.net.recv(env.proc, env.pid, src=left, tag=9).payload
+    return p.bcast(ring if p.tid == 0 else None, root=0)
+
+
+def _mp_generator(env):
+    p = Pvme(env)
+    right, left = (p.tid + 1) % p.ntasks, (p.tid - 1) % p.ntasks
+    got = None
+    for i in range(4):
+        yield from p.send_gen(right, np.full(64, float(p.tid + i)), tag=i)
+        got = yield from p.recv_gen(src=left, tag=i)
+        yield HOLD, 1e-5 * (p.tid + 1)
+    yield from env.net.send_gen(env.pid, right, float(got.sum()), tag=9,
+                                nbytes=8)
+    ring = (yield from env.net.recv_gen(env.proc, env.pid, src=left,
+                                        tag=9)).payload
+    return (yield from p.bcast_gen(ring if p.tid == 0 else None, root=0))
+
+
+def _dsm_setup(space):
+    space.alloc("grid", (8, 1024), np.float32)
+
+
+def _dsm_plain(tmk):
+    grid = tmk.array("grid")
+    lo, hi = tmk.block_range(8)
+    for it in range(3):
+        grid.write((slice(lo, hi),), float(tmk.pid + it))
+        tmk.lock_acquire(0)
+        tmk.lock_release(0)
+        tmk.barrier()
+        total = float(grid.read().sum())
+        tmk.barrier()
+    return total
+
+
+def _dsm_generator(tmk):
+    grid = tmk.array("grid")
+    lo, hi = tmk.block_range(8)
+    for it in range(3):
+        yield from grid.write_gen((slice(lo, hi),), float(tmk.pid + it))
+        steps = tmk.lock_acquire_steps(0)
+        if steps is not None:
+            yield from steps
+        steps = tmk.lock_release_steps(0)
+        if steps is not None:
+            yield from steps
+        yield from tmk.barrier_gen()
+        total = float((yield from grid.read_gen()).sum())
+        yield from tmk.barrier_gen()
+    return total
+
+
+def _run(result):
+    return (result.time, result.events, result.messages, result.kilobytes,
+            result.results, result.switches)
+
+
+LAYERS = {
+    "Simulator": _simulate,
+    "Cluster.run+Pvme": lambda form: _run(Cluster(nprocs=4).run(
+        {"plain": _mp_plain, "generator": _mp_generator}[form])),
+    "tmk_run": lambda form: _run(tmk_run(
+        4, {"plain": _dsm_plain, "generator": _dsm_generator}[form],
+        _dsm_setup)),
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_a_plain_function_program_is_the_same_simulation(layer):
+    *plain, plain_switches = LAYERS[layer]("plain")
+    *generator, generator_switches = LAYERS[layer]("generator")
+    assert plain == generator       # time, events, messages, KB, results
+    assert generator_switches == 0 < plain_switches
+
+
 def test_exception_in_generator_process_names_it_with_its_traceback():
     sim = Simulator()
 
@@ -741,7 +910,6 @@ def test_bad_block_requests_are_rejected_at_the_yield():
 
 
 def test_blocking_primitive_called_from_a_generator_process_raises():
-    from repro.sim import Cluster
 
     for call in (lambda me: me.hold(1.0), lambda me: me.park("x")):
         sim = Simulator()
@@ -915,7 +1083,6 @@ def test_deadlock_and_leak_reports_locate_a_generator_process():
 
 
 def test_network_deadlock_report_lists_a_generator_server_waiter():
-    from repro.sim import Cluster
 
     def prog(env):
         def server():
@@ -933,7 +1100,6 @@ def test_network_deadlock_report_lists_a_generator_server_waiter():
 
 
 def test_unknown_dsm_request_names_the_node_and_the_payload_type():
-    from repro.tmk.api import tmk_run
     from repro.tmk.protocol import TAG_TMK_REQ
 
     def prog(tmk):
@@ -953,7 +1119,6 @@ def test_unknown_dsm_request_names_the_node_and_the_payload_type():
 def _cluster_results(monkeypatch):
     """Collect every ``sim.cluster.RunResult`` produced under ``api.execute``
     (``switches`` is deliberately not on ``api.RunResult``)."""
-    from repro.sim.cluster import Cluster
     seen = []
     real_run = Cluster.run
 
@@ -1069,7 +1234,6 @@ def test_fault_plan_runs_pinned_to_parent_literals(app, variant, pinned):
     wire through the one `send_gen`, draw for draw (time, events, messages,
     KB, retransmissions, acks, duplicates suppressed)."""
     from repro.api import RunRequest, execute, fault_plan_to_doc
-    from repro.sim.faults import FaultPlan
     r = execute(RunRequest(app, variant, nprocs=8, preset="test", seq_time=1.0,
                            fault_plan=fault_plan_to_doc(FaultPlan.default())))
     assert (r.time, r.events, r.total_messages, r.total_kilobytes,

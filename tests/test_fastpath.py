@@ -60,15 +60,15 @@ def _bytes_prog(tmk):
     u = tmk.array("u")
     lo, hi = tmk.block_range(6)
     for it in range(3):
-        row = u.read((slice(lo, hi),)).copy()
-        u.write((slice(lo, hi),), row + tmk.pid + it)
-        tmk.barrier()
+        row = (yield from u.read_gen((slice(lo, hi),))).copy()
+        yield from u.write_gen((slice(lo, hi),), row + tmk.pid + it)
+        yield from tmk.barrier_gen()
         # repeated reads of the same region exercise the verdict cache
-        u.read((slice(0, 2),))
-        u.read((slice(0, 2),))
-        tmk.barrier()
+        yield from u.read_gen((slice(0, 2),))
+        yield from u.read_gen((slice(0, 2),))
+        yield from tmk.barrier_gen()
     if tmk.pid == 0:
-        return u.read().tobytes()
+        return (yield from u.read_gen()).tobytes()
     return None
 
 

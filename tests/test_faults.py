@@ -220,10 +220,10 @@ def test_dsm_stats_surface_retransmissions():
     def program(tmk):
         x = tmk.array("x")
         lo, hi = tmk.block_range(64)
-        x.write(slice(lo, hi), float(tmk.pid))
-        tmk.barrier()
-        x.read()
-        tmk.barrier()
+        yield from x.write_gen(slice(lo, hi), float(tmk.pid))
+        yield from tmk.barrier_gen()
+        yield from x.read_gen()
+        yield from tmk.barrier_gen()
 
     r = tmk_run(2, program, setup, faults=HEAVY.with_seed(1))
     assert r.dsm_stats.retransmissions == r.stats.retransmissions

@@ -40,10 +40,13 @@ def test_cluster_requires_positive_procs():
 
 
 def test_cluster_is_single_use():
+    def prog(env):
+        yield from ()       # a generator program that never blocks
+
     c = Cluster(nprocs=1)
-    c.run(lambda env: None)
+    c.run(prog)
     with pytest.raises(RuntimeError):
-        c.run(lambda env: None)
+        c.run(prog)
 
 
 def test_env_identity_and_compute():
@@ -67,6 +70,7 @@ def test_negative_compute_rejected():
 
 def test_run_args_reach_every_process():
     def prog(env, shared):
+        yield from ()
         return (shared, env.pid)
 
     r = Cluster(nprocs=3).run(prog, args=("s",))

@@ -13,9 +13,9 @@ def run2(prog):
 def test_send_recv_payload_roundtrip():
     def prog(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, {"k": 1}, tag=5, nbytes=100)
+            yield from env.net.send_gen(0, 1, {"k": 1}, tag=5, nbytes=100)
         else:
-            msg = env.net.recv(env.proc, 1, tag=5)
+            msg = yield from env.net.recv_gen(env.proc, 1, tag=5)
             assert msg.payload == {"k": 1}
             assert msg.src == 0 and msg.tag == 5
             return msg.payload
@@ -40,11 +40,11 @@ def test_recv_blocks_until_delivery():
 def test_tag_matching_skips_nonmatching():
     def prog(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "a", tag=1, nbytes=8)
-            env.net.send(env.proc, 0, 1, "b", tag=2, nbytes=8)
+            yield from env.net.send_gen(0, 1, "a", tag=1, nbytes=8)
+            yield from env.net.send_gen(0, 1, "b", tag=2, nbytes=8)
         else:
-            got_b = env.net.recv(env.proc, 1, tag=2).payload
-            got_a = env.net.recv(env.proc, 1, tag=1).payload
+            got_b = (yield from env.net.recv_gen(env.proc, 1, tag=2)).payload
+            got_a = (yield from env.net.recv_gen(env.proc, 1, tag=1)).payload
             return (got_a, got_b)
 
     r = run2(prog)
@@ -54,11 +54,13 @@ def test_tag_matching_skips_nonmatching():
 def test_source_matching():
     def prog(env):
         if env.pid < 2:
-            env.net.send(env.proc, env.pid, 2, f"from{env.pid}", tag=9,
-                         nbytes=8)
+            yield from env.net.send_gen(env.pid, 2, f"from{env.pid}", tag=9,
+                                        nbytes=8)
         elif env.pid == 2:
-            m1 = env.net.recv(env.proc, 2, src=1, tag=9).payload
-            m0 = env.net.recv(env.proc, 2, src=0, tag=9).payload
+            m1 = (yield from env.net.recv_gen(env.proc, 2, src=1,
+                                              tag=9)).payload
+            m0 = (yield from env.net.recv_gen(env.proc, 2, src=0,
+                                              tag=9)).payload
             return (m0, m1)
 
     r = Cluster(nprocs=3).run(prog)
@@ -68,9 +70,10 @@ def test_source_matching():
 def test_any_source_any_tag():
     def prog(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "x", tag=42, nbytes=8)
+            yield from env.net.send_gen(0, 1, "x", tag=42, nbytes=8)
         else:
-            msg = env.net.recv(env.proc, 1, src=ANY_SOURCE, tag=ANY_TAG)
+            msg = yield from env.net.recv_gen(env.proc, 1, src=ANY_SOURCE,
+                                              tag=ANY_TAG)
             return (msg.src, msg.tag, msg.payload)
 
     r = run2(prog)
@@ -105,18 +108,18 @@ def test_two_waiters_same_endpoint_disjoint_tags():
 def test_larger_messages_take_longer():
     def prog(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "small", tag=1, nbytes=10)
+            yield from env.net.send_gen(0, 1, "small", tag=1, nbytes=10)
         else:
-            env.net.recv(env.proc, 1, tag=1)
+            yield from env.net.recv_gen(env.proc, 1, tag=1)
             return env.now
 
     t_small = run2(prog).results[1]
 
     def prog_big(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "big", tag=1, nbytes=1_000_000)
+            yield from env.net.send_gen(0, 1, "big", tag=1, nbytes=1_000_000)
         else:
-            env.net.recv(env.proc, 1, tag=1)
+            yield from env.net.recv_gen(env.proc, 1, tag=1)
             return env.now
 
     t_big = run2(prog_big).results[1]
@@ -126,11 +129,13 @@ def test_larger_messages_take_longer():
 def test_stats_count_messages_and_bytes():
     def prog(env):
         if env.pid == 0:
-            env.net.send(env.proc, 0, 1, "a", nbytes=1000, category="data")
-            env.net.send(env.proc, 0, 1, "b", nbytes=24, category="sync")
+            yield from env.net.send_gen(0, 1, "a", nbytes=1000,
+                                        category="data")
+            yield from env.net.send_gen(0, 1, "b", nbytes=24,
+                                        category="sync")
         else:
-            env.net.recv(env.proc, 1)
-            env.net.recv(env.proc, 1)
+            yield from env.net.recv_gen(env.proc, 1)
+            yield from env.net.recv_gen(env.proc, 1)
 
     r = run2(prog)
     assert r.stats.messages == 2
@@ -174,7 +179,7 @@ def test_bad_destination_rejected():
     def prog(env):
         if env.pid == 0:
             with pytest.raises(Exception):
-                env.net.send(env.proc, 0, 99, "x", nbytes=8)
+                yield from env.net.send_gen(0, 99, "x", nbytes=8)
 
     run2(prog)
 
@@ -183,7 +188,7 @@ def test_negative_size_rejected():
     def prog(env):
         if env.pid == 0:
             with pytest.raises(ValueError):
-                env.net.send(env.proc, 0, 1, "x", nbytes=-1)
+                yield from env.net.send_gen(0, 1, "x", nbytes=-1)
 
     run2(prog)
 
@@ -194,11 +199,11 @@ def test_send_holds_the_sender_for_its_overhead():
     def prog(env):
         if env.pid == 0:
             t0 = env.now
-            env.net.send(env.proc, 0, 1, "x", nbytes=8)
+            yield from env.net.send_gen(0, 1, "x", nbytes=8)
             times["send"] = env.now - t0
             times["overhead"] = env.model.send_overhead
         else:
-            env.net.recv(env.proc, 1)
+            yield from env.net.recv_gen(env.proc, 1)
 
     run2(prog)
     assert times["send"] == times["overhead"] > 0.0

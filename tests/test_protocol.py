@@ -1,13 +1,16 @@
 """Integration tests for the lazy-invalidate RC protocol (repro.tmk.protocol).
 
 These run small programs through the full DSM (real pages, real diffs) and
-assert both data values and protocol-event behaviour.
+assert both data values and protocol-event behaviour.  Every program is a
+generator function (a generator process).
 """
 
 import numpy as np
 import pytest
 
 from repro.tmk.api import TmkWorld, tmk_run
+
+from .conftest import lock_acquire, lock_release
 
 
 def setup_two_pages(space):
@@ -18,7 +21,7 @@ def setup_two_pages(space):
 def test_initially_all_pages_valid_zero():
     def prog(tmk):
         x = tmk.array("x")
-        assert float(x.read().sum()) == 0.0
+        assert float((yield from x.read_gen()).sum()) == 0.0
         return True
 
     r = tmk_run(3, prog, setup_two_pages)
@@ -30,9 +33,9 @@ def test_single_writer_propagates_through_barrier():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((slice(0, 1),), 42.0)
-        tmk.barrier()
-        return float(x.read((0, 5)))
+            yield from x.write_gen((slice(0, 1),), 42.0)
+        yield from tmk.barrier_gen()
+        return float((yield from x.read_gen((0, 5))))
 
     r = tmk_run(4, prog, setup_two_pages)
     assert r.results == [42.0] * 4
@@ -45,10 +48,12 @@ def test_unread_pages_never_fetch_diffs():
         y = tmk.array("y")
         lo, hi = tmk.block_range(4)
         if hi > lo:
-            y.write((slice(lo, hi),), float(tmk.pid + 1))
-        tmk.barrier()
+            yield from y.write_gen((slice(lo, hi),), float(tmk.pid + 1))
+        yield from tmk.barrier_gen()
         # nobody reads anyone else's rows
-        return float(y.read((slice(lo, hi),)).sum()) if hi > lo else 0.0
+        if hi <= lo:
+            return 0.0
+        return float((yield from y.read_gen((slice(lo, hi),))).sum())
 
     r = tmk_run(4, prog, setup_two_pages)
     assert r.dsm_stats.diffs_created == 0
@@ -60,10 +65,10 @@ def test_read_fault_fetches_exactly_touched_pages():
     def prog(tmk):
         y = tmk.array("y")
         if tmk.pid == 0:
-            y.write((slice(0, 4),), 3.0)   # all four pages
-        tmk.barrier()
+            yield from y.write_gen((slice(0, 4),), 3.0)   # all four pages
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            y.read((slice(2, 3),))          # only page 2
+            yield from y.read_gen((slice(2, 3),))          # only page 2
         return None
 
     r = tmk_run(2, prog, setup_two_pages)
@@ -78,15 +83,15 @@ def test_write_fault_on_invalid_page_fetches_first():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((slice(0, 1),), 7.0)
-        tmk.barrier()
+            yield from x.write_gen((slice(0, 1),), 7.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            x.write((0, slice(0, 4)), 9.0)   # partial write
-            row = x.read((slice(0, 1),))[0]
+            yield from x.write_gen((0, slice(0, 4)), 9.0)   # partial write
+            row = (yield from x.read_gen((slice(0, 1),)))[0]
             assert row[0] == 9.0 and row[4] == 7.0
-        tmk.barrier()
+        yield from tmk.barrier_gen()
         if tmk.pid == 0:
-            row = x.read((slice(0, 1),))[0]
+            row = (yield from x.read_gen((slice(0, 1),)))[0]
             return (float(row[0]), float(row[4]))
 
     r = tmk_run(2, prog, setup_two_pages)
@@ -98,10 +103,10 @@ def test_multiple_writer_false_sharing_merges():
 
     def prog(tmk):
         x = tmk.array("x")
-        x.write((0, slice(tmk.pid * 10, tmk.pid * 10 + 10)),
-                float(tmk.pid + 1))
-        tmk.barrier()
-        row = x.read((slice(0, 1),))[0]
+        yield from x.write_gen((0, slice(tmk.pid * 10, tmk.pid * 10 + 10)),
+                               float(tmk.pid + 1))
+        yield from tmk.barrier_gen()
+        row = (yield from x.read_gen((slice(0, 1),)))[0]
         return [float(row[i * 10]) for i in range(tmk.nprocs)]
 
     r = tmk_run(4, prog, setup_two_pages)
@@ -113,9 +118,10 @@ def test_twins_created_once_per_write_epoch():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((0, 0), 1.0)
-            x.write((0, 1), 2.0)    # same page, same interval: no new twin
-        tmk.barrier()
+            yield from x.write_gen((0, 0), 1.0)
+            # same page, same interval: no new twin
+            yield from x.write_gen((0, 1), 2.0)
+        yield from tmk.barrier_gen()
         return None
 
     r = tmk_run(2, prog, setup_two_pages)
@@ -129,15 +135,15 @@ def test_retwin_after_serving_diff():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((0, 0), 1.0)
-        tmk.barrier()
+            yield from x.write_gen((0, 0), 1.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            x.read((0, 0))          # forces p0's diff
-        tmk.barrier()
+            yield from x.read_gen((0, 0))          # forces p0's diff
+        yield from tmk.barrier_gen()
         if tmk.pid == 0:
-            x.write((0, 0), 2.0)    # new twin
-        tmk.barrier()
-        return float(x.read((0, 0)))
+            yield from x.write_gen((0, 0), 2.0)    # new twin
+        yield from tmk.barrier_gen()
+        return float((yield from x.read_gen((0, 0))))
 
     r = tmk_run(2, prog, setup_two_pages)
     assert r.results == [2.0, 2.0]
@@ -150,12 +156,12 @@ def test_sequential_writers_last_value_wins():
 
     def prog(tmk):
         x = tmk.array("x")
-        tmk.lock_acquire(0)
-        cur = float(x.read((0, 0)))
-        x.write((0, 0), cur + 2.0 ** tmk.pid)
-        tmk.lock_release(0)
-        tmk.barrier()
-        return float(x.read((0, 0)))
+        yield from lock_acquire(tmk, 0)
+        cur = float((yield from x.read_gen((0, 0))))
+        yield from x.write_gen((0, 0), cur + 2.0 ** tmk.pid)
+        yield from lock_release(tmk, 0)
+        yield from tmk.barrier_gen()
+        return float((yield from x.read_gen((0, 0))))
 
     for n in (2, 3, 4, 8):
         r = tmk_run(n, prog, setup_two_pages)
@@ -169,10 +175,10 @@ def test_repeated_epochs_accumulate_correctly():
         lo, hi = tmk.block_range(2)
         for it in range(5):
             if hi > lo:
-                cur = x.read((slice(lo, hi),)).copy()
-                x.write((slice(lo, hi),), cur + 1.0)
-            tmk.barrier()
-        total = float(x.read().sum())
+                cur = (yield from x.read_gen((slice(lo, hi),))).copy()
+                yield from x.write_gen((slice(lo, hi),), cur + 1.0)
+            yield from tmk.barrier_gen()
+        total = float((yield from x.read_gen()).sum())
         return total
 
     r = tmk_run(2, prog, setup_two_pages)
@@ -185,12 +191,12 @@ def _laggard_program(tmk):
     x = tmk.array("x")
     for it in range(12):
         if tmk.pid == 0:
-            x.write((slice(0, 1),), float(it + 1))
-        tmk.barrier()
+            yield from x.write_gen((slice(0, 1),), float(it + 1))
+        yield from tmk.barrier_gen()
         if tmk.pid == 2:
-            assert float(x.read((0, 0))) == float(it + 1)
-        tmk.barrier()
-    return float(x.read((0, 0)))
+            assert float((yield from x.read_gen((0, 0)))) == float(it + 1)
+        yield from tmk.barrier_gen()
+    return float((yield from x.read_gen((0, 0))))
 
 
 def test_gc_falls_back_to_full_page(monkeypatch):
@@ -216,14 +222,14 @@ def test_own_modifications_survive_full_page_fallback(monkeypatch):
     def prog(tmk):
         x = tmk.array("x")
         # both write disjoint words of page 0 at epoch 0
-        x.write((0, tmk.pid), float(tmk.pid + 1))
-        tmk.barrier()
+        yield from x.write_gen((0, tmk.pid), float(tmk.pid + 1))
+        yield from tmk.barrier_gen()
         # p0 keeps rewriting its word for many epochs; p1 stays away
         for it in range(10):
             if tmk.pid == 0:
-                x.write((0, 0), float(10 + it))
-            tmk.barrier()
-        row = x.read((slice(0, 1),))[0]
+                yield from x.write_gen((0, 0), float(10 + it))
+            yield from tmk.barrier_gen()
+        row = (yield from x.read_gen((slice(0, 1),)))[0]
         return (float(row[0]), float(row[1]))
 
     monkeypatch.setattr(TmkWorld, "gc_epochs", 3)
@@ -277,10 +283,10 @@ def test_message_accounting_request_plus_reply():
     def prog(tmk):
         x = tmk.array("x")
         if tmk.pid == 0:
-            x.write((slice(0, 1),), 1.0)
-        tmk.barrier()
+            yield from x.write_gen((slice(0, 1),), 1.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            x.read((slice(0, 1),))
+            yield from x.read_gen((slice(0, 1),))
         return None
 
     r = tmk_run(2, prog, setup_two_pages)

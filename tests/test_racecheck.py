@@ -12,8 +12,10 @@ import pytest
 
 from repro.api import RunRequest, execute
 from repro.eval.racecheck import racecheck_app
-from repro.sim.engine import Deadlock, Simulator
+from repro.sim.engine import PARK, Deadlock, Simulator
 from repro.tmk.api import tmk_run
+
+from .conftest import lock_acquire, lock_release
 
 NPROCS = 4
 
@@ -29,21 +31,21 @@ def _setup(space):
 def _racy_missing_barrier(tmk):
     x = tmk.array("x")
     if tmk.pid == 0:
-        x.write((slice(0, 8),), 1.0, source="init:x")
+        yield from x.write_gen((slice(0, 8),), 1.0, source="init:x")
     # BUG: no barrier — the other processors read concurrently with p0's
     # initialization write
-    v = float(x.read((slice(0, 8),), source="use:x").sum())
-    tmk.barrier()
+    v = float((yield from x.read_gen((slice(0, 8),), source="use:x")).sum())
+    yield from tmk.barrier_gen()
     return v
 
 
 def _fixed_missing_barrier(tmk):
     x = tmk.array("x")
     if tmk.pid == 0:
-        x.write((slice(0, 8),), 1.0, source="init:x")
-    tmk.barrier()
-    v = float(x.read((slice(0, 8),), source="use:x").sum())
-    tmk.barrier()
+        yield from x.write_gen((slice(0, 8),), 1.0, source="init:x")
+    yield from tmk.barrier_gen()
+    v = float((yield from x.read_gen((slice(0, 8),), source="use:x")).sum())
+    yield from tmk.barrier_gen()
     return v
 
 
@@ -88,19 +90,19 @@ def test_barrier_fix_passes():
 def _racy_scalar(tmk):
     x = tmk.array("x")
     # BUG: read-modify-write with no lock
-    cur = float(x.read((slice(0, 1),), source="accum:x")[0])
-    x.write((slice(0, 1),), cur + 1.0, source="accum:x")
-    tmk.barrier()
+    cur = float((yield from x.read_gen((slice(0, 1),), source="accum:x"))[0])
+    yield from x.write_gen((slice(0, 1),), cur + 1.0, source="accum:x")
+    yield from tmk.barrier_gen()
     return cur
 
 
 def _locked_scalar(tmk):
     x = tmk.array("x")
-    tmk.lock_acquire(0)
-    cur = float(x.read((slice(0, 1),), source="accum:x")[0])
-    x.write((slice(0, 1),), cur + 1.0, source="accum:x")
-    tmk.lock_release(0)
-    tmk.barrier()
+    yield from lock_acquire(tmk, 0)
+    cur = float((yield from x.read_gen((slice(0, 1),), source="accum:x"))[0])
+    yield from x.write_gen((slice(0, 1),), cur + 1.0, source="accum:x")
+    yield from lock_release(tmk, 0)
+    yield from tmk.barrier_gen()
     return cur
 
 
@@ -188,7 +190,11 @@ def test_racecheck_app_rejects_non_dsm_variant():
 
 def test_deadlock_names_process_and_park_site():
     sim = Simulator()
-    sim.add_process("stuck", lambda: sim.current.park(("waiting-on", 42)))
+
+    def stuck():
+        yield PARK, ("waiting-on", 42)
+
+    sim.add_process("stuck", stuck)
     with pytest.raises(Deadlock) as ei:
         sim.run()
     msg = str(ei.value)
@@ -200,7 +206,7 @@ def test_deadlock_names_process_and_park_site():
 def test_dsm_barrier_deadlock_names_park_site():
     def lopsided(tmk):
         if tmk.pid == 0:
-            tmk.barrier()       # p1 never arrives
+            yield from tmk.barrier_gen()   # p1 never arrives
 
     with pytest.raises(Deadlock) as ei:
         tmk_run(2, lopsided, _setup)

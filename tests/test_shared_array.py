@@ -19,6 +19,7 @@ def ensure(steps):
 
 def test_shape_dtype_name():
     def prog(tmk):
+        yield from ()       # a generator program that never blocks
         m = tmk.array("m")
         return (m.shape, str(m.dtype), m.name)
 
@@ -28,6 +29,7 @@ def test_shape_dtype_name():
 
 def test_array_cached_per_tmk():
     def prog(tmk):
+        yield from ()
         return tmk.array("m") is tmk.array("m")
 
     assert tmk_run(1, prog, setup).results[0]
@@ -36,8 +38,8 @@ def test_array_cached_per_tmk():
 def test_read_returns_view_of_region():
     def prog(tmk):
         m = tmk.array("m")
-        m.write((slice(0, 2),), 3.0)
-        region = m.read((slice(0, 2), slice(0, 4)))
+        yield from m.write_gen((slice(0, 2),), 3.0)
+        region = yield from m.read_gen((slice(0, 2), slice(0, 4)))
         return region.shape, float(region.sum())
 
     r = tmk_run(1, prog, setup)
@@ -47,7 +49,7 @@ def test_read_returns_view_of_region():
 def test_read_ellipsis_whole_array():
     def prog(tmk):
         m = tmk.array("m")
-        return m.read().shape
+        return (yield from m.read_gen()).shape
 
     assert tmk_run(1, prog, setup).results[0] == (8, 1024)
 
@@ -66,8 +68,8 @@ def test_writable_steps_then_assign_through_the_view():
 def test_scalar_region_write():
     def prog(tmk):
         v = tmk.array("vec")
-        v.write((5,), 1.25)
-        return float(v.read((5,)))
+        yield from v.write_gen((5,), 1.25)
+        return float((yield from v.read_gen((5,))))
 
     assert tmk_run(1, prog, setup).results[0] == 1.25
 
@@ -97,6 +99,7 @@ def test_scatter_add_accumulates_duplicates():
 
 def test_repr_mentions_name_and_node():
     def prog(tmk):
+        yield from ()
         return repr(tmk.array("m"))
 
     out = tmk_run(1, prog, setup).results[0]
@@ -109,11 +112,11 @@ def test_raw_is_uncoherent():
     def prog(tmk):
         m = tmk.array("m")
         if tmk.pid == 0:
-            m.write((slice(0, 1),), 9.0)
-        tmk.barrier()
+            yield from m.write_gen((slice(0, 1),), 9.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
             stale = float(m.raw()[0, 0])      # no coherence
-            fresh = float(m.read((0, 0)))     # faults
+            fresh = float((yield from m.read_gen((0, 0))))  # faults
             return (stale, fresh)
 
     r = tmk_run(2, prog, setup)

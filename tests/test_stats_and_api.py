@@ -7,6 +7,8 @@ from repro.sim.engine import Deadlock
 from repro.tmk.api import Tmk, TmkWorld, tmk_run
 from repro.tmk.stats import DsmStats
 
+from .conftest import lock_acquire
+
 
 # ---------------------------------------------------------------------- #
 # DsmStats
@@ -42,6 +44,7 @@ def _setup(space):
 
 def test_block_range_helper():
     def prog(tmk):
+        yield from ()       # a generator program that never blocks
         return tmk.block_range(10)
 
     r = tmk_run(3, prog, _setup)
@@ -59,6 +62,7 @@ def test_compute_charges_time():
 
 def test_unknown_array_raises():
     def prog(tmk):
+        yield from ()
         with pytest.raises(KeyError):
             tmk.array("nope")
 
@@ -84,6 +88,7 @@ def test_world_carries_configuration(monkeypatch):
     monkeypatch.setattr(TmkWorld, "gc_epochs", 5)
 
     def prog(tmk):
+        yield from ()
         assert tmk.world.gc_epochs == tmk.node.gc_epochs == 5
         assert tmk.world.nprocs == tmk.nprocs
         assert tmk.world.nodes[tmk.pid] is tmk.node
@@ -97,10 +102,10 @@ def test_run_result_carries_dsm_stats():
     def prog(tmk):
         a = tmk.array("a")
         if tmk.pid == 0:
-            a.write((slice(0, 1),), 1.0)
-        tmk.barrier()
+            yield from a.write_gen((slice(0, 1),), 1.0)
+        yield from tmk.barrier_gen()
         if tmk.pid == 1:
-            a.read((slice(0, 1),))
+            yield from a.read_gen((slice(0, 1),))
 
     r = tmk_run(2, prog, _setup)
     assert r.dsm_stats.barriers == 2
@@ -109,6 +114,7 @@ def test_run_result_carries_dsm_stats():
 
 def test_args_forwarded_to_program():
     def prog(tmk, factor):
+        yield from ()
         return tmk.pid * factor
 
     r = tmk_run(3, prog, _setup, args=(10,))
@@ -124,7 +130,7 @@ def test_mismatched_barriers_deadlock():
 
     def prog(tmk):
         if tmk.pid == 0:
-            tmk.barrier()
+            yield from tmk.barrier_gen()
         # pid 1 never arrives
 
     with pytest.raises(Deadlock):
@@ -134,11 +140,11 @@ def test_mismatched_barriers_deadlock():
 def test_lock_never_granted_deadlocks():
     def prog(tmk):
         if tmk.pid == 1:
-            tmk.lock_acquire(0)
+            yield from lock_acquire(tmk, 0)
             # never released; pid 0 then waits forever
-        tmk.barrier()
+        yield from tmk.barrier_gen()
         if tmk.pid == 0:
-            tmk.lock_acquire(0)
+            yield from lock_acquire(tmk, 0)
 
     with pytest.raises(Deadlock):
         tmk_run(2, prog, _setup)
@@ -146,6 +152,7 @@ def test_lock_never_granted_deadlocks():
 
 def test_program_exception_reports_processor():
     def prog(tmk):
+        yield from ()
         if tmk.pid == 2:
             raise RuntimeError("kaboom on cpu2")
 

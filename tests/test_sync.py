@@ -10,22 +10,13 @@ from hypothesis import strategies as st
 
 from repro.tmk.api import tmk_run
 
+from .conftest import lock_acquire as acquire
+from .conftest import lock_release as release
+
 
 def setup(space):
     space.alloc("x", (8, 1024), np.float32)
     space.alloc("counter", (1,), np.float64)
-
-
-def acquire(tmk, lock):
-    steps = tmk.lock_acquire_steps(lock)
-    if steps is not None:
-        yield from steps
-
-
-def release(tmk, lock):
-    steps = tmk.lock_release_steps(lock)
-    if steps is not None:
-        yield from steps
 
 
 def test_barrier_message_count_is_2n_minus_2():

@@ -20,12 +20,12 @@ def _exchange(tmk):
     lo, hi = tmk.block_range(4)
     for it in range(3):
         if hi > lo:
-            cur = x.read((slice(lo, hi),)).copy()
-            x.write((slice(lo, hi),), cur + 1.0)
-        tmk.barrier()
+            cur = (yield from x.read_gen((slice(lo, hi),))).copy()
+            yield from x.write_gen((slice(lo, hi),), cur + 1.0)
+        yield from tmk.barrier_gen()
         nxt = (tmk.pid + 1) % tmk.nprocs
-        x.read((slice(nxt, nxt + 1),))
-        tmk.barrier()
+        yield from x.read_gen((slice(nxt, nxt + 1),))
+        yield from tmk.barrier_gen()
     return True
 
 

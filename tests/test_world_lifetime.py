@@ -126,9 +126,9 @@ def _setup(space):
 def _touch(tmk):
     x = tmk.array("x")
     lo, hi = tmk.block_range(2048)
-    x.write((slice(lo, hi),), float(tmk.pid))
-    tmk.barrier()
-    return float(x.read((slice(0, 2048),)).sum())
+    yield from x.write_gen((slice(lo, hi),), float(tmk.pid))
+    yield from tmk.barrier_gen()
+    return float((yield from x.read_gen((slice(0, 2048),))).sum())
 
 
 def test_tmk_run_with_tracer_and_monitor_keeps_results_and_frees_nodes():
@@ -171,20 +171,20 @@ def test_cluster_run_keeps_its_readable_surface_and_frees_the_rest():
 # failed runs: the traceback is the only thing that may hold the world
 
 def _raises(tmk):
-    tmk.barrier()
+    yield from tmk.barrier_gen()
     if tmk.pid == 1:
         raise ValueError("boom at pid 1")
-    tmk.barrier()
+    yield from tmk.barrier_gen()
 
 
 def _deadlocks(tmk):
-    _touch(tmk)
+    yield from _touch(tmk)
     if tmk.pid:
-        tmk.barrier()           # processor 0 never arrives
+        yield from tmk.barrier_gen()    # processor 0 never arrives
 
 
 def _mp_deadlocks(env):
-    env.net.recv(env.proc, env.pid, tag=7)
+    yield from env.net.recv_gen(env.proc, env.pid, tag=7)
 
 
 def _stencil_with_a_failing_kernel():
