@@ -14,34 +14,15 @@ applications and reports what it buys on the simulated SP/2:
   message passing counterparts".
 """
 
-from conftest import all_variants, archive, one_variant, runner  # noqa: F401
+from repro.eval.tables import ENHANCEMENTS
 
 
-def test_section8_enhancements(runner):
-    def experiment():
-        out = {}
-        out["fft_base"] = one_variant("fft3d", "spf")
-        out["fft_tree"] = one_variant(
-            "fft3d", "spf", options=dict(tree_reductions=True))
-        out["jac_base"] = one_variant("jacobi", "spf")
-        out["jac_push"] = one_variant(
-            "jacobi", "spf", options=dict(push_halos=True))
-        out["jac_all"] = one_variant(
-            "jacobi", "spf", options=dict(
-                aggregate=True, fuse_loops=True, tree_reductions=True,
-                push_halos=True))
-        out["jac_pvme"] = all_variants("jacobi")["pvme"]
-        return out
-
-    res = runner(experiment)
-    lines = ["Section 8 extensions — measured on the simulated SP/2",
-             f"FFT   : spf {res['fft_base'].speedup:5.2f} -> "
-             f"+tree reductions {res['fft_tree'].speedup:5.2f}",
-             f"Jacobi: spf {res['jac_base'].speedup:5.2f} -> "
-             f"+halo push {res['jac_push'].speedup:5.2f} -> "
-             f"+all enhancements {res['jac_all'].speedup:5.2f} "
-             f"(hand-coded PVMe {res['jac_pvme'].speedup:5.2f})"]
-    archive("ext_section8_enhancements", "\n".join(lines))
+def test_section8_enhancements(doc):
+    res = {name: doc.result(app, "spf", options=options)
+           for name, (app, options) in ENHANCEMENTS.items()}
+    res.update(fft_base=doc.result("fft3d", "spf"),
+               jac_base=doc.result("jacobi", "spf"),
+               jac_pvme=doc.result("jacobi", "pvme"))
 
     assert res["fft_tree"].speedup >= res["fft_base"].speedup
     assert res["jac_push"].speedup > res["jac_base"].speedup

@@ -2,8 +2,9 @@
 
 The paper's caveat: results hold "at least for this environment".  The
 cost model here is calibrated, not measured, so this ablation re-runs the
-headline comparisons under a 2x-faster and a 2x-slower network+DSM than
-the calibration and checks which conclusions are calibration-robust:
+headline comparisons (at jacobi's and igrid's ``sensitivity`` preset)
+under a 2x-faster and a 2x-slower network+DSM than the calibration and
+checks which conclusions are calibration-robust:
 
 * the irregular reversal (DSM beats XHPF on IGrid) holds at every point —
   it is a *data volume* effect, not a latency artifact;
@@ -12,79 +13,11 @@ the calibration and checks which conclusions are calibration-robust:
   expensive (the DSM sends several messages where MP sends one).
 """
 
-import pytest
-
-from repro.api import RunRequest, execute, machine_to_doc
-from repro.apps.common import get_app
-from repro.sim.machine import SP2_MODEL
-
-from conftest import NPROCS, archive, runner  # noqa: F401
-
-SWEEP = {"jacobi": dict(n=1024, iters=6, warmup=1),
-         "igrid": dict(n=500, iters=6, warmup=1)}
+from repro.eval.tables import sensitivity_gaps
 
 
-@pytest.fixture(autouse=True, scope="module")
-def sweep_presets():
-    """The "sweep" preset exists while this module runs, and only then."""
-    for app, params in SWEEP.items():
-        get_app(app).presets["sweep"] = params
-    yield
-    for app in SWEEP:
-        del get_app(app).presets["sweep"]
-
-MODELS = {
-    "fast (x0.5 costs)": SP2_MODEL.with_(
-        latency=SP2_MODEL.latency / 2, byte_time=SP2_MODEL.byte_time / 2,
-        send_overhead=SP2_MODEL.send_overhead / 2,
-        recv_overhead=SP2_MODEL.recv_overhead / 2,
-        fault_overhead=SP2_MODEL.fault_overhead / 2,
-        diff_create_overhead=SP2_MODEL.diff_create_overhead / 2,
-        diff_apply_overhead=SP2_MODEL.diff_apply_overhead / 2),
-    "calibrated SP/2": SP2_MODEL,
-    "slow (x2 costs)": SP2_MODEL.with_(
-        latency=SP2_MODEL.latency * 2, byte_time=SP2_MODEL.byte_time * 2,
-        send_overhead=SP2_MODEL.send_overhead * 2,
-        recv_overhead=SP2_MODEL.recv_overhead * 2,
-        fault_overhead=SP2_MODEL.fault_overhead * 2,
-        diff_create_overhead=SP2_MODEL.diff_create_overhead * 2,
-        diff_apply_overhead=SP2_MODEL.diff_apply_overhead * 2),
-}
-
-
-def test_model_sensitivity(runner):
-    def experiment():
-        out = {}
-        for label, model in MODELS.items():
-            machine = machine_to_doc(model)
-            seq_i = execute(RunRequest("igrid", "seq", preset="sweep"))
-            seq_j = execute(RunRequest("jacobi", "seq", preset="sweep"))
-
-            def one(app, variant, seq):
-                return execute(RunRequest(app, variant, nprocs=NPROCS,
-                                          preset="sweep", machine=machine,
-                                          seq_time=seq.time))
-
-            out[label] = {
-                "igrid_spf": one("igrid", "spf", seq_i),
-                "igrid_xhpf": one("igrid", "xhpf", seq_i),
-                "jacobi_spf": one("jacobi", "spf", seq_j),
-                "jacobi_pvme": one("jacobi", "pvme", seq_j),
-            }
-        return out
-
-    res = runner(experiment)
-    lines = ["Extension — sensitivity to the machine model (8 processors)"]
-    gaps = []
-    for label, runs in res.items():
-        irr = runs["igrid_spf"].speedup / runs["igrid_xhpf"].speedup
-        reg = runs["jacobi_pvme"].speedup / runs["jacobi_spf"].speedup
-        gaps.append((label, irr, reg))
-        lines.append(
-            f"{label:20s} IGrid DSM/XHPF = {irr:5.2f}x   "
-            f"Jacobi PVMe/DSM = {reg:5.2f}x")
-    archive("ext_sensitivity", "\n".join(lines))
-
+def test_model_sensitivity(doc):
+    gaps = sensitivity_gaps(doc)
     for label, irr, reg in gaps:
         assert irr > 1.0, f"irregular reversal must survive: {label}"
         assert reg >= 1.0, f"regular MP win must survive: {label}"

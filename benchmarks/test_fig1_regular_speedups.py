@@ -10,22 +10,12 @@ and machine model are calibrated, not fitted per-experiment).
 import pytest
 
 from repro.eval.constants import PAPER, REGULAR_APPS
-from repro.eval.tables import format_speedup_figure
-
-from conftest import all_variants, archive, runner  # noqa: F401
 
 
-def test_figure1(runner):
-    results = runner(lambda: {app: all_variants(app)
-                              for app in REGULAR_APPS})
-    text = format_speedup_figure(
-        results, REGULAR_APPS,
-        "Figure 1 — 8-Processor Speedups, Regular Applications")
-    archive("fig1_regular_speedups", text)
-
+def test_figure1(doc):
     for app in REGULAR_APPS:
-        r = {v: results[app][v].speedup for v in ("spf", "tmk", "xhpf",
-                                                  "pvme")}
+        r = {v: doc.result(app, v).speedup for v in ("spf", "tmk", "xhpf",
+                                                     "pvme")}
         # the paper's orderings
         assert r["xhpf"] > r["spf"], f"{app}: XHPF must beat SPF/Tmk"
         assert r["pvme"] > r["spf"], f"{app}: PVMe must beat SPF/Tmk"
@@ -36,11 +26,10 @@ def test_figure1(runner):
 
 
 @pytest.mark.parametrize("app", REGULAR_APPS)
-def test_speedups_within_band(app, runner):
+def test_speedups_within_band(app, doc):
     """Each measured speedup within a generous band of the paper's bar."""
-    results = runner(lambda: all_variants(app))
     for variant in ("spf", "tmk", "xhpf", "pvme"):
         paper = PAPER[app].speedups[variant]
-        ours = results[variant].speedup
+        ours = doc.result(app, variant).speedup
         assert 0.5 * paper < ours < min(1.8 * paper, 8.05), (
             f"{app}/{variant}: {ours:.2f} vs paper {paper}")

@@ -7,22 +7,12 @@ because the DSM fetches on demand and caches, while XHPF broadcasts whole
 partitions.
 """
 
-from repro.eval.constants import IRREGULAR_APPS, PAPER
-from repro.eval.tables import format_speedup_figure
-
-from conftest import all_variants, archive, runner  # noqa: F401
+from repro.eval.constants import IRREGULAR_APPS
 
 
-def test_figure2(runner):
-    results = runner(lambda: {app: all_variants(app)
-                              for app in IRREGULAR_APPS})
-    text = format_speedup_figure(
-        results, IRREGULAR_APPS,
-        "Figure 2 — 8-Processor Speedups, Irregular Applications")
-    archive("fig2_irregular_speedups", text)
-
+def test_figure2(doc):
     for app in IRREGULAR_APPS:
-        r = {v: results[app][v].speedup
+        r = {v: doc.result(app, v).speedup
              for v in ("spf", "tmk", "xhpf", "pvme")}
         # the reversal: compiled DSM beats compiled message passing
         assert r["spf"] > r["xhpf"], (
@@ -36,8 +26,8 @@ def test_figure2(runner):
         assert r["tmk"] >= r["spf"] * 0.98, app
 
 
-def test_nbf_dsm_advantage_ratio(runner):
+def test_nbf_dsm_advantage_ratio(doc):
     """NBF: the paper reports SPF/Tmk beating XHPF by 38%."""
-    results = runner(lambda: all_variants("nbf"))
-    ratio = results["spf"].speedup / results["xhpf"].speedup
+    ratio = (doc.result("nbf", "spf").speedup
+             / doc.result("nbf", "xhpf").speedup)
     assert ratio > 1.15, f"NBF SPF/XHPF ratio {ratio:.2f} (paper 1.38)"

@@ -15,40 +15,14 @@ elimination / loop merging, Tseng [17]) is the fuse_loops component,
 checked through Shallow's dispatch count.
 """
 
-import pytest
-
-from repro.compiler.spf import SpfOptions, compile_spf
-from repro.eval.constants import PAPER
-from repro.eval.tables import format_comparison
-
-from conftest import all_variants, archive, one_variant, runner  # noqa: F401
-
-CASES = ["jacobi", "shallow", "mgs", "fft3d"]
+from repro.eval.tables import HAND_OPT_APPS, fft_gap_recovered
 
 
-def test_hand_optimizations(runner):
-    def experiment():
-        out = {}
-        for app in CASES:
-            base = all_variants(app)
-            out[app] = (base["spf"], one_variant(app, "spf_opt"),
-                        base["tmk"], base["pvme"])
-        return out
-
-    res = runner(experiment)
-    lines = ["Sections 5.1-5.4 — hand-applied optimizations on the "
-             "SPF-generated programs"]
-    for app in CASES:
-        spf, opt, tmk, pvme = res[app]
-        paper = PAPER[app]
-        lines.append(
-            f"{app:8s} spf={spf.speedup:5.2f} -> opt={opt.speedup:5.2f} "
-            f"(paper {paper.speedups['spf']} -> {paper.hand_opt_speedup}); "
-            f"tmk={tmk.speedup:5.2f} pvme={pvme.speedup:5.2f}  "
-            f"[{paper.hand_opt_note}]")
-    archive("sec5_hand_optimizations", "\n".join(lines))
-
-    for app in CASES:
+def test_hand_optimizations(doc):
+    res = {app: [doc.result(app, v) for v in ("spf", "spf_opt", "tmk",
+                                               "pvme")]
+           for app in HAND_OPT_APPS}
+    for app in HAND_OPT_APPS:
         spf, opt, tmk, pvme = res[app]
         assert opt.speedup > spf.speedup, (
             f"{app}: optimization must improve the SPF build "
@@ -66,41 +40,15 @@ def test_hand_optimizations(runner):
         assert gap_after < gap_before, app
 
 
-def test_fft_aggregation_recovers_most_of_the_gap(runner):
+def test_fft_aggregation_recovers_most_of_the_gap(doc):
     """The paper's most dramatic case: 2.65 -> 5.05 vs PVMe 5.12."""
-    def experiment():
-        return (one_variant("fft3d", "spf"), one_variant("fft3d", "spf_opt"),
-                all_variants("fft3d")["pvme"])
-
-    spf, opt, pvme = runner(experiment)
-    recovered = (opt.speedup - spf.speedup) / (pvme.speedup - spf.speedup)
-    archive("sec54_fft_aggregation", "\n".join([
-        "Section 5.4 — FFT data aggregation",
-        format_comparison("SPF speedup", PAPER["fft3d"].speedups["spf"],
-                          round(spf.speedup, 2)),
-        format_comparison("SPF+aggregation speedup",
-                          PAPER["fft3d"].hand_opt_speedup,
-                          round(opt.speedup, 2)),
-        f"fraction of the PVMe gap recovered: {recovered:.0%} "
-        f"(paper: {(5.05 - 2.65) / (5.12 - 2.65):.0%})",
-    ]))
+    recovered = fft_gap_recovered(doc)
     assert recovered > 0.5, f"aggregation should recover most of the gap " \
                             f"({recovered:.0%})"
 
 
-def test_barrier_elimination_reduces_dispatches(runner):
+def test_barrier_elimination_reduces_dispatches(doc):
     """E13 — Tseng-style redundant synchronization removal: fusable
     adjacent loops share one fork-join in the optimized Shallow build."""
-    from repro.apps.shallow import SPEC
-
-    prog = SPEC.build_program(SPEC.params("test"))
-    plain = runner(lambda: compile_spf(prog, nprocs=8))
-    fused = compile_spf(SPEC.build_program(SPEC.params("test")), nprocs=8,
-                        options=SpfOptions(fuse_loops=True))
-    plain_units = len([u for u in plain.units if u.loops])
-    fused_units = len([u for u in fused.units if u.loops])
-    archive("sec5_barrier_elimination",
-            f"Shallow dispatch units per run: {plain_units} plain, "
-            f"{fused_units} with loop fusion "
-            f"(each unit saved eliminates one barrier pair)")
+    plain_units, fused_units = doc.dispatch_units
     assert fused_units < plain_units

@@ -9,43 +9,15 @@
   (paper: by 2-20%).
 """
 
-from repro.eval.constants import APPS, IRREGULAR_APPS, REGULAR_APPS
-
-from conftest import all_variants, archive, runner  # noqa: F401
+from repro.eval.tables import summary_ratios
 
 
-def test_summary_claims(runner):
-    results = runner(lambda: {app: all_variants(app) for app in APPS})
-
-    lines = ["Section 7 — summary ratios (ours vs the paper's ranges)"]
-    regular_x, regular_p, irregular_x, irregular_p, tmk_gap = [], [], [], [], []
-    for app in APPS:
-        r = {v: results[app][v].speedup for v in ("spf", "tmk", "xhpf",
-                                                  "pvme")}
-        if app in REGULAR_APPS:
-            regular_x.append(r["xhpf"] / r["spf"])
-            regular_p.append(r["pvme"] / r["spf"])
-        else:
-            irregular_x.append(r["spf"] / r["xhpf"])
-            irregular_p.append(r["pvme"] / r["spf"])
-        tmk_gap.append(r["tmk"] / r["spf"])
-
-    lines.append(f"regular: XHPF over SPF/Tmk   "
-                 f"{min(regular_x):.2f}x..{max(regular_x):.2f}x "
-                 f"(paper 1.055..1.40)")
-    lines.append(f"regular: PVMe over SPF/Tmk   "
-                 f"{min(regular_p):.2f}x..{max(regular_p):.2f}x "
-                 f"(paper 1.075..1.49)")
-    lines.append(f"irregular: SPF/Tmk over XHPF "
-                 f"{min(irregular_x):.2f}x..{max(irregular_x):.2f}x "
-                 f"(paper 1.38..1.89)")
-    lines.append(f"irregular: PVMe over SPF/Tmk "
-                 f"{min(irregular_p):.2f}x..{max(irregular_p):.2f}x "
-                 f"(paper 1.044..1.16)")
-    lines.append(f"hand Tmk over SPF/Tmk        "
-                 f"{min(tmk_gap):.2f}x..{max(tmk_gap):.2f}x "
-                 f"(paper 1.02..1.20)")
-    archive("sec7_summary", "\n".join(lines))
+def test_summary_claims(doc):
+    r = summary_ratios(doc)
+    regular_x, regular_p, irregular_x, irregular_p, tmk_gap = (
+        r["regular_xhpf_over_spf"], r["regular_pvme_over_spf"],
+        r["irregular_spf_over_xhpf"], r["irregular_pvme_over_spf"],
+        r["tmk_over_spf"])
 
     assert all(x > 1.0 for x in regular_x), "MP wins on regular codes"
     assert all(x > 1.0 for x in regular_p)

@@ -6,30 +6,12 @@ calibrated against); at the default ``bench`` preset the iteration counts
 are reduced, so times scale accordingly.
 """
 
-from repro.apps.common import get_app
-from repro.compiler.seq import sequential_time
 from repro.eval.constants import APPS, PAPER
-from repro.eval.tables import format_table1
-
-from conftest import PRESET, archive, runner  # noqa: F401
 
 
-def paper_size_seq_seconds(app: str) -> float:
-    spec = get_app(app)
-    return sequential_time(spec.build_program(spec.params("paper")))
-
-
-def test_table1(runner):
-    def experiment():
-        return {app: (PAPER[app].problem_size, paper_size_seq_seconds(app))
-                for app in APPS}
-
-    rows = runner(experiment)
-    text = format_table1(rows)
-    archive("table1_sequential", text)
-
+def test_table1(doc):
     for app in APPS:
-        measured = rows[app][1]
+        measured = doc.table1[app][1]
         expect = PAPER[app].seq_time
         # calibration target: within 20% of Table 1 at paper sizes
         assert 0.8 * expect < measured < 1.2 * expect, (

@@ -13,44 +13,32 @@ size-independent structure:
 """
 
 from repro.eval.constants import PAPER, REGULAR_APPS
-from repro.eval.tables import format_traffic_table
-
-from conftest import all_variants, archive, runner  # noqa: F401
 
 
-def test_table2(runner):
-    results = runner(lambda: {app: all_variants(app)
-                              for app in REGULAR_APPS})
-    text = format_traffic_table(
-        results, REGULAR_APPS,
-        "Table 2 — Message Totals and Data Totals (KB), Regular Applications")
-    archive("table2_regular_traffic", text)
-
+def test_table2(doc):
     for app in REGULAR_APPS:
-        msgs = {v: results[app][v].messages for v in ("spf", "tmk", "xhpf",
-                                                      "pvme")}
+        msgs = {v: doc.result(app, v).messages
+                for v in ("spf", "tmk", "xhpf", "pvme")}
         # SPF's extra messages versus hand-Tmk are mostly startup (outside
         # the timed window) — within it the counts are nearly equal
         assert msgs["spf"] >= 0.95 * msgs["tmk"], app
         assert msgs["tmk"] > msgs["pvme"], app
         assert msgs["spf"] > msgs["xhpf"], app
 
-    jac = results["jacobi"]
+    jac = doc.variants("jacobi")
     assert jac["tmk"].kilobytes < jac["pvme"].kilobytes
     assert jac["spf"].kilobytes < jac["xhpf"].kilobytes
 
 
-def test_jacobi_message_counts_near_paper(runner):
+def test_jacobi_message_counts_near_paper(doc):
     """At the paper's shapes the Jacobi DSM message counts are dominated by
     per-iteration structure (faults + barriers), so per-timed-iteration
     counts should match Table 2 closely (the paper times 100 iterations)."""
-    results = runner(lambda: all_variants("jacobi"))
     from repro.apps.jacobi import PRESETS
-    from conftest import PRESET
-    iters = PRESETS[PRESET]["iters"]       # the measured window
+    iters = PRESETS[doc.preset]["iters"]       # the measured window
     paper_iters = 100
     for variant in ("spf", "tmk", "pvme"):
-        per_iter = results[variant].messages / iters
+        per_iter = doc.result("jacobi", variant).messages / iters
         paper_per_iter = PAPER["jacobi"].messages[variant] / paper_iters
         assert 0.7 * paper_per_iter < per_iter < 1.3 * paper_per_iter, (
             f"{variant}: {per_iter:.0f}/iter vs paper "

@@ -11,24 +11,13 @@ The orders-of-magnitude structure the paper reports:
 """
 
 from repro.eval.constants import IRREGULAR_APPS, PAPER
-from repro.eval.tables import format_traffic_table
-
-from conftest import all_variants, archive, runner  # noqa: F401
 
 
-def test_table3(runner):
-    results = runner(lambda: {app: all_variants(app)
-                              for app in IRREGULAR_APPS})
-    text = format_traffic_table(
-        results, IRREGULAR_APPS,
-        "Table 3 — Message Totals and Data Totals (KB), Irregular "
-        "Applications")
-    archive("table3_irregular_traffic", text)
-
+def test_table3(doc):
     for app in IRREGULAR_APPS:
-        kb = {v: results[app][v].kilobytes
+        kb = {v: doc.result(app, v).kilobytes
               for v in ("spf", "tmk", "xhpf", "pvme")}
-        msgs = {v: results[app][v].messages
+        msgs = {v: doc.result(app, v).messages
                 for v in ("spf", "tmk", "xhpf", "pvme")}
         assert kb["xhpf"] > 5 * kb["tmk"], (
             f"{app}: XHPF data must dwarf hand-Tmk "
@@ -38,14 +27,12 @@ def test_table3(runner):
         assert kb["spf"] >= kb["tmk"], app
 
 
-def test_igrid_xhpf_per_iteration_volume_matches_paper(runner):
+def test_igrid_xhpf_per_iteration_volume_matches_paper(doc):
     """IGrid XHPF: each processor broadcasts its whole block every step
     — per-iteration data should match the paper's 140 MB / 19 iterations."""
-    results = runner(lambda: all_variants("igrid"))
     from repro.apps.igrid import PRESETS
-    from conftest import PRESET
-    iters = PRESETS[PRESET]["iters"]       # the measured window
-    per_iter_kb = results["xhpf"].kilobytes / iters
+    iters = PRESETS[doc.preset]["iters"]       # the measured window
+    per_iter_kb = doc.result("igrid", "xhpf").kilobytes / iters
     paper_per_iter = PAPER["igrid"].data_kb["xhpf"] / 19
     assert 0.7 * paper_per_iter < per_iter_kb < 1.3 * paper_per_iter, (
         f"{per_iter_kb:.0f} KB/iter vs paper {paper_per_iter:.0f}")

@@ -12,7 +12,7 @@ Run:  python examples/irregular_study.py        (~1 minute, simulated SP/2)
 """
 
 from repro.eval.constants import PAPER
-from repro.eval.experiments import run_all_variants
+from repro.eval.reproduce import run_all_variants
 
 APP = "igrid"
 NPROCS = 8

@@ -1,7 +1,7 @@
 """The one code path from :class:`RunRequest` to :class:`RunResult`.
 
 Every entry point that runs an (application, variant) pair — ``repro
-run``/``compare``/``figures``, the sweep, chaos and racecheck harnesses
+run``/``compare``/``reproduce``, the sweep, chaos and racecheck harnesses
 (via :func:`repro.eval.parallel.run_requests`), the bench kernels and
 every :mod:`repro.serve` worker process — funnels through
 :func:`execute`; nothing else in ``src/`` maps a variant name to

@@ -42,6 +42,8 @@ PRESETS = {
     "paper": dict(n=500, iters=19, warmup=1),
     "bench": dict(n=500, iters=10, warmup=1),
     "test": dict(n=48, iters=3, warmup=1),
+    # the machine-model ablation (repro reproduce's ext_sensitivity)
+    "sensitivity": dict(n=500, iters=6, warmup=1),
 }
 
 

@@ -43,6 +43,8 @@ PRESETS = {
     "paper": dict(n=2048, iters=100, warmup=1),
     "bench": dict(n=2048, iters=12, warmup=1),
     "test": dict(n=64, iters=3, warmup=1),
+    # the machine-model ablation (repro reproduce's ext_sensitivity)
+    "sensitivity": dict(n=1024, iters=6, warmup=1),
 }
 
 

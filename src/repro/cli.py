@@ -4,7 +4,7 @@ Commands
 --------
 ``run APP VARIANT``      run one application variant and print its metrics
 ``compare APP``          run all four variants of one application
-``figures``              regenerate the paper's figures/tables (bench sizes)
+``reproduce``            regenerate the paper's 14 archived tables/figures
 ``sweep``                analytic model at 8-1024 nodes (extended tables)
 ``explain APP``          print both compilers' compilation reports
 ``racecheck APP VARIANT``  fuzz schedules + happens-before race detection
@@ -13,7 +13,6 @@ Commands
 ``fleet``                front N remote serve hosts behind one service
 ``lint [APP...]``        statically verify the IR programs (docs/LINT.md)
 ``list``                 list applications, variants and presets
-``report``               assemble the archived benchmark results
 
 Every command that runs programs goes through the unified
 :mod:`repro.api` — it builds :class:`~repro.api.RunRequest` values and
@@ -32,7 +31,7 @@ Examples::
     python -m repro serve --port 7590 --workers 4
     python -m repro fleet --host h1:7590 --host h2:7590 --probe
     python -m repro sweep --apps jacobi --fleet h1:7590 --fleet h2:7590
-    python -m repro figures
+    python -m repro reproduce --jobs 2
 """
 
 from __future__ import annotations
@@ -43,22 +42,19 @@ import os
 import sys
 
 from repro.api.execute import execute
-from repro.api.registry import (APPS, DSM_VARIANTS, IRREGULAR_APPS, PAPER,
-                                PRESETS, REGULAR_APPS, VARIANTS)
+from repro.api.registry import APPS, DSM_VARIANTS, PAPER, PRESETS, VARIANTS
 from repro.api.types import RunRequest, machine_from_doc
 from repro.apps.common import get_app
-from repro.eval.experiments import run_all_variants
-from repro.eval.tables import format_speedup_figure, format_traffic_table
 
 __all__ = ["main"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, preset: str = "bench",
+                why: str = "") -> None:
     parser.add_argument("-n", "--nprocs", type=int, default=8,
                         help="simulated processors (default 8, the paper's)")
-    parser.add_argument("--preset", default="bench",
-                        choices=list(PRESETS),
-                        help="problem size preset (default bench)")
+    parser.add_argument("--preset", default=preset, choices=list(PRESETS),
+                        help=f"problem size preset (default {preset}{why})")
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -87,24 +83,32 @@ def _write_json(doc, path: str) -> None:
 
 
 def _parse_machine(pairs):
-    """``KEY=VALUE`` pairs -> machine-override dict (RunRequest form)."""
-    from dataclasses import fields
+    """``KEY=VALUE`` pairs -> machine-override dict (RunRequest form),
+    checked by ``MachineModel`` (finite, >= 0, integral where an int)."""
+    from dataclasses import asdict
 
     from repro.sim.machine import SP2_MODEL
 
     if not pairs:
         return None
-    types = {f.name: type(getattr(SP2_MODEL, f.name))
-             for f in fields(SP2_MODEL)}
+    defaults = asdict(SP2_MODEL)
     overrides = {}
     for pair in pairs:
         key, sep, val = pair.partition("=")
-        if not sep or key not in types:
+        try:
+            value = float(val)
+        except ValueError:
+            value = None
+        if not sep or key not in defaults or value is None:
             raise SystemExit(
-                f"bad --machine override {pair!r} (expected KEY=VALUE with "
-                f"KEY one of {', '.join(sorted(types))})")
-        cast = types[key]
-        overrides[key] = cast(float(val)) if cast is int else cast(val)
+                f"bad --machine override {pair!r} (expected KEY=NUMBER with "
+                f"KEY one of {', '.join(sorted(defaults))})")
+        integral = isinstance(defaults[key], int) and value.is_integer()
+        overrides[key] = int(value) if integral else value
+    try:
+        SP2_MODEL.with_(**overrides)
+    except ValueError as exc:
+        raise SystemExit(f"bad --machine override: {exc}")
     return overrides
 
 
@@ -138,6 +142,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.eval.reproduce import run_all_variants
+
     results = run_all_variants(args.app, nprocs=args.nprocs,
                                preset=args.preset, jobs=args.jobs,
                                fleet=args.fleet)
@@ -148,26 +154,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_figures(args) -> int:
-    regular = {app: run_all_variants(app, nprocs=args.nprocs,
-                                     preset=args.preset)
-               for app in REGULAR_APPS}
-    print(format_speedup_figure(
-        regular, REGULAR_APPS,
-        "Figure 1 — 8-Processor Speedups, Regular Applications"))
-    print()
-    print(format_traffic_table(regular, REGULAR_APPS,
-                               "Table 2 — Messages and Data (KB)"))
-    print()
-    irregular = {app: run_all_variants(app, nprocs=args.nprocs,
-                                       preset=args.preset)
-                 for app in IRREGULAR_APPS}
-    print(format_speedup_figure(
-        irregular, IRREGULAR_APPS,
-        "Figure 2 — 8-Processor Speedups, Irregular Applications"))
-    print()
-    print(format_traffic_table(irregular, IRREGULAR_APPS,
-                               "Table 3 — Messages and Data (KB)"))
+def cmd_reproduce(args) -> int:
+    from repro.eval.reproduce import RESULTS_DIR, format_report, reproduce
+
+    results_dir = args.results_dir or RESULTS_DIR
+    doc = reproduce(preset=args.preset, jobs=args.jobs, fleet=args.fleet,
+                    results_dir=results_dir,
+                    progress=lambda m: print(m, file=sys.stderr))
+    print(format_report(doc))
+    print(f"archives -> {results_dir}", file=sys.stderr)
     return 0
 
 
@@ -291,38 +286,40 @@ def cmd_lint(args) -> int:
     return 0
 
 
-def cmd_report(args) -> int:
-    from repro.eval.report import assemble_report
-    print(assemble_report(args.results_dir))
-    return 0
+def _speak(name: str, service, bind: str, port, detail: str) -> None:
+    """Serve ``service``'s wire protocol on stdio (``port`` None) or on
+    TCP ``bind:port`` until the session ends."""
+    from repro.serve import WireServer, serve_stdio
+
+    if port is None:
+        verdict = serve_stdio(service, sys.stdin, sys.stdout)
+        print(f"{name}: session ended ({verdict})", file=sys.stderr)
+        return
+    server = WireServer(service, host=bind, port=port)
+    print(f"{name}: listening on {server.host}:{server.port} ({detail})",
+          file=sys.stderr)
+    try:
+        server.serve_forever()
+    finally:
+        server.close()
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import (DEFAULT_RUNNER, RunService, WireServer,
-                             serve_stdio)
+    from repro.serve import DEFAULT_RUNNER, RunService
 
     service = RunService(workers=args.workers,
                          runner=args.runner or DEFAULT_RUNNER,
                          max_backlog=args.max_backlog)
     try:
-        if args.port is None:
-            verdict = serve_stdio(service, sys.stdin, sys.stdout)
-            print(f"serve: session ended ({verdict})", file=sys.stderr)
-        else:
-            server = WireServer(service, host=args.host, port=args.port)
-            print(f"serve: listening on {server.host}:{server.port} "
-                  f"({args.workers} worker(s))", file=sys.stderr)
-            try:
-                server.serve_forever()
-            finally:
-                server.close()
+        _speak("serve", service, args.host, args.port,
+               f"{args.workers} worker(s)")
     finally:
         service.close()
     return 0
 
 
 def cmd_fleet(args) -> int:
-    from repro.serve import FleetService, WireServer, serve_stdio
+    from repro.serve import FleetService
 
     kwargs = {} if args.retries is None else {"retries": args.retries}
     try:
@@ -340,21 +337,12 @@ def cmd_fleet(args) -> int:
                 print(f"fleet: {label} {state} "
                       f"workers={info.get('workers', 0)}{rtt}")
             return 0 if all(h["alive"] for h in health.values()) else 1
+        hosts = (f"{len(args.host)} host(s), {fleet.live_workers()} "
+                 f"remote worker(s)")
         if args.port is None:
-            print(f"fleet: {len(args.host)} host(s), "
-                  f"{fleet.live_workers()} remote worker(s); speaking the "
-                  f"protocol on stdio", file=sys.stderr)
-            verdict = serve_stdio(fleet, sys.stdin, sys.stdout)
-            print(f"fleet: session ended ({verdict})", file=sys.stderr)
-        else:
-            server = WireServer(fleet, host=args.bind, port=args.port)
-            print(f"fleet: listening on {server.host}:{server.port} "
-                  f"({len(args.host)} host(s), {fleet.live_workers()} "
-                  f"remote worker(s))", file=sys.stderr)
-            try:
-                server.serve_forever()
-            finally:
-                server.close()
+            print(f"fleet: {hosts}; speaking the protocol on stdio",
+                  file=sys.stderr)
+        _speak("fleet", fleet, args.bind, args.port, hosts)
     finally:
         fleet.close()
     return 0
@@ -405,9 +393,19 @@ def main(argv=None) -> int:
     _add_jobs(p)
     p.set_defaults(fn=cmd_compare)
 
-    p = sub.add_parser("figures", help="regenerate the paper's figures")
-    _add_common(p)
-    p.set_defaults(fn=cmd_figures)
+    p = sub.add_parser(
+        "reproduce",
+        help="run every distinct request the paper's 14 tables/figures "
+             "read once, write them to benchmarks/results and print the "
+             "report")
+    p.add_argument("--preset", default="bench", choices=list(PRESETS),
+                   help="problem size preset (default bench; the runs "
+                        "are on the paper's 8 processors)")
+    p.add_argument("--results-dir", default=None,
+                   help="write the archives here (default: "
+                        "benchmarks/results)")
+    _add_jobs(p)
+    p.set_defaults(fn=cmd_reproduce)
 
     p = sub.add_parser(
         "sweep",
@@ -451,11 +449,7 @@ def main(argv=None) -> int:
                    choices=list(DSM_VARIANTS))
     p.add_argument("--seeds", type=int, default=5,
                    help="number of schedule seeds to fuzz (default 5)")
-    p.add_argument("-n", "--nprocs", type=int, default=8)
-    p.add_argument("--preset", default="test",
-                   choices=list(PRESETS),
-                   help="problem size preset (default test: the harness "
-                        "runs the app once per seed)")
+    _add_common(p, "test", ": the harness runs the app once per seed")
     p.add_argument("--cross-check", action="store_true",
                    help="cross-validate the static depend verdicts "
                         "against the dynamic detector (+ seeded mutation "
@@ -565,23 +559,12 @@ def main(argv=None) -> int:
                    help="suppress per-app progress on stderr")
     p.add_argument("--out", default=None,
                    help="write the lint report as JSON to this path")
-    p.add_argument("-n", "--nprocs", type=int, default=8)
-    p.add_argument("--preset", default="test",
-                   choices=["paper", "bench", "test"],
-                   help="problem size preset (default test; the rules "
-                        "are size-independent, only the false-sharing "
-                        "geometry changes)")
+    _add_common(p, "test", "; the rules are size-independent, only the "
+                           "false-sharing geometry changes")
     p.set_defaults(fn=cmd_lint)
 
     p = sub.add_parser("list", help="list applications and variants")
     p.set_defaults(fn=cmd_list)
-
-    p = sub.add_parser("report",
-                       help="assemble archived benchmark results")
-    p.add_argument("--results-dir", default=None,
-                   help="directory of archived results "
-                        "(default: benchmarks/results)")
-    p.set_defaults(fn=cmd_report)
 
     args = parser.parse_args(argv)
     return args.fn(args)

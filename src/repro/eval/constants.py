@@ -95,16 +95,12 @@ PAPER: dict = {
     ),
 }
 
-# Summary claims of Section 7 / the abstract, used by the summary bench:
+# Summary claims of Section 7 / the abstract: which speedup ratio, and the
+# paper's range of it (lowest, highest) over the apps it covers
 SUMMARY_CLAIMS = {
-    # on regular apps, XHPF beats SPF/Tmk by 5.5%..40%
-    "regular_xhpf_over_spf": (1.055, 1.40),
-    # on regular apps, PVMe beats SPF/Tmk by 7.5%..49%
-    "regular_pvme_over_spf": (1.075, 1.49),
-    # on irregular apps, SPF/Tmk beats XHPF by 38% and 89%
-    "irregular_spf_over_xhpf": (1.38, 1.89),
-    # on irregular apps, PVMe beats SPF/Tmk by only 4.4% and 16%
-    "irregular_pvme_over_spf": (1.044, 1.16),
-    # hand Tmk beats SPF/Tmk by 2%..20%
-    "tmk_over_spf": (1.02, 1.20),
+    "regular_xhpf_over_spf": ("regular: XHPF over SPF/Tmk", 1.055, 1.40),
+    "regular_pvme_over_spf": ("regular: PVMe over SPF/Tmk", 1.075, 1.49),
+    "irregular_spf_over_xhpf": ("irregular: SPF/Tmk over XHPF", 1.38, 1.89),
+    "irregular_pvme_over_spf": ("irregular: PVMe over SPF/Tmk", 1.044, 1.16),
+    "tmk_over_spf": ("hand Tmk over SPF/Tmk", 1.02, 1.20),
 }

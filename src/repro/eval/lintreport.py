@@ -1,4 +1,4 @@
-"""Registry-wide lint summary: badges for ``repro report`` and the CLI.
+"""Registry-wide lint summary: the badge table ``repro lint`` prints.
 
 Runs the static verifier of :mod:`repro.compiler.lint` over every
 registered application (at the test preset by default — the rules are

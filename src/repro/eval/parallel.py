@@ -1,7 +1,7 @@
 """Requests in, results out, one tier switch.
 
 Every evaluation harness — ``repro sweep``, ``chaos``, ``racecheck``,
-``compare``/``figures`` — is the same three steps: build
+``compare``/``reproduce`` — is the same three steps: build
 :class:`~repro.api.RunRequest` objects, hand them to
 :func:`run_requests`, judge the :class:`~repro.api.RunResult` objects.
 This module is the only place under ``repro.eval`` that chooses *where*

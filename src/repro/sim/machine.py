@@ -26,7 +26,9 @@ paper's conclusions is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 __all__ = ["MachineModel", "SP2_MODEL"]
 
@@ -85,6 +87,22 @@ class MachineModel:
     paper's Table 3, where the XHPF data/message ratio is ~4 KB.)
     ``0`` means unsegmented: every send is one message, an idealized
     runtime.  Hand-coded PVMe sends are *not* segmented."""
+
+    def __post_init__(self):
+        # overrides come from outside the program (``--machine``, the
+        # wire): a negative, non-finite or fractional one would run and
+        # report nonsense (negative or nan time) or fail mid-simulation
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(
+                    f"machine field {f.name} must be "
+                    f"{'an integer' if f.type == 'int' else 'a number'}, "
+                    f"not {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"machine field {f.name} must be finite "
+                                 f"and >= 0, not {value!r}")
 
     def message_time(self, nbytes: int) -> float:
         """Wire time from end-of-send to delivery for an ``nbytes`` payload."""

@@ -175,11 +175,15 @@ def test_registry_is_consistent():
 def test_registry_presets_are_each_apps_own():
     """A test module that needs an extra preset adds it with a fixture and
     takes it away again: every other test -- and a ``--jobs`` worker, which
-    sees only the app modules -- gets each app's own ``PRESETS``, the
-    canonical three."""
+    sees only the app modules -- gets each app's own ``PRESETS``: the
+    canonical three, plus the model-sensitivity ablation's size for the
+    two apps it runs."""
+    from repro.eval.tables import SENSITIVITY_PRESET, SENSITIVITY_RUNS
+
+    extra = {app: {SENSITIVITY_PRESET} for app, _v in SENSITIVITY_RUNS}
     for name in registry.APPS:
         own = sys.modules[get_app(name).build_program.__module__].PRESETS
-        assert set(own) == set(PRESETS), name
+        assert set(own) == set(PRESETS) | extra.get(name, set()), name
         assert registry.app_info(name).presets == tuple(sorted(own)), name
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.api import RunRequest, execute
 from repro.eval.constants import (APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS,
                                   VARIANT_NAMES)
-from repro.eval.experiments import run_all_variants
+from repro.eval.reproduce import run_all_variants
 from repro.eval.tables import (format_comparison, format_speedup_figure,
                                format_table1, format_traffic_table)
 

@@ -117,3 +117,24 @@ def test_run_result_speedup():
 def test_model_nprocs_adjusted_to_cluster():
     c = Cluster(nprocs=5)
     assert c.model.nprocs == 5
+
+
+BAD_MACHINES = [{"latency": -1}, {"byte_time": float("nan")},
+                {"latency": float("inf")}, {"mp_packet_bytes": 100.5},
+                {"send_overhead": "60e-6"}, {"nprocs": True}]
+
+
+@pytest.mark.parametrize("machine", BAD_MACHINES, ids=str)
+def test_bad_machine_override_is_refused(machine):
+    """Overrides come from outside the program (``--machine``, the wire):
+    a negative, non-finite, fractional-int or non-number field is refused
+    before the run, at every tier, instead of reporting a nonsense time."""
+    from repro.api import RunRequest, execute
+    from repro.api.execute import InProcess
+
+    request = RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                         machine=machine)
+    with pytest.raises(ValueError):
+        execute(request)
+    ((_index, result),) = InProcess().stream([request])
+    assert not result.ok and result.error_kind == "ValueError"

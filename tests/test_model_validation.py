@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 
 from repro.api import RunRequest, execute, machine_to_doc
+from repro.api.registry import VARIANTS
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
                                ParallelLoop, Program, Span, TimeLoop)
 from repro.compiler.model import (MODELED_VARIANTS, ModelUnsupportedVariant,
                                   _XhpfModel, model_variant)
 from repro.compiler.xhpf import run_xhpf
 from repro.eval.constants import APPS
-from repro.eval.experiments import VARIANTS
 from repro.sim.machine import SP2_MODEL
 
 PRESET = "test"

@@ -89,6 +89,13 @@ def test_cli_run(capsys):
     assert "paper's 8-processor speedup" in out
 
 
+def test_cli_machine_override_is_checked_not_truncated():
+    for bad in ("mp_packet_bytes=100.5", "latency=-1", "latency=fast"):
+        with pytest.raises(SystemExit, match="bad --machine override"):
+            main(["run", "jacobi", "spf", "-n", "2", "--preset", "test",
+                  "--machine", bad])
+
+
 def test_cli_run_dsm_prints_stats(capsys):
     assert main(["run", "jacobi", "tmk", "-n", "2", "--preset", "test"]) == 0
     out = capsys.readouterr().out
