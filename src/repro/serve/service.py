@@ -373,10 +373,14 @@ class RunService(Service):
         self.workers = workers
         self.runner = runner
         self.respawn = respawn
-        # spawn, never fork: the parent's simulator threads and locks
-        # must not leak into a worker.  Every run execute() makes is now
-        # thread-less, so that reason is gone (kept until setup_s and
-        # serve.spawn_s are measured against fork).
+        # spawn, not fork, though fork is faster: pool start to the first
+        # two results took 0.76-0.90 s with spawn and 0.28-0.29 s with
+        # fork, and serve_mix setup_s fell from 2.17/1.79 s to 1.48/1.36 s
+        # and peak_rss_mb from 90.2 to 84.6/84.4 MB (2-vCPU host, Python
+        # 3.11, two 9 s pairs).  It stays because _replace respawns on
+        # whichever thread runs stream: under `repro serve --port` that is
+        # a ThreadingTCPServer handler thread, and forking a multi-threaded
+        # process can deadlock the child (Python 3.12 warns).
         self._ctx = mp.get_context("spawn")
         self._next_worker = 0
         for _ in range(workers):

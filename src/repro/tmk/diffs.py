@@ -1,11 +1,13 @@
 """Twins and diffs: the multiple-writer merge machinery.
 
 A *twin* is a copy of a page taken at the first write after a
-synchronization point.  A *diff* is a run-length encoding of the words that
-differ between the current page and its twin — exactly the paper's
-definition: "a runlength encoding of the modifications made to a page,
-generated by comparing the page to a copy saved prior to the
-modifications."
+synchronization point.  The protocol keeps it as a read-only, bytes-backed
+array (``np.frombuffer``; every all-zero page shares one), so nothing here
+may write into a twin: :func:`make_diff` only reads it.  A *diff* is a
+run-length encoding of the words that differ between the current page and
+its twin — exactly the paper's definition: "a runlength encoding of the
+modifications made to a page, generated by comparing the page to a copy
+saved prior to the modifications."
 
 Pages are ``numpy`` ``uint8`` vectors compared in 4-byte words, like
 TreadMarks (Fortran ``REAL`` words).  A diff is a list of ``(offset,

@@ -28,8 +28,10 @@ Faulting discipline (stands in for mprotect/SIGSEGV at identical points):
 * reading an *invalid* page triggers a read fault: diffs are requested from
   every writer with pending notices, applied in interval order, and the page
   becomes valid;
-* writing a *clean* page triggers a write trap: a twin (copy) is made and
-  the page is marked dirty;
+* writing a *clean* page triggers a write trap: a twin (a read-only
+  snapshot of the page's bytes) is made and the page is marked dirty; a
+  page that is still all zeros shares the one module-wide zero twin
+  (:data:`ZERO_TWIN`) instead of a 4 KB copy of its own;
 * writing an *invalid* page does both, fetch first.
 
 Diffs are created lazily — only when another node requests them, or when a
@@ -61,7 +63,7 @@ if TYPE_CHECKING:
     from repro.sim.cluster import ProcEnv
     from repro.tmk.api import TmkWorld
 
-__all__ = ["TmkNode", "DiffRequest",
+__all__ = ["TmkNode", "DiffRequest", "ZERO_TWIN",
            "TAG_TMK_REQ", "TAG_FETCH_REP", "TAG_BARRIER_DEP",
            "TAG_LOCK_GRANT", "TAG_FORK", "TAG_JOIN", "TAG_PUSH"]
 
@@ -82,6 +84,13 @@ TAG_FORK = 1_000_003         # fork-join: master -> worker (departure)
 TAG_JOIN = 1_000_004         # fork-join: worker -> master (arrival)
 TAG_PUSH = 1_000_005         # enhanced interface: pushed data at a release
 
+
+_ZERO_PAGE = bytes(PAGE_SIZE)
+ZERO_TWIN = np.frombuffer(_ZERO_PAGE, dtype=np.uint8)
+"""The twin of every page that is all zeros at its write trap, shared by
+every node and run.  A twin is only ever read (``make_diff`` compares the
+live page against it), so one read-only zero page stands for them all;
+``np.frombuffer`` over ``bytes`` cannot be written."""
 
 # ---------------------------------------------------------------------- #
 # wire payloads
@@ -319,7 +328,9 @@ class TmkNode(LrcNode):
             stats.write_faults += 1
             stats.twins_created += 1
             yield HOLD, self.model.fault_overhead + self.model.twin_overhead
-            self.twins[page] = self.page_bytes(page).copy()
+            image = self.page_bytes(page).tobytes()
+            self.twins[page] = ZERO_TWIN if image == _ZERO_PAGE \
+                else np.frombuffer(image, dtype=np.uint8)
         self.note_write(page)
         # valid + twinned + noted in the open interval: nothing left for a
         # repeat write access to do until a regression clears this bit

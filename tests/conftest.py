@@ -1,10 +1,13 @@
 """Shared fixtures: small IR programs exercising every backend feature."""
 
+import hashlib
+import json
 import threading
 
 import numpy as np
 import pytest
 
+from repro.api import RunRequest, execute
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
                                ParallelLoop, Program, Reduction, SeqBlock,
                                Span, TimeLoop)
@@ -46,6 +49,17 @@ def no_leaked_simproc_threads(request, monkeypatch):
     assert not leaked, f"simulated-process threads leaked: {leaked}"
     assert not started, (f"thread processes started outside "
                          f"tests/test_engine.py: {started}")
+
+
+def fingerprint_digest(app, variant, nprocs):
+    """sha256 (first 16 hex digits) of a ``test`` run's ``fingerprint()``
+    without ``tag`` and ``signature`` (the signature's last bits may follow
+    the host's SIMD width; see benchmarks/perf/child.py)."""
+    doc = execute(RunRequest(app, variant, nprocs, "test")).fingerprint()
+    doc.pop("tag")
+    doc.pop("signature")
+    return hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def lock_acquire(tmk, lock):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.tmk.diffs import (RUN_HEADER_BYTES, WORD, apply_diff, apply_diffs,
                              diff_nbytes, make_diff, mask_diff_nbytes)
+from repro.tmk.protocol import ZERO_TWIN
 
 PAGE = 4096
 
@@ -370,3 +371,24 @@ def test_mask_diff_nbytes_matches_encoded_size(mask, seed):
     changed = cur.view(np.uint32) != twin.view(np.uint32)
     assert np.array_equal(changed, mask)
     assert mask_diff_nbytes(changed) == diff_nbytes(make_diff(cur, twin))
+
+
+# --------------------------------------------------------------------- #
+# the write trap's twin backings (repro.tmk.protocol): a writable copy,
+# the shared read-only zero page and a read-only array over the page's
+# bytes must encode every page identically
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), _masks(), st.integers(0, 2**16))
+def test_twin_backing_does_not_change_the_diff(zero_twin, mask, seed):
+    """Random, all-zero, fully changed and sparse pages alike."""
+    cur, twin = _page_pair(mask, seed)
+    if zero_twin:
+        cur ^= twin                          # the same words, changed from 0
+        twin = np.zeros(PAGE, dtype=np.uint8)
+    backings = [twin.copy(), np.frombuffer(twin.tobytes(), dtype=np.uint8)]
+    if zero_twin:
+        backings.append(ZERO_TWIN)
+    encoded = [[(off, bytes(data)) for off, data in make_diff(cur, backing)]
+               for backing in backings]
+    assert encoded == [reference_diff(cur, twin)] * len(backings)

@@ -8,9 +8,11 @@ generator function (a generator process).
 import numpy as np
 import pytest
 
+from repro.sim.machine import PAGE_SIZE
 from repro.tmk.api import TmkWorld, tmk_run
+from repro.tmk.protocol import ZERO_TWIN
 
-from .conftest import lock_acquire, lock_release
+from .conftest import fingerprint_digest, lock_acquire, lock_release
 
 
 def setup_two_pages(space):
@@ -342,3 +344,115 @@ def test_mid_footprint_untwin_interleaving_happens():
 def test_words_written_after_a_mid_footprint_serve_reach_a_later_reader():
     # page 1 (re-fetched with its twin) arrives; page 0's words are lost
     assert _untwin_run().results[1] == [3.0, 3.0]
+
+
+# --------------------------------------------------------------------- #
+# twin backing: a write trap on an all-zero page shares ZERO_TWIN, any
+# other page gets a private read-only snapshot of its bytes
+
+def _setup_bytes(space):
+    space.alloc("b", (PAGE_SIZE,), np.uint8)      # exactly one page
+
+
+def _retwin_program(tmk, twins):
+    """p0 writes one byte into the zero page; p1's fetch diffs and untwins
+    it; p0's next write traps on a page with one nonzero byte."""
+    b = tmk.array("b")
+    page = b.handle.offset // PAGE_SIZE
+    if tmk.pid == 0:
+        yield from b.write_gen((10,), 7)
+        twins.append(tmk.node.twins[page])
+    yield from tmk.barrier_gen()
+    if tmk.pid == 1:
+        yield from b.read_gen((10,))
+    yield from tmk.barrier_gen()
+    if tmk.pid == 0:
+        twins.append(page in tmk.node.twins)
+        image = tmk.node.page_bytes(page).copy()
+        yield from b.write_gen((20,), 9)
+        twins.append((tmk.node.twins[page], image))
+    yield from tmk.barrier_gen()
+    if tmk.pid == 1:
+        return (yield from b.read_gen()).nonzero()[0].tolist()
+
+
+def _retwin_run():
+    twins = []
+    result = tmk_run(2, _retwin_program, _setup_bytes, args=(twins,))
+    return result, twins
+
+
+def test_write_trap_on_a_zero_page_shares_the_zero_twin():
+    _result, (first, _still_twinned, _second) = _retwin_run()
+    assert first is ZERO_TWIN
+
+
+def test_write_trap_on_a_nonzero_page_takes_a_private_twin():
+    _result, (_first, still_twinned, (twin, image)) = _retwin_run()
+    assert not still_twinned                  # p1's fetch diffed the page
+    assert twin is not ZERO_TWIN
+    assert image.nonzero()[0].tolist() == [10]
+    assert np.array_equal(twin, image)
+
+
+def test_twins_are_read_only():
+    _result, (first, _still_twinned, (twin, _image)) = _retwin_run()
+    for backing in (first, twin):
+        with pytest.raises(ValueError, match="read-only"):
+            backing[0] = 1
+
+
+def test_write_after_a_diff_re_twins_the_page():
+    result, _twins = _retwin_run()
+    assert result.results[1] == [10, 20]
+    stats = result.dsm_stats
+    assert stats.twins_created == 2
+    # one one-word run each: the second diff is against the re-twinned
+    # page, not against zeros (which would give two runs)
+    assert stats.diffs_created == 2
+    assert stats.diff_bytes_created == 2 * (4 + 8)
+
+
+# --------------------------------------------------------------------- #
+# ``fingerprint_digest`` of each DSM ``test`` cell, computed before a zero
+# page shared its twin.  Any change to the twin
+# path's faults, diffs, messages or virtual time moves one of them.  The
+# known-defect cells (tests/test_apps_correctness.py) are left out.
+DSM_FINGERPRINT_DIGESTS = {
+    ("jacobi", "tmk", 2): "87da2d528443ca24",
+    ("jacobi", "tmk", 5): "d499cca9cf10d164",
+    ("jacobi", "spf", 2): "d03e359fc4063e60",
+    ("jacobi", "spf", 5): "9049b1d18e88582f",
+    ("jacobi", "spf_opt", 2): "2909eb872ead82d1",
+    ("jacobi", "spf_opt", 5): "3e5e49629381da84",
+    ("shallow", "tmk", 2): "e219c62bc546111f",
+    ("shallow", "spf", 2): "af10f1a9b1238c9e",
+    ("shallow", "spf", 5): "dfba9f9b262024d7",
+    ("shallow", "spf_opt", 2): "8c4a4d1b0343cd98",
+    ("shallow", "spf_opt", 5): "1c94c45b51c13b27",
+    ("mgs", "tmk", 2): "c568c072844423a5",
+    ("mgs", "tmk", 5): "9fcc0abe370992ed",
+    ("mgs", "spf", 2): "e33f59b89e4e87ad",
+    ("mgs", "spf", 5): "73d3c19d6c816a1b",
+    ("mgs", "spf_opt", 2): "e07053f5ee9a8f97",
+    ("mgs", "spf_opt", 5): "d0b9918d7d5f0e28",
+    ("fft3d", "tmk", 2): "116674c6957a5f44",
+    ("fft3d", "tmk", 5): "fcdc20858587acfb",
+    ("fft3d", "spf", 2): "d9dea7bbafa12579",
+    ("fft3d", "spf", 5): "b66f60a29db26b7b",
+    ("fft3d", "spf_opt", 2): "1d9c10edf162259b",
+    ("fft3d", "spf_opt", 5): "e7b703b32cf008d8",
+    ("igrid", "tmk", 5): "c3b6e2e72dafc7d9",
+    ("igrid", "spf", 2): "5721dc2135067c17",
+    ("igrid", "spf", 5): "7f5a1843cf120f8a",
+    ("nbf", "tmk", 2): "0075adee41c18f68",
+    ("nbf", "tmk", 5): "b342c8eb17dda9ef",
+    ("nbf", "spf", 2): "fefb9ccd8b883f9a",
+    ("nbf", "spf", 5): "a30595a8e6e8c6d6",
+}
+
+
+@pytest.mark.parametrize("app,variant,n", sorted(DSM_FINGERPRINT_DIGESTS))
+def test_dsm_fingerprint_digests_unchanged(app, variant, n):
+    assert fingerprint_digest(app, variant, n) \
+        == DSM_FINGERPRINT_DIGESTS[app, variant, n]

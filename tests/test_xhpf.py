@@ -1,8 +1,5 @@
 """Tests for the XHPF message-passing backend (repro.compiler.xhpf)."""
 
-import hashlib
-import json
-
 import numpy as np
 import pytest
 
@@ -14,7 +11,8 @@ from repro.compiler.xhpf import compile_xhpf, run_xhpf
 from repro.eval.constants import APPS
 from repro.sim import Cluster
 from repro.sim.machine import SP2_MODEL
-from tests.conftest import irregular_program, stencil_program, triangular_program
+from tests.conftest import (fingerprint_digest, irregular_program,
+                            stencil_program, triangular_program)
 
 
 def test_matches_sequential_stencil():
@@ -168,10 +166,8 @@ def test_warm_plan_gives_the_fresh_fingerprint(app, variant):
         == execute(request).fingerprint()
 
 
-# sha256 (first 16 hex digits) of each ``test`` cell's ``fingerprint()``
-# without ``tag`` and ``signature`` (the signature's last bits may follow
-# the host's SIMD width; see benchmarks/perf/child.py), computed before the
-# plan was held per executable.  Any change to who sends what, when, moves
+# ``fingerprint_digest`` of each ``test`` cell, computed before the plan
+# was held per executable.  Any change to who sends what, when, moves
 # one of them.
 FINGERPRINT_DIGESTS = {
     ("jacobi", "xhpf", 1): "d9597d16a702731d",
@@ -239,8 +235,5 @@ FINGERPRINT_DIGESTS = {
 
 @pytest.mark.parametrize("app,variant,n", sorted(FINGERPRINT_DIGESTS))
 def test_fingerprint_digests_unchanged(app, variant, n):
-    doc = execute(RunRequest(app, variant, n, "test")).fingerprint()
-    doc.pop("tag")
-    doc.pop("signature")
-    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode())
-    assert digest.hexdigest()[:16] == FINGERPRINT_DIGESTS[app, variant, n]
+    assert fingerprint_digest(app, variant, n) \
+        == FINGERPRINT_DIGESTS[app, variant, n]
