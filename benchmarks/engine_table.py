@@ -1,4 +1,4 @@
-"""events / diffs / faults / OS-thread switches / threads / wall per benchmark key, as a markdown table.
+"""events / diffs / faults / OS-thread switches / threads / wall / minflt per benchmark key, as a markdown table.
 
     PYTHONPATH=src python benchmarks/engine_table.py [--check] >> "$GITHUB_STEP_SUMMARY"
 
@@ -18,10 +18,15 @@ baton (``switches = 0``) and starts no ``simproc-`` thread (``threads =
 PR that made it.  With ``--check`` the script exits non-zero when any row
 shows ``switches > 0`` or ``threads > 0`` (the table is printed either
 way).  ``wall`` is one warm run: a magnitude, not a measurement.
+``minflt`` is the same run's minor page faults (``ru_minflt``): a DSM
+node's image becomes resident one 4 KB page at a time, as the node first
+touches it, so this is the host-side price of that residency per key --
+a magnitude too, gating nothing.
 """
 
 import argparse
 import os
+import resource
 import sys
 import threading
 import time
@@ -43,6 +48,10 @@ def rows():
     for key in SERVE_MIX.keys:
         if key.variant in ("tmk", "pvme") and key.nprocs == 8:
             yield SERVE_MIX.name, key
+
+
+def _minflt():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def main() -> int:
@@ -68,22 +77,23 @@ def main() -> int:
     cache = ProgramCache()
     offenders = []
     print("| workload | key | events | diffs | faults | switches | threads "
-          "| wall ms |")
-    print("|---|---|---:|---:|---:|---:|---:|---:|")
+          "| wall ms | minflt |")
+    print("|---|---|---:|---:|---:|---:|---:|---:|---:|")
     try:
         for name, key in rows():
             execute(key.request(), cache)           # compile, warm caches
             del started[:]
-            t0 = time.perf_counter()
+            flt0, t0 = _minflt(), time.perf_counter()
             dsm = execute(key.request(), cache).dsm
-            wall = time.perf_counter() - t0
+            wall, minflt = time.perf_counter() - t0, _minflt() - flt0
             switches, threads = runs[-1].switches, len(started)
             diffs = (f"{dsm.diffs_created} / {dsm.diffs_applied}"
                      if dsm else "-")
             faults = (f"{dsm.read_faults} / {dsm.write_faults} / "
                       f"{dsm.invalidations}" if dsm else "-")
             print(f"| {name} | {key.id} | {runs[-1].events} | {diffs} | "
-                  f"{faults} | {switches} | {threads} | {wall * 1e3:.1f} |")
+                  f"{faults} | {switches} | {threads} | {wall * 1e3:.1f} | "
+                  f"{minflt} |")
             if switches or threads:
                 offenders.append(key.id)
     finally:

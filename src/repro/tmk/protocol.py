@@ -8,7 +8,8 @@ real memory, twins, fast-path masks, fetch/serve messaging and virtual
 time.  Together they own
 
 * the node's private copy of the whole shared address space (a numpy byte
-  buffer; applications compute through views of it),
+  view of one private anonymous mapping, resident only in the 4 KB pages
+  the node has touched; applications compute through views of it),
 * per-page coherence state (validity, twin, pending write notices,
   per-writer applied watermarks),
 * the interval/vector-time machinery of lazy release consistency,
@@ -47,6 +48,7 @@ transfer (TreadMarks behaves the same way after its GC).
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -92,6 +94,26 @@ every node and run.  A twin is only ever read (``make_diff`` compares the
 live page against it), so one read-only zero page stands for them all;
 ``np.frombuffer`` over ``bytes`` cannot be written."""
 
+_MADV_NOHUGEPAGE = getattr(mmap, "MADV_NOHUGEPAGE", None)
+
+
+def _node_image(nbytes: int) -> np.ndarray:
+    """A zero-filled, writable ``uint8`` image of ``nbytes`` bytes that is
+    resident only in the 4 KB pages that have been touched.
+
+    One private anonymous mapping, advised never to be backed by huge
+    pages.  numpy advises its own buffers of 4 MB or more
+    ``MADV_HUGEPAGE``, so where the host's THP mode is ``madvise`` one
+    touched byte of an ``np.zeros`` image would make a whole 2 MB
+    region resident; explicit advice keeps residency independent of that
+    setting.  A zero-length mapping is refused (``EINVAL``), so an empty
+    space maps one page and is sliced to length 0."""
+    buf = mmap.mmap(-1, max(nbytes, PAGE_SIZE), flags=mmap.MAP_PRIVATE)
+    if _MADV_NOHUGEPAGE is not None:
+        buf.madvise(_MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.uint8)[:nbytes]
+
+
 # ---------------------------------------------------------------------- #
 # wire payloads
 
@@ -122,7 +144,10 @@ class TmkNode(LrcNode):
         self.net = env.net
         self.space: SharedSpace = world.space
 
-        self.mem = np.zeros(self.space.nbytes, dtype=np.uint8)
+        # the node's copy of the shared space, filled in page by page as
+        # the node touches it (TreadMarks' per-processor copy).  Exact: it
+        # holds the bytes a zeroed array would; only host residency differs
+        self.mem = _node_image(self.space.nbytes)
         self.server_proc = None       # set by tmk.server.start_server
         self._barrier_gen = 0         # barriers this member has arrived at
 

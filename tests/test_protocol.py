@@ -5,12 +5,16 @@ assert both data values and protocol-event behaviour.  Every program is a
 generator function (a generator process).
 """
 
+import os
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.sim.machine import PAGE_SIZE
+from repro.sim.machine import PAGE_SIZE, SP2_MODEL
 from repro.tmk.api import TmkWorld, tmk_run
-from repro.tmk.protocol import ZERO_TWIN
+from repro.tmk.pagespace import SharedSpace
+from repro.tmk.protocol import ZERO_TWIN, TmkNode
 
 from .conftest import fingerprint_digest, lock_acquire, lock_release
 
@@ -411,6 +415,59 @@ def test_write_after_a_diff_re_twins_the_page():
     # page, not against zeros (which would give two runs)
     assert stats.diffs_created == 2
     assert stats.diff_bytes_created == 2 * (4 + 8)
+
+
+# --------------------------------------------------------------------- #
+# the node image: a node's copy of the shared space is resident only in
+# the 4 KB pages it touched
+
+def _lone_node(nbytes):
+    """A TmkNode over a space of ``nbytes`` bytes, with no simulator."""
+    space = SharedSpace()
+    if nbytes:
+        space.alloc("x", (nbytes,), np.uint8)
+    env = SimpleNamespace(pid=0, nprocs=1, model=SP2_MODEL, net=None,
+                          proc=None)
+    return TmkNode(TmkWorld(1, space), env)
+
+
+def _smaps_totals(array):
+    """``{field: kB}`` summed over the /proc/self/smaps mappings that hold
+    any of ``array``'s bytes."""
+    lo, hi = array.ctypes.data, array.ctypes.data + array.nbytes
+    totals, inside = {}, False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            head = line.split()[0]
+            if "-" in head and not head.endswith(":"):
+                start, end = (int(x, 16) for x in head.split("-"))
+                inside = start < hi and lo < end
+            elif inside and line.rstrip().endswith(" kB"):
+                key = head[:-1]
+                totals[key] = totals.get(key, 0) + int(line.split()[1])
+    return totals
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"),
+                    reason="needs /proc/self/smaps")
+def test_node_image_is_resident_only_in_touched_pages():
+    node = _lone_node(16 << 20)
+    stride = 64 * PAGE_SIZE
+    node.mem[::stride] = 1
+    touched_kb = len(range(0, node.mem.size, stride)) * PAGE_SIZE // 1024
+    totals = _smaps_totals(node.mem)
+    assert totals["AnonHugePages"] == 0
+    assert totals["Rss"] <= touched_kb + 8 * PAGE_SIZE // 1024
+
+
+@pytest.mark.parametrize("nbytes", [0, 1, PAGE_SIZE, 5 * PAGE_SIZE])
+def test_node_image_is_zeroed_writable_and_space_sized(nbytes):
+    node = _lone_node(nbytes)
+    assert node.mem.dtype == np.uint8
+    assert node.mem.shape == (node.space.nbytes,)
+    assert not node.mem.any()
+    node.mem[:] = 7
+    assert (node.mem == 7).all()
 
 
 # --------------------------------------------------------------------- #
