@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.eval.constants import APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS
+from repro.eval.constants import (APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS,
+                                  VARIANT_NAMES)
 
 __all__ = ["VARIANTS", "DSM_VARIANTS", "MP_VARIANTS", "MODELED_VARIANTS",
            "FIGURE_VARIANTS", "PRESETS",
@@ -42,7 +43,7 @@ MP_VARIANTS = ("xhpf", "xhpf_ie", "pvme")
 MODELED_VARIANTS = ("seq", "spf", "spf_old", "xhpf", "xhpf_ie")
 
 #: the four bars of the paper's Figures 1/2, plus the oracle
-FIGURE_VARIANTS = ("seq", "spf", "tmk", "xhpf", "pvme")
+FIGURE_VARIANTS = ("seq", *VARIANT_NAMES)
 
 #: problem-size presets every application provides
 PRESETS = ("paper", "bench", "test")
@@ -143,9 +144,8 @@ def variants() -> list:
 
 def supports(app: str, variant: str) -> Optional[str]:
     """None when (app, variant) is runnable, else the reason it is not."""
-    info = variant_info(variant)          # raises on unknown variant
+    variant_info(variant)                 # raises on unknown variant
     card = app_info(app)                  # raises on unknown app
     if variant == "spf_opt" and not card.has_spf_opt:
         return (f"{app} has no hand-optimized variant in the paper")
-    del info
     return None

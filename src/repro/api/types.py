@@ -79,39 +79,40 @@ def fault_plan_to_doc(plan) -> Optional[dict]:
     return {
         "seed": plan.seed,
         "rates": dict(vars(plan.rates)),
-        "overrides": {cat: dict(vars(r))
-                      for cat, r in plan.overrides.items()},
-        "delay_max": plan.delay_max,
-        "reorder_lag": plan.reorder_lag,
         "stalls": [dict(vars(s)) for s in plan.stalls],
-        "slow_nodes": {str(k): v for k, v in plan.slow_nodes.items()},
-        "reliable": plan.reliable,
-        "rto": plan.rto,
-        "max_attempts": plan.max_attempts,
     }
 
 
+def _known_keys(what: str, doc: Mapping, cls) -> dict:
+    """``doc`` as a dict, refusing any key that is not a field of ``cls``."""
+    doc = dict(doc)
+    known = [f.name for f in fields(cls)]
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise ValueError(f"{what} takes no key {', '.join(map(repr, unknown))}"
+                         f" (it takes {', '.join(known)})")
+    return doc
+
+
 def fault_plan_from_doc(doc: Optional[Mapping]):
-    """Plain dict -> ``FaultPlan`` (None and FaultPlan pass through)."""
+    """Plain dict -> ``FaultPlan`` (None and FaultPlan pass through).
+
+    The doc takes exactly ``seed``, ``rates`` and ``stalls`` (any may be
+    left out), with the fields of ``FaultRates`` and ``NodeStall`` inside
+    them; any other key raises ``ValueError`` naming it.
+    """
     if doc is None:
         return None
     from repro.sim.faults import FaultPlan, FaultRates, NodeStall
     if isinstance(doc, FaultPlan):
         return doc
-    doc = dict(doc)
+    doc = _known_keys("fault_plan", doc, FaultPlan)
     return FaultPlan(
         seed=int(doc.get("seed", 0)),
-        rates=FaultRates(**doc.get("rates", {})),
-        overrides={cat: FaultRates(**r)
-                   for cat, r in doc.get("overrides", {}).items()},
-        delay_max=doc.get("delay_max", FaultPlan.delay_max),
-        reorder_lag=doc.get("reorder_lag", FaultPlan.reorder_lag),
-        stalls=tuple(NodeStall(**s) for s in doc.get("stalls", ())),
-        slow_nodes={int(k): float(v)
-                    for k, v in doc.get("slow_nodes", {}).items()},
-        reliable=doc.get("reliable", True),
-        rto=doc.get("rto"),
-        max_attempts=int(doc.get("max_attempts", FaultPlan.max_attempts)),
+        rates=FaultRates(**_known_keys("fault_plan rates",
+                                       doc.get("rates", {}), FaultRates)),
+        stalls=tuple(NodeStall(**_known_keys("fault_plan stall", s, NodeStall))
+                     for s in doc.get("stalls", ())),
     )
 
 

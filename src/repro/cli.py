@@ -42,7 +42,8 @@ import os
 import sys
 
 from repro.api.execute import execute
-from repro.api.registry import APPS, DSM_VARIANTS, PAPER, PRESETS, VARIANTS
+from repro.api.registry import (APPS, DSM_VARIANTS, FIGURE_VARIANTS, PAPER,
+                                PRESETS, VARIANTS)
 from repro.api.types import RunRequest, machine_from_doc
 from repro.apps.common import get_app
 
@@ -149,7 +150,7 @@ def cmd_compare(args) -> int:
                                fleet=args.fleet)
     print(f"{args.app} ({PAPER[args.app].problem_size}), "
           f"{args.nprocs} simulated processors, preset {args.preset!r}\n")
-    for variant in ("seq", "spf", "tmk", "xhpf", "pvme"):
+    for variant in FIGURE_VARIANTS:
         print(results[variant].row())
     return 0
 

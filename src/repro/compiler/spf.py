@@ -302,7 +302,7 @@ class SpfExecutable:
     def setup_space(self, space: SharedSpace) -> None:
         """SPF's allocation policy: everything shared, page padded."""
         for decl in self.program.arrays:
-            space.alloc(decl.name, decl.shape, decl.dtype, pad_to_page=True)
+            space.alloc(decl.name, decl.shape, decl.dtype)
         if not self.options.tree_reductions:
             for name in self.reductions:
                 space.alloc(REDUCTION_PREFIX + name, (1,), np.float64)

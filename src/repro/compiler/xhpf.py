@@ -393,8 +393,7 @@ class XhpfExecutable:
     def run_on(self, env: ProcEnv):
         """One processor's program: a generator of block requests whose
         return value is the scalar dict."""
-        comm = Comm(env, category="data",
-                    packet_bytes=env.model.mp_packet_bytes)
+        comm = Comm(env, packet_bytes=env.model.mp_packet_bytes)
         views = {a.name: np.zeros(a.shape, dtype=a.dtype)
                  for a in self.program.arrays}
         scalars: dict = {}

@@ -33,13 +33,11 @@ from typing import Optional, Sequence, Union
 from repro.api.registry import DSM_VARIANTS as _DSM_VARIANTS
 from repro.api.types import RunRequest, RunResult, fault_plan_to_doc
 from repro.apps.common import signatures_close
+from repro.eval.constants import APPS, VARIANT_NAMES
 from repro.eval.parallel import run_requests
 from repro.sim.faults import FaultPlan
 
-__all__ = ["ChaosCell", "ChaosReport", "chaos_sweep", "DEFAULT_VARIANTS"]
-
-#: the four variants of the paper's Figures 1/2
-DEFAULT_VARIANTS = ("spf", "tmk", "xhpf", "pvme")
+__all__ = ["ChaosCell", "ChaosReport", "chaos_sweep"]
 
 
 @dataclass
@@ -180,10 +178,8 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
     ``RunResult.array_hashes``.  A run that fails is recorded on
     ``report.errors``; a failed baseline voids its pair's cells.
     """
-    from repro.eval.constants import APPS
-
     apps = list(apps) if apps else list(APPS)
-    variants = list(variants) if variants else list(DEFAULT_VARIANTS)
+    variants = list(variants or VARIANT_NAMES)
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
         raise ValueError("chaos sweep needs at least one fault seed")

@@ -24,7 +24,8 @@ __all__ = ["PAPER", "PaperNumbers", "APPS", "REGULAR_APPS", "IRREGULAR_APPS",
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
 REGULAR_APPS = ["jacobi", "shallow", "mgs", "fft3d"]
 IRREGULAR_APPS = ["igrid", "nbf"]
-VARIANT_NAMES = ["spf", "tmk", "xhpf", "pvme"]
+#: the four bars of the paper's Figures 1/2, in its order
+VARIANT_NAMES = ("spf", "tmk", "xhpf", "pvme")
 
 
 @dataclass(frozen=True)

@@ -98,30 +98,27 @@ class _Carrier:
 class Comm:
     """A processor's handle to the message-passing library."""
 
-    def __init__(self, env: ProcEnv, category: str = "data",
-                 packet_bytes: Optional[int] = None):
+    def __init__(self, env: ProcEnv, packet_bytes: Optional[int] = None):
         self.env = env
         self.proc = env.proc
         self.rank = env.pid
         self.size = env.nprocs
         self.net = env.net
-        self.category = category
         self.packet_bytes = packet_bytes
         self._seq = 0
 
     # ------------------------------------------------------------------ #
 
     def send_gen(self, dst: int, payload: Any, tag: int = 0,
-                 nbytes: Optional[int] = None,
-                 category: Optional[str] = None):
+                 nbytes: Optional[int] = None, category: str = "data"):
         """Buffered asynchronous send."""
         size = payload_nbytes(payload) if nbytes is None else nbytes
-        cat = category or self.category
         total = packet_count(size, self.packet_bytes)
         if total > 1:
-            return self._send_segmented(dst, payload, tag, size, cat, total)
+            return self._send_segmented(dst, payload, tag, size, category,
+                                        total)
         return self.net.send_gen(self.rank, dst, payload, tag=tag,
-                                 nbytes=size, category=cat)
+                                 nbytes=size, category=category)
 
     def _send_segmented(self, dst: int, payload: Any, tag: int, size: int,
                         cat: str, total: int):

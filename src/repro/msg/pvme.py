@@ -33,7 +33,7 @@ class Pvme:
     def __init__(self, env: ProcEnv):
         self.env = env
         self.proc = env.proc
-        self.comm = Comm(env, category="data", packet_bytes=None)
+        self.comm = Comm(env)
         self.tid = env.pid
         self.ntasks = env.nprocs
 

@@ -12,12 +12,16 @@ network consults on every wire transmission to
 
 * **drop** the copy (it never arrives),
 * **duplicate** it (a second copy arrives slightly later),
-* **delay** it (extra in-flight time, up to :attr:`FaultPlan.delay_max`),
-* **reorder** it (a large extra delay — enough to land after messages
-  sent later on the same pair), and
-* **stall or slow individual nodes** (an explicit fault-*schedule*:
-  deliveries touching a stalled node's interface are deferred to the end
-  of the stall window; a slow node adds a fixed delay to every message).
+* **delay** it (extra in-flight time, up to :data:`DELAY_BOUND_S`),
+* **reorder** it (a large extra delay, scaled by :data:`REORDER_LAG_S` —
+  enough to land after messages sent later on the same pair), and
+* **stall individual nodes** (an explicit fault-*schedule*: deliveries
+  touching a stalled node's interface are deferred to the end of the
+  stall window).
+
+A :class:`FaultPlan` is exactly what ``python -m repro chaos`` varies —
+a seed, the four rates and the stall schedule; the delay bounds are
+fixed module constants and every transmission draws from the same rates.
 
 Everything is driven by one seeded ``random.Random`` — **no global
 ``random`` at simulation time** — so a run is a pure function of
@@ -33,11 +37,16 @@ this module only decides what the wire does to each copy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from dataclasses import dataclass, replace
 
 __all__ = ["FaultRates", "NodeStall", "FaultPlan", "FaultStats",
-           "FaultInjector"]
+           "FaultInjector", "DELAY_BOUND_S", "REORDER_LAG_S"]
+
+#: uniform extra in-flight time bound of a delayed copy (s); an injected
+#: duplicate lags its original by a quarter to all of it
+DELAY_BOUND_S = 4e-4
+#: reordering delay scale (s): a reordered copy lags 0.5-1.5x this
+REORDER_LAG_S = 2e-3
 
 
 @dataclass(frozen=True)
@@ -75,29 +84,17 @@ DEFAULT_RATES = FaultRates(drop=0.02, dup=0.02, reorder=0.05, delay=0.05)
 class FaultPlan:
     """Everything the injector needs, in one immutable, seedable object.
 
-    ``rates`` applies to every message; ``overrides`` maps an accounting
-    *category* (``"sync"``, ``"diff_rep"``, ...) to different rates —
-    e.g. a plan that only ever drops bulk data.  ``stalls`` is the
-    explicit fault schedule.  ``reliable=False`` exposes the raw faulty
-    wire (for tests that demonstrate why recovery is needed).
+    ``rates`` applies to every transmission (data, acks and
+    retransmissions alike); ``stalls`` is the explicit fault schedule.
+    Attaching a plan always arms the network's recovery sublayer.
     """
 
     seed: int = 0
     rates: FaultRates = DEFAULT_RATES
-    overrides: Mapping[str, FaultRates] = field(default_factory=dict)
-    delay_max: float = 4e-4          # uniform extra in-flight time bound (s)
-    reorder_lag: float = 2e-3        # reordering delay scale (s)
     stalls: tuple = ()               # NodeStall entries
-    slow_nodes: Mapping[int, float] = field(default_factory=dict)
-    reliable: bool = True            # arm the ack/retransmit sublayer
-    rto: Optional[float] = None      # retransmit slack; None = derived
-    max_attempts: int = 12           # transmissions per message before giving up
 
     def with_seed(self, seed: int) -> "FaultPlan":
         return replace(self, seed=seed)
-
-    def rates_for(self, category: str) -> FaultRates:
-        return self.overrides.get(category, self.rates)
 
     @classmethod
     def default(cls, seed: int = 0) -> "FaultPlan":
@@ -115,7 +112,6 @@ class FaultStats:
     delays: int = 0
     reorders: int = 0
     stall_deferrals: int = 0
-    slow_deferrals: int = 0
     ack_drops: int = 0
     ack_delays: int = 0
 
@@ -148,24 +144,24 @@ class FaultInjector:
 
     # ------------------------------------------------------------------ #
 
-    def draw(self, category: str) -> Verdict:
+    def draw(self) -> Verdict:
         """Decide drop/dup/extra-delay for one transmission.
 
         The draw order is fixed (drop, dup, delay, amount, reorder,
         amount) so a plan replays identically whenever the network's
         transmission sequence is identical.
         """
-        rates = self.plan.rates_for(category)
+        rates = self.plan.rates
         rng = self.rng
         drop = rng.random() < rates.drop
         dup = rng.random() < rates.dup
         delay = 0.0
         if rng.random() < rates.delay:
-            delay += rng.random() * self.plan.delay_max
+            delay += rng.random() * DELAY_BOUND_S
             self.stats.delays += 1
         if rng.random() < rates.reorder:
             # enough lag to land behind several later sends on the pair
-            delay += self.plan.reorder_lag * (0.5 + rng.random())
+            delay += REORDER_LAG_S * (0.5 + rng.random())
             self.stats.reorders += 1
         if drop:
             self.stats.drops += 1
@@ -174,8 +170,8 @@ class FaultInjector:
         return Verdict(drop=drop, dup=dup, delay=delay)
 
     def draw_ack(self) -> Verdict:
-        """Acks ride the same faulty wire (category ``"ack"``)."""
-        verdict = self.draw("ack")
+        """Acks ride the same faulty wire, counted apart from data."""
+        verdict = self.draw()
         if verdict.drop:
             self.stats.ack_drops += 1
             self.stats.drops -= 1       # counted separately
@@ -185,18 +181,11 @@ class FaultInjector:
 
     def dup_lag(self) -> float:
         """Extra in-flight time of an injected duplicate copy."""
-        return self.plan.delay_max * (0.25 + 0.75 * self.rng.random())
+        return DELAY_BOUND_S * (0.25 + 0.75 * self.rng.random())
 
     def defer(self, src: int, dst: int, t: float) -> float:
         """Apply the fault *schedule* to an arrival time: stalled-node
-        windows push the arrival to the window end; slow nodes add their
-        fixed per-message penalty."""
-        slow = self.plan.slow_nodes
-        if slow:
-            extra = slow.get(src, 0.0) + slow.get(dst, 0.0)
-            if extra:
-                t += extra
-                self.stats.slow_deferrals += 1
+        windows push the arrival to the window end."""
         for stall in self._stalls:
             if (src == stall.node or dst == stall.node) \
                     and stall.at <= t < stall.end:

@@ -27,8 +27,8 @@ By default the wire is perfect, matching the paper's SP/2 switch.  When the
 :class:`Network` is built with a :class:`~repro.sim.faults.FaultPlan`, every
 wire transmission first passes through the seeded
 :class:`~repro.sim.faults.FaultInjector`, which may drop, duplicate, delay,
-or reorder it, or defer it through a node-stall window.  A plan with
-``reliable=True`` (the default) also arms the recovery sublayer:
+or reorder it, or defer it through a node-stall window, and the recovery
+sublayer is always armed:
 
 * each ``(src, dst)`` pair numbers its messages with consecutive **sequence
   numbers**;
@@ -39,8 +39,8 @@ or reorder it, or defer it through a node-stall window.  A plan with
   answered with a **cumulative ack** ("everything below ``n`` received");
 * the sender keeps unacked messages and re-transmits on a timeout of
   *expected remaining flight time* plus an exponentially backed-off slack
-  (``rto_slack · 2^(attempt-1)``), giving up with a :class:`SimError` after
-  ``max_attempts`` transmissions.
+  (``4 · latency · 2^(attempt-1)``), giving up with a :class:`SimError`
+  after :data:`MAX_TRANSMISSIONS` transmissions.
 
 Acks and retransmissions are engine-level control events
 (:meth:`Simulator.schedule_call` callbacks, no process context): they consume
@@ -62,10 +62,15 @@ from repro.sim.engine import HOLD, PARK, Process, SimError, Simulator
 from repro.sim.faults import FaultInjector, FaultPlan, FaultStats
 from repro.sim.machine import MachineModel
 
-__all__ = ["Network", "Message", "NetworkStats", "ANY_SOURCE", "ANY_TAG"]
+__all__ = ["Network", "Message", "NetworkStats", "ANY_SOURCE", "ANY_TAG",
+           "MAX_TRANSMISSIONS"]
 
 ANY_SOURCE = -1
 ANY_TAG = -1
+
+#: transmissions of one message before reliable delivery gives up (with
+#: the 4-latency slack doubling each time: about 2.5 virtual s on the SP/2)
+MAX_TRANSMISSIONS = 12
 
 
 @dataclass
@@ -187,9 +192,7 @@ class Network:
             defaultdict(_PairSend)
         self._pair_recv: dict[tuple[int, int], _PairRecv] = \
             defaultdict(_PairRecv)
-        if faults is not None:
-            self._rto_slack = (faults.rto if faults.rto is not None
-                               else 4.0 * model.latency)
+        self._rto_slack = 4.0 * model.latency
         sim.diagnostics.append(self._deadlock_report)
 
     @property
@@ -242,11 +245,10 @@ class Network:
         if self._injector is None:
             self.sim.schedule_call(arrival - now, lambda: self._deliver(msg))
             return
-        if self.plan.reliable:
-            ps = self._pair_send[(src, dst)]
-            msg.seq = ps.next_seq
-            ps.next_seq += 1
-            ps.unacked[msg.seq] = msg
+        ps = self._pair_send[(src, dst)]
+        msg.seq = ps.next_seq
+        ps.next_seq += 1
+        ps.unacked[msg.seq] = msg
         self._transmit(msg, arrival, attempt=1)
 
     # ------------------------------------------------------------------ #
@@ -255,7 +257,7 @@ class Network:
     def _transmit(self, msg: Message, arrival: float, attempt: int) -> None:
         """Put one copy of ``msg`` on the faulty wire."""
         inj = self._injector
-        verdict = inj.draw(msg.category)
+        verdict = inj.draw()
         now = self.sim.now
         # the copy's expected arrival after injected delay and the fault
         # schedule; used for the retransmit timer even when the copy drops
@@ -265,17 +267,12 @@ class Network:
         if verdict.dup:
             dup_at = inj.defer(msg.src, msg.dst, expected + inj.dup_lag())
             self.sim.schedule_call(dup_at - now, lambda: self._arrive(msg))
-        if self.plan.reliable:
-            slack = self._rto_slack * (2.0 ** (attempt - 1))
-            self.sim.schedule_call(
-                (expected - now) + slack,
-                lambda: self._check_ack(msg, attempt))
+        slack = self._rto_slack * (2.0 ** (attempt - 1))
+        self.sim.schedule_call(
+            (expected - now) + slack, lambda: self._check_ack(msg, attempt))
 
     def _arrive(self, msg: Message) -> None:
         """One copy reached ``msg.dst``'s interface."""
-        if not self.plan.reliable:
-            self._deliver(msg)
-            return
         pair = (msg.src, msg.dst)
         pr = self._pair_recv[pair]
         if msg.seq < pr.expected or msg.seq in pr.buffer:
@@ -312,7 +309,7 @@ class Network:
         ps = self._pair_send[(msg.src, msg.dst)]
         if msg.seq not in ps.unacked:
             return
-        if attempt >= self.plan.max_attempts:
+        if attempt >= MAX_TRANSMISSIONS:
             raise SimError(
                 f"reliable delivery gave up: {msg.category!r} message "
                 f"{msg.src}->{msg.dst} seq={msg.seq} still unacked after "

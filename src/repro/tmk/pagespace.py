@@ -253,28 +253,24 @@ def region_nbytes(region, shape: tuple, itemsize: int) -> int:
 class SharedSpace:
     """Static allocator for the global shared address space.
 
-    Allocations are page-aligned (the SPF compiler "pads shared arrays to
-    page boundaries in order to reduce false sharing"; hand-coded TreadMarks
-    programs get page-aligned allocations from ``Tmk_malloc`` as well).
-    Optionally, ``pad_to_page=False`` packs allocations back-to-back to let
-    experiments *induce* false sharing deliberately.
+    Every allocation starts on a page boundary (the SPF compiler "pads
+    shared arrays to page boundaries in order to reduce false sharing";
+    hand-coded TreadMarks programs get page-aligned allocations from
+    ``Tmk_malloc`` as well), so two arrays never share a page.
     """
 
     def __init__(self):
         self._cursor = 0
         self.arrays: dict[str, ArrayHandle] = {}
 
-    def alloc(self, name: str, shape, dtype, pad_to_page: bool = True) -> ArrayHandle:
+    def alloc(self, name: str, shape, dtype) -> ArrayHandle:
         if name in self.arrays:
             raise ValueError(f"shared array {name!r} already allocated")
         dtype = np.dtype(dtype)
         shape = tuple(int(s) for s in (shape if isinstance(shape, (tuple, list)) else (shape,)))
         if any(s <= 0 for s in shape):
             raise ValueError(f"bad shape {shape}")
-        if pad_to_page:
-            self._cursor = _round_up(self._cursor, PAGE_SIZE)
-        else:
-            self._cursor = _round_up(self._cursor, dtype.itemsize)
+        self._cursor = _round_up(self._cursor, PAGE_SIZE)
         handle = ArrayHandle(name=name, offset=self._cursor, shape=shape,
                              dtype=dtype)
         self._cursor += handle.nbytes

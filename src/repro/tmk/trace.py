@@ -48,15 +48,10 @@ class TraceEvent:
 class ProtocolTrace:
     """An append-only event log with simple queries."""
 
-    def __init__(self, capacity: Optional[int] = None):
+    def __init__(self):
         self.events: list[TraceEvent] = []
-        self.capacity = capacity
-        self.dropped = 0
 
     def record(self, event: TraceEvent) -> None:
-        if self.capacity is not None and len(self.events) >= self.capacity:
-            self.dropped += 1
-            return
         self.events.append(event)
 
     # ------------------------------------------------------------------ #
@@ -90,7 +85,7 @@ class ProtocolTrace:
         return len(self.events)
 
 
-def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
+def attach_tracer(world) -> ProtocolTrace:
     """Instrument a TmkWorld's nodes with a shared tracer.
 
     Must be called before the cluster runs (``tmk_run(trace=True)`` does
@@ -103,7 +98,7 @@ def attach_tracer(world, capacity: Optional[int] = None) -> ProtocolTrace:
     from repro.tmk import protocol as proto
     from repro.tmk import sync as _sync
 
-    trace = ProtocolTrace(capacity)
+    trace = ProtocolTrace()
     world.trace = trace
 
     class _TracingNode(proto.TmkNode):

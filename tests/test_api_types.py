@@ -150,9 +150,38 @@ def test_machine_and_fault_plan_docs_invert():
     assert fault_plan_to_doc(None) is None
     plan = FaultPlan.default(seed=3)
     back = fault_plan_from_doc(fault_plan_to_doc(plan))
-    assert back.seed == 3
-    assert back.rates == plan.rates
-    assert back.stalls == plan.stalls
+    assert back == plan
+
+
+#: every key the plan doc took before a FaultPlan became a seed, four
+#: rates and a stall schedule, each with a value it once accepted
+RETIRED_PLAN_KEYS = {
+    "overrides": {"sync": {"drop": 1.0}}, "delay_max": 1e-3,
+    "reorder_lag": 1e-2, "slow_nodes": {"1": 0.01}, "reliable": False,
+    "rto": 1e-3, "max_attempts": 3,
+}
+
+
+@pytest.mark.parametrize("doc, key", [
+    *(({name: value}, name) for name, value in RETIRED_PLAN_KEYS.items()),
+    ({"sed": 3}, "sed"),
+    ({"rates": {"drop": 0.1, "dorp": 0.1}}, "dorp"),
+    ({"stalls": [{"node": 1, "at": 0.0, "duration": 0.1, "nodes": 2}]},
+     "nodes"),
+], ids=[*RETIRED_PLAN_KEYS, "misspelled-seed", "misspelled-rate",
+        "misspelled-stall"])
+def test_fault_plan_doc_refuses_unknown_keys(doc, key):
+    """Any key but a seed, four rates and a stall schedule -- each retired
+    setting, or a typo that once ran with the default -- is refused by
+    name, and a run carrying it fails as a ValueError."""
+    with pytest.raises(ValueError, match=repr(key)):
+        fault_plan_from_doc(doc)
+    request = RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                         seq_time=1.0, fault_plan={"seed": 1, **doc})
+    [(_index, result)] = InProcess().stream([request])
+    assert not result.ok
+    assert result.error_kind == "ValueError"
+    assert repr(key) in result.error
 
 
 def test_registry_is_consistent():

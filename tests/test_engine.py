@@ -348,12 +348,14 @@ def test_callback_exception_on_a_process_thread_reaches_run_as_itself():
 
 def test_reliable_delivery_give_up_is_a_simerror_from_a_process_thread():
     from repro.sim import FaultRates
-    plan = FaultPlan(rates=FaultRates(drop=1.0), max_attempts=3)
+    plan = FaultPlan(rates=FaultRates(drop=1.0))
 
     def prog(env):
         if env.pid == 0:
             env.net.send(env.proc, 0, 1, "x", nbytes=8)
-            env.proc.hold(10.0)      # cpu0's thread pops the give-up timer
+            # cpu0's thread pops the give-up timer: 12 transmissions with
+            # a 600 us slack doubling each time end after about 2.5 s
+            env.proc.hold(10.0)
         else:
             env.net.recv(env.proc, 1, src=0)
 

@@ -19,13 +19,6 @@ def test_alloc_page_aligned():
     assert space.npages == 2
 
 
-def test_alloc_unpadded_packs():
-    space = SharedSpace()
-    space.alloc("a", (10,), np.float32)
-    b = space.alloc("b", (10,), np.float32, pad_to_page=False)
-    assert b.offset == 40                  # right after a
-
-
 def test_duplicate_name_rejected():
     space = SharedSpace()
     space.alloc("a", (4,), np.float32)

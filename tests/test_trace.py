@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.tmk.api import tmk_run
-from repro.tmk.trace import ProtocolTrace, TraceEvent
+from repro.tmk.trace import TraceEvent
 
 
 def setup(space):
@@ -58,13 +58,6 @@ def test_trace_event_str():
     ev = TraceEvent(0.001, 2, "fetch", 5, {"writers": [0]})
     s = str(ev)
     assert "p2" in s and "fetch" in s and "page=5" in s
-
-
-def test_trace_capacity_bound():
-    trace = ProtocolTrace(capacity=2)
-    for i in range(5):
-        trace.record(TraceEvent(0.0, 0, "fault", i))
-    assert len(trace) == 2 and trace.dropped == 3
 
 
 def test_untraced_run_has_no_overhead_hooks():
