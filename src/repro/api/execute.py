@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from repro.api import registry
-from repro.api.types import (RunRequest, RunResult, _replace,
+from repro.api.types import (RunRequest, RunResult, _known_keys, _replace,
                              failure_result, fault_plan_from_doc,
                              machine_from_doc)
 
@@ -119,6 +119,8 @@ def _validate(request: RunRequest) -> None:
             raise ValueError(
                 "options cannot set improved_interface: the variant picks "
                 "the fork-join interface (spf improved, spf_old original)")
+        from repro.compiler.spf import SpfOptions
+        _known_keys("options", request.options, SpfOptions)
 
 
 def _spf_options(spec, request: RunRequest):
@@ -389,7 +391,7 @@ class InProcess:
     given, behind the ``workers``/``stream``/``stats`` surface the wire
     layer serves and :func:`repro.eval.parallel.run_requests` drives.
 
-    It is both the ``jobs <= 1`` tier of every harness and the whole of
+    It is both the ``service=None`` tier of every harness and the whole of
     a :mod:`repro.serve` pool worker (``worker`` is then its id, stamped
     on each result).  ``runner(request_doc, cache) -> result_doc`` is
     what runs a request; an exception it raises becomes a structured

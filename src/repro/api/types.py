@@ -30,7 +30,7 @@ them.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from typing import Mapping, Optional
 
 __all__ = ["RUN_SCHEMA", "RunRequest", "RunResult", "BatchResult",
@@ -84,13 +84,18 @@ def fault_plan_to_doc(plan) -> Optional[dict]:
 
 
 def _known_keys(what: str, doc: Mapping, cls) -> dict:
-    """``doc`` as a dict, refusing any key that is not a field of ``cls``."""
+    """``doc`` as a dict, refusing any key that is not a field of ``cls``
+    and any missing field that has no default."""
     doc = dict(doc)
     known = [f.name for f in fields(cls)]
     unknown = sorted(set(doc) - set(known))
     if unknown:
         raise ValueError(f"{what} takes no key {', '.join(map(repr, unknown))}"
                          f" (it takes {', '.join(known)})")
+    missing = [f.name for f in fields(cls) if f.name not in doc
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"{what} needs key {', '.join(map(repr, missing))}")
     return doc
 
 
@@ -98,8 +103,10 @@ def fault_plan_from_doc(doc: Optional[Mapping]):
     """Plain dict -> ``FaultPlan`` (None and FaultPlan pass through).
 
     The doc takes exactly ``seed``, ``rates`` and ``stalls`` (any may be
-    left out), with the fields of ``FaultRates`` and ``NodeStall`` inside
-    them; any other key raises ``ValueError`` naming it.
+    left out), with the fields of ``FaultRates`` (each defaults to 0) and
+    ``NodeStall`` (all three required) inside them; any other key or a
+    missing stall field raises ``ValueError`` naming it, and so does a
+    value ``FaultRates``/``NodeStall`` refuse.
     """
     if doc is None:
         return None

@@ -15,9 +15,11 @@ Commands
 ``list``                 list applications, variants and presets
 
 Every command that runs programs goes through the unified
-:mod:`repro.api` — it builds :class:`~repro.api.RunRequest` values and
-executes them in-process or through the :mod:`repro.serve` pool; the
-app/variant argument choices come from :mod:`repro.api.registry`.
+:mod:`repro.api` — it builds :class:`~repro.api.RunRequest` values; the
+app/variant argument choices come from :mod:`repro.api.registry`.  A
+command that takes ``--jobs``/``--fleet`` gets its tier as
+``args.service``, opened once in :func:`main` and handed to the
+:mod:`repro.eval` harness.
 
 Examples::
 
@@ -37,8 +39,9 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import os
+import pathlib
 import sys
 
 from repro.api.execute import execute
@@ -46,6 +49,7 @@ from repro.api.registry import (APPS, DSM_VARIANTS, FIGURE_VARIANTS, PAPER,
                                 PRESETS, VARIANTS)
 from repro.api.types import RunRequest, machine_from_doc
 from repro.apps.common import get_app
+from repro.sim.faults import DEFAULT_RATES
 
 __all__ = ["main"]
 
@@ -66,8 +70,44 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fleet", action="append", default=None,
                         metavar="HOST:PORT", dest="fleet",
                         help="retire runs across remote `repro serve "
-                             "--tcp` hosts (repeat per host); results "
-                             "stay bit-identical to the serial loop")
+                             "--port PORT` hosts (repeat per host); "
+                             "results stay bit-identical to the serial loop")
+
+
+def _service_for(jobs: int, fleet):
+    """The tier ``--jobs``/``--fleet`` pick, as a context that closes it;
+    ``jobs <= 1`` gives ``None``, which every harness runs in-process."""
+    if fleet:
+        from repro.serve import FleetService
+        return FleetService(fleet)
+    if jobs > 1:
+        from repro.serve import RunService
+        return RunService(workers=jobs)
+    return contextlib.nullcontext()
+
+
+def _add_report(parser: argparse.ArgumentParser, what: str,
+                unit: str = "") -> None:
+    parser.add_argument("--out", default=None,
+                        help=f"write the {what} as JSON to this path")
+    if unit:
+        parser.add_argument("--quiet", action="store_true",
+                            help=f"suppress per-{unit} progress on stderr")
+
+
+def _add_listen(parser: argparse.ArgumentParser, bind: str) -> None:
+    parser.add_argument("--port", type=int, default=None,
+                        help="listen on this TCP port (0 = ephemeral); "
+                             "default: speak the protocol over stdio")
+    parser.add_argument(bind, default="127.0.0.1",
+                        help="bind address for --port (default 127.0.0.1)")
+
+
+def _add_machine(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--machine", nargs="*", default=None,
+                        metavar="KEY=VALUE",
+                        help="override SP2 machine parameters, e.g. "
+                             "latency=5e-5 byte_time=4e-8")
 
 
 def _progress(args):
@@ -75,12 +115,16 @@ def _progress(args):
     return None if args.quiet else lambda m: print(m, file=sys.stderr)
 
 
-def _write_json(doc, path: str) -> None:
-    """Write a command's result document to ``--out`` and say where."""
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-    print(f"results -> {path}")
+def _finish(args, text: str, doc, ok: bool = True) -> int:
+    """A reporting command's last step: print its report, write its
+    document to ``--out`` (and say where), exit 0 if it passed, else 1."""
+    print(text)
+    if args.out:
+        out = pathlib.Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(json.dumps(doc, indent=2, sort_keys=True))
+        print(f"results -> {args.out}")
+    return 0 if ok else 1
 
 
 def _parse_machine(pairs):
@@ -146,8 +190,7 @@ def cmd_compare(args) -> int:
     from repro.eval.reproduce import run_all_variants
 
     results = run_all_variants(args.app, nprocs=args.nprocs,
-                               preset=args.preset, jobs=args.jobs,
-                               fleet=args.fleet)
+                               preset=args.preset, service=args.service)
     print(f"{args.app} ({PAPER[args.app].problem_size}), "
           f"{args.nprocs} simulated processors, preset {args.preset!r}\n")
     for variant in FIGURE_VARIANTS:
@@ -159,7 +202,7 @@ def cmd_reproduce(args) -> int:
     from repro.eval.reproduce import RESULTS_DIR, format_report, reproduce
 
     results_dir = args.results_dir or RESULTS_DIR
-    doc = reproduce(preset=args.preset, jobs=args.jobs, fleet=args.fleet,
+    doc = reproduce(preset=args.preset, service=args.service,
                     results_dir=results_dir,
                     progress=lambda m: print(m, file=sys.stderr))
     print(format_report(doc))
@@ -173,12 +216,8 @@ def cmd_sweep(args) -> int:
     doc = run_sweep(apps=args.apps or None, variants=args.variants or None,
                     nodes=tuple(args.nodes), preset=args.preset,
                     machine=machine_from_doc(_parse_machine(args.machine)),
-                    jobs=args.jobs, fleet=args.fleet,
-                    progress=_progress(args))
-    print(format_sweep_tables(doc))
-    if args.out:
-        _write_json(doc, args.out)
-    return 0
+                    service=args.service, progress=_progress(args))
+    return _finish(args, format_sweep_tables(doc), doc)
 
 
 def cmd_explain(args) -> int:
@@ -208,45 +247,40 @@ def cmd_racecheck(args) -> int:
     if args.cross_check:
         report = cross_check_app(args.app, seeds=args.seeds,
                                  nprocs=args.nprocs, preset=args.preset,
-                                 mutations=args.mutations)
-        print(report.format())
-        if args.out:
-            _write_json(report.as_doc(), args.out)
-        return 0 if report.ok else 1
+                                 mutations=args.mutations,
+                                 service=args.service)
+        return _finish(args, report.format(), report.as_doc(), report.ok)
 
     report = racecheck_app(args.app, args.variant, seeds=args.seeds,
                            nprocs=args.nprocs, preset=args.preset,
-                           jobs=args.jobs, fleet=args.fleet)
+                           service=args.service)
     lookup = None
     if args.variant.startswith("spf"):
         spec = get_app(args.app)
         lookup = source_lookup(spec.build_program(spec.params(args.preset)),
                                nprocs=args.nprocs)
-    print(report.format(lookup))
-    return 0 if report.ok else 1
+    return _finish(args, report.format(lookup), None, report.ok)
 
 
 def cmd_chaos(args) -> int:
+    from dataclasses import replace
+
     from repro.eval.chaos import chaos_sweep
-    from repro.sim.faults import FaultPlan, FaultRates
+    from repro.sim.faults import FaultPlan
 
     plan = FaultPlan.default()
-    rates = FaultRates(
-        drop=plan.rates.drop if args.drop is None else args.drop,
-        dup=plan.rates.dup if args.dup is None else args.dup,
-        reorder=plan.rates.reorder if args.reorder is None else args.reorder,
-        delay=plan.rates.delay if args.delay is None else args.delay)
-    from dataclasses import replace
-    plan = replace(plan, rates=rates,
-                   stalls=() if args.no_stall else plan.stalls)
+    chosen = {name: getattr(args, name) for name in vars(plan.rates)
+              if getattr(args, name) is not None}
+    try:
+        plan = replace(plan, rates=replace(plan.rates, **chosen),
+                       stalls=() if args.no_stall else plan.stalls)
+    except ValueError as exc:
+        raise SystemExit(f"bad fault rate: {exc}")
     report = chaos_sweep(apps=args.apps, variants=args.variants,
                          seeds=args.seeds, nprocs=args.nprocs,
-                         preset=args.preset, plan=plan, jobs=args.jobs,
-                         fleet=args.fleet, progress=_progress(args))
-    print(report.format())
-    if args.out:
-        _write_json(report.as_doc(), args.out)
-    return 0 if report.ok else 1
+                         preset=args.preset, plan=plan,
+                         service=args.service, progress=_progress(args))
+    return _finish(args, report.format(), report.as_doc(), report.ok)
 
 
 def cmd_lint(args) -> int:
@@ -277,14 +311,11 @@ def cmd_lint(args) -> int:
                             traffic=not args.no_traffic,
                             suppress=tuple(args.suppress),
                             progress=_progress(args))
-    print(summary.format(verbose=args.verbose or not summary.ok))
-    if args.out:
-        _write_json(summary.as_doc(), args.out)
-    if not summary.ok:
-        return 1
-    if args.strict and any(a.report.warnings for a in summary.apps):
-        return 1
-    return 0
+    strict_fail = args.strict and any(a.report.warnings
+                                      for a in summary.apps)
+    return _finish(args, summary.format(verbose=args.verbose
+                                        or not summary.ok),
+                   summary.as_doc(), summary.ok and not strict_fail)
 
 
 def _speak(name: str, service, bind: str, port, detail: str) -> None:
@@ -382,9 +413,7 @@ def main(argv=None) -> int:
                    help="sim: event simulation (default); model: analytic "
                         "prediction from repro.compiler.model, flagged "
                         "[model] in the output")
-    p.add_argument("--machine", nargs="*", default=None, metavar="KEY=VALUE",
-                   help="override SP2 machine parameters, e.g. "
-                        "latency=5e-5 byte_time=4e-8")
+    _add_machine(p)
     _add_common(p)
     p.set_defaults(fn=cmd_run)
 
@@ -425,13 +454,8 @@ def main(argv=None) -> int:
                    choices=list(PRESETS),
                    help="problem size preset (default test; the model is "
                         "validated against the simulator at this size)")
-    p.add_argument("--machine", nargs="*", default=None, metavar="KEY=VALUE",
-                   help="override SP2 machine parameters (see repro.sim."
-                        "machine.MachineModel)")
-    p.add_argument("--out", default=None,
-                   help="write the sweep document as JSON to this path")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-point progress on stderr")
+    _add_machine(p)
+    _add_report(p, "sweep document", "point")
     _add_jobs(p)
     p.set_defaults(fn=cmd_sweep)
 
@@ -458,8 +482,7 @@ def main(argv=None) -> int:
     p.add_argument("--mutations", type=int, default=3,
                    help="seeded dependence injections for --cross-check "
                         "(default 3)")
-    p.add_argument("--out", default=None,
-                   help="with --cross-check: write the verdict JSON here")
+    _add_report(p, "cross-check verdict (needs --cross-check)")
     _add_jobs(p)
     p.set_defaults(fn=cmd_racecheck)
 
@@ -474,20 +497,14 @@ def main(argv=None) -> int:
     p.add_argument("--variants", nargs="*", default=None,
                    choices=[v for v in VARIANTS if v != "seq"],
                    help="variants to sweep (default: spf tmk xhpf pvme)")
-    p.add_argument("--drop", type=float, default=None,
-                   help="per-message drop probability (default 0.02)")
-    p.add_argument("--dup", type=float, default=None,
-                   help="per-message duplication probability (default 0.02)")
-    p.add_argument("--reorder", type=float, default=None,
-                   help="per-message reordering probability (default 0.05)")
-    p.add_argument("--delay", type=float, default=None,
-                   help="per-message extra-delay probability (default 0.05)")
+    for name, what in (("drop", "drop"), ("dup", "duplication"),
+                       ("reorder", "reordering"), ("delay", "extra-delay")):
+        p.add_argument(f"--{name}", type=float, default=None,
+                       help=f"per-message {what} probability (default "
+                            f"{getattr(DEFAULT_RATES, name)})")
     p.add_argument("--no-stall", action="store_true",
                    help="disable the default node-stall window")
-    p.add_argument("--out", default=None,
-                   help="write the sweep report as JSON to this path")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-run progress on stderr")
+    _add_report(p, "sweep report", "run")
     _add_common(p)
     _add_jobs(p)
     p.set_defaults(fn=cmd_chaos)
@@ -498,11 +515,7 @@ def main(argv=None) -> int:
              "or TCP; see docs/API.md for the protocol)")
     p.add_argument("--workers", type=int, default=4,
                    help="worker processes in the pool (default 4)")
-    p.add_argument("--port", type=int, default=None,
-                   help="listen on this TCP port (0 = ephemeral); "
-                        "default: speak the protocol over stdio")
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address for --port (default 127.0.0.1)")
+    _add_listen(p, "--host")
     p.add_argument("--runner", default=None,
                    help=argparse.SUPPRESS)   # test hook: module:attr path
     p.add_argument("--max-backlog", type=int, default=None,
@@ -513,16 +526,12 @@ def main(argv=None) -> int:
 
     p = sub.add_parser(
         "fleet",
-        help="front N remote `repro serve --tcp` hosts behind one "
+        help="front N remote `repro serve --port PORT` hosts behind one "
              "service (same wire protocol; failover with requeue)")
     p.add_argument("--host", action="append", required=True,
                    metavar="HOST:PORT",
                    help="a remote serve endpoint (repeat per host)")
-    p.add_argument("--port", type=int, default=None,
-                   help="listen on this TCP port (0 = ephemeral); "
-                        "default: speak the protocol over stdio")
-    p.add_argument("--bind", default="127.0.0.1",
-                   help="bind address for --port (default 127.0.0.1)")
+    _add_listen(p, "--bind")
     p.add_argument("--retries", type=int, default=None,
                    help="connect/send retries before a host is declared "
                         "lost (default 3)")
@@ -556,10 +565,7 @@ def main(argv=None) -> int:
                    help="dump the symbolic dependence evidence for one "
                         "loop family of APP (pass '' for every family); "
                         "see docs/DEPEND.md")
-    p.add_argument("--quiet", action="store_true",
-                   help="suppress per-app progress on stderr")
-    p.add_argument("--out", default=None,
-                   help="write the lint report as JSON to this path")
+    _add_report(p, "lint report", "app")
     _add_common(p, "test", "; the rules are size-independent, only the "
                            "false-sharing geometry changes")
     p.set_defaults(fn=cmd_lint)
@@ -568,7 +574,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_list)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    if args.command == "racecheck" and args.out and not args.cross_check:
+        parser.error("racecheck --out writes the --cross-check verdict; "
+                     "add --cross-check or drop --out")
+    with _service_for(getattr(args, "jobs", 1),
+                      getattr(args, "fleet", None)) as args.service:
+        return args.fn(args)
 
 
 if __name__ == "__main__":

@@ -161,9 +161,7 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
                 seeds: Union[int, Sequence[int]] = 3,
                 nprocs: int = 8, preset: str = "bench",
                 plan: Optional[FaultPlan] = None,
-                jobs: int = 1, service=None,
-                fleet: Optional[list] = None,
-                progress=None) -> ChaosReport:
+                service=None, progress=None) -> ChaosReport:
     """Sweep fault seeds over app×variant pairs and judge the numerics.
 
     ``seeds`` is a count (seeds ``0..K-1``) or an explicit sequence.
@@ -172,8 +170,8 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
 
     Every pair's fault-free baseline and every (pair, seed) cell is one
     independent request in a single batch through
-    :func:`~repro.eval.parallel.run_requests` (``jobs``/``service``/
-    ``fleet`` pick the tier there; the document is the same at each).
+    :func:`~repro.eval.parallel.run_requests` on ``service`` (the
+    document is the same on every tier).
     DSM requests set ``readback`` so the coherent array hashes travel on
     ``RunResult.array_hashes``.  A run that fails is recorded on
     ``report.errors``; a failed baseline voids its pair's cells.
@@ -201,8 +199,8 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
                 labels.append((app, variant, seed))
 
     results = dict(zip(labels, run_requests(
-        requests, jobs=jobs, service=service, fleet=fleet,
-        progress=progress, describe=_describe, raise_on_error=False)))
+        requests, service, progress=progress, describe=_describe,
+        raise_on_error=False)))
 
     report = ChaosReport(
         preset=preset, nprocs=nprocs, seeds=seed_list,

@@ -123,8 +123,7 @@ def _merge_findings(report: RacecheckReport, races, seen: set) -> None:
 def racecheck_app(app: str, variant: str = "spf",
                   seeds: Union[int, Sequence] = 5,
                   nprocs: int = 8, preset: str = "test",
-                  jobs: int = 1, service=None,
-                  fleet: Optional[list] = None) -> RacecheckReport:
+                  service=None) -> RacecheckReport:
     """Race-check ``app`` under ``variant`` across ``seeds`` interleavings.
 
     ``seeds`` is a count (seeds ``0..K-1``) or an explicit sequence; a
@@ -134,9 +133,8 @@ def racecheck_app(app: str, variant: str = "spf",
     Every seed is one ``racecheck`` + ``readback`` request.  The first
     runs in this process — the sequential-oracle comparison needs array
     *contents*, which never cross the wire — and the rest go through
-    :func:`~repro.eval.parallel.run_requests` (``jobs``/``service``/
-    ``fleet`` pick the tier there), whose results carry the same array
-    hashes and race findings.
+    :func:`~repro.eval.parallel.run_requests` on ``service``, whose
+    results carry the same array hashes and race findings.
     """
     seed_list = list(range(seeds)) if isinstance(seeds, int) else list(seeds)
     if not seed_list:
@@ -148,7 +146,7 @@ def racecheck_app(app: str, variant: str = "spf",
                 for seed in seed_list]
     first, first_arrays = execute_with_arrays(requests[0])
     results = [first] + run_requests(
-        requests[1:], jobs=jobs, service=service, fleet=fleet,
+        requests[1:], service,
         describe=lambda r: (f"racecheck {r.app}/{r.variant} "
                             f"seed {r.schedule_seed}"))
 
@@ -253,13 +251,13 @@ class CrossCheckReport:
 
 def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
                     nprocs: int = 8, preset: str = "test",
-                    mutations: int = 3) -> CrossCheckReport:
+                    mutations: int = 3, service=None) -> CrossCheckReport:
     """Assert the static verdicts agree with the dynamic detector.
 
     Runs :func:`depend.analyze_program` on ``app``'s program and
-    :func:`racecheck_app` (``spf`` backend) across ``seeds``
-    interleavings, attributes every dynamic *true race* to its loop
-    family via the access source tags, and records a violation for any
+    :func:`racecheck_app` (``spf`` backend, on ``service``) across
+    ``seeds`` interleavings, attributes every dynamic *true race* to its
+    loop family via the access source tags, and records a violation for any
     PROVEN-PARALLEL family so implicated.  Then injects ``mutations``
     seeded artificial dependences (:func:`depend.inject_dependence`) and
     checks each flips its target family's verdict away from
@@ -270,7 +268,7 @@ def cross_check_app(app: str, seeds: Union[int, Sequence] = 3,
     static = depend.analyze_program(program, nprocs)
 
     dyn = racecheck_app(app, "spf", seeds=seeds, nprocs=nprocs,
-                        preset=preset)
+                        preset=preset, service=service)
     racing = sorted({depend.tag_family(src)
                      for f in dyn.true_races
                      for src in (f.source_a, f.source_b)})

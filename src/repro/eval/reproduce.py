@@ -8,7 +8,7 @@
    Figure 1 and Table 2, §5 and §7 read the same runs — plus one
    sequential oracle per (app, preset).
 2. **Run**: :func:`run_seq_first` retires the oracles, then every other
-   request with ``seq_time`` filled in, on one tier (``jobs``/``fleet``).
+   request with ``seq_time`` filled in, on one tier (``service``).
    Each distinct request runs once.
 3. **Render**: one :data:`~repro.eval.tables.RESULT_ORDER` renderer per
    archive.
@@ -28,10 +28,11 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.api.execute import InProcess
 from repro.api.registry import FIGURE_VARIANTS
 from repro.api.types import RunRequest
 from repro.eval.constants import APPS, PAPER
-from repro.eval.parallel import run_requests, service_for
+from repro.eval.parallel import run_requests
 from repro.eval.tables import (ENHANCEMENTS, HAND_OPT_APPS, INSPECTOR_APPS,
                                NPROCS, RESULT_ORDER, SCALING_COUNTS,
                                SCALING_RUNS, SENSITIVITY_MODELS,
@@ -51,27 +52,27 @@ def request_key(request: RunRequest) -> str:
     return json.dumps(request.to_json(), sort_keys=True)
 
 
-def run_seq_first(seq: list, rest: list, jobs: int = 1,
-                  fleet: Optional[list] = None, progress=None):
+def run_seq_first(seq: list, rest: list, service=None, progress=None):
     """Retire ``seq`` requests, then ``rest``, on one tier.
 
     ``rest`` holds ``(i, request)`` pairs: ``request`` runs with
     ``seq_time`` set to the measured time of ``seq[i]`` (the sequential
     oracle's time seeds every later variant's speedup).  Two batches
-    through :func:`~repro.eval.parallel.run_requests`
-    (``jobs``/``fleet``/``progress`` as there); returns
-    ``(seq results, rest results)``, each in request order.
+    through :func:`~repro.eval.parallel.run_requests` on ``service``
+    (``None``: one :class:`~repro.api.InProcess`, so both share its
+    cache); returns ``(seq results, rest results)``, each in request
+    order.
     """
-    with service_for(jobs, fleet=fleet) as svc:
-        done = run_requests(seq, service=svc, progress=progress)
-        filled = [replace(request, seq_time=done[i].time)
-                  for i, request in rest]
-        return done, run_requests(filled, service=svc, progress=progress)
+    service = service if service is not None else InProcess()
+    done = run_requests(seq, service, progress=progress)
+    filled = [replace(request, seq_time=done[i].time)
+              for i, request in rest]
+    return done, run_requests(filled, service, progress=progress)
 
 
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
-                     variants: Optional[list] = None, jobs: int = 1,
-                     fleet: Optional[list] = None) -> dict:
+                     variants: Optional[list] = None,
+                     service=None) -> dict:
     """Run ``variants`` (default: the four of Figures 1/2 plus seq) of
     ``app`` after its sequential oracle, through :func:`run_seq_first`;
     results are keyed in ``variants`` order."""
@@ -79,8 +80,7 @@ def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
     seq = RunRequest(app=app, variant="seq", nprocs=nprocs, preset=preset)
     rest = [v for v in variants if v != "seq"]
     (seq_result,), results = run_seq_first(
-        [seq], [(0, replace(seq, variant=v)) for v in rest],
-        jobs=jobs, fleet=fleet)
+        [seq], [(0, replace(seq, variant=v)) for v in rest], service)
     out = dict(zip(rest, results), seq=seq_result)
     return {v: out[v] for v in variants}
 
@@ -176,17 +176,15 @@ def _dispatch_units() -> tuple:
     return units(None), units(SpfOptions(fuse_loops=True))
 
 
-def reproduce(preset: str = "bench", jobs: int = 1,
-              fleet: Optional[list] = None, results_dir=RESULTS_DIR,
-              progress=None) -> Reproduction:
+def reproduce(preset: str = "bench", service=None,
+              results_dir=RESULTS_DIR, progress=None) -> Reproduction:
     """Plan, run, render and write the fourteen archives.
 
-    ``jobs``/``fleet``/``progress`` pick the tier and report completions
-    as in :func:`~repro.eval.parallel.run_requests`; a failed run raises.
+    ``service``/``progress`` pick the tier and report completions as in
+    :func:`run_seq_first`; a failed run raises.
     """
     seq, rest = plan(preset)
-    done, later = run_seq_first(seq, rest, jobs=jobs, fleet=fleet,
-                                progress=progress)
+    done, later = run_seq_first(seq, rest, service, progress)
     keys = map(request_key, seq + [request for _i, request in rest])
     doc = Reproduction(preset, dict(zip(keys, done + later)),
                        _table1_rows(), _dispatch_units())

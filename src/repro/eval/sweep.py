@@ -34,21 +34,18 @@ def run_sweep(apps: Optional[list] = None,
               nodes: tuple = DEFAULT_NODES,
               preset: str = "test",
               machine: Optional[MachineModel] = None,
-              jobs: int = 1,
               service=None,
-              fleet: Optional[list] = None,
               progress=None) -> dict:
     """Model every (app, variant, N) combination; returns the JSON doc.
 
-    ``jobs > 1`` (or a caller-supplied ``service``) retires the grid
-    through a :class:`~repro.serve.RunService` worker pool; ``fleet``
-    (``"HOST:PORT"`` specs) shards it across remote ``repro serve
-    --tcp`` hosts through a :class:`~repro.serve.FleetService`.  Rows
-    land in deterministic request order every way, and the document is
-    **bit-identical** to a serial run — requests carry no tag or other
-    per-submission state, so their fingerprints cannot diverge (the CI
-    parallel-sweep and fleet smokes assert this against the serial
-    golden).
+    ``service`` retires the grid (``None``: in-process; a
+    :class:`~repro.serve.RunService` pool or a
+    :class:`~repro.serve.FleetService` over ``repro serve --port PORT``
+    hosts).  Rows land in deterministic request order every way, and the
+    document is **bit-identical** to a serial run — requests carry no tag
+    or other per-submission state, so their fingerprints cannot diverge
+    (the CI parallel-sweep and fleet smokes assert this against the
+    serial golden).
 
     The document is schema-stable (``tests/test_sweep_schema.py`` pins it):
 
@@ -86,8 +83,7 @@ def run_sweep(apps: Optional[list] = None,
                 slots.append((app, variant, i))
         doc["apps"][app] = entry
     results = run_requests(
-        requests, jobs=jobs, service=service, fleet=fleet,
-        progress=progress,
+        requests, service, progress=progress,
         describe=lambda r: f"model {r.app} {r.variant} n={r.nprocs}")
     for (app, variant, i), res in zip(slots, results):
         doc["apps"][app]["variants"][variant][i] = res.fingerprint()

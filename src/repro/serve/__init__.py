@@ -13,7 +13,7 @@ see :mod:`repro.serve.wire` for the protocol).
 
 One level up, :class:`FleetService` (``python -m repro fleet``) presents
 the same surface but shards batches across several remote ``repro serve
---tcp`` hosts — see :mod:`repro.serve.fleet`.  Both are the one
+--port PORT`` hosts — see :mod:`repro.serve.fleet`.  Both are the one
 :class:`~repro.serve.service.Service` loop — oldest work first off a
 :class:`~repro.serve.scheduler.Backlog`, to targets that all speak
 ``repro-serve/1`` on a socket: pool workers on socketpairs, hosts on TCP.

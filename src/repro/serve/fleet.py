@@ -5,7 +5,7 @@ fleet tier is the next rung: the same
 :class:`~repro.serve.service.Service` loop and surface (``stream`` /
 ``run_batch`` / ``stats`` / ``counters`` / ``live_workers`` /
 ``workers`` / ``close``), but its targets are N remote ``repro serve
---tcp`` hosts on TCP sockets instead of local workers on socketpairs —
+--port PORT`` hosts on TCP sockets instead of local workers on socketpairs —
 read by that one loop, no thread per host.
 
 Placement is FIFO off the same :class:`~repro.serve.scheduler.Backlog`,
@@ -71,7 +71,7 @@ def parse_host(spec) -> Tuple[str, int]:
 
 
 class _Host(Target):
-    """One remote ``repro serve --tcp`` endpoint; on the roster for the
+    """One remote ``repro serve --port PORT`` endpoint; on the roster for the
     fleet's whole life, a live target while ``chan`` is connected."""
 
     def __init__(self, host: str, port: int):
@@ -88,7 +88,7 @@ class _Host(Target):
 
 
 class FleetService(Service):
-    """Shard batches across N remote ``repro serve --tcp`` hosts.
+    """Shard batches across N remote ``repro serve --port PORT`` hosts.
 
     ``hosts`` is a list of ``"HOST:PORT"`` specs (or pairs).  At least
     one host must be reachable at construction (each gets the full

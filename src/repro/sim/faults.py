@@ -37,7 +37,9 @@ this module only decides what the wire does to each copy.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+from repro.sim.machine import check_value
 
 __all__ = ["FaultRates", "NodeStall", "FaultPlan", "FaultStats",
            "FaultInjector", "DELAY_BOUND_S", "REORDER_LAG_S"]
@@ -58,6 +60,11 @@ class FaultRates:
     reorder: float = 0.0
     delay: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_value(f"fault rate {f.name}", getattr(self, f.name),
+                        most=1.0)
+
 
 @dataclass(frozen=True)
 class NodeStall:
@@ -68,6 +75,11 @@ class NodeStall:
     node: int
     at: float
     duration: float
+
+    def __post_init__(self):
+        check_value("stall node", self.node, integral=True)
+        check_value("stall at", self.at)
+        check_value("stall duration", self.duration)
 
     @property
     def end(self) -> float:
@@ -135,9 +147,8 @@ class FaultInjector:
     """Seeded per-run fault source; consulted by the network on every
     wire transmission (originals, retransmissions, and acks alike)."""
 
-    def __init__(self, plan: FaultPlan, nprocs: int):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.nprocs = nprocs
         self.rng = random.Random(plan.seed)
         self.stats = FaultStats()
         self._stalls = tuple(sorted(plan.stalls, key=lambda s: (s.at, s.node)))

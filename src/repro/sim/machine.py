@@ -30,10 +30,24 @@ import math
 import numbers
 from dataclasses import dataclass, fields, replace
 
-__all__ = ["MachineModel", "SP2_MODEL"]
+__all__ = ["MachineModel", "SP2_MODEL", "check_value"]
 
 PAGE_SIZE = 4096
 """Shared-memory page size in bytes (AIX used 4 KB pages)."""
+
+
+def check_value(what: str, value, integral: bool = False,
+                most: float = math.inf) -> None:
+    """Refuse a value that comes from outside the program (``--machine``,
+    a fault plan, the wire) and would run and report nonsense (negative
+    or nan time) or fail mid-simulation: it must be a finite number (an
+    integer if ``integral``) in ``[0, most]``."""
+    kind = numbers.Integral if integral else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind) \
+            or not (math.isfinite(value) and 0 <= value <= most):
+        raise ValueError(
+            f"{what} must be {'an integer' if integral else 'a number'} "
+            f"in [0, {most:g}], not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,20 +103,9 @@ class MachineModel:
     runtime.  Hand-coded PVMe sends are *not* segmented."""
 
     def __post_init__(self):
-        # overrides come from outside the program (``--machine``, the
-        # wire): a negative, non-finite or fractional one would run and
-        # report nonsense (negative or nan time) or fail mid-simulation
         for f in fields(self):
-            value = getattr(self, f.name)
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(
-                    f"machine field {f.name} must be "
-                    f"{'an integer' if f.type == 'int' else 'a number'}, "
-                    f"not {value!r}")
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"machine field {f.name} must be finite "
-                                 f"and >= 0, not {value!r}")
+            check_value(f"machine field {f.name}", getattr(self, f.name),
+                        integral=f.type == "int")
 
     def message_time(self, nbytes: int) -> float:
         """Wire time from end-of-send to delivery for an ``nbytes`` payload."""

@@ -185,9 +185,13 @@ class Network:
         self._src_free = [0.0] * nprocs
         self._dst_free = [0.0] * nprocs
         # fault injection + reliable delivery (both off on a perfect wire)
-        self.plan = faults
-        self._injector = (FaultInjector(faults, nprocs)
-                          if faults is not None else None)
+        self._injector = None
+        if faults is not None:
+            for stall in faults.stalls:
+                if stall.node >= nprocs:
+                    raise ValueError(f"stall on node {stall.node} of a "
+                                     f"{nprocs}-node network")
+            self._injector = FaultInjector(faults)
         self._pair_send: dict[tuple[int, int], _PairSend] = \
             defaultdict(_PairSend)
         self._pair_recv: dict[tuple[int, int], _PairRecv] = \

@@ -92,17 +92,22 @@ def test_page_size_override_is_a_structured_failure():
     RunRequest("jacobi", "tmk", options={"push_halos": True}),
     RunRequest("igrid", "xhpf", options={"inspector_executor": True}),
     RunRequest("jacobi", "spf", options={"improved_interface": False}),
-], ids=["model", "spf_opt", "tmk", "xhpf-ie", "spf-old-interface"])
+    RunRequest("jacobi", "spf", options={"bogus": True}),
+], ids=["model", "spf_opt", "tmk", "xhpf-ie", "spf-old-interface",
+        "unknown-key"])
 def test_options_take_effect_or_are_refused(request_):
     """Each of these once ran with ``ok=True`` and exactly the numbers of
-    the request it silently became: the options unread, or another
-    variant picked under this one's label."""
+    the request it silently became (the options unread, or another
+    variant picked under this one's label) or failed as a TypeError (a
+    key ``SpfOptions`` does not have)."""
     request = dataclasses.replace(request_, nprocs=4, preset="test",
                                   seq_time=1.0)
     [(_index, result)] = InProcess().stream([request])
     assert not result.ok
     assert result.error_kind == "ValueError"
     assert "options" in result.error
+    if "bogus" in request.options:      # refused by name, choices listed
+        assert "'bogus'" in result.error and "push_halos" in result.error
 
 
 def test_spf_options_take_effect():
@@ -182,6 +187,28 @@ def test_fault_plan_doc_refuses_unknown_keys(doc, key):
     assert not result.ok
     assert result.error_kind == "ValueError"
     assert repr(key) in result.error
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"rates": {"drop": -3, "delay": 7}}, "fault rate drop"),
+    ({"stalls": [{"node": 99, "at": 0, "duration": -1}]}, "stall duration"),
+    ({"rates": {"drop": "x"}}, "fault rate drop"),
+    ({"stalls": [{"node": 1}]}, "'at', 'duration'"),
+    ({"stalls": [{"node": 99, "at": 0, "duration": 0.01}]},
+     "node 99 of a 2-node network"),
+], ids=["rates-out-of-range", "stall-negative", "rate-not-a-number",
+        "stall-missing-fields", "stall-on-missing-node"])
+def test_fault_plan_values_are_checked_up_front(doc, named):
+    """Each of these once ran ``ok=True`` with nonsense faults or failed
+    mid-run as a SimError or TypeError: the plan is refused before the
+    run starts, as a ValueError naming what is wrong (the last by the
+    2-node network, which has no node 99)."""
+    request = RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                         seq_time=1.0, fault_plan=doc)
+    [(_index, result)] = InProcess().stream([request])
+    assert not result.ok
+    assert result.error_kind == "ValueError"
+    assert named in result.error
 
 
 def test_registry_is_consistent():

@@ -60,8 +60,12 @@ def test_run_all_variants_shares_seq_time():
 
 
 def test_run_all_variants_is_tier_independent():
+    from repro.serve import RunService
+
     serial = run_all_variants("jacobi", nprocs=2, preset="test")
-    pooled = run_all_variants("jacobi", nprocs=2, preset="test", jobs=2)
+    with RunService(workers=2) as svc:
+        pooled = run_all_variants("jacobi", nprocs=2, preset="test",
+                                  service=svc)
     assert list(pooled) == list(serial)
     assert ({v: r.fingerprint() for v, r in pooled.items()}
             == {v: r.fingerprint() for v, r in serial.items()})

@@ -46,8 +46,8 @@ def flood(env, count=30):
 
 
 def test_injector_is_deterministic_per_seed():
-    a = FaultInjector(HEAVY.with_seed(7), nprocs=2)
-    b = FaultInjector(HEAVY.with_seed(7), nprocs=2)
+    a = FaultInjector(HEAVY.with_seed(7))
+    b = FaultInjector(HEAVY.with_seed(7))
     for _ in range(200):
         va, vb = a.draw(), b.draw()
         assert (va.drop, va.dup, va.delay) == (vb.drop, vb.dup, vb.delay)
@@ -55,8 +55,8 @@ def test_injector_is_deterministic_per_seed():
 
 
 def test_injector_seeds_differ():
-    a = FaultInjector(HEAVY.with_seed(0), nprocs=2)
-    b = FaultInjector(HEAVY.with_seed(1), nprocs=2)
+    a = FaultInjector(HEAVY.with_seed(0))
+    b = FaultInjector(HEAVY.with_seed(1))
     seq_a = [a.draw().drop for _ in range(100)]
     seq_b = [b.draw().drop for _ in range(100)]
     assert seq_a != seq_b
@@ -152,7 +152,7 @@ def test_environment_attaches_no_plan(monkeypatch):
     """Faults come only from an explicit plan: the variable that once
     attached the default one is ignored."""
     monkeypatch.setenv("TMK_FAULTS", "on")
-    assert Cluster(nprocs=2).net.plan is None
+    assert Cluster(nprocs=2).net.fault_stats is None
 
 
 # --------------------------------------------------------------------------- #
@@ -206,7 +206,9 @@ def test_chaos_sweep_smoke():
     doc = report.as_doc()
     assert doc["ok"] and doc["cells"][0]["app"] == "jacobi"
     assert doc["cells"][1]["variant"] == "pvme" and doc["cells"][1]["acks"]
-    assert chaos_sweep(jobs=2, **kwargs).as_doc() == doc
+    from repro.serve import RunService
+    with RunService(workers=2) as svc:
+        assert chaos_sweep(service=svc, **kwargs).as_doc() == doc
 
 
 def test_chaos_spf_spec_cells_run_spf_spec():

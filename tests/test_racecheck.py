@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from repro.api import RunRequest, execute
-from repro.eval.racecheck import racecheck_app
+from repro.eval.racecheck import cross_check_app, racecheck_app
+from repro.serve import RunService
 from repro.sim.engine import PARK, Deadlock, Simulator
 from repro.tmk.api import tmk_run
 
@@ -141,8 +142,23 @@ def test_jacobi_spf_race_free_and_deterministic():
         return (r.deterministic, [(x.seed, x.hashes, x.time) for x in r.runs],
                 r.arrays_exact, len(r.true_races))
 
-    pooled = racecheck_app("jacobi", "spf", seeds=3, nprocs=NPROCS, jobs=2)
+    with RunService(workers=2) as svc:
+        pooled = racecheck_app("jacobi", "spf", seeds=3, nprocs=NPROCS,
+                               service=svc)
     assert evidence(pooled) == evidence(rep)
+
+
+def test_cross_check_is_tier_independent():
+    """``cross_check_app`` hands its service to the racecheck it runs:
+    the verdict document is the same in-process and on a pool."""
+    kwargs = dict(seeds=2, nprocs=NPROCS, mutations=1)
+    rep = cross_check_app("jacobi", **kwargs)
+    assert rep.ok, rep.format()
+    with RunService(workers=2) as svc:
+        pooled = cross_check_app("jacobi", service=svc, **kwargs)
+        cache = svc.stats()["cache"]
+        assert cache["hits"] + cache["misses"] == 1   # seed 1 ran there
+    assert pooled.as_doc() == rep.as_doc()
 
 
 def test_igrid_spf_acceptance():

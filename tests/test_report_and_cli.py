@@ -167,3 +167,14 @@ def test_cli_lint_json_out(tmp_path, capsys):
     import json
     doc = json.loads(out_path.read_text())
     assert doc["ok"] is True and "jacobi" in doc["apps"]
+
+
+def test_cli_racecheck_out_needs_cross_check(tmp_path, capsys):
+    """``--out`` writes the cross-check verdict; without ``--cross-check``
+    there is none, so the command is refused instead of ignoring it."""
+    out_path = tmp_path / "verdict.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["racecheck", "jacobi", "--seeds", "1", "--out", str(out_path)])
+    assert exc.value.code == 2
+    assert "--cross-check" in capsys.readouterr().err
+    assert not out_path.exists()

@@ -189,7 +189,8 @@ def test_parallel_sweep_document_is_bit_identical():
     kwargs = dict(apps=["jacobi"], variants=["spf", "xhpf"],
                   nodes=(8, 16))
     serial = run_sweep(**kwargs)
-    parallel = run_sweep(jobs=2, **kwargs)
+    with RunService(workers=2) as svc:
+        parallel = run_sweep(service=svc, **kwargs)
     assert serial == parallel
     assert serial["schema"] == "repro-sweep/3"
 
@@ -198,16 +199,21 @@ def test_parallel_sweep_document_is_bit_identical():
 def test_run_requests_failure_is_structured_at_every_tier(jobs):
     """igrid has no spf_opt recipe: ``execute`` raises ValueError, which
     ``run_requests`` reports (or re-raises) the same way in-process as
-    the worker pool does."""
+    the worker pool does, and the caller's pool stays open."""
+    import contextlib
+
     from repro.eval.parallel import run_requests
 
     requests = [RunRequest("igrid", "spf_opt", preset="test"), _req()]
-    bad, good = run_requests(requests, jobs=jobs, raise_on_error=False)
-    assert not bad.ok and bad.error_kind == "ValueError"
-    assert (bad.app, bad.variant) == ("igrid", "spf_opt")
-    assert good.ok
-    with pytest.raises(RuntimeError, match="igrid/spf_opt.*ValueError"):
-        run_requests(requests, jobs=jobs)
+    with (RunService(workers=jobs) if jobs > 1       # as --jobs picks
+          else contextlib.nullcontext()) as svc:
+        bad, good = run_requests(requests, svc, raise_on_error=False)
+        assert not bad.ok and bad.error_kind == "ValueError"
+        assert (bad.app, bad.variant) == ("igrid", "spf_opt")
+        assert good.ok
+        with pytest.raises(RuntimeError, match="igrid/spf_opt.*ValueError"):
+            run_requests(requests, svc)
+        assert run_requests([_req()], svc)[0].ok
 
 
 def test_in_process_failure_does_not_import_the_service_tier():
