@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
+from numbers import Integral
 from typing import Mapping, Optional
 
 __all__ = ["RUN_SCHEMA", "RunRequest", "RunResult", "BatchResult",
@@ -62,12 +63,14 @@ def machine_from_doc(doc: Optional[Mapping]):
     """Overrides dict -> concrete ``MachineModel`` (None passes through).
 
     The document may be partial: unspecified fields keep their SP/2
-    defaults, which is what the CLI's ``--machine KEY=VALUE`` emits.
+    defaults, which is what the CLI's ``--machine KEY=VALUE`` emits.  A
+    key that is not a ``MachineModel`` field raises ``ValueError`` listing
+    the fields.
     """
     if doc is None:
         return None
-    from repro.sim.machine import SP2_MODEL
-    return SP2_MODEL.with_(**dict(doc))
+    from repro.sim.machine import SP2_MODEL, MachineModel
+    return SP2_MODEL.with_(**_known_keys("machine", doc, MachineModel))
 
 
 def fault_plan_to_doc(plan) -> Optional[dict]:
@@ -106,7 +109,8 @@ def fault_plan_from_doc(doc: Optional[Mapping]):
     left out), with the fields of ``FaultRates`` (each defaults to 0) and
     ``NodeStall`` (all three required) inside them; any other key or a
     missing stall field raises ``ValueError`` naming it, and so does a
-    value ``FaultRates``/``NodeStall`` refuse.
+    seed that is not an integer (a bool included) and a value
+    ``FaultRates``/``NodeStall`` refuse.
     """
     if doc is None:
         return None
@@ -114,8 +118,13 @@ def fault_plan_from_doc(doc: Optional[Mapping]):
     if isinstance(doc, FaultPlan):
         return doc
     doc = _known_keys("fault_plan", doc, FaultPlan)
+    seed = doc.get("seed", 0)
+    integral = isinstance(seed, Integral) or (isinstance(seed, float)
+                                              and seed.is_integer())
+    if isinstance(seed, bool) or not integral:
+        raise ValueError(f"fault_plan seed must be an integer, not {seed!r}")
     return FaultPlan(
-        seed=int(doc.get("seed", 0)),
+        seed=int(seed),
         rates=FaultRates(**_known_keys("fault_plan rates",
                                        doc.get("rates", {}), FaultRates)),
         stalls=tuple(NodeStall(**_known_keys("fault_plan stall", s, NodeStall))

@@ -577,8 +577,13 @@ def main(argv=None) -> int:
     if args.command == "racecheck" and args.out and not args.cross_check:
         parser.error("racecheck --out writes the --cross-check verdict; "
                      "add --cross-check or drop --out")
-    with _service_for(getattr(args, "jobs", 1),
-                      getattr(args, "fleet", None)) as args.service:
+    try:
+        service = _service_for(getattr(args, "jobs", 1),
+                               getattr(args, "fleet", None))
+    except ConnectionError as exc:       # no --fleet host answered
+        print(f"fleet: {exc}", file=sys.stderr)
+        return 2
+    with service as args.service:
         return args.fn(args)
 
 

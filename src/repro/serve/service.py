@@ -11,7 +11,7 @@ when a target dies decide what becomes of its unfinished requests.
 :class:`Service` is that algorithm, written once: a single-threaded
 ``multiprocessing.connection.wait`` over every target's socket, each of
 which speaks ``repro-serve/1`` (:mod:`repro.serve.wire`).
-:class:`RunService` is the service whose targets are spawned worker
+:class:`RunService` is the service whose targets are local worker
 processes on socketpairs (:mod:`repro.serve.worker`);
 :class:`~repro.serve.FleetService` the one whose targets are remote
 ``repro serve`` hosts on TCP.
@@ -45,7 +45,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import socket
+import sys
+import threading
 import time as _time
+import warnings
 from multiprocessing import connection as _mpc
 from typing import Callable, Iterable, Optional
 
@@ -95,7 +98,7 @@ class Target:
 
 
 class _Worker(Target):
-    """A pool worker: a spawned process on the far end of a socketpair."""
+    """A pool worker: a local process on the far end of a socketpair."""
 
     def __init__(self, wid: int, proc, sock: socket.socket):
         super().__init__(f"worker {wid}", sock)
@@ -351,10 +354,12 @@ class Service:
 
 
 class RunService(Service):
-    """A persistent pool of spawn-context worker processes, each with
+    """A persistent pool of local worker processes, each with
     its own compiled-program cache (repeated requests skip IR
     lowering/codegen, see :mod:`repro.api.execute`) and each taking the
-    oldest queued request, one at a time.
+    oldest queued request, one at a time.  A worker is forked when the
+    pool starts it from a single-threaded process on Linux and spawned
+    otherwise (:meth:`_spawn`).
 
     ``runner`` is a ``"module:attr"`` dotted path resolved inside each
     worker (tests inject failing/crashing runners through it); the
@@ -373,28 +378,48 @@ class RunService(Service):
         self.workers = workers
         self.runner = runner
         self.respawn = respawn
-        # spawn, not fork, though fork is faster: pool start to the first
-        # two results took 0.76-0.90 s with spawn and 0.28-0.29 s with
-        # fork, and serve_mix setup_s fell from 2.17/1.79 s to 1.48/1.36 s
-        # and peak_rss_mb from 90.2 to 84.6/84.4 MB (2-vCPU host, Python
-        # 3.11, two 9 s pairs).  It stays because _replace respawns on
-        # whichever thread runs stream: under `repro serve --port` that is
-        # a ThreadingTCPServer handler thread, and forking a multi-threaded
-        # process can deadlock the child (Python 3.12 warns).
-        self._ctx = mp.get_context("spawn")
         self._next_worker = 0
         for _ in range(workers):
             self._spawn()
 
     def _spawn(self) -> None:
+        """Start one worker.  It is forked when this is Linux and the
+        process has one Python thread, and spawned otherwise.
+
+        Fork skips the child's re-import of numpy and ``repro``: a
+        two-worker pool's start to its first two results takes 0.58 s
+        spawned and 0.16 s forked, and serve_mix ``setup_s`` falls from
+        1.53 to 1.10 s and ``peak_rss_mb`` from 90.0 to 84.1 MB (medians;
+        2-vCPU host, Python 3.11.7).  Forking while another thread runs
+        can deadlock the child on a lock that thread held, so a respawn
+        on a ``repro serve --port`` handler thread (``_replace`` runs on
+        whichever thread runs ``stream``) spawns.
+        """
         wid = self._next_worker
         self._next_worker += 1
         ours, theirs = socket.socketpair()
-        proc = self._ctx.Process(
-            target=worker_main, args=(wid, theirs, self.runner),
+        fork = sys.platform == "linux" and threading.active_count() == 1
+        # a forked child closes the parent's ends it inherited, so our
+        # closing a worker's end stays EOF for that worker, as when spawned
+        inherited = [ours, *(t.chan.sock for t in self._targets)] \
+            if fork else []
+        proc = mp.get_context("fork" if fork else "spawn").Process(
+            target=worker_main, args=(wid, theirs, self.runner, inherited),
             name=f"repro-serve-{wid}", daemon=True)
         try:
-            proc.start()
+            if fork:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns on any fork of a process with more
+                    # than one OS thread, and numpy's OpenBLAS pool is one.
+                    # The deadlock guard is the Python-thread count above;
+                    # OpenBLAS quiesces its pool around a fork through its
+                    # pthread_atfork handler.
+                    warnings.filterwarnings(
+                        "ignore", r"This process .* is multi-threaded",
+                        DeprecationWarning)
+                    proc.start()
+            else:
+                proc.start()
         finally:
             # the child has its own copy: with ours closed, a worker
             # death is EOF on our end instead of an eternally-open socket

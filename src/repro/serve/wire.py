@@ -130,6 +130,10 @@ class JsonLines:
         self.sock.close()
 
 
+class _PeerGone(Exception):
+    """A reply could not be written: the client has gone."""
+
+
 def _handle(service, msg, emit, lock: threading.Lock) -> str:
     """Dispatch one client message; returns "", "bye" or "shutdown".
 
@@ -145,7 +149,10 @@ def _handle(service, msg, emit, lock: threading.Lock) -> str:
                          f"not {type(msg).__name__}")
     op = msg.get("op")
     if op in ("bye", "shutdown"):
-        emit({"op": "bye"})
+        try:
+            emit({"op": "bye"})
+        except _PeerGone:
+            pass              # a shutdown holds even if its sender left
         return op
     if op == "stats":
         with lock:
@@ -181,28 +188,38 @@ def _handle(service, msg, emit, lock: threading.Lock) -> str:
 def _serve_lines(service, lines: Iterable[str], out, lock) -> str:
     """The read-dispatch loop of every server: greet, then answer one
     JSON line at a time on the text stream ``out``.  Returns why it
-    stopped: ``"bye"``, ``"shutdown"`` or ``"eof"``."""
+    stopped: ``"bye"``, ``"shutdown"`` or ``"eof"`` — the last also when
+    the client has gone, so a reply or a read fails with ``OSError``."""
     def emit(obj: dict) -> None:
-        out.write(json.dumps(obj, sort_keys=True) + "\n")
-        out.flush()
+        try:
+            out.write(json.dumps(obj, sort_keys=True) + "\n")
+            out.flush()
+        except OSError as exc:
+            raise _PeerGone from exc
 
-    emit({"op": "hello", "schema": WIRE_SCHEMA, "workers": service.workers})
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            msg = json.loads(line)
-        except ValueError as exc:
-            emit({"op": "error", "message": f"bad json: {exc}"})
-            continue
-        try:
-            verdict = _handle(service, msg, emit, lock)
-        except Exception as exc:  # noqa: BLE001 — keep the session alive
-            emit({"op": "error", "message": str(exc)})
-            continue
-        if verdict:
-            return verdict
+    try:
+        emit({"op": "hello", "schema": WIRE_SCHEMA,
+              "workers": service.workers})
+        for line in lines:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                msg = json.loads(line)
+            except ValueError as exc:
+                emit({"op": "error", "message": f"bad json: {exc}"})
+                continue
+            try:
+                verdict = _handle(service, msg, emit, lock)
+            except _PeerGone:
+                raise
+            except Exception as exc:  # noqa: BLE001 — keep the session alive
+                emit({"op": "error", "message": str(exc)})
+                continue
+            if verdict:
+                return verdict
+    except (_PeerGone, OSError):
+        pass                  # a reply or a read found the client gone
     return "eof"
 
 
@@ -219,9 +236,15 @@ def serve_socket(service, sock: socket.socket,
     """Serve the peer of a connected socket — one of
     :class:`WireServer`'s TCP connections, or a pool worker's end of its
     socketpair; returns why we stopped.  The caller closes ``sock``."""
-    with sock.makefile("rw", encoding="utf-8") as stream:
+    stream = sock.makefile("rw", encoding="utf-8")
+    try:
         return _serve_lines(service, stream, stream,
                             lock or threading.Lock())
+    finally:
+        try:
+            stream.close()
+        except OSError:
+            pass      # the unsent tail of a reply to a peer that has gone
 
 
 class WireServer:

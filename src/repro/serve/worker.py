@@ -36,9 +36,16 @@ def resolve_runner(path: str):
     return getattr(importlib.import_module(module), attr)
 
 
-def worker_main(worker_id: int, sock,
-                runner_path: str = DEFAULT_RUNNER) -> None:
-    """Entry point of one worker process (runs until ``bye`` or EOF)."""
+def worker_main(worker_id: int, sock, runner_path: str = DEFAULT_RUNNER,
+                inherited=()) -> None:
+    """Entry point of one worker process (runs until ``bye`` or EOF).
+
+    ``inherited`` are the parent's socket ends a forked worker holds
+    copies of (its own pair's and every live sibling's): it closes them
+    first, or the parent closing its end of a pair would not be EOF for
+    the worker on the other end."""
+    for parent_end in inherited:
+        parent_end.close()
     with sock:
         serve_socket(InProcess(resolve_runner(runner_path), worker_id),
                      sock)

@@ -1,8 +1,9 @@
 """Injectable worker runners for the serve e2e tests.
 
 These must live in an importable module (not a test function): the
-service spawns workers with the ``spawn`` start method and resolves the
-runner from its ``"module:attr"`` dotted path inside the child process.
+service resolves the runner from its ``"module:attr"`` dotted path
+inside the worker, and a spawned worker (a pool started next to another
+thread) imports it afresh.
 The echo runner answers instantly, so crash/failure plumbing can be
 tested without paying for real simulator runs.
 """

@@ -76,13 +76,15 @@ def test_environment_does_not_change_a_run(monkeypatch):
 
 def test_page_size_override_is_a_structured_failure():
     """The page size is a constant of the shared space, not a machine
-    field: overriding it must fail, never run with wrong numbers."""
+    field: overriding it must fail, never run with wrong numbers -- as a
+    ValueError naming the key and listing the fields, like any unknown
+    machine key."""
     request = RunRequest("jacobi", "tmk", nprocs=4, preset="test",
                          machine={"page_size": 2048}, seq_time=1.0)
     [(_index, result)] = InProcess().stream([request])
     assert not result.ok
-    assert result.error_kind == "TypeError"
-    assert "page_size" in result.error
+    assert result.error_kind == "ValueError"
+    assert "'page_size'" in result.error and "latency" in result.error
 
 
 @pytest.mark.parametrize("request_", [
@@ -196,10 +198,14 @@ def test_fault_plan_doc_refuses_unknown_keys(doc, key):
     ({"stalls": [{"node": 1}]}, "'at', 'duration'"),
     ({"stalls": [{"node": 99, "at": 0, "duration": 0.01}]},
      "node 99 of a 2-node network"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": True}, "seed must be an integer"),
 ], ids=["rates-out-of-range", "stall-negative", "rate-not-a-number",
-        "stall-missing-fields", "stall-on-missing-node"])
+        "stall-missing-fields", "stall-on-missing-node", "seed-fraction",
+        "seed-bool"])
 def test_fault_plan_values_are_checked_up_front(doc, named):
-    """Each of these once ran ``ok=True`` with nonsense faults or failed
+    """Each of these once ran ``ok=True`` with nonsense faults (a seed of
+    1.5 or true ran as seed 1) or failed
     mid-run as a SimError or TypeError: the plan is refused before the
     run starts, as a ValueError naming what is wrong (the last by the
     2-node network, which has no node 99)."""

@@ -1,5 +1,7 @@
 """Tests for the compilation reports and the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import main
@@ -178,3 +180,16 @@ def test_cli_racecheck_out_needs_cross_check(tmp_path, capsys):
     assert exc.value.code == 2
     assert "--cross-check" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+def test_cli_fleet_with_no_reachable_host_exits_2(capsys):
+    """A harness given --fleet that no host answers says so and exits 2,
+    as `repro fleet` does, instead of a ConnectionError traceback."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+    probe.close()                      # nothing listens there now
+    assert main(["sweep", "--apps", "jacobi", "--nodes", "8", "--quiet",
+                 "--fleet", f"127.0.0.1:{port}"]) == 2
+    assert capsys.readouterr().err \
+        == f"fleet: no fleet host reachable: 127.0.0.1:{port}\n"

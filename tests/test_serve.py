@@ -10,12 +10,21 @@ The contract under test (see docs/API.md):
 * a worker that raises returns a structured ``ok=False`` result; a
   worker that *dies* mid-batch surfaces a structured ``WorkerCrashed``
   result and the batch still completes — never a hang;
+* a worker is forked when the pool starts it from a single-threaded
+  process on Linux, spawned otherwise, and either way a worker's death is
+  EOF on the parent's end and the parent closing its end is EOF on the
+  worker's;
 * the JSON-lines wire protocol (TCP) round-trips requests, streamed
   results and batch documents.
 """
 
+import _thread
 import collections
 import multiprocessing
+import sys
+import threading
+import time
+import warnings
 
 import pytest
 
@@ -163,6 +172,90 @@ def test_a_worker_is_a_wire_peer():
         assert hello == {"op": "hello", "schema": WIRE_SCHEMA, "workers": 1}
         assert svc.run_batch([RunRequest("jacobi", "spf", preset="test",
                                          tag="after-hello")]).ok
+
+
+def _started(svc) -> set:
+    """How the pool's live workers were started: "fork" or "spawn"."""
+    return {worker.proc._start_method for worker in svc._targets}
+
+
+@pytest.fixture
+def one_thread():
+    """The fork rule's precondition: this process runs one Python thread
+    (a wire server an earlier test closed may take a moment to end)."""
+    deadline = time.monotonic() + 5.0
+    while threading.active_count() > 1 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert threading.active_count() == 1, threading.enumerate()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+def test_forked_workers_keep_no_parent_end(one_thread):
+    """A forked worker, a respawned one too, closes every parent-side end
+    it inherited (its own pair's and each live sibling's): closing one
+    worker's end is EOF for that worker while its later-forked sibling
+    still runs, so it exits 0 on its own, never by terminate."""
+    svc = RunService(workers=2, runner=ECHO)
+    try:
+        batch = svc.run_batch([
+            RunRequest("jacobi", "spf", preset="test", tag="crash"),
+            RunRequest("jacobi", "spf", preset="test", tag="ok")])
+        assert batch.crashes == 1 and batch.results[1].ok
+        assert _started(svc) == {"fork"} and svc.live_workers() == 2
+        exits = []
+        for worker in svc._targets:     # oldest first: no bye, only EOF
+            worker.chan.close()
+            worker.proc.join(5.0)
+            exits.append(worker.proc.exitcode)
+    finally:
+        for worker in svc._targets:
+            worker.close(0)
+    assert exits == [0, 0]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+def test_a_forking_pool_warns_nothing(one_thread):
+    """From Python 3.12 ``os.fork`` warns when the process has more than
+    one OS thread: numpy's OpenBLAS pool is one, and so is the bare
+    ``_thread`` here, which ``threading`` does not count.  The pool
+    silences exactly that warning around its own fork.  ``os.fork``
+    clears the error a ``-W error`` filter would raise, so the warning is
+    recorded instead."""
+    gate = _thread.allocate_lock()
+    gate.acquire()
+    _thread.start_new_thread(gate.acquire, ())
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with RunService(workers=1, runner=ECHO) as svc:
+                assert _started(svc) == {"fork"}
+    finally:
+        gate.release()
+    assert not [w for w in caught if "multi-threaded" in str(w.message)]
+
+
+def test_pool_spawns_while_another_thread_runs():
+    """Forking while another thread holds a lock can deadlock the child:
+    a pool started next to a running thread spawns its workers, and so
+    does a respawn after a crash."""
+    stop = threading.Event()
+    bystander = threading.Thread(target=stop.wait, name="bystander")
+    bystander.start()
+    try:
+        with RunService(workers=2, runner=ECHO) as svc:
+            assert _started(svc) == {"spawn"}
+            batch = svc.run_batch([
+                RunRequest("jacobi", "spf", preset="test", tag="ok-1"),
+                RunRequest("jacobi", "spf", preset="test", tag="crash"),
+                RunRequest("jacobi", "spf", preset="test", tag="ok-2")])
+            assert batch.crashes == 1
+            assert batch.results[0].ok and batch.results[2].ok
+            assert _started(svc) == {"spawn"} and svc.live_workers() == 2
+            procs = [worker.proc for worker in svc._targets]
+        assert [proc.exitcode for proc in procs] == [0, 0]
+    finally:
+        stop.set()
+        bystander.join()
 
 
 def test_unknown_variant_fails_structured_not_fatal(service):

@@ -10,11 +10,15 @@ The contract under test (see docs/API.md):
   fails fast and marks the split: ``completed`` maps the indexes that
   already produced results to them, ``pending`` lists the ones still in
   flight (the fleet tier requeues exactly ``pending``);
+* a server whose client has gone (a reply fails with ``BrokenPipeError``)
+  ends the conversation quietly as ``"eof"``, and a ``shutdown`` still
+  holds;
 * ``WireClient.close()``/``__exit__`` are idempotent and safe after the
   server has died, in either order; ``WireServer.close()`` is idempotent
   and safe even when ``serve_forever`` never ran.
 """
 
+import io
 import json
 import socket
 import threading
@@ -24,6 +28,7 @@ import pytest
 from repro.api import RunRequest, RunResult
 from repro.serve import (RunService, WireClient, WireConnectionLost,
                          WireServer)
+from repro.serve.wire import _serve_lines, serve_socket
 
 ECHO = "tests.serve_helpers:echo_runner"
 
@@ -175,3 +180,50 @@ def test_send_after_close_is_structured(service):
     with pytest.raises(WireConnectionLost, match="already closed"):
         client.run(REQ)
     server.close()
+
+
+# ---------------------------------------------------------------------- #
+# a server whose client has gone
+
+class _Stats:
+    workers = 1
+
+    def stats(self):
+        return {"workers": 1}
+
+
+class _GoneAfter(io.StringIO):
+    """A text stream whose reader goes away after ``flushes`` flushes."""
+
+    def __init__(self, flushes: int):
+        super().__init__()
+        self.flushes = flushes
+
+    def flush(self):
+        if not self.flushes:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.flushes -= 1
+
+
+@pytest.mark.parametrize("flushes, lines, verdict", [
+    (0, ['{"op": "stats"}'], "eof"),
+    (1, ['{"op": "stats"}', '{"op": "stats"}'], "eof"),
+    (1, ['{"op": "run"}', '{"op": "stats"}'], "eof"),
+    (1, ['not json', '{"op": "stats"}'], "eof"),
+    (1, ['{"op": "shutdown"}'], "shutdown"),
+], ids=["hello", "reply", "error-line", "bad-json-line", "shutdown"])
+def test_a_gone_client_ends_the_conversation(flushes, lines, verdict):
+    """Once raised out of the loop -- and socketserver printed the
+    traceback, or a pool worker died of it -- a reply the client is no
+    longer there to read ends the conversation; a shutdown still holds."""
+    assert _serve_lines(_Stats(), lines, _GoneAfter(flushes),
+                        threading.Lock()) == verdict
+
+
+def test_serve_socket_to_a_closed_peer_is_eof():
+    """The unsent hello stays buffered; closing the stream must not raise
+    it a second time."""
+    ours, theirs = socket.socketpair()
+    theirs.close()
+    with ours:
+        assert serve_socket(_Stats(), ours) == "eof"
