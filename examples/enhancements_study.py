@@ -4,13 +4,12 @@
 The paper's conclusion conjectures that "with appropriate enhancements to
 the compiler and DSM system ... the performance of regular applications can
 match that of their message passing counterparts".  Section 8 lists the
-enhancements; this repository implements them as compiler options:
+enhancements; this repository implements these as compiler options:
 
 * communication aggregation        (SpfOptions.aggregate     — §5/§8)
 * barrier elimination/loop fusion  (SpfOptions.fuse_loops    — Tseng [17])
 * efficient reductions             (SpfOptions.tree_reductions)
 * pushing data instead of pulling  (SpfOptions.push_halos)
-* dynamic load balancing           (SpfOptions.balance_loops)
 
 This script stacks them on compiler-generated Jacobi and compares each
 stage against hand-coded PVMe message passing.

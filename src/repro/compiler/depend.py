@@ -644,7 +644,7 @@ def sets_conflict(a_sets: Optional[dict], b_sets: Optional[dict]) -> bool:
 
 
 def loops_fusable_exact(a: ParallelLoop, b: ParallelLoop, nprocs: int,
-                        program: Program, chunk=None) -> bool:
+                        program: Program) -> bool:
     """May the synchronization between adjacent loops ``a`` then ``b`` be
     removed (each processor runs its chunk of ``b`` right after its chunk
     of ``a``)?
@@ -653,21 +653,17 @@ def loops_fusable_exact(a: ParallelLoop, b: ParallelLoop, nprocs: int,
     flow (writes_a(p) ∩ reads_b(q)), anti (reads_a(p) ∩ writes_b(q)), or
     output (writes_a(p) ∩ writes_b(q)) dependence between their exact
     chunk sets.  Reductions and accumulation buffers force a
-    synchronization, as does irregularity.  ``chunk(loop, pid)`` is the
-    partition policy of whoever will run the fused unit (an executable's
-    ``chunk`` method); the default is :func:`partition.loop_chunk`.
+    synchronization, as does irregularity.  Chunks are
+    :func:`partition.loop_chunk`'s, the SPF backend's policy.
     """
     if a.irregular or b.irregular:
         return False
     if a.reductions or a.accumulate:
         return False
-    if chunk is None:
-        def chunk(loop, pid):
-            return loop_chunk(loop, pid, nprocs)
     # footprints depend only on the owning processor: resolve each side's
     # per-processor sets once, not inside the pair loop
     was, ras, wbs, rbs = (
-        [chunk_sets(loop, which, chunk(loop, p), program)
+        [chunk_sets(loop, which, loop_chunk(loop, p, nprocs), program)
          for p in range(nprocs)]
         for loop, which in ((a, "writes"), (a, "reads"),
                             (b, "writes"), (b, "reads")))

@@ -260,16 +260,13 @@ class ParallelLoop:
     schedule: str = "block"             # block | cyclic
     align: Optional[tuple] = None       # (array_name, dim)
     accumulate: list = field(default_factory=list)
-    cost_per_iter: Union[float, Callable[[int], float]] = 0.0
+    cost_per_iter: float = 0.0
     start: int = 0                      # iteration space is [start, extent)
     merge_cost_per_iter: float = 0.0    # cost of summing accumulation buffers
 
     def chunk_cost(self, lo: int, hi: int, step: int = 1) -> float:
         """Virtual compute time of iterations ``range(lo, hi, step)``."""
-        iters = range(lo, hi, step)
-        if callable(self.cost_per_iter):
-            return float(sum(self.cost_per_iter(i) for i in iters))
-        return float(self.cost_per_iter) * len(iters)
+        return float(self.cost_per_iter) * len(range(lo, hi, step))
 
     @property
     def irregular(self) -> bool:

@@ -615,8 +615,7 @@ def _check_redundant_barriers(exe) -> list:
             prev = None             # SeqBlock / Mark breaks the unit chain
             continue
         if (prev is not None and not stmt.accumulate
-                and depend.loops_fusable_exact(prev, stmt, nprocs, program,
-                                               exe.chunk)):
+                and depend.loops_fusable_exact(prev, stmt, nprocs, program)):
             key = (stmt_family(prev.name), stmt_family(stmt.name))
             if key not in seen:
                 seen.add(key)
@@ -721,8 +720,7 @@ def estimate_spf_traffic(program: Program, nprocs: int = 8,
     def refuse(reason: str) -> TrafficEstimate:
         return TrafficEstimate(analyzable=False, nprocs=nprocs, reason=reason)
 
-    for flag in ("aggregate", "piggyback", "tree_reductions",
-                 "balance_loops", "push_halos"):
+    for flag in ("aggregate", "piggyback", "tree_reductions", "push_halos"):
         if options is not None and getattr(options, flag, None):
             return refuse(f"hand-optimized code generation ({flag}) is not "
                           f"modeled")

@@ -23,7 +23,7 @@ from repro.compiler.ir import Span
 from repro.sim.cluster import block_range
 
 __all__ = ["block_range", "block_owner", "cyclic_indices", "cyclic_owner",
-           "Chunk", "Elements", "SEQ", "loop_chunk", "balanced_chunk"]
+           "Chunk", "Elements", "SEQ", "loop_chunk"]
 
 
 def block_owner(extent: int, nprocs: int, index: int) -> int:
@@ -145,21 +145,3 @@ def loop_chunk(loop, pid: int, nprocs: int) -> Chunk:
     lo, hi = block_range(loop.extent - loop.start, nprocs, pid)
     return Chunk(lo + loop.start, hi + loop.start)
 
-
-def balanced_chunk(loop, pid: int, nprocs: int) -> Chunk:
-    """Weighted block scheduling (§8: "dynamic load balancing support"): a
-    block loop that declares a per-iteration cost *function* gets
-    cost-equalized boundaries instead of count-equalized ones."""
-    span = loop.extent - loop.start
-    if (loop.schedule == "cyclic" or not callable(loop.cost_per_iter)
-            or span <= 0):
-        return loop_chunk(loop, pid, nprocs)
-    costs = np.array([loop.cost_per_iter(i)
-                      for i in range(loop.start, loop.extent)],
-                     dtype=np.float64)
-    cumulative = np.concatenate(([0.0], np.cumsum(costs)))
-    targets = cumulative[-1] * np.arange(1, nprocs) / nprocs
-    cuts = np.searchsorted(cumulative, targets, side="left")
-    bounds = np.concatenate(([0], cuts, [span]))
-    return Chunk(int(bounds[pid]) + loop.start,
-                 int(bounds[pid + 1]) + loop.start)

@@ -44,8 +44,7 @@ import numpy as np
 from repro.compiler import depend
 from repro.compiler.ir import (Access, Full, Mark, ParallelLoop, Program,
                                SeqBlock, Span)
-from repro.compiler.partition import (SEQ, Chunk, Elements, balanced_chunk,
-                                      loop_chunk)
+from repro.compiler.partition import SEQ, Chunk, Elements, loop_chunk
 from repro.sim.cluster import RunResult
 from repro.sim.faults import FaultPlan
 from repro.sim.machine import MachineModel
@@ -67,15 +66,12 @@ class SpfOptions:
 
     Defaults are the unoptimized compiler of the paper's evaluation.
     ``aggregate``/``fuse_loops``/``piggyback`` are the paper's hand
-    optimizations (Sections 5 and 8); ``tree_reductions``,
-    ``balance_loops`` and ``push_halos`` implement the enhancements
-    Section 8 proposes as future work:
+    optimizations (Sections 5 and 8); ``tree_reductions`` and
+    ``push_halos`` implement enhancements Section 8 proposes as future
+    work:
 
     * ``tree_reductions`` — replace the lock-protected shared scalar with
       the dedicated combining-tree primitive (:mod:`repro.tmk.reduction`),
-    * ``balance_loops`` — weighted block scheduling: when a loop declares a
-      per-iteration cost function, chunk boundaries equalize cumulative
-      cost instead of iteration counts ("dynamic load balancing support"),
     * ``push_halos`` — producers push partition-boundary regions to the
       neighbours that will read them, at the join, instead of the default
       request-response ("pushing data instead of pulling").
@@ -86,7 +82,6 @@ class SpfOptions:
     fuse_loops: bool = False
     piggyback: Optional[Callable] = None   # (stmt) -> [(array, region)] | None
     tree_reductions: bool = False
-    balance_loops: bool = False
     push_halos: bool = False
 
     def describe(self) -> str:
@@ -95,7 +90,6 @@ class SpfOptions:
                             (self.fuse_loops, "fuse"),
                             (self.piggyback, "piggyback"),
                             (self.tree_reductions, "tree-red"),
-                            (self.balance_loops, "balance"),
                             (self.push_halos, "push")]:
             if flag:
                 bits.append(label)
@@ -159,7 +153,7 @@ class SpfExecutable:
             key = (id(a), id(b))
             if key not in verdicts:
                 verdicts[key] = depend.loops_fusable_exact(
-                    a, b, self.nprocs, self.program, self.chunk)
+                    a, b, self.nprocs, self.program)
             return verdicts[key]
 
         for stmt in self.schedule:
@@ -179,12 +173,9 @@ class SpfExecutable:
         return units
 
     def chunk(self, loop: ParallelLoop, pid: int) -> Chunk:
-        """SPF's partition policy: ``loop.schedule`` by iteration count, or
-        by declared cost under ``balance_loops``.  Whatever needs ``pid``'s
-        share of a loop of this executable — execution, fusion, halo
+        """SPF's partition policy, :func:`loop_chunk`.  Whatever needs
+        ``pid``'s share of a loop of this executable — execution, halo
         pushes, the model, lint — asks here."""
-        if self.options.balance_loops:
-            return balanced_chunk(loop, pid, self.nprocs)
         return loop_chunk(loop, pid, self.nprocs)
 
     def _merge_loop(self, loop: ParallelLoop, name: str) -> ParallelLoop:
@@ -508,8 +499,7 @@ class SpfExecutable:
             from repro.tmk.reduction import tmk_reduce_gen
             for red in loop.reductions:
                 val = (partials or {}).get(red.name, red.identity)
-                final = yield from tmk_reduce_gen(tmk.node, val,
-                                                  op=red.combine)
+                final = yield from tmk_reduce_gen(tmk.node, val, red.combine)
                 if tmk.pid == 0:
                     tmk._spf_scalars[red.name] = float(final)
             return

@@ -106,14 +106,12 @@ class FleetService(Service):
 
     def __init__(self, hosts: Iterable, timeout: float = 300.0,
                  retries: int = DEFAULT_RETRIES,
-                 backoff: float = DEFAULT_BACKOFF_S,
                  max_backlog: Optional[int] = None):
         super().__init__(max_backlog=max_backlog, timeout=timeout)
         self._hosts = [_Host(*parse_host(h)) for h in hosts]
         if not self._hosts:
             raise ValueError("FleetService needs at least one host")
         self.retries = max(0, int(retries))
-        self.backoff = backoff
         self._retry_attempts = 0       # failed connect attempts
         self._before_batch()
 
@@ -123,7 +121,7 @@ class FleetService(Service):
     def _connect(self, host: _Host) -> bool:
         """Bounded retry-with-backoff connect; a host that answers with
         its ``hello`` becomes a live target."""
-        delay = self.backoff
+        delay = DEFAULT_BACKOFF_S
         for attempt in range(self.retries + 1):
             if self._closed:
                 break

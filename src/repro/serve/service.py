@@ -34,9 +34,8 @@ Failure surface — the contract the e2e tests pin:
   (its process sentinel is watched too, for a corpse whose socket a
   grandchild still holds): the assigned request is failed with
   ``error_kind="WorkerCrashed"`` — a request that kills workers is never
-  retried — the pool respawns a replacement (when ``respawn=True``, the
-  default), and the rest of the batch completes: a crash mid-batch is a
-  result, not a hang;
+  retried — the pool respawns a replacement, and the rest of the batch
+  completes: a crash mid-batch is a result, not a hang;
 * a request whose *send* failed never reached its worker: it goes back
   to the head of the queue and is not blamed.
 """
@@ -366,18 +365,14 @@ class RunService(Service):
     default executes through :func:`repro.api.execute`.
     """
 
-    exhausted = ("WorkerCrashed", "no live workers remain in the pool")
-
     def __init__(self, workers: int = DEFAULT_WORKERS,
                  runner: str = DEFAULT_RUNNER,
-                 respawn: bool = True,
                  max_backlog: Optional[int] = None):
         if workers < 1:
             raise ValueError("RunService needs at least one worker")
         super().__init__(max_backlog=max_backlog)
         self.workers = workers
         self.runner = runner
-        self.respawn = respawn
         self._next_worker = 0
         for _ in range(workers):
             self._spawn()
@@ -399,12 +394,8 @@ class RunService(Service):
         self._next_worker += 1
         ours, theirs = socket.socketpair()
         fork = sys.platform == "linux" and threading.active_count() == 1
-        # a forked child closes the parent's ends it inherited, so our
-        # closing a worker's end stays EOF for that worker, as when spawned
-        inherited = [ours, *(t.chan.sock for t in self._targets)] \
-            if fork else []
         proc = mp.get_context("fork" if fork else "spawn").Process(
-            target=worker_main, args=(wid, theirs, self.runner, inherited),
+            target=worker_main, args=(wid, theirs, self.runner),
             name=f"repro-serve-{wid}", daemon=True)
         try:
             if fork:
@@ -428,7 +419,7 @@ class RunService(Service):
 
     def _replace(self, worker: Target) -> None:
         self._crashes += 1
-        if self.respawn and not self._closed:
+        if not self._closed:
             self._spawn()
 
     def stats(self) -> dict:

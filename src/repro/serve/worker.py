@@ -20,7 +20,11 @@ inject crashing/failing runners the same way.
 
 from __future__ import annotations
 
+import contextlib
 import importlib
+import os
+import stat
+import sys
 
 from repro.api.execute import InProcess
 from repro.serve.wire import serve_socket
@@ -36,16 +40,23 @@ def resolve_runner(path: str):
     return getattr(importlib.import_module(module), attr)
 
 
-def worker_main(worker_id: int, sock, runner_path: str = DEFAULT_RUNNER,
-                inherited=()) -> None:
+def worker_main(worker_id: int, sock,
+                runner_path: str = DEFAULT_RUNNER) -> None:
     """Entry point of one worker process (runs until ``bye`` or EOF).
 
-    ``inherited`` are the parent's socket ends a forked worker holds
-    copies of (its own pair's and every live sibling's): it closes them
-    first, or the parent closing its end of a pair would not be EOF for
-    the worker on the other end."""
-    for parent_end in inherited:
-        parent_end.close()
+    On Linux it first points every socket fd above stdio but its own at
+    ``/dev/null``: a forked worker holds a copy of each socket its parent
+    had open, and while it does the parent closing one is not EOF for the
+    peer.  ``dup2``, not ``close``, so a stale socket object here can
+    never close a reused descriptor number; pipes are left alone."""
+    if sys.platform == "linux":
+        null = os.open(os.devnull, os.O_RDWR)
+        for fd in map(int, os.listdir("/proc/self/fd")):
+            with contextlib.suppress(OSError):    # the listing's own fd
+                if fd > 2 and fd not in (sock.fileno(), null) \
+                        and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.dup2(null, fd)
+        os.close(null)
     with sock:
         serve_socket(InProcess(resolve_runner(runner_path), worker_id),
                      sock)

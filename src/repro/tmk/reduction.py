@@ -17,7 +17,7 @@ consistency is preserved for programs that use the reduction as their only
 synchronization point.
 
 ``SpfOptions(tree_reductions=True)`` makes the SPF backend emit this
-primitive instead of the lock chain; ``benchmarks/test_ext_reductions.py``
+primitive instead of the lock chain; ``benchmarks/test_ext_enhancements.py``
 measures the difference.
 """
 
@@ -30,29 +30,20 @@ from repro.tmk.intervals import records_unknown_to, SeenVector
 from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
 
-__all__ = ["tmk_reduce_gen", "REDUCE_OPS"]
+__all__ = ["tmk_reduce_gen"]
 
 TAG_REDUCE_UP = 1_000_006
 TAG_REDUCE_DOWN = 1_000_007
 
-REDUCE_OPS: dict = {
-    "sum": lambda a, b: a + b,
-    "max": max,
-    "min": min,
-}
 
-
-def tmk_reduce_gen(node: TmkNode, value, op: Callable = None,
-                   op_name: str = "sum"):
-    """Combine ``value`` across all processors; every processor returns the
-    result.  A collective: all processors must call it together (generator
-    of block requests).
+def tmk_reduce_gen(node: TmkNode, value, op: Callable):
+    """Combine ``value`` across all processors with ``op(a, b)``; every
+    processor returns the result.  A collective: all processors must call
+    it together (generator of block requests).
 
     Carries lazy-RC consistency information both ways, so it doubles as a
     global synchronization (like a barrier whose messages also do work).
     """
-    if op is None:
-        op = REDUCE_OPS[op_name]
     world = node.world
     world.dsm_stats.tree_reductions += 1
     proc = node.proc

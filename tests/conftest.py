@@ -1,7 +1,10 @@
-"""Shared fixtures: small IR programs exercising every backend feature."""
+"""Shared fixtures: small IR programs exercising every backend feature,
+and a per-test wall limit."""
 
+import faulthandler
 import hashlib
 import json
+import os
 import threading
 
 import numpy as np
@@ -15,6 +18,33 @@ from repro.sim import engine
 
 N = 32
 COLS = 512
+
+#: wall seconds one test (setup, call and teardown) may take before the
+#: run stops with every thread's stack on stderr: a hang fails with its
+#: name, well inside CI's 3-minute step.  The slowest test takes ~8 s.
+TEST_WALL_LIMIT_S = 60.0
+
+_real_stderr = None      # a dup of fd 2 that pytest's capture never owns
+
+
+def pytest_configure(config):
+    # pytest's capture is suspended between conftest loading and the
+    # first test, so fd 2 is the process's real stderr here
+    global _real_stderr
+    _real_stderr = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(_real_stderr)
+
+
+def pytest_runtest_logstart(nodeid, location):
+    faulthandler.dump_traceback_later(TEST_WALL_LIMIT_S, exit=True,
+                                      file=_real_stderr)
+
+
+def pytest_runtest_logfinish(nodeid, location):
+    faulthandler.cancel_dump_traceback_later()
 
 
 class _EngineThreading:

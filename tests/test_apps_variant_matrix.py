@@ -45,12 +45,6 @@ def test_push_halos_every_app(app):
 
 
 @pytest.mark.parametrize("app", APPS)
-def test_balance_loops_every_app(app):
-    r = run_app_spf(app, SpfOptions(balance_loops=True))
-    assert signatures_close(seq(app).signature, r.scalars, rtol=1e-6), app
-
-
-@pytest.mark.parametrize("app", APPS)
 def test_everything_on_every_app(app):
     spec = get_app(app)
     base = (spec.spf_opt_options() if spec.spf_opt_options
@@ -59,7 +53,7 @@ def test_everything_on_every_app(app):
         improved_interface=True,
         aggregate=base.aggregate, fuse_loops=base.fuse_loops,
         piggyback=base.piggyback,
-        tree_reductions=True, balance_loops=True, push_halos=True)
+        tree_reductions=True, push_halos=True)
     r = run_app_spf(app, options)
     assert signatures_close(seq(app).signature, r.scalars, rtol=1e-6), app
 

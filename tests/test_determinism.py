@@ -88,8 +88,7 @@ def test_harness_runs_deterministic(variant):
 
 
 def test_extension_paths_deterministic():
-    opts = SpfOptions(tree_reductions=True, push_halos=True,
-                      balance_loops=True)
+    opts = SpfOptions(tree_reductions=True, push_halos=True)
     a = run_spf(stencil_program(), nprocs=5, options=opts)
     b = run_spf(stencil_program(), nprocs=5, options=opts)
     assert fingerprint(a) == fingerprint(b)

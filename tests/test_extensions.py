@@ -1,10 +1,11 @@
 """Tests for the Section 8 future-work features implemented as extensions:
-tree reductions, weighted-block load balancing, and halo pushing."""
+tree reductions and halo pushing."""
+
+from operator import add
 
 import numpy as np
 import pytest
 
-from repro.apps.common import signatures_close
 from repro.compiler.ir import (Access, ArrayDecl, Full, ParallelLoop,
                                Program, Reduction, Span, TimeLoop)
 from repro.compiler.seq import run_sequential
@@ -23,7 +24,8 @@ def _setup(space):
 
 def test_tmk_reduce_sum():
     def prog(tmk):
-        return (yield from tmk_reduce_gen(tmk.node, float(tmk.pid + 1)))
+        return (yield from tmk_reduce_gen(tmk.node, float(tmk.pid + 1),
+                                          add))
 
     for n in (1, 2, 3, 5, 8):
         r = tmk_run(n, prog, _setup)
@@ -32,8 +34,8 @@ def test_tmk_reduce_sum():
 
 def test_tmk_reduce_max_min():
     def prog(tmk):
-        hi = yield from tmk_reduce_gen(tmk.node, tmk.pid, op_name="max")
-        lo = yield from tmk_reduce_gen(tmk.node, tmk.pid, op_name="min")
+        hi = yield from tmk_reduce_gen(tmk.node, tmk.pid, op=max)
+        lo = yield from tmk_reduce_gen(tmk.node, tmk.pid, op=min)
         return (hi, lo)
 
     r = tmk_run(5, prog, _setup)
@@ -44,7 +46,7 @@ def test_tmk_reduce_message_count():
     """2(n-1) messages: up the combining tree and back down."""
 
     def prog(tmk):
-        yield from tmk_reduce_gen(tmk.node, 1.0)
+        yield from tmk_reduce_gen(tmk.node, 1.0, add)
 
     for n in (2, 4, 8):
         r = tmk_run(n, prog, _setup)
@@ -59,7 +61,7 @@ def test_tmk_reduce_carries_consistency():
         x = tmk.array("x")
         yield from x.write_gen((slice(tmk.pid, tmk.pid + 1),),
                                float(tmk.pid + 1))
-        yield from tmk_reduce_gen(tmk.node, 0.0)
+        yield from tmk_reduce_gen(tmk.node, 0.0, add)
         row = (tmk.pid + 1) % tmk.nprocs
         return float((yield from x.read_gen((row, 0))))
 
@@ -76,56 +78,6 @@ def test_tmk_reduce_cheaper_than_lock_chain():
     assert tree.time < lock.time
     assert tree.dsm_stats.lock_acquires == 0
     assert tree.dsm_stats.tree_reductions > 0
-
-
-# ---------------------------------------------------------------------- #
-# weighted-block load balancing
-
-def triangular_cost_program(n=64, iters=3):
-    """A block-scheduled loop whose iteration i costs ~i units."""
-
-    def kernel(views, lo, hi):
-        views["a"][lo:hi] += 1.0
-        return {"s": float(views["a"][lo:hi].sum(dtype=np.float64))}
-
-    return Program(
-        "triangle",
-        arrays=[ArrayDecl("a", (n, 64), np.float64)],
-        body=[TimeLoop("t", iters, [ParallelLoop(
-            "tri", n, kernel,
-            reads=[Access("a", (Span(), Full()))],
-            writes=[Access("a", (Span(), Full()))],
-            reductions=[Reduction("s")],
-            cost_per_iter=lambda i: 1e-4 * (i + 1))])])
-
-
-def test_balanced_chunks_cover_iteration_space():
-    exe = compile_spf(triangular_cost_program(), nprocs=4,
-                      options=SpfOptions(balance_loops=True))
-    loop = next(iter(exe.program.parallel_loops()))
-    chunks = [exe.chunk(loop, p).bounds for p in range(4)]
-    assert chunks[0][0] == 0 and chunks[-1][1] == 64
-    for (a, b), (c, d) in zip(chunks, chunks[1:]):
-        assert b == c
-    # triangular cost: the first chunk must be the largest
-    sizes = [hi - lo for lo, hi in chunks]
-    assert sizes[0] > sizes[-1]
-
-
-def test_balancing_reduces_time_same_answer():
-    base = run_spf(triangular_cost_program(), nprocs=4)
-    bal = run_spf(triangular_cost_program(), nprocs=4,
-                  options=SpfOptions(balance_loops=True))
-    assert bal.scalars["s"] == pytest.approx(base.scalars["s"], rel=1e-9)
-    assert bal.time < base.time
-
-
-def test_balancing_ignores_constant_cost_loops():
-    exe = compile_spf(stencil_program(), nprocs=4,
-                      options=SpfOptions(balance_loops=True))
-    loop = next(iter(exe.program.parallel_loops()))
-    from repro.compiler.partition import block_range
-    assert exe.chunk(loop, 1).bounds == block_range(32, 4, 1)
 
 
 # ---------------------------------------------------------------------- #
@@ -203,7 +155,7 @@ def test_halo_push_with_nothing_changed_still_sends():
 def test_all_extensions_combined_on_every_count(nprocs):
     _v, seq, _t = run_sequential(stencil_program())
     opts = SpfOptions(aggregate=True, fuse_loops=True, tree_reductions=True,
-                      balance_loops=True, push_halos=True)
+                      push_halos=True)
     r = run_spf(stencil_program(), nprocs=nprocs, options=opts)
     assert r.scalars["sum"] == pytest.approx(seq["sum"], rel=1e-6)
 
@@ -211,17 +163,35 @@ def test_all_extensions_combined_on_every_count(nprocs):
 # ---------------------------------------------------------------------- #
 # option pairs: every two code-generation switches must compose
 
+def triangular_cost_program(n=64, iters=3):
+    """A block-scheduled loop with a reduction and no halo."""
+
+    def kernel(views, lo, hi):
+        views["a"][lo:hi] += 1.0
+        return {"s": float(views["a"][lo:hi].sum(dtype=np.float64))}
+
+    return Program(
+        "triangle",
+        arrays=[ArrayDecl("a", (n, 64), np.float64)],
+        body=[TimeLoop("t", iters, [ParallelLoop(
+            "tri", n, kernel,
+            reads=[Access("a", (Span(), Full()))],
+            writes=[Access("a", (Span(), Full()))],
+            reductions=[Reduction("s")],
+            cost_per_iter=1e-4)])])
+
+
 def skewed(program):
-    """Give every parallel loop a callable, skewed per-iteration cost (so
-    ``balance_loops`` really moves chunk boundaries)."""
-    for loop in program.parallel_loops():
-        loop.cost_per_iter = lambda i: 1e-6 * (1 + i)
+    """Give the k-th parallel loop the per-iteration cost 1e-6 * (1 + k),
+    so loops differ in cost."""
+    for k, loop in enumerate(program.parallel_loops()):
+        loop.cost_per_iter = 1e-6 * (1 + k)
     return program
 
 
 def producer_consumer_program(n=64, cols=256, iters=3):
-    """A producer with a callable cost, then a chunk-aligned consumer with
-    a constant one: under ``balance_loops`` their boundaries differ."""
+    """A producer, then a consumer that reads exactly the rows its own
+    chunk of the producer wrote: fusable."""
 
     def produce(views, lo, hi):
         views["a"][lo:hi] += 1.0
@@ -239,7 +209,7 @@ def producer_consumer_program(n=64, cols=256, iters=3):
             ParallelLoop("produce", n, produce,
                          reads=[Access("a", rows)],
                          writes=[Access("a", rows)],
-                         cost_per_iter=lambda i: 1e-6 * (1 + i)),
+                         cost_per_iter=2e-6),
             ParallelLoop("consume", n, consume,
                          reads=[Access("a", rows)],
                          writes=[Access("b", rows)],
@@ -247,12 +217,10 @@ def producer_consumer_program(n=64, cols=256, iters=3):
                          cost_per_iter=1e-6)])])
 
 
-@pytest.mark.parametrize("flags", [(), ("fuse_loops",), ("balance_loops",),
-                                   ("fuse_loops", "balance_loops")],
-                         ids="+".join)
+@pytest.mark.parametrize("flags", [(), ("fuse_loops",)], ids="+".join)
 def test_fusion_is_judged_on_the_chunks_that_run(flags):
-    """fuse+balance used to fuse on the count-equal partition and execute
-    the cost-equal one: sum = 89 088 instead of 98 304, no error."""
+    """Fusion is judged on the chunks the fused unit executes, and the
+    fused run keeps the sequential answer."""
     _v, seq, _t = run_sequential(producer_consumer_program())
     assert seq["sum"] == 98304.0
     options = SpfOptions(**dict.fromkeys(flags, True))
@@ -263,12 +231,10 @@ def test_fusion_is_judged_on_the_chunks_that_run(flags):
     assert r.scalars["sum"] == seq["sum"]
 
 
-@pytest.mark.parametrize("flags", [("push_halos",), ("balance_loops",),
-                                   ("push_halos", "balance_loops")],
-                         ids="+".join)
+@pytest.mark.parametrize("flags", [("push_halos",)], ids="+".join)
 def test_halo_pushes_follow_the_chunks_that_run(flags):
-    """push+balance used to push the count-equal boundary rows while the
-    cost-equal neighbours waited for pushes that never came (Deadlock)."""
+    """Producers push the boundary rows of the chunks that run, so no
+    neighbour waits for a push that never comes (Deadlock)."""
     _v, seq, _t = run_sequential(skewed(stencil_program(iters=4)))
     assert seq["sum"] == 936.53125
     r = run_spf(skewed(stencil_program(iters=4)), nprocs=4,
@@ -277,8 +243,7 @@ def test_halo_pushes_follow_the_chunks_that_run(flags):
 
 
 SWITCHES = {"fuse_loops": True, "aggregate": True, "tree_reductions": True,
-            "balance_loops": True, "push_halos": True,
-            "improved_interface": False}
+            "push_halos": True, "improved_interface": False}
 PAIRS = [(a, b) for i, a in enumerate(SWITCHES) for b in list(SWITCHES)[i + 1:]]
 
 

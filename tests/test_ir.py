@@ -63,9 +63,6 @@ def test_reduction_ops():
 def test_parallel_loop_chunk_cost():
     loop = ParallelLoop("l", 10, lambda v, lo, hi: None, cost_per_iter=2.0)
     assert loop.chunk_cost(3, 7) == 8.0
-    loop2 = ParallelLoop("l", 10, lambda v, lo, hi: None,
-                         cost_per_iter=lambda i: float(i))
-    assert loop2.chunk_cost(2, 5) == 2 + 3 + 4
 
 
 def test_timeloop_static_and_factory_bodies():

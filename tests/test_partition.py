@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compiler.ir import ArrayDecl, ParallelLoop, Program
-from repro.compiler.partition import (Chunk, balanced_chunk, block_owner,
-                                      block_range, cyclic_indices,
-                                      cyclic_owner, loop_chunk)
+from repro.compiler.partition import (Chunk, block_owner, block_range,
+                                      cyclic_indices, cyclic_owner,
+                                      loop_chunk)
 from repro.compiler.xhpf import compile_xhpf
 
 
@@ -76,9 +76,7 @@ def loops(draw):
     extent = draw(st.integers(1, 120))
     start = draw(st.integers(0, extent))
     schedule = draw(st.sampled_from(["block", "cyclic"]))
-    weight = draw(st.integers(0, 8))
-    cost = draw(st.sampled_from([
-        weight * UNIT, lambda i: (1 + (i * weight) % 7) * UNIT]))
+    cost = draw(st.integers(0, 8)) * UNIT
     seen = []
 
     def kernel(views, lo, hi=None):
@@ -97,7 +95,7 @@ def xhpf_chunk(loop, pid, nprocs):
     return compile_xhpf(prog, nprocs).chunk(loop, pid)
 
 
-POLICIES = [loop_chunk, balanced_chunk, xhpf_chunk]
+POLICIES = [loop_chunk, xhpf_chunk]
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda f: f.__name__)

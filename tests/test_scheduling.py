@@ -12,8 +12,6 @@ The contract under test (see docs/API.md "Scheduling"):
   batch runs and the service is untouched (pool and wire; the fleet
   twin lives in ``test_fleet.py``), and a one-request wire batch does
   not stall on Nagle x delayed-ACK;
-* ``BatchResult.workers`` reports *live* workers, not the configured
-  pool size, after a crash with ``respawn=False``;
 * the parallel evaluation harnesses produce documents bit-identical to
   their serial twins (``repro sweep --jobs N`` contract), and a run that
   raises is the same structured failure in-process as through a pool —
@@ -156,17 +154,6 @@ def test_one_request_wire_batch_does_not_stall_on_nagle():
                 assert sorted(walls)[len(walls) // 2] < 0.020
         finally:
             server.close()
-
-
-def test_batch_reports_live_workers_after_unreplaced_crash():
-    with RunService(workers=2, runner=ECHO, respawn=False) as svc:
-        before = svc.run_batch([_req(tag="warm")])
-        assert before.workers == 2
-        batch = svc.run_batch([_req(tag="crash"), _req(tag="ok")])
-        assert batch.crashes == 1
-        assert batch.workers == 1      # live count, not configured size
-        after = svc.run_batch([_req(tag="still-serving")])
-        assert after.ok and after.workers == 1
 
 
 def test_dead_worker_send_failure_requeues_not_fails():

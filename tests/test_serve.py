@@ -13,7 +13,7 @@ The contract under test (see docs/API.md):
 * a worker is forked when the pool starts it from a single-threaded
   process on Linux, spawned otherwise, and either way a worker's death is
   EOF on the parent's end and the parent closing its end is EOF on the
-  worker's;
+  worker's, and a forked worker keeps no other socket of its parent;
 * the JSON-lines wire protocol (TCP) round-trips requests, streamed
   results and batch documents.
 """
@@ -21,6 +21,7 @@ The contract under test (see docs/API.md):
 import _thread
 import collections
 import multiprocessing
+import socket
 import sys
 import threading
 import time
@@ -211,6 +212,20 @@ def test_forked_workers_keep_no_parent_end(one_thread):
         for worker in svc._targets:
             worker.close(0)
     assert exits == [0, 0]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
+def test_forked_worker_keeps_no_foreign_socket(one_thread):
+    """A connection the parent had open when it forked a worker still
+    ends when the parent closes it: the worker holds no copy of it."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        ours = socket.create_connection(listener.getsockname())
+        peer, _addr = listener.accept()
+    with peer, RunService(workers=1, runner=ECHO) as svc:
+        assert _started(svc) == {"fork"}
+        ours.close()
+        peer.settimeout(2.0)
+        assert peer.recv(1) == b""          # EOF, not a timeout
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux")
