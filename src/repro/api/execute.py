@@ -183,26 +183,25 @@ def _prepare(request: RunRequest, cache: ProgramCache):
     return cache.get(request.cache_key(), build)
 
 
-def _seq_result(request: RunRequest, bundle) -> RunResult:
+def _seq_result(request: RunRequest, bundle, hit: bool) -> RunResult:
+    """The sequential oracle's run, the same in both modes."""
     from repro.compiler.seq import run_sequential
 
     _views, scalars, time = run_sequential(bundle["program"])
     return RunResult(app=request.app, variant="seq", nprocs=1,
                      preset=request.preset, time=time, seq_time=time,
                      messages=0, kilobytes=0.0, signature=dict(scalars),
-                     mode=request.mode)
+                     mode=request.mode, tag=request.tag, cache_hit=hit)
 
 
 def _execute_model(request: RunRequest, cache: ProgramCache,
                    hit: bool) -> RunResult:
     from repro.compiler.model import model_variant
 
-    seq_time = (None if request.variant == "seq"
-                else _seq_time_for(request, cache))
     res = model_variant(request.app, request.variant,
                         nprocs=request.nprocs, preset=request.preset,
                         machine=machine_from_doc(request.machine),
-                        seq_time=seq_time)
+                        seq_time=_seq_time_for(request, cache))
     return _replace(res, tag=request.tag, cache_hit=hit)
 
 
@@ -292,10 +291,6 @@ def _resolve(request: RunRequest, bundle):
 def _execute_sim(request: RunRequest, cache: ProgramCache,
                  bundle, hit: bool):
     """``(RunResult, readback arrays or None)`` of one simulated run."""
-    if request.variant == "seq":
-        return _replace(_seq_result(request, bundle), tag=request.tag,
-                        cache_hit=hit), None
-
     machine = machine_from_doc(request.machine)
     faults = fault_plan_from_doc(request.fault_plan)
     seq_time = _seq_time_for(request, cache)
@@ -361,7 +356,9 @@ def execute_with_arrays(request: RunRequest,
     cache = cache if cache is not None else ProgramCache()
     t0 = _time.perf_counter()
     bundle, hit = _prepare(request, cache)
-    if request.mode == "model":
+    if request.variant == "seq":
+        res, arrays = _seq_result(request, bundle, hit), None
+    elif request.mode == "model":
         res, arrays = _execute_model(request, cache, hit), None
     else:
         res, arrays = _execute_sim(request, cache, bundle, hit)

@@ -39,7 +39,8 @@ DSM_VARIANTS = ("spf", "spf_opt", "spf_old", "tmk", "spf_spec")
 #: explicit message-passing variants (nothing shared; signatures bit-stable)
 MP_VARIANTS = ("xhpf", "xhpf_ie", "pvme")
 
-#: variants the analytic mode can predict (compiler.model imports this)
+#: variants a ``mode="model"`` request may name: ``seq`` runs the oracle,
+#: compiler.model (which imports this) predicts the rest
 MODELED_VARIANTS = ("seq", "spf", "spf_old", "xhpf", "xhpf_ie")
 
 #: the four bars of the paper's Figures 1/2, plus the oracle

@@ -46,6 +46,7 @@ from fnmatch import fnmatch
 from typing import Optional
 
 import numpy as np
+from numpy.lib.mixins import NDArrayOperatorsMixin
 
 from repro.compiler import depend
 from repro.compiler.depend import stmt_family
@@ -346,12 +347,14 @@ def _check_wellformed(program: Program, nprocs: int,
 # ---------------------------------------------------------------------- #
 # rule 2: footprint soundness (shadow execution)
 
-class ShadowArray:
+class ShadowArray(NDArrayOperatorsMixin):
     """A recording array wrapper: reads and writes mark element masks.
 
     Not an ndarray subclass — every access funnels through ``__getitem__``
     / ``__setitem__`` (or ``__array__`` for whole-array conversions), so a
-    kernel cannot touch an element without the sanitizer seeing it.
+    kernel cannot touch an element without the sanitizer seeing it.  The
+    mixin's operators go through ``__array_ufunc__``: ``v + x`` reads ``v``
+    whole, and ``v += x`` is refused like any ``out=`` shared array.
     ``reshape`` returns a wrapper over reshaped *views* of the same data
     and masks (FFT's flat checksum indexing stays exact).
     """
@@ -432,40 +435,10 @@ class ShadowArray:
         self.read_mask[...] = True
         return self.data.copy()
 
-    # arithmetic on the whole wrapper counts as a full read
+    # a ufunc on the whole wrapper counts as a full read
     def _full(self):
         self.read_mask[...] = True
         return self.data
-
-    def __add__(self, other):
-        return self._full() + other
-
-    def __radd__(self, other):
-        return other + self._full()
-
-    def __sub__(self, other):
-        return self._full() - other
-
-    def __rsub__(self, other):
-        return other - self._full()
-
-    def __mul__(self, other):
-        return self._full() * other
-
-    def __rmul__(self, other):
-        return other * self._full()
-
-    def __truediv__(self, other):
-        return self._full() / other
-
-    def __rtruediv__(self, other):
-        return other / self._full()
-
-    def __matmul__(self, other):
-        return self._full() @ other
-
-    def __neg__(self):
-        return -self._full()
 
 
 def _declared_masks(stmt, chunk, raw: dict) -> tuple:

@@ -19,8 +19,7 @@ terms along it, instead of scheduling events:
   schedules: the owners, regions and edges its SPMD program executes)
   under the packet rule of
   :func:`repro.msg.endpoint.packet_count`, with no message objects in
-  flight;
-* ``seq`` degenerates to the sequential oracle.
+  flight.
 
 Predictions carry the same :class:`~repro.api.RunResult` shape as a
 simulation, flagged ``mode="model"``.  Message and byte counts
@@ -33,7 +32,9 @@ rates but request/reply concurrency is approximated (see docs/MODEL.md).
 The hand-coded variants (``tmk``/``pvme``) have no IR to compose over, and
 ``spf_opt`` exercises enhanced-interface paths the model does not replicate;
 all three raise :class:`ModelUnsupportedVariant` — refusal is part of the
-contract, exactly as the static lint refuses irregular apps.
+contract, exactly as the static lint refuses irregular apps.  So does
+``seq``: it is run, not predicted (:func:`repro.api.execute` runs the
+sequential oracle for a ``mode="model"`` request as for a simulated one).
 """
 
 from __future__ import annotations
@@ -90,10 +91,14 @@ def model_variant(app: str, variant: str, nprocs: int = 8,
     Returns a :class:`~repro.api.RunResult` with ``mode="model"``; same
     fields as a simulated run (``dsm`` carries the predicted
     :class:`DsmStats` for the DSM variants).  Raises
-    :class:`ModelUnsupportedVariant` for ``tmk``/``pvme``/``spf_opt``.
+    :class:`ModelUnsupportedVariant` for ``seq``/``tmk``/``pvme``/``spf_opt``.
     """
     from repro.api.types import RunResult
 
+    if variant == "seq":
+        raise ModelUnsupportedVariant(
+            "the sequential oracle is run, not modeled: execute() answers "
+            "a mode='model' seq request with the oracle's own run")
     if variant not in MODELED_VARIANTS:
         raise ModelUnsupportedVariant(
             f"variant {variant!r} is not analytically modeled "
@@ -105,18 +110,9 @@ def model_variant(app: str, variant: str, nprocs: int = 8,
     params = spec.params(preset)
     mach = (machine or SP2_MODEL).with_(nprocs=nprocs)
 
-    if variant == "seq":
-        from repro.compiler.seq import run_sequential
-        _views, scalars, time = run_sequential(spec.build_program(params))
-        return RunResult(app=spec.name, variant="seq", nprocs=1,
-                         preset=preset, time=time, seq_time=time,
-                         messages=0, kilobytes=0.0,
-                         signature=dict(scalars), mode="model")
-
-    if seq_time is None:
-        seq_time = sequential_time(spec.build_program(params))
-
     program = spec.build_program(params)
+    if seq_time is None:
+        seq_time = sequential_time(program)
     if variant in ("spf", "spf_old"):
         options = SpfOptions(improved_interface=(variant == "spf"))
         m = _SpfModel(program, nprocs, mach, options)

@@ -26,32 +26,21 @@ def run_sequential(program: Program):
     """Execute the whole program on one processor.
 
     Returns ``(views, scalars, time)``: the final array contents, the final
-    reduction values, and the summed virtual compute time.
+    reduction values, and :func:`sequential_time` of the program.
     """
     views = make_views(program)
     scalars: dict = {}
-    marks: dict = {}
-    time = 0.0
     for stmt in program.flat_statements():
-        if isinstance(stmt, Mark):
-            marks[stmt.label] = time
-            continue
         if isinstance(stmt, SeqBlock):
             stmt.kernel(views)
-            time += stmt.cost_for(program.params)
         elif isinstance(stmt, ParallelLoop):
             for name in stmt.accumulate:   # recomputed from zero per instance
                 views[name][...] = 0
-            partials, cost = Chunk.whole(stmt).run(stmt, views)
-            time += cost
-            for name in stmt.accumulate:   # the source's buffer-merge work
-                time += stmt.merge_cost_per_iter * views[name].shape[0]
+            partials, _cost = Chunk.whole(stmt).run(stmt, views)
             _fold_reductions(stmt, partials, scalars)
-        else:
+        elif not isinstance(stmt, Mark):
             raise TypeError(f"unexpected statement {stmt!r}")
-    if "start" in marks:
-        time -= marks["start"]   # report only the measured region
-    return views, scalars, time
+    return views, scalars, sequential_time(program)
 
 
 def _fold_reductions(loop: ParallelLoop, partials, scalars: dict) -> None:

@@ -188,7 +188,6 @@ def chaos_sweep(apps: Optional[Sequence[str]] = None,
         for variant in variants:
             base = RunRequest(
                 app=app, variant=variant, nprocs=nprocs, preset=preset,
-                seq_time=1.0,
                 readback=(variant in _DSM_VARIANTS))
             requests.append(base)
             labels.append((app, variant, None))

@@ -142,7 +142,7 @@ def racecheck_app(app: str, variant: str = "spf",
                          "(a zero-run verdict would be vacuously OK)")
     requests = [RunRequest(app=app, variant=variant, nprocs=nprocs,
                            preset=preset, schedule_seed=seed, racecheck=True,
-                           readback=True, seq_time=1.0)
+                           readback=True)
                 for seed in seed_list]
     first, first_arrays = execute_with_arrays(requests[0])
     results = [first] + run_requests(

@@ -5,11 +5,11 @@
 
 1. **Plan** (:func:`plan`): every run the archives read, deduplicated by
    request identity (:func:`request_key`, the ``to_json()`` text) —
-   Figure 1 and Table 2, §5 and §7 read the same runs — plus one
-   sequential oracle per (app, preset).
-2. **Run**: :func:`run_seq_first` retires the oracles, then every other
-   request with ``seq_time`` filled in, on one tier (``service``).
-   Each distinct request runs once.
+   Figure 1 and Table 2, §5 and §7 read the same runs.
+2. **Run**: the whole plan is one batch through
+   :func:`~repro.eval.parallel.run_requests` on one tier (``service``).
+   Each distinct request runs once; :func:`~repro.api.execute` fills in
+   every result's sequential-oracle time itself.
 3. **Render**: one :data:`~repro.eval.tables.RESULT_ORDER` renderer per
    archive.
 4. **Write**: ``results_dir/NAME.txt`` per archive;
@@ -17,7 +17,7 @@
 
 Every run is on the paper's 8-processor machine; only the preset (problem
 size) is chosen.  The serial, ``--jobs`` and ``--fleet`` tiers write the
-same bytes.  :func:`run_all_variants` is the same two-phase run for one
+same bytes.  :func:`run_all_variants` is the same one batch for one
 application (``repro compare``).
 """
 
@@ -25,10 +25,9 @@ from __future__ import annotations
 
 import json
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.api.execute import InProcess
 from repro.api.registry import FIGURE_VARIANTS
 from repro.api.types import RunRequest
 from repro.eval.constants import APPS, PAPER
@@ -39,8 +38,7 @@ from repro.eval.tables import (ENHANCEMENTS, HAND_OPT_APPS, INSPECTOR_APPS,
                                SENSITIVITY_PRESET, SENSITIVITY_RUNS)
 
 __all__ = ["RESULT_ORDER", "RESULTS_DIR", "Reproduction", "plan",
-           "reproduce", "format_report", "request_key", "run_seq_first",
-           "run_all_variants"]
+           "reproduce", "format_report", "request_key", "run_all_variants"]
 
 RESULTS_DIR = (pathlib.Path(__file__).resolve().parents[3]
                / "benchmarks" / "results")
@@ -52,37 +50,16 @@ def request_key(request: RunRequest) -> str:
     return json.dumps(request.to_json(), sort_keys=True)
 
 
-def run_seq_first(seq: list, rest: list, service=None, progress=None):
-    """Retire ``seq`` requests, then ``rest``, on one tier.
-
-    ``rest`` holds ``(i, request)`` pairs: ``request`` runs with
-    ``seq_time`` set to the measured time of ``seq[i]`` (the sequential
-    oracle's time seeds every later variant's speedup).  Two batches
-    through :func:`~repro.eval.parallel.run_requests` on ``service``
-    (``None``: one :class:`~repro.api.InProcess`, so both share its
-    cache); returns ``(seq results, rest results)``, each in request
-    order.
-    """
-    service = service if service is not None else InProcess()
-    done = run_requests(seq, service, progress=progress)
-    filled = [replace(request, seq_time=done[i].time)
-              for i, request in rest]
-    return done, run_requests(filled, service, progress=progress)
-
-
 def run_all_variants(app: str, nprocs: int = 8, preset: str = "bench",
                      variants: Optional[list] = None,
                      service=None) -> dict:
     """Run ``variants`` (default: the four of Figures 1/2 plus seq) of
-    ``app`` after its sequential oracle, through :func:`run_seq_first`;
-    results are keyed in ``variants`` order."""
+    ``app`` as one batch on ``service``; results are keyed in
+    ``variants`` order."""
     variants = list(variants or FIGURE_VARIANTS)
-    seq = RunRequest(app=app, variant="seq", nprocs=nprocs, preset=preset)
-    rest = [v for v in variants if v != "seq"]
-    (seq_result,), results = run_seq_first(
-        [seq], [(0, replace(seq, variant=v)) for v in rest], service)
-    out = dict(zip(rest, results), seq=seq_result)
-    return {v: out[v] for v in variants}
+    requests = [RunRequest(app=app, variant=v, nprocs=nprocs, preset=preset)
+                for v in variants]
+    return dict(zip(variants, run_requests(requests, service)))
 
 
 def _wanted(preset: str):
@@ -110,20 +87,10 @@ def _wanted(preset: str):
                       machine=machine)
 
 
-def plan(preset: str = "bench") -> tuple:
-    """The distinct runs the fourteen archives read at ``preset``, in two
-    phases: ``(seq, rest)``, the sequential-oracle requests (run first),
-    then ``(i, request)`` pairs, each run with ``seq_time`` set to the
-    measured time of ``seq[i]``."""
-    seq: dict = {}
-    rest: dict = {}
-    for request in _wanted(preset):
-        oracle = RunRequest(request.app, "seq", nprocs=NPROCS,
-                            preset=request.preset)
-        index, _ = seq.setdefault(request_key(oracle), (len(seq), oracle))
-        if request.variant != "seq":
-            rest.setdefault(request_key(request), (index, request))
-    return [oracle for _i, oracle in seq.values()], list(rest.values())
+def plan(preset: str = "bench") -> list:
+    """The distinct runs the fourteen archives read at ``preset``, in
+    first-wanted order (none sets ``seq_time``)."""
+    return list({request_key(r): r for r in _wanted(preset)}.values())
 
 
 @dataclass
@@ -131,7 +98,7 @@ class Reproduction:
     """What one :func:`reproduce` call measured and rendered."""
 
     preset: str
-    results: dict           # request_key (seq_time unset) -> RunResult
+    results: dict           # request_key -> RunResult
     table1: dict            # app -> (problem size, sequential seconds at
                             # the paper's size; a static sum, not a run)
     dispatch_units: tuple   # Shallow's SPF dispatch units: (plain, fused)
@@ -181,12 +148,12 @@ def reproduce(preset: str = "bench", service=None,
     """Plan, run, render and write the fourteen archives.
 
     ``service``/``progress`` pick the tier and report completions as in
-    :func:`run_seq_first`; a failed run raises.
+    :func:`~repro.eval.parallel.run_requests`; a failed run raises.
     """
-    seq, rest = plan(preset)
-    done, later = run_seq_first(seq, rest, service, progress)
-    keys = map(request_key, seq + [request for _i, request in rest])
-    doc = Reproduction(preset, dict(zip(keys, done + later)),
+    requests = plan(preset)
+    results = run_requests(requests, service, progress=progress)
+    doc = Reproduction(preset, dict(zip(map(request_key, requests),
+                                        results)),
                        _table1_rows(), _dispatch_units())
     doc.texts.update((name, render(doc))
                      for name, _title, render in RESULT_ORDER)

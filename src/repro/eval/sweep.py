@@ -15,8 +15,6 @@ from dataclasses import asdict
 from typing import Optional
 
 from repro.api.types import RunRequest, machine_to_doc
-from repro.apps.common import get_app
-from repro.compiler.seq import sequential_time
 from repro.eval.constants import APPS
 from repro.eval.parallel import run_requests
 from repro.sim.machine import SP2_MODEL, MachineModel
@@ -51,7 +49,8 @@ def run_sweep(apps: Optional[list] = None,
 
     * ``schema`` — ``"repro-sweep/3"``
     * ``preset``, ``machine`` (full parameter set), ``nodes``, ``variants``
-    * ``apps[app]`` — ``seq_time`` plus per-variant lists of per-N rows.
+    * ``apps[app]`` — ``seq_time`` (the sequential oracle's time its rows
+      carry) plus per-variant lists of per-N rows.
       Each row is the deterministic (fingerprint) form of the unified
       ``repro-run/1`` result document — the same serializer the serve wire
       protocol and the chaos harness use — and carries ``mode: "model"``.
@@ -71,21 +70,19 @@ def run_sweep(apps: Optional[list] = None,
     requests = []
     slots = []                  # (app, variant, node index) per request
     for app in apps:
-        spec = get_app(app)
-        seq_time = sequential_time(spec.build_program(spec.params(preset)))
-        entry: dict = {"seq_time": seq_time, "variants": {}}
+        entry = doc["apps"][app] = {"seq_time": None, "variants": {}}
         for variant in variants:
             entry["variants"][variant] = [None] * len(nodes)
             for i, n in enumerate(nodes):
                 requests.append(RunRequest(
                     app=app, variant=variant, nprocs=int(n), preset=preset,
-                    mode="model", machine=machine_doc, seq_time=seq_time))
+                    mode="model", machine=machine_doc))
                 slots.append((app, variant, i))
-        doc["apps"][app] = entry
     results = run_requests(
         requests, service, progress=progress,
         describe=lambda r: f"model {r.app} {r.variant} n={r.nprocs}")
     for (app, variant, i), res in zip(slots, results):
+        doc["apps"][app]["seq_time"] = res.seq_time
         doc["apps"][app]["variants"][variant][i] = res.fingerprint()
     return doc
 

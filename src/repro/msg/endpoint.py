@@ -160,14 +160,6 @@ class Comm:
         """Blocking receive; returns the full Message (src/tag visible)."""
         return self.net.recv_gen(self.proc, self.rank, src=src, tag=tag)
 
-    def sendrecv_gen(self, dst: int, payload: Any, src: int, tag: int = 0):
-        """Exchange: buffered send then blocking receive (deadlock-free)."""
-        yield from self.send_gen(dst, payload, tag=tag)
-        return (yield from self.recv_gen(src=src, tag=tag))
-
-    def probe(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        return self.net.probe(self.rank, src=src, tag=tag)
-
     def next_tag(self, base: int = 500_000) -> int:
         """A fresh tag for internal phases (collectives use these)."""
         self._seq += 1

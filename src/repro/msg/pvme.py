@@ -2,10 +2,10 @@
 
 PVMe is IBM's SP/2-optimized implementation of PVM [8].  The hand-coded
 programs in the paper use a small subset — initialize, send/receive typed
-array messages, broadcast, and reduce — which this facade exposes with
-PVM-ish names over :class:`~repro.msg.endpoint.Comm`.  Sends are
-unsegmented (PVMe moves a boundary column in a single message, which is
-what makes the paper's Table 2 show exactly 1400 messages for Jacobi:
+array messages, broadcast, allreduce and alltoall — which this facade
+exposes with PVM-ish names over :class:`~repro.msg.endpoint.Comm`.  Sends
+are unsegmented (PVMe moves a boundary column in a single message, which
+is what makes the paper's Table 2 show exactly 1400 messages for Jacobi:
 2 neighbours x 7 exchanges x 100 iterations).
 
 Every operation is one generator of engine block requests (``send_gen``,
@@ -50,24 +50,11 @@ class Pvme:
     def bcast_gen(self, value: Any, root: int = 0):
         return coll.bcast_gen(self.comm, value, root=root)
 
-    def reduce_gen(self, value: Any, op: Callable[[Any, Any], Any],
-                   root: int = 0):
-        return coll.reduce_gen(self.comm, value, op, root=root)
-
     def allreduce_gen(self, value: Any, op: Callable[[Any, Any], Any]):
         return coll.allreduce_gen(self.comm, value, op)
 
-    def gather_gen(self, value: Any, root: int = 0):
-        return coll.gather_gen(self.comm, value, root=root)
-
-    def allgather_gen(self, value: Any):
-        return coll.allgather_gen(self.comm, value)
-
     def alltoall_gen(self, values: list):
         return coll.alltoall_gen(self.comm, values)
-
-    def barrier_gen(self):
-        return coll.mp_barrier_gen(self.comm)
 
     # -- blocking forms for plain-function programs ---------------------------
 

@@ -364,14 +364,6 @@ class Network:
         yield HOLD, self.model.recv_overhead
         return msg
 
-    def probe(self, dst: int, *, src: int = ANY_SOURCE,
-              tag: int = ANY_TAG) -> bool:
-        """Non-blocking: is a matching message already in the mailbox?"""
-        return any(self._match(m, src, tag) for m in self._mailbox[dst])
-
-    def pending(self, dst: int) -> int:
-        return len(self._mailbox[dst])
-
     # ------------------------------------------------------------------ #
 
     def _name(self, filt: int) -> str:

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.msg import Comm, Pvme
-from repro.msg.collectives import (allgather_gen, allreduce_gen,
-                                   alltoall_gen, bcast_gen, gather_gen,
-                                   mp_barrier_gen, reduce_gen, scatter_gen)
+from repro.msg.collectives import (allreduce_gen, alltoall_gen, bcast_gen,
+                                   reduce_gen)
 from repro.sim import Cluster
 
 SIZES = [1, 2, 3, 5, 8]
@@ -60,44 +59,6 @@ def test_allreduce_max(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_gather_rank_order(n):
-    def prog(env):
-        return (yield from gather_gen(Comm(env), f"r{env.pid}", root=0))
-
-    r = run(n, prog)
-    assert r.results[0] == [f"r{i}" for i in range(n)]
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_allgather(n):
-    def prog(env):
-        return (yield from allgather_gen(Comm(env), env.pid ** 2))
-
-    r = run(n, prog)
-    assert all(res == [i ** 2 for i in range(n)] for res in r.results)
-
-
-@pytest.mark.parametrize("n", SIZES)
-def test_scatter(n):
-    def prog(env):
-        vals = [i * 10 for i in range(n)] if env.pid == 0 else None
-        return (yield from scatter_gen(Comm(env), vals, root=0))
-
-    r = run(n, prog)
-    assert r.results == [i * 10 for i in range(n)]
-
-
-def test_scatter_wrong_length_raises():
-    def prog(env):
-        if env.pid == 0:
-            with pytest.raises(ValueError):
-                yield from scatter_gen(Comm(env), [1], root=0)
-        # rank 1 must not wait for a scatter that never happens
-
-    run(2, prog)
-
-
-@pytest.mark.parametrize("n", SIZES)
 def test_alltoall_permutes(n):
     def prog(env):
         vals = [env.pid * 100 + d for d in range(n)]
@@ -117,24 +78,13 @@ def test_alltoall_message_count():
         assert r.messages == n * (n - 1)
 
 
-@pytest.mark.parametrize("n", SIZES)
-def test_mp_barrier_synchronizes(n):
-    def prog(env):
-        yield from env.compute_gen(0.01 * (env.pid + 1))
-        yield from mp_barrier_gen(Comm(env))
-        return env.now
-
-    r = run(n, prog)
-    assert all(t >= 0.01 * n for t in r.results)
-
-
 def test_collectives_compose_in_sequence():
     def prog(env):
         comm = Comm(env)
         a = yield from allreduce_gen(comm, 1, lambda x, y: x + y)
         b = yield from bcast_gen(comm, a * 2 if env.pid == 0 else None,
                                  root=0)
-        c = yield from allgather_gen(comm, b + env.pid)
+        c = yield from alltoall_gen(comm, [b + env.pid] * env.nprocs)
         return c
 
     r = run(4, prog)

@@ -94,17 +94,6 @@ def test_small_message_not_segmented():
     assert r.messages == 1
 
 
-def test_sendrecv_pairwise():
-    def prog(env):
-        comm = Comm(env)
-        peer = 1 - env.pid
-        return (yield from comm.sendrecv_gen(peer, env.pid * 10, src=peer,
-                                             tag=2))
-
-    r = Cluster(nprocs=2).run(prog)
-    assert r.results == [10, 0]
-
-
 def test_recv_msg_exposes_metadata():
     def prog(env):
         comm = Comm(env)

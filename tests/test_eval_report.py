@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.cli import main
+from repro.eval.constants import APPS
 from repro.eval.reproduce import (RESULT_ORDER, RESULTS_DIR, Reproduction,
                                   format_report, plan, request_key)
 
@@ -44,18 +45,13 @@ def test_report_includes_lint_badges():
 # the plan and the report (nothing runs)
 
 @pytest.mark.parametrize("preset", ["bench", "test"])
-def test_plan_runs_each_request_once_oracles_first(preset):
-    seq, rest = plan(preset)
-    keys = [request_key(r) for r in seq + [r for _i, r in rest]]
+def test_plan_runs_each_request_once(preset):
+    requests = plan(preset)
+    keys = [request_key(r) for r in requests]
     assert len(keys) == len(set(keys))
-    # every seq request is in phase one, and every later request takes its
-    # seq_time from a planned oracle of its own app and preset
-    assert seq and all(r.variant == "seq" for r in seq)
-    for index, request in rest:
-        assert request.variant != "seq" and request.seq_time is None
-        oracle = seq[index]
-        assert (oracle.app, oracle.preset) == (request.app, request.preset)
-    assert {i for i, _r in rest} == set(range(len(seq)))
+    # execute() fills in every oracle time: no planned request pins one
+    assert all(r.seq_time is None for r in requests)
+    assert {r.app for r in requests if r.variant == "seq"} == set(APPS)
 
 
 def test_assemble_report_follows_result_order():
@@ -87,5 +83,4 @@ def test_cli_reproduce(tmp_path, capsys):
     # a KeyError), and one progress line per completed run: each planned
     # request ran once
     runs = [line for line in captured.err.splitlines() if " n=" in line]
-    seq, rest = plan("test")
-    assert len(runs) == len(seq) + len(rest)
+    assert len(runs) == len(plan("test"))

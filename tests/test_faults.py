@@ -235,22 +235,3 @@ def test_chaos_failed_baseline_voids_its_pair():
     assert [e[:3] for e in report.errors] == [("igrid", "spf_opt", None)]
     assert "ValueError" in report.errors[0][3]
     assert [c.variant for c in report.cells] == ["pvme", "pvme"]
-
-
-def test_mp_barrier_reserves_round_tags():
-    """Barrier rounds draw their tags from next_tag, so a collective
-    issued right after the barrier can never collide with a straggler's
-    final barrier round (the old `tag + round_no` scheme reused tag
-    space that next_tag would hand out again)."""
-    from repro.msg.collectives import bcast_gen, mp_barrier_gen
-
-    def prog(env):
-        comm = Comm(env)
-        before = comm._seq
-        yield from mp_barrier_gen(comm)
-        rounds = comm._seq - before          # one fresh tag per round
-        value = yield from bcast_gen(comm, env.pid, root=0)
-        return rounds, value
-
-    r = Cluster(nprocs=4).run(prog)
-    assert all(res == (2, 0) for res in r.results)    # ceil(log2 4) = 2

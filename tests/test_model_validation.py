@@ -182,11 +182,13 @@ def test_unmodeled_variants_refuse(variant):
 
 
 def test_seq_is_modeled_as_the_oracle():
-    mod = model_variant("jacobi", "seq", preset=PRESET)
+    mod = execute(RunRequest("jacobi", "seq", preset=PRESET, mode="model"))
     sim = execute(RunRequest("jacobi", "seq", preset=PRESET))
     assert mod.mode == "model"
     assert mod.time == sim.time
     assert mod.messages == 0 and mod.kilobytes == 0.0
+    with pytest.raises(ModelUnsupportedVariant):   # run, not predicted
+        model_variant("jacobi", "seq", preset=PRESET)
 
 
 # The model's virtual time for the DSM variants is unvalidated (docs/MODEL.md);

@@ -160,21 +160,6 @@ def test_stats_snapshot_and_delta():
     assert snap.messages == 1
 
 
-def test_probe_nonblocking():
-    def prog(env):
-        if env.pid == 0:
-            assert not env.net.probe(0)
-            yield from env.net.send_gen(0, 1, "x", tag=3, nbytes=8)
-        else:
-            yield from env.compute_gen(0.1)   # let the message arrive
-            assert env.net.probe(1, tag=3)
-            assert not env.net.probe(1, tag=4)
-            yield from env.net.recv_gen(env.proc, 1, tag=3)
-            assert not env.net.probe(1, tag=3)
-
-    run2(prog)
-
-
 def test_bad_destination_rejected():
     def prog(env):
         if env.pid == 0:

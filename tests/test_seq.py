@@ -5,8 +5,10 @@ import pytest
 
 from repro.compiler.ir import (Access, ArrayDecl, Full, Mark, ParallelLoop,
                                Program, Reduction, SeqBlock, Span, TimeLoop)
+from repro.api import RunRequest, execute
 from repro.compiler.seq import make_views, run_sequential, sequential_time
-from tests.conftest import stencil_program, triangular_program
+from repro.eval.constants import APPS
+from tests.conftest import N, stencil_program, triangular_program
 
 
 def test_make_views_zeroed_and_typed(stencil_prog):
@@ -24,8 +26,25 @@ def test_run_sequential_executes_kernels(stencil_prog):
 
 
 def test_sequential_time_matches_run(stencil_prog):
+    """The window: 3 iterations x (stencil + copy) x N iterations at 1 us;
+    the init block before Mark('start') does not count."""
+    expected = 3 * 2 * N * 1e-6
+    assert sequential_time(stencil_prog) == pytest.approx(expected, rel=1e-12)
     _views, _scalars, measured = run_sequential(stencil_prog)
-    assert sequential_time(stencil_prog) == pytest.approx(measured)
+    assert measured == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["sim", "model"])
+@pytest.mark.parametrize("app", APPS)
+def test_seq_result_time_is_the_seq_time_of_every_variant(app, mode):
+    """One oracle time: the seq run's ``time`` is, bit for bit, the
+    ``seq_time`` execute() gives every other variant of the app."""
+    seq = execute(RunRequest(app, "seq", preset="test", mode=mode))
+    assert seq.seq_time == seq.time > 0
+    for variant in ("spf", "xhpf"):
+        res = execute(RunRequest(app, variant, nprocs=2, preset="test",
+                                 mode=mode))
+        assert res.seq_time == seq.time, variant
 
 
 def test_marks_restrict_measured_window():
