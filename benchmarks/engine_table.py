@@ -1,4 +1,4 @@
-"""events / diffs / faults / OS-thread switches / threads / wall / minflt per benchmark key, as a markdown table.
+"""events / diffs / faults / OS-thread switches / threads / wall / us per event / minflt per benchmark key, as a markdown table.
 
     PYTHONPATH=src python benchmarks/engine_table.py [--check] >> "$GITHUB_STEP_SUMMARY"
 
@@ -17,7 +17,9 @@ baton (``switches = 0``) and starts no ``simproc-`` thread (``threads =
 0``); a change that brings a thread back shows up here as a count, on the
 PR that made it.  With ``--check`` the script exits non-zero when any row
 shows ``switches > 0`` or ``threads > 0`` (the table is printed either
-way).  ``wall`` is one warm run: a magnitude, not a measurement.
+way).  ``wall`` is one warm run: a magnitude, not a measurement; so is
+``us/event``, that wall divided by ``events`` -- the host cost of one
+engine event, to quote beside the exact counts.
 ``minflt`` is the same run's minor page faults (``ru_minflt``): a DSM
 node's image becomes resident one 4 KB page at a time, as the node first
 touches it, so this is the host-side price of that residency per key --
@@ -77,8 +79,8 @@ def main() -> int:
     cache = ProgramCache()
     offenders = []
     print("| workload | key | events | diffs | faults | switches | threads "
-          "| wall ms | minflt |")
-    print("|---|---|---:|---:|---:|---:|---:|---:|---:|")
+          "| wall ms | us/event | minflt |")
+    print("|---|---|---:|---:|---:|---:|---:|---:|---:|---:|")
     try:
         for name, key in rows():
             execute(key.request(), cache)           # compile, warm caches
@@ -86,14 +88,15 @@ def main() -> int:
             flt0, t0 = _minflt(), time.perf_counter()
             dsm = execute(key.request(), cache).dsm
             wall, minflt = time.perf_counter() - t0, _minflt() - flt0
+            events = runs[-1].events
             switches, threads = runs[-1].switches, len(started)
             diffs = (f"{dsm.diffs_created} / {dsm.diffs_applied}"
                      if dsm else "-")
             faults = (f"{dsm.read_faults} / {dsm.write_faults} / "
                       f"{dsm.invalidations}" if dsm else "-")
-            print(f"| {name} | {key.id} | {runs[-1].events} | {diffs} | "
+            print(f"| {name} | {key.id} | {events} | {diffs} | "
                   f"{faults} | {switches} | {threads} | {wall * 1e3:.1f} | "
-                  f"{minflt} |")
+                  f"{wall * 1e6 / events:.2f} | {minflt} |")
             if switches or threads:
                 offenders.append(key.id)
     finally:

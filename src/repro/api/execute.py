@@ -20,9 +20,12 @@ What is cached (per :class:`ProgramCache`, i.e. per process/worker):
   (inspector-executor schedules live in per-run state, so the executable
   itself is reusable);
 * tmk / pvme / seq / model — the built program (hand-coded variants have
-  no codegen step; the model replays its replica per run);
-* the sequential oracle's window time, keyed ``(app, preset)`` — shared
-  by every variant of an app, so one batch computes it once per worker.
+  no codegen step; the model replays its replica per run).
+
+The sequential oracle's window time is kept beside the cache, not in it:
+one number per ``(app, preset)`` and process, shared by every variant of
+an app, so a worker computes it once; it takes no program slot and counts
+no cache hit or miss.
 
 A cache hit/miss verdict is recorded on each result (``cache_hit``), and
 the cache keeps running totals — the service aggregates both into
@@ -137,19 +140,23 @@ def _spf_options(spec, request: RunRequest):
     return SpfOptions(**base)
 
 
-def _seq_time_for(request: RunRequest, cache: ProgramCache) -> float:
-    """The oracle's window time, cached per (app, preset)."""
+#: (app, preset) -> (app spec, the oracle's window time), per process; an
+#: app registered again under its name is timed again
+_SEQ_TIMES: dict = {}
+
+
+def _seq_time_for(request: RunRequest) -> float:
+    """The oracle's window time, computed once per (app, preset)."""
     if request.seq_time is not None:
         return request.seq_time
-
-    def build():
+    spec = registry._specs()[request.app]
+    key = (request.app, request.preset)
+    known = _SEQ_TIMES.get(key)
+    if known is None or known[0] is not spec:
         from repro.compiler.seq import sequential_time
-        spec = registry._specs()[request.app]
-        return sequential_time(spec.build_program(spec.params(
-            request.preset)))
-
-    value, _hit = cache.get(("seq_time", request.app, request.preset), build)
-    return value
+        known = _SEQ_TIMES[key] = (spec, sequential_time(
+            spec.build_program(spec.params(request.preset))))
+    return known[1]
 
 
 def _prepare(request: RunRequest, cache: ProgramCache):
@@ -201,7 +208,7 @@ def _execute_model(request: RunRequest, cache: ProgramCache,
     res = model_variant(request.app, request.variant,
                         nprocs=request.nprocs, preset=request.preset,
                         machine=machine_from_doc(request.machine),
-                        seq_time=_seq_time_for(request, cache))
+                        seq_time=_seq_time_for(request))
     return _replace(res, tag=request.tag, cache_hit=hit)
 
 
@@ -293,7 +300,7 @@ def _execute_sim(request: RunRequest, cache: ProgramCache,
     """``(RunResult, readback arrays or None)`` of one simulated run."""
     machine = machine_from_doc(request.machine)
     faults = fault_plan_from_doc(request.fault_plan)
-    seq_time = _seq_time_for(request, cache)
+    seq_time = _seq_time_for(request)
     setup, main, fold = _resolve(request, bundle)
     arrays = None
     if setup is not None:                     # DSM: a TreadMarks world

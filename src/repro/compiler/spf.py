@@ -36,6 +36,7 @@ returns ``None``); only a miss is delegated to with ``yield from``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -52,12 +53,13 @@ from repro.tmk import enhanced
 from repro.tmk.api import Tmk, tmk_run
 from repro.tmk.forkjoin import (ImprovedForkJoin, OldForkJoin,
                                 alloc_old_interface_control)
-from repro.tmk.pagespace import SharedSpace
+from repro.tmk.pagespace import Normalized, SharedSpace, normalize_region
 
 __all__ = ["SpfOptions", "SpfExecutable", "compile_spf", "run_spf"]
 
 REDUCTION_PREFIX = "__red_"
 STAGING_PREFIX = "__acc_"
+_FOOTPRINT_MEMO_LIMIT = 4096   # (access, chunk) regions kept per executable
 
 
 @dataclass
@@ -131,6 +133,8 @@ class SpfExecutable:
         self.reductions = self._collect_reductions()
         self.push_plan, self.expect_plan = (
             self._plan_halo_pushes() if options.push_halos else ({}, {}))
+        # (id(access), chunk) -> (access, Normalized region); see _footprint
+        self._regions: dict = {}
 
     # ------------------------------------------------------------------ #
     # compilation
@@ -460,7 +464,7 @@ class SpfExecutable:
             self._prev_touched(tmk)[prev_key] = touched
             if touched.size == 0:
                 continue
-            row_elems = int(np.prod(buf.shape[1:])) if buf.ndim > 1 else 1
+            row_elems = math.prod(buf.shape[1:])
             base = tmk.pid * buf.shape[0]
             miss = tmk.node.ensure_write_elements_steps(
                 handle, (base + touched) * row_elems, elem_span=row_elems,
@@ -483,7 +487,7 @@ class SpfExecutable:
         handle = tmk.world.space[acc.array]
         node = tmk.node
         source = f"{tag}:{acc.array}"
-        fp = chunk.footprint(acc, handle.shape, views)
+        fp = self._footprint(acc, chunk, handle.shape, views)
         if isinstance(fp, Elements):
             ensure = (node.ensure_write_elements_steps if write
                       else node.ensure_read_elements_steps)
@@ -493,6 +497,26 @@ class SpfExecutable:
         if self.options.aggregate:
             return enhanced.validate_steps(node, handle, fp, source=source)
         return node.ensure_read_steps(handle, fp, source=source)
+
+    def _footprint(self, acc, chunk: Chunk, shape: tuple, views: dict):
+        """``chunk.footprint(acc, ...)``, a region resolved and normalized
+        once per executable: an affine access at given chunk bounds always
+        names the same region.  (Run-time footprints are :class:`Elements`
+        and are never kept.)  The memo is keyed by the access's identity
+        and holds the access, so the key cannot be reused while it is
+        kept."""
+        key = (id(acc), chunk)
+        hit = self._regions.get(key)
+        if hit is not None:
+            return hit[1]
+        fp = chunk.footprint(acc, shape, views)
+        if isinstance(fp, Elements):
+            return fp
+        fp = Normalized(normalize_region(fp, shape))
+        if len(self._regions) >= _FOOTPRINT_MEMO_LIMIT:
+            self._regions.clear()
+        self._regions[key] = (acc, fp)
+        return fp
 
     def _fold_reductions(self, tmk: Tmk, loop: ParallelLoop, partials):
         if self.options.tree_reductions:

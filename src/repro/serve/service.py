@@ -239,11 +239,16 @@ class Service:
             try:
                 if target.chan.sock not in ready:
                     raise ConnectionError("its process exited")
-                target.chan.fill()
-                while target.chan.inbox:
-                    done = self._absorb(target, target.chan.inbox.popleft())
-                    if done is not None:
-                        out.append(done)
+                try:
+                    target.chan.fill()
+                finally:
+                    # what arrived whole before EOF or a garbled line
+                    # counts: its requests must not be failed or rerun
+                    while target.chan.inbox:
+                        done = self._absorb(target,
+                                            target.chan.inbox.popleft())
+                        if done is not None:
+                            out.append(done)
             except (OSError, LookupError, TypeError, ValueError) as exc:
                 out += self._lose(target, str(exc))
         return out

@@ -85,13 +85,17 @@ class JsonLines:
     socket is readable — and queues every complete line on ``inbox``;
     :meth:`recv` blocks for the next message.  EOF, a line cut short by
     EOF and a line that is not a JSON object all raise
-    ``ConnectionError`` saying which.
+    ``ConnectionError`` saying which.  The lines that arrived whole before
+    a garbled one stay queued (:meth:`recv` hands them out first); the
+    stream is unusable from the garbled line on, so every later
+    :meth:`fill` raises again.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.inbox: deque = deque()      # decoded, not yet taken
         self._tail = b""                 # bytes after the last newline
+        self._garbled: Optional[ConnectionError] = None
 
     @classmethod
     def connect(cls, host: str, port: int, timeout: float) -> "JsonLines":
@@ -105,6 +109,8 @@ class JsonLines:
             (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8"))
 
     def fill(self) -> None:
+        if self._garbled is not None:
+            raise self._garbled
         data = self.sock.recv(1 << 16)
         if not data:
             raise ConnectionError(
@@ -117,13 +123,19 @@ class JsonLines:
                 msg = json.loads(line)
                 if not isinstance(msg, dict):
                     raise ValueError(f"not an object: {msg!r}")
-            except ValueError as exc:
-                raise ConnectionError(f"garbled line: {exc}") from exc
+            except (ValueError, RecursionError) as exc:
+                # RecursionError: nesting deeper than the parser's limit
+                self._garbled = ConnectionError(f"garbled line: {exc!r}")
+                raise self._garbled from exc
             self.inbox.append(msg)
 
     def recv(self) -> dict:
         while not self.inbox:
-            self.fill()
+            try:
+                self.fill()
+            except ConnectionError:
+                if not self.inbox:
+                    raise
         return self.inbox.popleft()
 
     def close(self) -> None:
@@ -206,8 +218,8 @@ def _serve_lines(service, lines: Iterable[str], out, lock) -> str:
                 continue
             try:
                 msg = json.loads(line)
-            except ValueError as exc:
-                emit({"op": "error", "message": f"bad json: {exc}"})
+            except (ValueError, RecursionError) as exc:
+                emit({"op": "error", "message": f"bad json: {exc!r}"})
                 continue
             try:
                 verdict = _handle(service, msg, emit, lock)
@@ -218,8 +230,11 @@ def _serve_lines(service, lines: Iterable[str], out, lock) -> str:
                 continue
             if verdict:
                 return verdict
-    except (_PeerGone, OSError):
-        pass                  # a reply or a read found the client gone
+    except (_PeerGone, OSError, ValueError):
+        # a reply or a read found the client gone, or the stream could
+        # not decode what it sent (a socket's stream replaces such bytes
+        # instead: see serve_socket)
+        pass
     return "eof"
 
 
@@ -235,14 +250,22 @@ def serve_socket(service, sock: socket.socket,
                  lock: Optional[threading.Lock] = None) -> str:
     """Serve the peer of a connected socket — one of
     :class:`WireServer`'s TCP connections, or a pool worker's end of its
-    socketpair; returns why we stopped.  The caller closes ``sock``."""
-    stream = sock.makefile("rw", encoding="utf-8")
+    socketpair; returns why we stopped.  The caller closes ``sock``.
+
+    Reading and writing are two streams: a text stream that does both
+    drops the lines it has read ahead whenever it writes, so a client
+    that sent several lines at once would lose all but the first.  Bytes
+    that are not UTF-8 read as U+FFFD, so such a line is answered like
+    any other that is not JSON and the session carries on."""
+    reader = sock.makefile("r", encoding="utf-8", errors="replace")
+    writer = sock.makefile("w", encoding="utf-8")
     try:
-        return _serve_lines(service, stream, stream,
+        return _serve_lines(service, reader, writer,
                             lock or threading.Lock())
     finally:
+        reader.close()
         try:
-            stream.close()
+            writer.close()
         except OSError:
             pass      # the unsent tail of a reply to a peer that has gone
 
@@ -309,14 +332,27 @@ class WireServer:
             pass
 
 
+def _an_object(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"not an object: {value!r}")
+    return value
+
+
+def _batch_index(value, size: int) -> int:
+    if type(value) is not int or not 0 <= value < size:
+        raise ValueError(f"no request {value!r} in a batch of {size}")
+    return value
+
+
 class WireClient:
     """Minimal blocking JSON-lines client for a :class:`WireServer`.
 
     Connection loss anywhere in a conversation raises the structured
     :class:`WireConnectionLost` (endpoint + in-flight request id), never
     a bare ``JSONDecodeError``/``IndexError`` from an empty or truncated
-    read.  ``close()``/``__exit__`` are idempotent and safe after the
-    server has already gone away.
+    read; so does a reply that is not the one due or does not decode.
+    ``close()``/``__exit__`` are idempotent and safe after the server has
+    already gone away.
     """
 
     def __init__(self, host: str, port: int, timeout: float = 300.0):
@@ -349,18 +385,31 @@ class WireClient:
         except OSError as exc:     # EOF, partial, garbled, timeout
             raise self._lost(str(exc)) from exc
 
-    def _call(self, obj: dict) -> dict:
-        """One request, one reply (an ``error`` reply raises)."""
+    def _call(self, obj: dict, reply: str) -> dict:
+        """One request, one reply of op ``reply`` (an ``error`` reply
+        raises ``RuntimeError``; any other op is a malformed reply)."""
         self._send(obj)
         msg = self._recv()
         if msg.get("op") == "error":
             raise RuntimeError(msg.get("message"))
+        if msg.get("op") != reply:
+            raise self._lost(f"malformed reply: {msg.get('op')!r} line "
+                             f"where {reply!r} was due")
         return msg
+
+    def _decode(self, msg: dict, field: str, decode):
+        """``decode(msg[field])``; a reply that does not decode is as
+        broken as a garbled line: :class:`WireConnectionLost`."""
+        try:
+            return decode(msg[field])
+        except Exception as exc:  # noqa: BLE001 — any undecodable reply
+            raise self._lost(f"malformed reply: {msg.get('op')!r} line "
+                             f"with no valid {field!r}: {exc!r}") from exc
 
     def run(self, request, id: Optional[object] = None) -> RunResult:
         doc = request.to_json() if hasattr(request, "to_json") else request
-        return RunResult.from_json(
-            self._call({"op": "run", "id": id, "request": doc})["result"])
+        msg = self._call({"op": "run", "id": id, "request": doc}, "result")
+        return self._decode(msg, "result", RunResult.from_json)
 
     def stream_batch(self, requests: Iterable,
                      id: Optional[object] = None):
@@ -383,12 +432,15 @@ class WireClient:
                 msg = self._recv()
                 op = msg.get("op")
                 if op == "result":
-                    result = RunResult.from_json(msg["result"])
-                    completed[msg["index"]] = result
-                    yield ("result", msg["index"], result)
+                    index = self._decode(msg, "index", lambda value:
+                                         _batch_index(value, len(docs)))
+                    result = self._decode(msg, "result",
+                                          RunResult.from_json)
+                    completed[index] = result
+                    yield ("result", index, result)
                 elif op == "batch-done":
-                    yield ("batch", None,
-                           BatchResult.from_json(msg["batch"]))
+                    yield ("batch", None, self._decode(
+                        msg, "batch", BatchResult.from_json))
                     return
                 elif op == "error":
                     raise RuntimeError(msg.get("message"))
@@ -406,7 +458,8 @@ class WireClient:
         return batch
 
     def stats(self) -> dict:
-        return self._call({"op": "stats"})["stats"]
+        return self._decode(self._call({"op": "stats"}, "stats"), "stats",
+                            _an_object)
 
     def shutdown(self) -> None:
         try:

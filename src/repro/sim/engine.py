@@ -242,7 +242,7 @@ class Process:
         for both kinds of process (a generator process delegates to the same
         generator with ``yield from``); :func:`blocking` wraps it.  A
         malformed request is thrown into ``steps`` at the offending
-        ``yield``, as :meth:`Simulator._step` does, and when the blocking
+        ``yield``, as :meth:`Simulator._dispatch` does, and when the blocking
         primitive itself unwinds (teardown) ``steps`` is closed, so its
         ``finally`` blocks run when a generator process's would."""
         try:
@@ -369,23 +369,27 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # scheduling internals
 
-    def _jitter(self) -> float:
-        """Tie-break key between ``time`` and ``seq``: 0.0 (FIFO) without
-        a seed, seeded-random with one, so only same-``time`` events ever
-        reorder."""
-        return self._rng.random() if self._rng is not None else 0.0
+    # Every push draws its tie-break key between ``time`` and ``seq`` as
+    # ``rng.random() if rng is not None else 0.0``: 0.0 (FIFO) without a
+    # seed, seeded-random with one, so only same-``time`` events ever
+    # reorder.  The draw is inline at each push (the hot ones run per
+    # event), always in push order.
 
     def _schedule_wakeup(self, proc: Process, at: float) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (at, self._jitter(), self._seq, proc))
+        rng = self._rng
+        heapq.heappush(self._queue, (
+            at, rng.random() if rng is not None else 0.0, self._seq, proc))
 
     def schedule_call(self, delay: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` at ``now + delay`` with no process context: inline on
         whichever thread is dispatching then.  An exception it raises is
         re-raised, as is, by :meth:`run`."""
         self._seq += 1
-        heapq.heappush(self._queue,
-                       (self.now + delay, self._jitter(), self._seq, fn))
+        rng = self._rng
+        heapq.heappush(self._queue, (
+            self.now + delay, rng.random() if rng is not None else 0.0,
+            self._seq, fn))
 
     def unpark(self, proc: Process, delay: float = 0.0) -> None:
         """Make a parked process runnable again at ``now + delay``."""
@@ -407,7 +411,9 @@ class Simulator:
         the CPU: ``me``'s own thread (blocking in hold/park, or finished), or
         :meth:`run`'s (``me`` is None).
 
-        Callbacks run inline and generator processes are stepped inline.
+        Callbacks run inline and generator processes are stepped inline: a
+        step runs the body to its next ``yield`` and files the block request
+        it yields exactly as the blocking primitive would.
         The loop ends at the first wakeup of a live thread process -- ``me``:
         return, no thread switch; another: release its baton and block on
         ours -- or at a stop condition (process error, callback exception,
@@ -418,16 +424,45 @@ class Simulator:
             raise _Killed()     # a killed thread blocking again while it unwinds
         queue = self._queue
         baton = self._main
+        rng = self._rng
+        pop, push = heapq.heappop, heapq.heappush
         while self._error is None and queue and self._pending_nondaemon:
-            at, _jit, _seq, target = heapq.heappop(queue)
+            at, _jit, _seq, target = pop(queue)
             self.now = at
             self.events += 1
-            if isinstance(target, Process):
+            if type(target) is Process:
                 if target.finished:
                     continue
                 self._current = target
-                if target._gen is not None:
-                    self._step(target)
+                gen = target._gen
+                if gen is not None:
+                    try:
+                        req = next(gen)
+                        while True:
+                            if type(req) is tuple and len(req) == 2:
+                                kind, arg = req
+                                if kind is HOLD:
+                                    if arg >= 0:
+                                        self._seq += 1
+                                        push(queue, (
+                                            self.now + arg,
+                                            rng.random() if rng is not None
+                                            else 0.0,
+                                            self._seq, target))
+                                        break
+                                elif kind is PARK:
+                                    target.parked = True
+                                    target.park_token = arg
+                                    break
+                            # rejected at the yield, where a blocking
+                            # hold(-1) would raise
+                            req = gen.throw(_bad_request(req))
+                    except StopIteration as stop:
+                        target.result = stop.value
+                        target._finish()
+                    except BaseException:  # noqa: BLE001 - reported by run()
+                        self._fail(target, traceback.format_exc())
+                        target._finish()
                     continue
                 if target is me:
                     return
@@ -447,31 +482,6 @@ class Simulator:
             me._resume.acquire()
             if self._dead:
                 raise _Killed()
-
-    def _step(self, proc: Process) -> None:
-        """Run generator process ``proc`` to its next ``yield`` and file the
-        block request it yields, exactly as the blocking primitive would."""
-        gen = proc._gen
-        try:
-            req = next(gen)
-            while True:
-                if type(req) is tuple and len(req) == 2:
-                    kind, arg = req
-                    if kind is HOLD:
-                        if arg >= 0:
-                            self._schedule_wakeup(proc, self.now + arg)
-                            return
-                    elif kind is PARK:
-                        proc.parked = True
-                        proc.park_token = arg
-                        return
-                # rejected at the yield, where a blocking hold(-1) would raise
-                req = gen.throw(_bad_request(req))
-        except StopIteration as stop:
-            proc.result = stop.value
-        except BaseException:  # noqa: BLE001 - report any failure to run()
-            self._fail(proc, traceback.format_exc())
-        proc._finish()
 
     def run(self) -> float:
         """Drive the simulation until all processes finish.

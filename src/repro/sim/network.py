@@ -56,6 +56,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from types import MethodType
 from typing import Any, Optional
 
 from repro.sim.engine import HOLD, PARK, Process, SimError, Simulator
@@ -73,19 +74,23 @@ ANY_TAG = -1
 MAX_TRANSMISSIONS = 12
 
 
-@dataclass
 class Message:
     """One in-flight or delivered message."""
 
-    src: int
-    dst: int
-    tag: int
-    payload: Any
-    nbytes: int
-    category: str
-    sent_at: float
-    delivered_at: float = 0.0
-    seq: int = -1           # per-(src, dst) sequence number; -1 = unnumbered
+    __slots__ = ("src", "dst", "tag", "payload", "nbytes", "category",
+                 "sent_at", "delivered_at", "seq")
+
+    def __init__(self, src: int, dst: int, tag: int, payload: Any,
+                 nbytes: int, category: str, sent_at: float) -> None:
+        self.src = src
+        self.dst = dst
+        self.tag = tag
+        self.payload = payload
+        self.nbytes = nbytes
+        self.category = category
+        self.sent_at = sent_at
+        self.delivered_at = 0.0
+        self.seq = -1       # per-(src, dst) sequence number; -1 = unnumbered
 
 
 @dataclass
@@ -241,13 +246,28 @@ class Network:
             raise SimError(f"bad destination {dst}")
         if nbytes < 0:
             raise ValueError("negative message size")
-        yield HOLD, self.model.send_overhead
-        msg = Message(src, dst, tag, payload, nbytes, category, self.sim.now)
-        self.stats.record(category, nbytes)
-        now = self.sim.now
-        arrival = self._reserve(src, dst, nbytes)
+        model = self.model
+        yield HOLD, model.send_overhead
+        sim = self.sim
+        now = sim.now
+        msg = Message(src, dst, tag, payload, nbytes, category, now)
+        # NetworkStats.record and _reserve, inline (same expressions, same
+        # order: every float below is bit-identical to theirs)
+        stats = self.stats
+        stats.messages += 1
+        stats.bytes += nbytes
+        cell = stats.by_category[category]
+        cell[0] += 1
+        cell[1] += nbytes
+        transfer = (nbytes + model.message_header_bytes) * model.byte_time
+        latency = model.latency
+        src_free, dst_free = self._src_free, self._dst_free
+        start = max(now, src_free[src], dst_free[dst] - latency)
+        src_free[src] = start + transfer
+        arrival = start + latency + transfer
+        dst_free[dst] = arrival
         if self._injector is None:
-            self.sim.schedule_call(arrival - now, lambda: self._deliver(msg))
+            sim.schedule_call(arrival - now, MethodType(self._deliver, msg))
             return
         ps = self._pair_send[(src, dst)]
         msg.seq = ps.next_seq
@@ -326,23 +346,25 @@ class Network:
 
     def _deliver(self, msg: Message) -> None:
         msg.delivered_at = self.sim.now
-        self._mailbox[msg.dst].append(msg)
-        waiters = self._waiting[msg.dst]
+        dst = msg.dst
+        self._mailbox[dst].append(msg)
+        waiters = self._waiting[dst]
+        if not waiters:
+            return
         for i, (proc, src_f, tag_f) in enumerate(waiters):
-            if self._match(msg, src_f, tag_f):
+            if ((src_f == ANY_SOURCE or msg.src == src_f)
+                    and (tag_f == ANY_TAG or msg.tag == tag_f)):
                 del waiters[i]
                 self.sim.unpark(proc)
                 break
 
-    @staticmethod
-    def _match(msg: Message, src: int, tag: int) -> bool:
-        return ((src == ANY_SOURCE or msg.src == src)
-                and (tag == ANY_TAG or msg.tag == tag))
-
     def _take(self, dst: int, src: int, tag: int) -> Optional[Message]:
         box = self._mailbox[dst]
+        if not box:
+            return None
         for i, msg in enumerate(box):
-            if self._match(msg, src, tag):
+            if ((src == ANY_SOURCE or msg.src == src)
+                    and (tag == ANY_TAG or msg.tag == tag)):
                 del box[i]
                 return msg
         return None

@@ -12,8 +12,8 @@ saved prior to the modifications."
 Pages are ``numpy`` ``uint8`` vectors compared in 4-byte words, like
 TreadMarks (Fortran ``REAL`` words).  A diff is a list of ``(offset,
 payload)`` runs: maximal spans of changed words, whose bounds are where the
-changed-word mask flips (``changed[i] != changed[i - 1]``) plus the page's
-ends when the first or last word changed.  Every payload is a
+changed-word mask flips (``changed[i] != changed[i - 1]``), reading an
+unchanged word before the page and after it.  Every payload is a
 ``memoryview`` slice of *one* snapshot of the changed span, so it stays
 stable while the live page keeps mutating.  :func:`apply_diff` copies each
 run through ``memoryview(page)[off:end]``.  Concurrent writers' diffs are
@@ -23,14 +23,17 @@ which the protocol layer guarantees.
 The wire size rule (changed words × :data:`WORD` plus runs ×
 :data:`RUN_HEADER_BYTES`, runs counted from the same flips) is
 :func:`mask_diff_nbytes`; the analytic model, whose twins are changed-word
-masks, takes its diff sizes from it (``compiler.model._MNode``).
+masks, takes its diff sizes from it (``compiler.model._MNode``).  A diff
+:func:`make_diff` returns carries that size as :attr:`Diff.nbytes`,
+computed once from the run bounds it already has; :func:`diff_nbytes` is
+the same number by walking the runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["make_diff", "apply_diff", "apply_diffs", "diff_nbytes",
+__all__ = ["Diff", "make_diff", "apply_diff", "apply_diffs", "diff_nbytes",
            "mask_diff_nbytes", "WORD"]
 
 WORD = 4
@@ -39,7 +42,21 @@ WORD = 4
 RUN_HEADER_BYTES = 8
 """Wire overhead per run: offset + length fields."""
 
-Diff = list  # list[tuple[int, bytes | memoryview]]
+
+class Diff(list):
+    """A run list ``[(offset, payload), ...]`` that knows its wire size.
+
+    Joining two diffs (a same-interval extension) adds their sizes; any
+    other list operation gives a plain list."""
+
+    __slots__ = ("nbytes",)
+
+    def __init__(self, runs=(), nbytes: int = 0):
+        super().__init__(runs)
+        self.nbytes = nbytes
+
+    def __add__(self, other: "Diff") -> "Diff":
+        return Diff(list.__add__(self, other), self.nbytes + other.nbytes)
 
 
 def _flips(changed: np.ndarray) -> np.ndarray:
@@ -61,28 +78,30 @@ def mask_diff_nbytes(changed: np.ndarray) -> int:
 def make_diff(current: np.ndarray, twin: np.ndarray) -> Diff:
     """Return the run-length encoding of ``current - twin``.
 
-    Both arguments are ``uint8`` vectors of equal length (one page);
-    ``[]`` when the page is unmodified.  A ``memoryview`` payload compares
-    and measures like the ``bytes`` it stands for.
+    Both arguments are ``uint8`` vectors of equal length (one page); an
+    empty diff when the page is unmodified.  A ``memoryview`` payload
+    compares and measures like the ``bytes`` it stands for.
     """
     if current.shape != twin.shape:
         raise ValueError("page/twin shape mismatch")
     n = current.size
     if n % WORD:
         raise ValueError(f"page size {n} not a multiple of word size {WORD}")
-    changed = current.view(np.uint32) != twin.view(np.uint32)
-    flips = np.flatnonzero(_flips(changed))
-    if not flips.size:               # a uniform mask: nothing or everything
-        return [(0, memoryview(current.tobytes()))] if changed[0] else []
-    bounds = (flips + 1).tolist()
-    if changed[0]:
-        bounds.insert(0, 0)
-    if changed[-1]:
-        bounds.append(changed.size)
+    # the changed-word mask between two unchanged sentinel words: every run
+    # then has two flips, its first word and the word after its last
+    padded = np.zeros(n // WORD + 2, dtype=bool)
+    np.not_equal(current.view(np.uint32), twin.view(np.uint32),
+                 out=padded[1:-1])
+    bounds = (padded[1:] != padded[:-1]).nonzero()[0].tolist()
+    if not bounds:
+        return Diff()
+    starts, ends = bounds[::2], bounds[1::2]
     lo = bounds[0] * WORD
     snap = memoryview(current[lo:bounds[-1] * WORD].tobytes())
-    return [(s * WORD, snap[s * WORD - lo:e * WORD - lo])
-            for s, e in zip(bounds[::2], bounds[1::2])]
+    return Diff([(s * WORD, snap[s * WORD - lo:e * WORD - lo])
+                 for s, e in zip(starts, ends)],
+                (sum(ends) - sum(starts)) * WORD
+                + len(starts) * RUN_HEADER_BYTES)
 
 
 def apply_diff(page: np.ndarray, diff: Diff) -> None:

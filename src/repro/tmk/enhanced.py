@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.sim.engine import HOLD
 from repro.sim.machine import PAGE_SIZE
-from repro.tmk.diffs import apply_diff, diff_nbytes
+from repro.tmk.diffs import apply_diff
 from repro.tmk.pagespace import ArrayHandle
 from repro.tmk.protocol import (TAG_FETCH_REP, TAG_PUSH, TAG_TMK_REQ,
                                 DiffRequest, TmkNode)
@@ -74,7 +74,7 @@ def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
 def _fetch_batched(node: TmkNode, metas: dict, by_writer: dict):
     node.world.dsm_stats.aggregated_validates += 1
     for w, batch in sorted(by_writer.items()):
-        req = DiffRequest(reply_to=node.pid, batch=batch)
+        req = DiffRequest(0, 0, node.pid, batch)
         yield from node.net.send_gen(node.pid, w, req, tag=TAG_TMK_REQ,
                                      nbytes=req.nbytes(),
                                      category="diff_req")
@@ -140,7 +140,7 @@ class PushPayload:
 
     def __init__(self, sender: int, entries: list, nbytes_on_wire: int):
         self.sender = sender
-        self.entries = entries      # [(page, top, wm, okey, diff)]
+        self.entries = entries      # [(page, top, wm, okey, diff, nbytes)]
         self.nbytes_on_wire = nbytes_on_wire
 
     @staticmethod
@@ -170,15 +170,15 @@ class PushPayload:
                     continue
                 entry = cached[-1]
                 entries.append((page, entry.top, entry.wm, entry.okey,
-                                entry.diff))
-                total += diff_nbytes(entry.diff) + 16
+                                entry.diff, entry.nbytes))
+                total += entry.nbytes + 16
         if not entries:
             return None
         return PushPayload(node.pid, entries, total)
 
     def install_gen(self, node: TmkNode):
         model = node.model
-        for page, top, wm, okey, diff in self.entries:
+        for page, top, wm, okey, diff, nbytes in self.entries:
             m = node.meta(page)
             if top <= m.applied.get(self.sender, 0):
                 continue
@@ -191,9 +191,9 @@ class PushPayload:
             if page in node.twins:
                 yield HOLD, node._diff_and_cache(page)
             apply_diff(node.page_bytes(page), diff)
-            yield HOLD, model.diff_apply_time(diff_nbytes(diff))
+            yield HOLD, model.diff_apply_time(nbytes)
             node.world.dsm_stats.diffs_applied += 1
-            node.world.dsm_stats.diff_bytes_applied += diff_nbytes(diff)
+            node.world.dsm_stats.diff_bytes_applied += nbytes
             m.applied[self.sender] = max(m.applied.get(self.sender, 0), wm)
             if not m.missing_writers():
                 node.valid[page] = 1

@@ -103,13 +103,15 @@ def fork_nbytes(records: list, model: "MachineModel") -> int:
 # per-page state
 
 class CacheEntry(NamedTuple):
-    """A cached diff — see :meth:`LrcNode._diff_and_cache`."""
+    """A cached diff and its wire size — see
+    :meth:`LrcNode._diff_and_cache`."""
 
     top: int
     wm: int
     okey: tuple
     diff: Any
     epoch: int
+    nbytes: int
 
 
 class PageMeta:
@@ -263,12 +265,13 @@ class LrcNode:
         """
         diff = self._encode_diff(page, self.twins.pop(page))
         self._page_untwinned(page)
+        nbytes = self._diff_nbytes(diff)
         self.stats.diffs_created += 1
-        self.stats.diff_bytes_created += self._diff_nbytes(diff)
-        self._cache_entry(page, diff)
+        self.stats.diff_bytes_created += nbytes
+        self._cache_entry(page, diff, nbytes)
         return self.model.diff_create_time(PAGE_SIZE)
 
-    def _cache_entry(self, page: int, diff) -> None:
+    def _cache_entry(self, page: int, diff, nbytes: int) -> None:
         if not diff:
             return
         top = self.last_written[page]
@@ -281,13 +284,14 @@ class LrcNode:
         if lst and lst[-1].top >= top:
             # same-interval re-diff (a second request arrives mid-interval,
             # or the close follows a mid-interval serve): extend the entry —
-            # apply order within it preserves later-wins on overlaps
+            # apply order within it preserves later-wins on overlaps, and
+            # the joined diff's size is the sum of the two
             prev = lst.pop()
             lst.append(CacheEntry(max(prev.top, top), max(prev.wm, wm),
                                   max(prev.okey, okey), prev.diff + diff,
-                                  self.epoch))
+                                  self.epoch, prev.nbytes + nbytes))
         else:
-            lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
+            lst.append(CacheEntry(top, wm, okey, diff, self.epoch, nbytes))
         if self.gc_epochs is not None:
             self._gc_due.setdefault(self.epoch, []).append(page)
 
@@ -306,7 +310,7 @@ class LrcNode:
 
     def reply_nbytes(self, reply: PageReply) -> int:
         """Wire size of one page's diff reply."""
-        n = 16 + sum(self._diff_nbytes(e.diff) for e in reply.diffs)
+        n = 16 + sum([e.nbytes for e in reply.diffs])
         if reply.full_page is not None:
             n += PAGE_SIZE
         return n
@@ -333,15 +337,14 @@ class LrcNode:
                                     reply.full_label, m.pending.get(ww, 0))
         patches = []
         for w, rep in replies:
-            for top, wm, okey, diff, _epoch in rep.diffs:
+            for top, wm, okey, diff, _epoch, nbytes in rep.diffs:
                 if top <= base_applied.get(w, 0):
                     # already reflected in the full page we installed
                     m.applied[w] = max(m.applied.get(w, 0), wm)
                     continue
-                patches.append((okey, w, wm, diff))
-        for _okey, w, wm, diff in self._merge_order(patches):
+                patches.append((okey, w, wm, diff, nbytes))
+        for _okey, w, wm, diff, nbytes in self._merge_order(patches):
             self._patch(page, diff)
-            nbytes = self._diff_nbytes(diff)
             yield self._charge(self.model.diff_apply_time(nbytes))
             stats.diffs_applied += 1
             stats.diff_bytes_applied += nbytes
@@ -478,7 +481,8 @@ class LrcNode:
         raise NotImplementedError
 
     def _diff_nbytes(self, diff) -> int:
-        """Wire size of a payload :meth:`_encode_diff` returned."""
+        """Wire size of a payload :meth:`_encode_diff` returned (asked
+        once per diff: the cache entry keeps it)."""
         raise NotImplementedError
 
     def _page_image(self, page: int):
@@ -491,9 +495,9 @@ class LrcNode:
         return seconds
 
     def _merge_order(self, patches: list) -> list:
-        """``(okey, writer, wm, diff)`` patches in the order to apply them:
-        happens-before, i.e. by ``okey`` (only payloads that commute may
-        keep the request order)."""
+        """``(okey, writer, wm, diff, nbytes)`` patches in the order to
+        apply them: happens-before, i.e. by ``okey`` (only payloads that
+        commute may keep the request order)."""
         return sorted(patches, key=lambda t: t[0])
 
     def _patch(self, page: int, diff) -> None:

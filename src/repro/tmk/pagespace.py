@@ -15,19 +15,57 @@ supply explicit element indices instead.  Fast paths cover the common cases
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+from numpy import count_nonzero
 
 from repro.sim.machine import PAGE_SIZE
 
-__all__ = ["ArrayHandle", "SharedSpace", "normalize_region", "region_nbytes",
-           "merge_spans"]
+__all__ = ["ArrayHandle", "SharedSpace", "Normalized", "normalize_region",
+           "region_nbytes", "merge_spans"]
 
 Region = tuple  # tuple of ints/slices
 
 _PAGES_CACHE_LIMIT = 1024   # distinct footprints memoized per handle
+_LAYOUT_MEMO_PAGES = 1 << 16  # page numbers held by the process-wide memo
+
+
+class _LayoutMemo:
+    """Process-wide region -> pages memo, keyed by layout: ``(offset,
+    shape, itemsize, normalized region)``.
+
+    A run allocates fresh handles, so each handle's own memo starts empty;
+    this one sits underneath them and keeps the page math of a layout
+    across runs (and across a program cache's evictions).  It is pure —
+    the pages of a region depend only on the key — and counts nothing:
+    ``region_cache_hits`` are the handle memo's.  Each entry is charged its
+    pages plus one; past :data:`_LAYOUT_MEMO_PAGES` the memo starts over,
+    and a region larger than that is never kept."""
+
+    __slots__ = ("entries", "pages")
+
+    def __init__(self) -> None:
+        self.entries: dict = {}
+        self.pages = 0
+
+    def put(self, key, pages: np.ndarray) -> None:
+        cost = pages.size + 1
+        if cost > _LAYOUT_MEMO_PAGES:
+            return
+        if self.pages + cost > _LAYOUT_MEMO_PAGES:
+            self.clear()
+        self.entries[key] = pages
+        self.pages += cost
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.pages = 0
+
+
+LAYOUT_MEMO = _LayoutMemo()
 
 
 @dataclass(frozen=True)
@@ -51,7 +89,7 @@ class ArrayHandle:
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape)) * self.itemsize
+        return math.prod(self.shape) * self.itemsize
 
     @property
     def first_page(self) -> int:
@@ -90,12 +128,18 @@ class ArrayHandle:
         return pages
 
     def pages_of(self, nregion: tuple) -> tuple:
-        """(pages, cache_hit) for an *already-normalized* region."""
+        """(pages, cache_hit) for an *already-normalized* region.  A miss
+        of this handle's memo is answered from :data:`LAYOUT_MEMO` when
+        another handle of the same layout has asked before."""
         pages = self._pages_cache.get(nregion)
         if pages is not None:
             return pages, True
-        pages = self._compute_region_pages(nregion)
-        pages.setflags(write=False)
+        key = (self.offset, self.shape, self.dtype.itemsize, nregion)
+        pages = LAYOUT_MEMO.entries.get(key)
+        if pages is None:
+            pages = self._compute_region_pages(nregion)
+            pages.setflags(write=False)
+            LAYOUT_MEMO.put(key, pages)
         if len(self._pages_cache) >= _PAGES_CACHE_LIMIT:
             self._pages_cache.clear()
         self._pages_cache[nregion] = pages
@@ -194,13 +238,35 @@ def _pages_of_spans(starts: np.ndarray, span: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     first = starts // PAGE_SIZE
     last = (starts + span - 1) // PAGE_SIZE
-    width = int((last - first).max()) + 1
-    if width == 1:
-        return np.unique(first)
-    # Each span covers up to `width` pages; enumerate and mask the overshoot.
-    grid = first[:, None] + np.arange(width, dtype=np.int64)[None, :]
-    mask = grid <= last[:, None]
-    return np.unique(grid[mask])
+    if count_nonzero(last - first):
+        # Each span covers at most `width` pages (all have one length):
+        # enumerate that many and mask the overshoot.
+        width = (span - 1) // PAGE_SIZE + 2
+        grid = first[:, None] + np.arange(width, dtype=np.int64)[None, :]
+        first = grid[grid <= last[:, None]]
+    return _sorted_unique(first)
+
+
+def _sorted_unique(pages: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a fresh 1-D page array, sorted in place: the same
+    result without ``np.unique``'s Python-level dispatch, which costs more
+    than the work on the few dozen pages of one access."""
+    pages.sort()
+    if pages.size > 1:
+        keep = np.empty(pages.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(pages[1:], pages[:-1], out=keep[1:])
+        pages = pages[keep]
+    return pages
+
+
+class Normalized(tuple):
+    """A region already in :func:`normalize_region`'s ``((lo, hi), ...)``
+    form, which normalizing again returns as is.  A caller that asks for
+    the same footprint many times (a compiled loop, every iteration)
+    normalizes it once and hands the DSM this instead."""
+
+    __slots__ = ()
 
 
 def normalize_region(region, shape: tuple) -> tuple:
@@ -209,8 +275,11 @@ def normalize_region(region, shape: tuple) -> tuple:
     Ints become single-element ranges; missing trailing dims become full
     ranges; negative indices wrap; steps other than 1 are rejected (the
     applications and compiler only generate unit-stride regions — cyclic
-    distributions are expressed as per-row index lists instead).
+    distributions are expressed as per-row index lists instead).  A
+    :class:`Normalized` region is returned unchanged.
     """
+    if type(region) is Normalized:
+        return region
     if not isinstance(region, tuple):
         region = (region,)
     if len(region) > len(shape):

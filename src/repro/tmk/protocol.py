@@ -49,14 +49,17 @@ transfer (TreadMarks behaves the same way after its GC).
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
+# the fast-path mask checks are ``count_nonzero(mask[pages]) == pages.size``:
+# one C call, where ``ndarray.all()`` runs numpy's Python-level reduction
+# wrapper, about three times the cost on a few-page mask
+from numpy import count_nonzero
 
 from repro.sim.engine import HOLD
 from repro.sim.machine import PAGE_SIZE
-from repro.tmk.diffs import apply_diff, apply_diffs, diff_nbytes, make_diff
+from repro.tmk.diffs import apply_diff, apply_diffs, make_diff
 from repro.tmk.faststate import FastState
 from repro.tmk.lrc import LrcNode, diff_request_nbytes
 from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
@@ -117,13 +120,18 @@ def _node_image(nbytes: int) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # wire payloads
 
-@dataclass
 class DiffRequest:
-    page: int = 0
-    from_id: int = 0          # requester's applied watermark for this writer
-    reply_to: int = 0
-    # aggregated form (enhanced interface): list of (page, from_id)
-    batch: Optional[list] = None
+    """A request for one page's diffs newer than ``from_id``, or for a
+    ``batch`` of ``(page, from_id)`` pairs (enhanced interface)."""
+
+    __slots__ = ("page", "from_id", "reply_to", "batch")
+
+    def __init__(self, page: int, from_id: int, reply_to: int,
+                 batch: Optional[list] = None) -> None:
+        self.page = page
+        self.from_id = from_id    # requester's applied watermark for the writer
+        self.reply_to = reply_to
+        self.batch = batch
 
     def nbytes(self) -> int:
         return diff_request_nbytes(
@@ -209,7 +217,7 @@ class TmkNode(LrcNode):
             stats.region_cache_hits += 1
         if fs.enabled:
             ok = self.valid_mask[pages]
-            if ok.all():
+            if count_nonzero(ok) == ok.size:
                 stats.fastpath_hits += 1
                 fs.remember_read(vkey)
                 return None
@@ -245,7 +253,7 @@ class TmkNode(LrcNode):
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:
-            if fs.write_ok_mask[pages].all():
+            if count_nonzero(fs.write_ok_mask[pages]) == pages.size:
                 stats.fastpath_hits += 1
                 fs.remember_write(vkey)
                 return None
@@ -262,7 +270,7 @@ class TmkNode(LrcNode):
         if fs.enabled:
             stats = self.world.dsm_stats
             ok = self.valid_mask[pages]
-            if ok.all():
+            if count_nonzero(ok) == ok.size:
                 stats.fastpath_hits += 1
                 return None
             stats.fastpath_misses += 1
@@ -277,7 +285,7 @@ class TmkNode(LrcNode):
         fs = self.fast
         if fs.enabled:
             stats = self.world.dsm_stats
-            if fs.write_ok_mask[pages].all():
+            if count_nonzero(fs.write_ok_mask[pages]) == pages.size:
                 stats.fastpath_hits += 1
                 return None
             stats.fastpath_misses += 1
@@ -314,8 +322,9 @@ class TmkNode(LrcNode):
                 ok[page] = 1
             else:
                 yield from self._write_fault_if_needed(page)
-        if vkey is not None and (fs.write_gen == write_gen
-                                 or fs.write_ok_mask[pages].all()):
+        if vkey is not None and (
+                fs.write_gen == write_gen
+                or count_nonzero(fs.write_ok_mask[pages]) == pages.size):
             fs.remember_write(vkey)
 
     def _note_access(self, handle: ArrayHandle, write: bool, source,
@@ -373,7 +382,7 @@ class TmkNode(LrcNode):
             return
         self.world.dsm_stats.fetches += 1
         for w, from_id in missing:
-            req = DiffRequest(page=page, from_id=from_id, reply_to=self.pid)
+            req = DiffRequest(page, from_id, self.pid)
             yield from self.net.send_gen(self.pid, w, req, tag=TAG_TMK_REQ,
                                          nbytes=req.nbytes(),
                                          category="diff_req")
@@ -389,7 +398,7 @@ class TmkNode(LrcNode):
     # serving (a generator of block requests, run by this node's server
     # process, which pays for the handler)
 
-    def serve_diff_request(self, requester: int, req: DiffRequest):
+    def serve_diff_request(self, req: DiffRequest):
         yield HOLD, self.model.protocol_overhead
         asked = req.batch if req.batch is not None \
             else [(req.page, req.from_id)]
@@ -402,8 +411,8 @@ class TmkNode(LrcNode):
                 yield HOLD, self._diff_and_cache(page)
             rep.append((page, self._gather(page, from_id)))
         yield from self.net.send_gen(
-            self.pid, requester, rep, tag=TAG_FETCH_REP,
-            nbytes=sum(self.reply_nbytes(part) for _page, part in rep),
+            self.pid, req.reply_to, rep, tag=TAG_FETCH_REP,
+            nbytes=sum([self.reply_nbytes(part) for _page, part in rep]),
             category="diff_rep")
 
     # ------------------------------------------------------------------ #
@@ -412,7 +421,9 @@ class TmkNode(LrcNode):
     def _encode_diff(self, page: int, twin):
         return make_diff(self.page_bytes(page), twin)
 
-    _diff_nbytes = staticmethod(diff_nbytes)
+    @staticmethod
+    def _diff_nbytes(diff) -> int:
+        return diff.nbytes      # make_diff measured it from the run bounds
 
     def _page_image(self, page: int) -> bytes:
         return self.page_bytes(page).tobytes()

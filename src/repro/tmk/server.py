@@ -39,7 +39,7 @@ __all__ = ["start_server"]
 
 #: payload type -> handler ``(node, request)``, a generator of block requests
 _HANDLERS = {
-    DiffRequest: lambda node, req: node.serve_diff_request(req.reply_to, req),
+    DiffRequest: TmkNode.serve_diff_request,
     _sync.BarrierArrive: _sync.manager_handle_arrival,
     _sync.LockReq: _sync.manager_handle_lock_req,
     _sync.LockForward: _sync.holder_handle_forward,

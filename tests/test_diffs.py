@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tmk.diffs import (RUN_HEADER_BYTES, WORD, apply_diff, apply_diffs,
-                             diff_nbytes, make_diff, mask_diff_nbytes)
+from repro.tmk.diffs import (RUN_HEADER_BYTES, WORD, Diff, apply_diff,
+                             apply_diffs, diff_nbytes, make_diff,
+                             mask_diff_nbytes)
 from repro.tmk.protocol import ZERO_TWIN
 
 PAGE = 4096
@@ -332,6 +333,7 @@ def _masks():
     shaped = st.sampled_from([
         np.zeros(NWORDS, bool), np.ones(NWORDS, bool),
         np.arange(NWORDS) == 0, np.arange(NWORDS) == NWORDS - 1,
+        np.arange(NWORDS) == NWORDS // 2,
         np.arange(NWORDS) % 2 == 0, np.arange(NWORDS) % 2 == 1])
     drawn = st.tuples(st.integers(0, 2**32 - 1), st.floats(0, 1),
                       st.booleans(), st.booleans()).map(_random_mask)
@@ -371,6 +373,31 @@ def test_mask_diff_nbytes_matches_encoded_size(mask, seed):
     changed = cur.view(np.uint32) != twin.view(np.uint32)
     assert np.array_equal(changed, mask)
     assert mask_diff_nbytes(changed) == diff_nbytes(make_diff(cur, twin))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_masks(), st.integers(0, 2**16))
+def test_diff_carries_its_exact_wire_size(mask, seed):
+    """The size ``make_diff`` measures from its run bounds is the run walk
+    and the model's mask rule: empty, full, single-word, alternating,
+    first- and last-word and random masks alike."""
+    cur, twin = _page_pair(mask, seed)
+    diff = make_diff(cur, twin)
+    assert diff.nbytes == diff_nbytes(diff) == mask_diff_nbytes(mask)
+
+
+def test_joined_diffs_add_their_sizes():
+    """A same-interval extension joins two diffs: the runs concatenate
+    and the sizes add."""
+    twin = page(0)
+    first, second = twin.copy(), twin.copy()
+    first[0:8] = 1
+    second[100:104] = 2
+    second[4092:4096] = 3
+    a, b = make_diff(first, twin), make_diff(second, twin)
+    joined = a + b
+    assert isinstance(joined, Diff) and list(joined) == list(a) + list(b)
+    assert joined.nbytes == a.nbytes + b.nbytes == diff_nbytes(joined)
 
 
 # --------------------------------------------------------------------- #

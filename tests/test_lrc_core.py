@@ -163,9 +163,12 @@ def test_mid_interval_serve_then_same_interval_extension():
     sync(a, b)                           # close: the notice for 2 re-invalidates
     assert not b.valid[PAGE]
     (_w, reply), = fetch(b, PAGE, [a, b])
-    # the close extended the entry instead of appending a second one
+    # the close extended the entry instead of appending a second one,
+    # and its size is the sum of the two diffs' (8 + 4 bytes)
     assert entries(a) == [(2, 2, (2, 0))]
     assert [e.diff for e in reply.diffs] == [["w0", "w1", "w2"]]
+    assert [e.nbytes for e in reply.diffs] == [a._diff_nbytes(["w0", "w1"])
+                                               + a._diff_nbytes(["w2"])]
     assert b.meta(PAGE).applied == {0: 2}
 
 
@@ -410,9 +413,10 @@ class _RefNode:
     def diff_and_cache(self, page):
         m = self.meta(page)
         diff = make_diff(self.page_bytes(page), m.twin)
+        nbytes = diff_nbytes(diff)
         m.twin = None
         self.stats.diffs_created += 1
-        self.stats.diff_bytes_created += diff_nbytes(diff)
+        self.stats.diff_bytes_created += nbytes
         if diff:
             top = m.last_written
             if page in self.open_writes:
@@ -425,9 +429,10 @@ class _RefNode:
                 prev = lst.pop()
                 lst.append(CacheEntry(max(prev.top, top), max(prev.wm, wm),
                                       max(prev.okey, okey), prev.diff + diff,
-                                      self.epoch))
+                                      self.epoch, prev.nbytes + nbytes))
             else:
-                lst.append(CacheEntry(top, wm, okey, diff, self.epoch))
+                lst.append(CacheEntry(top, wm, okey, diff, self.epoch,
+                                      nbytes))
         return self.model.diff_create_time(PAGE_SIZE)
 
     def gather(self, page, from_id):
@@ -454,7 +459,7 @@ class _RefNode:
                                     m.pending.get(ww, 0))
         patches = []
         for w, rep in replies:
-            for top, wm, okey, diff, _epoch in rep.diffs:
+            for top, wm, okey, diff, _epoch, _nbytes in rep.diffs:
                 if top <= base.get(w, 0):
                     m.applied[w] = max(m.applied.get(w, 0), wm)
                     continue
@@ -595,7 +600,7 @@ class _FlatNode(TmkNode):
 
 
 def _entries_of(cache, page):
-    return [(e.top, e.wm, e.okey, e.epoch,
+    return [(e.top, e.wm, e.okey, e.epoch, e.nbytes,
              [(off, bytes(data)) for off, data in e.diff])
             for e in cache.get(page, [])]
 

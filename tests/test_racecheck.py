@@ -157,8 +157,9 @@ def test_cross_check_is_tier_independent():
     with RunService(workers=2) as svc:
         pooled = cross_check_app("jacobi", service=svc, **kwargs)
         cache = svc.stats()["cache"]
-        # seed 1 ran there: one program lookup, one oracle-time lookup
-        assert cache["hits"] + cache["misses"] == 2
+        # seed 1 ran there: one program lookup (the oracle time is kept
+        # outside the program cache)
+        assert cache["hits"] + cache["misses"] == 1
     assert pooled.as_doc() == rep.as_doc()
 
 

@@ -134,6 +134,11 @@ LOSS = [
     ("a garbled line is a loss like EOF",
      [(1, True, ["garble"], False), (1, True, [], False)], 2, HOSTLOST,
      ["r0", "r1"], {"t0": ["r0"], "t1": ["r1", "r0"]}, 1, 1),
+    # the loss is noticed in the read that brought r0: r1 goes first
+    ("a result that arrived with the garbled line still counts",
+     [(2, True, ["ok", "garble"], False), (1, True, [], False)], 5, HOSTLOST,
+     ["r0", "r1", "r2", "r3", "r4"],
+     {"t0": ["r0", "r1"], "t1": ["r2", "r1", "r3", "r4"]}, 1, 1),
     ("no target left: the pool drains as WorkerCrashed",
      [(1, False, ["die"], False)], 3, None,
      ["WorkerCrashed"] * 3, {"t0": ["r0"]}, 1, 0),
