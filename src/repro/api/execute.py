@@ -19,8 +19,10 @@ What is cached (per :class:`ProgramCache`, i.e. per process/worker):
 * xhpf family — the built program and :class:`XhpfExecutable`
   (inspector-executor schedules live in per-run state, so the executable
   itself is reusable);
-* tmk / pvme / seq / model — the built program (hand-coded variants have
-  no codegen step; the model replays its replica per run).
+* seq — the built program;
+* tmk / pvme / model — nothing built, only the app's spec and parameters
+  (hand-coded variants have no codegen step; the model builds and replays
+  its own replica per run).
 
 The sequential oracle's window time is kept beside the cache, not in it:
 one number per ``(app, preset)`` and process, shared by every variant of
@@ -167,10 +169,10 @@ def _prepare(request: RunRequest, cache: ProgramCache):
     def build():
         if request.mode == "model" or request.variant in ("seq", "tmk",
                                                           "pvme"):
+            # only the sequential oracle runs a built program here
             return {"spec": spec, "params": params,
                     "program": (spec.build_program(params)
-                                if request.variant not in ("tmk", "pvme")
-                                else None)}
+                                if request.variant == "seq" else None)}
         program = spec.build_program(params)
         if request.variant == "spf_spec":
             from repro.compiler.spf_spec import compile_spf_spec
@@ -201,8 +203,7 @@ def _seq_result(request: RunRequest, bundle, hit: bool) -> RunResult:
                      mode=request.mode, tag=request.tag, cache_hit=hit)
 
 
-def _execute_model(request: RunRequest, cache: ProgramCache,
-                   hit: bool) -> RunResult:
+def _execute_model(request: RunRequest, hit: bool) -> RunResult:
     from repro.compiler.model import model_variant
 
     res = model_variant(request.app, request.variant,
@@ -295,8 +296,7 @@ def _resolve(request: RunRequest, bundle):
     return None, exe.run_on, _master_scalars
 
 
-def _execute_sim(request: RunRequest, cache: ProgramCache,
-                 bundle, hit: bool):
+def _execute_sim(request: RunRequest, bundle, hit: bool):
     """``(RunResult, readback arrays or None)`` of one simulated run."""
     machine = machine_from_doc(request.machine)
     faults = fault_plan_from_doc(request.fault_plan)
@@ -366,9 +366,9 @@ def execute_with_arrays(request: RunRequest,
     if request.variant == "seq":
         res, arrays = _seq_result(request, bundle, hit), None
     elif request.mode == "model":
-        res, arrays = _execute_model(request, cache, hit), None
+        res, arrays = _execute_model(request, hit), None
     else:
-        res, arrays = _execute_sim(request, cache, bundle, hit)
+        res, arrays = _execute_sim(request, bundle, hit)
     return _replace(res, wall_s=round(_time.perf_counter() - t0, 6)), arrays
 
 

@@ -29,6 +29,7 @@ from repro.apps.common import (AppSpec, abs_sum,
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
                                ParallelLoop, Program, Reduction, SeqBlock,
                                Span, TimeLoop)
+from repro.tmk.pagespace import sorted_unique
 
 __all__ = ["SPEC", "build_program", "hand_tmk", "hand_pvme"]
 
@@ -97,8 +98,9 @@ def square_stats_rows(g: np.ndarray, n: int, lo: int, hi: int) -> dict:
 
 
 def touched_indices(imap: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Flat indices the chunk's gathers actually touch (= what would fault)."""
-    return np.unique(imap[lo:hi].ravel())
+    """Flat indices the chunk's gathers actually touch (= what would fault).
+    ``flatten`` copies: ``imap`` may be a processor's live shared image."""
+    return sorted_unique(imap[lo:hi].flatten())
 
 
 # ---------------------------------------------------------------------- #

@@ -32,6 +32,7 @@ from repro.apps.common import (AppSpec, abs_sum,
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
                                ParallelLoop, Program, Reduction, SeqBlock,
                                Span, TimeLoop)
+from repro.tmk.pagespace import sorted_unique
 
 __all__ = ["SPEC", "build_program", "hand_tmk", "hand_pvme"]
 
@@ -90,8 +91,9 @@ def update_rows(pos: np.ndarray, forces: np.ndarray, lo: int, hi: int) -> dict:
 
 
 def touched_rows(partners: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return np.unique(np.concatenate([np.arange(lo, hi, dtype=np.int64),
-                                     partners[lo:hi].astype(np.int64).ravel()]))
+    return sorted_unique(np.concatenate(
+        [np.arange(lo, hi, dtype=np.int64),
+         partners[lo:hi].astype(np.int64).ravel()]))
 
 
 def _row_elements(rows: np.ndarray, width: int = 3) -> np.ndarray:

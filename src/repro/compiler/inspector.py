@@ -34,6 +34,8 @@ from typing import Optional
 
 import numpy as np
 
+from repro.tmk.pagespace import sorted_unique
+
 __all__ = ["CommSchedule", "ScheduleCache", "inspect_reads"]
 
 
@@ -78,7 +80,7 @@ class ScheduleCache:
 
 
 def _rows_of_elements(flat: np.ndarray, row_elems: int) -> np.ndarray:
-    return np.unique(np.asarray(flat, dtype=np.int64) // row_elems)
+    return sorted_unique(np.asarray(flat, dtype=np.int64) // row_elems)
 
 
 def footprint_fingerprint(flat: np.ndarray) -> int:

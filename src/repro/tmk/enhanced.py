@@ -107,15 +107,14 @@ def push_regions_gen(node: TmkNode, regions: Sequence, dests: Iterable[int]):
     if payload is None:
         payload = PushPayload(node.pid, [], 16)
     mon = node.world.race_monitor
-    snap = mon.release(node.pid) if mon is not None else None
+    if mon is not None:
+        payload.clock = mon.release(node.pid)
     for dst in dests:
         if dst == node.pid:
             continue
         yield from node.net.send_gen(node.pid, dst, payload, tag=TAG_PUSH,
                                      nbytes=payload.nbytes_on_wire,
                                      category="data")
-        if mon is not None:
-            mon.channel_put(node.pid, dst, "push", snap)
         node.world.dsm_stats.pushes += 1
 
 
@@ -126,7 +125,7 @@ def expect_pushes_gen(node: TmkNode, count: int):
         msg = yield from node.net.recv_gen(node.proc, node.pid, tag=TAG_PUSH)
         yield from msg.payload.install_gen(node)
         if mon is not None:
-            mon.channel_acquire(node.pid, msg.src, "push")
+            mon.merge(node.pid, msg.payload.clock)
 
 
 class PushPayload:
@@ -142,6 +141,7 @@ class PushPayload:
         self.sender = sender
         self.entries = entries      # [(page, top, wm, okey, diff, nbytes)]
         self.nbytes_on_wire = nbytes_on_wire
+        self.clock = None   # race-monitor release snapshot, never counted
 
     @staticmethod
     def build_gen(node: TmkNode, regions: Sequence):

@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.tmk.intervals import records_unknown_to, SeenVector
+from repro.tmk.intervals import records_unknown_to
 from repro.tmk.lrc import fork_nbytes, sync_nbytes
 from repro.tmk.pagespace import SharedSpace
 from repro.tmk.protocol import TAG_FORK, TAG_JOIN, TmkNode
@@ -125,7 +125,7 @@ class ImprovedForkJoin(_ForkJoin):
     def __init__(self, node: TmkNode):
         super().__init__(node)
         if self.is_master:
-            self._worker_seen = {w: SeenVector(node.nprocs)
+            self._worker_seen = {w: (0,) * node.nprocs
                                  for w in range(1, node.nprocs)}
 
     # ---- master side ---------------------------------------------------
@@ -138,19 +138,17 @@ class ImprovedForkJoin(_ForkJoin):
         node.close_interval()
         model = node.model
         mon = node.world.race_monitor
-        snap = mon.release(node.pid) if mon is not None else None
+        clock = mon.release(node.pid) if mon is not None else None
         for w in range(1, node.nprocs):
             records = records_unknown_to(node.retained_log,
                                          self._worker_seen[w])
             nbytes = fork_nbytes(records, model)
-            body = (sub_id, tuple(params), records, payload)
+            body = (sub_id, tuple(params), records, payload, clock)
             if payload is not None:
                 nbytes += payload.nbytes_on_wire
             yield from node.net.send_gen(node.pid, w, body, tag=TAG_FORK,
                                          nbytes=nbytes, category="sync")
-            if mon is not None:
-                mon.channel_put(node.pid, w, "fork", snap)
-            self._worker_seen[w] = node.seen.copy()
+            self._worker_seen[w] = node.seen.as_tuple()
         node.prune_log()
         node.advance_epoch()
 
@@ -162,14 +160,11 @@ class ImprovedForkJoin(_ForkJoin):
         for _ in range(node.nprocs - 1):
             msg = yield from node.net.recv_gen(self.proc, node.pid,
                                                tag=TAG_JOIN)
-            records, seen = msg.payload
+            records, seen, clock = msg.payload
             yield from node.apply_records(records, log=True)
-            w = msg.src
             if mon is not None:
-                mon.channel_acquire(node.pid, w, "join")
-            sv = SeenVector(node.nprocs)
-            sv.v = list(seen)
-            self._worker_seen[w] = sv
+                mon.merge(node.pid, clock)
+            self._worker_seen[msg.src] = seen
 
     # ---- worker side ---------------------------------------------------
 
@@ -177,11 +172,11 @@ class ImprovedForkJoin(_ForkJoin):
         node = self.node
         msg = yield from node.net.recv_gen(self.proc, node.pid, src=0,
                                            tag=TAG_FORK)
-        sub_id, params, records, payload = msg.payload
+        sub_id, params, records, payload, clock = msg.payload
         yield from node.apply_records(records, log=False)
         mon = node.world.race_monitor
         if mon is not None:
-            mon.channel_acquire(node.pid, 0, "fork")
+            mon.merge(node.pid, clock)
         if payload is not None:
             yield from payload.install_gen(node)
         node.advance_epoch()
@@ -195,8 +190,7 @@ class ImprovedForkJoin(_ForkJoin):
         records = list(node.log_current)
         node.prune_log()
         mon = node.world.race_monitor
-        if mon is not None:
-            mon.channel_put(node.pid, 0, "join", mon.release(node.pid))
+        clock = mon.release(node.pid) if mon is not None else None
         yield from node.net.send_gen(
-            node.pid, 0, (records, node.seen.as_tuple()), tag=TAG_JOIN,
+            node.pid, 0, (records, node.seen.as_tuple(), clock), tag=TAG_JOIN,
             nbytes=sync_nbytes(records, node.model), category="sync")

@@ -25,7 +25,7 @@ from numpy import count_nonzero
 from repro.sim.machine import PAGE_SIZE
 
 __all__ = ["ArrayHandle", "SharedSpace", "Normalized", "normalize_region",
-           "region_nbytes", "merge_spans"]
+           "region_nbytes", "merge_spans", "sorted_unique"]
 
 Region = tuple  # tuple of ints/slices
 
@@ -244,20 +244,21 @@ def _pages_of_spans(starts: np.ndarray, span: int) -> np.ndarray:
         width = (span - 1) // PAGE_SIZE + 2
         grid = first[:, None] + np.arange(width, dtype=np.int64)[None, :]
         first = grid[grid <= last[:, None]]
-    return _sorted_unique(first)
+    return sorted_unique(first)
 
 
-def _sorted_unique(pages: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a fresh 1-D page array, sorted in place: the same
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a fresh 1-D integer array, sorted in place: the same
     result without ``np.unique``'s Python-level dispatch, which costs more
-    than the work on the few dozen pages of one access."""
-    pages.sort()
-    if pages.size > 1:
-        keep = np.empty(pages.size, dtype=bool)
+    than the work on the few dozen pages (or indices) of one access.  The
+    array is consumed: never pass a view of live data."""
+    values.sort()
+    if values.size > 1:
+        keep = np.empty(values.size, dtype=bool)
         keep[0] = True
-        np.not_equal(pages[1:], pages[:-1], out=keep[1:])
-        pages = pages[keep]
-    return pages
+        np.not_equal(values[1:], values[:-1], out=keep[1:])
+        values = values[keep]
+    return values
 
 
 class Normalized(tuple):

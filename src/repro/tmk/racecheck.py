@@ -13,8 +13,14 @@ right moment) and observes two event streams:
   ``TmkNode.ensure_*`` hooks (``SharedArray`` methods, the SPF backend,
   the enhanced interface all call them), which report the accessing
   processor, the exact byte footprint, read/write, and an IR source tag;
-* **synchronization** — barriers, lock transfers, fork/join, tree
-  reductions and pushes call back at their release and acquire points.
+* **synchronization** — every happens-before edge rides the message
+  that makes it.  The sender takes :meth:`RaceMonitor.release` and puts
+  the snapshot on the payload (barrier arrival and departure, lock grant,
+  fork and join, both tree-reduction messages, a halo push), outside the
+  message's counted bytes, and the receiver passes it to
+  :meth:`~RaceMonitor.merge` where it applies the message's records.
+  The monitor pairs no messages itself: the network already delivered
+  the right one.
 
 The monitor maintains one vector clock per processor (FastTrack-style:
 own component starts at 1 and increments at every release; acquires merge
@@ -46,7 +52,6 @@ both together across seeds.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -178,10 +183,12 @@ class RaceCheckResult:
 
 
 class RaceMonitor:
-    """Observes accesses and synchronization; owns the vector clocks.
+    """Owns the vector clocks and the access log.
 
-    All hooks run on simulated-process threads, but the engine lets
-    exactly one thread run at a time, so no locking is needed.
+    Synchronization reaches it only as :meth:`release` (the sender's
+    snapshot, carried by the message) and :meth:`merge` (at the receiver).
+    All hooks run on simulated processes, and the engine runs exactly one
+    at a time, so no locking is needed.
     """
 
     def __init__(self, world):
@@ -195,20 +202,6 @@ class RaceMonitor:
         self.events: list[AccessEvent] = []
         self._index: dict[tuple, AccessEvent] = {}
         self.n_dropped = 0
-        # barriers: per-generation arrival snapshots, matched by per-pid
-        # arrival counters (every barrier in this system is global)
-        self._barrier_slots: dict[int, dict[int, tuple]] = {}
-        self._arrive_count = [0] * self.nprocs
-        self._depart_count = [0] * self.nprocs
-        self._departed: dict[int, int] = {}
-        # locks: (pid, lock) -> snapshot at this holder's latest release;
-        # (lock, requester) -> snapshot travelling with an in-flight grant
-        self._lock_snap: dict[tuple, tuple] = {}
-        self._pending_grant: dict[tuple, Optional[tuple]] = {}
-        # message channels (fork/join/reduce/push): FIFO per
-        # (src, dst, kind), sound because same-(src, dst, tag) message
-        # delivery is FIFO in the network
-        self._channels: dict[tuple, deque] = {}
 
     # ------------------------------------------------------------------ #
     # clock primitives
@@ -255,55 +248,6 @@ class RaceMonitor:
     def _now(self, pid: int) -> float:
         node = self.world.nodes.get(pid)
         return node.env.now if node is not None else 0.0
-
-    # ------------------------------------------------------------------ #
-    # barriers
-
-    def on_barrier_arrive(self, pid: int) -> None:
-        gen = self._arrive_count[pid]
-        self._arrive_count[pid] += 1
-        self._barrier_slots.setdefault(gen, {})[pid] = self.release(pid)
-
-    def on_barrier_depart(self, pid: int) -> None:
-        gen = self._depart_count[pid]
-        self._depart_count[pid] += 1
-        slots = self._barrier_slots[gen]
-        for snap in slots.values():
-            self.merge(pid, snap)
-        done = self._departed.get(gen, 0) + 1
-        if done == self.nprocs:
-            del self._barrier_slots[gen]
-            self._departed.pop(gen, None)
-        else:
-            self._departed[gen] = done
-
-    # ------------------------------------------------------------------ #
-    # locks — the grant message carries the holder's release-point clock
-
-    def on_lock_release(self, pid: int, lock: int) -> None:
-        self._lock_snap[(pid, lock)] = self.release(pid)
-
-    def on_grant_send(self, pid: int, lock: int, requester: int) -> None:
-        # The requester blocks until granted, so at most one grant per
-        # (lock, requester) is ever in flight — the key is unambiguous.
-        self._pending_grant[(lock, requester)] = \
-            self._lock_snap.get((pid, lock))
-
-    def on_lock_acquire(self, pid: int, lock: int) -> None:
-        self.merge(pid, self._pending_grant.pop((lock, pid), None))
-
-    # ------------------------------------------------------------------ #
-    # point-to-point sync messages (fork/join, reductions, pushes)
-
-    def channel_put(self, src: int, dst: int, kind: str, snap: tuple) -> None:
-        self._channels.setdefault((src, dst, kind), deque()).append(snap)
-
-    def channel_acquire(self, pid: int, src: int, kind: str) -> None:
-        chan = self._channels.get((src, pid, kind))
-        if not chan:
-            raise RuntimeError(
-                f"race monitor: acquire on empty channel {(src, pid, kind)}")
-        self.merge(pid, chan.popleft())
 
     # ------------------------------------------------------------------ #
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sim.cluster import tree_children, tree_parent
-from repro.tmk.intervals import records_unknown_to, SeenVector
+from repro.tmk.intervals import records_unknown_to
 from repro.tmk.lrc import sync_nbytes
 from repro.tmk.protocol import TmkNode
 
@@ -61,42 +61,37 @@ def tmk_reduce_gen(node: TmkNode, value, op: Callable):
     for child in tree_children(node.pid, 0, nprocs):
         msg = yield from node.net.recv_gen(proc, node.pid, src=child,
                                            tag=TAG_REDUCE_UP)
-        child_value, records, seen = msg.payload
+        child_value, records, seen, clock = msg.payload
         acc = op(acc, child_value)
         yield from node.apply_records(records, log=True)
         if mon is not None:
-            mon.channel_acquire(node.pid, child, "reduce-up")
+            mon.merge(node.pid, clock)
         gathered.append((child, seen))
     parent = tree_parent(node.pid, 0, nprocs)
     if parent is not None:
         records = list(node.log_current)
-        payload = (acc, records, node.seen.as_tuple())
+        clock = mon.release(node.pid) if mon is not None else None
+        payload = (acc, records, node.seen.as_tuple(), clock)
         nbytes = sync_nbytes(records, model)
-        if mon is not None:
-            mon.channel_put(node.pid, parent, "reduce-up",
-                            mon.release(node.pid))
         yield from node.net.send_gen(node.pid, parent, payload,
                                      tag=TAG_REDUCE_UP, nbytes=nbytes,
                                      category="sync")
         msg = yield from node.net.recv_gen(proc, node.pid, src=parent,
                                            tag=TAG_REDUCE_DOWN)
-        result, records = msg.payload
+        result, records, clock = msg.payload
         yield from node.apply_records(records, log=True)
         if mon is not None:
-            mon.channel_acquire(node.pid, parent, "reduce-down")
+            mon.merge(node.pid, clock)
     else:
         result = acc
     # downward: result + the records each subtree is missing
-    down_snap = mon.release(node.pid) if (mon is not None and gathered) \
+    clock = mon.release(node.pid) if (mon is not None and gathered) \
         else None
     for child, child_seen in gathered:
-        sv = SeenVector(nprocs)
-        sv.v = list(child_seen)
-        records = records_unknown_to(node.retained_log, sv)
+        records = records_unknown_to(node.retained_log, child_seen)
         nbytes = sync_nbytes(records, model)
-        if mon is not None:
-            mon.channel_put(node.pid, child, "reduce-down", down_snap)
-        yield from node.net.send_gen(node.pid, child, (result, records),
+        yield from node.net.send_gen(node.pid, child,
+                                     (result, records, clock),
                                      tag=TAG_REDUCE_DOWN, nbytes=nbytes,
                                      category="sync")
     node.prune_log()

@@ -15,9 +15,9 @@ handler provides.
 Everything the server runs is therefore a generator of block requests and
 is reached with ``yield from``: the loop below, ``Network.recv_gen`` /
 ``send_gen``, ``TmkNode.serve_diff_request`` and the ``tmk.sync`` handlers.
-The three helpers a main program also runs (``_distribute_departures``,
-``_send_grant``, ``_send_grant_empty``) are the same generators, exhausted
-there by ``Process.drive``.  Calling a blocking primitive (``proc.hold``,
+The two helpers a main program also runs (``_distribute_departures``,
+``_send_grant``) are the same generators, exhausted there by
+``Process.drive``.  Calling a blocking primitive (``proc.hold``,
 ``net.send``) from server code raises ``SimError``.
 
 Delivery assumptions: the dispatch loop requires per-(src, dst) FIFO,

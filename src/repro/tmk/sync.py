@@ -22,6 +22,10 @@ would violate tenure order.  The network guarantees both — natively on
 the perfect wire, via its reliable-delivery sublayer when a
 :class:`~repro.sim.faults.FaultPlan` is attached — so no sequence
 numbers appear at this layer.
+
+Each message also carries the race monitor's happens-before edge
+(``clock``, outside the counted ``nbytes``): a departure the join of its
+generation's arrivals, a grant the holder's clock at its release.
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.sim.engine import HOLD, PARK
-from repro.tmk.intervals import (IntervalRecord, SeenVector,
-                                 records_unknown_to)
+from repro.tmk.intervals import IntervalRecord, records_unknown_to
 from repro.tmk.lrc import lock_request_nbytes, sync_nbytes
 from repro.tmk.protocol import (TAG_BARRIER_DEP, TAG_LOCK_GRANT, TAG_TMK_REQ,
                                 TmkNode)
@@ -45,7 +48,7 @@ __all__ = ["BarrierManager", "LockTable", "BarrierArrive", "LockReq",
 
 
 # ---------------------------------------------------------------------- #
-# wire payloads
+# wire payloads (``clock``: the race monitor's edge, never counted)
 
 @dataclass
 class BarrierArrive:
@@ -53,6 +56,7 @@ class BarrierArrive:
     gen: int = 0
     records: list = field(default_factory=list)
     seen: tuple = ()
+    clock: Optional[tuple] = None
 
     def nbytes(self, model) -> int:
         return sync_nbytes(self.records, model)
@@ -62,6 +66,7 @@ class BarrierArrive:
 class BarrierDepart:
     gen: int
     records: list
+    clock: Optional[tuple] = None
 
     def nbytes(self, model) -> int:
         return sync_nbytes(self.records, model)
@@ -92,6 +97,7 @@ class LockForward:
 class LockGrant:
     lock: int
     records: list
+    clock: Optional[tuple] = None
 
     def nbytes(self, model) -> int:
         return sync_nbytes(self.records, model)
@@ -106,14 +112,16 @@ class BarrierManager:
     def __init__(self, nprocs: int):
         self.nprocs = nprocs
         self.gen = 0
-        self._arrived: dict[int, SeenVector] = {}
+        self._arrived: dict[int, tuple] = {}
         self._records: list[IntervalRecord] = []
         self._seen_keys: set = set()
+        # join of this generation's arrival clocks (monitored runs only)
+        self.clock: Optional[tuple] = None
         self._local_waiting: Optional["Process"] = None
-        self._local_depart: Optional[list] = None
+        self._local_depart: Optional[BarrierDepart] = None
 
     def note_arrival(self, member: int, gen: int, records: list,
-                     seen: tuple) -> bool:
+                     seen: tuple, clock: Optional[tuple] = None) -> bool:
         """Record an arrival; True when this one completes the barrier."""
         if gen != self.gen:
             raise RuntimeError(
@@ -121,9 +129,10 @@ class BarrierManager:
                 f"manager at {self.gen}")
         if member in self._arrived:
             raise RuntimeError(f"member {member} arrived twice at barrier {gen}")
-        sv = SeenVector(self.nprocs)
-        sv.v = list(seen)
-        self._arrived[member] = sv
+        self._arrived[member] = seen
+        if clock is not None:
+            self.clock = (clock if self.clock is None
+                          else tuple(map(max, self.clock, clock)))
         for rec in records:
             key = (rec.proc, rec.id)
             if key not in self._seen_keys:
@@ -132,7 +141,8 @@ class BarrierManager:
         return len(self._arrived) == self.nprocs
 
     def departures(self) -> dict[int, list]:
-        """Per-member record lists for the departure broadcast; resets state."""
+        """Per-member record lists for the departure broadcast; resets state,
+        ``clock`` included."""
         out = {}
         for member, seen in self._arrived.items():
             out[member] = records_unknown_to(self._records, seen)
@@ -140,6 +150,7 @@ class BarrierManager:
         self._arrived = {}
         self._records = []
         self._seen_keys = set()
+        self.clock = None
         return out
 
 
@@ -166,6 +177,9 @@ class LockTable:
         self.release_count: dict[tuple, int] = {}
         # holder side: (pid, lock) -> {after: (requester, seen)}
         self.queued: dict[tuple, dict] = {}
+        # holder side: (pid, lock) -> race-monitor snapshot at the latest
+        # release (monitored runs only); the next grant carries it
+        self.release_clock: dict[tuple, tuple] = {}
 
     def manager_of(self, lock: int) -> int:
         return lock % self.nprocs
@@ -198,8 +212,8 @@ class LockTable:
 
 # ---------------------------------------------------------------------- #
 # member-side operations, run by a node's main program.  Like everything a
-# request server runs (``_distribute_departures``, ``_send_grant(_empty)``,
-# the ``*_handle_*`` handlers) they are generators of engine block requests:
+# request server runs (``_distribute_departures``, ``_send_grant``, the
+# ``*_handle_*`` handlers) they are generators of engine block requests:
 # a program and the server delegate with ``yield from`` (``Tmk.barrier_gen``
 # and friends are the per-processor names).
 
@@ -207,82 +221,69 @@ def barrier_gen(node: TmkNode):
     """TreadMarks barrier: arrival release + departure acquire."""
     world = node.world
     world.dsm_stats.barriers += 1
-    model = node.model
     mgr: BarrierManager = world.barrier_mgr
     mon = world.race_monitor
-    if mon is not None:
-        mon.on_barrier_arrive(node.pid)
+    clock = mon.release(node.pid) if mon is not None else None
     node.close_interval()
     records = list(node.log_current)
     node.prune_log()
 
-    if node.nprocs == 1:
-        node.advance_epoch()
-        if mon is not None:
-            mon.on_barrier_depart(node.pid)
-        return
-
-    if node.pid == 0:
-        complete = mgr.note_arrival(0, mgr.gen, records,
-                                    node.seen.as_tuple())
-        if complete:
-            yield from _distribute_departures(node)
+    if node.nprocs > 1:
+        if node.pid != 0:
+            # remote member: release message to the manager
+            arr = BarrierArrive(member=node.pid, gen=node._barrier_gen,
+                                records=records, seen=node.seen.as_tuple(),
+                                clock=clock)
+            node._barrier_gen += 1
+            yield from node.net.send_gen(node.pid, 0, arr, tag=TAG_TMK_REQ,
+                                         nbytes=arr.nbytes(node.model),
+                                         category="sync")
+            msg = yield from node.net.recv_gen(node.proc, node.pid,
+                                               tag=TAG_BARRIER_DEP)
+            dep: BarrierDepart = msg.payload
+        elif mgr.note_arrival(0, mgr.gen, records, node.seen.as_tuple(),
+                              clock):
+            dep = yield from _distribute_departures(node)
         else:
             mgr._local_waiting = node.proc
             yield PARK, ("barrier", mgr.gen)
-            my_records = mgr._local_depart
-            mgr._local_depart = None
-            yield from node.apply_records(my_records, log=False)
-        node.advance_epoch()
-        if mon is not None:
-            mon.on_barrier_depart(node.pid)
-        return
-
-    # remote member: release message to the manager
-    arr = BarrierArrive(member=node.pid, gen=node._barrier_gen,
-                        records=records, seen=node.seen.as_tuple())
-    node._barrier_gen += 1
-    yield from node.net.send_gen(node.pid, 0, arr, tag=TAG_TMK_REQ,
-                                 nbytes=arr.nbytes(model), category="sync")
-    msg = yield from node.net.recv_gen(node.proc, node.pid,
-                                       tag=TAG_BARRIER_DEP)
-    dep: BarrierDepart = msg.payload
-    yield from node.apply_records(dep.records, log=False)
+            dep, mgr._local_depart = mgr._local_depart, None
+        yield from node.apply_records(dep.records, log=False)
+        clock = dep.clock
     node.advance_epoch()
     if mon is not None:
-        mon.on_barrier_depart(node.pid)
+        mon.merge(node.pid, clock)
 
 
 def manager_handle_arrival(node0: TmkNode, arr: BarrierArrive):
     """Processor 0's server processes a remote arrival message."""
     mgr: BarrierManager = node0.world.barrier_mgr
     yield HOLD, node0.model.protocol_overhead
-    if mgr.note_arrival(arr.member, arr.gen, arr.records, arr.seen):
+    if mgr.note_arrival(arr.member, arr.gen, arr.records, arr.seen,
+                        arr.clock):
         yield from _distribute_departures(node0)
 
 
 def _distribute_departures(node0: TmkNode):
     """Send departures to every member; run by whichever processor-0
-    context (main or server) observed the final arrival."""
+    context (main or server) observed the final arrival.  Processor 0's
+    own departure is handed to its parked main, or returned when the
+    caller is that main (the final arriver, running right now)."""
     mgr: BarrierManager = node0.world.barrier_mgr
     model = node0.model
+    gen, clock = mgr.gen, mgr.clock
     departures = mgr.departures()
-    for member in range(node0.nprocs):
-        if member == 0:
-            continue
-        dep = BarrierDepart(gen=mgr.gen - 1, records=departures[member])
+    for member in range(1, node0.nprocs):
+        dep = BarrierDepart(gen, departures[member], clock)
         yield from node0.net.send_gen(0, member, dep, tag=TAG_BARRIER_DEP,
                                       nbytes=dep.nbytes(model),
                                       category="sync")
-    # processor 0's own departure is local
-    if mgr._local_waiting is not None:
-        mgr._local_depart = departures[0]
-        waiter = mgr._local_waiting
-        mgr._local_waiting = None
-        node0.env.sim.unpark(waiter)
-    else:
-        # processor 0's main is the final arriver and is running right now
-        yield from node0.apply_records(departures[0], log=False)
+    mine = BarrierDepart(gen, departures[0], clock)
+    if mgr._local_waiting is None:
+        return mine
+    mgr._local_depart = mine
+    waiter, mgr._local_waiting = mgr._local_waiting, None
+    node0.env.sim.unpark(waiter)
 
 
 # ---------------------------------------------------------------------- #
@@ -318,7 +319,7 @@ def _await_grant(node: TmkNode, lock: int, dst: int, req):
     yield from node.apply_records(grant.records, log=True)
     mon = node.world.race_monitor
     if mon is not None:
-        mon.on_lock_acquire(node.pid, lock)
+        mon.merge(node.pid, grant.clock)
 
 
 def lock_release_steps(node: TmkNode, lock: int):
@@ -327,28 +328,42 @@ def lock_release_steps(node: TmkNode, lock: int):
     table: LockTable = node.world.lock_table
     mon = node.world.race_monitor
     if mon is not None:
-        # snapshot before note_release: a queued request may be granted
-        # (and read this snapshot) once the grant below is sent
-        mon.on_lock_release(node.pid, lock)
+        # stored first: a grant due at this release carries this clock
+        table.release_clock[(node.pid, lock)] = mon.release(node.pid)
     node.close_interval()
     due = table.note_release(node.pid, lock)
     if due is not None:
-        requester, seen = due
-        return _send_grant(node, lock, requester, seen)
+        return _send_grant(node, lock, *due)
     return None
 
 
-def _send_grant(node: TmkNode, lock: int, requester: int, seen: tuple):
-    sv = SeenVector(node.nprocs)
-    sv.v = list(seen)
-    records = records_unknown_to(node.retained_log, sv)
-    grant = LockGrant(lock=lock, records=records)
-    mon = node.world.race_monitor
-    if mon is not None:
-        mon.on_grant_send(node.pid, lock, requester)
+def _send_grant(node: TmkNode, lock: int, requester: int,
+                seen: Optional[tuple] = None):
+    """Grant ``lock`` to ``requester`` with the records its ``seen`` lacks
+    and this holder's latest release clock.  ``seen=None`` is the manager's
+    re-grant to the processor that requested the lock last: it carries no
+    records and no ordering."""
+    if seen is None:
+        grant = LockGrant(lock, [])
+    else:
+        grant = LockGrant(
+            lock, records_unknown_to(node.retained_log, seen),
+            node.world.lock_table.release_clock.get((node.pid, lock)))
     yield from node.net.send_gen(
         node.pid, requester, grant, tag=TAG_LOCK_GRANT + lock,
         nbytes=grant.nbytes(node.model), category="sync")
+
+
+def _serve_or_queue(node: TmkNode, lock: int, requester: int, seen: tuple,
+                    after: int):
+    """Grant now if this processor's ``after``-th tenure of ``lock`` is
+    over, else queue the request for the release that ends it."""
+    table: LockTable = node.world.lock_table
+    if table.release_count.get((node.pid, lock), 0) >= after:
+        yield from _send_grant(node, lock, requester, seen)
+    else:
+        queue = table.queued.setdefault((node.pid, lock), {})
+        queue[after] = (requester, seen)
 
 
 def holder_handle_forward(node: TmkNode, fwd: LockForward):
@@ -357,14 +372,9 @@ def holder_handle_forward(node: TmkNode, fwd: LockForward):
     Served immediately if the tenure it follows has completed; otherwise
     queued and served by the corresponding release ("a lock release does
     not cause any communication" — unless a request is waiting)."""
-    table: LockTable = node.world.lock_table
     yield HOLD, node.model.protocol_overhead
-    done = table.release_count.get((node.pid, fwd.lock), 0)
-    if done >= fwd.after:
-        yield from _send_grant(node, fwd.lock, fwd.requester, fwd.seen)
-    else:
-        table.queued.setdefault((node.pid, fwd.lock), {})[fwd.after] = (
-            fwd.requester, fwd.seen)
+    yield from _serve_or_queue(node, fwd.lock, fwd.requester, fwd.seen,
+                               fwd.after)
 
 
 def manager_handle_lock_req(node: TmkNode, req: LockReq):
@@ -373,29 +383,14 @@ def manager_handle_lock_req(node: TmkNode, req: LockReq):
     yield HOLD, node.model.protocol_overhead
     prev, after = table.note_request(req.lock, req.requester)
     if prev == req.requester:
-        yield from _send_grant_empty(node, req.lock, req.requester)
+        yield from _send_grant(node, req.lock, req.requester)
     elif prev == node.pid:
         # the manager itself is the previous requester: same tenure rule,
         # applied locally instead of through a forward message
-        done = table.release_count.get((node.pid, req.lock), 0)
-        if done >= after:
-            yield from _send_grant(node, req.lock, req.requester, req.seen)
-        else:
-            table.queued.setdefault((node.pid, req.lock), {})[after] = (
-                req.requester, req.seen)
+        yield from _serve_or_queue(node, req.lock, req.requester, req.seen,
+                                   after)
     else:
         fwd = LockForward(lock=req.lock, requester=req.requester,
                           seen=req.seen, after=after)
         yield from node.net.send_gen(node.pid, prev, fwd, tag=TAG_TMK_REQ,
                                      nbytes=fwd.nbytes(), category="sync")
-
-
-def _send_grant_empty(node: TmkNode, lock: int, requester: int):
-    grant = LockGrant(lock=lock, records=[])
-    mon = node.world.race_monitor
-    if mon is not None:
-        # re-acquire by the last holder: the grant carries no new ordering
-        mon._pending_grant[(lock, requester)] = None
-    yield from node.net.send_gen(
-        node.pid, requester, grant, tag=TAG_LOCK_GRANT + lock,
-        nbytes=grant.nbytes(node.model), category="sync")

@@ -127,6 +127,180 @@ def test_locked_scalar_update_passes():
 
 
 # --------------------------------------------------------------------- #
+# one edge per test: each synchronization message carries its sender's
+# release snapshot, and in each program below that edge is the only
+# ordering between a write and a read on another processor
+
+
+def _with_lock(tmk, locked, body):
+    """``body()`` under lock 0, or bare when ``locked`` is False."""
+    if locked:
+        yield from lock_acquire(tmk, 0)
+    out = yield from body()
+    if locked:
+        yield from lock_release(tmk, 0)
+    return out
+
+
+def _write_x(tmk, source):
+    def body():
+        yield from tmk.array("x").write_gen((slice(0, 8),), 1.0,
+                                            source=source)
+    return body
+
+
+def _read_x(tmk, source):
+    def body():
+        view = yield from tmk.array("x").read_gen((slice(0, 8),),
+                                                  source=source)
+        return float(view.sum())
+    return body
+
+
+def test_improved_fork_and_join_edges():
+    """Fork: the master's write before it, the workers' reads inside.
+    Join: the workers' writes inside, the master's read after it."""
+    from repro.tmk.forkjoin import ImprovedForkJoin
+
+    def prog(tmk):
+        fj = ImprovedForkJoin(tmk.node)
+        x = tmk.array("x")
+        if tmk.pid == 0:
+            yield from x.write_gen((slice(0, 8),), 1.0, source="master:x")
+            yield from fj.fork_gen(0, ())
+            yield from fj.join_gen()
+            got = yield from x.read_gen((slice(8, 8 + NPROCS),),
+                                        source="gather:x")
+            yield from fj.shutdown_gen()
+            return got.tolist()
+        yield from fj.wait_for_work_gen()
+        v = float((yield from x.read_gen((slice(0, 8),),
+                                         source="worker:x")).sum())
+        yield from x.write_gen((8 + tmk.pid,), v, source="worker:x")
+        yield from fj.work_done_gen()
+        yield from fj.wait_for_work_gen()
+        return v
+
+    res = tmk_run(NPROCS, prog, _setup, racecheck=True)
+    assert res.racecheck.ok, res.racecheck.format()
+    assert res.results[0] == [0.0] + [8.0] * (NPROCS - 1)
+    # master: its write and its read; each worker: one read, one write
+    assert res.racecheck.n_events == 2 + 2 * (NPROCS - 1)
+
+
+def test_tree_reduction_edges_at_five():
+    """Up the binomial tree and back down: every slot written before the
+    reduction is ordered before every read after it."""
+    from operator import add
+
+    from repro.tmk.reduction import tmk_reduce_gen
+
+    def prog(tmk):
+        x = tmk.array("x")
+        yield from x.write_gen((tmk.pid,), float(tmk.pid + 1),
+                               source="slot:x")
+        total = yield from tmk_reduce_gen(tmk.node, 1.0, add)
+        got = yield from x.read_gen((slice(0, 5),), source="all:x")
+        return total, float(got.sum())
+
+    res = tmk_run(5, prog, _setup, racecheck=True)
+    assert res.racecheck.ok, res.racecheck.format()
+    assert res.results == [(5.0, 15.0)] * 5
+    assert res.racecheck.n_events == 2 * 5     # one write, one read each
+
+
+def test_halo_push_edge():
+    """The receiver installs the pushed diff and reads it: the push is
+    the only message between them."""
+    from repro.tmk import enhanced
+
+    def prog(tmk):
+        x = tmk.array("x")
+        if tmk.pid == 0:
+            yield from x.write_gen((slice(0, 8),), 2.0, source="halo:x")
+            yield from enhanced.push_regions_gen(
+                tmk.node, [(x.handle, (slice(0, 8),))], dests=[1])
+            return None
+        yield from enhanced.expect_pushes_gen(tmk.node, 1)
+        return float((yield from x.read_gen((slice(0, 8),),
+                                            source="use:x")).sum())
+
+    res = tmk_run(2, prog, _setup, racecheck=True)
+    assert res.racecheck.ok, res.racecheck.format()
+    assert res.results[1] == 16.0
+    assert res.racecheck.n_events == 2
+
+
+def _holder_grant_prog(locked, queued):
+    """p1 (not lock 0's manager) writes x under the lock; p2 then reads it
+    under the lock, so p1 grants it.  ``queued``: p2's forward reaches p1
+    while p1 still holds the lock, and p1's release sends the grant;
+    otherwise the forward arrives after that release and p1's request
+    server grants it at once."""
+
+    def prog(tmk):
+        if tmk.pid == 1:
+            def write():
+                if queued:
+                    yield from tmk.compute_gen(1e-3)   # p2's forward waits
+                yield from _write_x(tmk, "holder:x")()
+            yield from _with_lock(tmk, locked, write)
+        elif tmk.pid == 2:
+            yield from tmk.compute_gen(1e-4 if queued else 1e-2)
+            return (yield from _with_lock(tmk, locked,
+                                          _read_x(tmk, "next:x")))
+        return None
+
+    return prog
+
+
+@pytest.mark.parametrize("queued", [True, False],
+                         ids=["queued-forward", "served-by-holder-server"])
+def test_lock_grant_from_holder_edge(queued):
+    res = tmk_run(3, _holder_grant_prog(True, queued), _setup,
+                  racecheck=True)
+    assert res.racecheck.ok, res.racecheck.format()
+    assert res.results[2] == 8.0
+    assert res.dsm_stats.lock_remote_acquires == 2   # p1 from p0, p2 via p1
+    assert res.racecheck.n_events == 2
+    racy = tmk_run(3, _holder_grant_prog(False, queued), _setup,
+                   racecheck=True)
+    assert not racy.racecheck.ok
+    assert racy.racecheck.n_events == 2
+
+
+def _regrant_prog(locked):
+    """p0 (lock 0's manager) writes x under the lock.  p1 then reads it
+    under the lock twice: the first grant carries p0's release, the
+    second is the manager's empty re-grant to its last requester."""
+
+    def prog(tmk):
+        if tmk.pid == 0:
+            yield from _with_lock(tmk, locked, _write_x(tmk, "owner:x"))
+            return None
+        yield from tmk.compute_gen(1e-3)
+        first = yield from _with_lock(tmk, locked, _read_x(tmk, "first:x"))
+        again = yield from _with_lock(tmk, locked, _read_x(tmk, "again:x"))
+        return first, again
+
+    return prog
+
+
+def test_lock_empty_regrant_edge():
+    res = tmk_run(2, _regrant_prog(True), _setup, racecheck=True)
+    assert res.racecheck.ok, res.racecheck.format()
+    assert res.results[1] == (8.0, 8.0)
+    assert res.dsm_stats.lock_remote_acquires == 2
+    # p0's write, p1's two reads (its release between them ticks its clock)
+    assert res.racecheck.n_events == 3
+    racy = tmk_run(2, _regrant_prog(False), _setup, racecheck=True)
+    assert not racy.racecheck.ok
+    sources = {src for f in racy.racecheck.true_races
+               for src in (f.source_a, f.source_b)}
+    assert sources == {"owner:x", "first:x", "again:x"}
+
+
+# --------------------------------------------------------------------- #
 # the real applications are race-free under schedule fuzzing
 
 
