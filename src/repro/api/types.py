@@ -225,7 +225,8 @@ class RunRequest:
 
     ``machine`` holds *overrides* of the SP/2 model's fields (a partial
     dict, as the CLI's ``--machine`` flags produce) or a full field dict
-    (as the deprecation shim produces from a ``MachineModel``); ``None``
+    (as :func:`machine_to_doc` makes from a ``MachineModel``, e.g.
+    ``eval.tables.SENSITIVITY_MODELS``); ``None``
     means the stock SP/2.  ``options`` overrides ``SpfOptions`` fields
     of a ``mode="sim"`` ``spf``, ``spf_old`` or ``spf_spec`` run; any
     other request with options is refused, as is ``improved_interface``

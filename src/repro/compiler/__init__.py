@@ -24,7 +24,8 @@ Two backends consume the same IR:
 :mod:`repro.compiler.partition` holds what they share per processor — a
 ``Chunk`` of a loop: how its kernel is called, what it costs and what an
 access touches (each backend owns only its partition *policy*) —
-:mod:`repro.compiler.depend` the cross-processor dependence tests, and
+:mod:`repro.compiler.depend` the one footprint-overlap algebra and the
+dependence tests built on it, and
 :mod:`repro.compiler.seq` executes the IR sequentially as the correctness
 oracle and Table 1 baseline.
 """

@@ -30,8 +30,8 @@ region language of the IR, and builds three layers on the answer:
      edge clipping only removes conflicts);
    * ``PROVEN_SERIAL`` — some pair has a *concretely confirmed* witness:
      the engine resolves both accesses at the candidate iterations
-     through ``Access.resolve`` (which clips) and checks the rectangles
-     really overlap, so a claim of serial is never an artifact of the
+     through ``Access.resolve`` (which clips) and intersects the two
+     index sets, so a claim of serial is never an artifact of the
      un-clipped approximation;
    * ``UNKNOWN`` — anything the algebra cannot decide.  Any
      :class:`~repro.compiler.ir.Irregular` access or computed ``Point``
@@ -44,13 +44,16 @@ region language of the IR, and builds three layers on the answer:
 
 3. **May-happen-in-parallel over the sync IR** (:func:`mhp_pairs`) and
    the exact chunk-set algebra (:func:`chunk_sets`,
-   :func:`loops_fusable_exact` — the one fusability test) that gives
-   cyclic schedules residue-class (GCD/Diophantine) intersection tests
-   instead of a bounding interval.
+   :func:`dim_sets_intersect`, :func:`loops_fusable_exact` — the one
+   fusability test) that gives cyclic schedules residue-class
+   (GCD/Diophantine) intersection tests instead of a bounding interval.
+   It is the compiler's one footprint-overlap algebra: witness
+   confirmation above and ``report.footprint_report`` use it too.
 
 Consumers: the SPF backend's ``fuse_loops`` planning, the speculative
 ``spf_spec`` backend (:mod:`repro.compiler.spf_spec`), the ``repro lint``
-barrier rule, and the ``repro racecheck --cross-check`` harness, which
+barrier rule (through the planner's units), and the ``repro racecheck
+--cross-check`` harness, which
 validates the static verdicts against the dynamic race detector.
 :func:`inject_dependence` supports the latter's mutation tests: it
 widens or adds *declared* footprints (kernels untouched) so a claimed
@@ -65,7 +68,6 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.compiler import analysis
 from repro.compiler.ir import (Access, FootprintError, Full, Irregular,
                                ParallelLoop, Point, Program, Span, TimeLoop)
 from repro.compiler.partition import Chunk, loop_chunk
@@ -223,12 +225,11 @@ def _confirm(acc_a: Access, acc_b: Access, i: int, j: int,
              shape: tuple) -> bool:
     """Do the *clipped* footprints at iterations i and j really overlap?"""
     try:
-        ra = analysis.access_rect(acc_a, i, i + 1, shape)
-        rb = analysis.access_rect(acc_b, j, j + 1, shape)
+        sets_a = _resolved_sets(acc_a, i, i + 1, shape)
+        sets_b = _resolved_sets(acc_b, j, j + 1, shape)
     except FootprintError:
         return False
-    return (ra is not None and rb is not None
-            and analysis.rects_overlap(ra, rb))
+    return all(map(dim_sets_intersect, sets_a, sets_b))
 
 
 def pair_dependence(acc_a: Access, acc_b: Access, loop: ParallelLoop,
@@ -555,8 +556,8 @@ def _diophantine_in_range(sa: int, sb: int, c: int,
 def dim_sets_intersect(a, b) -> bool:
     """Do two per-dimension index sets share an element?
 
-    Empty sets intersect nothing (the same invariant as
-    :func:`repro.compiler.analysis.rects_overlap`).  Strided × Strided
+    An empty set (``hi <= lo``, inverted included) intersects nothing,
+    not even itself or an enclosing set.  Strided × Strided
     reduces to a bounded linear Diophantine problem: block starts differ
     by ``m*step_a - n*step_b``, and two width-``w`` blocks overlap iff
     their starts differ by less than a width — so distinct residues
@@ -586,6 +587,16 @@ def dim_sets_intersect(a, b) -> bool:
     return False
 
 
+def _resolved_sets(acc: Access, lo: int, hi: int, shape: tuple) -> tuple:
+    """One :class:`Interval` per dimension of an affine access resolved
+    for the block ``[lo, hi)``: ``Access.resolve`` clips a ``Span`` (a
+    halo entirely outside the array comes back empty), wraps a negative
+    ``Point`` once and pads trailing dimensions as ``Full``."""
+    return tuple(Interval(c.start, c.stop) if isinstance(c, slice)
+                 else Interval(c, c + 1)
+                 for c in acc.resolve(lo, hi, shape))
+
+
 def chunk_sets(loop: ParallelLoop, which: str, chunk: Chunk,
                program: Program) -> Optional[dict]:
     """``{array: [per-dim index-set tuples]}`` touched by one processor's
@@ -607,8 +618,7 @@ def chunk_sets(loop: ParallelLoop, which: str, chunk: Chunk,
             return None
         shape = program.decl(acc.array).shape
         if not chunk.step:
-            rect = analysis.access_rect(acc, *chunk.bounds, shape)
-            sets = tuple(Interval(rlo, rhi) for rlo, rhi in rect)
+            sets = _resolved_sets(acc, *chunk.bounds, shape)
         else:
             dims = []
             for d, extent in enumerate(shape):

@@ -37,7 +37,7 @@ import numpy as np
 
 __all__ = ["Dim", "Span", "Full", "Point", "Irregular", "Access",
            "ArrayDecl", "Reduction", "SeqBlock", "ParallelLoop", "TimeLoop",
-           "Program", "Stmt", "FootprintError"]
+           "Program", "Stmt", "FootprintError", "MARK_WINDOWS"]
 
 
 class FootprintError(ValueError):
@@ -301,6 +301,9 @@ class Mark:
 
 Stmt = Union[SeqBlock, ParallelLoop, TimeLoop, Mark]
 
+# the measurement window each Mark label opens (the first is "setup")
+MARK_WINDOWS = {"start": "measured", "stop": "epilogue"}
+
 
 @dataclass
 class Program:
@@ -339,10 +342,7 @@ class Program:
         window = "setup"
         for s in self.flat_statements():
             if isinstance(s, Mark):
-                if s.label == "start":
-                    window = "measured"
-                elif s.label == "stop":
-                    window = "epilogue"
+                window = MARK_WINDOWS.get(s.label, window)
             yield s, window
 
     def parallel_loops(self):

@@ -17,10 +17,9 @@ the paper's compilers do.  Five rule families:
   processor count.  Its ``lost-write`` twin reports a declared write that
   no chunk performs (a write through ``out=`` into a view, for one);
 * **redundant synchronization** (``redundant-barrier``) — adjacent
-  parallel loops that pass :func:`depend.loops_fusable_exact` (the
-  symbolic chunk-set test ``fuse_loops`` itself applies) but are
-  compiled unfused: an eliminable barrier pair (Tseng [17], Section 5 of
-  the paper);
+  parallel loops that the SPF planner puts into one dispatch unit under
+  ``fuse_loops`` but that are compiled unfused: an eliminable barrier
+  pair (Tseng [17], Section 5 of the paper);
 * **false sharing** (``false-sharing``) — from dtype, shape, page size and
   the block/cyclic partition, the chunk boundaries that straddle pages,
   predicting write-write false sharing and the diff traffic it causes
@@ -41,18 +40,18 @@ matches ``orthogonalize``).  See docs/LINT.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from fnmatch import fnmatch
 from typing import Optional
 
 import numpy as np
 from numpy.lib.mixins import NDArrayOperatorsMixin
 
-from repro.compiler import depend
 from repro.compiler.depend import stmt_family
-from repro.compiler.ir import (FootprintError, Mark, ParallelLoop,
-                               Program, SeqBlock, Span)
+from repro.compiler.ir import (MARK_WINDOWS, FootprintError, Mark,
+                               ParallelLoop, Program, SeqBlock, Span)
 from repro.compiler.partition import SEQ, Elements, loop_chunk
+from repro.compiler.spf import STAGING_PREFIX, compile_spf
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL
 from repro.tmk.pagespace import SharedSpace
 
@@ -577,32 +576,33 @@ def _check_footprints(program: Program, nprocs: int) -> list:
 # rule 3: redundant synchronization
 
 def _check_redundant_barriers(exe) -> list:
+    """Every adjacent loop pair the SPF planner fuses under ``fuse_loops``
+    but ``exe`` dispatches apart (first occurrence per family pair)."""
     if exe.options.fuse_loops:
         return []                   # the compiler already fuses
     program, nprocs = exe.program, exe.nprocs
+    fused = compile_spf(program, nprocs, replace(exe.options,
+                                                 fuse_loops=True))
     findings = []
     seen = set()
-    prev = None
-    for stmt, window in program.flat_statements_with_window():
-        if not isinstance(stmt, ParallelLoop):
-            prev = None             # SeqBlock / Mark breaks the unit chain
-            continue
-        if (prev is not None and not stmt.accumulate
-                and depend.loops_fusable_exact(prev, stmt, nprocs, program)):
+    window = "setup"
+    for unit in fused.units:
+        window = MARK_WINDOWS.get(unit.mark, window)
+        for prev, stmt in zip(unit.loops, unit.loops[1:]):
             key = (stmt_family(prev.name), stmt_family(stmt.name))
-            if key not in seen:
-                seen.add(key)
-                findings.append(Finding(
-                    rule="redundant-barrier", severity="warning",
-                    program=program.name, stmt=stmt.name, window=window,
-                    message=f"the barrier pair between {prev.name!r} and "
-                            f"{stmt.name!r} is eliminable: no "
-                            f"cross-processor dependence at n={nprocs} "
-                            f"(exact symbolic chunk sets)",
-                    hint="compile with SpfOptions(fuse_loops=True) to "
-                         "fuse the dispatch (Tseng barrier elimination)",
-                    details={"pred": prev.name}))
-        prev = stmt if not stmt.accumulate else None
+            if key in seen:
+                continue
+            seen.add(key)
+            findings.append(Finding(
+                rule="redundant-barrier", severity="warning",
+                program=program.name, stmt=stmt.name, window=window,
+                message=f"the barrier pair between {prev.name!r} and "
+                        f"{stmt.name!r} is eliminable: no "
+                        f"cross-processor dependence at n={nprocs} "
+                        f"(exact symbolic chunk sets)",
+                hint="compile with SpfOptions(fuse_loops=True) to "
+                     "fuse the dispatch (Tseng barrier elimination)",
+                details={"pred": prev.name}))
     return findings
 
 
@@ -612,7 +612,6 @@ def _check_redundant_barriers(exe) -> list:
 def _loop_write_pages(exe, loop: ParallelLoop, space: SharedSpace,
                       pid: int) -> dict:
     """{array: page ndarray} written by pid's chunk, per the SPF layout."""
-    from repro.compiler.spf import STAGING_PREFIX
     out = {}
     chunk = exe.chunk(loop, pid)
     if not chunk.count:
@@ -755,7 +754,6 @@ def lint_program(program: Program, nprocs: int = 8, *, options=None,
         if shadow:
             findings += _check_footprints(program, nprocs)
         if "spf" in backends:
-            from repro.compiler.spf import compile_spf
             exe = compile_spf(program, nprocs, options)
             findings += _check_redundant_barriers(exe)
             findings += _check_false_sharing(exe)

@@ -57,7 +57,7 @@ from repro.sim.machine import PAGE_SIZE, SP2_MODEL, MachineModel
 from repro.sim.network import NetworkStats
 from repro.tmk.diffs import WORD, mask_diff_nbytes
 from repro.tmk.forkjoin import CTRL_ARG, CTRL_SUB, STOP
-from repro.tmk.intervals import SeenVector, records_unknown_to
+from repro.tmk.intervals import records_unknown_to
 from repro.tmk.lrc import (GC_EPOCHS, LrcNode, diff_request_nbytes,
                            fork_nbytes, lock_request_nbytes, sync_nbytes)
 from repro.tmk.pagespace import SharedSpace
@@ -224,8 +224,7 @@ class _SpfModel(_ModelBase):
                       for pid in range(nprocs)]
         self.barrier_mgr = BarrierManager(nprocs)
         self.lock_table = LockTable(nprocs)
-        self._worker_seen = {w: SeenVector(nprocs)
-                             for w in range(1, nprocs)}
+        self._worker_seen = {w: (0,) * nprocs for w in range(1, nprocs)}
         so, ro = machine.send_overhead, machine.recv_overhead
         self._hop = lambda nbytes: so + machine.message_time(nbytes) + ro
 
@@ -379,7 +378,7 @@ class _SpfModel(_ModelBase):
             self.traffic.record("sync", nbytes)
             master.time += mach.send_overhead
             arrivals.append((w, records, nbytes))
-            self._worker_seen[w] = master.seen.copy()
+            self._worker_seen[w] = master.seen.as_tuple()
         master.prune_log()
         master.advance_epoch()
         for w, records, nbytes in arrivals:
@@ -402,7 +401,7 @@ class _SpfModel(_ModelBase):
             nbytes = sync_nbytes(records, mach)
             self.traffic.record("sync", nbytes)
             worker.time += mach.send_overhead
-            arrivals.append((w, records, worker.seen.copy(),
+            arrivals.append((w, records, worker.seen.as_tuple(),
                              worker.time + mach.message_time(nbytes)))
         master.close_interval()
         for w, records, seen, t_arr in arrivals:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.compiler import analysis, depend
+from repro.compiler import depend
 from repro.compiler.ir import ParallelLoop, Program, SeqBlock
 from repro.compiler.partition import loop_chunk
 from repro.compiler.spf import (REDUCTION_PREFIX, STAGING_PREFIX,
@@ -25,29 +25,43 @@ __all__ = ["spf_report", "xhpf_report", "footprint_report",
            "source_lookup"]
 
 
-def _rect_str(rects: Optional[dict]) -> str:
-    if rects is None:
+def _dim_str(dim_set, extent: int) -> str:
+    """One dimension's index set as ``lo:hi``: its bounding interval,
+    clipped to the array (a cyclic chunk's :class:`~depend.Strided` rows
+    show as the interval that brackets them)."""
+    if isinstance(dim_set, depend.Strided):
+        lo = dim_set.start
+        hi = lo + (dim_set.count - 1) * dim_set.step + dim_set.width
+    else:
+        lo, hi = dim_set.lo, dim_set.hi
+    return f"{max(lo, 0)}:{min(hi, extent)}"
+
+
+def _sets_str(sets: Optional[dict], program: Program) -> str:
+    if sets is None:
         return "irregular (run-time footprint)"
     parts = []
-    for array, rlist in sorted(rects.items()):
+    for array, tuples in sorted(sets.items()):
+        shape = program.decl(array).shape
         spans = ",".join(
-            "[" + " ".join(f"{lo}:{hi}" for lo, hi in rect) + "]"
-            for rect in rlist)
+            "[" + " ".join(map(_dim_str, dims, shape)) + "]"
+            for dims in tuples)
         parts.append(f"{array}{spans}")
     return " ".join(parts) if parts else "-"
 
 
 def footprint_report(loop: ParallelLoop, nprocs: int,
                      program: Program) -> str:
-    """Per-processor read/write rectangles of one loop."""
+    """Per-processor read/write index sets of one loop
+    (:func:`depend.chunk_sets`)."""
     lines = [f"loop {loop.name}: extent [{loop.start}, {loop.extent}), "
              f"{loop.schedule} schedule"]
     for pid in range(nprocs):
         chunk = loop_chunk(loop, pid, nprocs)
-        reads = analysis.chunk_rects(loop, "reads", chunk, program)
-        writes = analysis.chunk_rects(loop, "writes", chunk, program)
-        lines.append(f"  p{pid}: reads {_rect_str(reads)}  "
-                     f"writes {_rect_str(writes)}")
+        reads = depend.chunk_sets(loop, "reads", chunk, program)
+        writes = depend.chunk_sets(loop, "writes", chunk, program)
+        lines.append(f"  p{pid}: reads {_sets_str(reads, program)}  "
+                     f"writes {_sets_str(writes, program)}")
     return "\n".join(lines)
 
 

@@ -354,7 +354,8 @@ class SpfExecutable:
     def _run_unit_forked(self, tmk: Tmk, fj, idx: int, unit: _Unit,
                          views: dict):
         """The master's side of one parallel dispatch: fork, own chunk,
-        join."""
+        join.  :meth:`_run_master` sends every parallel unit through here
+        (the speculative backend overrides it with its per-unit policy)."""
         payload = yield from self._build_piggyback(tmk, unit)
         # the loop control variables of Section 2.3: subroutine index
         # plus the loop bounds (workers recompute their chunk from them)

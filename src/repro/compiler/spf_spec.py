@@ -105,39 +105,37 @@ class SpfSpecExecutable(SpfExecutable):
         return out
 
     # ------------------------------------------------------------------ #
-    # execution (master side; the worker loop is inherited unchanged)
+    # execution: the master's unit walk and the worker loop are SPF's;
+    # only what the master does with one parallel unit differs
 
-    def _run_master(self, tmk: Tmk, fj, views: dict):
-        tmk._spf_scalars = {}
+    def run_on(self, tmk: Tmk):
+        """SPF's program, with fresh speculation stats for this run."""
+        if tmk.pid == 0:
+            self.last_spec_stats = {
+                "verdicts": {fam: v.verdict for fam, v in
+                             sorted(self.depend_report.verdicts.items())},
+                "policies": self.policy_summary(),
+                "speculations": 0, "commits": 0, "misspeculations": 0,
+                "serial_instances": 0,
+                "monitored": tmk.world.race_monitor is not None,
+            }
+        return (yield from super().run_on(tmk))
+
+    def _run_unit_forked(self, tmk: Tmk, fj, idx: int, unit, views: dict):
+        """The unit's verdict policy: dispatch it as SPF does, run it on
+        the master alone (serial; speculate without a monitor), or
+        dispatch it speculatively."""
+        stats = self.last_spec_stats
         monitor = tmk.world.race_monitor
-        stats = {
-            "verdicts": {fam: v.verdict for fam, v in
-                         sorted(self.depend_report.verdicts.items())},
-            "policies": self.policy_summary(),
-            "speculations": 0, "commits": 0, "misspeculations": 0,
-            "serial_instances": 0, "monitored": monitor is not None,
-        }
-        for idx, unit in enumerate(self.units):
-            if unit.mark is not None:
-                tmk.env.mark(unit.mark)
-                continue
-            if unit.seq is not None:
-                yield from self._run_seq(tmk, unit.seq, views)
-                continue
-            yield from self._reset_reductions(tmk, unit)
-            plan = self.unit_plans[idx]
-            if plan == "serial" or (plan == "speculate"
-                                    and monitor is None):
-                yield from self._run_unit_sequentially(tmk, unit, views)
-                stats["serial_instances"] += 1
-            elif plan == "speculate":
-                yield from self._run_unit_speculative(tmk, fj, idx, unit,
-                                                      views, monitor, stats)
-            else:
-                yield from self._run_unit_forked(tmk, fj, idx, unit, views)
-        yield from fj.shutdown_gen()
-        self.last_spec_stats = stats
-        return (yield from self._read_scalars(tmk))
+        plan = self.unit_plans[idx]
+        if plan == "serial" or (plan == "speculate" and monitor is None):
+            yield from self._run_unit_sequentially(tmk, unit, views)
+            stats["serial_instances"] += 1
+        elif plan == "speculate":
+            yield from self._run_unit_speculative(tmk, fj, idx, unit,
+                                                  views, monitor, stats)
+        else:
+            yield from super()._run_unit_forked(tmk, fj, idx, unit, views)
 
     def _unit_write_set(self, unit) -> list:
         """Arrays a speculative unit may write (staging excluded: its
@@ -163,7 +161,7 @@ class SpfSpecExecutable(SpfExecutable):
                 yield from miss
             snapshot[name] = views[name].copy()
         mark = len(monitor.events)
-        yield from self._run_unit_forked(tmk, fj, idx, unit, views)
+        yield from super()._run_unit_forked(tmk, fj, idx, unit, views)
         stats["speculations"] += 1
         verdict = find_races(monitor.events[mark:], space=tmk.world.space)
         if not verdict.true_races:

@@ -57,11 +57,6 @@ class SeenVector:
     def __init__(self, nprocs: int):
         self.v = [0] * nprocs
 
-    def copy(self) -> "SeenVector":
-        out = SeenVector(len(self.v))
-        out.v = list(self.v)
-        return out
-
     def __getitem__(self, p: int) -> int:
         return self.v[p]
 
