@@ -36,6 +36,7 @@ the cache keeps running totals — the service aggregates both into
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import time as _time
 from collections import OrderedDict
@@ -276,9 +277,7 @@ def _resolve(request: RunRequest, bundle):
 
     spec, params = bundle["spec"], bundle["params"]
     if request.variant == "tmk":
-        def hand(tmk):
-            return (yield from spec.hand_tmk(tmk, params))
-
+        hand = functools.partial(spec.hand_tmk, params=params)
         return (lambda space: spec.hand_tmk_setup(space, params),
                 _then_readback(hand) if request.readback else hand,
                 combine_signatures)

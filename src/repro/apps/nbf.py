@@ -204,7 +204,7 @@ def hand_tmk(tmk, params: dict):
         yield from tmk.barrier_gen()
         # merge: own block = sum of every processor's contributions
         steps = tmk.node.ensure_read_steps(
-            staging.handle, (slice(0, tmk.nprocs), slice(lo, hi)))
+            staging.handle, ((0, tmk.nprocs), (lo, hi), (0, 3)))
         if steps is not None:
             yield from steps
         merged = staging_raw[:tmk.nprocs, lo:hi].sum(axis=0)

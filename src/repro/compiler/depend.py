@@ -164,10 +164,7 @@ class Dependence:
 
 
 def _point_value(dim: Point, extent: int) -> Optional[int]:
-    if callable(dim.index):
-        return None
-    idx = dim.index
-    return idx + extent if idx < 0 else idx
+    return None if callable(dim.index) else dim.resolve(0, 0, extent)[0]
 
 
 def _pair_box(acc_a: Access, acc_b: Access, loop: ParallelLoop,
@@ -588,13 +585,9 @@ def dim_sets_intersect(a, b) -> bool:
 
 
 def _resolved_sets(acc: Access, lo: int, hi: int, shape: tuple) -> tuple:
-    """One :class:`Interval` per dimension of an affine access resolved
-    for the block ``[lo, hi)``: ``Access.resolve`` clips a ``Span`` (a
-    halo entirely outside the array comes back empty), wraps a negative
-    ``Point`` once and pads trailing dimensions as ``Full``."""
-    return tuple(Interval(c.start, c.stop) if isinstance(c, slice)
-                 else Interval(c, c + 1)
-                 for c in acc.resolve(lo, hi, shape))
+    """One :class:`Interval` per dimension of ``Access.resolve``'s region
+    for the block ``[lo, hi)``."""
+    return tuple(Interval(*dim) for dim in acc.resolve(lo, hi, shape))
 
 
 def chunk_sets(loop: ParallelLoop, which: str, chunk: Chunk,
@@ -627,11 +620,9 @@ def chunk_sets(loop: ParallelLoop, which: str, chunk: Chunk,
                     dims.append(_make_strided(
                         chunk.lo + expr.lo_off, chunk.step, chunk.count,
                         1 + expr.hi_off - expr.lo_off))
-                elif isinstance(expr, Point):
-                    c = expr.resolve(*chunk.bounds, extent)
-                    dims.append(Interval(c, c + 1))
-                else:                  # Full
-                    dims.append(Interval(0, extent))
+                else:                  # Point, Full
+                    dims.append(Interval(*expr.resolve(*chunk.bounds,
+                                                       extent)))
             sets = tuple(dims)
         out.setdefault(acc.array, []).append(sets)
     return out

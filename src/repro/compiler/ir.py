@@ -20,8 +20,12 @@ checks every application variant against the sequential oracle, which
 executes the same kernels, so a footprint lie shows up as a numeric
 mismatch on some processor count.
 
-Region expressions evaluate to concrete numpy basic indices given chunk
-bounds ``(lo, hi)``::
+Given chunk bounds ``(lo, hi)`` an affine access resolves to one form,
+``((lo_0, hi_0), (lo_1, hi_1), ...)``: a half-open interval per array
+dimension, clipped so that ``0 <= lo_d <= hi_d <= extent_d``.  Every
+consumer reads that form — the dependence sets, the DSM's page math and
+access hooks, XHPF's communication plan — and :meth:`Access.as_index`
+turns it into the numpy basic index (a ``Point`` keeps its rank drop)::
 
     Access("a", (Span(-1, +1), Full()))       # a[lo-1 : hi+1, :]
     Access("x", (Point(0), Span()))           # x[0, lo:hi]
@@ -74,15 +78,18 @@ class FootprintError(ValueError):
 # region expressions
 
 class Dim:
-    """Base class of per-dimension region expressions."""
+    """Base class of per-dimension region expressions: ``resolve(lo, hi,
+    extent)`` is the interval ``(start, stop)`` selected for chunk bounds
+    ``[lo, hi)``."""
 
-    def resolve(self, lo: int, hi: int, extent: int):
+    def resolve(self, lo: int, hi: int, extent: int) -> tuple:
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class Span(Dim):
-    """``slice(lo + lo_off, hi + hi_off)`` clipped to the dimension.
+    """``[lo + lo_off, hi + hi_off)`` clipped to the dimension; a halo
+    entirely outside it is empty.
 
     The default ``Span()`` is exactly the chunk; ``Span(-1, +1)`` widens one
     row each way (a stencil halo).
@@ -91,29 +98,32 @@ class Span(Dim):
     lo_off: int = 0
     hi_off: int = 0
 
-    def resolve(self, lo: int, hi: int, extent: int) -> slice:
-        return slice(max(0, lo + self.lo_off), min(extent, hi + self.hi_off))
+    def resolve(self, lo: int, hi: int, extent: int) -> tuple:
+        start = min(extent, max(0, lo + self.lo_off))
+        return start, max(start, min(extent, hi + self.hi_off))
 
 
 @dataclass(frozen=True)
 class Full(Dim):
     """The whole dimension."""
 
-    def resolve(self, lo: int, hi: int, extent: int) -> slice:
-        return slice(0, extent)
+    def resolve(self, lo: int, hi: int, extent: int) -> tuple:
+        return 0, extent
 
 
 @dataclass(frozen=True)
 class Point(Dim):
-    """A fixed index, or a computed one (``fn(lo, hi) -> int``)."""
+    """A fixed index, or a computed one (``fn(lo, hi) -> int``); a negative
+    index wraps once.  Not clipped: :meth:`Access.resolve` refuses an
+    index outside the dimension."""
 
     index: Union[int, Callable[[int, int], int]] = 0
 
-    def resolve(self, lo: int, hi: int, extent: int) -> int:
+    def resolve(self, lo: int, hi: int, extent: int) -> tuple:
         idx = self.index(lo, hi) if callable(self.index) else self.index
         if idx < 0:
             idx += extent
-        return idx
+        return idx, idx + 1
 
 
 @dataclass(frozen=True)
@@ -141,7 +151,9 @@ class Access:
         return isinstance(self.region, Irregular)
 
     def resolve(self, lo: int, hi: int, shape: tuple) -> tuple:
-        """Concrete numpy index for chunk [lo, hi) (affine accesses only)."""
+        """The region chunk ``[lo, hi)`` touches, one clipped ``(start,
+        stop)`` per array dimension (trailing dimensions whole); affine
+        accesses only."""
         if self.irregular:
             raise TypeError(f"access to {self.array} is irregular")
         dims = self.region
@@ -152,17 +164,27 @@ class Access:
                 region_rank=len(dims), array_rank=len(shape))
         out = []
         for d, dim_expr in enumerate(dims):
-            comp = dim_expr.resolve(lo, hi, shape[d])
-            if isinstance(comp, int) and not 0 <= comp < shape[d]:
+            start, stop = dim_expr.resolve(lo, hi, shape[d])
+            if start < 0 or stop > shape[d]:   # only a Point falls outside
                 raise FootprintError(
                     self.array, "bounds",
-                    f"Point index {comp} outside [0, {shape[d]}) "
+                    f"Point index {start} outside [0, {shape[d]}) "
                     f"in dimension {d}",
-                    dim=d, index=comp, extent=shape[d])
-            out.append(comp)
-        for d in range(len(dims), len(shape)):
-            out.append(slice(0, shape[d]))
+                    dim=d, index=start, extent=shape[d])
+            out.append((start, stop))
+        out.extend((0, extent) for extent in shape[len(dims):])
         return tuple(out)
+
+    def as_index(self, resolved: tuple) -> tuple:
+        """The numpy basic index of a region this access resolved to: a
+        slice per dimension, the index itself where the access names a
+        ``Point`` (numpy drops that dimension, as a kernel's own
+        ``a[i, lo:hi]`` does)."""
+        dims = self.region
+        return tuple(
+            start if d < len(dims) and isinstance(dims[d], Point)
+            else slice(start, stop)
+            for d, (start, stop) in enumerate(resolved))
 
 
 # ---------------------------------------------------------------------- #
@@ -344,11 +366,6 @@ class Program:
             if isinstance(s, Mark):
                 window = MARK_WINDOWS.get(s.label, window)
             yield s, window
-
-    def parallel_loops(self):
-        for s in self.flat_statements():
-            if isinstance(s, ParallelLoop):
-                yield s
 
     def validate(self) -> None:
         """Static sanity checks (every access names a declared array...)."""

@@ -328,10 +328,7 @@ def _check_wellformed(program: Program, nprocs: int,
                 decl = program.decl(acc.array)
                 if decl.distribute is None or decl.dist_kind != "cyclic":
                     continue
-                region = acc.resolve(0, 0, decl.shape)
-                rows = region[0]
-                row_lo, row_hi = (rows, rows + 1) if isinstance(rows, int) \
-                    else (rows.start, rows.stop)
+                row_lo, row_hi = acc.resolve(0, 0, decl.shape)[0]
                 if row_hi - row_lo > 1:
                     emit("xhpf-cyclic-seq", "error", stmt.name, window,
                          f"sequential read of {row_hi - row_lo} rows of a "
@@ -454,7 +451,7 @@ def _declared_masks(stmt, chunk, raw: dict) -> tuple:
                 runs = np.asarray(fp.flat, dtype=np.int64) // fp.span
                 mask.reshape(-1, fp.span)[runs] = True
             else:
-                mask[fp] = True
+                mask[acc.as_index(fp)] = True
     return reads, writes
 
 
@@ -696,8 +693,7 @@ def estimate_spf_traffic(program: Program, nprocs: int = 8,
         if options is not None and getattr(options, flag, None):
             return refuse(f"hand-optimized code generation ({flag}) is not "
                           f"modeled")
-    model = _SpfModel(program, nprocs, SP2_MODEL.with_(nprocs=nprocs),
-                      options)
+    model = _SpfModel(program, nprocs, SP2_MODEL, options)
     for unit in model.exe.units:
         for loop in unit.loops:
             if loop.irregular:

@@ -108,7 +108,7 @@ def model_variant(app: str, variant: str, nprocs: int = 8,
 
     spec = get_app(app)
     params = spec.params(preset)
-    mach = (machine or SP2_MODEL).with_(nprocs=nprocs)
+    mach = machine or SP2_MODEL
 
     program = spec.build_program(params)
     if seq_time is None:

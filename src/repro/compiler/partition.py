@@ -116,8 +116,8 @@ class Chunk(NamedTuple):
         """What ``acc`` touches on behalf of this chunk, as the DSM backend
         makes it coherent: :class:`Elements` for run-time (irregular)
         footprints and for the owned rows of a cyclic chunk under a plain
-        leading ``Span()``, else the numpy region ``acc`` resolves to at
-        ``bounds``."""
+        leading ``Span()``, else the region ``acc`` resolves to at
+        ``bounds`` (``Access.resolve``'s clipped ``((lo, hi), ...)``)."""
         if acc.irregular:
             args = (self.indices, None) if self.step else self.bounds
             return Elements(acc.region.footprint(views, *args))
@@ -131,7 +131,7 @@ class Chunk(NamedTuple):
         fp = self.footprint(acc, handle.shape, views)
         if isinstance(fp, Elements):
             return handle.element_pages(fp.flat, fp.span)
-        return handle.region_pages(fp)
+        return handle.pages_of(fp)[0]
 
 
 # sequential statements resolve their regions at the degenerate bounds (0, 0)

@@ -53,7 +53,7 @@ from repro.tmk import enhanced
 from repro.tmk.api import Tmk, tmk_run
 from repro.tmk.forkjoin import (ImprovedForkJoin, OldForkJoin,
                                 alloc_old_interface_control)
-from repro.tmk.pagespace import Normalized, SharedSpace, normalize_region
+from repro.tmk.pagespace import SharedSpace
 
 __all__ = ["SpfOptions", "SpfExecutable", "compile_spf", "run_spf"]
 
@@ -133,7 +133,7 @@ class SpfExecutable:
         self.reductions = self._collect_reductions()
         self.push_plan, self.expect_plan = (
             self._plan_halo_pushes() if options.push_halos else ({}, {}))
-        # (id(access), chunk) -> (access, Normalized region); see _footprint
+        # (id(access), chunk) -> (access, resolved region); see _footprint
         self._regions: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -500,12 +500,11 @@ class SpfExecutable:
         return node.ensure_read_steps(handle, fp, source=source)
 
     def _footprint(self, acc, chunk: Chunk, shape: tuple, views: dict):
-        """``chunk.footprint(acc, ...)``, a region resolved and normalized
-        once per executable: an affine access at given chunk bounds always
-        names the same region.  (Run-time footprints are :class:`Elements`
-        and are never kept.)  The memo is keyed by the access's identity
-        and holds the access, so the key cannot be reused while it is
-        kept."""
+        """``chunk.footprint(acc, ...)``, a region resolved once per
+        executable: an affine access at given chunk bounds always names
+        the same region.  (Run-time footprints are :class:`Elements` and
+        are never kept.)  The memo is keyed by the access's identity and
+        holds the access, so the key cannot be reused while it is kept."""
         key = (id(acc), chunk)
         hit = self._regions.get(key)
         if hit is not None:
@@ -513,7 +512,6 @@ class SpfExecutable:
         fp = chunk.footprint(acc, shape, views)
         if isinstance(fp, Elements):
             return fp
-        fp = Normalized(normalize_region(fp, shape))
         if len(self._regions) >= _FOOTPRINT_MEMO_LIMIT:
             self._regions.clear()
         self._regions[key] = (acc, fp)

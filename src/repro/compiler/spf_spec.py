@@ -154,9 +154,8 @@ class SpfSpecExecutable(SpfExecutable):
         snapshot = {}
         for name in self._unit_write_set(unit):
             handle = tmk.world.space[name]
-            region = tuple(slice(0, s) for s in handle.shape)
             miss = tmk.node.ensure_read_steps(
-                handle, region, source=f"{tag}:{CHECKPOINT_SOURCE}")
+                handle, handle.whole, source=f"{tag}:{CHECKPOINT_SOURCE}")
             if miss is not None:
                 yield from miss
             snapshot[name] = views[name].copy()
@@ -173,9 +172,8 @@ class SpfSpecExecutable(SpfExecutable):
         # releases), so readers afterwards see the pre-loop state ...
         for name, saved in snapshot.items():
             handle = tmk.world.space[name]
-            region = tuple(slice(0, s) for s in handle.shape)
             miss = tmk.node.ensure_write_steps(
-                handle, region, source=f"{tag}:{CHECKPOINT_SOURCE}")
+                handle, handle.whole, source=f"{tag}:{CHECKPOINT_SOURCE}")
             if miss is not None:
                 yield from miss
             views[name][...] = saved
@@ -199,8 +197,8 @@ class SpfSpecExecutable(SpfExecutable):
         for name, buf in privates.items():
             handle = tmk.world.space[STAGING_PREFIX + name]
             source = f"{loop.name}:{STAGING_PREFIX}{name}"
-            region = tuple(slice(0, s) for s in handle.shape)
-            miss = tmk.node.ensure_write_steps(handle, region, source=source)
+            miss = tmk.node.ensure_write_steps(handle, handle.whole,
+                                               source=source)
             if miss is not None:
                 yield from miss
             staging = tmk.array(STAGING_PREFIX + name).raw()

@@ -77,12 +77,6 @@ INSPECT_COST_PER_ELEMENT = 200e-9
 schedule construction were a real cost in CHAOS)."""
 
 
-def _row_span(rows) -> tuple:
-    """[lo, hi) of a resolved leading index (one row or a slice)."""
-    return (rows, rows + 1) if isinstance(rows, int) \
-        else (rows.start, rows.stop)
-
-
 class StatementPlan(NamedTuple):
     """What XHPF decided for one statement: a function of the program,
     ``nprocs`` and ``inspector_executor`` alone, never of a run.
@@ -172,11 +166,8 @@ class XhpfExecutable:
         or the part a resolved region ``rect`` selects of it."""
         if rect is None:
             return math.prod(decl.shape[1:]) * np.dtype(decl.dtype).itemsize
-        elems = np.dtype(decl.dtype).itemsize
-        for r, extent in zip(rect[1:], decl.shape[1:]):
-            if not isinstance(r, int):
-                elems *= len(range(*r.indices(extent)))
-        return elems
+        return math.prod(hi - lo for lo, hi in rect[1:]) \
+            * np.dtype(decl.dtype).itemsize
 
     def chunk(self, loop: ParallelLoop, pid: int) -> Chunk:
         """XHPF's partition policy: owner-computes — a block loop aligned
@@ -198,10 +189,11 @@ class XhpfExecutable:
 
     def _split_rows(self, decl: ArrayDecl, lo: int, hi: int,
                     skip: Optional[int] = None) -> list:
-        """``(owner, rows, count)``: rows [lo, hi) of ``decl`` by owner,
-        ascending, leaving out ``skip``'s own.  BLOCK scans only the owners
-        between those of the end rows; a CYCLIC owner gets its residue
-        class as an index array."""
+        """``(owner, rows, count)``: rows [lo, hi) of ``decl`` (a resolved,
+        so clipped, leading dimension) by owner, ascending, leaving out
+        ``skip``'s own.  BLOCK scans only the owners between those of the
+        end rows; a CYCLIC owner gets its residue class as an index
+        array."""
         n = self.nprocs
         out = []
         if hi <= lo:
@@ -215,8 +207,8 @@ class XhpfExecutable:
                     out.append((owner, rows, len(rows)))
             return out
         extent = decl.shape[0]
-        for owner in range(block_owner(extent, n, max(0, lo)),
-                           block_owner(extent, n, min(extent, hi) - 1) + 1):
+        for owner in range(block_owner(extent, n, lo),
+                           block_owner(extent, n, hi - 1) + 1):
             if owner == skip:
                 continue
             olo, ohi = self.owned_rows(decl, owner)
@@ -239,7 +231,7 @@ class XhpfExecutable:
             if decl.distribute is None or acc.irregular:
                 continue
             region = acc.resolve(0, 0, decl.shape)
-            lo, hi = _row_span(region[0])
+            lo, hi = region[0]
             if decl.dist_kind == "cyclic":
                 # the applications only read single rows of CYCLIC arrays
                 # in sequential code (MGS's ith vector)
@@ -249,8 +241,9 @@ class XhpfExecutable:
                 split = [(self.row_owner(decl, lo), slice(lo, hi), 1)]
             else:
                 split = self._split_rows(decl, lo, hi)
-            row_nbytes = self.row_nbytes(decl, region)
-            parts.extend((owner, acc.array, (rows,) + region[1:],
+            rest, row_nbytes = (acc.as_index(region)[1:],
+                                self.row_nbytes(decl, region))
+            parts.extend((owner, acc.array, (rows,) + rest,
                           count * row_nbytes)
                          for owner, rows, count in split)
         return parts
@@ -269,8 +262,9 @@ class XhpfExecutable:
                 if not chunk.count:
                     continue
                 rect = acc.resolve(*chunk.bounds, decl.shape)
-                rest, row_nbytes = rect[1:], self.row_nbytes(decl, rect)
-                lo, hi = _row_span(rect[0])
+                rest, row_nbytes = (acc.as_index(rect)[1:],
+                                    self.row_nbytes(decl, rect))
+                lo, hi = rect[0]
                 for owner, rows, count in self._split_rows(decl, lo, hi,
                                                            receiver):
                     edges.append((owner, receiver, acc.array, (rows,) + rest,

@@ -70,11 +70,6 @@ class RacecheckReport:
     false_sharing: list = field(default_factory=list)  # union across seeds
 
     @property
-    def all_exact(self) -> bool:
-        """Every compared array matched the oracle bit-for-bit."""
-        return not self.arrays_close and not self.arrays_wrong
-
-    @property
     def ok(self) -> bool:
         return (not self.true_races and self.deterministic
                 and not self.arrays_wrong

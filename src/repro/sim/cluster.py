@@ -191,7 +191,7 @@ class Cluster:
         if nprocs < 1:
             raise ValueError("need at least one processor")
         self.nprocs = nprocs
-        self.model = (model or SP2_MODEL).with_(nprocs=nprocs)
+        self.model = model or SP2_MODEL
         self.sim = Simulator(schedule_seed=schedule_seed)
         self.net = Network(self.sim, nprocs, self.model, faults=faults)
         self.envs: list[ProcEnv] = []

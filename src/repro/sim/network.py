@@ -133,8 +133,9 @@ class NetworkStats:
                            self.retransmissions - earlier.retransmissions,
                            self.acks - earlier.acks,
                            self.dup_suppressed - earlier.dup_suppressed)
-        keys = set(self.by_category) | set(earlier.by_category)
-        for key in keys:
+        # first-use order, which reports print; a set's order of strings
+        # would follow the hash seed
+        for key in dict.fromkeys([*self.by_category, *earlier.by_category]):
             a = self.by_category.get(key, [0, 0])
             b = earlier.by_category.get(key, [0, 0])
             out.by_category[key] = [a[0] - b[0], a[1] - b[1]]

@@ -39,22 +39,18 @@ __all__ = ["PushPayload", "BcastPayload", "validate_steps",
 # program delegates to with ``yield from``.
 
 
-def validate_steps(node: TmkNode, handle: ArrayHandle, region=None,
+def validate_steps(node: TmkNode, handle: ArrayHandle, region,
                    source=None):
-    """Aggregated fetch of every invalid page under ``region``: ``None``
-    when all are current, else the generator that fetches the rest.
+    """Aggregated fetch of every invalid page under ``region`` (``((lo,
+    hi), ...)``, as ``TmkNode.ensure_read_steps`` takes it): ``None`` when
+    all are current, else the generator that fetches the rest.
 
     Equivalent in outcome to faulting each page one at a time, but with one
     round-trip per *writer* (all that writer's needed pages batched) and no
     per-page fault traps.
     """
-    if region is not None:
-        node._note_access(handle, False, source, region=region)
-        pages = handle.region_pages(region)
-    else:
-        node._note_access(handle, False, source,
-                          region=tuple(slice(None) for _ in handle.shape))
-        pages = np.asarray(list(handle.pages()))
+    node._note_access(handle, False, source, region=region)
+    pages, _cached = handle.pages_of(region)
     if node.fast.enabled:
         # mask-True pages are guaranteed valid; only the rest need a look
         pages = pages[~node.valid_mask[pages]]

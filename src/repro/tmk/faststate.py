@@ -78,7 +78,7 @@ class FastState:
         self.write_ok_mask = np.frombuffer(self.write_ok, dtype=bool)
         self.epoch = 0
         self.write_gen = 0
-        # (handle name, normalized region) -> counter value at verification
+        # (handle name, ((lo, hi), ...) region) -> counter value at verification
         self.read_verdicts: dict = {}
         self.write_verdicts: dict = {}
 

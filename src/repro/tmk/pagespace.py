@@ -7,10 +7,13 @@ layout, so an :class:`ArrayHandle` is meaningful cluster-wide while the
 *backing bytes* are per-processor copies managed by the coherence protocol.
 
 The page mathematics here answer the one question the DSM needs: *which
-pages does this access touch?*  Regions are numpy basic-indexing tuples
-(ints and slices) against a C-order array; indirect (irregular) accesses
-supply explicit element indices instead.  Fast paths cover the common cases
-(contiguous row blocks; per-row spans) without per-element Python loops.
+pages does this access touch?*  A region is one half-open ``(lo, hi)`` per
+dimension of a C-order array, the form a compiled access resolves to
+(``repro.compiler.ir.Access.resolve``); :func:`normalize_region` brings a
+hand-coded numpy basic index (ints and slices) to it.  Indirect
+(irregular) accesses supply explicit element indices instead.  Fast paths
+cover the common cases (contiguous row blocks; per-row spans) without
+per-element Python loops.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ from numpy import count_nonzero
 
 from repro.sim.machine import PAGE_SIZE
 
-__all__ = ["ArrayHandle", "SharedSpace", "Normalized", "normalize_region",
+__all__ = ["ArrayHandle", "SharedSpace", "normalize_region",
            "region_nbytes", "merge_spans", "sorted_unique"]
 
-Region = tuple  # tuple of ints/slices
+Region = tuple  # ((lo, hi), ...), one pair per dimension
 
 _PAGES_CACHE_LIMIT = 1024   # distinct footprints memoized per handle
 _LAYOUT_MEMO_PAGES = 1 << 16  # page numbers held by the process-wide memo
@@ -35,7 +38,7 @@ _LAYOUT_MEMO_PAGES = 1 << 16  # page numbers held by the process-wide memo
 
 class _LayoutMemo:
     """Process-wide region -> pages memo, keyed by layout: ``(offset,
-    shape, itemsize, normalized region)``.
+    shape, itemsize, region)``.
 
     A run allocates fresh handles, so each handle's own memo starts empty;
     this one sits underneath them and keeps the page math of a layout
@@ -77,8 +80,8 @@ class ArrayHandle:
     shape: tuple
     dtype: np.dtype
     space_id: int = 0
-    # region -> pages memo (pure: the layout is static, so a normalized
-    # region always maps to the same pages).  Excluded from eq/hash/repr;
+    # region -> pages memo (pure: the layout is static, so a region
+    # always maps to the same pages).  Excluded from eq/hash/repr;
     # handles are shared by every node of a run, which is fine for a memo.
     _pages_cache: dict = field(default_factory=dict, compare=False,
                                repr=False)
@@ -103,6 +106,11 @@ class ArrayHandle:
         """All pages this array touches."""
         return range(self.first_page, self.last_page + 1)
 
+    @property
+    def whole(self) -> Region:
+        """The region of the whole array."""
+        return tuple((0, extent) for extent in self.shape)
+
     # ------------------------------------------------------------------ #
     # region -> byte spans -> pages
 
@@ -115,34 +123,34 @@ class ArrayHandle:
             acc *= dim
         return tuple(reversed(strides))
 
-    def region_pages(self, region: Region) -> np.ndarray:
-        """Sorted unique page numbers touched by ``region``.
-
-        ``region`` is a tuple of ints/slices, one per dimension (missing
-        trailing dimensions mean "all of them", as in numpy).  The result is
-        memoized per normalized region (and marked read-only); repeated
-        identical footprints — every time-loop iteration — skip the page
-        math entirely.
-        """
-        pages, _cached = self.pages_of(normalize_region(region, self.shape))
+    def region_pages(self, index) -> np.ndarray:
+        """Sorted unique page numbers touched by the numpy basic ``index``
+        (ints/slices; missing trailing dimensions mean "all of them"), as a
+        hand-coded program names a region: :meth:`pages_of` its
+        :func:`normalize_region`."""
+        pages, _cached = self.pages_of(normalize_region(index, self.shape))
         return pages
 
-    def pages_of(self, nregion: tuple) -> tuple:
-        """(pages, cache_hit) for an *already-normalized* region.  A miss
-        of this handle's memo is answered from :data:`LAYOUT_MEMO` when
-        another handle of the same layout has asked before."""
-        pages = self._pages_cache.get(nregion)
+    def pages_of(self, region: Region) -> tuple:
+        """(pages, cache_hit) for a region in ``((lo, hi), ...)`` form.
+
+        The result is memoized per region (and marked read-only); repeated
+        identical footprints — every time-loop iteration — skip the page
+        math entirely.  A miss of this handle's memo is answered from
+        :data:`LAYOUT_MEMO` when another handle of the same layout has
+        asked before."""
+        pages = self._pages_cache.get(region)
         if pages is not None:
             return pages, True
-        key = (self.offset, self.shape, self.dtype.itemsize, nregion)
+        key = (self.offset, self.shape, self.dtype.itemsize, region)
         pages = LAYOUT_MEMO.entries.get(key)
         if pages is None:
-            pages = self._compute_region_pages(nregion)
+            pages = self._compute_region_pages(region)
             pages.setflags(write=False)
             LAYOUT_MEMO.put(key, pages)
         if len(self._pages_cache) >= _PAGES_CACHE_LIMIT:
             self._pages_cache.clear()
-        self._pages_cache[nregion] = pages
+        self._pages_cache[region] = pages
         return pages, False
 
     def _compute_region_pages(self, region: tuple) -> np.ndarray:
@@ -150,8 +158,8 @@ class ArrayHandle:
 
     def _region_spans(self, region: tuple) -> tuple:
         """``(starts, span)``: the equal-length byte spans ``[s, s + span)``
-        a normalized region covers, one per combination of indices outside
-        its innermost contiguous run."""
+        a region covers, one per combination of indices outside its
+        innermost contiguous run."""
         strides = self._strides()
         # Determine the innermost dimension from which the region is a full
         # contiguous run; everything inside collapses into one span length.
@@ -207,8 +215,7 @@ class ArrayHandle:
         the exact bytes — the race detector needs them to tell a true
         overlap from mere false sharing within a page.
         """
-        return merge_spans(*self._region_spans(
-            normalize_region(region, self.shape)))
+        return merge_spans(*self._region_spans(region))
 
     def element_byte_runs(self, flat_indices: Union[np.ndarray, Sequence[int]],
                           elem_span: int = 1) -> np.ndarray:
@@ -261,26 +268,14 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class Normalized(tuple):
-    """A region already in :func:`normalize_region`'s ``((lo, hi), ...)``
-    form, which normalizing again returns as is.  A caller that asks for
-    the same footprint many times (a compiled loop, every iteration)
-    normalizes it once and hands the DSM this instead."""
-
-    __slots__ = ()
-
-
-def normalize_region(region, shape: tuple) -> tuple:
+def normalize_region(region, shape: tuple) -> Region:
     """Canonicalize a numpy-style basic index into ``((lo, hi), ...)`` per dim.
 
     Ints become single-element ranges; missing trailing dims become full
     ranges; negative indices wrap; steps other than 1 are rejected (the
     applications and compiler only generate unit-stride regions — cyclic
-    distributions are expressed as per-row index lists instead).  A
-    :class:`Normalized` region is returned unchanged.
+    distributions are expressed as per-row index lists instead).
     """
-    if type(region) is Normalized:
-        return region
     if not isinstance(region, tuple):
         region = (region,)
     if len(region) > len(shape):

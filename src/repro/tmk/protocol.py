@@ -62,7 +62,7 @@ from repro.sim.machine import PAGE_SIZE
 from repro.tmk.diffs import apply_diff, apply_diffs, make_diff
 from repro.tmk.faststate import FastState
 from repro.tmk.lrc import LrcNode, diff_request_nbytes
-from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
+from repro.tmk.pagespace import ArrayHandle, SharedSpace
 
 if TYPE_CHECKING:
     from repro.sim.cluster import ProcEnv
@@ -193,9 +193,9 @@ class TmkNode(LrcNode):
     # access hooks — the simulated page faults
 
     def ensure_read_steps(self, handle: ArrayHandle, region, source=None):
-        """Validate every page of ``region`` before a read (read faults):
-        ``None`` when all are valid, else the generator that faults the
-        rest in.
+        """Validate every page of ``region`` (``((lo, hi), ...)``, see
+        :mod:`~repro.tmk.pagespace`) before a read (read faults): ``None``
+        when all are valid, else the generator that faults the rest in.
 
         Fast path: between acquires ``valid`` bits never regress, so once a
         footprint has been verified this epoch (or its mask check passes) the
@@ -204,15 +204,14 @@ class TmkNode(LrcNode):
         events.
         """
         self._note_access(handle, False, source, region=region)
-        nregion = normalize_region(region, handle.shape)
         fs = self.fast
         stats = self.world.dsm_stats
         if fs.enabled:
-            vkey = (handle.name, nregion)
+            vkey = (handle.name, region)
             if fs.read_verdicts.get(vkey) == fs.epoch:
                 stats.fastpath_hits += 1
                 return None
-        pages, cached = handle.pages_of(nregion)
+        pages, cached = handle.pages_of(region)
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:
@@ -241,15 +240,14 @@ class TmkNode(LrcNode):
         stale ``flatnonzero`` snapshot.
         """
         self._note_access(handle, True, source, region=region)
-        nregion = normalize_region(region, handle.shape)
         fs = self.fast
         stats = self.world.dsm_stats
         if fs.enabled:
-            vkey = (handle.name, nregion)
+            vkey = (handle.name, region)
             if fs.write_verdicts.get(vkey) == fs.write_gen:
                 stats.fastpath_hits += 1
                 return None
-        pages, cached = handle.pages_of(nregion)
+        pages, cached = handle.pages_of(region)
         if cached:
             stats.region_cache_hits += 1
         if fs.enabled:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.sim.engine import blocking
-from repro.tmk.pagespace import ArrayHandle
+from repro.tmk.pagespace import ArrayHandle, normalize_region
 from repro.tmk.protocol import TmkNode
 
 __all__ = ["SharedArray"]
@@ -40,7 +40,6 @@ class SharedArray:
         self.proc = node.proc
         self.handle = handle
         self._view = node.view(handle)
-        self._full_region = tuple(slice(None) for _ in handle.shape)
 
     # ------------------------------------------------------------------ #
 
@@ -60,12 +59,11 @@ class SharedArray:
         """Validate pages under ``region`` before a read: ``None`` when all
         are valid, else the generator that faults the rest in."""
         return self.node.ensure_read_steps(
-            self.handle, self._norm(region),
+            self.handle, self._resolved(region),
             source=source or f"{self.name}.read")
 
     def read_gen(self, region=..., source=None):
         """Validate pages under ``region`` and return the local view of it."""
-        region = self._norm(region)
         steps = self.read_steps(region, source)
         if steps is not None:
             yield from steps
@@ -78,12 +76,11 @@ class SharedArray:
         ``None`` when nothing is left to do, else the generator that does
         it."""
         return self.node.ensure_write_steps(
-            self.handle, self._norm(region),
+            self.handle, self._resolved(region),
             source=source or f"{self.name}.writable")
 
     def write_gen(self, region, values, source=None):
         """Assign ``values`` into ``region`` with write detection."""
-        region = self._norm(region)
         steps = self.writable_steps(region, source or f"{self.name}.write")
         if steps is not None:
             yield from steps
@@ -122,12 +119,12 @@ class SharedArray:
 
     # ------------------------------------------------------------------ #
 
-    def _norm(self, region):
+    def _resolved(self, region):
+        """The numpy basic index ``region`` as the ``((lo, hi), ...)``
+        region the node's ensure hooks take."""
         if region is Ellipsis:
-            return self._full_region
-        if not isinstance(region, tuple):
-            region = (region,)
-        return region
+            return self.handle.whole
+        return normalize_region(region, self.shape)
 
     def __repr__(self) -> str:
         return (f"SharedArray({self.handle.name!r}, shape={self.shape}, "

@@ -106,6 +106,13 @@ def lock_release(tmk, lock):
         yield from steps
 
 
+def parallel_loops(program):
+    """The program's parallel loop instances in execution order."""
+    for stmt in program.flat_statements():
+        if isinstance(stmt, ParallelLoop):
+            yield stmt
+
+
 def stencil_program(iters=3):
     """Jacobi-shaped: seq init, halo stencil, aligned copy, sum reduction."""
 

@@ -7,21 +7,26 @@ The rectangle functions these tests were first written against
 (``access_rect``, ``rects_overlap``, ``chunk_rects``) are gone; each test
 keeps its name and feeds the same edge case to the surviving algebra.  The
 Hypothesis properties at the end check the algebra against a brute-force
-boolean mask of what each access resolves to.
+boolean mask of what the IR says each access touches, and check that the
+pages and the sets read ``Access.resolve``'s one clipped form alike.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.compiler import depend
+from repro.compiler import depend, lint
 from repro.compiler.depend import (Interval, Strided, chunk_sets,
                                    sets_conflict)
 from repro.compiler.depend import loops_fusable_exact as loops_fusable
 from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular,
-                               ParallelLoop, Point, Program, Reduction, Span)
-from repro.compiler.partition import Chunk, loop_chunk
+                               ParallelLoop, Point, Program, Reduction,
+                               SeqBlock, Span)
+from repro.compiler.partition import Chunk, Elements, loop_chunk
 from repro.compiler.report import footprint_report
+from repro.compiler.xhpf import compile_xhpf
+from repro.tmk.api import tmk_run
+from repro.tmk.pagespace import SharedSpace
 
 
 def make_prog(loops, shape=(64, 16)):
@@ -288,7 +293,7 @@ def test_access_rect_emits_empty_dim_for_outside_halo():
 def test_loops_fusable_chunk_sets_call_count(monkeypatch):
     """Each loop side's sets are computed once per processor: exactly
     4 * nprocs chunk_sets calls, not O(nprocs**2)."""
-    from repro.compiler import depend
+    from repro.compiler import depend, lint
 
     l1 = ParallelLoop("l1", 64, kern,
                       writes=[Access("a", (Span(), Full()))])
@@ -338,8 +343,10 @@ def _shape_and_accesses(draw):
         dims = []
         for extent in shape[:draw(st.integers(1, len(shape)))]:
             kind = draw(st.sampled_from(("span", "point", "full")))
-            if kind == "span":       # halos reach past both edges
-                lo_off = draw(st.integers(-4, 4))
+            if kind == "span":       # halos past both edges, and entirely
+                lo_off = draw(st.one_of(   # below row 0 or above the last
+                    st.integers(-4, 4), st.integers(-40, -20),
+                    st.integers(20, 40)))
                 dims.append(Span(lo_off, lo_off + draw(st.integers(-2, 3))))
             elif kind == "point":
                 dims.append(Point(draw(st.integers(-extent, extent - 1))))
@@ -351,16 +358,21 @@ def _shape_and_accesses(draw):
 
 
 def _mask(acc, lo, hi, shape):
-    """The elements ``acc`` touches for the block ``[lo, hi)``.  A resolved
-    slice denotes the half-open interval ``[start, stop)`` in the array
-    (a stop below 0 is empty, as the IR's clipped ``Span`` means)."""
+    """The elements ``acc`` touches for the block ``[lo, hi)``, from what
+    the IR says alone (not from ``Access.resolve``): a ``Span`` the rows
+    of ``[lo + lo_off, hi + hi_off)`` inside the array, a ``Point`` its
+    index (a negative one counts from the end), the rest everything."""
     mask = np.ones(shape, dtype=bool)
-    for d, comp in enumerate(acc.resolve(lo, hi, shape)):
-        keep = np.zeros(shape[d], dtype=bool)
-        if isinstance(comp, slice):
-            keep[max(comp.start, 0):max(comp.stop, 0)] = True
+    for d, extent in enumerate(shape):
+        expr = acc.region[d] if d < len(acc.region) else Full()
+        keep = np.zeros(extent, dtype=bool)
+        if isinstance(expr, Span):
+            keep[[r for r in range(lo + expr.lo_off, hi + expr.hi_off)
+                  if 0 <= r < extent]] = True
+        elif isinstance(expr, Point):
+            keep[expr.index] = True
         else:
-            keep[comp] = True
+            keep[:] = True
         mask &= keep.reshape((-1,) + (1,) * (len(shape) - d - 1))
     return mask
 
@@ -443,3 +455,102 @@ def test_chunk_sets_conflict_matches_brute_force(case, data):
         assert conflict or not truth
     else:
         assert conflict == truth
+
+
+def _footprint_mask(acc, chunk, shape):
+    """The elements of ``chunk.footprint``: what the DSM backend makes
+    coherent for ``chunk``."""
+    mask = np.zeros(shape, dtype=bool)
+    fp = chunk.footprint(acc, shape)
+    if isinstance(fp, Elements):
+        mask.reshape(-1, fp.span)[np.asarray(fp.flat) // fp.span] = True
+    else:
+        mask[acc.as_index(fp)] = True
+    return mask
+
+
+def _sets_mask(sets, shape):
+    """The elements a per-dimension index-set tuple names, in the array."""
+    mask = np.ones(shape, dtype=bool)
+    for d, extent in enumerate(shape):
+        keep = np.zeros(extent, dtype=bool)
+        keep[[i for i in _members(sets[d]) if 0 <= i < extent]] = True
+        mask &= keep.reshape((-1,) + (1,) * (len(shape) - d - 1))
+    return mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shape_and_accesses(), st.data())
+def test_one_resolved_footprint_in_every_consumer(case, data):
+    """``Chunk.pages`` equals the pages of the footprint's numpy mask, and
+    for a block chunk that mask, ``depend``'s sets and the IR's meaning
+    are one set of elements; a cyclic chunk's footprint and sets may
+    over-approximate the iterations' union, never miss an element."""
+    shape, acc, _ = case
+    chunk = data.draw(_chunk(shape[0]))
+    space = SharedSpace()
+    space.alloc("pad", (1,), np.float32)
+    handle = space.alloc("a", shape, np.dtype(
+        f"V{data.draw(st.sampled_from((4, 24, 512, 1500)))}"))
+    fp_mask = _footprint_mask(acc, chunk, shape)
+    assert np.array_equal(chunk.pages(acc, handle),
+                          handle.element_pages(np.flatnonzero(fp_mask)))
+    loop = ParallelLoop("l", shape[0], kern, reads=[acc])
+    sets = chunk_sets(loop, "reads", chunk,
+                      Program("p", arrays=[ArrayDecl("a", shape)],
+                              body=[loop]))
+    truth = _chunk_mask(acc, chunk, shape)
+    sets_mask = (_sets_mask(sets["a"][0], shape) if chunk.count
+                 else np.zeros(shape, dtype=bool))
+    if chunk.step:
+        assert not (truth & ~fp_mask).any()
+        assert not (truth & ~sets_mask).any()
+    else:
+        assert np.array_equal(fp_mask, truth)
+        assert np.array_equal(sets_mask, truth)
+
+
+def test_halo_entirely_below_row_zero_is_empty_in_every_consumer():
+    """``Span(-3, -3)`` on the first row reaches rows [-3, -2): nothing.
+    Each layer reads the one resolved form, so each sees nothing: the
+    dependence sets, the pages, the DSM's read hook (a whole array
+    written elsewhere faults no page in), XHPF's plan and lint's
+    declared masks."""
+    shape = (64, 16)
+    acc = Access("a", (Span(-3, -3), Full()))
+    assert acc.resolve(0, 1, shape) == ((0, 0), (0, 16))
+    sets = access_sets(acc, 0, 1)
+    assert sets == (Interval(0, 0), Interval(0, 16))
+    assert not depend._confirm(acc, acc, 0, 0, shape)
+
+    def setup(space):
+        space.alloc("a", shape, np.float32)
+
+    def prog(tmk):
+        a = tmk.array("a")
+        if tmk.pid == 0:
+            yield from a.write_gen(..., 1.0)
+        yield from tmk.barrier_gen()
+        if tmk.pid == 1:
+            fp = Chunk(0, 1).footprint(acc, shape)
+            assert Chunk(0, 1).pages(acc, a.handle).size == 0
+            assert tmk.node.ensure_read_steps(a.handle, fp) is None
+
+    result = tmk_run(2, prog, setup)
+    assert result.dsm_stats.read_faults == 0
+
+    loop = ParallelLoop("l", 64, kern, reads=[acc], align=("a", 0))
+    seq = SeqBlock("s", lambda views: None, reads=[acc])
+    prog_ir = Program("p", arrays=[ArrayDecl("a", shape, distribute=0)],
+                      body=[seq, loop])
+    exe = compile_xhpf(prog_ir, 64)          # one row per processor
+    assert exe.broadcast_parts(seq) == []
+    chunks = [exe.chunk(loop, pid) for pid in range(64)]
+    assert [(owner, receiver, region[0])
+            for owner, receiver, _a, region, _n
+            in exe.exchange_edges(loop, chunks)] == [
+        (r - 3, r, slice(r - 3, r - 2)) for r in range(3, 64)]
+
+    raw = {"a": np.zeros(shape, dtype=np.float32)}
+    reads, _writes = lint._declared_masks(loop, Chunk(0, 1), raw)
+    assert not reads["a"].any()

@@ -17,6 +17,7 @@ from repro.compiler.model import _SpfModel
 from repro.compiler.partition import Chunk
 from repro.compiler.spf import SpfOptions, compile_spf, run_spf
 from repro.sim.machine import SP2_MODEL
+from tests.conftest import parallel_loops
 
 
 def family(name: str) -> str:
@@ -42,7 +43,7 @@ def test_every_consumer_sees_the_chunks_that_run(app, nprocs, monkeypatch):
     run_spf(build(), nprocs)
     executed, ran = ran, set()
     assert {name for name, _chunk in executed} >= \
-        {loop.name for loop in build().parallel_loops()}
+        {loop.name for loop in parallel_loops(build())}
 
     # the analytic model replays exactly the executed chunks
     _SpfModel(build(), nprocs, SP2_MODEL.with_(nprocs=nprocs),
@@ -63,7 +64,7 @@ def test_every_consumer_sees_the_chunks_that_run(app, nprocs, monkeypatch):
     lint._check_false_sharing(exe)
     assert asked <= executed
     assert {family(name) for name, _chunk in asked} == \
-        {family(loop.name) for loop in exe.program.parallel_loops()}
+        {family(loop.name) for loop in parallel_loops(exe.program)}
 
     # the dependence engine's chunk sets (barrier rule and fuse_loops
     # planning) are built from them

@@ -5,6 +5,7 @@ import pytest
 
 from repro.tmk import enhanced
 from repro.tmk.api import tmk_run
+from repro.tmk.pagespace import normalize_region
 
 
 def setup(space):
@@ -12,7 +13,8 @@ def setup(space):
 
 
 def validate(node, handle, region):
-    steps = enhanced.validate_steps(node, handle, region)
+    steps = enhanced.validate_steps(node, handle,
+                                    normalize_region(region, handle.shape))
     if steps is not None:
         yield from steps
 

@@ -12,7 +12,8 @@ from repro.compiler.seq import run_sequential
 from repro.compiler.spf import SpfOptions, compile_spf, run_spf
 from repro.tmk.api import tmk_run
 from repro.tmk.reduction import tmk_reduce_gen
-from tests.conftest import irregular_program, stencil_program
+from tests.conftest import (irregular_program, parallel_loops,
+                            stencil_program)
 
 
 # ---------------------------------------------------------------------- #
@@ -184,7 +185,7 @@ def triangular_cost_program(n=64, iters=3):
 def skewed(program):
     """Give the k-th parallel loop the per-iteration cost 1e-6 * (1 + k),
     so loops differ in cost."""
-    for k, loop in enumerate(program.parallel_loops()):
+    for k, loop in enumerate(parallel_loops(program)):
         loop.cost_per_iter = 1e-6 * (1 + k)
     return program
 

@@ -10,21 +10,41 @@ from repro.compiler.ir import (Access, ArrayDecl, Full, Irregular, Mark,
 
 def test_span_resolves_with_clipping():
     s = Span(-1, 1)
-    assert s.resolve(0, 4, 16) == slice(0, 5)
-    assert s.resolve(12, 16, 16) == slice(11, 16)
-    assert Span().resolve(2, 6, 16) == slice(2, 6)
+    assert s.resolve(0, 4, 16) == (0, 5)
+    assert s.resolve(12, 16, 16) == (11, 16)
+    assert Span().resolve(2, 6, 16) == (2, 6)
+
+
+@pytest.mark.parametrize("span, bounds, want", [
+    (Span(-3, -3), (0, 1), (0, 0)),       # entirely below row 0
+    (Span(-5, -1), (2, 3), (0, 2)),       # partly below
+    (Span(3, 3), (62, 64), (64, 64)),     # entirely past the last row
+    (Span(2, -2), (10, 11), (12, 12)),    # inverted: start past stop
+])
+def test_span_halo_outside_the_array_is_empty(span, bounds, want):
+    """Every resolved interval satisfies 0 <= lo <= hi <= extent."""
+    assert span.resolve(*bounds, 64) == want
 
 
 def test_full_and_point():
-    assert Full().resolve(3, 5, 10) == slice(0, 10)
-    assert Point(4).resolve(0, 0, 10) == 4
-    assert Point(-1).resolve(0, 0, 10) == 9
-    assert Point(lambda lo, hi: lo + 1).resolve(5, 9, 10) == 6
+    assert Full().resolve(3, 5, 10) == (0, 10)
+    assert Point(4).resolve(0, 0, 10) == (4, 5)
+    assert Point(-1).resolve(0, 0, 10) == (9, 10)
+    assert Point(lambda lo, hi: lo + 1).resolve(5, 9, 10) == (6, 7)
 
 
 def test_access_resolve_fills_trailing_dims():
     acc = Access("a", (Span(),))
-    assert acc.resolve(2, 4, (8, 16)) == (slice(2, 4), slice(0, 16))
+    assert acc.resolve(2, 4, (8, 16)) == ((2, 4), (0, 16))
+
+
+def test_as_index_keeps_the_point_rank_drop():
+    a = np.arange(4 * 6 * 2).reshape(4, 6, 2)
+    acc = Access("a", (Point(1), Span(-1, 0)))
+    region = acc.resolve(2, 4, a.shape)
+    assert region == ((1, 2), (1, 4), (0, 2))
+    assert acc.as_index(region) == (1, slice(1, 4), slice(0, 2))
+    assert np.array_equal(a[acc.as_index(region)], a[1, 1:4])
 
 
 def test_access_resolve_rank_check():
@@ -94,11 +114,6 @@ def test_flat_statements_unrolls_timeloops():
     stmts = list(prog.flat_statements())
     names = [getattr(s, "name", getattr(s, "label", None)) for s in stmts]
     assert names == ["init", "start", "work", "work", "stop"]
-
-
-def test_parallel_loops_iterator():
-    prog = _tiny_program()
-    assert len(list(prog.parallel_loops())) == 2
 
 
 def test_decl_lookup():

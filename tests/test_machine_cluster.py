@@ -114,11 +114,6 @@ def test_run_result_speedup():
     assert r.speedup(8.0) == pytest.approx(8.0)
 
 
-def test_model_nprocs_adjusted_to_cluster():
-    c = Cluster(nprocs=5)
-    assert c.model.nprocs == 5
-
-
 BAD_MACHINES = [{"latency": -1}, {"byte_time": float("nan")},
                 {"latency": float("inf")}, {"mp_packet_bytes": 100.5},
                 {"send_overhead": "60e-6"}, {"nprocs": True}]

@@ -309,7 +309,8 @@ def test_jacobi_spf_race_free_and_deterministic():
     assert rep.ok, rep.format()
     assert rep.deterministic
     assert not rep.true_races
-    assert rep.all_exact          # elementwise stencil: bit-exact vs seq
+    # elementwise stencil: bit-exact vs seq
+    assert not rep.arrays_close and not rep.arrays_wrong
 
     # one run path: seeds retired through a worker pool judge the same
     def evidence(r):
@@ -342,7 +343,8 @@ def test_igrid_spf_acceptance():
     races, numerics bit-identical to the sequential reference."""
     rep = racecheck_app("igrid", "spf", seeds=5, nprocs=NPROCS)
     assert rep.ok, rep.format()
-    assert rep.deterministic and rep.all_exact
+    assert rep.deterministic
+    assert not rep.arrays_close and not rep.arrays_wrong
     assert not rep.true_races
 
 

@@ -7,7 +7,8 @@ import pytest
 from repro.cli import main
 from repro.compiler.report import footprint_report, spf_report, xhpf_report
 from repro.compiler.spf import SpfOptions
-from tests.conftest import irregular_program, stencil_program, triangular_program
+from tests.conftest import (irregular_program, parallel_loops,
+                            stencil_program, triangular_program)
 
 
 # ---------------------------------------------------------------------- #
@@ -61,7 +62,7 @@ def test_xhpf_report_cyclic_distribution():
 
 
 def test_footprint_report():
-    loop = next(iter(stencil_program().parallel_loops()))
+    loop = next(parallel_loops(stencil_program()))
     text = footprint_report(loop, 4, stencil_program())
     assert "p0:" in text and "p3:" in text
     assert "reads a" in text and "writes b" in text
@@ -69,7 +70,7 @@ def test_footprint_report():
 
 def test_footprint_report_irregular():
     prog = irregular_program()
-    loop = next(iter(prog.parallel_loops()))
+    loop = next(parallel_loops(prog))
     text = footprint_report(loop, 2, prog)
     assert "irregular (run-time footprint)" in text
 

@@ -12,7 +12,8 @@ from repro.eval.constants import APPS
 from repro.sim import Cluster
 from repro.sim.machine import SP2_MODEL
 from tests.conftest import (fingerprint_digest, irregular_program,
-                            stencil_program, triangular_program)
+                            parallel_loops, stencil_program,
+                            triangular_program)
 
 
 def test_matches_sequential_stencil():
@@ -70,7 +71,7 @@ def test_sequential_block_executed_by_all():
 
 def test_owner_computes_alignment():
     exe = compile_xhpf(stencil_program(), nprocs=4)
-    loop = next(iter(exe.program.parallel_loops()))
+    loop = next(parallel_loops(exe.program))
     lo, hi = exe.chunk(loop, 0).bounds
     olo, ohi = exe.owned_rows(exe.decls["b"], 0)
     assert (lo, hi) == (olo, ohi)
