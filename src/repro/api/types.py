@@ -21,10 +21,10 @@ hand-rolling their own.
 * :class:`BatchResult` — an ordered collection of results with the
   service-level counters (wall time, cache hits/misses, runs/min).
 
-``RunResult.fingerprint()`` is the bit-identity contract used by the
-service tests and the benchmark's golden digests: two runs of the same
-request must produce equal fingerprints no matter which process executed
-them.
+``RunResult.canonical_bytes()`` is what "the same run" means: two runs of
+the same request must produce equal bytes no matter which process, pool
+worker or fleet host executed them.  ``fingerprint()`` is those bytes
+parsed back, the form the benchmark's golden digests are taken over.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ __all__ = ["RUN_SCHEMA", "RunRequest", "RunResult", "BatchResult",
 RUN_SCHEMA = "repro-run/1"
 
 #: RunResult fields that legitimately differ between two executions of the
-#: same request (scheduling, placement, wall clock) — excluded from the
-#: bit-identity fingerprint.
+#: same request (scheduling, placement, wall clock) — excluded from
+#: ``RunResult.canonical_bytes()``.
 VOLATILE_RESULT_FIELDS = ("wall_s", "worker", "cache_hit", "races")
 
 
@@ -269,6 +269,7 @@ class RunRequest:
 
         Seeds, fault plans and ``seq_time`` deliberately do not appear —
         they parameterize a *run* of a compiled program, not the program.
+        Override order does not matter either: a request is a value.
         """
         return (self.app, self.variant, self.preset, self.nprocs,
                 self.mode, _canonical(self.machine),
@@ -396,16 +397,19 @@ class RunResult:
                                  for k, v in doc["categories"].items()}
         return cls(**doc)
 
-    def fingerprint(self) -> dict:
-        """Deterministic identity of the run — what "bit-identical" means.
-
-        Equal for two executions of the same request regardless of which
-        process/worker performed them or how long they took on the host.
-        """
+    def canonical_bytes(self) -> bytes:
+        """Identity of the run: ``to_json()`` without the volatile fields,
+        in the document's own key order (never sorted: ``categories`` is in
+        first-use order), with fixed separators.  Equal for two executions
+        of one request whichever process, worker or host ran them."""
         doc = self.to_json()
         for key in VOLATILE_RESULT_FIELDS:
-            doc.pop(key, None)
-        return doc
+            del doc[key]
+        return json.dumps(doc, separators=(",", ":")).encode()
+
+    def fingerprint(self) -> dict:
+        """``canonical_bytes()`` as a document."""
+        return json.loads(self.canonical_bytes())
 
     @classmethod
     def failure(cls, request: RunRequest, error: str,

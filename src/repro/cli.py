@@ -137,9 +137,13 @@ def _parse_machine(pairs):
     if not pairs:
         return None
     defaults = asdict(SP2_MODEL)
+    del defaults["nprocs"]          # the request carries the count
     overrides = {}
     for pair in pairs:
         key, sep, val = pair.partition("=")
+        if key == "nprocs":
+            raise SystemExit("--machine nprocs: set the processor count "
+                             "with -n/--nprocs (--nodes in a sweep)")
         try:
             value = float(val)
         except ValueError:

@@ -53,7 +53,7 @@ from repro.compiler.ir import (MARK_WINDOWS, FootprintError, Mark,
 from repro.compiler.partition import SEQ, Elements, loop_chunk
 from repro.compiler.spf import STAGING_PREFIX, compile_spf
 from repro.sim.machine import PAGE_SIZE, SP2_MODEL
-from repro.tmk.pagespace import SharedSpace
+from repro.tmk.pagespace import SharedSpace, sorted_unique
 
 __all__ = ["Finding", "LintReport", "TrafficEstimate", "ShadowArray",
            "lint_program", "estimate_spf_traffic", "compare_traffic",
@@ -625,7 +625,7 @@ def _loop_write_pages(exe, loop: ParallelLoop, space: SharedSpace,
         handle = space[STAGING_PREFIX + name]
         pages = handle.region_pages((slice(pid, pid + 1),))
         out.setdefault(STAGING_PREFIX + name, []).append(pages)
-    return {name: np.unique(np.concatenate(page_sets))
+    return {name: sorted_unique(np.concatenate(page_sets))
             for name, page_sets in out.items()}
 
 

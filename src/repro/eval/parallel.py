@@ -14,10 +14,10 @@ hosts, which the caller opens and closes (``repro.cli`` for
 
 Results come back in request order whichever worker or host finished
 first, a run that raises is the same ``ok=False`` result at every tier
-(made in one place, :meth:`InProcess.stream`), and every tier agrees on
-``fingerprint()``, so a harness document does not depend on the tier
-(``tests/test_scheduling.py``, ``test_faults.py``,
-``test_racecheck.py`` and the CI ``--jobs``/``--fleet`` smokes).
+(made in one place, :meth:`InProcess.stream`), and every tier hands back
+the in-process ``canonical_bytes()``, so a harness document does not
+depend on the tier (``tests/test_run_identity.py``, ``test_scheduling.py``,
+``test_faults.py``, ``test_racecheck.py`` and the CI sweep ``cmp``).
 """
 
 from __future__ import annotations

@@ -45,8 +45,8 @@ RESULTS_DIR = (pathlib.Path(__file__).resolve().parents[3]
 
 
 def request_key(request: RunRequest) -> str:
-    """Request identity: the canonical ``to_json()`` text (unlike
-    ``cache_key()``, it keeps ``seq_time``)."""
+    """Request identity, key-sorted as a request is a value: ``to_json()``
+    text (unlike ``cache_key()``, with ``seq_time``)."""
     return json.dumps(request.to_json(), sort_keys=True)
 
 

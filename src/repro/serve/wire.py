@@ -4,7 +4,9 @@ One message per line, each a JSON object with an ``"op"`` field.  The
 request/result payloads are exactly the documents produced by
 :meth:`repro.api.RunRequest.to_json` and
 :meth:`repro.api.RunResult.to_json` — the wire format *is* the library
-serialization (``repro-run/1``), not a third dialect.
+serialization (``repro-run/1``), not a third dialect.  Lines keep each
+document's key order, so a result that crossed any number of hops has
+the ``RunResult.canonical_bytes()`` of the in-process run.
 
 Server -> client::
 
@@ -105,8 +107,7 @@ class JsonLines:
         return cls(sock)
 
     def send(self, obj: dict) -> None:
-        self.sock.sendall(
-            (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8"))
+        self.sock.sendall((json.dumps(obj) + "\n").encode("utf-8"))
 
     def fill(self) -> None:
         if self._garbled is not None:
@@ -204,7 +205,7 @@ def _serve_lines(service, lines: Iterable[str], out, lock) -> str:
     the client has gone, so a reply or a read fails with ``OSError``."""
     def emit(obj: dict) -> None:
         try:
-            out.write(json.dumps(obj, sort_keys=True) + "\n")
+            out.write(json.dumps(obj) + "\n")
             out.flush()
         except OSError as exc:
             raise _PeerGone from exc

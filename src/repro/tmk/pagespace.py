@@ -28,7 +28,7 @@ from numpy import count_nonzero
 from repro.sim.machine import PAGE_SIZE
 
 __all__ = ["ArrayHandle", "SharedSpace", "normalize_region",
-           "region_nbytes", "merge_spans", "sorted_unique"]
+           "merge_spans", "sorted_unique"]
 
 Region = tuple  # ((lo, hi), ...), one pair per dimension
 
@@ -304,15 +304,6 @@ def normalize_region(region, shape: tuple) -> Region:
         else:
             raise TypeError(f"unsupported region component {r!r}")
     return tuple(out)
-
-
-def region_nbytes(region, shape: tuple, itemsize: int) -> int:
-    """Payload size of a region in bytes."""
-    norm = normalize_region(region, shape)
-    n = 1
-    for lo, hi in norm:
-        n *= (hi - lo)
-    return n * itemsize
 
 
 class SharedSpace:

@@ -5,8 +5,8 @@ harnesses and the serve wire protocol all share:
 
 * ``RunRequest``/``RunResult``/``BatchResult`` round-trip through
   ``to_json()``/``from_json()`` under their schema tags;
-* ``RunResult.fingerprint()`` is the bit-identity currency — equal
-  fingerprints iff the runs are equivalent, volatile fields excluded;
+* ``RunResult.canonical_bytes()`` is the bit-identity currency — equal
+  bytes iff the runs are equivalent, volatile fields excluded;
 * the machine/fault-plan doc serializers invert each other;
 * the registry is the single source of app/variant truth.
 """
@@ -71,7 +71,7 @@ def test_environment_does_not_change_a_run(monkeypatch):
     clean = execute(request)
     monkeypatch.setenv("TMK_FAULTS", "1")
     monkeypatch.setenv("TMK_FASTPATH", "0")
-    assert execute(request).fingerprint() == clean.fingerprint()
+    assert execute(request).canonical_bytes() == clean.canonical_bytes()
 
 
 def test_page_size_override_is_a_structured_failure():
@@ -116,7 +116,7 @@ def test_spf_options_take_effect():
     base = RunRequest("jacobi", "spf", nprocs=4, preset="test", seq_time=1.0)
     pushed = execute(dataclasses.replace(base, options={"push_halos": True}))
     assert pushed.ok
-    assert pushed.fingerprint() != execute(base).fingerprint()
+    assert pushed.canonical_bytes() != execute(base).canonical_bytes()
 
 
 def test_run_result_round_trips_and_fingerprint_drops_volatiles():
@@ -124,7 +124,8 @@ def test_run_result_round_trips_and_fingerprint_drops_volatiles():
                              seq_time=1.0))
     doc = res.to_json()
     assert doc["schema"] == RUN_SCHEMA
-    assert RunResult.from_json(doc).fingerprint() == res.fingerprint()
+    assert RunResult.from_json(doc).canonical_bytes() \
+        == res.canonical_bytes()
     fp = res.fingerprint()
     for field in VOLATILE_RESULT_FIELDS:
         assert field not in fp
@@ -132,7 +133,7 @@ def test_run_result_round_trips_and_fingerprint_drops_volatiles():
     # run and a service run of the same request
     again = dataclasses.replace(res, wall_s=1e9, worker=42,
                                 cache_hit=True)
-    assert again.fingerprint() == fp
+    assert again.canonical_bytes() == res.canonical_bytes()
 
 
 def test_batch_result_round_trips_with_counters():
@@ -145,8 +146,8 @@ def test_batch_result_round_trips_with_counters():
     back = BatchResult.from_json(doc)
     assert back.ok and back.runs == 2
     assert (back.cache_hits, back.cache_misses) == (1, 1)
-    assert [r.fingerprint() for r in back.results] \
-        == [r.fingerprint() for r in results]
+    assert [r.canonical_bytes() for r in back.results] \
+        == [r.canonical_bytes() for r in results]
 
 
 def test_machine_and_fault_plan_docs_invert():

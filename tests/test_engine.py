@@ -654,6 +654,7 @@ def test_thread_and_generator_bodies_are_the_same_simulation(seed):
 # the same executable as generator processes and under thread mains
 
 def _fingerprint(result):
+    # a sim-level Cluster result has no document, so no canonical bytes
     return (result.time, result.proc_times, result.events,
             result.stats.messages, result.stats.kilobytes,
             result.stats.retransmissions, result.results[0])

@@ -27,6 +27,8 @@ from repro.tmk.stats import DsmStats
 
 
 def _virtual_fingerprint(r):
+    # not canonical_bytes(): the fast-path counters (dsm.fastpath_*) sit in
+    # the result document and differ on purpose between the two runs
     return (r.time, r.messages, r.kilobytes,
             tuple(sorted(r.signature.items())))
 

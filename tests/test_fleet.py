@@ -78,8 +78,8 @@ def test_batch_ordered_ok_and_bit_identical(fleet):
     batch = fleet.run_batch(requests)
     assert batch.ok and batch.runs == len(requests)
     assert batch.workers == fleet.live_workers() > 0
-    assert [r.fingerprint() for r in batch.results] \
-        == [_expected(r).fingerprint() for r in requests]
+    assert [r.canonical_bytes() for r in batch.results] \
+        == [_expected(r).canonical_bytes() for r in requests]
     assert batch.crashes == 0
 
 
@@ -239,8 +239,9 @@ def test_host_killed_mid_batch_requeues_and_completes():
             assert all(r.ok for r in seen.values()), \
                 [r.error for r in seen.values() if not r.ok]
             # bit-identical to a serial run of the same requests
-            assert [seen[i].fingerprint() for i in range(len(requests))] \
-                == [_expected(r).fingerprint() for r in requests]
+            assert [seen[i].canonical_bytes()
+                    for i in range(len(requests))] \
+                == [_expected(r).canonical_bytes() for r in requests]
             stats = fleet.stats()["fleet"]
             assert stats["hosts_lost"] == 1
             assert stats["requeues"] >= 1

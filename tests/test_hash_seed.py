@@ -4,8 +4,7 @@ Every process draws its own ``PYTHONHASHSEED``, and the seed orders any
 ``set`` of strings: a result whose key order came from one would print
 differently from one process to the next, while its ``fingerprint()`` dict
 still compared equal.  Two subprocesses under different seeds run the
-same requests, and their documents (``to_json()`` without
-``VOLATILE_RESULT_FIELDS``) must match byte for byte.
+same requests, and their ``canonical_bytes()`` must match byte for byte.
 """
 
 import json
@@ -30,7 +29,7 @@ for app, variant, n in json.loads(sys.argv[1]):
     result = execute(RunRequest(app, variant, nprocs=n, preset="test",
                                 seq_time=1.0))
     assert result.ok, result.error
-    print(json.dumps(result.fingerprint()))
+    print(result.canonical_bytes().decode())
 """
 
 

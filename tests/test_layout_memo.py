@@ -5,8 +5,8 @@ It sits under every handle's own region -> pages memo and keeps the page
 math of a layout from one run to the next.  Nothing a run reports may
 depend on what it holds: every ``sim_sync`` key and every ``serve_mix``
 key of the performance benchmark (read from ``benchmarks/perf/
-workloads.py``, not restated) must give the same ``fingerprint()`` —
-events, DSM counters such as ``region_cache_hits``, signatures — whether
+workloads.py``, not restated) must give the same ``canonical_bytes()``
+— events, DSM counters such as ``region_cache_hits``, signatures — whether
 the memo was warmed by other keys or empty, and whether or not it had to
 start over at its bound.
 """
@@ -31,8 +31,8 @@ KEYS = list(dict.fromkeys(SIM_SYNC.keys + SERVE_MIX.keys))
 
 
 def _identities(keys, clear_before_each: bool) -> dict:
-    """key id -> (fingerprint, signature), each run through a fresh
-    program cache so no compiled program carries state between passes."""
+    """key id -> canonical bytes, each run through a fresh program cache
+    so no compiled program carries state between passes."""
     cache = ProgramCache()
     out = {}
     for key in keys:
@@ -40,7 +40,7 @@ def _identities(keys, clear_before_each: bool) -> dict:
             LAYOUT_MEMO.clear()
         result = execute(key.request(), cache)
         assert result.ok, (key.id, result.error)
-        out[key.id] = (result.fingerprint(), result.signature)
+        out[key.id] = result.canonical_bytes()
     return out
 
 

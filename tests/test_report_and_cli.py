@@ -99,6 +99,15 @@ def test_cli_machine_override_is_checked_not_truncated():
                   "--machine", bad])
 
 
+def test_cli_machine_refuses_nprocs():
+    """Nothing reads ``MachineModel.nprocs``: the override would be
+    silently ignored, so it is refused and the real flag named."""
+    for command in (["run", "jacobi", "spf", "-n", "2"],
+                    ["sweep", "--apps", "jacobi", "--nodes", "8"]):
+        with pytest.raises(SystemExit, match="-n/--nprocs"):
+            main(command + ["--preset", "test", "--machine", "nprocs=5"])
+
+
 def test_cli_run_dsm_prints_stats(capsys):
     assert main(["run", "jacobi", "tmk", "-n", "2", "--preset", "test"]) == 0
     out = capsys.readouterr().out

@@ -18,6 +18,7 @@ The contract under test (see docs/API.md "Scheduling"):
   without the in-process tier importing ``repro.serve`` to say so.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -178,7 +179,7 @@ def test_parallel_sweep_document_is_bit_identical():
     serial = run_sweep(**kwargs)
     with RunService(workers=2) as svc:
         parallel = run_sweep(service=svc, **kwargs)
-    assert serial == parallel
+    assert json.dumps(serial) == json.dumps(parallel)
     assert serial["schema"] == "repro-sweep/3"
 
 

@@ -3,7 +3,8 @@
 The contract under test (see docs/API.md):
 
 * a mixed batch through the service returns results **bit-identical**
-  (``RunResult.fingerprint()``) to direct in-process ``execute`` calls;
+  (``RunResult.canonical_bytes()``) to direct in-process ``execute``
+  calls;
 * the per-worker compiled-program caches work and their hit/miss
   counters surface through ``RunResult.cache_hit`` and the batch/service
   counters;
@@ -57,8 +58,8 @@ def batch(service):
 def test_batch_results_bit_identical_to_direct_execution(batch):
     cache = ProgramCache()
     direct = [execute(r, cache) for r in REQUESTS]
-    assert [r.fingerprint() for r in batch.results] \
-        == [r.fingerprint() for r in direct]
+    assert [r.canonical_bytes() for r in batch.results] \
+        == [r.canonical_bytes() for r in direct]
 
 
 def test_batch_is_ordered_and_ok(batch):
@@ -82,8 +83,8 @@ def test_cache_counters_surface(service, batch):
     stats = service.stats()
     assert stats["cache"]["hits"] >= again.cache_hits
     assert stats["cache"]["misses"] >= batch.cache_misses
-    assert [r.fingerprint() for r in again.results] \
-        == [r.fingerprint() for r in batch.results]
+    assert [r.canonical_bytes() for r in again.results] \
+        == [r.canonical_bytes() for r in batch.results]
 
 
 def test_streaming_yields_every_index_once(service):
@@ -296,8 +297,8 @@ def test_wire_protocol_round_trip(service):
             assert wire_batch.ok and wire_batch.runs == len(REQUESTS)
             cache = ProgramCache()
             direct = [execute(r, cache) for r in REQUESTS]
-            assert [r.fingerprint() for r in wire_batch.results] \
-                == [r.fingerprint() for r in direct]
+            assert [r.canonical_bytes() for r in wire_batch.results] \
+                == [r.canonical_bytes() for r in direct]
             assert client.stats()["workers"] == 2
     finally:
         server.close()

@@ -128,7 +128,8 @@ def test_stream_batch_drop_marks_completed_and_pending():
     exc = info.value
     assert [e[:2] for e in events] == [("result", 0)]
     assert sorted(exc.completed) == [0]
-    assert exc.completed[0].fingerprint() == events[0][2].fingerprint()
+    assert exc.completed[0].canonical_bytes() \
+        == events[0][2].canonical_bytes()
     assert exc.pending == [1, 2]
     assert exc.in_flight == "b1"
     client.close()
