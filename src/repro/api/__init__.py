@@ -34,9 +34,8 @@ from repro.api import registry
 from repro.api.execute import (InProcess, ProgramCache, execute,
                                execute_with_arrays)
 from repro.api.registry import (APPS, DSM_VARIANTS, FIGURE_VARIANTS,
-                                IRREGULAR_APPS, MODELED_VARIANTS, MP_VARIANTS,
-                                PRESETS, REGULAR_APPS, VARIANTS, AppInfo,
-                                VariantInfo)
+                                IRREGULAR_APPS, MODELED_VARIANTS, PRESETS,
+                                REGULAR_APPS, VARIANTS, AppInfo, VariantInfo)
 from repro.api.types import (RUN_SCHEMA, BatchResult, RunRequest, RunResult,
                              dsm_stats_from_doc, dsm_stats_to_doc,
                              fault_plan_from_doc, fault_plan_to_doc,
@@ -57,7 +56,6 @@ __all__ = [
     "IRREGULAR_APPS",
     "VARIANTS",
     "DSM_VARIANTS",
-    "MP_VARIANTS",
     "MODELED_VARIANTS",
     "FIGURE_VARIANTS",
     "PRESETS",

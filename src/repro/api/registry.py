@@ -21,7 +21,7 @@ from typing import Optional
 from repro.eval.constants import (APPS, IRREGULAR_APPS, PAPER, REGULAR_APPS,
                                   VARIANT_NAMES)
 
-__all__ = ["VARIANTS", "DSM_VARIANTS", "MP_VARIANTS", "MODELED_VARIANTS",
+__all__ = ["VARIANTS", "DSM_VARIANTS", "MODELED_VARIANTS",
            "FIGURE_VARIANTS", "PRESETS",
            "VariantInfo", "AppInfo", "variant_info", "app_info",
            "app_names", "apps", "variants", "supports",
@@ -35,9 +35,6 @@ VARIANTS = ["seq", "spf", "tmk", "xhpf", "pvme", "spf_opt", "spf_old",
 #: shared-memory variants (race checking / coherent readback apply;
 #: ``repro racecheck`` accepts these, spf family first)
 DSM_VARIANTS = ("spf", "spf_opt", "spf_old", "tmk", "spf_spec")
-
-#: explicit message-passing variants (nothing shared; signatures bit-stable)
-MP_VARIANTS = ("xhpf", "xhpf_ie", "pvme")
 
 #: variants a ``mode="model"`` request may name: ``seq`` runs the oracle,
 #: compiler.model (which imports this) predicts the rest

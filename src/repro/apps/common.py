@@ -21,8 +21,8 @@ from repro.compiler.ir import (Access, Full, ParallelLoop, Program,
 
 __all__ = ["AppSpec", "APP_REGISTRY", "get_app", "register",
            "append_signature_loops", "partial_signature",
-           "combine_signatures", "signatures_close", "BLOCK_ELEMS",
-           "row_blocks"]
+           "combine_signatures", "signatures_close", "KNOWN_DEFECTS",
+           "BLOCK_ELEMS", "row_blocks"]
 
 APP_REGISTRY: dict = {}
 
@@ -44,7 +44,6 @@ class AppSpec:
     hand_tmk: Callable            # (tmk, params)
     hand_pvme: Callable           # (pvme, params)
     presets: dict = field(default_factory=dict)   # name -> params dict
-    signature_arrays: list = field(default_factory=list)
     spf_opt_options: Optional[Callable] = None
     """() -> SpfOptions reproducing the paper's hand optimizations."""
     notes: str = ""
@@ -144,6 +143,20 @@ def combine_signatures(parts: list) -> dict:
         for key, val in part.items():
             out[key] = out.get(key, 0.0) + val
     return out
+
+
+_UNSEEN_WRAPS = ("hand_tmk.wraps() writes col_wrap_rows through raw views, "
+                 "unseen once a page is untwinned (n >= 5: partitions are "
+                 "not page-aligned)")
+#: (app, variant, nprocs) -> why that run reports ``ok=True`` with a wrong
+#: signature (docs/PROTOCOL.md, "Known defects"); the correctness tests
+#: pin each as a strict xfail, and ``reproduce``'s check passes over them
+KNOWN_DEFECTS = {
+    ("igrid", "tmk", 2): "a re-fetched cumulative diff entry patches "
+                         "interval-1 words over rows the requester wrote",
+    ("shallow", "tmk", 5): _UNSEEN_WRAPS,
+    ("shallow", "tmk", 8): _UNSEEN_WRAPS,
+}
 
 
 def signatures_close(a: dict, b: dict, rtol: float = 1e-4) -> bool:

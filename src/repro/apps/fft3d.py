@@ -330,7 +330,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=["b"],
     spf_opt_options=lambda: SpfOptions(aggregate=True, fuse_loops=True),
     notes="Section 5.4; hand optimization = data aggregation",
 ))

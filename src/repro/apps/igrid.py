@@ -283,7 +283,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=[],     # final-grid signature name depends on parity
     spf_opt_options=None,    # the paper applies no hand optimization here
     notes="Section 6.1; irregular — DSM fetches on demand, XHPF broadcasts",
 ))

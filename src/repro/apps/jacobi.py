@@ -215,7 +215,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=["u", "scratch"],
     spf_opt_options=lambda: SpfOptions(aggregate=True),
     notes="Section 5.1; hand optimization = communication aggregation",
 ))

@@ -210,7 +210,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=["v"],
     spf_opt_options=lambda: SpfOptions(piggyback=_piggyback_hint),
     notes="Section 5.3; hand optimization = sync+data merge and broadcast",
 ))

@@ -290,7 +290,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=["pos", "forces"],
     spf_opt_options=None,
     notes="Section 6.2; irregular — partner lists defeat both compilers",
 ))

@@ -397,7 +397,6 @@ SPEC = register(AppSpec(
     hand_tmk=hand_tmk,
     hand_pvme=hand_pvme,
     presets=PRESETS,
-    signature_arrays=["p", "u", "v"],
     spf_opt_options=lambda: SpfOptions(aggregate=True, fuse_loops=True),
     notes="Section 5.2; hand optimization = loop merging + aggregation",
 ))

@@ -9,7 +9,9 @@
 2. **Run**: the whole plan is one batch through
    :func:`~repro.eval.parallel.run_requests` on one tier (``service``).
    Each distinct request runs once; :func:`~repro.api.execute` fills in
-   every result's sequential-oracle time itself.
+   every result's sequential-oracle time itself, and
+   :func:`check_signatures` holds every parallel result to the
+   sequential run's answer.
 3. **Render**: one :data:`~repro.eval.tables.RESULT_ORDER` renderer per
    archive.
 4. **Write**: ``results_dir/NAME.txt`` per archive;
@@ -30,6 +32,7 @@ from typing import Optional
 
 from repro.api.registry import FIGURE_VARIANTS
 from repro.api.types import RunRequest
+from repro.apps.common import KNOWN_DEFECTS, signatures_close
 from repro.eval.constants import APPS, PAPER
 from repro.eval.parallel import run_requests
 from repro.eval.tables import (ENHANCEMENTS, HAND_OPT_APPS, INSPECTOR_APPS,
@@ -38,7 +41,8 @@ from repro.eval.tables import (ENHANCEMENTS, HAND_OPT_APPS, INSPECTOR_APPS,
                                SENSITIVITY_PRESET, SENSITIVITY_RUNS)
 
 __all__ = ["RESULT_ORDER", "RESULTS_DIR", "Reproduction", "plan",
-           "reproduce", "format_report", "request_key", "run_all_variants"]
+           "reproduce", "check_signatures", "format_report", "request_key",
+           "run_all_variants"]
 
 RESULTS_DIR = (pathlib.Path(__file__).resolve().parents[3]
                / "benchmarks" / "results")
@@ -85,6 +89,8 @@ def _wanted(preset: str):
         for app, variant in SENSITIVITY_RUNS:
             yield req(app, variant, preset=SENSITIVITY_PRESET,
                       machine=machine)
+    for app, _variant in SENSITIVITY_RUNS:            # their oracles
+        yield req(app, "seq", preset=SENSITIVITY_PRESET)
 
 
 def plan(preset: str = "bench") -> list:
@@ -143,15 +149,38 @@ def _dispatch_units() -> tuple:
     return units(None), units(SpfOptions(fuse_loops=True))
 
 
+def check_signatures(requests: list, results: list) -> None:
+    """Every parallel result's signature agrees with its ``(app,
+    preset)`` sequential run's within ``rtol=1e-6``, the tolerance of
+    the application correctness tests; a mismatch raises
+    ``RuntimeError`` naming the cell.  The :data:`KNOWN_DEFECTS` cells
+    are passed over (at ``test`` size ``shallow/tmk`` n=8 is wrong)."""
+    oracle = {(request.app, request.preset): result.signature
+              for request, result in zip(requests, results)
+              if request.variant == "seq"}
+    for request, result in zip(requests, results):
+        want = oracle[request.app, request.preset]
+        known = (request.app, request.variant, request.nprocs)
+        if request.variant != "seq" and known not in KNOWN_DEFECTS \
+                and not signatures_close(result.signature, want, rtol=1e-6):
+            options = f" {request.options}" if request.options else ""
+            raise RuntimeError(
+                f"{request.app}/{request.variant}{options} "
+                f"n={request.nprocs} preset={request.preset}: signature "
+                f"{result.signature} is not the sequential run's {want}")
+
+
 def reproduce(preset: str = "bench", service=None,
               results_dir=RESULTS_DIR, progress=None) -> Reproduction:
     """Plan, run, render and write the fourteen archives.
 
     ``service``/``progress`` pick the tier and report completions as in
-    :func:`~repro.eval.parallel.run_requests`; a failed run raises.
+    :func:`~repro.eval.parallel.run_requests`; a failed run, or one whose
+    signature is not its sequential oracle's, raises.
     """
     requests = plan(preset)
     results = run_requests(requests, service, progress=progress)
+    check_signatures(requests, results)
     doc = Reproduction(preset, dict(zip(map(request_key, requests),
                                         results)),
                        _table1_rows(), _dispatch_units())

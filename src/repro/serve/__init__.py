@@ -13,16 +13,16 @@ see :mod:`repro.serve.wire` for the protocol).
 
 One level up, :class:`FleetService` (``python -m repro fleet``) presents
 the same surface but shards batches across several remote ``repro serve
---port PORT`` hosts — see :mod:`repro.serve.fleet`.  Both are the one
+--port PORT`` hosts — see :mod:`repro.serve.fleet`; :class:`WireClient`
+is a fleet of one such host.  All three are the one
 :class:`~repro.serve.service.Service` loop — oldest work first off a
 :class:`~repro.serve.scheduler.Backlog`, to targets that all speak
 ``repro-serve/1`` on a socket: pool workers on socketpairs, hosts on TCP.
 """
 
-from repro.serve.fleet import FleetService, parse_host
+from repro.serve.fleet import FleetService, WireClient, parse_host
 from repro.serve.service import DEFAULT_WORKERS, RunService
-from repro.serve.wire import (WIRE_SCHEMA, WireClient, WireConnectionLost,
-                              WireServer, serve_stdio)
+from repro.serve.wire import WIRE_SCHEMA, WireServer, serve_stdio
 from repro.serve.worker import DEFAULT_RUNNER
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "DEFAULT_RUNNER",
     "WIRE_SCHEMA",
     "WireClient",
-    "WireConnectionLost",
     "WireServer",
     "serve_stdio",
 ]

@@ -1,4 +1,5 @@
-"""`FleetService` — the multi-host front tier over ``repro-serve/1``.
+"""`FleetService` — the multi-host front tier over ``repro-serve/1``, and
+`WireClient`, a fleet of one host.
 
 One :class:`~repro.serve.RunService` scales to one host's cores.  The
 fleet tier is the next rung: the same
@@ -28,6 +29,7 @@ What a network tier needs that the pool didn't:
   host's loss means "someone else can run these", where a worker's means
   "this request kills workers"): never a silent drop, never a hang, and
   nothing runs twice because the backlog retires each seq exactly once.
+  A request goes back once; lost again, it fails as ``HostLost``.
   The host then gets one bounded reconnect, which blocks dispatch for at
   most the backoff sum (0.35 s at the defaults) while other hosts'
   results wait in their socket buffers;
@@ -39,6 +41,9 @@ Counters surface on ``stats()["fleet"]`` (per-host ``runs``/``requeues``,
 fleet-wide ``requeues``/``hosts_lost``/``retries``) and on every
 :class:`BatchResult` — where, at this level, ``crashes`` counts *host
 losses* during the batch.
+
+:class:`WireClient`, the client of one ``repro serve --port PORT``, is a
+fleet of that host plus :meth:`WireClient.run`: a loss means the same.
 """
 
 from __future__ import annotations
@@ -46,10 +51,11 @@ from __future__ import annotations
 import time as _time
 from typing import Iterable, Optional, Tuple
 
+from repro.api.types import RunResult
 from repro.serve.service import Service, Target
 from repro.serve.wire import JsonLines
 
-__all__ = ["FleetService", "parse_host", "DEFAULT_RETRIES",
+__all__ = ["FleetService", "WireClient", "parse_host", "DEFAULT_RETRIES",
            "DEFAULT_BACKOFF_S"]
 
 #: connect attempts beyond the first before a host is declared lost
@@ -173,7 +179,7 @@ class FleetService(Service):
                 self._ask(host, "stats")
                 host.last_rtt_ms = round(
                     1000.0 * (_time.perf_counter() - t0), 3)
-            except (OSError, LookupError):
+            except OSError:
                 self._targets.remove(host)
                 host.close()
         self._revive()
@@ -201,3 +207,17 @@ class FleetService(Service):
                 "retries": self._retry_attempts,
             },
         }
+
+
+class WireClient(FleetService):
+    """A fleet of one :class:`~repro.serve.WireServer` host, plus
+    :meth:`run`.  Every request gets exactly one result: losing the host
+    mid-call is a ``HostLost`` result; a call that finds it unreachable
+    raises ``ConnectionError``, as the fleet's does."""
+
+    def __init__(self, host: str, port: int, timeout: float = 300.0):
+        super().__init__([(host, port)], timeout=timeout)
+
+    def run(self, request) -> RunResult:
+        """One request (a :class:`RunRequest` or its doc) -> its result."""
+        return self.run_batch([request]).results[0]

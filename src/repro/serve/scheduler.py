@@ -9,13 +9,14 @@ value**: no IO, no threads, no clocks.  The
 single-threaded, so nothing here locks.
 
 What it holds: ``max_backlog`` admission, the oldest-first queue, the
-in-flight set, exactly-once :meth:`Backlog.retire`, requeue-at-head for
-work whose worker or host died, and the ``rejections``/``requeues``
-counters.  :meth:`Backlog.take` returns nothing *iff* nothing is queued,
-so an idle taker never waits while work does.
+in-flight set, exactly-once :meth:`Backlog.retire`, requeue-at-head —
+once per request — for work whose worker or host died, and the
+``rejections``/``requeues`` counters.  :meth:`Backlog.take` returns
+nothing *iff* nothing is queued, so an idle taker never waits while work
+does.
 
-Per-batch state (queue, in-flight set, seq -> item) lives from
-:meth:`Backlog.admit` to :meth:`Backlog.clear`; the counters persist.
+Per-batch state (queue, in-flight set, seq -> item, requeued seqs) lives
+from :meth:`Backlog.admit` to :meth:`Backlog.clear`; the counters persist.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ class Backlog:
         self._queue: deque = deque()     # queued seqs, oldest first
         self._inflight: set = set()      # seqs handed out, not yet retired
         self._items: dict = {}           # seq -> caller's item
+        self._requeued: set = set()      # seqs that went back once
 
     # ------------------------------------------------------------------ #
     # admission
@@ -120,18 +122,28 @@ class Backlog:
             self._inflight.remove(seq)
         else:
             self._queue.remove(seq)
+        self._requeued.discard(seq)
         return self._items.pop(seq)
 
-    def requeue(self, seqs: Iterable) -> int:
+    def requeue(self, seqs: Iterable) -> list:
         """Put in-flight ``seqs`` back at the *head* of the queue, in
         the order given (their taker died before finishing them — the
-        next taker gets them first).  Returns how many moved."""
-        back = [seq for seq in seqs if seq in self._inflight]
+        next taker gets them first).  A seq goes back once: one requeued
+        before is retired instead, and their items are returned for the
+        caller to fail."""
+        back, spent = [], []
+        for seq in seqs:
+            if seq in self._inflight:
+                if seq in self._requeued:
+                    spent.append(self.retire(seq))
+                else:
+                    back.append(seq)
         for seq in reversed(back):
             self._inflight.remove(seq)
             self._queue.appendleft(seq)
+        self._requeued.update(back)
         self.requeues += len(back)
-        return len(back)
+        return spent
 
     def drain(self) -> list:
         """Retire everything outstanding (nothing is left to run it on);
@@ -145,6 +157,7 @@ class Backlog:
         self._queue.clear()
         self._inflight.clear()
         self._items.clear()
+        self._requeued.clear()
 
     # ------------------------------------------------------------------ #
     # observability

@@ -149,17 +149,19 @@ class Service:
     # ------------------------------------------------------------------ #
     # the loop
 
-    def _dispatch(self) -> None:
+    def _dispatch(self) -> list:
         """Every idle target takes up to its capacity of the oldest
         queued requests (assignment recorded before the send): one
         request as ``run`` (answered by one ``result``), more as
         ``batch`` (``result`` lines by chunk index, then ``batch-done``).
+        Returns the ``[(index, result)]`` failed by a lost send.
         """
+        failed: list = []
         while self._backlog.queued:
             target = next((t for t in self._targets if not t.assigned),
                           None)
             if target is None:
-                return
+                break
             chunk = self._backlog.take(target.capacity)
             target.assigned = [seq for seq, _item in chunk]
             docs = [doc for _seq, (_index, doc) in chunk]
@@ -169,55 +171,69 @@ class Service:
                 else:
                     target.chan.send({"op": "batch", "requests": docs})
             except OSError as exc:
-                # the target died before it ever saw these requests: put
-                # them back at the head of the queue and declare the loss
-                # now — failing them as WorkerCrashed would blame requests
-                # the target never received; its stand-in is offered them
-                self._backlog.requeue(target.assigned)
-                target.assigned = []
-                self._lose(target, f"send failed: {exc}")
+                # the target never saw these requests: requeue them
+                # whatever its policy, never blame them as WorkerCrashed
+                failed += self._lose(target, f"send failed: {exc}",
+                                     sent=False)
+        return failed
 
     def _absorb(self, target: Target, msg: dict):
         """Account one line from ``target``; the ``(index, result)`` it
-        completes, if any.  A line the protocol does not allow here
-        raises (the caller declares the target lost)."""
+        completes, if any.  A line the protocol does not allow here (a
+        ``result`` for no unanswered slot of the chunk, an early
+        ``batch-done``, an ``error``, a reply that does not decode)
+        raises ``ConnectionError``: the caller declares the target lost."""
         op = msg.get("op")
-        if op == "result":
-            result = RunResult.from_json(msg["result"])
-            seq = target.assigned[msg["index"]]
-            if len(target.assigned) == 1:      # a ``run``: reply complete
+        try:
+            if op == "result":
+                index, chunk = msg.get("index"), target.assigned
+                if type(index) is not int or not 0 <= index < len(chunk) \
+                        or chunk[index] is None:
+                    raise ValueError(f"no request {index!r} awaits a "
+                                     f"result in a chunk of {len(chunk)}")
+                result = RunResult.from_json(msg["result"])
+                seq, chunk[index] = chunk[index], None
+                if len(chunk) == 1:            # a ``run``: reply complete
+                    target.assigned = []
+                target.runs += 1
+                item = self._backlog.retire(seq)   # None: the batch is over
+                return None if item is None else (item[0], result)
+            if op == "batch-done":
+                if any(seq is not None for seq in target.assigned):
+                    raise ValueError("a request of the chunk is unanswered")
                 target.assigned = []
-            target.runs += 1
-            item = self._backlog.retire(seq)   # None: stale, batch is over
-            return None if item is None else (item[0], result)
-        if op == "batch-done":
-            target.assigned = []
-        elif op == "hello":
-            if msg.get("schema") != WIRE_SCHEMA:
-                raise ConnectionError(f"unexpected wire schema: {msg}")
-            target.capacity = max(1, int(msg.get("workers", 1)))
-        else:
-            raise ConnectionError(f"unexpected {op!r} line: "
-                                  f"{msg.get('message', msg)}")
+            elif op == "hello":
+                if msg.get("schema") != WIRE_SCHEMA:
+                    raise ValueError(f"unexpected wire schema: {msg}")
+                target.capacity = max(1, int(msg.get("workers", 1)))
+            else:
+                raise ValueError(msg.get("message", msg))
+        except Exception as exc:  # noqa: BLE001 — any reply that is not one
+            raise ConnectionError(f"bad {op!r} line: {exc!r}") from exc
         return None
 
-    def _lose(self, target: Target, why: str) -> list:
+    def _lose(self, target: Target, why: str, sent: bool = True) -> list:
         """``target`` is dead: requeue or fail what it was running, bring
-        in its stand-in.  Returns the ``[(index, result)]`` it failed."""
+        in its stand-in.  Returns the ``[(index, result)]`` it failed — a
+        request lost after one requeue fails as ``exhausted``."""
         self._targets.remove(target)
-        seqs, target.assigned = target.assigned, []
+        seqs = [seq for seq in target.assigned if seq is not None]
+        target.assigned = []
         what = target.lost()
         self._last_loss = f"{what}: {why}"
-        failed = []
-        if target.requeue:
-            target.requeues += self._backlog.requeue(seqs)
+        if target.requeue or not sent:
+            before = self._backlog.requeues
+            spent = self._backlog.requeue(seqs)
+            target.requeues += self._backlog.requeues - before
+            kind = self.exhausted[0]
+            error = (f"{what} while running this request, which was "
+                     f"already requeued once: {why}")
         else:
-            for seq in seqs:
-                item = self._backlog.retire(seq)
-                if item is not None:
-                    failed.append((item[0], failure_result(
-                        item[1], f"{what} while running this request",
-                        "WorkerCrashed", worker=target.wid)))
+            spent = [item for item in map(self._backlog.retire, seqs)
+                     if item is not None]
+            kind, error = "WorkerCrashed", f"{what} while running this request"
+        failed = [(index, failure_result(doc, error, kind, worker=target.wid))
+                  for index, doc in spent]
         self._replace(target)
         return failed
 
@@ -249,7 +265,7 @@ class Service:
                                             target.chan.inbox.popleft())
                         if done is not None:
                             out.append(done)
-            except (OSError, LookupError, TypeError, ValueError) as exc:
+            except OSError as exc:
                 out += self._lose(target, str(exc))
         return out
 
@@ -285,7 +301,7 @@ class Service:
         try:
             yield from self._backlog.admit_requests(requests)
             while self._backlog.outstanding:
-                self._dispatch()
+                yield from self._dispatch()
                 if not self._targets:
                     kind, what = self.exhausted
                     for index, doc in self._backlog.drain():

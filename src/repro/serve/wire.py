@@ -29,10 +29,10 @@ Three servers answer these lines through the one :func:`_serve_lines`
 loop: ``repro serve`` on stdio, :class:`WireServer` per TCP connection
 (``--port``), and every pool worker process on its socketpair
 (:func:`serve_socket` — a worker is a one-worker wire peer that is only
-ever sent ``run``, ``stats`` and ``bye``).  Two clients read them off a
-:class:`JsonLines` socket end: :class:`WireClient`, the blocking
-in-library client, and the :class:`~repro.serve.service.Service`
-dispatch loop, which multiplexes many such ends.
+ever sent ``run``, ``stats`` and ``bye``).  One client reads them off
+:class:`JsonLines` socket ends: the :class:`~repro.serve.service.Service`
+dispatch loop, which multiplexes many such ends — a pool's workers, a
+fleet's hosts, and :class:`~repro.serve.WireClient`, a fleet of one host.
 """
 
 from __future__ import annotations
@@ -44,39 +44,12 @@ import threading
 from collections import deque
 from typing import Iterable, Optional
 
-from repro.api.types import BatchResult, RunResult
+from repro.api.types import RunResult
 
 WIRE_SCHEMA = "repro-serve/1"
 
 __all__ = ["WIRE_SCHEMA", "JsonLines", "serve_stdio", "serve_socket",
-           "WireServer", "WireClient", "WireConnectionLost"]
-
-
-class WireConnectionLost(ConnectionError):
-    """The peer went away mid-conversation.
-
-    Raised instead of a bare ``JSONDecodeError``/``IndexError`` when the
-    socket returns EOF, a partial line, or a garbled line.  Structured so
-    a retrying caller can act on it:
-
-    * ``host``/``port`` — the endpoint that was lost;
-    * ``in_flight`` — the id (or op) of the request awaiting a reply;
-    * ``completed``/``pending`` — for a batch stream, which batch indexes
-      had already produced results and which were still in flight when
-      the connection died (``completed`` maps index -> RunResult).
-    """
-
-    def __init__(self, message: str, host: Optional[str] = None,
-                 port: Optional[int] = None,
-                 in_flight: Optional[object] = None,
-                 completed: Optional[dict] = None,
-                 pending: Optional[list] = None):
-        super().__init__(message)
-        self.host = host
-        self.port = port
-        self.in_flight = in_flight
-        self.completed = dict(completed or {})
-        self.pending = list(pending or [])
+           "WireServer"]
 
 
 class JsonLines:
@@ -331,157 +304,3 @@ class WireServer:
             self._tcp.server_close()
         except OSError:
             pass
-
-
-def _an_object(value) -> dict:
-    if not isinstance(value, dict):
-        raise TypeError(f"not an object: {value!r}")
-    return value
-
-
-def _batch_index(value, size: int) -> int:
-    if type(value) is not int or not 0 <= value < size:
-        raise ValueError(f"no request {value!r} in a batch of {size}")
-    return value
-
-
-class WireClient:
-    """Minimal blocking JSON-lines client for a :class:`WireServer`.
-
-    Connection loss anywhere in a conversation raises the structured
-    :class:`WireConnectionLost` (endpoint + in-flight request id), never
-    a bare ``JSONDecodeError``/``IndexError`` from an empty or truncated
-    read; so does a reply that is not the one due or does not decode.
-    ``close()``/``__exit__`` are idempotent and safe after the server has
-    already gone away.
-    """
-
-    def __init__(self, host: str, port: int, timeout: float = 300.0):
-        self.host, self.port = host, int(port)
-        self._closed = False
-        self._in_flight: object = "hello"
-        self._chan = JsonLines.connect(host, port, timeout)
-        self.hello = self._recv()
-        if self.hello.get("schema") != WIRE_SCHEMA:
-            raise RuntimeError(f"unexpected wire schema: {self.hello}")
-
-    def _lost(self, why: str) -> WireConnectionLost:
-        return WireConnectionLost(
-            f"connection to {self.host}:{self.port} lost while "
-            f"{self._in_flight!r} was in flight: {why}",
-            host=self.host, port=self.port, in_flight=self._in_flight)
-
-    def _send(self, obj: dict) -> None:
-        if self._closed:
-            raise self._lost("client already closed")
-        self._in_flight = obj.get("id") or obj.get("op")
-        try:
-            self._chan.send(obj)
-        except OSError as exc:
-            raise self._lost(f"send failed: {exc}") from exc
-
-    def _recv(self) -> dict:
-        try:
-            return self._chan.recv()
-        except OSError as exc:     # EOF, partial, garbled, timeout
-            raise self._lost(str(exc)) from exc
-
-    def _call(self, obj: dict, reply: str) -> dict:
-        """One request, one reply of op ``reply`` (an ``error`` reply
-        raises ``RuntimeError``; any other op is a malformed reply)."""
-        self._send(obj)
-        msg = self._recv()
-        if msg.get("op") == "error":
-            raise RuntimeError(msg.get("message"))
-        if msg.get("op") != reply:
-            raise self._lost(f"malformed reply: {msg.get('op')!r} line "
-                             f"where {reply!r} was due")
-        return msg
-
-    def _decode(self, msg: dict, field: str, decode):
-        """``decode(msg[field])``; a reply that does not decode is as
-        broken as a garbled line: :class:`WireConnectionLost`."""
-        try:
-            return decode(msg[field])
-        except Exception as exc:  # noqa: BLE001 — any undecodable reply
-            raise self._lost(f"malformed reply: {msg.get('op')!r} line "
-                             f"with no valid {field!r}: {exc!r}") from exc
-
-    def run(self, request, id: Optional[object] = None) -> RunResult:
-        doc = request.to_json() if hasattr(request, "to_json") else request
-        msg = self._call({"op": "run", "id": id, "request": doc}, "result")
-        return self._decode(msg, "result", RunResult.from_json)
-
-    def stream_batch(self, requests: Iterable,
-                     id: Optional[object] = None):
-        """Send a batch; yield streamed messages, ending in batch-done.
-
-        Yields ``("result", index, RunResult)`` per completion, then
-        ``("batch", None, BatchResult)``.  If the connection drops
-        mid-stream the raised :class:`WireConnectionLost` fails fast
-        (EOF, not the read timeout) and marks the split: ``completed``
-        maps the batch indexes that produced results to them, ``pending``
-        lists the indexes that were still in flight — a retrying caller
-        resends exactly ``pending``, nothing twice.
-        """
-        docs = [r.to_json() if hasattr(r, "to_json") else r
-                for r in requests]
-        completed: dict = {}
-        try:
-            self._send({"op": "batch", "id": id, "requests": docs})
-            while True:
-                msg = self._recv()
-                op = msg.get("op")
-                if op == "result":
-                    index = self._decode(msg, "index", lambda value:
-                                         _batch_index(value, len(docs)))
-                    result = self._decode(msg, "result",
-                                          RunResult.from_json)
-                    completed[index] = result
-                    yield ("result", index, result)
-                elif op == "batch-done":
-                    yield ("batch", None, self._decode(
-                        msg, "batch", BatchResult.from_json))
-                    return
-                elif op == "error":
-                    raise RuntimeError(msg.get("message"))
-        except WireConnectionLost as exc:
-            exc.completed = dict(completed)
-            exc.pending = [i for i in range(len(docs))
-                           if i not in completed]
-            raise
-
-    def run_batch(self, requests: Iterable) -> BatchResult:
-        batch = None
-        for kind, _index, payload in self.stream_batch(requests):
-            if kind == "batch":
-                batch = payload
-        return batch
-
-    def stats(self) -> dict:
-        return self._decode(self._call({"op": "stats"}, "stats"), "stats",
-                            _an_object)
-
-    def shutdown(self) -> None:
-        try:
-            self._send({"op": "shutdown"})
-            self._recv()
-        except WireConnectionLost:
-            pass           # the point was to take the server down
-
-    def close(self) -> None:
-        """Idempotent; safe when the server is already gone."""
-        if self._closed:
-            return
-        try:
-            self._send({"op": "bye"})
-        except WireConnectionLost:
-            pass
-        self._closed = True
-        self._chan.close()
-
-    def __enter__(self) -> "WireClient":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -1,17 +1,42 @@
-"""Injectable worker runners for the serve e2e tests.
+"""Injectable worker runners for the serve e2e tests, and a raw wire
+session for the tests that check what a server sends.
 
-These must live in an importable module (not a test function): the
-service resolves the runner from its ``"module:attr"`` dotted path
+The runners must live in an importable module (not a test function):
+the service resolves the runner from its ``"module:attr"`` dotted path
 inside the worker, and a spawned worker (a pool started next to another
 thread) imports it afresh.
 The echo runner answers instantly, so crash/failure plumbing can be
 tested without paying for real simulator runs.
 """
 
+import contextlib
 import os
 import time
 
 from repro.api.types import RunRequest, RunResult
+from repro.serve.wire import JsonLines
+
+
+@contextlib.contextmanager
+def raw_wire(server, timeout: float = 10.0):
+    """A plain ``repro-serve/1`` connection to a ``WireServer``:
+    ``(channel, hello)``."""
+    chan = JsonLines.connect(server.host, server.port, timeout)
+    try:
+        yield chan, chan.recv()
+    finally:
+        chan.close()
+
+
+def wire_batch(chan, requests) -> list:
+    """Send one ``batch`` op on ``chan``; its reply lines, in order,
+    through the ``batch-done`` (or ``error``) that ends them."""
+    chan.send({"op": "batch", "requests": [
+        r.to_json() if isinstance(r, RunRequest) else r for r in requests]})
+    replies = [chan.recv()]
+    while replies[-1]["op"] == "result":
+        replies.append(chan.recv())
+    return replies
 
 
 def echo_runner(request_doc, cache):

@@ -9,7 +9,8 @@ divisible and non-divisible processor counts.
 import pytest
 
 from repro.api import RunRequest, execute
-from repro.apps.common import APP_REGISTRY, get_app, signatures_close
+from repro.apps.common import (APP_REGISTRY, KNOWN_DEFECTS, get_app,
+                               signatures_close)
 
 APPS = ["jacobi", "shallow", "mgs", "fft3d", "igrid", "nbf"]
 VARIANTS = ["spf", "tmk", "xhpf", "pvme"]
@@ -31,24 +32,8 @@ def test_registry_complete():
         assert spec.regular == (app in ("jacobi", "shallow", "mgs", "fft3d"))
 
 
-# Wrong numbers with ok=True, pinned until fixed (docs/PROTOCOL.md, "Known
-# defects"; fixing either moves the benchmark's golden digests).
-_IGRID_TMK_2 = (
-    "protocol defect on a race-free multi-writer page: p0 initialises the "
-    "whole page, a mid-interval serve caches a cumulative entry (top=2, "
-    "wm=1), the requester claims only wm, the next notice re-fetches with "
-    "from_id=1, top > from_id re-sends the whole entry and _apply_replies "
-    "patches interval-1 words over rows the requester wrote itself since")
-_SHALLOW_TMK_5UP = (
-    "application defect: hand_tmk.wraps() writes col_wrap_rows through raw "
-    "views with no writable() call, so once a barrier notice has diffed, "
-    "untwinned and invalidated a shared page (partitions not page-aligned "
-    "at n >= 5) the column copies are never detected")
-KNOWN_DEFECTS = {("igrid", "tmk", 2): _IGRID_TMK_2,
-                 ("shallow", "tmk", 5): _SHALLOW_TMK_5UP,
-                 ("shallow", "tmk", 8): _SHALLOW_TMK_5UP}
-
-
+# wrong numbers with ok=True (KNOWN_DEFECTS) are strict xfails until
+# fixed; fixing either moves the benchmark's golden digests
 def _cases(variants, counts, historical):
     """(app, variant, nprocs) params; ids keep their pre-matrix form at the
     ``historical`` processor count and gain an ``-nN`` suffix elsewhere."""

@@ -84,3 +84,24 @@ def test_cli_reproduce(tmp_path, capsys):
     # request ran once
     runs = [line for line in captured.err.splitlines() if " n=" in line]
     assert len(runs) == len(plan("test"))
+
+
+def test_a_wrong_signature_names_its_cell():
+    """Every parallel result is held to its (app, preset) oracle; one
+    planted wrong signature stops the reproduction, naming the cell."""
+    from repro.api import RunResult
+    from repro.eval.reproduce import check_signatures
+
+    requests = [r for r in plan("test") if r.app == "jacobi"]
+    results = [RunResult(app=r.app, variant=r.variant, nprocs=r.nprocs,
+                         preset=r.preset, signature={"u": 1.0})
+               for r in requests]
+    check_signatures(requests, results)
+    wrong = next(i for i, r in enumerate(requests)
+                 if r.variant == "spf" and r.options)
+    results[wrong] = RunResult(app="jacobi", variant="spf", nprocs=8,
+                               preset="test", signature={"u": 1.0 + 2e-6})
+    with pytest.raises(RuntimeError) as info:
+        check_signatures(requests, results)
+    assert str(info.value).startswith(
+        f"jacobi/spf {requests[wrong].options} n=8 preset=test: ")

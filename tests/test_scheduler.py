@@ -2,7 +2,8 @@
 
 The slow e2e files (``test_scheduling.py``, ``test_fleet.py``) pin the
 two transports; this one pins the queue they share — FIFO hand-out,
-requeue-at-head, exactly-once retire, admission — first as a table of
+requeue-at-head (once per request), exactly-once retire, admission —
+first as a table of
 hand-built situations, then as a Hypothesis state machine over random
 admit / take / retire / die sequences.
 """
@@ -57,7 +58,7 @@ def test_take_order(why, ops, want):
             got += items(takes[-1])
         elif op == "die":
             lost = [seq for seq, _item in takes[arg]]
-            assert backlog.requeue(lost) == len(lost)
+            assert backlog.requeue(lost) == []
         else:
             assert backlog.retire(seq_of[arg]) == arg
     assert got == want
@@ -68,14 +69,16 @@ def test_requeue_goes_to_the_head_in_order():
     for name in "abcd":
         backlog.admit(name)
     taken = [seq for seq, _item in backlog.take(2)]
-    assert backlog.requeue(taken) == 2 and backlog.requeues == 2
+    assert backlog.requeue(taken) == [] and backlog.requeues == 2
+    # only in-flight work can go back: a queued seq does not move
+    assert backlog.requeue(taken) == [] and backlog.requeues == 2
     assert items(backlog.take(4)) == ["a", "b", "c", "d"]
-    # only in-flight work can go back: a second requeue moves nothing,
-    # and a retired seq stays retired
-    assert backlog.requeue(taken[:1]) == 1
-    assert backlog.requeue(taken[:1]) == 0
-    assert items(backlog.take()) == ["a"] and backlog.retire(taken[0]) == "a"
-    assert backlog.requeue(taken[:1]) == 0 and backlog.requeues == 3
+    # and only once: lost again, a requeued seq is retired and its item
+    # handed back for the caller to fail; a retired seq stays retired
+    assert backlog.requeue(taken[:1]) == ["a"]
+    assert backlog.requeue(taken[:1]) == []
+    assert backlog.retire(taken[0]) is None
+    assert backlog.requeues == 2 and backlog.outstanding == 3
 
 
 def test_admission_counts_queued_plus_in_flight():
@@ -175,15 +178,20 @@ class SchedulerMachine(RuleBasedStateMachine):
     @rule(victim=st.sampled_from(TARGETS), data=st.data())
     def die(self, victim, data):
         """The transports' death protocol: requeue at the head, in the
-        order the transport names them."""
+        order the transport names them — except a seq requeued before,
+        which is retired and handed back to be failed."""
         lost = data.draw(st.permutations(
             sorted(s for s, t in self.inflight.items() if t == victim)))
-        assert self.backlog.requeue(lost) == len(lost)
-        assert self.backlog.requeue(lost) == 0      # they are queued now
-        self.order = list(lost) + self.order
+        back = [seq for seq in lost if seq not in self.requeued]
+        spent = [seq for seq in lost if seq in self.requeued]
+        assert self.backlog.requeue(lost) == [("item", seq) for seq in spent]
+        assert self.backlog.requeue(lost) == []     # queued or retired now
+        self.order = back + self.order
         for seq in lost:
             del self.inflight[seq]
+        for seq in back:
             self.requeued[seq] = self.requeued.get(seq, 0) + 1
+        self.retired.update(spent)
 
     @invariant()
     def exactly_once(self):
@@ -194,6 +202,10 @@ class SchedulerMachine(RuleBasedStateMachine):
             held = (seq in self.inflight) or (seq in self.retired)
             assert self.handed[seq] \
                 == self.requeued.get(seq, 0) + (1 if held else 0)
+
+    @invariant()
+    def no_seq_is_requeued_twice(self):
+        assert all(times == 1 for times in self.requeued.values())
 
     @invariant()
     def counters_add_up(self):

@@ -26,8 +26,9 @@ import time
 
 import pytest
 
-from repro.api import RunRequest
+from repro.api import BatchResult, RunRequest, RunResult
 from repro.serve import RunService, WireClient, WireServer
+from tests.serve_helpers import raw_wire, wire_batch
 
 ECHO = "tests.serve_helpers:echo_runner"
 
@@ -67,16 +68,17 @@ def test_rejection_round_trips_the_wire():
         server = WireServer(svc)
         server.serve_in_thread()
         try:
-            with WireClient(server.host, server.port) as client:
-                events = list(client.stream_batch(
-                    [_req(tag=f"r{i}") for i in range(4)]))
-                results = [p for k, _i, p in events if k == "result"]
-                assert len(results) == 4
-                batch = events[-1][2]
-                assert batch.rejected == 2 and not batch.ok
-                assert sum(1 for r in results
-                           if r.error_kind == "Rejected") == 2
-                assert client.stats()["scheduler"]["rejections"] == 2
+            with raw_wire(server) as (chan, _hello):
+                replies = wire_batch(chan,
+                                     [_req(tag=f"r{i}") for i in range(4)])
+            results = [RunResult.from_json(msg["result"])
+                       for msg in replies if msg["op"] == "result"]
+            assert len(results) == 4
+            batch = BatchResult.from_json(replies[-1]["batch"])
+            assert batch.rejected == 2 and not batch.ok
+            assert sum(1 for r in results
+                       if r.error_kind == "Rejected") == 2
+            assert svc.stats()["scheduler"]["rejections"] == 2
         finally:
             server.close()
 
@@ -98,14 +100,14 @@ def test_bad_request_doc_over_the_wire_then_next_batch_ok():
         server = WireServer(svc)
         server.serve_in_thread()
         try:
+            with raw_wire(server) as (chan, _hello):
+                replies = wire_batch(chan, [good, {"app": "jacobi"}, good])
+            assert [msg["op"] for msg in replies] \
+                == ["result"] * 3 + ["batch-done"]
+            batch = BatchResult.from_json(replies[-1]["batch"])
+            assert [r.error_kind for r in batch.results] \
+                == [None, "BadRequest", None]
             with WireClient(server.host, server.port) as client:
-                events = list(client.stream_batch(
-                    [good, {"app": "jacobi"}, good]))
-                kinds = [k for k, _i, _p in events]
-                assert kinds == ["result"] * 3 + ["batch"]
-                batch = events[-1][2]
-                assert [r.error_kind for r in batch.results] \
-                    == [None, "BadRequest", None]
                 assert client.run_batch([good, good]).ok
                 assert client.run({"app": "jacobi"}).error_kind \
                     == "BadRequest"
@@ -145,13 +147,13 @@ def test_one_request_wire_batch_does_not_stall_on_nagle():
         server = WireServer(svc)
         server.serve_in_thread()
         try:
-            with WireClient(server.host, server.port) as client:
+            with raw_wire(server) as (chan, _hello):
                 walls = []
                 for _ in range(9):
                     t0 = time.perf_counter()
-                    events = list(client.stream_batch([_req()]))
+                    replies = wire_batch(chan, [_req()])
                     walls.append(time.perf_counter() - t0)
-                    assert events[-1][2].ok
+                    assert replies[-1]["batch"]["ok"]
                 assert sorted(walls)[len(walls) // 2] < 0.020
         finally:
             server.close()

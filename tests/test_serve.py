@@ -30,8 +30,9 @@ import warnings
 
 import pytest
 
-from repro.api import ProgramCache, RunRequest, execute
+from repro.api import BatchResult, ProgramCache, RunRequest, execute
 from repro.serve import WIRE_SCHEMA, RunService, WireClient, WireServer
+from tests.serve_helpers import raw_wire, wire_batch
 
 #: tiny standard-preset mix: two DSM variants, one MP, one sequential
 REQUESTS = [
@@ -285,20 +286,28 @@ def test_wire_protocol_round_trip(service):
     server = WireServer(service)
     server.serve_in_thread()
     try:
+        with raw_wire(server) as (chan, hello):
+            assert hello == {"op": "hello", "schema": WIRE_SCHEMA,
+                             "workers": 2}
+            replies = wire_batch(chan, REQUESTS)
+        kinds = [msg["op"] for msg in replies]
+        assert kinds == ["result"] * len(REQUESTS) + ["batch-done"]
+        assert sorted(msg["index"] for msg in replies[:-1]) \
+            == list(range(len(REQUESTS)))
+        wire_batch_doc = BatchResult.from_json(replies[-1]["batch"])
+        assert wire_batch_doc.ok and wire_batch_doc.runs == len(REQUESTS)
+        cache = ProgramCache()
+        direct = [execute(r, cache) for r in REQUESTS]
+        assert [r.canonical_bytes() for r in wire_batch_doc.results] \
+            == [r.canonical_bytes() for r in direct]
+        # the client end: the same runs, one chunk per host worker count
         with WireClient(server.host, server.port) as client:
-            assert client.hello["workers"] == 2
             single = client.run(REQUESTS[0])
             assert single.ok and single.variant == "spf"
-            events = list(client.stream_batch(REQUESTS))
-            kinds = [k for k, _i, _p in events]
-            assert kinds.count("result") == len(REQUESTS)
-            assert kinds[-1] == "batch"
-            wire_batch = events[-1][2]
-            assert wire_batch.ok and wire_batch.runs == len(REQUESTS)
-            cache = ProgramCache()
-            direct = [execute(r, cache) for r in REQUESTS]
-            assert [r.canonical_bytes() for r in wire_batch.results] \
-                == [r.canonical_bytes() for r in direct]
-            assert client.stats()["workers"] == 2
+            batch = client.run_batch(REQUESTS)
+            assert client.workers == 2
+        assert [r.canonical_bytes() for r in batch.results] \
+            == [r.canonical_bytes() for r in direct]
+        assert service.stats()["workers"] == 2
     finally:
         server.close()

@@ -25,7 +25,9 @@ class Peer(JsonLines):
     """A fake target's channel.  ``script`` is consumed one action per
     request received — ``"ok"`` (the default once it runs out) echoes a
     result carrying the request's tag, ``"die"`` closes the far end with
-    the request in flight, ``"garble"`` answers with a non-JSON line."""
+    the request in flight, ``"garble"`` answers with a non-JSON line,
+    ``"skip"`` leaves the request unanswered, and any other value echoes
+    the result under that value as its ``index``."""
 
     def __init__(self, label, script, log):
         ours, self.far = socket.socketpair()
@@ -46,11 +48,14 @@ class Peer(JsonLines):
                 return self.far.close()
             if action == "garble":
                 return self.far.sendall(b"!!not json!!\n")
+            if action == "skip":
+                continue
             request = RunRequest.from_json(doc)
             result = RunResult(app=request.app, variant=request.variant,
                                nprocs=request.nprocs, preset=request.preset,
                                time=1.0, tag=request.tag)
-            self._answer({"op": "result", "index": index,
+            self._answer({"op": "result",
+                          "index": index if action == "ok" else action,
                           "result": result.to_json()})
         if obj["op"] == "batch":
             self._answer({"op": "batch-done"})
@@ -139,6 +144,25 @@ LOSS = [
      [(2, True, ["ok", "garble"], False), (1, True, [], False)], 5, HOSTLOST,
      ["r0", "r1", "r2", "r3", "r4"],
      {"t0": ["r0", "r1"], "t1": ["r2", "r1", "r3", "r4"]}, 1, 1),
+    # r0's result under index -1 would land on r2: the first forged index
+    # loses t0 before any of its answers counts
+    ("a forged index loses the target, and no result lands elsewhere",
+     [(3, True, [-1, 0, True], False), (1, True, [], False)], 3, HOSTLOST,
+     ["r0", "r1", "r2"],
+     {"t0": ["r0", "r1", "r2"], "t1": ["r0", "r1", "r2"]}, 1, 3),
+    ("a second answer to one request loses the target",
+     [(3, True, ["ok", 0], False), (1, True, [], False)], 3, HOSTLOST,
+     ["r0", "r1", "r2"], {"t0": ["r0", "r1", "r2"], "t1": ["r1", "r2"]},
+     1, 2),
+    ("a batch-done before every result loses the target",
+     [(2, True, ["ok", "skip"], False), (1, True, [], False)], 2, HOSTLOST,
+     ["r0", "r1"], {"t0": ["r0", "r1"], "t1": ["r1"]}, 1, 1),
+    # t2 never gets r0: lost by two targets, it fails instead of going
+    # round again
+    ("a request requeued once fails at its second loss",
+     [(1, True, ["die"], False), (1, True, ["die"], False),
+      (1, True, [], False)], 1, HOSTLOST,
+     ["HostLost"], {"t0": ["r0"], "t1": ["r0"]}, 2, 1),
     ("no target left: the pool drains as WorkerCrashed",
      [(1, False, ["die"], False)], 3, None,
      ["WorkerCrashed"] * 3, {"t0": ["r0"]}, 1, 0),
@@ -172,3 +196,9 @@ def test_loss_messages_name_the_target_and_the_cause():
     assert "t0 was lost while running this request" in seen[0].error
     assert "no live target remains (last lost: t0 was lost: EOF" \
         in seen[1].error
+    seen, _svc = run([fake("t0", requeue=True, script=["garble"], log=[]),
+                      fake("t1", requeue=True, script=["die"], log=[]),
+                      fake("t2", log=[])], 1, HOSTLOST)
+    assert seen[0].error.startswith(
+        "t1 was lost while running this request, which was already "
+        "requeued once: EOF")

@@ -1,15 +1,16 @@
-"""Wire-layer failure semantics (the PR's bugfix sweep).
+"""Wire-layer failure semantics.
 
-The contract under test (see docs/API.md):
+The contract under test (see docs/API.md "Wire failure semantics"):
 
-* a dead/garbled/truncated peer raises the structured
-  :class:`~repro.serve.WireConnectionLost` — carrying the endpoint and
-  the in-flight request id — never a bare ``JSONDecodeError`` or
+* the client of one host (:class:`~repro.serve.WireClient`, a fleet of
+  one) turns a dead, garbled or truncated peer into one structured
+  ``HostLost`` result per unfinished request, naming the endpoint and
+  the cause — never an exception, never a bare ``JSONDecodeError`` or
   ``IndexError`` out of an empty read;
-* a mid-stream connection drop during :meth:`WireClient.stream_batch`
-  fails fast and marks the split: ``completed`` maps the indexes that
-  already produced results to them, ``pending`` lists the ones still in
-  flight (the fleet tier requeues exactly ``pending``);
+* a connection dropped mid-batch keeps the results that arrived before
+  the drop and fails only the rest;
+* a host that answers every request with an ``error`` line is not
+  resent to forever: each request goes back once, then fails;
 * a server whose client has gone (a reply fails with ``BrokenPipeError``)
   ends the conversation quietly as ``"eof"``, and a ``shutdown`` still
   holds;
@@ -26,9 +27,10 @@ import threading
 import pytest
 
 from repro.api import RunRequest, RunResult
-from repro.serve import (RunService, WireClient, WireConnectionLost,
+from repro.serve import (FleetService, RunService, WireClient,
                          WireServer)
 from repro.serve.wire import _serve_lines, serve_socket
+from tests.serve_helpers import raw_wire
 
 ECHO = "tests.serve_helpers:echo_runner"
 
@@ -62,77 +64,92 @@ def scripted_server(handler):
     return host, port
 
 
-# ---------------------------------------------------------------------- #
-# structured connection-lost errors out of _recv
+def host_lost(result, host, port, cause) -> bool:
+    return (not result.ok and result.error_kind == "HostLost"
+            and f"{host}:{port} was lost: {cause}" in result.error)
 
-def test_eof_mid_request_is_structured_not_json_error():
+
+# ---------------------------------------------------------------------- #
+# a lost connection is a structured result
+
+def _lost_after(reply, cause):
     def handler(conn):
         conn.sendall(HELLO.encode())
         conn.makefile("r").readline()          # swallow the run op
+        conn.sendall(reply)
 
     host, port = scripted_server(handler)
-    client = WireClient(host, port, timeout=10.0)
-    with pytest.raises(WireConnectionLost) as info:
-        client.run(REQ, id="req-7")
-    exc = info.value
-    assert (exc.host, exc.port) == (host, port)
-    assert exc.in_flight == "req-7"
-    assert "EOF" in str(exc)
-    client.close()
+    with WireClient(host, port, timeout=10.0) as client:
+        result = client.run(REQ)
+    assert host_lost(result, host, port, cause), result.error
+
+
+def test_eof_mid_request_is_structured_not_json_error():
+    _lost_after(b"", "EOF")
 
 
 def test_partial_line_is_structured():
-    def handler(conn):
-        conn.sendall(HELLO.encode())
-        conn.makefile("r").readline()
-        conn.sendall(b'{"op": "result"')       # truncated, no newline
-
-    host, port = scripted_server(handler)
-    client = WireClient(host, port, timeout=10.0)
-    with pytest.raises(WireConnectionLost, match="partial line"):
-        client.run(REQ, id="req-8")
-    client.close()
+    _lost_after(b'{"op": "result"', "partial line")   # no newline
 
 
 def test_garbled_line_is_structured():
+    _lost_after(b"!!not json!!\n", "garbled line")
+
+
+def test_a_drop_mid_batch_keeps_what_completed_and_fails_the_rest():
     def handler(conn):
         conn.sendall(HELLO.encode())
-        conn.makefile("r").readline()
-        conn.sendall(b"!!not json!!\n")
-
-    host, port = scripted_server(handler)
-    client = WireClient(host, port, timeout=10.0)
-    with pytest.raises(WireConnectionLost, match="garbled"):
-        client.run(REQ, id="req-9")
-    client.close()
-
-
-# ---------------------------------------------------------------------- #
-# stream_batch fail-fast with the completed/pending split
-
-def test_stream_batch_drop_marks_completed_and_pending():
-    def handler(conn):
-        conn.sendall(HELLO.encode())
-        conn.makefile("r").readline()          # the batch op
-        msg = {"op": "result", "id": "b1", "index": 0,
-               "result": RESULT_DOC}
+        conn.makefile("r").readline()          # the first chunk: two
+        msg = {"op": "result", "index": 0, "result": RESULT_DOC}
         conn.sendall((json.dumps(msg) + "\n").encode())
-        # die with indexes 1 and 2 still in flight
+        # die with index 1 of the chunk still in flight
 
     host, port = scripted_server(handler)
-    client = WireClient(host, port, timeout=10.0)
-    events = []
-    with pytest.raises(WireConnectionLost) as info:
-        for event in client.stream_batch([REQ, REQ, REQ], id="b1"):
-            events.append(event)
-    exc = info.value
-    assert [e[:2] for e in events] == [("result", 0)]
-    assert sorted(exc.completed) == [0]
-    assert exc.completed[0].canonical_bytes() \
-        == events[0][2].canonical_bytes()
-    assert exc.pending == [1, 2]
-    assert exc.in_flight == "b1"
-    client.close()
+    with WireClient(host, port, timeout=10.0) as client:
+        batch = client.run_batch([REQ, REQ, REQ])
+        assert client.stats()["fleet"]["requeues"] == 1
+    first, *rest = batch.results
+    assert first.canonical_bytes() \
+        == RunResult.from_json(RESULT_DOC).canonical_bytes()
+    assert all(host_lost(r, host, port, "EOF") for r in rest)
+    assert batch.crashes == 1
+
+
+class _Refuses:
+    """A service that answers every request with an ``error`` line."""
+
+    workers = 2
+
+    def stream(self, requests):
+        raise RuntimeError("no runs here")
+
+    def run_batch(self, requests, on_result=None):
+        raise RuntimeError("no runs here")
+
+    def stats(self):
+        return {"workers": 2}
+
+
+def test_an_error_answering_host_is_resent_once_then_fails():
+    server = WireServer(_Refuses())
+    server.serve_in_thread()
+    fleet = FleetService([f"{server.host}:{server.port}"], retries=0,
+                         timeout=5.0)
+    batches = []
+    worker = threading.Thread(
+        target=lambda: batches.append(fleet.run_batch([REQ] * 3)),
+        daemon=True)
+    worker.start()
+    worker.join(5.0)
+    server.close()
+    assert not worker.is_alive(), "the host's requests are resent forever"
+    fleet.close()
+    [batch] = batches
+    assert [r.error_kind for r in batch.results] == ["HostLost"] * 3
+    assert all("already requeued once: bad 'error' line: "
+               "ValueError('no runs here')" in r.error
+               for r in batch.results)
+    assert fleet.stats()["fleet"]["requeues"] == 3
 
 
 # ---------------------------------------------------------------------- #
@@ -148,8 +165,10 @@ def test_client_close_after_server_death(service):
     server = WireServer(service)
     server.serve_in_thread()
     client = WireClient(server.host, server.port)
-    assert client.run(REQ, id="ok").ok
-    client.shutdown()          # takes the server down
+    assert client.run(REQ).ok
+    with raw_wire(server) as (chan, _hello):
+        chan.send({"op": "shutdown"})         # takes the server down
+        assert chan.recv() == {"op": "bye"}
     client.close()             # server is gone: must not raise
     client.close()             # and stays a no-op
     server.close()             # after a client-driven shutdown: no-op
@@ -160,7 +179,7 @@ def test_client_exit_after_server_death(service):
     server = WireServer(service)
     server.serve_in_thread()
     with WireClient(server.host, server.port) as client:
-        assert client.run(REQ, id="ok").ok
+        assert client.run(REQ).ok
         server.close()         # server dies inside the with-block
     server.close()             # double close is a no-op
 
@@ -178,7 +197,7 @@ def test_send_after_close_is_structured(service):
     server.serve_in_thread()
     client = WireClient(server.host, server.port)
     client.close()
-    with pytest.raises(WireConnectionLost, match="already closed"):
+    with pytest.raises(RuntimeError, match="WireClient is closed"):
         client.run(REQ)
     server.close()
 

@@ -2,20 +2,23 @@
 
 The server side is :func:`repro.serve.wire.serve_socket` — the read loop
 every server runs (``_serve_lines`` over the socket's text stream) — fed
-raw bytes and JSON-like lines.  The client side is
-:class:`repro.serve.WireClient`'s reader, fed the same after a good
-``hello``.  The only outcomes allowed:
+raw bytes and JSON-like lines.  The client side is the one reader every
+client runs, the :class:`~repro.serve.service.Service` loop, driven
+through :class:`repro.serve.WireClient` (a fleet of one host) whose
+every connection is fed the same after a good ``hello``.  The only
+outcomes allowed:
 
 * server: a reply line per input line that is an ``{"op": "error"}``,
   or a ``result`` that is a structured failure (``BadRequest`` for a
   request doc that does not parse), a ``batch-done``, ``stats`` or
   ``bye``; the loop itself returns ``"bye"``, ``"shutdown"`` or
   ``"eof"`` and never raises;
-* client: a well-formed reply, :class:`WireConnectionLost`, or the
-  ``RuntimeError`` an ``{"op": "error"}`` reply is raised as.
+* client: exactly one result per request, either one the peer sent or
+  a structured ``HostLost`` failure naming the peer; a request is sent
+  at most twice.
 
-Never another exception, never a hang: everything runs over socket
-pairs with a timeout, and the whole file takes a few seconds.
+Never an exception, never a hang: everything runs over socket pairs
+with a timeout, and the whole file takes a few seconds.
 """
 
 import json
@@ -27,7 +30,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunRequest, RunResult
-from repro.serve import WireClient, WireConnectionLost
+from repro.serve import WireClient
 from repro.serve.service import Service
 from repro.serve.wire import WIRE_SCHEMA, JsonLines, serve_socket
 
@@ -177,90 +180,98 @@ def test_server_examples(data, ops):
 # ---------------------------------------------------------------------- #
 # the client reader
 
-HELLO = (json.dumps({"op": "hello", "schema": WIRE_SCHEMA, "workers": 1})
-         + "\n").encode()
-REQUEST = RunRequest("jacobi", "spf", nprocs=2, preset="test",
-                     seq_time=1.0)
+def _client_over(data: bytes, monkeypatch, workers: int = 1,
+                 connects: int = -1) -> tuple:
+    """A :class:`WireClient` to ``fuzz-peer:1`` whose every connection's
+    peer sends a good hello (``workers``), then ``data``, then closes;
+    after ``connects`` connections (-1: no limit) a connect is refused.
+    ``(client, peer sockets)``."""
+    hello = {"op": "hello", "schema": WIRE_SCHEMA, "workers": workers}
+    peers = []
+
+    def connect(cls, host, port, timeout):
+        if len(peers) == connects:
+            raise ConnectionRefusedError(f"{host}:{port} refused")
+        ours, theirs = socket.socketpair()
+        ours.settimeout(TIMEOUT_S)
+        theirs.settimeout(TIMEOUT_S)
+        theirs.sendall((json.dumps(hello) + "\n").encode() + data)
+        theirs.shutdown(socket.SHUT_WR)
+        peers.append(theirs)
+        return cls(ours)
+
+    monkeypatch.setattr(JsonLines, "connect", classmethod(connect))
+    client = WireClient("fuzz-peer", 1, timeout=TIMEOUT_S)
+    client.retries = 0            # a refused reconnect: no backoff sleep
+    return client, peers
 
 
-def _client_over(data: bytes, monkeypatch) -> tuple:
-    """A :class:`WireClient` whose peer sends a good hello, then
-    ``data``, then closes; ``(client, peer socket)``."""
-    ours, theirs = socket.socketpair()
-    ours.settimeout(TIMEOUT_S)
-    theirs.sendall(HELLO + data)
-    theirs.shutdown(socket.SHUT_WR)
-    monkeypatch.setattr(JsonLines, "connect",
-                        classmethod(lambda cls, host, port, timeout:
-                                    cls(ours)))
-    return WireClient("fuzz-peer", 1, timeout=TIMEOUT_S), theirs
+def _sent(client, peers) -> list:
+    """Close the client; the request tags each peer was sent, in order."""
+    client.close()
+    tags = []
+    for peer in peers:
+        with peer, peer.makefile("rb") as stream:
+            for line in stream:
+                msg = json.loads(line)
+                docs = ([msg["request"]] if msg["op"] == "run"
+                        else msg.get("requests", []))
+                tags += [doc["tag"] for doc in docs]
+    return tags
 
 
-def _has_error_line(data: bytes) -> bool:
-    for line in data.split(b"\n"):
-        try:
-            msg = json.loads(line)
-        except (ValueError, RecursionError):
-            continue
-        if isinstance(msg, dict) and msg.get("op") == "error":
-            return True
-    return False
+def _structured(result) -> bool:
+    """A result the peer sent, or the client's structured loss."""
+    return result.ok or (result.error_kind == "HostLost"
+                         and "fuzz-peer:1 was lost" in result.error)
 
 
-CALLS = {
-    "run": lambda client: client.run(REQUEST, id="fuzz"),
-    "stats": lambda client: client.stats(),
-    "batch": lambda client: list(client.stream_batch([REQUEST, REQUEST])),
-}
+TAGGED = [RunRequest("jacobi", "spf", nprocs=2, preset="test",
+                     seq_time=1.0, tag=f"r{i}") for i in range(3)]
 
 
 @FUZZ
-@given(PAYLOADS, st.sampled_from(sorted(CALLS)))
-def test_client_reader_raises_only_structured_errors(data, call):
+@given(PAYLOADS, st.integers(1, 3), st.integers(1, 3))
+def test_client_reader_raises_only_structured_errors(data, workers, n):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        client, peer = _client_over(data, monkeypatch)
-        try:
-            CALLS[call](client)
-        except WireConnectionLost as exc:
-            assert (exc.host, exc.port) == ("fuzz-peer", 1)
-        except RuntimeError as exc:
-            assert type(exc) is RuntimeError and _has_error_line(data), exc
-        finally:
-            client.close()
-            peer.close()
+        client, peers = _client_over(data, monkeypatch, workers)
+        batch = client.run_batch(TAGGED[:n])
+        tags = _sent(client, peers)
+    assert len(batch.results) == n
+    assert all(_structured(result) for result in batch.results), \
+        [r.error for r in batch.results]
+    # each request is sent at most twice: a second loss fails it
+    assert all(tags.count(r.tag) in (1, 2) for r in TAGGED[:n]), tags
 
 
 def test_a_garbled_line_loses_nothing_that_came_before_it(monkeypatch):
-    """A stream of results then garbage: the results before the garbled
-    line are delivered, and the loss marks exactly the rest pending."""
+    """A stream of results then garbage: the result before the garbled
+    line is kept and not sent again; only the rest fail."""
     result = {"op": "result", "index": 1, "result": RESULT_DOC}
     data = (json.dumps(result) + "\n!!not json!!\n").encode()
-    client, peer = _client_over(data, monkeypatch)
-    seen = []
-    with pytest.raises(WireConnectionLost, match="garbled line") as info:
-        for kind, index, _payload in client.stream_batch([REQUEST] * 3):
-            seen.append((kind, index))
-    assert seen == [("result", 1)]
-    assert sorted(info.value.completed) == [1]
-    assert info.value.pending == [0, 2]
-    client.close()
-    peer.close()
+    client, peers = _client_over(data, monkeypatch, workers=3, connects=1)
+    batch = client.run_batch(TAGGED)
+    assert _sent(client, peers) == ["r0", "r1", "r2"]
+    assert batch.results[1].canonical_bytes() \
+        == RunResult.from_json(RESULT_DOC).canonical_bytes()
+    for lost in batch.results[0], batch.results[2]:
+        assert _structured(lost) and "garbled line" in lost.error
 
 
 @pytest.mark.parametrize("reply", [
-    {"op": "stats"},                                  # no "stats" field
-    {"op": "result", "id": "x"},                      # no "result" doc
-    {"op": "result", "result": {"app": "jacobi"}},    # not a result doc
+    {"op": "stats"},                                  # where a result is due
+    {"op": "result", "index": 0, "id": "x"},          # no "result" doc
+    {"op": "result", "index": 0,                      # not a result doc
+     "result": {"app": "jacobi"}},
     {"op": "bye"},                                    # not a reply to run
 ], ids=["stats-without-stats", "result-without-doc", "not-a-result-doc",
         "bye-for-run"])
 def test_client_treats_a_malformed_reply_as_a_lost_connection(
         reply, monkeypatch):
     data = (json.dumps(reply) + "\n").encode()
-    client, peer = _client_over(data, monkeypatch)
-    call = client.stats if reply["op"] == "stats" \
-        else (lambda: client.run(REQUEST, id="x"))
-    with pytest.raises(WireConnectionLost, match="malformed reply"):
-        call()
-    client.close()
-    peer.close()
+    client, peers = _client_over(data, monkeypatch)
+    result = client.run(TAGGED[0])
+    assert _sent(client, peers) == ["r0", "r0"]     # sent twice, then failed
+    assert _structured(result) and not result.ok
+    assert f"already requeued once: bad {reply['op']!r} line" \
+        in result.error
