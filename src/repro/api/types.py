@@ -438,9 +438,6 @@ def failure_result(doc, error: str, error_kind: str, **extra) -> RunResult:
 # ---------------------------------------------------------------------- #
 # BatchResult
 
-BATCH_SCHEMA = "repro-batch/1"
-
-
 @dataclass(frozen=True)
 class BatchResult:
     """An ordered batch of results plus the service-level counters."""
@@ -470,37 +467,6 @@ class BatchResult:
 
     def failures(self) -> list:
         return [r for r in self.results if not r.ok]
-
-    def to_json(self) -> dict:
-        return {
-            "schema": BATCH_SCHEMA,
-            "ok": self.ok,
-            "runs": self.runs,
-            "wall_s": self.wall_s,
-            "workers": self.workers,
-            "runs_per_min": self.runs_per_min,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "crashes": self.crashes,
-            "rejected": self.rejected,
-            "results": [r.to_json() for r in self.results],
-        }
-
-    @classmethod
-    def from_json(cls, doc) -> "BatchResult":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        if doc.get("schema") != BATCH_SCHEMA:
-            raise ValueError(f"unsupported batch schema "
-                             f"{doc.get('schema')!r}")
-        return cls(results=tuple(RunResult.from_json(r)
-                                 for r in doc["results"]),
-                   wall_s=doc.get("wall_s", 0.0),
-                   workers=doc.get("workers", 0),
-                   cache_hits=doc.get("cache_hits", 0),
-                   cache_misses=doc.get("cache_misses", 0),
-                   crashes=doc.get("crashes", 0),
-                   rejected=doc.get("rejected", 0))
 
 
 def _replace(result: RunResult, **changes) -> RunResult:

@@ -9,7 +9,8 @@ Library entry point::
             ...
 
 CLI entry point: ``python -m repro serve`` (stdio or TCP JSON-lines —
-see :mod:`repro.serve.wire` for the protocol).
+see :mod:`repro.serve.wire` for the protocol): the same loop, with each
+client one more input.
 
 One level up, :class:`FleetService` (``python -m repro fleet``) presents
 the same surface but shards batches across several remote ``repro serve
@@ -17,7 +18,7 @@ the same surface but shards batches across several remote ``repro serve
 is a fleet of one such host.  All three are the one
 :class:`~repro.serve.service.Service` loop — oldest work first off a
 :class:`~repro.serve.scheduler.Backlog`, to targets that all speak
-``repro-serve/1`` on a socket: pool workers on socketpairs, hosts on TCP.
+``repro-serve/2`` on a socket: pool workers on socketpairs, hosts on TCP.
 """
 
 from repro.serve.fleet import FleetService, WireClient, parse_host

@@ -1,4 +1,4 @@
-"""`FleetService` — the multi-host front tier over ``repro-serve/1``, and
+"""`FleetService` — the multi-host front tier over ``repro-serve/2``, and
 `WireClient`, a fleet of one host.
 
 One :class:`~repro.serve.RunService` scales to one host's cores.  The
@@ -10,32 +10,19 @@ fleet tier is the next rung: the same
 read by that one loop, no thread per host.
 
 Placement is FIFO off the same :class:`~repro.serve.scheduler.Backlog`,
-with the one real difference that a host's capacity is its remote pool
-size (its ``hello``'s ``workers``): work ships in per-host **chunks** of
-up to that many requests, one in-flight chunk per host, streamed back
-per completion — so each remote pool stays saturated while the rest of
-the backlog stays loose for whichever host frees up first.
+one ``run`` line per request: hosts with an idle worker (``hello``'s
+``workers``) are served first, then each holds up to twice its workers
+unanswered, and each result frees a place at once, so no host waits on
+the slowest run of a round.
 
-What a network tier needs that the pool didn't:
-
-* **health probes** — :meth:`FleetService.probe` round-trips a ``stats``
-  op per host; dead hosts are re-probed (and re-admitted) at the next
-  batch;
-* **bounded retry with backoff** — a failed connect is retried
-  ``retries`` times with exponential backoff before the host is declared
-  lost;
-* **requeue-at-head** — when a host dies mid-chunk, the chunk's
-  not-yet-completed requests go back to the *head* of the backlog (a
-  host's loss means "someone else can run these", where a worker's means
-  "this request kills workers"): never a silent drop, never a hang, and
-  nothing runs twice because the backlog retires each seq exactly once.
-  A request goes back once; lost again, it fails as ``HostLost``.
-  The host then gets one bounded reconnect, which blocks dispatch for at
-  most the backoff sum (0.35 s at the defaults) while other hosts'
-  results wait in their socket buffers;
-* **structured exhaustion** — when every host is gone (or admission is
-  refused) outstanding requests fail fast as ``error_kind="HostLost"``
-  (``"Rejected"``) results, not exceptions and not timeouts.
+What a network tier needs that the pool didn't (docs/API.md, "The
+fleet tier"): **health probes** (:meth:`FleetService.probe`; dead hosts
+are re-probed at the next batch); **bounded retry with backoff** on
+connect; **requeue-at-head** — a lost host's unanswered requests go back
+to the head of the backlog, once (lost again, one fails as
+``HostLost``), and the host gets one bounded reconnect (at most 0.35 s
+of backoff at the defaults); and **structured exhaustion** — with every
+host gone, what is outstanding fails fast as ``HostLost``.
 
 Counters surface on ``stats()["fleet"]`` (per-host ``runs``/``requeues``,
 fleet-wide ``requeues``/``hosts_lost``/``retries``) and on every
@@ -79,6 +66,10 @@ def parse_host(spec) -> Tuple[str, int]:
 class _Host(Target):
     """One remote ``repro serve --port PORT`` endpoint; on the roster for the
     fleet's whole life, a live target while ``chan`` is connected."""
+
+    #: twice its workers: one running on each, and the next one already
+    #: on the host when a worker frees up (no round trip to the front)
+    depth = 2
 
     def __init__(self, host: str, port: int):
         super().__init__(f"{host}:{port}", requeue=True)

@@ -80,24 +80,24 @@ class Backlog:
         return seq
 
     def admit_requests(self, requests: Iterable) -> list:
-        """Queue a batch of :class:`RunRequest` objects / request docs as
-        ``(index, doc)`` items; return ``[(index, RunResult)]`` for the
-        ones that will not run: ``BadRequest`` for a doc that does not
-        parse, ``Rejected`` for one over the ``max_backlog`` cap.
+        """Queue ``(key, request)`` pairs (:class:`RunRequest` objects or
+        request docs) as ``(key, doc)`` items; return ``[(key,
+        RunResult)]`` for the ones that will not run: ``BadRequest`` for a
+        doc that does not parse, ``Rejected`` over the ``max_backlog`` cap.
 
         Every request is parsed before any state changes, so a bad doc
         costs one structured result and nothing else.
         """
-        parsed = [_parse(request) for request in requests]
+        parsed = [(key, *_parse(request)) for key, request in requests]
         refused = []
-        for index, (doc, bad) in enumerate(parsed):
-            if bad is None and self.admit((index, doc)) is None:
+        for key, doc, bad in parsed:
+            if bad is None and self.admit((key, doc)) is None:
                 bad = failure_result(
                     doc, f"admission refused: {self.max_backlog} "
                     f"request(s) already in flight (the max_backlog cap)",
                     "Rejected")
             if bad is not None:
-                refused.append((index, bad))
+                refused.append((key, bad))
         return refused
 
     # ------------------------------------------------------------------ #

@@ -10,11 +10,12 @@ in-process one is the same algorithm: admit requests to a
 when a target dies decide what becomes of its unfinished requests.
 :class:`Service` is that algorithm, written once: a single-threaded
 ``multiprocessing.connection.wait`` over every target's socket, each of
-which speaks ``repro-serve/1`` (:mod:`repro.serve.wire`).
+which speaks ``repro-serve/2`` (:mod:`repro.serve.wire`).
 :class:`RunService` is the service whose targets are local worker
 processes on socketpairs (:mod:`repro.serve.worker`);
 :class:`~repro.serve.FleetService` the one whose targets are remote
-``repro serve`` hosts on TCP.
+``repro serve`` hosts on TCP.  A host's server is this loop too
+(:meth:`Service.serve`), with its clients as more inputs of the wait.
 
 Scheduling is parent-side pull: an assignment is recorded in the parent
 *before* it is sent.  A socket per target — rather than one queue
@@ -25,23 +26,19 @@ queue for the whole pool.  A worker's socket has one writer per
 direction, so a death can only sever that worker's own channel; the
 parent observes EOF on it the moment the process is gone.
 
-Failure surface — the contract the e2e tests pin:
-
-* an exception inside a run returns a structured ``ok=False``
-  :class:`~repro.api.RunResult` (``error``/``error_kind``), never kills
-  the worker;
-* a hard worker death (``os._exit``, segfault, OOM) is EOF on its socket
-  (its process sentinel is watched too, for a corpse whose socket a
-  grandchild still holds): the assigned request is failed with
-  ``error_kind="WorkerCrashed"`` — a request that kills workers is never
-  retried — the pool respawns a replacement, and the rest of the batch
-  completes: a crash mid-batch is a result, not a hang;
-* a request whose *send* failed never reached its worker: it goes back
-  to the head of the queue and is not blamed.
+Failure surface (docs/API.md "Failure contract"; the e2e tests pin it):
+a run that raises is a structured ``ok=False`` result from a live
+worker; a hard worker death — EOF on its socket, or its process
+sentinel for a corpse whose socket a grandchild holds — fails the one
+request it was running as ``WorkerCrashed`` (never retried), a
+replacement is spawned and the batch completes; a request whose *send*
+failed never reached its worker, so it is requeued, not blamed.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
 import multiprocessing as mp
 import socket
 import sys
@@ -49,11 +46,11 @@ import threading
 import time as _time
 import warnings
 from multiprocessing import connection as _mpc
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from repro.api.types import BatchResult, RunResult, failure_result
 from repro.serve.scheduler import Backlog
-from repro.serve.wire import WIRE_SCHEMA, JsonLines
+from repro.serve.wire import WIRE_SCHEMA, JsonLines, Session
 from repro.serve.worker import DEFAULT_RUNNER, worker_main
 
 __all__ = ["Service", "Target", "RunService", "DEFAULT_WORKERS"]
@@ -63,15 +60,20 @@ DEFAULT_WORKERS = 4
 
 class Target:
     """One peer that runs requests for a :class:`Service`: a connected
-    socket whose far end serves ``repro-serve/1``.
+    socket whose far end serves ``repro-serve/2``.
 
-    ``capacity`` is how many requests it takes at once (its ``hello``'s
-    ``workers``; 1 until that arrives) and ``assigned`` the seqs of the
-    chunk it has not finished answering.  ``requeue`` is what its loss
-    means for them: back to the head of the backlog for someone else, or
-    — the default — failed as ``WorkerCrashed``.
+    ``capacity`` is how many workers it has (its ``hello``'s ``workers``;
+    1 until that arrives) and ``assigned`` the ids (backlog seqs) of the
+    requests sent to it and not yet answered.  ``requeue`` is what its
+    loss means for them: back to the head of the backlog for someone
+    else, or — the default — failed as ``WorkerCrashed``.
     """
 
+    #: unanswered requests per worker.  A pool worker holds exactly one: a
+    #: second queued on it measured no ``serve_mix`` throughput gain and a
+    #: slower start, and a worker's death would blame it as
+    #: ``WorkerCrashed`` though it never started.
+    depth = 1
     wid: Optional[int] = None        # a pool worker's id, for its results
     sentinel: Optional[int] = None   # a local process's exit handle
 
@@ -135,9 +137,11 @@ class Service:
         self.timeout = timeout
         self._backlog = Backlog(max_backlog)
         self._targets = list(targets)     # the live ones
+        self._done: list = []             # (key, result) not handed out yet
         self._crashes = 0
         self._last_loss = "none"
         self._closed = False
+        self._relay = None                # (waker, stopped) while serving
 
     def _before_batch(self) -> None:
         """Called as a ``stream`` starts (the fleet re-probes here)."""
@@ -149,59 +153,45 @@ class Service:
     # ------------------------------------------------------------------ #
     # the loop
 
-    def _dispatch(self) -> list:
-        """Every idle target takes up to its capacity of the oldest
-        queued requests (assignment recorded before the send): one
-        request as ``run`` (answered by one ``result``), more as
-        ``batch`` (``result`` lines by chunk index, then ``batch-done``).
-        Returns the ``[(index, result)]`` failed by a lost send.
-        """
-        failed: list = []
-        while self._backlog.queued:
-            target = next((t for t in self._targets if not t.assigned),
-                          None)
-            if target is None:
-                break
-            chunk = self._backlog.take(target.capacity)
-            target.assigned = [seq for seq, _item in chunk]
-            docs = [doc for _seq, (_index, doc) in chunk]
-            try:
-                if len(docs) == 1:
-                    target.chan.send({"op": "run", "request": docs[0]})
-                else:
-                    target.chan.send({"op": "batch", "requests": docs})
-            except OSError as exc:
-                # the target never saw these requests: requeue them
-                # whatever its policy, never blame them as WorkerCrashed
-                failed += self._lose(target, f"send failed: {exc}",
-                                     sent=False)
-        return failed
+    def _dispatch(self) -> None:
+        """Send the oldest queued requests, one ``run`` line each with its
+        backlog seq as ``id`` (assignment recorded before the send): first
+        to every target with an idle worker, then up to each target's
+        ``depth`` per worker."""
+        for full in (False, True):
+            for target in list(self._targets):
+                room = target.capacity * (target.depth if full else 1)
+                while self._backlog.queued and len(target.assigned) < room:
+                    [(seq, (_key, doc))] = self._backlog.take()
+                    target.assigned.append(seq)
+                    try:
+                        target.chan.send({"op": "run", "id": seq,
+                                          "request": doc})
+                    except OSError as exc:
+                        # the target never saw this request: requeue it
+                        # whatever its policy, never blame it
+                        self._lose(target, f"send failed: {exc}", sent=False)
+                        break
 
-    def _absorb(self, target: Target, msg: dict):
-        """Account one line from ``target``; the ``(index, result)`` it
-        completes, if any.  A line the protocol does not allow here (a
-        ``result`` for no unanswered slot of the chunk, an early
-        ``batch-done``, an ``error``, a reply that does not decode)
-        raises ``ConnectionError``: the caller declares the target lost."""
+    def _absorb(self, target: Target, msg: dict) -> None:
+        """Account one line from ``target``; a request it completes goes
+        on ``_done``.  A line the protocol does not allow here (a
+        ``result`` whose ``id`` is not an unanswered request of this
+        target, an ``error``, a reply that does not decode) raises
+        ``ConnectionError``: the caller declares the target lost."""
         op = msg.get("op")
         try:
             if op == "result":
-                index, chunk = msg.get("index"), target.assigned
-                if type(index) is not int or not 0 <= index < len(chunk) \
-                        or chunk[index] is None:
-                    raise ValueError(f"no request {index!r} awaits a "
-                                     f"result in a chunk of {len(chunk)}")
+                seq = msg.get("id")
+                if type(seq) is not int or seq not in target.assigned:
+                    raise ValueError(f"no request {seq!r} sent here awaits "
+                                     f"a result")
                 result = RunResult.from_json(msg["result"])
-                seq, chunk[index] = chunk[index], None
-                if len(chunk) == 1:            # a ``run``: reply complete
-                    target.assigned = []
-                target.runs += 1
+                target.assigned.remove(seq)
                 item = self._backlog.retire(seq)   # None: the batch is over
-                return None if item is None else (item[0], result)
-            if op == "batch-done":
-                if any(seq is not None for seq in target.assigned):
-                    raise ValueError("a request of the chunk is unanswered")
-                target.assigned = []
+                if item is not None:
+                    target.runs += 1
+                    self._done.append((item[0], result))
             elif op == "hello":
                 if msg.get("schema") != WIRE_SCHEMA:
                     raise ValueError(f"unexpected wire schema: {msg}")
@@ -210,15 +200,13 @@ class Service:
                 raise ValueError(msg.get("message", msg))
         except Exception as exc:  # noqa: BLE001 — any reply that is not one
             raise ConnectionError(f"bad {op!r} line: {exc!r}") from exc
-        return None
 
-    def _lose(self, target: Target, why: str, sent: bool = True) -> list:
-        """``target`` is dead: requeue or fail what it was running, bring
-        in its stand-in.  Returns the ``[(index, result)]`` it failed — a
-        request lost after one requeue fails as ``exhausted``."""
+    def _lose(self, target: Target, why: str, sent: bool = True) -> None:
+        """``target`` is dead: requeue or fail what it was running (the
+        failures go on ``_done``), bring in its stand-in.  A request lost
+        after one requeue fails as ``exhausted``."""
         self._targets.remove(target)
-        seqs = [seq for seq in target.assigned if seq is not None]
-        target.assigned = []
+        seqs, target.assigned = target.assigned, []
         what = target.lost()
         self._last_loss = f"{what}: {why}"
         if target.requeue or not sent:
@@ -232,26 +220,35 @@ class Service:
             spent = [item for item in map(self._backlog.retire, seqs)
                      if item is not None]
             kind, error = "WorkerCrashed", f"{what} while running this request"
-        failed = [(index, failure_result(doc, error, kind, worker=target.wid))
-                  for index, doc in spent]
+        self._done += [(key, failure_result(doc, error, kind,
+                                            worker=target.wid))
+                       for key, doc in spent]
         self._replace(target)
-        return failed
 
-    def _wait(self) -> list:
-        """Block until a target has said something or died; account it.
-        Returns the ``[(index, result)]`` that completed, the failures of
-        lost targets included."""
+    def _drain(self) -> None:
+        """No live target remains: fail everything outstanding."""
+        kind, what = self.exhausted
+        self._done += [(key, failure_result(
+            doc, f"{what} (last lost: {self._last_loss})", kind))
+            for key, doc in self._backlog.drain()]
+
+    def _wait(self, inputs: Iterable = ()) -> list:
+        """Block until a target or one of ``inputs`` is ready; account
+        what the targets said or that they died.  Returns the ready
+        ``inputs``."""
         watched: dict = {}
         for target in self._targets:
             watched[target.chan.sock] = target
             if target.sentinel is not None:
                 watched[target.sentinel] = target
-        ready = _mpc.wait(list(watched), self.timeout)
-        out: list = []
+        busy = [t for t in self._targets if t.assigned]
+        ready = _mpc.wait([*watched, *inputs],
+                          self.timeout if busy else None)
         if not ready:
-            for target in [t for t in self._targets if t.assigned]:
-                out += self._lose(target, f"no reply in {self.timeout} s")
-        for target in dict.fromkeys(watched[obj] for obj in ready):
+            for target in busy:
+                self._lose(target, f"no reply in {self.timeout} s")
+        for target in dict.fromkeys(watched[obj] for obj in ready
+                                    if obj in watched):
             try:
                 if target.chan.sock not in ready:
                     raise ConnectionError("its process exited")
@@ -261,22 +258,19 @@ class Service:
                     # what arrived whole before EOF or a garbled line
                     # counts: its requests must not be failed or rerun
                     while target.chan.inbox:
-                        done = self._absorb(target,
-                                            target.chan.inbox.popleft())
-                        if done is not None:
-                            out.append(done)
+                        self._absorb(target, target.chan.inbox.popleft())
             except OSError as exc:
-                out += self._lose(target, str(exc))
-        return out
+                self._lose(target, str(exc))
+        return [obj for obj in ready if obj not in watched]
 
     def _ask(self, target: Target, op: str) -> dict:
-        """Between batches: one ``op`` round trip with ``target``."""
+        """One ``op`` round trip with ``target``; a result due before the
+        reply is accounted on the way."""
         target.chan.send({"op": op})
         while True:
             msg = target.chan.recv()
             if msg.get("op") == op:
                 return msg
-            # its hello, or the tail of a batch whose consumer went away
             self._absorb(target, msg)
 
     # ------------------------------------------------------------------ #
@@ -287,8 +281,9 @@ class Service:
 
         ``index`` is the request's position in this call's batch.
         Accepts :class:`RunRequest` objects or already-serialized docs.
-        Single-consumer: concurrent ``stream`` calls must be serialized
-        by the caller (the wire layer holds a lock around this).
+        Single-consumer: one ``stream`` or :meth:`serve` at a time.  A
+        consumer may stop early: what it abandons still runs, and those
+        results are dropped as they arrive.
 
         Requests that will not run yield first, as structured failures:
         ``error_kind="BadRequest"`` for a doc that does not parse,
@@ -299,36 +294,27 @@ class Service:
             raise RuntimeError(f"{type(self).__name__} is closed")
         self._before_batch()
         try:
-            yield from self._backlog.admit_requests(requests)
+            yield from self._backlog.admit_requests(enumerate(requests))
             while self._backlog.outstanding:
-                yield from self._dispatch()
+                self._dispatch()
                 if not self._targets:
-                    kind, what = self.exhausted
-                    for index, doc in self._backlog.drain():
-                        yield index, failure_result(
-                            doc, f"{what} (last lost: {self._last_loss})",
-                            kind)
-                    return
-                yield from self._wait()
+                    self._drain()
+                elif not self._done:
+                    self._wait()
+                done, self._done = self._done, []
+                yield from done
         finally:
             self._backlog.clear()
+            self._done.clear()
 
-    def run_batch(self, requests: Iterable,
-                  on_result: Optional[Callable] = None) -> BatchResult:
-        """Run a batch; return ordered results plus the counter deltas.
-
-        ``on_result(index, result)`` is called per completion, in
-        completion order (the wire ``batch`` op streams its ``result``
-        lines from it).
-        """
+    def run_batch(self, requests: Iterable) -> BatchResult:
+        """Run a batch; return ordered results plus the counter deltas."""
         requests = list(requests)
         t0 = _time.perf_counter()
         before = self.counters()
         results: list = [None] * len(requests)
         for index, result in self.stream(requests):
             results[index] = result
-            if on_result is not None:
-                on_result(index, result)
         delta = {k: v - before[k] for k, v in self.counters().items()}
         return BatchResult(
             results=tuple(results),
@@ -351,11 +337,13 @@ class Service:
         return sum(t.capacity for t in self._targets)
 
     def close(self, timeout: float = 5.0) -> None:
-        """Idempotent.  Every target is told ``bye`` before any is waited
-        for, so local workers exit side by side; a remote service keeps
-        running — a front going away must not take its hosts with it."""
+        """Idempotent.  Stops a :meth:`serve` running on another thread,
+        then tells every target ``bye`` before any is waited for, so local
+        workers exit side by side; a remote service keeps running — a
+        front going away must not take its hosts with it."""
         if self._closed:
             return
+        self.stop_serving()
         self._closed = True
         for target in self._targets:
             try:
@@ -371,6 +359,111 @@ class Service:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    # ------------------------------------------------------------------ #
+    # the host side: wire clients as more inputs of the same loop
+
+    def serve(self, session: Optional[Session] = None,
+              listener: Optional[socket.socket] = None) -> str:
+        """Relay ``repro-serve/2`` clients through this loop: a ``run``
+        line is admitted under ``(client, id)``, its ``result`` sent back
+        when it completes.  Serves ``session`` alone, or what ``listener``
+        accepts, until that session ends, a ``shutdown`` or
+        :meth:`stop_serving`; a client ends once it is read no further
+        (``bye``, ``shutdown``, EOF) and its runs are answered."""
+        if self._closed:
+            raise RuntimeError(f"{type(self).__name__} is closed")
+        wake, waker = socket.socketpair()
+        stopped = threading.Event()
+        self._relay = (waker, stopped)
+        sessions: list = []
+
+        def greet(client: Session) -> None:
+            client.send({"op": "hello", "schema": WIRE_SCHEMA,
+                         "workers": self.workers})
+            sessions.append(client)
+
+        try:
+            if session is not None:
+                greet(session)
+            while True:
+                self._dispatch()
+                if not self._targets:
+                    self._drain()
+                done, self._done = self._done, []
+                for (client, ident), result in done:
+                    client.pending -= 1
+                    client.send({"op": "result", "id": ident,
+                                 "result": result.to_json()})
+                for client in [c for c in sessions
+                               if c.ending and not c.pending]:
+                    sessions.remove(client)
+                    if client.ending != "eof":
+                        client.send({"op": "bye"})
+                    client.close()
+                    if client is session or client.ending == "shutdown":
+                        return client.ending
+                inputs = [c for c in sessions if not c.ending] \
+                    + [wake] + ([listener] if listener else [])
+                for ready in self._wait(inputs):
+                    if ready is wake:
+                        return "stopped"
+                    if ready is listener:
+                        greet(Session.over(listener.accept()[0]))
+                    else:
+                        self._hear(ready)
+        finally:
+            for client in sessions:
+                client.close()
+            self._backlog.clear()
+            self._done.clear()
+            self._relay = None
+            wake.close()
+            waker.close()
+            stopped.set()
+
+    def stop_serving(self) -> None:
+        """Stop a :meth:`serve` running on another thread; returns once it
+        has.  A no-op when none is."""
+        relay = self._relay               # None once the loop has ended
+        if relay is not None:
+            with contextlib.suppress(OSError):   # it is closing already
+                relay[0].send(b"\0")
+            relay[1].wait()
+
+    def _hear(self, client: Session) -> None:
+        """Act on what ``client`` sent, line by line, until it ends.  A
+        line that is not what its op requires (bad JSON — bytes that are
+        not UTF-8 read as U+FFFD — included) is answered with one
+        ``error`` line naming what is wrong; the session stays up."""
+        for line in client.read():
+            if client.ending or line is None:     # None: its stream ended
+                client.ending = client.ending or "eof"
+                break
+            try:
+                msg = json.loads(line.decode("utf-8", errors="replace"))
+                if not isinstance(msg, dict):
+                    raise ValueError(f"a message is a JSON object with an "
+                                     f"\"op\", not {type(msg).__name__}")
+                op = msg.get("op")
+                if op in ("bye", "shutdown"):
+                    client.ending = op
+                elif op == "stats":
+                    client.send({"op": "stats", "stats": self.stats()})
+                elif op == "run":
+                    if "request" not in msg:
+                        raise ValueError(
+                            "run: missing \"request\" (a request doc)")
+                    if not self._targets:
+                        with contextlib.suppress(ConnectionError):
+                            self._before_batch()
+                    self._done += self._backlog.admit_requests(
+                        [((client, msg.get("id")), msg["request"])])
+                    client.pending += 1
+                else:
+                    raise ValueError(f"unknown op {op!r}")
+            except Exception as exc:  # noqa: BLE001 — keep the session up
+                client.send({"op": "error", "message": str(exc)})
 
 
 class RunService(Service):
@@ -399,18 +492,12 @@ class RunService(Service):
             self._spawn()
 
     def _spawn(self) -> None:
-        """Start one worker.  It is forked when this is Linux and the
-        process has one Python thread, and spawned otherwise.
-
-        Fork skips the child's re-import of numpy and ``repro``: a
-        two-worker pool's start to its first two results takes 0.58 s
-        spawned and 0.16 s forked, and serve_mix ``setup_s`` falls from
-        1.53 to 1.10 s and ``peak_rss_mb`` from 90.0 to 84.1 MB (medians;
-        2-vCPU host, Python 3.11.7).  Forking while another thread runs
-        can deadlock the child on a lock that thread held, so a respawn
-        on a ``repro serve --port`` handler thread (``_replace`` runs on
-        whichever thread runs ``stream``) spawns.
-        """
+        """Start one worker: forked when this is Linux and the process has
+        one Python thread, spawned otherwise.  Fork skips the child's
+        re-import of numpy and ``repro`` (docs/API.md has the numbers);
+        forking while another thread runs can deadlock the child on a
+        lock that thread held, so a respawn next to a
+        :class:`~repro.serve.WireServer` thread spawns."""
         wid = self._next_worker
         self._next_worker += 1
         ours, theirs = socket.socketpair()
@@ -445,8 +532,9 @@ class RunService(Service):
 
     def stats(self) -> dict:
         """Pool counters plus each live worker's cache counters, asked
-        with the ``stats`` op (so: between batches).  A worker found dead
-        here is replaced and shows up in the next snapshot."""
+        with the ``stats`` op (a busy worker answers once its run is
+        done).  A worker found dead here is replaced and shows up in the
+        next snapshot."""
         per_worker = {}
         for worker in list(self._targets):
             try:

@@ -1,17 +1,16 @@
-"""The run-service worker process: a one-worker ``repro-serve/1`` peer.
+"""The run-service worker process: a one-worker ``repro-serve/2`` peer.
 
-Workers are plain ``multiprocessing`` processes, one per socketpair
-(why a socket each and never a shared queue:
-:mod:`repro.serve.service`).  A worker is the in-process tier
+Workers are plain ``multiprocessing`` processes, one per socketpair (why
+a socket each: :mod:`repro.serve.service`).  A worker is the in-process tier
 (:class:`repro.api.InProcess` — one :class:`~repro.api.ProgramCache`,
 so repeated requests landing on the same worker skip IR lowering and
 codegen, and a run that raises becomes a structured ``ok=False`` result
-right there) served on the worker's end of the socketpair by the same
-:func:`~repro.serve.wire._serve_lines` loop that answers ``repro serve``
-clients on stdio and TCP.  It greets with ``hello`` (``workers: 1``),
-answers ``run`` and ``stats``, and exits on ``bye`` or when the parent's
-end closes.  Only a hard process death escapes; the parent sees EOF on
-its end and turns it into a structured ``WorkerCrashed`` result.
+right there) served on the worker's end of the socketpair by
+:func:`~repro.serve.wire.serve_socket`.  It greets with ``hello``
+(``workers: 1``), answers ``run`` and ``stats`` in order, and exits on
+``bye`` or when the parent's end closes.  Only a hard process death
+escapes; the parent sees EOF on its end and turns it into a structured
+``WorkerCrashed`` result.
 
 ``runner`` is a dotted path (``"module:attr"``) resolved inside the
 worker — the default executes through :func:`repro.api.execute`; tests

@@ -3,7 +3,7 @@
 Pins the ``repro-run/1`` contract that the CLI, the sweep/chaos
 harnesses and the serve wire protocol all share:
 
-* ``RunRequest``/``RunResult``/``BatchResult`` round-trip through
+* ``RunRequest``/``RunResult`` round-trip through
   ``to_json()``/``from_json()`` under their schema tags;
 * ``RunResult.canonical_bytes()`` is the bit-identity currency — equal
   bytes iff the runs are equivalent, volatile fields excluded;
@@ -16,9 +16,9 @@ import sys
 
 import pytest
 
-from repro.api import (DSM_VARIANTS, PRESETS, VARIANTS, BatchResult,
-                       InProcess, ProgramCache, RunRequest, RunResult,
-                       execute, registry)
+from repro.api import (DSM_VARIANTS, PRESETS, VARIANTS, InProcess,
+                       ProgramCache, RunRequest, RunResult, execute,
+                       registry)
 from repro.apps.common import get_app
 from repro.api.types import (RUN_SCHEMA, VOLATILE_RESULT_FIELDS,
                              fault_plan_from_doc, fault_plan_to_doc,
@@ -134,20 +134,6 @@ def test_run_result_round_trips_and_fingerprint_drops_volatiles():
     again = dataclasses.replace(res, wall_s=1e9, worker=42,
                                 cache_hit=True)
     assert again.canonical_bytes() == res.canonical_bytes()
-
-
-def test_batch_result_round_trips_with_counters():
-    results = tuple(execute(RunRequest("jacobi", v, nprocs=2,
-                                       preset="test", seq_time=1.0))
-                    for v in ("spf", "tmk"))
-    batch = BatchResult(results=results, wall_s=1.5, workers=2,
-                        cache_hits=1, cache_misses=1, crashes=0)
-    doc = batch.to_json()
-    back = BatchResult.from_json(doc)
-    assert back.ok and back.runs == 2
-    assert (back.cache_hits, back.cache_misses) == (1, 1)
-    assert [r.canonical_bytes() for r in back.results] \
-        == [r.canonical_bytes() for r in results]
 
 
 def test_machine_and_fault_plan_docs_invert():

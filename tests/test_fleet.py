@@ -12,6 +12,8 @@ Two layers:
   serial run, with the loss and the requeues on ``stats()["fleet"]``.
 """
 
+import contextlib
+import json
 import os
 import re
 import subprocess
@@ -21,8 +23,8 @@ import threading
 import pytest
 
 from repro.api import RunRequest, RunResult
-from repro.serve import (FleetService, RunService, WireServer, parse_host,
-                         serve_stdio)
+from repro.serve import FleetService, RunService, parse_host
+from tests.serve_helpers import serve_bytes, served
 
 ECHO = "tests.serve_helpers:echo_runner"
 
@@ -48,15 +50,11 @@ def _expected(request):
 
 @pytest.fixture(scope="module")
 def cluster():
-    svcs = [RunService(workers=2, runner=ECHO) for _ in range(2)]
-    servers = [WireServer(svc) for svc in svcs]
-    for server in servers:
-        server.serve_in_thread()
-    yield [f"{server.host}:{server.port}" for server in servers]
-    for server in servers:
-        server.close()
-    for svc in svcs:
-        svc.close()
+    with contextlib.ExitStack() as stack:
+        svcs = [stack.enter_context(RunService(workers=2, runner=ECHO))
+                for _ in range(2)]
+        servers = [stack.enter_context(served(svc)) for svc in svcs]
+        yield [f"{server.host}:{server.port}" for server in servers]
 
 
 @pytest.fixture(scope="module")
@@ -86,7 +84,7 @@ def test_batch_ordered_ok_and_bit_identical(fleet):
 def test_identical_keys_use_every_host(cluster):
     # the pool's test_identical_keys_use_every_worker, one tier up: six
     # slow copies of ONE key, so neither host can drain the backlog
-    # before the other's thread has taken its first chunk
+    # before the other has taken its first request
     requests = [RunRequest("jacobi", "spf", nprocs=2, preset="test",
                            seq_time=1.0, tag=f"slow:0.05:r{i}")
                 for i in range(6)]
@@ -165,23 +163,17 @@ def test_no_reachable_host_raises():
 def test_fleet_behind_stdio_wire(fleet):
     """The `python -m repro fleet` front: the wire layer dispatches
     against FleetService exactly as it does against RunService."""
-    import io
-    import json
-
     requests = _reqs(4)
-    lines = [json.dumps({"op": "batch", "id": "b1",
-                         "requests": [r.to_json() for r in requests]}),
-             json.dumps({"op": "stats"}),
-             json.dumps({"op": "bye"})]
-    out = io.StringIO()
-    verdict = serve_stdio(fleet, io.StringIO("\n".join(lines) + "\n"), out)
+    lines = [json.dumps({"op": "run", "id": f"b{i}", "request": r.to_json()})
+             for i, r in enumerate(requests)]
+    lines += [json.dumps({"op": "stats"}), json.dumps({"op": "bye"})]
+    verdict, msgs = serve_bytes(fleet, "".join(f"{line}\n"
+                                                for line in lines).encode())
     assert verdict == "bye"
-    msgs = [json.loads(line) for line in out.getvalue().splitlines()]
-    assert msgs[0]["op"] == "hello"
+    assert msgs[0]["op"] == "hello" and msgs[-1] == {"op": "bye"}
     results = [m for m in msgs if m["op"] == "result"]
-    assert sorted(m["index"] for m in results) == list(range(4))
-    done = [m for m in msgs if m["op"] == "batch-done"]
-    assert len(done) == 1 and done[0]["batch"]["ok"]
+    assert sorted(m["id"] for m in results) == ["b0", "b1", "b2", "b3"]
+    assert all(m["result"]["ok"] for m in results)
     stats = [m for m in msgs if m["op"] == "stats"]
     assert stats and "fleet" in stats[0]["stats"]
 

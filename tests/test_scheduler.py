@@ -112,9 +112,9 @@ def test_retire_is_exactly_once_and_drain_empties():
 def test_admit_requests_parses_before_it_touches_state():
     good = RunRequest("jacobi", "spf", nprocs=2, preset="test")
     backlog = Backlog(max_backlog=2)
-    refused = backlog.admit_requests(
+    refused = backlog.admit_requests(enumerate(
         [good, {"app": "jacobi"}, good.to_json(), ["not", "a", "doc"],
-         good])
+         good]))
     assert [(index, r.error_kind) for index, r in refused] \
         == [(1, "BadRequest"), (3, "BadRequest"), (4, "Rejected")]
     assert all(not r.ok for _index, r in refused)

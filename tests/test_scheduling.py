@@ -6,12 +6,12 @@ The contract under test (see docs/API.md "Scheduling"):
   oldest queued request, whatever its key;
 * ``max_backlog`` refuses overflow requests immediately with structured
   ``error_kind="Rejected"`` results, and the verdict round-trips the
-  JSON-lines wire protocol (``BatchResult.rejected``);
+  JSON-lines wire protocol;
 * a request doc that does not parse is one structured
   ``error_kind="BadRequest"`` result at its index — the rest of the
   batch runs and the service is untouched (pool and wire; the fleet
-  twin lives in ``test_fleet.py``), and a one-request wire batch does
-  not stall on Nagle x delayed-ACK;
+  twin lives in ``test_fleet.py``), and a wire request does not stall
+  on Nagle x delayed-ACK;
 * the parallel evaluation harnesses produce documents bit-identical to
   their serial twins (``repro sweep --jobs N`` contract), and a run that
   raises is the same structured failure in-process as through a pool —
@@ -26,9 +26,9 @@ import time
 
 import pytest
 
-from repro.api import BatchResult, RunRequest, RunResult
-from repro.serve import RunService, WireClient, WireServer
-from tests.serve_helpers import raw_wire, wire_batch
+from repro.api import RunRequest
+from repro.serve import RunService, WireClient
+from tests.serve_helpers import raw_wire, serve_bytes, served, wire_runs
 
 ECHO = "tests.serve_helpers:echo_runner"
 
@@ -65,22 +65,13 @@ def test_admission_control_rejects_overflow_structured():
 
 def test_rejection_round_trips_the_wire():
     with RunService(workers=1, runner=ECHO, max_backlog=2) as svc:
-        server = WireServer(svc)
-        server.serve_in_thread()
-        try:
-            with raw_wire(server) as (chan, _hello):
-                replies = wire_batch(chan,
-                                     [_req(tag=f"r{i}") for i in range(4)])
-            results = [RunResult.from_json(msg["result"])
-                       for msg in replies if msg["op"] == "result"]
-            assert len(results) == 4
-            batch = BatchResult.from_json(replies[-1]["batch"])
-            assert batch.rejected == 2 and not batch.ok
-            assert sum(1 for r in results
-                       if r.error_kind == "Rejected") == 2
-            assert svc.stats()["scheduler"]["rejections"] == 2
-        finally:
-            server.close()
+        # slow runs: all four lines arrive while the first two are
+        # outstanding, so the cap refuses the last two
+        with served(svc) as server, raw_wire(server) as (chan, _hello):
+            results = wire_runs(chan, [_req(tag=f"slow:0.1:r{i}")
+                                       for i in range(4)])
+        assert sum(1 for r in results if r.error_kind == "Rejected") == 2
+        assert svc.stats()["scheduler"]["rejections"] == 2
 
 
 def test_bad_request_doc_is_one_structured_result_at_the_pool():
@@ -96,43 +87,26 @@ def test_bad_request_doc_is_one_structured_result_at_the_pool():
 
 def test_bad_request_doc_over_the_wire_then_next_batch_ok():
     good = _req(tag="ok")
-    with RunService(workers=1, runner=ECHO) as svc:
-        server = WireServer(svc)
-        server.serve_in_thread()
-        try:
-            with raw_wire(server) as (chan, _hello):
-                replies = wire_batch(chan, [good, {"app": "jacobi"}, good])
-            assert [msg["op"] for msg in replies] \
-                == ["result"] * 3 + ["batch-done"]
-            batch = BatchResult.from_json(replies[-1]["batch"])
-            assert [r.error_kind for r in batch.results] \
-                == [None, "BadRequest", None]
-            with WireClient(server.host, server.port) as client:
-                assert client.run_batch([good, good]).ok
-                assert client.run({"app": "jacobi"}).error_kind \
-                    == "BadRequest"
-        finally:
-            server.close()
+    with RunService(workers=1, runner=ECHO) as svc, served(svc) as server:
+        with raw_wire(server) as (chan, _hello):
+            results = wire_runs(chan, [good, {"app": "jacobi"}, good])
+        assert [r.error_kind for r in results] == [None, "BadRequest", None]
+        with WireClient(server.host, server.port) as client:
+            assert client.run_batch([good, good]).ok
+            assert client.run({"app": "jacobi"}).error_kind == "BadRequest"
 
 
 @pytest.mark.parametrize("line,names", [
     ('{"op": "run"}', '"request"'),
     ('5', "JSON object"),
-    ('{"op": "batch", "requests": 5}', '"requests" must be a list'),
-    ('{"op": "batch", "requests": "ab"}', '"requests" must be a list'),
+    ('{"op": "batch", "requests": []}', "unknown op 'batch'"),
 ])
 def test_wire_input_errors_name_the_field(line, names):
-    import io
-    import json
-
-    from repro.serve import serve_stdio
-
     good = json.dumps({"op": "run", "request": _req(tag="ok").to_json()})
-    out = io.StringIO()
     with RunService(workers=1, runner=ECHO) as svc:
-        verdict = serve_stdio(svc, io.StringIO(f"{line}\n{good}\n"), out)
+        verdict, replies = serve_bytes(svc, f"{line}\n{good}\n".encode())
     assert verdict == "eof"
-    hello, error, result = map(json.loads, out.getvalue().splitlines())
+    hello, error, result = replies
     assert hello["op"] == "hello"
     assert error["op"] == "error" and names in error["message"]
     # one error line, then the session carries on
@@ -140,23 +114,18 @@ def test_wire_input_errors_name_the_field(line, names):
 
 
 def test_one_request_wire_batch_does_not_stall_on_nagle():
-    # `result` then `batch-done` are two small flushed segments; without
-    # TCP_NODELAY on both sockets every batch waits ~40 ms for the
+    # a `run` line out and its `result` line back are small segments;
+    # without TCP_NODELAY on both sockets each waits ~40 ms for the
     # peer's delayed ACK
-    with RunService(workers=1, runner=ECHO) as svc:
-        server = WireServer(svc)
-        server.serve_in_thread()
-        try:
-            with raw_wire(server) as (chan, _hello):
-                walls = []
-                for _ in range(9):
-                    t0 = time.perf_counter()
-                    replies = wire_batch(chan, [_req()])
-                    walls.append(time.perf_counter() - t0)
-                    assert replies[-1]["batch"]["ok"]
-                assert sorted(walls)[len(walls) // 2] < 0.020
-        finally:
-            server.close()
+    with RunService(workers=1, runner=ECHO) as svc, served(svc) as server, \
+            raw_wire(server) as (chan, _hello):
+        walls = []
+        for _ in range(9):
+            t0 = time.perf_counter()
+            [result] = wire_runs(chan, [_req()])
+            walls.append(time.perf_counter() - t0)
+            assert result.ok
+        assert sorted(walls)[len(walls) // 2] < 0.020
 
 
 def test_dead_worker_send_failure_requeues_not_fails():

@@ -9,18 +9,22 @@ The contract under test (see docs/API.md):
   counters surface through ``RunResult.cache_hit`` and the batch/service
   counters;
 * a worker that raises returns a structured ``ok=False`` result; a
-  worker that *dies* mid-batch surfaces a structured ``WorkerCrashed``
-  result and the batch still completes — never a hang;
+  worker that *dies* mid-batch surfaces exactly one structured
+  ``WorkerCrashed`` result, for the request it was running, and the
+  batch still completes — never a hang;
+* a consumer that stops reading a stream leaves the service usable: the
+  next batch gets exactly its own results (pool and wire);
 * a worker is forked when the pool starts it from a single-threaded
   process on Linux, spawned otherwise, and either way a worker's death is
   EOF on the parent's end and the parent closing its end is EOF on the
   worker's, and a forked worker keeps no other socket of its parent;
-* the JSON-lines wire protocol (TCP) round-trips requests, streamed
-  results and batch documents.
+* the JSON-lines wire protocol (TCP) round-trips requests and streamed
+  results, one ``result`` line per ``run`` line, by ``id``.
 """
 
 import _thread
 import collections
+import contextlib
 import multiprocessing
 import socket
 import sys
@@ -30,9 +34,9 @@ import warnings
 
 import pytest
 
-from repro.api import BatchResult, ProgramCache, RunRequest, execute
-from repro.serve import WIRE_SCHEMA, RunService, WireClient, WireServer
-from tests.serve_helpers import raw_wire, wire_batch
+from repro.api import ProgramCache, RunRequest, execute
+from repro.serve import WIRE_SCHEMA, RunService, WireClient
+from tests.serve_helpers import raw_wire, served, wire_runs
 
 #: tiny standard-preset mix: two DSM variants, one MP, one sequential
 REQUESTS = [
@@ -110,24 +114,48 @@ def test_worker_exception_returns_structured_failure():
 
 
 def test_worker_crash_mid_batch_surfaces_error_not_hang():
+    # one worker: the requests behind the crash are queued when it dies,
+    # and only the one it was running fails
+    tags = ["ok-1", "crash", "ok-2", "ok-3", "ok-4"]
     with RunService(workers=1, runner=ECHO) as svc:
-        batch = svc.run_batch([
-            RunRequest("jacobi", "spf", preset="test", tag="ok-1"),
-            RunRequest("jacobi", "spf", preset="test", tag="crash"),
-            RunRequest("jacobi", "spf", preset="test", tag="ok-2"),
-        ])
-        assert not batch.ok and batch.runs == 3
-        crashed = batch.results[1]
-        assert crashed.error_kind == "WorkerCrashed"
-        assert "died" in crashed.error
+        batch = svc.run_batch([RunRequest("jacobi", "spf", preset="test",
+                                          tag=tag) for tag in tags])
+        assert [r.error_kind for r in batch.results] \
+            == [None, "WorkerCrashed", None, None, None]
+        assert "died" in batch.results[1].error
         assert batch.crashes == 1
-        # the respawned worker finished the rest of the batch ...
-        assert batch.results[0].ok and batch.results[2].ok
-        # ... and keeps serving subsequent batches
+        # the respawned worker finished the rest of the batch and keeps
+        # serving subsequent batches
         after = svc.run_batch([RunRequest("jacobi", "spf", preset="test",
-                                          tag="ok-3")])
+                                          tag="ok-5")])
         assert after.ok
         assert svc.stats()["crashes"] == 1
+
+
+@pytest.mark.parametrize("tier", ["pool", "wire"])
+def test_an_abandoned_stream_leaves_the_service_usable(tier):
+    """Stop reading a stream after its first result: the next batch gets
+    exactly its own results, in order.  The abandoned runs still finish;
+    their results are dropped as they come back and count nowhere."""
+    slow = [RunRequest("jacobi", "spf", preset="test", tag=f"slow:0.05:a{i}")
+            for i in range(4)]
+    with RunService(workers=2, runner=ECHO) as svc, \
+            contextlib.ExitStack() as stack:
+        if tier == "wire":
+            server = stack.enter_context(served(svc))
+            svc = stack.enter_context(WireClient(server.host, server.port))
+        for _index, _result in svc.stream(slow):
+            break
+        before = svc.counters()
+        batch = svc.run_batch([RunRequest("jacobi", "spf", preset="test",
+                                          tag=f"b{i}") for i in range(5)])
+        assert [r.tag for r in batch.results] == [f"b{i}" for i in range(5)]
+        assert batch.ok and svc.counters() == before
+        if tier == "wire":
+            # a2 and a3 waited on the host behind a0 and a1: they came
+            # back during the second batch and were not counted
+            [host] = svc.stats()["fleet"]["hosts"].values()
+            assert host["runs"] <= 2 + 5 and host["requeues"] == 0
 
 
 def _pool_children():
@@ -168,7 +196,7 @@ def test_dead_workers_leave_pool_stats():
 
 
 def test_a_worker_is_a_wire_peer():
-    # parent <-> worker bytes are repro-serve/1 lines: read the first one
+    # parent <-> worker bytes are repro-serve/2 lines: read the first one
     # off a worker's socket before the service does
     with RunService(workers=1, runner=ECHO) as svc:
         hello = svc._targets[0].chan.recv()
@@ -283,24 +311,16 @@ def test_unknown_variant_fails_structured_not_fatal(service):
 
 
 def test_wire_protocol_round_trip(service):
-    server = WireServer(service)
-    server.serve_in_thread()
-    try:
+    with served(service) as server:
         with raw_wire(server) as (chan, hello):
             assert hello == {"op": "hello", "schema": WIRE_SCHEMA,
                              "workers": 2}
-            replies = wire_batch(chan, REQUESTS)
-        kinds = [msg["op"] for msg in replies]
-        assert kinds == ["result"] * len(REQUESTS) + ["batch-done"]
-        assert sorted(msg["index"] for msg in replies[:-1]) \
-            == list(range(len(REQUESTS)))
-        wire_batch_doc = BatchResult.from_json(replies[-1]["batch"])
-        assert wire_batch_doc.ok and wire_batch_doc.runs == len(REQUESTS)
+            results = wire_runs(chan, REQUESTS)
         cache = ProgramCache()
         direct = [execute(r, cache) for r in REQUESTS]
-        assert [r.canonical_bytes() for r in wire_batch_doc.results] \
+        assert [r.canonical_bytes() for r in results] \
             == [r.canonical_bytes() for r in direct]
-        # the client end: the same runs, one chunk per host worker count
+        # the client end: the same runs, one line per request
         with WireClient(server.host, server.port) as client:
             single = client.run(REQUESTS[0])
             assert single.ok and single.variant == "spf"
@@ -308,6 +328,5 @@ def test_wire_protocol_round_trip(service):
             assert client.workers == 2
         assert [r.canonical_bytes() for r in batch.results] \
             == [r.canonical_bytes() for r in direct]
-        assert service.stats()["workers"] == 2
-    finally:
-        server.close()
+    # the pool serves its own callers again once its server has stopped
+    assert service.stats()["workers"] == 2

@@ -23,11 +23,11 @@ from repro.serve.wire import JsonLines
 
 class Peer(JsonLines):
     """A fake target's channel.  ``script`` is consumed one action per
-    request received — ``"ok"`` (the default once it runs out) echoes a
-    result carrying the request's tag, ``"die"`` closes the far end with
-    the request in flight, ``"garble"`` answers with a non-JSON line,
-    ``"skip"`` leaves the request unanswered, and any other value echoes
-    the result under that value as its ``index``."""
+    ``run`` line received — ``"ok"`` (the default once it runs out)
+    echoes a result carrying the request's tag under the line's ``id``,
+    ``"die"`` closes the far end with the request in flight, ``"garble"``
+    answers with a non-JSON line, ``"error"`` with an ``error`` line, and
+    ``("id", value)`` echoes the result under ``value`` instead."""
 
     def __init__(self, label, script, log):
         ours, self.far = socket.socketpair()
@@ -40,25 +40,21 @@ class Peer(JsonLines):
             return
         line = self.far.recv(1 << 16)
         assert json.loads(line) == obj and line.endswith(b"\n")
-        docs = [obj["request"]] if obj["op"] == "run" else obj["requests"]
-        self.log.append((self.label, obj["op"], [d["tag"] for d in docs]))
-        for index, doc in enumerate(docs):
-            action = self.script.pop(0) if self.script else "ok"
-            if action == "die":
-                return self.far.close()
-            if action == "garble":
-                return self.far.sendall(b"!!not json!!\n")
-            if action == "skip":
-                continue
-            request = RunRequest.from_json(doc)
-            result = RunResult(app=request.app, variant=request.variant,
-                               nprocs=request.nprocs, preset=request.preset,
-                               time=1.0, tag=request.tag)
-            self._answer({"op": "result",
-                          "index": index if action == "ok" else action,
-                          "result": result.to_json()})
-        if obj["op"] == "batch":
-            self._answer({"op": "batch-done"})
+        request = RunRequest.from_json(obj["request"])
+        self.log.append((self.label, request.tag))
+        action = self.script.pop(0) if self.script else "ok"
+        if action == "die":
+            return self.far.close()
+        if action == "garble":
+            return self.far.sendall(b"!!not json!!\n")
+        if action == "error":
+            return self._answer({"op": "error", "message": "no runs here"})
+        result = RunResult(app=request.app, variant=request.variant,
+                           nprocs=request.nprocs, preset=request.preset,
+                           time=1.0, tag=request.tag)
+        self._answer({"op": "result",
+                      "id": obj["id"] if action == "ok" else action[1],
+                      "result": result.to_json()})
 
     def _answer(self, obj):
         self.far.sendall((json.dumps(obj) + "\n").encode())
@@ -68,8 +64,10 @@ class Peer(JsonLines):
         self.far.close()
 
 
-def fake(label, capacity=1, requeue=False, script=(), dead=False, log=None):
+def fake(label, capacity=1, requeue=False, script=(), dead=False, log=None,
+         depth=1):
     target = Target(label, capacity=capacity, requeue=requeue)
+    target.depth = depth
     target.chan = Peer(label, script, log)
     if dead:
         target.chan.far.close()
@@ -103,17 +101,17 @@ def verdicts(seen):
 
 def test_hand_out_is_fifo_by_capacity():
     log = []
-    a = fake("a", capacity=2, log=log)
-    b = fake("b", capacity=1, log=log)
-    seen, _svc = run([a, b], 5)
-    assert verdicts(seen) == ["r0", "r1", "r2", "r3", "r4"]
-    # the first wave fills each idle target to its capacity, oldest first:
-    # two or more requests travel as a `batch`, one as a `run`
-    assert log[:2] == [("a", "batch", ["r0", "r1"]), ("b", "run", ["r2"])]
+    a = fake("a", capacity=2, log=log, depth=2)
+    b = fake("b", capacity=1, log=log, depth=2)
+    seen, _svc = run([a, b], 9)
+    assert verdicts(seen) == [f"r{i}" for i in range(9)]
+    # one request per idle worker everywhere, oldest first, before any
+    # target gets the extra depth; one `run` line per request
+    assert log[:6] == [("a", "r0"), ("a", "r1"), ("b", "r2"),
+                       ("a", "r3"), ("a", "r4"), ("b", "r5")]
     # and over the whole batch nothing is sent twice or out of order
-    assert [tag for _l, _op, tags in log for tag in tags] \
-        == ["r0", "r1", "r2", "r3", "r4"]
-    assert a.runs + b.runs == 5
+    assert [tag for _label, tag in log] == [f"r{i}" for i in range(9)]
+    assert a.runs + b.runs == 9
 
 
 HOSTLOST = ("HostLost", "no fleet host remains")
@@ -126,16 +124,16 @@ LOSS = [
      ["r0", "r1", "r2"], {"t1": ["r0", "r1", "r2"]}, 1, 1),
     ("a send failure requeues and never blames the request (fleet)",
      [(2, True, [], True), (2, True, [], False)], 3, HOSTLOST,
-     ["r0", "r1", "r2"], {"t1": ["r0", "r1", "r2"]}, 1, 2),
+     ["r0", "r1", "r2"], {"t1": ["r0", "r1", "r2"]}, 1, 1),
     ("a 'fail' target's loss is exactly one WorkerCrashed result",
      [(1, False, ["die"], False), (1, False, [], False)], 3, None,
      ["WorkerCrashed", "r1", "r2"], {"t0": ["r0"], "t1": ["r1", "r2"]},
      1, 0),
-    # r3 left before the loss was noticed; requeued r1 then jumps r4
+    # r3's send to t0 finds the loss: r1 and r3 go back, in that order
     ("a 'requeue' target's loss re-runs exactly the pending seqs",
      [(2, True, ["ok", "die"], False), (1, True, [], False)], 5, HOSTLOST,
      ["r0", "r1", "r2", "r3", "r4"],
-     {"t0": ["r0", "r1"], "t1": ["r2", "r3", "r1", "r4"]}, 1, 1),
+     {"t0": ["r0", "r1"], "t1": ["r2", "r1", "r3", "r4"]}, 1, 2),
     ("a garbled line is a loss like EOF",
      [(1, True, ["garble"], False), (1, True, [], False)], 2, HOSTLOST,
      ["r0", "r1"], {"t0": ["r0"], "t1": ["r1", "r0"]}, 1, 1),
@@ -144,19 +142,23 @@ LOSS = [
      [(2, True, ["ok", "garble"], False), (1, True, [], False)], 5, HOSTLOST,
      ["r0", "r1", "r2", "r3", "r4"],
      {"t0": ["r0", "r1"], "t1": ["r2", "r1", "r3", "r4"]}, 1, 1),
-    # r0's result under index -1 would land on r2: the first forged index
-    # loses t0 before any of its answers counts
-    ("a forged index loses the target, and no result lands elsewhere",
-     [(3, True, [-1, 0, True], False), (1, True, [], False)], 3, HOSTLOST,
-     ["r0", "r1", "r2"],
-     {"t0": ["r0", "r1", "r2"], "t1": ["r0", "r1", "r2"]}, 1, 3),
+    ("an error line loses the target",
+     [(1, True, ["error"], False), (1, True, [], False)], 2, HOSTLOST,
+     ["r0", "r1"], {"t0": ["r0"], "t1": ["r1", "r0"]}, 1, 1),
+    # True == 1 and 1.0 == 1 in Python: an id must be that very int; the
+    # first forged line loses t0 before any of its answers counts
+    *[(f"a forged id ({forged!r}) loses the target",
+       [(3, True, [("id", forged)], False), (1, True, [], False)], 3,
+       HOSTLOST, ["r0", "r1", "r2"],
+       {"t0": ["r0", "r1", "r2"], "t1": ["r0", "r1", "r2"]}, 1, 3)
+      for forged in (True, 1.0, "1", 7, None)],
     ("a second answer to one request loses the target",
-     [(3, True, ["ok", 0], False), (1, True, [], False)], 3, HOSTLOST,
-     ["r0", "r1", "r2"], {"t0": ["r0", "r1", "r2"], "t1": ["r1", "r2"]},
-     1, 2),
-    ("a batch-done before every result loses the target",
-     [(2, True, ["ok", "skip"], False), (1, True, [], False)], 2, HOSTLOST,
-     ["r0", "r1"], {"t0": ["r0", "r1"], "t1": ["r1"]}, 1, 1),
+     [(3, True, ["ok", ("id", 0)], False), (1, True, [], False)], 3,
+     HOSTLOST, ["r0", "r1", "r2"],
+     {"t0": ["r0", "r1", "r2"], "t1": ["r1", "r2"]}, 1, 2),
+    ("an id sent to another target loses the target",
+     [(1, True, [("id", 1)], False), (1, True, [], False)], 2, HOSTLOST,
+     ["r0", "r1"], {"t0": ["r0"], "t1": ["r1", "r0"]}, 1, 1),
     # t2 never gets r0: lost by two targets, it fails instead of going
     # round again
     ("a request requeued once fails at its second loss",
@@ -166,10 +168,11 @@ LOSS = [
     ("no target left: the pool drains as WorkerCrashed",
      [(1, False, ["die"], False)], 3, None,
      ["WorkerCrashed"] * 3, {"t0": ["r0"]}, 1, 0),
+    # r2's send finds the loss: r1 and r2 go back, with no one to take them
     ("no target left: the fleet drains as HostLost",
      [(2, True, ["ok", "die"], False)], 4, HOSTLOST,
      ["r0", "HostLost", "HostLost", "HostLost"], {"t0": ["r0", "r1"]},
-     1, 1),
+     1, 2),
 ]
 
 
@@ -184,8 +187,8 @@ def test_what_a_loss_means(why, specs, n, exhausted, want, ran, crashes,
     seen, svc = run(targets, n, exhausted)
     assert verdicts(seen) == want
     received = {}
-    for label, _op, tags in log:
-        received.setdefault(label, []).extend(tags)
+    for label, tag in log:
+        received.setdefault(label, []).append(tag)
     assert received == ran
     assert svc.counters()["crashes"] == crashes
     assert svc._backlog.requeues == requeues

@@ -11,7 +11,7 @@ The contract under test (see docs/API.md "Wire failure semantics"):
   the drop and fails only the rest;
 * a host that answers every request with an ``error`` line is not
   resent to forever: each request goes back once, then fails;
-* a server whose client has gone (a reply fails with ``BrokenPipeError``)
+* a host whose client has gone (a reply fails with ``BrokenPipeError``)
   ends the conversation quietly as ``"eof"``, and a ``shutdown`` still
   holds;
 * ``WireClient.close()``/``__exit__`` are idempotent and safe after the
@@ -28,14 +28,15 @@ import pytest
 
 from repro.api import RunRequest, RunResult
 from repro.serve import (FleetService, RunService, WireClient,
-                         WireServer)
-from repro.serve.wire import _serve_lines, serve_socket
-from tests.serve_helpers import raw_wire
+                         WireServer, serve_stdio)
+from repro.serve.wire import serve_socket
+from tests.serve_helpers import Unserved, raw_wire
 
 ECHO = "tests.serve_helpers:echo_runner"
 
-HELLO = json.dumps({"op": "hello", "schema": "repro-serve/1",
-                    "workers": 2}) + "\n"
+#: a host of one worker: the client keeps two of its runs unanswered
+HELLO = json.dumps({"op": "hello", "schema": "repro-serve/2",
+                    "workers": 1}) + "\n"
 
 REQ = RunRequest("jacobi", "spf", nprocs=2, preset="test", seq_time=1.0)
 
@@ -43,22 +44,20 @@ RESULT_DOC = RunResult(app="jacobi", variant="spf", nprocs=2,
                        preset="test", time=1.0, seq_time=1.0).to_json()
 
 
-def scripted_server(handler):
-    """One-connection raw TCP peer running ``handler(conn)`` then dying."""
+def scripted_server(handler, connections=1):
+    """Raw TCP peer running ``handler(conn)`` on each of ``connections``
+    connections in turn, then dying."""
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     srv.listen(1)
     host, port = srv.getsockname()
 
     def run():
-        conn, _ = srv.accept()
-        try:
-            handler(conn)
-        finally:
-            try:
-                conn.close()
-            finally:
-                srv.close()
+        with srv:
+            for _ in range(connections):
+                conn, _ = srv.accept()
+                with conn:
+                    handler(conn)
 
     threading.Thread(target=run, daemon=True).start()
     return host, port
@@ -99,15 +98,18 @@ def test_garbled_line_is_structured():
 def test_a_drop_mid_batch_keeps_what_completed_and_fails_the_rest():
     def handler(conn):
         conn.sendall(HELLO.encode())
-        conn.makefile("r").readline()          # the first chunk: two
-        msg = {"op": "result", "index": 0, "result": RESULT_DOC}
+        lines = conn.makefile("r")
+        first = json.loads(lines.readline())     # of two runs at once
+        msg = {"op": "result", "id": first["id"], "result": RESULT_DOC}
         conn.sendall((json.dumps(msg) + "\n").encode())
-        # die with index 1 of the chunk still in flight
+        lines.readline()
+        lines.readline()        # the third, sent as the first was answered
+        # die with the second and third in flight
 
     host, port = scripted_server(handler)
     with WireClient(host, port, timeout=10.0) as client:
         batch = client.run_batch([REQ, REQ, REQ])
-        assert client.stats()["fleet"]["requeues"] == 1
+        assert client.stats()["fleet"]["requeues"] == 2
     first, *rest = batch.results
     assert first.canonical_bytes() \
         == RunResult.from_json(RESULT_DOC).canonical_bytes()
@@ -115,33 +117,22 @@ def test_a_drop_mid_batch_keeps_what_completed_and_fails_the_rest():
     assert batch.crashes == 1
 
 
-class _Refuses:
-    """A service that answers every request with an ``error`` line."""
-
-    workers = 2
-
-    def stream(self, requests):
-        raise RuntimeError("no runs here")
-
-    def run_batch(self, requests, on_result=None):
-        raise RuntimeError("no runs here")
-
-    def stats(self):
-        return {"workers": 2}
+def _refuse(conn):
+    """A host that answers every request with an ``error`` line."""
+    conn.sendall(HELLO.encode())
+    for _line in conn.makefile("r"):
+        conn.sendall(b'{"op": "error", "message": "no runs here"}\n')
 
 
 def test_an_error_answering_host_is_resent_once_then_fails():
-    server = WireServer(_Refuses())
-    server.serve_in_thread()
-    fleet = FleetService([f"{server.host}:{server.port}"], retries=0,
-                         timeout=5.0)
+    host, port = scripted_server(_refuse, connections=4)
+    fleet = FleetService([f"{host}:{port}"], retries=0, timeout=5.0)
     batches = []
     worker = threading.Thread(
         target=lambda: batches.append(fleet.run_batch([REQ] * 3)),
         daemon=True)
     worker.start()
     worker.join(5.0)
-    server.close()
     assert not worker.is_alive(), "the host's requests are resent forever"
     fleet.close()
     [batch] = batches
@@ -202,15 +193,27 @@ def test_send_after_close_is_structured(service):
     server.close()
 
 
+def test_closing_a_served_pool_stops_its_server_loop(monkeypatch):
+    """A pool closed while a WireServer still serves it (the perf harness
+    does this) first stops the serving loop on the other thread, which
+    would otherwise read the sockets the pool is closing."""
+    raised = []
+    monkeypatch.setattr(threading, "excepthook", raised.append)
+    for _ in range(5):
+        pool = RunService(workers=1, runner=ECHO)
+        server = WireServer(pool)
+        thread = server.serve_in_thread()
+        with WireClient(server.host, server.port) as client:
+            assert client.run(REQ).ok
+        pool.close()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        server.close()
+    assert raised == []
+
+
 # ---------------------------------------------------------------------- #
 # a server whose client has gone
-
-class _Stats:
-    workers = 1
-
-    def stats(self):
-        return {"workers": 1}
-
 
 class _GoneAfter(io.StringIO):
     """A text stream whose reader goes away after ``flushes`` flushes."""
@@ -233,17 +236,19 @@ class _GoneAfter(io.StringIO):
     (1, ['{"op": "shutdown"}'], "shutdown"),
 ], ids=["hello", "reply", "error-line", "bad-json-line", "shutdown"])
 def test_a_gone_client_ends_the_conversation(flushes, lines, verdict):
-    """Once raised out of the loop -- and socketserver printed the
-    traceback, or a pool worker died of it -- a reply the client is no
-    longer there to read ends the conversation; a shutdown still holds."""
-    assert _serve_lines(_Stats(), lines, _GoneAfter(flushes),
-                        threading.Lock()) == verdict
+    """A reply the client is no longer there to read ends the
+    conversation -- no traceback, no dead pool worker; a shutdown still
+    holds."""
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall("".join(f"{line}\n" for line in lines).encode())
+        theirs.shutdown(socket.SHUT_WR)
+        assert serve_stdio(Unserved(), ours, _GoneAfter(flushes)) == verdict
 
 
 def test_serve_socket_to_a_closed_peer_is_eof():
-    """The unsent hello stays buffered; closing the stream must not raise
-    it a second time."""
+    """A pool worker whose parent's end is gone before its hello."""
     ours, theirs = socket.socketpair()
     theirs.close()
     with ours:
-        assert serve_socket(_Stats(), ours) == "eof"
+        assert serve_socket(Unserved(), ours) == "eof"

@@ -1,8 +1,9 @@
-"""Fuzzing the two ``repro-serve/1`` decoders with arbitrary input.
+"""Fuzzing the two ``repro-serve/2`` decoders with arbitrary input.
 
-The server side is :func:`repro.serve.wire.serve_socket` — the read loop
-every server runs (``_serve_lines`` over the socket's text stream) — fed
-raw bytes and JSON-like lines.  The client side is the one reader every
+The server side is a host's relay — :meth:`Service.serve` reading a
+:class:`~repro.serve.wire.Session` line by line (``Service._hear``, the
+only reader of outside input) — fed raw bytes and JSON-like lines over
+a socketpair.  The client side is the one reader every
 client runs, the :class:`~repro.serve.service.Service` loop, driven
 through :class:`repro.serve.WireClient` (a fleet of one host) whose
 every connection is fed the same after a good ``hello``.  The only
@@ -10,9 +11,9 @@ outcomes allowed:
 
 * server: a reply line per input line that is an ``{"op": "error"}``,
   or a ``result`` that is a structured failure (``BadRequest`` for a
-  request doc that does not parse), a ``batch-done``, ``stats`` or
-  ``bye``; the loop itself returns ``"bye"``, ``"shutdown"`` or
-  ``"eof"`` and never raises;
+  request doc that does not parse), ``stats`` or ``bye``; the loop
+  itself returns ``"bye"``, ``"shutdown"`` or ``"eof"`` and never
+  raises;
 * client: exactly one result per request, either one the peer sent or
   a structured ``HostLost`` failure naming the peer; a request is sent
   at most twice.
@@ -23,7 +24,6 @@ with a timeout, and the whole file takes a few seconds.
 
 import json
 import socket
-import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -31,23 +31,12 @@ from hypothesis import strategies as st
 
 from repro.api import RunRequest, RunResult
 from repro.serve import WireClient
-from repro.serve.service import Service
-from repro.serve.wire import WIRE_SCHEMA, JsonLines, serve_socket
+from repro.serve.wire import WIRE_SCHEMA, JsonLines
+from tests.serve_helpers import Unserved, serve_bytes
 
 TIMEOUT_S = 10.0
 FUZZ = settings(max_examples=100, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
-
-
-class _Unserved(Service):
-    """A service with no target behind it: a request that parses fails
-    as ``Unserved``, one that does not as ``BadRequest``."""
-
-    workers = 1
-    exhausted = ("Unserved", "nothing runs behind this service")
-
-    def stats(self) -> dict:
-        return {"workers": 0, "cache": {"hits": 0, "misses": 0}}
 
 
 # ---------------------------------------------------------------------- #
@@ -71,13 +60,11 @@ REQUEST_DOCS = st.fixed_dictionaries({}, optional={
 })
 RESULT_DOC = RunResult(app="jacobi", variant="spf", nprocs=2, preset="test",
                        time=1.0, seq_time=1.0).to_json()
-OPS = st.sampled_from(["run", "batch", "stats", "hello", "result",
-                       "batch-done", "error", "bye", "nope"]) | VALUES
+OPS = st.sampled_from(["run", "stats", "hello", "result", "error", "bye",
+                       "nope"]) | VALUES
 MESSAGES = st.fixed_dictionaries({"op": OPS}, optional={
-    "id": VALUES,
+    "id": st.integers(-1, 3) | VALUES,
     "request": REQUEST_DOCS | VALUES,
-    "requests": st.lists(REQUEST_DOCS | VALUES, max_size=3) | VALUES,
-    "index": st.integers(-1, 3) | VALUES,
     "result": st.just(RESULT_DOC) | REQUEST_DOCS | VALUES,
     "schema": st.just(WIRE_SCHEMA) | VALUES,
     "message": VALUES,
@@ -96,63 +83,22 @@ PAYLOADS = LINE_STREAMS | st.binary(max_size=200) | st.tuples(
 # ---------------------------------------------------------------------- #
 # the server read loop
 
-def _serve(data: bytes) -> tuple:
-    """Run the server loop over a socket pair fed ``data`` (then EOF);
-    return ``(verdict, reply objects)``.  The client's ends run on two
-    threads, so neither side can block the other on a full buffer."""
-    ours, theirs = socket.socketpair()
-    ours.settimeout(TIMEOUT_S)
-    theirs.settimeout(TIMEOUT_S)
-    replies = []
-
-    def write_requests():
-        try:
-            theirs.sendall(data)
-            theirs.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass              # the server stopped reading (a bye) and left
-
-    def read_replies():
-        with theirs.makefile("rb") as stream:
-            for line in stream:
-                replies.append(json.loads(line))
-
-    threads = [threading.Thread(target=fn, daemon=True)
-               for fn in (write_requests, read_replies)]
-    for thread in threads:
-        thread.start()
-    with _Unserved() as service:
-        verdict = serve_socket(service, ours)
-    ours.shutdown(socket.SHUT_WR)     # the reader's EOF, after every reply
-    threads[1].join(TIMEOUT_S)
-    ours.close()
-    threads[0].join(TIMEOUT_S)
-    theirs.close()
-    assert not any(thread.is_alive() for thread in threads), "a hang"
-    return verdict, replies
-
-
 def _check_reply(msg: dict) -> None:
     op = msg["op"]
-    assert op in ("error", "result", "batch-done", "stats", "bye"), msg
+    assert op in ("error", "result", "stats", "bye"), msg
     if op == "error":
         assert isinstance(msg["message"], str)
     if op == "result":
         result = RunResult.from_json(msg["result"])
         assert not result.ok and result.error_kind in ("BadRequest",
                                                        "Unserved"), result
-    if op == "batch-done":
-        assert all(not r.ok for r in _batch_results(msg))
-
-
-def _batch_results(msg: dict) -> list:
-    return [RunResult.from_json(doc) for doc in msg["batch"]["results"]]
 
 
 @FUZZ
 @given(PAYLOADS)
 def test_server_answers_any_input_with_a_structured_reply(data):
-    verdict, replies = _serve(data)
+    with Unserved() as service:
+        verdict, replies = serve_bytes(service, data)
     assert verdict in ("bye", "shutdown", "eof")
     assert replies[0] == {"op": "hello", "schema": WIRE_SCHEMA,
                           "workers": 1}
@@ -164,13 +110,13 @@ def test_server_answers_any_input_with_a_structured_reply(data):
     (b"\xff\xfe not utf-8\n{\"op\": \"stats\"}\n", ["error", "stats"]),
     (b"[" * 100_000 + b"\n{\"op\": \"bye\"}\n", ["error", "bye"]),
     (b"{\"op\": \"run\", \"request\": {\"app\": 7}}\n", ["result"]),
-    (b"{\"op\": \"batch\", \"requests\": [1, {}]}\n",
-     ["result", "result", "batch-done"]),
+    (b"{\"op\": \"batch\", \"requests\": [{}]}\n", ["error"]),
 ], ids=["not-utf-8", "nested-past-the-limit", "bad-request", "bad-batch"])
 def test_server_examples(data, ops):
     """Undecodable bytes and nesting past the parser's recursion limit
     are one error reply each; the session carries on."""
-    verdict, replies = _serve(data)
+    with Unserved() as service:
+        verdict, replies = serve_bytes(service, data)
     assert [msg["op"] for msg in replies[1:]] == ops
     for msg in replies[1:]:
         _check_reply(msg)
@@ -214,9 +160,8 @@ def _sent(client, peers) -> list:
         with peer, peer.makefile("rb") as stream:
             for line in stream:
                 msg = json.loads(line)
-                docs = ([msg["request"]] if msg["op"] == "run"
-                        else msg.get("requests", []))
-                tags += [doc["tag"] for doc in docs]
+                if msg["op"] == "run":
+                    tags.append(msg["request"]["tag"])
     return tags
 
 
@@ -247,7 +192,7 @@ def test_client_reader_raises_only_structured_errors(data, workers, n):
 def test_a_garbled_line_loses_nothing_that_came_before_it(monkeypatch):
     """A stream of results then garbage: the result before the garbled
     line is kept and not sent again; only the rest fail."""
-    result = {"op": "result", "index": 1, "result": RESULT_DOC}
+    result = {"op": "result", "id": 1, "result": RESULT_DOC}
     data = (json.dumps(result) + "\n!!not json!!\n").encode()
     client, peers = _client_over(data, monkeypatch, workers=3, connects=1)
     batch = client.run_batch(TAGGED)
@@ -260,8 +205,8 @@ def test_a_garbled_line_loses_nothing_that_came_before_it(monkeypatch):
 
 @pytest.mark.parametrize("reply", [
     {"op": "stats"},                                  # where a result is due
-    {"op": "result", "index": 0, "id": "x"},          # no "result" doc
-    {"op": "result", "index": 0,                      # not a result doc
+    {"op": "result", "id": 0},                        # no "result" doc
+    {"op": "result", "id": 0,                         # not a result doc
      "result": {"app": "jacobi"}},
     {"op": "bye"},                                    # not a reply to run
 ], ids=["stats-without-stats", "result-without-doc", "not-a-result-doc",
